@@ -5,19 +5,28 @@
 //! it contains (never on insertion order). Keys are `<collection>/<rkey>`
 //! strings and values are CIDs of the record blocks.
 //!
-//! This implementation keeps the authoritative key→value mapping in an
-//! ordered map and materialises the tree — node layers derived from leading
-//! zero bits of `sha256(key)`, exactly like the reference implementation —
-//! whenever the root CID or the node block set is requested. Because the tree
-//! is a pure function of the mapping, the crucial MST property (identical
-//! contents ⇒ identical root CID) holds by construction, and the rebuild cost
-//! is linear in the number of keys, which is ample for simulation scale.
-//! Two memos keep the commit hot path off the hash function: each key's
-//! layer is computed once at insertion (not per build), and the last
-//! materialisation is cached until the next mutation, so back-to-back reads
-//! (commit, then CAR export) rebuild nothing. Node blocks are encoded
-//! directly to bytes with [`crate::cbor`]'s raw writers — byte-identical to
-//! the generic `Value` encoder, without allocating a value tree per node.
+//! The tree is kept **materialised and updated in place**. A key's layer is
+//! the number of leading zero bit pairs of `sha256(key)`, exactly like the
+//! reference implementation; a node at layer `L` holds the keys of layer `L`
+//! in its key range, and every non-empty gap between them (and at both
+//! ends) is a child node at layer `L - 1` — an entry-less pass-through node
+//! where the gap's keys all sit further down. The root sits at the highest
+//! layer any key has; the empty tree is one entry-less node at layer 0.
+//! Because that shape is a pure function of the key set, identical contents
+//! give identical node bytes and an identical root CID.
+//!
+//! Mutations keep the shape: an insert splits the gap subtree it lands in
+//! around the new key, a delete merges the two neighbouring gap subtrees and
+//! trims an entry-less root, and a replace only swaps a value. Every node on
+//! the touched path drops its memoised CID, so [`Mst::root_cid`] encodes and
+//! hashes that path alone: a commit costs its batch, not its repository.
+//! The node tree is the only copy of the mapping; lookups and ordered
+//! iteration walk it. [`Mst::take_node_delta`] reports what a batch of
+//! mutations did to the node *set* (blocks that joined the tree, children
+//! before parents, and CIDs that left it), which is what the repository
+//! layer stores and logs per commit. Node blocks are encoded directly to
+//! bytes with [`crate::cbor`]'s raw writers — byte-identical to the generic
+//! `Value` encoder, without allocating a value tree per node.
 //!
 //! Node entries are **prefix-compressed on the wire**, as in the reference
 //! implementation: within a node, each entry carries `p` (the number of key
@@ -26,13 +35,17 @@
 //! so this shrinks every node block — and with them full CAR exports and the
 //! structural section of `getRepo(since)` deltas. [`decode_node`] undoes the
 //! compression; [`Mst::structural_size_uncompressed`] measures the legacy
-//! full-key encoding so the streaming bench can assert the byte win.
+//! full-key encoding so the streaming bench can assert the byte win. That
+//! measurement, and the tests that pin the incremental tree, use a
+//! rebuild-from-scratch reference builder that shares only the node encoder
+//! with the live tree.
 
 use crate::cbor::Value;
 use crate::cid::Cid;
 use crate::crypto::sha256;
 use crate::error::{AtError, Result};
-use std::collections::BTreeMap;
+use std::cell::Cell;
+use std::collections::BTreeSet;
 
 /// The fanout parameter: a key's layer is the number of leading zero *pairs of
 /// bits* in its SHA-256 hash (fanout 4, as in the reference implementation).
@@ -70,42 +83,291 @@ pub fn validate_key(key: &str) -> Result<()> {
     Ok(())
 }
 
-/// One key's stored state: its record CID plus the key's MST layer. The
-/// layer is a pure function of the key (`sha256` leading zeros), so it is
-/// computed once at insertion instead of on every materialisation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct EntryState {
-    cid: Cid,
+/// A node's memoised content address, and whether the last
+/// [`Mst::take_node_delta`] has already accounted for it.
+#[derive(Debug, Clone, Copy)]
+enum Memo {
+    /// Mutated since it was last hashed.
+    Dirty,
+    /// Hashed since the last drain, not yet reported by one.
+    Fresh(Cid),
+    /// A member of the node set as of the last drain.
+    Settled(Cid),
+}
+
+/// A gap between two entries of a node (or at either end): the subtree one
+/// layer down holding the keys that sort there, if there are any.
+type Gap = Option<Box<Node>>;
+
+#[derive(Debug, Clone)]
+struct Entry {
+    key: String,
+    value: Cid,
+    /// The gap between this entry and the next.
+    right: Gap,
+}
+
+/// One tree node. Below the root a node is never vacant (it has an entry or
+/// a left child) and sits exactly one layer under its parent.
+#[derive(Debug, Clone)]
+struct Node {
     layer: u32,
+    memo: Cell<Memo>,
+    /// The gap before the first entry.
+    left: Gap,
+    entries: Vec<Entry>,
+}
+
+impl Node {
+    fn new(layer: u32, left: Gap, entries: Vec<Entry>) -> Node {
+        Node {
+            layer,
+            memo: Cell::new(Memo::Dirty),
+            left,
+            entries,
+        }
+    }
+
+    fn is_vacant(&self) -> bool {
+        self.entries.is_empty() && self.left.is_none()
+    }
+
+    /// `Ok(i)` when entry `i` holds `key`, else `Err(i)` for the gap it
+    /// sorts into.
+    fn search(&self, key: &str) -> std::result::Result<usize, usize> {
+        self.entries.binary_search_by(|e| e.key.as_str().cmp(key))
+    }
+
+    /// Gap `i`: before entry `i`, or trailing when `i == entries.len()`.
+    fn gap(&self, i: usize) -> Option<&Node> {
+        match i {
+            0 => self.left.as_deref(),
+            _ => self.entries[i - 1].right.as_deref(),
+        }
+    }
+
+    fn gap_mut(&mut self, i: usize) -> &mut Gap {
+        match i {
+            0 => &mut self.left,
+            _ => &mut self.entries[i - 1].right,
+        }
+    }
+
+    /// Child nodes in key order.
+    fn children(&self) -> impl Iterator<Item = &Node> {
+        self.left
+            .as_deref()
+            .into_iter()
+            .chain(self.entries.iter().filter_map(|e| e.right.as_deref()))
+    }
+
+    /// Drop the memoised CID ahead of a mutation; a CID the last drain
+    /// counted as live is noted as having left the tree.
+    fn touch(&self, removed: &mut BTreeSet<Cid>) {
+        if let Memo::Settled(cid) = self.memo.replace(Memo::Dirty) {
+            removed.insert(cid);
+        }
+    }
+
+    /// The memoised CID; every reader seals the tree first.
+    fn cid(&self) -> Cid {
+        match self.memo.get() {
+            Memo::Fresh(cid) | Memo::Settled(cid) => cid,
+            Memo::Dirty => panic!("MST node read before it was hashed"),
+        }
+    }
+
+    /// This node's block; its children must already be hashed.
+    fn encode(&self) -> Vec<u8> {
+        let entries = self.entries.iter().map(|e| PendingEntry {
+            key: &e.key,
+            value: e.value,
+            subtree: e.right.as_deref().map(Node::cid),
+        });
+        encode_node(
+            self.left.as_deref().map(Node::cid),
+            entries,
+            self.layer,
+            true,
+        )
+    }
+
+    /// Hash every dirty node of this subtree, children before parents, and
+    /// return the subtree's CID. With a `delta` the walk is a drain: it also
+    /// revisits nodes hashed since the last drain, settles them, and reports
+    /// each one whose CID was not live at that drain as added (a node that
+    /// hashes back to a removed CID cancels the departure instead).
+    fn seal(&self, hashed: &Cell<u64>, delta: &mut Option<&mut NodeDelta>) -> Cid {
+        let known = match self.memo.get() {
+            Memo::Settled(cid) => return cid,
+            Memo::Fresh(cid) if delta.is_none() => return cid,
+            Memo::Fresh(cid) => Some(cid),
+            Memo::Dirty => None,
+        };
+        for child in self.children() {
+            child.seal(hashed, delta);
+        }
+        let bytes = self.encode();
+        let cid = known.unwrap_or_else(|| {
+            hashed.set(hashed.get() + 1);
+            Cid::for_cbor(&bytes)
+        });
+        match delta {
+            Some(delta) => {
+                if !delta.removed.remove(&cid) {
+                    delta.added.push(MstNode { cid, bytes });
+                }
+                self.memo.set(Memo::Settled(cid));
+            }
+            None => self.memo.set(Memo::Fresh(cid)),
+        }
+        cid
+    }
+
+    /// Every node block of this (sealed) subtree, children before parents.
+    fn collect_blocks(&self, out: &mut Vec<MstNode>) {
+        for child in self.children() {
+            child.collect_blocks(out);
+        }
+        out.push(MstNode {
+            cid: self.cid(),
+            bytes: self.encode(),
+        });
+    }
+
+    /// Replace the value of a key in this subtree, returning the old value
+    /// (`None`: the key is absent). Only a real change dirties the path.
+    fn replace(&mut self, key: &str, value: Cid, removed: &mut BTreeSet<Cid>) -> Option<Cid> {
+        let old = match self.search(key) {
+            Ok(i) => std::mem::replace(&mut self.entries[i].value, value),
+            Err(i) => self.gap_mut(i).as_mut()?.replace(key, value, removed)?,
+        };
+        if old != value {
+            self.touch(removed);
+        }
+        Some(old)
+    }
+
+    /// Insert a key known to be absent, at `layer <= self.layer`.
+    fn insert_new(&mut self, key: &str, layer: u32, value: Cid, removed: &mut BTreeSet<Cid>) {
+        self.touch(removed);
+        let i = self.entries.partition_point(|e| e.key.as_str() < key);
+        let entry = |right| Entry {
+            key: key.to_string(),
+            value,
+            right,
+        };
+        if layer == self.layer {
+            // The gap the key lands in splits around it.
+            let (before, after) = split(self.gap_mut(i).take(), key, removed);
+            *self.gap_mut(i) = before;
+            self.entries.insert(i, entry(after));
+        } else if let Some(child) = self.gap_mut(i) {
+            child.insert_new(key, layer, value, removed);
+        } else {
+            let leaf = Box::new(Node::new(layer, None, vec![entry(None)]));
+            *self.gap_mut(i) = lift(Some(leaf), self.layer - 1);
+        }
+    }
+
+    /// Remove a key from this subtree, returning its value. The caller
+    /// unlinks this node if that leaves it vacant.
+    fn remove(&mut self, key: &str, removed: &mut BTreeSet<Cid>) -> Option<Cid> {
+        let old = match self.search(key) {
+            Ok(i) => {
+                // The gaps on either side of the entry become one.
+                let entry = self.entries.remove(i);
+                let before = self.gap_mut(i);
+                *before = merge(before.take(), entry.right, removed);
+                entry.value
+            }
+            Err(i) => {
+                let gap = self.gap_mut(i);
+                let child = gap.as_mut()?;
+                let old = child.remove(key, removed)?;
+                if child.is_vacant() {
+                    *gap = None;
+                }
+                old
+            }
+        };
+        self.touch(removed);
+        Some(old)
+    }
+}
+
+/// Split a gap subtree around an absent key that belongs above it: the keys
+/// before it and the keys after it, each still a valid gap at that layer.
+fn split(gap: Gap, key: &str, removed: &mut BTreeSet<Cid>) -> (Gap, Gap) {
+    let Some(mut node) = gap else {
+        return (None, None);
+    };
+    node.touch(removed);
+    let i = node.entries.partition_point(|e| e.key.as_str() < key);
+    let (before, after) = split(node.gap_mut(i).take(), key, removed);
+    let upper = Node::new(node.layer, after, node.entries.split_off(i));
+    *node.gap_mut(i) = before;
+    let keep = |node: Box<Node>| (!node.is_vacant()).then_some(node);
+    (keep(node), keep(Box::new(upper)))
+}
+
+/// Join two adjacent gap subtrees of the same layer (the entry between them
+/// is gone) into one.
+fn merge(before: Gap, after: Gap, removed: &mut BTreeSet<Cid>) -> Gap {
+    let (mut node, mut upper) = match (before, after) {
+        (Some(before), Some(after)) => (before, after),
+        (before, after) => return before.or(after),
+    };
+    node.touch(removed);
+    upper.touch(removed);
+    let last = node.entries.len();
+    let seam = node.gap_mut(last);
+    *seam = merge(seam.take(), upper.left.take(), removed);
+    node.entries.append(&mut upper.entries);
+    Some(node)
+}
+
+/// Wrap a gap subtree in entry-less pass-through nodes up to `layer`.
+fn lift(gap: Gap, layer: u32) -> Gap {
+    let mut node = gap?;
+    while node.layer < layer {
+        node = Box::new(Node::new(node.layer + 1, Some(node), Vec::new()));
+    }
+    Some(node)
 }
 
 /// A content-addressed key→CID index.
 ///
-/// The authoritative state is the ordered `entries` map; the tree shape is
-/// a pure function of it. The last materialisation (root CID plus every
-/// node block) is memoised in `built` and invalidated by any mutation, so
-/// repeated reads — a CAR export right after a commit, a root probe — cost
-/// a copy instead of a rebuild.
-#[derive(Debug, Default)]
+/// The node tree under `root` is the authoritative state; see the module
+/// docs for its shape and how mutations maintain it.
+#[derive(Debug, Clone)]
 pub struct Mst {
-    entries: BTreeMap<String, EntryState>,
-    built: std::cell::RefCell<Option<(Cid, Vec<MstNode>)>>,
+    root: Node,
+    len: usize,
+    /// CIDs that were live at the last [`Mst::take_node_delta`] and whose
+    /// nodes have been mutated or unlinked since. Bounded by the size of the
+    /// tree at that drain; a tree that is never drained never adds to it.
+    removed: BTreeSet<Cid>,
+    /// Nodes hashed so far (see [`Mst::nodes_hashed`]).
+    hashed: Cell<u64>,
 }
 
-impl Clone for Mst {
-    fn clone(&self) -> Mst {
+impl Default for Mst {
+    fn default() -> Mst {
         Mst {
-            entries: self.entries.clone(),
-            built: std::cell::RefCell::new(self.built.borrow().clone()),
+            root: Node::new(0, None, Vec::new()),
+            len: 0,
+            removed: BTreeSet::new(),
+            hashed: Cell::new(0),
         }
     }
 }
 
 impl PartialEq for Mst {
     fn eq(&self, other: &Mst) -> bool {
-        // The memo is derived state; two trees are equal iff their
-        // contents are.
-        self.entries == other.entries
+        // Memos and drain bookkeeping are derived state; two trees are
+        // equal iff their contents are.
+        self.len == other.len && self.iter().eq(other.iter())
     }
 }
 
@@ -150,13 +412,70 @@ impl MstDiffOp {
     }
 }
 
-/// A materialised tree node (only produced by [`Mst::blocks`]).
+/// An encoded tree node.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MstNode {
     /// CID of this node's encoded block.
     pub cid: Cid,
     /// The encoded DAG-CBOR bytes of the node.
     pub bytes: Vec<u8>,
+}
+
+/// What the mutations since the previous [`Mst::take_node_delta`] did to the
+/// tree's node set: exactly the set difference between the node sets after
+/// and before, however the mutations got there (a batch that was undone, or
+/// a delete and re-add of the same value, nets to nothing).
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct NodeDelta {
+    /// Nodes of the tree now that were not nodes of it then, children
+    /// before parents.
+    pub added: Vec<MstNode>,
+    /// CIDs of nodes of the tree then that are not nodes of it now, in CID
+    /// order.
+    pub removed: BTreeSet<Cid>,
+}
+
+/// In-order iterator over a tree's `(key, cid)` pairs.
+struct Iter<'a> {
+    /// Path from the root to the current position: each node with the index
+    /// of its next entry to yield (the gap before that entry is done or on
+    /// the stack above it).
+    stack: Vec<(&'a Node, usize)>,
+}
+
+impl<'a> Iter<'a> {
+    /// Start at the first key `>= from`.
+    fn from_key(root: &'a Node, from: &str) -> Iter<'a> {
+        let mut iter = Iter { stack: Vec::new() };
+        iter.descend(Some(root), from);
+        iter
+    }
+
+    fn descend(&mut self, mut gap: Option<&'a Node>, from: &str) {
+        while let Some(node) = gap {
+            let i = node.entries.partition_point(|e| e.key.as_str() < from);
+            self.stack.push((node, i));
+            gap = node.gap(i);
+        }
+    }
+}
+
+impl<'a> Iterator for Iter<'a> {
+    type Item = (&'a str, &'a Cid);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        loop {
+            let top = self.stack.last_mut()?;
+            let node: &'a Node = top.0;
+            let Some(entry) = node.entries.get(top.1) else {
+                self.stack.pop();
+                continue;
+            };
+            top.1 += 1;
+            self.descend(entry.right.as_deref(), "");
+            return Some((&entry.key, &entry.value));
+        }
+    }
 }
 
 impl Mst {
@@ -167,52 +486,87 @@ impl Mst {
 
     /// Number of keys.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.len
     }
 
     /// Whether the tree is empty.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len == 0
     }
 
     /// Insert or replace a key, returning the previous value if any.
     pub fn insert(&mut self, key: &str, cid: Cid) -> Result<Option<Cid>> {
         validate_key(key)?;
-        if let Some(state) = self.entries.get_mut(key) {
-            if state.cid == cid {
-                return Ok(Some(cid)); // no-op replace: the memo stays valid
-            }
-            let old = std::mem::replace(&mut state.cid, cid);
-            *self.built.get_mut() = None;
-            return Ok(Some(old));
+        Ok(self.set(key, cid))
+    }
+
+    fn set(&mut self, key: &str, cid: Cid) -> Option<Cid> {
+        let removed = &mut self.removed;
+        if let Some(old) = self.root.replace(key, cid, removed) {
+            return Some(old);
         }
         let layer = key_layer(key);
-        self.entries
-            .insert(key.to_string(), EntryState { cid, layer });
-        *self.built.get_mut() = None;
-        Ok(None)
+        if self.len == 0 {
+            self.root.touch(removed);
+            self.root.layer = layer;
+        }
+        if layer > self.root.layer {
+            // The key becomes the only entry of a new, higher root; the old
+            // root splits around it and each half is lifted to sit just
+            // under the new one.
+            let old_root = std::mem::replace(&mut self.root, Node::new(layer, None, Vec::new()));
+            let (before, after) = split(Some(Box::new(old_root)), key, removed);
+            self.root.left = lift(before, layer - 1);
+            self.root.entries.push(Entry {
+                key: key.to_string(),
+                value: cid,
+                right: lift(after, layer - 1),
+            });
+        } else {
+            self.root.insert_new(key, layer, cid, removed);
+        }
+        self.len += 1;
+        None
     }
 
     /// Remove a key, returning its value if it was present.
     pub fn remove(&mut self, key: &str) -> Option<Cid> {
-        let removed = self.entries.remove(key)?;
-        *self.built.get_mut() = None;
-        Some(removed.cid)
+        let old = self.root.remove(key, &mut self.removed)?;
+        self.len -= 1;
+        // The root sits at the highest layer any key has: an entry-less
+        // root gives way to its only child, and the empty tree is layer 0.
+        while self.root.entries.is_empty() {
+            self.root.touch(&mut self.removed);
+            match self.root.left.take() {
+                Some(below) => self.root = *below,
+                None => {
+                    self.root.layer = 0;
+                    break;
+                }
+            }
+        }
+        Some(old)
     }
 
     /// Look up a key.
     pub fn get(&self, key: &str) -> Option<&Cid> {
-        self.entries.get(key).map(|state| &state.cid)
+        let mut node = &self.root;
+        loop {
+            match node.search(key) {
+                Ok(i) => return Some(&node.entries[i].value),
+                Err(i) => node = node.gap(i)?,
+            }
+        }
     }
 
     /// Whether a key is present.
     pub fn contains(&self, key: &str) -> bool {
-        self.entries.contains_key(key)
+        self.get(key).is_some()
     }
 
     /// Iterate all `(key, cid)` pairs in key order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &Cid)> {
-        self.entries.iter().map(|(k, v)| (k.as_str(), &v.cid))
+        Iter::from_key(&self.root, "")
     }
 
     /// Iterate the keys of a single collection (keys beginning with
@@ -221,35 +575,33 @@ impl Mst {
         &'a self,
         collection: &str,
     ) -> impl Iterator<Item = (&'a str, &'a Cid)> + 'a {
-        let prefix = format!("{collection}/");
         let end = format!("{collection}0"); // '0' sorts just after '/'
-        self.entries
-            .range(prefix..end)
-            .map(|(k, v)| (k.as_str(), &v.cid))
+        Iter::from_key(&self.root, &format!("{collection}/"))
+            .take_while(move |(key, _)| *key < end.as_str())
     }
 
     /// Compute the differences needed to go from `old` to `self`.
     pub fn diff(&self, old: &Mst) -> Vec<MstDiffOp> {
         let mut ops = Vec::new();
-        for (key, state) in &self.entries {
-            match old.entries.get(key) {
+        for (key, cid) in self.iter() {
+            match old.get(key) {
                 None => ops.push(MstDiffOp::Created {
-                    key: key.clone(),
-                    cid: state.cid,
+                    key: key.to_string(),
+                    cid: *cid,
                 }),
-                Some(prev) if prev.cid != state.cid => ops.push(MstDiffOp::Updated {
-                    key: key.clone(),
-                    old: prev.cid,
-                    new: state.cid,
+                Some(prev) if prev != cid => ops.push(MstDiffOp::Updated {
+                    key: key.to_string(),
+                    old: *prev,
+                    new: *cid,
                 }),
                 Some(_) => {}
             }
         }
-        for (key, state) in &old.entries {
-            if !self.entries.contains_key(key) {
+        for (key, cid) in old.iter() {
+            if !self.contains(key) {
                 ops.push(MstDiffOp::Deleted {
-                    key: key.clone(),
-                    cid: state.cid,
+                    key: key.to_string(),
+                    cid: *cid,
                 });
             }
         }
@@ -257,20 +609,38 @@ impl Mst {
         ops
     }
 
-    /// The root CID of the materialised tree.
+    /// The root CID. Hashes only the nodes mutated since the last call, so
+    /// a repeat with no mutation in between hashes nothing.
     pub fn root_cid(&self) -> Cid {
-        self.build().0
+        self.root.seal(&self.hashed, &mut None)
     }
 
-    /// All node blocks of the materialised tree (for CAR export and sync).
+    /// The root CID plus what the mutations since the previous call did to
+    /// the node set (the first call reports the whole tree as added). This
+    /// is the commit path: one walk over the touched nodes hashes them and
+    /// yields the blocks to store.
+    pub fn take_node_delta(&mut self) -> (Cid, NodeDelta) {
+        let mut delta = NodeDelta {
+            added: Vec::new(),
+            removed: std::mem::take(&mut self.removed),
+        };
+        let root = self.root.seal(&self.hashed, &mut Some(&mut delta));
+        (root, delta)
+    }
+
+    /// How many nodes this tree has hashed so far — the work
+    /// [`Mst::root_cid`] and [`Mst::take_node_delta`] actually did.
+    pub fn nodes_hashed(&self) -> u64 {
+        self.hashed.get()
+    }
+
+    /// All node blocks of the tree, children before parents (for CAR export
+    /// and sync). Re-encodes every node; hashes only the dirty ones.
     pub fn blocks(&self) -> Vec<MstNode> {
-        self.build().1
-    }
-
-    /// The root CID and every node block in one materialisation (callers
-    /// needing both avoid building the tree twice).
-    pub fn root_and_blocks(&self) -> (Cid, Vec<MstNode>) {
-        self.build()
+        self.root_cid();
+        let mut blocks = Vec::new();
+        self.root.collect_blocks(&mut blocks);
+        blocks
     }
 
     /// The MST diff walk at the node level: the tree node blocks of `self`
@@ -280,13 +650,12 @@ impl Mst {
     /// `com.atproto.sync.getRepo(did, since)` delta. The empty diff (equal
     /// trees) yields an empty vector.
     ///
-    /// This is the *reference* form of the walk (it materialises both
-    /// trees, O(n)); the repository layer serves deltas from its O(churn)
+    /// This is the *reference* form of the walk (it encodes both trees,
+    /// O(n)); the repository layer serves deltas from its O(churn)
     /// per-commit node log instead, and a test in `repo.rs` pins the two
     /// equal.
     pub fn node_delta(&self, old: &Mst) -> Vec<MstNode> {
-        let old_cids: std::collections::BTreeSet<Cid> =
-            old.blocks().iter().map(|n| n.cid).collect();
+        let old_cids: BTreeSet<Cid> = old.blocks().iter().map(|n| n.cid).collect();
         self.blocks()
             .into_iter()
             .filter(|n| !old_cids.contains(&n.cid))
@@ -307,23 +676,14 @@ impl Mst {
         self.build_with(false).1.iter().map(|n| n.bytes.len()).sum()
     }
 
-    /// Build the tree: returns the root CID and every node block, serving
-    /// repeats from the memo until the next mutation.
-    fn build(&self) -> (Cid, Vec<MstNode>) {
-        if let Some(cached) = self.built.borrow().as_ref() {
-            return cached.clone();
-        }
-        let out = self.build_with(true);
-        *self.built.borrow_mut() = Some(out.clone());
-        out
-    }
-
-    fn build_with(&self, compress: bool) -> (Cid, Vec<MstNode>) {
+    /// The reference builder: materialise the whole tree from the key list
+    /// alone (layers re-derived from the key hashes), returning the root CID
+    /// and every node block. The tests pin the incremental tree against it.
+    pub(crate) fn build_with(&self, compress: bool) -> (Cid, Vec<MstNode>) {
         let mut blocks = Vec::new();
         let items: Vec<(&str, Cid, u32)> = self
-            .entries
             .iter()
-            .map(|(k, v)| (k.as_str(), v.cid, v.layer))
+            .map(|(key, cid)| (key, *cid, key_layer(key)))
             .collect();
         let top_layer = items.iter().map(|(_, _, l)| *l).max().unwrap_or(0);
         let root = Self::build_node(&items, top_layer, &mut blocks, compress);
@@ -343,9 +703,6 @@ impl Mst {
         let mut segment_start = 0usize;
         let mut left_child: Option<Cid> = None;
         let mut first_entry_seen = false;
-        // Prefix compression state: the previous entry's full key within
-        // *this* node (compression never crosses node boundaries).
-        let mut prev_key: Option<&str> = None;
 
         let flush_segment = |start: usize, end: usize, blocks: &mut Vec<MstNode>| -> Option<Cid> {
             if start >= end {
@@ -377,20 +734,11 @@ impl Mst {
                     }
                 }
                 first_entry_seen = true;
-                let shared = if compress {
-                    prev_key
-                        .map(|prev| common_prefix_len(prev, key))
-                        .unwrap_or(0)
-                } else {
-                    0
-                };
                 node_entries.push(PendingEntry {
-                    prefix: shared,
                     key,
                     value: cid,
                     subtree: None,
                 });
-                prev_key = Some(key);
                 segment_start = idx + 1;
             }
         }
@@ -404,17 +752,15 @@ impl Mst {
             }
         }
 
-        let bytes = encode_node(left_child, &node_entries, layer, compress);
+        let bytes = encode_node(left_child, node_entries.into_iter(), layer, compress);
         let cid = Cid::for_cbor(&bytes);
         blocks.push(MstNode { cid, bytes });
         cid
     }
 }
 
-/// A node entry awaiting encoding: the full key plus the prefix length
-/// shared with the previous entry (0 and unused when uncompressed).
+/// A node entry awaiting encoding.
 struct PendingEntry<'a> {
-    prefix: usize,
     key: &'a str,
     value: Cid,
     subtree: Option<Cid>,
@@ -424,9 +770,12 @@ struct PendingEntry<'a> {
 /// [`Value`] tree — byte-identical to encoding the equivalent `Value`
 /// (map keys emitted in DAG-CBOR canonical order: length first, then
 /// bytewise), pinned by the `direct_encoding_matches_value_encoding` test.
-fn encode_node(
+/// With `compress`, each entry's key is cut to the suffix past the prefix it
+/// shares with the previous entry of *this* node (compression never crosses
+/// node boundaries).
+fn encode_node<'a>(
     left_child: Option<Cid>,
-    entries: &[PendingEntry<'_>],
+    entries: impl ExactSizeIterator<Item = PendingEntry<'a>>,
     layer: u32,
     compress: bool,
 ) -> Vec<u8> {
@@ -436,16 +785,23 @@ fn encode_node(
     // "e" < "l" < "layer" in canonical order.
     raw::text("e", &mut out);
     raw::array_head(entries.len() as u64, &mut out);
+    let mut prev_key = "";
     for entry in entries {
         // Entry keys are all one byte, so canonical order is bytewise:
         // "k" < "p" < "t" < "v" (no "p" when uncompressed).
         let fields = 2 + usize::from(compress) + usize::from(entry.subtree.is_some());
         raw::map_head(fields as u64, &mut out);
+        let prefix = if compress {
+            common_prefix_len(prev_key, entry.key)
+        } else {
+            0
+        };
+        prev_key = entry.key;
         raw::text("k", &mut out);
-        raw::text(&entry.key[entry.prefix..], &mut out);
+        raw::text(&entry.key[prefix..], &mut out);
         if compress {
             raw::text("p", &mut out);
-            raw::uint(entry.prefix as u64, &mut out);
+            raw::uint(prefix as u64, &mut out);
         }
         if let Some(subtree) = entry.subtree {
             raw::text("t", &mut out);
@@ -540,22 +896,18 @@ pub fn decode_node(bytes: &[u8]) -> Result<DecodedMstNode> {
 
 impl FromIterator<(String, Cid)> for Mst {
     fn from_iter<T: IntoIterator<Item = (String, Cid)>>(iter: T) -> Self {
-        Mst {
-            entries: iter
-                .into_iter()
-                .map(|(key, cid)| {
-                    let layer = key_layer(&key);
-                    (key, EntryState { cid, layer })
-                })
-                .collect(),
-            built: std::cell::RefCell::new(None),
+        let mut mst = Mst::new();
+        for (key, cid) in iter {
+            mst.set(&key, cid);
         }
+        mst
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
     fn cid_for(n: u32) -> Cid {
         Cid::for_cbor(&n.to_be_bytes())
@@ -619,16 +971,22 @@ mod tests {
         }
     }
 
-    /// Mutations invalidate the materialisation memo; reads after a
-    /// mutation see the new tree, and a no-op replace keeps the memo.
+    /// Mutations drop the memoised CIDs on their path; reads after a
+    /// mutation see the new tree, and a no-op replace keeps every memo.
     #[test]
     fn build_memo_tracks_mutations() {
         let mut mst = Mst::new();
         mst.insert(&key_for(1), cid_for(1)).unwrap();
         let root1 = mst.root_cid();
         assert_eq!(mst.root_cid(), root1, "memoised read is stable");
+        let hashed = mst.nodes_hashed();
         mst.insert(&key_for(1), cid_for(1)).unwrap(); // no-op replace
         assert_eq!(mst.root_cid(), root1);
+        assert_eq!(
+            mst.nodes_hashed(),
+            hashed,
+            "a no-op replace dirties nothing"
+        );
         mst.insert(&key_for(2), cid_for(2)).unwrap();
         let root2 = mst.root_cid();
         assert_ne!(root2, root1, "insert invalidates the memo");
@@ -638,6 +996,50 @@ mod tests {
 
     fn key_for(n: u32) -> String {
         format!("app.bsky.feed.post/rkey{n:06}")
+    }
+
+    /// The work bound, as counts: on a 2 000-key tree a single-key commit
+    /// hashes its path (at most 16 nodes, not the ~700 of the tree), a
+    /// repeated `root_cid()` hashes nothing, and a tree used standalone —
+    /// `insert` per key then `root_cid()`, never draining its node delta —
+    /// keeps no per-mutation state behind.
+    #[test]
+    fn a_commit_hashes_its_path_and_an_undrained_tree_keeps_no_backlog() {
+        let mut mst = Mst::new();
+        for n in 0..2000 {
+            mst.insert(&key_for(n), cid_for(n)).unwrap();
+        }
+        let (_, whole) = mst.take_node_delta();
+        assert!(whole.added.len() > 400, "{} nodes", whole.added.len());
+        for n in 2000..2100 {
+            let before = mst.nodes_hashed();
+            mst.insert(&key_for(n), cid_for(n)).unwrap();
+            let (root, delta) = mst.take_node_delta();
+            let hashed = mst.nodes_hashed() - before;
+            assert!(hashed <= 16, "key {n}: hashed {hashed} nodes");
+            assert!(delta.added.len() as u64 <= hashed);
+            assert_eq!(mst.root_cid(), root);
+            assert_eq!(mst.nodes_hashed() - before, hashed, "repeat read hashed");
+        }
+
+        let mut standalone = Mst::new();
+        for n in 0..2000 {
+            let before = standalone.nodes_hashed();
+            standalone.insert(&key_for(n), cid_for(n)).unwrap();
+            standalone.root_cid();
+            assert!(standalone.nodes_hashed() - before <= 16);
+        }
+        for n in 0..2000 {
+            standalone.insert(&key_for(n), cid_for(n + 1)).unwrap();
+            standalone.remove(&key_for(n + 1000));
+            standalone.root_cid();
+        }
+        assert!(
+            standalone.removed.is_empty(),
+            "an undrained tree must not log departures: {}",
+            standalone.removed.len()
+        );
+        assert_eq!(standalone.root_cid(), standalone.build_with(true).0);
     }
 
     #[test]
@@ -918,6 +1320,176 @@ mod proptests {
     use super::*;
     use crate::testrand::TestRng;
     use std::collections::BTreeMap;
+
+    /// An incremental tree driven next to a plain ordered map, checked
+    /// against the rebuild-from-scratch reference builder.
+    #[derive(Default)]
+    struct Checked {
+        mst: Mst,
+        model: BTreeMap<String, Cid>,
+        /// The reference node set at the last drain (empty at creation).
+        live: BTreeSet<Cid>,
+    }
+
+    impl Checked {
+        fn insert(&mut self, key: &str, cid: Cid) {
+            let old = self.mst.insert(key, cid).unwrap();
+            assert_eq!(old, self.model.insert(key.to_string(), cid), "{key}");
+        }
+
+        fn remove(&mut self, key: &str) {
+            assert_eq!(self.mst.remove(key), self.model.remove(key), "{key}");
+        }
+
+        /// The end of a batch: root CID, block list (in order) and reported
+        /// node delta must all be what the reference rebuild says.
+        /// `peek_root` reads the root before draining, so the drain meets
+        /// nodes an earlier `root_cid()` already hashed.
+        fn check(&mut self, peek_root: bool) {
+            assert_eq!(self.mst.len(), self.model.len());
+            assert!(self
+                .mst
+                .iter()
+                .eq(self.model.iter().map(|(k, v)| (k.as_str(), v))));
+            let (root, blocks) = self.mst.build_with(true);
+            if peek_root {
+                assert_eq!(self.mst.root_cid(), root);
+            }
+            let (drained_root, delta) = self.mst.take_node_delta();
+            assert_eq!(drained_root, root);
+            assert_eq!(self.mst.blocks(), blocks);
+            let now: BTreeSet<Cid> = blocks.iter().map(|n| n.cid).collect();
+            let added: Vec<MstNode> = blocks
+                .into_iter()
+                .filter(|n| !self.live.contains(&n.cid))
+                .collect();
+            assert_eq!(delta.added, added);
+            let removed: BTreeSet<Cid> = self.live.difference(&now).copied().collect();
+            assert_eq!(delta.removed, removed);
+            self.live = now;
+        }
+    }
+
+    fn value(n: u64) -> Cid {
+        Cid::for_cbor(&n.to_be_bytes())
+    }
+
+    /// `count` distinct keys whose layer satisfies `pick`.
+    fn keys_where(pick: impl Fn(u32) -> bool, count: usize) -> Vec<String> {
+        (0u32..)
+            .map(|n| format!("app.bsky.feed.post/k{n}"))
+            .filter(|key| pick(key_layer(key)))
+            .take(count)
+            .collect()
+    }
+
+    #[test]
+    fn incremental_tree_matches_the_reference_rebuild() {
+        let mut rng = TestRng::new(0x35a);
+        for round in 0..6 {
+            let mut tree = Checked::default();
+            // A key space small enough that updates, deletes and re-adds of
+            // live keys are common, over two collections.
+            let space = 40 + 150 * round;
+            let arb_key = |rng: &mut TestRng| {
+                let collection =
+                    ["app.bsky.feed.like", "app.bsky.feed.post"][rng.below(2) as usize];
+                format!("{collection}/r{}", rng.below(space))
+            };
+            for batch in 0..60 {
+                // Every fifth batch is applied and then undone, the way a
+                // failed repository batch rolls back: the net delta is empty.
+                let undo = batch % 5 == 4;
+                let before = tree.model.clone();
+                for _ in 0..1 + rng.below(6) {
+                    let key = arb_key(&mut rng);
+                    match (rng.below(4), tree.model.get(&key).copied()) {
+                        (0, Some(_)) => tree.remove(&key),
+                        (1, Some(same)) => tree.insert(&key, same), // no-op replace
+                        _ => tree.insert(&key, value(rng.next_u64())),
+                    }
+                }
+                if undo {
+                    let touched: Vec<String> = tree
+                        .model
+                        .keys()
+                        .chain(before.keys())
+                        .filter(|k| tree.model.get(*k) != before.get(*k))
+                        .cloned()
+                        .collect();
+                    for key in touched {
+                        match before.get(&key) {
+                            Some(cid) => tree.insert(&key, *cid),
+                            None => tree.remove(&key),
+                        }
+                    }
+                    let live = tree.live.clone();
+                    tree.check(batch % 2 == 0);
+                    assert_eq!(tree.live, live, "an undone batch nets to nothing");
+                } else {
+                    tree.check(batch % 2 == 0);
+                }
+            }
+            // Empty the tree key by key, then refill it.
+            for key in tree.model.keys().cloned().collect::<Vec<_>>() {
+                tree.remove(&key);
+                tree.check(false);
+            }
+            assert!(tree.mst.is_empty());
+            assert_eq!(tree.live.len(), 1, "the empty tree is one empty node");
+            tree.insert(&arb_key(&mut rng), value(1));
+            tree.check(true);
+        }
+    }
+
+    /// The shape changes random batches rarely hit, one at a time.
+    #[test]
+    fn incremental_tree_handles_root_lifts_and_trims() {
+        let low = keys_where(|layer| layer == 0, 12);
+        let mid = keys_where(|layer| layer == 1, 2);
+        let high = keys_where(|layer| layer >= 2, 2);
+        let mut tree = Checked::default();
+        tree.check(false); // the empty tree
+        for (n, key) in low.iter().enumerate() {
+            tree.insert(key, value(n as u64));
+        }
+        tree.check(false);
+        // A key two or more layers above the root: the old root splits
+        // around it and hangs under pass-through nodes.
+        tree.insert(&high[0], value(100));
+        tree.check(true);
+        // Keys landing in, and next to, the pass-through chain.
+        tree.insert(&mid[0], value(101));
+        tree.check(false);
+        tree.insert(&high[1], value(102));
+        tree.insert(&mid[1], value(103));
+        tree.check(true);
+        // A no-op replace of a deep key reports nothing.
+        tree.insert(&low[3], value(3));
+        let hashed = tree.mst.nodes_hashed();
+        tree.check(false);
+        assert_eq!(tree.mst.nodes_hashed(), hashed);
+        // Delete the top-layer keys one by one: the halves merge back and
+        // the root drops to the highest layer left.
+        tree.remove(&high[1]);
+        tree.check(false);
+        tree.remove(&high[0]);
+        tree.check(true);
+        tree.remove(&mid[0]);
+        tree.remove(&mid[1]);
+        tree.check(false);
+        assert_eq!(tree.mst.root.layer, 0);
+        // A lone high key is its own root; removing it empties the tree.
+        for key in &low {
+            tree.remove(key);
+        }
+        tree.insert(&high[0], value(200));
+        tree.check(false);
+        assert!(tree.mst.root.layer >= 2);
+        tree.remove(&high[0]);
+        tree.check(true);
+        assert_eq!(tree.mst.root.layer, 0);
+    }
 
     fn arb_entries(rng: &mut TestRng) -> BTreeMap<String, u32> {
         let count = rng.below(64) as usize;

@@ -20,9 +20,15 @@
 //! All record and MST node blocks live behind the pluggable
 //! [`crate::blockstore::BlockStore`] trait ([`Repository::with_store`]): the
 //! in-memory default, or a paged store that spills cold pages to disk and
-//! verifies every read-back by CID. The repository itself keeps only the CID
-//! indexes (`record_cids`, the live/stored node sets and the per-commit
+//! verifies every read-back by CID. The repository itself keeps only the
+//! record index (the MST's node tree: keys and CIDs, no block bytes) and the
+//! CID indexes (`record_cids`, the live/stored node sets and the per-commit
 //! log) resident, so its memory footprint is governed by the store backend.
+//!
+//! A commit costs its batch, not its repository: the MST is updated in
+//! place, hashing only the leaf-to-root paths the batch touched, and hands
+//! back the node-set change (blocks that joined the live tree, CIDs that
+//! left it) from which the node bookkeeping is maintained incrementally.
 //!
 //! [`Repository::compact_before`] bounds the grow-only history: commits (and
 //! their log entries) older than a cutoff revision leave the delta-serving
@@ -275,6 +281,9 @@ impl CompactionStats {
 pub struct Repository {
     did: Did,
     signing_key: SigningKey,
+    /// The record index, kept materialised and updated in place. Its node
+    /// delta is drained once per commit (in `apply_writes`), so between
+    /// commits its node set is exactly `current_node_cids`.
     mst: Mst,
     /// All record and MST node blocks, behind the pluggable store.
     store: Box<dyn BlockStore>,
@@ -294,9 +303,11 @@ pub struct Repository {
     /// revisions at or below it must fall back to a full fetch.
     compacted_through: Option<Tid>,
     /// Every MST node CID currently in the store (live nodes plus nodes
-    /// superseded since the last compaction).
+    /// superseded since the last compaction). Grows by each commit's added
+    /// nodes; compaction shrinks it back to `current_node_cids`.
     stored_node_cids: std::collections::BTreeSet<Cid>,
-    /// Node CIDs of the live tree as of the latest commit.
+    /// Node CIDs of the live tree as of the latest commit, maintained from
+    /// each commit's node delta (added in, removed out) — never rebuilt.
     current_node_cids: std::collections::BTreeSet<Cid>,
     clock: TidClock,
 }
@@ -547,26 +558,22 @@ impl Repository {
             .collect();
 
         let rev = self.clock.next(now);
-        // One materialisation serves both the commit's `data` pointer and
-        // the per-commit node log: nodes not live before this commit are the
+        // One walk over the nodes this batch touched hashes them for the
+        // commit's `data` pointer and yields the node-set change since the
+        // previous commit: the nodes that joined the live tree are the
         // structural blocks a `getRepo(since)` delta must carry.
-        let (data, nodes) = self.mst.root_and_blocks();
-        let mut node_cids = Vec::new();
-        let mut live_nodes = std::collections::BTreeSet::new();
-        for node in nodes {
-            live_nodes.insert(node.cid);
-            if !self.current_node_cids.contains(&node.cid) {
-                node_cids.push(node.cid);
-                self.store.put(node.cid, node.bytes);
-                self.stored_node_cids.insert(node.cid);
-            }
+        let (data, delta) = self.mst.take_node_delta();
+        let mut node_cids = Vec::with_capacity(delta.added.len());
+        for node in delta.added {
+            node_cids.push(node.cid);
+            self.store.put(node.cid, node.bytes);
+            self.stored_node_cids.insert(node.cid);
+            self.current_node_cids.insert(node.cid);
         }
-        let removed_node_cids: Vec<Cid> = self
-            .current_node_cids
-            .difference(&live_nodes)
-            .copied()
-            .collect();
-        self.current_node_cids = live_nodes;
+        for cid in &delta.removed {
+            self.current_node_cids.remove(cid);
+        }
+        let removed_node_cids: Vec<Cid> = delta.removed.into_iter().collect();
         let mut commit = Commit {
             did: self.did.clone(),
             version: 3,
@@ -768,10 +775,8 @@ impl Repository {
         let mut pos = 0usize;
         let (header_len, read) = read_varint(&bytes[pos..])?;
         pos += read;
-        let header_end = pos + header_len as usize;
-        if header_end > bytes.len() {
-            return Err(AtError::RepoError("truncated CAR header".into()));
-        }
+        let header_end = frame_end(pos, header_len, bytes.len())
+            .ok_or_else(|| AtError::RepoError("truncated CAR header".into()))?;
         let header = cbor::decode(&bytes[pos..header_end])?;
         pos = header_end;
         let roots = header
@@ -786,10 +791,9 @@ impl Repository {
         while pos < bytes.len() {
             let (len, read) = read_varint(&bytes[pos..])?;
             pos += read;
-            let end = pos + len as usize;
-            if end > bytes.len() || len < 36 {
-                return Err(AtError::RepoError("truncated CAR block".into()));
-            }
+            let end = frame_end(pos, len, bytes.len())
+                .filter(|_| len >= 36)
+                .ok_or_else(|| AtError::RepoError("truncated CAR block".into()))?;
             let cid = Cid::from_bytes(&bytes[pos..pos + 36])?;
             let data = bytes[pos + 36..end].to_vec();
             if Cid::for_cbor(&data) != cid && Cid::for_raw(&data) != cid {
@@ -938,6 +942,14 @@ pub fn commit_summary(bytes: &[u8]) -> Result<(Tid, Cid)> {
         .and_then(Value::as_link)
         .ok_or_else(|| AtError::RepoError("commit block missing data".into()))?;
     Ok((Tid::parse(rev)?, *data))
+}
+
+/// End offset of a frame of `len` bytes starting at `pos`, if it lies within
+/// an archive of `total` bytes. `len` comes straight off the wire, so the sum
+/// is checked: a crafted varint must not overflow it.
+fn frame_end(pos: usize, len: u64, total: usize) -> Option<usize> {
+    let end = pos.checked_add(usize::try_from(len).ok()?)?;
+    (end <= total).then_some(end)
 }
 
 fn write_varint(mut value: u64, out: &mut Vec<u8>) {
@@ -1427,6 +1439,17 @@ mod tests {
         let (rkey, _) = repo
             .create_record(post_nsid(), post("keep"), now())
             .unwrap();
+        // Enough records for a multi-level tree, so the failed batch below
+        // dirties (and its rollback restores) real leaf-to-root paths.
+        let mut seeded = Vec::new();
+        for i in 0..40 {
+            let (rkey, _) = repo
+                .create_record(post_nsid(), post(&format!("seed {i}")), now())
+                .unwrap();
+            seeded.push(rkey);
+        }
+        let nodes_before: std::collections::BTreeSet<Cid> =
+            repo.mst.build_with(true).1.iter().map(|n| n.cid).collect();
         let car_before = repo.export_car();
         let size_before = repo.store_size();
         let puts_before = totals.puts();
@@ -1439,6 +1462,15 @@ mod tests {
                     collection: post_nsid(),
                     rkey: "fresh456".into(),
                     record: post("orphan candidate"),
+                },
+                Write::Update {
+                    collection: post_nsid(),
+                    rkey: seeded[7].clone(),
+                    record: post("edit to undo"),
+                },
+                Write::Delete {
+                    collection: post_nsid(),
+                    rkey: seeded[23].clone(),
                 },
                 Write::Create {
                     collection: post_nsid(),
@@ -1462,6 +1494,33 @@ mod tests {
         // And the store is byte-identical: the full export round-trips.
         assert_eq!(repo.export_car(), car_before);
         assert_eq!(repo.store_size(), size_before);
+        // The rollback restored the index through the tree's own insert and
+        // remove, which re-dirtied paths without changing them. The next
+        // commit must log exactly the node-set change the reference rebuild
+        // gives, with nothing left over from the undone batch.
+        repo.apply_writes(
+            &[Write::Create {
+                collection: post_nsid(),
+                rkey: "fresh456".into(),
+                record: post("lands this time"),
+            }],
+            now(),
+        )
+        .unwrap();
+        let nodes_after = repo.mst.build_with(true).1;
+        let live_after: std::collections::BTreeSet<Cid> =
+            nodes_after.iter().map(|n| n.cid).collect();
+        let logged = repo.log.last().unwrap();
+        let added: Vec<Cid> = nodes_after
+            .iter()
+            .map(|n| n.cid)
+            .filter(|cid| !nodes_before.contains(cid))
+            .collect();
+        let removed: Vec<Cid> = nodes_before.difference(&live_after).copied().collect();
+        assert!(!added.is_empty() && added.len() < live_after.len());
+        assert_eq!(logged.node_cids, added);
+        assert_eq!(logged.removed_node_cids, removed);
+        assert_eq!(repo.current_node_cids, live_after);
     }
 
     #[test]
@@ -1603,6 +1662,23 @@ mod tests {
         car[idx] ^= 0xff;
         assert!(Repository::parse_car(&car).is_err());
         assert!(Repository::parse_car(&[]).is_err());
+        // Crafted length varints whose frame end overflows `usize` are
+        // errors like any other truncation, not panics: a header frame of
+        // `u64::MAX` bytes, and a block frame of `u64::MAX - 3` after a
+        // valid header.
+        let mut huge_header = Vec::new();
+        write_varint(u64::MAX, &mut huge_header);
+        assert!(matches!(
+            Repository::parse_car(&huge_header),
+            Err(AtError::RepoError(_))
+        ));
+        let mut huge_block = new_repo("empty3").export_car();
+        write_varint(u64::MAX - 3, &mut huge_block);
+        huge_block.extend_from_slice(&[0u8; 40]);
+        assert!(matches!(
+            Repository::parse_car(&huge_block),
+            Err(AtError::RepoError(_))
+        ));
     }
 
     #[test]

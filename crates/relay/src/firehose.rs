@@ -45,15 +45,18 @@ impl FirehoseLog {
         }
     }
 
-    /// Append an event body, assigning the next sequence number.
-    pub fn append(&mut self, time: Datetime, body: EventBody) -> Seq {
+    /// Append an event body, assigning the next sequence number. Returns
+    /// it with the frame's wire size, so a caller that accounts bytes does
+    /// not encode the frame a second time.
+    pub fn append(&mut self, time: Datetime, body: EventBody) -> (Seq, usize) {
         let seq = self.next_seq;
         self.next_seq += 1;
         let event = Event { seq, time, body };
         *self.totals_by_kind.entry(event.kind()).or_insert(0) += 1;
-        self.total_bytes += event.wire_size() as u64;
+        let wire_size = event.wire_size();
+        self.total_bytes += wire_size as u64;
         self.events.push(event);
-        seq
+        (seq, wire_size)
     }
 
     /// Drop events older than the retention window relative to `now`.
@@ -137,7 +140,7 @@ mod tests {
     fn sequence_numbers_are_dense_and_increasing() {
         let mut log = FirehoseLog::new();
         for i in 0..10 {
-            let seq = log.append(t(0, i), identity_body(&format!("u{i}")));
+            let (seq, _) = log.append(t(0, i), identity_body(&format!("u{i}")));
             assert_eq!(seq, i as u64 + 1);
         }
         assert_eq!(log.head_seq(), 10);

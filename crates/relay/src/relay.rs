@@ -241,13 +241,7 @@ impl Relay {
             | EventBody::Tombstone { did } => Some(did.to_string()),
             EventBody::Info { .. } => None,
         };
-        let seq = self.firehose.append(time, body);
-        let wire_size = self
-            .firehose
-            .iter()
-            .last()
-            .map(|e| e.wire_size())
-            .unwrap_or(0);
+        let (seq, wire_size) = self.firehose.append(time, body);
         self.stats.record_event(time, wire_size, seq);
         // Feed the passive tap: a firehose subscriber's wire carries this
         // frame at this instant, keyed by the subject DID.
