@@ -8,12 +8,18 @@
 //! module extracts the storage concern behind one trait with three backends:
 //!
 //! * [`MemStore`] — the original in-memory map, still the default.
-//! * [`PagedStore`] — blocks are appended to fixed-size *pages*; an LRU of
-//!   resident pages bounds memory and cold pages spill to a per-store
-//!   directory on disk. Every block read back from disk is re-hashed and
-//!   verified against its CID, so a corrupted spill file can never feed bad
-//!   bytes into the pipeline (corrupt blocks read as absent and are
-//!   counted).
+//! * [`PagedStore`] — blocks are appended to fixed-size *pages*; a full page
+//!   is sealed into one immutable buffer and an LRU of sealed pages bounds
+//!   memory. An evicted page is appended, once, to the *segment* of its
+//!   spill root: one append-only file per root per process, owned jointly
+//!   (through an `Arc`) by every store that has spilled under that root and
+//!   removed when the last of them drops — so a run with a store per DID
+//!   holds one descriptor, and a dropped store's extents are dead space
+//!   until then. Paging in is one positioned read of the page's extent.
+//!   *Verify on return:* a block served from a buffer that came from disk
+//!   is re-hashed against its CID first, so a damaged, truncated or foreign
+//!   segment can never feed bad bytes into the pipeline — such a block, like
+//!   one whose page cannot be read at all, reads as absent and is counted.
 //! * [`CountingStore`] — a transparent wrapper that feeds shared
 //!   [`CountingTotals`], used by tests to prove invariants like "a rejected
 //!   write batch deletes every block it put" (no orphans).
@@ -39,13 +45,16 @@
 //! (`repro --store mem|paged --page-size N --spill-dir DIR`) and the world
 //! builders plumb through the stack.
 
-use crate::cid::{Cid, CODEC_DAG_CBOR};
+use crate::cid::Cid;
+use crate::crypto::sha256;
 use crate::error::{AtError, Result};
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, VecDeque};
-use std::path::PathBuf;
+use std::fs::File;
+use std::os::unix::fs::FileExt;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError, Weak};
 
 /// Aggregate statistics of one store (or a sum over many — see
 /// [`StoreStats::absorb`]).
@@ -59,11 +68,12 @@ pub struct StoreStats {
     pub resident_bytes: usize,
     /// Bytes of blocks currently spilled to disk.
     pub spilled_bytes: usize,
-    /// Pages written to the spill directory.
+    /// Pages written to the spill segment.
     pub spill_writes: u64,
-    /// Pages loaded back from the spill directory.
+    /// Page reads from the spill segment.
     pub spill_loads: u64,
-    /// Blocks that failed CID verification on read-back.
+    /// Reads that returned nothing because the block's page could not be
+    /// read back or its bytes failed CID verification.
     pub corrupt_reads: u64,
     /// Reads served from a write-back cache's dirty buffer.
     pub writeback_hits: u64,
@@ -177,9 +187,10 @@ pub struct StoreConfig {
     /// Number of sealed pages kept resident before spilling (paged backend;
     /// the open page is always resident on top of this).
     pub resident_pages: usize,
-    /// Spill root directory (paged backend). `None` uses the system temp
-    /// directory; each store instance creates its own subdirectory lazily
-    /// on first spill and removes it on drop.
+    /// Spill root directory (paged backend). `None` uses a per-process
+    /// directory under the system temp directory. The root and its segment
+    /// file are created on first spill; the segment is removed when the
+    /// last store under the root drops.
     pub spill_dir: Option<String>,
 }
 
@@ -310,16 +321,12 @@ impl BlockStore for MemStore {
 // PagedStore
 // ---------------------------------------------------------------------------
 
-/// Global sequence so every paged store instance gets its own spill
-/// subdirectory, even across clones.
-static STORE_SEQ: AtomicU64 = AtomicU64::new(0);
-
-/// Per-process token mixed into the *default* spill root. `STORE_SEQ` only
-/// uniquifies store directories within one process and PIDs get recycled,
-/// so two processes sharing a bare `$TMPDIR/bsky-blockstore` root could end
-/// up reading each other's page files (the CID check would drop them, but
-/// silently, as corrupt reads). The token makes the default root unique per
-/// process even under PID reuse; an explicit `--spill-dir` is left alone.
+/// Per-process token mixed into the *default* spill root. Segment names
+/// carry the PID and PIDs get recycled, so two processes sharing a bare
+/// `$TMPDIR/bsky-blockstore` root could end up truncating each other's
+/// segment (the CID check would drop the blocks, but as corrupt reads).
+/// The token makes the default root unique per process even under PID
+/// reuse; an explicit `--spill-dir` is left alone.
 static PROCESS_TOKEN: std::sync::OnceLock<u64> = std::sync::OnceLock::new();
 
 fn process_token() -> u64 {
@@ -343,38 +350,98 @@ fn default_spill_root() -> PathBuf {
     ))
 }
 
-/// Where a block lives.
+/// Names segment files, so a segment created while another of the same
+/// root is still being dropped never shares its path.
+static SEGMENT_SEQ: AtomicU64 = AtomicU64::new(0);
+
+/// The live segment of every spill root this process has spilled under.
+static SEGMENTS: Mutex<BTreeMap<PathBuf, Weak<Segment>>> = Mutex::new(BTreeMap::new());
+
+/// The append-only spill file of one spill root, shared by every store
+/// under that root. A page's extent belongs to the store that appended it
+/// and is never rewritten; the file is removed when the last store drops.
+#[derive(Debug)]
+struct Segment {
+    file: File,
+    path: PathBuf,
+    /// End of the last extent handed out.
+    next: AtomicU64,
+}
+
+impl Segment {
+    /// The root's live segment, created (with the root) if there is none.
+    fn shared(root: &Path) -> Arc<Segment> {
+        // A panic below (the root cannot be created) leaves the map as it
+        // was, so a poisoned lock still guards a valid map.
+        let mut live = SEGMENTS.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(segment) = live.get(root).and_then(Weak::upgrade) {
+            return segment;
+        }
+        live.retain(|_, segment| segment.strong_count() > 0);
+        std::fs::create_dir_all(root).expect("create block-store spill root");
+        let path = root.join(format!(
+            "segment-{}-{}.bin",
+            std::process::id(),
+            SEGMENT_SEQ.fetch_add(1, Ordering::Relaxed)
+        ));
+        let file = File::options()
+            .read(true)
+            .write(true)
+            .create(true)
+            .truncate(true)
+            .open(&path)
+            .expect("create block-store spill segment");
+        let segment = Arc::new(Segment {
+            file,
+            path,
+            next: AtomicU64::new(0),
+        });
+        live.insert(root.to_path_buf(), Arc::downgrade(&segment));
+        segment
+    }
+
+    /// Append a page, returning the offset of its extent. `Relaxed`
+    /// suffices: the counter only keeps extents disjoint, and an extent is
+    /// read by no store but the one that reserved it.
+    fn append(&self, page: &[u8]) -> u64 {
+        let at = self.next.fetch_add(page.len() as u64, Ordering::Relaxed);
+        self.file
+            .write_all_at(page, at)
+            .expect("write block-store spill page");
+        at
+    }
+}
+
+impl Drop for Segment {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_file(&self.path);
+    }
+}
+
+/// Where a block lives: its page and, once that page is sealed, its span
+/// in the page's buffer.
 #[derive(Debug, Clone, Copy)]
 struct Loc {
     page: u32,
+    off: u32,
     len: u32,
 }
 
-/// One page of blocks: resident (`blocks` is `Some`) or spilled to disk.
+/// A sealed page: the concatenated payloads of the blocks it was sealed
+/// with, immutable from then on (a delete only drops the index entry).
 #[derive(Debug)]
 struct Page {
-    /// Live blocks while resident; `None` once spilled.
-    blocks: Option<BTreeMap<Cid, Vec<u8>>>,
+    /// The page's bytes while resident; `None` once evicted.
+    buf: Option<Vec<u8>>,
+    /// Whether `buf` was read back from the segment, so that a block served
+    /// from it has to prove its CID first.
+    from_disk: bool,
+    /// Length of the buffer, kept for the page-in read.
+    len: usize,
+    /// Offset of the page's extent in the segment, once written.
+    extent: Option<u64>,
     /// Logical bytes of the page's *live* blocks (index-reachable).
     live_bytes: usize,
-    /// Bytes of block payloads in the on-disk file (`0`: no file). May
-    /// exceed `live_bytes` when blocks were deleted after the spill — the
-    /// garbage stays on disk until [`PagedStore::compact`].
-    file_bytes: usize,
-    /// Whether the on-disk file covers every live block of this page.
-    on_disk: bool,
-}
-
-impl Page {
-    /// A fresh, resident, empty page.
-    fn fresh() -> Page {
-        Page {
-            blocks: Some(BTreeMap::new()),
-            live_bytes: 0,
-            file_bytes: 0,
-            on_disk: false,
-        }
-    }
 }
 
 #[derive(Debug)]
@@ -382,13 +449,14 @@ struct Paged {
     page_size: usize,
     resident_cap: usize,
     spill_root: PathBuf,
-    /// Created lazily on first spill; removed on drop.
-    dir: Option<PathBuf>,
-    store_id: u64,
+    /// Opened on first spill.
+    segment: Option<Arc<Segment>>,
     index: BTreeMap<Cid, Loc>,
-    pages: BTreeMap<u32, Page>,
-    /// Id of the open (append) page — always resident, outside the LRU.
-    open: u32,
+    /// Sealed pages by id; the open page's id is `pages.len()`.
+    pages: Vec<Page>,
+    /// Blocks of the open (append) page — always resident, outside the LRU.
+    open: BTreeMap<Cid, Vec<u8>>,
+    open_bytes: usize,
     /// Sealed resident pages, least recently used at the front.
     lru: VecDeque<u32>,
     logical_bytes: usize,
@@ -398,8 +466,9 @@ struct Paged {
 }
 
 /// The paged disk-spill backend: blocks append to an open page; sealed
-/// pages rotate through a bounded LRU and spill to disk when evicted. Reads
-/// of spilled blocks page the whole page back in (verified by CID).
+/// pages rotate through a bounded LRU and are appended to the spill root's
+/// shared segment when first evicted. A read of an evicted block pages its
+/// page back in with one positioned read and verifies that block's CID.
 ///
 /// Reads take `&self` like every other backend, so the paging machinery
 /// lives behind a [`RefCell`]; the store is `Send` (one shard owns it) but
@@ -410,25 +479,23 @@ pub struct PagedStore {
 }
 
 impl PagedStore {
-    /// An empty paged store; the spill directory is created only when the
-    /// first page actually spills.
+    /// An empty paged store; nothing touches the disk until the first page
+    /// is evicted.
     pub fn new(config: &StoreConfig) -> PagedStore {
         let spill_root = match &config.spill_dir {
             Some(dir) => PathBuf::from(dir),
             None => default_spill_root(),
         };
-        let mut pages = BTreeMap::new();
-        pages.insert(0, Page::fresh());
         PagedStore {
             inner: RefCell::new(Paged {
                 page_size: config.page_size.max(1),
                 resident_cap: config.resident_pages.max(1),
                 spill_root,
-                dir: None,
-                store_id: STORE_SEQ.fetch_add(1, Ordering::Relaxed),
+                segment: None,
                 index: BTreeMap::new(),
-                pages,
-                open: 0,
+                pages: Vec::new(),
+                open: BTreeMap::new(),
+                open_bytes: 0,
                 lru: VecDeque::new(),
                 logical_bytes: 0,
                 spill_writes: 0,
@@ -437,136 +504,66 @@ impl PagedStore {
             }),
         }
     }
-
-    /// Rewrite spill files that accumulated dead blocks (deleted after the
-    /// spill), dropping the garbage. Returns the on-disk bytes reclaimed.
-    pub fn compact(&mut self) -> usize {
-        let inner = self.inner.get_mut();
-        let mut reclaimed = 0usize;
-        let ids: Vec<u32> = inner.pages.keys().copied().collect();
-        for id in ids {
-            let (spilled, live, file) = {
-                let page = &inner.pages[&id];
-                (page.blocks.is_none(), page.live_bytes, page.file_bytes)
-            };
-            if !spilled || live >= file {
-                continue;
-            }
-            if live == 0 {
-                let _ = std::fs::remove_file(inner.page_path(id));
-                reclaimed += file;
-                if let Some(page) = inner.pages.get_mut(&id) {
-                    page.file_bytes = 0;
-                    page.on_disk = false;
-                    page.blocks = Some(BTreeMap::new());
-                }
-                continue;
-            }
-            // Load (verified), filter to live blocks, rewrite in place.
-            let blocks = inner.load_page(id);
-            let page = inner.pages.get_mut(&id).expect("page exists");
-            page.blocks = Some(blocks);
-            page.on_disk = false;
-            reclaimed += file - live;
-            inner.spill(id);
-        }
-        reclaimed
-    }
 }
 
 impl Paged {
-    /// The one canonical spill directory for this store instance. `dir`
-    /// caches it once `ensure_dir` has created it on disk.
-    fn dir_path(&self) -> PathBuf {
-        self.spill_root
-            .join(format!("store-{}-{}", std::process::id(), self.store_id))
-    }
-
-    fn page_path(&self, id: u32) -> PathBuf {
-        self.dir
-            .clone()
-            .unwrap_or_else(|| self.dir_path())
-            .join(format!("page-{id:08}.bin"))
-    }
-
-    fn ensure_dir(&mut self) -> PathBuf {
-        if self.dir.is_none() {
-            let dir = self.dir_path();
-            std::fs::create_dir_all(&dir).expect("create block-store spill directory");
-            self.dir = Some(dir);
+    /// Freeze the open page into a buffer, queue it in the LRU and start a
+    /// fresh open page.
+    fn seal(&mut self) {
+        let id = self.pages.len() as u32;
+        let mut buf = Vec::with_capacity(self.open_bytes);
+        for (cid, bytes) in std::mem::take(&mut self.open) {
+            let loc = self.index.get_mut(&cid).expect("open block is indexed");
+            loc.off = buf.len() as u32;
+            buf.extend_from_slice(&bytes);
         }
-        self.dir.clone().expect("spill dir set")
+        self.pages.push(Page {
+            len: buf.len(),
+            buf: Some(buf),
+            from_disk: false,
+            extent: None,
+            live_bytes: std::mem::take(&mut self.open_bytes),
+        });
+        self.lru.push_back(id);
+        self.enforce_cap();
     }
 
-    /// Write a resident sealed page to disk and drop its in-memory blocks.
-    fn spill(&mut self, id: u32) {
-        self.ensure_dir();
-        let path = self.page_path(id);
-        let page = self.pages.get_mut(&id).expect("page exists");
-        let blocks = page.blocks.take().expect("spilling a resident page");
-        if !page.on_disk {
-            let mut out = Vec::new();
-            let mut payload = 0usize;
-            for (cid, bytes) in &blocks {
-                out.extend_from_slice(&cid.to_bytes());
-                out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-                out.extend_from_slice(bytes);
-                payload += bytes.len();
-            }
-            std::fs::write(&path, &out).expect("write block-store spill page");
-            page.file_bytes = payload;
-            page.on_disk = true;
+    /// Drop a sealed page's buffer, appending it to the segment first if it
+    /// was never written.
+    fn evict(&mut self, id: u32) {
+        let page = &mut self.pages[id as usize];
+        let buf = page.buf.take().expect("evicting a resident page");
+        if page.extent.is_none() {
+            let segment = self
+                .segment
+                .get_or_insert_with(|| Segment::shared(&self.spill_root));
+            page.extent = Some(segment.append(&buf));
             self.spill_writes += 1;
         }
     }
 
-    /// Read a spilled page back, verifying every block against its CID.
-    /// Corrupt blocks are dropped (and counted); only index-live blocks are
-    /// reinstated.
-    fn load_page(&mut self, id: u32) -> BTreeMap<Cid, Vec<u8>> {
-        let path = self.page_path(id);
-        let raw = std::fs::read(&path).unwrap_or_default();
+    /// Read an evicted page back from its extent. `false` when the segment
+    /// cannot supply all of it (truncated, unreadable).
+    fn page_in(&mut self, id: u32) -> bool {
         self.spill_loads += 1;
-        let mut blocks = BTreeMap::new();
-        let mut pos = 0usize;
-        while pos + 40 <= raw.len() {
-            let Ok(cid) = Cid::from_bytes(&raw[pos..pos + 36]) else {
-                self.corrupt_reads += 1;
-                break;
-            };
-            let len =
-                u32::from_le_bytes([raw[pos + 36], raw[pos + 37], raw[pos + 38], raw[pos + 39]])
-                    as usize;
-            pos += 40;
-            if pos + len > raw.len() {
-                self.corrupt_reads += 1;
-                break;
-            }
-            let data = raw[pos..pos + len].to_vec();
-            pos += len;
-            let expected = if cid.codec() == CODEC_DAG_CBOR {
-                Cid::for_cbor(&data)
-            } else {
-                Cid::for_raw(&data)
-            };
-            if expected != cid {
-                // Read-back verification: a flipped bit in the spill file
-                // must never surface as block contents.
-                self.corrupt_reads += 1;
-                continue;
-            }
-            if matches!(self.index.get(&cid), Some(loc) if loc.page == id) {
-                blocks.insert(cid, data);
-            }
+        let page = &mut self.pages[id as usize];
+        let (Some(segment), Some(at)) = (&self.segment, page.extent) else {
+            return false;
+        };
+        let mut buf = vec![0; page.len];
+        if segment.file.read_exact_at(&mut buf, at).is_err() {
+            return false;
         }
-        blocks
+        page.buf = Some(buf);
+        page.from_disk = true;
+        true
     }
 
     /// Evict sealed resident pages past the LRU capacity.
     fn enforce_cap(&mut self) {
         while self.lru.len() > self.resident_cap {
             let victim = self.lru.pop_front().expect("lru non-empty");
-            self.spill(victim);
+            self.evict(victim);
         }
     }
 
@@ -579,10 +576,10 @@ impl Paged {
     }
 
     fn stats(&self) -> StoreStats {
-        let mut resident = 0usize;
+        let mut resident = self.open_bytes;
         let mut spilled = 0usize;
-        for page in self.pages.values() {
-            if page.blocks.is_some() {
+        for page in &self.pages {
+            if page.buf.is_some() {
                 resident += page.live_bytes;
             } else {
                 spilled += page.live_bytes;
@@ -601,32 +598,33 @@ impl Paged {
     }
 }
 
-impl Drop for Paged {
-    fn drop(&mut self) {
-        if let Some(dir) = &self.dir {
-            let _ = std::fs::remove_dir_all(dir);
-        }
-    }
-}
-
 impl BlockStore for PagedStore {
     fn get(&self, cid: &Cid) -> Option<Vec<u8>> {
         let mut inner = self.inner.borrow_mut();
         let loc = *inner.index.get(cid)?;
-        let resident = inner.pages[&loc.page].blocks.is_some();
-        if !resident {
-            let blocks = inner.load_page(loc.page);
-            inner.pages.get_mut(&loc.page).expect("page exists").blocks = Some(blocks);
+        let id = loc.page as usize;
+        if id == inner.pages.len() {
+            return inner.open.get(cid).cloned();
+        }
+        if inner.pages[id].buf.is_some() {
+            inner.touch(loc.page);
+        } else if inner.page_in(loc.page) {
             inner.lru.push_back(loc.page);
             inner.enforce_cap();
-        } else if loc.page != inner.open {
-            inner.touch(loc.page);
+        } else {
+            inner.corrupt_reads += 1;
+            return None;
         }
-        let bytes = inner.pages[&loc.page]
-            .blocks
-            .as_ref()
-            .and_then(|b| b.get(cid).cloned());
-        bytes
+        let page = &inner.pages[id];
+        let buf = page.buf.as_deref().expect("page is resident");
+        let bytes = &buf[loc.off as usize..][..loc.len as usize];
+        // Read-back verification: bytes that crossed the disk leave the
+        // store only if they still hash to the CID they were put under.
+        if page.from_disk && sha256(bytes) != *cid.digest() {
+            inner.corrupt_reads += 1;
+            return None;
+        }
+        Some(bytes.to_vec())
     }
 
     fn put(&mut self, cid: Cid, bytes: Vec<u8>) -> bool {
@@ -635,27 +633,19 @@ impl BlockStore for PagedStore {
             return false;
         }
         let len = bytes.len();
-        let open = inner.open;
         inner.index.insert(
             cid,
             Loc {
-                page: open,
+                page: inner.pages.len() as u32,
+                off: 0,
                 len: len as u32,
             },
         );
-        let page = inner.pages.get_mut(&open).expect("open page exists");
-        page.blocks
-            .as_mut()
-            .expect("open page is resident")
-            .insert(cid, bytes);
-        page.live_bytes += len;
+        inner.open.insert(cid, bytes);
+        inner.open_bytes += len;
         inner.logical_bytes += len;
-        if inner.pages[&open].live_bytes >= inner.page_size {
-            // Seal the open page into the LRU and start a fresh one.
-            inner.lru.push_back(open);
-            inner.open = open + 1;
-            inner.pages.insert(inner.open, Page::fresh());
-            inner.enforce_cap();
+        if inner.open_bytes >= inner.page_size {
+            inner.seal();
         }
         true
     }
@@ -669,22 +659,25 @@ impl BlockStore for PagedStore {
         let Some(loc) = inner.index.remove(cid) else {
             return 0;
         };
-        let page = inner.pages.get_mut(&loc.page).expect("page exists");
-        page.live_bytes -= loc.len as usize;
-        if let Some(blocks) = page.blocks.as_mut() {
-            blocks.remove(cid);
+        let len = loc.len as usize;
+        match inner.pages.get_mut(loc.page as usize) {
+            Some(page) => page.live_bytes -= len,
+            None => {
+                inner.open.remove(cid);
+                inner.open_bytes -= len;
+            }
         }
-        inner.logical_bytes -= loc.len as usize;
-        loc.len as usize
+        inner.logical_bytes -= len;
+        len
     }
 
     fn evict_cold(&mut self) {
-        // Every sealed resident page sits in the LRU; spill them all. The
+        // Every sealed resident page sits in the LRU; evict them all. The
         // open page stays resident — it is the only page still taking
         // appends.
         let inner = self.inner.get_mut();
         while let Some(id) = inner.lru.pop_front() {
-            inner.spill(id);
+            inner.evict(id);
         }
     }
 
@@ -701,9 +694,9 @@ impl BlockStore for PagedStore {
     }
 
     fn boxed_clone(&self) -> Box<dyn BlockStore> {
-        // A clone is a fresh store (own spill directory) with identical
-        // contents. Reading through `get` pages spilled blocks in via the
-        // normal verified path.
+        // A clone is a fresh store (own pages, own extents in the root's
+        // segment) with identical contents. Reading through `get` pages
+        // evicted blocks in via the normal verified path.
         let (config, cids) = {
             let inner = self.inner.borrow();
             (
@@ -1009,6 +1002,42 @@ mod tests {
             .spill_dir(tmp_root())
     }
 
+    /// A paged config over a spill root of the test's own: tests run in
+    /// parallel and every store under one root shares its segment, so a test
+    /// that damages the segment must not share it.
+    fn private_config(name: &str) -> StoreConfig {
+        let root = std::env::temp_dir().join(format!("bsky-blockstore-test-{name}"));
+        let _ = std::fs::remove_dir_all(&root);
+        paged_config().spill_dir(root.to_string_lossy())
+    }
+
+    fn segment_path(store: &PagedStore) -> PathBuf {
+        let inner = store.inner.borrow();
+        inner.segment.as_ref().expect("store spilled").path.clone()
+    }
+
+    /// CIDs of the live blocks whose page is evicted right now.
+    fn evicted_cids(store: &PagedStore) -> Vec<Cid> {
+        let inner = store.inner.borrow();
+        let evicted = |loc: &Loc| {
+            let page = inner.pages.get(loc.page as usize);
+            page.is_some_and(|p| p.buf.is_none())
+        };
+        let index = inner.index.iter();
+        index.filter(|(_, l)| evicted(l)).map(|(c, _)| *c).collect()
+    }
+
+    /// Put blocks `from..from + count` (24 bytes each), returning them.
+    fn fill(store: &mut PagedStore, from: u64, count: u64) -> Vec<(Cid, Vec<u8>)> {
+        (from..from + count)
+            .map(|n| {
+                let (cid, bytes) = block(n, 24);
+                assert!(store.put(cid, bytes.clone()));
+                (cid, bytes)
+            })
+            .collect()
+    }
+
     fn block(n: u64, len: usize) -> (Cid, Vec<u8>) {
         let mut bytes = n.to_be_bytes().to_vec();
         bytes.resize(len.max(8), (n % 251) as u8);
@@ -1074,65 +1103,41 @@ mod tests {
 
     #[test]
     fn colliding_store_dirs_in_distinct_roots_never_cross_read() {
-        // Two processes both count STORE_SEQ from zero, so once PIDs
-        // recycle their stores can end up with identical
-        // `store-<pid>-<id>` names. The per-process default root keeps
-        // those stores in distinct roots; this pins down that even if one
-        // store's page file lands where the other looks (the failure mode
-        // of the old shared `bsky-blockstore` root), no foreign block ever
-        // surfaces as contents.
-        let root_a = std::env::temp_dir().join("bsky-blockstore-crossread-a");
-        let root_b = std::env::temp_dir().join("bsky-blockstore-crossread-b");
-        let _ = std::fs::remove_dir_all(&root_a);
-        let _ = std::fs::remove_dir_all(&root_b);
-        let config = |root: &PathBuf| {
-            StoreConfig::paged()
-                .page_size(64)
-                .resident_pages(1)
-                .spill_dir(root.to_string_lossy().into_owned())
-        };
-        let mut store_a = PagedStore::new(&config(&root_a));
-        let mut store_b = PagedStore::new(&config(&root_b));
-        let mut blocks_a = Vec::new();
-        let mut blocks_b = Vec::new();
-        for n in 0..12u64 {
-            let (cid, bytes) = block(n, 24);
-            store_a.put(cid, bytes.clone());
-            blocks_a.push((cid, bytes));
-            let (cid, bytes) = block(1000 + n, 24);
-            store_b.put(cid, bytes.clone());
-            blocks_b.push((cid, bytes));
-        }
+        // Segment names carry the PID and a per-process sequence, so once
+        // PIDs recycle two processes can pick the same name. The
+        // per-process default root keeps them in distinct roots; this pins
+        // down that even if a foreign segment lands where this root's
+        // store looks, no foreign block ever surfaces as contents.
+        let mut store_a = PagedStore::new(&private_config("crossread-a"));
+        let mut store_b = PagedStore::new(&private_config("crossread-b"));
+        let blocks_a = fill(&mut store_a, 0, 12);
+        fill(&mut store_b, 1000, 12);
         store_a.evict_cold();
         store_b.evict_cold();
-        let only_subdir = |root: &PathBuf| -> PathBuf {
-            let mut dirs: Vec<PathBuf> = std::fs::read_dir(root)
-                .expect("spill root exists")
-                .map(|e| e.expect("dir entry").path())
-                .collect();
-            assert_eq!(dirs.len(), 1, "one store dir per root: {dirs:?}");
-            dirs.pop().expect("one dir")
-        };
-        let page_a = only_subdir(&root_a).join("page-00000000.bin");
-        let page_b = only_subdir(&root_b).join("page-00000000.bin");
-        assert!(page_a.is_file() && page_b.is_file(), "both stores spilled");
-        // The collision: store A's page file lands at store B's path.
-        std::fs::copy(&page_a, &page_b).expect("overwrite page file");
-        let (cid_b, _) = blocks_b[0];
-        let (cid_a, bytes_a) = blocks_a[0].clone();
-        assert_eq!(
-            store_b.get(&cid_b),
-            None,
-            "a clobbered block reads as absent, never as foreign bytes"
-        );
-        assert_eq!(
-            store_b.get(&cid_a),
-            None,
-            "another store's blocks never surface through the index"
-        );
-        assert_eq!(store_a.get(&cid_a), Some(bytes_a), "store A is untouched");
-        let _ = std::fs::remove_dir_all(&root_a);
-        let _ = std::fs::remove_dir_all(&root_b);
+        let (segment_a, segment_b) = (segment_path(&store_a), segment_path(&store_b));
+        assert_ne!(segment_a.parent(), segment_b.parent());
+        // The collision: root A's segment is planted at root B's path, over
+        // the file store B holds open. Same layout, foreign bytes.
+        std::fs::copy(&segment_a, &segment_b).expect("plant foreign segment");
+        let spilled_b = evicted_cids(&store_b);
+        assert!(!spilled_b.is_empty());
+        for cid in &spilled_b {
+            assert_eq!(
+                store_b.get(cid),
+                None,
+                "a clobbered block reads as absent, never as foreign bytes"
+            );
+        }
+        assert_eq!(store_b.stats().corrupt_reads, spilled_b.len() as u64);
+        for (cid, bytes) in &blocks_a {
+            assert_eq!(
+                store_b.get(cid),
+                None,
+                "another store's blocks never surface through the index"
+            );
+            assert_eq!(store_a.get(cid).as_ref(), Some(bytes), "store A is intact");
+        }
+        assert_eq!(store_a.stats().corrupt_reads, 0);
     }
 
     #[test]
@@ -1205,28 +1210,23 @@ mod tests {
 
     #[test]
     fn paged_store_detects_corruption_on_read_back() {
-        let mut store = PagedStore::new(&paged_config());
-        let mut blocks = Vec::new();
-        for n in 0..40u64 {
-            let (cid, bytes) = block(n, 24);
-            store.put(cid, bytes.clone());
-            blocks.push((cid, bytes));
-        }
+        let mut store = PagedStore::new(&private_config("bitflip"));
+        let blocks = fill(&mut store, 0, 40);
         assert!(store.stats().spilled_bytes > 0);
-        // Flip one byte in every spill file: the affected blocks must read
-        // as absent, never as wrong bytes.
-        let dir = store.inner.borrow().dir.clone().expect("spilled");
-        let mut flipped = 0;
-        for entry in std::fs::read_dir(&dir).unwrap() {
-            let path = entry.unwrap().path();
-            let mut raw = std::fs::read(&path).unwrap();
-            if raw.len() > 45 {
-                raw[44] ^= 0xff; // inside the first block's payload
-                std::fs::write(&path, &raw).unwrap();
-                flipped += 1;
-            }
+        // Flip the first byte of every spilled page: the block that owns it
+        // must read as absent, never as wrong bytes, and its page-mates —
+        // verified on their own — must still read exactly.
+        let path = segment_path(&store);
+        let mut raw = std::fs::read(&path).unwrap();
+        let extents: Vec<u64> = {
+            let inner = store.inner.borrow();
+            inner.pages.iter().filter_map(|p| p.extent).collect()
+        };
+        assert!(!extents.is_empty());
+        for at in &extents {
+            raw[*at as usize] ^= 0xff;
         }
-        assert!(flipped > 0);
+        std::fs::write(&path, &raw).unwrap();
         let mut missing = 0;
         for (cid, bytes) in &blocks {
             match store.get(cid) {
@@ -1234,42 +1234,52 @@ mod tests {
                 None => missing += 1,
             }
         }
-        assert!(missing > 0, "corruption must be detected");
-        assert!(store.stats().corrupt_reads > 0);
+        assert_eq!(missing, extents.len(), "one damaged block per page");
+        assert_eq!(store.stats().corrupt_reads, extents.len() as u64);
     }
 
     #[test]
-    fn paged_store_compact_reclaims_dead_spilled_blocks() {
-        let mut store = PagedStore::new(&paged_config());
-        let mut blocks = Vec::new();
-        for n in 0..60u64 {
-            let (cid, bytes) = block(n, 24);
-            store.put(cid, bytes.clone());
-            blocks.push((cid, bytes));
-        }
-        assert!(store.stats().spilled_bytes > 0);
-        // Delete a spilled block (index-only removal: the file keeps it).
-        let spilled_cid = {
-            let inner = store.inner.borrow();
-            *inner
-                .index
-                .iter()
-                .find(|(_, loc)| inner.pages[&loc.page].blocks.is_none())
-                .expect("a spilled block exists")
-                .0
-        };
-        assert!(store.delete(&spilled_cid) > 0);
-        let reclaimed = store.compact();
-        assert!(reclaimed > 0, "compaction must rewrite the dirty page");
-        assert!(store.get(&spilled_cid).is_none());
-        // Everything else still round-trips.
+    fn truncated_segment_reads_as_absent_and_counted() {
+        let mut store = PagedStore::new(&private_config("truncated"));
+        let blocks = fill(&mut store, 0, 40);
+        let spilled_blocks = evicted_cids(&store).len();
+        assert!(spilled_blocks > 0);
+        // Cut the segment under the live store, mid-page: every page from
+        // there on comes back short.
+        let file = File::options()
+            .write(true)
+            .open(segment_path(&store))
+            .unwrap();
+        file.set_len(10).unwrap();
+        let before = store.stats();
+        let mut missing = 0;
         for (cid, bytes) in &blocks {
-            if cid != &spilled_cid {
-                verify_roundtrip(&store, cid, bytes).unwrap();
+            match store.get(cid) {
+                Some(read) => assert_eq!(&read, bytes),
+                None => missing += 1,
             }
+            assert!(store.has(cid), "the index is untouched");
         }
-        // A second pass has nothing left to do.
-        assert_eq!(store.compact(), 0);
+        assert_eq!(
+            missing, spilled_blocks,
+            "exactly the evicted blocks are lost"
+        );
+        let after = store.stats();
+        assert_eq!(
+            after.corrupt_reads, spilled_blocks as u64,
+            "every loss counted"
+        );
+        assert_eq!(
+            (after.resident_bytes, after.spilled_bytes),
+            (before.resident_bytes, before.spilled_bytes),
+            "a failed page-in makes nothing resident"
+        );
+        // The store keeps working: new pages append past the cut and read back.
+        let fresh = fill(&mut store, 500, 20);
+        store.evict_cold();
+        for (cid, bytes) in &fresh {
+            verify_roundtrip(&store, cid, bytes).unwrap();
+        }
     }
 
     #[test]
@@ -1414,11 +1424,13 @@ mod tests {
     }
 
     /// The oracle property test: any interleaving of put / get / delete /
-    /// forced-eviction pressure / compact on a tiny-paged store behaves
-    /// exactly like the in-memory oracle.
+    /// `evict_cold` on a tiny-paged store behaves exactly like the
+    /// in-memory oracle, wherever the touched block happens to live.
     #[test]
     fn paged_store_matches_mem_oracle_under_random_ops() {
         let mut rng = TestRng::new(0x0009_a6ed);
+        // Deletes that hit a sealed resident page / an evicted page.
+        let (mut sealed_deletes, mut spilled_deletes) = (0, 0);
         for round in 0..15 {
             let config = StoreConfig::paged()
                 .page_size(32 + rng.below(96) as usize)
@@ -1444,20 +1456,43 @@ mod tests {
                         assert_eq!(paged.get(cid), oracle.get(cid), "get disagrees");
                     }
                     7..=8 => {
+                        {
+                            let inner = paged.inner.borrow();
+                            let page = inner
+                                .index
+                                .get(cid)
+                                .and_then(|l| inner.pages.get(l.page as usize));
+                            match page.map(|p| p.buf.is_some()) {
+                                Some(true) => sealed_deletes += 1,
+                                Some(false) => spilled_deletes += 1,
+                                None => {}
+                            }
+                        }
                         assert_eq!(paged.delete(cid), oracle.delete(cid), "delete disagrees");
                     }
                     _ => {
-                        paged.compact();
+                        paged.evict_cold();
                     }
                 }
                 assert_eq!(paged.len(), oracle.len());
                 assert_eq!(paged.bytes(), oracle.bytes());
+                let stats = paged.stats();
+                assert_eq!(
+                    stats.resident_bytes + stats.spilled_bytes,
+                    stats.logical_bytes,
+                    "every live byte is resident or spilled: {stats:?}"
+                );
             }
             // Full final sweep: identical contents, block by block.
             for (cid, _) in &universe {
                 assert_eq!(paged.get(cid), oracle.get(cid));
                 assert_eq!(paged.has(cid), oracle.has(cid));
             }
+            assert_eq!(paged.stats().corrupt_reads, 0);
         }
+        assert!(
+            sealed_deletes > 0 && spilled_deletes > 0,
+            "both delete paths ran: {sealed_deletes} sealed, {spilled_deletes} spilled"
+        );
     }
 }

@@ -845,16 +845,20 @@ impl Repository {
     /// Idempotent: a second pass with the same cutoff reclaims nothing.
     pub fn compact_before(&mut self, cutoff: &Tid) -> CompactionStats {
         let mut stats = CompactionStats::default();
-        // Stale node GC (cutoff-independent, see above).
-        let stale: Vec<Cid> = self
-            .stored_node_cids
-            .difference(&self.current_node_cids)
-            .copied()
-            .collect();
-        for cid in stale {
-            stats.bytes_reclaimed += self.store.delete(&cid);
-            stats.nodes_dropped += 1;
-            self.stored_node_cids.remove(&cid);
+        // Stale node GC (cutoff-independent, see above). The live tree is a
+        // subset of the stored nodes, so equal sizes mean nothing is stale
+        // and an idle repository skips the walk over both sets.
+        if self.stored_node_cids.len() != self.current_node_cids.len() {
+            let stale: Vec<Cid> = self
+                .stored_node_cids
+                .difference(&self.current_node_cids)
+                .copied()
+                .collect();
+            for cid in stale {
+                stats.bytes_reclaimed += self.store.delete(&cid);
+                stats.nodes_dropped += 1;
+                self.stored_node_cids.remove(&cid);
+            }
         }
         // Commit-window compaction.
         if self.commits.len() > 1 {

@@ -112,8 +112,10 @@
 //! and the AppView's per-entity state — lives behind the
 //! `bsky_atproto::blockstore::BlockStore` trait. Three backends:
 //! `MemStore` (the default), `PagedStore` (fixed-size pages with an LRU of
-//! resident pages; cold pages spill to a per-store disk directory and
-//! every read-back is re-hashed and verified against its CID), and
+//! resident pages; cold pages are appended to one segment file per spill
+//! root, shared by every store of the process and removed with the last
+//! of them, a page-in is one positioned read, and every block that comes
+//! back from disk is re-hashed against its CID before it is returned), and
 //! `CountingStore` (a stats-feeding wrapper for invariants like "a
 //! rejected write batch leaves no orphan blocks"). The backend is chosen
 //! when a world is built (`bsky_workload::World::new_store`, repro
