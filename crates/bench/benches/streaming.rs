@@ -1,65 +1,38 @@
-//! Streaming study pipeline benchmarks: serial vs sharded wall clock,
-//! retained-memory bounds, and the machine-readable perf export.
+//! Structural assertions over the streaming study pipeline at bench scale.
+//! Nothing here reads a clock: wall time, CPU time and the per-layer ledger
+//! are the study benchmark's job (`benchmark/`, `BENCHMARK.json`). The
+//! target has `test = true`, so `cargo test` runs every body below once.
 //!
-//! Measurements:
-//!
-//! * **serial vs sharded** — the same report computed on one thread vs four
-//!   population shards on four worker threads. The report is byte-identical
-//!   either way (pinned by `tests/pipeline_equivalence.rs`); this bench
-//!   tracks the wall-clock ratio. On hardware with ≥ 4 CPUs the sharded run
-//!   must be ≥ 2.5× faster; on smaller machines the ratio is only reported.
-//! * **intra-shard pipeline** — the same 4×4 sharded run with `--pipeline
-//!   --analyzer-threads 2`: each shard's producer ships owned observation
-//!   batches over a bounded channel to analyzer workers so store I/O
-//!   overlaps analyzer CPU. Byte-identical output (same golden pin); on
-//!   ≥ 4 CPUs the pipelined run must be ≥ 1.15× faster than pipeline-off
-//!   (exported as `pipelined4_ns_per_day` / `pipeline_speedup`).
 //! * **bounded in-flight events** — the producer drains the relay in
 //!   constant-size chunks, so the peak subscription batch must not scale
 //!   with daily volume (asserted across a 3× population difference).
 //! * **bounded moderation index** — the post-creation index is aged past
 //!   the labelers' reaction window, so its peak stays a fraction of the
-//!   total posts observed (asserted; this was the `--scale 100` ceiling).
-//! * **snapshot traffic** — the §3 repositories dataset collected with
-//!   rev-aware incremental syncs (`getRepo(since)` deltas) must fetch
-//!   strictly fewer bytes than the window-end full refetch (asserted; both
-//!   emit byte-identical snapshots).
+//!   total posts observed.
 //! * **paged block store** — the same collection with `--store paged`
 //!   (repos, relay mirror and producer mirror over the disk-spill store)
 //!   must end the run with strictly fewer resident block bytes than the
-//!   in-memory store, with the difference spilled (asserted; the reports
-//!   are byte-identical, pinned by the golden equivalence test).
+//!   in-memory store, with the difference spilled (the reports are
+//!   byte-identical, pinned by the golden equivalence test).
 //! * **paged AppView entity shards** — the same comparison for the
 //!   AppView's own CBOR entity blocks (`--appview-shards 4 --store paged`
-//!   vs the monolithic in-memory default): the sharded paged AppView must
-//!   spill and end with strictly fewer resident bytes (asserted; exported
-//!   as `appview_resident_bytes_{mem,paged}`).
+//!   vs the monolithic in-memory default).
 //! * **MST prefix compression** — node blocks encode prefix-compressed
 //!   entry keys; at a realistic tree size the structural bytes must beat
-//!   the legacy full-key encoding (asserted).
+//!   the legacy full-key encoding.
 //! * **relay federation** — the collection with the PDS fleet crawled by
 //!   two regional relays forwarding into the super-relay over the paged
 //!   store, at two population scales: resident block bytes per DID must
-//!   shrink as the population grows (sublinear scale-out; asserted and
-//!   exported as `bytes_per_did_{base,large}` / `ns_per_day_per_did_*`).
+//!   shrink as the population grows (sublinear scale-out).
 //! * **wire observatory** — the §10 traffic-analysis sweep: classifier
 //!   accuracy and framing overhead with no mitigation vs 128-byte bucket
 //!   padding, plus the active policy's wire accounting (bucket padding
-//!   must cost strictly more overhead than bare framing; asserted and
-//!   exported as `observer_accuracy_{none,bucketed}` /
-//!   `padding_overhead_{none_,}bytes`).
-//!
-//! `--json` additionally writes `BENCH_streaming.json` next to the working
-//! directory so the perf trajectory can be tracked across PRs. `--smoke`
-//! (used by CI under `cargo bench -- --smoke`) runs every body once,
-//! assertions included, without full measurement.
+//!   must cost strictly more overhead than bare framing).
 
 use bsky_atproto::Datetime;
-use bsky_bench::{smoke_mode, BenchGroup};
 use bsky_study::analysis::ModerationAnalyzer;
-use bsky_study::json::Json;
 use bsky_study::pipeline::{Analyzer, Observation, ObservationSink, StudyCtx};
-use bsky_study::{Collector, RunSpec, SnapshotMode, StudyReport};
+use bsky_study::{Collector, RunSpec, StudyReport};
 use bsky_workload::{ScenarioConfig, World, WorldSpec};
 
 fn bench_config() -> ScenarioConfig {
@@ -94,54 +67,7 @@ impl ObservationSink for IndexProbe {
 }
 
 fn main() {
-    let smoke = smoke_mode();
-    let json = std::env::args().any(|a| a == "--json");
     let config = bench_config();
-    let days = config.total_days().max(1) as u64;
-    let parallelism = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-
-    let mut group = BenchGroup::new("streaming");
-    group.sample_size(5);
-
-    // Wall clock: serial single pass vs 4 shards on 4 worker threads vs
-    // the same sharded run with the intra-shard pipeline on (producer /
-    // analyzer decoupling + 2 analyzer workers per shard).
-    let serial_spec = RunSpec::new(config);
-    let sharded_spec = RunSpec::new(config).shards(4).jobs(4);
-    let pipelined_spec = RunSpec::new(config)
-        .shards(4)
-        .jobs(4)
-        .pipeline(true)
-        .analyzer_threads(2);
-    let serial = group.measure("serial_single_pass", || {
-        StudyReport::run_serial(&serial_spec)
-    });
-    let sharded = group.measure("sharded_4x4", || StudyReport::run(&sharded_spec));
-    let pipelined = group.measure("pipelined_4x4", || StudyReport::run(&pipelined_spec));
-    let speedup = serial.as_secs_f64() / sharded.as_secs_f64().max(1e-12);
-    let pipeline_speedup = sharded.as_secs_f64() / pipelined.as_secs_f64().max(1e-12);
-    println!(
-        "sharded speedup: {speedup:.2}x over serial ({} CPU(s) available, {:.0} ns/day serial, {:.0} ns/day sharded)",
-        parallelism,
-        serial.as_nanos() as f64 / days as f64,
-        sharded.as_nanos() as f64 / days as f64,
-    );
-    println!(
-        "pipeline speedup: {pipeline_speedup:.2}x over pipeline-off sharded ({:.0} ns/day pipelined)",
-        pipelined.as_nanos() as f64 / days as f64,
-    );
-    if !smoke && parallelism >= 4 {
-        assert!(
-            speedup >= 2.5,
-            "sharded run must be >= 2.5x faster than serial on >=4 CPUs, got {speedup:.2}x"
-        );
-        assert!(
-            pipeline_speedup >= 1.15,
-            "pipelined run must be >= 1.15x faster than pipeline-off on >=4 CPUs, got {pipeline_speedup:.2}x"
-        );
-    }
 
     // Memory: with a fixed chunk size, peak in-flight events must not scale
     // with daily volume — the producer crawls once a chunk's worth of relay
@@ -193,43 +119,7 @@ fn main() {
     );
     assert!(
         (base_summary.peak_in_flight_events as u64) < base_summary.firehose_events,
-        "streaming must retain strictly fewer events than the batch path"
-    );
-
-    // Traffic: the §3 repositories dataset, full-refetch vs rev-aware
-    // incremental syncs. Both emit byte-identical snapshots (pinned by the
-    // golden equivalence test); this measures the bytes actually fetched.
-    let full_snap = {
-        let mut world = World::new(config);
-        Collector::new()
-            .snapshot_mode(SnapshotMode::FullRefetch)
-            .stream(&mut world, &mut NullSink)
-    };
-    let inc_snap = {
-        let mut world = World::new(config);
-        Collector::new()
-            .snapshot_mode(SnapshotMode::Incremental)
-            .stream(&mut world, &mut NullSink)
-    };
-    println!(
-        "repo snapshots: {} bytes full-refetch vs {} bytes incremental ({:.1} %; {} full + {} delta fetches, {} skips)",
-        full_snap.snapshot_bytes_fetched,
-        inc_snap.snapshot_bytes_fetched,
-        inc_snap.snapshot_bytes_fetched as f64 / full_snap.snapshot_bytes_fetched.max(1) as f64
-            * 100.0,
-        inc_snap.repo_full_fetches,
-        inc_snap.repo_delta_fetches,
-        inc_snap.repo_snapshot_skips,
-    );
-    assert!(
-        inc_snap.repo_delta_fetches > 0,
-        "incremental mode must exercise the getRepo(since) delta path"
-    );
-    assert!(
-        inc_snap.snapshot_bytes_fetched < full_snap.snapshot_bytes_fetched,
-        "incremental snapshots must fetch strictly fewer bytes ({} vs {})",
-        inc_snap.snapshot_bytes_fetched,
-        full_snap.snapshot_bytes_fetched,
+        "the producer must hold strictly fewer events than it streamed"
     );
 
     // Storage: the same run over the in-memory vs the paged disk-spill
@@ -237,8 +127,7 @@ fn main() {
     // entity shards). The paged backend must end the window with strictly
     // fewer resident block bytes — the rest spilled to disk — while the
     // golden test pins the reports byte-identical; the AppView's own
-    // entity blocks are tracked separately so its ceiling is visible in
-    // the trajectory.
+    // entity blocks are checked separately.
     use bsky_atproto::blockstore::StoreConfig;
     let run_with_store = |store: StoreConfig, appview_shards: usize| {
         let mut world = World::from_spec(
@@ -400,10 +289,10 @@ fn main() {
     // Chaos: one combined fault scenario (host outage + mass migration,
     // flaky fetches, a label storm, cursor gaps) through the faulted
     // terminal. The golden tests pin faulted reports byte-identical serial
-    // vs sharded and mem vs paged; this leg tracks the *recovery* costs —
-    // retries, backfill full fetches, storm volume — in the trajectory and
-    // asserts the never-silent contract: injected faults must surface as
-    // nonzero named counters.
+    // vs sharded and mem vs paged; this leg prints the *recovery* costs —
+    // retries, backfill full fetches, storm volume — and asserts the
+    // never-silent contract: injected faults must surface as nonzero named
+    // counters.
     use bsky_study::faults::FaultSpec;
     let chaos_spec = FaultSpec {
         outage_day: Some(0.5),
@@ -448,17 +337,13 @@ fn main() {
     // into the super-relay, over the paged store, at the base and ≈3.3×
     // populations. Residency is LRU-bounded rather than population-bound,
     // so resident block bytes *per DID* must shrink as the population
-    // grows — the sublinear scale-out story bench-compare pins as a
-    // structural win (`bytes_per_did_{base,large}`); wall clock per day
-    // per DID rides along in the export.
+    // grows (sublinear scale-out).
     let federated_run = |config: ScenarioConfig| {
         let store = StoreConfig::paged().page_size(8 * 1024).resident_pages(2);
         let mut world = World::from_spec(WorldSpec::new(config).store(store.clone()).relays(2));
-        let started = std::time::Instant::now();
         let summary = Collector::new()
             .store(store)
             .stream(&mut world, &mut NullSink);
-        let elapsed = started.elapsed();
         let population = world.users.len().max(1) as u64;
         assert!(
             summary.relay_events_forwarded > 0 && summary.relay_dedup_tracked > 0,
@@ -469,14 +354,12 @@ fn main() {
             "clean partitions must produce zero duplicates"
         );
         let bytes_per_did = summary.resident_block_bytes as f64 / population as f64;
-        let ns_per_day_per_did = elapsed.as_nanos() as f64 / days as f64 / population as f64;
-        (population, bytes_per_did, ns_per_day_per_did)
+        (population, bytes_per_did)
     };
-    let (population_base, bytes_per_did_base, ns_per_day_per_did_base) = federated_run(config);
-    let (population_large, bytes_per_did_large, ns_per_day_per_did_large) =
-        federated_run(large_config);
+    let (population_base, bytes_per_did_base) = federated_run(config);
+    let (population_large, bytes_per_did_large) = federated_run(large_config);
     println!(
-        "federation (2 relays, paged): {bytes_per_did_base:.1} resident bytes/DID at {population_base} DIDs vs {bytes_per_did_large:.1} at {population_large} ({ns_per_day_per_did_base:.0} / {ns_per_day_per_did_large:.0} ns/day/DID)",
+        "federation (2 relays, paged): {bytes_per_did_base:.1} resident bytes/DID at {population_base} DIDs vs {bytes_per_did_large:.1} at {population_large}",
     );
     assert!(
         population_large > population_base * 2,
@@ -486,91 +369,4 @@ fn main() {
         bytes_per_did_large < bytes_per_did_base,
         "per-DID residency must shrink with population (sublinear scale-out): {bytes_per_did_large:.1} vs {bytes_per_did_base:.1}"
     );
-
-    group.finish();
-
-    if json {
-        let out = Json::object()
-            .with("bench", "streaming")
-            .with("smoke", smoke)
-            .with("parallelism", parallelism as u64)
-            .with("events_streamed", base_summary.firehose_events)
-            .with("peak_in_flight", base_summary.peak_in_flight_events as u64)
-            .with(
-                "peak_in_flight_3x_volume",
-                large_summary.peak_in_flight_events as u64,
-            )
-            .with(
-                "moderation_peak_post_index",
-                probe.analyzer.peak_post_index() as u64,
-            )
-            .with("moderation_total_posts", probe.total_posts as u64)
-            .with(
-                "snapshot_bytes_fetched_full",
-                full_snap.snapshot_bytes_fetched,
-            )
-            .with(
-                "snapshot_bytes_fetched_incremental",
-                inc_snap.snapshot_bytes_fetched,
-            )
-            .with("snapshot_full_fetches", inc_snap.repo_full_fetches)
-            .with("snapshot_delta_fetches", inc_snap.repo_delta_fetches)
-            .with("resident_block_bytes_mem", mem_store.resident_block_bytes)
-            .with(
-                "resident_block_bytes_paged",
-                paged_store.resident_block_bytes,
-            )
-            .with("spilled_bytes_paged", paged_store.spilled_block_bytes)
-            .with(
-                "appview_resident_bytes_mem",
-                mem_appview.resident_bytes as u64,
-            )
-            .with(
-                "appview_resident_bytes_paged",
-                paged_appview.resident_bytes as u64,
-            )
-            .with(
-                "appview_spilled_bytes_paged",
-                paged_appview.spilled_bytes as u64,
-            )
-            .with(
-                "compaction_bytes_reclaimed",
-                mem_store.store_bytes_reclaimed,
-            )
-            .with("mst_structural_bytes", mst_compressed as u64)
-            .with("mst_structural_bytes_uncompressed", mst_uncompressed as u64)
-            .with("padding_overhead_none_bytes", overhead_none)
-            .with("padding_overhead_bytes", overhead_bucketed)
-            .with("observer_accuracy_none", accuracy_none)
-            .with("observer_accuracy_bucketed", accuracy_bucketed)
-            .with("observer_chance_accuracy", observatory.chance_accuracy)
-            .with(
-                "counter_coalesced_writes",
-                mem_store.counter_coalesced_writes,
-            )
-            .with("writeback_flushes", mem_store.writeback_flushes)
-            .with("writeback_hit_rate", writeback_hit_rate)
-            .with("retry_attempts", chaos.retry_attempts)
-            .with("retry_backoff_ms", chaos.retry_backoff_ms)
-            .with("backfill_full_fetches", chaos.backfill_full_fetches)
-            .with("outage_migrations", chaos.outage_migrations)
-            .with("label_storm_peak", chaos.storm_labels_applied)
-            .with("cursor_gap_drops", chaos.cursor_gap_drops)
-            .with("federated_population_base", population_base)
-            .with("federated_population_large", population_large)
-            .with("bytes_per_did_base", bytes_per_did_base)
-            .with("bytes_per_did_large", bytes_per_did_large)
-            .with("ns_per_day_per_did_base", ns_per_day_per_did_base)
-            .with("ns_per_day_per_did_large", ns_per_day_per_did_large)
-            .with("serial_ns_per_day", serial.as_nanos() as u64 / days)
-            .with("sharded4_ns_per_day", sharded.as_nanos() as u64 / days)
-            .with("sharded_speedup", speedup)
-            .with("pipelined4_ns_per_day", pipelined.as_nanos() as u64 / days)
-            .with("pipeline_speedup", pipeline_speedup);
-        // Benches run with the package as cwd; anchor the export at the
-        // workspace root so the trajectory file has a stable path.
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_streaming.json");
-        std::fs::write(path, out.to_string_pretty()).expect("write BENCH_streaming.json");
-        println!("wrote {path}");
-    }
 }

@@ -5,17 +5,17 @@
 //!   repro [--seed N] [--scale N] [--seeds A,B,...] [--scales A,B,...]
 //!         [--jobs auto|N] [--shards N] [--pipeline] [--analyzer-threads N]
 //!         [--appview-shards N] [--writeback on|off] [--relays N]
-//!         [--json] [--stream] [--batch] [--incremental | --full-snapshots]
-//!         [--store mem|paged] [--page-size BYTES] [--spill-dir DIR]
+//!         [--json] [--stream] [--store mem|paged] [--page-size BYTES]
+//!         [--spill-dir DIR]
 //!         [--padding none|buckets|constant] [--batch-window SECS]
 //!         [--scenario NAME] [--faults SPEC]
 //!
 //! Every flag maps onto one field of [`bsky_study::RunSpec`] — the single
-//! run description all library entry points take — except the three output
+//! run description all library entry points take — except the two output
 //! modes: `--json` additionally prints the headline numbers as JSON (the
-//! format EXPERIMENTS.md records), `--stream` prints the streaming
+//! format EXPERIMENTS.md records) and `--stream` prints the streaming
 //! pipeline's summary (observations, peak in-flight events) after the
-//! report, and `--batch` forces the legacy materializing collector.
+//! report.
 //!
 //! `--scale` is the denominator applied to the live network's size
 //! (default 2000 ⇒ ≈2,760 users). `--jobs N` runs the collection sharded:
@@ -29,13 +29,10 @@
 //! bytes, more cores. `--seeds`/`--scales` run a whole grid in one call
 //! via `StudyBatch` and print the comparison table instead of a single
 //! report.
-//! `--incremental` (the default) keeps the §3 repositories dataset through
-//! rev-aware weekly syncs with `getRepo(since)` deltas; `--full-snapshots`
-//! restores the window-end full refetch.
 //! `--store paged` backs every repository, the relay's CAR mirror, the
 //! producer's repo mirror and the AppView's entity blocks with the paged
 //! disk-spill block store (`--page-size` sets the page capacity in bytes,
-//! `--spill-dir` the spill root).
+//! `--spill-dir` the spill root, created before the run starts).
 //! `--appview-shards N` partitions the AppView's post/actor indices by
 //! entity hash into `N` store-backed shards; `--writeback off` disables the
 //! write-back cache in front of those entity stores (on by default).
@@ -51,23 +48,23 @@
 //! on top of the preset. Giving the *same* key two different values in one
 //! spec is a contradiction and exits 2.
 //!
-//! All of these knobs are observationally transparent: snapshots, stores,
-//! AppView sharding, the write-back cache and framing move only the
-//! `--stream` summary's accounting, and fault placement is a pure function
-//! of `(seed, DID, day)` — the rendered report is byte-identical across
-//! every combination (scenario runs add an impact section).
+//! All of these knobs are observationally transparent: stores, AppView
+//! sharding, the write-back cache and framing move only the `--stream`
+//! summary's accounting, and fault placement is a pure function of
+//! `(seed, DID, day)` — the rendered report is byte-identical across every
+//! combination (scenario runs add an impact section).
 //!
-//! Unknown flags, missing/malformed values, and conflicting flags are
-//! errors (exit code 2); flag conflicts are checked centrally by
-//! [`RunSpec::validate`].
+//! Unknown flags, missing/malformed values, conflicting flags and an
+//! unusable `--spill-dir` are errors (exit code 2); flag conflicts are
+//! checked centrally by [`RunSpec::validate`].
 
 use bsky_atproto::blockstore::{StoreConfig, StoreKind};
 use bsky_atproto::framing::{FramingPolicy, PaddingPolicy};
 use bsky_study::faults::{FaultSpec, SCENARIO_NAMES};
-use bsky_study::{RunSpec, SnapshotMode, StudyBatch, StudyReport};
+use bsky_study::{RunSpec, StudyBatch, StudyReport};
 use bsky_workload::ScenarioConfig;
 
-const USAGE: &str = "usage: repro [--seed N] [--scale N] [--seeds A,B,...] [--scales A,B,...] [--jobs auto|N] [--shards N] [--pipeline] [--analyzer-threads N] [--appview-shards N] [--writeback on|off] [--relays N] [--json] [--stream] [--batch] [--incremental | --full-snapshots] [--store mem|paged] [--page-size BYTES] [--spill-dir DIR] [--padding none|buckets|constant] [--batch-window SECS] [--scenario NAME] [--faults SPEC]";
+const USAGE: &str = "usage: repro [--seed N] [--scale N] [--seeds A,B,...] [--scales A,B,...] [--jobs auto|N] [--shards N] [--pipeline] [--analyzer-threads N] [--appview-shards N] [--writeback on|off] [--relays N] [--json] [--stream] [--store mem|paged] [--page-size BYTES] [--spill-dir DIR] [--padding none|buckets|constant] [--batch-window SECS] [--scenario NAME] [--faults SPEC]";
 
 /// Parsed command line: the library [`RunSpec`] plus the CLI-only output
 /// modes.
@@ -76,7 +73,6 @@ struct Options {
     spec: RunSpec,
     json: bool,
     stream: bool,
-    batch: bool,
 }
 
 impl Default for Options {
@@ -85,7 +81,6 @@ impl Default for Options {
             spec: RunSpec::new(ScenarioConfig::repro_scale(42)),
             json: false,
             stream: false,
-            batch: false,
         }
     }
 }
@@ -121,8 +116,6 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
     let mut opts = Options::default();
     let mut shards: Option<usize> = None;
     let mut analyzer_threads: Option<usize> = None;
-    let mut incremental_flag = false;
-    let mut full_snapshots_flag = false;
     let mut store_kind: Option<StoreKind> = None;
     let mut page_size: Option<usize> = None;
     let mut spill_dir: Option<String> = None;
@@ -235,39 +228,16 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
             }
             "--json" => opts.json = true,
             "--stream" => opts.stream = true,
-            "--batch" => opts.batch = true,
-            "--incremental" => incremental_flag = true,
-            "--full-snapshots" => full_snapshots_flag = true,
             "--help" | "-h" => return Ok(None),
             unknown => return Err(format!("unknown argument {unknown:?}")),
         }
         i += 1;
-    }
-    if opts.batch && opts.stream {
-        return Err("--batch and --stream are mutually exclusive".into());
-    }
-    if incremental_flag && full_snapshots_flag {
-        return Err("--incremental and --full-snapshots are mutually exclusive".into());
-    }
-    if full_snapshots_flag {
-        opts.spec.snapshots = SnapshotMode::FullRefetch;
     }
     // The shard count defaults to one shard per explicit worker (auto jobs
     // keep the default single shard); an explicit `--shards` may exceed
     // the worker count (more shards than threads is fine — they queue) but
     // never the other way around (validate checks).
     opts.spec.shards = shards.unwrap_or(opts.spec.jobs.unwrap_or(1));
-    if opts.batch && (opts.spec.jobs.unwrap_or(1) > 1 || opts.spec.shards > 1) {
-        return Err("--batch cannot be combined with --jobs/--shards".into());
-    }
-    if opts.batch && opts.spec.is_grid() {
-        return Err("--batch cannot be combined with --seeds/--scales".into());
-    }
-    // The intra-shard pipeline replaces the sink the streaming engine
-    // folds into; the legacy materializing collector has no equivalent.
-    if opts.batch && opts.spec.pipeline {
-        return Err("--batch cannot be combined with --pipeline".into());
-    }
     if let Some(threads) = analyzer_threads {
         if !opts.spec.pipeline {
             return Err("--analyzer-threads requires --pipeline".into());
@@ -289,8 +259,7 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
     // Fault injection: the scenario preset (if any) is parsed first, then
     // the `--faults` spec overlays it key by key — preset knobs the spec
     // doesn't name survive, named keys override. Only a self-contradictory
-    // spec (one key, two values) is an error; the batch path stays quiet by
-    // construction.
+    // spec (one key, two values) is an error.
     if let Some(name) = &scenario {
         opts.spec.faults = FaultSpec::scenario(name).ok_or_else(|| {
             format!(
@@ -303,9 +272,6 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
     if let Some(spec) = &faults_spec {
         opts.spec.faults = FaultSpec::parse_onto(opts.spec.faults.clone(), spec)
             .map_err(|e| format!("invalid --faults spec: {e}"))?;
-    }
-    if opts.batch && !opts.spec.faults.is_quiet() {
-        return Err("--scenario/--faults cannot be combined with --batch".into());
     }
     opts.spec.store = match kind {
         StoreKind::Mem => StoreConfig::mem(),
@@ -326,6 +292,17 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
     Ok(Some(opts))
 }
 
+/// Create (or check) the `--spill-dir` root before the run starts, so that
+/// a path that is a regular file or cannot be created is a usage error
+/// here and not a panic at the first eviction.
+fn prepare_spill_dir(store: &StoreConfig) -> Result<(), String> {
+    let Some(dir) = &store.spill_dir else {
+        return Ok(());
+    };
+    std::fs::create_dir_all(dir)
+        .map_err(|err| format!("--spill-dir {dir:?} is not a usable directory: {err}"))
+}
+
 fn usage_error(message: &str) -> ! {
     eprintln!("repro: {message}");
     eprintln!("{USAGE}");
@@ -343,6 +320,9 @@ fn main() {
         Err(message) => usage_error(&message),
     };
     let spec = &opts.spec;
+    if let Err(message) = prepare_spill_dir(&spec.store) {
+        usage_error(&message);
+    }
 
     // Grid mode: N seeds × M scales through the StudyBatch runner.
     if spec.is_grid() {
@@ -382,15 +362,10 @@ fn main() {
             String::new()
         },
     );
-    let report = if opts.batch {
-        StudyReport::run_batch(spec)
-    } else {
-        let (report, summary) = StudyReport::run(spec);
-        if opts.stream {
-            eprint!("{}", summary.render());
-        }
-        report
-    };
+    let (report, summary) = StudyReport::run(spec);
+    if opts.stream {
+        eprint!("{}", summary.render());
+    }
     println!("{}", report.render());
     if opts.json {
         println!("{}", report.to_json().to_string_pretty());
@@ -472,13 +447,12 @@ mod tests {
         ]))
         .is_ok());
         // Errors: worker count without the pipeline, zero/over-limit
-        // counts, batch and grid conflicts.
+        // counts, grid conflicts.
         let err = parse_args(&args(&["--analyzer-threads", "2"])).unwrap_err();
         assert!(err.contains("requires --pipeline"), "{err}");
         assert!(parse_args(&args(&["--pipeline", "--analyzer-threads", "0"])).is_err());
         assert!(parse_args(&args(&["--pipeline", "--analyzer-threads", "9"])).is_err());
         assert!(parse_args(&args(&["--pipeline", "--analyzer-threads"])).is_err());
-        assert!(parse_args(&args(&["--pipeline", "--batch"])).is_err());
         assert!(parse_args(&args(&["--pipeline", "--seeds", "1,2"])).is_err());
     }
 
@@ -506,12 +480,7 @@ mod tests {
 
     #[test]
     fn conflicting_modes_are_errors() {
-        assert!(parse_args(&args(&["--batch", "--stream"])).is_err());
-        assert!(parse_args(&args(&["--batch", "--jobs", "2"])).is_err());
-        assert!(parse_args(&args(&["--batch", "--seeds", "1,2"])).is_err());
         assert!(parse_args(&args(&["--jobs", "2", "--seeds", "1,2"])).is_err());
-        assert!(parse_args(&args(&["--incremental", "--full-snapshots"])).is_err());
-        assert!(parse_args(&args(&["--full-snapshots", "--seeds", "1,2"])).is_err());
     }
 
     #[test]
@@ -522,7 +491,7 @@ mod tests {
             .unwrap()
             .unwrap();
         assert_eq!(opts.spec.appview_shards, 4);
-        // Composes with the engine shards, store backends and batch mode.
+        // Composes with the engine shards and store backends.
         let opts = parse_args(&args(&[
             "--appview-shards",
             "4",
@@ -534,7 +503,6 @@ mod tests {
         .unwrap()
         .unwrap();
         assert_eq!(opts.spec.appview_shards, 4);
-        assert!(parse_args(&args(&["--appview-shards", "2", "--batch"])).is_ok());
         // Errors: zero, missing/garbage values, grid runs.
         assert!(parse_args(&args(&["--appview-shards", "0"])).is_err());
         assert!(parse_args(&args(&["--appview-shards"])).is_err());
@@ -548,7 +516,7 @@ mod tests {
         assert!(opts.spec.write_back);
         let opts = parse_args(&args(&["--writeback", "off"])).unwrap().unwrap();
         assert!(!opts.spec.write_back);
-        // Composes with sharding, stores and batch mode.
+        // Composes with sharding and stores.
         let opts = parse_args(&args(&[
             "--writeback",
             "off",
@@ -562,26 +530,9 @@ mod tests {
         .unwrap()
         .unwrap();
         assert!(!opts.spec.write_back);
-        assert!(parse_args(&args(&["--writeback", "off", "--batch"])).is_ok());
         // Errors: bad/missing values.
         assert!(parse_args(&args(&["--writeback", "maybe"])).is_err());
         assert!(parse_args(&args(&["--writeback"])).is_err());
-    }
-
-    #[test]
-    fn snapshot_mode_flags_parse() {
-        let opts = parse_args(&[]).unwrap().unwrap();
-        assert_eq!(opts.spec.snapshots, SnapshotMode::Incremental);
-        let opts = parse_args(&args(&["--incremental"])).unwrap().unwrap();
-        assert_eq!(opts.spec.snapshots, SnapshotMode::Incremental);
-        let opts = parse_args(&args(&["--full-snapshots"])).unwrap().unwrap();
-        assert_eq!(opts.spec.snapshots, SnapshotMode::FullRefetch);
-        // The snapshot mode composes with sharding and batch mode.
-        let opts = parse_args(&args(&["--full-snapshots", "--jobs", "2"]))
-            .unwrap()
-            .unwrap();
-        assert_eq!(opts.spec.snapshots, SnapshotMode::FullRefetch);
-        assert!(parse_args(&args(&["--batch", "--full-snapshots"])).is_ok());
     }
 
     #[test]
@@ -602,10 +553,33 @@ mod tests {
         .unwrap();
         assert_eq!(opts.spec.store.page_size, 4096);
         assert_eq!(opts.spec.store.spill_dir.as_deref(), Some("/tmp/spill"));
-        // The store composes with sharding, snapshot modes and batch mode.
+        // The store composes with sharding.
         assert!(parse_args(&args(&["--store", "paged", "--jobs", "2"])).is_ok());
-        assert!(parse_args(&args(&["--store", "paged", "--batch"])).is_ok());
-        assert!(parse_args(&args(&["--store", "paged", "--full-snapshots"])).is_ok());
+    }
+
+    #[test]
+    fn spill_dir_must_be_a_usable_directory() {
+        let dir = std::env::temp_dir().join(format!("repro-spill-test-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        // A regular file where the spill root should be: refused up front,
+        // naming the flag.
+        let file = dir.join("not-a-dir");
+        std::fs::write(&file, b"x").unwrap();
+        let store = StoreConfig::paged().spill_dir(file.to_string_lossy());
+        let err = prepare_spill_dir(&store).unwrap_err();
+        assert!(err.contains("--spill-dir"), "{err}");
+        // Nor can a root be created underneath it.
+        let nested = StoreConfig::paged().spill_dir(file.join("below").to_string_lossy());
+        assert!(prepare_spill_dir(&nested).is_err());
+        // A missing directory is created; an existing one is accepted; no
+        // spill dir at all is nothing to check.
+        let fresh = dir.join("fresh");
+        let store = StoreConfig::paged().spill_dir(fresh.to_string_lossy());
+        assert_eq!(prepare_spill_dir(&store), Ok(()));
+        assert!(fresh.is_dir());
+        assert_eq!(prepare_spill_dir(&store), Ok(()));
+        assert_eq!(prepare_spill_dir(&StoreConfig::paged()), Ok(()));
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -634,7 +608,7 @@ mod tests {
             .unwrap();
         assert_eq!(opts.spec.framing.padding, PaddingPolicy::Constant);
         assert_eq!(opts.spec.framing.batch.window_secs, 0);
-        // Composes with sharding, stores, snapshot modes and batch mode.
+        // Composes with sharding and stores.
         assert!(parse_args(&args(&[
             "--padding",
             "buckets",
@@ -648,8 +622,6 @@ mod tests {
             "4",
         ]))
         .is_ok());
-        assert!(parse_args(&args(&["--padding", "buckets", "--batch"])).is_ok());
-        assert!(parse_args(&args(&["--batch-window", "60", "--full-snapshots"])).is_ok());
         // Errors: bad/missing values, grid runs.
         assert!(parse_args(&args(&["--padding", "bubblewrap"])).is_err());
         assert!(parse_args(&args(&["--padding"])).is_err());
@@ -676,7 +648,7 @@ mod tests {
             .unwrap();
         assert!(!opts.spec.faults.is_quiet());
         assert_eq!(opts.spec.scenario, None);
-        // Composes with sharding, stores, snapshot modes and framing.
+        // Composes with sharding, stores and AppView sharding.
         assert!(parse_args(&args(&[
             "--scenario",
             "label-storm",
@@ -686,18 +658,16 @@ mod tests {
             "paged",
             "--appview-shards",
             "4",
-            "--full-snapshots",
         ]))
         .is_ok());
         // Errors: unknown scenario (must list the valid names), bad spec,
-        // missing values, conflicting modes.
+        // missing values, grid runs.
         let err = parse_args(&args(&["--scenario", "earthquake"])).unwrap_err();
         assert!(err.contains("pds-migration"), "{err}");
         assert!(parse_args(&args(&["--scenario"])).is_err());
         assert!(parse_args(&args(&["--faults", "flaky=2.0"])).is_err());
         assert!(parse_args(&args(&["--faults", "frobnicate=1"])).is_err());
         assert!(parse_args(&args(&["--faults"])).is_err());
-        assert!(parse_args(&args(&["--scenario", "spam-wave", "--batch"])).is_err());
         assert!(parse_args(&args(&["--scenario", "cursor-gap", "--seeds", "1,2"])).is_err());
         assert!(parse_args(&args(&["--faults", "spam=0.1", "--scales", "40000"])).is_err());
     }

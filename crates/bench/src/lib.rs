@@ -16,20 +16,9 @@
 use std::time::{Duration, Instant};
 
 /// Whether this is a smoke run: anything but `cargo bench` (which passes
-/// `--bench`), or an explicit `--smoke` flag (the CI runs
-/// `cargo bench -- --smoke` in release so the bench *code* — including its
-/// assertions — is exercised without paying for full measurement).
+/// `--bench`).
 pub fn smoke_mode() -> bool {
-    let mut has_bench = false;
-    let mut has_smoke = false;
-    for arg in std::env::args() {
-        match arg.as_str() {
-            "--bench" => has_bench = true,
-            "--smoke" => has_smoke = true,
-            _ => {}
-        }
-    }
-    !has_bench || has_smoke
+    !std::env::args().any(|arg| arg == "--bench")
 }
 
 /// A named group of benchmarks with a shared sample count.

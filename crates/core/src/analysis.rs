@@ -6,19 +6,14 @@
 //! Each section is an [`Analyzer`]: `observe` folds one observation into
 //! per-entity accumulators, `merge` combines two independently folded states
 //! (the primitive behind the sharded engine in [`crate::shard`]), and
-//! `finish` computes the result struct with its `render()` method. All seven
+//! `finish` computes the result struct with its `render()` method. All
 //! analyzers obey the merge law (see [`crate::pipeline`]): splitting any
 //! observation stream at any point and merging the two halves' states equals
-//! folding the whole stream — the property tests at the bottom of this file
-//! pin that for every analyzer. The free functions
-//! (`table1_firehose_breakdown`, `activity_series`, …) keep the original
-//! batch API: they [`replay`] an already-materialized [`Datasets`] through
-//! the same analyzer, so the batch and streaming paths produce identical
-//! results by construction.
+//! folding the whole stream — the property test at the bottom of this file
+//! pins that for every analyzer over a recorded live stream.
 
-use crate::datasets::Datasets;
 use crate::langdetect;
-use crate::pipeline::{replay, Analyzer, Observation, StudyCtx};
+use crate::pipeline::{Analyzer, Observation, StudyCtx};
 use crate::stats;
 use bsky_atproto::firehose::{EventBody, EventKind};
 use bsky_atproto::label::LabelTargetKind;
@@ -27,7 +22,6 @@ use bsky_atproto::record::Record;
 use bsky_atproto::Datetime;
 use bsky_labeler::{LabelerOperator, REACTION_WINDOW_DAYS};
 use bsky_simnet::net::HostingClass;
-use bsky_workload::World;
 use std::collections::{BTreeMap, BTreeSet};
 
 fn month_of(dt: Datetime) -> String {
@@ -91,11 +85,6 @@ impl Analyzer for Table1Analyzer {
             .collect();
         Table1 { rows, total }
     }
-}
-
-/// Compute Table 1 from a materialized firehose dataset (batch API).
-pub fn table1_firehose_breakdown(datasets: &Datasets) -> Table1 {
-    replay(Table1Analyzer::new(), datasets, &StudyCtx::detached())
 }
 
 impl Table1 {
@@ -228,11 +217,6 @@ impl Analyzer for ActivityAnalyzer {
     }
 }
 
-/// Compute Figures 1 and 2 plus §4's operation totals (batch API).
-pub fn activity_series(datasets: &Datasets) -> ActivitySeries {
-    replay(ActivityAnalyzer::new(), datasets, &StudyCtx::detached())
-}
-
 impl ActivitySeries {
     /// Render Figure 1's series.
     pub fn render_figure1(&self) -> String {
@@ -348,11 +332,6 @@ impl Analyzer for Section4Analyzer {
             firehose_events: self.firehose_events,
         }
     }
-}
-
-/// Compute §4's popularity and non-Bluesky content findings (batch API).
-pub fn section4_accounts(datasets: &Datasets) -> Section4 {
-    replay(Section4Analyzer::new(), datasets, &StudyCtx::detached())
 }
 
 impl Section4 {
@@ -589,11 +568,6 @@ impl Analyzer for IdentityAnalyzer {
             ),
         }
     }
-}
-
-/// Compute §5: identity centralization, Table 2 and Figure 3 (batch API).
-pub fn identity_report(datasets: &Datasets, world: &World) -> IdentityReport {
-    replay(IdentityAnalyzer::new(), datasets, &StudyCtx::new(world))
 }
 
 impl IdentityReport {
@@ -1012,7 +986,7 @@ impl Analyzer for ModerationAnalyzer {
     fn finish(self, _ctx: &StudyCtx<'_>) -> ModerationReport {
         // Labels whose posts never appeared on the stream (pre-window
         // posts) keep their volume counts but have no reaction time — drop
-        // the leftover pendings, mirroring the batch scan.
+        // the leftover pendings.
         let official: Option<String> = self
             .accs
             .iter()
@@ -1238,11 +1212,6 @@ impl Analyzer for ModerationAnalyzer {
             figure6,
         }
     }
-}
-
-/// Compute the §6 moderation analyses (batch API).
-pub fn moderation_report(datasets: &Datasets, world: &World) -> ModerationReport {
-    replay(ModerationAnalyzer::new(), datasets, &StudyCtx::new(world))
 }
 
 impl ModerationReport {
@@ -1697,15 +1666,6 @@ impl Analyzer for RecommendationAnalyzer {
     }
 }
 
-/// Compute the §7 recommendation analyses (batch API).
-pub fn recommendation_report(datasets: &Datasets, world: &World) -> RecommendationReport {
-    replay(
-        RecommendationAnalyzer::new(),
-        datasets,
-        &StudyCtx::new(world),
-    )
-}
-
 impl RecommendationReport {
     /// Render §7, Table 5 and Figures 7–12.
     pub fn render(&self) -> String {
@@ -1828,15 +1788,6 @@ impl Analyzer for FirehoseVolumeAnalyzer {
     }
 }
 
-/// Compute the §9 firehose-volume estimate (batch API).
-pub fn firehose_volume(datasets: &Datasets, world: &World) -> FirehoseVolume {
-    replay(
-        FirehoseVolumeAnalyzer::new(),
-        datasets,
-        &StudyCtx::new(world),
-    )
-}
-
 impl FirehoseVolume {
     /// Render the volume estimate.
     pub fn render(&self) -> String {
@@ -1870,61 +1821,65 @@ pub fn table5_feature_matrix() -> String {
 mod tests {
     use super::*;
     use crate::datasets::Collector;
-    use crate::pipeline::for_each_observation;
+    use crate::pipeline::OwnedObservation;
+    use crate::report::StudyReport;
+    use crate::spec::RunSpec;
     use bsky_simnet::SimRng;
-    use bsky_workload::ScenarioConfig;
+    use bsky_workload::{ScenarioConfig, World};
 
-    fn run_small() -> (World, Datasets) {
+    fn small_config() -> ScenarioConfig {
         let mut config = ScenarioConfig::test_scale(11);
         config.start = Datetime::from_ymd(2024, 2, 15).unwrap();
         config.end = Datetime::from_ymd(2024, 4, 25).unwrap();
         config.scale = 30_000;
-        let mut world = World::new(config);
-        let datasets = Collector::new().run(&mut world);
-        (world, datasets)
+        config
+    }
+
+    fn run_small() -> StudyReport {
+        StudyReport::run_serial(&RunSpec::new(small_config())).0
     }
 
     #[test]
     fn all_analyses_run_and_render() {
-        let (world, datasets) = run_small();
+        let report = run_small();
 
-        let t1 = table1_firehose_breakdown(&datasets);
+        let t1 = &report.table1;
         assert!(t1.total > 0);
         let commit_share = t1.rows.iter().find(|r| r.0 == "Repo Commit").unwrap().2;
         assert!(commit_share > 90.0, "commit share {commit_share}");
         assert!(t1.render().contains("Repo Commit"));
 
-        let activity = activity_series(&datasets);
+        let activity = &report.activity;
         assert!(!activity.monthly.is_empty());
         assert!(activity.totals.1 > activity.totals.0, "likes > posts");
         assert!(activity.render_figure1().contains("Totals"));
         assert!(!activity.render_figure2().is_empty());
 
-        let s4 = section4_accounts(&datasets);
+        let s4 = &report.section4;
         assert!(!s4.most_followed.is_empty());
         assert!(s4.render().contains("Most followed"));
 
-        let identity = identity_report(&datasets, &world);
+        let identity = &report.identity;
         assert!(identity.total_handles > 0);
         assert!(identity.bsky_social.1 > 90.0);
         assert!(identity.proofs.2 > 80.0);
         assert!(identity.render().contains("Table 2"));
 
-        let moderation = moderation_report(&datasets, &world);
+        let moderation = &report.moderation;
         assert!(moderation.labeler_counts.0 >= 40);
         assert!(moderation.interactions.0 > 0);
         assert!(!moderation.table6.is_empty());
         assert!(moderation.community_share_last_month > 50.0);
         assert!(moderation.render().contains("Table 3"));
 
-        let recommendation = recommendation_report(&datasets, &world);
+        let recommendation = &report.recommendation;
         assert!(recommendation.total_feeds > 10);
         assert!(recommendation.never_curated.1 > 0.0);
         assert!(!recommendation.platform_shares.is_empty());
         assert_eq!(recommendation.platform_shares[0].0, "Skyfeed");
         assert!(recommendation.render().contains("Figure 12"));
 
-        let volume = firehose_volume(&datasets, &world);
+        let volume = &report.firehose_volume;
         assert!(volume.bytes_per_day > 0.0);
         assert!(volume.extrapolated_full_network > volume.bytes_per_day);
         assert!(volume.render().contains("firehose volume"));
@@ -1934,8 +1889,7 @@ mod tests {
 
     #[test]
     fn moderation_reaction_times_distinguish_automation() {
-        let (world, datasets) = run_small();
-        let moderation = moderation_report(&datasets, &world);
+        let moderation = run_small().moderation;
         // The alt-text labeler (automated) must be faster than any manual
         // community labeler that has a measured reaction time.
         let automated: Vec<&LabelerReaction> = moderation
@@ -2011,59 +1965,57 @@ mod tests {
         assert!(probe.analyzer.post_index_len() <= probe.analyzer.peak_post_index());
     }
 
-    /// The merge law, pinned per analyzer: fold the whole stream vs split
-    /// the stream at a random point, fold the halves into two fresh
+    /// The merge law, pinned per analyzer: fold the whole recorded stream vs
+    /// split it at a random point, fold the halves into two fresh
     /// analyzers, merge, and compare the finished outputs.
-    fn assert_split_merge_equals_fold<A, F>(make: F, world: &World, datasets: &Datasets)
+    fn assert_split_merge_equals_fold<A, F>(make: F, world: &World, tape: &[OwnedObservation])
     where
         A: Analyzer,
         A::Output: PartialEq + std::fmt::Debug,
         F: Fn() -> A,
     {
         let ctx = StudyCtx::new(world);
-        let mut observations = 0usize;
-        for_each_observation(datasets, |_| observations += 1);
-        let mut whole = make();
-        for_each_observation(datasets, |obs| whole.observe(&obs, &ctx));
-        let expected = whole.finish(&ctx);
+        let fold = |items: &[OwnedObservation]| {
+            let mut analyzer = make();
+            for item in items {
+                analyzer.observe(&item.as_observation(), &ctx);
+            }
+            analyzer
+        };
+        let expected = fold(tape).finish(&ctx);
         // Seeded test RNG: reproducible split points.
         let mut rng = SimRng::new(0xfeed);
-        for _ in 0..4 {
-            let split = rng.range(0..observations.max(1));
-            let mut first = make();
-            let mut second = make();
-            let mut index = 0usize;
-            for_each_observation(datasets, |obs| {
-                if index < split {
-                    first.observe(&obs, &ctx);
-                } else {
-                    second.observe(&obs, &ctx);
-                }
-                index += 1;
-            });
-            first.merge(second);
+        for _ in 0..8 {
+            let split = rng.range(0..tape.len().max(1));
+            let mut first = fold(&tape[..split]);
+            first.merge(fold(&tape[split..]));
             let merged = first.finish(&ctx);
             assert!(
                 merged == expected,
-                "split at {split}/{observations} diverged"
+                "split at {split}/{} diverged",
+                tape.len()
             );
         }
     }
 
     #[test]
     fn every_analyzer_satisfies_the_merge_law() {
-        let (world, datasets) = run_small();
-        assert_split_merge_equals_fold(Table1Analyzer::new, &world, &datasets);
-        assert_split_merge_equals_fold(ActivityAnalyzer::new, &world, &datasets);
-        assert_split_merge_equals_fold(Section4Analyzer::new, &world, &datasets);
-        assert_split_merge_equals_fold(IdentityAnalyzer::new, &world, &datasets);
-        assert_split_merge_equals_fold(ModerationAnalyzer::new, &world, &datasets);
-        assert_split_merge_equals_fold(RecommendationAnalyzer::new, &world, &datasets);
-        assert_split_merge_equals_fold(FirehoseVolumeAnalyzer::new, &world, &datasets);
-        assert_split_merge_equals_fold(
-            crate::observatory::ObservatoryAnalyzer::new,
-            &world,
-            &datasets,
-        );
+        // The live tape: day boundaries, weekly identifier snapshots and
+        // daily label batches interleaved with the firehose exactly as the
+        // producer emitted them.
+        let mut world = World::new(small_config());
+        let mut tape: Vec<OwnedObservation> = Vec::new();
+        Collector::new().stream(&mut world, &mut tape);
+        assert!(tape
+            .iter()
+            .any(|o| matches!(o, OwnedObservation::DayBoundary { .. })));
+        assert_split_merge_equals_fold(Table1Analyzer::new, &world, &tape);
+        assert_split_merge_equals_fold(ActivityAnalyzer::new, &world, &tape);
+        assert_split_merge_equals_fold(Section4Analyzer::new, &world, &tape);
+        assert_split_merge_equals_fold(IdentityAnalyzer::new, &world, &tape);
+        assert_split_merge_equals_fold(ModerationAnalyzer::new, &world, &tape);
+        assert_split_merge_equals_fold(RecommendationAnalyzer::new, &world, &tape);
+        assert_split_merge_equals_fold(FirehoseVolumeAnalyzer::new, &world, &tape);
+        assert_split_merge_equals_fold(crate::observatory::ObservatoryAnalyzer::new, &world, &tape);
     }
 }

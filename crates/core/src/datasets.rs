@@ -21,52 +21,51 @@
 //!   repositories, metadata via `getFeedGenerator`, retained entries via
 //!   `getFeed` hydration.
 //!
-//! [`Collector::run`] keeps the original batch API alive: it registers the
-//! [`Materialize`] analyzer — which folds the stream back into in-memory
-//! [`Datasets`] vectors — and returns its output, so existing callers and
-//! golden tests are untouched.
+//! ## The snapshot protocol
 //!
-//! ## The incremental snapshot protocol
+//! The repositories dataset is kept the way a real AT Protocol mirror stays
+//! current. An [`IncrementalRepoMirror`] rides along with the weekly
+//! `sync.listRepos` snapshots:
 //!
-//! The repositories dataset supports two collection strategies, selected by
-//! [`SnapshotMode`]:
+//! 1. every `listRepos` page carries each repo's latest revision TID; the
+//!    mirror compares it with the revision its state is synced to;
+//! 2. an unchanged revision costs **zero** fetches; a changed one is
+//!    fetched as a `com.atproto.sync.getRepo(did, since=rev)` **delta** —
+//!    the head commit plus the record blocks created after the mirror's
+//!    revision (`DeltaScope::Records`: this mirror keeps decoded records,
+//!    so it skips the MST node blocks a full-fidelity block mirror such as
+//!    the Relay's would request — see `bsky_atproto::repo`);
+//! 3. new DIDs, revision rewinds, and failed or unverifiable deltas fall
+//!    back to a full CAR fetch; DIDs that vanish from `listRepos`
+//!    (deletions) drop their mirror state and are counted as skips;
+//! 4. at the window end the mirror syncs once more and emits one
+//!    [`Observation::Repo`] per DID in first-seen order.
 //!
-//! * [`SnapshotMode::FullRefetch`] — the study's naive reading of §3: every
-//!   repository CAR is downloaded and decoded once, at the window end. Cost:
-//!   O(total repo bytes).
-//! * [`SnapshotMode::Incremental`] (the default) — how a real AT Protocol
-//!   mirror stays current. An [`IncrementalRepoMirror`] rides along with the
-//!   weekly `sync.listRepos` snapshots:
+//! Cost: O(changed bytes) across the window;
+//! [`crate::pipeline::StreamSummary`] reports the bytes actually fetched,
+//! the full/delta split, and any skipped repos.
 //!
-//!   1. every `listRepos` page carries each repo's latest revision TID; the
-//!      mirror compares it with the revision its state is synced to;
-//!   2. an unchanged revision costs **zero** fetches; a changed one is
-//!      fetched as a `com.atproto.sync.getRepo(did, since=rev)` **delta** —
-//!      the head commit plus the record blocks created after the mirror's
-//!      revision (`DeltaScope::Records`: this mirror keeps decoded records,
-//!      so it skips the MST node blocks a full-fidelity block mirror such
-//!      as the Relay's would request — see `bsky_atproto::repo`);
-//!   3. new DIDs, revision rewinds, and failed or unverifiable deltas fall
-//!      back to a full CAR fetch; DIDs that vanish from `listRepos`
-//!      (deletions) drop their mirror state — exactly the repos the full
-//!      path fails to fetch at the window end;
-//!   4. at the window end the mirror syncs once more and emits one
-//!      [`Observation::Repo`] per DID in first-seen order — **byte-identical**
-//!      to the full-refetch emission (the golden test in
-//!      `tests/pipeline_equivalence.rs` pins this, serial and sharded).
-//!
-//!   Cost: O(changed bytes) across the window instead of O(total repo bytes
-//!   × snapshots); [`crate::pipeline::StreamSummary`] reports the bytes
-//!   actually fetched, the full/delta split, and any skipped repos.
+//! The paper's naive reading of §3 — download and decode every repository
+//! CAR once, at the window end, O(total repo bytes) — is not a selectable
+//! mode. It survives as the **test oracle** in this file: a test streams a
+//! world, fetches every collected DID's full CAR at the window end, decodes
+//! it, and requires the mirror's emitted snapshots to be equal record for
+//! record (and the mirror to have fetched strictly fewer bytes). The
+//! oracle is what guards the one assumption the mirror leans on: the
+//! workload only ever *creates* records (account deletion drops whole
+//! repos), so neither a delta nor the weekly compaction can remove a record
+//! version the mirror already holds. A workload that gains record updates
+//! or deletes makes the mirror's accumulated view diverge from a full
+//! export — a bug the oracle catches the moment it appears (at which point
+//! deltas need to carry purged-CID lists).
 
 use crate::observatory::{cell_trace, ActivityClass, TraceKind, WireTraceDay};
-use crate::pipeline::{Analyzer, Observation, ObservationSink, StreamSummary, StudyCtx};
+use crate::pipeline::{Observation, ObservationSink, StreamSummary, StudyCtx};
 use bsky_atproto::blockstore::{BlockStore, StoreConfig, StoreStats};
 use bsky_atproto::cid::Cid;
 use bsky_atproto::error::AtError;
-use bsky_atproto::firehose::{Event, EventBody};
+use bsky_atproto::firehose::EventBody;
 use bsky_atproto::framing::FramingPolicy;
-use bsky_atproto::label::Label;
 use bsky_atproto::record::Record;
 use bsky_atproto::repo::{commit_summary, DeltaScope, Repository};
 use bsky_atproto::{AtUri, Datetime, Did, Nsid, Tid};
@@ -178,11 +177,8 @@ impl FeedGenEntry {
     }
 }
 
-/// Labeling-service dataset entry.
-///
-/// On the live stream this carries only metadata (labels arrive separately
-/// as [`Observation::Labels`] batches); in the materialized batch
-/// representation `labels` holds the full stream.
+/// Labeling-service dataset entry: the service's metadata. Its labels
+/// arrive separately, as [`Observation::Labels`] batches.
 #[derive(Debug, Clone)]
 pub struct LabelerEntry {
     /// The labeler's account DID.
@@ -197,52 +193,10 @@ pub struct LabelerEntry {
     pub functional: bool,
     /// When the labeler was announced.
     pub announced_at: Datetime,
-    /// Every label interaction on its stream (including negations). Empty
-    /// on the live stream; populated in the batch representation.
-    pub labels: Vec<Label>,
-}
-
-/// The collected datasets (the batch representation).
-#[derive(Debug, Clone, Default)]
-pub struct Datasets {
-    /// `(did, latest revision)` pairs from the weekly listRepos snapshots.
-    pub user_identifiers: Vec<(Did, Option<String>)>,
-    /// DID documents from the PLC export and did:web fetches.
-    pub did_documents: Vec<DidDocument>,
-    /// Number of did:web documents among them.
-    pub did_web_count: usize,
-    /// Decoded repository snapshots.
-    pub repositories: Vec<RepoSnapshot>,
-    /// Firehose events observed since the collection start.
-    pub firehose_events: Vec<Event>,
-    /// Feed-generator dataset.
-    pub feed_generators: Vec<FeedGenEntry>,
-    /// Labeling-services dataset.
-    pub labelers: Vec<LabelerEntry>,
-    /// Per-connection, per-day wire traces from the §10 observatory tap.
-    pub wire_traces: Vec<WireTraceDay>,
-    /// When continuous firehose collection started.
-    pub firehose_collection_start: Datetime,
-    /// When collection ended.
-    pub collection_end: Datetime,
 }
 
 /// Default number of pending relay events per producer chunk.
 pub const DEFAULT_CHUNK_EVENTS: usize = 256;
-
-/// How the §3 repositories dataset is collected (see the module docs for
-/// the full protocol).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SnapshotMode {
-    /// Download and decode every repository CAR once, at the window end:
-    /// O(total repo bytes), the paper's naive reading of §3.
-    FullRefetch,
-    /// Rev-aware weekly syncs through an [`IncrementalRepoMirror`]: full
-    /// CARs only for new or rewound DIDs, `getRepo(since)` deltas otherwise.
-    /// O(changed bytes); emits byte-identical snapshots.
-    #[default]
-    Incremental,
-}
 
 /// Mirrored repository state for one DID, synced to a known revision. The
 /// record block bytes live in the mirror's shared [`BlockStore`]; the entry
@@ -252,8 +206,8 @@ struct MirroredRepo {
     /// The revision the state is synced to (`None`: no commits yet).
     rev: Option<String>,
     /// CIDs of every fetched block that decodes as a record — the same
-    /// view [`Collector`] takes of a full CAR, so decoding these in CID
-    /// order reproduces the full-refetch snapshot exactly.
+    /// view a reader of the full CAR takes, so decoding these in CID order
+    /// reproduces what a window-end full export decodes to.
     record_cids: BTreeSet<Cid>,
     /// The PDS hostname the state was fetched from. A repo that re-homes
     /// (account migration) is backfilled with a full fetch: deltas across
@@ -566,7 +520,7 @@ impl IncrementalRepoMirror {
     }
 
     /// The decoded records of a mirrored DID in CID order — the exact
-    /// contents a full-refetch snapshot would decode — or `None` when the
+    /// contents a full CAR fetched now would decode to — or `None` when the
     /// DID is not mirrored. Reads go through the block store, paging in and
     /// CID-verifying any spilled blocks.
     pub fn records(&self, did: &Did) -> Option<Vec<(Nsid, String, Record)>> {
@@ -648,12 +602,8 @@ pub const COMPACTION_WINDOW_DAYS: i64 = 14;
 #[derive(Debug)]
 pub struct Collector {
     chunk_events: usize,
-    mode: SnapshotMode,
     /// Backend for the mirror's record-block store (rebuilt per stream).
     store_config: StoreConfig,
-    /// Days of delta-window history repositories retain; `None` disables
-    /// the weekly compaction pass.
-    compaction_window: Option<i64>,
     mirror: IncrementalRepoMirror,
     firehose_cursor: u64,
     seen_identifiers: BTreeSet<String>,
@@ -698,9 +648,7 @@ impl Collector {
     pub fn with_chunk_size(chunk_events: usize) -> Collector {
         Collector {
             chunk_events: chunk_events.max(1),
-            mode: SnapshotMode::default(),
             store_config: StoreConfig::default(),
-            compaction_window: Some(COMPACTION_WINDOW_DAYS),
             mirror: IncrementalRepoMirror::new(),
             firehose_cursor: 0,
             seen_identifiers: BTreeSet::new(),
@@ -717,26 +665,11 @@ impl Collector {
         }
     }
 
-    /// Select how the repositories dataset is collected (builder style).
-    pub fn snapshot_mode(mut self, mode: SnapshotMode) -> Collector {
-        self.mode = mode;
-        self
-    }
-
     /// Select the block-store backend for the producer's repo mirror
     /// (builder style). The world's own stores are chosen when the world is
     /// built — see [`bsky_workload::WorldSpec`] / [`crate::RunSpec::store`].
     pub fn store(mut self, store: StoreConfig) -> Collector {
         self.store_config = store;
-        self
-    }
-
-    /// Override (or with `None` disable) the weekly repository compaction
-    /// window (builder style). Cadence and cutoff derive only from
-    /// simulated time, so shards and snapshot modes compact identically and
-    /// reports stay byte-identical.
-    pub fn compaction_window(mut self, days: Option<i64>) -> Collector {
-        self.compaction_window = days.map(|d| d.max(1));
         self
     }
 
@@ -771,11 +704,6 @@ impl Collector {
             TimeoutClass::DnsLookup => self.retry_dns = policy,
         }
         self
-    }
-
-    /// The configured snapshot mode.
-    pub fn mode(&self) -> SnapshotMode {
-        self.mode
     }
 
     fn emit<S: ObservationSink>(&mut self, sink: &mut S, obs: &Observation<'_>, world: &World) {
@@ -913,37 +841,24 @@ impl Collector {
                 };
                 if due {
                     self.snapshot_user_identifiers(world, sink, &mut summary);
-                    // The incremental mirror rides along with the weekly
-                    // identifier snapshot: the revs just listed tell it
-                    // which repos to delta-sync now instead of re-fetching
-                    // everything at the window end.
-                    if self.mode == SnapshotMode::Incremental {
-                        self.mirror
-                            .sync(&mut world.relay, &mut world.fleet, today, &mut summary);
-                    }
+                    // The mirror rides along with the weekly identifier
+                    // snapshot: the revs just listed tell it which repos
+                    // to delta-sync now instead of re-fetching everything
+                    // at the window end.
+                    self.mirror
+                        .sync(&mut world.relay, &mut world.fleet, today, &mut summary);
                     // Weekly compaction pass: repositories drop history
-                    // that aged out of the delta window. Runs in *both*
-                    // snapshot modes on the same simulated-time cadence, so
-                    // the emitted snapshots (and the reports) stay
-                    // byte-identical across modes, shards and backends.
-                    //
-                    // Caveat this relies on: the workload only ever
-                    // *creates* records (account deletion drops whole
-                    // repos), so compaction never removes a record version
-                    // the incremental mirror already fetched. If the
-                    // workload ever gains record updates/deletes, full
-                    // exports would shrink below the mirror's accumulated
-                    // view and the two snapshot modes would diverge — the
-                    // golden equivalence test recomputes both modes every
-                    // run and will fail loudly the moment that happens (at
-                    // which point deltas need to carry purged-CID lists).
-                    if let Some(window) = self.compaction_window {
-                        let cutoff_day = today.plus_days(-window);
-                        let cutoff =
-                            Tid::from_micros(cutoff_day.timestamp().max(0) as u64 * 1_000_000, 0);
-                        let stats = world.compact_repos(&cutoff);
-                        summary.store_bytes_reclaimed += stats.bytes_reclaimed as u64;
-                    }
+                    // that aged out of the delta window. Cadence and cutoff
+                    // derive only from simulated time, so every shard and
+                    // backend compacts identically. Compaction never
+                    // removes a record version the mirror already fetched
+                    // because the workload only creates records — see the
+                    // module docs; the window-end oracle test guards it.
+                    let cutoff_day = today.plus_days(-COMPACTION_WINDOW_DAYS);
+                    let cutoff =
+                        Tid::from_micros(cutoff_day.timestamp().max(0) as u64 * 1_000_000, 0);
+                    let stats = world.compact_repos(&cutoff);
+                    summary.store_bytes_reclaimed += stats.bytes_reclaimed as u64;
                     last_listrepos = Some(today);
                     summary.listrepos_snapshots += 1;
                 }
@@ -998,15 +913,6 @@ impl Collector {
         summary
     }
 
-    /// Batch compatibility: stream into a [`Materialize`] analyzer and
-    /// return the in-memory datasets (the seed pipeline's representation).
-    pub fn run(&mut self, world: &mut World) -> Datasets {
-        let mut materialize = Materialize::new();
-        self.stream(world, &mut materialize);
-        let ctx = StudyCtx::new(world);
-        materialize.finish(&ctx)
-    }
-
     fn emit_new_labelers<S: ObservationSink>(&mut self, world: &World, sink: &mut S) {
         while self.labelers_emitted < world.labelers.all().len() {
             let index = self.labelers_emitted;
@@ -1020,7 +926,6 @@ impl Collector {
                 hosting: labeler.hosting(),
                 functional: labeler.is_functional(),
                 announced_at: labeler.announced_at(),
-                labels: Vec::new(),
             };
             // Every shard instantiates every labeler, but the metadata is a
             // global singleton: only the shard owning the labeler's DID
@@ -1236,8 +1141,7 @@ impl Collector {
     }
 
     /// Emit the §3 repositories dataset at the window end: one snapshot per
-    /// collected DID in first-seen order, regardless of [`SnapshotMode`] —
-    /// the modes differ only in *when* and *how much* they fetched.
+    /// collected DID in first-seen order, served from the mirror.
     fn snapshot_repositories<S: ObservationSink>(
         &mut self,
         world: &mut World,
@@ -1245,62 +1149,17 @@ impl Collector {
         summary: &mut StreamSummary,
     ) {
         let end = world.config.end;
-        if self.mode == SnapshotMode::Incremental {
-            // Catch-up sync for anything that changed since the last weekly
-            // snapshot, then serve every emission from mirrored state.
-            self.mirror
-                .sync(&mut world.relay, &mut world.fleet, end, summary);
-        }
+        // Catch-up sync for anything that changed since the last weekly
+        // snapshot, then serve every emission from mirrored state.
+        self.mirror
+            .sync(&mut world.relay, &mut world.fleet, end, summary);
         // Take the order list out of `self` for the duration of the loop
         // (the body needs `&mut self` to emit) instead of cloning one DID
         // per collected user.
         let order = std::mem::take(&mut self.identifier_order);
         for did in &order {
-            let records = match self.mode {
-                SnapshotMode::Incremental => match self.mirror.records(did) {
-                    Some(records) => records,
-                    None => continue, // deleted mid-window; skip counted at sync
-                },
-                SnapshotMode::FullRefetch => {
-                    // Injected flakiness applies to the window-end bulk
-                    // download too: a repo abandoned after the retry budget
-                    // is a counted skip.
-                    if !resolve_retries(
-                        &self.faults,
-                        self.retry_full,
-                        "full",
-                        &did.to_string(),
-                        end,
-                        summary,
-                    ) {
-                        summary.repo_snapshot_skips += 1;
-                        continue;
-                    }
-                    let car = match world.relay.get_repo(did, &mut world.fleet, end) {
-                        Ok(car) => car,
-                        Err(_) => {
-                            // Deleted / migrated away mid-snapshot.
-                            summary.repo_snapshot_skips += 1;
-                            continue;
-                        }
-                    };
-                    summary.snapshot_bytes_fetched += car.len() as u64;
-                    summary.repo_full_fetches += 1;
-                    let Ok((_roots, blocks)) = Repository::parse_car(&car) else {
-                        summary.repo_snapshot_skips += 1;
-                        continue;
-                    };
-                    // Decode every block that parses as a known or unknown
-                    // record.
-                    let mut records = Vec::new();
-                    for bytes in blocks.values() {
-                        if let Ok(record) = Record::from_cbor(bytes) {
-                            let collection = record.collection();
-                            records.push((collection, String::new(), record));
-                        }
-                    }
-                    records
-                }
+            let Some(records) = self.mirror.records(did) else {
+                continue; // deleted mid-window; skip counted at sync
             };
             let snapshot = RepoSnapshot {
                 did: did.clone(),
@@ -1357,356 +1216,125 @@ impl Collector {
     }
 }
 
-/// The optional materializing analyzer: folds the observation stream back
-/// into the batch [`Datasets`] vectors. Register it when the in-memory
-/// representation is actually needed (compatibility, golden tests); leave it
-/// out for bounded-memory runs.
-///
-/// Observations are borrowed from the producer, so materializing clones each
-/// firehose event and repository snapshot — the batch path pays one extra
-/// deep copy of the two largest datasets relative to the pre-streaming
-/// collector. That cost is confined to this analyzer by design; the
-/// streaming path copies nothing.
-#[derive(Debug, Default)]
-pub struct Materialize {
-    datasets: Datasets,
-    labeler_by_did: BTreeMap<String, usize>,
-    feed_by_uri: BTreeMap<String, usize>,
-    /// Labels that arrived before their labeler's metadata (only possible
-    /// on artificial stream splits; the live stream and the replay always
-    /// announce metadata first).
-    orphan_labels: BTreeMap<String, Vec<Label>>,
-}
-
-impl Materialize {
-    /// A materializer with empty datasets.
-    pub fn new() -> Materialize {
-        Materialize::default()
-    }
-}
-
-impl ObservationSink for Materialize {
-    fn observe(&mut self, obs: &Observation<'_>, ctx: &StudyCtx<'_>) {
-        Analyzer::observe(self, obs, ctx);
-    }
-}
-
-impl Analyzer for Materialize {
-    type Output = Datasets;
-
-    fn observe(&mut self, obs: &Observation<'_>, _ctx: &StudyCtx<'_>) {
-        match obs {
-            Observation::WindowStart {
-                firehose_collection_start,
-                collection_end,
-            } => {
-                self.datasets.firehose_collection_start = *firehose_collection_start;
-                self.datasets.collection_end = *collection_end;
-            }
-            Observation::DayBoundary { .. } => {}
-            Observation::Firehose(event) => {
-                self.datasets.firehose_events.push((*event).clone());
-            }
-            Observation::UserIdentifier { did, rev } => {
-                self.datasets
-                    .user_identifiers
-                    .push(((*did).clone(), rev.map(str::to_string)));
-            }
-            Observation::DidDocument { doc, via_web } => {
-                self.datasets.did_documents.push((*doc).clone());
-                if *via_web {
-                    self.datasets.did_web_count += 1;
-                }
-            }
-            Observation::Labeler(entry) => {
-                let key = entry.did.to_string();
-                let mut entry = (*entry).clone();
-                if let Some(orphans) = self.orphan_labels.remove(&key) {
-                    entry.labels.extend(orphans);
-                }
-                self.labeler_by_did
-                    .insert(key, self.datasets.labelers.len());
-                self.datasets.labelers.push(entry);
-            }
-            Observation::Labels { src, labels } => {
-                let key = src.to_string();
-                match self.labeler_by_did.get(&key) {
-                    Some(&index) => self.datasets.labelers[index]
-                        .labels
-                        .extend(labels.iter().cloned()),
-                    None => self
-                        .orphan_labels
-                        .entry(key)
-                        .or_default()
-                        .extend(labels.iter().cloned()),
-                }
-            }
-            Observation::FeedGenerator(entry) => {
-                self.feed_by_uri
-                    .insert(entry.uri.to_string(), self.datasets.feed_generators.len());
-                self.datasets.feed_generators.push((*entry).clone());
-            }
-            Observation::Repo(snapshot) => {
-                self.datasets.repositories.push((*snapshot).clone());
-            }
-            Observation::WireTrace(trace) => {
-                self.datasets.wire_traces.push((*trace).clone());
-            }
-            Observation::WindowEnd { .. } => {}
-        }
-    }
-
-    /// Merge another shard's materialized datasets. Per-entity categories
-    /// are keyed (labelers by DID, feeds by URI) and re-sorted into a
-    /// canonical order; the firehose is ordered by `(time, repo DID)` —
-    /// deterministic, though not the serial interleaving, which no analyzer
-    /// depends on.
-    fn merge(&mut self, other: Self) {
-        let Materialize {
-            datasets: other_data,
-            orphan_labels: other_orphans,
-            ..
-        } = other;
-        if self.datasets.collection_end == Datetime::default() {
-            self.datasets.firehose_collection_start = other_data.firehose_collection_start;
-            self.datasets.collection_end = other_data.collection_end;
-        }
-        // Identifiers, documents, repositories: disjoint across shards.
-        self.datasets
-            .user_identifiers
-            .extend(other_data.user_identifiers);
-        self.datasets
-            .user_identifiers
-            .sort_by_key(|a| a.0.to_string());
-        let plc_self = self.datasets.did_documents.len() - self.datasets.did_web_count;
-        let plc_other = other_data.did_documents.len() - other_data.did_web_count;
-        let mut docs = std::mem::take(&mut self.datasets.did_documents);
-        let web_self = docs.split_off(plc_self);
-        let mut other_docs = other_data.did_documents;
-        let web_other = other_docs.split_off(plc_other);
-        docs.extend(other_docs);
-        docs.sort_by_key(|a| a.did.to_string());
-        let mut web = web_self;
-        web.extend(web_other);
-        web.sort_by_key(|a| a.did.to_string());
-        docs.extend(web);
-        self.datasets.did_documents = docs;
-        self.datasets.did_web_count += other_data.did_web_count;
-        self.datasets.repositories.extend(other_data.repositories);
-        self.datasets
-            .repositories
-            .sort_by_key(|a| a.did.to_string());
-        // Firehose: canonical (time, did) order.
-        self.datasets
-            .firehose_events
-            .extend(other_data.firehose_events);
-        self.datasets.firehose_events.sort_by(|a, b| {
-            (
-                a.time,
-                a.did().map(|d| d.to_string()).unwrap_or_default(),
-                a.seq,
-            )
-                .cmp(&(
-                    b.time,
-                    b.did().map(|d| d.to_string()).unwrap_or_default(),
-                    b.seq,
-                ))
-        });
-        // Labelers: keyed by DID, label streams concatenated and ordered.
-        for mut entry in other_data.labelers {
-            match self.labeler_by_did.get(&entry.did.to_string()) {
-                Some(&index) => self.datasets.labelers[index]
-                    .labels
-                    .append(&mut entry.labels),
-                None => {
-                    self.labeler_by_did
-                        .insert(entry.did.to_string(), self.datasets.labelers.len());
-                    self.datasets.labelers.push(entry);
-                }
-            }
-        }
-        for (did, orphans) in other_orphans {
-            match self.labeler_by_did.get(&did) {
-                Some(&index) => self.datasets.labelers[index].labels.extend(orphans),
-                None => self.orphan_labels.entry(did).or_default().extend(orphans),
-            }
-        }
-        for entry in &mut self.datasets.labelers {
-            entry.labels.sort_by(|a, b| {
-                (a.created_at, a.target.uri(), &a.value, a.negated).cmp(&(
-                    b.created_at,
-                    b.target.uri(),
-                    &b.value,
-                    b.negated,
-                ))
-            });
-        }
-        self.datasets.labelers.sort_by(|a, b| {
-            a.announced_at
-                .cmp(&b.announced_at)
-                .then_with(|| a.did.to_string().cmp(&b.did.to_string()))
-        });
-        self.labeler_by_did = self
-            .datasets
-            .labelers
-            .iter()
-            .enumerate()
-            .map(|(i, e)| (e.did.to_string(), i))
-            .collect();
-        // Feed generators: keyed by URI, absorbed pairwise.
-        for entry in other_data.feed_generators {
-            match self.feed_by_uri.get(&entry.uri.to_string()) {
-                Some(&index) => self.datasets.feed_generators[index].absorb(entry),
-                None => {
-                    self.feed_by_uri
-                        .insert(entry.uri.to_string(), self.datasets.feed_generators.len());
-                    self.datasets.feed_generators.push(entry);
-                }
-            }
-        }
-        self.datasets
-            .feed_generators
-            .sort_by_key(|a| a.uri.to_string());
-        self.feed_by_uri = self
-            .datasets
-            .feed_generators
-            .iter()
-            .enumerate()
-            .map(|(i, e)| (e.uri.to_string(), i))
-            .collect();
-        // Wire traces: keyed by (kind, did, day). Repo connections are
-        // disjoint across shards; the shared DNS resolver client's per-shard
-        // halves of the same snapshot day absorb into one record.
-        let mut traces = std::mem::take(&mut self.datasets.wire_traces);
-        traces.extend(other_data.wire_traces);
-        traces.sort_by(|a, b| {
-            (a.kind, a.did.to_string(), a.day).cmp(&(b.kind, b.did.to_string(), b.day))
-        });
-        let mut merged: Vec<WireTraceDay> = Vec::with_capacity(traces.len());
-        for trace in traces {
-            match merged.last_mut() {
-                Some(last)
-                    if last.kind == trace.kind
-                        && last.did == trace.did
-                        && last.day == trace.day =>
-                {
-                    last.absorb(&trace);
-                }
-                _ => merged.push(trace),
-            }
-        }
-        self.datasets.wire_traces = merged;
-    }
-
-    fn finish(self, _ctx: &StudyCtx<'_>) -> Datasets {
-        self.datasets
-    }
-}
-
-impl Datasets {
-    /// Total number of label interactions collected (including negations).
-    pub fn total_label_interactions(&self) -> usize {
-        self.labelers.iter().map(|l| l.labels.len()).sum()
-    }
-
-    /// Total number of feed posts collected.
-    pub fn total_feed_posts(&self) -> usize {
-        self.feed_generators.iter().map(|f| f.posts.len()).sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::StudyEngine;
+    use crate::pipeline::OwnedObservation;
+    use bsky_atproto::firehose::Event;
     use bsky_workload::ScenarioConfig;
 
-    fn collected() -> (World, Datasets) {
-        let mut config = ScenarioConfig::test_scale(5);
+    fn small_config(seed: u64) -> ScenarioConfig {
+        let mut config = ScenarioConfig::test_scale(seed);
         config.start = Datetime::from_ymd(2024, 2, 20).unwrap();
         config.end = Datetime::from_ymd(2024, 4, 20).unwrap();
         config.firehose_collection_start = Datetime::from_ymd(2024, 3, 6).unwrap();
         config.scale = 40_000;
+        config
+    }
+
+    /// Stream `config`'s world into a recording tape.
+    fn collected(config: ScenarioConfig) -> (World, Vec<OwnedObservation>, StreamSummary) {
         let mut world = World::new(config);
-        let datasets = Collector::new().run(&mut world);
-        (world, datasets)
+        let mut tape = Vec::new();
+        let summary = Collector::new().stream(&mut world, &mut tape);
+        (world, tape, summary)
+    }
+
+    fn identifiers(tape: &[OwnedObservation]) -> Vec<&Did> {
+        tape.iter()
+            .filter_map(|obs| match obs {
+                OwnedObservation::UserIdentifier { did, .. } => Some(did),
+                _ => None,
+            })
+            .collect()
+    }
+
+    fn repositories(tape: &[OwnedObservation]) -> Vec<&RepoSnapshot> {
+        tape.iter()
+            .filter_map(|obs| match obs {
+                OwnedObservation::Repo(snapshot) => Some(snapshot),
+                _ => None,
+            })
+            .collect()
+    }
+
+    fn firehose_events(tape: &[OwnedObservation]) -> Vec<&Event> {
+        tape.iter()
+            .filter_map(|obs| match obs {
+                OwnedObservation::Firehose(event) => Some(event),
+                _ => None,
+            })
+            .collect()
     }
 
     #[test]
     fn collector_gathers_all_datasets() {
-        let (world, datasets) = collected();
-        assert!(!datasets.user_identifiers.is_empty());
-        assert!(!datasets.did_documents.is_empty());
-        assert!(!datasets.repositories.is_empty());
-        assert!(!datasets.firehose_events.is_empty());
-        assert!(!datasets.feed_generators.is_empty());
-        assert!(!datasets.labelers.is_empty());
+        let config = small_config(5);
+        let (world, tape, _) = collected(config);
+        let has = |pred: fn(&OwnedObservation) -> bool| tape.iter().any(pred);
+        assert!(has(|o| matches!(o, OwnedObservation::DidDocument { .. })));
+        assert!(has(|o| matches!(o, OwnedObservation::FeedGenerator(_))));
+        assert!(has(|o| matches!(o, OwnedObservation::Labeler(_))));
         // Identifiers are unique.
-        let mut dids: Vec<String> = datasets
-            .user_identifiers
-            .iter()
-            .map(|(d, _)| d.to_string())
-            .collect();
+        let mut dids: Vec<String> = identifiers(&tape).iter().map(|d| d.to_string()).collect();
+        assert!(!dids.is_empty());
         let before = dids.len();
         dids.sort();
         dids.dedup();
         assert_eq!(dids.len(), before);
         // Firehose events all postdate the collection start.
-        assert!(datasets
-            .firehose_events
+        let events = firehose_events(&tape);
+        assert!(!events.is_empty());
+        assert!(events
             .iter()
-            .all(|e| e.time >= datasets.firehose_collection_start));
-        // Every repository snapshot decoded at least one record.
-        assert!(datasets.repositories.iter().any(|r| !r.records.is_empty()));
+            .all(|e| e.time >= config.firehose_collection_start));
+        // Some repository snapshot decoded at least one record.
+        assert!(repositories(&tape).iter().any(|r| !r.records.is_empty()));
         // Label interactions were observed.
-        assert!(datasets.total_label_interactions() > 0);
+        let label_interactions: usize = tape
+            .iter()
+            .map(|obs| match obs {
+                OwnedObservation::Labels { labels, .. } => labels.len(),
+                _ => 0,
+            })
+            .sum();
+        assert!(label_interactions > 0);
         // The world is still usable afterwards.
         assert!(world.finished());
     }
 
     #[test]
     fn repositories_cover_most_identifiers() {
-        let (_, datasets) = collected();
-        let ratio = datasets.repositories.len() as f64 / datasets.user_identifiers.len() as f64;
+        let (_, tape, _) = collected(small_config(5));
+        let ratio = repositories(&tape).len() as f64 / identifiers(&tape).len() as f64;
         assert!(ratio > 0.9, "repo coverage {ratio}");
     }
 
     #[test]
     fn collector_can_be_reused_across_worlds() {
-        let mut config = ScenarioConfig::test_scale(5);
-        config.start = Datetime::from_ymd(2024, 2, 20).unwrap();
-        config.end = Datetime::from_ymd(2024, 4, 20).unwrap();
-        config.scale = 40_000;
+        let config = small_config(5);
         let mut collector = Collector::new();
-        let first = collector.run(&mut World::new(config));
-        let second = collector.run(&mut World::new(config));
+        let mut first = Vec::new();
+        collector.stream(&mut World::new(config), &mut first);
+        let mut second = Vec::new();
+        collector.stream(&mut World::new(config), &mut second);
         // Per-run producer state resets, so the second collection sees the
         // same world from scratch instead of deduplicating against run one.
-        assert_eq!(first.user_identifiers.len(), second.user_identifiers.len());
-        assert_eq!(first.repositories.len(), second.repositories.len());
-        assert!(!second.user_identifiers.is_empty());
+        assert_eq!(identifiers(&first).len(), identifiers(&second).len());
+        assert_eq!(repositories(&first).len(), repositories(&second).len());
+        assert!(!identifiers(&second).is_empty());
     }
 
     #[test]
     fn stream_summary_reports_bounded_inflight() {
-        let mut config = ScenarioConfig::test_scale(5);
-        config.start = Datetime::from_ymd(2024, 2, 20).unwrap();
-        config.end = Datetime::from_ymd(2024, 4, 20).unwrap();
-        config.scale = 40_000;
-        let mut world = World::new(config);
-        let mut engine = StudyEngine::new();
-        engine.register(Materialize::new());
-        let summary = Collector::new().stream(&mut world, &mut engine);
-        let ctx = StudyCtx::new(&world);
-        let datasets = engine.finish(&ctx).take::<Datasets>().unwrap();
-        assert_eq!(
-            summary.firehose_events as usize,
-            datasets.firehose_events.len()
-        );
+        let (_, tape, summary) = collected(small_config(5));
+        let retained = firehose_events(&tape).len();
+        assert_eq!(summary.firehose_events as usize, retained);
+        assert_eq!(summary.observations as usize, tape.len());
         assert!(summary.peak_in_flight_events > 0);
         // The producer never holds more than one chunk, which is far
-        // smaller than the full firehose dataset the batch path retains.
-        assert!(summary.peak_in_flight_events < datasets.firehose_events.len());
+        // smaller than the full firehose dataset the recording tape kept.
+        assert!(summary.peak_in_flight_events < retained);
         assert!(summary.observations > summary.firehose_events);
         assert!(summary.days > 0);
         assert!(summary.render().contains("in flight"));
@@ -1714,13 +1342,11 @@ mod tests {
 
     #[test]
     fn chunk_size_bounds_in_flight_events() {
-        let mut config = ScenarioConfig::test_scale(5);
-        config.start = Datetime::from_ymd(2024, 2, 20).unwrap();
+        let mut config = small_config(5);
         config.end = Datetime::from_ymd(2024, 4, 10).unwrap();
-        config.scale = 40_000;
         let mut world = World::new(config);
-        let mut sink = Materialize::new();
-        let summary = Collector::with_chunk_size(32).stream(&mut world, &mut sink);
+        let mut tape = Vec::new();
+        let summary = Collector::with_chunk_size(32).stream(&mut world, &mut tape);
         // One chunk plus one user's commit burst bounds the batch.
         assert!(
             summary.peak_in_flight_events < 32 + 64,
@@ -1729,47 +1355,57 @@ mod tests {
         );
     }
 
+    /// The window-end oracle (see the module docs): the paper's naive
+    /// reading of §3 — one full CAR per collected DID, fetched and decoded
+    /// at the window end — must yield exactly the snapshots the mirror
+    /// emitted, for more bytes.
     #[test]
     fn incremental_and_full_refetch_repositories_are_identical() {
-        let mut config = ScenarioConfig::test_scale(7);
-        config.start = Datetime::from_ymd(2024, 2, 20).unwrap();
-        config.end = Datetime::from_ymd(2024, 4, 20).unwrap();
-        config.firehose_collection_start = Datetime::from_ymd(2024, 3, 6).unwrap();
-        config.scale = 40_000;
-        let (full, full_summary) = {
-            let mut world = World::new(config);
-            let mut sink = Materialize::new();
-            let summary = Collector::new()
-                .snapshot_mode(SnapshotMode::FullRefetch)
-                .stream(&mut world, &mut sink);
-            (sink.finish(&StudyCtx::detached()), summary)
-        };
-        let (incremental, inc_summary) = {
-            let mut world = World::new(config);
-            let mut sink = Materialize::new();
-            let summary = Collector::new()
-                .snapshot_mode(SnapshotMode::Incremental)
-                .stream(&mut world, &mut sink);
-            (sink.finish(&StudyCtx::detached()), summary)
-        };
-        // The emitted repository snapshots are byte-identical: same DIDs in
-        // the same order, same decoded records.
-        assert_eq!(incremental.repositories.len(), full.repositories.len());
-        for (a, b) in incremental.repositories.iter().zip(&full.repositories) {
-            assert_eq!(a.did, b.did);
-            assert_eq!(a.records, b.records, "records diverge for {}", a.did);
+        for seed in [7u64, 31] {
+            let (mut world, tape, summary) = collected(small_config(seed));
+            let end = world.config.end;
+            let mut car_bytes = 0u64;
+            let mut oracle: Vec<RepoSnapshot> = Vec::new();
+            for did in identifiers(&tape) {
+                // Deleted mid-window: no snapshot either way.
+                let Ok(car) = world.relay.get_repo(did, &mut world.fleet, end) else {
+                    continue;
+                };
+                car_bytes += car.len() as u64;
+                let (_roots, blocks) =
+                    Repository::parse_car(&car).expect("relay serves valid CARs");
+                // Every block that decodes as a record, in CID order.
+                let records = blocks
+                    .values()
+                    .filter_map(|bytes| Record::from_cbor(bytes).ok())
+                    .map(|record| (record.collection(), String::new(), record))
+                    .collect();
+                oracle.push(RepoSnapshot {
+                    did: did.clone(),
+                    records,
+                });
+            }
+            // Same DIDs in the same order, same decoded records.
+            let emitted = repositories(&tape);
+            assert!(!emitted.is_empty(), "seed {seed}");
+            assert_eq!(emitted.len(), oracle.len(), "seed {seed}");
+            for (a, b) in emitted.iter().zip(&oracle) {
+                assert_eq!(a.did, b.did, "seed {seed}");
+                assert_eq!(
+                    a.records, b.records,
+                    "seed {seed}: records diverge for {}",
+                    a.did
+                );
+            }
+            // The mirror really used deltas and fetched strictly fewer
+            // bytes than the window-end full download.
+            assert!(summary.repo_delta_fetches > 0, "seed {seed}: {summary:?}");
+            assert!(
+                summary.snapshot_bytes_fetched < car_bytes,
+                "seed {seed}: mirror fetched {} bytes vs {car_bytes} for full CARs",
+                summary.snapshot_bytes_fetched,
+            );
         }
-        // The incremental mode actually used deltas and fetched strictly
-        // fewer bytes than the window-end full refetch.
-        assert!(inc_summary.repo_delta_fetches > 0, "{inc_summary:?}");
-        assert!(full_summary.repo_full_fetches > 0);
-        assert_eq!(full_summary.repo_delta_fetches, 0);
-        assert!(
-            inc_summary.snapshot_bytes_fetched < full_summary.snapshot_bytes_fetched,
-            "incremental {} vs full {}",
-            inc_summary.snapshot_bytes_fetched,
-            full_summary.snapshot_bytes_fetched
-        );
     }
 
     mod mirror {
@@ -1873,8 +1509,7 @@ mod tests {
             assert_eq!(mirror.len(), 1);
             assert!(mirror.records(&dids[0]).is_none());
             assert!(mirror.records(&dids[1]).is_some());
-            // The dropped repo is a dataset gap, accounted exactly like the
-            // full-refetch path's failed window-end fetch.
+            // The dropped repo is a dataset gap, counted as a skip.
             assert_eq!(summary.repo_snapshot_skips, 1);
         }
 
@@ -2011,44 +1646,5 @@ mod tests {
             assert_eq!(summary.repo_full_fetches, 2);
             assert_eq!(summary.repo_delta_fetches, 0);
         }
-    }
-
-    #[test]
-    fn sharded_materialize_merges_to_serial_datasets() {
-        let mut config = ScenarioConfig::test_scale(9);
-        config.start = Datetime::from_ymd(2024, 2, 20).unwrap();
-        config.end = Datetime::from_ymd(2024, 4, 5).unwrap();
-        config.scale = 40_000;
-        let (_, serial) = {
-            let mut world = World::new(config);
-            let d = Collector::new().run(&mut world);
-            (world, d)
-        };
-        let shards = 2usize;
-        let mut merged: Option<Materialize> = None;
-        for index in 0..shards {
-            let mut world = World::new_shard(config, index, shards);
-            let mut sink = Materialize::new();
-            Collector::new().stream(&mut world, &mut sink);
-            merged = Some(match merged {
-                None => sink,
-                Some(mut acc) => {
-                    Analyzer::merge(&mut acc, sink);
-                    acc
-                }
-            });
-        }
-        let merged = merged.unwrap().finish(&StudyCtx::detached());
-        assert_eq!(merged.user_identifiers.len(), serial.user_identifiers.len());
-        assert_eq!(merged.did_web_count, serial.did_web_count);
-        assert_eq!(merged.firehose_events.len(), serial.firehose_events.len());
-        assert_eq!(merged.repositories.len(), serial.repositories.len());
-        assert_eq!(merged.labelers.len(), serial.labelers.len());
-        assert_eq!(
-            merged.total_label_interactions(),
-            serial.total_label_interactions()
-        );
-        assert_eq!(merged.feed_generators.len(), serial.feed_generators.len());
-        assert_eq!(merged.total_feed_posts(), serial.total_feed_posts());
     }
 }

@@ -4,7 +4,8 @@
 //! Only what the study tooling needs: object/array/number/string/bool/null,
 //! pretty printing with stable key order (insertion order), convenient
 //! indexing (`value["section"]["field"].as_u64()`), and [`Json::parse`] so
-//! the bench-compare tool can read back `BENCH_streaming.json` exports.
+//! the study benchmark (`benchmark/`) can read back the result files its
+//! runs write.
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]

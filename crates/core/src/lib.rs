@@ -10,17 +10,17 @@
 //! * [`pipeline`] — the core abstractions: [`pipeline::Observation`] (one
 //!   variant per §3 dataset item plus collection-window markers),
 //!   the [`pipeline::Analyzer`] trait (`observe` folds one observation,
-//!   `finish` produces the result), [`pipeline::StudyEngine`] (the bus), and
+//!   `merge` combines two folded states, `finish` produces the result),
+//!   [`pipeline::ObservationSink`] (what a producer emits into), and
 //!   [`pipeline::StudyCtx`] (read-only access to the world's active
 //!   measurement surfaces).
 //! * [`datasets`] — the §3 *producer*: [`Collector::stream`] drives a
 //!   simulated [`bsky_workload::World`] day by day through the same service
 //!   interfaces the real study used and emits every dataset item exactly
-//!   once. The optional [`datasets::Materialize`] analyzer folds the stream
-//!   back into in-memory [`Datasets`] for the legacy batch path.
+//!   once; the repositories dataset is kept current by the rev-aware
+//!   [`IncrementalRepoMirror`].
 //! * [`analysis`] — every table and figure of §4–§9 as incremental
-//!   analyzers; the batch functions replay materialized datasets through the
-//!   same accumulators, so both paths agree by construction.
+//!   analyzers.
 //! * [`observatory`] — §10, the wire-level traffic observatory: a passive
 //!   per-connection `(size, gap)` capture feeds a closed-world 1-NN
 //!   activity classifier, swept across padding/batching mitigation cells
@@ -31,17 +31,16 @@
 //!   associative `merge`) into a report byte-identical to the serial run's.
 //!
 //! * [`spec`] — [`RunSpec`], the one builder every run flows through:
-//!   seeds, scales, engine shards and worker threads, snapshot mode,
-//!   block-store backend, AppView entity shards, the write-back cache,
-//!   wire framing, and fault scenario all live on it, and
-//!   [`RunSpec::validate`] rejects inconsistent combinations up front.
+//!   seeds, scales, engine shards and worker threads, block-store backend,
+//!   AppView entity shards, the write-back cache, wire framing, and fault
+//!   scenario all live on it, and [`RunSpec::validate`] rejects
+//!   inconsistent combinations up front.
 //! * [`report`] — the entry points, all taking a `&RunSpec`:
 //!   [`StudyReport::run`] computes the full report across worker threads
 //!   in **one pass with bounded memory** (firehose events are never
-//!   retained), [`StudyReport::run_serial`] produces the byte-identical
-//!   report on one thread, [`StudyReport::run_batch`] drives the legacy
-//!   materializing collector, and [`report::StudyBatch`] runs whole
-//!   seed × scale grids.
+//!   retained), [`StudyReport::run_serial`] is the same call on one shard
+//!   and one thread, and [`report::StudyBatch`] runs whole seed × scale
+//!   grids.
 //! * [`stats`] — quantiles, Pearson correlation, share tables.
 //! * [`langdetect`] — the language detector used on feed descriptions.
 //! * [`json`] — a dependency-free JSON tree for the headline-number export.
@@ -108,11 +107,11 @@ pub mod spec;
 pub mod stats;
 
 pub use bsky_simnet::faults;
-pub use datasets::{Collector, Datasets, IncrementalRepoMirror, SnapshotMode};
+pub use datasets::{Collector, IncrementalRepoMirror};
 pub use observatory::{ActivityClass, ObservatoryAnalyzer, ObservatoryReport, WireTraceDay};
 pub use pipeline::{
     Analyzer, Observation, ObservationBatch, ObservationSink, OwnedObservation, StreamSummary,
-    StudyCtx, StudyEngine,
+    StudyCtx,
 };
 pub use report::{StudyBatch, StudyReport};
 pub use shard::{collect_sharded, PipelinedSink, ShardSink, ShardedSummary, StudyAnalyzers};

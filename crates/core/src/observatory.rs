@@ -37,9 +37,8 @@
 //! reported per mitigation cell next to the cell's bandwidth overhead,
 //! against the majority-class chance baseline of the balanced test set.
 
-use crate::datasets::Datasets;
 use crate::json::Json;
-use crate::pipeline::{replay, Analyzer, Observation, StudyCtx};
+use crate::pipeline::{Analyzer, Observation, StudyCtx};
 use bsky_atproto::framing::PaddingPolicy;
 use bsky_atproto::Did;
 use std::collections::BTreeMap;
@@ -500,8 +499,7 @@ impl Analyzer for ObservatoryAnalyzer {
         }
     }
 
-    // No active measurements: `finish` must work on a detached context so
-    // the batch replay produces identical bytes.
+    // No active measurements: `finish` works on a detached context.
     fn finish(self, _ctx: &StudyCtx<'_>) -> ObservatoryReport {
         let mut report = ObservatoryReport::default();
         // Capture totals, and one classifier instance per `(did, week)`.
@@ -709,12 +707,6 @@ fn nearest_neighbor_accuracy(train: &[Instance], test: &[Instance]) -> f64 {
         }
     }
     correct as f64 / test.len() as f64
-}
-
-/// Batch-path §10: replay materialized wire traces through the same
-/// analyzer on a detached context.
-pub fn observatory_report(datasets: &Datasets) -> ObservatoryReport {
-    replay(ObservatoryAnalyzer::new(), datasets, &StudyCtx::detached())
 }
 
 #[cfg(test)]

@@ -1,10 +1,8 @@
 //! The streaming measurement pipeline: an observation bus plus incremental,
 //! *mergeable* analyzers.
 //!
-//! The batch pipeline of the original seed materialized all six §3 datasets
-//! into vectors and then re-scanned them once per analysis. The real study
-//! consumed the firehose as a *stream* over weeks; this module reproduces
-//! that consumption model:
+//! The real study consumed the firehose as a *stream* over weeks; this
+//! module reproduces that consumption model:
 //!
 //! * [`Observation`] — one item on the bus: a firehose event, a snapshot row
 //!   of one of the §3 datasets, a batch of freshly published labels, or a
@@ -13,11 +11,10 @@
 //! * [`Analyzer`] — an incremental consumer: `observe` folds one observation
 //!   into internal accumulators, `merge` combines two independently folded
 //!   states, and `finish` computes the final result struct.
-//! * [`ObservationSink`] — anything a producer can emit into: the
-//!   type-erased [`StudyEngine`] bus, the report's concrete analyzer set, or
-//!   a custom probe (the benches use one to watch accumulator sizes).
-//! * [`StudyEngine`] — the dynamic bus: analyzers register, the producer
-//!   pushes observations, and `finish` hands back every analyzer's output.
+//! * [`ObservationSink`] — anything a producer can emit into: the report's
+//!   concrete analyzer set ([`crate::shard::StudyAnalyzers`]), a custom
+//!   probe (the bench uses one to watch accumulator sizes), or a plain
+//!   `Vec<OwnedObservation>` for a caller that wants to keep the stream.
 //! * [`StudyCtx`] — read-only access to the simulated [`World`]'s active
 //!   measurement surfaces (DNS, WHOIS, Tranco, PSL, AppView), mirroring the
 //!   active measurements the study ran alongside the passive collection.
@@ -37,26 +34,20 @@
 //! consequence: a 4-shard run renders a byte-identical report to the serial
 //! run.
 //!
-//! The engine computes the full study report in **one pass** without
-//! retaining the firehose: events are folded as they arrive (the producer
-//! reads the relay in constant-size chunks, so peak in-flight is one chunk,
-//! independent of daily volume), and only per-entity aggregates survive
-//! between observations. The moderation analyzer's post-creation index —
-//! previously the remaining scale ceiling — is aged out past the labelers'
-//! bounded reaction window at every day boundary. The legacy batch path is
-//! kept alive by one optional *materializing* analyzer
-//! ([`crate::datasets::Materialize`]) plus [`replay`], which re-emits an
-//! already-collected [`Datasets`] over the bus in canonical order so batch
-//! and streaming results are identical by construction.
+//! The full study report is computed in **one pass** without retaining the
+//! firehose: events are folded as they arrive (the producer reads the relay
+//! in constant-size chunks, so peak in-flight is one chunk, independent of
+//! daily volume), and only per-entity aggregates survive between
+//! observations. The moderation analyzer's post-creation index is aged out
+//! past the labelers' bounded reaction window at every day boundary.
 
-use crate::datasets::{Datasets, FeedGenEntry, LabelerEntry, RepoSnapshot};
+use crate::datasets::{FeedGenEntry, LabelerEntry, RepoSnapshot};
 use crate::observatory::WireTraceDay;
 use bsky_atproto::firehose::Event;
 use bsky_atproto::label::Label;
 use bsky_atproto::{Datetime, Did};
 use bsky_identity::DidDocument;
 use bsky_workload::World;
-use std::any::Any;
 
 /// One item on the observation bus.
 ///
@@ -134,8 +125,8 @@ impl Observation<'_> {
         matches!(self, Observation::DidDocument { .. })
     }
 
-    /// Materialize this borrowed bus item into its owned form so it can
-    /// cross a thread boundary (see [`OwnedObservation`]).
+    /// Copy this borrowed bus item into its owned form so it can cross a
+    /// thread boundary (see [`OwnedObservation`]).
     pub fn to_owned_observation(&self) -> OwnedObservation {
         match *self {
             Observation::WindowStart {
@@ -279,8 +270,9 @@ pub struct ObservationBatch {
 /// Wraps the [`World`] so analyzers can run the study's *active*
 /// measurements (DNS lookups, well-known fetches, WHOIS queries, Tranco
 /// ranking, PSL suffix matching) against the same surfaces the collector
-/// observed. A detached context (no world) is used when replaying
-/// materialized datasets through analyzers that never touch the world.
+/// observed. A detached context (no world) is what the intra-shard
+/// pipeline's analyzer workers fold with: they run off the producer thread
+/// and see only observations that never touch the world.
 #[derive(Clone, Copy)]
 pub struct StudyCtx<'a> {
     world: Option<&'a World>,
@@ -292,7 +284,7 @@ impl<'a> StudyCtx<'a> {
         StudyCtx { world: Some(world) }
     }
 
-    /// Context with no world attached (dataset replay only).
+    /// Context with no world attached.
     pub fn detached() -> StudyCtx<'static> {
         StudyCtx { world: None }
     }
@@ -342,127 +334,19 @@ pub trait Analyzer {
 /// Anything a producer can emit observations into.
 ///
 /// [`crate::datasets::Collector::stream`] is generic over this, so the same
-/// producer drives the dynamic [`StudyEngine`], the sharded runner's
-/// concrete analyzer set, and bespoke probes (e.g. the benches' bounded-
-/// index watcher).
+/// producer drives the sharded runner's concrete analyzer set, bespoke
+/// probes (e.g. the bench's bounded-index watcher), and a recording `Vec`.
 pub trait ObservationSink {
     /// Receive one observation.
     fn observe(&mut self, obs: &Observation<'_>, ctx: &StudyCtx<'_>);
 }
 
-impl ObservationSink for StudyEngine {
-    fn observe(&mut self, obs: &Observation<'_>, ctx: &StudyCtx<'_>) {
-        StudyEngine::observe(self, obs, ctx);
-    }
-}
-
-/// Object-safe adapter so the engine can hold heterogeneous analyzers.
-trait ErasedAnalyzer {
-    fn observe_erased(&mut self, obs: &Observation<'_>, ctx: &StudyCtx<'_>);
-    fn finish_erased(self: Box<Self>, ctx: &StudyCtx<'_>) -> Box<dyn Any>;
-}
-
-impl<A> ErasedAnalyzer for A
-where
-    A: Analyzer + 'static,
-    A::Output: 'static,
-{
-    fn observe_erased(&mut self, obs: &Observation<'_>, ctx: &StudyCtx<'_>) {
-        self.observe(obs, ctx);
-    }
-
-    fn finish_erased(self: Box<Self>, ctx: &StudyCtx<'_>) -> Box<dyn Any> {
-        Box::new((*self).finish(ctx))
-    }
-}
-
-/// The observation bus: registered analyzers all see every observation.
-#[derive(Default)]
-pub struct StudyEngine {
-    analyzers: Vec<Box<dyn ErasedAnalyzer>>,
-    observations: u64,
-}
-
-impl StudyEngine {
-    /// An engine with no analyzers.
-    pub fn new() -> StudyEngine {
-        StudyEngine::default()
-    }
-
-    /// Register an analyzer. Outputs are retrieved by type from
-    /// [`AnalyzerOutputs`] after [`StudyEngine::finish`].
-    pub fn register<A>(&mut self, analyzer: A)
-    where
-        A: Analyzer + 'static,
-        A::Output: 'static,
-    {
-        self.analyzers.push(Box::new(analyzer));
-    }
-
-    /// Number of registered analyzers.
-    pub fn analyzer_count(&self) -> usize {
-        self.analyzers.len()
-    }
-
-    /// Number of observations dispatched so far.
-    pub fn observations(&self) -> u64 {
-        self.observations
-    }
-
-    /// Dispatch one observation to every analyzer.
-    pub fn observe(&mut self, obs: &Observation<'_>, ctx: &StudyCtx<'_>) {
-        self.observations += 1;
-        for analyzer in &mut self.analyzers {
-            analyzer.observe_erased(obs, ctx);
-        }
-    }
-
-    /// Close the window: finish every analyzer and collect the outputs.
-    pub fn finish(self, ctx: &StudyCtx<'_>) -> AnalyzerOutputs {
-        AnalyzerOutputs {
-            outputs: self
-                .analyzers
-                .into_iter()
-                .map(|a| a.finish_erased(ctx))
-                .collect(),
-        }
-    }
-}
-
-impl std::fmt::Debug for StudyEngine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("StudyEngine")
-            .field("analyzers", &self.analyzers.len())
-            .field("observations", &self.observations)
-            .finish()
-    }
-}
-
-/// The finished analyzers' outputs, retrievable by result type.
-#[derive(Default)]
-pub struct AnalyzerOutputs {
-    outputs: Vec<Box<dyn Any>>,
-}
-
-impl AnalyzerOutputs {
-    /// Remove and return the first output of type `T`.
-    pub fn take<T: 'static>(&mut self) -> Option<T> {
-        let index = self.outputs.iter().position(|o| o.is::<T>())?;
-        self.outputs
-            .remove(index)
-            .downcast::<T>()
-            .ok()
-            .map(|boxed| *boxed)
-    }
-
-    /// Number of outputs still held.
-    pub fn len(&self) -> usize {
-        self.outputs.len()
-    }
-
-    /// Whether all outputs have been taken.
-    pub fn is_empty(&self) -> bool {
-        self.outputs.is_empty()
+/// Keep the stream: every observation is pushed in its owned form, in
+/// emission order. Unbounded by construction — for tests and tooling that
+/// need the tape, never for the report path.
+impl ObservationSink for Vec<OwnedObservation> {
+    fn observe(&mut self, obs: &Observation<'_>, _ctx: &StudyCtx<'_>) {
+        self.push(obs.to_owned_observation());
     }
 }
 
@@ -485,13 +369,13 @@ pub struct StreamSummary {
     /// weekly cadence).
     pub listrepos_snapshots: u32,
     /// Bytes of repository data fetched for the §3 repositories dataset —
-    /// full CARs plus `getRepo(since)` deltas. The full-refetch mode pays
-    /// O(total repo bytes) here; the incremental mode O(changed bytes).
+    /// full CARs plus `getRepo(since)` deltas: O(changed bytes) across the
+    /// window.
     pub snapshot_bytes_fetched: u64,
-    /// Full repository CARs fetched (new / rewound DIDs, and every DID in
-    /// full-refetch mode).
+    /// Full repository CARs fetched (new, rewound or re-homed DIDs, and
+    /// failed deltas).
     pub repo_full_fetches: u64,
-    /// `getRepo(since)` delta fetches (incremental mode only).
+    /// `getRepo(since)` delta fetches.
     pub repo_delta_fetches: u64,
     /// Repositories skipped because `getRepo` failed mid-snapshot (account
     /// deleted or migrated away); surfaced in the report footer so silent
@@ -759,80 +643,6 @@ impl StreamSummary {
     }
 }
 
-/// Walk an already-collected [`Datasets`] in the canonical *category* order
-/// the live producer uses (window start, firehose, user identifiers, DID
-/// documents, labelers with their label streams, feed generators,
-/// repositories, wire traces, window end), invoking `emit` for each
-/// observation.
-pub fn for_each_observation<'a, F: FnMut(Observation<'a>)>(datasets: &'a Datasets, mut emit: F) {
-    emit(Observation::WindowStart {
-        firehose_collection_start: datasets.firehose_collection_start,
-        collection_end: datasets.collection_end,
-    });
-    for event in &datasets.firehose_events {
-        emit(Observation::Firehose(event));
-    }
-    for (did, rev) in &datasets.user_identifiers {
-        emit(Observation::UserIdentifier {
-            did,
-            rev: rev.as_deref(),
-        });
-    }
-    // did:web documents are appended after the PLC export by the collector;
-    // reconstruct the flag from the tail count. Saturate so a hand-built
-    // Datasets with an inconsistent did_web_count degrades to labelling
-    // every document did:web instead of panicking.
-    let plc_docs = datasets
-        .did_documents
-        .len()
-        .saturating_sub(datasets.did_web_count);
-    for (index, doc) in datasets.did_documents.iter().enumerate() {
-        emit(Observation::DidDocument {
-            doc,
-            via_web: index >= plc_docs,
-        });
-    }
-    for labeler in &datasets.labelers {
-        emit(Observation::Labeler(labeler));
-        if !labeler.labels.is_empty() {
-            emit(Observation::Labels {
-                src: &labeler.did,
-                labels: &labeler.labels,
-            });
-        }
-    }
-    for feed in &datasets.feed_generators {
-        emit(Observation::FeedGenerator(feed));
-    }
-    for repo in &datasets.repositories {
-        emit(Observation::Repo(repo));
-    }
-    for trace in &datasets.wire_traces {
-        emit(Observation::WireTrace(trace));
-    }
-    emit(Observation::WindowEnd {
-        at: datasets.collection_end,
-    });
-}
-
-/// Re-emit an already-collected [`Datasets`] over the bus in canonical
-/// order (see [`for_each_observation`]), then finish the analyzer.
-///
-/// This is how the batch analysis functions are implemented, which makes
-/// "batch result == streaming result" hold by construction for analyzers
-/// that depend only on per-category order. Two stream features are *not*
-/// reproduced: no [`Observation::DayBoundary`] markers are emitted (so no
-/// index aging happens — harmless, because labels always arrive within the
-/// bounded reaction window), and the live stream interleaves label batches
-/// and weekly identifier snapshots with the firehose while the replay emits
-/// whole categories. The built-in analyzers are split-insensitive (the
-/// merge law), so both orders produce identical results; the golden test in
-/// `tests/pipeline_equivalence.rs` pins this against the live stream.
-pub fn replay<A: Analyzer>(mut analyzer: A, datasets: &Datasets, ctx: &StudyCtx<'_>) -> A::Output {
-    for_each_observation(datasets, |obs| analyzer.observe(&obs, ctx));
-    analyzer.finish(ctx)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -878,60 +688,6 @@ mod tests {
                 markers: self.markers,
             }
         }
-    }
-
-    #[test]
-    fn engine_dispatches_and_returns_typed_outputs() {
-        let mut engine = StudyEngine::new();
-        engine.register(CountingAnalyzer::default());
-        assert_eq!(engine.analyzer_count(), 1);
-        let ctx = StudyCtx::detached();
-        let day = Datetime::from_ymd(2024, 3, 6).unwrap();
-        engine.observe(
-            &Observation::WindowStart {
-                firehose_collection_start: day,
-                collection_end: day,
-            },
-            &ctx,
-        );
-        engine.observe(&Observation::DayBoundary { day }, &ctx);
-        engine.observe(&Observation::WindowEnd { at: day }, &ctx);
-        assert_eq!(engine.observations(), 3);
-        let mut outputs = engine.finish(&ctx);
-        assert_eq!(outputs.len(), 1);
-        let counts = outputs.take::<Counts>().unwrap();
-        assert_eq!(
-            counts,
-            Counts {
-                firehose: 0,
-                snapshots: 0,
-                markers: 3
-            }
-        );
-        assert!(outputs.is_empty());
-        assert!(outputs.take::<Counts>().is_none());
-    }
-
-    #[test]
-    fn replay_emits_canonical_order_and_counts() {
-        let datasets = Datasets {
-            firehose_collection_start: Datetime::from_ymd(2024, 3, 6).unwrap(),
-            collection_end: Datetime::from_ymd(2024, 5, 1).unwrap(),
-            ..Datasets::default()
-        };
-        let counts = replay(
-            CountingAnalyzer::default(),
-            &datasets,
-            &StudyCtx::detached(),
-        );
-        assert_eq!(
-            counts,
-            Counts {
-                firehose: 0,
-                snapshots: 0,
-                markers: 2
-            }
-        );
     }
 
     #[test]

@@ -2,30 +2,27 @@
 //! pass — serially or sharded across worker threads — and render or
 //! serialise the results.
 //!
-//! Every entry point takes one [`RunSpec`]: [`StudyReport::run`] drives the
-//! sharded streaming engine ([`crate::shard::collect_sharded`]) and
-//! assembles the report from the merged analyzer states — firehose events
-//! are never retained, and the result is byte-identical to the serial
-//! run's for any `(shards, jobs)`. [`StudyReport::run_serial`] is the
-//! single-shard convenience (report + [`StreamSummary`]).
-//! [`StudyReport::run_batch`] is the legacy materializing path: collect
-//! [`Datasets`] first, then compute every analysis from the vectors — all
-//! paths produce identical reports (the golden equivalence test in
-//! `tests/` pins this). [`StudyBatch::from_spec`] expands a spec's
-//! seed × scale grid and runs every cell through the streaming engine.
+//! There is one way a report is computed, described by one [`RunSpec`]:
+//! [`StudyReport::run`] drives the sharded streaming engine
+//! ([`crate::shard::collect_sharded`]) and assembles the report from the
+//! merged analyzer states ([`StudyReport::from_analyzers`]) — firehose
+//! events are never retained, and the result is byte-identical to the
+//! serial run's for any `(shards, jobs)` (the golden tests in `tests/` pin
+//! this against stored hashes). [`StudyReport::run_serial`] is the same
+//! call coerced to one shard on one thread (report + [`StreamSummary`]).
+//! [`StudyBatch::from_spec`] expands a spec's seed × scale grid and runs
+//! every cell through the same engine.
 
 use crate::analysis::{
-    activity_series, firehose_volume, identity_report, moderation_report, recommendation_report,
-    section4_accounts, table1_firehose_breakdown, table5_feature_matrix, ActivitySeries,
-    FirehoseVolume, IdentityReport, ModerationReport, RecommendationReport, Section4, Table1,
+    table5_feature_matrix, ActivitySeries, FirehoseVolume, IdentityReport, ModerationReport,
+    RecommendationReport, Section4, Table1,
 };
-use crate::datasets::{Collector, Datasets};
 use crate::json::Json;
-use crate::observatory::{observatory_report, ObservatoryReport};
+use crate::observatory::ObservatoryReport;
 use crate::pipeline::{Analyzer, StreamSummary, StudyCtx};
 use crate::shard::{collect_sharded, ShardedSummary, StudyAnalyzers};
 use crate::spec::RunSpec;
-use bsky_workload::{ScenarioConfig, World, WorldSpec};
+use bsky_workload::{ScenarioConfig, World};
 
 /// The injected-fault impact section of a scenario run's report: the named
 /// recovery-path counters from the merged [`StreamSummary`], rendered as
@@ -220,55 +217,6 @@ impl StudyReport {
             recommendation: analyzers.recommendation.finish(&ctx),
             firehose_volume: analyzers.volume.finish(&ctx),
             observatory: analyzers.observatory.finish(&ctx),
-            faults: None,
-        }
-    }
-
-    /// Run the legacy batch pipeline for `spec`: materialize all six
-    /// datasets in memory, then compute every analysis from the vectors.
-    /// Runs serially (the spec's `shards`/`jobs`/`faults` are the streaming
-    /// engine's concerns) but honors the snapshot mode, store backend,
-    /// AppView sharding, write-back cache, and framing policy. Retains the
-    /// firehose for the whole run; use [`StudyReport::run`] unless the
-    /// materialized [`Datasets`] are needed.
-    pub fn run_batch(spec: &RunSpec) -> StudyReport {
-        if let Err(err) = spec.validate() {
-            panic!("invalid RunSpec: {err}");
-        }
-        assert!(
-            !spec.is_grid(),
-            "run_batch runs a single cell; expand grids via StudyBatch::from_spec"
-        );
-        let mut world = World::from_spec(
-            WorldSpec::new(spec.config)
-                .store(spec.store.clone())
-                .appview_shards(spec.appview_shards)
-                .write_back(spec.write_back),
-        );
-        let datasets = Collector::new()
-            .snapshot_mode(spec.snapshots)
-            .store(spec.store.clone())
-            .framing(spec.framing)
-            .run(&mut world);
-        StudyReport::from_collected(spec.config, &world, &datasets)
-    }
-
-    /// Compute the analyses from already-collected datasets.
-    pub fn from_collected(
-        config: ScenarioConfig,
-        world: &World,
-        datasets: &Datasets,
-    ) -> StudyReport {
-        StudyReport {
-            config,
-            table1: table1_firehose_breakdown(datasets),
-            activity: activity_series(datasets),
-            section4: section4_accounts(datasets),
-            identity: identity_report(datasets, world),
-            moderation: moderation_report(datasets, world),
-            recommendation: recommendation_report(datasets, world),
-            firehose_volume: firehose_volume(datasets, world),
-            observatory: observatory_report(datasets),
             faults: None,
         }
     }

@@ -30,12 +30,11 @@
 //! inline on the producer thread. The result is byte-identical for any
 //! `(shards, jobs, analyzer_threads)` — pinned by the golden tests.
 //!
-//! Every run knob rides in on the [`RunSpec`]: snapshot mode changes only
-//! how much repository data each producer fetches, the store backend only
-//! where blocks reside, AppView entity shards and the write-back cache only
-//! where hot counters live, framing only the wire accounting, and fault
-//! plans inject identically across shard counts — none of them moves a byte
-//! of the merged report.
+//! Every run knob rides in on the [`RunSpec`]: the store backend changes
+//! only where blocks reside, AppView entity shards and the write-back cache
+//! only where hot counters live, framing only the wire accounting, and
+//! fault plans inject identically across shard counts — none of them moves
+//! a byte of the merged report.
 
 use crate::analysis::{
     ActivityAnalyzer, FirehoseVolumeAnalyzer, IdentityAnalyzer, ModerationAnalyzer,
@@ -391,7 +390,6 @@ fn run_shard<S: ShardSink>(
             .faults(faults.clone()),
     );
     let mut collector = Collector::new()
-        .snapshot_mode(spec.snapshots)
         .store(spec.store.clone())
         .framing(spec.framing)
         .faults(faults);

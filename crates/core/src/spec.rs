@@ -1,13 +1,11 @@
 //! [`RunSpec`]: one declarative description of a study run.
 //!
 //! Every knob the pipeline understands — scenario seed/scale (or a whole
-//! seed × scale grid), engine shards and worker threads, repository
-//! [`SnapshotMode`], block-store backend, AppView entity shards and the
-//! write-back cache, wire [`FramingPolicy`], fault injection and retry
-//! policies — lives in one builder. The entry points
-//! ([`crate::report::StudyReport::run`],
+//! seed × scale grid), engine shards and worker threads, block-store
+//! backend, AppView entity shards and the write-back cache, wire
+//! [`FramingPolicy`], fault injection and retry policies — lives in one
+//! builder. The entry points ([`crate::report::StudyReport::run`],
 //! [`crate::report::StudyReport::run_serial`],
-//! [`crate::report::StudyReport::run_batch`],
 //! [`crate::shard::collect_sharded`], [`crate::report::StudyBatch`]) all
 //! take a `&RunSpec`, so a new knob is one field + one builder method —
 //! never a new suffix-combinated function variant.
@@ -19,7 +17,6 @@
 //! `validate()` error to exit code 2; library callers get the same checks
 //! for free.
 
-use crate::datasets::SnapshotMode;
 use bsky_atproto::blockstore::StoreConfig;
 use bsky_atproto::framing::FramingPolicy;
 use bsky_simnet::faults::{FaultSpec, RetryPolicy, TimeoutClass};
@@ -55,8 +52,6 @@ pub struct RunSpec {
     /// (clamped to the sink's fan-out part count at run time; inert when
     /// the pipeline is off).
     pub analyzer_threads: usize,
-    /// Repository snapshot strategy for the §3 dataset.
-    pub snapshots: SnapshotMode,
     /// Block-store backend for every repository, relay mirror, producer
     /// mirror and AppView entity store.
     pub store: StoreConfig,
@@ -86,9 +81,9 @@ pub struct RunSpec {
 
 impl RunSpec {
     /// A single serial run of `config` with every default: one shard, auto
-    /// jobs (which one shard clamps to one worker), incremental snapshots,
-    /// in-memory store, monolithic AppView with the write-back cache on,
-    /// no intra-shard pipeline, unmitigated wire, quiet faults.
+    /// jobs (which one shard clamps to one worker), in-memory store,
+    /// monolithic AppView with the write-back cache on, no intra-shard
+    /// pipeline, unmitigated wire, quiet faults.
     pub fn new(config: ScenarioConfig) -> RunSpec {
         RunSpec {
             config,
@@ -98,7 +93,6 @@ impl RunSpec {
             jobs: None,
             pipeline: false,
             analyzer_threads: 2,
-            snapshots: SnapshotMode::default(),
             store: StoreConfig::default(),
             appview_shards: 1,
             relays: 1,
@@ -166,12 +160,6 @@ impl RunSpec {
                 .unwrap_or(1)
                 .clamp(1, self.shards.max(1)),
         }
-    }
-
-    /// Select the repository snapshot strategy.
-    pub fn snapshots(mut self, mode: SnapshotMode) -> RunSpec {
-        self.snapshots = mode;
-        self
     }
 
     /// Select the block-store backend.
@@ -307,9 +295,6 @@ impl RunSpec {
             }
             if self.relays > 1 {
                 return Err("--relays cannot be combined with --seeds/--scales".into());
-            }
-            if self.snapshots != SnapshotMode::default() {
-                return Err("--full-snapshots cannot be combined with --seeds/--scales".into());
             }
             if self.shards > 1 || self.jobs.unwrap_or(1) > 1 {
                 return Err("--jobs/--shards cannot be combined with --seeds/--scales".into());
@@ -449,11 +434,6 @@ mod tests {
         assert!(err.contains("--appview-shards"), "{err}");
         let err = grid().relays(2).validate().unwrap_err();
         assert!(err.contains("--relays"), "{err}");
-        let err = grid()
-            .snapshots(SnapshotMode::FullRefetch)
-            .validate()
-            .unwrap_err();
-        assert!(err.contains("--full-snapshots"), "{err}");
         let err = grid().shards(2).jobs(2).validate().unwrap_err();
         assert!(err.contains("--jobs/--shards"), "{err}");
         let err = grid().store(StoreConfig::paged()).validate().unwrap_err();
@@ -470,7 +450,6 @@ mod tests {
         // The same knobs are fine outside a grid.
         assert!(base()
             .appview_shards(4)
-            .snapshots(SnapshotMode::FullRefetch)
             .store(StoreConfig::paged())
             .faults(FaultSpec::scenario("label-storm").unwrap())
             .scenario("label-storm")

@@ -22,11 +22,13 @@
 //!   feed-generator entry, labeler entry) plus day-boundary and
 //!   collection-window markers.
 //! * `bsky_study::Analyzer` — incremental consumers: `observe` folds one
-//!   observation into accumulators, `finish` emits the section's tables and
-//!   figures.
-//! * `bsky_study::StudyEngine` — the bus; `bsky_study::Collector::stream`
-//!   produces onto it by driving a [`bsky_workload::World`] day by day
-//!   through the public service interfaces.
+//!   observation into accumulators, `merge` combines two folded states,
+//!   `finish` emits the section's tables and figures.
+//! * `bsky_study::ObservationSink` — what a producer emits into (the
+//!   report's analyzer set, a probe, or a `Vec<OwnedObservation>` that
+//!   keeps the stream); `bsky_study::Collector::stream` is the producer,
+//!   driving a [`bsky_workload::World`] day by day through the public
+//!   service interfaces.
 //!
 //! `bsky_study::StudyReport::run` computes the entire report in a single
 //! pass with bounded memory — firehose events are never retained; the
@@ -35,12 +37,12 @@
 //! of daily volume — and `bsky_study::StudyBatch` runs whole seed × scale
 //! grids.
 //!
-//! ## Run configuration: one `RunSpec`, three entry points
+//! ## Run configuration: one `RunSpec`, two entry points
 //!
 //! Every knob a study run has — seeds, scales, engine shards and worker
-//! threads, snapshot mode, block-store backend, AppView entity shards, the
-//! write-back cache, wire framing, relay topology, fault scenario — lives
-//! on one builder, `bsky_study::RunSpec`:
+//! threads, block-store backend, AppView entity shards, the write-back
+//! cache, wire framing, relay topology, fault scenario — lives on one
+//! builder, `bsky_study::RunSpec`:
 //!
 //! ```ignore
 //! let spec = RunSpec::new(config)
@@ -53,9 +55,9 @@
 //! ```
 //!
 //! The entry points are `bsky_study::StudyReport::run` (sharded across
-//! worker threads), `run_serial` (one thread, same report), and
-//! `run_batch` (the legacy materializing collector); the repro CLI maps
-//! its flags onto the same builder. `RunSpec::validate` rejects
+//! worker threads) and `run_serial` (the same call coerced to one shard on
+//! one thread); there is no other way a report is computed, and the repro
+//! CLI maps its flags onto the same builder. `RunSpec::validate` rejects
 //! inconsistent combinations up front with an actionable message instead
 //! of a mid-run panic.
 //!
@@ -67,12 +69,9 @@
 //! `--jobs N [--shards S]`) runs one producer + analyzer set per shard on
 //! worker threads and merges the per-shard states through the associative
 //! `bsky_study::Analyzer::merge` — producing a report **byte-identical** to
-//! the serial run for any shard count.
-//!
-//! The legacy batch representation survives as one optional materializing
-//! analyzer (`bsky_study::datasets::Materialize`), and the batch analysis
-//! functions replay materialized datasets through the same accumulators, so
-//! all paths agree exactly (see `tests/pipeline_equivalence.rs`).
+//! the serial run for any shard count (see
+//! `tests/pipeline_equivalence.rs`; the serial bytes themselves are stored
+//! hashes in `tests/runspec_golden.rs`).
 //!
 //! ## The intra-shard pipeline
 //!
@@ -96,14 +95,14 @@
 //!
 //! ## Incremental repository snapshots
 //!
-//! The §3 repositories dataset is collected incrementally by default
-//! (`bsky_study::SnapshotMode`): repositories log the blocks each commit
-//! introduces, the PDS and relay serve `com.atproto.sync.getRepo(did,
-//! since=rev)` deltas, and `bsky_study::IncrementalRepoMirror` rides the
-//! weekly `sync.listRepos` snapshots — fetching full CARs only for new or
-//! rewound DIDs and record-scoped deltas otherwise — while emitting
-//! `Observation::Repo` snapshots byte-identical to the window-end full
-//! refetch (repro `--incremental` / `--full-snapshots`).
+//! The §3 repositories dataset is collected incrementally: repositories
+//! log the blocks each commit introduces, the PDS and relay serve
+//! `com.atproto.sync.getRepo(did, since=rev)` deltas, and
+//! `bsky_study::IncrementalRepoMirror` rides the weekly `sync.listRepos`
+//! snapshots — fetching full CARs only for new or rewound DIDs and
+//! record-scoped deltas otherwise. The window-end full download of every
+//! CAR is not a mode; it is the oracle a test in `datasets.rs` holds the
+//! emitted `Observation::Repo` snapshots equal to, record for record.
 //!
 //! ## Pluggable block storage and compaction
 //!
@@ -118,7 +117,7 @@
 //! back from disk is re-hashed against its CID before it is returned), and
 //! `CountingStore` (a stats-feeding wrapper for invariants like "a
 //! rejected write batch leaves no orphan blocks"). The backend is chosen
-//! when a world is built (`bsky_workload::World::new_store`, repro
+//! when a world is built (`bsky_workload::WorldSpec::store`, repro
 //! `--store mem|paged --page-size N --spill-dir DIR`) and changes only
 //! *where* blocks reside — the golden equivalence test pins mem == paged
 //! byte-identical, serial and sharded.
@@ -247,10 +246,9 @@
 //! dedup admissions and duplicate drops are `RelayStats` /
 //! `bsky_study::StreamSummary` counters, and inter-relay links run
 //! through the same bounded `WireObserver` tap as every other wire. The
-//! scale-out story is measured, not asserted: the streaming bench exports
-//! `bytes_per_did` / `ns_per_day_per_did` at two population scales and
-//! bench-compare enforces the larger population staying strictly cheaper
-//! per DID.
+//! streaming bench (`crates/bench/benches/streaming.rs`, run by
+//! `cargo test`) asserts the scale-out claim: resident block bytes per DID
+//! at two population scales, the larger population strictly cheaper.
 //!
 //! ## Deterministic fault injection & scenarios
 //!

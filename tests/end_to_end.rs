@@ -1,9 +1,11 @@
 //! Cross-crate integration tests: the full pipeline from the synthetic world
 //! through the collectors to the analyses, plus invariants that span crates.
 
+use bluesky_repro::bsky_atproto::label::{effective_labels, Label};
 use bluesky_repro::bsky_atproto::Datetime;
-use bluesky_repro::bsky_study::{Collector, RunSpec, StudyReport};
+use bluesky_repro::bsky_study::{Collector, OwnedObservation, RunSpec, StudyReport};
 use bluesky_repro::bsky_workload::{ScenarioConfig, World};
+use std::collections::BTreeMap;
 
 fn small_config(seed: u64) -> ScenarioConfig {
     let mut config = ScenarioConfig::test_scale(seed);
@@ -59,28 +61,36 @@ fn full_study_reproduces_headline_shapes() {
 #[test]
 fn collector_observes_only_public_surfaces() {
     let mut world = World::new(small_config(2));
-    let datasets = Collector::new().run(&mut world);
-    // The datasets never contain more identities than the relay exposes.
-    assert!(datasets.user_identifiers.len() <= world.relay.known_account_count() + 5);
-    // Repositories decode into records; every decoded record belongs to a
-    // collection with a valid NSID.
-    for repo in &datasets.repositories {
-        for (collection, _, _) in &repo.records {
-            assert!(collection.as_str().split('.').count() >= 3);
+    let mut tape: Vec<OwnedObservation> = Vec::new();
+    Collector::new().stream(&mut world, &mut tape);
+    let mut identifiers = 0usize;
+    let mut label_streams: BTreeMap<String, Vec<Label>> = BTreeMap::new();
+    for obs in &tape {
+        match obs {
+            OwnedObservation::UserIdentifier { .. } => identifiers += 1,
+            // Repositories decode into records; every decoded record
+            // belongs to a collection with a valid NSID.
+            OwnedObservation::Repo(repo) => {
+                for (collection, _, _) in &repo.records {
+                    assert!(collection.as_str().split('.').count() >= 3);
+                }
+            }
+            OwnedObservation::Labels { src, labels } => label_streams
+                .entry(src.to_string())
+                .or_default()
+                .extend(labels.iter().cloned()),
+            _ => {}
         }
     }
+    // The datasets never contain more identities than the relay exposes.
+    assert!(identifiers > 0);
+    assert!(identifiers <= world.relay.known_account_count() + 5);
     // Labeler streams include rescissions that effective-label application
     // removes.
-    let any_negated = datasets
-        .labelers
-        .iter()
-        .flat_map(|l| &l.labels)
-        .any(|l| l.negated);
-    if any_negated {
-        for entry in &datasets.labelers {
-            let effective = bluesky_repro::bsky_atproto::label::effective_labels(&entry.labels);
-            let applied = entry.labels.iter().filter(|l| !l.negated).count();
-            assert!(effective.len() <= applied);
+    if label_streams.values().flatten().any(|l| l.negated) {
+        for labels in label_streams.values() {
+            let applied = labels.iter().filter(|l| !l.negated).count();
+            assert!(effective_labels(labels).len() <= applied);
         }
     }
 }
