@@ -9,6 +9,7 @@
 
 use crate::cid::Cid;
 use crate::error::{AtError, Result};
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -248,6 +249,37 @@ pub(crate) mod raw {
     }
 }
 
+/// Encoded lengths, for callers that need the size of an encoding they
+/// never build (the firehose's per-event wire accounting). Each mirrors the
+/// arm of [`encode`] it is named after, byte for byte.
+pub(crate) mod len {
+    /// An item head carrying `arg`: any major type, string and array
+    /// lengths included.
+    pub fn head(arg: u64) -> usize {
+        match arg {
+            0..=23 => 1,
+            24..=0xff => 2,
+            0x100..=0xffff => 3,
+            0x1_0000..=0xffff_ffff => 5,
+            _ => 9,
+        }
+    }
+
+    /// A `Value::Int`.
+    pub fn int(value: i64) -> usize {
+        head(if value >= 0 { value } else { -1 - value } as u64)
+    }
+
+    /// A `Value::Text` (or `Value::Bytes`) of `len` payload bytes.
+    pub fn text(len: usize) -> usize {
+        head(len as u64) + len
+    }
+
+    /// A `Value::Link`: tag 42, the head of a 37-byte string, the multibase
+    /// identity prefix and the 36-byte binary CID.
+    pub const LINK: usize = 2 + 2 + 1 + 36;
+}
+
 /// Decode DAG-CBOR bytes into a value, requiring that the whole input is
 /// consumed.
 pub fn decode(bytes: &[u8]) -> Result<Value> {
@@ -279,12 +311,15 @@ impl<'a> Reader<'a> {
         Ok(b)
     }
 
+    /// `len` comes straight off the wire, so the end offset is a checked sum.
     fn read_slice(&mut self, len: usize) -> Result<&'a [u8]> {
-        if self.pos + len > self.bytes.len() {
-            return Err(AtError::CborDecode("unexpected end of input".into()));
-        }
-        let s = &self.bytes[self.pos..self.pos + len];
-        self.pos += len;
+        let end = self
+            .pos
+            .checked_add(len)
+            .filter(|&end| end <= self.bytes.len())
+            .ok_or_else(|| AtError::CborDecode("unexpected end of input".into()))?;
+        let s = &self.bytes[self.pos..end];
+        self.pos = end;
         Ok(s)
     }
 
@@ -312,6 +347,12 @@ impl<'a> Reader<'a> {
         }
     }
 
+    /// The argument of a length-carrying head (strings, arrays, maps).
+    fn read_len(&mut self, info: u8) -> Result<usize> {
+        usize::try_from(self.read_arg(info)?)
+            .map_err(|_| AtError::CborDecode("length exceeds address space".into()))
+    }
+
     fn read_value(&mut self, depth: usize) -> Result<Value> {
         if depth > MAX_DEPTH {
             return Err(AtError::CborDecode("nesting too deep".into()));
@@ -335,17 +376,17 @@ impl<'a> Reader<'a> {
                 Ok(Value::Int(-1 - v as i64))
             }
             MAJOR_BYTES => {
-                let len = self.read_arg(info)? as usize;
+                let len = self.read_len(info)?;
                 Ok(Value::Bytes(self.read_slice(len)?.to_vec()))
             }
             MAJOR_TEXT => {
-                let len = self.read_arg(info)? as usize;
+                let len = self.read_len(info)?;
                 let s = std::str::from_utf8(self.read_slice(len)?)
                     .map_err(|_| AtError::CborDecode("invalid UTF-8 in text string".into()))?;
                 Ok(Value::Text(s.to_string()))
             }
             MAJOR_ARRAY => {
-                let len = self.read_arg(info)? as usize;
+                let len = self.read_len(info)?;
                 if len > self.bytes.len() {
                     return Err(AtError::CborDecode("array length exceeds input".into()));
                 }
@@ -356,7 +397,7 @@ impl<'a> Reader<'a> {
                 Ok(Value::Array(items))
             }
             MAJOR_MAP => {
-                let len = self.read_arg(info)? as usize;
+                let len = self.read_len(info)?;
                 if len > self.bytes.len() {
                     return Err(AtError::CborDecode("map length exceeds input".into()));
                 }
@@ -369,8 +410,16 @@ impl<'a> Reader<'a> {
                         }
                     };
                     let value = self.read_value(depth + 1)?;
-                    if map.insert(key.clone(), value).is_some() {
-                        return Err(AtError::CborDecode(format!("duplicate map key {key:?}")));
+                    match map.entry(key) {
+                        Entry::Vacant(slot) => {
+                            slot.insert(value);
+                        }
+                        Entry::Occupied(slot) => {
+                            return Err(AtError::CborDecode(format!(
+                                "duplicate map key {:?}",
+                                slot.key()
+                            )))
+                        }
                     }
                 }
                 Ok(Value::Map(map))
@@ -403,6 +452,90 @@ impl<'a> Reader<'a> {
             _ => unreachable!("major type is 3 bits"),
         }
     }
+
+    /// Step over one value without building it: the head-walking twin of
+    /// [`Reader::read_value`]. It follows the same framing rules (definite
+    /// lengths, the same tag and simple values, bounded nesting, lengths
+    /// checked against the input) and allocates nothing, but looks at no
+    /// payload — UTF-8, integer range, CID bytes and duplicate keys go
+    /// unchecked — so it answers "where does this value end", not "is it
+    /// valid".
+    fn skip_value(&mut self, depth: usize) -> Result<()> {
+        if depth > MAX_DEPTH {
+            return Err(AtError::CborDecode("nesting too deep".into()));
+        }
+        let initial = self.read_byte()?;
+        let major = initial >> 5;
+        let info = initial & 0x1f;
+        match major {
+            MAJOR_UINT | MAJOR_NEGINT => {
+                self.read_arg(info)?;
+            }
+            MAJOR_BYTES | MAJOR_TEXT => {
+                let len = self.read_len(info)?;
+                self.read_slice(len)?;
+            }
+            MAJOR_ARRAY | MAJOR_MAP => {
+                let len = self.read_len(info)?;
+                if len > self.bytes.len() {
+                    return Err(AtError::CborDecode("length exceeds input".into()));
+                }
+                let items = if major == MAJOR_MAP { len * 2 } else { len };
+                for _ in 0..items {
+                    self.skip_value(depth + 1)?;
+                }
+            }
+            MAJOR_TAG => {
+                let tag = self.read_arg(info)?;
+                if tag != TAG_CID {
+                    return Err(AtError::CborDecode(format!("unsupported tag {tag}")));
+                }
+                self.skip_value(depth + 1)?;
+            }
+            MAJOR_SIMPLE if matches!(info, 20..=22) => {}
+            _ => {
+                return Err(AtError::CborDecode(format!(
+                    "unsupported simple value {info}"
+                )))
+            }
+        }
+        Ok(())
+    }
+
+    /// Read one text string, borrowed from the input; `None` for any other
+    /// item (or a malformed one).
+    fn read_text(&mut self) -> Option<&'a str> {
+        let initial = self.read_byte().ok()?;
+        if initial >> 5 != MAJOR_TEXT {
+            return None;
+        }
+        let len = self.read_len(initial & 0x1f).ok()?;
+        std::str::from_utf8(self.read_slice(len).ok()?).ok()
+    }
+}
+
+/// The text stored under `key` in the top-level map of an encoded block,
+/// borrowed from the input. `None` when the block is not a map, has a
+/// non-text key or a non-text value under `key`, lacks the key, or is
+/// malformed before the key is reached. Walks item heads only and allocates
+/// nothing: the cheap way to ask what kind of block this is before paying
+/// for [`decode`]. It vouches for nothing else about the block.
+pub(crate) fn map_text_field<'a>(bytes: &'a [u8], key: &str) -> Option<&'a str> {
+    let mut reader = Reader { bytes, pos: 0 };
+    let initial = reader.read_byte().ok()?;
+    if initial >> 5 != MAJOR_MAP {
+        return None;
+    }
+    let len = reader.read_len(initial & 0x1f).ok()?;
+    // Every iteration consumes input or returns, so a crafted `len` cannot
+    // make this loop longer than the block.
+    for _ in 0..len {
+        if reader.read_text()? == key {
+            return reader.read_text();
+        }
+        reader.skip_value(1).ok()?;
+    }
+    None
 }
 
 #[cfg(test)]
@@ -441,6 +574,27 @@ mod tests {
         ] {
             assert_eq!(roundtrip(&v), v, "{v}");
         }
+    }
+
+    #[test]
+    fn lengths_match_the_encoder() {
+        for v in [0, 23, 24, 255, 256, 65_535, 65_536, u32::MAX as i64] {
+            for v in [v, v + 1, -v, -v - 1, -v - 2] {
+                assert_eq!(len::int(v), encode(&Value::Int(v)).len(), "{v}");
+            }
+        }
+        for v in [i64::MAX, i64::MIN + 1, i64::MIN] {
+            assert_eq!(len::int(v), encode(&Value::Int(v)).len(), "{v}");
+        }
+        for n in [0, 23, 24, 255, 256, 65_535, 65_536] {
+            assert_eq!(len::text(n), encode(&Value::text("x".repeat(n))).len());
+            assert_eq!(len::text(n), encode(&Value::Bytes(vec![0; n])).len());
+            assert_eq!(
+                len::head(n as u64) + n,
+                encode(&Value::Array(vec![Value::Null; n])).len()
+            );
+        }
+        assert_eq!(len::LINK, encode(&Value::Link(Cid::for_raw(b"x"))).len());
     }
 
     #[test]
@@ -529,6 +683,80 @@ mod tests {
         assert!(decode(&[0x9a, 0xff, 0xff, 0xff, 0xff]).is_err());
         // Empty input.
         assert!(decode(&[]).is_err());
+        // A string length whose end offset overflows `usize` is a
+        // truncation like any other, not a panic.
+        let mut huge = vec![0x7b];
+        huge.extend_from_slice(&u64::MAX.to_be_bytes());
+        assert!(decode(&huge).is_err());
+        assert!(map_text_field(&huge, "a").is_none());
+    }
+
+    #[test]
+    fn duplicate_map_keys_are_rejected_by_name() {
+        // Regression: the decoder used to clone every key of every map so
+        // it could name a duplicate; the entry API names it without.
+        let err = decode(&[0xa2, 0x61, b'a', 0x01, 0x61, b'a', 0x02]).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "CBOR decode error: duplicate map key \"a\""
+        );
+        // Nested maps too, and the first occurrence is what a well-formed
+        // sibling still decodes to.
+        let nested = [
+            0xa1, 0x61, b'm', 0xa2, 0x62, b'k', b'k', 0xf6, 0x62, b'k', b'k', 0xf5,
+        ];
+        assert!(decode(&nested)
+            .unwrap_err()
+            .to_string()
+            .ends_with("duplicate map key \"kk\""));
+        let fine = [
+            0xa1, 0x61, b'm', 0xa2, 0x62, b'k', b'k', 0xf6, 0x62, b'k', b'l', 0xf5,
+        ];
+        let value = decode(&fine).unwrap();
+        assert_eq!(value.get("m").unwrap().as_map().unwrap().len(), 2);
+    }
+
+    #[test]
+    fn map_text_field_finds_top_level_text_only() {
+        let cid = Cid::for_cbor(b"x");
+        let block = encode(&Value::map([
+            ("a", Value::Int(-300)),
+            ("nest", Value::map([("$type", Value::text("inner"))])),
+            (
+                "list",
+                Value::Array(vec![
+                    Value::Link(cid),
+                    Value::Null,
+                    Value::Bytes(vec![7; 300]),
+                ]),
+            ),
+            ("$type", Value::text("app.bsky.feed.post")),
+            ("zzzzzzzz", Value::Bool(true)),
+        ]));
+        assert_eq!(map_text_field(&block, "$type"), Some("app.bsky.feed.post"));
+        // Keys sorting after, before and inside other values.
+        assert_eq!(map_text_field(&block, "zzzzzzzz"), None, "not text");
+        assert_eq!(map_text_field(&block, "a"), None, "not text");
+        assert_eq!(map_text_field(&block, "missing"), None);
+        // Only the top level is searched.
+        let nested_only = encode(&Value::map([(
+            "nest",
+            Value::map([("$type", Value::text("inner"))]),
+        )]));
+        assert_eq!(map_text_field(&nested_only, "$type"), None);
+        // Not a map, empty, truncated before the key, non-text key.
+        assert_eq!(
+            map_text_field(&encode(&Value::text("$type")), "$type"),
+            None
+        );
+        assert_eq!(map_text_field(&[], "$type"), None);
+        assert_eq!(map_text_field(&block[..10], "$type"), None);
+        assert_eq!(map_text_field(&[0xa1, 0x01, 0x61, b'x'], "$type"), None);
+        // A crafted pair count far beyond the input ends at the input.
+        assert_eq!(
+            map_text_field(&[0xbb, 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0], "k"),
+            None
+        );
     }
 
     #[test]
@@ -598,6 +826,42 @@ mod proptests {
         for _ in 0..500 {
             let bytes = rng.bytes(256);
             let _ = decode(&bytes);
+        }
+    }
+
+    #[test]
+    fn skip_value_ends_where_read_value_ends() {
+        // On everything the decoder accepts, the head walk consumes exactly
+        // the same bytes; on random bytes it never panics and never accepts
+        // a framing the decoder refuses for its length.
+        let mut rng = TestRng::new(0xcb04);
+        for _ in 0..300 {
+            let mut bytes = encode(&arb_value(&mut rng, 3));
+            let encoded = bytes.len();
+            bytes.extend_from_slice(&rng.bytes(8));
+            let mut reader = Reader {
+                bytes: &bytes,
+                pos: 0,
+            };
+            reader.skip_value(0).unwrap();
+            assert_eq!(reader.pos, encoded);
+        }
+        for _ in 0..500 {
+            let bytes = rng.bytes(256);
+            let mut skipper = Reader {
+                bytes: &bytes,
+                pos: 0,
+            };
+            let mut decoder = Reader {
+                bytes: &bytes,
+                pos: 0,
+            };
+            let skipped = skipper.skip_value(0).is_ok();
+            if decoder.read_value(0).is_ok() {
+                assert!(skipped);
+                assert_eq!(skipper.pos, decoder.pos);
+            }
+            let _ = map_text_field(&bytes, "k");
         }
     }
 

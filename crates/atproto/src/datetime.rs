@@ -161,6 +161,17 @@ impl Datetime {
         )
     }
 
+    /// `self.to_iso8601().len()` without rendering: 20 bytes unless the
+    /// year needs more than four characters, which only the fallback
+    /// renders.
+    pub(crate) fn iso8601_len(&self) -> usize {
+        if (0..=9999).contains(&self.date().year) {
+            "YYYY-MM-DDTHH:MM:SSZ".len()
+        } else {
+            self.to_iso8601().len()
+        }
+    }
+
     /// Parse the subset of ISO-8601 produced by [`Self::to_iso8601`]
     /// (`YYYY-MM-DD` or `YYYY-MM-DDTHH:MM:SSZ`).
     pub fn parse_iso8601(s: &str) -> Result<Self> {
@@ -249,6 +260,23 @@ mod tests {
             Datetime::parse_iso8601("2024-04-24").unwrap(),
             Datetime::from_ymd(2024, 4, 24).unwrap()
         );
+    }
+
+    #[test]
+    fn iso8601_len_matches_the_rendering() {
+        for secs in [
+            0,
+            -1,
+            1_714_000_000,
+            253_402_300_799,  // 9999-12-31T23:59:59Z
+            253_402_300_800,  // year 10000
+            -62_167_219_200,  // year 0
+            -62_167_219_201,  // year -1
+            -400_000_000_000, // a five-character negative year
+        ] {
+            let dt = Datetime(secs);
+            assert_eq!(dt.iso8601_len(), dt.to_iso8601().len(), "{dt}");
+        }
     }
 
     #[test]

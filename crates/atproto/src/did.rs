@@ -136,6 +136,11 @@ impl Did {
         format!("did:{}:{}", self.method.as_str(), self.identifier)
     }
 
+    /// Length in bytes of the full string form, without rendering it.
+    pub fn string_len(&self) -> usize {
+        "did:".len() + self.method.as_str().len() + ":".len() + self.identifier.len()
+    }
+
     /// FNV-1a hash of the full DID string — the canonical entity-sharding
     /// hash: the workload plan partitions the population by it, and the
     /// AppView routes actors and graph edges by it, so both layers agree on

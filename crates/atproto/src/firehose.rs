@@ -6,7 +6,7 @@
 //! (§3, Table 1). Each frame carries a monotonically increasing sequence
 //! number which consumers use as a cursor for resuming and backfilling.
 
-use crate::cbor::{self, Value};
+use crate::cbor::{self, len, Value};
 use crate::cid::Cid;
 use crate::datetime::Datetime;
 use crate::did::Did;
@@ -100,18 +100,6 @@ impl EventKind {
     }
 }
 
-/// Width in bytes of the canonical CBOR encoding of an unsigned integer
-/// (head byte plus argument), mirroring the encoder in [`crate::cbor`].
-fn cbor_uint_width(value: u64) -> usize {
-    match value {
-        0..=23 => 1,
-        24..=0xff => 2,
-        0x100..=0xffff => 3,
-        0x1_0000..=0xffff_ffff => 5,
-        _ => 9,
-    }
-}
-
 /// A full firehose frame: sequence number, relay receive time and body.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Event {
@@ -158,7 +146,63 @@ impl Event {
     /// per-shard relays assign smaller sequence numbers.
     pub fn wire_size(&self) -> usize {
         const CANONICAL_SEQ_BYTES: usize = 9;
-        self.encode().len() - cbor_uint_width(self.seq) + CANONICAL_SEQ_BYTES
+        self.encoded_len() - len::head(self.seq) + CANONICAL_SEQ_BYTES
+    }
+
+    /// `self.encode().len()` without building or encoding the frame: the
+    /// sum of the item heads and payload lengths [`Self::encode`] writes,
+    /// entry for entry. Called per event by the relay's log, per forwarded
+    /// frame by the federation tap and per event by the §9 volume analyzer,
+    /// so it allocates nothing.
+    fn encoded_len(&self) -> usize {
+        // One map entry under a literal key, given its value's length.
+        let entry = |key: &str, value: usize| len::text(key.len()) + value;
+        let did = |did: &Did| len::text(did.string_len());
+        // Every map below has fewer than 24 entries: a one-byte head.
+        let body = 1 + match &self.body {
+            EventBody::Commit {
+                did: repo,
+                ops,
+                blocks_bytes,
+                ..
+            } => {
+                let ops_len: usize = ops
+                    .iter()
+                    .map(|op| {
+                        1 + entry("action", len::text(op.action.as_str().len()))
+                            + entry("path", len::text(op.key.len()))
+                            + entry("cid", if op.cid.is_some() { len::LINK } else { 1 })
+                    })
+                    .sum();
+                entry("t", len::text("#commit".len()))
+                    + entry("repo", did(repo))
+                    + entry("commit", len::LINK)
+                    + entry("rev", len::text(crate::tid::TID_LEN))
+                    + entry("tooBig", 1)
+                    + entry("blocksBytes", len::int(*blocks_bytes as i64))
+                    + entry("ops", len::head(ops.len() as u64) + ops_len)
+            }
+            EventBody::Identity { did: account } => {
+                entry("t", len::text("#identity".len())) + entry("did", did(account))
+            }
+            EventBody::HandleChange {
+                did: account,
+                handle,
+            } => {
+                entry("t", len::text("#handle".len()))
+                    + entry("did", did(account))
+                    + entry("handle", len::text(handle.as_str().len()))
+            }
+            EventBody::Tombstone { did: account } => {
+                entry("t", len::text("#tombstone".len())) + entry("did", did(account))
+            }
+            EventBody::Info { name } => {
+                entry("t", len::text("#info".len())) + entry("name", len::text(name.len()))
+            }
+        };
+        1 + entry("seq", len::int(self.seq as i64))
+            + entry("time", len::text(self.time.iso8601_len()))
+            + entry("body", body)
     }
 
     /// Encode the frame as DAG-CBOR.
@@ -557,6 +601,118 @@ mod tests {
         // at its fixed 9-byte width (seq 7 encodes in 1 byte).
         for (name, event, _) in &cases {
             assert_eq!(event.wire_size(), event.encode().len() + 8, "{name}");
+        }
+    }
+
+    #[test]
+    fn encoded_len_equals_the_encoding_on_random_events() {
+        // `wire_size` no longer encodes the frame, so the arithmetic twin is
+        // pinned against the encoder over every body kind and every width
+        // class a head can take: deletes (`cid: None`), paths and op counts
+        // on both sides of the 24 and 256 boundaries, `blocks_bytes` and
+        // `seq` in each of the five integer widths, both DID methods, and
+        // times whose year does not fit four digits.
+        use crate::testrand::TestRng;
+        let mut rng = TestRng::new(0xf1e0);
+        // One value from each CBOR integer width, by index.
+        let in_width = |rng: &mut TestRng, width: u64| -> u64 {
+            match width {
+                0 => rng.below(24),
+                1 => 24 + rng.below(0x100 - 24),
+                2 => 0x100 + rng.below(0x1_0000 - 0x100),
+                3 => 0x1_0000 + rng.below(0x1_0000_0000 - 0x1_0000),
+                _ => 0x1_0000_0000 + rng.below(1 << 40),
+            }
+        };
+        let mut kinds = std::collections::BTreeSet::new();
+        let (mut deletes, mut long_paths, mut huge_paths, mut many_ops) = (0, 0, 0, 0);
+        for round in 0..400u64 {
+            let did = if rng.below(4) == 0 {
+                Did::web(&format!("{}.example.com", rng.lowercase(1, 40))).unwrap()
+            } else {
+                Did::plc_from_seed(&rng.bytes(16))
+            };
+            assert_eq!(did.string_len(), did.to_string().len());
+            let body = match round % 5 {
+                0 => {
+                    let op_count = match rng.below(3) {
+                        0 => rng.below(4),
+                        1 => 20 + rng.below(10),
+                        _ => 250 + rng.below(12),
+                    } as usize;
+                    many_ops += usize::from(op_count >= 24);
+                    let ops = (0..op_count)
+                        .map(|_| {
+                            let action = [
+                                WriteAction::Create,
+                                WriteAction::Update,
+                                WriteAction::Delete,
+                            ][rng.below(3) as usize];
+                            let path_len = match rng.below(4) {
+                                0 => rng.below(24),
+                                1 => 24 + rng.below(40),
+                                2 => 250 + rng.below(12),
+                                _ => 0x1_0000 + rng.below(4),
+                            } as usize;
+                            long_paths += usize::from(path_len >= 24);
+                            huge_paths += usize::from(path_len >= 256);
+                            deletes += usize::from(action == WriteAction::Delete);
+                            RecordOp {
+                                action,
+                                key: "k".repeat(path_len),
+                                cid: (action != WriteAction::Delete)
+                                    .then(|| Cid::for_cbor(&rng.bytes(8))),
+                            }
+                        })
+                        .collect();
+                    EventBody::Commit {
+                        did,
+                        commit: Cid::for_cbor(&rng.bytes(8)),
+                        rev: Tid::from_micros(rng.next_u64(), rng.below(1024) as u16),
+                        ops,
+                        blocks_bytes: in_width(&mut rng, round / 5 % 5) as usize,
+                        too_big: rng.below(2) == 0,
+                    }
+                }
+                1 => EventBody::Identity { did },
+                2 => EventBody::HandleChange {
+                    did,
+                    handle: Handle::parse(&format!("{}.example.com", rng.lowercase(1, 40)))
+                        .unwrap(),
+                },
+                3 => EventBody::Tombstone { did },
+                _ => EventBody::Info {
+                    name: rng.lowercase(0, 300),
+                },
+            };
+            let time = match rng.below(8) {
+                0 => Datetime(-(rng.below(1 << 40) as i64)),
+                1 => Datetime(rng.below(1 << 42) as i64),
+                _ => now().plus_seconds(rng.below(86_400 * 600) as i64),
+            };
+            let event = Event {
+                seq: in_width(&mut rng, round % 5),
+                time,
+                body,
+            };
+            kinds.insert(event.kind());
+            let encoded = event.encode();
+            assert_eq!(event.encoded_len(), encoded.len(), "{event:?}");
+            assert_eq!(event.wire_size(), encoded.len() - len::head(event.seq) + 9);
+        }
+        assert_eq!(kinds.len(), 5);
+        assert!(deletes > 0 && long_paths > 0 && huge_paths > 0 && many_ops > 0);
+        // The extremes the generator cannot reach by chance.
+        for (seq, blocks_bytes) in [(u64::MAX, usize::MAX), (i64::MAX as u64, 0)] {
+            let mut event = commit_event(seq);
+            if let EventBody::Commit {
+                blocks_bytes: bytes,
+                ..
+            } = &mut event.body
+            {
+                *bytes = blocks_bytes;
+            }
+            assert_eq!(event.encoded_len(), event.encode().len());
         }
     }
 

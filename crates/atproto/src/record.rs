@@ -564,6 +564,17 @@ impl Record {
     pub fn from_cbor(bytes: &[u8]) -> Result<Record> {
         Record::from_value(&crate::cbor::decode(bytes)?)
     }
+
+    /// Whether a block claims to be a record: a map with a text `$type` at
+    /// its top level. An allocation-free head walk, for telling the record
+    /// blocks of a CAR from its commit and MST node blocks (which carry no
+    /// `$type`) without decoding any of them. On every block a repository
+    /// exports it agrees with `Record::from_cbor(bytes).is_ok()`; a foreign
+    /// block that claims a type and then fails its lexicon passes this probe
+    /// and fails the decode, where the caller can count it.
+    pub fn is_record_block(bytes: &[u8]) -> bool {
+        crate::cbor::map_text_field(bytes, "$type").is_some()
+    }
 }
 
 fn embed_to_value(embed: &Embed) -> Value {

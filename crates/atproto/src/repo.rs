@@ -22,13 +22,16 @@
 //! in-memory default, or a paged store that spills cold pages to disk and
 //! verifies every read-back by CID. The repository itself keeps only the
 //! record index (the MST's node tree: keys and CIDs, no block bytes) and the
-//! CID indexes (`record_cids`, the live/stored node sets and the per-commit
-//! log) resident, so its memory footprint is governed by the store backend.
+//! CID indexes (`record_cids` with its live-reference counts, the live/stored
+//! node sets and the per-commit log) resident, so its memory footprint is
+//! governed by the store backend.
 //!
 //! A commit costs its batch, not its repository: the MST is updated in
 //! place, hashing only the leaf-to-root paths the batch touched, and hands
 //! back the node-set change (blocks that joined the live tree, CIDs that
 //! left it) from which the node bookkeeping is maintained incrementally.
+//!
+//! ## Compaction
 //!
 //! [`Repository::compact_before`] bounds the grow-only history: commits (and
 //! their log entries) older than a cutoff revision leave the delta-serving
@@ -41,11 +44,36 @@
 //! [`AtError::RevisionCompacted`] so the caller can fall back to a full CAR
 //! fetch *visibly* (the study pipeline surfaces these fallbacks in its
 //! stream summary rather than hiding them).
+//!
+//! A pass costs what aged out, never the repository. `record_cids` maps every
+//! stored record block to the number of MST keys that currently point at it,
+//! moved by each write as it is applied (and moved back when a failed batch
+//! rolls back), so "unreachable from the head" is `count == 0` — one map
+//! lookup per aged-out block, no walk of the tree. The other half of the
+//! rule, "not re-introduced by a retained commit", needs the set of blocks
+//! the retained log entries name; it is built lazily, only once an aged-out
+//! block with no live reference turns up. A repository that only ever
+//! creates records never has one, so its weekly pass is the stale-node sweep
+//! plus a lookup per aged-out record. [`Repository::garbage_collect`] reads
+//! the same counts.
+//!
+//! ## CAR archives
+//!
+//! There is one reader and one writer. [`CarReader`] is a borrowed,
+//! single-pass iterator over an archive's blocks that owns all the framing
+//! rules and verifies every block against its CID with one digest;
+//! [`Repository::parse_car`] collects it, [`Repository::apply_delta`] merges
+//! two of them as borrowed slices (each block is copied once, into the
+//! output) and the study's repository mirror classifies blocks straight off
+//! it. A full export frames each block into the output buffer as it comes
+//! out of the store. A delta export still stages what it reads: its archive
+//! is in CID order while its store reads run nodes-then-log-order, and a
+//! paged store's residency follows its read order.
 
 use crate::blockstore::{BlockStore, MemStore, StoreStats};
 use crate::cbor::{self, Value};
-use crate::cid::Cid;
-use crate::crypto::{Signature, SigningKey};
+use crate::cid::{Cid, CODEC_DAG_CBOR, CODEC_RAW};
+use crate::crypto::{sha256, Signature, SigningKey};
 use crate::datetime::Datetime;
 use crate::did::Did;
 use crate::error::{AtError, Result};
@@ -53,7 +81,7 @@ use crate::mst::Mst;
 use crate::nsid::Nsid;
 use crate::record::Record;
 use crate::tid::{Tid, TidClock};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// A signed repository commit.
 #[derive(Debug, Clone, PartialEq)]
@@ -287,10 +315,13 @@ pub struct Repository {
     mst: Mst,
     /// All record and MST node blocks, behind the pluggable store.
     store: Box<dyn BlockStore>,
-    /// CIDs (and total bytes) of the record blocks currently in the store —
-    /// the iteration index for exports and GC, kept resident because it is
-    /// small compared to the blocks themselves.
-    record_cids: std::collections::BTreeSet<Cid>,
+    /// Every record block currently in the store, with the number of MST
+    /// keys that point at it (0: a deleted or superseded version kept until
+    /// compaction or GC). The iteration index for exports and the liveness
+    /// test for compaction and GC, kept resident because it is small
+    /// compared to the blocks themselves. Counts move in `move_ref` only.
+    record_cids: BTreeMap<Cid, u32>,
+    /// Total bytes of the blocks in `record_cids`.
     record_bytes: usize,
     /// Retained commits (oldest first). Compaction drops the front.
     commits: Vec<Commit>,
@@ -305,10 +336,10 @@ pub struct Repository {
     /// Every MST node CID currently in the store (live nodes plus nodes
     /// superseded since the last compaction). Grows by each commit's added
     /// nodes; compaction shrinks it back to `current_node_cids`.
-    stored_node_cids: std::collections::BTreeSet<Cid>,
+    stored_node_cids: BTreeSet<Cid>,
     /// Node CIDs of the live tree as of the latest commit, maintained from
     /// each commit's node delta (added in, removed out) — never rebuilt.
-    current_node_cids: std::collections::BTreeSet<Cid>,
+    current_node_cids: BTreeSet<Cid>,
     clock: TidClock,
 }
 
@@ -330,14 +361,14 @@ impl Repository {
             did,
             mst: Mst::new(),
             store,
-            record_cids: std::collections::BTreeSet::new(),
+            record_cids: BTreeMap::new(),
             record_bytes: 0,
             commits: Vec::new(),
             log: Vec::new(),
             head_cid: None,
             compacted_through: None,
-            stored_node_cids: std::collections::BTreeSet::new(),
-            current_node_cids: std::collections::BTreeSet::new(),
+            stored_node_cids: BTreeSet::new(),
+            current_node_cids: BTreeSet::new(),
         }
     }
 
@@ -428,11 +459,52 @@ impl Repository {
             .collect()
     }
 
+    /// Move one MST key's reference from `old` to `new` in the
+    /// live-reference counts (`None`: the key is absent on that side). Both
+    /// blocks are in the store — `old` because a key pointed at it, `new`
+    /// because the caller just put it.
+    fn move_ref(&mut self, old: Option<Cid>, new: Option<Cid>) {
+        if old == new {
+            return;
+        }
+        if let Some(count) = old.and_then(|cid| self.record_cids.get_mut(&cid)) {
+            *count -= 1;
+        }
+        if let Some(count) = new.and_then(|cid| self.record_cids.get_mut(&cid)) {
+            *count += 1;
+        }
+    }
+
+    /// Store a record block under `key` (the create and update halves of
+    /// [`Repository::apply_one_write`] differ only in their precondition).
+    fn put_record(
+        &mut self,
+        key: String,
+        record: &Record,
+        fresh_blocks: &mut Vec<Cid>,
+        bytes_written: &mut usize,
+        touched: &mut BTreeMap<String, (Option<Cid>, Option<Cid>)>,
+    ) -> Result<()> {
+        let bytes = record.to_cbor();
+        let cid = Cid::for_cbor(&bytes);
+        let len = bytes.len();
+        *bytes_written += len;
+        if self.store.put(cid, bytes) {
+            fresh_blocks.push(cid);
+            self.record_cids.insert(cid, 0);
+            self.record_bytes += len;
+        }
+        let initial = self.mst.insert(&key, cid)?;
+        self.move_ref(initial, Some(cid));
+        touched.entry(key).or_insert((initial, initial)).1 = Some(cid);
+        Ok(())
+    }
+
     /// Apply one write, recording any freshly inserted block in
     /// `fresh_blocks` so a failed batch can roll the store back, and the
     /// key's pre-batch value in `touched` so the batch's net record ops can
-    /// be derived (and the index restored on error) without snapshotting the
-    /// whole tree.
+    /// be derived (and the index and the reference counts restored on error)
+    /// without snapshotting the whole tree.
     fn apply_one_write(
         &mut self,
         write: &Write,
@@ -450,18 +522,7 @@ impl Repository {
                 if self.mst.contains(&key) {
                     return Err(AtError::RepoError(format!("record exists: {key}")));
                 }
-                let bytes = record.to_cbor();
-                let cid = Cid::for_cbor(&bytes);
-                *bytes_written += bytes.len();
-                let len = bytes.len();
-                if self.store.put(cid, bytes) {
-                    fresh_blocks.push(cid);
-                    self.record_cids.insert(cid);
-                    self.record_bytes += len;
-                }
-                let initial = self.mst.get(&key).copied();
-                self.mst.insert(&key, cid)?;
-                touched.entry(key).or_insert((initial, initial)).1 = Some(cid);
+                self.put_record(key, record, fresh_blocks, bytes_written, touched)
             }
             Write::Update {
                 collection,
@@ -472,29 +533,21 @@ impl Repository {
                 if !self.mst.contains(&key) {
                     return Err(AtError::RepoError(format!("record missing: {key}")));
                 }
-                let bytes = record.to_cbor();
-                let cid = Cid::for_cbor(&bytes);
-                *bytes_written += bytes.len();
-                let len = bytes.len();
-                if self.store.put(cid, bytes) {
-                    fresh_blocks.push(cid);
-                    self.record_cids.insert(cid);
-                    self.record_bytes += len;
-                }
-                let initial = self.mst.get(&key).copied();
-                self.mst.insert(&key, cid)?;
-                touched.entry(key).or_insert((initial, initial)).1 = Some(cid);
+                self.put_record(key, record, fresh_blocks, bytes_written, touched)
             }
             Write::Delete { collection, rkey } => {
                 let key = format!("{collection}/{rkey}");
-                let initial = self.mst.get(&key).copied();
-                if self.mst.remove(&key).is_none() {
+                let Some(initial) = self.mst.remove(&key) else {
                     return Err(AtError::RepoError(format!("record missing: {key}")));
-                }
-                touched.entry(key).or_insert((initial, initial)).1 = None;
+                };
+                self.move_ref(Some(initial), None);
+                touched
+                    .entry(key)
+                    .or_insert((Some(initial), Some(initial)))
+                    .1 = None;
+                Ok(())
             }
         }
-        Ok(())
     }
 
     /// Apply a batch of writes, producing a new signed commit.
@@ -514,11 +567,13 @@ impl Repository {
             if let Err(err) =
                 self.apply_one_write(write, &mut fresh_blocks, &mut bytes_written, &mut touched)
             {
-                // Atomic batches: restore the index and drop the blocks this
-                // batch introduced, so the store holds exactly the blocks
-                // the commit log accounts for (no orphans — pinned by the
-                // CountingStore test below).
-                for (key, (initial, _)) in &touched {
+                // Atomic batches: restore the index (and move each touched
+                // key's reference back to its pre-batch block) and drop the
+                // blocks this batch introduced, so the store holds exactly
+                // the blocks the commit log accounts for (no orphans —
+                // pinned by the CountingStore test below).
+                for (key, (initial, current)) in &touched {
+                    self.move_ref(*current, *initial);
                     match initial {
                         Some(cid) => {
                             let _ = self.mst.insert(key, *cid);
@@ -627,21 +682,21 @@ impl Repository {
     /// `com.atproto.sync.getRepo`. Commits and record versions dropped by a
     /// compaction pass are gone from full exports too.
     pub fn export_car(&self) -> Vec<u8> {
-        let mut blocks: Vec<(Cid, Vec<u8>)> = Vec::new();
+        let roots: Vec<Cid> = self.head_cid.into_iter().collect();
+        let mut car = CarWriter::new(&roots, None);
         for commit in &self.commits {
             let bytes = commit.to_cbor();
-            blocks.push((Cid::for_cbor(&bytes), bytes));
+            car.block(&Cid::for_cbor(&bytes), &bytes);
         }
         for node in self.mst.blocks() {
-            blocks.push((node.cid, node.bytes));
+            car.block(&node.cid, &node.bytes);
         }
-        for cid in &self.record_cids {
+        for cid in self.record_cids.keys() {
             if let Some(bytes) = self.store.get(cid) {
-                blocks.push((*cid, bytes));
+                car.block(cid, &bytes);
             }
         }
-        let roots: Vec<Cid> = self.head_cid.into_iter().collect();
-        encode_car(&roots, blocks.iter().map(|(c, b)| (*c, b.as_slice())), None)
+        car.finish()
     }
 
     /// `com.atproto.sync.getRepo(did, since=rev)`: export only what a
@@ -683,6 +738,10 @@ impl Repository {
                     self.did
                 )),
             })?;
+        // Staged in a map because the archive is framed in CID order while
+        // the store is read in the order below (nodes, then records in log
+        // order): a paged store's residency follows its read order, and
+        // that order is pinned with the byte counters it produces.
         let mut blocks: BTreeMap<Cid, Vec<u8>> = BTreeMap::new();
         if index + 1 < self.commits.len() {
             blocks.insert(head_cid, head.to_cbor());
@@ -720,11 +779,11 @@ impl Repository {
                 }
             }
         }
-        Ok(encode_car(
-            &[head_cid],
-            blocks.iter().map(|(c, b)| (*c, b.as_slice())),
-            Some(since),
-        ))
+        let mut car = CarWriter::new(&[head_cid], Some(since));
+        for (cid, bytes) in &blocks {
+            car.block(cid, bytes);
+        }
+        Ok(car.finish())
     }
 
     /// Reassemble a full archive from a previously fetched CAR plus a delta
@@ -734,19 +793,31 @@ impl Repository {
     /// head revision must advance past the base's — otherwise the delta is
     /// rejected and the caller should fall back to a full fetch.
     pub fn apply_delta(base_car: &[u8], delta_car: &[u8]) -> Result<Vec<u8>> {
-        let (base_roots, mut blocks) = Repository::parse_car(base_car)?;
-        let (delta_roots, delta_blocks) = Repository::parse_car(delta_car)?;
-        let root = delta_roots
-            .first()
-            .copied()
-            .ok_or_else(|| AtError::RepoError("delta CAR has no root".into()))?;
-        let base_rev = base_roots
+        // Both archives are merged as slices borrowed from the inputs; the
+        // one copy of each block is the one into the output.
+        let mut blocks: BTreeMap<Cid, &[u8]> = BTreeMap::new();
+        let mut base = CarReader::new(base_car)?;
+        for block in &mut base {
+            let (cid, bytes) = block?;
+            blocks.insert(cid, bytes);
+        }
+        let base_rev = base
+            .roots()
             .first()
             .and_then(|r| blocks.get(r))
             .map(|bytes| commit_summary(bytes))
             .transpose()?
             .map(|(rev, _)| rev);
-        blocks.extend(delta_blocks);
+        let mut delta = CarReader::new(delta_car)?;
+        for block in &mut delta {
+            let (cid, bytes) = block?;
+            blocks.insert(cid, bytes);
+        }
+        let root = delta
+            .roots()
+            .first()
+            .copied()
+            .ok_or_else(|| AtError::RepoError("delta CAR has no root".into()))?;
         let commit_bytes = blocks
             .get(&root)
             .ok_or_else(|| AtError::RepoError("delta head commit block missing".into()))?;
@@ -763,66 +834,37 @@ impl Repository {
                 "delta MST root block missing from merged archive".into(),
             ));
         }
-        Ok(encode_car(
-            &delta_roots,
-            blocks.iter().map(|(c, b)| (*c, b.as_slice())),
-            None,
-        ))
+        let mut car = CarWriter::new(delta.roots(), None);
+        for (cid, bytes) in &blocks {
+            car.block(cid, bytes);
+        }
+        Ok(car.finish())
     }
 
-    /// Parse a CAR archive back into `(roots, blocks)`.
+    /// Parse a CAR archive back into `(roots, blocks)`: [`CarReader`],
+    /// collected into owned blocks.
     pub fn parse_car(bytes: &[u8]) -> Result<ParsedCar> {
-        let mut pos = 0usize;
-        let (header_len, read) = read_varint(&bytes[pos..])?;
-        pos += read;
-        let header_end = frame_end(pos, header_len, bytes.len())
-            .ok_or_else(|| AtError::RepoError("truncated CAR header".into()))?;
-        let header = cbor::decode(&bytes[pos..header_end])?;
-        pos = header_end;
-        let roots = header
-            .get("roots")
-            .and_then(Value::as_array)
-            .unwrap_or(&[])
-            .iter()
-            .filter_map(Value::as_link)
-            .copied()
-            .collect();
+        let mut reader = CarReader::new(bytes)?;
         let mut blocks = BTreeMap::new();
-        while pos < bytes.len() {
-            let (len, read) = read_varint(&bytes[pos..])?;
-            pos += read;
-            let end = frame_end(pos, len, bytes.len())
-                .filter(|_| len >= 36)
-                .ok_or_else(|| AtError::RepoError("truncated CAR block".into()))?;
-            let cid = Cid::from_bytes(&bytes[pos..pos + 36])?;
-            let data = bytes[pos + 36..end].to_vec();
-            if Cid::for_cbor(&data) != cid && Cid::for_raw(&data) != cid {
-                return Err(AtError::RepoError(format!(
-                    "block does not match CID {cid}"
-                )));
-            }
-            blocks.insert(cid, data);
-            pos = end;
+        for block in &mut reader {
+            let (cid, data) = block?;
+            blocks.insert(cid, data.to_vec());
         }
-        Ok((roots, blocks))
+        Ok((reader.roots, blocks))
     }
 
     /// Drop historical blocks that are no longer reachable from the live MST
     /// (models an "infrastructure takedown" / GDPR purge). Returns the number
     /// of bytes reclaimed.
     pub fn garbage_collect(&mut self) -> usize {
-        let live: std::collections::BTreeSet<Cid> = self.mst.iter().map(|(_, c)| *c).collect();
         let before = self.record_bytes;
-        let victims: Vec<Cid> = self
-            .record_cids
-            .iter()
-            .filter(|cid| !live.contains(cid))
-            .copied()
-            .collect();
-        for cid in victims {
-            self.record_bytes -= self.store.delete(&cid);
-            self.record_cids.remove(&cid);
-        }
+        let (store, record_bytes) = (&mut self.store, &mut self.record_bytes);
+        self.record_cids.retain(|cid, live_refs| {
+            if *live_refs == 0 {
+                *record_bytes -= store.delete(cid);
+            }
+            *live_refs > 0
+        });
         before - self.record_bytes
     }
 
@@ -867,26 +909,28 @@ impl Repository {
                 .partition_point(|c| c.rev < *cutoff)
                 .min(self.commits.len() - 1);
             if floor > 0 {
-                let live: std::collections::BTreeSet<Cid> =
-                    self.mst.iter().map(|(_, c)| *c).collect();
-                let retained: std::collections::BTreeSet<Cid> = self.log[floor..]
-                    .iter()
-                    .flat_map(|e| e.record_cids.iter().copied())
-                    .collect();
-                let dropped: Vec<Cid> = self.log[..floor]
-                    .iter()
-                    .flat_map(|e| e.record_cids.iter().copied())
-                    .collect();
-                for cid in dropped {
-                    if !live.contains(&cid)
-                        && !retained.contains(&cid)
-                        && self.record_cids.remove(&cid)
-                    {
-                        let removed = self.store.delete(&cid);
-                        self.record_bytes -= removed;
-                        stats.bytes_reclaimed += removed;
-                        stats.records_dropped += 1;
+                // The blocks the retained commits introduced, built only if
+                // an aged-out block without a live reference turns up.
+                let mut retained: Option<BTreeSet<Cid>> = None;
+                for cid in self.log[..floor].iter().flat_map(|e| &e.record_cids) {
+                    // Still referenced by the tree — or already deleted.
+                    if self.record_cids.get(cid) != Some(&0) {
+                        continue;
                     }
+                    let retained = retained.get_or_insert_with(|| {
+                        self.log[floor..]
+                            .iter()
+                            .flat_map(|e| e.record_cids.iter().copied())
+                            .collect()
+                    });
+                    if retained.contains(cid) {
+                        continue;
+                    }
+                    self.record_cids.remove(cid);
+                    let removed = self.store.delete(cid);
+                    self.record_bytes -= removed;
+                    stats.bytes_reclaimed += removed;
+                    stats.records_dropped += 1;
                 }
                 let last_dropped = self.commits[floor - 1].rev;
                 self.compacted_through = Some(match self.compacted_through {
@@ -904,33 +948,121 @@ impl Repository {
 
 /// Serialise a CAR archive: varint-framed header (`version`, `roots`, and —
 /// for deltas — the `since` revision) followed by varint-framed
-/// `CID ‖ bytes` blocks.
-fn encode_car<'a>(
-    roots: &[Cid],
-    blocks: impl Iterator<Item = (Cid, &'a [u8])>,
-    since: Option<&Tid>,
-) -> Vec<u8> {
-    let mut fields = vec![
-        ("version".to_string(), Value::Int(1)),
-        (
-            "roots".to_string(),
-            Value::Array(roots.iter().map(|c| Value::Link(*c)).collect()),
-        ),
-    ];
-    if let Some(since) = since {
-        fields.push(("since".to_string(), Value::text(since.to_string())));
+/// `CID ‖ bytes` blocks, each framed into the output as it is handed over.
+struct CarWriter {
+    out: Vec<u8>,
+}
+
+impl CarWriter {
+    fn new(roots: &[Cid], since: Option<&Tid>) -> CarWriter {
+        let mut fields = vec![
+            ("version".to_string(), Value::Int(1)),
+            (
+                "roots".to_string(),
+                Value::Array(roots.iter().map(|c| Value::Link(*c)).collect()),
+            ),
+        ];
+        if let Some(since) = since {
+            fields.push(("since".to_string(), Value::text(since.to_string())));
+        }
+        let header_bytes = cbor::encode(&Value::map(fields));
+        let mut out = Vec::new();
+        write_varint(header_bytes.len() as u64, &mut out);
+        out.extend_from_slice(&header_bytes);
+        CarWriter { out }
     }
-    let header_bytes = cbor::encode(&Value::map(fields));
-    let mut out = Vec::new();
-    write_varint(header_bytes.len() as u64, &mut out);
-    out.extend_from_slice(&header_bytes);
-    for (cid, bytes) in blocks {
+
+    fn block(&mut self, cid: &Cid, bytes: &[u8]) {
         let cid_bytes = cid.to_bytes();
-        write_varint((cid_bytes.len() + bytes.len()) as u64, &mut out);
-        out.extend_from_slice(&cid_bytes);
-        out.extend_from_slice(bytes);
+        write_varint((cid_bytes.len() + bytes.len()) as u64, &mut self.out);
+        self.out.extend_from_slice(&cid_bytes);
+        self.out.extend_from_slice(bytes);
     }
-    out
+
+    fn finish(self) -> Vec<u8> {
+        self.out
+    }
+}
+
+/// Length of the binary CID that opens every CAR block frame.
+const CAR_CID_LEN: usize = 36;
+
+/// A borrowed, single-pass reader over a CAR archive: the header's roots,
+/// then an iterator of `(cid, bytes)` with `bytes` a slice of the input.
+///
+/// All framing rules live here and nowhere else: length varints are
+/// checked against the archive before anything is sliced (a crafted varint
+/// can neither overflow the frame end nor reach past the input), a block
+/// frame shorter than a CID is a truncation, and every block is verified
+/// against its CID — one digest of the payload, compared under the codec the
+/// CID itself names (DAG-CBOR or raw). The first malformed frame yields one
+/// `Err` and ends the iteration.
+#[derive(Debug)]
+pub struct CarReader<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+    roots: Vec<Cid>,
+}
+
+impl<'a> CarReader<'a> {
+    /// Read the archive header; the reader is then positioned at the first
+    /// block.
+    pub fn new(bytes: &'a [u8]) -> Result<CarReader<'a>> {
+        let (header_len, read) = read_varint(bytes)?;
+        let header_end = frame_end(read, header_len, bytes.len())
+            .ok_or_else(|| AtError::RepoError("truncated CAR header".into()))?;
+        let header = cbor::decode(&bytes[read..header_end])?;
+        let roots = header
+            .get("roots")
+            .and_then(Value::as_array)
+            .unwrap_or(&[])
+            .iter()
+            .filter_map(Value::as_link)
+            .copied()
+            .collect();
+        Ok(CarReader {
+            bytes,
+            pos: header_end,
+            roots,
+        })
+    }
+
+    /// The root CIDs the header names (the head commit, for a repository).
+    pub fn roots(&self) -> &[Cid] {
+        &self.roots
+    }
+
+    fn read_block(&mut self) -> Result<(Cid, &'a [u8])> {
+        let (len, read) = read_varint(&self.bytes[self.pos..])?;
+        let start = self.pos + read;
+        let end = frame_end(start, len, self.bytes.len())
+            .filter(|_| len >= CAR_CID_LEN as u64)
+            .ok_or_else(|| AtError::RepoError("truncated CAR block".into()))?;
+        let cid = Cid::from_bytes(&self.bytes[start..start + CAR_CID_LEN])?;
+        let data = &self.bytes[start + CAR_CID_LEN..end];
+        if !matches!(cid.codec(), CODEC_DAG_CBOR | CODEC_RAW) || sha256(data) != *cid.digest() {
+            return Err(AtError::RepoError(format!(
+                "block does not match CID {cid}"
+            )));
+        }
+        self.pos = end;
+        Ok((cid, data))
+    }
+}
+
+impl<'a> Iterator for CarReader<'a> {
+    type Item = Result<(Cid, &'a [u8])>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.pos >= self.bytes.len() {
+            return None;
+        }
+        let block = self.read_block();
+        if block.is_err() {
+            self.pos = self.bytes.len();
+        }
+        Some(block)
+    }
 }
 
 /// Decode the `(rev, data)` summary of an encoded commit block, without
@@ -1705,6 +1837,412 @@ mod tests {
         let reclaimed = repo.garbage_collect();
         assert!(reclaimed > 0);
         assert!(repo.get_block(&record_cid).is_none());
+    }
+
+    /// The live-reference counts, recomputed from scratch: every stored
+    /// record block with the number of MST keys whose value it is.
+    fn counts_by_walk(repo: &Repository) -> BTreeMap<Cid, u32> {
+        let mut counts: BTreeMap<Cid, u32> = repo.record_cids.keys().map(|c| (*c, 0)).collect();
+        for (key, cid) in repo.mst.iter() {
+            *counts
+                .get_mut(cid)
+                .unwrap_or_else(|| panic!("{key} points at an unstored block")) += 1;
+        }
+        counts
+    }
+
+    /// The compaction rule as it was written before the counts existed — a
+    /// `live` set from a walk of the whole tree, a `retained` set from the
+    /// whole retained log — kept as the oracle: what a pass at `cutoff` must
+    /// delete, and the stats it must report.
+    fn set_based_compaction(repo: &Repository, cutoff: &Tid) -> (BTreeSet<Cid>, CompactionStats) {
+        let block_len = |cid: &Cid| repo.store.get(cid).map_or(0, |b| b.len());
+        let mut stats = CompactionStats::default();
+        for cid in repo.stored_node_cids.difference(&repo.current_node_cids) {
+            stats.nodes_dropped += 1;
+            stats.bytes_reclaimed += block_len(cid);
+        }
+        let mut victims = BTreeSet::new();
+        if repo.commits.len() > 1 {
+            let floor = repo
+                .commits
+                .partition_point(|c| c.rev < *cutoff)
+                .min(repo.commits.len() - 1);
+            if floor > 0 {
+                let live: BTreeSet<Cid> = repo.mst.iter().map(|(_, c)| *c).collect();
+                let retained: BTreeSet<Cid> = repo.log[floor..]
+                    .iter()
+                    .flat_map(|e| e.record_cids.iter().copied())
+                    .collect();
+                for cid in repo.log[..floor].iter().flat_map(|e| &e.record_cids) {
+                    if !live.contains(cid)
+                        && !retained.contains(cid)
+                        && repo.record_cids.contains_key(cid)
+                        && victims.insert(*cid)
+                    {
+                        stats.records_dropped += 1;
+                        stats.bytes_reclaimed += block_len(cid);
+                    }
+                }
+                stats.commits_dropped = floor;
+            }
+        }
+        (victims, stats)
+    }
+
+    #[test]
+    fn reference_counts_agree_with_a_walk_and_the_set_based_rule() {
+        // The study's workload only creates records, so no golden reaches
+        // update, delete, shared content or rollback. Seeded random batches
+        // over small key and content pools do: identical content lands
+        // under two keys, updates rewrite identical bytes, one batch writes
+        // a key several times, and conflicting writes fail batches half-way. After every step each count equals a recount by
+        // walk, and every compaction and GC deletes exactly what the
+        // set-based rule deletes.
+        use crate::testrand::TestRng;
+        let collections = [post_nsid(), Nsid::parse(known::LIKE).unwrap()];
+        let mut seen = (0, 0, 0, 0, 0, 0, 0); // see the final assert
+        for seed in [0x5eed_0001u64, 0x5eed_0002, 0x5eed_0003] {
+            let mut rng = TestRng::new(seed);
+            let mut repo = new_repo(&format!("oracle-{seed}"));
+            for step in 0..400i64 {
+                let at = now().plus_seconds(step * 3_600);
+                // The keys present as the batch is generated, so that most
+                // writes are valid given the ones before them; one in ten
+                // ignores it and (usually) fails the batch where it stands.
+                let mut present: BTreeSet<String> =
+                    repo.mst.iter().map(|(key, _)| key.to_string()).collect();
+                let batch: Vec<Write> = (0..1 + rng.below(5))
+                    .map(|_| {
+                        let collection = collections[rng.below(2) as usize].clone();
+                        // A pool of ten keys; now and then one the tree
+                        // rejects after the block was stored.
+                        let rkey = match rng.below(60) {
+                            0 => "not a key".to_string(),
+                            _ => format!("rkey{}", rng.below(10)),
+                        };
+                        let record = post(&format!("content {}", rng.below(30)));
+                        let key = format!("{collection}/{rkey}");
+                        let exists = present.contains(&key) != (rng.below(10) == 0);
+                        match (exists, rng.below(3)) {
+                            (false, _) => {
+                                present.insert(key);
+                                Write::Create {
+                                    collection,
+                                    rkey,
+                                    record,
+                                }
+                            }
+                            (true, 0) => {
+                                present.remove(&key);
+                                Write::Delete { collection, rkey }
+                            }
+                            (true, _) => Write::Update {
+                                collection,
+                                rkey,
+                                record,
+                            },
+                        }
+                    })
+                    .collect();
+                let identical_update = batch.iter().any(|write| match write {
+                    Write::Update {
+                        collection,
+                        rkey,
+                        record,
+                    } => repo.get_record(collection, rkey).as_ref() == Some(record),
+                    _ => false,
+                });
+                let counts_before = repo.record_cids.clone();
+                let car_before = repo.export_car();
+                match repo.apply_writes(&batch, at) {
+                    Ok(_) => {
+                        seen.0 += 1;
+                        seen.1 += usize::from(identical_update);
+                    }
+                    Err(_) => {
+                        // Rollback: counts, store and index as before.
+                        seen.2 += 1;
+                        assert_eq!(repo.record_cids, counts_before, "seed {seed} step {step}");
+                        assert_eq!(repo.export_car(), car_before, "seed {seed} step {step}");
+                    }
+                }
+                assert_eq!(
+                    repo.record_cids,
+                    counts_by_walk(&repo),
+                    "seed {seed} step {step}: {batch:?}"
+                );
+                seen.3 += usize::from(repo.record_cids.values().any(|&n| n >= 2));
+                if rng.below(12) == 0 && !repo.commits.is_empty() {
+                    // A cutoff anywhere from before the oldest retained
+                    // commit to past the head.
+                    let cutoff = match rng.below(repo.commits.len() as u64 + 1) as usize {
+                        index if index < repo.commits.len() => repo.commits[index].rev,
+                        _ => Tid::from_micros(at.timestamp_micros() as u64 + 1, 0),
+                    };
+                    let (victims, expected) = set_based_compaction(&repo, &cutoff);
+                    let mut survivors = repo.record_cids.clone();
+                    survivors.retain(|cid, _| !victims.contains(cid));
+                    let victim_bytes: usize = victims
+                        .iter()
+                        .map(|cid| repo.get_block(cid).unwrap().len())
+                        .sum();
+                    let bytes_before = repo.store_size();
+                    let stats = repo.compact_before(&cutoff);
+                    assert_eq!(stats, expected, "seed {seed} step {step}");
+                    assert_eq!(repo.record_cids, survivors, "seed {seed} step {step}");
+                    assert!(victims.iter().all(|cid| repo.get_block(cid).is_none()));
+                    assert!(survivors.keys().all(|cid| repo.get_block(cid).is_some()));
+                    assert_eq!(bytes_before - repo.store_size(), victim_bytes);
+                    seen.4 += stats.records_dropped;
+                    // Idempotent, and the counts survive the pass.
+                    assert_eq!(repo.compact_before(&cutoff), CompactionStats::default());
+                    assert_eq!(repo.record_cids, counts_by_walk(&repo));
+                }
+                if rng.below(40) == 0 {
+                    // GC: exactly the blocks no key points at.
+                    let live: BTreeSet<Cid> = repo.mst.iter().map(|(_, c)| *c).collect();
+                    let dead_bytes: usize = repo
+                        .record_cids
+                        .keys()
+                        .filter(|cid| !live.contains(cid))
+                        .map(|cid| repo.get_block(cid).unwrap().len())
+                        .sum();
+                    let reclaimed = repo.garbage_collect();
+                    assert_eq!(reclaimed, dead_bytes, "seed {seed} step {step}");
+                    assert_eq!(
+                        repo.record_cids.keys().copied().collect::<BTreeSet<_>>(),
+                        live
+                    );
+                    assert_eq!(repo.record_cids, counts_by_walk(&repo));
+                    seen.5 += usize::from(reclaimed > 0);
+                    seen.6 += 1;
+                }
+            }
+        }
+        let (committed, identical, failed, shared, dropped, gc_reclaimed, gcs) = seen;
+        assert!(
+            committed > 300
+                && identical > 0
+                && failed > 100
+                && shared > 0
+                && dropped > 0
+                && gc_reclaimed > 0
+                && gcs > 0,
+            "the generator stopped reaching a case: {seen:?}"
+        );
+    }
+
+    /// A repository holding one record of each of the nine kinds over
+    /// several commits, so its archives carry commits, MST nodes and every
+    /// shape of record block; returns it with a mid-history revision.
+    fn nine_kind_repo() -> (Repository, Tid) {
+        use crate::aturi::AtUri;
+        use crate::record::*;
+        let mut repo = new_repo("nine-kinds");
+        let bob = Did::plc_from_seed(b"bob");
+        let uri = AtUri::record(bob.clone(), post_nsid(), "3kdgeujwlq32y");
+        let records = [
+            post("a post"),
+            Record::Like(LikeRecord {
+                subject: uri.clone(),
+                created_at: now(),
+            }),
+            Record::Repost(RepostRecord {
+                subject: uri,
+                created_at: now(),
+            }),
+            Record::Follow(FollowRecord {
+                subject: bob.clone(),
+                created_at: now(),
+            }),
+            Record::Block(BlockRecord {
+                subject: bob.clone(),
+                created_at: now(),
+            }),
+            Record::Profile(ProfileRecord {
+                display_name: "Nine".into(),
+                description: "kinds".into(),
+                has_avatar: true,
+                has_banner: false,
+                created_at: now(),
+            }),
+            Record::FeedGenerator(FeedGeneratorRecord {
+                service_did: bob,
+                display_name: "feed".into(),
+                description: "d".into(),
+                created_at: now(),
+            }),
+            Record::LabelerService(LabelerServiceRecord {
+                policies: vec![LabelValueDefinition {
+                    value: "spoiler".into(),
+                    severity: "inform".into(),
+                    blurs: "content".into(),
+                }],
+                created_at: now(),
+            }),
+            Record::Unknown(UnknownRecord {
+                record_type: Nsid::parse(known::WHTWND_ENTRY).unwrap(),
+                value: Value::map([("title", Value::text("long-form"))]),
+            }),
+        ];
+        let mut mid = None;
+        for (i, record) in records.into_iter().enumerate() {
+            repo.create_record(record.collection(), record, now().plus_seconds(i as i64))
+                .unwrap();
+            if i == 3 {
+                mid = repo.rev();
+            }
+        }
+        for i in 0..12 {
+            repo.create_record(
+                post_nsid(),
+                post(&format!("filler {i}")),
+                now().plus_days(1),
+            )
+            .unwrap();
+        }
+        (repo, mid.unwrap())
+    }
+
+    #[test]
+    fn record_probe_agrees_with_the_decoder_on_every_exported_block() {
+        let (repo, _) = nine_kind_repo();
+        let car = repo.export_car();
+        let (mut records, mut others) = (0, 0);
+        for block in CarReader::new(&car).unwrap() {
+            let (cid, bytes) = block.unwrap();
+            let decodes = Record::from_cbor(bytes).is_ok();
+            assert_eq!(Record::is_record_block(bytes), decodes, "{cid}");
+            if decodes {
+                records += 1;
+            } else {
+                others += 1;
+            }
+        }
+        assert_eq!(records, repo.record_count());
+        // Every retained commit and at least one MST node.
+        assert!(others > repo.commits().len());
+    }
+
+    /// `parse_car` as it was before the borrowed reader existed: its own
+    /// framing loop, an owned copy of every block and two digests per block.
+    /// Kept as the oracle the reader is fuzzed against.
+    fn reference_parse_car(bytes: &[u8]) -> Result<ParsedCar> {
+        let (header_len, mut pos) = read_varint(bytes)?;
+        let header_end = frame_end(pos, header_len, bytes.len())
+            .ok_or_else(|| AtError::RepoError("truncated CAR header".into()))?;
+        let header = cbor::decode(&bytes[pos..header_end])?;
+        pos = header_end;
+        let roots = header
+            .get("roots")
+            .and_then(Value::as_array)
+            .unwrap_or(&[])
+            .iter()
+            .filter_map(Value::as_link)
+            .copied()
+            .collect();
+        let mut blocks = BTreeMap::new();
+        while pos < bytes.len() {
+            let (len, read) = read_varint(&bytes[pos..])?;
+            pos += read;
+            let end = frame_end(pos, len, bytes.len())
+                .filter(|_| len >= 36)
+                .ok_or_else(|| AtError::RepoError("truncated CAR block".into()))?;
+            let cid = Cid::from_bytes(&bytes[pos..pos + 36])?;
+            let data = bytes[pos + 36..end].to_vec();
+            if Cid::for_cbor(&data) != cid && Cid::for_raw(&data) != cid {
+                return Err(AtError::RepoError("block does not match CID".into()));
+            }
+            blocks.insert(cid, data);
+            pos = end;
+        }
+        Ok((roots, blocks))
+    }
+
+    #[test]
+    fn car_reader_survives_mutation_and_agrees_with_the_reference_parser() {
+        use crate::testrand::TestRng;
+        let (repo, mid) = nine_kind_repo();
+        let full = repo.export_car();
+        let delta = repo.export_car_since(&mid, DeltaScope::Full).unwrap();
+        let records_only = repo.export_car_since(&mid, DeltaScope::Records).unwrap();
+        let mut rng = TestRng::new(0xca7_0001);
+        let (mut accepted, mut rejected) = (0, 0);
+        for round in 0..1_500u64 {
+            let valid = [&full, &delta, &records_only][(round % 3) as usize];
+            let mut car = valid.clone();
+            let at = rng.below(car.len() as u64) as usize;
+            match rng.below(6) {
+                // Untouched: the valid archives must be accepted.
+                0 => {}
+                1 => car.truncate(at),
+                2 => car[at] ^= 1 + rng.below(255) as u8,
+                // A length varint of u64::MAX (or just under) spliced in.
+                3 => {
+                    let mut varint = Vec::new();
+                    write_varint(u64::MAX - rng.below(40), &mut varint);
+                    car.splice(at..at, varint);
+                }
+                // A block appended under the raw codec (accepted under its
+                // own codec), or with the right digest under a codec that
+                // is neither raw nor DAG-CBOR (rejected).
+                kind => {
+                    let data = rng.bytes(64);
+                    let raw = Cid::for_raw(&data);
+                    let cid = if kind == 4 {
+                        raw
+                    } else {
+                        Cid::from_parts(0x70, *raw.digest())
+                    };
+                    let mut writer = CarWriter { out: car };
+                    writer.block(&cid, &data);
+                    car = writer.finish();
+                }
+            }
+            let reference = reference_parse_car(&car);
+            let read = CarReader::new(&car).and_then(|mut reader| {
+                let mut blocks = Vec::new();
+                for block in &mut reader {
+                    blocks.push(block?);
+                }
+                // One error ends the iteration; so does the end of input.
+                assert!(reader.next().is_none());
+                Ok((reader.roots().to_vec(), blocks))
+            });
+            let parsed = Repository::parse_car(&car);
+            assert_eq!(read.is_ok(), reference.is_ok(), "round {round}");
+            assert_eq!(parsed.is_ok(), reference.is_ok(), "round {round}");
+            let Ok((roots, blocks)) = read else {
+                rejected += 1;
+                continue;
+            };
+            accepted += 1;
+            let (reference_roots, reference_blocks) = reference.unwrap();
+            assert_eq!(roots, reference_roots, "round {round}");
+            let borrowed: BTreeMap<Cid, Vec<u8>> = blocks
+                .iter()
+                .map(|(cid, bytes)| (*cid, bytes.to_vec()))
+                .collect();
+            assert_eq!(borrowed, reference_blocks, "round {round}");
+            assert_eq!(parsed.unwrap(), (reference_roots, reference_blocks));
+            // Every slice really is a view into the input.
+            let range = car.as_ptr_range();
+            assert!(blocks
+                .iter()
+                .all(|(_, bytes)| bytes.is_empty() || range.contains(&bytes.as_ptr())));
+        }
+        assert!(accepted > 300 && rejected > 300, "{accepted} / {rejected}");
+        // An error fuses the iterator even when valid frames follow it.
+        let mut broken = full.clone();
+        let header_end = {
+            let (len, read) = read_varint(&broken).unwrap();
+            read + len as usize
+        };
+        broken[header_end + 10] ^= 0xff; // inside the first block's CID
+        let mut reader = CarReader::new(&broken).unwrap();
+        assert!(reader.next().unwrap().is_err());
+        assert!(reader.next().is_none());
     }
 
     #[test]

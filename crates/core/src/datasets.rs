@@ -45,6 +45,29 @@
 //! [`crate::pipeline::StreamSummary`] reports the bytes actually fetched,
 //! the full/delta split, and any skipped repos.
 //!
+//! What one round costs, per listed DID:
+//!
+//! * **unchanged revision** — its `listRepos` row, a lookup of its hosting
+//!   PDS and a comparison with the mirrored revision and host. No fetch, no
+//!   block touched.
+//! * **advanced revision** — one delta fetch and one pass over it with the
+//!   borrowed CAR reader: a SHA-256 per block (the CID check), a walk of
+//!   each block's top-level item heads to find its `$type`
+//!   ([`Record::is_record_block`] — no block is decoded), one decode of the
+//!   head commit to check its revision, and then exactly one copy of each
+//!   *new* record block, into the mirror's store. Nothing is inserted
+//!   before the whole delta has verified.
+//! * **new DID** (also a rewind, a re-homed repo or a failed delta) — the
+//!   same pass over a full CAR.
+//!
+//! The mirror never reads its store during a round, and a mirrored block is
+//! decoded once per study: at the window end, when
+//! [`IncrementalRepoMirror::records`] builds the emitted snapshots. A block
+//! that fails that decode (or that the store cannot return) is left out and
+//! counted in [`StreamSummary::repo_records_undecodable`]. On the PDS side
+//! the round's compaction pass costs what aged out of the window, not the
+//! repository (see `bsky_atproto::repo`, "Compaction").
+//!
 //! The paper's naive reading of §3 — download and decode every repository
 //! CAR once, at the window end, O(total repo bytes) — is not a selectable
 //! mode. It survives as the **test oracle** in this file: a test streams a
@@ -67,7 +90,7 @@ use bsky_atproto::error::AtError;
 use bsky_atproto::firehose::EventBody;
 use bsky_atproto::framing::FramingPolicy;
 use bsky_atproto::record::Record;
-use bsky_atproto::repo::{commit_summary, DeltaScope, Repository};
+use bsky_atproto::repo::{commit_summary, CarReader, DeltaScope};
 use bsky_atproto::{AtUri, Datetime, Did, Nsid, Tid};
 use bsky_feedgen::RetentionPolicy;
 use bsky_identity::DidDocument;
@@ -205,9 +228,9 @@ pub const DEFAULT_CHUNK_EVENTS: usize = 256;
 struct MirroredRepo {
     /// The revision the state is synced to (`None`: no commits yet).
     rev: Option<String>,
-    /// CIDs of every fetched block that decodes as a record — the same
-    /// view a reader of the full CAR takes, so decoding these in CID order
-    /// reproduces what a window-end full export decodes to.
+    /// CIDs of every fetched block that carries a record's `$type` — the
+    /// same view a reader of the full CAR takes, so decoding these in CID
+    /// order reproduces what a window-end full export decodes to.
     record_cids: BTreeSet<Cid>,
     /// The PDS hostname the state was fetched from. A repo that re-homes
     /// (account migration) is backfilled with a full fetch: deltas across
@@ -311,13 +334,18 @@ impl IncrementalRepoMirror {
         self.store.stats()
     }
 
-    /// Reference-counted insert of one DID's freshly fetched record blocks.
-    fn insert_records(&mut self, key: &str, records: Vec<(Cid, Vec<u8>)>) {
+    /// Reference-counted insert of one DID's freshly fetched record blocks,
+    /// still borrowed from the CAR they arrived in: a block is copied once,
+    /// into the store, and only if no DID holds it yet.
+    fn insert_records(&mut self, key: &str, records: &[(Cid, &[u8])]) {
         let entry = self.repos.entry(key.to_string()).or_default();
-        for (cid, bytes) in records {
+        for &(cid, bytes) in records {
             if entry.record_cids.insert(cid) {
-                *self.refs.entry(cid).or_insert(0) += 1;
-                self.store.put(cid, bytes);
+                let refs = self.refs.entry(cid).or_insert(0);
+                *refs += 1;
+                if *refs == 1 {
+                    self.store.put(cid, bytes.to_vec());
+                }
             }
         }
     }
@@ -457,12 +485,12 @@ impl IncrementalRepoMirror {
         // rejected delta still travelled, and the full-fetch fallback adds
         // its own bytes on top.
         summary.snapshot_bytes_fetched += delta.len() as u64;
-        let Some(records) = decode_verified_delta(&delta, current) else {
+        let Some(records) = verified_delta_records(&delta, current) else {
             return false;
         };
         summary.repo_delta_fetches += 1;
         let key = did.to_string();
-        self.insert_records(&key, records);
+        self.insert_records(&key, &records);
         self.repos
             .get_mut(&key)
             .expect("delta sync requires prior state")
@@ -496,18 +524,15 @@ impl IncrementalRepoMirror {
             Ok(car) => {
                 summary.snapshot_bytes_fetched += car.len() as u64;
                 summary.repo_full_fetches += 1;
-                let records = match Repository::parse_car(&car) {
-                    Ok((_, blocks)) => record_blocks(&blocks),
-                    Err(_) => {
-                        summary.repo_snapshot_skips += 1;
-                        self.drop_state(&key);
-                        return;
-                    }
+                let Some(scan) = scan_car(&car) else {
+                    summary.repo_snapshot_skips += 1;
+                    self.drop_state(&key);
+                    return;
                 };
                 // Replace: a full fetch supersedes any previous state
                 // (rewound repos must not retain pre-rewind records).
                 self.drop_state(&key);
-                self.insert_records(&key, records);
+                self.insert_records(&key, &scan.records);
                 let entry = self.repos.get_mut(&key).expect("just inserted");
                 entry.rev = current;
                 entry.host = host;
@@ -522,19 +547,25 @@ impl IncrementalRepoMirror {
     /// The decoded records of a mirrored DID in CID order — the exact
     /// contents a full CAR fetched now would decode to — or `None` when the
     /// DID is not mirrored. Reads go through the block store, paging in and
-    /// CID-verifying any spilled blocks.
-    pub fn records(&self, did: &Did) -> Option<Vec<(Nsid, String, Record)>> {
+    /// CID-verifying any spilled blocks. This is the one place a mirrored
+    /// block is decoded; a block the store cannot return, or one that
+    /// claimed a `$type` and then fails its lexicon, is left out of the
+    /// snapshot and counted into
+    /// [`StreamSummary::repo_records_undecodable`] — never silently.
+    pub fn records(
+        &self,
+        did: &Did,
+        summary: &mut StreamSummary,
+    ) -> Option<Vec<(Nsid, String, Record)>> {
         let entry = self.repos.get(&did.to_string())?;
-        Some(
-            entry
-                .record_cids
-                .iter()
-                .filter_map(|cid| {
-                    let record = Record::from_cbor(&self.store.get(cid)?).ok()?;
-                    Some((record.collection(), String::new(), record))
-                })
-                .collect(),
-        )
+        let mut records = Vec::with_capacity(entry.record_cids.len());
+        for cid in &entry.record_cids {
+            match self.store.get(cid).map(|bytes| Record::from_cbor(&bytes)) {
+                Some(Ok(record)) => records.push((record.collection(), String::new(), record)),
+                _ => summary.repo_records_undecodable += 1,
+            }
+        }
+        Some(records)
     }
 }
 
@@ -567,29 +598,51 @@ fn resolve_retries(
     true
 }
 
-/// Decode a delta CAR after verifying it: every block must match its CID
-/// (checked by the parser), the head commit block must be present, and its
-/// revision must be the one `listRepos` reported. Returns the record
-/// blocks, or `None` when verification fails (the caller falls back to a
-/// full fetch).
-fn decode_verified_delta(delta: &[u8], expected_rev: &str) -> Option<Vec<(Cid, Vec<u8>)>> {
-    let (roots, blocks) = Repository::parse_car(delta).ok()?;
-    let root = roots.first()?;
-    let (rev, _data) = commit_summary(blocks.get(root)?).ok()?;
-    if rev.to_string() != expected_rev {
-        return None;
-    }
-    Some(record_blocks(&blocks))
+/// What one pass over a fetched CAR yields, all of it borrowed from the
+/// archive: the head commit block the header's root names (when the archive
+/// carries it) and the record blocks in CID order.
+struct ScannedCar<'a> {
+    head_commit: Option<&'a [u8]>,
+    records: Vec<(Cid, &'a [u8])>,
 }
 
-/// Every block that decodes as a record, with its raw bytes, in CID order.
-/// Commit and MST node blocks carry no `$type` and fall out naturally.
-fn record_blocks(blocks: &BTreeMap<Cid, Vec<u8>>) -> Vec<(Cid, Vec<u8>)> {
-    blocks
-        .iter()
-        .filter(|(_, bytes)| Record::from_cbor(bytes).is_ok())
-        .map(|(cid, bytes)| (*cid, bytes.clone()))
-        .collect()
+/// One pass over a fetched CAR, or `None` when it is malformed. The reader
+/// checks the framing and verifies every block against its CID; blocks are
+/// classified by their top-level `$type` alone (commit and MST node blocks
+/// carry none and fall out), so nothing is decoded and nothing is copied
+/// here. The whole archive is read before the caller sees any of it: one
+/// bad block anywhere rejects it all.
+fn scan_car(car: &[u8]) -> Option<ScannedCar<'_>> {
+    let mut reader = CarReader::new(car).ok()?;
+    let root = reader.roots().first().copied();
+    let mut scan = ScannedCar {
+        head_commit: None,
+        records: Vec::new(),
+    };
+    for block in &mut reader {
+        let (cid, bytes) = block.ok()?;
+        if Some(cid) == root {
+            scan.head_commit = Some(bytes);
+        }
+        if Record::is_record_block(bytes) {
+            scan.records.push((cid, bytes));
+        }
+    }
+    // CID order whatever the archive's own (exports already are): the
+    // mirror's store sees the same insertion order for the same blocks.
+    scan.records.sort_unstable_by_key(|&(cid, _)| cid);
+    Some(scan)
+}
+
+/// The record blocks of a delta CAR, after verifying it: every block must
+/// match its CID (checked by the reader), the head commit block must be
+/// present, and its revision must be the one `listRepos` reported. `None`
+/// when verification fails (the caller falls back to a full fetch) — and
+/// nothing reaches the mirror before the whole delta has passed.
+fn verified_delta_records<'a>(delta: &'a [u8], expected_rev: &str) -> Option<Vec<(Cid, &'a [u8])>> {
+    let scan = scan_car(delta)?;
+    let (rev, _data) = commit_summary(scan.head_commit?).ok()?;
+    (rev.to_string() == expected_rev).then_some(scan.records)
 }
 
 /// Days of history the weekly compaction pass keeps in every repository's
@@ -1158,7 +1211,7 @@ impl Collector {
         // per collected user.
         let order = std::mem::take(&mut self.identifier_order);
         for did in &order {
-            let Some(records) = self.mirror.records(did) else {
+            let Some(records) = self.mirror.records(did, summary) else {
                 continue; // deleted mid-window; skip counted at sync
             };
             let snapshot = RepoSnapshot {
@@ -1221,6 +1274,7 @@ mod tests {
     use super::*;
     use crate::pipeline::OwnedObservation;
     use bsky_atproto::firehose::Event;
+    use bsky_atproto::repo::Repository;
     use bsky_workload::ScenarioConfig;
 
     fn small_config(seed: u64) -> ScenarioConfig {
@@ -1410,8 +1464,10 @@ mod tests {
 
     mod mirror {
         use super::*;
+        use bsky_atproto::blockstore::{CountingStore, CountingTotals};
+        use bsky_atproto::cbor::Value;
         use bsky_atproto::nsid::known;
-        use bsky_atproto::record::PostRecord;
+        use bsky_atproto::record::{PostRecord, UnknownRecord};
         use bsky_atproto::Handle;
         use bsky_pds::PdsFleet;
         use bsky_relay::Relay;
@@ -1455,28 +1511,47 @@ mod tests {
             (relay, fleet, dids)
         }
 
+        /// A mirror over a counting in-memory store.
+        fn counted_mirror() -> (IncrementalRepoMirror, Arc<CountingTotals>) {
+            let (store, totals) = CountingStore::new(StoreConfig::mem().build());
+            (IncrementalRepoMirror::with_store(Box::new(store)), totals)
+        }
+
         #[test]
         fn unchanged_revs_cost_no_fetches() {
             let (mut relay, mut fleet, dids) = setup(3);
-            let mut mirror = IncrementalRepoMirror::new();
+            let (mut mirror, store) = counted_mirror();
             let mut summary = StreamSummary::default();
             mirror.sync(&mut relay, &mut fleet, now(), &mut summary);
             assert_eq!(mirror.len(), 3);
             assert_eq!(summary.repo_full_fetches, 3);
             let after_first = summary;
-            // Nothing changed: the second weekly sync is free.
+            let puts_after_first = store.puts();
+            // Nothing changed: the second weekly sync is free — no fetch,
+            // no block written.
             mirror.sync(&mut relay, &mut fleet, now(), &mut summary);
             assert_eq!(summary, after_first);
-            assert!(mirror.records(&dids[0]).unwrap().len() >= 10);
+            assert_eq!(store.puts(), puts_after_first);
+            // Syncing never reads a block back and stores each record block
+            // once: what the store was handed is what the snapshots decode.
+            assert_eq!(store.gets(), 0);
+            let mirrored: usize = dids
+                .iter()
+                .map(|did| mirror.records(did, &mut summary).unwrap().len())
+                .sum();
+            assert!(mirrored >= 30);
+            assert_eq!(store.puts(), mirrored as u64);
+            assert_eq!(summary.repo_records_undecodable, 0);
         }
 
         #[test]
         fn advanced_revs_sync_with_deltas() {
             let (mut relay, mut fleet, dids) = setup(3);
-            let mut mirror = IncrementalRepoMirror::new();
+            let (mut mirror, store) = counted_mirror();
             let mut summary = StreamSummary::default();
             mirror.sync(&mut relay, &mut fleet, now(), &mut summary);
             let full_bytes = summary.snapshot_bytes_fetched;
+            let puts_after_first = store.puts();
 
             // One user posts; only that repo is re-synced, as a delta.
             post_on(&mut fleet, &dids[1], "fresh", now().plus_days(1));
@@ -1487,8 +1562,12 @@ mod tests {
             let delta_bytes = summary.snapshot_bytes_fetched - full_bytes;
             assert!(delta_bytes > 0);
             assert!(delta_bytes < full_bytes / 3, "delta must be small");
+            // The delta cost the store its one new record block — the head
+            // commit it carried was verified, not kept — and no read.
+            assert_eq!(store.puts(), puts_after_first + 1);
+            assert_eq!(store.gets(), 0);
             // The mirrored state now includes the new record.
-            let records = mirror.records(&dids[1]).unwrap();
+            let records = mirror.records(&dids[1], &mut summary).unwrap();
             assert!(records.iter().any(|(_, _, r)| *r == post("fresh")));
         }
 
@@ -1507,8 +1586,8 @@ mod tests {
             relay.crawl(&fleet, now().plus_days(1));
             mirror.sync(&mut relay, &mut fleet, now().plus_days(1), &mut summary);
             assert_eq!(mirror.len(), 1);
-            assert!(mirror.records(&dids[0]).is_none());
-            assert!(mirror.records(&dids[1]).is_some());
+            assert!(mirror.records(&dids[0], &mut summary).is_none());
+            assert!(mirror.records(&dids[1], &mut summary).is_some());
             // The dropped repo is a dataset gap, counted as a skip.
             assert_eq!(summary.repo_snapshot_skips, 1);
         }
@@ -1549,7 +1628,7 @@ mod tests {
             assert_eq!(summary.repo_full_fetches, 3);
             let new_rev = mirror.synced_rev(&did).unwrap().unwrap().to_string();
             assert_ne!(new_rev, old_rev);
-            let records = mirror.records(&did).unwrap();
+            let records = mirror.records(&did, &mut summary).unwrap();
             assert!(records.iter().any(|(_, _, r)| *r == post("rewound")));
             assert!(
                 !records.iter().any(|(_, _, r)| *r == post("u0 post 0")),
@@ -1587,8 +1666,49 @@ mod tests {
             assert_eq!(summary.repo_compaction_fallbacks, 1, "{summary:?}");
             assert_eq!(summary.repo_delta_fetches, 0);
             assert_eq!(summary.repo_full_fetches, 3);
-            let records = mirror.records(&dids[0]).unwrap();
+            let records = mirror.records(&dids[0], &mut summary).unwrap();
             assert!(records.iter().any(|(_, _, r)| *r == post("after window")));
+        }
+
+        #[test]
+        fn undecodable_mirrored_blocks_are_counted_not_dropped() {
+            // A block that claims the post lexicon and lacks its required
+            // fields: the `$type` probe mirrors it, the window-end decode
+            // refuses it. It must show up in the summary, once, and not in
+            // the snapshot.
+            let (mut relay, mut fleet, dids) = setup(2);
+            let post_nsid = Nsid::parse(known::POST).unwrap();
+            let imposter = Record::Unknown(UnknownRecord {
+                record_type: post_nsid.clone(),
+                value: Value::map([("note", Value::text("no text, no createdAt"))]),
+            });
+            assert!(Record::is_record_block(&imposter.to_cbor()));
+            assert!(Record::from_cbor(&imposter.to_cbor()).is_err());
+            fleet
+                .pds_for_mut(&dids[0])
+                .unwrap()
+                .create_record(&dids[0], post_nsid, imposter, now().plus_days(1))
+                .unwrap();
+            relay.crawl(&fleet, now().plus_days(1));
+
+            let mut mirror = IncrementalRepoMirror::new();
+            let mut summary = StreamSummary::default();
+            mirror.sync(&mut relay, &mut fleet, now().plus_days(1), &mut summary);
+            assert_eq!(summary.repo_records_undecodable, 0, "counted at decode");
+            let healthy = mirror.records(&dids[1], &mut summary).unwrap();
+            assert_eq!(summary.repo_records_undecodable, 0);
+            let gapped = mirror.records(&dids[0], &mut summary).unwrap();
+            assert_eq!(summary.repo_records_undecodable, 1);
+            assert_eq!(gapped.len(), healthy.len());
+            assert!(gapped.iter().all(|(_, _, r)| matches!(r, Record::Post(_))));
+
+            // Rendered only when non-zero, and shards add up exactly.
+            assert!(!StreamSummary::default().render().contains("undecodable"));
+            assert!(summary.render().contains("1 mirrored block(s) undecodable"));
+            let mut merged = StreamSummary::default();
+            merged.absorb(&summary);
+            merged.absorb(&summary);
+            assert_eq!(merged.repo_records_undecodable, 2);
         }
 
         #[test]
@@ -1609,8 +1729,13 @@ mod tests {
             );
             assert!(paged.store_stats().resident_bytes < mem.store_stats().resident_bytes);
             for did in &dids {
-                assert_eq!(paged.records(did), mem.records(did), "{did}");
+                assert_eq!(
+                    paged.records(did, &mut s2),
+                    mem.records(did, &mut s1),
+                    "{did}"
+                );
             }
+            assert_eq!(s1.repo_records_undecodable + s2.repo_records_undecodable, 0);
             // Dropping every DID empties the store (refcounts balance).
             paged.clear();
             assert_eq!(paged.store_stats().blocks, 0);

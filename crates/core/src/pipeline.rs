@@ -385,6 +385,11 @@ pub struct StreamSummary {
     /// compacted the mirror's revision out of its delta-serving window —
     /// surfaced here, never silent.
     pub repo_compaction_fallbacks: u64,
+    /// Mirrored record blocks left out of the emitted repository snapshots
+    /// because the mirror's store could not return them or because they
+    /// claimed a `$type` and then failed their lexicon's decode. A visible
+    /// dataset gap, never a silent drop; zero in every clean run.
+    pub repo_records_undecodable: u64,
     /// Block-store bytes reclaimed by the weekly repository compaction
     /// passes (aged-out commits, superseded MST nodes, unreachable record
     /// versions).
@@ -521,6 +526,12 @@ impl StreamSummary {
                 self.store_corrupt_reads
             ));
         }
+        if self.repo_records_undecodable > 0 {
+            out.push_str(&format!(
+                "; repo records: {} mirrored block(s) undecodable, left out of the snapshots",
+                self.repo_records_undecodable
+            ));
+        }
         if self.appview_labels_preindex > 0 {
             out.push_str(&format!(
                 "; appview: {} label(s) targeted unindexed entities",
@@ -610,6 +621,7 @@ impl StreamSummary {
         self.repo_delta_fetches += other.repo_delta_fetches;
         self.repo_snapshot_skips += other.repo_snapshot_skips;
         self.repo_compaction_fallbacks += other.repo_compaction_fallbacks;
+        self.repo_records_undecodable += other.repo_records_undecodable;
         self.store_bytes_reclaimed += other.store_bytes_reclaimed;
         self.resident_block_bytes += other.resident_block_bytes;
         self.spilled_block_bytes += other.spilled_block_bytes;

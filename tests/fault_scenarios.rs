@@ -198,6 +198,13 @@ fn scenarios_are_shard_and_store_exact_and_never_silent() {
                 merged.backfill_full_fetches, other.backfill_full_fetches,
                 "{name}: {label} backfills diverged"
             );
+            // Faults cost fetches, never decodes: whatever the mirror kept
+            // through outages, migrations and backfills still decodes.
+            assert_eq!(
+                merged.repo_records_undecodable + other.repo_records_undecodable,
+                0,
+                "{name}: {label} left a mirrored block undecoded"
+            );
         }
     }
 }

@@ -89,6 +89,10 @@ fn federated_runs_are_byte_identical_to_single_relay() {
                     merged.relay_duplicates_dropped, 0,
                     "{label}: clean contiguous partitions must produce zero duplicates"
                 );
+                assert_eq!(
+                    merged.repo_records_undecodable, 0,
+                    "{label}: a mirrored record block failed to decode"
+                );
                 match counters {
                     None => {
                         counters = Some((merged.relay_events_forwarded, merged.relay_dedup_tracked))

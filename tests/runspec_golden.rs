@@ -42,7 +42,10 @@ const GOLDEN: [(u64, u64, u64); 2] = [
 #[test]
 fn runspec_defaults_match_pre_redesign_goldens() {
     for (seed, render_hash, json_hash) in GOLDEN {
-        let (report, _) = StudyReport::run_serial(&spec(seed));
+        let (report, summary) = StudyReport::run_serial(&spec(seed));
+        // The goldens are complete datasets: every mirrored record block
+        // decoded into its snapshot.
+        assert_eq!(summary.repo_records_undecodable, 0, "seed {seed}");
         assert_eq!(
             fnv1a_64(report.render().as_bytes(), FNV_OFFSET),
             render_hash,
@@ -105,6 +108,14 @@ fn write_back_cache_is_byte_inert_everywhere() {
                 assert_eq!(
                     raw_summary.merged.writeback_hits, 0,
                     "{label}: raw run hit a write-back buffer"
+                );
+                // Sharded and paged mirrors decode every block too (the
+                // per-shard counts merge by addition).
+                assert_eq!(
+                    cached_summary.merged.repo_records_undecodable
+                        + raw_summary.merged.repo_records_undecodable,
+                    0,
+                    "{label}: a mirrored record block failed to decode"
                 );
                 // The hot/cold counter split coalesces same-day counter
                 // bumps regardless of the cache knob.
