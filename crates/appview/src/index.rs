@@ -56,7 +56,7 @@
 //! property test in `shards.rs`).
 
 use bsky_atproto::blockstore::{BlockStore, StoreConfig, StoreStats, WriteBackStore};
-use bsky_atproto::cbor::{self, Value};
+use bsky_atproto::cbor::{self, raw, Reader, Value};
 use bsky_atproto::cid::Cid;
 use bsky_atproto::did::{fnv1a_64, FNV_OFFSET};
 use bsky_atproto::firehose::{Event, EventBody};
@@ -92,37 +92,33 @@ impl PostInfo {
     /// the author is not stored at all — a post's author *is* the DID
     /// authority of its `at://` URI, so decode derives it.
     pub fn content_block(&self) -> Vec<u8> {
-        cbor::encode(&Value::Array(vec![
-            Value::text(self.uri.to_string()),
-            Record::Post(self.record.clone()).to_value(),
-            Value::Int(self.indexed_at.timestamp()),
-            labels_to_value(&self.labels),
-        ]))
+        post_content_block(&self.uri, &self.record, self.indexed_at, &self.labels)
     }
 
     /// Decode a content block; the counters come back zeroed and the caller
     /// overlays [`PostInfo::with_counters`]. `None` on any mismatch — the
     /// store contract already maps corrupt blocks to "absent", and the
-    /// index treats an undecodable entity the same way.
+    /// index treats an undecodable entity the same way. The format has one
+    /// writer, [`PostInfo::content_block`], so this reads exactly what that
+    /// writes (one typed pass, see `bsky_atproto::cbor`) and nothing else.
     pub fn from_content(bytes: &[u8]) -> Option<PostInfo> {
-        let value = cbor::decode(bytes).ok()?;
-        let [uri, record, indexed_at, labels] = value.as_array()? else {
+        let mut r = Reader::new(bytes);
+        if r.array()? != 4 {
             return None;
-        };
-        let record = match Record::from_value(record).ok()? {
-            Record::Post(post) => post,
-            _ => return None,
-        };
-        let uri = AtUri::parse(uri.as_text()?).ok()?;
+        }
+        let uri = AtUri::parse(r.text()?).ok()?;
+        let record = PostRecord::decode_from(&mut r)?;
+        let indexed_at = Datetime(r.int()?);
+        let labels = decode_labels(&mut r)?;
         let author = uri.did().clone();
-        Some(PostInfo {
+        r.at_end().then_some(PostInfo {
             uri,
             author,
             record,
-            indexed_at: Datetime(indexed_at.as_int()?),
+            indexed_at,
             like_count: 0,
             repost_count: 0,
-            labels: labels_from_value(labels)?,
+            labels,
         })
     }
 
@@ -284,42 +280,46 @@ impl ActorInfo {
     /// positional array `[did, handle, profile, accountLabels, deleted]`,
     /// as in [`PostInfo::content_block`].
     pub fn content_block(&self) -> Vec<u8> {
-        cbor::encode(&Value::Array(vec![
-            Value::text(self.did.to_string()),
-            Value::text(self.handle.as_str()),
-            match &self.profile {
-                Some(profile) => Record::Profile(profile.clone()).to_value(),
-                None => Value::Null,
-            },
-            labels_to_value(&self.account_labels),
-            Value::Bool(self.deleted),
-        ]))
+        let mut out = Vec::with_capacity(192);
+        raw::array_head(5, &mut out);
+        encode_did(&self.did, &mut out);
+        raw::text(self.handle.as_str(), &mut out);
+        match &self.profile {
+            Some(profile) => profile.encode_into(&mut out),
+            None => raw::null(&mut out),
+        }
+        encode_labels(&self.account_labels, &mut out);
+        raw::bool(self.deleted, &mut out);
+        out
     }
 
     /// Decode a content block; counters come back zeroed for
-    /// [`ActorInfo::with_counters`] to overlay (`None` on any mismatch).
+    /// [`ActorInfo::with_counters`] to overlay (`None` on any mismatch; as
+    /// with [`PostInfo::from_content`], exactly what the one writer writes).
     pub fn from_content(bytes: &[u8]) -> Option<ActorInfo> {
-        let value = cbor::decode(bytes).ok()?;
-        let [did, handle, profile, account_labels, deleted] = value.as_array()? else {
+        let mut r = Reader::new(bytes);
+        if r.array()? != 5 {
             return None;
+        }
+        let did = Did::parse(r.text()?).ok()?;
+        let handle = Handle::parse(r.text()?).ok()?;
+        let profile = if r.null() {
+            None
+        } else {
+            Some(ProfileRecord::decode_from(&mut r)?)
         };
-        let profile = match profile {
-            Value::Null => None,
-            profile => match Record::from_value(profile).ok()? {
-                Record::Profile(profile) => Some(profile),
-                _ => return None,
-            },
-        };
-        Some(ActorInfo {
-            did: Did::parse(did.as_text()?).ok()?,
-            handle: Handle::parse(handle.as_text()?).ok()?,
+        let account_labels = decode_labels(&mut r)?;
+        let deleted = r.bool()?;
+        r.at_end().then_some(ActorInfo {
+            did,
+            handle,
             profile,
             follows: 0,
             followers: 0,
             posts: 0,
             blocked_by: 0,
-            account_labels: labels_from_value(account_labels)?,
-            deleted: deleted.as_bool()?,
+            account_labels,
+            deleted,
         })
     }
 
@@ -343,29 +343,74 @@ impl ActorInfo {
     }
 }
 
-fn labels_to_value(labels: &[(Did, String)]) -> Value {
-    Value::Array(
-        labels
-            .iter()
-            .map(|(src, value)| {
-                Value::Array(vec![Value::text(src.to_string()), Value::text(value)])
-            })
-            .collect(),
-    )
+/// Write (or rewrite) the cold content block of the entity keyed `key` in
+/// `entities` (the post or the actor map). Counter state is deliberately
+/// untouched.
+fn save_content(
+    entities: &mut BTreeMap<String, EntityRef>,
+    store: &mut dyn BlockStore,
+    key: &str,
+    bytes: Vec<u8>,
+) {
+    let cid = Cid::for_cbor(&bytes);
+    if let Some(entry) = entities.get_mut(key) {
+        let old = entry.content;
+        if old != cid {
+            entry.content = cid;
+            store.delete(&old);
+            store.put(cid, bytes);
+        }
+    } else {
+        entities.insert(key.to_string(), EntityRef::content_only(cid));
+        store.put(cid, bytes);
+    }
 }
 
-fn labels_from_value(value: &Value) -> Option<Vec<(Did, String)>> {
-    value
-        .as_array()?
-        .iter()
-        .map(|pair| {
-            let pair = pair.as_array()?;
-            Some((
-                Did::parse(pair.first()?.as_text()?).ok()?,
-                pair.get(1)?.as_text()?.to_string(),
-            ))
-        })
-        .collect()
+/// A post's cold content block, `[uri, record, indexedAt, labels]`, encoded
+/// from borrowed parts in one typed pass: what [`PostInfo::content_block`]
+/// writes, without needing a `PostInfo` (ingestion has only the borrowed
+/// record).
+fn post_content_block(
+    uri: &AtUri,
+    record: &PostRecord,
+    indexed_at: Datetime,
+    labels: &[(Did, String)],
+) -> Vec<u8> {
+    let mut out = Vec::with_capacity(256);
+    raw::array_head(4, &mut out);
+    raw::text_head(uri.string_len(), &mut out);
+    uri.write_to(&mut out);
+    record.encode_into(&mut out);
+    raw::int(indexed_at.timestamp(), &mut out);
+    encode_labels(labels, &mut out);
+    out
+}
+
+fn encode_did(did: &Did, out: &mut Vec<u8>) {
+    raw::text_head(did.string_len(), out);
+    did.write_to(out);
+}
+
+/// Labels as an array of `[source DID, value]` pairs.
+fn encode_labels(labels: &[(Did, String)], out: &mut Vec<u8>) {
+    raw::array_head(labels.len() as u64, out);
+    for (src, value) in labels {
+        raw::array_head(2, out);
+        encode_did(src, out);
+        raw::text(value, out);
+    }
+}
+
+fn decode_labels(r: &mut Reader<'_>) -> Option<Vec<(Did, String)>> {
+    let len = r.array()?;
+    let mut labels = Vec::with_capacity(len);
+    for _ in 0..len {
+        if r.array()? != 2 {
+            return None;
+        }
+        labels.push((Did::parse(r.text()?).ok()?, r.text()?.to_string()));
+    }
+    Some(labels)
 }
 
 /// Canonical timeline order: newest first by the post's self-reported
@@ -508,49 +553,15 @@ impl AppViewIndex {
         Some(info.with_counters(self.actor_counters_for(key, entry)))
     }
 
-    /// Write (or rewrite) a post's cold content block. Counter state is
-    /// deliberately untouched.
-    fn save_post_content(&mut self, info: &PostInfo) {
-        let key = info.uri.to_string();
-        let bytes = info.content_block();
-        let cid = Cid::for_cbor(&bytes);
-        if let Some(entry) = self.posts.get_mut(&key) {
-            let old = entry.content;
-            if old != cid {
-                entry.content = cid;
-                self.store.delete(&old);
-                self.store.put(cid, bytes);
-            }
-        } else {
-            self.posts.insert(key, EntityRef::content_only(cid));
-            self.store.put(cid, bytes);
-        }
-    }
-
-    fn save_actor_content(&mut self, info: &ActorInfo) {
-        let key = info.did.to_string();
-        let bytes = info.content_block();
-        let cid = Cid::for_cbor(&bytes);
-        if let Some(entry) = self.actors.get_mut(&key) {
-            let old = entry.content;
-            if old != cid {
-                entry.content = cid;
-                self.store.delete(&old);
-                self.store.put(cid, bytes);
-            }
-        } else {
-            self.actors.insert(key, EntityRef::content_only(cid));
-            self.store.put(cid, bytes);
-        }
-    }
-
     /// Mutate a post's hot counters — a resident map update, no block
     /// traffic (no-op for unknown posts, like every counter primitive).
-    fn update_post_counters(&mut self, key: &str, apply: impl FnOnce(&mut PostCounters)) {
-        let Some(entry) = self.posts.get(key).copied() else {
+    /// The key is taken owned: a first bump of the day moves it into the
+    /// dirty map, so rendering it is the only allocation of a counter bump.
+    fn update_post_counters(&mut self, key: String, apply: impl FnOnce(&mut PostCounters)) {
+        let Some(entry) = self.posts.get(&key).copied() else {
             return;
         };
-        if let Some(counters) = self.dirty_posts.get_mut(key) {
+        if let Some(counters) = self.dirty_posts.get_mut(&key) {
             apply(counters);
             self.counter_coalesced_writes += 1;
             return;
@@ -561,14 +572,14 @@ impl AppViewIndex {
             .and_then(|bytes| PostCounters::from_block(&bytes))
             .unwrap_or_default();
         apply(&mut counters);
-        self.dirty_posts.insert(key.to_string(), counters);
+        self.dirty_posts.insert(key, counters);
     }
 
-    fn update_actor_counters(&mut self, key: &str, apply: impl FnOnce(&mut ActorCounters)) {
-        let Some(entry) = self.actors.get(key).copied() else {
+    fn update_actor_counters(&mut self, key: String, apply: impl FnOnce(&mut ActorCounters)) {
+        let Some(entry) = self.actors.get(&key).copied() else {
             return;
         };
-        if let Some(counters) = self.dirty_actors.get_mut(key) {
+        if let Some(counters) = self.dirty_actors.get_mut(&key) {
             apply(counters);
             self.counter_coalesced_writes += 1;
             return;
@@ -579,18 +590,18 @@ impl AppViewIndex {
             .and_then(|bytes| ActorCounters::from_block(&bytes))
             .unwrap_or_default();
         apply(&mut counters);
-        self.dirty_actors.insert(key.to_string(), counters);
+        self.dirty_actors.insert(key, counters);
     }
 
     /// Replace a post's counter state wholesale (the insert/replace path).
-    fn set_post_counters(&mut self, key: &str, counters: PostCounters) {
+    fn set_post_counters(&mut self, key: String, counters: PostCounters) {
         if counters.is_default()
-            && !self.dirty_posts.contains_key(key)
-            && self.posts.get(key).is_none_or(|e| e.counters.is_none())
+            && !self.dirty_posts.contains_key(&key)
+            && self.posts.get(&key).is_none_or(|e| e.counters.is_none())
         {
             return; // fresh default state needs no tracking at all
         }
-        self.dirty_posts.insert(key.to_string(), counters);
+        self.dirty_posts.insert(key, counters);
     }
 
     /// Rewrite a post's cold content (labels are the only mutable cold
@@ -599,7 +610,12 @@ impl AppViewIndex {
         match self.load_post_key(key) {
             Some(mut info) => {
                 apply(&mut info);
-                self.save_post_content(&info);
+                save_content(
+                    &mut self.posts,
+                    self.store.as_mut(),
+                    key,
+                    info.content_block(),
+                );
                 true
             }
             None => false,
@@ -610,7 +626,12 @@ impl AppViewIndex {
         match self.load_actor_key(key) {
             Some(mut info) => {
                 apply(&mut info);
-                self.save_actor_content(&info);
+                save_content(
+                    &mut self.actors,
+                    self.store.as_mut(),
+                    key,
+                    info.content_block(),
+                );
                 true
             }
             None => false,
@@ -690,10 +711,10 @@ impl AppViewIndex {
     /// Register an account (from an identity event or backfill). Targets
     /// the actor entity only.
     pub fn upsert_actor(&mut self, did: &Did, handle: &Handle) {
-        let key = did.to_string();
-        let handle_for_update = handle.clone();
-        if !self.update_actor_content(&key, move |a| a.handle = handle_for_update) {
-            self.save_actor_content(&ActorInfo::fresh(did, handle));
+        let key = did.as_string();
+        if !self.update_actor_content(&key, |a| a.handle = handle.clone()) {
+            let fresh = ActorInfo::fresh(did, handle).content_block();
+            save_content(&mut self.actors, self.store.as_mut(), &key, fresh);
         }
     }
 
@@ -702,74 +723,75 @@ impl AppViewIndex {
         self.records_indexed += 1;
     }
 
-    /// Insert (or replace) a post entity. Targets the post entity only —
-    /// the author's post counter is [`AppViewIndex::credit_author_post`].
-    pub fn insert_post(&mut self, info: PostInfo) {
-        let key = info.uri.to_string();
-        let counters = info.counters();
-        self.save_post_content(&info);
-        self.set_post_counters(&key, counters);
+    /// Insert (or replace) the post entity of a freshly ingested record:
+    /// zero counters, no labels, the content block encoded straight from
+    /// the borrowed record. Targets the post entity only — the author's
+    /// post counter is [`AppViewIndex::credit_author_post`].
+    pub fn insert_post(&mut self, uri: &AtUri, record: &PostRecord, at: Datetime) {
+        let key = uri.as_string();
+        let bytes = post_content_block(uri, record, at, &[]);
+        save_content(&mut self.posts, self.store.as_mut(), &key, bytes);
+        self.set_post_counters(key, PostCounters::default());
     }
 
     /// Credit one post to an author's counter (no-op for unknown actors,
     /// like the live AppView's denormalized counts).
     pub fn credit_author_post(&mut self, author: &Did) {
-        self.update_actor_counters(&author.to_string(), |a| a.posts += 1);
+        self.update_actor_counters(author.as_string(), |a| a.posts += 1);
     }
 
     /// Debit one post from an author's counter (saturating).
     pub fn debit_author_post(&mut self, author: &Did) {
-        self.update_actor_counters(&author.to_string(), |a| a.posts = a.posts.saturating_sub(1));
+        self.update_actor_counters(author.as_string(), |a| a.posts = a.posts.saturating_sub(1));
     }
 
     /// Count a like on a post (no-op when the post is unknown).
     pub fn apply_like(&mut self, subject: &AtUri) {
-        self.update_post_counters(&subject.to_string(), |p| p.like_count += 1);
+        self.update_post_counters(subject.as_string(), |p| p.like_count += 1);
     }
 
     /// Count a repost (no-op when the post is unknown).
     pub fn apply_repost(&mut self, subject: &AtUri) {
-        self.update_post_counters(&subject.to_string(), |p| p.repost_count += 1);
+        self.update_post_counters(subject.as_string(), |p| p.repost_count += 1);
     }
 
     /// Insert a follow edge (keyed by the follower). Returns `true` when
     /// the edge is new — the caller then credits both endpoint counters.
     pub fn insert_follow_edge(&mut self, follower: &Did, followed: &Did) -> bool {
         self.follow_edges
-            .insert((follower.to_string(), followed.to_string()))
+            .insert((follower.as_string(), followed.as_string()))
     }
 
     /// Credit one follow to the follower's counter (no-op when unknown).
     pub fn credit_follows(&mut self, follower: &Did) {
-        self.update_actor_counters(&follower.to_string(), |a| a.follows += 1);
+        self.update_actor_counters(follower.as_string(), |a| a.follows += 1);
     }
 
     /// Credit one follower to the followed account's counter.
     pub fn credit_followers(&mut self, followed: &Did) {
-        self.update_actor_counters(&followed.to_string(), |a| a.followers += 1);
+        self.update_actor_counters(followed.as_string(), |a| a.followers += 1);
     }
 
     /// Insert a block edge (keyed by the blocker). Returns `true` when new.
     pub fn insert_block_edge(&mut self, blocker: &Did, blocked: &Did) -> bool {
         self.block_edges
-            .insert((blocker.to_string(), blocked.to_string()))
+            .insert((blocker.as_string(), blocked.as_string()))
     }
 
     /// Credit one block against the blocked account's counter.
     pub fn credit_blocked_by(&mut self, blocked: &Did) {
-        self.update_actor_counters(&blocked.to_string(), |a| a.blocked_by += 1);
+        self.update_actor_counters(blocked.as_string(), |a| a.blocked_by += 1);
     }
 
     /// Attach a profile record to an actor (no-op when unknown).
     pub fn set_profile(&mut self, author: &Did, profile: &ProfileRecord) {
-        let profile = profile.clone();
-        self.update_actor_content(&author.to_string(), move |a| a.profile = Some(profile));
+        self.update_actor_content(&author.as_string(), |a| a.profile = Some(profile.clone()));
     }
 
     /// Remove a post entity, returning it (the caller debits the author's
     /// counter, which may live on another shard).
     pub fn take_post(&mut self, uri: &AtUri) -> Option<PostInfo> {
-        let key = uri.to_string();
+        let key = uri.as_string();
         let info = self.load_post_key(&key);
         self.dirty_posts.remove(&key);
         if let Some(entry) = self.posts.remove(&key) {
@@ -789,7 +811,7 @@ impl AppViewIndex {
 
     /// Mark an account tombstoned (no-op when unknown).
     pub fn mark_deleted(&mut self, did: &Did) {
-        self.update_actor_content(&did.to_string(), |a| a.deleted = true);
+        self.update_actor_content(&did.as_string(), |a| a.deleted = true);
     }
 
     /// Purge every post authored by `did` from this index's post map
@@ -829,15 +851,7 @@ impl AppViewIndex {
         match record {
             Record::Post(post) => {
                 let uri = AtUri::record(author.clone(), collection.clone(), rkey);
-                self.insert_post(PostInfo {
-                    uri,
-                    author: author.clone(),
-                    record: post.clone(),
-                    indexed_at: at,
-                    like_count: 0,
-                    repost_count: 0,
-                    labels: Vec::new(),
-                });
+                self.insert_post(&uri, post, at);
                 self.credit_author_post(author);
             }
             Record::Like(like) => self.apply_like(&like.subject),
@@ -902,12 +916,12 @@ impl AppViewIndex {
         };
         match &label.target {
             LabelTarget::Record(uri) => {
-                if !self.update_post_content(&uri.to_string(), |post| apply(&mut post.labels)) {
+                if !self.update_post_content(&uri.as_string(), |post| apply(&mut post.labels)) {
                     self.labels_preindex += 1;
                 }
             }
             LabelTarget::Account(did) | LabelTarget::ProfileMedia(did) => {
-                if !self.update_actor_content(&did.to_string(), |actor| {
+                if !self.update_actor_content(&did.as_string(), |actor| {
                     apply(&mut actor.account_labels)
                 }) {
                     self.labels_preindex += 1;
@@ -920,27 +934,27 @@ impl AppViewIndex {
 
     /// Look up a post (decodes its block; spilled blocks page in verified).
     pub fn post(&self, uri: &AtUri) -> Option<PostInfo> {
-        self.load_post_key(&uri.to_string())
+        self.load_post_key(&uri.as_string())
     }
 
     /// Whether a post is indexed — a key-index probe, no block decode.
     pub fn has_post(&self, uri: &AtUri) -> bool {
-        self.posts.contains_key(&uri.to_string())
+        self.posts.contains_key(&uri.as_string())
     }
 
     /// Look up an actor.
     pub fn actor(&self, did: &Did) -> Option<ActorInfo> {
-        self.load_actor_key(&did.to_string())
+        self.load_actor_key(&did.as_string())
     }
 
     /// Whether `a` follows `b`.
     pub fn follows(&self, a: &Did, b: &Did) -> bool {
-        self.follow_edges.contains(&(a.to_string(), b.to_string()))
+        self.follow_edges.contains(&(a.as_string(), b.as_string()))
     }
 
     /// Whether `a` blocks `b`.
     pub fn blocks(&self, a: &Did, b: &Did) -> bool {
-        self.block_edges.contains(&(a.to_string(), b.to_string()))
+        self.block_edges.contains(&(a.as_string(), b.as_string()))
     }
 
     /// Number of indexed posts.
@@ -1005,7 +1019,7 @@ impl AppViewIndex {
 
     /// The DIDs `viewer` follows (string form), from this index's edge set.
     pub fn follow_targets(&self, viewer: &Did) -> BTreeSet<String> {
-        let key = viewer.to_string();
+        let key = viewer.as_string();
         self.follow_edges
             .range((key.clone(), String::new())..)
             .take_while(|(follower, _)| follower == &key)
@@ -1331,6 +1345,127 @@ mod tests {
     }
 
     #[test]
+    fn content_blocks_match_their_value_built_forms() {
+        // The typed content-block writers against the generic encoder over
+        // the `Value` the blocks used to be built as, on seeded random
+        // entities; and the typed readers take back exactly what was
+        // written.
+        use bsky_atproto::record::{Embed, ImageEmbed, MediaKind};
+        use bsky_atproto::testrand::TestRng;
+        fn labels_value(labels: &[(Did, String)]) -> Value {
+            Value::Array(
+                labels
+                    .iter()
+                    .map(|(src, value)| {
+                        Value::Array(vec![Value::text(src.to_string()), Value::text(value)])
+                    })
+                    .collect(),
+            )
+        }
+        let mut rng = TestRng::new(0xb10c);
+        let arb_labels = |rng: &mut TestRng| -> Vec<(Did, String)> {
+            (0..rng.below(3))
+                .map(|_| (did(&rng.lowercase(1, 8)), rng.lowercase(0, 30)))
+                .collect()
+        };
+        for round in 0..300 {
+            let author = match round % 3 {
+                0 => Did::web(&format!("{}.example.org", rng.lowercase(1, 30))).unwrap(),
+                _ => did(&rng.lowercase(1, 8)),
+            };
+            let created_at = now().plus_seconds(rng.below(1 << 24) as i64);
+            let embed = match round % 4 {
+                0 => Some(Embed::Images(vec![
+                    ImageEmbed {
+                        alt: None,
+                        kind: MediaKind::GifTenor,
+                    },
+                    ImageEmbed {
+                        alt: Some(rng.lowercase(0, 300)),
+                        kind: MediaKind::Artwork,
+                    },
+                ])),
+                1 => Some(Embed::Record(AtUri::record(
+                    did("quoted"),
+                    post_nsid(),
+                    rng.lowercase(1, 13),
+                ))),
+                2 => Some(Embed::External {
+                    uri: format!("https://example.org/{}", rng.lowercase(0, 40)),
+                }),
+                _ => None,
+            };
+            let post = PostInfo {
+                uri: AtUri::record(author.clone(), post_nsid(), rng.lowercase(1, 13)),
+                author: author.clone(),
+                record: PostRecord {
+                    text: rng.lowercase(0, 300),
+                    created_at,
+                    langs: (0..rng.below(3)).map(|_| rng.lowercase(2, 2)).collect(),
+                    reply_parent: (round % 5 == 0)
+                        .then(|| AtUri::record(did("parent"), post_nsid(), "p00001s00")),
+                    embed,
+                    tags: (0..rng.below(3)).map(|_| rng.lowercase(1, 12)).collect(),
+                },
+                indexed_at: Datetime(rng.next_u64() as i64 >> (round % 40)),
+                like_count: 0,
+                repost_count: 0,
+                labels: arb_labels(&mut rng),
+            };
+            let block = post.content_block();
+            assert_eq!(
+                block,
+                cbor::encode(&Value::Array(vec![
+                    Value::text(post.uri.to_string()),
+                    Record::Post(post.record.clone()).to_value(),
+                    Value::Int(post.indexed_at.timestamp()),
+                    labels_value(&post.labels),
+                ]))
+            );
+            assert_eq!(PostInfo::from_content(&block), Some(post));
+
+            let actor = ActorInfo {
+                did: author,
+                handle: Handle::parse(&format!("{}.bsky.social", rng.lowercase(1, 18))).unwrap(),
+                profile: (round % 3 != 1).then(|| ProfileRecord {
+                    display_name: rng.lowercase(0, 40),
+                    description: rng.lowercase(0, 300),
+                    has_avatar: round % 2 == 0,
+                    has_banner: round % 4 == 0,
+                    created_at,
+                }),
+                follows: 0,
+                followers: 0,
+                posts: 0,
+                blocked_by: 0,
+                account_labels: arb_labels(&mut rng),
+                deleted: round % 7 == 0,
+            };
+            let block = actor.content_block();
+            assert_eq!(
+                block,
+                cbor::encode(&Value::Array(vec![
+                    Value::text(actor.did.to_string()),
+                    Value::text(actor.handle.as_str()),
+                    match &actor.profile {
+                        Some(profile) => Record::Profile(profile.clone()).to_value(),
+                        None => Value::Null,
+                    },
+                    labels_value(&actor.account_labels),
+                    Value::Bool(actor.deleted),
+                ]))
+            );
+            assert_eq!(ActorInfo::from_content(&block), Some(actor));
+            // One writer, one reader: trailing bytes or a cut block is not
+            // a content block.
+            let mut longer = block.clone();
+            longer.push(0xf6);
+            assert!(ActorInfo::from_content(&longer).is_none());
+            assert!(ActorInfo::from_content(&block[..block.len() - 1]).is_none());
+        }
+    }
+
+    #[test]
     fn entity_blocks_roundtrip() {
         let (index, alice, _bob, uri) = setup();
         let post = index.post(&uri).unwrap();
@@ -1396,7 +1531,7 @@ mod tests {
         );
         assert_eq!(index.post(&uri).unwrap().like_count, 5, "flushed overlay");
         // Counters that return to default drop their block at flush.
-        index.update_post_counters(&uri.to_string(), |c| *c = PostCounters::default());
+        index.update_post_counters(uri.to_string(), |c| *c = PostCounters::default());
         index.flush();
         let entry = index.posts.get(&uri.to_string()).copied().unwrap();
         assert!(entry.counters.is_none(), "default state needs no block");

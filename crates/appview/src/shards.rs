@@ -122,15 +122,7 @@ impl AppViewShards {
             Record::Post(post) => {
                 let uri = AtUri::record(author.clone(), collection.clone(), rkey);
                 let home = self.post_home(&uri);
-                self.shards[home].insert_post(PostInfo {
-                    uri,
-                    author: author.clone(),
-                    record: post.clone(),
-                    indexed_at: at,
-                    like_count: 0,
-                    repost_count: 0,
-                    labels: Vec::new(),
-                });
+                self.shards[home].insert_post(&uri, post, at);
                 self.shards[author_home].credit_author_post(author);
             }
             Record::Like(like) => {

@@ -106,6 +106,34 @@ impl AtUri {
         }
     }
 
+    /// Full string form, rendered with one exact-size allocation and no
+    /// formatter — what map keys are built with. Equal to `to_string()`.
+    pub fn as_string(&self) -> String {
+        crate::did::rendered(self.string_len(), |out| self.write_to(out))
+    }
+
+    /// Length in bytes of the full string form, without rendering it.
+    pub fn string_len(&self) -> usize {
+        "at://".len()
+            + self.did.string_len()
+            + self.collection.as_ref().map_or(0, |c| 1 + c.string_len())
+            + self.rkey.as_ref().map_or(0, |r| 1 + r.len())
+    }
+
+    /// Append the full string form to `out` ([`Self::string_len`] bytes).
+    pub fn write_to(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(b"at://");
+        self.did.write_to(out);
+        if let Some(c) = &self.collection {
+            out.push(b'/');
+            c.write_to(out);
+        }
+        if let Some(r) = &self.rkey {
+            out.push(b'/');
+            out.extend_from_slice(r.as_bytes());
+        }
+    }
+
     /// FNV-1a hash of the URI's canonical string form (`at://…`), computed
     /// without materializing the string — the AppView's post-shard routing
     /// hash, on the per-like/per-label hot path.
@@ -236,6 +264,89 @@ mod tests {
                 fnv1a_64(uri.to_string().as_bytes(), FNV_OFFSET),
                 "{uri}"
             );
+        }
+    }
+
+    #[test]
+    fn identifier_writers_match_display() {
+        // `string_len`, `write_to` and the pre-sized renderings of all five
+        // identifier types against `to_string()`, on seeded random values.
+        use crate::datetime::Datetime;
+        use crate::testrand::TestRng;
+        use crate::tid::Tid;
+        fn check(shown: String, len: usize, write: impl Fn(&mut Vec<u8>)) {
+            assert_eq!(len, shown.len(), "{shown}");
+            // Appends: what is already in the buffer stays.
+            let mut out = b"\x00prefix".to_vec();
+            write(&mut out);
+            assert_eq!(&out[7..], shown.as_bytes(), "{shown}");
+        }
+        let mut rng = TestRng::new(0x1de4717);
+        for round in 0..500 {
+            let did = match round % 3 {
+                0 => Did::web(&format!(
+                    "{}.{}.example",
+                    rng.lowercase(1, 20),
+                    rng.lowercase(1, 60)
+                ))
+                .unwrap(),
+                _ => Did::plc_from_seed(&rng.bytes(32)),
+            };
+            check(did.to_string(), did.string_len(), |out| did.write_to(out));
+            assert_eq!(did.as_string(), did.to_string());
+
+            let nsid = match round % 4 {
+                0 => Nsid::parse(&format!(
+                    "com.{}.{}",
+                    rng.lowercase(1, 20),
+                    rng.lowercase(1, 20)
+                ))
+                .unwrap(),
+                1 => Nsid::parse(known::LABEL).unwrap(),
+                2 => Nsid::LIKE,
+                _ => Nsid::POST,
+            };
+            check(nsid.to_string(), nsid.string_len(), |out| {
+                nsid.write_to(out)
+            });
+
+            let uri = match round % 5 {
+                0 => AtUri::repo(did.clone()),
+                1 => AtUri::parse(&format!("at://{did}/{nsid}")).unwrap(),
+                _ => AtUri::record(did.clone(), nsid.clone(), rng.lowercase(1, 24)),
+            };
+            check(uri.to_string(), uri.string_len(), |out| uri.write_to(out));
+            assert_eq!(uri.as_string(), uri.to_string());
+
+            let tid = match round % 2 {
+                0 => Tid::from_micros(rng.next_u64(), rng.next_u64() as u16),
+                _ => Tid::from_micros(rng.below(1 << 20), 0),
+            };
+            check(tid.to_string(), tid.string_len(), |out| tid.write_to(out));
+            assert_eq!(tid.to_string_form(), tid.to_string());
+
+            // The formatter's rendering, spelled out (Display itself goes
+            // through the writer now): study-window dates, the epoch's
+            // neighbourhood, five-digit and negative years.
+            let at = match round % 4 {
+                0 => Datetime(253_402_300_800 + rng.below(1 << 40) as i64),
+                1 => Datetime(-62_167_219_201 - rng.below(1 << 40) as i64),
+                2 => Datetime(rng.below(1 << 20) as i64 - (1 << 19)),
+                _ => Datetime(1_668_000_000 + rng.below(50_000_000) as i64),
+            };
+            let (date, sod) = (at.date(), at.seconds_of_day());
+            let formatted = format!(
+                "{:04}-{:02}-{:02}T{:02}:{:02}:{:02}Z",
+                date.year,
+                date.month,
+                date.day,
+                sod / 3600,
+                sod % 3600 / 60,
+                sod % 60
+            );
+            check(formatted.clone(), at.string_len(), |out| at.write_to(out));
+            assert_eq!(at.to_iso8601(), formatted);
+            assert_eq!(at.to_string(), formatted);
         }
     }
 }

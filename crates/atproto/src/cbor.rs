@@ -6,8 +6,32 @@
 //! then bytewise), 64-bit integers, UTF-8 strings, byte strings, arrays, maps,
 //! booleans, null, and CID links (encoded as tag 42 over the binary CID with a
 //! multibase-identity prefix byte, matching the IPLD convention).
+//!
+//! ## Two paths, one rule
+//!
+//! * **Generic**: [`Value`] with [`encode`] / [`decode`]. The data-model
+//!   view: it takes any shape, sorts map keys itself and names what is wrong
+//!   with a malformed input. It is the only path for shapes this workspace
+//!   does not define (third-party lexicons held by
+//!   [`crate::record::UnknownRecord`], anything off the wire that is not
+//!   canonical), what the cold readers still use (a CAR's header, a commit's
+//!   summary) and the reference every typed encoder and decoder is tested
+//!   against.
+//! * **Typed**: the [`raw`] writers and the borrowed [`Reader`]. One pass,
+//!   no intermediate tree: an encoder that knows its shape emits the fields
+//!   in canonical key order straight into the output buffer, and a decoder
+//!   that knows its shape reads exactly that sequence straight off the slice.
+//!
+//! The rule that separates them: the typed path is for the shapes this
+//! workspace itself emits (the eight modelled record kinds, commits, MST
+//! nodes, the AppView's content blocks); everything else goes through
+//! [`Value`]. A typed encoder must produce [`encode`]'s bytes for the
+//! equivalent `Value`, and a typed decoder accepts only the canonical shape
+//! and reports *any* deviation as `None`, on which its caller falls back to
+//! [`decode`] — so what is accepted, what is rejected and every error message
+//! are the generic path's by construction.
 
-use crate::cid::Cid;
+use crate::cid::{Cid, CID_LEN};
 use crate::error::{AtError, Result};
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
@@ -159,58 +183,38 @@ fn write_head(major: u8, arg: u64, out: &mut Vec<u8>) {
 
 fn encode_into(value: &Value, out: &mut Vec<u8>) {
     match value {
-        Value::Null => out.push((MAJOR_SIMPLE << 5) | 22),
-        Value::Bool(false) => out.push((MAJOR_SIMPLE << 5) | 20),
-        Value::Bool(true) => out.push((MAJOR_SIMPLE << 5) | 21),
-        Value::Int(i) => {
-            if *i >= 0 {
-                write_head(MAJOR_UINT, *i as u64, out);
-            } else {
-                write_head(MAJOR_NEGINT, (-1 - *i) as u64, out);
-            }
-        }
-        Value::Text(s) => {
-            write_head(MAJOR_TEXT, s.len() as u64, out);
-            out.extend_from_slice(s.as_bytes());
-        }
-        Value::Bytes(b) => {
-            write_head(MAJOR_BYTES, b.len() as u64, out);
-            out.extend_from_slice(b);
-        }
+        Value::Null => raw::null(out),
+        Value::Bool(b) => raw::bool(*b, out),
+        Value::Int(i) => raw::int(*i, out),
+        Value::Text(s) => raw::text(s, out),
+        Value::Bytes(b) => raw::bytes(b, out),
         Value::Array(items) => {
-            write_head(MAJOR_ARRAY, items.len() as u64, out);
+            raw::array_head(items.len() as u64, out);
             for item in items {
                 encode_into(item, out);
             }
         }
         Value::Map(map) => {
-            write_head(MAJOR_MAP, map.len() as u64, out);
+            raw::map_head(map.len() as u64, out);
             // DAG-CBOR canonical ordering: length first, then bytewise.
             let mut keys: Vec<&String> = map.keys().collect();
             keys.sort_by(|a, b| a.len().cmp(&b.len()).then_with(|| a.cmp(b)));
             for key in keys {
-                write_head(MAJOR_TEXT, key.len() as u64, out);
-                out.extend_from_slice(key.as_bytes());
+                raw::text(key, out);
                 encode_into(&map[key], out);
             }
         }
-        Value::Link(cid) => {
-            write_head(MAJOR_TAG, TAG_CID, out);
-            let bytes = cid.to_bytes();
-            // Multibase identity prefix (0x00) per the DAG-CBOR CID convention.
-            write_head(MAJOR_BYTES, (bytes.len() + 1) as u64, out);
-            out.push(0x00);
-            out.extend_from_slice(&bytes);
-        }
+        Value::Link(cid) => raw::link(cid, out),
     }
 }
 
-/// Raw streaming writers for encoders that emit a fixed, known map shape
-/// (the MST node encoder) without building a [`Value`] tree first. Callers
+/// The streaming writer: one function per item kind, each appending to the
+/// output buffer exactly the bytes [`encode`] produces for the equivalent
+/// [`Value`]. For encoders that emit a fixed, known shape (records, commits,
+/// MST nodes, content blocks) without building a `Value` tree first. Callers
 /// are responsible for emitting map keys in DAG-CBOR canonical order
-/// (shorter first, then bytewise) — exactly what [`encode`] produces for
-/// the equivalent `Value`, byte for byte.
-pub(crate) mod raw {
+/// (shorter first, then bytewise).
+pub mod raw {
     use super::*;
 
     /// Map head for `len` pairs.
@@ -223,10 +227,23 @@ pub(crate) mod raw {
         write_head(MAJOR_ARRAY, len, out);
     }
 
+    /// Head of a text string of `len` bytes; the caller appends exactly
+    /// that many bytes of UTF-8 next (how identifiers are rendered in place
+    /// instead of into a `String` first).
+    pub fn text_head(len: usize, out: &mut Vec<u8>) {
+        write_head(MAJOR_TEXT, len as u64, out);
+    }
+
     /// Text string.
     pub fn text(s: &str, out: &mut Vec<u8>) {
-        write_head(MAJOR_TEXT, s.len() as u64, out);
+        text_head(s.len(), out);
         out.extend_from_slice(s.as_bytes());
+    }
+
+    /// Byte string.
+    pub fn bytes(b: &[u8], out: &mut Vec<u8>) {
+        write_head(MAJOR_BYTES, b.len() as u64, out);
+        out.extend_from_slice(b);
     }
 
     /// Non-negative integer.
@@ -234,18 +251,33 @@ pub(crate) mod raw {
         write_head(MAJOR_UINT, value, out);
     }
 
+    /// Signed integer (major type 0 or 1).
+    pub fn int(value: i64, out: &mut Vec<u8>) {
+        if value >= 0 {
+            write_head(MAJOR_UINT, value as u64, out);
+        } else {
+            write_head(MAJOR_NEGINT, (-1 - value) as u64, out);
+        }
+    }
+
+    /// Boolean.
+    pub fn bool(value: bool, out: &mut Vec<u8>) {
+        out.push((MAJOR_SIMPLE << 5) | if value { 21 } else { 20 });
+    }
+
     /// Null.
     pub fn null(out: &mut Vec<u8>) {
         out.push((MAJOR_SIMPLE << 5) | 22);
     }
 
-    /// A tagged IPLD link (CID), identical to `Value::Link`.
+    /// A tagged IPLD link (CID): tag 42 over the multibase identity prefix
+    /// (0x00, per the DAG-CBOR CID convention) and the binary CID, written
+    /// from the stack.
     pub fn link(cid: &Cid, out: &mut Vec<u8>) {
         write_head(MAJOR_TAG, TAG_CID, out);
-        let bytes = cid.to_bytes();
-        write_head(MAJOR_BYTES, (bytes.len() + 1) as u64, out);
+        write_head(MAJOR_BYTES, (CID_LEN + 1) as u64, out);
         out.push(0x00);
-        out.extend_from_slice(&bytes);
+        out.extend_from_slice(&cid.to_array());
     }
 }
 
@@ -277,13 +309,13 @@ pub(crate) mod len {
 
     /// A `Value::Link`: tag 42, the head of a 37-byte string, the multibase
     /// identity prefix and the 36-byte binary CID.
-    pub const LINK: usize = 2 + 2 + 1 + 36;
+    pub const LINK: usize = 2 + 2 + 1 + super::CID_LEN;
 }
 
 /// Decode DAG-CBOR bytes into a value, requiring that the whole input is
 /// consumed.
 pub fn decode(bytes: &[u8]) -> Result<Value> {
-    let mut reader = Reader { bytes, pos: 0 };
+    let mut reader = Reader::new(bytes);
     let value = reader.read_value(0)?;
     if reader.pos != bytes.len() {
         return Err(AtError::CborDecode(format!(
@@ -294,7 +326,16 @@ pub fn decode(bytes: &[u8]) -> Result<Value> {
     Ok(value)
 }
 
-struct Reader<'a> {
+/// A cursor over encoded bytes. [`decode`] drives it to build a [`Value`];
+/// its public methods are the typed path's reader (see the module docs):
+/// each reads one item of the kind the caller expects, borrowed from the
+/// input where it has a payload, and returns `None` for anything else —
+/// another kind, a malformed or truncated item, an integer or a CID
+/// [`decode`] would refuse. After a `None` the position is unspecified: the
+/// caller's only move is to give the whole input to [`decode`]. Everything a
+/// typed read accepts, [`decode`] accepts with the same meaning.
+#[derive(Debug)]
+pub struct Reader<'a> {
     bytes: &'a [u8],
     pos: usize,
 }
@@ -302,6 +343,101 @@ struct Reader<'a> {
 const MAX_DEPTH: usize = 64;
 
 impl<'a> Reader<'a> {
+    /// A reader at the start of `bytes`.
+    pub fn new(bytes: &'a [u8]) -> Reader<'a> {
+        Reader { bytes, pos: 0 }
+    }
+
+    /// Whether every byte of the input has been read. A typed decoder ends
+    /// with this: trailing bytes are a deviation like any other.
+    pub fn at_end(&self) -> bool {
+        self.pos == self.bytes.len()
+    }
+
+    /// The head of an item of major type `major`: its argument.
+    fn head(&mut self, major: u8) -> Option<u64> {
+        let initial = self.read_byte().ok()?;
+        if initial >> 5 != major {
+            return None;
+        }
+        self.read_arg(initial & 0x1f).ok()
+    }
+
+    /// The item count of a map or array head. Every item takes at least one
+    /// byte, so a count beyond the bytes left is refused here: what is
+    /// returned is safe to reserve space for.
+    fn count(&mut self, major: u8) -> Option<usize> {
+        let count = usize::try_from(self.head(major)?).ok()?;
+        (count <= self.bytes.len() - self.pos).then_some(count)
+    }
+
+    /// A map head: the number of pairs that follow.
+    pub fn map(&mut self) -> Option<usize> {
+        self.count(MAJOR_MAP)
+    }
+
+    /// An array head: the number of items that follow.
+    pub fn array(&mut self) -> Option<usize> {
+        self.count(MAJOR_ARRAY)
+    }
+
+    /// A text string.
+    pub fn text(&mut self) -> Option<&'a str> {
+        let len = usize::try_from(self.head(MAJOR_TEXT)?).ok()?;
+        std::str::from_utf8(self.read_slice(len).ok()?).ok()
+    }
+
+    /// The text string `name`, as a map key a typed decoder expects next
+    /// (bytes equal to a `str`'s are UTF-8: nothing else to check).
+    pub fn key(&mut self, name: &str) -> Option<()> {
+        let len = usize::try_from(self.head(MAJOR_TEXT)?).ok()?;
+        (self.read_slice(len).ok()? == name.as_bytes()).then_some(())
+    }
+
+    /// A byte string.
+    pub fn bytes(&mut self) -> Option<&'a [u8]> {
+        let len = usize::try_from(self.head(MAJOR_BYTES)?).ok()?;
+        self.read_slice(len).ok()
+    }
+
+    /// An integer of either sign, within the range [`decode`] accepts.
+    pub fn int(&mut self) -> Option<i64> {
+        let initial = self.read_byte().ok()?;
+        let arg = self.read_arg(initial & 0x1f).ok()?;
+        match initial >> 5 {
+            MAJOR_UINT => i64::try_from(arg).ok(),
+            MAJOR_NEGINT if arg < i64::MAX as u64 => Some(-1 - arg as i64),
+            _ => None,
+        }
+    }
+
+    /// A boolean.
+    pub fn bool(&mut self) -> Option<bool> {
+        match self.read_byte().ok()? {
+            0xf4 => Some(false),
+            0xf5 => Some(true),
+            _ => None,
+        }
+    }
+
+    /// Consume a null if that is the next item; otherwise read nothing.
+    pub fn null(&mut self) -> bool {
+        let found = self.bytes.get(self.pos) == Some(&0xf6);
+        self.pos += found as usize;
+        found
+    }
+
+    /// A tagged IPLD link.
+    pub fn link(&mut self) -> Option<Cid> {
+        if self.head(MAJOR_TAG)? != TAG_CID {
+            return None;
+        }
+        match self.bytes()? {
+            [0x00, cid @ ..] => Cid::from_bytes(cid).ok(),
+            _ => None,
+        }
+    }
+
     fn read_byte(&mut self) -> Result<u8> {
         let b = *self
             .bytes
@@ -501,17 +637,6 @@ impl<'a> Reader<'a> {
         }
         Ok(())
     }
-
-    /// Read one text string, borrowed from the input; `None` for any other
-    /// item (or a malformed one).
-    fn read_text(&mut self) -> Option<&'a str> {
-        let initial = self.read_byte().ok()?;
-        if initial >> 5 != MAJOR_TEXT {
-            return None;
-        }
-        let len = self.read_len(initial & 0x1f).ok()?;
-        std::str::from_utf8(self.read_slice(len).ok()?).ok()
-    }
 }
 
 /// The text stored under `key` in the top-level map of an encoded block,
@@ -521,17 +646,13 @@ impl<'a> Reader<'a> {
 /// nothing: the cheap way to ask what kind of block this is before paying
 /// for [`decode`]. It vouches for nothing else about the block.
 pub(crate) fn map_text_field<'a>(bytes: &'a [u8], key: &str) -> Option<&'a str> {
-    let mut reader = Reader { bytes, pos: 0 };
-    let initial = reader.read_byte().ok()?;
-    if initial >> 5 != MAJOR_MAP {
-        return None;
-    }
-    let len = reader.read_len(initial & 0x1f).ok()?;
+    let mut reader = Reader::new(bytes);
+    let len = reader.map()?;
     // Every iteration consumes input or returns, so a crafted `len` cannot
     // make this loop longer than the block.
     for _ in 0..len {
-        if reader.read_text()? == key {
-            return reader.read_text();
+        if reader.text()? == key {
+            return reader.text();
         }
         reader.skip_value(1).ok()?;
     }
@@ -839,23 +960,14 @@ mod proptests {
             let mut bytes = encode(&arb_value(&mut rng, 3));
             let encoded = bytes.len();
             bytes.extend_from_slice(&rng.bytes(8));
-            let mut reader = Reader {
-                bytes: &bytes,
-                pos: 0,
-            };
+            let mut reader = Reader::new(&bytes);
             reader.skip_value(0).unwrap();
             assert_eq!(reader.pos, encoded);
         }
         for _ in 0..500 {
             let bytes = rng.bytes(256);
-            let mut skipper = Reader {
-                bytes: &bytes,
-                pos: 0,
-            };
-            let mut decoder = Reader {
-                bytes: &bytes,
-                pos: 0,
-            };
+            let mut skipper = Reader::new(&bytes);
+            let mut decoder = Reader::new(&bytes);
             let skipped = skipper.skip_value(0).is_ok();
             if decoder.read_value(0).is_ok() {
                 assert!(skipped);

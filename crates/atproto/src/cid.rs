@@ -17,6 +17,8 @@ const BASE32_ALPHABET: &[u8; 32] = b"abcdefghijklmnopqrstuvwxyz234567";
 pub const CODEC_DAG_CBOR: u8 = 0x71;
 /// Codec tag for raw blocks (e.g. blobs).
 pub const CODEC_RAW: u8 = 0x55;
+/// Length of the binary form: version, codec, hash tag, digest length, digest.
+pub const CID_LEN: usize = 4 + DIGEST_LEN;
 
 /// A content identifier: (version, codec, SHA-256 digest).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -57,20 +59,26 @@ impl Cid {
         &self.digest
     }
 
-    /// Binary form: version, codec, hash function tag, length, digest.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(4 + DIGEST_LEN);
-        out.push(0x01); // CIDv1
-        out.push(self.codec);
-        out.push(0x12); // sha2-256 multihash code
-        out.push(DIGEST_LEN as u8);
-        out.extend_from_slice(&self.digest);
+    /// Binary form on the stack: version, codec, hash function tag, length,
+    /// digest. What every encoder on the write path uses.
+    pub fn to_array(&self) -> [u8; CID_LEN] {
+        let mut out = [0u8; CID_LEN];
+        out[0] = 0x01; // CIDv1
+        out[1] = self.codec;
+        out[2] = 0x12; // sha2-256 multihash code
+        out[3] = DIGEST_LEN as u8;
+        out[4..].copy_from_slice(&self.digest);
         out
+    }
+
+    /// Binary form as an owned vector (see [`Self::to_array`]).
+    pub fn to_bytes(&self) -> Vec<u8> {
+        self.to_array().to_vec()
     }
 
     /// Parse the binary form produced by [`Self::to_bytes`].
     pub fn from_bytes(bytes: &[u8]) -> Result<Cid> {
-        if bytes.len() != 4 + DIGEST_LEN {
+        if bytes.len() != CID_LEN {
             return Err(AtError::InvalidCid(format!(
                 "bad CID length {}",
                 bytes.len()
@@ -91,7 +99,7 @@ impl Cid {
     pub fn to_string_form(&self) -> String {
         let mut s = String::with_capacity(60);
         s.push('b');
-        base32_encode(&self.to_bytes(), &mut s);
+        base32_encode(&self.to_array(), &mut s);
         s
     }
 
@@ -187,6 +195,7 @@ mod tests {
             let cid = Cid::for_cbor(payload);
             assert_eq!(Cid::parse(&cid.to_string_form()).unwrap(), cid);
             assert_eq!(Cid::from_bytes(&cid.to_bytes()).unwrap(), cid);
+            assert_eq!(cid.to_array()[..], cid.to_bytes()[..]);
         }
     }
 

@@ -150,26 +150,39 @@ impl Datetime {
 
     /// ISO-8601 rendering (`YYYY-MM-DDTHH:MM:SSZ`) as used in lexicon records.
     pub fn to_iso8601(&self) -> String {
-        let date = self.date();
-        let sod = self.seconds_of_day();
-        format!(
-            "{}T{:02}:{:02}:{:02}Z",
-            date,
-            sod / 3600,
-            (sod % 3600) / 60,
-            sod % 60
-        )
+        crate::did::rendered(self.string_len(), |out| self.write_to(out))
     }
 
     /// `self.to_iso8601().len()` without rendering: 20 bytes unless the
-    /// year needs more than four characters, which only the fallback
-    /// renders.
-    pub(crate) fn iso8601_len(&self) -> usize {
-        if (0..=9999).contains(&self.date().year) {
-            "YYYY-MM-DDTHH:MM:SSZ".len()
-        } else {
-            self.to_iso8601().len()
+    /// year needs more than four characters.
+    pub fn string_len(&self) -> usize {
+        match self.date().year {
+            0..=9999 => "YYYY-MM-DDTHH:MM:SSZ".len(),
+            year => year.to_string().len().max(4) + "-MM-DDTHH:MM:SSZ".len(),
         }
+    }
+
+    /// Append the ISO-8601 rendering to `out` ([`Self::string_len`] bytes).
+    /// Digits are written directly; only a year outside `0..=9999` (which
+    /// `{:04}` renders wider, or with a sign) goes through the formatter.
+    pub fn write_to(&self, out: &mut Vec<u8>) {
+        fn two(value: i64, then: u8, out: &mut Vec<u8>) {
+            out.extend_from_slice(&[b'0' + (value / 10) as u8, b'0' + (value % 10) as u8, then]);
+        }
+        let date = self.date();
+        let sod = self.seconds_of_day();
+        match date.year {
+            year @ 0..=9999 => {
+                let digit = |place: i32| b'0' + (year / place % 10) as u8;
+                out.extend_from_slice(&[digit(1000), digit(100), digit(10), digit(1), b'-']);
+            }
+            year => out.extend_from_slice(format!("{year:04}-").as_bytes()),
+        }
+        two(date.month as i64, b'-', out);
+        two(date.day as i64, b'T', out);
+        two(sod / 3600, b':', out);
+        two(sod % 3600 / 60, b':', out);
+        two(sod % 60, b'Z', out);
     }
 
     /// Parse the subset of ISO-8601 produced by [`Self::to_iso8601`]
@@ -275,7 +288,17 @@ mod tests {
             -400_000_000_000, // a five-character negative year
         ] {
             let dt = Datetime(secs);
-            assert_eq!(dt.iso8601_len(), dt.to_iso8601().len(), "{dt}");
+            let date = dt.date();
+            let sod = dt.seconds_of_day();
+            let formatted = format!(
+                "{}T{:02}:{:02}:{:02}Z",
+                date,
+                sod / 3600,
+                (sod % 3600) / 60,
+                sod % 60
+            );
+            assert_eq!(dt.to_iso8601(), formatted);
+            assert_eq!(dt.string_len(), formatted.len(), "{formatted}");
         }
     }
 

@@ -61,8 +61,13 @@ impl Did {
         }
         match method {
             "plc" => {
+                // The alphabet as two ranges: this runs per character of every
+                // DID read off the wire, where a search of `PLC_ALPHABET`
+                // per byte was a third of a record's decode.
                 if identifier.len() != PLC_ID_LEN
-                    || !identifier.bytes().all(|b| PLC_ALPHABET.contains(&b))
+                    || !identifier
+                        .bytes()
+                        .all(|b| matches!(b, b'2'..=b'7' | b'a'..=b'z'))
                 {
                     return Err(AtError::InvalidDid(s.to_string()));
                 }
@@ -131,14 +136,23 @@ impl Did {
         }
     }
 
-    /// Full string form.
+    /// Full string form, rendered with one exact-size allocation and no
+    /// formatter — what map keys are built with. Equal to `to_string()`.
     pub fn as_string(&self) -> String {
-        format!("did:{}:{}", self.method.as_str(), self.identifier)
+        rendered(self.string_len(), |out| self.write_to(out))
     }
 
     /// Length in bytes of the full string form, without rendering it.
     pub fn string_len(&self) -> usize {
         "did:".len() + self.method.as_str().len() + ":".len() + self.identifier.len()
+    }
+
+    /// Append the full string form to `out` ([`Self::string_len`] bytes).
+    pub fn write_to(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(b"did:");
+        out.extend_from_slice(self.method.as_str().as_bytes());
+        out.push(b':');
+        out.extend_from_slice(self.identifier.as_bytes());
     }
 
     /// FNV-1a hash of the full DID string — the canonical entity-sharding
@@ -158,6 +172,14 @@ impl Did {
         let hash = fnv1a_64(b":", hash);
         fnv1a_64(self.identifier.as_bytes(), hash)
     }
+}
+
+/// Render an identifier of `len` bytes through its buffer writer into a
+/// `String` allocated once at its final size.
+pub(crate) fn rendered(len: usize, write: impl FnOnce(&mut Vec<u8>)) -> String {
+    let mut out = Vec::with_capacity(len);
+    write(&mut out);
+    String::from_utf8(out).expect("identifier writers append whole strs")
 }
 
 /// FNV-1a offset basis (the hash of the empty string).
@@ -286,6 +308,19 @@ mod proptests {
             let seed = rng.bytes(48);
             let did = Did::plc_from_seed(&seed);
             assert_eq!(Did::parse(&did.to_string()).unwrap(), did);
+        }
+    }
+
+    #[test]
+    fn plc_identifier_check_is_the_alphabet() {
+        for b in 0..=u8::MAX {
+            let id = format!("{}{}", "a".repeat(PLC_ID_LEN - 1), b as char);
+            let in_alphabet = b.is_ascii() && PLC_ALPHABET.contains(&b);
+            assert_eq!(
+                Did::parse(&format!("did:plc:{id}")).is_ok(),
+                in_alphabet,
+                "{b:#x}"
+            );
         }
     }
 

@@ -201,7 +201,7 @@ impl Event {
             }
         };
         1 + entry("seq", len::int(self.seq as i64))
-            + entry("time", len::text(self.time.iso8601_len()))
+            + entry("time", len::text(self.time.string_len()))
             + entry("body", body)
     }
 

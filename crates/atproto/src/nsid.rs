@@ -7,11 +7,14 @@
 //! content", §4).
 
 use crate::error::{AtError, Result};
+use std::borrow::Cow;
 use std::fmt;
 
-/// A validated NSID such as `app.bsky.feed.post`.
+/// A validated NSID such as `app.bsky.feed.post`. The well-known NSIDs are
+/// constants ([`Nsid::POST`], …) that borrow their string: cloning one, or
+/// parsing its string, allocates nothing.
 #[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct Nsid(String);
+pub struct Nsid(Cow<'static, str>);
 
 /// Well-known NSIDs used throughout the workspace.
 pub mod known {
@@ -38,49 +41,96 @@ pub mod known {
 }
 
 impl Nsid {
+    /// `app.bsky.feed.post`, pre-validated.
+    pub const POST: Nsid = Nsid(Cow::Borrowed(known::POST));
+    /// `app.bsky.feed.like`, pre-validated.
+    pub const LIKE: Nsid = Nsid(Cow::Borrowed(known::LIKE));
+    /// `app.bsky.feed.repost`, pre-validated.
+    pub const REPOST: Nsid = Nsid(Cow::Borrowed(known::REPOST));
+    /// `app.bsky.graph.follow`, pre-validated.
+    pub const FOLLOW: Nsid = Nsid(Cow::Borrowed(known::FOLLOW));
+    /// `app.bsky.graph.block`, pre-validated.
+    pub const BLOCK: Nsid = Nsid(Cow::Borrowed(known::BLOCK));
+    /// `app.bsky.actor.profile`, pre-validated.
+    pub const PROFILE: Nsid = Nsid(Cow::Borrowed(known::PROFILE));
+    /// `app.bsky.feed.generator`, pre-validated.
+    pub const FEED_GENERATOR: Nsid = Nsid(Cow::Borrowed(known::FEED_GENERATOR));
+    /// `app.bsky.labeler.service`, pre-validated.
+    pub const LABELER_SERVICE: Nsid = Nsid(Cow::Borrowed(known::LABELER_SERVICE));
+    /// `com.whtwnd.blog.entry`, pre-validated.
+    pub const WHTWND_ENTRY: Nsid = Nsid(Cow::Borrowed(known::WHTWND_ENTRY));
+
+    /// The record-collection constants above (every test that a constant
+    /// really is valid, and the parser's shortcut, go through this list).
+    const KNOWN: [Nsid; 9] = [
+        Nsid::POST,
+        Nsid::LIKE,
+        Nsid::REPOST,
+        Nsid::FOLLOW,
+        Nsid::BLOCK,
+        Nsid::PROFILE,
+        Nsid::FEED_GENERATOR,
+        Nsid::LABELER_SERVICE,
+        Nsid::WHTWND_ENTRY,
+    ];
+
     /// Parse and validate an NSID.
     pub fn parse(s: &str) -> Result<Nsid> {
+        if let Some(known) = Nsid::KNOWN.iter().find(|known| known.0 == s) {
+            return Ok(known.clone());
+        }
+        Nsid::validate(s)?;
+        Ok(Nsid(Cow::Owned(s.to_string())))
+    }
+
+    /// The syntax check behind [`Nsid::parse`].
+    fn validate(s: &str) -> Result<()> {
+        let err = || AtError::InvalidNsid(s.to_string());
         // Allow an optional `#fragment` (used for defs references).
         let (main, fragment) = match s.split_once('#') {
             Some((m, f)) => (m, Some(f)),
             None => (s, None),
         };
-        let segments: Vec<&str> = main.split('.').collect();
-        if segments.len() < 3 {
-            return Err(AtError::InvalidNsid(s.to_string()));
-        }
-        for seg in &segments {
+        let mut segments = 0;
+        let mut name = "";
+        for seg in main.split('.') {
             if seg.is_empty()
                 || seg.len() > 63
                 || !seg.bytes().all(|b| b.is_ascii_alphanumeric() || b == b'-')
                 || seg.starts_with('-')
                 || seg.ends_with('-')
             {
-                return Err(AtError::InvalidNsid(s.to_string()));
+                return Err(err());
             }
+            segments += 1;
+            name = seg;
         }
-        // The name segment (last) must start with a letter.
-        if !segments
-            .last()
-            .unwrap()
-            .chars()
-            .next()
-            .map(|c| c.is_ascii_alphabetic())
-            .unwrap_or(false)
-        {
-            return Err(AtError::InvalidNsid(s.to_string()));
+        // At least authority (two segments) plus a name (last), which must
+        // start with a letter.
+        if segments < 3 || !name.starts_with(|c: char| c.is_ascii_alphabetic()) {
+            return Err(err());
         }
         if let Some(f) = fragment {
             if f.is_empty() || !f.bytes().all(|b| b.is_ascii_alphanumeric()) {
-                return Err(AtError::InvalidNsid(s.to_string()));
+                return Err(err());
             }
         }
-        Ok(Nsid(s.to_string()))
+        Ok(())
     }
 
     /// The NSID string.
     pub fn as_str(&self) -> &str {
         &self.0
+    }
+
+    /// Length in bytes of the string form.
+    pub fn string_len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// Append the string form to `out` ([`Self::string_len`] bytes).
+    pub fn write_to(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(self.0.as_bytes());
     }
 
     /// The namespace authority (all segments except the final name), e.g.
@@ -131,6 +181,18 @@ mod tests {
 
     #[test]
     fn known_nsids_are_valid() {
+        // The constants skip validation, so validate them here; and parsing
+        // a known string hands out the constant.
+        for known in Nsid::KNOWN {
+            Nsid::validate(known.as_str()).unwrap();
+            let parsed = Nsid::parse(known.as_str()).unwrap();
+            assert_eq!(parsed, known);
+            assert!(matches!(parsed.0, Cow::Borrowed(_)));
+        }
+        assert!(matches!(
+            Nsid::parse("com.example.thing").unwrap().0,
+            Cow::Owned(_)
+        ));
         for s in [
             known::POST,
             known::LIKE,

@@ -7,7 +7,7 @@
 //! WhiteWind blog entries observed in §4, "Non-Bluesky content").
 
 use crate::aturi::AtUri;
-use crate::cbor::Value;
+use crate::cbor::{self, raw, Reader, Value};
 use crate::datetime::Datetime;
 use crate::did::Did;
 use crate::error::{AtError, Result};
@@ -159,11 +159,88 @@ impl PostRecord {
     }
 
     /// Iterate over attached media kinds.
-    pub fn media_kinds(&self) -> Vec<MediaKind> {
-        match &self.embed {
-            Some(Embed::Images(images)) => images.iter().map(|i| i.kind).collect(),
-            _ => Vec::new(),
+    pub fn media_kinds(&self) -> impl Iterator<Item = MediaKind> + '_ {
+        let images = match &self.embed {
+            Some(Embed::Images(images)) => images.as_slice(),
+            _ => &[],
+        };
+        images.iter().map(|i| i.kind)
+    }
+
+    /// Append this post's DAG-CBOR encoding to `out`: the typed, one-pass
+    /// twin of `cbor::encode(&Record::Post(..).to_value())`, fields in
+    /// canonical key order.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        let fields = 5 + self.embed.is_some() as u64 + self.reply_parent.is_some() as u64;
+        raw::map_head(fields, out);
+        raw::text("tags", out);
+        encode_texts(&self.tags, out);
+        raw::text("text", out);
+        raw::text(&self.text, out);
+        raw::text("$type", out);
+        raw::text(known::POST, out);
+        if let Some(embed) = &self.embed {
+            raw::text("embed", out);
+            encode_embed(embed, out);
         }
+        raw::text("langs", out);
+        encode_texts(&self.langs, out);
+        if let Some(parent) = &self.reply_parent {
+            raw::text("reply", out);
+            raw::map_head(1, out);
+            raw::text("parent", out);
+            encode_uri(parent, out);
+        }
+        raw::text("createdAt", out);
+        encode_datetime(self.created_at, out);
+    }
+
+    /// Read what [`Self::encode_into`] writes, straight off the reader.
+    /// `None` on any deviation from that canonical shape (see
+    /// [`cbor::Reader`]); the generic decoder is the fallback.
+    pub fn decode_from(r: &mut Reader<'_>) -> Option<PostRecord> {
+        let fields = r.map()?;
+        r.key("tags")?;
+        let tags = decode_texts(r)?;
+        r.key("text")?;
+        let text = r.text()?.to_string();
+        r.key("$type")?;
+        r.key(known::POST)?;
+        let mut key = r.text()?;
+        let mut embed = None;
+        if key == "embed" {
+            embed = Some(decode_embed(r)?);
+            key = r.text()?;
+        }
+        if key != "langs" {
+            return None;
+        }
+        let langs = decode_texts(r)?;
+        key = r.text()?;
+        let mut reply_parent = None;
+        if key == "reply" {
+            if r.map()? != 1 {
+                return None;
+            }
+            r.key("parent")?;
+            reply_parent = Some(AtUri::parse(r.text()?).ok()?);
+            key = r.text()?;
+        }
+        if key != "createdAt" {
+            return None;
+        }
+        let created_at = Datetime::parse_iso8601(r.text()?).ok()?;
+        if fields != 5 + embed.is_some() as usize + reply_parent.is_some() as usize {
+            return None;
+        }
+        Some(PostRecord {
+            text,
+            created_at,
+            langs,
+            reply_parent,
+            embed,
+            tags,
+        })
     }
 }
 
@@ -216,6 +293,53 @@ pub struct ProfileRecord {
     pub has_banner: bool,
     /// Creation time.
     pub created_at: Datetime,
+}
+
+impl ProfileRecord {
+    /// Append this profile's DAG-CBOR encoding to `out` (typed, one pass;
+    /// see [`PostRecord::encode_into`]).
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        raw::map_head(6, out);
+        raw::text("$type", out);
+        raw::text(known::PROFILE, out);
+        raw::text("createdAt", out);
+        encode_datetime(self.created_at, out);
+        raw::text("hasAvatar", out);
+        raw::bool(self.has_avatar, out);
+        raw::text("hasBanner", out);
+        raw::bool(self.has_banner, out);
+        raw::text("description", out);
+        raw::text(&self.description, out);
+        raw::text("displayName", out);
+        raw::text(&self.display_name, out);
+    }
+
+    /// Read what [`Self::encode_into`] writes (see
+    /// [`PostRecord::decode_from`]).
+    pub fn decode_from(r: &mut Reader<'_>) -> Option<ProfileRecord> {
+        if r.map()? != 6 {
+            return None;
+        }
+        r.key("$type")?;
+        r.key(known::PROFILE)?;
+        r.key("createdAt")?;
+        let created_at = Datetime::parse_iso8601(r.text()?).ok()?;
+        r.key("hasAvatar")?;
+        let has_avatar = r.bool()?;
+        r.key("hasBanner")?;
+        let has_banner = r.bool()?;
+        r.key("description")?;
+        let description = r.text()?.to_string();
+        r.key("displayName")?;
+        let display_name = r.text()?.to_string();
+        Some(ProfileRecord {
+            display_name,
+            description,
+            has_avatar,
+            has_banner,
+            created_at,
+        })
+    }
 }
 
 /// `app.bsky.feed.generator` — a Feed Generator declaration (§2, §7).
@@ -286,18 +410,17 @@ pub enum Record {
 impl Record {
     /// The collection NSID this record belongs to.
     pub fn collection(&self) -> Nsid {
-        let s = match self {
-            Record::Post(_) => known::POST,
-            Record::Like(_) => known::LIKE,
-            Record::Repost(_) => known::REPOST,
-            Record::Follow(_) => known::FOLLOW,
-            Record::Block(_) => known::BLOCK,
-            Record::Profile(_) => known::PROFILE,
-            Record::FeedGenerator(_) => known::FEED_GENERATOR,
-            Record::LabelerService(_) => known::LABELER_SERVICE,
-            Record::Unknown(u) => return u.record_type.clone(),
-        };
-        Nsid::parse(s).expect("known NSIDs are valid")
+        match self {
+            Record::Post(_) => Nsid::POST,
+            Record::Like(_) => Nsid::LIKE,
+            Record::Repost(_) => Nsid::REPOST,
+            Record::Follow(_) => Nsid::FOLLOW,
+            Record::Block(_) => Nsid::BLOCK,
+            Record::Profile(_) => Nsid::PROFILE,
+            Record::FeedGenerator(_) => Nsid::FEED_GENERATOR,
+            Record::LabelerService(_) => Nsid::LABELER_SERVICE,
+            Record::Unknown(u) => u.record_type.clone(),
+        }
     }
 
     /// Whether this record's lexicon is part of the Bluesky application.
@@ -557,12 +680,177 @@ impl Record {
 
     /// Encode to DAG-CBOR bytes.
     pub fn to_cbor(&self) -> Vec<u8> {
-        crate::cbor::encode(&self.to_value())
+        let mut out = Vec::with_capacity(128);
+        self.encode_into(&mut out);
+        out
     }
 
-    /// Decode from DAG-CBOR bytes.
+    /// Append the record's DAG-CBOR encoding to `out`, byte for byte
+    /// `cbor::encode(&self.to_value())`. The eight modelled kinds are
+    /// written in one typed pass, fields in canonical key order; a
+    /// third-party record *is* a [`Value`] and takes the generic encoder.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        match self {
+            Record::Post(r) => r.encode_into(out),
+            Record::Like(r) => {
+                encode_edge(known::LIKE, r.created_at, out, |out| {
+                    encode_uri(&r.subject, out)
+                });
+            }
+            Record::Repost(r) => {
+                encode_edge(known::REPOST, r.created_at, out, |out| {
+                    encode_uri(&r.subject, out)
+                });
+            }
+            Record::Follow(r) => {
+                encode_edge(known::FOLLOW, r.created_at, out, |out| {
+                    encode_did(&r.subject, out)
+                });
+            }
+            Record::Block(r) => {
+                encode_edge(known::BLOCK, r.created_at, out, |out| {
+                    encode_did(&r.subject, out)
+                });
+            }
+            Record::Profile(r) => r.encode_into(out),
+            Record::FeedGenerator(r) => {
+                raw::map_head(5, out);
+                raw::text("did", out);
+                encode_did(&r.service_did, out);
+                raw::text("$type", out);
+                raw::text(known::FEED_GENERATOR, out);
+                raw::text("createdAt", out);
+                encode_datetime(r.created_at, out);
+                raw::text("description", out);
+                raw::text(&r.description, out);
+                raw::text("displayName", out);
+                raw::text(&r.display_name, out);
+            }
+            Record::LabelerService(r) => {
+                raw::map_head(3, out);
+                raw::text("$type", out);
+                raw::text(known::LABELER_SERVICE, out);
+                raw::text("policies", out);
+                raw::array_head(r.policies.len() as u64, out);
+                for policy in &r.policies {
+                    raw::map_head(3, out);
+                    raw::text("blurs", out);
+                    raw::text(&policy.blurs, out);
+                    raw::text("value", out);
+                    raw::text(&policy.value, out);
+                    raw::text("severity", out);
+                    raw::text(&policy.severity, out);
+                }
+                raw::text("createdAt", out);
+                encode_datetime(r.created_at, out);
+            }
+            Record::Unknown(_) => out.extend_from_slice(&cbor::encode(&self.to_value())),
+        }
+    }
+
+    /// Decode from DAG-CBOR bytes. A block in the canonical shape
+    /// [`Self::encode_into`] writes is read in one typed pass; anything else
+    /// — another lexicon, a non-canonical but valid encoding, a malformed
+    /// block — goes through `from_value(decode(bytes))`, so what is
+    /// accepted and every error are that path's.
     pub fn from_cbor(bytes: &[u8]) -> Result<Record> {
-        Record::from_value(&crate::cbor::decode(bytes)?)
+        match Record::decode_canonical(bytes) {
+            Some(record) => Ok(record),
+            None => Record::from_value(&cbor::decode(bytes)?),
+        }
+    }
+
+    /// The typed half of [`Self::from_cbor`]: `None` unless `bytes` is
+    /// exactly one modelled record in canonical shape.
+    fn decode_canonical(bytes: &[u8]) -> Option<Record> {
+        let r = &mut Reader::new(bytes);
+        let record = match cbor::map_text_field(bytes, "$type")? {
+            known::POST => Record::Post(PostRecord::decode_from(r)?),
+            known::LIKE => {
+                let (subject, created_at) = decode_edge(known::LIKE, r)?;
+                Record::Like(LikeRecord {
+                    subject: AtUri::parse(subject).ok()?,
+                    created_at,
+                })
+            }
+            known::REPOST => {
+                let (subject, created_at) = decode_edge(known::REPOST, r)?;
+                Record::Repost(RepostRecord {
+                    subject: AtUri::parse(subject).ok()?,
+                    created_at,
+                })
+            }
+            known::FOLLOW => {
+                let (subject, created_at) = decode_edge(known::FOLLOW, r)?;
+                Record::Follow(FollowRecord {
+                    subject: Did::parse(subject).ok()?,
+                    created_at,
+                })
+            }
+            known::BLOCK => {
+                let (subject, created_at) = decode_edge(known::BLOCK, r)?;
+                Record::Block(BlockRecord {
+                    subject: Did::parse(subject).ok()?,
+                    created_at,
+                })
+            }
+            known::PROFILE => Record::Profile(ProfileRecord::decode_from(r)?),
+            known::FEED_GENERATOR => {
+                if r.map()? != 5 {
+                    return None;
+                }
+                r.key("did")?;
+                let service_did = Did::parse(r.text()?).ok()?;
+                r.key("$type")?;
+                r.key(known::FEED_GENERATOR)?;
+                r.key("createdAt")?;
+                let created_at = Datetime::parse_iso8601(r.text()?).ok()?;
+                r.key("description")?;
+                let description = r.text()?.to_string();
+                r.key("displayName")?;
+                let display_name = r.text()?.to_string();
+                Record::FeedGenerator(FeedGeneratorRecord {
+                    service_did,
+                    display_name,
+                    description,
+                    created_at,
+                })
+            }
+            known::LABELER_SERVICE => {
+                if r.map()? != 3 {
+                    return None;
+                }
+                r.key("$type")?;
+                r.key(known::LABELER_SERVICE)?;
+                r.key("policies")?;
+                let len = r.array()?;
+                let mut policies = Vec::with_capacity(len);
+                for _ in 0..len {
+                    if r.map()? != 3 {
+                        return None;
+                    }
+                    r.key("blurs")?;
+                    let blurs = r.text()?.to_string();
+                    r.key("value")?;
+                    let value = r.text()?.to_string();
+                    r.key("severity")?;
+                    let severity = r.text()?.to_string();
+                    policies.push(LabelValueDefinition {
+                        value,
+                        severity,
+                        blurs,
+                    });
+                }
+                r.key("createdAt")?;
+                let created_at = Datetime::parse_iso8601(r.text()?).ok()?;
+                Record::LabelerService(LabelerServiceRecord {
+                    policies,
+                    created_at,
+                })
+            }
+            _ => return None,
+        };
+        r.at_end().then_some(record)
     }
 
     /// Whether a block claims to be a record: a map with a text `$type` at
@@ -573,7 +861,148 @@ impl Record {
     /// block that claims a type and then fails its lexicon passes this probe
     /// and fails the decode, where the caller can count it.
     pub fn is_record_block(bytes: &[u8]) -> bool {
-        crate::cbor::map_text_field(bytes, "$type").is_some()
+        cbor::map_text_field(bytes, "$type").is_some()
+    }
+}
+
+// Typed field codecs. Each `encode_*` writes what `cbor::encode` writes for
+// the `Value` that `to_value` builds for the same field; each `decode_*`
+// reads exactly that back and nothing else.
+
+fn encode_datetime(at: Datetime, out: &mut Vec<u8>) {
+    raw::text_head(at.string_len(), out);
+    at.write_to(out);
+}
+
+fn encode_did(did: &Did, out: &mut Vec<u8>) {
+    raw::text_head(did.string_len(), out);
+    did.write_to(out);
+}
+
+fn encode_uri(uri: &AtUri, out: &mut Vec<u8>) {
+    raw::text_head(uri.string_len(), out);
+    uri.write_to(out);
+}
+
+fn encode_texts(items: &[String], out: &mut Vec<u8>) {
+    raw::array_head(items.len() as u64, out);
+    for item in items {
+        raw::text(item, out);
+    }
+}
+
+fn decode_texts(r: &mut Reader<'_>) -> Option<Vec<String>> {
+    let len = r.array()?;
+    let mut items = Vec::with_capacity(len);
+    for _ in 0..len {
+        items.push(r.text()?.to_string());
+    }
+    Some(items)
+}
+
+/// `{$type, subject, createdAt}`: the shape like, repost, follow and block
+/// share. `subject` writes the subject as one text item.
+fn encode_edge(
+    kind: &str,
+    created_at: Datetime,
+    out: &mut Vec<u8>,
+    subject: impl FnOnce(&mut Vec<u8>),
+) {
+    raw::map_head(3, out);
+    raw::text("$type", out);
+    raw::text(kind, out);
+    raw::text("subject", out);
+    subject(out);
+    raw::text("createdAt", out);
+    encode_datetime(created_at, out);
+}
+
+fn decode_edge<'a>(kind: &str, r: &mut Reader<'a>) -> Option<(&'a str, Datetime)> {
+    if r.map()? != 3 {
+        return None;
+    }
+    r.key("$type")?;
+    r.key(kind)?;
+    r.key("subject")?;
+    let subject = r.text()?;
+    r.key("createdAt")?;
+    Some((subject, Datetime::parse_iso8601(r.text()?).ok()?))
+}
+
+fn encode_embed(embed: &Embed, out: &mut Vec<u8>) {
+    raw::map_head(2, out);
+    match embed {
+        Embed::Images(images) => {
+            raw::text("kind", out);
+            raw::text("images", out);
+            raw::text("images", out);
+            raw::array_head(images.len() as u64, out);
+            for image in images {
+                raw::map_head(2, out);
+                raw::text("alt", out);
+                match &image.alt {
+                    Some(alt) => raw::text(alt, out),
+                    None => raw::null(out),
+                }
+                raw::text("mediaKind", out);
+                raw::text(image.kind.as_str(), out);
+            }
+        }
+        Embed::External { uri } => {
+            raw::text("uri", out);
+            raw::text(uri, out);
+            raw::text("kind", out);
+            raw::text("external", out);
+        }
+        Embed::Record(uri) => {
+            raw::text("kind", out);
+            raw::text("record", out);
+            raw::text("record", out);
+            encode_uri(uri, out);
+        }
+    }
+}
+
+fn decode_embed(r: &mut Reader<'_>) -> Option<Embed> {
+    if r.map()? != 2 {
+        return None;
+    }
+    match r.text()? {
+        "uri" => {
+            let uri = r.text()?.to_string();
+            r.key("kind")?;
+            r.key("external")?;
+            return Some(Embed::External { uri });
+        }
+        "kind" => {}
+        _ => return None,
+    }
+    match r.text()? {
+        "images" => {
+            r.key("images")?;
+            let len = r.array()?;
+            let mut images = Vec::with_capacity(len);
+            for _ in 0..len {
+                if r.map()? != 2 {
+                    return None;
+                }
+                r.key("alt")?;
+                let alt = if r.null() {
+                    None
+                } else {
+                    Some(r.text()?.to_string())
+                };
+                r.key("mediaKind")?;
+                let kind = MediaKind::parse(r.text()?).ok()?;
+                images.push(ImageEmbed { alt, kind });
+            }
+            Some(Embed::Images(images))
+        }
+        "record" => {
+            r.key("record")?;
+            Some(Embed::Record(AtUri::parse(r.text()?).ok()?))
+        }
+        _ => None,
     }
 }
 
@@ -708,7 +1137,7 @@ mod tests {
         if let Record::Post(p) = &back {
             assert!(p.has_media());
             assert!(p.has_media_missing_alt());
-            assert_eq!(p.media_kinds(), vec![MediaKind::Photo, MediaKind::GifTenor]);
+            assert!(p.media_kinds().eq([MediaKind::Photo, MediaKind::GifTenor]));
         } else {
             panic!("expected post");
         }
@@ -839,5 +1268,322 @@ mod tests {
             assert_eq!(MediaKind::parse(kind.as_str()).unwrap(), kind);
         }
         assert!(MediaKind::parse("hologram").is_err());
+    }
+}
+
+/// Seeded oracle tests: the typed codec against the generic one it must be
+/// indistinguishable from (`to_value` / `from_value` over `cbor::encode` /
+/// `cbor::decode`).
+#[cfg(test)]
+mod oracle {
+    use super::*;
+    use crate::testrand::TestRng;
+    use std::collections::BTreeMap;
+
+    /// Text with lengths on both sides of the 24- and 256-byte heads, some
+    /// of it non-ASCII.
+    fn arb_text(rng: &mut TestRng) -> String {
+        let len = match rng.below(10) {
+            0 => 0,
+            1 => 22 + rng.below(4) as usize,
+            2 => 254 + rng.below(4) as usize,
+            _ => rng.below(300) as usize,
+        };
+        let mut text = if rng.below(4) == 0 {
+            "ラーメン é ".to_string()
+        } else {
+            String::new()
+        };
+        while text.len() < len {
+            text.push((b'a' + rng.below(26) as u8) as char);
+        }
+        text
+    }
+
+    fn arb_did(rng: &mut TestRng) -> Did {
+        if rng.below(3) == 0 {
+            Did::web(&format!(
+                "{}.{}.example",
+                rng.lowercase(1, 12),
+                rng.lowercase(1, 30)
+            ))
+            .unwrap()
+        } else {
+            Did::plc_from_seed(&rng.bytes(32))
+        }
+    }
+
+    fn arb_uri(rng: &mut TestRng) -> AtUri {
+        let did = arb_did(rng);
+        let collection = match rng.below(4) {
+            0 => Nsid::FEED_GENERATOR,
+            1 => Nsid::parse("com.example.thing").unwrap(),
+            _ => Nsid::POST,
+        };
+        match rng.below(8) {
+            0 => AtUri::repo(did),
+            _ => AtUri::record(did, collection, rng.lowercase(1, 16)),
+        }
+    }
+
+    /// Mostly inside the study window; sometimes a year the fixed-width
+    /// rendering does not cover (five digits, negative).
+    fn arb_datetime(rng: &mut TestRng) -> Datetime {
+        match rng.below(12) {
+            0 => Datetime(253_402_300_800 + rng.below(1 << 36) as i64),
+            1 => Datetime(-62_167_219_201 - rng.below(1 << 36) as i64),
+            2 => Datetime(rng.below(86_400 * 366) as i64 - 86_400 * 183),
+            _ => Datetime(1_668_000_000 + rng.below(50_000_000) as i64),
+        }
+    }
+
+    fn arb_embed(rng: &mut TestRng) -> Embed {
+        match rng.below(3) {
+            0 => Embed::Images(
+                (0..rng.below(4))
+                    .map(|_| ImageEmbed {
+                        alt: (rng.below(2) == 0).then(|| arb_text(rng)),
+                        kind: MediaKind::all()[rng.below(10) as usize],
+                    })
+                    .collect(),
+            ),
+            1 => Embed::External {
+                uri: format!("https://{}.example/{}", rng.lowercase(1, 9), arb_text(rng)),
+            },
+            _ => Embed::Record(arb_uri(rng)),
+        }
+    }
+
+    fn arb_texts(rng: &mut TestRng) -> Vec<String> {
+        (0..rng.below(4)).map(|_| rng.lowercase(0, 30)).collect()
+    }
+
+    /// One record of kind `kind` (0..9: the nine variants of [`Record`]).
+    fn arb_record(rng: &mut TestRng, kind: u64) -> Record {
+        let created_at = arb_datetime(rng);
+        match kind {
+            0 => Record::Post(PostRecord {
+                text: arb_text(rng),
+                created_at,
+                langs: arb_texts(rng),
+                reply_parent: (rng.below(3) == 0).then(|| arb_uri(rng)),
+                embed: (rng.below(2) == 0).then(|| arb_embed(rng)),
+                tags: arb_texts(rng),
+            }),
+            1 => Record::Like(LikeRecord {
+                subject: arb_uri(rng),
+                created_at,
+            }),
+            2 => Record::Repost(RepostRecord {
+                subject: arb_uri(rng),
+                created_at,
+            }),
+            3 => Record::Follow(FollowRecord {
+                subject: arb_did(rng),
+                created_at,
+            }),
+            4 => Record::Block(BlockRecord {
+                subject: arb_did(rng),
+                created_at,
+            }),
+            5 => Record::Profile(ProfileRecord {
+                display_name: arb_text(rng),
+                description: arb_text(rng),
+                has_avatar: rng.below(2) == 0,
+                has_banner: rng.below(2) == 0,
+                created_at,
+            }),
+            6 => Record::FeedGenerator(FeedGeneratorRecord {
+                service_did: arb_did(rng),
+                display_name: arb_text(rng),
+                description: arb_text(rng),
+                created_at,
+            }),
+            7 => Record::LabelerService(LabelerServiceRecord {
+                policies: (0..rng.below(4))
+                    .map(|_| LabelValueDefinition {
+                        value: rng.lowercase(0, 30),
+                        severity: rng.lowercase(0, 8),
+                        blurs: rng.lowercase(0, 8),
+                    })
+                    .collect(),
+                created_at,
+            }),
+            _ => Record::Unknown(UnknownRecord {
+                record_type: Nsid::WHTWND_ENTRY,
+                value: Value::map([
+                    ("$type", Value::text(known::WHTWND_ENTRY)),
+                    ("title", Value::text(arb_text(rng))),
+                    ("createdAt", Value::text(created_at.to_iso8601())),
+                    ("visits", Value::Int(rng.next_u64() as i64 >> 8)),
+                ]),
+            }),
+        }
+    }
+
+    /// What a decode came to, comparable across the two paths: the record,
+    /// or the error's message.
+    fn outcome(result: Result<Record>) -> std::result::Result<Record, String> {
+        result.map_err(|e| e.to_string())
+    }
+
+    /// The reference decoder.
+    fn generic(bytes: &[u8]) -> std::result::Result<Record, String> {
+        outcome(cbor::decode(bytes).and_then(|value| Record::from_value(&value)))
+    }
+
+    #[test]
+    fn typed_encoder_matches_the_generic_one_and_round_trips() {
+        let mut rng = TestRng::new(0x7ec0de);
+        for i in 0..900 {
+            let kind = i % 9;
+            let record = arb_record(&mut rng, kind);
+            let bytes = record.to_cbor();
+            assert_eq!(bytes, cbor::encode(&record.to_value()), "{record:?}");
+            let decoded = outcome(Record::from_cbor(&bytes));
+            assert_eq!(decoded, generic(&bytes), "{record:?}");
+            // A negative year renders with a sign the parser has never
+            // accepted (on either path); everything else comes back equal.
+            let parseable = record.created_at().is_none_or(|at| at.date().year >= 0);
+            assert_eq!(decoded.is_ok(), parseable, "{record:?}");
+            if parseable {
+                assert_eq!(decoded.as_ref(), Ok(&record));
+                // ...and through the typed reader, not the fallback.
+                assert_eq!(
+                    Record::decode_canonical(&bytes).is_some(),
+                    kind != 8,
+                    "{record:?}"
+                );
+            }
+        }
+    }
+
+    /// A test-only encoder that can break canonical form in chosen ways.
+    struct Mangler<'a> {
+        rng: &'a mut TestRng,
+        /// Emit map keys in reverse canonical order.
+        reverse_keys: bool,
+        /// Encode every head argument below 24 in its two-byte form.
+        long_heads: bool,
+        /// Emit the first pair of the top-level map twice.
+        duplicate_key: bool,
+    }
+
+    impl Mangler<'_> {
+        fn head(&self, major: u8, arg: u64, out: &mut Vec<u8>) {
+            if self.long_heads && arg < 24 {
+                out.extend_from_slice(&[(major << 5) | 24, arg as u8]);
+            } else {
+                match major {
+                    0 => raw::uint(arg, out),
+                    3 => raw::text_head(arg as usize, out),
+                    4 => raw::array_head(arg, out),
+                    _ => raw::map_head(arg, out),
+                }
+            }
+        }
+
+        fn encode(&mut self, value: &Value, top: bool, out: &mut Vec<u8>) {
+            match value {
+                Value::Text(s) => {
+                    self.head(3, s.len() as u64, out);
+                    out.extend_from_slice(s.as_bytes());
+                }
+                Value::Int(i) if *i >= 0 => self.head(0, *i as u64, out),
+                Value::Array(items) => {
+                    self.head(4, items.len() as u64, out);
+                    for item in items {
+                        self.encode(item, false, out);
+                    }
+                }
+                Value::Map(map) => {
+                    let duplicate = top && self.duplicate_key && !map.is_empty();
+                    self.head(5, map.len() as u64 + duplicate as u64, out);
+                    let mut keys: Vec<&String> = map.keys().collect();
+                    keys.sort_by(|a, b| a.len().cmp(&b.len()).then_with(|| a.cmp(b)));
+                    if self.reverse_keys {
+                        keys.reverse();
+                    }
+                    if duplicate {
+                        keys.insert(self.rng.below(keys.len() as u64) as usize, keys[0]);
+                    }
+                    for key in keys {
+                        self.head(3, key.len() as u64, out);
+                        out.extend_from_slice(key.as_bytes());
+                        self.encode(&map[key], false, out);
+                    }
+                }
+                other => out.extend_from_slice(&cbor::encode(other)),
+            }
+        }
+    }
+
+    #[test]
+    fn typed_decoder_is_indistinguishable_from_the_generic_one_under_mutation() {
+        let mut rng = TestRng::new(0xdec0de);
+        let mut mutations = 0;
+        let mut accepted = 0;
+        for i in 0..320 {
+            let record = arb_record(&mut rng, i % 9);
+            let canonical = record.to_cbor();
+            let value = record.to_value();
+            let mut cases: Vec<Vec<u8>> = Vec::new();
+            // Raw damage: a truncation, two byte flips, trailing bytes.
+            cases.push(canonical[..rng.below(canonical.len() as u64) as usize].to_vec());
+            for _ in 0..2 {
+                let mut flipped = canonical.clone();
+                let at = rng.below(flipped.len() as u64) as usize;
+                flipped[at] = rng.next_u64() as u8;
+                cases.push(flipped);
+            }
+            let mut trailing = canonical.clone();
+            trailing.extend_from_slice(&rng.bytes(4));
+            trailing.push(0xf6);
+            cases.push(trailing);
+            // Valid CBOR that is not the canonical shape.
+            for (reverse_keys, long_heads, duplicate_key) in [
+                (true, false, false),
+                (false, true, false),
+                (false, false, true),
+            ] {
+                let mut out = Vec::new();
+                Mangler {
+                    rng: &mut rng,
+                    reverse_keys,
+                    long_heads,
+                    duplicate_key,
+                }
+                .encode(&value, true, &mut out);
+                cases.push(out);
+            }
+            // An extra field the lexicon does not know — valid, and then
+            // with invalid UTF-8 inside it (the field a lenient reader
+            // would skip without looking).
+            let Value::Map(fields) = &value else {
+                unreachable!("records are maps")
+            };
+            let mut extended: BTreeMap<String, Value> = fields.clone();
+            extended.insert(rng.lowercase(1, 12), Value::text("zzzz-extra"));
+            let with_extra = cbor::encode(&Value::Map(extended));
+            let marker = with_extra
+                .windows(4)
+                .position(|w| w == b"zzzz")
+                .expect("the extra field's text");
+            let mut bad_utf8 = with_extra.clone();
+            bad_utf8[marker] = 0xff;
+            cases.push(with_extra);
+            cases.push(bad_utf8);
+
+            for bytes in cases {
+                let typed = outcome(Record::from_cbor(&bytes));
+                assert_eq!(typed, generic(&bytes), "{record:?} as {bytes:02x?}");
+                mutations += 1;
+                accepted += typed.is_ok() as u32;
+            }
+        }
+        assert!(mutations >= 1500, "{mutations} mutations");
+        // The mutations are not all rejections: the generic path accepts
+        // reordered keys, long heads and extra fields, and so must this one.
+        assert!(accepted >= 300, "{accepted} of {mutations} accepted");
     }
 }

@@ -56,15 +56,30 @@ impl Tid {
         self.0
     }
 
-    /// Render as a 13-character base32-sortable string, e.g. `3kdgeujwlq32y`.
-    pub fn to_string_form(&self) -> String {
+    /// The 13 base32-sortable characters, on the stack.
+    fn to_array(self) -> [u8; TID_LEN] {
         let mut out = [0u8; TID_LEN];
         let mut v = self.0;
         for slot in out.iter_mut().rev() {
             *slot = TID_ALPHABET[(v & 0x1f) as usize];
             v >>= 5;
         }
-        String::from_utf8(out.to_vec()).expect("alphabet is ascii")
+        out
+    }
+
+    /// Render as a 13-character base32-sortable string, e.g. `3kdgeujwlq32y`.
+    pub fn to_string_form(&self) -> String {
+        String::from_utf8(self.to_array().to_vec()).expect("alphabet is ascii")
+    }
+
+    /// Length in bytes of the string form.
+    pub fn string_len(&self) -> usize {
+        TID_LEN
+    }
+
+    /// Append the string form to `out` ([`Self::string_len`] bytes).
+    pub fn write_to(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.to_array());
     }
 
     /// Parse the string form.

@@ -1,0 +1,99 @@
+//! A clock-free heap budget for the write path.
+//!
+//! One small serial in-memory study (seed 7, scale 1:40 000, the full
+//! 531-day window — the input of the `repro --scale 40000` smoke run) under a
+//! counting allocator, and one assert: heap calls (`alloc` + `realloc`) per
+//! record the world wrote. The figure is structural, not a timing: it repeats
+//! exactly for a build, and it is what grows when a `to_string()` map key, a
+//! `Value` round trip or a per-record clone creeps back onto the path a record
+//! takes from the world step through the PDS, the AppView, the relay, the
+//! repository mirror and the analyzers.
+//!
+//! Measured with this file under `cargo test` (debug profile):
+//!
+//! | commit                       | heap calls | records | per record |
+//! |------------------------------|-----------:|--------:|-----------:|
+//! | parent (PR 18, `168765e`)    |  2 802 440 |  20 069 |      139.6 |
+//! | this change (typed DAG-CBOR) |    900 892 |  20 069 |       44.9 |
+//!
+//! The budget is 0.7 × the parent's figure. The `LD_PRELOAD` counter in
+//! `tools/prof/` reads the same thing from outside for a whole benchmark
+//! child (`serial_mem`, `malloc` + `realloc`: 143.7 → 48.5 per record).
+
+use bsky_study::{collect_sharded, RunSpec, StudyAnalyzers, StudyReport};
+use bsky_workload::ScenarioConfig;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// `System`, counting the calls that take memory.
+struct Counting;
+
+static ALLOCS: AtomicU64 = AtomicU64::new(0);
+static REALLOCS: AtomicU64 = AtomicU64::new(0);
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counters are relaxed statistics
+// that publish no other data and are touched before the call, so they
+// neither allocate nor observe the memory being handed out.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: the caller's `layout` is passed through as is.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: the caller's `layout` is passed through as is.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through this allocator with this
+        // `layout`, which is what the caller guarantees.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        REALLOCS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: as for `dealloc`; `new_size` is the caller's.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+fn heap_calls() -> u64 {
+    ALLOCS.load(Ordering::Relaxed) + REALLOCS.load(Ordering::Relaxed)
+}
+
+/// Heap calls per record written at the parent commit, measured as above.
+const PARENT_PER_RECORD: f64 = 139.6;
+
+#[test]
+fn heap_calls_per_record_written_stay_within_budget() {
+    let mut config = ScenarioConfig::repro_scale(7);
+    config.scale = 40_000;
+    let spec = RunSpec::new(config).shards(1).jobs(1);
+
+    let before = heap_calls();
+    let (analyzers, world, summary) = collect_sharded(&spec, StudyAnalyzers::new());
+    let report = StudyReport::from_analyzers(spec.config, analyzers, &world);
+    let calls = heap_calls() - before;
+
+    let records = world.appview.index().records_indexed();
+    assert!(records > 10_000, "a real study ran: {records} records");
+    assert!(summary.merged.repo_delta_fetches > 0, "the mirror synced");
+    assert!(report.table1.total > 0);
+    let per_record = calls as f64 / records as f64;
+    println!("{calls} heap calls / {records} records = {per_record:.1} per record");
+    assert!(
+        per_record <= 0.7 * PARENT_PER_RECORD,
+        "{per_record:.1} heap calls per record written: over the budget of \
+         {:.1} (0.7 x the {PARENT_PER_RECORD} measured before the typed codec). \
+         Look for a new `to_string()` key, `Value` round trip or clone on the \
+         per-record path",
+        0.7 * PARENT_PER_RECORD
+    );
+}

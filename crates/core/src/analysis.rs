@@ -135,6 +135,14 @@ impl Analyzer for ActivityAnalyzer {
         let Observation::Repo(repo) = obs else {
             return;
         };
+        // Rendered once per repository; a set copies it only when the DID is
+        // new to that month.
+        let did = repo.did.as_string();
+        let note = |users: &mut BTreeSet<String>| {
+            if !users.contains(&did) {
+                users.insert(did.clone());
+            }
+        };
         for (collection, _rkey, record) in &repo.records {
             let created = match record.created_at() {
                 Some(c) => c,
@@ -149,24 +157,21 @@ impl Analyzer for ActivityAnalyzer {
                 known::POST => {
                     self.totals.0 += 1;
                     let entry = self.monthly_ops.entry(month.clone()).or_default();
-                    entry.0.insert(repo.did.to_string());
+                    note(&mut entry.0);
                     entry.1 += 1;
-                    self.daily_users
-                        .entry((month.clone(), lang))
-                        .or_default()
-                        .insert(repo.did.to_string());
+                    note(self.daily_users.entry((month.clone(), lang)).or_default());
                 }
                 known::LIKE => {
                     self.totals.1 += 1;
                     let entry = self.monthly_ops.entry(month.clone()).or_default();
-                    entry.0.insert(repo.did.to_string());
+                    note(&mut entry.0);
                     entry.2 += 1;
                 }
                 known::FOLLOW => self.totals.2 += 1,
                 known::REPOST => {
                     self.totals.3 += 1;
                     let entry = self.monthly_ops.entry(month.clone()).or_default();
-                    entry.0.insert(repo.did.to_string());
+                    note(&mut entry.0);
                     entry.3 += 1;
                 }
                 known::BLOCK => self.totals.4 += 1,
@@ -291,10 +296,10 @@ impl Analyzer for Section4Analyzer {
                 for (collection, _, record) in &repo.records {
                     match record {
                         Record::Follow(f) => {
-                            *self.followers.entry(f.subject.to_string()).or_insert(0) += 1
+                            *self.followers.entry(f.subject.as_string()).or_insert(0) += 1
                         }
                         Record::Block(b) => {
-                            *self.blocks.entry(b.subject.to_string()).or_insert(0) += 1
+                            *self.blocks.entry(b.subject.as_string()).or_insert(0) += 1
                         }
                         _ => {}
                     }
@@ -461,11 +466,11 @@ impl Analyzer for IdentityAnalyzer {
             Observation::Firehose(event) => {
                 if let EventBody::HandleChange { did, handle } = &event.body {
                     self.changes += 1;
-                    self.dids.insert(did.to_string());
+                    self.dids.insert(did.as_string());
                     self.handles.insert(handle.as_str().to_string());
                     let entry = self
                         .final_handle
-                        .entry(did.to_string())
+                        .entry(did.as_string())
                         .or_insert((event.time, handle.as_str().to_string()));
                     if event.time >= entry.0 {
                         *entry = (event.time, handle.as_str().to_string());
@@ -826,9 +831,10 @@ impl Analyzer for ModerationAnalyzer {
             // firehose since Mar 6).
             Observation::Firehose(event) => {
                 if let EventBody::Commit { did, ops, .. } = &event.body {
+                    let did = did.as_string();
                     for op in ops {
                         if op.collection() == known::POST && op.cid.is_some() {
-                            let uri = format!("at://{did}/{}", op.key);
+                            let uri = ["at://", &did, "/", &op.key].concat();
                             if let std::collections::btree_map::Entry::Vacant(e) =
                                 self.post_created.entry(uri)
                             {
@@ -844,7 +850,7 @@ impl Analyzer for ModerationAnalyzer {
                 }
             }
             Observation::Labeler(entry) => {
-                let acc = self.accs.entry(entry.did.to_string()).or_default();
+                let acc = self.accs.entry(entry.did.as_string()).or_default();
                 acc.meta = Some(LabelerMeta {
                     name: entry.name.clone(),
                     operator: entry.operator,
@@ -853,7 +859,7 @@ impl Analyzer for ModerationAnalyzer {
                 });
             }
             Observation::Labels { src, labels } => {
-                let key = src.to_string();
+                let key = src.as_string();
                 for label in labels.iter() {
                     self.interactions += 1;
                     self.raw_values.insert(label.value.clone());
@@ -912,7 +918,7 @@ impl Analyzer for ModerationAnalyzer {
                     if let Record::Like(like) = record {
                         *self
                             .likes_on_accounts
-                            .entry(like.subject.did().to_string())
+                            .entry(like.subject.did().as_string())
                             .or_insert(0) += 1;
                     }
                 }
@@ -1369,7 +1375,7 @@ impl Analyzer for RecommendationAnalyzer {
                 // (applied, negated) flags per (object, labeler, value) —
                 // the order-insensitive form of `effective_labels`.
                 for label in labels.iter() {
-                    let key = (label.target.uri(), src.to_string(), label.value.clone());
+                    let key = (label.target.uri(), src.as_string(), label.value.clone());
                     let entry = self.labels.entry(key).or_insert((false, false));
                     if label.negated {
                         entry.1 = true;
@@ -1379,7 +1385,7 @@ impl Analyzer for RecommendationAnalyzer {
                 }
             }
             Observation::FeedGenerator(feed) => {
-                let key = feed.uri.to_string();
+                let key = feed.uri.as_string();
                 match self.feeds.get_mut(&key) {
                     Some(existing) => existing.absorb((*feed).clone()),
                     None => {
@@ -1388,7 +1394,7 @@ impl Analyzer for RecommendationAnalyzer {
                 }
             }
             Observation::Repo(repo) => {
-                self.actors.insert(repo.did.to_string());
+                let did = repo.did.as_string();
                 for (_, _, record) in &repo.records {
                     match record {
                         // Figure 7: likes on feed-generator records,
@@ -1407,9 +1413,8 @@ impl Analyzer for RecommendationAnalyzer {
                                 .or_insert(0) += 1;
                         }
                         Record::Follow(follow) => {
-                            let subject = follow.subject.to_string();
-                            self.follow_edges
-                                .insert((repo.did.to_string(), subject.clone()));
+                            let subject = follow.subject.as_string();
+                            self.follow_edges.insert((did.clone(), subject.clone()));
                             *self
                                 .follows_by_subject_month
                                 .entry(subject)
@@ -1420,6 +1425,7 @@ impl Analyzer for RecommendationAnalyzer {
                         _ => {}
                     }
                 }
+                self.actors.insert(did);
             }
             _ => {}
         }
@@ -1495,13 +1501,13 @@ impl Analyzer for RecommendationAnalyzer {
             if !served.is_empty() {
                 let labeled = served
                     .iter()
-                    .filter(|post| label_by_uri.contains_key(&post.uri.to_string()))
+                    .filter(|post| label_by_uri.contains_key(&post.uri.as_string()))
                     .count();
                 if labeled as f64 / served.len() as f64 >= 0.10 {
                     heavily_labeled += 1;
                     let mut counts: BTreeMap<String, u64> = BTreeMap::new();
                     for post in &served {
-                        if let Some(values) = label_by_uri.get(&post.uri.to_string()) {
+                        if let Some(values) = label_by_uri.get(&post.uri.as_string()) {
                             for value in values {
                                 *counts.entry((*value).clone()).or_insert(0) += 1;
                             }
@@ -1519,7 +1525,7 @@ impl Analyzer for RecommendationAnalyzer {
                 feed.like_count,
             ));
             let creator = feeds_per_creator
-                .entry(feed.creator.to_string())
+                .entry(feed.creator.as_string())
                 .or_insert((0, 0));
             creator.0 += 1;
             creator.1 += feed.like_count;

@@ -227,7 +227,7 @@ pub const DEFAULT_CHUNK_EVENTS: usize = 256;
 #[derive(Debug, Clone, Default)]
 struct MirroredRepo {
     /// The revision the state is synced to (`None`: no commits yet).
-    rev: Option<String>,
+    rev: Option<Tid>,
     /// CIDs of every fetched block that carries a record's `$type` — the
     /// same view a reader of the full CAR takes, so decoding these in CID
     /// order reproduces what a window-end full export decodes to.
@@ -236,6 +236,9 @@ struct MirroredRepo {
     /// (account migration) is backfilled with a full fetch: deltas across
     /// a host change are not trusted.
     host: Option<String>,
+    /// The last sync pass whose `listRepos` view named the DID; a pass
+    /// forgets every entry that is a pass behind.
+    listed_in: u64,
 }
 
 /// The incremental repository mirror: per-DID repo state maintained across
@@ -254,7 +257,12 @@ struct MirroredRepo {
 /// unit-testable in isolation.
 #[derive(Debug, Clone)]
 pub struct IncrementalRepoMirror {
-    repos: BTreeMap<String, MirroredRepo>,
+    /// Keyed by the DID itself: `Did` orders exactly as its string form
+    /// does (`plc` < `web`, then the identifier), and a lookup renders
+    /// nothing.
+    repos: BTreeMap<Did, MirroredRepo>,
+    /// Sync passes made so far (see `MirroredRepo::listed_in`).
+    passes: u64,
     /// Record blocks, CID-addressed and shared across DIDs.
     store: Box<dyn BlockStore>,
     /// Per-block reference counts: identical records fetched from different
@@ -303,6 +311,7 @@ impl IncrementalRepoMirror {
     ) -> IncrementalRepoMirror {
         IncrementalRepoMirror {
             repos: BTreeMap::new(),
+            passes: 0,
             store,
             refs: BTreeMap::new(),
             faults,
@@ -323,9 +332,9 @@ impl IncrementalRepoMirror {
 
     /// Drop all mirrored state (the backing store empties with it).
     pub fn clear(&mut self) {
-        let keys: Vec<String> = self.repos.keys().cloned().collect();
-        for key in keys {
-            self.drop_state(&key);
+        let dids: Vec<Did> = self.repos.keys().cloned().collect();
+        for did in dids {
+            self.drop_state(&did);
         }
     }
 
@@ -337,8 +346,12 @@ impl IncrementalRepoMirror {
     /// Reference-counted insert of one DID's freshly fetched record blocks,
     /// still borrowed from the CAR they arrived in: a block is copied once,
     /// into the store, and only if no DID holds it yet.
-    fn insert_records(&mut self, key: &str, records: &[(Cid, &[u8])]) {
-        let entry = self.repos.entry(key.to_string()).or_default();
+    fn insert_records(&mut self, did: &Did, records: &[(Cid, &[u8])]) -> &mut MirroredRepo {
+        if !self.repos.contains_key(did) {
+            self.repos.insert(did.clone(), MirroredRepo::default());
+        }
+        let entry = self.repos.get_mut(did).expect("present or just inserted");
+        entry.listed_in = self.passes;
         for &(cid, bytes) in records {
             if entry.record_cids.insert(cid) {
                 let refs = self.refs.entry(cid).or_insert(0);
@@ -348,11 +361,12 @@ impl IncrementalRepoMirror {
                 }
             }
         }
+        entry
     }
 
     /// Drop one DID's state, deleting blocks that became unreferenced.
-    fn drop_state(&mut self, key: &str) {
-        if let Some(entry) = self.repos.remove(key) {
+    fn drop_state(&mut self, did: &Did) {
+        if let Some(entry) = self.repos.remove(did) {
             for cid in entry.record_cids {
                 let refs = self.refs.entry(cid).or_insert(1);
                 *refs -= 1;
@@ -366,12 +380,14 @@ impl IncrementalRepoMirror {
 
     /// The revision a DID's state is synced to (`Some(None)`: mirrored but
     /// the repo has no commits; `None`: not mirrored).
-    pub fn synced_rev(&self, did: &Did) -> Option<Option<&str>> {
-        self.repos.get(&did.to_string()).map(|m| m.rev.as_deref())
+    pub fn synced_rev(&self, did: &Did) -> Option<Option<Tid>> {
+        self.repos.get(did).map(|m| m.rev)
     }
 
     /// One rev-aware sync pass over the relay's `listRepos` view. Fetch
-    /// traffic and skips are accounted into `summary`.
+    /// traffic and skips are accounted into `summary`. A DID whose revision
+    /// and host are unchanged costs one map lookup: nothing is rendered or
+    /// allocated for it.
     pub fn sync(
         &mut self,
         relay: &mut Relay,
@@ -379,35 +395,29 @@ impl IncrementalRepoMirror {
         now: Datetime,
         summary: &mut StreamSummary,
     ) {
-        let mut listed: BTreeSet<String> = BTreeSet::new();
+        self.passes += 1;
         let mut cursor: Option<String> = None;
         loop {
             let (page, next) = relay.list_repos(cursor.as_deref(), 500);
-            for (did, rev) in page {
-                let key = did.to_string();
-                listed.insert(key.clone());
-                let current = rev.map(|t| t.to_string());
-                let host = fleet.locate(&did).map(str::to_string);
+            for (did, current) in page {
+                let host = fleet.locate(&did);
                 // A repo whose hosting PDS changed since the last sync
                 // (mass migration after a host outage, or organic churn)
                 // is backfilled with a full fetch even when its revision
                 // is unchanged: deltas across a host change are not
                 // trusted. Counted — never a silent code path.
-                let host_changed = self
-                    .repos
-                    .get(&key)
-                    .map(|entry| entry.host != host)
-                    .unwrap_or(false);
-                if host_changed {
-                    summary.backfill_full_fetches += 1;
-                } else if let Some(entry) = self.repos.get(&key) {
-                    if entry.rev == current {
+                let mut host_changed = false;
+                if let Some(entry) = self.repos.get_mut(&did) {
+                    entry.listed_in = self.passes;
+                    host_changed = entry.host.as_deref() != host;
+                    if host_changed {
+                        summary.backfill_full_fetches += 1;
+                    } else if entry.rev == current {
                         continue; // unchanged since the last snapshot
                     }
                 }
-                if host_changed
-                    || !self.try_delta(relay, fleet, now, &did, current.as_deref(), summary)
-                {
+                let host = host.map(str::to_string);
+                if host_changed || !self.try_delta(relay, fleet, now, &did, current, summary) {
                     self.full_fetch(relay, fleet, now, &did, current, host, summary);
                 }
             }
@@ -420,15 +430,15 @@ impl IncrementalRepoMirror {
         // are exactly the ones a window-end full refetch fails to download
         // and counts as skips, so the mirror forgets them — and counts them
         // the same way — here.
-        let vanished: Vec<String> = self
+        let vanished: Vec<Did> = self
             .repos
-            .keys()
-            .filter(|key| !listed.contains(*key))
-            .cloned()
+            .iter()
+            .filter(|(_, entry)| entry.listed_in != self.passes)
+            .map(|(did, _)| did.clone())
             .collect();
         summary.repo_snapshot_skips += vanished.len() as u64;
-        for key in vanished {
-            self.drop_state(&key);
+        for did in vanished {
+            self.drop_state(&did);
         }
     }
 
@@ -441,20 +451,17 @@ impl IncrementalRepoMirror {
         fleet: &mut PdsFleet,
         now: Datetime,
         did: &Did,
-        current: Option<&str>,
+        current: Option<Tid>,
         summary: &mut StreamSummary,
     ) -> bool {
-        let Some(entry) = self.repos.get(&did.to_string()) else {
-            return false;
-        };
-        let Some(since) = entry.rev.as_deref().and_then(|r| Tid::parse(r).ok()) else {
+        let Some(since) = self.repos.get(did).and_then(|entry| entry.rev) else {
             return false;
         };
         // A revision that did not advance (rewind) cannot be a delta.
         let Some(current) = current else {
             return false;
         };
-        if current <= since.to_string().as_str() {
+        if current <= since {
             return false;
         }
         // Injected flakiness resolves before any wire traffic. A permanent
@@ -464,7 +471,7 @@ impl IncrementalRepoMirror {
             &self.faults,
             self.retry_delta,
             "delta",
-            &did.to_string(),
+            &did.as_string(),
             now,
             summary,
         ) {
@@ -489,12 +496,7 @@ impl IncrementalRepoMirror {
             return false;
         };
         summary.repo_delta_fetches += 1;
-        let key = did.to_string();
-        self.insert_records(&key, &records);
-        self.repos
-            .get_mut(&key)
-            .expect("delta sync requires prior state")
-            .rev = Some(current.to_string());
+        self.insert_records(did, &records).rev = Some(current);
         true
     }
 
@@ -508,16 +510,16 @@ impl IncrementalRepoMirror {
         fleet: &mut PdsFleet,
         now: Datetime,
         did: &Did,
-        current: Option<String>,
+        current: Option<Tid>,
         host: Option<String>,
         summary: &mut StreamSummary,
     ) {
-        let key = did.to_string();
         // Injected flakiness: a full fetch abandoned after the retry
         // budget is a counted skip, exactly like a vanished account.
+        let key = did.as_string();
         if !resolve_retries(&self.faults, self.retry_full, "full", &key, now, summary) {
             summary.repo_snapshot_skips += 1;
-            self.drop_state(&key);
+            self.drop_state(did);
             return;
         }
         match relay.get_repo(did, fleet, now) {
@@ -526,20 +528,19 @@ impl IncrementalRepoMirror {
                 summary.repo_full_fetches += 1;
                 let Some(scan) = scan_car(&car) else {
                     summary.repo_snapshot_skips += 1;
-                    self.drop_state(&key);
+                    self.drop_state(did);
                     return;
                 };
                 // Replace: a full fetch supersedes any previous state
                 // (rewound repos must not retain pre-rewind records).
-                self.drop_state(&key);
-                self.insert_records(&key, &scan.records);
-                let entry = self.repos.get_mut(&key).expect("just inserted");
+                self.drop_state(did);
+                let entry = self.insert_records(did, &scan.records);
                 entry.rev = current;
                 entry.host = host;
             }
             Err(_) => {
                 summary.repo_snapshot_skips += 1;
-                self.drop_state(&key);
+                self.drop_state(did);
             }
         }
     }
@@ -557,7 +558,7 @@ impl IncrementalRepoMirror {
         did: &Did,
         summary: &mut StreamSummary,
     ) -> Option<Vec<(Nsid, String, Record)>> {
-        let entry = self.repos.get(&did.to_string())?;
+        let entry = self.repos.get(did)?;
         let mut records = Vec::with_capacity(entry.record_cids.len());
         for cid in &entry.record_cids {
             match self.store.get(cid).map(|bytes| Record::from_cbor(&bytes)) {
@@ -639,10 +640,10 @@ fn scan_car(car: &[u8]) -> Option<ScannedCar<'_>> {
 /// present, and its revision must be the one `listRepos` reported. `None`
 /// when verification fails (the caller falls back to a full fetch) — and
 /// nothing reaches the mirror before the whole delta has passed.
-fn verified_delta_records<'a>(delta: &'a [u8], expected_rev: &str) -> Option<Vec<(Cid, &'a [u8])>> {
+fn verified_delta_records(delta: &[u8], expected_rev: Tid) -> Option<Vec<(Cid, &[u8])>> {
     let scan = scan_car(delta)?;
     let (rev, _data) = commit_summary(scan.head_commit?).ok()?;
-    (rev.to_string() == expected_rev).then_some(scan.records)
+    (rev == expected_rev).then_some(scan.records)
 }
 
 /// Days of history the weekly compaction pass keeps in every repository's
@@ -659,7 +660,7 @@ pub struct Collector {
     store_config: StoreConfig,
     mirror: IncrementalRepoMirror,
     firehose_cursor: u64,
-    seen_identifiers: BTreeSet<String>,
+    seen_identifiers: BTreeSet<Did>,
     identifier_order: Vec<Did>,
     /// Labeler registry entries already announced to the sink.
     labelers_emitted: usize,
@@ -796,7 +797,7 @@ impl Collector {
             .map(|index| {
                 let profile = world.plan.profile(index);
                 (
-                    profile.did.to_string(),
+                    profile.did.as_string(),
                     (
                         profile.handle.as_str().to_string(),
                         ActivityClass::of_weight(profile.activity_weight),
@@ -845,7 +846,7 @@ impl Collector {
                     if !self.faults.is_quiet() {
                         if let EventBody::Commit { did, .. } = &event.body {
                             let event_day = event.time.timestamp().div_euclid(86_400) as u64;
-                            if self.faults.drops_commit(&did.to_string(), event_day) {
+                            if self.faults.drops_commit(&did.as_string(), event_day) {
                                 summary.cursor_gap_drops += 1;
                                 continue;
                             }
@@ -1075,8 +1076,11 @@ impl Collector {
         loop {
             let (page, next) = world.relay.list_repos(cursor.as_deref(), 500);
             for (did, rev) in page {
-                if self.seen_identifiers.insert(did.to_string()) {
-                    if let Some((handle, _)) = self.identity_map.get(&did.to_string()) {
+                // Every snapshot lists every DID again: only a new one is
+                // cloned into the set or rendered for the lookup.
+                if !self.seen_identifiers.contains(&did) {
+                    self.seen_identifiers.insert(did.clone());
+                    if let Some((handle, _)) = self.identity_map.get(&did.as_string()) {
                         // Injected DNS flakiness resolves before the real
                         // lookup: transient SERVFAILs are retried under the
                         // DnsLookup policy; a give-up leaves the handle
@@ -1111,7 +1115,7 @@ impl Collector {
                         lookup_frames.push((when, 64 + 9 + handle.len() as u64));
                     }
                     self.identifier_order.push(did.clone());
-                    let rev = rev.map(|t| t.to_string());
+                    let rev = rev.map(|t| t.to_string_form());
                     self.emit(
                         sink,
                         &Observation::UserIdentifier {

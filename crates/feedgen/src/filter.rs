@@ -83,19 +83,12 @@ impl FeedFilter {
                     .any(|alt| re.is_match(alt)),
                 _ => false,
             },
-            FeedFilter::MinImageCount(n) => post.media_kinds().len() >= *n,
-            FeedFilter::ExcludeMediaKinds(kinds) => {
-                !post.media_kinds().iter().any(|k| kinds.contains(k))
-            }
-            FeedFilter::RequireMediaKinds(kinds) => {
-                post.media_kinds().iter().any(|k| kinds.contains(k))
-            }
+            FeedFilter::MinImageCount(n) => post.media_kinds().count() >= *n,
+            FeedFilter::ExcludeMediaKinds(kinds) => !post.media_kinds().any(|k| kinds.contains(&k)),
+            FeedFilter::RequireMediaKinds(kinds) => post.media_kinds().any(|k| kinds.contains(&k)),
             FeedFilter::ExcludeAuthors(authors) => !authors.contains(author),
             FeedFilter::ExcludeReplies => post.reply_parent.is_none(),
-            FeedFilter::Keyword(kw) => post
-                .text
-                .to_ascii_lowercase()
-                .contains(&kw.to_ascii_lowercase()),
+            FeedFilter::Keyword(kw) => contains_ignore_ascii_case(&post.text, kw),
         }
     }
 
@@ -103,6 +96,19 @@ impl FeedFilter {
     pub fn needs_regex(&self) -> bool {
         matches!(self, FeedFilter::TextRegex(_) | FeedFilter::AltTextRegex(_))
     }
+}
+
+/// `haystack.to_ascii_lowercase().contains(&needle.to_ascii_lowercase())`
+/// without the two lowercased copies: some byte window of the haystack equals
+/// the needle up to ASCII case. Non-ASCII bytes compare exactly, and UTF-8 is
+/// self-synchronising, so a bytewise hit is a hit on character boundaries.
+/// The empty needle is contained in everything (`windows(0)` would panic).
+fn contains_ignore_ascii_case(haystack: &str, needle: &str) -> bool {
+    needle.is_empty()
+        || haystack
+            .as_bytes()
+            .windows(needle.len())
+            .any(|window| window.eq_ignore_ascii_case(needle.as_bytes()))
 }
 
 /// The declarative description of a feed's selection logic.
@@ -218,6 +224,44 @@ mod tests {
         reply.reply_parent = Some(bsky_atproto::AtUri::repo(author("bob")));
         assert!(!FeedFilter::ExcludeReplies.passes(&alice, &reply));
         assert!(FeedFilter::ExcludeReplies.passes(&alice, &ramen));
+    }
+
+    #[test]
+    fn keyword_filter_matches_the_lowercase_and_contains_rule() {
+        let alice = author("alice");
+        let cases = [
+            ("best Ramen in Tokyo", "ramen"),
+            ("best ramen in tokyo", "RaMeN"),
+            ("RAMEN", "ramen"),
+            ("ramen", "ramen!"),
+            ("", "ramen"),
+            ("", ""),
+            ("anything at all", ""),
+            ("ラーメン大好き Ramen", "ラーメン"),
+            ("ラーメン大好き Ramen", "ーメ"),
+            ("Über-Ramen ÜBER", "über"),
+            ("Über-Ramen ÜBER", "Über-r"),
+            ("straße", "STRASSE"),
+            ("İstanbul", "i"),
+            ("new piece! #ART", "#art"),
+            ("ab", "abc"),
+        ];
+        for (text, keyword) in cases {
+            let expected = text
+                .to_ascii_lowercase()
+                .contains(&keyword.to_ascii_lowercase());
+            assert_eq!(
+                FeedFilter::Keyword(keyword.into()).passes(&alice, &text_post(text, "en")),
+                expected,
+                "{text:?} / {keyword:?}"
+            );
+        }
+        // The edges the byte-window rewrite has to get right, spelled out.
+        let post = text_post("Mixed CASE and ラーメン", "ja");
+        assert!(FeedFilter::Keyword(String::new()).passes(&alice, &post));
+        assert!(FeedFilter::Keyword("mixed case".into()).passes(&alice, &post));
+        assert!(FeedFilter::Keyword("AND ラーメン".into()).passes(&alice, &post));
+        assert!(!FeedFilter::Keyword("らーめん".into()).passes(&alice, &post));
     }
 
     #[test]

@@ -124,7 +124,7 @@ impl Trigger {
     pub fn matches(&self, post: &PostRecord, rng: &mut SimRng) -> bool {
         match self {
             Trigger::MissingAltText { .. } => post.has_media_missing_alt(),
-            Trigger::Media { kind, .. } => post.media_kinds().contains(kind),
+            Trigger::Media { kind, .. } => post.media_kinds().any(|k| k == *kind),
             Trigger::Hashtag { tag, .. } => post.tags.iter().any(|t| t.eq_ignore_ascii_case(tag)),
             Trigger::Keyword { keyword, .. } => post
                 .text

@@ -51,6 +51,9 @@ pub struct LabelerService {
     rng: SimRng,
     /// Whether the endpoint currently answers (dead endpoints never publish).
     functional: bool,
+    /// Where `observe_post` renders the post URI its generator is derived
+    /// from: every labeler sees every post, so the key is never allocated.
+    uri_buf: Vec<u8>,
 }
 
 impl LabelerService {
@@ -81,6 +84,7 @@ impl LabelerService {
             pending: VecDeque::new(),
             stream: Vec::new(),
             rng,
+            uri_buf: Vec::new(),
         }
     }
 
@@ -160,7 +164,10 @@ impl LabelerService {
         if !self.functional {
             return;
         }
-        let mut rng = self.rng.fork(&uri.to_string());
+        self.uri_buf.clear();
+        uri.write_to(&mut self.uri_buf);
+        let uri_str = std::str::from_utf8(&self.uri_buf).expect("AT-URIs render as UTF-8");
+        let mut rng = self.rng.fork(uri_str);
         let values = self.policy.evaluate(post, &mut rng);
         for value in values {
             let delay = self

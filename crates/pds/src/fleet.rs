@@ -87,7 +87,7 @@ impl PdsFleet {
 
     /// The hostname of the PDS hosting a DID.
     pub fn locate(&self, did: &Did) -> Option<&str> {
-        self.routing.get(&did.to_string()).map(String::as_str)
+        self.routing.get(&did.as_string()).map(String::as_str)
     }
 
     /// The PDS hosting a DID.
@@ -97,8 +97,8 @@ impl PdsFleet {
 
     /// Mutable access to the PDS hosting a DID.
     pub fn pds_for_mut(&mut self, did: &Did) -> Option<&mut Pds> {
-        let host = self.routing.get(&did.to_string())?.clone();
-        self.servers.get_mut(&host)
+        let host = self.routing.get(&did.as_string())?;
+        self.servers.get_mut(host)
     }
 
     /// Create an account on a specific server.
@@ -114,7 +114,7 @@ impl PdsFleet {
             .get_mut(hostname)
             .ok_or_else(|| AtError::RepoError(format!("no PDS named {hostname}")))?;
         server.create_account(did.clone(), handle, at)?;
-        self.routing.insert(did.to_string(), hostname.to_string());
+        self.routing.insert(did.as_string(), hostname.to_string());
         Ok(())
     }
 
@@ -148,7 +148,7 @@ impl PdsFleet {
         let dest = self.servers.get_mut(destination).expect("checked above");
         dest.migrate_in(repo, new_handle, at)?;
         self.routing
-            .insert(did.to_string(), destination.to_string());
+            .insert(did.as_string(), destination.to_string());
         Ok(dest.endpoint())
     }
 

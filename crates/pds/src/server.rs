@@ -109,7 +109,7 @@ impl Pds {
 
     /// Create an account and its empty repository.
     pub fn create_account(&mut self, did: Did, handle: Handle, at: Datetime) -> Result<()> {
-        let key = did.to_string();
+        let key = did.as_string();
         if self.accounts.contains_key(&key) {
             return Err(AtError::RepoError(format!("{key} already hosted here")));
         }
@@ -133,22 +133,22 @@ impl Pds {
 
     /// Access an account.
     pub fn account(&self, did: &Did) -> Option<&Account> {
-        self.accounts.get(&did.to_string())
+        self.accounts.get(&did.as_string())
     }
 
     /// Mutable access to an account (e.g. to edit preferences).
     pub fn account_mut(&mut self, did: &Did) -> Option<&mut Account> {
-        self.accounts.get_mut(&did.to_string())
+        self.accounts.get_mut(&did.as_string())
     }
 
     /// Access a hosted repository.
     pub fn repo(&self, did: &Did) -> Option<&Repository> {
-        self.repos.get(&did.to_string())
+        self.repos.get(&did.as_string())
     }
 
     /// Whether the given DID is hosted here.
     pub fn hosts(&self, did: &Did) -> bool {
-        self.repos.contains_key(&did.to_string())
+        self.repos.contains_key(&did.as_string())
     }
 
     /// Apply a batch of writes to a hosted repository, emitting a commit
@@ -159,7 +159,7 @@ impl Pds {
         writes: &[Write],
         at: Datetime,
     ) -> Result<CommitResult> {
-        let key = did.to_string();
+        let key = did.as_string();
         match self.accounts.get(&key) {
             Some(a) if a.status == AccountStatus::Active => {}
             Some(_) => return Err(AtError::RepoError(format!("{key} is not active"))),
@@ -186,7 +186,7 @@ impl Pds {
         record: Record,
         at: Datetime,
     ) -> Result<(String, CommitResult)> {
-        let key = did.to_string();
+        let key = did.as_string();
         match self.accounts.get(&key) {
             Some(a) if a.status == AccountStatus::Active => {}
             _ => return Err(AtError::RepoError(format!("{key} is not active"))),
@@ -208,7 +208,7 @@ impl Pds {
     pub fn change_handle(&mut self, did: &Did, new_handle: Handle, at: Datetime) -> Result<()> {
         let account = self
             .accounts
-            .get_mut(&did.to_string())
+            .get_mut(&did.as_string())
             .ok_or_else(|| AtError::RepoError(format!("{did} not hosted here")))?;
         account.handle = new_handle.clone();
         self.outbox.push(PdsEvent {
@@ -222,7 +222,7 @@ impl Pds {
     /// Delete an account, emitting a tombstone event. The repository is
     /// dropped from this PDS.
     pub fn delete_account(&mut self, did: &Did, at: Datetime) -> Result<()> {
-        let key = did.to_string();
+        let key = did.as_string();
         let account = self
             .accounts
             .get_mut(&key)
@@ -241,7 +241,7 @@ impl Pds {
     /// it so the destination can import it. The account entry stays as a
     /// deactivated stub.
     pub fn migrate_out(&mut self, did: &Did, at: Datetime) -> Result<Repository> {
-        let key = did.to_string();
+        let key = did.as_string();
         let repo = self
             .repos
             .remove(&key)
@@ -260,7 +260,7 @@ impl Pds {
     /// Import a repository migrated from another PDS.
     pub fn migrate_in(&mut self, repo: Repository, handle: Handle, at: Datetime) -> Result<()> {
         let did = repo.did().clone();
-        let key = did.to_string();
+        let key = did.as_string();
         if self.repos.contains_key(&key) {
             return Err(AtError::RepoError(format!("{key} already hosted here")));
         }
@@ -296,10 +296,10 @@ impl Pds {
         };
         let page: Vec<(Did, Option<String>)> = iter
             .take(limit)
-            .map(|(_, r)| (r.did().clone(), r.rev().map(|t| t.to_string())))
+            .map(|(_, r)| (r.did().clone(), r.rev().map(|t| t.to_string_form())))
             .collect();
         let next = if page.len() == limit {
-            page.last().map(|(did, _)| did.to_string())
+            page.last().map(|(did, _)| did.as_string())
         } else {
             None
         };
@@ -310,7 +310,7 @@ impl Pds {
     pub fn get_repo(&mut self, did: &Did) -> Result<Vec<u8>> {
         self.sync_requests += 1;
         self.repos
-            .get(&did.to_string())
+            .get(&did.as_string())
             .map(Repository::export_car)
             .ok_or_else(|| AtError::RepoError(format!("{did} not hosted here")))
     }
@@ -324,7 +324,7 @@ impl Pds {
     pub fn get_repo_since(&mut self, did: &Did, since: &Tid, scope: DeltaScope) -> Result<Vec<u8>> {
         self.sync_requests += 1;
         self.repos
-            .get(&did.to_string())
+            .get(&did.as_string())
             .ok_or_else(|| AtError::RepoError(format!("{did} not hosted here")))?
             .export_car_since(since, scope)
     }

@@ -8,7 +8,6 @@
 //! the account also uses third-party lexicons such as WhiteWind (§4).
 
 use crate::config::{ScenarioConfig, GROWTH_EPOCHS, LANGUAGE_SHARES};
-use bsky_atproto::nsid::known;
 use bsky_atproto::{AtUri, Datetime, Did, Handle, Nsid};
 use bsky_simnet::SimRng;
 
@@ -517,14 +516,41 @@ impl PopulationPlan {
 
     /// The record key of the `slot`-th post of a user-day.
     pub fn post_rkey(day_idx: usize, slot: u64) -> String {
-        format!("p{day_idx:05}s{slot:02}")
+        Self::day_rkey('p', day_idx, slot, 2)
+    }
+
+    /// `format!("{prefix}{day_idx:05}s{n:0width$}")`, the scheme of every
+    /// generated record key, written digit by digit: one exact-size
+    /// allocation per key and no formatter on the per-record path.
+    pub(crate) fn day_rkey(prefix: char, day_idx: usize, n: u64, width: usize) -> String {
+        fn push_padded(out: &mut String, value: u64, width: usize) {
+            let mut digits = [b'0'; 20];
+            let mut at = digits.len();
+            let mut rest = value;
+            loop {
+                at -= 1;
+                digits[at] = b'0' + (rest % 10) as u8;
+                rest /= 10;
+                if rest == 0 {
+                    break;
+                }
+            }
+            let at = at.min(digits.len() - width.min(digits.len()));
+            out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
+        }
+        let mut key = String::with_capacity(prefix.len_utf8() + 5 + 1 + width);
+        key.push(prefix);
+        push_padded(&mut key, day_idx as u64, 5);
+        key.push('s');
+        push_padded(&mut key, n, width);
+        key
     }
 
     /// The `at://` URI of the `slot`-th post of user `index` on `day_idx`.
     pub fn post_uri(&self, index: usize, day_idx: usize, slot: u64) -> AtUri {
         AtUri::record(
             self.profiles[index].did.clone(),
-            Nsid::parse(known::POST).unwrap(),
+            Nsid::POST,
             Self::post_rkey(day_idx, slot),
         )
     }
@@ -598,6 +624,27 @@ impl PopulationPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn day_rkeys_match_the_formatter() {
+        // Padding, and values wider than their padding.
+        for day_idx in [0, 7, 530, 99_999, 100_000, 12_345_678] {
+            for n in [0, 1, 9, 10, 99, 100, 999, 1_000, u64::MAX] {
+                assert_eq!(
+                    PopulationPlan::day_rkey('r', day_idx, n, 3),
+                    format!("r{day_idx:05}s{n:03}")
+                );
+                assert_eq!(
+                    PopulationPlan::day_rkey('f', day_idx, n, 2),
+                    format!("f{day_idx:05}s{n:02}")
+                );
+                assert_eq!(
+                    PopulationPlan::post_rkey(day_idx, n),
+                    format!("p{day_idx:05}s{n:02}")
+                );
+            }
+        }
+    }
 
     fn draw_many(n: usize) -> Vec<UserProfile> {
         let config = ScenarioConfig::test_scale(3);

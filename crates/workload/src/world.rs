@@ -50,7 +50,7 @@ use bsky_atproto::record::{
     BlockRecord, Embed, FeedGeneratorRecord, FollowRecord, ImageEmbed, LikeRecord, MediaKind,
     PostRecord, ProfileRecord, Record, RepostRecord, UnknownRecord,
 };
-use bsky_atproto::repo::CompactionStats;
+use bsky_atproto::repo::{CompactionStats, Write};
 use bsky_atproto::Tid;
 use bsky_atproto::{cbor, AtUri, Datetime, Did, Handle, Nsid};
 use bsky_feedgen::faas::default_platforms;
@@ -644,21 +644,17 @@ impl World {
         if let Some(pds) = self.fleet.pds_for_mut(&user.did) {
             let _ = pds.apply_writes(
                 &user.did,
-                &[bsky_atproto::repo::Write::Create {
-                    collection: Nsid::parse(known::PROFILE).unwrap(),
+                &[Write::Create {
+                    collection: Nsid::PROFILE,
                     rkey: rkey.clone(),
                     record: profile.clone(),
                 }],
                 today,
             );
         }
-        self.appview.index_mut().index_record(
-            &user.did,
-            &Nsid::parse(known::PROFILE).unwrap(),
-            &rkey,
-            &profile,
-            today,
-        );
+        self.appview
+            .index_mut()
+            .index_record(&user.did, &Nsid::PROFILE, &rkey, &profile, today);
         self.owned_local.insert(index, self.users.len());
         self.users.push(user);
     }
@@ -780,7 +776,7 @@ impl World {
             if let Some(pds) = self.fleet.pds_for_mut(&creator) {
                 let _ = pds.create_record(
                     &creator,
-                    Nsid::parse(known::FEED_GENERATOR).unwrap(),
+                    Nsid::FEED_GENERATOR,
                     Record::FeedGenerator(record.clone()),
                     today,
                 );
@@ -803,23 +799,29 @@ impl World {
 
     /// One active user's actions for one day, applied as a single commit.
     /// Consumes only the user's own per-day streams plus the read-only plan.
+    /// Each record is built once, inside its [`Write`], and lent from there
+    /// to the PDS, the AppView, the feed generators and the labelers.
     fn simulate_user_day(&mut self, index: usize, day_idx: usize, today: Datetime) {
         let Some(&local) = self.owned_local.get(&index) else {
             return; // signup failed (should not happen)
         };
-        let user = self.users[local].clone();
-        let mut writes: Vec<bsky_atproto::repo::Write> = Vec::new();
-        let mut new_posts: Vec<(String, PostRecord)> = Vec::new();
-        let mut indexed: Vec<(Nsid, String, Record)> = Vec::new();
+        let user = &self.users[local];
+        let mut writes: Vec<Write> = Vec::new();
+        let mut create = |collection: Nsid, rkey: String, record: Record| {
+            writes.push(Write::Create {
+                collection,
+                rkey,
+                record,
+            })
+        };
 
         let when = self.plan.when(index, day_idx);
         let mut rng = self.plan.day_rng(index, day_idx, DayPurpose::Content);
         // Non-post records share one per-day key sequence.
-        let mut record_seq = 0u32;
-        let next_rkey = |seq: &mut u32| {
-            let rkey = format!("r{day_idx:05}s{seq:03}");
-            *seq += 1;
-            rkey
+        let mut record_seq = 0u64;
+        let mut next_rkey = || {
+            record_seq += 1;
+            PopulationPlan::day_rkey('r', day_idx, record_seq - 1, 3)
         };
 
         // Posts (≈1.8 per active user-day on average, weighted by the user).
@@ -827,15 +829,9 @@ impl World {
         // it when targeting this user's posts.
         let post_count = self.plan.posts_on(index, day_idx);
         for slot in 0..post_count {
-            let post = draw_post(&user, &mut rng, when);
+            let post = draw_post(user, &mut rng, when);
             let rkey = PopulationPlan::post_rkey(day_idx, slot);
-            new_posts.push((rkey.clone(), post.clone()));
-            writes.push(bsky_atproto::repo::Write::Create {
-                collection: Nsid::parse(known::POST).unwrap(),
-                rkey: rkey.clone(),
-                record: Record::Post(post.clone()),
-            });
-            indexed.push((Nsid::parse(known::POST).unwrap(), rkey, Record::Post(post)));
+            create(Nsid::POST, rkey, Record::Post(post));
             self.total_posts += 1;
         }
 
@@ -844,21 +840,15 @@ impl World {
         // from dedicated fault forks — never from the user's content stream
         // — so a quiet plan leaves this path byte-inert, and the distinct
         // `f`-prefixed rkeys never collide with planned (`p`/`r`) keys.
-        let spam_count = self.faults.spam_posts(&user.did.to_string(), day_idx);
+        let spam_count = self.faults.spam_posts(&user.did.as_string(), day_idx);
         for slot in 0..spam_count {
             let post = PostRecord::simple(
                 format!("fresh followers fast, link in bio #{slot}"),
                 &user.language,
                 when,
             );
-            let rkey = format!("f{day_idx:05}s{slot:02}");
-            new_posts.push((rkey.clone(), post.clone()));
-            writes.push(bsky_atproto::repo::Write::Create {
-                collection: Nsid::parse(known::POST).unwrap(),
-                rkey: rkey.clone(),
-                record: Record::Post(post.clone()),
-            });
-            indexed.push((Nsid::parse(known::POST).unwrap(), rkey, Record::Post(post)));
+            let rkey = PopulationPlan::day_rkey('f', day_idx, u64::from(slot), 2);
+            create(Nsid::POST, rkey, Record::Post(post));
             self.total_posts += 1;
             self.fault_counters.spam_posts_injected += 1;
         }
@@ -882,88 +872,58 @@ impl World {
             } else {
                 continue;
             };
-            let rkey = next_rkey(&mut record_seq);
             let record = Record::Like(LikeRecord {
                 subject,
                 created_at: when,
             });
-            writes.push(bsky_atproto::repo::Write::Create {
-                collection: Nsid::parse(known::LIKE).unwrap(),
-                rkey: rkey.clone(),
-                record: record.clone(),
-            });
-            indexed.push((Nsid::parse(known::LIKE).unwrap(), rkey, record));
+            create(Nsid::LIKE, next_rkey(), record);
             self.total_likes += 1;
         }
 
         // Reposts (≈0.6).
         for _ in 0..rng.poisson(0.6) {
             if let Some(target) = self.plan.pick_recent_post(day_idx, &mut rng) {
-                let rkey = next_rkey(&mut record_seq);
                 let record = Record::Repost(RepostRecord {
                     subject: target,
                     created_at: when,
                 });
-                writes.push(bsky_atproto::repo::Write::Create {
-                    collection: Nsid::parse(known::REPOST).unwrap(),
-                    rkey: rkey.clone(),
-                    record: record.clone(),
-                });
-                indexed.push((Nsid::parse(known::REPOST).unwrap(), rkey, record));
+                create(Nsid::REPOST, next_rkey(), record);
             }
         }
 
         // Follows (≈1.3): preferential attachment towards popular users.
         for _ in 0..rng.poisson(1.3) {
             if let Some(target) = self.pick_popular_user(index, day_idx, &mut rng) {
-                let rkey = next_rkey(&mut record_seq);
                 let record = Record::Follow(FollowRecord {
                     subject: target,
                     created_at: when,
                 });
-                writes.push(bsky_atproto::repo::Write::Create {
-                    collection: Nsid::parse(known::FOLLOW).unwrap(),
-                    rkey: rkey.clone(),
-                    record: record.clone(),
-                });
-                indexed.push((Nsid::parse(known::FOLLOW).unwrap(), rkey, record));
+                create(Nsid::FOLLOW, next_rkey(), record);
             }
         }
 
         // Blocks (≈0.09): concentrated on a couple of notorious accounts.
         for _ in 0..rng.poisson(0.09) {
             if let Some(target) = self.pick_block_target(index, day_idx, &mut rng) {
-                let rkey = next_rkey(&mut record_seq);
                 let record = Record::Block(BlockRecord {
                     subject: target,
                     created_at: when,
                 });
-                writes.push(bsky_atproto::repo::Write::Create {
-                    collection: Nsid::parse(known::BLOCK).unwrap(),
-                    rkey: rkey.clone(),
-                    record: record.clone(),
-                });
-                indexed.push((Nsid::parse(known::BLOCK).unwrap(), rkey, record));
+                create(Nsid::BLOCK, next_rkey(), record);
             }
         }
 
         // Third-party (WhiteWind) records for the few users who use them.
         if user.uses_whitewind && rng.chance(0.2) {
-            let rkey = next_rkey(&mut record_seq);
             let record = Record::Unknown(UnknownRecord {
-                record_type: Nsid::parse(known::WHTWND_ENTRY).unwrap(),
+                record_type: Nsid::WHTWND_ENTRY,
                 value: cbor::Value::map([
                     ("$type", cbor::Value::text(known::WHTWND_ENTRY)),
                     ("title", cbor::Value::text("long-form thoughts")),
                     ("createdAt", cbor::Value::text(when.to_iso8601())),
                 ]),
             });
-            writes.push(bsky_atproto::repo::Write::Create {
-                collection: Nsid::parse(known::WHTWND_ENTRY).unwrap(),
-                rkey: rkey.clone(),
-                record: record.clone(),
-            });
-            indexed.push((Nsid::parse(known::WHTWND_ENTRY).unwrap(), rkey, record));
+            create(Nsid::WHTWND_ENTRY, next_rkey(), record);
         }
 
         if writes.is_empty() {
@@ -977,20 +937,34 @@ impl World {
             return;
         }
 
-        // AppView indexing, feed curation, labeler observation for the new
-        // content (the "firehose with blocks" path).
-        for (collection, rkey, record) in indexed {
-            self.appview
-                .index_mut()
-                .index_record(&user.did, &collection, &rkey, &record, when);
-        }
-        for (rkey, post) in new_posts {
-            let uri = AtUri::record(user.did.clone(), Nsid::parse(known::POST).unwrap(), rkey);
-            for feed in &mut self.feedgens {
-                feed.observe_post(&uri, &user.did, &post, when);
+        // AppView indexing, then feed curation and labeler observation for
+        // the new posts (the "firehose with blocks" path).
+        for write in &writes {
+            if let Write::Create {
+                collection,
+                rkey,
+                record,
+            } = write
+            {
+                self.appview
+                    .index_mut()
+                    .index_record(&user.did, collection, rkey, record, when);
             }
-            for labeler in self.labelers.all_mut() {
-                labeler.observe_post(&uri, &post, when);
+        }
+        for write in &writes {
+            if let Write::Create {
+                rkey,
+                record: Record::Post(post),
+                ..
+            } = write
+            {
+                let uri = AtUri::record(user.did.clone(), Nsid::POST, rkey.as_str());
+                for feed in &mut self.feedgens {
+                    feed.observe_post(&uri, &user.did, post, when);
+                }
+                for labeler in self.labelers.all_mut() {
+                    labeler.observe_post(&uri, post, when);
+                }
             }
         }
 
