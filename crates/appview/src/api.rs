@@ -52,7 +52,7 @@ pub struct ProfileView {
 }
 
 /// The AppView service: the (entity-sharded) index plus API methods.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct AppView {
     index: AppViewShards,
     api_requests: u64,

@@ -451,8 +451,8 @@ impl EntityRef {
 /// see the module docs for the storage layout and the primitive/composed
 /// ingestion split. Counter mutations accumulate in resident dirty maps
 /// until [`AppViewIndex::flush`] — call it at epoch (day) boundaries and
-/// before reading [`AppViewIndex::store_stats`] or merging.
-#[derive(Debug, Clone)]
+/// before reading [`AppViewIndex::store_stats`].
+#[derive(Debug)]
 pub struct AppViewIndex {
     /// Post key (AT-URI string) → block CIDs.
     posts: BTreeMap<String, EntityRef>,
@@ -471,7 +471,6 @@ pub struct AppViewIndex {
     records_indexed: u64,
     labels_ingested: u64,
     labels_preindex: u64,
-    lost_entities: u64,
     counter_coalesced_writes: u64,
 }
 
@@ -510,7 +509,6 @@ impl AppViewIndex {
             records_indexed: 0,
             labels_ingested: 0,
             labels_preindex: 0,
-            lost_entities: 0,
             counter_coalesced_writes: 0,
         }
     }
@@ -669,7 +667,7 @@ impl AppViewIndex {
     }
 
     /// Flush all dirty counter state into compact counter blocks and drain
-    /// the write-back cache. Called at day boundaries (and before merge /
+    /// the write-back cache. Called at day boundaries (and before
     /// store-stats reads); queries are flush-transparent either way.
     pub fn flush(&mut self) {
         for (key, counters) in std::mem::take(&mut self.dirty_posts) {
@@ -1000,13 +998,6 @@ impl AppViewIndex {
         self.labels_preindex
     }
 
-    /// Entities dropped during [`AppViewIndex::merge`] because the source
-    /// store had lost their block (corrupt spill files read as absent) —
-    /// counted, never silent.
-    pub fn lost_entities(&self) -> u64 {
-        self.lost_entities
-    }
-
     /// Total records indexed.
     pub fn records_indexed(&self) -> u64 {
         self.records_indexed
@@ -1068,101 +1059,6 @@ impl AppViewIndex {
     /// one-block-per-entity design.
     pub fn counter_coalesced_writes(&self) -> u64 {
         self.counter_coalesced_writes
-    }
-
-    /// Merge another index's state into this one (the associative merge the
-    /// entity-sharded [`crate::shards::AppViewShards`] and the engine-shard
-    /// worlds rely on). Entity sets must be disjoint — shards partition
-    /// entities by hash, so they always are; counters add and edge sets
-    /// union. Both sides are flushed first, so only flushed blocks travel.
-    pub fn merge(&mut self, mut other: AppViewIndex) {
-        self.flush();
-        other.flush();
-        for (key, entry) in &other.posts {
-            debug_assert!(
-                !self.posts.contains_key(key),
-                "post shards must be disjoint"
-            );
-            // The source store lost the content block (spill-file corruption
-            // reads as absent): the entity cannot travel, but the loss is
-            // counted — never silent.
-            let Some(bytes) = other.store.get(&entry.content) else {
-                self.lost_entities += 1;
-                continue;
-            };
-            self.store.put(entry.content, bytes);
-            // Counter blocks are re-encoded through the collision-aware
-            // writer: two source shards may hold hash-colliding blocks that
-            // only clash once they share a store. A lost counter block
-            // keeps the entity (zeroed) and counts the loss.
-            let counters = match entry.counters {
-                Some(cid) => match other
-                    .store
-                    .get(&cid)
-                    .as_deref()
-                    .and_then(PostCounters::from_block)
-                {
-                    Some(counters) => {
-                        self.put_counter_block(key, None, |tag| counters.to_block(tag))
-                    }
-                    None => {
-                        self.lost_entities += 1;
-                        None
-                    }
-                },
-                None => None,
-            };
-            self.posts.insert(
-                key.clone(),
-                EntityRef {
-                    content: entry.content,
-                    counters,
-                },
-            );
-        }
-        for (key, entry) in &other.actors {
-            debug_assert!(
-                !self.actors.contains_key(key),
-                "actor shards must be disjoint"
-            );
-            let Some(bytes) = other.store.get(&entry.content) else {
-                self.lost_entities += 1;
-                continue;
-            };
-            self.store.put(entry.content, bytes);
-            let counters = match entry.counters {
-                Some(cid) => match other
-                    .store
-                    .get(&cid)
-                    .as_deref()
-                    .and_then(ActorCounters::from_block)
-                {
-                    Some(counters) => {
-                        self.put_counter_block(key, None, |tag| counters.to_block(tag))
-                    }
-                    None => {
-                        self.lost_entities += 1;
-                        None
-                    }
-                },
-                None => None,
-            };
-            self.actors.insert(
-                key.clone(),
-                EntityRef {
-                    content: entry.content,
-                    counters,
-                },
-            );
-        }
-        self.follow_edges.extend(other.follow_edges);
-        self.block_edges.extend(other.block_edges);
-        self.events_processed += other.events_processed;
-        self.records_indexed += other.records_indexed;
-        self.labels_ingested += other.labels_ingested;
-        self.labels_preindex += other.labels_preindex;
-        self.lost_entities += other.lost_entities;
-        self.counter_coalesced_writes += other.counter_coalesced_writes;
     }
 }
 
@@ -1608,29 +1504,5 @@ mod tests {
             assert_eq!(stats.writeback_flushes, 1, "one flush drained the cache");
             assert_eq!(raw.store_stats().writeback_flushes, 0);
         }
-    }
-
-    #[test]
-    fn merge_combines_disjoint_indices() {
-        let (index, alice, bob, uri) = setup();
-        let mut other = AppViewIndex::new();
-        let carol = did("carol");
-        other.upsert_actor(&carol, &Handle::parse("carol.bsky.social").unwrap());
-        other.index_record(
-            &carol,
-            &post_nsid(),
-            "post00000009",
-            &Record::Post(PostRecord::simple("from carol", "en", now())),
-            now(),
-        );
-        let mut merged = index.clone();
-        merged.merge(other);
-        assert_eq!(merged.post_count(), 2);
-        assert_eq!(merged.actor_count(), 3);
-        assert_eq!(merged.records_indexed(), 2);
-        assert!(merged.post(&uri).is_some());
-        assert_eq!(merged.actor(&carol).unwrap().posts, 1);
-        assert_eq!(merged.lost_entities(), 0, "no blocks lost in a mem merge");
-        let _ = (alice, bob);
     }
 }

@@ -15,10 +15,8 @@
 //!   [`bsky_atproto::Did::shard_hash`] — the same hash the workload plan
 //!   partitions the population by). Ingestion decomposes into per-entity
 //!   primitives routed to the owning shard; queries fan out and re-merge
-//!   under the canonical `(created_at desc, uri)` order; an associative
-//!   merge (mirroring the study pipeline's `Analyzer::merge`) collapses
-//!   shard sets back into a monolithic index. A property test pins
-//!   sharded == monolithic for random event/label interleavings.
+//!   under the canonical `(created_at desc, uri)` order. A property test
+//!   pins sharded == monolithic for random event/label interleavings.
 //! * [`moderation`] — combining labels with per-user preferences into
 //!   show/warn/hide decisions, including reserved-label and adult-content
 //!   hardcoded behaviour.

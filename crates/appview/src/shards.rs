@@ -21,14 +21,12 @@
 //! [`crate::index`]), each routed to the shard owning the touched entity.
 //! Decisions that gate cross-entity effects (edge dedup for follow/block
 //! counters) are made on the edge-owning shard, so they are identical for
-//! every shard count. Merging all shards with the associative
-//! [`AppViewIndex::merge`] — mirroring the study pipeline's
-//! `Analyzer::merge` — therefore reproduces the monolithic index exactly:
-//! counts, per-entity state, timelines and label sets. The property test
-//! below pins this for random event/label interleavings across shard
-//! counts 1, 2, 4 and 7, and every query the shards serve fans out and
-//! re-merges under the canonical `(created_at desc, uri)` order, so the
-//! answers match the monolithic index without materializing the merge.
+//! every shard count. The shard set therefore answers exactly like the
+//! monolithic index: counts, per-entity state, timelines and label sets.
+//! Every query fans out and re-merges under the canonical
+//! `(created_at desc, uri)` order; the shards themselves are never
+//! collapsed into one index. The property test below pins this for random
+//! event/label interleavings across shard counts 1, 2, 4 and 7.
 
 use crate::index::{sort_timeline, ActorInfo, AppViewIndex, PostInfo};
 use bsky_atproto::blockstore::{StoreConfig, StoreStats};
@@ -40,8 +38,8 @@ use std::collections::BTreeSet;
 
 /// The AppView's indices, sharded by entity hash. A 1-shard set behaves
 /// exactly like a bare [`AppViewIndex`]; see the module docs for the
-/// routing and merge contract.
-#[derive(Debug, Clone)]
+/// routing contract.
+#[derive(Debug)]
 pub struct AppViewShards {
     shards: Vec<AppViewIndex>,
 }
@@ -260,12 +258,6 @@ impl AppViewShards {
         self.shards.iter().map(AppViewIndex::labels_preindex).sum()
     }
 
-    /// Entities dropped by merges because a source store had lost their
-    /// block (see [`AppViewIndex::lost_entities`]); summed across shards.
-    pub fn lost_entities(&self) -> u64 {
-        self.shards.iter().map(AppViewIndex::lost_entities).sum()
-    }
-
     /// Total records indexed across all shards.
     pub fn records_indexed(&self) -> u64 {
         self.shards.iter().map(AppViewIndex::records_indexed).sum()
@@ -331,34 +323,6 @@ impl AppViewShards {
             stats.absorb(&shard.store_stats());
         }
         stats
-    }
-
-    /// Merge another shard set's state into this one, shard-wise (both
-    /// sets must have the same shard count — entities then route
-    /// identically and each pairwise [`AppViewIndex::merge`] is disjoint).
-    /// This mirrors the study pipeline's `Analyzer::merge`: engine-shard
-    /// worlds each hold an `AppViewShards` over their own population, and
-    /// merging them shard-wise is associative.
-    pub fn merge(&mut self, other: AppViewShards) {
-        assert_eq!(
-            self.shards.len(),
-            other.shards.len(),
-            "AppViewShards::merge requires equal shard counts"
-        );
-        for (mine, theirs) in self.shards.iter_mut().zip(other.shards) {
-            mine.merge(theirs);
-        }
-    }
-
-    /// Collapse every shard into one monolithic [`AppViewIndex`] (the
-    /// merged view the property test compares against the oracle).
-    pub fn into_merged(self) -> AppViewIndex {
-        let mut shards = self.shards.into_iter();
-        let mut merged = shards.next().expect("at least one shard");
-        for shard in shards {
-            merged.merge(shard);
-        }
-        merged
     }
 }
 
@@ -577,8 +541,7 @@ mod tests {
         // sets), via the canonical key-ordered dumps.
         assert_eq!(shards.posts(), oracle.posts());
         assert_eq!(shards.actors(), oracle.actors());
-        // Query fan-out: timelines and point lookups answer identically
-        // without materializing the merge.
+        // Query fan-out: timelines and point lookups answer identically.
         for u in 0..6 {
             let d = did(u);
             assert_eq!(
@@ -596,10 +559,9 @@ mod tests {
 
     /// The tentpole property: random event/label interleavings applied to
     /// sharded sets (1, 2, 4, 7 shards) are indistinguishable from the
-    /// monolithic oracle — live queries and the merged index alike. Flushes
-    /// run at *different* cadences on the two sides and the write-back
-    /// cache alternates per round, pinning that both are observationally
-    /// transparent.
+    /// monolithic oracle. Flushes run at *different* cadences on the two
+    /// sides and the write-back cache alternates per round, pinning that
+    /// both are observationally transparent.
     #[test]
     fn sharded_interleavings_match_monolithic_oracle() {
         for round in 0..6u64 {
@@ -634,14 +596,6 @@ mod tests {
                     }
                 }
                 assert_same_state(&oracle, &shards);
-                // And the associative merge collapses to the oracle.
-                let merged = shards.clone().into_merged();
-                assert_eq!(merged.posts(), oracle.posts(), "{count} shards");
-                assert_eq!(merged.actors(), oracle.actors(), "{count} shards");
-                assert_eq!(merged.follow_edge_count(), oracle.follow_edge_count());
-                assert_eq!(merged.records_indexed(), oracle.records_indexed());
-                assert_eq!(merged.labels_ingested(), oracle.labels_ingested());
-                assert_eq!(merged.labels_preindex(), oracle.labels_preindex());
                 // Entities spread across shards when there is more than one.
                 if count > 1 {
                     let populated = shards
@@ -653,73 +607,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    /// Shard-wise merge of two shard sets over *disjoint entity
-    /// partitions* (the engine-shard world shape: each engine shard's
-    /// AppView sees only its own users' entities) equals ingesting both
-    /// streams into one set, and is associative.
-    #[test]
-    fn shard_sets_merge_associatively() {
-        let store = StoreConfig::mem();
-        let mut whole = AppViewShards::with_shards(4, &store, true);
-        let mut parts = [
-            AppViewShards::with_shards(4, &store, true),
-            AppViewShards::with_shards(4, &store, false),
-            AppViewShards::with_shards(4, &store, true),
-        ];
-        let mut rng = TestRng::new(0x117_c0de);
-        let mut minted = Vec::new();
-        let mut seq = 1u64;
-        for _ in 0..150 {
-            let op = arb_op(&mut rng, &mut minted);
-            // Route each op to the partition owning its originating entity
-            // (DID parity-ish split), like engine shards do — so the three
-            // partitions hold disjoint entity sets.
-            let owner = match &op {
-                Op::Upsert(u)
-                | Op::Post(u, _, _)
-                | Op::Like(u, _)
-                | Op::Repost(u, _)
-                | Op::Follow(u, _)
-                | Op::Block(u, _)
-                | Op::Profile(u)
-                | Op::Tombstone(u)
-                | Op::HandleChange(u)
-                | Op::AccountLabel(u, _, _) => (*u % 3) as usize,
-                // Post-targeted ops go to the partition owning the post's
-                // *author* (posts were partitioned by author above).
-                Op::RemovePost(uri) | Op::Label(uri, _, _) => {
-                    let author = (0..6)
-                        .find(|u| &did(*u) == uri.did())
-                        .expect("known author");
-                    (author % 3) as usize
-                }
-            };
-            let frozen = seq;
-            apply_op!(&mut whole, &op, &mut seq);
-            let mut part_seq = frozen;
-            apply_op!(&mut parts[owner], &op, &mut part_seq);
-        }
-        // NOTE: the partitions are *not* a faithful engine-shard simulation
-        // (cross-partition likes/follow targets miss), so the contract is
-        // checked on the split-insensitive surfaces: counter totals and the
-        // edge sets, plus associativity of the merge itself.
-        let [a, b, c] = parts;
-        let mut left_assoc = a.clone();
-        left_assoc.merge(b.clone());
-        left_assoc.merge(c.clone());
-        let mut right_assoc = b;
-        right_assoc.merge(c);
-        let mut right_total = a;
-        right_total.merge(right_assoc);
-        assert_eq!(left_assoc.records_indexed(), whole.records_indexed());
-        assert_eq!(left_assoc.events_processed(), whole.events_processed());
-        assert_eq!(left_assoc.labels_ingested(), whole.labels_ingested());
-        assert_eq!(left_assoc.post_count(), whole.post_count());
-        assert_eq!(left_assoc.actor_count(), whole.actor_count());
-        assert_eq!(left_assoc.records_indexed(), right_total.records_indexed());
-        assert_eq!(left_assoc.posts(), right_total.posts());
-        assert_eq!(left_assoc.actors(), right_total.actors());
     }
 }

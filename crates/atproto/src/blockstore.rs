@@ -108,7 +108,10 @@ impl StoreStats {
 ///
 /// See the module docs for the contract. The trait requires `Send` (stores
 /// travel into shard worker threads inside repositories) and `Debug`
-/// (repositories derive it).
+/// (repositories derive it). It has no copy routine: a store is built from
+/// a [`StoreConfig`] and moved into its one owner, so the types holding a
+/// `Box<dyn BlockStore>` (repositories, PDSes, relays, the AppView, the
+/// study mirror) are not `Clone` and no backend has to supply one.
 pub trait BlockStore: std::fmt::Debug + Send {
     /// Fetch a block's bytes. Returns owned bytes because a disk-backed
     /// store may have to page them in.
@@ -155,15 +158,6 @@ pub trait BlockStore: std::fmt::Debug + Send {
     ///
     /// [`flush`]: BlockStore::flush
     fn evict_cold(&mut self) {}
-
-    /// Clone into a fresh boxed store with identical contents.
-    fn boxed_clone(&self) -> Box<dyn BlockStore>;
-}
-
-impl Clone for Box<dyn BlockStore> {
-    fn clone(&self) -> Self {
-        self.boxed_clone()
-    }
 }
 
 /// Which backend a [`StoreConfig`] builds.
@@ -310,10 +304,6 @@ impl BlockStore for MemStore {
             resident_bytes: self.bytes,
             ..StoreStats::default()
         }
-    }
-
-    fn boxed_clone(&self) -> Box<dyn BlockStore> {
-        Box::new(self.clone())
     }
 }
 
@@ -692,31 +682,6 @@ impl BlockStore for PagedStore {
     fn stats(&self) -> StoreStats {
         self.inner.borrow().stats()
     }
-
-    fn boxed_clone(&self) -> Box<dyn BlockStore> {
-        // A clone is a fresh store (own pages, own extents in the root's
-        // segment) with identical contents. Reading through `get` pages
-        // evicted blocks in via the normal verified path.
-        let (config, cids) = {
-            let inner = self.inner.borrow();
-            (
-                StoreConfig {
-                    kind: StoreKind::Paged,
-                    page_size: inner.page_size,
-                    resident_pages: inner.resident_cap,
-                    spill_dir: Some(inner.spill_root.to_string_lossy().into_owned()),
-                },
-                inner.index.keys().copied().collect::<Vec<Cid>>(),
-            )
-        };
-        let mut clone = PagedStore::new(&config);
-        for cid in cids {
-            if let Some(bytes) = self.get(&cid) {
-                clone.put(cid, bytes);
-            }
-        }
-        Box::new(clone)
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -827,15 +792,6 @@ impl BlockStore for CountingStore {
 
     fn stats(&self) -> StoreStats {
         self.inner.stats()
-    }
-
-    fn boxed_clone(&self) -> Box<dyn BlockStore> {
-        // The clone shares the totals handle: a cloned repository keeps
-        // feeding the same counters.
-        Box::new(CountingStore {
-            inner: self.inner.clone(),
-            totals: self.totals.clone(),
-        })
     }
 }
 
@@ -955,18 +911,6 @@ impl BlockStore for WriteBackStore {
 
     fn evict_cold(&mut self) {
         self.inner.evict_cold();
-    }
-
-    fn boxed_clone(&self) -> Box<dyn BlockStore> {
-        Box::new(WriteBackStore {
-            inner: self.inner.clone(),
-            dirty: self.dirty.clone(),
-            dirty_bytes: self.dirty_bytes,
-            hits: self.hits.clone(),
-            misses: self.misses.clone(),
-            flushes: self.flushes,
-            coalesced: self.coalesced,
-        })
     }
 }
 
@@ -1190,25 +1134,6 @@ mod tests {
     }
 
     #[test]
-    fn paged_store_clone_is_independent() {
-        let mut store = PagedStore::new(&paged_config());
-        let mut blocks = Vec::new();
-        for n in 0..30u64 {
-            let (cid, bytes) = block(n, 24);
-            store.put(cid, bytes.clone());
-            blocks.push((cid, bytes));
-        }
-        let clone = store.boxed_clone();
-        let (gone, _) = blocks[0].clone();
-        store.delete(&gone);
-        assert!(store.get(&gone).is_none());
-        assert_eq!(clone.get(&gone), Some(blocks[0].1.clone()));
-        for (cid, bytes) in &blocks {
-            verify_roundtrip(clone.as_ref(), cid, bytes).unwrap();
-        }
-    }
-
-    #[test]
     fn paged_store_detects_corruption_on_read_back() {
         let mut store = PagedStore::new(&private_config("bitflip"));
         let blocks = fill(&mut store, 0, 40);
@@ -1292,9 +1217,6 @@ mod tests {
         assert_eq!(totals.bytes_put(), bytes.len() as u64);
         assert_eq!(store.get(&cid), Some(bytes.clone()));
         assert_eq!(totals.gets(), 1);
-        let clone = store.boxed_clone();
-        assert_eq!(clone.get(&cid), Some(bytes.clone()));
-        assert_eq!(totals.gets(), 2, "clones share the totals handle");
         assert_eq!(store.delete(&cid), bytes.len());
         assert_eq!(totals.deletes(), 1);
         assert_eq!(totals.bytes_deleted(), bytes.len() as u64);
@@ -1352,23 +1274,6 @@ mod tests {
         // An empty flush is not counted.
         store.flush();
         assert_eq!(store.stats().writeback_flushes, 1);
-    }
-
-    #[test]
-    fn writeback_store_clone_carries_the_buffer() {
-        let mut store = WriteBackStore::new(Box::new(MemStore::new()));
-        let (cid, bytes) = block(7, 24);
-        store.put(cid, bytes.clone());
-        let mut clone = store.boxed_clone();
-        store.delete(&cid);
-        assert!(store.get(&cid).is_none());
-        assert_eq!(
-            clone.get(&cid),
-            Some(bytes.clone()),
-            "clone keeps its buffer"
-        );
-        clone.flush();
-        verify_roundtrip(clone.as_ref(), &cid, &bytes).unwrap();
     }
 
     /// Write-back oracle: any interleaving of put / get / delete / flush —

@@ -198,7 +198,9 @@ pub fn decode_frame(bytes: &[u8]) -> Result<Vec<Event>> {
     };
     let count = take(0)? as usize;
     let mut at = 4usize;
-    let mut events = Vec::with_capacity(count);
+    // `count` is straight off the wire: reserve no more than the bytes left
+    // can hold (every event costs at least its 4-byte length prefix).
+    let mut events = Vec::with_capacity(count.min(bytes.len() / 4));
     for _ in 0..count {
         let len = take(at)? as usize;
         at += 4;
@@ -359,5 +361,9 @@ mod tests {
         let mut overcount = frame.clone();
         overcount[3] = 0xff;
         assert!(decode_frame(&overcount).is_err());
+        // A count of u32::MAX and nothing else: an error, not a 512 GiB
+        // reservation that aborts the process.
+        assert!(decode_frame(&[0xff, 0xff, 0xff, 0xff]).is_err());
+        assert!(decode_frame(&[]).is_err());
     }
 }

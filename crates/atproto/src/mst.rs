@@ -868,13 +868,15 @@ pub fn decode_node(bytes: &[u8]) -> Result<DecodedMstNode> {
             .get("k")
             .and_then(Value::as_text)
             .ok_or_else(|| AtError::RepoError("MST entry missing key".into()))?;
-        if prefix > prev.len() {
-            return Err(AtError::RepoError(format!(
-                "MST entry prefix {prefix} exceeds previous key length {}",
+        // `get` also refuses a prefix that ends inside a multi-byte
+        // character, which slicing would panic on.
+        let shared = prev.get(..prefix).ok_or_else(|| {
+            AtError::RepoError(format!(
+                "MST entry prefix {prefix} does not fit the previous key (length {})",
                 prev.len()
-            )));
-        }
-        let key = format!("{}{}", &prev[..prefix], suffix);
+            ))
+        })?;
+        let key = format!("{shared}{suffix}");
         let value_cid = *entry
             .get("v")
             .and_then(Value::as_link)
@@ -1282,6 +1284,21 @@ mod tests {
             ("layer", Value::Int(0)),
         ]));
         assert!(decode_node(&bad_prefix).is_err());
+        // A prefix that ends inside a multi-byte character of the previous
+        // key is corrupt too (and must not slice the string there).
+        let entry = |p: i64, k: &str| {
+            Value::map([
+                ("p", Value::Int(p)),
+                ("k", Value::text(k)),
+                ("v", Value::Link(cid_for(1))),
+            ])
+        };
+        let split_char = crate::cbor::encode(&Value::map([
+            ("l", Value::Null),
+            ("e", Value::Array(vec![entry(0, "\u{e9}/a"), entry(1, "b")])),
+            ("layer", Value::Int(0)),
+        ]));
+        assert!(decode_node(&split_char).is_err());
         assert_eq!(common_prefix_len("abc/def", "abc/xyz"), 4);
         assert_eq!(common_prefix_len("", "abc"), 0);
     }

@@ -306,7 +306,7 @@ impl CompactionStats {
 }
 
 /// A user repository: block store + MST index + commit chain.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Repository {
     did: Did,
     signing_key: SigningKey,

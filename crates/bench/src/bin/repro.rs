@@ -2,7 +2,7 @@
 //! a seeded simulation run.
 //!
 //! Usage:
-//!   repro [--seed N] [--scale N] [--seeds A,B,...] [--scales A,B,...]
+//!   repro [--seed N] [--scale N]
 //!         [--jobs auto|N] [--shards N] [--pipeline] [--analyzer-threads N]
 //!         [--appview-shards N] [--writeback on|off] [--relays N]
 //!         [--json] [--stream] [--store mem|paged] [--page-size BYTES]
@@ -26,9 +26,9 @@
 //! parallelism clamped to the shard count. `--pipeline` decouples each
 //! shard's producer from its analyzers over a bounded channel and fans the
 //! analyzer set across `--analyzer-threads N` workers (default 2) — same
-//! bytes, more cores. `--seeds`/`--scales` run a whole grid in one call
-//! via `StudyBatch` and print the comparison table instead of a single
-//! report.
+//! bytes, more threads. One invocation is one run; a sweep is a shell loop,
+//! which composes with every flag:
+//! `for s in 1 2; do repro --seed $s --scale 40000 > report-$s.txt; done`.
 //! `--store paged` backs every repository, the relay's CAR mirror, the
 //! producer's repo mirror and the AppView's entity blocks with the paged
 //! disk-spill block store (`--page-size` sets the page capacity in bytes,
@@ -55,16 +55,16 @@
 //! combination (scenario runs add an impact section).
 //!
 //! Unknown flags, missing/malformed values, conflicting flags and an
-//! unusable `--spill-dir` are errors (exit code 2); flag conflicts are
-//! checked centrally by [`RunSpec::validate`].
+//! unusable `--spill-dir` are errors (exit code 2); value ranges and
+//! `jobs <= shards` are checked centrally by [`RunSpec::validate`].
 
 use bsky_atproto::blockstore::{StoreConfig, StoreKind};
 use bsky_atproto::framing::{FramingPolicy, PaddingPolicy};
 use bsky_study::faults::{FaultSpec, SCENARIO_NAMES};
-use bsky_study::{RunSpec, StudyBatch, StudyReport};
+use bsky_study::{RunSpec, StudyReport};
 use bsky_workload::ScenarioConfig;
 
-const USAGE: &str = "usage: repro [--seed N] [--scale N] [--seeds A,B,...] [--scales A,B,...] [--jobs auto|N] [--shards N] [--pipeline] [--analyzer-threads N] [--appview-shards N] [--writeback on|off] [--relays N] [--json] [--stream] [--store mem|paged] [--page-size BYTES] [--spill-dir DIR] [--padding none|buckets|constant] [--batch-window SECS] [--scenario NAME] [--faults SPEC]";
+const USAGE: &str = "usage: repro [--seed N] [--scale N] [--jobs auto|N] [--shards N] [--pipeline] [--analyzer-threads N] [--appview-shards N] [--writeback on|off] [--relays N] [--json] [--stream] [--store mem|paged] [--page-size BYTES] [--spill-dir DIR] [--padding none|buckets|constant] [--batch-window SECS] [--scenario NAME] [--faults SPEC]\n  one invocation is one run; sweep with a shell loop: for s in 1 2; do repro --seed $s ...; done";
 
 /// Parsed command line: the library [`RunSpec`] plus the CLI-only output
 /// modes.
@@ -94,24 +94,10 @@ fn parse_value<T: std::str::FromStr>(flag: &str, value: Option<&String>) -> Resu
         .map_err(|_| format!("invalid value for {flag}: {raw:?}"))
 }
 
-/// Parse a comma-separated list following a flag.
-fn parse_list(flag: &str, value: Option<&String>) -> Result<Vec<u64>, String> {
-    let Some(raw) = value else {
-        return Err(format!("{flag} requires a comma-separated list"));
-    };
-    raw.split(',')
-        .map(|item| {
-            item.trim()
-                .parse()
-                .map_err(|_| format!("invalid entry in {flag}: {item:?}"))
-        })
-        .collect()
-}
-
 /// Parse and validate the full argument list (everything after `argv[0]`).
 /// Returns `Ok(None)` for `--help`. Flag syntax (unknown flags, malformed
-/// values, flags requiring other flags) is checked here; every cross-knob
-/// conflict is delegated to [`RunSpec::validate`].
+/// values, flags requiring other flags) is checked here; value ranges are
+/// delegated to [`RunSpec::validate`].
 fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
     let mut opts = Options::default();
     let mut shards: Option<usize> = None;
@@ -132,14 +118,6 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
             }
             "--scale" => {
                 opts.spec.config.scale = parse_value("--scale", args.get(i + 1))?;
-                i += 1;
-            }
-            "--seeds" => {
-                opts.spec.seeds = parse_list("--seeds", args.get(i + 1))?;
-                i += 1;
-            }
-            "--scales" => {
-                opts.spec.scales = parse_list("--scales", args.get(i + 1))?;
                 i += 1;
             }
             "--jobs" => {
@@ -286,8 +264,8 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
             store
         }
     };
-    // Every remaining conflict rule lives in one place for the CLI and
-    // library callers alike.
+    // The range rules live in one place for the CLI and library callers
+    // alike.
     opts.spec.validate()?;
     Ok(Some(opts))
 }
@@ -322,30 +300,6 @@ fn main() {
     let spec = &opts.spec;
     if let Err(message) = prepare_spill_dir(&spec.store) {
         usage_error(&message);
-    }
-
-    // Grid mode: N seeds × M scales through the StudyBatch runner.
-    if spec.is_grid() {
-        let grid = StudyBatch::from_spec(spec);
-        eprintln!("running study batch: {} scenarios...", grid.len());
-        let runs = grid.run();
-        if opts.stream {
-            for run in &runs {
-                eprintln!(
-                    "seed {} scale 1:{} — {}",
-                    run.report.config.seed,
-                    run.report.config.scale,
-                    run.summary.render()
-                );
-            }
-        }
-        print!("{}", StudyBatch::render_summary(&runs));
-        if opts.json {
-            let array =
-                bsky_study::json::Json::Arr(runs.iter().map(|run| run.report.to_json()).collect());
-            println!("{}", array.to_string_pretty());
-        }
-        return;
     }
 
     eprintln!(
@@ -447,13 +401,12 @@ mod tests {
         ]))
         .is_ok());
         // Errors: worker count without the pipeline, zero/over-limit
-        // counts, grid conflicts.
+        // counts.
         let err = parse_args(&args(&["--analyzer-threads", "2"])).unwrap_err();
         assert!(err.contains("requires --pipeline"), "{err}");
         assert!(parse_args(&args(&["--pipeline", "--analyzer-threads", "0"])).is_err());
         assert!(parse_args(&args(&["--pipeline", "--analyzer-threads", "9"])).is_err());
         assert!(parse_args(&args(&["--pipeline", "--analyzer-threads"])).is_err());
-        assert!(parse_args(&args(&["--pipeline", "--seeds", "1,2"])).is_err());
     }
 
     #[test]
@@ -474,13 +427,17 @@ mod tests {
         assert!(parse_args(&args(&["--seed"])).is_err());
         assert!(parse_args(&args(&["--seed", "abc"])).is_err());
         assert!(parse_args(&args(&["--scale", "0"])).is_err());
-        assert!(parse_args(&args(&["--seeds", "1,x"])).is_err());
-        assert!(parse_args(&args(&["--scales", "0"])).is_err());
     }
 
     #[test]
-    fn conflicting_modes_are_errors() {
-        assert!(parse_args(&args(&["--jobs", "2", "--seeds", "1,2"])).is_err());
+    fn grid_flags_are_unknown_arguments() {
+        // A sweep is a shell loop over --seed / --scale; the list flags
+        // exit 2 like any other unknown argument.
+        for flag in [["--seeds", "1,2"], ["--scales", "40000"]] {
+            let err = parse_args(&args(&flag)).unwrap_err();
+            assert!(err.contains("unknown argument"), "{err}");
+            assert!(err.contains(flag[0]), "{err}");
+        }
     }
 
     #[test]
@@ -503,11 +460,10 @@ mod tests {
         .unwrap()
         .unwrap();
         assert_eq!(opts.spec.appview_shards, 4);
-        // Errors: zero, missing/garbage values, grid runs.
+        // Errors: zero, missing/garbage values.
         assert!(parse_args(&args(&["--appview-shards", "0"])).is_err());
         assert!(parse_args(&args(&["--appview-shards"])).is_err());
         assert!(parse_args(&args(&["--appview-shards", "x"])).is_err());
-        assert!(parse_args(&args(&["--appview-shards", "2", "--seeds", "1,2"])).is_err());
     }
 
     #[test]
@@ -589,7 +545,6 @@ mod tests {
         assert!(parse_args(&args(&["--page-size", "4096"])).is_err());
         assert!(parse_args(&args(&["--spill-dir", "/tmp/x"])).is_err());
         assert!(parse_args(&args(&["--store", "paged", "--page-size", "0"])).is_err());
-        assert!(parse_args(&args(&["--store", "paged", "--seeds", "1,2"])).is_err());
         assert!(parse_args(&args(&["--store", "mem", "--page-size", "4096"])).is_err());
     }
 
@@ -622,15 +577,11 @@ mod tests {
             "4",
         ]))
         .is_ok());
-        // Errors: bad/missing values, grid runs.
+        // Errors: bad/missing values.
         assert!(parse_args(&args(&["--padding", "bubblewrap"])).is_err());
         assert!(parse_args(&args(&["--padding"])).is_err());
         assert!(parse_args(&args(&["--batch-window", "x"])).is_err());
         assert!(parse_args(&args(&["--batch-window"])).is_err());
-        assert!(parse_args(&args(&["--padding", "buckets", "--seeds", "1,2"])).is_err());
-        assert!(parse_args(&args(&["--batch-window", "60", "--scales", "40000"])).is_err());
-        // An explicit no-op policy is fine alongside grids.
-        assert!(parse_args(&args(&["--padding", "none", "--seeds", "1,2"])).is_ok());
     }
 
     #[test]
@@ -661,15 +612,13 @@ mod tests {
         ]))
         .is_ok());
         // Errors: unknown scenario (must list the valid names), bad spec,
-        // missing values, grid runs.
+        // missing values.
         let err = parse_args(&args(&["--scenario", "earthquake"])).unwrap_err();
         assert!(err.contains("pds-migration"), "{err}");
         assert!(parse_args(&args(&["--scenario"])).is_err());
         assert!(parse_args(&args(&["--faults", "flaky=2.0"])).is_err());
         assert!(parse_args(&args(&["--faults", "frobnicate=1"])).is_err());
         assert!(parse_args(&args(&["--faults"])).is_err());
-        assert!(parse_args(&args(&["--scenario", "cursor-gap", "--seeds", "1,2"])).is_err());
-        assert!(parse_args(&args(&["--faults", "spam=0.1", "--scales", "40000"])).is_err());
     }
 
     #[test]
@@ -733,9 +682,8 @@ mod tests {
             "dns-flap",
         ]))
         .is_ok());
-        // Errors: zero relays, grid runs, bad/missing values.
+        // Errors: zero relays, bad/missing values.
         assert!(parse_args(&args(&["--relays", "0"])).is_err());
-        assert!(parse_args(&args(&["--relays", "2", "--seeds", "1,2"])).is_err());
         assert!(parse_args(&args(&["--relays", "two"])).is_err());
         assert!(parse_args(&args(&["--relays"])).is_err());
     }

@@ -255,7 +255,7 @@ struct MirroredRepo {
 /// never silently. The mirror deliberately speaks to [`Relay`] +
 /// [`PdsFleet`] rather than a whole world, so its fallback behaviour is
 /// unit-testable in isolation.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct IncrementalRepoMirror {
     /// Keyed by the DID itself: `Did` orders exactly as its string form
     /// does (`plc` < `web`, then the identifier), and a lookup renders

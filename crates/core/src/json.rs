@@ -126,11 +126,13 @@ impl Json {
     /// emits (plus `\/`, `\b`, `\f` and `\uXXXX`); numbers parse as
     /// [`Json::UInt`] when they are non-negative integers without exponent
     /// (preserving values above 2^53 exactly) and as [`Json::Num`]
-    /// otherwise. Trailing garbage is an error.
+    /// otherwise. Trailing garbage is an error, and so is a value nested
+    /// inside more than 128 containers (the parser recurses per level, and
+    /// its inputs are files).
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing characters at byte {pos}"));
@@ -240,8 +242,15 @@ fn expect(bytes: &[u8], pos: &mut usize, byte: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// How many containers a value may sit inside before [`Json::parse`]
+/// refuses the document.
+const MAX_DEPTH: usize = 128;
+
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(bytes, pos);
+    if depth > MAX_DEPTH {
+        return Err(format!("nesting too deep at byte {pos}", pos = *pos));
+    }
     match bytes.get(*pos) {
         None => Err("unexpected end of input".into()),
         Some(b'n') => parse_literal(bytes, pos, "null", Json::Null),
@@ -257,7 +266,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -282,7 +291,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 let key = parse_string(bytes, pos)?;
                 skip_ws(bytes, pos);
                 expect(bytes, pos, b':')?;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(bytes, pos, depth + 1)?;
                 entries.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -519,6 +528,18 @@ mod tests {
         assert!(Json::parse("{\"k\" 1}").is_err());
         assert!(Json::parse("1 trailing").is_err());
         assert!(Json::parse("nul").is_err());
+    }
+
+    #[test]
+    fn parse_caps_nesting_depth() {
+        let nested = |depth: usize| format!("{}1{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err, format!("nesting too deep at byte {}", MAX_DEPTH + 1));
+        let objects = "{\"k\":".repeat(MAX_DEPTH + 1);
+        assert!(Json::parse(&objects).unwrap_err().contains("too deep"));
+        // Unbounded recursion here was a stack overflow, not an error.
+        assert!(Json::parse(&"[".repeat(100_000)).is_err());
     }
 
     #[test]

@@ -495,12 +495,11 @@ impl StreamSummary {
     /// Render a one-line summary for CLI output.
     pub fn render(&self) -> String {
         let mut out = format!(
-            "pipeline: {} days, {} observations, {} firehose events streamed, peak {} in flight (batch would retain all {}); repo snapshots: {} bytes fetched ({} full, {} delta), {} skipped, {} compaction fallback(s); store: {} bytes resident, {} spilled, {} reclaimed by compaction",
+            "pipeline: {} days, {} observations, {} firehose events streamed, peak {} in flight; repo snapshots: {} bytes fetched ({} full, {} delta), {} skipped, {} compaction fallback(s); store: {} bytes resident, {} spilled, {} reclaimed by compaction",
             self.days,
             self.observations,
             self.firehose_events,
             self.peak_in_flight_events,
-            self.firehose_events,
             self.snapshot_bytes_fetched,
             self.repo_full_fetches,
             self.repo_delta_fetches,

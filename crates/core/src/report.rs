@@ -10,8 +10,8 @@
 //! serial run's for any `(shards, jobs)` (the golden tests in `tests/` pin
 //! this against stored hashes). [`StudyReport::run_serial`] is the same
 //! call coerced to one shard on one thread (report + [`StreamSummary`]).
-//! [`StudyBatch::from_spec`] expands a spec's seed × scale grid and runs
-//! every cell through the same engine.
+//! One spec is one run: a sweep over seeds or scales is a loop over
+//! [`StudyReport::run`] with one spec per cell.
 
 use crate::analysis::{
     table5_feature_matrix, ActivitySeries, FirehoseVolume, IdentityReport, ModerationReport,
@@ -175,8 +175,7 @@ impl StudyReport {
     /// Non-quiet [`RunSpec::faults`] specs attach a [`FaultImpact`] section
     /// labelled by [`RunSpec::scenario`] (`custom` when unlabelled).
     ///
-    /// Panics on an invalid or grid spec (see [`RunSpec::validate`]; run
-    /// grids via [`StudyBatch::from_spec`]).
+    /// Panics on an invalid spec (see [`RunSpec::validate`]).
     pub fn run(spec: &RunSpec) -> (StudyReport, ShardedSummary) {
         let (analyzers, world, summary) = collect_sharded(spec, StudyAnalyzers::new());
         let mut report = StudyReport::from_analyzers(spec.config, analyzers, &world);
@@ -347,90 +346,6 @@ impl StudyReport {
     }
 }
 
-/// One scenario's result within a [`StudyBatch`] run.
-#[derive(Debug, Clone)]
-pub struct StudyRun {
-    /// The report.
-    pub report: StudyReport,
-    /// The producer's stream summary.
-    pub summary: StreamSummary,
-}
-
-/// A multi-scenario runner: N seeds × M scales computed in one call, each
-/// through the streaming engine (so a whole grid fits in bounded memory,
-/// one scenario at a time).
-#[derive(Debug, Clone, Default)]
-pub struct StudyBatch {
-    /// The scenarios to run, in order.
-    pub configs: Vec<ScenarioConfig>,
-}
-
-impl StudyBatch {
-    /// An empty batch.
-    pub fn new() -> StudyBatch {
-        StudyBatch::default()
-    }
-
-    /// A batch over explicit scenario configurations.
-    pub fn from_configs(configs: Vec<ScenarioConfig>) -> StudyBatch {
-        StudyBatch { configs }
-    }
-
-    /// The spec's full seed × scale grid (see [`RunSpec::grid_configs`]):
-    /// seed-major order, the base config's own seed/scale filling an empty
-    /// axis. The spec must be valid — grid specs pin every other knob to
-    /// its default, so each cell runs through the plain streaming engine.
-    pub fn from_spec(spec: &RunSpec) -> StudyBatch {
-        if let Err(err) = spec.validate() {
-            panic!("invalid RunSpec: {err}");
-        }
-        StudyBatch {
-            configs: spec.grid_configs(),
-        }
-    }
-
-    /// Number of scenarios in the batch.
-    pub fn len(&self) -> usize {
-        self.configs.len()
-    }
-
-    /// Whether the batch is empty.
-    pub fn is_empty(&self) -> bool {
-        self.configs.is_empty()
-    }
-
-    /// Run every scenario through the streaming engine.
-    pub fn run(&self) -> Vec<StudyRun> {
-        self.configs
-            .iter()
-            .map(|config| {
-                let (report, summary) = StudyReport::run_serial(&RunSpec::new(*config));
-                StudyRun { report, summary }
-            })
-            .collect()
-    }
-
-    /// Render a compact comparison table over a batch's results.
-    pub fn render_summary(runs: &[StudyRun]) -> String {
-        let mut out = String::from(
-            "== Study batch ==\nseed | scale  | users | events     | labels   | feeds | peak in-flight\n",
-        );
-        for run in runs {
-            out.push_str(&format!(
-                "{:>4} | {:>6} | {:>5} | {:>10} | {:>8} | {:>5} | {:>8}\n",
-                run.report.config.seed,
-                run.report.config.scale,
-                run.report.config.target_users(),
-                run.report.table1.total,
-                run.report.moderation.interactions.0,
-                run.report.recommendation.total_feeds,
-                run.summary.peak_in_flight_events,
-            ));
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -478,24 +393,5 @@ mod tests {
         assert_eq!(summary.firehose_events, report.table1.total);
         assert!(summary.peak_in_flight_events > 0);
         assert!((summary.peak_in_flight_events as u64) < summary.firehose_events);
-    }
-
-    #[test]
-    fn batch_runner_covers_the_grid() {
-        let spec = RunSpec::new(small_config(1))
-            .seeds(vec![1, 2])
-            .scales(vec![40_000, 80_000]);
-        let batch = StudyBatch::from_spec(&spec);
-        assert_eq!(batch.len(), 4);
-        let runs = batch.run();
-        assert_eq!(runs.len(), 4);
-        // Same seed, different scale ⇒ different population; same cells are
-        // ordered seed-major.
-        assert_eq!(runs[0].report.config.seed, 1);
-        assert_eq!(runs[1].report.config.scale, 80_000);
-        assert!(runs[0].report.table1.total > 0);
-        let summary = StudyBatch::render_summary(&runs);
-        assert!(summary.contains("Study batch"));
-        assert!(summary.lines().count() >= 6);
     }
 }

@@ -422,16 +422,11 @@ fn run_shard<S: ShardSink>(
 /// The fault plan is resolved here from [`RunSpec::faults`] over the
 /// config's day window and shared by every shard's world and producer.
 ///
-/// Panics on an invalid spec (see [`RunSpec::validate`]) or a grid spec
-/// (expand grids via [`RunSpec::grid_configs`] and run each cell).
+/// Panics on an invalid spec (see [`RunSpec::validate`]).
 pub fn collect_sharded<S: ShardSink>(spec: &RunSpec, mut sink: S) -> (S, World, ShardedSummary) {
     if let Err(err) = spec.validate() {
         panic!("invalid RunSpec: {err}");
     }
-    assert!(
-        !spec.is_grid(),
-        "collect_sharded runs a single cell; expand grids via RunSpec::grid_configs"
-    );
     let config = spec.config;
     let shards = spec.shards;
     let jobs = spec.effective_jobs();

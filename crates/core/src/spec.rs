@@ -1,39 +1,34 @@
 //! [`RunSpec`]: one declarative description of a study run.
 //!
-//! Every knob the pipeline understands — scenario seed/scale (or a whole
-//! seed × scale grid), engine shards and worker threads, block-store
-//! backend, AppView entity shards and the write-back cache, wire
-//! [`FramingPolicy`], fault injection and retry policies — lives in one
-//! builder. The entry points ([`crate::report::StudyReport::run`],
+//! Every knob the pipeline understands — scenario seed/scale, engine
+//! shards and worker threads, block-store backend, AppView entity shards
+//! and the write-back cache, wire [`FramingPolicy`], fault injection and
+//! retry policies — lives in one builder, and a spec describes exactly one
+//! run. The entry points ([`crate::report::StudyReport::run`],
 //! [`crate::report::StudyReport::run_serial`],
-//! [`crate::shard::collect_sharded`], [`crate::report::StudyBatch`]) all
-//! take a `&RunSpec`, so a new knob is one field + one builder method —
-//! never a new suffix-combinated function variant.
+//! [`crate::shard::collect_sharded`]) all take a `&RunSpec`, so a new knob
+//! is one field + one builder method — never a new suffix-combinated
+//! function variant. A sweep over seeds or scales is a loop over specs
+//! (or a shell loop over `repro --seed` / `--scale`), which composes with
+//! every other knob.
 //!
-//! [`RunSpec::validate`] centralizes the cross-knob conflict rules the
-//! repro CLI used to scatter across `parse_args` (grid runs exclude
-//! scenarios, paged stores, framing mitigations, sharding and AppView
-//! sharding; `jobs <= shards`; positive scales). The CLI maps a
-//! `validate()` error to exit code 2; library callers get the same checks
-//! for free.
+//! [`RunSpec::validate`] holds the range rules (positive scale, shard,
+//! AppView-shard and relay counts; `1 <= jobs <= shards`;
+//! `1 <= analyzer_threads <= 8`). The CLI maps a `validate()` error to exit
+//! code 2; library callers get the same checks for free.
 
 use bsky_atproto::blockstore::StoreConfig;
 use bsky_atproto::framing::FramingPolicy;
 use bsky_simnet::faults::{FaultSpec, RetryPolicy, TimeoutClass};
 use bsky_workload::ScenarioConfig;
 
-/// A full, validated-on-demand description of one study run (or one grid
-/// of runs). Construct with [`RunSpec::new`], refine with the builder
-/// methods, hand to an entry point.
+/// A full, validated-on-demand description of one study run. Construct
+/// with [`RunSpec::new`], refine with the builder methods, hand to an entry
+/// point.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunSpec {
-    /// The base scenario (seed, dates, scale, mix). Grid runs override
-    /// `seed`/`scale` per cell from [`RunSpec::seeds`]/[`RunSpec::scales`].
+    /// The scenario (seed, dates, scale, mix).
     pub config: ScenarioConfig,
-    /// Grid seeds; empty means a single run at `config.seed`.
-    pub seeds: Vec<u64>,
-    /// Grid scales; empty means a single run at `config.scale`.
-    pub scales: Vec<u64>,
     /// Engine shards: the population is partitioned by DID hash into this
     /// many independently simulated shards.
     pub shards: usize,
@@ -87,8 +82,6 @@ impl RunSpec {
     pub fn new(config: ScenarioConfig) -> RunSpec {
         RunSpec {
             config,
-            seeds: Vec::new(),
-            scales: Vec::new(),
             shards: 1,
             jobs: None,
             pipeline: false,
@@ -104,19 +97,6 @@ impl RunSpec {
         }
     }
 
-    /// Run a grid over these seeds (with [`RunSpec::scales`], the full
-    /// cross product).
-    pub fn seeds(mut self, seeds: Vec<u64>) -> RunSpec {
-        self.seeds = seeds;
-        self
-    }
-
-    /// Run a grid over these scales.
-    pub fn scales(mut self, scales: Vec<u64>) -> RunSpec {
-        self.scales = scales;
-        self
-    }
-
     /// Partition the population into `shards` engine shards.
     pub fn shards(mut self, shards: usize) -> RunSpec {
         self.shards = shards;
@@ -126,13 +106,6 @@ impl RunSpec {
     /// Simulate up to `jobs` shards concurrently.
     pub fn jobs(mut self, jobs: usize) -> RunSpec {
         self.jobs = Some(jobs);
-        self
-    }
-
-    /// Resolve the worker-thread count automatically (the default):
-    /// [`std::thread::available_parallelism`] clamped to the shard count.
-    pub fn jobs_auto(mut self) -> RunSpec {
-        self.jobs = None;
         self
     }
 
@@ -216,47 +189,13 @@ impl RunSpec {
         self
     }
 
-    /// Whether this spec describes a seed × scale grid rather than a single
-    /// run.
-    pub fn is_grid(&self) -> bool {
-        !self.seeds.is_empty() || !self.scales.is_empty()
-    }
-
-    /// The grid cells this spec expands to: `seeds × scales` over the base
-    /// config (the base's own seed/scale fill in an empty axis).
-    pub fn grid_configs(&self) -> Vec<ScenarioConfig> {
-        let seeds = if self.seeds.is_empty() {
-            vec![self.config.seed]
-        } else {
-            self.seeds.clone()
-        };
-        let scales = if self.scales.is_empty() {
-            vec![self.config.scale]
-        } else {
-            self.scales.clone()
-        };
-        let mut configs = Vec::with_capacity(seeds.len() * scales.len());
-        for &seed in &seeds {
-            for &scale in &scales {
-                configs.push(ScenarioConfig {
-                    seed,
-                    scale,
-                    ..self.config
-                });
-            }
-        }
-        configs
-    }
-
-    /// Check every cross-knob conflict rule. The repro CLI maps an error to
-    /// exit code 2 (the messages name the CLI flags); library callers get
-    /// the identical rules. Entry points assert a valid spec.
+    /// Check every range rule and the one cross-knob rule (`jobs <=
+    /// shards`). The repro CLI maps an error to exit code 2 (the messages
+    /// name the CLI flags); library callers get the identical rules. Entry
+    /// points assert a valid spec.
     pub fn validate(&self) -> Result<(), String> {
         if self.config.scale == 0 {
             return Err("--scale must be positive".into());
-        }
-        if self.scales.contains(&0) {
-            return Err("--scales entries must be positive".into());
         }
         if self.jobs == Some(0) {
             return Err("--jobs must be at least 1 (or auto)".into());
@@ -287,36 +226,6 @@ impl RunSpec {
         if self.relays == 0 {
             return Err("--relays must be at least 1".into());
         }
-        if self.is_grid() {
-            // Grid runs sweep seed × scale through the plain streaming
-            // engine; every other knob must stay at its default.
-            if self.appview_shards > 1 {
-                return Err("--appview-shards cannot be combined with --seeds/--scales".into());
-            }
-            if self.relays > 1 {
-                return Err("--relays cannot be combined with --seeds/--scales".into());
-            }
-            if self.shards > 1 || self.jobs.unwrap_or(1) > 1 {
-                return Err("--jobs/--shards cannot be combined with --seeds/--scales".into());
-            }
-            if self.pipeline {
-                return Err("--pipeline cannot be combined with --seeds/--scales".into());
-            }
-            if !self.write_back {
-                return Err("--writeback off cannot be combined with --seeds/--scales".into());
-            }
-            if self.store != StoreConfig::mem() {
-                return Err("--store paged cannot be combined with --seeds/--scales".into());
-            }
-            if self.framing.is_mitigating() {
-                return Err(
-                    "--padding/--batch-window cannot be combined with --seeds/--scales".into(),
-                );
-            }
-            if !self.faults.is_quiet() {
-                return Err("--scenario/--faults cannot be combined with --seeds/--scales".into());
-            }
-        }
         Ok(())
     }
 }
@@ -333,7 +242,6 @@ mod tests {
     fn defaults_are_valid_and_serial() {
         let spec = base();
         assert!(spec.validate().is_ok());
-        assert!(!spec.is_grid());
         assert_eq!(spec.shards, 1);
         assert_eq!(spec.jobs, None);
         // Auto jobs clamp to the shard count, so the default stays serial.
@@ -352,7 +260,6 @@ mod tests {
         assert_eq!(spec.effective_jobs(), cores.clamp(1, 4));
         // An explicit value always wins over auto resolution.
         assert_eq!(base().shards(4).jobs(2).effective_jobs(), 2);
-        assert_eq!(base().shards(4).jobs(2).jobs_auto().jobs, None);
         // Auto never resolves above the shard count or below one worker.
         let wide = base().shards(1024);
         assert_eq!(wide.effective_jobs(), cores.clamp(1, 1024));
@@ -382,21 +289,6 @@ mod tests {
     }
 
     #[test]
-    fn grid_expansion_is_seed_major() {
-        let spec = base().seeds(vec![1, 2]).scales(vec![40_000, 80_000]);
-        assert!(spec.is_grid());
-        let cells = spec.grid_configs();
-        assert_eq!(cells.len(), 4);
-        assert_eq!((cells[0].seed, cells[0].scale), (1, 40_000));
-        assert_eq!((cells[1].seed, cells[1].scale), (1, 80_000));
-        assert_eq!((cells[3].seed, cells[3].scale), (2, 80_000));
-        // A missing axis falls back to the base config's value.
-        let cells = base().seeds(vec![5, 6]).grid_configs();
-        assert_eq!(cells.len(), 2);
-        assert_eq!(cells[0].scale, ScenarioConfig::test_scale(7).scale);
-    }
-
-    #[test]
     fn sharding_bounds_are_enforced() {
         assert!(base().shards(4).jobs(2).validate().is_ok());
         assert!(base().shards(2).jobs(2).validate().is_ok());
@@ -406,6 +298,9 @@ mod tests {
         assert!(base().shards(0).jobs(0).validate().is_err());
         assert!(base().appview_shards(0).validate().is_err());
         assert!(base().relays(0).validate().is_err());
+        let mut spec = base();
+        spec.config.scale = 0;
+        assert!(spec.validate().is_err());
     }
 
     #[test]
@@ -416,44 +311,5 @@ mod tests {
         assert!(fed.federation());
         assert!(fed.validate().is_ok());
         assert!(base().relays(2).shards(4).jobs(4).validate().is_ok());
-    }
-
-    #[test]
-    fn zero_scales_are_rejected() {
-        let mut spec = base();
-        spec.config.scale = 0;
-        assert!(spec.validate().is_err());
-        assert!(base().scales(vec![40_000, 0]).validate().is_err());
-    }
-
-    #[test]
-    fn grids_reject_every_non_default_knob() {
-        let grid = || base().seeds(vec![1, 2]);
-        assert!(grid().validate().is_ok());
-        let err = grid().appview_shards(2).validate().unwrap_err();
-        assert!(err.contains("--appview-shards"), "{err}");
-        let err = grid().relays(2).validate().unwrap_err();
-        assert!(err.contains("--relays"), "{err}");
-        let err = grid().shards(2).jobs(2).validate().unwrap_err();
-        assert!(err.contains("--jobs/--shards"), "{err}");
-        let err = grid().store(StoreConfig::paged()).validate().unwrap_err();
-        assert!(err.contains("--store paged"), "{err}");
-        let err = grid()
-            .faults(FaultSpec::scenario("label-storm").unwrap())
-            .validate()
-            .unwrap_err();
-        assert!(err.contains("--scenario/--faults"), "{err}");
-        let err = grid().pipeline(true).validate().unwrap_err();
-        assert!(err.contains("--pipeline"), "{err}");
-        let err = grid().write_back(false).validate().unwrap_err();
-        assert!(err.contains("--writeback"), "{err}");
-        // The same knobs are fine outside a grid.
-        assert!(base()
-            .appview_shards(4)
-            .store(StoreConfig::paged())
-            .faults(FaultSpec::scenario("label-storm").unwrap())
-            .scenario("label-storm")
-            .validate()
-            .is_ok());
     }
 }

@@ -14,7 +14,7 @@ use bsky_atproto::{Datetime, Did, Handle, Tid};
 use std::collections::BTreeMap;
 
 /// A collection of PDS instances plus the DID → PDS routing table.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct PdsFleet {
     servers: BTreeMap<String, Pds>,
     routing: BTreeMap<String, String>,

@@ -50,7 +50,7 @@ pub enum PdsEventDetail {
 }
 
 /// A Personal Data Server instance.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Pds {
     hostname: String,
     operator: PdsOperator,

@@ -131,7 +131,7 @@ pub struct BackfillSummary {
 /// a contiguous slice of the hostname-sorted PDS fleet, forwarding their
 /// firehoses into a super-relay ("hub") with cross-relay dedup. See the
 /// [module docs](self) for the topology and the byte-identity argument.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct RelayFederation {
     regions: Vec<Relay>,
     /// Per-region forwarding cursor into that region's firehose.

@@ -43,7 +43,7 @@ pub struct EventOrigin {
 }
 
 /// The Relay: PDS crawler, repository mirror and firehose publisher.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Relay {
     hostname: String,
     firehose: FirehoseLog,

@@ -6,38 +6,33 @@
 //! the pieces of "the Internet" the study interacted with, in a form that is
 //! deterministic (seeded), fast, and inspectable:
 //!
-//! * [`clock::SimClock`] — simulated wall-clock time shared by every service.
 //! * [`rng::SimRng`] — seeded, forkable random number generation so that a
 //!   `(seed, scale)` pair fully determines a run.
 //! * [`dns`] — an authoritative DNS zone store used for `_atproto.` TXT
 //!   handle-ownership proofs.
 //! * [`http`] — a miniature HTTPS document space used for
 //!   `/.well-known/atproto-did` and `/.well-known/did.json` documents.
-//! * [`net`] — endpoint address plan, hosting classification (cloud,
-//!   residential, dead) and availability/fault modelling.
-//! * [`event`] — a discrete-event scheduler for time-ordered simulation.
+//! * [`net`] — hosting classification of service endpoints (cloud,
+//!   residential, dead).
 //! * [`faults`] — the deterministic fault-injection plan and the bounded
 //!   [`faults::RetryPolicy`] used by study clients to recover from it.
-//! * [`metrics`] — counters and streaming histograms used by services and by
-//!   the measurement pipeline.
 //! * [`observer`] — a passive per-connection `(size, gap)` wire tap for the
 //!   §10 traffic observatory.
 //!
 //! Everything is synchronous and poll-driven (the smoltcp idiom): the
-//! workload driver advances [`clock::SimClock`] and services react.
+//! workload driver steps the world one simulated day at a time, every draw
+//! derives from `(seed, DID, day)`, and services react when polled. There
+//! is no shared clock or event queue: simulated time is the day index or
+//! timestamp each call carries.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod clock;
 pub mod dns;
-pub mod event;
 pub mod faults;
 pub mod http;
-pub mod metrics;
 pub mod net;
 pub mod observer;
 pub mod rng;
 
-pub use clock::SimClock;
 pub use rng::SimRng;

@@ -1,13 +1,10 @@
-//! Endpoint address plan and hosting classification.
+//! Hosting classification of service endpoints.
 //!
 //! §6.1 of the paper classifies Labeler endpoints by the kind of address they
 //! resolve to: cloud-hosted / reverse-proxied (65 %), ISP-assigned
-//! residential (10 %) and dead endpoints (26 %). This module provides the
-//! synthetic address plan that the study's active measurements classify, plus
-//! a simple latency model for the reaction-time analyses.
-
-use crate::rng::SimRng;
-use std::fmt;
+//! residential (10 %) and dead endpoints (26 %). The workload plan assigns
+//! each labeler a [`HostingClass`] and the study's active measurement reads
+//! it back from the service; no addresses are simulated.
 
 /// Coarse hosting class of an endpoint address (§6.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -31,154 +28,17 @@ impl HostingClass {
     }
 }
 
-/// An IPv4 address in the simulated address plan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct SimAddr(pub [u8; 4]);
-
-impl fmt::Display for SimAddr {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}.{}.{}.{}", self.0[0], self.0[1], self.0[2], self.0[3])
-    }
-}
-
-/// The address-space prefixes used by the plan. `10.0.0.0/8` stands in for
-/// cloud ranges and `192.168.0.0/16` for residential ranges; the *mapping*
-/// from prefix to class is what the study's classifier uses, so the concrete
-/// numbers only need to be consistent.
-#[derive(Debug, Clone)]
-pub struct AddressPlan {
-    next_cloud: u32,
-    next_residential: u32,
-}
-
-impl Default for AddressPlan {
-    fn default() -> Self {
-        AddressPlan {
-            next_cloud: 1,
-            next_residential: 1,
-        }
-    }
-}
-
-impl AddressPlan {
-    /// Create an empty plan.
-    pub fn new() -> AddressPlan {
-        AddressPlan::default()
-    }
-
-    /// Allocate an address of the requested class. Dead endpoints have no
-    /// address, so this returns `None` for [`HostingClass::Dead`].
-    pub fn allocate(&mut self, class: HostingClass) -> Option<SimAddr> {
-        match class {
-            HostingClass::Cloud => {
-                let n = self.next_cloud;
-                self.next_cloud += 1;
-                Some(SimAddr([10, (n >> 16) as u8, (n >> 8) as u8, n as u8]))
-            }
-            HostingClass::Residential => {
-                let n = self.next_residential;
-                self.next_residential += 1;
-                Some(SimAddr([192, 168, (n >> 8) as u8, n as u8]))
-            }
-            HostingClass::Dead => None,
-        }
-    }
-
-    /// Classify an address back into its hosting class (what the study's
-    /// "analysis of the IP addresses" does).
-    pub fn classify(addr: &SimAddr) -> HostingClass {
-        match addr.0[0] {
-            10 => HostingClass::Cloud,
-            192 if addr.0[1] == 168 => HostingClass::Residential,
-            _ => HostingClass::Dead,
-        }
-    }
-}
-
-/// A simple latency model: a per-link base latency plus log-normal jitter.
-#[derive(Debug, Clone)]
-pub struct LatencyModel {
-    base_ms: f64,
-    jitter_sigma: f64,
-}
-
-impl LatencyModel {
-    /// Create a model with a base latency (milliseconds) and jitter sigma.
-    pub fn new(base_ms: f64, jitter_sigma: f64) -> LatencyModel {
-        LatencyModel {
-            base_ms: base_ms.max(0.1),
-            jitter_sigma: jitter_sigma.max(0.0),
-        }
-    }
-
-    /// Typical intra-cloud latency.
-    pub fn cloud() -> LatencyModel {
-        LatencyModel::new(15.0, 0.3)
-    }
-
-    /// Typical residential last-mile latency.
-    pub fn residential() -> LatencyModel {
-        LatencyModel::new(45.0, 0.6)
-    }
-
-    /// Sample a one-way latency in milliseconds.
-    pub fn sample_ms(&self, rng: &mut SimRng) -> f64 {
-        if self.jitter_sigma == 0.0 {
-            return self.base_ms;
-        }
-        rng.log_normal(self.base_ms, self.jitter_sigma)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn allocation_and_classification_are_consistent() {
-        let mut plan = AddressPlan::new();
-        for _ in 0..300 {
-            let cloud = plan.allocate(HostingClass::Cloud).unwrap();
-            assert_eq!(AddressPlan::classify(&cloud), HostingClass::Cloud);
-            let res = plan.allocate(HostingClass::Residential).unwrap();
-            assert_eq!(AddressPlan::classify(&res), HostingClass::Residential);
-        }
-        assert!(plan.allocate(HostingClass::Dead).is_none());
-    }
-
-    #[test]
-    fn addresses_are_unique() {
-        let mut plan = AddressPlan::new();
-        let mut seen = std::collections::HashSet::new();
-        for _ in 0..1000 {
-            assert!(seen.insert(plan.allocate(HostingClass::Cloud).unwrap()));
-            assert!(seen.insert(plan.allocate(HostingClass::Residential).unwrap()));
-        }
-    }
-
-    #[test]
     fn display_and_names() {
-        let addr = SimAddr([10, 0, 1, 2]);
-        assert_eq!(addr.to_string(), "10.0.1.2");
         assert_eq!(
             HostingClass::Cloud.display_name(),
             "cloud / reverse-proxied"
         );
         assert_eq!(HostingClass::Residential.display_name(), "residential");
         assert_eq!(HostingClass::Dead.display_name(), "not functional");
-    }
-
-    #[test]
-    fn latency_model_samples_near_base() {
-        let mut rng = SimRng::new(5);
-        let model = LatencyModel::cloud();
-        let mut samples: Vec<f64> = (0..5_001).map(|_| model.sample_ms(&mut rng)).collect();
-        samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let median = samples[samples.len() / 2];
-        assert!((10.0..25.0).contains(&median), "median {median}");
-        let fixed = LatencyModel::new(5.0, 0.0);
-        assert_eq!(fixed.sample_ms(&mut rng), 5.0);
-        let res = LatencyModel::residential();
-        assert!(res.sample_ms(&mut rng) > 0.0);
     }
 }

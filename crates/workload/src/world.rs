@@ -66,7 +66,6 @@ use bsky_relay::{Relay, RelayFederation};
 use bsky_simnet::dns::DnsZoneStore;
 use bsky_simnet::faults::{FaultCounters, FaultPlan, LABEL_STORM_LOOKBACK_DAYS};
 use bsky_simnet::http::WebSpace;
-use bsky_simnet::net::AddressPlan;
 use bsky_simnet::SimRng;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -187,7 +186,6 @@ pub struct World {
     /// Cumulative like-attractiveness weights parallel to `feedgens`.
     feed_like_cumsum: Vec<f64>,
     self_hosted_pds: Vec<String>,
-    addresses: AddressPlan,
     /// Firehose cursor of the world's own AppView subscription.
     appview_cursor: u64,
     pub(crate) total_posts: u64,
@@ -383,7 +381,6 @@ impl World {
             feedgen_plans,
             feed_like_cumsum: Vec::new(),
             self_hosted_pds,
-            addresses: AddressPlan::new(),
             appview_cursor: 0,
             total_posts: 0,
             total_likes: 0,
@@ -669,7 +666,6 @@ impl World {
         for plan in pending {
             let index = self.labelers.announced_count();
             let did = Did::plc_from_seed(format!("labeler-{}", plan.name).as_bytes());
-            let _addr = self.addresses.allocate(plan.hosting);
             // The labeler's stream seed derives from the run seed and its
             // index; the service itself re-forks per observed post, so its
             // verdicts are shard-independent.

@@ -34,12 +34,12 @@
 //! pass with bounded memory — firehose events are never retained; the
 //! producer reads the relay in constant-size chunks
 //! ([`bsky_workload::World::step_chunk`]) so peak in-flight is independent
-//! of daily volume — and `bsky_study::StudyBatch` runs whole seed × scale
-//! grids.
+//! of daily volume. One call is one run; a sweep over seeds or scales is a
+//! loop over specs.
 //!
 //! ## Run configuration: one `RunSpec`, two entry points
 //!
-//! Every knob a study run has — seeds, scales, engine shards and worker
+//! Every knob a study run has — seed and scale, engine shards and worker
 //! threads, block-store backend, AppView entity shards, the write-back
 //! cache, wire framing, relay topology, fault scenario — lives on one
 //! builder, `bsky_study::RunSpec`:
@@ -58,8 +58,8 @@
 //! worker threads) and `run_serial` (the same call coerced to one shard on
 //! one thread); there is no other way a report is computed, and the repro
 //! CLI maps its flags onto the same builder. `RunSpec::validate` rejects
-//! inconsistent combinations up front with an actionable message instead
-//! of a mid-run panic.
+//! out-of-range values up front with an actionable message instead of a
+//! mid-run panic.
 //!
 //! ## The sharded engine
 //!
@@ -88,10 +88,11 @@
 //! active measurements against the live world (the end-of-window DID
 //! documents) drain the workers and fold inline on the producer thread.
 //! The report stays byte-identical for any `(shards, jobs,
-//! analyzer_threads)` — pinned by the golden and property tests — while
-//! producer store I/O overlaps with analyzer CPU. `jobs` now defaults to
-//! the machine's available parallelism clamped to the shard count
-//! (`--jobs auto`).
+//! analyzer_threads)` — pinned by the golden and property tests. (All it
+//! can overlap with the producer is analyzer CPU, 7 % of the stream in the
+//! benchmark's traced pass, and an alternating A/B measures no gain; see
+//! `bsky_study`'s crate docs.) `jobs` defaults to the machine's available
+//! parallelism clamped to the shard count (`--jobs auto`).
 //!
 //! ## Incremental repository snapshots
 //!
@@ -134,8 +135,7 @@
 //! resident). Ingestion decomposes into per-entity primitives routed to
 //! the owning shard; queries (`following_timeline`, `getProfile`,
 //! `getFeed` hydration) fan out and re-merge under a canonical
-//! `(created_at desc, uri)` order; an associative merge mirrors the
-//! pipeline's `Analyzer::merge`. Configured end to end via
+//! `(created_at desc, uri)` order. Configured end to end via
 //! `RunSpec::appview_shards` (repro `--appview-shards N`); a property
 //! test pins sharded == monolithic for random event/label interleavings,
 //! and the golden equivalence test pins the report byte-identical across
