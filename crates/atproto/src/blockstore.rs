@@ -2,12 +2,12 @@
 //!
 //! Every content-addressed byte blob in the system — repository record
 //! blocks, MST node blocks, the relay's mirrored CAR archives, the study
-//! mirror's decoded-record blocks — used to live in an ad-hoc
-//! `BTreeMap<Cid, Vec<u8>>`. Those maps are grow-only, which ROADMAP flagged
-//! as the `--scale` memory ceiling after the incremental-delta work. This
-//! module extracts the storage concern behind one trait with three backends:
+//! mirror's decoded-record blocks — lives behind one trait with these
+//! backends:
 //!
-//! * [`MemStore`] — the original in-memory map, still the default.
+//! * [`MemStore`] — everything resident in one hash table keyed by CID
+//!   ([`CidMap`]: a block is found by its digest, not by comparing keys down
+//!   an ordered map). The default.
 //! * [`PagedStore`] — blocks are appended to fixed-size *pages*; a full page
 //!   is sealed into one immutable buffer and an LRU of sealed pages bounds
 //!   memory. An evicted page is appended, once, to the *segment* of its
@@ -45,10 +45,11 @@
 //! (`repro --store mem|paged --page-size N --spill-dir DIR`) and the world
 //! builders plumb through the stack.
 
-use crate::cid::Cid;
+use crate::cid::{Cid, CidMap};
 use crate::crypto::sha256;
 use crate::error::{AtError, Result};
 use std::cell::{Cell, RefCell};
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, VecDeque};
 use std::fs::File;
 use std::os::unix::fs::FileExt;
@@ -244,11 +245,12 @@ impl StoreConfig {
 // MemStore
 // ---------------------------------------------------------------------------
 
-/// The original backend: a plain in-memory map. Also the oracle the paged
-/// backend is property-tested against.
+/// The resident backend: one hash table from CID to bytes. Nothing iterates
+/// it, so its layout never reaches output. Also the oracle the paged backend
+/// is property-tested against (and itself tested against an ordered model).
 #[derive(Debug, Clone, Default)]
 pub struct MemStore {
-    blocks: BTreeMap<Cid, Vec<u8>>,
+    blocks: CidMap<Vec<u8>>,
     bytes: usize,
 }
 
@@ -266,12 +268,12 @@ impl BlockStore for MemStore {
 
     fn put(&mut self, cid: Cid, bytes: Vec<u8>) -> bool {
         match self.blocks.entry(cid) {
-            std::collections::btree_map::Entry::Vacant(slot) => {
+            Entry::Vacant(slot) => {
                 self.bytes += bytes.len();
                 slot.insert(bytes);
                 true
             }
-            std::collections::btree_map::Entry::Occupied(_) => false,
+            Entry::Occupied(_) => false,
         }
     }
 
@@ -441,10 +443,13 @@ struct Paged {
     spill_root: PathBuf,
     /// Opened on first spill.
     segment: Option<Arc<Segment>>,
-    index: BTreeMap<Cid, Loc>,
+    /// Where every block lives. Looked up, never iterated.
+    index: CidMap<Loc>,
     /// Sealed pages by id; the open page's id is `pages.len()`.
     pages: Vec<Page>,
     /// Blocks of the open (append) page — always resident, outside the LRU.
+    /// Ordered: `seal` lays the page out in this map's iteration order, so
+    /// it decides each block's offset in the spilled page.
     open: BTreeMap<Cid, Vec<u8>>,
     open_bytes: usize,
     /// Sealed resident pages, least recently used at the front.
@@ -459,6 +464,9 @@ struct Paged {
 /// pages rotate through a bounded LRU and are appended to the spill root's
 /// shared segment when first evicted. A read of an evicted block pages its
 /// page back in with one positioned read and verifies that block's CID.
+/// Blocks are found through a hash table from CID to page and span
+/// ([`CidMap`]); only the open page is an ordered map, because its order
+/// becomes the sealed page's layout.
 ///
 /// Reads take `&self` like every other backend, so the paging machinery
 /// lives behind a [`RefCell`]; the store is `Send` (one shard owns it) but
@@ -482,7 +490,7 @@ impl PagedStore {
                 resident_cap: config.resident_pages.max(1),
                 spill_root,
                 segment: None,
-                index: BTreeMap::new(),
+                index: CidMap::default(),
                 pages: Vec::new(),
                 open: BTreeMap::new(),
                 open_bytes: 0,
@@ -619,18 +627,15 @@ impl BlockStore for PagedStore {
 
     fn put(&mut self, cid: Cid, bytes: Vec<u8>) -> bool {
         let inner = self.inner.get_mut();
-        if inner.index.contains_key(&cid) {
-            return false;
-        }
         let len = bytes.len();
-        inner.index.insert(
-            cid,
-            Loc {
-                page: inner.pages.len() as u32,
-                off: 0,
-                len: len as u32,
-            },
-        );
+        let Entry::Vacant(slot) = inner.index.entry(cid) else {
+            return false;
+        };
+        slot.insert(Loc {
+            page: inner.pages.len() as u32,
+            off: 0,
+            len: len as u32,
+        });
         inner.open.insert(cid, bytes);
         inner.open_bytes += len;
         inner.logical_bytes += len;
@@ -816,6 +821,8 @@ impl BlockStore for CountingStore {
 #[derive(Debug)]
 pub struct WriteBackStore {
     inner: Box<dyn BlockStore>,
+    /// Ordered: `flush` puts the buffer into the backend in this map's
+    /// iteration order, which decides which blocks share a backend page.
     dirty: BTreeMap<Cid, Vec<u8>>,
     dirty_bytes: usize,
     /// Reads take `&self` like every backend, so the hit/miss tally lives
@@ -1003,6 +1010,69 @@ mod tests {
         assert_eq!(store.delete(&cid), 0);
         assert!(store.is_empty());
         verify_roundtrip(&MemStore::new(), &cid, &bytes).unwrap_err();
+    }
+
+    /// The hashed table against an ordered model: any interleaving of put /
+    /// get / has / delete agrees with a `BTreeMap<Cid, Vec<u8>>`, over a
+    /// universe where a third of the CIDs are built to share the eight
+    /// digest bytes the hasher reads with another CID — differing in a later
+    /// digest byte, or in the codec alone — so that buckets really collide
+    /// and only full-key equality tells the blocks apart.
+    #[test]
+    fn mem_store_matches_ordered_model_with_colliding_cids() {
+        use std::hash::BuildHasher;
+        let hash = |cid: &Cid| CidMap::<()>::default().hasher().hash_one(cid);
+        let mut rng = TestRng::new(0x00c0_111d);
+        let mut collisions = 0;
+        for round in 0..12u64 {
+            let mut universe: Vec<(Cid, Vec<u8>)> = (0..16)
+                .map(|i| block(round * 1_000 + i, 8 + rng.below(40) as usize))
+                .collect();
+            for i in 0..8 {
+                let (twin_of, _) = universe[rng.below(16) as usize];
+                let mut digest = *twin_of.digest();
+                let codec = if i % 2 == 0 {
+                    digest[8 + rng.below(24) as usize] ^= 1 + rng.below(255) as u8;
+                    twin_of.codec()
+                } else {
+                    twin_of.codec() ^ 0x24 // raw <-> dag-cbor
+                };
+                let twin = Cid::from_parts(codec, digest);
+                assert_ne!(twin, twin_of);
+                assert_eq!(hash(&twin), hash(&twin_of), "built to collide");
+                if !universe.iter().any(|(cid, _)| *cid == twin) {
+                    universe.push((twin, rng.bytes(48)));
+                    collisions += 1;
+                }
+            }
+            let mut store = MemStore::new();
+            let mut model: BTreeMap<Cid, Vec<u8>> = BTreeMap::new();
+            for _ in 0..600 {
+                let (cid, bytes) = &universe[rng.below(universe.len() as u64) as usize];
+                match rng.below(10) {
+                    0..=3 => {
+                        let fresh = !model.contains_key(cid);
+                        if fresh {
+                            model.insert(*cid, bytes.clone());
+                        }
+                        assert_eq!(store.put(*cid, bytes.clone()), fresh, "put disagrees");
+                    }
+                    4..=5 => assert_eq!(store.get(cid), model.get(cid).cloned()),
+                    6 => assert_eq!(store.has(cid), model.contains_key(cid)),
+                    _ => {
+                        let removed = model.remove(cid).map_or(0, |b| b.len());
+                        assert_eq!(store.delete(cid), removed, "delete disagrees");
+                    }
+                }
+                assert_eq!(store.len(), model.len());
+                assert_eq!(store.bytes(), model.values().map(Vec::len).sum::<usize>());
+            }
+            for (cid, _) in &universe {
+                assert_eq!(store.get(cid), model.get(cid).cloned());
+                assert_eq!(store.has(cid), model.contains_key(cid));
+            }
+        }
+        assert!(collisions > 60, "colliding CIDs in play: {collisions}");
     }
 
     #[test]

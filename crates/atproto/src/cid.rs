@@ -9,7 +9,9 @@
 
 use crate::crypto::{sha256, Digest, DIGEST_LEN};
 use crate::error::{AtError, Result};
+use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 const BASE32_ALPHABET: &[u8; 32] = b"abcdefghijklmnopqrstuvwxyz234567";
 
@@ -21,11 +23,63 @@ pub const CODEC_RAW: u8 = 0x55;
 pub const CID_LEN: usize = 4 + DIGEST_LEN;
 
 /// A content identifier: (version, codec, SHA-256 digest).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Cid {
     codec: u8,
     digest: Digest,
 }
+
+/// A CID hashes to the first eight bytes of its digest: they are already a
+/// uniform hash of the block. Equality stays the full 33 bytes, so two CIDs
+/// that agree on those eight bytes (or differ only in codec) share a bucket
+/// and nothing else.
+impl Hash for Cid {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let mut head = [0u8; 8];
+        head.copy_from_slice(&self.digest[..8]);
+        state.write_u64(u64::from_le_bytes(head));
+    }
+}
+
+/// The pass-through hasher behind [`CidMap`] and [`CidSet`]: it hands back the
+/// one `u64` [`Cid`]'s `Hash` writes. Unkeyed and unseeded, so a table's
+/// layout — and with it a run — is the same every time.
+///
+/// An unkeyed hasher is acceptable for these keys because they are SHA-256
+/// digests: every block taken off the simulated network is verified against
+/// its CID by [`CarReader`](crate::repo::CarReader) before it reaches a
+/// table, so steering a key into a chosen bucket costs the sender a hash
+/// search per block.
+///
+/// The rule that goes with it: a hashed CID index is never iterated where
+/// its order can reach bytes or a store's read or write order. Order is
+/// produced at those sites — by sorting, or by an ordered map kept for that
+/// purpose — and each such site says which bytes or which order depend on it.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct CidHasher(u64);
+
+impl Hasher for CidHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write_u64(&mut self, value: u64) {
+        self.0 = value;
+    }
+
+    /// Not reached by [`Cid`]; folds the bytes in so that any other key
+    /// still hashes to something that depends on all of it.
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(byte);
+        }
+    }
+}
+
+/// A hash map keyed by CID (see [`CidHasher`]).
+pub type CidMap<V> = HashMap<Cid, V, BuildHasherDefault<CidHasher>>;
+/// A hash set of CIDs (see [`CidHasher`]).
+pub type CidSet = HashSet<Cid, BuildHasherDefault<CidHasher>>;
 
 impl Cid {
     /// CID of a DAG-CBOR encoded block.

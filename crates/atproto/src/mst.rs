@@ -41,11 +41,10 @@
 //! with the live tree.
 
 use crate::cbor::Value;
-use crate::cid::Cid;
+use crate::cid::{Cid, CidSet};
 use crate::crypto::sha256;
 use crate::error::{AtError, Result};
-use std::cell::Cell;
-use std::collections::BTreeSet;
+use std::cell::{Cell, RefCell};
 
 /// The fanout parameter: a key's layer is the number of leading zero *pairs of
 /// bits* in its SHA-256 hash (fanout 4, as in the reference implementation).
@@ -163,7 +162,7 @@ impl Node {
 
     /// Drop the memoised CID ahead of a mutation; a CID the last drain
     /// counted as live is noted as having left the tree.
-    fn touch(&self, removed: &mut BTreeSet<Cid>) {
+    fn touch(&self, removed: &mut CidSet) {
         if let Memo::Settled(cid) = self.memo.replace(Memo::Dirty) {
             removed.insert(cid);
         }
@@ -177,44 +176,49 @@ impl Node {
         }
     }
 
-    /// This node's block; its children must already be hashed.
-    fn encode(&self) -> Vec<u8> {
+    /// This node's block, written over `out`; its children must already be
+    /// hashed.
+    fn encode_into(&self, out: &mut Vec<u8>) {
         let entries = self.entries.iter().map(|e| PendingEntry {
             key: &e.key,
             value: e.value,
             subtree: e.right.as_deref().map(Node::cid),
         });
+        out.clear();
         encode_node(
             self.left.as_deref().map(Node::cid),
             entries,
             self.layer,
             true,
-        )
+            out,
+        );
     }
 
     /// Hash every dirty node of this subtree, children before parents, and
-    /// return the subtree's CID. With a `delta` the walk is a drain: it also
+    /// return the subtree's CID. With a delta the walk is a drain: it also
     /// revisits nodes hashed since the last drain, settles them, and reports
     /// each one whose CID was not live at that drain as added (a node that
     /// hashes back to a removed CID cancels the departure instead).
-    fn seal(&self, hashed: &Cell<u64>, delta: &mut Option<&mut NodeDelta>) -> Cid {
+    fn seal(&self, walk: &mut Sealing<'_>) -> Cid {
         let known = match self.memo.get() {
             Memo::Settled(cid) => return cid,
-            Memo::Fresh(cid) if delta.is_none() => return cid,
+            Memo::Fresh(cid) if walk.delta.is_none() => return cid,
             Memo::Fresh(cid) => Some(cid),
             Memo::Dirty => None,
         };
         for child in self.children() {
-            child.seal(hashed, delta);
+            child.seal(walk);
         }
-        let bytes = self.encode();
+        self.encode_into(&mut walk.scratch);
         let cid = known.unwrap_or_else(|| {
-            hashed.set(hashed.get() + 1);
-            Cid::for_cbor(&bytes)
+            walk.hashed.set(walk.hashed.get() + 1);
+            Cid::for_cbor(&walk.scratch)
         });
-        match delta {
+        match &mut walk.delta {
             Some(delta) => {
                 if !delta.removed.remove(&cid) {
+                    // The block the store will hold: an exact-size copy.
+                    let bytes = walk.scratch.clone();
                     delta.added.push(MstNode { cid, bytes });
                 }
                 self.memo.set(Memo::Settled(cid));
@@ -224,20 +228,22 @@ impl Node {
         cid
     }
 
-    /// Every node block of this (sealed) subtree, children before parents.
-    fn collect_blocks(&self, out: &mut Vec<MstNode>) {
+    /// Every node block of this (sealed) subtree, children before parents,
+    /// each an exact-size copy out of `scratch`.
+    fn collect_blocks(&self, scratch: &mut Vec<u8>, out: &mut Vec<MstNode>) {
         for child in self.children() {
-            child.collect_blocks(out);
+            child.collect_blocks(scratch, out);
         }
+        self.encode_into(scratch);
         out.push(MstNode {
             cid: self.cid(),
-            bytes: self.encode(),
+            bytes: scratch.clone(),
         });
     }
 
     /// Replace the value of a key in this subtree, returning the old value
     /// (`None`: the key is absent). Only a real change dirties the path.
-    fn replace(&mut self, key: &str, value: Cid, removed: &mut BTreeSet<Cid>) -> Option<Cid> {
+    fn replace(&mut self, key: &str, value: Cid, removed: &mut CidSet) -> Option<Cid> {
         let old = match self.search(key) {
             Ok(i) => std::mem::replace(&mut self.entries[i].value, value),
             Err(i) => self.gap_mut(i).as_mut()?.replace(key, value, removed)?,
@@ -249,7 +255,7 @@ impl Node {
     }
 
     /// Insert a key known to be absent, at `layer <= self.layer`.
-    fn insert_new(&mut self, key: &str, layer: u32, value: Cid, removed: &mut BTreeSet<Cid>) {
+    fn insert_new(&mut self, key: &str, layer: u32, value: Cid, removed: &mut CidSet) {
         self.touch(removed);
         let i = self.entries.partition_point(|e| e.key.as_str() < key);
         let entry = |right| Entry {
@@ -272,7 +278,7 @@ impl Node {
 
     /// Remove a key from this subtree, returning its value. The caller
     /// unlinks this node if that leaves it vacant.
-    fn remove(&mut self, key: &str, removed: &mut BTreeSet<Cid>) -> Option<Cid> {
+    fn remove(&mut self, key: &str, removed: &mut CidSet) -> Option<Cid> {
         let old = match self.search(key) {
             Ok(i) => {
                 // The gaps on either side of the entry become one.
@@ -296,9 +302,20 @@ impl Node {
     }
 }
 
+/// What one [`Node::seal`] walk carries down the tree.
+struct Sealing<'a> {
+    hashed: &'a Cell<u64>,
+    /// `Some`: the walk is a drain (see [`Node::seal`]).
+    delta: Option<&'a mut NodeDelta>,
+    /// Every node is encoded here, one after the other; a block that is
+    /// kept is copied out of it at its exact size, so no block is grown by
+    /// `realloc` and none carries spare capacity into a store.
+    scratch: Vec<u8>,
+}
+
 /// Split a gap subtree around an absent key that belongs above it: the keys
 /// before it and the keys after it, each still a valid gap at that layer.
-fn split(gap: Gap, key: &str, removed: &mut BTreeSet<Cid>) -> (Gap, Gap) {
+fn split(gap: Gap, key: &str, removed: &mut CidSet) -> (Gap, Gap) {
     let Some(mut node) = gap else {
         return (None, None);
     };
@@ -313,7 +330,7 @@ fn split(gap: Gap, key: &str, removed: &mut BTreeSet<Cid>) -> (Gap, Gap) {
 
 /// Join two adjacent gap subtrees of the same layer (the entry between them
 /// is gone) into one.
-fn merge(before: Gap, after: Gap, removed: &mut BTreeSet<Cid>) -> Gap {
+fn merge(before: Gap, after: Gap, removed: &mut CidSet) -> Gap {
     let (mut node, mut upper) = match (before, after) {
         (Some(before), Some(after)) => (before, after),
         (before, after) => return before.or(after),
@@ -347,9 +364,11 @@ pub struct Mst {
     /// CIDs that were live at the last [`Mst::take_node_delta`] and whose
     /// nodes have been mutated or unlinked since. Bounded by the size of the
     /// tree at that drain; a tree that is never drained never adds to it.
-    removed: BTreeSet<Cid>,
+    removed: CidSet,
     /// Nodes hashed so far (see [`Mst::nodes_hashed`]).
     hashed: Cell<u64>,
+    /// The encode buffer of [`Sealing`], kept between walks.
+    scratch: RefCell<Vec<u8>>,
 }
 
 impl Default for Mst {
@@ -357,8 +376,9 @@ impl Default for Mst {
         Mst {
             root: Node::new(0, None, Vec::new()),
             len: 0,
-            removed: BTreeSet::new(),
+            removed: CidSet::default(),
             hashed: Cell::new(0),
+            scratch: RefCell::default(),
         }
     }
 }
@@ -430,9 +450,9 @@ pub struct NodeDelta {
     /// Nodes of the tree now that were not nodes of it then, children
     /// before parents.
     pub added: Vec<MstNode>,
-    /// CIDs of nodes of the tree then that are not nodes of it now, in CID
-    /// order.
-    pub removed: BTreeSet<Cid>,
+    /// CIDs of nodes of the tree then that are not nodes of it now, in no
+    /// particular order.
+    pub removed: CidSet,
 }
 
 /// In-order iterator over a tree's `(key, cid)` pairs.
@@ -612,7 +632,18 @@ impl Mst {
     /// The root CID. Hashes only the nodes mutated since the last call, so
     /// a repeat with no mutation in between hashes nothing.
     pub fn root_cid(&self) -> Cid {
-        self.root.seal(&self.hashed, &mut None)
+        self.seal(None)
+    }
+
+    fn seal(&self, delta: Option<&mut NodeDelta>) -> Cid {
+        let mut walk = Sealing {
+            hashed: &self.hashed,
+            delta,
+            scratch: self.scratch.take(),
+        };
+        let root = self.root.seal(&mut walk);
+        self.scratch.replace(walk.scratch);
+        root
     }
 
     /// The root CID plus what the mutations since the previous call did to
@@ -624,7 +655,7 @@ impl Mst {
             added: Vec::new(),
             removed: std::mem::take(&mut self.removed),
         };
-        let root = self.root.seal(&self.hashed, &mut Some(&mut delta));
+        let root = self.seal(Some(&mut delta));
         (root, delta)
     }
 
@@ -639,7 +670,7 @@ impl Mst {
     pub fn blocks(&self) -> Vec<MstNode> {
         self.root_cid();
         let mut blocks = Vec::new();
-        self.root.collect_blocks(&mut blocks);
+        self.root.collect_blocks(&mut Vec::new(), &mut blocks);
         blocks
     }
 
@@ -655,7 +686,7 @@ impl Mst {
     /// per-commit node log instead, and a test in `repo.rs` pins the two
     /// equal.
     pub fn node_delta(&self, old: &Mst) -> Vec<MstNode> {
-        let old_cids: BTreeSet<Cid> = old.blocks().iter().map(|n| n.cid).collect();
+        let old_cids: CidSet = old.blocks().iter().map(|n| n.cid).collect();
         self.blocks()
             .into_iter()
             .filter(|n| !old_cids.contains(&n.cid))
@@ -752,7 +783,14 @@ impl Mst {
             }
         }
 
-        let bytes = encode_node(left_child, node_entries.into_iter(), layer, compress);
+        let mut bytes = Vec::new();
+        encode_node(
+            left_child,
+            node_entries.into_iter(),
+            layer,
+            compress,
+            &mut bytes,
+        );
         let cid = Cid::for_cbor(&bytes);
         blocks.push(MstNode { cid, bytes });
         cid
@@ -766,7 +804,7 @@ struct PendingEntry<'a> {
     subtree: Option<Cid>,
 }
 
-/// Encode one MST node block directly, without building an intermediate
+/// Append one MST node block to `out`, without building an intermediate
 /// [`Value`] tree — byte-identical to encoding the equivalent `Value`
 /// (map keys emitted in DAG-CBOR canonical order: length first, then
 /// bytewise), pinned by the `direct_encoding_matches_value_encoding` test.
@@ -778,46 +816,45 @@ fn encode_node<'a>(
     entries: impl ExactSizeIterator<Item = PendingEntry<'a>>,
     layer: u32,
     compress: bool,
-) -> Vec<u8> {
+    out: &mut Vec<u8>,
+) {
     use crate::cbor::raw;
-    let mut out = Vec::with_capacity(64 + entries.len() * 64);
-    raw::map_head(3, &mut out);
+    raw::map_head(3, out);
     // "e" < "l" < "layer" in canonical order.
-    raw::text("e", &mut out);
-    raw::array_head(entries.len() as u64, &mut out);
+    raw::text("e", out);
+    raw::array_head(entries.len() as u64, out);
     let mut prev_key = "";
     for entry in entries {
         // Entry keys are all one byte, so canonical order is bytewise:
         // "k" < "p" < "t" < "v" (no "p" when uncompressed).
         let fields = 2 + usize::from(compress) + usize::from(entry.subtree.is_some());
-        raw::map_head(fields as u64, &mut out);
+        raw::map_head(fields as u64, out);
         let prefix = if compress {
             common_prefix_len(prev_key, entry.key)
         } else {
             0
         };
         prev_key = entry.key;
-        raw::text("k", &mut out);
-        raw::text(&entry.key[prefix..], &mut out);
+        raw::text("k", out);
+        raw::text(&entry.key[prefix..], out);
         if compress {
-            raw::text("p", &mut out);
-            raw::uint(prefix as u64, &mut out);
+            raw::text("p", out);
+            raw::uint(prefix as u64, out);
         }
         if let Some(subtree) = entry.subtree {
-            raw::text("t", &mut out);
-            raw::link(&subtree, &mut out);
+            raw::text("t", out);
+            raw::link(&subtree, out);
         }
-        raw::text("v", &mut out);
-        raw::link(&entry.value, &mut out);
+        raw::text("v", out);
+        raw::link(&entry.value, out);
     }
-    raw::text("l", &mut out);
+    raw::text("l", out);
     match left_child {
-        Some(cid) => raw::link(&cid, &mut out),
-        None => raw::null(&mut out),
+        Some(cid) => raw::link(&cid, out),
+        None => raw::null(out),
     }
-    raw::text("layer", &mut out);
-    raw::uint(layer as u64, &mut out);
-    out
+    raw::text("layer", out);
+    raw::uint(layer as u64, out);
 }
 
 /// Number of leading bytes two keys share. Keys are ASCII (enforced by
@@ -1336,7 +1373,7 @@ mod tests {
 mod proptests {
     use super::*;
     use crate::testrand::TestRng;
-    use std::collections::BTreeMap;
+    use std::collections::{BTreeMap, BTreeSet};
 
     /// An incremental tree driven next to a plain ordered map, checked
     /// against the rebuild-from-scratch reference builder.
@@ -1382,7 +1419,7 @@ mod proptests {
                 .collect();
             assert_eq!(delta.added, added);
             let removed: BTreeSet<Cid> = self.live.difference(&now).copied().collect();
-            assert_eq!(delta.removed, removed);
+            assert_eq!(delta.removed, removed.into_iter().collect());
             self.live = now;
         }
     }

@@ -22,9 +22,16 @@
 //! in-memory default, or a paged store that spills cold pages to disk and
 //! verifies every read-back by CID. The repository itself keeps only the
 //! record index (the MST's node tree: keys and CIDs, no block bytes) and the
-//! CID indexes (`record_cids` with its live-reference counts, the live/stored
-//! node sets and the per-commit log) resident, so its memory footprint is
-//! governed by the store backend.
+//! CID indexes (`record_cids` with its live-reference counts, the live node
+//! set, the nodes that left it since the last compaction and the per-commit
+//! log) resident, so its memory footprint is governed by the store backend.
+//!
+//! The CID indexes are hash tables ([`CidMap`] / [`CidSet`]): a write, a
+//! commit and a compaction pass look CIDs up and never need them in order.
+//! Order exists only where it reaches bytes or a store's read order, and is
+//! made there: a full export sorts the record CIDs it frames, a delta export
+//! sorts the joined nodes before it reads them and stages its blocks in a
+//! CID-ordered map, and the archive parsers collect into ordered maps.
 //!
 //! A commit costs its batch, not its repository: the MST is updated in
 //! place, hashing only the leaf-to-root paths the batch touched, and hands
@@ -72,7 +79,7 @@
 
 use crate::blockstore::{BlockStore, MemStore, StoreStats};
 use crate::cbor::{self, raw, Value};
-use crate::cid::{Cid, CID_LEN, CODEC_DAG_CBOR, CODEC_RAW};
+use crate::cid::{Cid, CidMap, CidSet, CID_LEN, CODEC_DAG_CBOR, CODEC_RAW};
 use crate::crypto::{sha256, Signature, SigningKey};
 use crate::datetime::Datetime;
 use crate::did::Did;
@@ -81,7 +88,7 @@ use crate::mst::Mst;
 use crate::nsid::Nsid;
 use crate::record::Record;
 use crate::tid::{Tid, TidClock};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// A signed repository commit.
 #[derive(Debug, Clone, PartialEq)]
@@ -318,10 +325,11 @@ pub struct Repository {
     store: Box<dyn BlockStore>,
     /// Every record block currently in the store, with the number of MST
     /// keys that point at it (0: a deleted or superseded version kept until
-    /// compaction or GC). The iteration index for exports and the liveness
-    /// test for compaction and GC, kept resident because it is small
-    /// compared to the blocks themselves. Counts move in `move_ref` only.
-    record_cids: BTreeMap<Cid, u32>,
+    /// compaction or GC). The block list for exports (sorted there) and the
+    /// liveness test for compaction and GC, kept resident because it is
+    /// small compared to the blocks themselves. Counts move in `move_ref`
+    /// only.
+    record_cids: CidMap<u32>,
     /// Total bytes of the blocks in `record_cids`.
     record_bytes: usize,
     /// Retained commits (oldest first). Compaction drops the front.
@@ -334,13 +342,13 @@ pub struct Repository {
     /// Revision of the newest commit a compaction pass dropped; deltas since
     /// revisions at or below it must fall back to a full fetch.
     compacted_through: Option<Tid>,
-    /// Every MST node CID currently in the store (live nodes plus nodes
-    /// superseded since the last compaction). Grows by each commit's added
-    /// nodes; compaction shrinks it back to `current_node_cids`.
-    stored_node_cids: BTreeSet<Cid>,
+    /// Node CIDs that left the live tree since the last compaction pass,
+    /// commit by commit: the pass's candidates. A node can leave, return and
+    /// leave again in between, so an entry may repeat or be live again.
+    stale_node_cids: Vec<Cid>,
     /// Node CIDs of the live tree as of the latest commit, maintained from
     /// each commit's node delta (added in, removed out) — never rebuilt.
-    current_node_cids: BTreeSet<Cid>,
+    current_node_cids: CidSet,
     clock: TidClock,
     /// Where `put_record` encodes each record before storing an exact-size
     /// copy: one allocation per stored block, none to grow it.
@@ -374,14 +382,14 @@ impl Repository {
             did,
             mst: Mst::new(),
             store,
-            record_cids: BTreeMap::new(),
+            record_cids: CidMap::default(),
             record_bytes: 0,
             commits: Vec::new(),
             log: Vec::new(),
             head_cid: None,
             compacted_through: None,
-            stored_node_cids: BTreeSet::new(),
-            current_node_cids: BTreeSet::new(),
+            stale_node_cids: Vec::new(),
+            current_node_cids: CidSet::default(),
             encode_buf: Vec::new(),
         }
     }
@@ -636,12 +644,12 @@ impl Repository {
         for node in delta.added {
             node_cids.push(node.cid);
             self.store.put(node.cid, node.bytes);
-            self.stored_node_cids.insert(node.cid);
             self.current_node_cids.insert(node.cid);
         }
         for cid in &delta.removed {
             self.current_node_cids.remove(cid);
         }
+        self.stale_node_cids.extend(&delta.removed);
         let removed_node_cids: Vec<Cid> = delta.removed.into_iter().collect();
         let mut commit = Commit {
             did: self.did.clone(),
@@ -705,7 +713,11 @@ impl Repository {
         for node in self.mst.blocks() {
             car.block(&node.cid, &node.bytes);
         }
-        for cid in self.record_cids.keys() {
+        // Sorted: the archive frames its record blocks in ascending CID
+        // order, and a paged store is read in that order.
+        let mut record_cids: Vec<Cid> = self.record_cids.keys().copied().collect();
+        record_cids.sort_unstable();
+        for cid in &record_cids {
             if let Some(bytes) = self.store.get(cid) {
                 car.block(cid, &bytes);
             }
@@ -752,9 +764,9 @@ impl Repository {
                     self.did
                 )),
             })?;
-        // Staged in a map because the archive is framed in CID order while
-        // the store is read in the order below (nodes, then records in log
-        // order): a paged store's residency follows its read order, and
+        // Ordered: the archive is framed in this map's CID order, while the
+        // store is read in the order below (nodes, then records in log
+        // order) — a paged store's residency follows its read order, and
         // that order is pinned with the byte counters it produces.
         let mut blocks: BTreeMap<Cid, Vec<u8>> = BTreeMap::new();
         if index + 1 < self.commits.len() {
@@ -767,18 +779,26 @@ impl Repository {
                 let bytes = commit.to_cbor();
                 blocks.insert(Cid::for_cbor(&bytes), bytes);
             }
-            // Node set at `since`, by backward replay of the per-commit
-            // churn log — O(churn), never a tree rebuild.
-            let mut nodes_at_since = self.current_node_cids.clone();
+            // Which churned nodes were in the tree at `since`, by backward
+            // replay of the per-commit churn log — O(churn), never a tree
+            // rebuild: the oldest commit to touch a node has the last word.
+            let mut in_tree_at_since: CidMap<bool> = CidMap::default();
             for entry in self.log[index + 1..].iter().rev() {
                 for cid in &entry.node_cids {
-                    nodes_at_since.remove(cid);
+                    in_tree_at_since.insert(*cid, false);
                 }
                 for cid in &entry.removed_node_cids {
-                    nodes_at_since.insert(*cid);
+                    in_tree_at_since.insert(*cid, true);
                 }
             }
-            for cid in self.current_node_cids.difference(&nodes_at_since) {
+            let mut joined: Vec<Cid> = in_tree_at_since
+                .into_iter()
+                .filter(|(cid, at_since)| !at_since && self.current_node_cids.contains(cid))
+                .map(|(cid, _)| cid)
+                .collect();
+            // Sorted: a paged store is read in ascending CID order here.
+            joined.sort_unstable();
+            for cid in &joined {
                 if let Some(bytes) = self.store.get(cid) {
                     blocks.insert(*cid, bytes);
                 }
@@ -808,7 +828,8 @@ impl Repository {
     /// rejected and the caller should fall back to a full fetch.
     pub fn apply_delta(base_car: &[u8], delta_car: &[u8]) -> Result<Vec<u8>> {
         // Both archives are merged as slices borrowed from the inputs; the
-        // one copy of each block is the one into the output.
+        // one copy of each block is the one into the output. Ordered: the
+        // merged archive is framed in this map's CID order.
         let mut blocks: BTreeMap<Cid, &[u8]> = BTreeMap::new();
         let mut base = CarReader::new(base_car)?;
         for block in &mut base {
@@ -859,6 +880,7 @@ impl Repository {
     /// collected into owned blocks.
     pub fn parse_car(bytes: &[u8]) -> Result<ParsedCar> {
         let mut reader = CarReader::new(bytes)?;
+        // Ordered: `ParsedCar` hands its callers the blocks in CID order.
         let mut blocks = BTreeMap::new();
         for block in &mut reader {
             let (cid, data) = block?;
@@ -901,19 +923,17 @@ impl Repository {
     /// Idempotent: a second pass with the same cutoff reclaims nothing.
     pub fn compact_before(&mut self, cutoff: &Tid) -> CompactionStats {
         let mut stats = CompactionStats::default();
-        // Stale node GC (cutoff-independent, see above). The live tree is a
-        // subset of the stored nodes, so equal sizes mean nothing is stale
-        // and an idle repository skips the walk over both sets.
-        if self.stored_node_cids.len() != self.current_node_cids.len() {
-            let stale: Vec<Cid> = self
-                .stored_node_cids
-                .difference(&self.current_node_cids)
-                .copied()
-                .collect();
-            for cid in stale {
-                stats.bytes_reclaimed += self.store.delete(&cid);
+        // Stale node GC (cutoff-independent, see above): every node that
+        // left the tree since the last pass and is not back in it. One that
+        // left twice is deleted, and counted, once.
+        for cid in self.stale_node_cids.drain(..) {
+            if self.current_node_cids.contains(&cid) {
+                continue;
+            }
+            let removed = self.store.delete(&cid);
+            if removed > 0 {
+                stats.bytes_reclaimed += removed;
                 stats.nodes_dropped += 1;
-                self.stored_node_cids.remove(&cid);
             }
         }
         // Commit-window compaction.
@@ -925,7 +945,7 @@ impl Repository {
             if floor > 0 {
                 // The blocks the retained commits introduced, built only if
                 // an aged-out block without a live reference turns up.
-                let mut retained: Option<BTreeSet<Cid>> = None;
+                let mut retained: Option<CidSet> = None;
                 for cid in self.log[..floor].iter().flat_map(|e| &e.record_cids) {
                     // Still referenced by the tree — or already deleted.
                     if self.record_cids.get(cid) != Some(&0) {
@@ -1135,6 +1155,7 @@ mod tests {
     use super::*;
     use crate::nsid::known;
     use crate::record::PostRecord;
+    use std::collections::BTreeSet;
 
     fn now() -> Datetime {
         Datetime::from_ymd_hms(2024, 4, 24, 9, 0, 0).unwrap()
@@ -1555,6 +1576,102 @@ mod tests {
         assert_eq!(delta_nodes, reference);
     }
 
+    /// A store that notes every `get` it serves, in order.
+    #[derive(Debug, Default)]
+    struct ReadLog {
+        inner: MemStore,
+        gets: std::sync::Arc<std::sync::Mutex<Vec<Cid>>>,
+    }
+
+    impl BlockStore for ReadLog {
+        fn get(&self, cid: &Cid) -> Option<Vec<u8>> {
+            self.gets.lock().unwrap().push(*cid);
+            self.inner.get(cid)
+        }
+        fn put(&mut self, cid: Cid, bytes: Vec<u8>) -> bool {
+            self.inner.put(cid, bytes)
+        }
+        fn has(&self, cid: &Cid) -> bool {
+            self.inner.has(cid)
+        }
+        fn delete(&mut self, cid: &Cid) -> usize {
+            self.inner.delete(cid)
+        }
+        fn len(&self) -> usize {
+            self.inner.len()
+        }
+        fn bytes(&self) -> usize {
+            self.inner.bytes()
+        }
+        fn stats(&self) -> StoreStats {
+            self.inner.stats()
+        }
+    }
+
+    #[test]
+    fn exports_read_the_store_and_frame_blocks_in_cid_order() {
+        // The two places a hashed index is iterated towards bytes. A paged
+        // store's residency follows read order, so the order of the `get`s
+        // is pinned as well as the order of the frames: a full export reads
+        // and frames its record blocks ascending; a delta export reads the
+        // joined nodes ascending, then the record blocks in log order, and
+        // frames everything ascending.
+        let store = ReadLog::default();
+        let gets = store.gets.clone();
+        let did = Did::plc_from_seed(b"read-order");
+        let mut repo = Repository::with_store(did, b"network-secret", Box::new(store));
+        for i in 0..40 {
+            repo.create_record(post_nsid(), post(&format!("base {i}")), now())
+                .unwrap();
+        }
+        let since = repo.rev().unwrap();
+        let nodes_at_since = live_nodes(&repo);
+        let commits_at_since = repo.log.len();
+        for i in 0..25 {
+            let at = now().plus_seconds(1 + i);
+            repo.create_record(post_nsid(), post(&format!("new {i}")), at)
+                .unwrap();
+        }
+        let frames = |car: &[u8]| -> Vec<Cid> {
+            let reader = CarReader::new(car).unwrap();
+            reader.map(|block| block.unwrap().0).collect()
+        };
+        let take_gets = || std::mem::take(&mut *gets.lock().unwrap());
+        let ascending = |cids: &[Cid]| cids.windows(2).all(|w| w[0] < w[1]);
+
+        let written: Vec<Cid> = repo
+            .log
+            .iter()
+            .flat_map(|e| e.record_cids.clone())
+            .collect();
+        assert!(!ascending(&written), "insertion order is not CID order");
+        let mut sorted_records = written.clone();
+        sorted_records.sort_unstable();
+
+        take_gets();
+        let full = repo.export_car();
+        assert_eq!(take_gets(), sorted_records);
+        let framed: Vec<Cid> = frames(&full)
+            .into_iter()
+            .filter(|cid| repo.record_cids.contains_key(cid))
+            .collect();
+        assert_eq!(framed, sorted_records);
+
+        let delta = repo.export_car_since(&since, DeltaScope::Full).unwrap();
+        let joined: Vec<Cid> = live_nodes(&repo)
+            .difference(&nodes_at_since)
+            .copied()
+            .collect();
+        assert!(joined.len() > 1 && ascending(&joined));
+        let log_order: Vec<Cid> = repo.log[commits_at_since..]
+            .iter()
+            .flat_map(|e| e.record_cids.clone())
+            .collect();
+        assert!(!ascending(&log_order));
+        assert_eq!(take_gets(), [joined, log_order].concat());
+        assert!(ascending(&frames(&delta)));
+    }
+
     #[test]
     fn chained_deltas_across_three_snapshots() {
         let mut repo = new_repo("mona");
@@ -1728,8 +1845,10 @@ mod tests {
         let removed: Vec<Cid> = nodes_before.difference(&live_after).copied().collect();
         assert!(!added.is_empty() && added.len() < live_after.len());
         assert_eq!(logged.node_cids, added);
-        assert_eq!(logged.removed_node_cids, removed);
-        assert_eq!(repo.current_node_cids, live_after);
+        let mut logged_removed = logged.removed_node_cids.clone();
+        logged_removed.sort_unstable();
+        assert_eq!(logged_removed, removed);
+        assert_eq!(live_nodes(&repo), live_after);
     }
 
     #[test]
@@ -1912,6 +2031,16 @@ mod tests {
         assert!(repo.get_block(&record_cid).is_none());
     }
 
+    /// The hashed live-reference counts, in order for comparison.
+    fn counts(repo: &Repository) -> BTreeMap<Cid, u32> {
+        repo.record_cids.iter().map(|(c, n)| (*c, *n)).collect()
+    }
+
+    /// The hashed live node set, in order for comparison.
+    fn live_nodes(repo: &Repository) -> BTreeSet<Cid> {
+        repo.current_node_cids.iter().copied().collect()
+    }
+
     /// The live-reference counts, recomputed from scratch: every stored
     /// record block with the number of MST keys whose value it is.
     fn counts_by_walk(repo: &Repository) -> BTreeMap<Cid, u32> {
@@ -1926,12 +2055,18 @@ mod tests {
 
     /// The compaction rule as it was written before the counts existed — a
     /// `live` set from a walk of the whole tree, a `retained` set from the
-    /// whole retained log — kept as the oracle: what a pass at `cutoff` must
-    /// delete, and the stats it must report.
-    fn set_based_compaction(repo: &Repository, cutoff: &Tid) -> (BTreeSet<Cid>, CompactionStats) {
+    /// whole retained log, the stale nodes as the difference of two whole
+    /// sets — kept as the oracle: what a pass at `cutoff` must delete, and
+    /// the stats it must report. `stored_nodes` is every node block in the
+    /// store, which the caller tracks (the repository no longer does).
+    fn set_based_compaction(
+        repo: &Repository,
+        stored_nodes: &BTreeSet<Cid>,
+        cutoff: &Tid,
+    ) -> (BTreeSet<Cid>, CompactionStats) {
         let block_len = |cid: &Cid| repo.store.get(cid).map_or(0, |b| b.len());
         let mut stats = CompactionStats::default();
-        for cid in repo.stored_node_cids.difference(&repo.current_node_cids) {
+        for cid in stored_nodes.difference(&live_nodes(repo)) {
             stats.nodes_dropped += 1;
             stats.bytes_reclaimed += block_len(cid);
         }
@@ -1974,10 +2109,11 @@ mod tests {
         // set-based rule deletes.
         use crate::testrand::TestRng;
         let collections = [post_nsid(), Nsid::parse(known::LIKE).unwrap()];
-        let mut seen = (0, 0, 0, 0, 0, 0, 0); // see the final assert
+        let mut seen = (0, 0, 0, 0, 0, 0, 0, 0); // see the final assert
         for seed in [0x5eed_0001u64, 0x5eed_0002, 0x5eed_0003] {
             let mut rng = TestRng::new(seed);
             let mut repo = new_repo(&format!("oracle-{seed}"));
+            let mut stored_nodes: BTreeSet<Cid> = BTreeSet::new();
             for step in 0..400i64 {
                 let at = now().plus_seconds(step * 3_600);
                 // The keys present as the batch is generated, so that most
@@ -2026,22 +2162,23 @@ mod tests {
                     } => repo.get_record(collection, rkey).as_ref() == Some(record),
                     _ => false,
                 });
-                let counts_before = repo.record_cids.clone();
+                let counts_before = counts(&repo);
                 let car_before = repo.export_car();
                 match repo.apply_writes(&batch, at) {
                     Ok(_) => {
+                        stored_nodes.extend(&repo.log.last().unwrap().node_cids);
                         seen.0 += 1;
                         seen.1 += usize::from(identical_update);
                     }
                     Err(_) => {
                         // Rollback: counts, store and index as before.
                         seen.2 += 1;
-                        assert_eq!(repo.record_cids, counts_before, "seed {seed} step {step}");
+                        assert_eq!(counts(&repo), counts_before, "seed {seed} step {step}");
                         assert_eq!(repo.export_car(), car_before, "seed {seed} step {step}");
                     }
                 }
                 assert_eq!(
-                    repo.record_cids,
+                    counts(&repo),
                     counts_by_walk(&repo),
                     "seed {seed} step {step}: {batch:?}"
                 );
@@ -2053,8 +2190,9 @@ mod tests {
                         index if index < repo.commits.len() => repo.commits[index].rev,
                         _ => Tid::from_micros(at.timestamp_micros() as u64 + 1, 0),
                     };
-                    let (victims, expected) = set_based_compaction(&repo, &cutoff);
-                    let mut survivors = repo.record_cids.clone();
+                    let (victims, expected) = set_based_compaction(&repo, &stored_nodes, &cutoff);
+                    seen.7 += expected.nodes_dropped;
+                    let mut survivors = counts(&repo);
                     survivors.retain(|cid, _| !victims.contains(cid));
                     let victim_bytes: usize = victims
                         .iter()
@@ -2063,14 +2201,18 @@ mod tests {
                     let bytes_before = repo.store_size();
                     let stats = repo.compact_before(&cutoff);
                     assert_eq!(stats, expected, "seed {seed} step {step}");
-                    assert_eq!(repo.record_cids, survivors, "seed {seed} step {step}");
+                    assert_eq!(counts(&repo), survivors, "seed {seed} step {step}");
+                    // Exactly the live tree's nodes are left in the store.
+                    stored_nodes = live_nodes(&repo);
+                    let records: usize = repo.record_cids.len();
+                    assert_eq!(repo.store.len(), records + stored_nodes.len());
                     assert!(victims.iter().all(|cid| repo.get_block(cid).is_none()));
                     assert!(survivors.keys().all(|cid| repo.get_block(cid).is_some()));
                     assert_eq!(bytes_before - repo.store_size(), victim_bytes);
                     seen.4 += stats.records_dropped;
                     // Idempotent, and the counts survive the pass.
                     assert_eq!(repo.compact_before(&cutoff), CompactionStats::default());
-                    assert_eq!(repo.record_cids, counts_by_walk(&repo));
+                    assert_eq!(counts(&repo), counts_by_walk(&repo));
                 }
                 if rng.below(40) == 0 {
                     // GC: exactly the blocks no key points at.
@@ -2087,13 +2229,13 @@ mod tests {
                         repo.record_cids.keys().copied().collect::<BTreeSet<_>>(),
                         live
                     );
-                    assert_eq!(repo.record_cids, counts_by_walk(&repo));
+                    assert_eq!(counts(&repo), counts_by_walk(&repo));
                     seen.5 += usize::from(reclaimed > 0);
                     seen.6 += 1;
                 }
             }
         }
-        let (committed, identical, failed, shared, dropped, gc_reclaimed, gcs) = seen;
+        let (committed, identical, failed, shared, dropped, gc_reclaimed, gcs, nodes) = seen;
         assert!(
             committed > 300
                 && identical > 0
@@ -2101,9 +2243,59 @@ mod tests {
                 && shared > 0
                 && dropped > 0
                 && gc_reclaimed > 0
-                && gcs > 0,
+                && gcs > 0
+                && nodes > 0,
             "the generator stopped reaching a case: {seen:?}"
         );
+    }
+
+    #[test]
+    fn a_node_that_returns_or_leaves_twice_is_swept_once() {
+        // Between two passes the tree goes A → B → A → B: node A leaves,
+        // returns and leaves again, node B leaves and is back. The stale
+        // list then reads [A, B, A]; the pass must delete A once, count it
+        // once and leave B alone — what the difference of two sets gives.
+        let mut repo = new_repo("pendulum");
+        repo.create_record(post_nsid(), post("anchor"), now())
+            .unwrap();
+        let mut stored_nodes = live_nodes(&repo);
+        let swing = |repo: &mut Repository, stored: &mut BTreeSet<Cid>, create: bool| {
+            let (collection, rkey) = (post_nsid(), "swing".to_string());
+            let write = match create {
+                true => Write::Create {
+                    collection,
+                    rkey,
+                    record: post("there and back"),
+                },
+                false => Write::Delete { collection, rkey },
+            };
+            repo.apply_writes(&[write], now().plus_seconds(60)).unwrap();
+            stored.extend(&repo.log.last().unwrap().node_cids);
+        };
+        let tree_a = live_nodes(&repo);
+        swing(&mut repo, &mut stored_nodes, true);
+        let tree_b = live_nodes(&repo);
+        swing(&mut repo, &mut stored_nodes, false);
+        assert_eq!(live_nodes(&repo), tree_a, "the delete restored the tree");
+        swing(&mut repo, &mut stored_nodes, true);
+        assert_eq!(live_nodes(&repo), tree_b);
+        let mut stale = repo.stale_node_cids.clone();
+        stale.sort_unstable();
+        assert!(stale.windows(2).any(|w| w[0] == w[1]), "a node left twice");
+        assert!(stale.iter().any(|cid| tree_b.contains(cid)), "one is back");
+
+        // A cutoff before every commit: the pass is the node sweep alone.
+        let cutoff = Tid::from_micros(1, 0);
+        let (_, expected) = set_based_compaction(&repo, &stored_nodes, &cutoff);
+        assert_eq!(expected.nodes_dropped, tree_a.difference(&tree_b).count());
+        assert!(expected.nodes_dropped > 0);
+        let stats = repo.compact_before(&cutoff);
+        assert_eq!(stats, expected);
+        assert!(repo.stale_node_cids.is_empty());
+        assert!(tree_b.iter().all(|cid| repo.get_block(cid).is_some()));
+        let gone = |cid: &Cid| repo.get_block(cid).is_none();
+        assert!(tree_a.difference(&tree_b).all(gone));
+        assert_eq!(repo.compact_before(&cutoff), CompactionStats::default());
     }
 
     /// A repository holding one record of each of the nine kinds over

@@ -85,7 +85,7 @@
 use crate::observatory::{cell_trace, ActivityClass, TraceKind, WireTraceDay};
 use crate::pipeline::{Observation, ObservationSink, StreamSummary, StudyCtx};
 use bsky_atproto::blockstore::{BlockStore, StoreConfig, StoreStats};
-use bsky_atproto::cid::Cid;
+use bsky_atproto::cid::{Cid, CidMap};
 use bsky_atproto::error::AtError;
 use bsky_atproto::firehose::EventBody;
 use bsky_atproto::framing::FramingPolicy;
@@ -230,7 +230,8 @@ struct MirroredRepo {
     rev: Option<Tid>,
     /// CIDs of every fetched block that carries a record's `$type` — the
     /// same view a reader of the full CAR takes, so decoding these in CID
-    /// order reproduces what a window-end full export decodes to.
+    /// order reproduces what a window-end full export decodes to. Ordered:
+    /// `records` decodes in this set's order, which reaches the analyzers.
     record_cids: BTreeSet<Cid>,
     /// The PDS hostname the state was fetched from. A repo that re-homes
     /// (account migration) is backfilled with a full fetch: deltas across
@@ -267,8 +268,8 @@ pub struct IncrementalRepoMirror {
     store: Box<dyn BlockStore>,
     /// Per-block reference counts: identical records fetched from different
     /// repositories share one block, which must survive until the last
-    /// referencing DID is dropped.
-    refs: BTreeMap<Cid, u32>,
+    /// referencing DID is dropped. Looked up per block, never iterated.
+    refs: CidMap<u32>,
     /// The deterministic fault schedule (quiet by default).
     faults: Arc<FaultPlan>,
     /// Retry policy for full `getRepo` fetches.
@@ -313,7 +314,7 @@ impl IncrementalRepoMirror {
             repos: BTreeMap::new(),
             passes: 0,
             store,
-            refs: BTreeMap::new(),
+            refs: CidMap::default(),
             faults,
             retry_full,
             retry_delta,

@@ -49,6 +49,7 @@ use crate::pipeline::{
 use crate::spec::RunSpec;
 use bsky_simnet::faults::FaultPlan;
 use bsky_workload::{PopulationPlan, ShardSpec, World, WorldSpec};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender};
 use std::sync::{mpsc, Arc};
@@ -334,10 +335,13 @@ struct ShardResult<S> {
     world: Option<World>,
 }
 
+/// A finished shard, or the message of the panic that ended it.
+type ShardOutcome<S> = Result<ShardResult<S>, String>;
+
 /// One single-use result channel per shard (send and receive halves).
 type ResultChannels<S> = (
-    Vec<SyncSender<ShardResult<S>>>,
-    Vec<Receiver<ShardResult<S>>>,
+    Vec<SyncSender<ShardOutcome<S>>>,
+    Vec<Receiver<ShardOutcome<S>>>,
 );
 
 /// Summary of a sharded run.
@@ -413,6 +417,22 @@ fn run_shard<S: ShardSink>(
     }
 }
 
+/// [`run_shard`] with a panic inside it caught and handed back as its
+/// message, so the coordinator can say which shard it was. The shard's
+/// half-built state is dropped with the unwind; nothing observes it.
+fn run_shard_caught<S: ShardSink>(
+    spec: &RunSpec,
+    plan: Arc<PopulationPlan>,
+    index: usize,
+    faults: Arc<FaultPlan>,
+) -> ShardOutcome<S> {
+    catch_unwind(AssertUnwindSafe(|| run_shard(spec, plan, index, faults))).map_err(|payload| {
+        let text = payload.downcast_ref::<&str>().map(|s| s.to_string());
+        text.or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "a panic that carried no message".to_string())
+    })
+}
+
 /// Run the full collection described by `spec` — [`RunSpec::shards`]
 /// population shards on at most [`RunSpec::jobs`] worker threads — folding
 /// each shard's observations into a fresh sink and absorbing the per-shard
@@ -422,7 +442,9 @@ fn run_shard<S: ShardSink>(
 /// The fault plan is resolved here from [`RunSpec::faults`] over the
 /// config's day window and shared by every shard's world and producer.
 ///
-/// Panics on an invalid spec (see [`RunSpec::validate`]).
+/// Panics on an invalid spec (see [`RunSpec::validate`]), and — whatever the
+/// number of worker threads — with `shard {index} of {shards} panicked:
+/// {message}` when a shard's world, collector or sink panics.
 pub fn collect_sharded<S: ShardSink>(spec: &RunSpec, mut sink: S) -> (S, World, ShardedSummary) {
     if let Err(err) = spec.validate() {
         panic!("invalid RunSpec: {err}");
@@ -442,7 +464,11 @@ pub fn collect_sharded<S: ShardSink>(spec: &RunSpec, mut sink: S) -> (S, World, 
     let mut world0: Option<World> = None;
     let mut per_shard = Vec::with_capacity(shards);
     let mut merged_summary = StreamSummary::default();
-    let mut absorb_result = |result: ShardResult<S>, sink: &mut S| {
+    let mut absorb_result = |outcome: ShardOutcome<S>, sink: &mut S| {
+        let result = outcome.unwrap_or_else(|message| {
+            let index = per_shard.len();
+            panic!("shard {index} of {shards} panicked: {message}")
+        });
         merged_summary.absorb(&result.summary);
         per_shard.push(result.summary);
         if let Some(world) = result.world {
@@ -454,7 +480,7 @@ pub fn collect_sharded<S: ShardSink>(spec: &RunSpec, mut sink: S) -> (S, World, 
         // Serial path: no threads, same code.
         for index in 0..shards {
             absorb_result(
-                run_shard(spec, plan.clone(), index, faults.clone()),
+                run_shard_caught(spec, plan.clone(), index, faults.clone()),
                 &mut sink,
             );
         }
@@ -479,16 +505,20 @@ pub fn collect_sharded<S: ShardSink>(spec: &RunSpec, mut sink: S) -> (S, World, 
                     if index >= shards {
                         break;
                     }
-                    let result = run_shard(spec, plan.clone(), index, faults.clone());
+                    let outcome = run_shard_caught(spec, plan.clone(), index, faults.clone());
                     txs[index]
-                        .send(result)
+                        .send(outcome)
                         .expect("coordinator outlives the shard workers");
                 });
             }
             drop(txs);
             for rx in &rxs {
-                let result = rx.recv().expect("every shard produces a result");
-                absorb_result(result, &mut sink);
+                let outcome = rx.recv().expect("every shard sends its outcome");
+                if outcome.is_err() {
+                    // No worker starts another shard of a run that is lost.
+                    next.store(shards, Ordering::Relaxed);
+                }
+                absorb_result(outcome, &mut sink);
             }
         });
     }
@@ -543,6 +573,36 @@ mod tests {
     fn rejects_more_jobs_than_shards() {
         let spec = RunSpec::new(small_config(51)).shards(2).jobs(3);
         let _ = collect_sharded(&spec, StudyAnalyzers::new());
+    }
+
+    /// A sink that gives up on its first observation in shard 1.
+    #[derive(Default)]
+    struct GivesUpInShardOne;
+
+    impl ObservationSink for GivesUpInShardOne {
+        fn observe(&mut self, _obs: &Observation<'_>, ctx: &StudyCtx<'_>) {
+            if ctx.try_world().is_some_and(|world| world.shard.index == 1) {
+                panic!("sink gave up");
+            }
+        }
+    }
+
+    impl ShardSink for GivesUpInShardOne {
+        fn absorb(&mut self, _other: Self) {}
+    }
+
+    #[test]
+    fn a_panicking_shard_is_named_whatever_the_job_count() {
+        for jobs in [1, 2] {
+            let spec = RunSpec::new(small_config(53)).shards(3).jobs(jobs);
+            let run = || drop(collect_sharded(&spec, GivesUpInShardOne));
+            let payload = catch_unwind(AssertUnwindSafe(run)).expect_err("shard 1 panics");
+            let message = payload.downcast_ref::<String>().expect("a formatted panic");
+            assert_eq!(
+                message, "shard 1 of 3 panicked: sink gave up",
+                "jobs = {jobs}"
+            );
+        }
     }
 
     /// A two-part sink: part 0 counts marker observations, part 1 counts

@@ -167,6 +167,17 @@ impl PdsFleet {
         stats
     }
 
+    /// Trim every server's outbox ([`Pds::trim_outbox`]) to its entry in
+    /// `crawled`: one absolute outbox position per server, in
+    /// [`PdsFleet::servers`] order, below which every crawler of that server
+    /// has taken its events.
+    pub fn trim_outboxes(&mut self, crawled: &[usize]) {
+        assert_eq!(crawled.len(), self.servers.len(), "one cursor per server");
+        for (server, upto) in self.servers.values_mut().zip(crawled) {
+            server.trim_outbox(*upto);
+        }
+    }
+
     /// Aggregate block-store statistics across every server's repositories.
     pub fn store_stats(&self) -> StoreStats {
         let mut stats = StoreStats::default();

@@ -6,6 +6,17 @@
 //! `since=rev` delta variant serving only the blocks created after a known
 //! revision) and an event outbox that stands in for `subscribeRepos` at the
 //! PDS level (§2, §3).
+//!
+//! The outbox drains. Every event has an *absolute position* — 0 for the
+//! first event the server ever produced — and a crawler's cursor is such a
+//! position, so it keeps its meaning however much of the outbox is still
+//! held. [`Pds::trim_outbox`] lets go of the events below a position and
+//! counts them; [`Pds::events_since`] serves from the first event still held.
+//! Who trims owns the contract: only events every crawler of this server has
+//! taken may go. A crawler that asks for a position already let go is served
+//! from the first retained event and can tell — the slice it gets starts
+//! later than it asked — and must count the gap rather than hide it (the
+//! relay does, in `RelayStats::outbox_positions_skipped`).
 
 use crate::account::{Account, AccountStatus};
 use bsky_atproto::blockstore::{StoreConfig, StoreStats};
@@ -49,14 +60,20 @@ pub enum PdsEventDetail {
     AccountDelete,
 }
 
-/// A Personal Data Server instance.
+/// A Personal Data Server instance. Its event outbox is read by absolute
+/// position and drains under [`Pds::trim_outbox`]; the module docs state who
+/// may trim and what a crawler that fell behind is owed.
 #[derive(Debug)]
 pub struct Pds {
     hostname: String,
     operator: PdsOperator,
     accounts: BTreeMap<String, Account>,
     repos: BTreeMap<String, Repository>,
+    /// The events still held, oldest first: `outbox[i]` is the event at
+    /// absolute position `outbox_trimmed + i`.
     outbox: Vec<PdsEvent>,
+    /// Events let go by [`Pds::trim_outbox`]: the position of `outbox[0]`.
+    outbox_trimmed: usize,
     sync_requests: u64,
     /// Block-store backend every hosted repository is created over.
     store_config: StoreConfig,
@@ -82,6 +99,7 @@ impl Pds {
             accounts: BTreeMap::new(),
             repos: BTreeMap::new(),
             outbox: Vec::new(),
+            outbox_trimmed: 0,
             sync_requests: 0,
             store_config,
         }
@@ -329,11 +347,43 @@ impl Pds {
             .export_car_since(since, scope)
     }
 
-    /// Events recorded at or after the given outbox index (the Relay's
-    /// per-PDS crawl cursor). Returns the slice and the next cursor.
+    /// Events at or after the absolute outbox position `cursor` (the
+    /// Relay's per-PDS crawl cursor) that are still held. Returns the slice
+    /// and the next cursor; the slice ends at that cursor, so its first
+    /// event sits at `next - slice.len()` — later than `cursor` exactly when
+    /// positions the caller never saw were trimmed.
     pub fn events_since(&self, cursor: usize) -> (&[PdsEvent], usize) {
-        let start = cursor.min(self.outbox.len());
-        (&self.outbox[start..], self.outbox.len())
+        let start = cursor
+            .saturating_sub(self.outbox_trimmed)
+            .min(self.outbox.len());
+        (
+            &self.outbox[start..],
+            self.outbox_trimmed + self.outbox.len(),
+        )
+    }
+
+    /// Let go of every held event below the absolute position `upto`,
+    /// returning how many went. The caller vouches that every crawler of
+    /// this server is at or past `upto`. A position at or below what was
+    /// already trimmed is a no-op, so trimming twice is idempotent.
+    pub fn trim_outbox(&mut self, upto: usize) -> usize {
+        let gone = upto
+            .saturating_sub(self.outbox_trimmed)
+            .min(self.outbox.len());
+        self.outbox.drain(..gone);
+        self.outbox_trimmed += gone;
+        gone
+    }
+
+    /// Events let go by [`Pds::trim_outbox`] so far.
+    pub fn outbox_trimmed(&self) -> usize {
+        self.outbox_trimmed
+    }
+
+    /// Events the outbox still holds; with [`Pds::outbox_trimmed`], every
+    /// event this server produced.
+    pub fn outbox_len(&self) -> usize {
+        self.outbox.len()
     }
 
     /// Number of sync API requests served (crawler-load accounting).
@@ -434,6 +484,37 @@ mod tests {
             .is_err());
         let (events, _) = pds.events_since(next);
         assert!(matches!(events[0].detail, PdsEventDetail::AccountDelete));
+    }
+
+    #[test]
+    fn outbox_trim_keeps_positions_absolute() {
+        let (mut pds, did) = pds_with_alice();
+        for text in ["one", "two", "three"] {
+            pds.create_record(&did, Nsid::parse(known::POST).unwrap(), post(text), now())
+                .unwrap();
+        }
+        // identity + three commits at positions 0..4.
+        let all: Vec<PdsEvent> = pds.events_since(0).0.to_vec();
+        assert_eq!((all.len(), pds.events_since(0).1), (4, 4));
+        assert_eq!(pds.trim_outbox(2), 2);
+        assert_eq!((pds.outbox_trimmed(), pds.outbox_len()), (2, 2));
+        // A cursor at or past the trim point is served exactly as before.
+        assert_eq!(pds.events_since(2), (&all[2..], 4));
+        assert_eq!(pds.events_since(3), (&all[3..], 4));
+        assert_eq!(pds.events_since(9), (&all[4..], 4));
+        // One below it is served from the first event still held; the
+        // slice starts at `next - len`, later than asked.
+        assert_eq!(pds.events_since(0), (&all[2..], 4));
+        // Idempotent, and never past the end.
+        assert_eq!(pds.trim_outbox(2), 0);
+        assert_eq!(pds.trim_outbox(1), 0);
+        assert_eq!(pds.trim_outbox(100), 2);
+        assert_eq!((pds.outbox_trimmed(), pds.outbox_len()), (4, 0));
+        // New events continue the sequence.
+        pds.create_record(&did, Nsid::parse(known::POST).unwrap(), post("four"), now())
+            .unwrap();
+        let (events, next) = pds.events_since(4);
+        assert_eq!((events.len(), next), (1, 5));
     }
 
     #[test]

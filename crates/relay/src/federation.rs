@@ -241,6 +241,18 @@ impl RelayFederation {
         forwarded
     }
 
+    /// For every server of the fleet, in [`PdsFleet::servers`] order, the
+    /// crawl cursor of the region that owns it — the federated equivalent of
+    /// [`Relay::crawl_cursors`]. The slices, concatenated, are the sorted
+    /// host list.
+    pub fn crawl_cursors(&self, fleet: &PdsFleet) -> Vec<usize> {
+        let parts = Self::partition(fleet, self.regions.len());
+        let owned = self.regions.iter().zip(&parts);
+        owned
+            .flat_map(|(region, hosts)| hosts.iter().map(|host| region.crawl_cursor(host)))
+            .collect()
+    }
+
     /// Pending PDS outbox events across every region's slice — the
     /// federated equivalent of [`Relay::pending_events`].
     pub fn pending_events(&self, fleet: &PdsFleet) -> usize {

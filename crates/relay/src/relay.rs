@@ -9,7 +9,7 @@
 use crate::firehose::{FirehoseLog, Subscription};
 use crate::stats::RelayStats;
 use bsky_atproto::blockstore::{BlockStore, StoreConfig, StoreStats};
-use bsky_atproto::cid::Cid;
+use bsky_atproto::cid::{Cid, CidMap};
 use bsky_atproto::error::{AtError, Result};
 use bsky_atproto::firehose::{EventBody, Seq};
 use bsky_atproto::repo::{DeltaScope, Repository};
@@ -30,15 +30,16 @@ struct MirrorEntry {
 }
 
 /// Provenance of a firehose event: which PDS outbox produced it, and at
-/// which outbox position. Events that carry no repo revision (identity,
-/// handle, tombstone frames) are deduplicated across relay tiers by this
-/// `(host, outbox_seq)` pair — the same outbox slot delivered twice is the
-/// same event, wherever it travelled.
+/// which absolute outbox position (0: the first event that server ever
+/// produced, however much of its outbox has been trimmed since). Events
+/// that carry no repo revision (identity, handle, tombstone frames) are
+/// deduplicated across relay tiers by this `(host, outbox_seq)` pair — the
+/// same outbox slot delivered twice is the same event, wherever it travelled.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct EventOrigin {
     /// Hostname of the PDS whose outbox produced the event.
     pub host: String,
-    /// Zero-based position in that outbox.
+    /// Zero-based absolute position in that outbox.
     pub outbox_seq: u64,
 }
 
@@ -55,8 +56,9 @@ pub struct Relay {
     store: Box<dyn BlockStore>,
     /// Reference counts per CAR block: distinct DIDs can share identical
     /// archive bytes (e.g. two empty repositories), and a shared block must
-    /// survive until the last referencing entry is gone.
-    car_refs: BTreeMap<Cid, u32>,
+    /// survive until the last referencing entry is gone. Looked up per
+    /// archive, never iterated.
+    car_refs: CidMap<u32>,
     /// Passive wire tap: per-DID firehose `(time, size)` traces for the §10
     /// traffic observatory. Always on — recording is a couple of integer
     /// pushes per event — and drained by the study producer at day ends.
@@ -90,7 +92,7 @@ impl Relay {
             known_dids: BTreeMap::new(),
             stats: RelayStats::new(),
             store: store.build(),
-            car_refs: BTreeMap::new(),
+            car_refs: CidMap::default(),
             wire_tap: WireObserver::new(),
             origins: BTreeMap::new(),
         }
@@ -133,6 +135,14 @@ impl Relay {
 
     /// Crawl every PDS in the fleet, ingesting new events into the firehose.
     /// Returns the number of events ingested.
+    ///
+    /// The per-PDS crawl cursors are absolute outbox positions. A crawl
+    /// trims nothing: it borrows the fleet, and whoever owns both the fleet
+    /// and every relay crawling it decides what may go
+    /// ([`Relay::crawl_cursors`] is what this relay has taken). Should a
+    /// server have let go of positions this relay had not reached, the crawl
+    /// resumes at the first retained event and counts the gap into
+    /// [`RelayStats::outbox_positions_skipped`] — lagging is loud.
     pub fn crawl(&mut self, fleet: &PdsFleet, now: Datetime) -> usize {
         let ingested = self.crawl_hosts(fleet, now, |_| true);
         self.prune_firehose(now);
@@ -163,8 +173,12 @@ impl Relay {
                 Some(s) => s,
                 None => continue,
             };
-            let cursor = self.crawl_cursors.get(&hostname).copied().unwrap_or(0);
+            let cursor = self.crawl_cursor(&hostname);
             let (events, next_cursor) = server.events_since(cursor);
+            // Later than asked for: the positions in between were trimmed.
+            let first = next_cursor - events.len();
+            self.stats
+                .record_outbox_skipped(first.saturating_sub(cursor));
             for (offset, event) in events.iter().enumerate() {
                 let body = match &event.detail {
                     PdsEventDetail::Commit(result) => EventBody::Commit {
@@ -193,7 +207,7 @@ impl Relay {
                 };
                 let origin = EventOrigin {
                     host: hostname.clone(),
-                    outbox_seq: (cursor + offset) as u64,
+                    outbox_seq: (first + offset) as u64,
                 };
                 self.ingest_event(time, body, Some(origin));
                 ingested += 1;
@@ -281,6 +295,21 @@ impl Relay {
         self.wire_tap.drain()
     }
 
+    /// This relay's crawl cursor for every server of the fleet, in
+    /// [`PdsFleet::servers`] order: the absolute outbox position below which
+    /// it has taken that server's events (see [`PdsFleet::trim_outboxes`]).
+    pub fn crawl_cursors(&self, fleet: &PdsFleet) -> Vec<usize> {
+        fleet
+            .servers()
+            .map(|server| self.crawl_cursor(server.hostname()))
+            .collect()
+    }
+
+    /// The crawl cursor for one host (0: never crawled).
+    pub(crate) fn crawl_cursor(&self, hostname: &str) -> usize {
+        self.crawl_cursors.get(hostname).copied().unwrap_or(0)
+    }
+
     /// Number of PDS outbox events produced but not yet crawled. Producers
     /// that want to bound their in-flight batch size check this between
     /// simulation steps and crawl once a chunk's worth is pending.
@@ -295,11 +324,7 @@ impl Relay {
             .servers()
             .filter(|server| accept(server.hostname()))
             .map(|server| {
-                let cursor = self
-                    .crawl_cursors
-                    .get(server.hostname())
-                    .copied()
-                    .unwrap_or(0);
+                let cursor = self.crawl_cursor(server.hostname());
                 server.events_since(cursor).0.len()
             })
             .sum()
@@ -546,6 +571,74 @@ mod tests {
         assert_eq!(relay.crawl(&fleet, now()), 0);
         // Deleted accounts disappear from the relay's account list.
         assert_eq!(relay.known_account_count(), 5);
+    }
+
+    #[test]
+    fn crawled_events_are_let_go_and_a_lagging_relay_says_so() {
+        let (mut fleet, dids) = fleet_with_users(6);
+        let write = |fleet: &mut PdsFleet, did: &Did, text: &str| {
+            let pds = fleet.pds_for_mut(did).unwrap();
+            pds.create_record(did, Nsid::parse(known::POST).unwrap(), post(text), now())
+                .unwrap();
+        };
+        let held = |fleet: &PdsFleet| fleet.servers().map(Pds::outbox_len).sum::<usize>();
+        let trimmed = |fleet: &PdsFleet| fleet.servers().map(Pds::outbox_trimmed).sum::<usize>();
+        let origins = |relay: &Relay, from: Seq| -> Vec<EventOrigin> {
+            let events = relay.subscribe(from).events;
+            let origin = |e: &bsky_atproto::firehose::Event| relay.event_origin(e.seq).cloned();
+            events.iter().map(|e| origin(e).unwrap()).collect()
+        };
+        for did in &dids {
+            write(&mut fleet, did, "before the crawl");
+        }
+        let mut relay = Relay::default();
+        assert_eq!(relay.crawl(&fleet, now()), 12);
+        // Produced after the crawl: the only events a trim may keep.
+        write(&mut fleet, &dids[0], "after the crawl");
+        write(&mut fleet, &dids[3], "after the crawl");
+        let crawled = relay.crawl_cursors(&fleet);
+        fleet.trim_outboxes(&crawled);
+        assert_eq!((held(&fleet), trimmed(&fleet)), (2, 12));
+        assert_eq!(relay.pending_events(&fleet), 2);
+        // Trimming again, or to an older position, lets nothing more go.
+        fleet.trim_outboxes(&crawled);
+        fleet.trim_outboxes(&vec![0; crawled.len()]);
+        assert_eq!((held(&fleet), trimmed(&fleet)), (2, 12));
+
+        // Positions stay absolute: the next crawl continues each outbox's
+        // sequence where the last one ended, over the trimmed outbox.
+        let before = relay.subscribe(0).cursor;
+        assert_eq!(relay.crawl(&fleet, now()), 2);
+        let host = fleet.locate(&dids[0]).unwrap().to_string();
+        let continued = origins(&relay, before);
+        assert_eq!(continued.len(), 2);
+        for origin in &continued {
+            // dids 0 and 3 share the first host: 2 accounts × (identity +
+            // commit) crawled before, so its outbox continues at 4.
+            assert_eq!(origin.host, host);
+        }
+        assert_eq!(continued[0].outbox_seq + 1, continued[1].outbox_seq);
+        assert_eq!(continued[0].outbox_seq, 4);
+        assert_eq!(relay.stats().outbox_positions_skipped(), 0);
+
+        // A second relay starting from 0 after the trim gets what is still
+        // held, at its true positions, and counts every position it missed.
+        write(&mut fleet, &dids[1], "held for the latecomer");
+        let mut late = Relay::new("late.example");
+        assert_eq!(late.crawl(&fleet, now()), 3);
+        assert_eq!(late.stats().outbox_positions_skipped(), 12);
+        let mut seen = origins(&late, 0);
+        seen.sort();
+        let mut expected = continued;
+        expected.push(EventOrigin {
+            host: fleet.locate(&dids[1]).unwrap().to_string(),
+            outbox_seq: 4,
+        });
+        expected.sort();
+        assert_eq!(seen, expected);
+        // Caught up, it skips nothing more.
+        assert_eq!(late.crawl(&fleet, now()), 0);
+        assert_eq!(late.stats().outbox_positions_skipped(), 12);
     }
 
     #[test]

@@ -27,6 +27,7 @@ pub struct RelayStats {
     events_forwarded: u64,
     duplicates_dropped: u64,
     dedup_tracked: u64,
+    outbox_positions_skipped: u64,
 }
 
 impl RelayStats {
@@ -195,6 +196,18 @@ impl RelayStats {
     /// Record one key admitted into the cross-relay dedup index.
     pub fn record_dedup_tracked(&mut self) {
         self.dedup_tracked += 1;
+    }
+
+    /// Record PDS outbox positions a crawl asked for that the server had
+    /// already let go: events this relay will never see.
+    pub fn record_outbox_skipped(&mut self, positions: usize) {
+        self.outbox_positions_skipped += positions as u64;
+    }
+
+    /// PDS outbox positions trimmed before this relay crawled them. 0
+    /// whenever outboxes are trimmed to this relay's own crawl cursors.
+    pub fn outbox_positions_skipped(&self) -> u64 {
+        self.outbox_positions_skipped
     }
 
     /// Frames forwarded into this relay from upstream relay tiers.

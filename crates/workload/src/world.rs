@@ -545,16 +545,24 @@ impl World {
     /// events. Under federation the regions crawl their PDS slices and
     /// forward into the super-relay; either way the AppView subscribes to
     /// `self.relay` and sees the identical stream.
+    ///
+    /// The world owns the fleet and every relay that crawls it, so it is the
+    /// one to let crawled events go: after each crawl every PDS outbox is
+    /// trimmed to the cursor of the relay that crawls it, and so holds at
+    /// most the chunk of events produced since.
     fn crawl_and_index(&mut self, day: Datetime) {
         let now = day.plus_seconds(86_399);
-        match self.federation.as_mut() {
+        let crawled = match self.federation.as_mut() {
             Some(fed) => {
                 fed.crawl_and_forward(&mut self.relay, &self.fleet, now);
+                fed.crawl_cursors(&self.fleet)
             }
             None => {
                 self.relay.crawl(&self.fleet, now);
+                self.relay.crawl_cursors(&self.fleet)
             }
-        }
+        };
+        self.fleet.trim_outboxes(&crawled);
         let sub = self.relay.subscribe(self.appview_cursor);
         self.appview_cursor = sub.cursor;
         for event in &sub.events {

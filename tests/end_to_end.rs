@@ -3,7 +3,10 @@
 
 use bluesky_repro::bsky_atproto::label::{effective_labels, Label};
 use bluesky_repro::bsky_atproto::Datetime;
-use bluesky_repro::bsky_study::{Collector, OwnedObservation, RunSpec, StudyReport};
+use bluesky_repro::bsky_study::datasets::DEFAULT_CHUNK_EVENTS;
+use bluesky_repro::bsky_study::{
+    collect_sharded, Collector, OwnedObservation, RunSpec, StudyAnalyzers, StudyReport,
+};
 use bluesky_repro::bsky_workload::{ScenarioConfig, World};
 use std::collections::BTreeMap;
 
@@ -106,4 +109,37 @@ fn identical_seeds_give_identical_reports() {
     // And a different seed gives a different world.
     let (c, _) = StudyReport::run_serial(&RunSpec::new(small_config(4)));
     assert_ne!(a.activity.totals, c.activity.totals);
+}
+
+#[test]
+fn pds_outboxes_drain_and_no_relay_lags() {
+    // Bounded and loud: after a whole study no PDS holds more than the
+    // chunk of events produced since its last crawl, every event ever
+    // produced is either trimmed or still held, and no relay was ever
+    // served past events it had not seen — single relay and federation.
+    for relays in [1, 2] {
+        // The whole 531-day window at `repro --scale 40000`.
+        let mut config = ScenarioConfig::repro_scale(5);
+        config.scale = 40_000;
+        let spec = RunSpec::new(config).relays(relays);
+        let (_, world, _) = collect_sharded(&spec, StudyAnalyzers::new());
+        let mut produced = 0;
+        for server in world.fleet.servers() {
+            let held = server.outbox_len();
+            assert!(held <= DEFAULT_CHUNK_EVENTS, "{held} events held");
+            produced += server.outbox_trimmed() + held;
+        }
+        let pending = match &world.federation {
+            Some(tier) => tier.pending_events(&world.fleet),
+            None => world.relay.pending_events(&world.fleet),
+        };
+        let crawled = world.relay.stats().total_events() as usize;
+        assert!(crawled > 2_000, "a whole study: {crawled} events");
+        assert_eq!(produced, crawled + pending, "relays = {relays}");
+        let regions = world.federation.iter();
+        let regions = regions.flat_map(|tier| (0..tier.region_count()).map(|r| tier.region(r)));
+        for relay in regions.chain([&world.relay]) {
+            assert_eq!(relay.stats().outbox_positions_skipped(), 0);
+        }
+    }
 }
