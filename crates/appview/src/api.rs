@@ -17,15 +17,15 @@ use bsky_feedgen::FeedGenerator;
 #[derive(Debug, Clone, PartialEq)]
 pub struct FeedGeneratorView {
     /// The generator's `at://` URI.
-    pub uri: AtUri,
+    pub(crate) uri: AtUri,
     /// The creator account.
     pub creator: Did,
     /// Display name.
     pub display_name: String,
     /// Description.
-    pub description: String,
+    pub(crate) description: String,
     /// Like count.
-    pub like_count: u64,
+    pub(crate) like_count: u64,
     /// Whether the AppView believes the generator's endpoint is online.
     pub is_online: bool,
     /// Whether the declaration record is valid.
@@ -36,13 +36,13 @@ pub struct FeedGeneratorView {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProfileView {
     /// The account DID.
-    pub did: Did,
+    pub(crate) did: Did,
     /// Current handle.
     pub handle: Handle,
     /// Display name from the profile record, if any.
-    pub display_name: Option<String>,
+    pub(crate) display_name: Option<String>,
     /// Description from the profile record, if any.
-    pub description: Option<String>,
+    pub(crate) description: Option<String>,
     /// Followers count.
     pub followers: u64,
     /// Follows count.
@@ -55,7 +55,6 @@ pub struct ProfileView {
 #[derive(Debug, Default)]
 pub struct AppView {
     index: AppViewShards,
-    api_requests: u64,
 }
 
 impl AppView {
@@ -73,7 +72,6 @@ impl AppView {
     pub fn with_shards(shards: usize, store: &StoreConfig, write_back: bool) -> AppView {
         AppView {
             index: AppViewShards::with_shards(shards, store, write_back),
-            api_requests: 0,
         }
     }
 
@@ -100,7 +98,6 @@ impl AppView {
 
     /// `app.bsky.actor.getProfile`.
     pub fn get_profile(&mut self, did: &Did) -> Result<ProfileView> {
-        self.api_requests += 1;
         let actor = self
             .index
             .actor(did)
@@ -121,7 +118,6 @@ impl AppView {
 
     /// `app.bsky.feed.getFeedGenerator`.
     pub fn get_feed_generator(&mut self, generator: &FeedGenerator) -> FeedGeneratorView {
-        self.api_requests += 1;
         FeedGeneratorView {
             uri: generator.uri().clone(),
             creator: generator.creator().clone(),
@@ -142,17 +138,11 @@ impl AppView {
         limit: usize,
         viewer: Option<&Did>,
     ) -> Vec<PostInfo> {
-        self.api_requests += 1;
         generator
             .get_feed(limit, viewer)
             .into_iter()
             .filter_map(|entry| self.index.post(&entry.uri))
             .collect()
-    }
-
-    /// Number of API requests served.
-    pub fn api_requests(&self) -> u64 {
-        self.api_requests
     }
 }
 
@@ -215,7 +205,6 @@ mod tests {
         assert_eq!(profile.posts, 5);
         assert_eq!(profile.followers, 0);
         assert!(appview.get_profile(&did("nobody")).is_err());
-        assert_eq!(appview.api_requests(), 2);
     }
 
     #[test]
@@ -372,29 +361,6 @@ mod tests {
                 .map(|p| p.uri.to_string())
                 .collect();
             assert_eq!(top2, want[..2].to_vec(), "{shards} shard(s)");
-        }
-    }
-
-    #[test]
-    fn timeline_crosses_a_remove_post_deletion() {
-        for shards in [1, 4] {
-            let (mut appview, alice, bob, uris) = timeline_fixture(shards);
-            assert_eq!(appview.index().following_timeline(&bob, 10).len(), 3);
-            // Delete the newest post: the timeline drops it, keeps the
-            // canonical order of the remainder, and the author's post
-            // counter debits — whichever shards the post and the author
-            // live on.
-            appview.index_mut().remove_post(&uris[2]);
-            let timeline = appview.index().following_timeline(&bob, 10);
-            let got: Vec<String> = timeline.iter().map(|p| p.uri.to_string()).collect();
-            assert_eq!(got, vec![uris[1].to_string(), uris[0].to_string()]);
-            assert_eq!(appview.index().actor(&alice).unwrap().posts, 2);
-            assert!(!appview.index().has_post(&uris[2]));
-            // Deleting the rest empties the timeline.
-            appview.index_mut().remove_post(&uris[0]);
-            appview.index_mut().remove_post(&uris[1]);
-            assert!(appview.index().following_timeline(&bob, 10).is_empty());
-            assert_eq!(appview.index().actor(&alice).unwrap().posts, 0);
         }
     }
 

@@ -16,14 +16,14 @@
 //!   [`bsky_atproto::blockstore::BlockStore`]. Content blocks are rewritten
 //!   only by rare events (label changes, handle changes, profile updates,
 //!   tombstones); the bulk ingestion volume never touches them. With the
-//!   default [`MemStore`](bsky_atproto::blockstore::MemStore) they behave
-//!   like the old in-memory maps; with the paged backend cold entities
-//!   spill to disk and are CID-verified on read-back.
+//!   default in-memory store they behave like the old in-memory maps;
+//!   with the paged backend cold entities spill to disk and are
+//!   CID-verified on read-back.
 //! * **Hot counter state.** Likes, reposts and the actor graph counters —
 //!   the fields that used to force a full decode → mutate → re-encode →
 //!   re-hash → delete+put cycle per event — live in small resident dirty
-//!   maps ([`PostCounters`] / [`ActorCounters`]). A counter bump is a map
-//!   update; [`AppViewIndex::flush`] (called at day boundaries) encodes
+//!   maps (`PostCounters` / `ActorCounters`). A counter bump is a map
+//!   update; `AppViewIndex::flush` (called at day boundaries) encodes
 //!   each dirty entity's counters *once* into a compact counter block, so
 //!   N same-day bumps cost one encode+put instead of N full-block cycles.
 //!   The dirty maps are bounded by one day's touched entities and empty
@@ -45,24 +45,23 @@
 //!
 //! A single logical ingestion step can touch several entities — indexing a
 //! follow record updates the edge set, the follower's `follows` counter and
-//! the target's `followers` counter. [`AppViewIndex`] therefore exposes the
-//! per-entity *primitives* ([`AppViewIndex::insert_post`],
-//! [`AppViewIndex::credit_follows`], …) alongside the composed entry points
-//! ([`AppViewIndex::index_record`], [`AppViewIndex::process_event`]). The
-//! entity-sharded [`crate::shards::AppViewShards`] routes each primitive to
-//! the shard owning the touched entity; because the monolithic entry points
-//! are implemented *in terms of* the same primitives, the sharded index is
-//! equivalent to the monolithic one by construction (and pinned by the
-//! property test in `shards.rs`).
+//! the target's `followers` counter. `AppViewIndex` therefore exposes the
+//! per-entity *primitives* (`AppViewIndex::insert_post`,
+//! `AppViewIndex::credit_follows`, …), and the entity-sharded
+//! [`crate::shards::AppViewShards`] — the only ingestion and query surface
+//! production has — routes each primitive to the shard owning the touched
+//! entity. The monolithic composition of the same primitives
+//! (`index_record`, `process_event`) and the whole-index reads live under
+//! `#[cfg(test)]` below as the oracle the shard property test in
+//! `shards.rs` holds the routing to.
 
 use bsky_atproto::blockstore::{BlockStore, StoreConfig, StoreStats, WriteBackStore};
 use bsky_atproto::cbor::{self, raw, Reader, Value};
 use bsky_atproto::cid::Cid;
 use bsky_atproto::did::{fnv1a_64, FNV_OFFSET};
-use bsky_atproto::firehose::{Event, EventBody};
 use bsky_atproto::label::{Label, LabelTarget};
-use bsky_atproto::record::{PostRecord, ProfileRecord, Record};
-use bsky_atproto::{AtUri, Datetime, Did, Handle, Nsid};
+use bsky_atproto::record::{PostRecord, ProfileRecord};
+use bsky_atproto::{AtUri, Datetime, Did, Handle};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Indexed information about a post.
@@ -91,7 +90,7 @@ impl PostInfo {
     /// fields drop the per-block key overhead of a string-keyed map, and
     /// the author is not stored at all — a post's author *is* the DID
     /// authority of its `at://` URI, so decode derives it.
-    pub fn content_block(&self) -> Vec<u8> {
+    pub(crate) fn content_block(&self) -> Vec<u8> {
         post_content_block(&self.uri, &self.record, self.indexed_at, &self.labels)
     }
 
@@ -101,7 +100,7 @@ impl PostInfo {
     /// index treats an undecodable entity the same way. The format has one
     /// writer, [`PostInfo::content_block`], so this reads exactly what that
     /// writes (one typed pass, see `bsky_atproto::cbor`) and nothing else.
-    pub fn from_content(bytes: &[u8]) -> Option<PostInfo> {
+    pub(crate) fn from_content(bytes: &[u8]) -> Option<PostInfo> {
         let mut r = Reader::new(bytes);
         if r.array()? != 4 {
             return None;
@@ -123,35 +122,27 @@ impl PostInfo {
     }
 
     /// Overlay hot counter state onto a decoded content block.
-    pub fn with_counters(mut self, counters: PostCounters) -> PostInfo {
+    pub(crate) fn with_counters(mut self, counters: PostCounters) -> PostInfo {
         self.like_count = counters.like_count;
         self.repost_count = counters.repost_count;
         self
-    }
-
-    /// The hot half of this info.
-    pub fn counters(&self) -> PostCounters {
-        PostCounters {
-            like_count: self.like_count,
-            repost_count: self.repost_count,
-        }
     }
 }
 
 /// Hot mutable counters of a post — the per-entity counter state split out
 /// of the immutable content block.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PostCounters {
+pub(crate) struct PostCounters {
     /// Likes counted so far.
-    pub like_count: u64,
+    pub(crate) like_count: u64,
     /// Reposts counted so far.
-    pub repost_count: u64,
+    pub(crate) repost_count: u64,
 }
 
 impl PostCounters {
     /// Whether every counter is at its default — such state needs no
     /// counter block at all.
-    pub fn is_default(&self) -> bool {
+    pub(crate) fn is_default(&self) -> bool {
         *self == PostCounters::default()
     }
 
@@ -160,7 +151,7 @@ impl PostCounters {
     /// key's FNV-1a hash); it is ignored on decode. Positional encoding keeps
     /// the hot, endlessly-rewritten counter blocks around a dozen bytes
     /// where a string-keyed map would more than double that.
-    pub fn to_block(&self, tag: Value) -> Vec<u8> {
+    pub(crate) fn to_block(self, tag: Value) -> Vec<u8> {
         cbor::encode(&Value::Array(vec![
             tag,
             Value::Int(self.like_count as i64),
@@ -169,7 +160,7 @@ impl PostCounters {
     }
 
     /// Decode from a counter block (`None` on any mismatch).
-    pub fn from_block(bytes: &[u8]) -> Option<PostCounters> {
+    pub(crate) fn from_block(bytes: &[u8]) -> Option<PostCounters> {
         let value = cbor::decode(bytes).ok()?;
         match value.as_array()? {
             [_tag, likes, reposts] => Some(PostCounters {
@@ -183,27 +174,27 @@ impl PostCounters {
 
 /// Hot mutable counters of an actor.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ActorCounters {
+pub(crate) struct ActorCounters {
     /// Number of accounts this actor follows.
-    pub follows: u64,
+    pub(crate) follows: u64,
     /// Number of accounts following this actor.
-    pub followers: u64,
+    pub(crate) followers: u64,
     /// Number of posts indexed for this actor.
-    pub posts: u64,
+    pub(crate) posts: u64,
     /// Number of block operations targeting this actor.
-    pub blocked_by: u64,
+    pub(crate) blocked_by: u64,
 }
 
 impl ActorCounters {
     /// Whether every counter is at its default.
-    pub fn is_default(&self) -> bool {
+    pub(crate) fn is_default(&self) -> bool {
         *self == ActorCounters::default()
     }
 
     /// Encode as a compact DAG-CBOR counter block: the positional array
     /// `[tag, follows, followers, posts, blockedBy]` (`tag` as in
     /// [`PostCounters::to_block`]).
-    pub fn to_block(&self, tag: Value) -> Vec<u8> {
+    pub(crate) fn to_block(self, tag: Value) -> Vec<u8> {
         cbor::encode(&Value::Array(vec![
             tag,
             Value::Int(self.follows as i64),
@@ -214,7 +205,7 @@ impl ActorCounters {
     }
 
     /// Decode from a counter block (`None` on any mismatch).
-    pub fn from_block(bytes: &[u8]) -> Option<ActorCounters> {
+    pub(crate) fn from_block(bytes: &[u8]) -> Option<ActorCounters> {
         let value = cbor::decode(bytes).ok()?;
         match value.as_array()? {
             [_tag, follows, followers, posts, blocked_by] => Some(ActorCounters {
@@ -241,23 +232,23 @@ fn counter_tag(key: &str) -> Value {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ActorInfo {
     /// The account DID.
-    pub did: Did,
+    pub(crate) did: Did,
     /// Current handle.
-    pub handle: Handle,
+    pub(crate) handle: Handle,
     /// Profile record, if one was published.
-    pub profile: Option<ProfileRecord>,
+    pub(crate) profile: Option<ProfileRecord>,
     /// Number of accounts this actor follows.
-    pub follows: u64,
+    pub(crate) follows: u64,
     /// Number of accounts following this actor.
-    pub followers: u64,
+    pub(crate) followers: u64,
     /// Number of posts indexed for this actor.
-    pub posts: u64,
+    pub(crate) posts: u64,
     /// Number of block operations targeting this actor.
-    pub blocked_by: u64,
+    pub(crate) blocked_by: u64,
     /// Labels applied to the whole account.
-    pub account_labels: Vec<(Did, String)>,
+    pub(crate) account_labels: Vec<(Did, String)>,
     /// Whether the account has been tombstoned.
-    pub deleted: bool,
+    pub(crate) deleted: bool,
 }
 
 impl ActorInfo {
@@ -279,7 +270,7 @@ impl ActorInfo {
     /// profile, labels, tombstone flag — not the hot graph counters): the
     /// positional array `[did, handle, profile, accountLabels, deleted]`,
     /// as in [`PostInfo::content_block`].
-    pub fn content_block(&self) -> Vec<u8> {
+    pub(crate) fn content_block(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(192);
         raw::array_head(5, &mut out);
         encode_did(&self.did, &mut out);
@@ -296,7 +287,7 @@ impl ActorInfo {
     /// Decode a content block; counters come back zeroed for
     /// [`ActorInfo::with_counters`] to overlay (`None` on any mismatch; as
     /// with [`PostInfo::from_content`], exactly what the one writer writes).
-    pub fn from_content(bytes: &[u8]) -> Option<ActorInfo> {
+    pub(crate) fn from_content(bytes: &[u8]) -> Option<ActorInfo> {
         let mut r = Reader::new(bytes);
         if r.array()? != 5 {
             return None;
@@ -324,22 +315,12 @@ impl ActorInfo {
     }
 
     /// Overlay hot counter state onto a decoded content block.
-    pub fn with_counters(mut self, counters: ActorCounters) -> ActorInfo {
+    pub(crate) fn with_counters(mut self, counters: ActorCounters) -> ActorInfo {
         self.follows = counters.follows;
         self.followers = counters.followers;
         self.posts = counters.posts;
         self.blocked_by = counters.blocked_by;
         self
-    }
-
-    /// The hot half of this info.
-    pub fn counters(&self) -> ActorCounters {
-        ActorCounters {
-            follows: self.follows,
-            followers: self.followers,
-            posts: self.posts,
-            blocked_by: self.blocked_by,
-        }
     }
 }
 
@@ -453,7 +434,7 @@ impl EntityRef {
 /// until [`AppViewIndex::flush`] — call it at epoch (day) boundaries and
 /// before reading [`AppViewIndex::store_stats`].
 #[derive(Debug)]
-pub struct AppViewIndex {
+pub(crate) struct AppViewIndex {
     /// Post key (AT-URI string) → block CIDs.
     posts: BTreeMap<String, EntityRef>,
     /// Actor key (DID string) → block CIDs.
@@ -483,7 +464,7 @@ impl Default for AppViewIndex {
 impl AppViewIndex {
     /// Create an empty index over the in-memory block store with the
     /// write-back cache on (the standard configuration).
-    pub fn new() -> AppViewIndex {
+    pub(crate) fn new() -> AppViewIndex {
         AppViewIndex::with_store(&StoreConfig::default(), true)
     }
 
@@ -491,7 +472,7 @@ impl AppViewIndex {
     /// optionally wrapped in a [`WriteBackStore`] (`write_back`). Neither
     /// the backend nor the cache changes a query result — only where bytes
     /// reside and how many backend ops a day of mutations costs.
-    pub fn with_store(store: &StoreConfig, write_back: bool) -> AppViewIndex {
+    pub(crate) fn with_store(store: &StoreConfig, write_back: bool) -> AppViewIndex {
         let store = if write_back {
             Box::new(WriteBackStore::new(store.build()))
         } else {
@@ -669,7 +650,7 @@ impl AppViewIndex {
     /// Flush all dirty counter state into compact counter blocks and drain
     /// the write-back cache. Called at day boundaries (and before
     /// store-stats reads); queries are flush-transparent either way.
-    pub fn flush(&mut self) {
+    pub(crate) fn flush(&mut self) {
         for (key, counters) in std::mem::take(&mut self.dirty_posts) {
             let Some(entry) = self.posts.get(&key).copied() else {
                 continue;
@@ -708,7 +689,7 @@ impl AppViewIndex {
 
     /// Register an account (from an identity event or backfill). Targets
     /// the actor entity only.
-    pub fn upsert_actor(&mut self, did: &Did, handle: &Handle) {
+    pub(crate) fn upsert_actor(&mut self, did: &Did, handle: &Handle) {
         let key = did.as_string();
         if !self.update_actor_content(&key, |a| a.handle = handle.clone()) {
             let fresh = ActorInfo::fresh(did, handle).content_block();
@@ -717,7 +698,7 @@ impl AppViewIndex {
     }
 
     /// Count one indexed record (part of every [`AppViewIndex::index_record`]).
-    pub fn count_record(&mut self) {
+    pub(crate) fn count_record(&mut self) {
         self.records_indexed += 1;
     }
 
@@ -725,7 +706,7 @@ impl AppViewIndex {
     /// zero counters, no labels, the content block encoded straight from
     /// the borrowed record. Targets the post entity only — the author's
     /// post counter is [`AppViewIndex::credit_author_post`].
-    pub fn insert_post(&mut self, uri: &AtUri, record: &PostRecord, at: Datetime) {
+    pub(crate) fn insert_post(&mut self, uri: &AtUri, record: &PostRecord, at: Datetime) {
         let key = uri.as_string();
         let bytes = post_content_block(uri, record, at, &[]);
         save_content(&mut self.posts, self.store.as_mut(), &key, bytes);
@@ -734,88 +715,68 @@ impl AppViewIndex {
 
     /// Credit one post to an author's counter (no-op for unknown actors,
     /// like the live AppView's denormalized counts).
-    pub fn credit_author_post(&mut self, author: &Did) {
+    pub(crate) fn credit_author_post(&mut self, author: &Did) {
         self.update_actor_counters(author.as_string(), |a| a.posts += 1);
     }
 
-    /// Debit one post from an author's counter (saturating).
-    pub fn debit_author_post(&mut self, author: &Did) {
-        self.update_actor_counters(author.as_string(), |a| a.posts = a.posts.saturating_sub(1));
-    }
-
     /// Count a like on a post (no-op when the post is unknown).
-    pub fn apply_like(&mut self, subject: &AtUri) {
+    pub(crate) fn apply_like(&mut self, subject: &AtUri) {
         self.update_post_counters(subject.as_string(), |p| p.like_count += 1);
     }
 
     /// Count a repost (no-op when the post is unknown).
-    pub fn apply_repost(&mut self, subject: &AtUri) {
+    pub(crate) fn apply_repost(&mut self, subject: &AtUri) {
         self.update_post_counters(subject.as_string(), |p| p.repost_count += 1);
     }
 
     /// Insert a follow edge (keyed by the follower). Returns `true` when
     /// the edge is new — the caller then credits both endpoint counters.
-    pub fn insert_follow_edge(&mut self, follower: &Did, followed: &Did) -> bool {
+    pub(crate) fn insert_follow_edge(&mut self, follower: &Did, followed: &Did) -> bool {
         self.follow_edges
             .insert((follower.as_string(), followed.as_string()))
     }
 
     /// Credit one follow to the follower's counter (no-op when unknown).
-    pub fn credit_follows(&mut self, follower: &Did) {
+    pub(crate) fn credit_follows(&mut self, follower: &Did) {
         self.update_actor_counters(follower.as_string(), |a| a.follows += 1);
     }
 
     /// Credit one follower to the followed account's counter.
-    pub fn credit_followers(&mut self, followed: &Did) {
+    pub(crate) fn credit_followers(&mut self, followed: &Did) {
         self.update_actor_counters(followed.as_string(), |a| a.followers += 1);
     }
 
     /// Insert a block edge (keyed by the blocker). Returns `true` when new.
-    pub fn insert_block_edge(&mut self, blocker: &Did, blocked: &Did) -> bool {
+    pub(crate) fn insert_block_edge(&mut self, blocker: &Did, blocked: &Did) -> bool {
         self.block_edges
             .insert((blocker.as_string(), blocked.as_string()))
     }
 
     /// Credit one block against the blocked account's counter.
-    pub fn credit_blocked_by(&mut self, blocked: &Did) {
+    pub(crate) fn credit_blocked_by(&mut self, blocked: &Did) {
         self.update_actor_counters(blocked.as_string(), |a| a.blocked_by += 1);
     }
 
     /// Attach a profile record to an actor (no-op when unknown).
-    pub fn set_profile(&mut self, author: &Did, profile: &ProfileRecord) {
+    pub(crate) fn set_profile(&mut self, author: &Did, profile: &ProfileRecord) {
         self.update_actor_content(&author.as_string(), |a| a.profile = Some(profile.clone()));
-    }
-
-    /// Remove a post entity, returning it (the caller debits the author's
-    /// counter, which may live on another shard).
-    pub fn take_post(&mut self, uri: &AtUri) -> Option<PostInfo> {
-        let key = uri.as_string();
-        let info = self.load_post_key(&key);
-        self.dirty_posts.remove(&key);
-        if let Some(entry) = self.posts.remove(&key) {
-            self.store.delete(&entry.content);
-            if let Some(cid) = entry.counters {
-                self.store.delete(&cid);
-            }
-        }
-        info
     }
 
     /// Count one firehose event (part of every
     /// [`AppViewIndex::process_event`]).
-    pub fn count_event(&mut self) {
+    pub(crate) fn count_event(&mut self) {
         self.events_processed += 1;
     }
 
     /// Mark an account tombstoned (no-op when unknown).
-    pub fn mark_deleted(&mut self, did: &Did) {
+    pub(crate) fn mark_deleted(&mut self, did: &Did) {
         self.update_actor_content(&did.as_string(), |a| a.deleted = true);
     }
 
     /// Purge every post authored by `did` from this index's post map
     /// (tombstone handling; the author's post counter is deliberately
     /// untouched, like the monolithic path).
-    pub fn purge_posts_of(&mut self, did: &Did) {
+    pub(crate) fn purge_posts_of(&mut self, did: &Did) {
         let prefix = format!("at://{did}/");
         let keys: Vec<String> = self
             .posts
@@ -835,73 +796,12 @@ impl AppViewIndex {
 
     // -- composed ingestion (the monolithic entry points) ------------------
 
-    /// Index a record authored by `author` (the content counterpart of a
-    /// firehose commit op). Composed from the per-entity primitives above.
-    pub fn index_record(
-        &mut self,
-        author: &Did,
-        collection: &Nsid,
-        rkey: &str,
-        record: &Record,
-        at: Datetime,
-    ) {
-        self.count_record();
-        match record {
-            Record::Post(post) => {
-                let uri = AtUri::record(author.clone(), collection.clone(), rkey);
-                self.insert_post(&uri, post, at);
-                self.credit_author_post(author);
-            }
-            Record::Like(like) => self.apply_like(&like.subject),
-            Record::Repost(repost) => self.apply_repost(&repost.subject),
-            Record::Follow(follow) => {
-                if self.insert_follow_edge(author, &follow.subject) {
-                    self.credit_follows(author);
-                    self.credit_followers(&follow.subject);
-                }
-            }
-            Record::Block(block) => {
-                if self.insert_block_edge(author, &block.subject) {
-                    self.credit_blocked_by(&block.subject);
-                }
-            }
-            Record::Profile(profile) => self.set_profile(author, profile),
-            // Feed generator and labeler declarations are tracked by their
-            // dedicated registries; unknown lexicons are not indexed by the
-            // Bluesky AppView (it cannot decode them, §4).
-            Record::FeedGenerator(_) | Record::LabelerService(_) | Record::Unknown(_) => {}
-        }
-    }
-
-    /// Remove a post from the index (a delete op).
-    pub fn remove_post(&mut self, uri: &AtUri) {
-        if let Some(info) = self.take_post(uri) {
-            self.debit_author_post(&info.author);
-        }
-    }
-
-    /// Process a firehose event's non-content effects (handle changes,
-    /// identity updates, tombstones).
-    pub fn process_event(&mut self, event: &Event) {
-        self.count_event();
-        match &event.body {
-            EventBody::HandleChange { did, handle } => {
-                self.upsert_actor(did, handle);
-            }
-            EventBody::Tombstone { did } => {
-                self.mark_deleted(did);
-                self.purge_posts_of(did);
-            }
-            EventBody::Commit { .. } | EventBody::Identity { .. } | EventBody::Info { .. } => {}
-        }
-    }
-
     /// Ingest a label from a labeler stream, applying or rescinding it.
     ///
     /// A label whose target the AppView has not indexed (it arrived before
     /// the post, or the post was deleted) cannot be applied; it is counted
     /// into [`AppViewIndex::labels_preindex`] instead of vanishing silently.
-    pub fn ingest_label(&mut self, label: &Label) {
+    pub(crate) fn ingest_label(&mut self, label: &Label) {
         self.labels_ingested += 1;
         let entry = (label.src.clone(), label.value.clone());
         let negated = label.negated;
@@ -931,85 +831,59 @@ impl AppViewIndex {
     // -- queries -----------------------------------------------------------
 
     /// Look up a post (decodes its block; spilled blocks page in verified).
-    pub fn post(&self, uri: &AtUri) -> Option<PostInfo> {
+    pub(crate) fn post(&self, uri: &AtUri) -> Option<PostInfo> {
         self.load_post_key(&uri.as_string())
     }
 
     /// Whether a post is indexed — a key-index probe, no block decode.
-    pub fn has_post(&self, uri: &AtUri) -> bool {
+    pub(crate) fn has_post(&self, uri: &AtUri) -> bool {
         self.posts.contains_key(&uri.as_string())
     }
 
     /// Look up an actor.
-    pub fn actor(&self, did: &Did) -> Option<ActorInfo> {
+    pub(crate) fn actor(&self, did: &Did) -> Option<ActorInfo> {
         self.load_actor_key(&did.as_string())
     }
 
-    /// Whether `a` follows `b`.
-    pub fn follows(&self, a: &Did, b: &Did) -> bool {
-        self.follow_edges.contains(&(a.as_string(), b.as_string()))
-    }
-
-    /// Whether `a` blocks `b`.
-    pub fn blocks(&self, a: &Did, b: &Did) -> bool {
-        self.block_edges.contains(&(a.as_string(), b.as_string()))
-    }
-
     /// Number of indexed posts.
-    pub fn post_count(&self) -> usize {
+    pub(crate) fn post_count(&self) -> usize {
         self.posts.len()
     }
 
     /// Number of known actors.
-    pub fn actor_count(&self) -> usize {
+    pub(crate) fn actor_count(&self) -> usize {
         self.actors.len()
     }
 
     /// Number of follow edges.
-    pub fn follow_edge_count(&self) -> usize {
+    pub(crate) fn follow_edge_count(&self) -> usize {
         self.follow_edges.len()
     }
 
-    /// All posts, decoded, in key (URI) order.
-    pub fn posts(&self) -> Vec<PostInfo> {
-        self.posts
-            .keys()
-            .filter_map(|key| self.load_post_key(key))
-            .collect()
-    }
-
-    /// All actors, decoded, in key (DID) order.
-    pub fn actors(&self) -> Vec<ActorInfo> {
-        self.actors
-            .keys()
-            .filter_map(|key| self.load_actor_key(key))
-            .collect()
-    }
-
     /// Total labels ingested (including negations).
-    pub fn labels_ingested(&self) -> u64 {
+    pub(crate) fn labels_ingested(&self) -> u64 {
         self.labels_ingested
     }
 
     /// Labels that arrived before the entity they target was indexed (or
     /// after it was deleted) and could not be applied — counted, never
     /// silently dropped.
-    pub fn labels_preindex(&self) -> u64 {
+    pub(crate) fn labels_preindex(&self) -> u64 {
         self.labels_preindex
     }
 
     /// Total records indexed.
-    pub fn records_indexed(&self) -> u64 {
+    pub(crate) fn records_indexed(&self) -> u64 {
         self.records_indexed
     }
 
     /// Total firehose events processed.
-    pub fn events_processed(&self) -> u64 {
+    pub(crate) fn events_processed(&self) -> u64 {
         self.events_processed
     }
 
     /// The DIDs `viewer` follows (string form), from this index's edge set.
-    pub fn follow_targets(&self, viewer: &Did) -> BTreeSet<String> {
+    pub(crate) fn follow_targets(&self, viewer: &Did) -> BTreeSet<String> {
         let key = viewer.as_string();
         self.follow_edges
             .range((key.clone(), String::new())..)
@@ -1021,7 +895,7 @@ impl AppViewIndex {
     /// Every indexed post whose author is in `authors` (string DIDs).
     /// Author-prefix ranges over the URI key index, so only matching posts
     /// are decoded.
-    pub fn posts_by_authors(&self, authors: &BTreeSet<String>) -> Vec<PostInfo> {
+    pub(crate) fn posts_by_authors(&self, authors: &BTreeSet<String>) -> Vec<PostInfo> {
         let mut out = Vec::new();
         for author in authors {
             let prefix = format!("at://{author}/");
@@ -1037,36 +911,131 @@ impl AppViewIndex {
         out
     }
 
-    /// The most recent posts by accounts `viewer` follows (a simple
-    /// "following" timeline), in canonical order — newest `created_at`
-    /// first, ties broken by URI.
-    pub fn following_timeline(&self, viewer: &Did, limit: usize) -> Vec<PostInfo> {
-        let mut posts = self.posts_by_authors(&self.follow_targets(viewer));
-        sort_timeline(&mut posts);
-        posts.truncate(limit);
-        posts
-    }
-
     /// Residency/spill statistics of the backing block store. Call
     /// [`AppViewIndex::flush`] first for steady-state numbers — dirty
     /// counters and write-back-buffered blocks are resident until flushed.
-    pub fn store_stats(&self) -> StoreStats {
+    pub(crate) fn store_stats(&self) -> StoreStats {
         self.store.stats()
     }
 
     /// Counter mutations that landed on an already-dirty entity — block
     /// writes the hot/cold split coalesced away relative to the old
     /// one-block-per-entity design.
-    pub fn counter_coalesced_writes(&self) -> u64 {
+    pub(crate) fn counter_coalesced_writes(&self) -> u64 {
         self.counter_coalesced_writes
+    }
+}
+
+// The monolithic index as an oracle: composed ingestion and whole-index reads.
+// Production ingests and queries through `AppViewShards`; the shard property
+// suite (and the unit tests below) hold it to this.
+#[cfg(test)]
+mod oracle {
+    use super::*;
+    use bsky_atproto::firehose::{Event, EventBody};
+    use bsky_atproto::record::Record;
+    use bsky_atproto::Nsid;
+
+    impl AppViewIndex {
+        /// Index a record authored by `author` (the content counterpart of a
+        /// firehose commit op). Composed from the per-entity primitives above.
+        pub(crate) fn index_record(
+            &mut self,
+            author: &Did,
+            collection: &Nsid,
+            rkey: &str,
+            record: &Record,
+            at: Datetime,
+        ) {
+            self.count_record();
+            match record {
+                Record::Post(post) => {
+                    let uri = AtUri::record(author.clone(), collection.clone(), rkey);
+                    self.insert_post(&uri, post, at);
+                    self.credit_author_post(author);
+                }
+                Record::Like(like) => self.apply_like(&like.subject),
+                Record::Repost(repost) => self.apply_repost(&repost.subject),
+                Record::Follow(follow) => {
+                    if self.insert_follow_edge(author, &follow.subject) {
+                        self.credit_follows(author);
+                        self.credit_followers(&follow.subject);
+                    }
+                }
+                Record::Block(block) => {
+                    if self.insert_block_edge(author, &block.subject) {
+                        self.credit_blocked_by(&block.subject);
+                    }
+                }
+                Record::Profile(profile) => self.set_profile(author, profile),
+                // Feed generator and labeler declarations are tracked by their
+                // dedicated registries; unknown lexicons are not indexed by the
+                // Bluesky AppView (it cannot decode them, §4).
+                Record::FeedGenerator(_) | Record::LabelerService(_) | Record::Unknown(_) => {}
+            }
+        }
+
+        /// Process a firehose event's non-content effects (handle changes,
+        /// identity updates, tombstones).
+        pub(crate) fn process_event(&mut self, event: &Event) {
+            self.count_event();
+            match &event.body {
+                EventBody::HandleChange { did, handle } => {
+                    self.upsert_actor(did, handle);
+                }
+                EventBody::Tombstone { did } => {
+                    self.mark_deleted(did);
+                    self.purge_posts_of(did);
+                }
+                EventBody::Commit { .. } | EventBody::Identity { .. } | EventBody::Info { .. } => {}
+            }
+        }
+
+        /// Whether `a` follows `b`.
+        pub(crate) fn follows(&self, a: &Did, b: &Did) -> bool {
+            self.follow_edges.contains(&(a.as_string(), b.as_string()))
+        }
+
+        /// Whether `a` blocks `b`.
+        pub(crate) fn blocks(&self, a: &Did, b: &Did) -> bool {
+            self.block_edges.contains(&(a.as_string(), b.as_string()))
+        }
+
+        /// All posts, decoded, in key (URI) order.
+        pub(crate) fn posts(&self) -> Vec<PostInfo> {
+            self.posts
+                .keys()
+                .filter_map(|key| self.load_post_key(key))
+                .collect()
+        }
+
+        /// All actors, decoded, in key (DID) order.
+        pub(crate) fn actors(&self) -> Vec<ActorInfo> {
+            self.actors
+                .keys()
+                .filter_map(|key| self.load_actor_key(key))
+                .collect()
+        }
+
+        /// The most recent posts by accounts `viewer` follows (a simple
+        /// "following" timeline), in canonical order — newest `created_at`
+        /// first, ties broken by URI.
+        pub(crate) fn following_timeline(&self, viewer: &Did, limit: usize) -> Vec<PostInfo> {
+            let mut posts = self.posts_by_authors(&self.follow_targets(viewer));
+            sort_timeline(&mut posts);
+            posts.truncate(limit);
+            posts
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bsky_atproto::firehose::{Event, EventBody};
     use bsky_atproto::nsid::known;
-    use bsky_atproto::record::{FollowRecord, LikeRecord};
+    use bsky_atproto::record::{FollowRecord, LikeRecord, Record};
+    use bsky_atproto::Nsid;
 
     fn now() -> Datetime {
         Datetime::from_ymd_hms(2024, 4, 15, 9, 0, 0).unwrap()
@@ -1218,7 +1187,7 @@ mod tests {
 
     #[test]
     fn remove_post_and_timeline() {
-        let (mut index, alice, bob, uri) = setup();
+        let (mut index, alice, bob, _uri) = setup();
         index.index_record(
             &bob,
             &Nsid::parse(known::FOLLOW).unwrap(),
@@ -1234,10 +1203,6 @@ mod tests {
         assert_eq!(timeline.len(), 1);
         // Alice follows nobody.
         assert!(index.following_timeline(&alice, 10).is_empty());
-        index.remove_post(&uri);
-        assert_eq!(index.post_count(), 0);
-        assert_eq!(index.actor(&alice).unwrap().posts, 0);
-        assert!(index.following_timeline(&bob, 10).is_empty());
     }
 
     #[test]
@@ -1364,9 +1329,14 @@ mod tests {
     #[test]
     fn entity_blocks_roundtrip() {
         let (index, alice, _bob, uri) = setup();
+        let post_counters = |post: &PostInfo| PostCounters {
+            like_count: post.like_count,
+            repost_count: post.repost_count,
+        };
         let post = index.post(&uri).unwrap();
         assert_eq!(
-            PostInfo::from_content(&post.content_block()).map(|p| p.with_counters(post.counters())),
+            PostInfo::from_content(&post.content_block())
+                .map(|p| p.with_counters(post_counters(&post))),
             Some(post.clone())
         );
         let mut labeled = post;
@@ -1375,9 +1345,7 @@ mod tests {
         // Counters round-trip through their own compact block, content
         // through its own; together they reconstruct the full info.
         let counters = PostCounters::from_block(
-            &labeled
-                .counters()
-                .to_block(counter_tag(&labeled.uri.to_string())),
+            &post_counters(&labeled).to_block(counter_tag(&labeled.uri.to_string())),
         )
         .unwrap();
         assert_eq!(
@@ -1386,9 +1354,13 @@ mod tests {
         );
         let actor = index.actor(&alice).unwrap();
         let actor_counters = ActorCounters::from_block(
-            &actor
-                .counters()
-                .to_block(counter_tag(&actor.did.to_string())),
+            &ActorCounters {
+                follows: actor.follows,
+                followers: actor.followers,
+                posts: actor.posts,
+                blocked_by: actor.blocked_by,
+            }
+            .to_block(counter_tag(&actor.did.to_string())),
         )
         .unwrap();
         assert_eq!(

@@ -4,7 +4,7 @@
 //! client-usable form (§2 of the paper).
 //!
 //! * [`index`] — post/actor/graph indices fed by the firehose and label
-//!   streams. Per-entity state ([`PostInfo`], [`ActorInfo`]) is encoded as
+//!   streams. Per-entity state ([`PostInfo`], [`index::ActorInfo`]) is encoded as
 //!   DAG-CBOR blocks in a pluggable
 //!   [`bsky_atproto::blockstore::BlockStore`]; only the `key → CID` maps,
 //!   graph edge sets and counters stay resident, so the paged backend
@@ -31,7 +31,7 @@ pub mod index;
 pub mod moderation;
 pub mod shards;
 
-pub use api::{AppView, FeedGeneratorView, ProfileView};
-pub use index::{ActorCounters, ActorInfo, AppViewIndex, PostCounters, PostInfo};
-pub use moderation::{decide_post_visibility, summarize_feed_visibility, Visibility};
+pub use api::AppView;
+pub use index::PostInfo;
+pub use moderation::{decide_post_visibility, Visibility};
 pub use shards::AppViewShards;

@@ -64,27 +64,6 @@ pub fn decide_post_visibility(
     decision
 }
 
-/// Filter a feed, returning `(visible, warned, hidden)` counts — the shape a
-/// client uses to render a timeline and the study uses to sanity-check the
-/// moderation pipeline end to end.
-pub fn summarize_feed_visibility(
-    posts: &[&PostInfo],
-    preferences: &ModerationPreferences,
-    official_labeler: &Did,
-) -> (usize, usize, usize) {
-    let mut show = 0;
-    let mut warn = 0;
-    let mut hide = 0;
-    for post in posts {
-        match decide_post_visibility(post, preferences, official_labeler) {
-            Visibility::Show => show += 1,
-            Visibility::Warn => warn += 1,
-            Visibility::Hide => hide += 1,
-        }
-    }
-    (show, warn, hide)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -340,10 +319,11 @@ mod tests {
         let clean = post_with_labels(vec![]);
         let warned = post_with_labels(vec![(official(), "spam")]);
         let hidden = post_with_labels(vec![(official(), "porn")]);
-        let posts = [&clean, &warned, &hidden];
+        let decisions = [&clean, &warned, &hidden]
+            .map(|post| decide_post_visibility(post, &prefs, &official()));
         assert_eq!(
-            summarize_feed_visibility(&posts, &prefs, &official()),
-            (1, 1, 1)
+            decisions,
+            [Visibility::Show, Visibility::Warn, Visibility::Hide]
         );
     }
 }

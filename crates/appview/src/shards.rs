@@ -10,7 +10,7 @@
 //!   partitions the population by, so the two sharding layers agree on DID
 //!   ownership.
 //!
-//! Each shard is a complete [`AppViewIndex`] over its own block store, so a
+//! Each shard is a complete `AppViewIndex` over its own block store, so a
 //! shard's cold entities spill independently (paged backend) and the
 //! per-shard resident footprint is `1/N` of the monolithic index — the last
 //! per-shard memory ceiling the ROADMAP's NUMA item named.
@@ -37,7 +37,7 @@ use bsky_atproto::{AtUri, Datetime, Did, Handle, Nsid};
 use std::collections::BTreeSet;
 
 /// The AppView's indices, sharded by entity hash. A 1-shard set behaves
-/// exactly like a bare [`AppViewIndex`]; see the module docs for the
+/// exactly like a bare `AppViewIndex`; see the module docs for the
 /// routing contract.
 #[derive(Debug)]
 pub struct AppViewShards {
@@ -53,7 +53,7 @@ impl Default for AppViewShards {
 impl AppViewShards {
     /// A single in-memory shard (the monolithic default), write-back cache
     /// on.
-    pub fn new() -> AppViewShards {
+    pub(crate) fn new() -> AppViewShards {
         AppViewShards::with_shards(1, &StoreConfig::default(), true)
     }
 
@@ -69,7 +69,7 @@ impl AppViewShards {
     }
 
     /// Flush every shard's dirty counter state and write-back buffer (see
-    /// [`AppViewIndex::flush`]); called at day boundaries.
+    /// `AppViewIndex::flush`); called at day boundaries.
     pub fn flush(&mut self) {
         for shard in &mut self.shards {
             shard.flush();
@@ -79,11 +79,6 @@ impl AppViewShards {
     /// Number of entity shards.
     pub fn shard_count(&self) -> usize {
         self.shards.len()
-    }
-
-    /// The shards themselves, in shard order (read-only).
-    pub fn shards(&self) -> &[AppViewIndex] {
-        &self.shards
     }
 
     /// The shard owning a post URI.
@@ -152,19 +147,9 @@ impl AppViewShards {
     }
 
     /// Attach a profile record (routed to the actor's shard).
-    pub fn set_profile(&mut self, author: &Did, profile: &ProfileRecord) {
+    pub(crate) fn set_profile(&mut self, author: &Did, profile: &ProfileRecord) {
         let home = self.actor_home(author);
         self.shards[home].set_profile(author, profile);
-    }
-
-    /// Remove a post: taken from the URI's shard, the author's post counter
-    /// debited on the author's shard.
-    pub fn remove_post(&mut self, uri: &AtUri) {
-        let home = self.post_home(uri);
-        if let Some(info) = self.shards[home].take_post(uri) {
-            let author_home = self.actor_home(&info.author);
-            self.shards[author_home].debit_author_post(&info.author);
-        }
     }
 
     /// Process a firehose event's non-content effects. The event counter
@@ -204,7 +189,7 @@ impl AppViewShards {
     // -- queries -----------------------------------------------------------
 
     /// Look up a post on its owning shard.
-    pub fn post(&self, uri: &AtUri) -> Option<PostInfo> {
+    pub(crate) fn post(&self, uri: &AtUri) -> Option<PostInfo> {
         self.shards[self.post_home(uri)].post(uri)
     }
 
@@ -217,16 +202,6 @@ impl AppViewShards {
     /// Look up an actor on its owning shard.
     pub fn actor(&self, did: &Did) -> Option<ActorInfo> {
         self.shards[self.actor_home(did)].actor(did)
-    }
-
-    /// Whether `a` follows `b` (answered by `a`'s edge-owning shard).
-    pub fn follows(&self, a: &Did, b: &Did) -> bool {
-        self.shards[self.actor_home(a)].follows(a, b)
-    }
-
-    /// Whether `a` blocks `b`.
-    pub fn blocks(&self, a: &Did, b: &Did) -> bool {
-        self.shards[self.actor_home(a)].blocks(a, b)
     }
 
     /// Number of indexed posts across all shards.
@@ -286,29 +261,8 @@ impl AppViewShards {
         posts
     }
 
-    /// All posts across shards, in global key (URI) order.
-    pub fn posts(&self) -> Vec<PostInfo> {
-        let mut out: Vec<PostInfo> = self.shards.iter().flat_map(AppViewIndex::posts).collect();
-        // Sort by the URI *string*, matching the monolithic index's
-        // BTreeMap key order exactly. `AtUri`'s derived Ord compares
-        // (did, collection, rkey) component-wise, which diverges from
-        // string order when one DID is a prefix of another (did:web).
-        out.sort_by_cached_key(|p| p.uri.to_string());
-        out
-    }
-
-    /// All actors across shards, in global key (DID) order (`Did`'s
-    /// derived Ord — method then identifier — matches the string order of
-    /// `did:<method>:<identifier>` exactly, since `plc` < `web` and the
-    /// prefix is fixed per method).
-    pub fn actors(&self) -> Vec<ActorInfo> {
-        let mut out: Vec<ActorInfo> = self.shards.iter().flat_map(AppViewIndex::actors).collect();
-        out.sort_by(|a, b| a.did.cmp(&b.did));
-        out
-    }
-
     /// Counter mutations coalesced into already-dirty entities, summed
-    /// across shards (see [`AppViewIndex::counter_coalesced_writes`]).
+    /// across shards (see `AppViewIndex::counter_coalesced_writes`).
     pub fn counter_coalesced_writes(&self) -> u64 {
         self.shards
             .iter()
@@ -323,6 +277,46 @@ impl AppViewShards {
             stats.absorb(&shard.store_stats());
         }
         stats
+    }
+}
+
+// Whole-set reads the property test compares against the monolithic oracle.
+#[cfg(test)]
+impl AppViewShards {
+    /// The shards themselves, in shard order (read-only).
+    pub(crate) fn shards(&self) -> &[AppViewIndex] {
+        &self.shards
+    }
+
+    /// Whether `a` follows `b` (answered by `a`'s edge-owning shard).
+    pub(crate) fn follows(&self, a: &Did, b: &Did) -> bool {
+        self.shards[self.actor_home(a)].follows(a, b)
+    }
+
+    /// Whether `a` blocks `b`.
+    pub(crate) fn blocks(&self, a: &Did, b: &Did) -> bool {
+        self.shards[self.actor_home(a)].blocks(a, b)
+    }
+
+    /// All posts across shards, in global key (URI) order.
+    pub(crate) fn posts(&self) -> Vec<PostInfo> {
+        let mut out: Vec<PostInfo> = self.shards.iter().flat_map(AppViewIndex::posts).collect();
+        // Sort by the URI *string*, matching the monolithic index's
+        // BTreeMap key order exactly. `AtUri`'s derived Ord compares
+        // (did, collection, rkey) component-wise, which diverges from
+        // string order when one DID is a prefix of another (did:web).
+        out.sort_by_cached_key(|p| p.uri.to_string());
+        out
+    }
+
+    /// All actors across shards, in global key (DID) order (`Did`'s
+    /// derived Ord — method then identifier — matches the string order of
+    /// `did:<method>:<identifier>` exactly, since `plc` < `web` and the
+    /// prefix is fixed per method).
+    pub(crate) fn actors(&self) -> Vec<ActorInfo> {
+        let mut out: Vec<ActorInfo> = self.shards.iter().flat_map(AppViewIndex::actors).collect();
+        out.sort_by(|a, b| a.did.cmp(&b.did));
+        out
     }
 }
 
@@ -361,7 +355,6 @@ mod tests {
         Follow(u64, u64),
         Block(u64, u64),
         Profile(u64),
-        RemovePost(AtUri),
         Tombstone(u64),
         HandleChange(u64),
         Label(AtUri, String, bool),
@@ -403,7 +396,7 @@ mod tests {
                 if rng.below(4) == 0 {
                     Op::Tombstone(user)
                 } else {
-                    Op::RemovePost(any_uri(rng))
+                    Op::Like(user, any_uri(rng))
                 }
             }
             12 => Op::HandleChange(user),
@@ -487,7 +480,6 @@ mod tests {
                     }),
                     base(),
                 ),
-                Op::RemovePost(uri) => $target.remove_post(uri),
                 Op::Tombstone(u) => $target.process_event(&Event {
                     seq: *$seq,
                     time: base(),

@@ -88,24 +88,6 @@ impl AtUri {
         self.collection.as_ref()
     }
 
-    /// The record key, if this URI points at a record.
-    pub fn rkey(&self) -> Option<&str> {
-        self.rkey.as_deref()
-    }
-
-    /// Whether this URI points at a single record.
-    pub fn is_record(&self) -> bool {
-        self.collection.is_some() && self.rkey.is_some()
-    }
-
-    /// The repository-internal key `<collection>/<rkey>`, if a record URI.
-    pub fn repo_key(&self) -> Option<String> {
-        match (&self.collection, &self.rkey) {
-            (Some(c), Some(r)) => Some(format!("{c}/{r}")),
-            _ => None,
-        }
-    }
-
     /// Full string form, rendered with one exact-size allocation and no
     /// formatter — what map keys are built with. Equal to `to_string()`.
     pub fn as_string(&self) -> String {
@@ -196,18 +178,13 @@ mod tests {
         assert!(s.ends_with("/app.bsky.feed.post/3kdgeujwlq32y"));
         let parsed = AtUri::parse(&s).unwrap();
         assert_eq!(parsed, uri);
-        assert!(parsed.is_record());
-        assert_eq!(
-            parsed.repo_key().unwrap(),
-            "app.bsky.feed.post/3kdgeujwlq32y"
-        );
+        assert_eq!(parsed.rkey.as_deref(), Some("3kdgeujwlq32y"));
     }
 
     #[test]
     fn repo_uri() {
         let uri = AtUri::repo(did());
-        assert!(!uri.is_record());
-        assert!(uri.repo_key().is_none());
+        assert!(uri.collection().is_none() && uri.rkey.is_none());
         let parsed = AtUri::parse(&uri.to_string()).unwrap();
         assert_eq!(parsed, uri);
     }
@@ -217,8 +194,7 @@ mod tests {
         let s = format!("at://{}/app.bsky.feed.post", did());
         let uri = AtUri::parse(&s).unwrap();
         assert!(uri.collection().is_some());
-        assert!(uri.rkey().is_none());
-        assert!(!uri.is_record());
+        assert!(uri.rkey.is_none());
     }
 
     #[test]
@@ -302,7 +278,7 @@ mod tests {
                     rng.lowercase(1, 20)
                 ))
                 .unwrap(),
-                1 => Nsid::parse(known::LABEL).unwrap(),
+                1 => Nsid::parse("com.atproto.label.defs#label").unwrap(),
                 2 => Nsid::LIKE,
                 _ => Nsid::POST,
             };

@@ -98,7 +98,7 @@ impl Value {
     }
 
     /// Interpret as boolean.
-    pub fn as_bool(&self) -> Option<bool> {
+    pub(crate) fn as_bool(&self) -> Option<bool> {
         match self {
             Value::Bool(b) => Some(*b),
             _ => None,
@@ -114,17 +114,9 @@ impl Value {
     }
 
     /// Interpret as a link.
-    pub fn as_link(&self) -> Option<&Cid> {
+    pub(crate) fn as_link(&self) -> Option<&Cid> {
         match self {
             Value::Link(c) => Some(c),
-            _ => None,
-        }
-    }
-
-    /// Interpret as a map.
-    pub fn as_map(&self) -> Option<&BTreeMap<String, Value>> {
-        match self {
-            Value::Map(m) => Some(m),
             _ => None,
         }
     }
@@ -218,7 +210,7 @@ pub mod raw {
     use super::*;
 
     /// Map head for `len` pairs.
-    pub fn map_head(len: u64, out: &mut Vec<u8>) {
+    pub(crate) fn map_head(len: u64, out: &mut Vec<u8>) {
         write_head(MAJOR_MAP, len, out);
     }
 
@@ -241,13 +233,13 @@ pub mod raw {
     }
 
     /// Byte string.
-    pub fn bytes(b: &[u8], out: &mut Vec<u8>) {
+    pub(crate) fn bytes(b: &[u8], out: &mut Vec<u8>) {
         write_head(MAJOR_BYTES, b.len() as u64, out);
         out.extend_from_slice(b);
     }
 
     /// Non-negative integer.
-    pub fn uint(value: u64, out: &mut Vec<u8>) {
+    pub(crate) fn uint(value: u64, out: &mut Vec<u8>) {
         write_head(MAJOR_UINT, value, out);
     }
 
@@ -273,7 +265,7 @@ pub mod raw {
     /// A tagged IPLD link (CID): tag 42 over the multibase identity prefix
     /// (0x00, per the DAG-CBOR CID convention) and the binary CID, written
     /// from the stack.
-    pub fn link(cid: &Cid, out: &mut Vec<u8>) {
+    pub(crate) fn link(cid: &Cid, out: &mut Vec<u8>) {
         write_head(MAJOR_TAG, TAG_CID, out);
         write_head(MAJOR_BYTES, (CID_LEN + 1) as u64, out);
         out.push(0x00);
@@ -287,7 +279,7 @@ pub mod raw {
 pub(crate) mod len {
     /// An item head carrying `arg`: any major type, string and array
     /// lengths included.
-    pub fn head(arg: u64) -> usize {
+    pub(crate) fn head(arg: u64) -> usize {
         match arg {
             0..=23 => 1,
             24..=0xff => 2,
@@ -298,18 +290,18 @@ pub(crate) mod len {
     }
 
     /// A `Value::Int`.
-    pub fn int(value: i64) -> usize {
+    pub(crate) fn int(value: i64) -> usize {
         head(if value >= 0 { value } else { -1 - value } as u64)
     }
 
     /// A `Value::Text` (or `Value::Bytes`) of `len` payload bytes.
-    pub fn text(len: usize) -> usize {
+    pub(crate) fn text(len: usize) -> usize {
         head(len as u64) + len
     }
 
     /// A `Value::Link`: tag 42, the head of a 37-byte string, the multibase
     /// identity prefix and the 36-byte binary CID.
-    pub const LINK: usize = 2 + 2 + 1 + super::CID_LEN;
+    pub(crate) const LINK: usize = 2 + 2 + 1 + super::CID_LEN;
 }
 
 /// Decode DAG-CBOR bytes into a value, requiring that the whole input is
@@ -372,7 +364,7 @@ impl<'a> Reader<'a> {
     }
 
     /// A map head: the number of pairs that follow.
-    pub fn map(&mut self) -> Option<usize> {
+    pub(crate) fn map(&mut self) -> Option<usize> {
         self.count(MAJOR_MAP)
     }
 
@@ -389,15 +381,9 @@ impl<'a> Reader<'a> {
 
     /// The text string `name`, as a map key a typed decoder expects next
     /// (bytes equal to a `str`'s are UTF-8: nothing else to check).
-    pub fn key(&mut self, name: &str) -> Option<()> {
+    pub(crate) fn key(&mut self, name: &str) -> Option<()> {
         let len = usize::try_from(self.head(MAJOR_TEXT)?).ok()?;
         (self.read_slice(len).ok()? == name.as_bytes()).then_some(())
-    }
-
-    /// A byte string.
-    pub fn bytes(&mut self) -> Option<&'a [u8]> {
-        let len = usize::try_from(self.head(MAJOR_BYTES)?).ok()?;
-        self.read_slice(len).ok()
     }
 
     /// An integer of either sign, within the range [`decode`] accepts.
@@ -425,17 +411,6 @@ impl<'a> Reader<'a> {
         let found = self.bytes.get(self.pos) == Some(&0xf6);
         self.pos += found as usize;
         found
-    }
-
-    /// A tagged IPLD link.
-    pub fn link(&mut self) -> Option<Cid> {
-        if self.head(MAJOR_TAG)? != TAG_CID {
-            return None;
-        }
-        match self.bytes()? {
-            [0x00, cid @ ..] => Cid::from_bytes(cid).ok(),
-            _ => None,
-        }
     }
 
     fn read_byte(&mut self) -> Result<u8> {
@@ -834,7 +809,7 @@ mod tests {
             0xa1, 0x61, b'm', 0xa2, 0x62, b'k', b'k', 0xf6, 0x62, b'k', b'l', 0xf5,
         ];
         let value = decode(&fine).unwrap();
-        assert_eq!(value.get("m").unwrap().as_map().unwrap().len(), 2);
+        assert!(matches!(value.get("m"), Some(Value::Map(m)) if m.len() == 2));
     }
 
     #[test]

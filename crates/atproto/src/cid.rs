@@ -16,11 +16,11 @@ use std::hash::{BuildHasherDefault, Hash, Hasher};
 const BASE32_ALPHABET: &[u8; 32] = b"abcdefghijklmnopqrstuvwxyz234567";
 
 /// Codec tag for DAG-CBOR blocks.
-pub const CODEC_DAG_CBOR: u8 = 0x71;
+pub(crate) const CODEC_DAG_CBOR: u8 = 0x71;
 /// Codec tag for raw blocks (e.g. blobs).
-pub const CODEC_RAW: u8 = 0x55;
+pub(crate) const CODEC_RAW: u8 = 0x55;
 /// Length of the binary form: version, codec, hash tag, digest length, digest.
-pub const CID_LEN: usize = 4 + DIGEST_LEN;
+pub(crate) const CID_LEN: usize = 4 + DIGEST_LEN;
 
 /// A content identifier: (version, codec, SHA-256 digest).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -41,7 +41,7 @@ impl Hash for Cid {
     }
 }
 
-/// The pass-through hasher behind [`CidMap`] and [`CidSet`]: it hands back the
+/// The pass-through hasher behind [`CidMap`] and `CidSet`: it hands back the
 /// one `u64` [`Cid`]'s `Hash` writes. Unkeyed and unseeded, so a table's
 /// layout — and with it a run — is the same every time.
 ///
@@ -79,7 +79,7 @@ impl Hasher for CidHasher {
 /// A hash map keyed by CID (see [`CidHasher`]).
 pub type CidMap<V> = HashMap<Cid, V, BuildHasherDefault<CidHasher>>;
 /// A hash set of CIDs (see [`CidHasher`]).
-pub type CidSet = HashSet<Cid, BuildHasherDefault<CidHasher>>;
+pub(crate) type CidSet = HashSet<Cid, BuildHasherDefault<CidHasher>>;
 
 impl Cid {
     /// CID of a DAG-CBOR encoded block.
@@ -98,24 +98,19 @@ impl Cid {
         }
     }
 
-    /// Construct from parts (used by decoders).
-    pub fn from_parts(codec: u8, digest: Digest) -> Cid {
-        Cid { codec, digest }
-    }
-
     /// The codec byte.
-    pub fn codec(&self) -> u8 {
+    pub(crate) fn codec(&self) -> u8 {
         self.codec
     }
 
     /// The raw digest.
-    pub fn digest(&self) -> &Digest {
+    pub(crate) fn digest(&self) -> &Digest {
         &self.digest
     }
 
     /// Binary form on the stack: version, codec, hash function tag, length,
     /// digest. What every encoder on the write path uses.
-    pub fn to_array(&self) -> [u8; CID_LEN] {
+    pub(crate) fn to_array(self) -> [u8; CID_LEN] {
         let mut out = [0u8; CID_LEN];
         out[0] = 0x01; // CIDv1
         out[1] = self.codec;
@@ -125,13 +120,8 @@ impl Cid {
         out
     }
 
-    /// Binary form as an owned vector (see [`Self::to_array`]).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        self.to_array().to_vec()
-    }
-
-    /// Parse the binary form produced by [`Self::to_bytes`].
-    pub fn from_bytes(bytes: &[u8]) -> Result<Cid> {
+    /// Parse the binary form produced by [`Self::to_array`].
+    pub(crate) fn from_bytes(bytes: &[u8]) -> Result<Cid> {
         if bytes.len() != CID_LEN {
             return Err(AtError::InvalidCid(format!(
                 "bad CID length {}",
@@ -150,20 +140,11 @@ impl Cid {
     }
 
     /// String form: multibase `b` prefix + base32-lower of the binary form.
-    pub fn to_string_form(&self) -> String {
+    pub(crate) fn to_string_form(self) -> String {
         let mut s = String::with_capacity(60);
         s.push('b');
         base32_encode(&self.to_array(), &mut s);
         s
-    }
-
-    /// Parse the string form.
-    pub fn parse(s: &str) -> Result<Cid> {
-        let rest = s
-            .strip_prefix('b')
-            .ok_or_else(|| AtError::InvalidCid(format!("missing multibase prefix: {s}")))?;
-        let bytes = base32_decode(rest)?;
-        Cid::from_bytes(&bytes)
     }
 }
 
@@ -197,26 +178,6 @@ fn base32_encode(data: &[u8], out: &mut String) {
     }
 }
 
-fn base32_decode(s: &str) -> Result<Vec<u8>> {
-    let mut buffer: u64 = 0;
-    let mut bits: u32 = 0;
-    let mut out = Vec::with_capacity(s.len() * 5 / 8);
-    for c in s.bytes() {
-        let val = BASE32_ALPHABET
-            .iter()
-            .position(|&a| a == c)
-            .ok_or_else(|| AtError::InvalidCid(format!("bad base32 char '{}'", c as char)))?
-            as u64;
-        buffer = (buffer << 5) | val;
-        bits += 5;
-        if bits >= 8 {
-            bits -= 8;
-            out.push(((buffer >> bits) & 0xff) as u8);
-        }
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -247,20 +208,34 @@ mod tests {
     fn roundtrip_string_and_bytes() {
         for payload in [&b""[..], b"a", b"abc", b"the quick brown fox"] {
             let cid = Cid::for_cbor(payload);
-            assert_eq!(Cid::parse(&cid.to_string_form()).unwrap(), cid);
-            assert_eq!(Cid::from_bytes(&cid.to_bytes()).unwrap(), cid);
-            assert_eq!(cid.to_array()[..], cid.to_bytes()[..]);
+            assert_eq!(Cid::from_bytes(&cid.to_array()).unwrap(), cid);
         }
     }
 
     #[test]
     fn parse_rejects_malformed() {
-        assert!(Cid::parse("nonsense").is_err());
-        assert!(Cid::parse("b!!!").is_err());
         assert!(Cid::from_bytes(&[1, 2, 3]).is_err());
-        let mut bytes = Cid::for_cbor(b"x").to_bytes();
+        let mut bytes = Cid::for_cbor(b"x").to_array();
         bytes[0] = 0x02;
         assert!(Cid::from_bytes(&bytes).is_err());
+    }
+
+    /// The inverse of [`base32_encode`], kept here as the reference the
+    /// encoder is checked against.
+    fn base32_decode(s: &str) -> Vec<u8> {
+        let mut buffer: u64 = 0;
+        let mut bits: u32 = 0;
+        let mut out = Vec::new();
+        for c in s.bytes() {
+            let val = BASE32_ALPHABET.iter().position(|&a| a == c).unwrap() as u64;
+            buffer = (buffer << 5) | val;
+            bits += 5;
+            if bits >= 8 {
+                bits -= 8;
+                out.push(((buffer >> bits) & 0xff) as u8);
+            }
+        }
+        out
     }
 
     #[test]
@@ -269,7 +244,7 @@ mod tests {
             let data: Vec<u8> = (0..len as u8).map(|i| i.wrapping_mul(37)).collect();
             let mut s = String::new();
             base32_encode(&data, &mut s);
-            let back = base32_decode(&s).unwrap();
+            let back = base32_decode(&s);
             assert_eq!(back, data, "length {len}");
         }
     }

@@ -12,10 +12,10 @@
 use crate::error::{AtError, Result};
 
 /// Output size of SHA-256 in bytes.
-pub const DIGEST_LEN: usize = 32;
+pub(crate) const DIGEST_LEN: usize = 32;
 
 /// A 256-bit digest.
-pub type Digest = [u8; DIGEST_LEN];
+pub(crate) type Digest = [u8; DIGEST_LEN];
 
 const K: [u32; 64] = [
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4, 0xab1c5ed5,
@@ -215,7 +215,7 @@ mod shani {
     use core::arch::x86_64::*;
 
     /// One-time runtime feature probe.
-    pub fn available() -> bool {
+    pub(crate) fn available() -> bool {
         use std::sync::OnceLock;
         static AVAILABLE: OnceLock<bool> = OnceLock::new();
         *AVAILABLE.get_or_init(|| {
@@ -234,7 +234,7 @@ mod shani {
     /// Requires the `sha`, `ssse3` and `sse4.1` CPU features (checked by
     /// [`available`]).
     #[target_feature(enable = "sha,ssse3,sse4.1")]
-    pub unsafe fn process_block(state: &mut [u32; 8], block: &[u8; 64]) {
+    pub(crate) unsafe fn process_block(state: &mut [u32; 8], block: &[u8; 64]) {
         // Big-endian 32-bit lane loads of the message block.
         let byte_swap = _mm_set_epi64x(0x0c0d0e0f08090a0bu64 as i64, 0x0405060700010203u64 as i64);
 
@@ -309,14 +309,14 @@ mod shani {
 }
 
 /// Hash a byte slice in one call.
-pub fn sha256(data: &[u8]) -> Digest {
+pub(crate) fn sha256(data: &[u8]) -> Digest {
     let mut h = Sha256::new();
     h.update(data);
     h.finalize()
 }
 
 /// HMAC-SHA-256 keyed hash (RFC 2104 construction).
-pub fn hmac_sha256(key: &[u8], message: &[u8]) -> Digest {
+pub(crate) fn hmac_sha256(key: &[u8], message: &[u8]) -> Digest {
     let mut key_block = [0u8; 64];
     if key.len() > 64 {
         let d = sha256(key);
@@ -387,7 +387,7 @@ pub struct VerifyingKey {
 
 /// A detached signature over a message.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Signature(pub Digest);
+pub(crate) struct Signature(pub Digest);
 
 impl SigningKey {
     /// Derive a key deterministically from seed material (e.g. a DID string
@@ -406,7 +406,7 @@ impl SigningKey {
     }
 
     /// Sign a message.
-    pub fn sign(&self, message: &[u8]) -> Signature {
+    pub(crate) fn sign(&self, message: &[u8]) -> Signature {
         // Bind the signature to the public key so two keys never produce the
         // same signature for the same message.
         let pk = self.verifying_key();
@@ -422,31 +422,6 @@ impl VerifyingKey {
     pub fn to_multibase(&self) -> String {
         format!("zQ3sim{}", to_hex(&self.public))
     }
-
-    /// Parse the multibase rendering produced by [`Self::to_multibase`].
-    pub fn from_multibase(s: &str) -> Result<Self> {
-        let hex = s
-            .strip_prefix("zQ3sim")
-            .ok_or_else(|| AtError::InvalidCid(format!("bad key multibase: {s}")))?;
-        let bytes = from_hex(hex)?;
-        if bytes.len() != DIGEST_LEN {
-            return Err(AtError::InvalidCid("bad key length".into()));
-        }
-        let mut public = [0u8; DIGEST_LEN];
-        public.copy_from_slice(&bytes);
-        Ok(VerifyingKey { public })
-    }
-
-    /// Raw public bytes.
-    pub fn as_bytes(&self) -> &[u8; 32] {
-        &self.public
-    }
-}
-
-/// Verify a signature given the *signing* key owner (used by the simulated
-/// services, which hold the key registry).
-pub fn verify(key: &SigningKey, message: &[u8], sig: &Signature) -> bool {
-    key.sign(message) == *sig
 }
 
 #[cfg(test)]
@@ -581,9 +556,9 @@ mod tests {
         let k2 = SigningKey::from_seed(b"did:plc:bob");
         let msg = b"commit bytes";
         let sig = k1.sign(msg);
-        assert!(verify(&k1, msg, &sig));
-        assert!(!verify(&k2, msg, &sig));
-        assert!(!verify(&k1, b"other message", &sig));
+        assert_eq!(k1.sign(msg), sig);
+        assert_ne!(k2.sign(msg), sig);
+        assert_ne!(k1.sign(b"other message"), sig);
     }
 
     #[test]
@@ -598,7 +573,6 @@ mod tests {
         let vk = k.verifying_key();
         let mb = vk.to_multibase();
         assert!(mb.starts_with("zQ3sim"));
-        assert_eq!(VerifyingKey::from_multibase(&mb).unwrap(), vk);
-        assert!(VerifyingKey::from_multibase("nonsense").is_err());
+        assert_eq!(from_hex(&mb["zQ3sim".len()..]).unwrap(), vk.public);
     }
 }

@@ -20,15 +20,15 @@ pub struct Datetime(pub i64);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct CivilDate {
     /// Gregorian year, e.g. 2024.
-    pub year: i32,
+    pub(crate) year: i32,
     /// Month 1–12.
-    pub month: u32,
+    pub(crate) month: u32,
     /// Day of month 1–31.
-    pub day: u32,
+    pub(crate) day: u32,
 }
 
 /// Number of days from the civil epoch (1970-01-01) to the given date.
-pub fn days_from_civil(year: i32, month: u32, day: u32) -> i64 {
+pub(crate) fn days_from_civil(year: i32, month: u32, day: u32) -> i64 {
     let y = if month <= 2 { year - 1 } else { year } as i64;
     let m = month as i64;
     let d = day as i64;
@@ -40,7 +40,7 @@ pub fn days_from_civil(year: i32, month: u32, day: u32) -> i64 {
 }
 
 /// Convert a day count since 1970-01-01 back to a civil date.
-pub fn civil_from_days(z: i64) -> CivilDate {
+pub(crate) fn civil_from_days(z: i64) -> CivilDate {
     let z = z + 719_468;
     let era = if z >= 0 { z } else { z - 146_096 } / 146_097;
     let doe = z - era * 146_097; // [0, 146096]
@@ -60,18 +60,13 @@ pub fn civil_from_days(z: i64) -> CivilDate {
 impl CivilDate {
     /// Construct a date, validating ranges (does not validate day-of-month
     /// against month length beyond 31).
-    pub fn new(year: i32, month: u32, day: u32) -> Result<Self> {
+    pub(crate) fn new(year: i32, month: u32, day: u32) -> Result<Self> {
         if !(1..=12).contains(&month) || !(1..=31).contains(&day) {
             return Err(AtError::InvalidDatetime(format!(
                 "{year:04}-{month:02}-{day:02}"
             )));
         }
         Ok(CivilDate { year, month, day })
-    }
-
-    /// The month as a single sortable index `year * 12 + (month - 1)`.
-    pub fn month_index(&self) -> i32 {
-        self.year * 12 + self.month as i32 - 1
     }
 
     /// Render as `YYYY-MM`.
@@ -87,9 +82,6 @@ impl fmt::Display for CivilDate {
 }
 
 impl Datetime {
-    /// The Unix epoch.
-    pub const UNIX_EPOCH: Datetime = Datetime(0);
-
     /// Build from a civil date at midnight UTC.
     pub fn from_ymd(year: i32, month: u32, day: u32) -> Result<Self> {
         let date = CivilDate::new(year, month, day)?;
@@ -113,11 +105,6 @@ impl Datetime {
         self.0
     }
 
-    /// Microseconds since the Unix epoch (used by TIDs).
-    pub fn timestamp_micros(&self) -> i64 {
-        self.0 * 1_000_000
-    }
-
     /// The civil date of this instant (UTC).
     pub fn date(&self) -> CivilDate {
         civil_from_days(self.0.div_euclid(SECONDS_PER_DAY))
@@ -129,7 +116,7 @@ impl Datetime {
     }
 
     /// Seconds into the day `[0, 86399]`.
-    pub fn seconds_of_day(&self) -> i64 {
+    pub(crate) fn seconds_of_day(&self) -> i64 {
         self.0.rem_euclid(SECONDS_PER_DAY)
     }
 
@@ -155,7 +142,7 @@ impl Datetime {
 
     /// `self.to_iso8601().len()` without rendering: 20 bytes unless the
     /// year needs more than four characters.
-    pub fn string_len(&self) -> usize {
+    pub(crate) fn string_len(&self) -> usize {
         match self.date().year {
             0..=9999 => "YYYY-MM-DDTHH:MM:SSZ".len(),
             year => year.to_string().len().max(4) + "-MM-DDTHH:MM:SSZ".len(),
@@ -165,7 +152,7 @@ impl Datetime {
     /// Append the ISO-8601 rendering to `out` ([`Self::string_len`] bytes).
     /// Digits are written directly; only a year outside `0..=9999` (which
     /// `{:04}` renders wider, or with a sign) goes through the formatter.
-    pub fn write_to(&self, out: &mut Vec<u8>) {
+    pub(crate) fn write_to(&self, out: &mut Vec<u8>) {
         fn two(value: i64, then: u8, out: &mut Vec<u8>) {
             out.extend_from_slice(&[b'0' + (value / 10) as u8, b'0' + (value % 10) as u8, then]);
         }
@@ -187,7 +174,7 @@ impl Datetime {
 
     /// Parse the subset of ISO-8601 produced by [`Self::to_iso8601`]
     /// (`YYYY-MM-DD` or `YYYY-MM-DDTHH:MM:SSZ`).
-    pub fn parse_iso8601(s: &str) -> Result<Self> {
+    pub(crate) fn parse_iso8601(s: &str) -> Result<Self> {
         let err = || AtError::InvalidDatetime(s.to_string());
         let (date_part, time_part) = match s.split_once('T') {
             Some((d, t)) => (d, Some(t)),
@@ -232,7 +219,7 @@ mod tests {
 
     #[test]
     fn epoch_is_1970() {
-        let d = Datetime::UNIX_EPOCH.date();
+        let d = Datetime(0).date();
         assert_eq!((d.year, d.month, d.day), (1970, 1, 1));
     }
 
@@ -316,7 +303,6 @@ mod tests {
         let public = Datetime::from_ymd(2024, 2, 6).unwrap();
         assert!(public.days_since(launch) > 400);
         assert_eq!(launch.date().year_month(), "2022-11");
-        assert_eq!(launch.date().month_index(), 2022 * 12 + 10);
         assert_eq!(launch.plus_days(1).days_since(launch), 1);
     }
 

@@ -20,7 +20,7 @@ pub enum DidMethod {
 
 impl DidMethod {
     /// The method name as it appears in the DID string.
-    pub fn as_str(&self) -> &'static str {
+    pub(crate) fn as_str(&self) -> &'static str {
         match self {
             DidMethod::Plc => "plc",
             DidMethod::Web => "web",
@@ -45,7 +45,7 @@ pub struct Did {
 /// Alphabet used by PLC identifiers (base32-sortable, lowercase).
 const PLC_ALPHABET: &[u8; 32] = b"234567abcdefghijklmnopqrstuvwxyz";
 /// Length of the method-specific identifier of a `did:plc`.
-pub const PLC_ID_LEN: usize = 24;
+pub(crate) const PLC_ID_LEN: usize = 24;
 
 impl Did {
     /// Parse a DID string.
@@ -123,11 +123,6 @@ impl Did {
         self.method
     }
 
-    /// The method-specific identifier (PLC id or domain name).
-    pub fn identifier(&self) -> &str {
-        &self.identifier
-    }
-
     /// For `did:web`, the domain the DID document must be fetched from.
     pub fn web_domain(&self) -> Option<&str> {
         match self.method {
@@ -166,7 +161,7 @@ impl Did {
     /// Continue an FNV-1a fold over this DID's canonical string bytes
     /// (`did:<method>:<identifier>`) without materializing the string —
     /// this sits on the AppView's per-record routing hot path.
-    pub fn fold_shard_hash(&self, hash: u64) -> u64 {
+    pub(crate) fn fold_shard_hash(&self, hash: u64) -> u64 {
         let hash = fnv1a_64(b"did:", hash);
         let hash = fnv1a_64(self.method.as_str().as_bytes(), hash);
         let hash = fnv1a_64(b":", hash);
@@ -225,7 +220,7 @@ mod tests {
     fn parse_plc_did_from_paper() {
         let did = Did::parse("did:plc:ewvi7nxzyoun6zhxrhs64oiz").unwrap();
         assert_eq!(did.method(), DidMethod::Plc);
-        assert_eq!(did.identifier(), "ewvi7nxzyoun6zhxrhs64oiz");
+        assert_eq!(did.identifier, "ewvi7nxzyoun6zhxrhs64oiz");
         assert_eq!(did.to_string(), "did:plc:ewvi7nxzyoun6zhxrhs64oiz");
         assert!(did.web_domain().is_none());
     }

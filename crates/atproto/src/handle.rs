@@ -10,26 +10,17 @@ use crate::error::{AtError, Result};
 use std::fmt;
 
 /// The default custodial handle suffix operated by Bluesky PBC.
-pub const BSKY_SOCIAL: &str = "bsky.social";
+pub(crate) const BSKY_SOCIAL: &str = "bsky.social";
 
 /// A validated FQDN handle such as `alice.bsky.social` or `example.com`.
 #[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Handle(String);
 
-/// How ownership of a handle is proven (§5, "Validating Handle Ownership").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum HandleProof {
-    /// DNS TXT record at `_atproto.<handle>` containing `did=<did>`.
-    DnsTxt,
-    /// HTTPS document at `/.well-known/atproto-did` containing the DID.
-    WellKnown,
-}
-
 impl Handle {
     /// Maximum total length of a handle in bytes (DNS limit).
-    pub const MAX_LEN: usize = 253;
+    pub(crate) const MAX_LEN: usize = 253;
     /// Maximum length of a single label.
-    pub const MAX_LABEL_LEN: usize = 63;
+    pub(crate) const MAX_LABEL_LEN: usize = 63;
 
     /// Parse and validate a handle.
     pub fn parse(s: &str) -> Result<Handle> {
@@ -61,11 +52,6 @@ impl Handle {
         Ok(Handle(lower))
     }
 
-    /// Construct the default custodial handle `<username>.bsky.social`.
-    pub fn bsky_social(username: &str) -> Result<Handle> {
-        Handle::parse(&format!("{username}.{BSKY_SOCIAL}"))
-    }
-
     /// The handle as a string slice (never includes the leading `@`).
     pub fn as_str(&self) -> &str {
         &self.0
@@ -81,12 +67,6 @@ impl Handle {
         self.0 == BSKY_SOCIAL || self.0.ends_with(".bsky.social")
     }
 
-    /// Whether this handle is a subdomain of the given parent domain.
-    pub fn is_subdomain_of(&self, parent: &str) -> bool {
-        let parent = parent.to_ascii_lowercase();
-        self.0 == parent || self.0.ends_with(&format!(".{parent}"))
-    }
-
     /// The DNS name at which the TXT ownership proof must live.
     pub fn atproto_txt_name(&self) -> String {
         format!("_atproto.{}", self.0)
@@ -95,18 +75,6 @@ impl Handle {
     /// The URL path of the well-known ownership proof.
     pub fn well_known_url(&self) -> String {
         format!("https://{}/.well-known/atproto-did", self.0)
-    }
-
-    /// Naive registrable-domain guess: the last two labels. The identity
-    /// crate refines this with the Public Suffix List; this helper exists for
-    /// quick grouping where PSL context is unavailable.
-    pub fn naive_registered_domain(&self) -> String {
-        let labels = self.labels();
-        if labels.len() <= 2 {
-            self.0.clone()
-        } else {
-            labels[labels.len() - 2..].join(".")
-        }
     }
 }
 
@@ -190,20 +158,17 @@ mod tests {
 
     #[test]
     fn bsky_social_constructor() {
-        let h = Handle::bsky_social("carol").unwrap();
-        assert_eq!(h.as_str(), "carol.bsky.social");
+        let h = Handle::parse("carol.bsky.social").unwrap();
         assert!(h.is_bsky_social());
-        assert!(h.is_subdomain_of("bsky.social"));
-        assert!(!h.is_subdomain_of("other.social"));
+        assert!(!Handle::parse("carol.other.social")
+            .unwrap()
+            .is_bsky_social());
     }
 
     #[test]
     fn subdomain_matching_requires_label_boundary() {
         let h = Handle::parse("notbsky.social").unwrap();
         assert!(!h.is_bsky_social());
-        let h = Handle::parse("foo.swifties.social").unwrap();
-        assert!(h.is_subdomain_of("swifties.social"));
-        assert!(!h.is_subdomain_of("ifties.social"));
     }
 
     #[test]
@@ -213,28 +178,6 @@ mod tests {
         assert_eq!(
             h.well_known_url(),
             "https://example.com/.well-known/atproto-did"
-        );
-    }
-
-    #[test]
-    fn naive_registered_domain() {
-        assert_eq!(
-            Handle::parse("alice.bsky.social")
-                .unwrap()
-                .naive_registered_domain(),
-            "bsky.social"
-        );
-        assert_eq!(
-            Handle::parse("example.com")
-                .unwrap()
-                .naive_registered_domain(),
-            "example.com"
-        );
-        assert_eq!(
-            Handle::parse("a.b.c.d.example.org")
-                .unwrap()
-                .naive_registered_domain(),
-            "example.org"
         );
     }
 }

@@ -7,7 +7,6 @@
 //! with the negation flag set.
 
 use crate::aturi::AtUri;
-use crate::cbor::{self, Value};
 use crate::datetime::Datetime;
 use crate::did::Did;
 use crate::error::{AtError, Result};
@@ -63,36 +62,7 @@ impl LabelTarget {
             LabelTarget::ProfileMedia(did) => format!("{did}#media"),
         }
     }
-
-    /// Parse the canonical string form.
-    pub fn parse(s: &str) -> Result<LabelTarget> {
-        if let Some(did_str) = s.strip_suffix("#media") {
-            return Ok(LabelTarget::ProfileMedia(Did::parse(did_str)?));
-        }
-        if s.starts_with("at://") {
-            return Ok(LabelTarget::Record(AtUri::parse(s)?));
-        }
-        Ok(LabelTarget::Account(Did::parse(s)?))
-    }
-
-    /// The DID of the account that owns the target.
-    pub fn subject_did(&self) -> &Did {
-        match self {
-            LabelTarget::Record(uri) => uri.did(),
-            LabelTarget::Account(did) | LabelTarget::ProfileMedia(did) => did,
-        }
-    }
 }
-
-/// Reserved label values with hardcoded behaviour (valid only from the
-/// official Bluesky Labeler).
-pub const RESERVED_LABELS: &[&str] = &[
-    "!hide",
-    "!warn",
-    "!takedown",
-    "!no-promote",
-    "!no-unauthenticated",
-];
 
 /// Label values with hardcoded age-gating behaviour that any Labeler may emit.
 pub const ADULT_CONTENT_LABELS: &[&str] = &["porn", "sexual", "graphic-media", "nudity"];
@@ -163,39 +133,8 @@ impl Label {
 
     /// The deduplication key `(src, target, value)` used when applying
     /// negations.
-    pub fn key(&self) -> (String, String, String) {
+    pub(crate) fn key(&self) -> (String, String, String) {
         (self.src.to_string(), self.target.uri(), self.value.clone())
-    }
-
-    /// Encode as DAG-CBOR (one frame on a label stream).
-    pub fn encode(&self) -> Vec<u8> {
-        cbor::encode(&Value::map([
-            ("src", Value::text(self.src.to_string())),
-            ("uri", Value::text(self.target.uri())),
-            ("val", Value::text(&self.value)),
-            ("neg", Value::Bool(self.negated)),
-            ("cts", Value::text(self.created_at.to_iso8601())),
-        ]))
-    }
-
-    /// Decode a frame produced by [`Self::encode`].
-    pub fn decode(bytes: &[u8]) -> Result<Label> {
-        let value = cbor::decode(bytes)?;
-        let text = |key: &str| -> Result<&str> {
-            value
-                .get(key)
-                .and_then(Value::as_text)
-                .ok_or_else(|| AtError::InvalidLabel(format!("missing field {key}")))
-        };
-        let label = Label {
-            src: Did::parse(text("src")?)?,
-            target: LabelTarget::parse(text("uri")?)?,
-            value: text("val")?.to_string(),
-            negated: value.get("neg").and_then(Value::as_bool).unwrap_or(false),
-            created_at: Datetime::parse_iso8601(text("cts")?)?,
-        };
-        validate_value(&label.value)?;
-        Ok(label)
     }
 }
 
@@ -257,26 +196,9 @@ mod tests {
         }
         assert!(is_reserved_value("!takedown"));
         assert!(!is_reserved_value("porn"));
-        assert!(RESERVED_LABELS.iter().all(|v| validate_value(v).is_ok()));
         assert!(ADULT_CONTENT_LABELS
             .iter()
             .all(|v| validate_value(v).is_ok()));
-    }
-
-    #[test]
-    fn label_roundtrip_all_target_kinds() {
-        let targets = [
-            post_target(),
-            LabelTarget::Account(alice()),
-            LabelTarget::ProfileMedia(alice()),
-        ];
-        for target in targets {
-            let label = Label::new(labeler(), target.clone(), "spam", now()).unwrap();
-            let decoded = Label::decode(&label.encode()).unwrap();
-            assert_eq!(decoded, label);
-            assert_eq!(decoded.target.kind(), target.kind());
-            assert_eq!(decoded.target.subject_did(), &alice());
-        }
     }
 
     #[test]
@@ -331,22 +253,6 @@ mod tests {
     #[test]
     fn invalid_values_rejected_at_construction_and_decode() {
         assert!(Label::new(labeler(), post_target(), "Bad Value", now()).is_err());
-        let mut label = Label::new(labeler(), post_target(), "ok-value", now()).unwrap();
-        label.value = "NOT OK".into();
-        assert!(Label::decode(&label.encode()).is_err());
-    }
-
-    #[test]
-    fn target_parse_rejects_garbage() {
-        assert!(LabelTarget::parse("not a target").is_err());
-        assert!(LabelTarget::parse("at://garbage").is_err());
-        // Roundtrip of every kind.
-        for t in [
-            post_target(),
-            LabelTarget::Account(alice()),
-            LabelTarget::ProfileMedia(alice()),
-        ] {
-            assert_eq!(LabelTarget::parse(&t.uri()).unwrap(), t);
-        }
+        assert!(Label::new(labeler(), post_target(), "ok-value", now()).is_ok());
     }
 }

@@ -21,7 +21,7 @@
 //! the touched path drops its memoised CID, so [`Mst::root_cid`] encodes and
 //! hashes that path alone: a commit costs its batch, not its repository.
 //! The node tree is the only copy of the mapping; lookups and ordered
-//! iteration walk it. [`Mst::take_node_delta`] reports what a batch of
+//! iteration walk it. `Mst::take_node_delta` reports what a batch of
 //! mutations did to the node *set* (blocks that joined the tree, children
 //! before parents, and CIDs that left it), which is what the repository
 //! layer stores and logs per commit. Node blocks are encoded directly to
@@ -33,14 +33,11 @@
 //! bytes shared with the previous entry's key) and `k` (the remaining
 //! suffix). Sibling record keys share long `<collection>/<rkey>` prefixes,
 //! so this shrinks every node block — and with them full CAR exports and the
-//! structural section of `getRepo(since)` deltas. [`decode_node`] undoes the
-//! compression; [`Mst::structural_size_uncompressed`] measures the legacy
-//! full-key encoding so the streaming bench can assert the byte win. That
-//! measurement, and the tests that pin the incremental tree, use a
-//! rebuild-from-scratch reference builder that shares only the node encoder
-//! with the live tree.
+//! structural section of `getRepo(since)` deltas. The tests pin the
+//! incremental tree, its encoder and the byte win over the legacy full-key
+//! encoding against a rebuild-from-scratch reference builder and a node
+//! decoder that live beside them under `#[cfg(test)]`.
 
-use crate::cbor::Value;
 use crate::cid::{Cid, CidSet};
 use crate::crypto::sha256;
 use crate::error::{AtError, Result};
@@ -51,7 +48,7 @@ use std::cell::{Cell, RefCell};
 const BITS_PER_LAYER: u32 = 2;
 
 /// Compute the MST layer of a key.
-pub fn key_layer(key: &str) -> u32 {
+pub(crate) fn key_layer(key: &str) -> u32 {
     let digest = sha256(key.as_bytes());
     let mut zeros = 0u32;
     for byte in digest {
@@ -66,7 +63,7 @@ pub fn key_layer(key: &str) -> u32 {
 }
 
 /// Validate an MST key (`<collection>/<rkey>`).
-pub fn validate_key(key: &str) -> Result<()> {
+pub(crate) fn validate_key(key: &str) -> Result<()> {
     let (collection, rkey) = key
         .split_once('/')
         .ok_or_else(|| AtError::RepoError(format!("MST key missing '/': {key}")))?;
@@ -393,52 +390,13 @@ impl PartialEq for Mst {
 
 impl Eq for Mst {}
 
-/// A single change between two MST states.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum MstDiffOp {
-    /// Key present in the new tree but not the old one.
-    Created {
-        /// The key.
-        key: String,
-        /// The new value.
-        cid: Cid,
-    },
-    /// Key present in both but with a different value.
-    Updated {
-        /// The key.
-        key: String,
-        /// The previous value.
-        old: Cid,
-        /// The new value.
-        new: Cid,
-    },
-    /// Key removed in the new tree.
-    Deleted {
-        /// The key.
-        key: String,
-        /// The value it previously had.
-        cid: Cid,
-    },
-}
-
-impl MstDiffOp {
-    /// The key this operation concerns.
-    pub fn key(&self) -> &str {
-        match self {
-            MstDiffOp::Created { key, .. }
-            | MstDiffOp::Updated { key, .. }
-            | MstDiffOp::Deleted { key, .. } => key,
-        }
-    }
-}
-
 /// An encoded tree node.
 #[derive(Debug, Clone, PartialEq)]
-pub struct MstNode {
+pub(crate) struct MstNode {
     /// CID of this node's encoded block.
-    pub cid: Cid,
+    pub(crate) cid: Cid,
     /// The encoded DAG-CBOR bytes of the node.
-    pub bytes: Vec<u8>,
+    pub(crate) bytes: Vec<u8>,
 }
 
 /// What the mutations since the previous [`Mst::take_node_delta`] did to the
@@ -446,13 +404,13 @@ pub struct MstNode {
 /// and before, however the mutations got there (a batch that was undone, or
 /// a delete and re-add of the same value, nets to nothing).
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct NodeDelta {
+pub(crate) struct NodeDelta {
     /// Nodes of the tree now that were not nodes of it then, children
     /// before parents.
-    pub added: Vec<MstNode>,
+    pub(crate) added: Vec<MstNode>,
     /// CIDs of nodes of the tree then that are not nodes of it now, in no
     /// particular order.
-    pub removed: CidSet,
+    pub(crate) removed: CidSet,
 }
 
 /// In-order iterator over a tree's `(key, cid)` pairs.
@@ -500,18 +458,8 @@ impl<'a> Iterator for Iter<'a> {
 
 impl Mst {
     /// Create an empty tree.
-    pub fn new() -> Mst {
+    pub(crate) fn new() -> Mst {
         Mst::default()
-    }
-
-    /// Number of keys.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the tree is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     /// Insert or replace a key, returning the previous value if any.
@@ -550,7 +498,7 @@ impl Mst {
     }
 
     /// Remove a key, returning its value if it was present.
-    pub fn remove(&mut self, key: &str) -> Option<Cid> {
+    pub(crate) fn remove(&mut self, key: &str) -> Option<Cid> {
         let old = self.root.remove(key, &mut self.removed)?;
         self.len -= 1;
         // The root sits at the highest layer any key has: an entry-less
@@ -569,7 +517,7 @@ impl Mst {
     }
 
     /// Look up a key.
-    pub fn get(&self, key: &str) -> Option<&Cid> {
+    pub(crate) fn get(&self, key: &str) -> Option<&Cid> {
         let mut node = &self.root;
         loop {
             match node.search(key) {
@@ -580,53 +528,24 @@ impl Mst {
     }
 
     /// Whether a key is present.
-    pub fn contains(&self, key: &str) -> bool {
+    pub(crate) fn contains(&self, key: &str) -> bool {
         self.get(key).is_some()
     }
 
     /// Iterate all `(key, cid)` pairs in key order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, &Cid)> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (&str, &Cid)> {
         Iter::from_key(&self.root, "")
     }
 
     /// Iterate the keys of a single collection (keys beginning with
     /// `<collection>/`).
-    pub fn iter_collection<'a>(
+    pub(crate) fn iter_collection<'a>(
         &'a self,
         collection: &str,
     ) -> impl Iterator<Item = (&'a str, &'a Cid)> + 'a {
         let end = format!("{collection}0"); // '0' sorts just after '/'
         Iter::from_key(&self.root, &format!("{collection}/"))
             .take_while(move |(key, _)| *key < end.as_str())
-    }
-
-    /// Compute the differences needed to go from `old` to `self`.
-    pub fn diff(&self, old: &Mst) -> Vec<MstDiffOp> {
-        let mut ops = Vec::new();
-        for (key, cid) in self.iter() {
-            match old.get(key) {
-                None => ops.push(MstDiffOp::Created {
-                    key: key.to_string(),
-                    cid: *cid,
-                }),
-                Some(prev) if prev != cid => ops.push(MstDiffOp::Updated {
-                    key: key.to_string(),
-                    old: *prev,
-                    new: *cid,
-                }),
-                Some(_) => {}
-            }
-        }
-        for (key, cid) in old.iter() {
-            if !self.contains(key) {
-                ops.push(MstDiffOp::Deleted {
-                    key: key.to_string(),
-                    cid: *cid,
-                });
-            }
-        }
-        ops.sort_by(|a, b| a.key().cmp(b.key()));
-        ops
     }
 
     /// The root CID. Hashes only the nodes mutated since the last call, so
@@ -650,7 +569,7 @@ impl Mst {
     /// the node set (the first call reports the whole tree as added). This
     /// is the commit path: one walk over the touched nodes hashes them and
     /// yields the blocks to store.
-    pub fn take_node_delta(&mut self) -> (Cid, NodeDelta) {
+    pub(crate) fn take_node_delta(&mut self) -> (Cid, NodeDelta) {
         let mut delta = NodeDelta {
             added: Vec::new(),
             removed: std::mem::take(&mut self.removed),
@@ -659,141 +578,13 @@ impl Mst {
         (root, delta)
     }
 
-    /// How many nodes this tree has hashed so far — the work
-    /// [`Mst::root_cid`] and [`Mst::take_node_delta`] actually did.
-    pub fn nodes_hashed(&self) -> u64 {
-        self.hashed.get()
-    }
-
     /// All node blocks of the tree, children before parents (for CAR export
     /// and sync). Re-encodes every node; hashes only the dirty ones.
-    pub fn blocks(&self) -> Vec<MstNode> {
+    pub(crate) fn blocks(&self) -> Vec<MstNode> {
         self.root_cid();
         let mut blocks = Vec::new();
         self.root.collect_blocks(&mut Vec::new(), &mut blocks);
         blocks
-    }
-
-    /// The MST diff walk at the node level: the tree node blocks of `self`
-    /// that are **not** nodes of `old`. Because nodes are content-addressed,
-    /// these are exactly the structural blocks a sync consumer is missing
-    /// after it has already fetched `old` — the node portion of a
-    /// `com.atproto.sync.getRepo(did, since)` delta. The empty diff (equal
-    /// trees) yields an empty vector.
-    ///
-    /// This is the *reference* form of the walk (it encodes both trees,
-    /// O(n)); the repository layer serves deltas from its O(churn)
-    /// per-commit node log instead, and a test in `repo.rs` pins the two
-    /// equal.
-    pub fn node_delta(&self, old: &Mst) -> Vec<MstNode> {
-        let old_cids: CidSet = old.blocks().iter().map(|n| n.cid).collect();
-        self.blocks()
-            .into_iter()
-            .filter(|n| !old_cids.contains(&n.cid))
-            .collect()
-    }
-
-    /// Total serialized size of all node blocks in bytes (prefix-compressed
-    /// wire encoding).
-    pub fn structural_size(&self) -> usize {
-        self.blocks().iter().map(|n| n.bytes.len()).sum()
-    }
-
-    /// What the node blocks would occupy under the legacy full-key encoding
-    /// (every entry carries its whole key, no `p` field). Kept purely as the
-    /// measurement baseline for the prefix-compression win; nothing encodes
-    /// this form on the wire anymore.
-    pub fn structural_size_uncompressed(&self) -> usize {
-        self.build_with(false).1.iter().map(|n| n.bytes.len()).sum()
-    }
-
-    /// The reference builder: materialise the whole tree from the key list
-    /// alone (layers re-derived from the key hashes), returning the root CID
-    /// and every node block. The tests pin the incremental tree against it.
-    pub(crate) fn build_with(&self, compress: bool) -> (Cid, Vec<MstNode>) {
-        let mut blocks = Vec::new();
-        let items: Vec<(&str, Cid, u32)> = self
-            .iter()
-            .map(|(key, cid)| (key, *cid, key_layer(key)))
-            .collect();
-        let top_layer = items.iter().map(|(_, _, l)| *l).max().unwrap_or(0);
-        let root = Self::build_node(&items, top_layer, &mut blocks, compress);
-        (root, blocks)
-    }
-
-    /// Recursively build the node covering `items` at `layer`.
-    fn build_node(
-        items: &[(&str, Cid, u32)],
-        layer: u32,
-        blocks: &mut Vec<MstNode>,
-        compress: bool,
-    ) -> Cid {
-        // Entries at this layer, in order; the gaps between them (and at both
-        // ends) become child subtrees at layer - 1.
-        let mut node_entries: Vec<PendingEntry<'_>> = Vec::new();
-        let mut segment_start = 0usize;
-        let mut left_child: Option<Cid> = None;
-        let mut first_entry_seen = false;
-
-        let flush_segment = |start: usize, end: usize, blocks: &mut Vec<MstNode>| -> Option<Cid> {
-            if start >= end {
-                return None;
-            }
-            if layer == 0 {
-                // Cannot descend further; at layer 0 every item must be an
-                // entry, which the layer computation guarantees.
-                return None;
-            }
-            Some(Self::build_node(
-                &items[start..end],
-                layer - 1,
-                blocks,
-                compress,
-            ))
-        };
-
-        for (idx, &(key, cid, item_layer)) in items.iter().enumerate() {
-            if item_layer >= layer {
-                // Subtree of everything since the previous entry.
-                let subtree = flush_segment(segment_start, idx, blocks);
-                if !first_entry_seen {
-                    left_child = subtree;
-                } else if let Some(sub) = subtree {
-                    // Attach as the "tree" of the previous entry.
-                    if let Some(prev) = node_entries.last_mut() {
-                        prev.subtree = Some(sub);
-                    }
-                }
-                first_entry_seen = true;
-                node_entries.push(PendingEntry {
-                    key,
-                    value: cid,
-                    subtree: None,
-                });
-                segment_start = idx + 1;
-            }
-        }
-        // Trailing subtree.
-        let trailing = flush_segment(segment_start, items.len(), blocks);
-        if !first_entry_seen {
-            left_child = trailing;
-        } else if let Some(sub) = trailing {
-            if let Some(prev) = node_entries.last_mut() {
-                prev.subtree = Some(sub);
-            }
-        }
-
-        let mut bytes = Vec::new();
-        encode_node(
-            left_child,
-            node_entries.into_iter(),
-            layer,
-            compress,
-            &mut bytes,
-        );
-        let cid = Cid::for_cbor(&bytes);
-        blocks.push(MstNode { cid, bytes });
-        cid
     }
 }
 
@@ -805,7 +596,7 @@ struct PendingEntry<'a> {
 }
 
 /// Append one MST node block to `out`, without building an intermediate
-/// [`Value`] tree — byte-identical to encoding the equivalent `Value`
+/// `Value` tree — byte-identical to encoding the equivalent `Value`
 /// (map keys emitted in DAG-CBOR canonical order: length first, then
 /// bytewise), pinned by the `direct_encoding_matches_value_encoding` test.
 /// With `compress`, each entry's key is cut to the suffix past the prefix it
@@ -863,76 +654,6 @@ fn common_prefix_len(a: &str, b: &str) -> usize {
     a.bytes().zip(b.bytes()).take_while(|(x, y)| x == y).count()
 }
 
-/// One entry of a decoded node, with the full key reconstructed from the
-/// prefix compression.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MstNodeEntry {
-    /// The full record key.
-    pub key: String,
-    /// The record block CID.
-    pub value: Cid,
-    /// Link to the subtree between this entry and the next, if any.
-    pub tree: Option<Cid>,
-}
-
-/// A decoded MST node block.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DecodedMstNode {
-    /// Link to the subtree left of the first entry.
-    pub left: Option<Cid>,
-    /// The node's layer.
-    pub layer: u32,
-    /// Entries in key order.
-    pub entries: Vec<MstNodeEntry>,
-}
-
-/// Decode a node block, undoing the per-entry key prefix compression. An
-/// entry without a `p` field decodes as an uncompressed (full-key) entry,
-/// so both wire forms parse.
-pub fn decode_node(bytes: &[u8]) -> Result<DecodedMstNode> {
-    let value = crate::cbor::decode(bytes)?;
-    let raw_entries = value
-        .get("e")
-        .and_then(Value::as_array)
-        .ok_or_else(|| AtError::RepoError("MST node missing entry array".into()))?;
-    let left = value.get("l").and_then(Value::as_link).copied();
-    let layer = value.get("layer").and_then(Value::as_int).unwrap_or(0) as u32;
-    let mut entries = Vec::with_capacity(raw_entries.len());
-    let mut prev = String::new();
-    for entry in raw_entries {
-        let prefix = entry.get("p").and_then(Value::as_int).unwrap_or(0) as usize;
-        let suffix = entry
-            .get("k")
-            .and_then(Value::as_text)
-            .ok_or_else(|| AtError::RepoError("MST entry missing key".into()))?;
-        // `get` also refuses a prefix that ends inside a multi-byte
-        // character, which slicing would panic on.
-        let shared = prev.get(..prefix).ok_or_else(|| {
-            AtError::RepoError(format!(
-                "MST entry prefix {prefix} does not fit the previous key (length {})",
-                prev.len()
-            ))
-        })?;
-        let key = format!("{shared}{suffix}");
-        let value_cid = *entry
-            .get("v")
-            .and_then(Value::as_link)
-            .ok_or_else(|| AtError::RepoError("MST entry missing value".into()))?;
-        let tree = entry.get("t").and_then(Value::as_link).copied();
-        prev.clone_from(&key);
-        entries.push(MstNodeEntry {
-            key,
-            value: value_cid,
-            tree,
-        });
-    }
-    Ok(DecodedMstNode {
-        left,
-        layer,
-        entries,
-    })
-}
-
 impl FromIterator<(String, Cid)> for Mst {
     fn from_iter<T: IntoIterator<Item = (String, Cid)>>(iter: T) -> Self {
         let mut mst = Mst::new();
@@ -943,9 +664,212 @@ impl FromIterator<(String, Cid)> for Mst {
     }
 }
 
+// ---------------------------------------------------------------------------
+// Reference implementations the tests below (and `repo.rs`'s) hold the
+// incremental tree, its direct node encoder and the per-commit node log to.
+// They share only `encode_node` with the live tree.
+// ---------------------------------------------------------------------------
+
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::*;
+    use crate::cbor::Value;
+
+    impl Mst {
+        /// Total serialized size of all node blocks in bytes (prefix-compressed
+        /// wire encoding).
+        pub(crate) fn structural_size(&self) -> usize {
+            self.blocks().iter().map(|n| n.bytes.len()).sum()
+        }
+
+        /// What the node blocks would occupy under the legacy full-key encoding
+        /// (every entry carries its whole key, no `p` field). Kept purely as the
+        /// measurement baseline for the prefix-compression win; nothing encodes
+        /// this form on the wire anymore.
+        pub(crate) fn structural_size_uncompressed(&self) -> usize {
+            self.build_with(false).1.iter().map(|n| n.bytes.len()).sum()
+        }
+
+        /// The reference builder: materialise the whole tree from the key list
+        /// alone (layers re-derived from the key hashes), returning the root CID
+        /// and every node block. The tests pin the incremental tree against it.
+        pub(crate) fn build_with(&self, compress: bool) -> (Cid, Vec<MstNode>) {
+            let mut blocks = Vec::new();
+            let items: Vec<(&str, Cid, u32)> = self
+                .iter()
+                .map(|(key, cid)| (key, *cid, key_layer(key)))
+                .collect();
+            let top_layer = items.iter().map(|(_, _, l)| *l).max().unwrap_or(0);
+            let root = Self::build_node(&items, top_layer, &mut blocks, compress);
+            (root, blocks)
+        }
+
+        /// Recursively build the node covering `items` at `layer`.
+        fn build_node(
+            items: &[(&str, Cid, u32)],
+            layer: u32,
+            blocks: &mut Vec<MstNode>,
+            compress: bool,
+        ) -> Cid {
+            // Entries at this layer, in order; the gaps between them (and at both
+            // ends) become child subtrees at layer - 1.
+            let mut node_entries: Vec<PendingEntry<'_>> = Vec::new();
+            let mut segment_start = 0usize;
+            let mut left_child: Option<Cid> = None;
+            let mut first_entry_seen = false;
+
+            let flush_segment =
+                |start: usize, end: usize, blocks: &mut Vec<MstNode>| -> Option<Cid> {
+                    if start >= end {
+                        return None;
+                    }
+                    if layer == 0 {
+                        // Cannot descend further; at layer 0 every item must be an
+                        // entry, which the layer computation guarantees.
+                        return None;
+                    }
+                    Some(Self::build_node(
+                        &items[start..end],
+                        layer - 1,
+                        blocks,
+                        compress,
+                    ))
+                };
+
+            for (idx, &(key, cid, item_layer)) in items.iter().enumerate() {
+                if item_layer >= layer {
+                    // Subtree of everything since the previous entry.
+                    let subtree = flush_segment(segment_start, idx, blocks);
+                    if !first_entry_seen {
+                        left_child = subtree;
+                    } else if let Some(sub) = subtree {
+                        // Attach as the "tree" of the previous entry.
+                        if let Some(prev) = node_entries.last_mut() {
+                            prev.subtree = Some(sub);
+                        }
+                    }
+                    first_entry_seen = true;
+                    node_entries.push(PendingEntry {
+                        key,
+                        value: cid,
+                        subtree: None,
+                    });
+                    segment_start = idx + 1;
+                }
+            }
+            // Trailing subtree.
+            let trailing = flush_segment(segment_start, items.len(), blocks);
+            if !first_entry_seen {
+                left_child = trailing;
+            } else if let Some(sub) = trailing {
+                if let Some(prev) = node_entries.last_mut() {
+                    prev.subtree = Some(sub);
+                }
+            }
+
+            let mut bytes = Vec::new();
+            encode_node(
+                left_child,
+                node_entries.into_iter(),
+                layer,
+                compress,
+                &mut bytes,
+            );
+            let cid = Cid::for_cbor(&bytes);
+            blocks.push(MstNode { cid, bytes });
+            cid
+        }
+
+        /// The MST diff walk at the node level: the node blocks of `self` that
+        /// are not nodes of `old` — what a sync consumer that already holds
+        /// `old` is missing. Encodes both trees, O(n); the repository serves
+        /// deltas from its O(churn) per-commit node log instead, and a test in
+        /// `repo.rs` pins the two equal.
+        pub(crate) fn node_delta(&self, old: &Mst) -> Vec<MstNode> {
+            let old_cids: CidSet = old.blocks().iter().map(|n| n.cid).collect();
+            self.blocks()
+                .into_iter()
+                .filter(|n| !old_cids.contains(&n.cid))
+                .collect()
+        }
+    }
+
+    /// One entry of a decoded node, with the full key reconstructed from the
+    /// prefix compression.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub(crate) struct MstNodeEntry {
+        /// The full record key.
+        pub(crate) key: String,
+        /// The record block CID.
+        pub(crate) value: Cid,
+        /// Link to the subtree between this entry and the next, if any.
+        pub(crate) tree: Option<Cid>,
+    }
+
+    /// A decoded MST node block.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub(crate) struct DecodedMstNode {
+        /// Link to the subtree left of the first entry.
+        pub(crate) left: Option<Cid>,
+        /// The node's layer.
+        pub(crate) layer: u32,
+        /// Entries in key order.
+        pub(crate) entries: Vec<MstNodeEntry>,
+    }
+
+    /// Decode a node block, undoing the per-entry key prefix compression. An
+    /// entry without a `p` field decodes as an uncompressed (full-key) entry,
+    /// so both wire forms parse.
+    pub(crate) fn decode_node(bytes: &[u8]) -> Result<DecodedMstNode> {
+        let value = crate::cbor::decode(bytes)?;
+        let raw_entries = value
+            .get("e")
+            .and_then(Value::as_array)
+            .ok_or_else(|| AtError::RepoError("MST node missing entry array".into()))?;
+        let left = value.get("l").and_then(Value::as_link).copied();
+        let layer = value.get("layer").and_then(Value::as_int).unwrap_or(0) as u32;
+        let mut entries = Vec::with_capacity(raw_entries.len());
+        let mut prev = String::new();
+        for entry in raw_entries {
+            let prefix = entry.get("p").and_then(Value::as_int).unwrap_or(0) as usize;
+            let suffix = entry
+                .get("k")
+                .and_then(Value::as_text)
+                .ok_or_else(|| AtError::RepoError("MST entry missing key".into()))?;
+            // `get` also refuses a prefix that ends inside a multi-byte
+            // character, which slicing would panic on.
+            let shared = prev.get(..prefix).ok_or_else(|| {
+                AtError::RepoError(format!(
+                    "MST entry prefix {prefix} does not fit the previous key (length {})",
+                    prev.len()
+                ))
+            })?;
+            let key = format!("{shared}{suffix}");
+            let value_cid = *entry
+                .get("v")
+                .and_then(Value::as_link)
+                .ok_or_else(|| AtError::RepoError("MST entry missing value".into()))?;
+            let tree = entry.get("t").and_then(Value::as_link).copied();
+            prev.clone_from(&key);
+            entries.push(MstNodeEntry {
+                key,
+                value: value_cid,
+                tree,
+            });
+        }
+        Ok(DecodedMstNode {
+            left,
+            layer,
+            entries,
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::reference::decode_node;
     use super::*;
+    use crate::cbor::Value;
     use std::collections::BTreeMap;
 
     fn cid_for(n: u32) -> Cid {
@@ -1018,14 +942,10 @@ mod tests {
         mst.insert(&key_for(1), cid_for(1)).unwrap();
         let root1 = mst.root_cid();
         assert_eq!(mst.root_cid(), root1, "memoised read is stable");
-        let hashed = mst.nodes_hashed();
+        let hashed = mst.hashed.get();
         mst.insert(&key_for(1), cid_for(1)).unwrap(); // no-op replace
         assert_eq!(mst.root_cid(), root1);
-        assert_eq!(
-            mst.nodes_hashed(),
-            hashed,
-            "a no-op replace dirties nothing"
-        );
+        assert_eq!(mst.hashed.get(), hashed, "a no-op replace dirties nothing");
         mst.insert(&key_for(2), cid_for(2)).unwrap();
         let root2 = mst.root_cid();
         assert_ne!(root2, root1, "insert invalidates the memo");
@@ -1051,22 +971,22 @@ mod tests {
         let (_, whole) = mst.take_node_delta();
         assert!(whole.added.len() > 400, "{} nodes", whole.added.len());
         for n in 2000..2100 {
-            let before = mst.nodes_hashed();
+            let before = mst.hashed.get();
             mst.insert(&key_for(n), cid_for(n)).unwrap();
             let (root, delta) = mst.take_node_delta();
-            let hashed = mst.nodes_hashed() - before;
+            let hashed = mst.hashed.get() - before;
             assert!(hashed <= 16, "key {n}: hashed {hashed} nodes");
             assert!(delta.added.len() as u64 <= hashed);
             assert_eq!(mst.root_cid(), root);
-            assert_eq!(mst.nodes_hashed() - before, hashed, "repeat read hashed");
+            assert_eq!(mst.hashed.get() - before, hashed, "repeat read hashed");
         }
 
         let mut standalone = Mst::new();
         for n in 0..2000 {
-            let before = standalone.nodes_hashed();
+            let before = standalone.hashed.get();
             standalone.insert(&key_for(n), cid_for(n)).unwrap();
             standalone.root_cid();
-            assert!(standalone.nodes_hashed() - before <= 16);
+            assert!(standalone.hashed.get() - before <= 16);
         }
         for n in 0..2000 {
             standalone.insert(&key_for(n), cid_for(n + 1)).unwrap();
@@ -1084,7 +1004,7 @@ mod tests {
     #[test]
     fn insert_get_remove() {
         let mut mst = Mst::new();
-        assert!(mst.is_empty());
+        assert_eq!(mst.len, 0);
         assert_eq!(mst.insert(&key_for(1), cid_for(1)).unwrap(), None);
         assert_eq!(
             mst.insert(&key_for(1), cid_for(2)).unwrap(),
@@ -1092,9 +1012,9 @@ mod tests {
         );
         assert_eq!(mst.get(&key_for(1)), Some(&cid_for(2)));
         assert!(mst.contains(&key_for(1)));
-        assert_eq!(mst.len(), 1);
+        assert_eq!(mst.len, 1);
         assert_eq!(mst.remove(&key_for(1)), Some(cid_for(2)));
-        assert!(mst.is_empty());
+        assert_eq!(mst.len, 0);
     }
 
     #[test]
@@ -1339,34 +1259,6 @@ mod tests {
         assert_eq!(common_prefix_len("abc/def", "abc/xyz"), 4);
         assert_eq!(common_prefix_len("", "abc"), 0);
     }
-
-    #[test]
-    fn diff_reports_all_changes() {
-        let mut old = Mst::new();
-        old.insert(&key_for(1), cid_for(1)).unwrap();
-        old.insert(&key_for(2), cid_for(2)).unwrap();
-        old.insert(&key_for(3), cid_for(3)).unwrap();
-        let mut new = old.clone();
-        new.remove(&key_for(1));
-        new.insert(&key_for(2), cid_for(20)).unwrap();
-        new.insert(&key_for(4), cid_for(4)).unwrap();
-        let ops = new.diff(&old);
-        assert_eq!(ops.len(), 3);
-        assert!(ops.contains(&MstDiffOp::Deleted {
-            key: key_for(1),
-            cid: cid_for(1)
-        }));
-        assert!(ops.contains(&MstDiffOp::Updated {
-            key: key_for(2),
-            old: cid_for(2),
-            new: cid_for(20)
-        }));
-        assert!(ops.contains(&MstDiffOp::Created {
-            key: key_for(4),
-            cid: cid_for(4)
-        }));
-        assert!(new.diff(&new).is_empty());
-    }
 }
 
 #[cfg(test)]
@@ -1400,7 +1292,7 @@ mod proptests {
         /// `peek_root` reads the root before draining, so the drain meets
         /// nodes an earlier `root_cid()` already hashed.
         fn check(&mut self, peek_root: bool) {
-            assert_eq!(self.mst.len(), self.model.len());
+            assert_eq!(self.mst.len, self.model.len());
             assert!(self
                 .mst
                 .iter()
@@ -1489,7 +1381,7 @@ mod proptests {
                 tree.remove(&key);
                 tree.check(false);
             }
-            assert!(tree.mst.is_empty());
+            assert_eq!(tree.mst.len, 0);
             assert_eq!(tree.live.len(), 1, "the empty tree is one empty node");
             tree.insert(&arb_key(&mut rng), value(1));
             tree.check(true);
@@ -1520,9 +1412,9 @@ mod proptests {
         tree.check(true);
         // A no-op replace of a deep key reports nothing.
         tree.insert(&low[3], value(3));
-        let hashed = tree.mst.nodes_hashed();
+        let hashed = tree.mst.hashed.get();
         tree.check(false);
-        assert_eq!(tree.mst.nodes_hashed(), hashed);
+        assert_eq!(tree.mst.hashed.get(), hashed);
         // Delete the top-layer keys one by one: the halves merge back and
         // the root drops to the highest layer left.
         tree.remove(&high[1]);
@@ -1592,17 +1484,13 @@ mod proptests {
             };
             let old = make(&a);
             let new = make(&b);
-            // Applying the diff to `old` must produce `new`.
+            // Applying the difference to `old` must produce `new`.
             let mut patched = old.clone();
-            for op in new.diff(&old) {
-                match op {
-                    MstDiffOp::Created { key, cid } | MstDiffOp::Updated { key, new: cid, .. } => {
-                        patched.insert(&key, cid).unwrap();
-                    }
-                    MstDiffOp::Deleted { key, .. } => {
-                        patched.remove(&key);
-                    }
-                }
+            for (key, cid) in new.iter() {
+                patched.insert(key, *cid).unwrap();
+            }
+            for key in a.keys().filter(|key| !b.contains_key(*key)) {
+                patched.remove(key);
             }
             assert_eq!(patched.root_cid(), new.root_cid());
         }

@@ -33,9 +33,7 @@ pub mod known {
     /// A feed generator declaration record.
     pub const FEED_GENERATOR: &str = "app.bsky.feed.generator";
     /// A labeler service declaration record.
-    pub const LABELER_SERVICE: &str = "app.bsky.labeler.service";
-    /// A moderation label (emitted on label streams, not stored in repos).
-    pub const LABEL: &str = "com.atproto.label.defs#label";
+    pub(crate) const LABELER_SERVICE: &str = "app.bsky.labeler.service";
     /// WhiteWind long-form blog entry (third-party lexicon).
     pub const WHTWND_ENTRY: &str = "com.whtwnd.blog.entry";
 }
@@ -56,7 +54,7 @@ impl Nsid {
     /// `app.bsky.feed.generator`, pre-validated.
     pub const FEED_GENERATOR: Nsid = Nsid(Cow::Borrowed(known::FEED_GENERATOR));
     /// `app.bsky.labeler.service`, pre-validated.
-    pub const LABELER_SERVICE: Nsid = Nsid(Cow::Borrowed(known::LABELER_SERVICE));
+    pub(crate) const LABELER_SERVICE: Nsid = Nsid(Cow::Borrowed(known::LABELER_SERVICE));
     /// `com.whtwnd.blog.entry`, pre-validated.
     pub const WHTWND_ENTRY: Nsid = Nsid(Cow::Borrowed(known::WHTWND_ENTRY));
 
@@ -124,29 +122,13 @@ impl Nsid {
     }
 
     /// Length in bytes of the string form.
-    pub fn string_len(&self) -> usize {
+    pub(crate) fn string_len(&self) -> usize {
         self.0.len()
     }
 
     /// Append the string form to `out` ([`Self::string_len`] bytes).
-    pub fn write_to(&self, out: &mut Vec<u8>) {
+    pub(crate) fn write_to(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(self.0.as_bytes());
-    }
-
-    /// The namespace authority (all segments except the final name), e.g.
-    /// `app.bsky.feed` for `app.bsky.feed.post`.
-    pub fn authority(&self) -> &str {
-        let main = self.0.split('#').next().unwrap_or(&self.0);
-        match main.rfind('.') {
-            Some(idx) => &main[..idx],
-            None => main,
-        }
-    }
-
-    /// The record type name (final segment, without fragment).
-    pub fn name(&self) -> &str {
-        let main = self.0.split('#').next().unwrap_or(&self.0);
-        main.rsplit('.').next().unwrap_or(main)
     }
 
     /// Whether this NSID belongs to the Bluesky application or core ATProto
@@ -202,7 +184,7 @@ mod tests {
             known::PROFILE,
             known::FEED_GENERATOR,
             known::LABELER_SERVICE,
-            known::LABEL,
+            "com.atproto.label.defs#label",
             known::WHTWND_ENTRY,
         ] {
             assert!(Nsid::parse(s).is_ok(), "{s}");
@@ -212,19 +194,15 @@ mod tests {
     #[test]
     fn authority_and_name() {
         let n = Nsid::parse("app.bsky.feed.post").unwrap();
-        assert_eq!(n.authority(), "app.bsky.feed");
-        assert_eq!(n.name(), "post");
         assert!(n.is_bluesky_lexicon());
         let n = Nsid::parse("com.whtwnd.blog.entry").unwrap();
         assert!(!n.is_bluesky_lexicon());
-        assert_eq!(n.name(), "entry");
     }
 
     #[test]
     fn fragment_handling() {
         let n = Nsid::parse("com.atproto.label.defs#label").unwrap();
-        assert_eq!(n.name(), "defs");
-        assert_eq!(n.authority(), "com.atproto.label");
+        assert_eq!(n.as_str(), "com.atproto.label.defs#label");
         assert!(Nsid::parse("com.atproto.label.defs#").is_err());
         assert!(Nsid::parse("com.atproto.label.defs#two#three").is_err());
     }

@@ -43,7 +43,7 @@ pub enum MediaKind {
 
 impl MediaKind {
     /// Stable string tag used for CBOR encoding.
-    pub fn as_str(&self) -> &'static str {
+    pub(crate) fn as_str(&self) -> &'static str {
         match self {
             MediaKind::Photo => "photo",
             MediaKind::Artwork => "artwork",
@@ -59,7 +59,7 @@ impl MediaKind {
     }
 
     /// Parse the string tag.
-    pub fn parse(s: &str) -> Result<MediaKind> {
+    pub(crate) fn parse(s: &str) -> Result<MediaKind> {
         Ok(match s {
             "photo" => MediaKind::Photo,
             "artwork" => MediaKind::Artwork,
@@ -73,22 +73,6 @@ impl MediaKind {
             "graphic" => MediaKind::Graphic,
             _ => return Err(AtError::InvalidRecord(format!("unknown media kind {s}"))),
         })
-    }
-
-    /// All media kinds (useful for generators and exhaustive tests).
-    pub fn all() -> [MediaKind; 10] {
-        [
-            MediaKind::Photo,
-            MediaKind::Artwork,
-            MediaKind::ScreenshotTwitter,
-            MediaKind::ScreenshotBluesky,
-            MediaKind::ScreenshotOther,
-            MediaKind::GifTenor,
-            MediaKind::GifOther,
-            MediaKind::AiGenerated,
-            MediaKind::Adult,
-            MediaKind::Graphic,
-        ]
     }
 }
 
@@ -143,11 +127,6 @@ impl PostRecord {
             embed: None,
             tags: Vec::new(),
         }
-    }
-
-    /// Whether the post has attached media.
-    pub fn has_media(&self) -> bool {
-        matches!(self.embed, Some(Embed::Images(_)))
     }
 
     /// Whether the post has attached media missing alt text.
@@ -357,22 +336,22 @@ pub struct FeedGeneratorRecord {
 
 /// One label value a Labeler declares, with its default client behaviour.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LabelValueDefinition {
+pub(crate) struct LabelValueDefinition {
     /// The label value, e.g. `spoiler`.
-    pub value: String,
+    pub(crate) value: String,
     /// Default severity (`inform`, `alert`, or `none`).
-    pub severity: String,
+    pub(crate) severity: String,
     /// What the label blurs by default (`content`, `media`, or `none`).
-    pub blurs: String,
+    pub(crate) blurs: String,
 }
 
 /// `app.bsky.labeler.service` — a Labeler declaration (§2, §6).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LabelerServiceRecord {
     /// Declared label values and their default behaviour.
-    pub policies: Vec<LabelValueDefinition>,
+    pub(crate) policies: Vec<LabelValueDefinition>,
     /// Creation time.
-    pub created_at: Datetime,
+    pub(crate) created_at: Datetime,
 }
 
 /// A record in a lexicon this crate does not model (e.g. WhiteWind).
@@ -421,11 +400,6 @@ impl Record {
             Record::LabelerService(_) => Nsid::LABELER_SERVICE,
             Record::Unknown(u) => u.record_type.clone(),
         }
-    }
-
-    /// Whether this record's lexicon is part of the Bluesky application.
-    pub fn is_bluesky_lexicon(&self) -> bool {
-        self.collection().is_bluesky_lexicon()
     }
 
     /// The record's self-reported creation time, when the lexicon has one.
@@ -549,7 +523,7 @@ impl Record {
     }
 
     /// Decode from the CBOR data model, dispatching on `$type`.
-    pub fn from_value(value: &Value) -> Result<Record> {
+    pub(crate) fn from_value(value: &Value) -> Result<Record> {
         let type_str = value
             .get("$type")
             .and_then(Value::as_text)
@@ -689,7 +663,7 @@ impl Record {
     /// `cbor::encode(&self.to_value())`. The eight modelled kinds are
     /// written in one typed pass, fields in canonical key order; a
     /// third-party record *is* a [`Value`] and takes the generic encoder.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
+    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
             Record::Post(r) => r.encode_into(out),
             Record::Like(r) => {
@@ -749,7 +723,7 @@ impl Record {
     }
 
     /// Decode from DAG-CBOR bytes. A block in the canonical shape
-    /// [`Self::encode_into`] writes is read in one typed pass; anything else
+    /// `Self::encode_into` writes is read in one typed pass; anything else
     /// — another lexicon, a non-canonical but valid encoding, a malformed
     /// block — goes through `from_value(decode(bytes))`, so what is
     /// accepted and every error are that path's.
@@ -1088,6 +1062,20 @@ fn embed_from_value(value: &Value) -> Result<Embed> {
 }
 
 #[cfg(test)]
+const ALL_MEDIA_KINDS: [MediaKind; 10] = [
+    MediaKind::Photo,
+    MediaKind::Artwork,
+    MediaKind::ScreenshotTwitter,
+    MediaKind::ScreenshotBluesky,
+    MediaKind::ScreenshotOther,
+    MediaKind::GifTenor,
+    MediaKind::GifOther,
+    MediaKind::AiGenerated,
+    MediaKind::Adult,
+    MediaKind::Graphic,
+];
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -1109,7 +1097,7 @@ mod tests {
         let back = Record::from_cbor(&record.to_cbor()).unwrap();
         assert_eq!(back, record);
         assert_eq!(record.collection().as_str(), known::POST);
-        assert!(record.is_bluesky_lexicon());
+        assert!(record.collection().is_bluesky_lexicon());
         assert_eq!(record.created_at(), Some(when()));
     }
 
@@ -1135,7 +1123,6 @@ mod tests {
         let back = Record::from_cbor(&record.to_cbor()).unwrap();
         assert_eq!(back, record);
         if let Record::Post(p) = &back {
-            assert!(p.has_media());
             assert!(p.has_media_missing_alt());
             assert!(p.media_kinds().eq([MediaKind::Photo, MediaKind::GifTenor]));
         } else {
@@ -1187,7 +1174,7 @@ mod tests {
         ] {
             let back = Record::from_cbor(&record.to_cbor()).unwrap();
             assert_eq!(back, record);
-            assert!(record.is_bluesky_lexicon());
+            assert!(record.collection().is_bluesky_lexicon());
         }
     }
 
@@ -1242,7 +1229,7 @@ mod tests {
         });
         let back = Record::from_cbor(&record.to_cbor()).unwrap();
         assert_eq!(back.collection().as_str(), known::WHTWND_ENTRY);
-        assert!(!back.is_bluesky_lexicon());
+        assert!(!back.collection().is_bluesky_lexicon());
         assert_eq!(back.created_at(), Some(when()));
     }
 
@@ -1264,7 +1251,7 @@ mod tests {
 
     #[test]
     fn media_kind_roundtrip() {
-        for kind in MediaKind::all() {
+        for kind in ALL_MEDIA_KINDS {
             assert_eq!(MediaKind::parse(kind.as_str()).unwrap(), kind);
         }
         assert!(MediaKind::parse("hologram").is_err());
@@ -1343,7 +1330,7 @@ mod oracle {
                 (0..rng.below(4))
                     .map(|_| ImageEmbed {
                         alt: (rng.below(2) == 0).then(|| arb_text(rng)),
-                        kind: MediaKind::all()[rng.below(10) as usize],
+                        kind: ALL_MEDIA_KINDS[rng.below(10) as usize],
                     })
                     .collect(),
             ),

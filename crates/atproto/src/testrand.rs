@@ -31,7 +31,8 @@ impl TestRng {
     }
 
     /// Random byte vector with length in `[0, max_len)`.
-    pub fn bytes(&mut self, max_len: usize) -> Vec<u8> {
+    #[cfg(test)]
+    pub(crate) fn bytes(&mut self, max_len: usize) -> Vec<u8> {
         let len = self.below(max_len.max(1) as u64) as usize;
         (0..len).map(|_| self.next_u64() as u8).collect()
     }
@@ -45,7 +46,8 @@ impl TestRng {
     }
 
     /// Random printable-ish string (includes non-ASCII) for parser fuzzing.
-    pub fn junk_string(&mut self, max_len: usize) -> String {
+    #[cfg(test)]
+    pub(crate) fn junk_string(&mut self, max_len: usize) -> String {
         let len = self.below(max_len.max(1) as u64) as usize;
         (0..len)
             .map(|_| {

@@ -14,7 +14,7 @@ use std::fmt;
 /// Base32-sortable alphabet used by TIDs.
 const TID_ALPHABET: &[u8; 32] = b"234567abcdefghijklmnopqrstuvwxyz";
 /// Number of characters in a TID.
-pub const TID_LEN: usize = 13;
+pub(crate) const TID_LEN: usize = 13;
 
 /// A timestamp identifier / record key.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -29,31 +29,9 @@ impl Tid {
         Tid((ts << 10) | (clock_id as u64 & 0x3ff))
     }
 
-    /// Construct from a [`Datetime`] plus a sub-second sequence number and
-    /// clock id, keeping ordering within a second.
-    pub fn from_datetime(dt: Datetime, sequence: u32, clock_id: u16) -> Tid {
-        let micros = (dt.timestamp().max(0) as u64) * 1_000_000 + (sequence as u64 % 1_000_000);
-        Tid::from_micros(micros, clock_id)
-    }
-
     /// The embedded timestamp in microseconds since the epoch.
     pub fn timestamp_micros(&self) -> u64 {
         self.0 >> 10
-    }
-
-    /// The embedded timestamp as a [`Datetime`] (seconds precision).
-    pub fn datetime(&self) -> Datetime {
-        Datetime((self.timestamp_micros() / 1_000_000) as i64)
-    }
-
-    /// The 10-bit clock identifier.
-    pub fn clock_id(&self) -> u16 {
-        (self.0 & 0x3ff) as u16
-    }
-
-    /// The raw 64-bit value.
-    pub fn raw(&self) -> u64 {
-        self.0
     }
 
     /// The 13 base32-sortable characters, on the stack.
@@ -73,12 +51,12 @@ impl Tid {
     }
 
     /// Length in bytes of the string form.
-    pub fn string_len(&self) -> usize {
+    pub(crate) fn string_len(&self) -> usize {
         TID_LEN
     }
 
     /// Append the string form to `out` ([`Self::string_len`] bytes).
-    pub fn write_to(&self, out: &mut Vec<u8>) {
+    pub(crate) fn write_to(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&self.to_array());
     }
 
@@ -123,14 +101,14 @@ impl std::str::FromStr for Tid {
 /// Real PDS implementations guarantee strictly increasing TIDs even when the
 /// clock stalls; this clocker reproduces that behaviour.
 #[derive(Debug, Clone)]
-pub struct TidClock {
+pub(crate) struct TidClock {
     clock_id: u16,
     last_micros: u64,
 }
 
 impl TidClock {
     /// Create a clock with the given 10-bit writer identifier.
-    pub fn new(clock_id: u16) -> TidClock {
+    pub(crate) fn new(clock_id: u16) -> TidClock {
         TidClock {
             clock_id: clock_id & 0x3ff,
             last_micros: 0,
@@ -138,7 +116,7 @@ impl TidClock {
     }
 
     /// Produce the next TID at or after the given instant.
-    pub fn next(&mut self, now: Datetime) -> Tid {
+    pub(crate) fn next(&mut self, now: Datetime) -> Tid {
         let mut micros = now.timestamp().max(0) as u64 * 1_000_000;
         if micros <= self.last_micros {
             micros = self.last_micros + 1;
@@ -158,7 +136,7 @@ mod tests {
         let s = tid.to_string_form();
         assert_eq!(s.len(), TID_LEN);
         assert_eq!(Tid::parse(&s).unwrap(), tid);
-        assert_eq!(tid.clock_id(), 42);
+        assert_eq!(tid.0 & 0x3ff, 42);
         assert_eq!(tid.timestamp_micros(), 1_713_916_800_000_000);
     }
 
@@ -172,9 +150,10 @@ mod tests {
 
     #[test]
     fn lexicographic_order_matches_time_order() {
-        let a = Tid::from_datetime(Datetime::from_ymd(2023, 5, 1).unwrap(), 0, 1);
-        let b = Tid::from_datetime(Datetime::from_ymd(2023, 5, 1).unwrap(), 5, 1);
-        let c = Tid::from_datetime(Datetime::from_ymd(2024, 2, 6).unwrap(), 0, 1);
+        let micros = |y, m, d| Datetime::from_ymd(y, m, d).unwrap().timestamp() as u64 * 1_000_000;
+        let a = Tid::from_micros(micros(2023, 5, 1), 1);
+        let b = Tid::from_micros(micros(2023, 5, 1) + 5, 1);
+        let c = Tid::from_micros(micros(2024, 2, 6), 1);
         assert!(a.to_string_form() < b.to_string_form());
         assert!(b.to_string_form() < c.to_string_form());
         assert!(a < b && b < c);
@@ -204,8 +183,8 @@ mod tests {
     #[test]
     fn datetime_extraction() {
         let dt = Datetime::from_ymd_hms(2024, 4, 24, 10, 30, 0).unwrap();
-        let tid = Tid::from_datetime(dt, 123, 5);
-        assert_eq!(tid.datetime(), dt);
+        let tid = TidClock::new(5).next(dt);
+        assert_eq!(tid.timestamp_micros() / 1_000_000, dt.timestamp() as u64);
     }
 }
 
@@ -223,7 +202,7 @@ mod proptests {
             let tid = Tid::from_micros(micros, clock);
             assert_eq!(Tid::parse(&tid.to_string_form()).unwrap(), tid);
             assert_eq!(tid.timestamp_micros(), micros);
-            assert_eq!(tid.clock_id(), clock);
+            assert_eq!((tid.0 & 0x3ff) as u16, clock);
         }
     }
 

@@ -17,9 +17,6 @@
 //! * **paged AppView entity shards** — the same comparison for the
 //!   AppView's own CBOR entity blocks (`--appview-shards 4 --store paged`
 //!   vs the monolithic in-memory default).
-//! * **MST prefix compression** — node blocks encode prefix-compressed
-//!   entry keys; at a realistic tree size the structural bytes must beat
-//!   the legacy full-key encoding.
 //! * **relay federation** — the collection with the PDS fleet crawled by
 //!   two regional relays forwarding into the super-relay over the paged
 //!   store, at two population scales: resident block bytes per DID must
@@ -203,31 +200,6 @@ fn main() {
     assert!(
         mem_store.writeback_flushes > 0 && mem_store.writeback_hits > 0,
         "the write-back cache must buffer and flush dirty entities at bench scale"
-    );
-
-    // Wire: MST node entries are prefix-compressed; measure the structural
-    // bytes against the legacy full-key encoding at a realistic tree size.
-    let (mst_compressed, mst_uncompressed) = {
-        use bsky_atproto::cid::Cid;
-        use bsky_atproto::mst::Mst;
-        let mut mst = Mst::new();
-        for user in 0..40 {
-            for day in 0..50 {
-                let key = format!("app.bsky.feed.post/u{user:03}d{day:05}");
-                mst.insert(&key, Cid::for_cbor(key.as_bytes())).unwrap();
-            }
-        }
-        (mst.structural_size(), mst.structural_size_uncompressed())
-    };
-    println!(
-        "mst structural bytes: {} prefix-compressed vs {} legacy ({:.1} %)",
-        mst_compressed,
-        mst_uncompressed,
-        mst_compressed as f64 / mst_uncompressed.max(1) as f64 * 100.0,
-    );
-    assert!(
-        mst_compressed < mst_uncompressed,
-        "prefix compression must shrink node blocks ({mst_compressed} vs {mst_uncompressed})"
     );
 
     // Memory: the moderation post index is aged past the reaction window.

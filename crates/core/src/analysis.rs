@@ -43,15 +43,8 @@ pub struct Table1 {
 
 /// Incremental Table 1: counts firehose events by kind.
 #[derive(Debug, Default)]
-pub struct Table1Analyzer {
+pub(crate) struct Table1Analyzer {
     counts: BTreeMap<EventKind, u64>,
-}
-
-impl Table1Analyzer {
-    /// A fresh accumulator.
-    pub fn new() -> Table1Analyzer {
-        Table1Analyzer::default()
-    }
 }
 
 impl Analyzer for Table1Analyzer {
@@ -89,7 +82,7 @@ impl Analyzer for Table1Analyzer {
 
 impl Table1 {
     /// Render in the paper's format.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let mut out = String::from("Table 1: Overview of Firehose event types\nEvent Type              | # Total      | Share (%)\n");
         for (name, count, share) in &self.rows {
             out.push_str(&format!("{name:<23} | {count:>12} | {share:>8.2}\n"));
@@ -106,7 +99,7 @@ pub struct ActivitySeries {
     /// Per-month `(month, active users, posts, likes, reposts)`.
     pub monthly: Vec<(String, u64, u64, u64, u64)>,
     /// Per-month per-language active users (Figure 2).
-    pub monthly_by_language: Vec<(String, Vec<(String, u64)>)>,
+    pub(crate) monthly_by_language: Vec<(String, Vec<(String, u64)>)>,
     /// Grand totals `(posts, likes, follows, reposts, blocks)` from the
     /// repositories dataset (§4 text).
     pub totals: (u64, u64, u64, u64, u64),
@@ -115,17 +108,10 @@ pub struct ActivitySeries {
 /// Incremental Figures 1–2 plus §4's operation totals, folded per
 /// repository snapshot.
 #[derive(Debug, Default)]
-pub struct ActivityAnalyzer {
+pub(crate) struct ActivityAnalyzer {
     totals: (u64, u64, u64, u64, u64),
     daily_users: BTreeMap<(String, String), BTreeSet<String>>,
     monthly_ops: BTreeMap<String, (BTreeSet<String>, u64, u64, u64)>,
-}
-
-impl ActivityAnalyzer {
-    /// A fresh accumulator.
-    pub fn new() -> ActivityAnalyzer {
-        ActivityAnalyzer::default()
-    }
 }
 
 impl Analyzer for ActivityAnalyzer {
@@ -224,7 +210,7 @@ impl Analyzer for ActivityAnalyzer {
 
 impl ActivitySeries {
     /// Render Figure 1's series.
-    pub fn render_figure1(&self) -> String {
+    pub(crate) fn render_figure1(&self) -> String {
         let mut out = String::from("Figure 1: Monthly active users and operations\nMonth    | Active | Posts   | Likes   | Reposts\n");
         for (month, users, posts, likes, reposts) in &self.monthly {
             out.push_str(&format!(
@@ -239,7 +225,7 @@ impl ActivitySeries {
     }
 
     /// Render Figure 2's per-language series.
-    pub fn render_figure2(&self) -> String {
+    pub(crate) fn render_figure2(&self) -> String {
         let mut out =
             String::from("Figure 2: Monthly active posting users per language community\n");
         for (month, langs) in &self.monthly_by_language {
@@ -262,28 +248,21 @@ pub struct Section4 {
     /// Most-followed accounts `(handle-ish DID, followers)`.
     pub most_followed: Vec<(String, u64)>,
     /// Most-blocked accounts `(DID, blocks)`.
-    pub most_blocked: Vec<(String, u64)>,
+    pub(crate) most_blocked: Vec<(String, u64)>,
     /// Number of non-Bluesky (third-party lexicon) records observed on the
     /// firehose.
-    pub non_bsky_records: u64,
+    pub(crate) non_bsky_records: u64,
     /// Total firehose events for context.
-    pub firehose_events: u64,
+    pub(crate) firehose_events: u64,
 }
 
 /// Incremental §4 popularity and non-Bluesky content accumulator.
 #[derive(Debug, Default)]
-pub struct Section4Analyzer {
+pub(crate) struct Section4Analyzer {
     followers: BTreeMap<String, u64>,
     blocks: BTreeMap<String, u64>,
     non_bsky: u64,
     firehose_events: u64,
-}
-
-impl Section4Analyzer {
-    /// A fresh accumulator.
-    pub fn new() -> Section4Analyzer {
-        Section4Analyzer::default()
-    }
 }
 
 impl Analyzer for Section4Analyzer {
@@ -341,7 +320,7 @@ impl Analyzer for Section4Analyzer {
 
 impl Section4 {
     /// Render the §4 summary.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let mut out = String::from("Section 4: account popularity and non-Bluesky content\n");
         out.push_str("Most followed accounts:\n");
         for (did, n) in &self.most_followed {
@@ -367,18 +346,18 @@ impl Section4 {
 #[derive(Debug, Clone, PartialEq)]
 pub struct IdentityReport {
     /// Total FQDN handles examined.
-    pub total_handles: u64,
+    pub(crate) total_handles: u64,
     /// Handles under bsky.social and their share (%).
     pub bsky_social: (u64, f64),
     /// Number of did:web identities.
-    pub did_web: u64,
+    pub(crate) did_web: u64,
     /// Figure 3: non-bsky.social registered domains with most subdomain
     /// handles `(registered domain, handles)`.
-    pub subdomain_providers: Vec<(String, u64)>,
+    pub(crate) subdomain_providers: Vec<(String, u64)>,
     /// Registered domains extracted from custom handles.
-    pub registered_domains: u64,
+    pub(crate) registered_domains: u64,
     /// Registered domains found in the Tranco top-1M and their share (%).
-    pub tranco_overlap: (u64, f64),
+    pub(crate) tranco_overlap: (u64, f64),
     /// Ownership proofs: `(dns txt count, well-known count, txt share %)`.
     pub proofs: (u64, u64, f64),
     /// Table 2: registrars `(IANA id, name, domains, share %)`.
@@ -397,7 +376,7 @@ pub struct IdentityReport {
 /// registration — is what makes the state mergeable: the per-domain result
 /// map is a union, never a recount.
 #[derive(Debug, Default)]
-pub struct IdentityAnalyzer {
+pub(crate) struct IdentityAnalyzer {
     total_handles: u64,
     bsky_count: u64,
     did_web: u64,
@@ -413,13 +392,6 @@ pub struct IdentityAnalyzer {
     handles: BTreeSet<String>,
     /// DID → latest observed handle change `(event time, handle)`.
     final_handle: BTreeMap<String, (Datetime, String)>,
-}
-
-impl IdentityAnalyzer {
-    /// A fresh accumulator.
-    pub fn new() -> IdentityAnalyzer {
-        IdentityAnalyzer::default()
-    }
 }
 
 impl Analyzer for IdentityAnalyzer {
@@ -577,7 +549,7 @@ impl Analyzer for IdentityAnalyzer {
 
 impl IdentityReport {
     /// Render §5, Table 2 and Figure 3.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let mut out = String::from("Section 5: (de)centralized identity\n");
         out.push_str(&format!(
             "FQDN handles: {}   under bsky.social: {} ({:.1} %)   did:web identities: {}\n",
@@ -615,38 +587,38 @@ impl IdentityReport {
 // ---------------------------------------------------------------------------
 
 /// One Table 4 row: `(target kind, objects, share %, top values)`.
-pub type LabelTargetRow = (String, u64, f64, Vec<(String, u64)>);
+pub(crate) type LabelTargetRow = (String, u64, f64, Vec<(String, u64)>);
 
 /// Per-labeler reaction-time statistics (Table 6 / Figure 5).
 #[derive(Debug, Clone, PartialEq)]
 pub struct LabelerReaction {
     /// Labeler DID.
-    pub did: String,
+    pub(crate) did: String,
     /// Display name.
-    pub name: String,
+    pub(crate) name: String,
     /// Operator class.
-    pub community: bool,
+    pub(crate) community: bool,
     /// Top label values by application count.
-    pub top_values: Vec<String>,
+    pub(crate) top_values: Vec<String>,
     /// Distinct values emitted.
-    pub unique_values: u64,
+    pub(crate) unique_values: u64,
     /// Total labels applied (excluding negations).
-    pub total: u64,
+    pub(crate) total: u64,
     /// Share of all labels (%).
-    pub share: f64,
+    pub(crate) share: f64,
     /// Median reaction time in seconds (posts only).
     pub median_reaction_secs: Option<f64>,
     /// Interquartile distance of the reaction time.
-    pub iqd_reaction_secs: Option<f64>,
+    pub(crate) iqd_reaction_secs: Option<f64>,
 }
 
 /// The §6 moderation report.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ModerationReport {
     /// Announced / functional / active labeler counts.
-    pub labeler_counts: (u64, u64, u64),
+    pub(crate) labeler_counts: (u64, u64, u64),
     /// Endpoint hosting classification `(cloud, residential, dead)`.
-    pub hosting: (u64, u64, u64),
+    pub(crate) hosting: (u64, u64, u64),
     /// Figure 4: per-month labels by source `(month, bluesky, community)` and
     /// cumulative community labelers.
     pub labels_by_month: Vec<(String, u64, u64, u64)>,
@@ -655,23 +627,23 @@ pub struct ModerationReport {
     /// Total label interactions and rescissions.
     pub interactions: (u64, u64),
     /// Unique labeled objects.
-    pub unique_objects: u64,
+    pub(crate) unique_objects: u64,
     /// Share of last-month posts that received a label (%).
-    pub last_month_posts_labeled_share: f64,
+    pub(crate) last_month_posts_labeled_share: f64,
     /// Distinct label values (raw and after cleaning).
-    pub label_values: (u64, u64),
+    pub(crate) label_values: (u64, u64),
     /// Share of labeled objects carrying labels from multiple services (%).
-    pub multi_service_share: f64,
+    pub(crate) multi_service_share: f64,
     /// Share of objects labeled by both Bluesky and a community labeler (%).
-    pub bluesky_community_overlap_share: f64,
+    pub(crate) bluesky_community_overlap_share: f64,
     /// Table 3: top community labelers `(name, labels applied, likes)`.
     pub table3: Vec<(String, u64, u64)>,
     /// Table 4: label targets `(kind, objects, share %, top values)`.
-    pub table4: Vec<LabelTargetRow>,
+    pub(crate) table4: Vec<LabelTargetRow>,
     /// Table 6 / Figure 5: per-labeler reaction statistics.
     pub table6: Vec<LabelerReaction>,
     /// Figure 6: per-value `(value, objects, median reaction s, community)`.
-    pub figure6: Vec<(String, u64, f64, bool)>,
+    pub(crate) figure6: Vec<(String, u64, f64, bool)>,
 }
 
 /// Static metadata of one labeler (from its announcement observation).
@@ -774,12 +746,6 @@ impl ModerationAnalyzer {
     /// A fresh accumulator.
     pub fn new() -> ModerationAnalyzer {
         ModerationAnalyzer::default()
-    }
-
-    /// Current size of the post-creation index (the bounded-memory probe
-    /// used by the streaming bench).
-    pub fn post_index_len(&self) -> usize {
-        self.post_created.len()
     }
 
     /// Largest size the post-creation index ever reached.
@@ -1222,7 +1188,7 @@ impl Analyzer for ModerationAnalyzer {
 
 impl ModerationReport {
     /// Render §6, Tables 3/4/6 and Figures 4/5/6.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let mut out = String::from("Section 6: content moderation\n");
         let (a, f, act) = self.labeler_counts;
         out.push_str(&format!(
@@ -1310,26 +1276,26 @@ pub struct RecommendationReport {
     /// Feeds that never curated a post, and their share (%).
     pub never_curated: (u64, f64),
     /// Language distribution of descriptions `(language, share %)`.
-    pub description_languages: Vec<(String, f64)>,
+    pub(crate) description_languages: Vec<(String, f64)>,
     /// Figure 8: most common description words.
-    pub top_words: Vec<(String, u64)>,
+    pub(crate) top_words: Vec<(String, u64)>,
     /// Figure 9: top labels on feed-curated posts.
-    pub feed_post_labels: Vec<(String, u64)>,
+    pub(crate) feed_post_labels: Vec<(String, u64)>,
     /// Share of feeds with ≥10 % labeled content (%).
-    pub heavily_labeled_share: f64,
+    pub(crate) heavily_labeled_share: f64,
     /// Figure 7: cumulative `(month, feeds, likes on feeds, follows on
     /// creators)`.
     pub cumulative_growth: Vec<(String, u64, u64, u64)>,
     /// Figure 10: `(feed name, posts, likes)` for the most extreme feeds.
-    pub posts_vs_likes: Vec<(String, u64, u64)>,
+    pub(crate) posts_vs_likes: Vec<(String, u64, u64)>,
     /// Figure 11: mean in/out-degree of feed creators vs other users.
-    pub creator_degrees: ((f64, f64), (f64, f64)),
+    pub(crate) creator_degrees: ((f64, f64), (f64, f64)),
     /// Pearson r of (#feeds created, followers).
-    pub r_feeds_followers: Option<f64>,
+    pub(crate) r_feeds_followers: Option<f64>,
     /// Pearson r of (sum of likes on created feeds, followers).
-    pub r_likes_followers: Option<f64>,
+    pub(crate) r_likes_followers: Option<f64>,
     /// Feeds-per-account distribution `(1 feed %, 2-10 %, >100 count, max)`.
-    pub feeds_per_account: (f64, f64, u64, u64),
+    pub(crate) feeds_per_account: (f64, f64, u64, u64),
     /// Figure 12 / Table 5: per-platform `(name, feeds, share %, posts share
     /// %, likes share %)`.
     pub platform_shares: Vec<(String, u64, f64, f64, f64)>,
@@ -1342,7 +1308,7 @@ pub struct RecommendationReport {
 /// that needs global context — the label index, the follow graph, the
 /// creator set — is resolved at finish time, after all merges.
 #[derive(Debug, Default)]
-pub struct RecommendationAnalyzer {
+pub(crate) struct RecommendationAnalyzer {
     /// Feed URI → merged dataset entry.
     feeds: BTreeMap<String, crate::datasets::FeedGenEntry>,
     /// `(object uri, labeler, value)` → `(applied, negated)`.
@@ -1356,13 +1322,6 @@ pub struct RecommendationAnalyzer {
     /// Follow records per subject and month (filtered to creators at
     /// finish).
     follows_by_subject_month: BTreeMap<String, BTreeMap<String, u64>>,
-}
-
-impl RecommendationAnalyzer {
-    /// A fresh accumulator.
-    pub fn new() -> RecommendationAnalyzer {
-        RecommendationAnalyzer::default()
-    }
 }
 
 impl Analyzer for RecommendationAnalyzer {
@@ -1674,7 +1633,7 @@ impl Analyzer for RecommendationAnalyzer {
 
 impl RecommendationReport {
     /// Render §7, Table 5 and Figures 7–12.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let mut out = String::from("Section 7: content recommendation\n");
         out.push_str(&format!(
             "Feed generators: {}   never curated: {} ({:.1} %)   ≥10 % labeled content: {:.2} %\n",
@@ -1757,15 +1716,8 @@ pub struct FirehoseVolume {
 
 /// Incremental §9 firehose-volume accumulator.
 #[derive(Debug, Default)]
-pub struct FirehoseVolumeAnalyzer {
+pub(crate) struct FirehoseVolumeAnalyzer {
     per_day: BTreeMap<i64, u64>,
-}
-
-impl FirehoseVolumeAnalyzer {
-    /// A fresh accumulator.
-    pub fn new() -> FirehoseVolumeAnalyzer {
-        FirehoseVolumeAnalyzer::default()
-    }
 }
 
 impl Analyzer for FirehoseVolumeAnalyzer {
@@ -1796,7 +1748,7 @@ impl Analyzer for FirehoseVolumeAnalyzer {
 
 impl FirehoseVolume {
     /// Render the volume estimate.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         format!(
             "Section 9: firehose volume ≈ {:.1} MB/day at simulation scale, ≈ {:.1} GB/day extrapolated to the full network\n",
             self.bytes_per_day / 1e6,
@@ -1807,7 +1759,7 @@ impl FirehoseVolume {
 
 /// Table 5's static feature matrix (re-exported from the feedgen crate and
 /// rendered alongside the measured platform shares).
-pub fn table5_feature_matrix() -> String {
+pub(crate) fn table5_feature_matrix() -> String {
     let platforms = bsky_feedgen::faas::default_platforms();
     let mut out = String::from("Table 5: Feed-Generator-as-a-Service feature comparison\n");
     out.push_str("Platform              | features | regex | pricing\n");
@@ -1968,7 +1920,7 @@ mod tests {
             probe.total_posts
         );
         // And the final index holds at most the last reaction window.
-        assert!(probe.analyzer.post_index_len() <= probe.analyzer.peak_post_index());
+        assert!(probe.analyzer.post_created.len() <= probe.analyzer.peak_post_index());
     }
 
     /// The merge law, pinned per analyzer: fold the whole recorded stream vs
@@ -2015,13 +1967,17 @@ mod tests {
         assert!(tape
             .iter()
             .any(|o| matches!(o, OwnedObservation::DayBoundary { .. })));
-        assert_split_merge_equals_fold(Table1Analyzer::new, &world, &tape);
-        assert_split_merge_equals_fold(ActivityAnalyzer::new, &world, &tape);
-        assert_split_merge_equals_fold(Section4Analyzer::new, &world, &tape);
-        assert_split_merge_equals_fold(IdentityAnalyzer::new, &world, &tape);
-        assert_split_merge_equals_fold(ModerationAnalyzer::new, &world, &tape);
-        assert_split_merge_equals_fold(RecommendationAnalyzer::new, &world, &tape);
-        assert_split_merge_equals_fold(FirehoseVolumeAnalyzer::new, &world, &tape);
-        assert_split_merge_equals_fold(crate::observatory::ObservatoryAnalyzer::new, &world, &tape);
+        assert_split_merge_equals_fold(Table1Analyzer::default, &world, &tape);
+        assert_split_merge_equals_fold(ActivityAnalyzer::default, &world, &tape);
+        assert_split_merge_equals_fold(Section4Analyzer::default, &world, &tape);
+        assert_split_merge_equals_fold(IdentityAnalyzer::default, &world, &tape);
+        assert_split_merge_equals_fold(ModerationAnalyzer::default, &world, &tape);
+        assert_split_merge_equals_fold(RecommendationAnalyzer::default, &world, &tape);
+        assert_split_merge_equals_fold(FirehoseVolumeAnalyzer::default, &world, &tape);
+        assert_split_merge_equals_fold(
+            crate::observatory::ObservatoryAnalyzer::default,
+            &world,
+            &tape,
+        );
     }
 }

@@ -24,7 +24,7 @@
 //! ## The snapshot protocol
 //!
 //! The repositories dataset is kept the way a real AT Protocol mirror stays
-//! current. An [`IncrementalRepoMirror`] rides along with the weekly
+//! current. An `IncrementalRepoMirror` rides along with the weekly
 //! `sync.listRepos` snapshots:
 //!
 //! 1. every `listRepos` page carries each repo's latest revision TID; the
@@ -62,7 +62,7 @@
 //!
 //! The mirror never reads its store during a round, and a mirrored block is
 //! decoded once per study: at the window end, when
-//! [`IncrementalRepoMirror::records`] builds the emitted snapshots. A block
+//! `IncrementalRepoMirror::records` builds the emitted snapshots. A block
 //! that fails that decode (or that the store cannot return) is left out and
 //! counted in [`StreamSummary::repo_records_undecodable`]. On the PDS side
 //! the round's compaction pass costs what aged out of the window, not the
@@ -109,65 +109,61 @@ use std::sync::Arc;
 #[derive(Debug, Clone)]
 pub struct RepoSnapshot {
     /// Repository owner.
-    pub did: Did,
+    pub(crate) did: Did,
     /// All live records: `(collection, rkey, record)`.
     pub records: Vec<(Nsid, String, Record)>,
 }
 
 /// One curated post of a feed-generator dataset entry.
 #[derive(Debug, Clone, PartialEq)]
-pub struct FeedPost {
+pub(crate) struct FeedPost {
     /// The post URI.
-    pub uri: AtUri,
+    pub(crate) uri: AtUri,
     /// The post's self-reported creation time.
-    pub created_at: Datetime,
+    pub(crate) created_at: Datetime,
     /// When the generator curated it.
-    pub curated_at: Datetime,
+    pub(crate) curated_at: Datetime,
 }
 
 /// Feed-generator dataset entry.
 ///
 /// In a sharded run every shard emits one entry per feed, carrying only the
-/// curation and likes its own population produced; [`FeedGenEntry::absorb`]
+/// curation and likes its own population produced; `FeedGenEntry::absorb`
 /// combines them into exactly the entry the serial crawl produces.
 #[derive(Debug, Clone)]
 pub struct FeedGenEntry {
     /// The generator's URI.
-    pub uri: AtUri,
+    pub(crate) uri: AtUri,
     /// Creator account.
-    pub creator: Did,
+    pub(crate) creator: Did,
     /// Display name.
-    pub display_name: String,
+    pub(crate) display_name: String,
     /// Description.
-    pub description: String,
+    pub(crate) description: String,
     /// Hosting platform name (from the service DID / world metadata).
-    pub platform: String,
+    pub(crate) platform: String,
     /// When the feed was created (declaration record timestamp).
-    pub created_at: Datetime,
+    pub(crate) created_at: Datetime,
     /// The generator's retention policy (needed to merge shard-local
     /// retained entry lists into the global retained set).
-    pub retention: RetentionPolicy,
+    pub(crate) retention: RetentionPolicy,
     /// Likes observed on the generator record.
-    pub like_count: u64,
-    /// Whether the crawler is a feed-generator creator account.
-    pub creator_is_popular_rank: u64,
+    pub(crate) like_count: u64,
     /// Retained, hydrated curated entries in canonical `(curated_at, uri)`
     /// order. Use [`FeedGenEntry::served_posts`] for the capped
     /// `getFeed`-style view.
-    pub posts: Vec<FeedPost>,
-    /// Whether metadata reported the feed online & valid.
-    pub online_and_valid: bool,
+    pub(crate) posts: Vec<FeedPost>,
 }
 
 /// `getFeed` page cap applied when serving a feed's posts.
-pub const GET_FEED_LIMIT: usize = 1_000;
+pub(crate) const GET_FEED_LIMIT: usize = 1_000;
 
 impl FeedGenEntry {
     /// Fold another shard's entry for the same feed into this one: likes
     /// add, curated entries merge under the canonical order, and the
     /// retention policy is re-applied so the result equals what a single
     /// generator observing both shards' posts would have retained.
-    pub fn absorb(&mut self, other: FeedGenEntry) {
+    pub(crate) fn absorb(&mut self, other: FeedGenEntry) {
         debug_assert_eq!(self.uri, other.uri);
         self.like_count += other.like_count;
         self.posts.extend(other.posts);
@@ -188,7 +184,7 @@ impl FeedGenEntry {
 
     /// The `getFeed` view of the retained entries: newest first by post
     /// creation time (ties broken by URI), capped at [`GET_FEED_LIMIT`].
-    pub fn served_posts(&self) -> Vec<&FeedPost> {
+    pub(crate) fn served_posts(&self) -> Vec<&FeedPost> {
         let mut out: Vec<&FeedPost> = self.posts.iter().collect();
         out.sort_by(|a, b| {
             b.created_at
@@ -205,17 +201,15 @@ impl FeedGenEntry {
 #[derive(Debug, Clone)]
 pub struct LabelerEntry {
     /// The labeler's account DID.
-    pub did: Did,
+    pub(crate) did: Did,
     /// Display name.
-    pub name: String,
+    pub(crate) name: String,
     /// Operator class.
-    pub operator: LabelerOperator,
+    pub(crate) operator: LabelerOperator,
     /// Endpoint hosting classification (from the active measurements).
-    pub hosting: HostingClass,
+    pub(crate) hosting: HostingClass,
     /// Whether the endpoint answered.
-    pub functional: bool,
-    /// When the labeler was announced.
-    pub announced_at: Datetime,
+    pub(crate) functional: bool,
 }
 
 /// Default number of pending relay events per producer chunk.
@@ -257,7 +251,7 @@ struct MirroredRepo {
 /// [`PdsFleet`] rather than a whole world, so its fallback behaviour is
 /// unit-testable in isolation.
 #[derive(Debug)]
-pub struct IncrementalRepoMirror {
+pub(crate) struct IncrementalRepoMirror {
     /// Keyed by the DID itself: `Did` orders exactly as its string form
     /// does (`plc` < `web`, then the identifier), and a lookup renders
     /// nothing.
@@ -286,12 +280,12 @@ impl Default for IncrementalRepoMirror {
 
 impl IncrementalRepoMirror {
     /// An empty mirror over the default in-memory store.
-    pub fn new() -> IncrementalRepoMirror {
+    pub(crate) fn new() -> IncrementalRepoMirror {
         IncrementalRepoMirror::with_store(StoreConfig::default().build())
     }
 
     /// An empty mirror over an explicit block store.
-    pub fn with_store(store: Box<dyn BlockStore>) -> IncrementalRepoMirror {
+    pub(crate) fn with_store(store: Box<dyn BlockStore>) -> IncrementalRepoMirror {
         IncrementalRepoMirror::with_store_faults(
             store,
             Arc::new(FaultPlan::quiet()),
@@ -304,7 +298,7 @@ impl IncrementalRepoMirror {
     /// policies. Faults resolve as pure functions of `(seed, DID, day)`
     /// before any wire traffic; retries, backoff and give-ups are counted
     /// into the sync summary — never silent.
-    pub fn with_store_faults(
+    pub(crate) fn with_store_faults(
         store: Box<dyn BlockStore>,
         faults: Arc<FaultPlan>,
         retry_full: RetryPolicy,
@@ -321,26 +315,8 @@ impl IncrementalRepoMirror {
         }
     }
 
-    /// Number of repositories currently mirrored.
-    pub fn len(&self) -> usize {
-        self.repos.len()
-    }
-
-    /// Whether no repository is mirrored.
-    pub fn is_empty(&self) -> bool {
-        self.repos.is_empty()
-    }
-
-    /// Drop all mirrored state (the backing store empties with it).
-    pub fn clear(&mut self) {
-        let dids: Vec<Did> = self.repos.keys().cloned().collect();
-        for did in dids {
-            self.drop_state(&did);
-        }
-    }
-
     /// Residency/spill statistics of the mirror's block store.
-    pub fn store_stats(&self) -> StoreStats {
+    pub(crate) fn store_stats(&self) -> StoreStats {
         self.store.stats()
     }
 
@@ -379,17 +355,11 @@ impl IncrementalRepoMirror {
         }
     }
 
-    /// The revision a DID's state is synced to (`Some(None)`: mirrored but
-    /// the repo has no commits; `None`: not mirrored).
-    pub fn synced_rev(&self, did: &Did) -> Option<Option<Tid>> {
-        self.repos.get(did).map(|m| m.rev)
-    }
-
     /// One rev-aware sync pass over the relay's `listRepos` view. Fetch
     /// traffic and skips are accounted into `summary`. A DID whose revision
     /// and host are unchanged costs one map lookup: nothing is rendered or
     /// allocated for it.
-    pub fn sync(
+    pub(crate) fn sync(
         &mut self,
         relay: &mut Relay,
         fleet: &mut PdsFleet,
@@ -554,7 +524,7 @@ impl IncrementalRepoMirror {
     /// claimed a `$type` and then fails its lexicon, is left out of the
     /// snapshot and counted into
     /// [`StreamSummary::repo_records_undecodable`] — never silently.
-    pub fn records(
+    pub(crate) fn records(
         &self,
         did: &Did,
         summary: &mut StreamSummary,
@@ -651,7 +621,7 @@ fn verified_delta_records(delta: &[u8], expected_rev: Tid) -> Option<Vec<(Cid, &
 /// delta-serving window. Two weekly `listRepos` snapshots fit comfortably,
 /// so the incremental mirror's deltas (at most one week old) never hit the
 /// fallback in steady state.
-pub const COMPACTION_WINDOW_DAYS: i64 = 14;
+pub(crate) const COMPACTION_WINDOW_DAYS: i64 = 14;
 
 /// Drives a [`World`] and emits the datasets as observations.
 #[derive(Debug)]
@@ -772,7 +742,7 @@ impl Collector {
     /// firehose events is in flight at any time.
     ///
     /// The sink may itself be concurrent: under `--pipeline` this producer
-    /// feeds a [`crate::shard::PipelinedSink`], which materializes each
+    /// feeds a `crate::shard::PipelinedSink`, which materializes each
     /// borrowed [`Observation`] into an owned batch and ships it to analyzer
     /// worker threads. The bounded channel's backpressure transfers the
     /// one-chunk memory bound across the thread boundary unchanged.
@@ -980,7 +950,6 @@ impl Collector {
                 operator: labeler.operator(),
                 hosting: labeler.hosting(),
                 functional: labeler.is_functional(),
-                announced_at: labeler.announced_at(),
             };
             // Every shard instantiates every labeler, but the metadata is a
             // global singleton: only the shard owning the labeler's DID
@@ -1232,7 +1201,6 @@ impl Collector {
         for index in 0..world.feedgens.len() {
             let info = &world.feedgen_info[index];
             let platform = info.platform_name.clone();
-            let creator_is_popular_rank = info.plan.creator_popularity_rank;
             let created_at = info.plan.created_at;
             let generator = &world.feedgens[index];
             // Hydrate the retained entries against the post index, as
@@ -1265,9 +1233,7 @@ impl Collector {
                 created_at,
                 retention: generator.retention(),
                 like_count: generator.like_count(),
-                creator_is_popular_rank,
                 posts,
-                online_and_valid: true,
             };
             self.emit(sink, &Observation::FeedGenerator(&entry), world);
         }
@@ -1469,13 +1435,15 @@ mod tests {
 
     mod mirror {
         use super::*;
-        use bsky_atproto::blockstore::{CountingStore, CountingTotals};
+        use bsky_atproto::blockstore::StoreStats;
         use bsky_atproto::cbor::Value;
         use bsky_atproto::nsid::known;
         use bsky_atproto::record::{PostRecord, UnknownRecord};
+        use bsky_atproto::Cid;
         use bsky_atproto::Handle;
         use bsky_pds::PdsFleet;
         use bsky_relay::Relay;
+        use std::sync::atomic::{AtomicU64, Ordering};
 
         fn now() -> Datetime {
             Datetime::from_ymd_hms(2024, 4, 2, 9, 0, 0).unwrap()
@@ -1516,9 +1484,71 @@ mod tests {
             (relay, fleet, dids)
         }
 
+        /// How many blocks a [`CountingStore`] was newly handed and how
+        /// many reads it served.
+        #[derive(Debug, Default)]
+        struct CountingTotals {
+            puts: AtomicU64,
+            gets: AtomicU64,
+        }
+
+        impl CountingTotals {
+            fn puts(&self) -> u64 {
+                self.puts.load(Ordering::Relaxed)
+            }
+
+            fn gets(&self) -> u64 {
+                self.gets.load(Ordering::Relaxed)
+            }
+        }
+
+        /// A transparent store wrapper whose totals stay with the test
+        /// while the store disappears into the mirror.
+        #[derive(Debug)]
+        struct CountingStore {
+            inner: Box<dyn BlockStore>,
+            totals: Arc<CountingTotals>,
+        }
+
+        impl BlockStore for CountingStore {
+            fn get(&self, cid: &Cid) -> Option<Vec<u8>> {
+                let out = self.inner.get(cid);
+                if out.is_some() {
+                    self.totals.gets.fetch_add(1, Ordering::Relaxed);
+                }
+                out
+            }
+            fn put(&mut self, cid: Cid, bytes: Vec<u8>) -> bool {
+                let fresh = self.inner.put(cid, bytes);
+                if fresh {
+                    self.totals.puts.fetch_add(1, Ordering::Relaxed);
+                }
+                fresh
+            }
+            fn has(&self, cid: &Cid) -> bool {
+                self.inner.has(cid)
+            }
+            fn delete(&mut self, cid: &Cid) -> usize {
+                self.inner.delete(cid)
+            }
+            fn len(&self) -> usize {
+                self.inner.len()
+            }
+            fn bytes(&self) -> usize {
+                self.inner.bytes()
+            }
+            fn stats(&self) -> StoreStats {
+                self.inner.stats()
+            }
+        }
+
         /// A mirror over a counting in-memory store.
         fn counted_mirror() -> (IncrementalRepoMirror, Arc<CountingTotals>) {
-            let (store, totals) = CountingStore::new(StoreConfig::mem().build());
+            let totals = Arc::new(CountingTotals::default());
+            let store = CountingStore {
+                inner: StoreConfig::mem().build(),
+                totals: totals.clone(),
+            };
             (IncrementalRepoMirror::with_store(Box::new(store)), totals)
         }
 
@@ -1528,7 +1558,7 @@ mod tests {
             let (mut mirror, store) = counted_mirror();
             let mut summary = StreamSummary::default();
             mirror.sync(&mut relay, &mut fleet, now(), &mut summary);
-            assert_eq!(mirror.len(), 3);
+            assert_eq!(mirror.repos.len(), 3);
             assert_eq!(summary.repo_full_fetches, 3);
             let after_first = summary;
             let puts_after_first = store.puts();
@@ -1582,7 +1612,7 @@ mod tests {
             let mut mirror = IncrementalRepoMirror::new();
             let mut summary = StreamSummary::default();
             mirror.sync(&mut relay, &mut fleet, now(), &mut summary);
-            assert_eq!(mirror.len(), 2);
+            assert_eq!(mirror.repos.len(), 2);
             fleet
                 .pds_for_mut(&dids[0])
                 .unwrap()
@@ -1590,7 +1620,7 @@ mod tests {
                 .unwrap();
             relay.crawl(&fleet, now().plus_days(1));
             mirror.sync(&mut relay, &mut fleet, now().plus_days(1), &mut summary);
-            assert_eq!(mirror.len(), 1);
+            assert_eq!(mirror.repos.len(), 1);
             assert!(mirror.records(&dids[0], &mut summary).is_none());
             assert!(mirror.records(&dids[1], &mut summary).is_some());
             // The dropped repo is a dataset gap, counted as a skip.
@@ -1605,7 +1635,13 @@ mod tests {
             let mut summary = StreamSummary::default();
             mirror.sync(&mut relay, &mut fleet, now(), &mut summary);
             assert_eq!(summary.repo_full_fetches, 2);
-            let old_rev = mirror.synced_rev(&did).unwrap().unwrap().to_string();
+            let old_rev = mirror
+                .repos
+                .get(&did)
+                .map(|m| m.rev)
+                .unwrap()
+                .unwrap()
+                .to_string();
 
             // The account is deleted on pds001 and re-created from scratch
             // on pds002 before the next snapshot: its repository history —
@@ -1631,7 +1667,13 @@ mod tests {
             // The mirror could not delta from a revision the new repo never
             // had: it re-fetched the whole (new) repository.
             assert_eq!(summary.repo_full_fetches, 3);
-            let new_rev = mirror.synced_rev(&did).unwrap().unwrap().to_string();
+            let new_rev = mirror
+                .repos
+                .get(&did)
+                .map(|m| m.rev)
+                .unwrap()
+                .unwrap()
+                .to_string();
             assert_ne!(new_rev, old_rev);
             let records = mirror.records(&did, &mut summary).unwrap();
             assert!(records.iter().any(|(_, _, r)| *r == post("rewound")));
@@ -1742,7 +1784,9 @@ mod tests {
             }
             assert_eq!(s1.repo_records_undecodable + s2.repo_records_undecodable, 0);
             // Dropping every DID empties the store (refcounts balance).
-            paged.clear();
+            for did in &dids {
+                paged.drop_state(did);
+            }
             assert_eq!(paged.store_stats().blocks, 0);
             assert_eq!(paged.store_stats().logical_bytes, 0);
         }
@@ -1765,7 +1809,7 @@ mod tests {
             let mut summary = StreamSummary::default();
             mirror.sync(&mut relay, &mut fleet, now(), &mut summary);
             assert_eq!(summary.repo_full_fetches, 1);
-            assert_eq!(mirror.synced_rev(&did), Some(None));
+            assert_eq!(mirror.repos.get(&did).map(|m| m.rev), Some(None));
             // No commits, no rev change: the next sync is free; the first
             // commit then syncs as a full fetch (no `since` to delta from).
             mirror.sync(&mut relay, &mut fleet, now(), &mut summary);

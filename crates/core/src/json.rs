@@ -54,17 +54,8 @@ impl Json {
         self
     }
 
-    /// Builder-style key removal; absent keys and non-objects are left
-    /// untouched (tests use this to shape stale/partial exports).
-    pub fn without(mut self, key: &str) -> Json {
-        if let Json::Obj(entries) = &mut self {
-            entries.retain(|(k, _)| k != key);
-        }
-        self
-    }
-
     /// Member lookup; returns `Json::Null` for missing keys / non-objects.
-    pub fn get(&self, key: &str) -> &Json {
+    pub(crate) fn get(&self, key: &str) -> &Json {
         match self {
             Json::Obj(entries) => entries
                 .iter()

@@ -6,7 +6,7 @@
 //! intentionally imperfect, like the original tool, but with known behaviour.
 
 /// Detect the language of a short text. Returns a BCP-47 code or `"und"`.
-pub fn detect(text: &str) -> &'static str {
+pub(crate) fn detect(text: &str) -> &'static str {
     let mut kana_or_kanji = 0usize;
     let mut hangul = 0usize;
     let mut total_alpha = 0usize;

@@ -18,7 +18,7 @@
 //!   simulated [`bsky_workload::World`] day by day through the same service
 //!   interfaces the real study used and emits every dataset item exactly
 //!   once; the repositories dataset is kept current by the rev-aware
-//!   [`IncrementalRepoMirror`].
+//!   `IncrementalRepoMirror`.
 //! * [`analysis`] — every table and figure of §4–§9 as incremental
 //!   analyzers.
 //! * [`observatory`] — §10, the wire-level traffic observatory: a passive
@@ -63,7 +63,7 @@
 //! pipelined / unpipelined pairs on two cores measured no difference.
 //! Observations whose analyzers need the live world at observe time (the
 //! end-of-window DID documents,
-//! [`pipeline::Observation::requires_world_ctx`]) drain the workers and
+//! `pipeline::Observation::requires_world_ctx`) drain the workers and
 //! fold inline. `RunSpec::jobs` defaults to the machine's available
 //! parallelism clamped to the shard count ([`RunSpec::effective_jobs`]).
 //!
@@ -110,12 +110,10 @@ pub mod spec;
 pub mod stats;
 
 pub use bsky_simnet::faults;
-pub use datasets::{Collector, IncrementalRepoMirror};
-pub use observatory::{ActivityClass, ObservatoryAnalyzer, ObservatoryReport, WireTraceDay};
+pub use datasets::Collector;
 pub use pipeline::{
-    Analyzer, Observation, ObservationBatch, ObservationSink, OwnedObservation, StreamSummary,
-    StudyCtx,
+    Observation, ObservationBatch, ObservationSink, OwnedObservation, StreamSummary, StudyCtx,
 };
 pub use report::StudyReport;
-pub use shard::{collect_sharded, PipelinedSink, ShardSink, ShardedSummary, StudyAnalyzers};
+pub use shard::{collect_sharded, ShardSink, ShardedSummary, StudyAnalyzers};
 pub use spec::RunSpec;

@@ -12,10 +12,10 @@
 //! ## The counterfactual sweep
 //!
 //! The producer captures each connection's *raw* per-day `(time, size)`
-//! trace once, and every mitigation cell in [`MITIGATION_CELLS`] is
+//! trace once, and every mitigation cell in `MITIGATION_CELLS` is
 //! evaluated from that capture as a counterfactual: "what would this day's
 //! wire have looked like under pad-to-128 + 60 s batching?" is a pure
-//! function of the raw trace ([`WireTraceDay::from_frames`]). §10 therefore
+//! function of the raw trace (`WireTraceDay::from_frames`). §10 therefore
 //! never depends on which `--padding` / `--batch-window` the run was
 //! *configured* with — the observer is passive by construction, the whole
 //! report is invariant under the active framing policy, and a sharded run
@@ -24,7 +24,7 @@
 //! ## The closed-world classifier
 //!
 //! Ground truth comes from the population plan: each user's long-run
-//! activity weight maps to one of three [`ActivityClass`]es (posting-heavy,
+//! activity weight maps to one of three `ActivityClass`es (posting-heavy,
 //! feed-fetching, lurking). Each traced `(did, week)` is one instance —
 //! a week of a connection's wire accumulates enough (size, gap) structure
 //! to be worth classifying, where single days mostly carry one commit
@@ -44,12 +44,12 @@ use bsky_atproto::Did;
 use std::collections::BTreeMap;
 
 /// Number of mitigation cells in the sweep.
-pub const CELL_COUNT: usize = 5;
+pub(crate) const CELL_COUNT: usize = 5;
 
 /// The fixed (padding, batch-window-seconds) sweep evaluated
 /// counterfactually for every captured trace. The first cell is always the
 /// unmitigated wire.
-pub const MITIGATION_CELLS: [(&str, PaddingPolicy, u64); CELL_COUNT] = [
+pub(crate) const MITIGATION_CELLS: [(&str, PaddingPolicy, u64); CELL_COUNT] = [
     ("none", PaddingPolicy::None, 0),
     ("pad128", PaddingPolicy::Buckets, 0),
     ("pad128+batch60", PaddingPolicy::Buckets, 60),
@@ -60,15 +60,15 @@ pub const MITIGATION_CELLS: [(&str, PaddingPolicy, u64); CELL_COUNT] = [
 /// Deterministic cap on 1-NN training instances (class-balanced and
 /// stride-subsampled; the sampled and total counts are both reported, never
 /// silently).
-pub const TRAIN_CAP: usize = 2000;
+pub(crate) const TRAIN_CAP: usize = 2000;
 
 /// Deterministic cap on 1-NN test instances.
-pub const TEST_CAP: usize = 1000;
+pub(crate) const TEST_CAP: usize = 1000;
 
 /// Ground-truth user activity class, derived from the population plan's
 /// long-run activity weight.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum ActivityClass {
+pub(crate) enum ActivityClass {
     /// High-weight accounts whose days are dominated by their own writes.
     PostingHeavy,
     /// Mid-weight accounts: mostly consuming feeds, posting occasionally.
@@ -79,7 +79,7 @@ pub enum ActivityClass {
 
 impl ActivityClass {
     /// Map an activity weight (`1/rank^0.6`, in `(0, 1]`) to its class.
-    pub fn of_weight(weight: f64) -> ActivityClass {
+    pub(crate) fn of_weight(weight: f64) -> ActivityClass {
         if weight >= 0.6 {
             ActivityClass::PostingHeavy
         } else if weight >= 0.15 {
@@ -88,29 +88,11 @@ impl ActivityClass {
             ActivityClass::Lurking
         }
     }
-
-    /// Display name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            ActivityClass::PostingHeavy => "posting-heavy",
-            ActivityClass::FeedFetching => "feed-fetching",
-            ActivityClass::Lurking => "lurking",
-        }
-    }
-
-    /// All classes, in display order.
-    pub fn all() -> [ActivityClass; 3] {
-        [
-            ActivityClass::PostingHeavy,
-            ActivityClass::FeedFetching,
-            ActivityClass::Lurking,
-        ]
-    }
 }
 
 /// Which wire a trace was captured on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum TraceKind {
+pub(crate) enum TraceKind {
     /// A per-DID firehose subscription (relay → subscriber).
     Repo,
     /// The identity-resolution client (DNS `_atproto` lookups).
@@ -119,15 +101,15 @@ pub enum TraceKind {
 
 /// One mitigation cell's view of one day of one connection.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CellTrace {
+pub(crate) struct CellTrace {
     /// Frames on the wire after batching.
-    pub frames: u64,
+    pub(crate) frames: u64,
     /// Total wire bytes after padding (headers included).
-    pub wire_bytes: u64,
+    pub(crate) wire_bytes: u64,
     /// First frame time (unix seconds).
-    pub first: i64,
+    pub(crate) first: i64,
     /// Last frame time (unix seconds).
-    pub last: i64,
+    pub(crate) last: i64,
 }
 
 impl CellTrace {
@@ -155,22 +137,22 @@ impl CellTrace {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WireTraceDay {
     /// Which wire this trace was captured on.
-    pub kind: TraceKind,
+    pub(crate) kind: TraceKind,
     /// The connection's subject DID (the traced account for firehose
     /// wires; a fixed synthetic DID for the DNS client).
-    pub did: Did,
+    pub(crate) did: Did,
     /// Absolute day index (unix seconds / 86 400).
-    pub day: i64,
+    pub(crate) day: i64,
     /// Ground-truth class of the traced account.
-    pub class: ActivityClass,
+    pub(crate) class: ActivityClass,
     /// Raw events observed (before batching).
-    pub events: u64,
+    pub(crate) events: u64,
     /// Raw payload bytes (canonical event wire sizes, no framing).
-    pub payload_bytes: u64,
+    pub(crate) payload_bytes: u64,
     /// Frames the bounded capture buffer dropped (counted, never silent).
-    pub dropped: u64,
+    pub(crate) dropped: u64,
     /// Counterfactual wire view per [`MITIGATION_CELLS`] cell.
-    pub cells: [CellTrace; CELL_COUNT],
+    pub(crate) cells: [CellTrace; CELL_COUNT],
 }
 
 impl WireTraceDay {
@@ -183,7 +165,7 @@ impl WireTraceDay {
     /// lookup is always its own (padded) frame — batching it would also
     /// make the accounting depend on how the population is sharded, since
     /// every shard's resolver shares one connection key.
-    pub fn from_frames(
+    pub(crate) fn from_frames(
         kind: TraceKind,
         did: Did,
         day: i64,
@@ -209,18 +191,6 @@ impl WireTraceDay {
             cells,
         }
     }
-
-    /// Fold another record with the same `(kind, did, day)` key into this
-    /// one (per-shard halves of the shared DNS client's day).
-    pub fn absorb(&mut self, other: &WireTraceDay) {
-        self.class = self.class.min(other.class);
-        self.events += other.events;
-        self.payload_bytes += other.payload_bytes;
-        self.dropped += other.dropped;
-        for (slot, cell) in self.cells.iter_mut().zip(other.cells.iter()) {
-            slot.absorb(cell);
-        }
-    }
 }
 
 /// Evaluate one `(padding, batch window)` cell over a raw frame sequence.
@@ -230,7 +200,7 @@ impl WireTraceDay {
 /// one frame flushed at the window's trailing edge. Both are pure functions
 /// of the `(time, size)` list, so the result is independent of how the
 /// producer chunked the underlying day.
-pub fn cell_trace(frames: &[(i64, u64)], padding: PaddingPolicy, window: u64) -> CellTrace {
+pub(crate) fn cell_trace(frames: &[(i64, u64)], padding: PaddingPolicy, window: u64) -> CellTrace {
     let mut out = CellTrace::default();
     let mut push = |time: i64, events: usize, payload: u64| {
         let wire = padding.frame_wire_size(events, payload as usize) as u64;
@@ -291,15 +261,15 @@ fn features(cell: &CellTrace) -> [f64; 5] {
 
 /// One mitigation cell's §10 results.
 #[derive(Debug, Clone, PartialEq)]
-pub struct CellReport {
+pub(crate) struct CellReport {
     /// Cell name from [`MITIGATION_CELLS`].
-    pub name: &'static str,
+    pub(crate) name: &'static str,
     /// Closed-world 1-NN accuracy on the held-out (odd) days.
-    pub accuracy: f64,
+    pub(crate) accuracy: f64,
     /// Total firehose wire bytes under this cell.
-    pub wire_bytes: u64,
+    pub(crate) wire_bytes: u64,
     /// Wire bytes above the raw event payload (headers + padding).
-    pub overhead_bytes: u64,
+    pub(crate) overhead_bytes: u64,
 }
 
 /// The §10 report: classifier accuracy × bandwidth overhead per mitigation
@@ -307,26 +277,26 @@ pub struct CellReport {
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct ObservatoryReport {
     /// Per-cell accuracy and overhead, in [`MITIGATION_CELLS`] order.
-    pub cells: Vec<CellReport>,
+    pub(crate) cells: Vec<CellReport>,
     /// `(did, day)` firehose traces captured.
     pub traced_days: u64,
     /// Raw firehose payload bytes across all traces.
-    pub payload_bytes: u64,
+    pub(crate) payload_bytes: u64,
     /// Identity-resolution lookups observed on the DNS wire.
-    pub dns_lookups: u64,
+    pub(crate) dns_lookups: u64,
     /// Modeled bytes on the DNS wire (unpadded).
-    pub dns_payload_bytes: u64,
+    pub(crate) dns_payload_bytes: u64,
     /// Capture-buffer drops across all connections (never silent).
-    pub trace_drops: u64,
+    pub(crate) trace_drops: u64,
     /// Training instances used (class-balanced, stride-subsampled past
     /// [`TRAIN_CAP`]).
-    pub train_sampled: usize,
+    pub(crate) train_sampled: usize,
     /// Training instances available (`(did, week)` pairs on even weeks).
-    pub train_total: usize,
+    pub(crate) train_total: usize,
     /// Test instances used / available.
-    pub test_sampled: usize,
+    pub(crate) test_sampled: usize,
     /// Test instances available (`(did, week)` pairs on odd weeks).
-    pub test_total: usize,
+    pub(crate) test_total: usize,
     /// Majority-class share of the balanced, sampled test set — the chance
     /// baseline (~1/classes).
     pub chance_accuracy: f64,
@@ -334,7 +304,7 @@ pub struct ObservatoryReport {
 
 impl ObservatoryReport {
     /// Render the §10 section.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let mut out = String::new();
         out.push_str("## §10 Wire-level traffic observatory\n\n");
         if self.traced_days == 0 {
@@ -379,7 +349,7 @@ impl ObservatoryReport {
     }
 
     /// The headline numbers for the JSON export.
-    pub fn to_json(&self) -> Json {
+    pub(crate) fn to_json(&self) -> Json {
         let mut cells = Json::object();
         for cell in &self.cells {
             cells = cells.with(
@@ -433,16 +403,11 @@ struct TraceAgg {
 /// aggregates, merges per-shard states by key union, and runs the
 /// closed-world classifier sweep at finish.
 #[derive(Debug, Default)]
-pub struct ObservatoryAnalyzer {
+pub(crate) struct ObservatoryAnalyzer {
     records: BTreeMap<TraceKey, TraceAgg>,
 }
 
 impl ObservatoryAnalyzer {
-    /// A fresh analyzer.
-    pub fn new() -> ObservatoryAnalyzer {
-        ObservatoryAnalyzer::default()
-    }
-
     fn fold(&mut self, trace: &WireTraceDay) {
         let key = (trace.kind, trace.did.shard_hash(), trace.day);
         match self.records.get_mut(&key) {
@@ -724,7 +689,6 @@ mod tests {
         assert_eq!(ActivityClass::of_weight(0.6), ActivityClass::PostingHeavy);
         assert_eq!(ActivityClass::of_weight(0.3), ActivityClass::FeedFetching);
         assert_eq!(ActivityClass::of_weight(0.1), ActivityClass::Lurking);
-        assert_eq!(ActivityClass::all().len(), 3);
     }
 
     #[test]
@@ -803,13 +767,13 @@ mod tests {
                 )
             })
             .collect();
-        let mut whole = ObservatoryAnalyzer::new();
+        let mut whole = ObservatoryAnalyzer::default();
         for record in &records {
             whole.observe(&Observation::WireTrace(record), &ctx);
         }
         for split in [0usize, 7, 15, 30] {
-            let mut a = ObservatoryAnalyzer::new();
-            let mut b = ObservatoryAnalyzer::new();
+            let mut a = ObservatoryAnalyzer::default();
+            let mut b = ObservatoryAnalyzer::default();
             for (i, record) in records.iter().enumerate() {
                 let target = if i < split { &mut a } else { &mut b };
                 target.observe(&Observation::WireTrace(record), &ctx);
@@ -831,7 +795,7 @@ mod tests {
         // cell collapses every day to one 4096-byte frame and must fall to
         // the chance baseline.
         let ctx = StudyCtx::detached();
-        let mut analyzer = ObservatoryAnalyzer::new();
+        let mut analyzer = ObservatoryAnalyzer::default();
         let mut fold = |record: WireTraceDay| {
             analyzer.observe(&Observation::WireTrace(&record), &ctx);
         };

@@ -121,7 +121,7 @@ impl Observation<'_> {
     /// detached analyzer worker — the intra-shard pipeline
     /// ([`crate::shard::PipelinedSink`]) drains its workers and folds them
     /// inline on the producer thread instead.
-    pub fn requires_world_ctx(&self) -> bool {
+    pub(crate) fn requires_world_ctx(&self) -> bool {
         matches!(self, Observation::DidDocument { .. })
     }
 
@@ -162,7 +162,7 @@ impl Observation<'_> {
 /// The owned counterpart of [`Observation`]: every payload materialized so
 /// a bus item can outlive its producer and cross a thread boundary.
 ///
-/// The intra-shard pipeline ([`crate::shard::PipelinedSink`]) batches these
+/// The intra-shard pipeline (`crate::shard::PipelinedSink`) batches these
 /// per day-chunk and ships them over a bounded channel to the analyzer
 /// workers; [`OwnedObservation::as_observation`] re-borrows the exact bus
 /// item on the receiving side, so analyzers never see the difference — the
@@ -280,23 +280,18 @@ pub struct StudyCtx<'a> {
 
 impl<'a> StudyCtx<'a> {
     /// Context over a live world.
-    pub fn new(world: &'a World) -> StudyCtx<'a> {
+    pub(crate) fn new(world: &'a World) -> StudyCtx<'a> {
         StudyCtx { world: Some(world) }
     }
 
     /// Context with no world attached.
-    pub fn detached() -> StudyCtx<'static> {
+    pub(crate) fn detached() -> StudyCtx<'static> {
         StudyCtx { world: None }
-    }
-
-    /// The world, if one is attached.
-    pub fn try_world(&self) -> Option<&'a World> {
-        self.world
     }
 
     /// The world. Panics when the analyzer requires active measurements but
     /// the context is detached.
-    pub fn world(&self) -> &'a World {
+    pub(crate) fn world(&self) -> &'a World {
         self.world
             .expect("this analyzer performs active measurements and needs a StudyCtx with a World")
     }
@@ -384,7 +379,7 @@ pub struct StreamSummary {
     /// Delta syncs that fell back to a full CAR fetch because the PDS
     /// compacted the mirror's revision out of its delta-serving window —
     /// surfaced here, never silent.
-    pub repo_compaction_fallbacks: u64,
+    pub(crate) repo_compaction_fallbacks: u64,
     /// Mirrored record blocks left out of the emitted repository snapshots
     /// because the mirror's store could not return them or because they
     /// claimed a `$type` and then failed their lexicon's decode. A visible
@@ -410,7 +405,7 @@ pub struct StreamSummary {
     /// not indexed when they arrived (the post was deleted, or the label
     /// raced the post). Counted like `repo_snapshot_skips` — a visible
     /// dataset gap, never a silent drop.
-    pub appview_labels_preindex: u64,
+    pub(crate) appview_labels_preindex: u64,
     /// AppView counter mutations coalesced into an already-dirty entity by
     /// the hot/cold split — entity-block rewrite cycles the run did *not*
     /// pay compared to the one-block-per-entity design.
@@ -465,7 +460,7 @@ pub struct StreamSummary {
     pub cursor_rewind_replays: u64,
     /// did:web documents whose well-known fetch failed or did not parse
     /// during the end-of-window DID-document sweep.
-    pub did_doc_fetch_failures: u64,
+    pub(crate) did_doc_fetch_failures: u64,
     /// Accounts mass-migrated by the injected PDS host outage.
     pub outage_migrations: u64,
     /// Spam-wave posts injected on top of planned content.
@@ -609,7 +604,7 @@ impl StreamSummary {
     /// Fold another producer's summary into this one (used when merging
     /// per-shard runs: counters add, peaks take the max, per-run constants
     /// take the max so identical values pass through).
-    pub fn absorb(&mut self, other: &StreamSummary) {
+    pub(crate) fn absorb(&mut self, other: &StreamSummary) {
         self.days = self.days.max(other.days);
         self.observations += other.observations;
         self.firehose_events += other.firehose_events;

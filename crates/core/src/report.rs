@@ -35,38 +35,38 @@ pub struct FaultImpact {
     /// Scenario name (or `custom` for a `--faults` spec).
     pub scenario: String,
     /// Retries issued across all timeout classes.
-    pub retry_attempts: u64,
+    pub(crate) retry_attempts: u64,
     /// Simulated milliseconds spent in timeouts + backoff.
-    pub retry_backoff_ms: u64,
+    pub(crate) retry_backoff_ms: u64,
     /// Repo fetches abandoned after the retry budget.
-    pub fetch_retry_giveups: u64,
+    pub(crate) fetch_retry_giveups: u64,
     /// DNS lookups abandoned after the retry budget.
-    pub dns_retry_giveups: u64,
+    pub(crate) dns_retry_giveups: u64,
     /// SERVFAIL responses observed on the identity path.
-    pub dns_servfails: u64,
+    pub(crate) dns_servfails: u64,
     /// Full fetches forced by a repo re-homing to another PDS.
-    pub backfill_full_fetches: u64,
+    pub(crate) backfill_full_fetches: u64,
     /// Firehose commits lost to injected cursor gaps.
-    pub cursor_gap_drops: u64,
+    pub(crate) cursor_gap_drops: u64,
     /// Events re-served by injected cursor rewinds.
-    pub cursor_rewind_replays: u64,
+    pub(crate) cursor_rewind_replays: u64,
     /// did:web documents that failed to fetch or parse.
-    pub did_doc_fetch_failures: u64,
+    pub(crate) did_doc_fetch_failures: u64,
     /// Repositories skipped at snapshot time (vanished or given up).
-    pub repo_snapshot_skips: u64,
+    pub(crate) repo_snapshot_skips: u64,
     /// Accounts migrated off a failed host by the outage.
-    pub outage_migrations: u64,
+    pub(crate) outage_migrations: u64,
     /// Spam-wave posts injected into the workload.
-    pub spam_posts_injected: u64,
+    pub(crate) spam_posts_injected: u64,
     /// Labels applied by the label storm.
-    pub storm_labels_applied: u64,
+    pub(crate) storm_labels_applied: u64,
     /// Accounts deleted + tombstoned by the tombstone storm.
-    pub storm_tombstones: u64,
+    pub(crate) storm_tombstones: u64,
 }
 
 impl FaultImpact {
     /// Extract the impact counters from a merged summary.
-    pub fn from_summary(scenario: &str, summary: &StreamSummary) -> FaultImpact {
+    pub(crate) fn from_summary(scenario: &str, summary: &StreamSummary) -> FaultImpact {
         FaultImpact {
             scenario: scenario.to_string(),
             retry_attempts: summary.retry_attempts,
@@ -87,7 +87,7 @@ impl FaultImpact {
     }
 
     /// Render the scenario-impact section.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let mut out = format!("== Scenario impact: {} ==\n", self.scenario);
         let rows: [(&str, u64); 14] = [
             ("retry attempts", self.retry_attempts),
@@ -115,7 +115,7 @@ impl FaultImpact {
     }
 
     /// Serialise the impact counters.
-    pub fn to_json(&self) -> Json {
+    pub(crate) fn to_json(&self) -> Json {
         Json::object()
             .with("scenario", self.scenario.as_str())
             .with("retry_attempts", self.retry_attempts)
@@ -139,7 +139,7 @@ impl FaultImpact {
 #[derive(Debug, Clone)]
 pub struct StudyReport {
     /// The scenario that produced the report.
-    pub config: ScenarioConfig,
+    pub(crate) config: ScenarioConfig,
     /// Table 1.
     pub table1: Table1,
     /// Figures 1–2 and §4 totals.

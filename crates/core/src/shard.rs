@@ -13,7 +13,7 @@
 //!
 //! ## The intra-shard pipeline
 //!
-//! Sharding parallelizes *across* shards; [`PipelinedSink`]
+//! Sharding parallelizes *across* shards; `PipelinedSink`
 //! ([`RunSpec::pipeline`], repro `--pipeline`) parallelizes *inside* one:
 //! the producer materializes its borrowed bus items into sequence-numbered
 //! [`ObservationBatch`]es and ships them over bounded channels to
@@ -25,7 +25,7 @@
 //! back together in part order — exact by the merge law, because merging
 //! a folded part into a default-state peer is the identity. Observations
 //! that need the live world at observe time
-//! ([`Observation::requires_world_ctx`], the end-of-window DID documents
+//! (`Observation::requires_world_ctx`, the end-of-window DID documents
 //! whose analyzer runs active measurements) drain the workers and fold
 //! inline on the producer thread. The result is byte-identical for any
 //! `(shards, jobs, analyzer_threads)` — pinned by the golden tests.
@@ -68,7 +68,7 @@ pub trait ShardSink: ObservationSink + Default + Send + 'static {
     fn absorb(&mut self, other: Self);
 
     /// How many independently foldable parts this sink splits into for
-    /// analyzer fan-out ([`PipelinedSink`]). Each part must fold
+    /// analyzer fan-out (`PipelinedSink`). Each part must fold
     /// observations without reading any other part's state, so that a
     /// fresh instance folding only part `p` of the stream, absorbed into
     /// peers that folded the other parts, reassembles the serial fold
@@ -91,21 +91,21 @@ pub trait ShardSink: ObservationSink + Default + Send + 'static {
 #[derive(Debug, Default)]
 pub struct StudyAnalyzers {
     /// Table 1.
-    pub table1: Table1Analyzer,
+    pub(crate) table1: Table1Analyzer,
     /// Figures 1–2, §4 totals.
-    pub activity: ActivityAnalyzer,
+    pub(crate) activity: ActivityAnalyzer,
     /// §4 popularity.
-    pub section4: Section4Analyzer,
+    pub(crate) section4: Section4Analyzer,
     /// §5 identity.
-    pub identity: IdentityAnalyzer,
+    pub(crate) identity: IdentityAnalyzer,
     /// §6 moderation.
-    pub moderation: ModerationAnalyzer,
+    pub(crate) moderation: ModerationAnalyzer,
     /// §7 recommendation.
-    pub recommendation: RecommendationAnalyzer,
+    pub(crate) recommendation: RecommendationAnalyzer,
     /// §9 firehose volume.
-    pub volume: FirehoseVolumeAnalyzer,
+    pub(crate) volume: FirehoseVolumeAnalyzer,
     /// §10 wire-traffic observatory.
-    pub observatory: ObservatoryAnalyzer,
+    pub(crate) observatory: ObservatoryAnalyzer,
 }
 
 impl StudyAnalyzers {
@@ -193,7 +193,7 @@ struct AnalyzerWorker<S> {
 /// there inline with the producer's live context. [`PipelinedSink::finish`]
 /// returns a sink state byte-identical to a plain serial fold — pinned by
 /// the golden tests in `tests/pipeline_equivalence.rs`.
-pub struct PipelinedSink<S: ShardSink> {
+pub(crate) struct PipelinedSink<S: ShardSink> {
     workers: Vec<AnalyzerWorker<S>>,
     pending: Vec<OwnedObservation>,
     next_seq: u64,
@@ -206,7 +206,7 @@ pub struct PipelinedSink<S: ShardSink> {
 impl<S: ShardSink> PipelinedSink<S> {
     /// Spawn up to `analyzer_threads` workers (clamped to the sink's part
     /// count); worker `w` owns every part `p` with `p % workers == w`.
-    pub fn new(analyzer_threads: usize) -> PipelinedSink<S> {
+    pub(crate) fn new(analyzer_threads: usize) -> PipelinedSink<S> {
         let total_parts = S::fan_out_parts();
         let workers = analyzer_threads.min(total_parts);
         if workers <= 1 && total_parts <= 1 {
@@ -258,7 +258,7 @@ impl<S: ShardSink> PipelinedSink<S> {
 
     /// Batches shipped to the workers so far (a [`StreamSummary`]
     /// diagnostic; zero once drained-inline folding takes over).
-    pub fn batches_sent(&self) -> u64 {
+    pub(crate) fn batches_sent(&self) -> u64 {
         self.batches_sent
     }
 
@@ -298,7 +298,7 @@ impl<S: ShardSink> PipelinedSink<S> {
     }
 
     /// Close the pipeline and hand back the fully folded sink.
-    pub fn finish(mut self) -> S {
+    pub(crate) fn finish(mut self) -> S {
         match self.inline.take() {
             Some(sink) => sink,
             None => self.drain(),
@@ -350,7 +350,7 @@ pub struct ShardedSummary {
     /// Number of population shards.
     pub shards: usize,
     /// Worker threads used.
-    pub jobs: usize,
+    pub(crate) jobs: usize,
     /// Per-shard producer summaries, in shard order.
     pub per_shard: Vec<StreamSummary>,
     /// The merged summary (counters added, peaks maxed).
@@ -397,9 +397,6 @@ fn run_shard<S: ShardSink>(
         .store(spec.store.clone())
         .framing(spec.framing)
         .faults(faults);
-    for (class, policy) in &spec.retries {
-        collector = collector.retry(*class, *policy);
-    }
     let (sink, summary) = if spec.pipeline {
         let mut pipelined = PipelinedSink::<S>::new(spec.analyzer_threads);
         let mut summary = collector.stream(&mut world, &mut pipelined);
@@ -581,7 +578,7 @@ mod tests {
 
     impl ObservationSink for GivesUpInShardOne {
         fn observe(&mut self, _obs: &Observation<'_>, ctx: &StudyCtx<'_>) {
-            if ctx.try_world().is_some_and(|world| world.shard.index == 1) {
+            if ctx.world().shard.index == 1 {
                 panic!("sink gave up");
             }
         }

@@ -2,9 +2,8 @@
 //!
 //! Every knob the pipeline understands — scenario seed/scale, engine
 //! shards and worker threads, block-store backend, AppView entity shards
-//! and the write-back cache, wire [`FramingPolicy`], fault injection and
-//! retry policies — lives in one builder, and a spec describes exactly one
-//! run. The entry points ([`crate::report::StudyReport::run`],
+//! and the write-back cache, wire [`FramingPolicy`] and fault injection —
+//! lives in one builder, and a spec describes exactly one run. The entry points ([`crate::report::StudyReport::run`],
 //! [`crate::report::StudyReport::run_serial`],
 //! [`crate::shard::collect_sharded`]) all take a `&RunSpec`, so a new knob
 //! is one field + one builder method — never a new suffix-combinated
@@ -19,7 +18,7 @@
 
 use bsky_atproto::blockstore::StoreConfig;
 use bsky_atproto::framing::FramingPolicy;
-use bsky_simnet::faults::{FaultSpec, RetryPolicy, TimeoutClass};
+use bsky_simnet::faults::FaultSpec;
 use bsky_workload::ScenarioConfig;
 
 /// A full, validated-on-demand description of one study run. Construct
@@ -69,9 +68,6 @@ pub struct RunSpec {
     /// Scenario label for the report's fault-impact section (`None` renders
     /// a non-quiet custom spec as `custom`).
     pub scenario: Option<String>,
-    /// Per-timeout-class retry policies for the producer's fetch/DNS paths
-    /// (empty keeps the defaults).
-    pub retries: Vec<(TimeoutClass, RetryPolicy)>,
 }
 
 impl RunSpec {
@@ -93,7 +89,6 @@ impl RunSpec {
             framing: FramingPolicy::default(),
             faults: FaultSpec::default(),
             scenario: None,
-            retries: Vec::new(),
         }
     }
 
@@ -180,12 +175,6 @@ impl RunSpec {
     /// Label the fault spec for the report's scenario-impact section.
     pub fn scenario(mut self, name: impl Into<String>) -> RunSpec {
         self.scenario = Some(name.into());
-        self
-    }
-
-    /// Override the retry policy for one timeout class.
-    pub fn retry(mut self, class: TimeoutClass, policy: RetryPolicy) -> RunSpec {
-        self.retries.push((class, policy));
         self
     }
 

@@ -2,7 +2,7 @@
 
 /// Exact quantile of a slice (linear interpolation). Returns `None` on empty
 /// input.
-pub fn quantile(values: &[f64], q: f64) -> Option<f64> {
+pub(crate) fn quantile(values: &[f64], q: f64) -> Option<f64> {
     if values.is_empty() {
         return None;
     }
@@ -20,17 +20,17 @@ pub fn quantile(values: &[f64], q: f64) -> Option<f64> {
 }
 
 /// Median.
-pub fn median(values: &[f64]) -> Option<f64> {
+pub(crate) fn median(values: &[f64]) -> Option<f64> {
     quantile(values, 0.5)
 }
 
 /// Interquartile distance (Q3 − Q1), the dispersion measure of Table 6.
-pub fn iqd(values: &[f64]) -> Option<f64> {
+pub(crate) fn iqd(values: &[f64]) -> Option<f64> {
     Some(quantile(values, 0.75)? - quantile(values, 0.25)?)
 }
 
 /// Pearson's correlation coefficient between two equally long samples.
-pub fn pearson(x: &[f64], y: &[f64]) -> Option<f64> {
+pub(crate) fn pearson(x: &[f64], y: &[f64]) -> Option<f64> {
     if x.len() != y.len() || x.len() < 2 {
         return None;
     }
@@ -52,7 +52,7 @@ pub fn pearson(x: &[f64], y: &[f64]) -> Option<f64> {
 }
 
 /// Percentage share of `part` in `total`.
-pub fn share(part: u64, total: u64) -> f64 {
+pub(crate) fn share(part: u64, total: u64) -> f64 {
     if total == 0 {
         0.0
     } else {
@@ -62,7 +62,7 @@ pub fn share(part: u64, total: u64) -> f64 {
 
 /// Count occurrences and return `(key, count)` pairs sorted by descending
 /// count (ties broken by key for determinism).
-pub fn top_counts<I, K>(items: I) -> Vec<(K, u64)>
+pub(crate) fn top_counts<I, K>(items: I) -> Vec<(K, u64)>
 where
     I: IntoIterator<Item = K>,
     K: Ord + Clone,

@@ -4,53 +4,50 @@
 //! Feed Generators: Skyfeed (85.86 % of feeds), Bluefeed, Blueskyfeeds,
 //! Goodfeeds and Blueskyfeedcreator. Each exposes a different subset of
 //! inputs and filters; Skyfeed is the only one with regex support. This
-//! module models the platforms, their feature matrices, and whether a given
-//! [`FeedPipeline`] can be hosted on a given platform.
-
-use crate::filter::{FeedFilter, FeedInput, FeedPipeline};
+//! module models the platforms and their feature matrices.
 
 /// The input features a platform supports (Table 5, upper half).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct InputFeatures {
+pub(crate) struct InputFeatures {
     /// Whole-network input.
-    pub whole_network: bool,
+    pub(crate) whole_network: bool,
     /// Hashtag input.
-    pub tags: bool,
+    pub(crate) tags: bool,
     /// Single-user input.
-    pub single_user: bool,
+    pub(crate) single_user: bool,
     /// User-list input.
-    pub list: bool,
+    pub(crate) list: bool,
     /// Another feed as input.
-    pub feed: bool,
+    pub(crate) feed: bool,
     /// A single post as input.
-    pub single_post: bool,
+    pub(crate) single_post: bool,
     /// Labels as input.
-    pub labels: bool,
+    pub(crate) labels: bool,
 }
 
 /// The filter features a platform supports (Table 5, lower half).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FilterFeatures {
     /// Label filters.
-    pub labels: bool,
+    pub(crate) labels: bool,
     /// Image-count filters.
-    pub image_count: bool,
+    pub(crate) image_count: bool,
     /// Link-count filters.
-    pub link_count: bool,
+    pub(crate) link_count: bool,
     /// Repost-count filters.
-    pub repost_count: bool,
+    pub(crate) repost_count: bool,
     /// Duplicate suppression.
-    pub duplicate: bool,
+    pub(crate) duplicate: bool,
     /// List-of-users filters.
-    pub list_of_users: bool,
+    pub(crate) list_of_users: bool,
     /// Language filters.
-    pub language: bool,
+    pub(crate) language: bool,
     /// Regex over post text.
     pub regex_text: bool,
     /// Regex over image alt text.
-    pub regex_alt: bool,
+    pub(crate) regex_alt: bool,
     /// Regex over links.
-    pub regex_link: bool,
+    pub(crate) regex_link: bool,
 }
 
 /// Pricing model.
@@ -70,7 +67,7 @@ pub struct FaasPlatform {
     /// Hostname of the service (feeds hosted here share this service DID).
     pub hostname: String,
     /// Supported inputs.
-    pub inputs: InputFeatures,
+    pub(crate) inputs: InputFeatures,
     /// Supported filters.
     pub filters: FilterFeatures,
     /// Pricing model.
@@ -78,40 +75,6 @@ pub struct FaasPlatform {
 }
 
 impl FaasPlatform {
-    /// Whether a pipeline can be built on this platform.
-    pub fn supports(&self, pipeline: &FeedPipeline) -> bool {
-        for input in &pipeline.inputs {
-            let ok = match input {
-                FeedInput::WholeNetwork => self.inputs.whole_network,
-                FeedInput::SingleUser(_) => self.inputs.single_user,
-                FeedInput::UserList(_) => self.inputs.list,
-                FeedInput::Tags(_) => self.inputs.tags,
-                FeedInput::Languages(_) => self.filters.language || self.inputs.whole_network,
-            };
-            if !ok {
-                return false;
-            }
-        }
-        for filter in &pipeline.filters {
-            let ok = match filter {
-                FeedFilter::Language(_) => self.filters.language,
-                FeedFilter::TextRegex(_) => self.filters.regex_text,
-                FeedFilter::AltTextRegex(_) => self.filters.regex_alt,
-                FeedFilter::MinImageCount(_) => self.filters.image_count,
-                FeedFilter::ExcludeMediaKinds(_) | FeedFilter::RequireMediaKinds(_) => {
-                    self.filters.labels || self.filters.image_count
-                }
-                FeedFilter::ExcludeAuthors(_) => self.filters.list_of_users,
-                FeedFilter::ExcludeReplies => true,
-                FeedFilter::Keyword(_) => true,
-            };
-            if !ok {
-                return false;
-            }
-        }
-        true
-    }
-
     /// Count of supported features (a rough proxy for Table 5's
     /// comprehensiveness comparison).
     pub fn feature_count(&self) -> usize {
@@ -268,8 +231,6 @@ pub fn observed_feed_shares() -> Vec<(&'static str, f64)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::regex::Regex;
-    use bsky_atproto::Did;
 
     #[test]
     fn five_platforms_with_skyfeed_most_capable() {
@@ -298,36 +259,6 @@ mod tests {
             .map(|p| p.name.as_str())
             .collect();
         assert_eq!(paid, vec!["Blueskyfeedcreator"]);
-    }
-
-    #[test]
-    fn pipeline_support_checks() {
-        let platforms = default_platforms();
-        let regex_pipeline = FeedPipeline {
-            inputs: vec![FeedInput::WholeNetwork],
-            filters: vec![FeedFilter::TextRegex(Regex::new("ramen").unwrap())],
-        };
-        let simple_pipeline = FeedPipeline {
-            inputs: vec![FeedInput::Tags(vec!["art".into()])],
-            filters: vec![FeedFilter::Language(vec!["en".into()])],
-        };
-        let supporting_regex = platforms
-            .iter()
-            .filter(|p| p.supports(&regex_pipeline))
-            .count();
-        assert_eq!(supporting_regex, 1, "only Skyfeed hosts regex pipelines");
-        let supporting_simple = platforms
-            .iter()
-            .filter(|p| p.supports(&simple_pipeline))
-            .count();
-        assert!(supporting_simple >= 3);
-        // A single-user pipeline is the lowest common denominator (every
-        // platform in Table 5 supports single-user inputs).
-        let single_user = FeedPipeline {
-            inputs: vec![FeedInput::SingleUser(Did::plc_from_seed(b"a"))],
-            filters: vec![],
-        };
-        assert!(platforms.iter().all(|p| p.supports(&single_user)));
     }
 
     #[test]

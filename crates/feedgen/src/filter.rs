@@ -29,7 +29,7 @@ pub enum FeedInput {
 
 impl FeedInput {
     /// Whether a post by `author` qualifies as a candidate.
-    pub fn admits(&self, author: &Did, post: &PostRecord) -> bool {
+    pub(crate) fn admits(&self, author: &Did, post: &PostRecord) -> bool {
         match self {
             FeedInput::WholeNetwork => true,
             FeedInput::SingleUser(did) => author == did,
@@ -70,7 +70,7 @@ pub enum FeedFilter {
 
 impl FeedFilter {
     /// Whether a post passes this filter.
-    pub fn passes(&self, author: &Did, post: &PostRecord) -> bool {
+    pub(crate) fn passes(&self, author: &Did, post: &PostRecord) -> bool {
         match self {
             FeedFilter::Language(langs) => langs
                 .iter()
@@ -90,11 +90,6 @@ impl FeedFilter {
             FeedFilter::ExcludeReplies => post.reply_parent.is_none(),
             FeedFilter::Keyword(kw) => contains_ignore_ascii_case(&post.text, kw),
         }
-    }
-
-    /// Whether this filter requires regex support from the hosting platform.
-    pub fn needs_regex(&self) -> bool {
-        matches!(self, FeedFilter::TextRegex(_) | FeedFilter::AltTextRegex(_))
     }
 }
 
@@ -130,17 +125,11 @@ impl FeedPipeline {
     }
 
     /// Whether the pipeline curates the given post.
-    pub fn curates(&self, author: &Did, post: &PostRecord) -> bool {
+    pub(crate) fn curates(&self, author: &Did, post: &PostRecord) -> bool {
         if !self.inputs.iter().any(|i| i.admits(author, post)) {
             return false;
         }
         self.filters.iter().all(|f| f.passes(author, post))
-    }
-
-    /// Whether the pipeline uses regex filters (needed for the Table 5
-    /// platform-capability checks).
-    pub fn needs_regex(&self) -> bool {
-        self.filters.iter().any(FeedFilter::needs_regex)
     }
 }
 
@@ -206,13 +195,19 @@ mod tests {
             FeedFilter::TextRegex(Regex::new_case_insensitive("ramen|ラーメン").unwrap())
                 .passes(&alice, &ramen)
         );
-        assert!(!FeedFilter::TextRegex(Regex::new("sushi").unwrap()).passes(&alice, &ramen));
+        assert!(
+            !FeedFilter::TextRegex(Regex::compile("sushi", false).unwrap()).passes(&alice, &ramen)
+        );
 
         let art = art_post("a watercolour fox");
         assert!(FeedFilter::MinImageCount(1).passes(&alice, &art));
         assert!(!FeedFilter::MinImageCount(2).passes(&alice, &art));
-        assert!(FeedFilter::AltTextRegex(Regex::new("fox").unwrap()).passes(&alice, &art));
-        assert!(!FeedFilter::AltTextRegex(Regex::new("fox").unwrap()).passes(&alice, &ramen));
+        assert!(
+            FeedFilter::AltTextRegex(Regex::compile("fox", false).unwrap()).passes(&alice, &art)
+        );
+        assert!(
+            !FeedFilter::AltTextRegex(Regex::compile("fox", false).unwrap()).passes(&alice, &ramen)
+        );
         assert!(FeedFilter::RequireMediaKinds(vec![MediaKind::Artwork]).passes(&alice, &art));
         assert!(!FeedFilter::ExcludeMediaKinds(vec![MediaKind::Artwork]).passes(&alice, &art));
         assert!(FeedFilter::ExcludeMediaKinds(vec![MediaKind::Adult]).passes(&alice, &art));
@@ -276,13 +271,13 @@ mod tests {
         };
         assert!(pipeline.curates(&alice, &art_post("fox")));
         assert!(!pipeline.curates(&alice, &text_post("no tag", "en")));
-        assert!(!pipeline.needs_regex());
 
         let regex_pipeline = FeedPipeline {
             inputs: vec![FeedInput::WholeNetwork],
-            filters: vec![FeedFilter::TextRegex(Regex::new("ramen").unwrap())],
+            filters: vec![FeedFilter::TextRegex(
+                Regex::compile("ramen", false).unwrap(),
+            )],
         };
-        assert!(regex_pipeline.needs_regex());
         assert!(regex_pipeline.curates(&alice, &text_post("ramen time", "ja")));
         assert!(FeedPipeline::everything().curates(&alice, &text_post("anything", "en")));
     }

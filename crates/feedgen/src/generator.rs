@@ -57,7 +57,6 @@ pub struct FeedGenerator {
     retention: RetentionPolicy,
     entries: Vec<FeedEntry>,
     like_count: u64,
-    requests_served: u64,
 }
 
 impl FeedGenerator {
@@ -82,7 +81,6 @@ impl FeedGenerator {
             retention,
             entries: Vec::new(),
             like_count: 0,
-            requests_served: 0,
         }
     }
 
@@ -99,16 +97,6 @@ impl FeedGenerator {
     /// The declaration record (display name, description, service DID).
     pub fn record(&self) -> &FeedGeneratorRecord {
         &self.record
-    }
-
-    /// The hosting service DID.
-    pub fn service_did(&self) -> &Did {
-        &self.record.service_did
-    }
-
-    /// The curation mode.
-    pub fn mode(&self) -> &CurationMode {
-        &self.mode
     }
 
     /// The retention policy.
@@ -181,7 +169,6 @@ impl FeedGenerator {
     /// (ties broken by URI so the order is total and observer-independent).
     /// Personalised feeds return nothing for an anonymous / empty viewer.
     pub fn get_feed(&mut self, limit: usize, viewer: Option<&Did>) -> Vec<FeedEntry> {
-        self.requests_served += 1;
         if self.is_personalized() && viewer.is_none() {
             return Vec::new();
         }
@@ -200,11 +187,6 @@ impl FeedGenerator {
         &self.entries
     }
 
-    /// Number of curated posts currently retained.
-    pub fn post_count(&self) -> usize {
-        self.entries.len()
-    }
-
     /// Whether the generator has ever curated anything.
     pub fn has_curated(&self) -> bool {
         !self.entries.is_empty()
@@ -218,11 +200,6 @@ impl FeedGenerator {
     /// Number of likes received (the paper's popularity proxy, §7.1).
     pub fn like_count(&self) -> u64 {
         self.like_count
-    }
-
-    /// Number of `getFeed` requests served.
-    pub fn requests_served(&self) -> u64 {
-        self.requests_served
     }
 }
 
@@ -287,12 +264,11 @@ mod tests {
             &PostRecord::simple("hello", "en", now()),
             now(),
         );
-        assert_eq!(feed.post_count(), 1);
+        assert_eq!(feed.entries().len(), 1);
         assert!(feed.has_curated());
         let skeleton = feed.get_feed(10, None);
         assert_eq!(skeleton.len(), 1);
         assert_eq!(skeleton[0].uri, post_uri(1));
-        assert_eq!(feed.requests_served(), 1);
         assert_eq!(
             feed.uri().collection().unwrap().as_str(),
             known::FEED_GENERATOR
@@ -333,7 +309,7 @@ mod tests {
         for i in 0..250 {
             feed.curate_manually(post_uri(i), now().plus_seconds(i as i64), now());
         }
-        assert_eq!(feed.post_count(), 100);
+        assert_eq!(feed.entries().len(), 100);
         assert_eq!(feed.entries()[0].uri, post_uri(150));
     }
 
@@ -356,9 +332,9 @@ mod tests {
         let end = now().plus_days(20);
         feed.enforce_retention(end);
         assert!(
-            feed.post_count() <= 8,
+            feed.entries().len() <= 8,
             "only ~a week retained, got {}",
-            feed.post_count()
+            feed.entries().len()
         );
         assert!(feed
             .entries()

@@ -18,7 +18,6 @@ pub mod filter;
 pub mod generator;
 pub mod regex;
 
-pub use faas::{FaasPlatform, Pricing};
 pub use filter::{FeedFilter, FeedInput, FeedPipeline};
-pub use generator::{CurationMode, FeedEntry, FeedGenerator, RetentionPolicy};
+pub use generator::{CurationMode, FeedGenerator, RetentionPolicy};
 pub use regex::Regex;

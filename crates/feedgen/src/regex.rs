@@ -14,7 +14,6 @@ use std::fmt;
 /// A compiled regular expression.
 #[derive(Debug, Clone)]
 pub struct Regex {
-    pattern: String,
     node: Node,
     case_insensitive: bool,
 }
@@ -219,36 +218,26 @@ impl<'a> Parser<'a> {
 }
 
 impl Regex {
-    /// Compile a case-sensitive pattern.
-    pub fn new(pattern: &str) -> Result<Regex, RegexError> {
-        Regex::compile(pattern, false)
-    }
-
     /// Compile a case-insensitive pattern.
     pub fn new_case_insensitive(pattern: &str) -> Result<Regex, RegexError> {
         Regex::compile(pattern, true)
     }
 
-    fn compile(pattern: &str, case_insensitive: bool) -> Result<Regex, RegexError> {
+    /// Compile a pattern, matching case-insensitively or not.
+    pub(crate) fn compile(pattern: &str, case_insensitive: bool) -> Result<Regex, RegexError> {
         let mut parser = Parser::new(pattern);
         let node = parser.parse_alternation()?;
         if parser.chars.next().is_some() {
             return Err(RegexError("unmatched ')'".into()));
         }
         Ok(Regex {
-            pattern: pattern.to_string(),
             node,
             case_insensitive,
         })
     }
 
-    /// The original pattern.
-    pub fn pattern(&self) -> &str {
-        &self.pattern
-    }
-
     /// Whether the pattern matches anywhere in `text`.
-    pub fn is_match(&self, text: &str) -> bool {
+    pub(crate) fn is_match(&self, text: &str) -> bool {
         let haystack: Vec<char> = if self.case_insensitive {
             text.chars().flat_map(|c| c.to_lowercase()).collect()
         } else {
@@ -417,7 +406,7 @@ mod tests {
     use super::*;
 
     fn matches(pattern: &str, text: &str) -> bool {
-        Regex::new(pattern).unwrap().is_match(text)
+        Regex::compile(pattern, false).unwrap().is_match(text)
     }
 
     #[test]
@@ -487,7 +476,7 @@ mod tests {
         assert!(re.is_match("Best Ramen"));
         assert!(re.is_match("ラーメン食べたい"));
         assert!(!re.is_match("sushi"));
-        let sensitive = Regex::new("RAMEN").unwrap();
+        let sensitive = Regex::compile("RAMEN", false).unwrap();
         assert!(!sensitive.is_match("ramen"));
     }
 
@@ -499,29 +488,23 @@ mod tests {
 
     #[test]
     fn parse_errors() {
-        assert!(Regex::new("(unclosed").is_err());
-        assert!(Regex::new("unopened)").is_err());
-        assert!(Regex::new("[unclosed").is_err());
-        assert!(Regex::new("*leading").is_err());
-        assert!(Regex::new("trailing\\").is_err());
-        assert!(Regex::new("[z-a]").is_err());
+        assert!(Regex::compile("(unclosed", false).is_err());
+        assert!(Regex::compile("unopened)", false).is_err());
+        assert!(Regex::compile("[unclosed", false).is_err());
+        assert!(Regex::compile("*leading", false).is_err());
+        assert!(Regex::compile("trailing\\", false).is_err());
+        assert!(Regex::compile("[z-a]", false).is_err());
         assert_eq!(
-            Regex::new("(a").unwrap_err().to_string(),
+            Regex::compile("(a", false).unwrap_err().to_string(),
             "invalid regex: unclosed group"
         );
-    }
-
-    #[test]
-    fn pattern_accessor() {
-        let re = Regex::new("a+b").unwrap();
-        assert_eq!(re.pattern(), "a+b");
     }
 
     #[test]
     fn pathological_backtracking_is_bounded() {
         // (a+)+b against a long run of 'a' with no 'b' — our repeat collapses
         // equal-length expansions so this completes quickly.
-        let re = Regex::new("(a+)+b").unwrap();
+        let re = Regex::compile("(a+)+b", false).unwrap();
         let text = "a".repeat(64);
         assert!(!re.is_match(&text));
         assert!(re.is_match(&format!("{}b", "a".repeat(64))));

@@ -13,33 +13,30 @@ use bsky_atproto::{Did, Handle};
 
 /// A service endpoint advertised in a DID document.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ServiceEntry {
+pub(crate) struct ServiceEntry {
     /// Service id, e.g. `atproto_pds` or `atproto_labeler`.
-    pub id: String,
+    pub(crate) id: String,
     /// Service type, e.g. `AtprotoPersonalDataServer`.
-    pub service_type: String,
+    pub(crate) service_type: String,
     /// Endpoint URL.
-    pub endpoint: String,
+    pub(crate) endpoint: String,
 }
 
 /// The parsed DID document of an account.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DidDocument {
     /// The account's DID.
-    pub did: Did,
+    pub(crate) did: Did,
     /// The account's current handle (`alsoKnownAs`).
     pub handle: Handle,
     /// Multibase rendering of the account's signing key.
-    pub signing_key: String,
+    pub(crate) signing_key: String,
     /// Advertised services.
-    pub services: Vec<ServiceEntry>,
+    pub(crate) services: Vec<ServiceEntry>,
 }
 
 /// Standard service id of the PDS entry.
 pub const SERVICE_PDS: &str = "atproto_pds";
-/// Standard service id of a labeler endpoint entry.
-pub const SERVICE_LABELER: &str = "atproto_labeler";
-
 impl DidDocument {
     /// Create a document with a PDS endpoint.
     pub fn new(did: Did, handle: Handle, signing_key: String, pds_endpoint: String) -> DidDocument {
@@ -53,24 +50,6 @@ impl DidDocument {
                 endpoint: pds_endpoint,
             }],
         }
-    }
-
-    /// The PDS endpoint, if present.
-    pub fn pds_endpoint(&self) -> Option<&str> {
-        self.service(SERVICE_PDS)
-    }
-
-    /// The labeler endpoint, if the account is a Labeler.
-    pub fn labeler_endpoint(&self) -> Option<&str> {
-        self.service(SERVICE_LABELER)
-    }
-
-    /// Look up a service endpoint by id.
-    pub fn service(&self, id: &str) -> Option<&str> {
-        self.services
-            .iter()
-            .find(|s| s.id == id)
-            .map(|s| s.endpoint.as_str())
     }
 
     /// Add or replace a service entry.
@@ -87,13 +66,8 @@ impl DidDocument {
         }
     }
 
-    /// Mark this account as a labeler with the given endpoint.
-    pub fn set_labeler_endpoint(&mut self, endpoint: &str) {
-        self.set_service(SERVICE_LABELER, "AtprotoLabeler", endpoint);
-    }
-
     /// Encode to the CBOR data model.
-    pub fn to_value(&self) -> Value {
+    pub(crate) fn to_value(&self) -> Value {
         Value::map([
             ("id", Value::text(self.did.to_string())),
             (
@@ -120,7 +94,7 @@ impl DidDocument {
     }
 
     /// Decode from the CBOR data model.
-    pub fn from_value(value: &Value) -> Result<DidDocument> {
+    pub(crate) fn from_value(value: &Value) -> Result<DidDocument> {
         let did = Did::parse(
             value
                 .get("id")
@@ -169,7 +143,7 @@ impl DidDocument {
 
     /// Serialise to the wire form stored at `/.well-known/did.json` and in
     /// the PLC directory (hex-encoded DAG-CBOR in this simulation).
-    pub fn to_wire(&self) -> String {
+    pub(crate) fn to_wire(&self) -> String {
         to_hex(&cbor::encode(&self.to_value()))
     }
 
@@ -202,24 +176,39 @@ mod tests {
         let wire = d.to_wire();
         let back = DidDocument::from_wire(&wire).unwrap();
         assert_eq!(back, d);
-        assert_eq!(back.pds_endpoint(), Some("https://pds001.bsky.network"));
-        assert!(back.labeler_endpoint().is_none());
+        assert_eq!(back.services.len(), 1);
+        assert_eq!(back.services[0].endpoint, "https://pds001.bsky.network");
     }
 
     #[test]
     fn labeler_endpoint_roundtrip() {
         let mut d = doc();
-        d.set_labeler_endpoint("https://labeler.example/xrpc");
+        let labeler = |d: &DidDocument| {
+            let entry = d.services.iter().find(|s| s.id == "atproto_labeler");
+            entry.map(|s| s.endpoint.clone())
+        };
+        d.set_service(
+            "atproto_labeler",
+            "AtprotoLabeler",
+            "https://labeler.example/xrpc",
+        );
         let back = DidDocument::from_wire(&d.to_wire()).unwrap();
         assert_eq!(
-            back.labeler_endpoint(),
+            labeler(&back).as_deref(),
             Some("https://labeler.example/xrpc")
         );
         assert_eq!(back.services.len(), 2);
         // Setting again replaces rather than duplicating.
-        d.set_labeler_endpoint("https://labeler2.example/xrpc");
+        d.set_service(
+            "atproto_labeler",
+            "AtprotoLabeler",
+            "https://labeler2.example/xrpc",
+        );
         assert_eq!(d.services.len(), 2);
-        assert_eq!(d.labeler_endpoint(), Some("https://labeler2.example/xrpc"));
+        assert_eq!(
+            labeler(&d).as_deref(),
+            Some("https://labeler2.example/xrpc")
+        );
     }
 
     #[test]
@@ -230,7 +219,7 @@ mod tests {
             "AtprotoPersonalDataServer",
             "https://self-hosted.example",
         );
-        assert_eq!(d.pds_endpoint(), Some("https://self-hosted.example"));
+        assert_eq!(d.services[0].endpoint, "https://self-hosted.example");
         assert_eq!(d.services.len(), 1);
     }
 

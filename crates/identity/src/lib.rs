@@ -8,8 +8,9 @@
 //! * [`plc`] — the centralized PLC directory operated by Bluesky PBC, with
 //!   creation/update/tombstone operations and the paginated export the study
 //!   snapshots.
-//! * [`resolver`] — bidirectional handle ⇄ DID resolution via DNS TXT proofs
-//!   and `/.well-known/atproto-did`, plus `did:web` document fetching.
+//! * [`resolver`] — publishing the proofs handle ⇄ DID resolution reads: DNS
+//!   TXT records, `/.well-known/atproto-did` and `did:web` documents (the
+//!   study's collector does the resolving, against the same stores).
 //! * [`psl`] — Public Suffix List handling for extracting registered domains
 //!   from FQDN handles (Figure 3).
 //! * [`registrar`] — registrar catalogue and WHOIS database with IANA-ID
@@ -30,6 +31,5 @@ pub mod tranco;
 pub use diddoc::DidDocument;
 pub use plc::PlcDirectory;
 pub use psl::PublicSuffixList;
-pub use registrar::{Registrar, WhoisDatabase};
-pub use resolver::IdentityResolver;
+pub use registrar::WhoisDatabase;
 pub use tranco::TrancoList;

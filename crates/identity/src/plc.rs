@@ -14,11 +14,11 @@ use std::collections::BTreeMap;
 
 /// One operation in an identity's PLC log.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PlcOperation {
+pub(crate) struct PlcOperation {
     /// When the operation was registered.
-    pub at: Datetime,
+    pub(crate) at: Datetime,
     /// A human-readable description (`create`, `update_handle`, ...).
-    pub kind: String,
+    pub(crate) kind: String,
 }
 
 /// The PLC directory service.
@@ -97,24 +97,6 @@ impl PlcDirectory {
         Ok(())
     }
 
-    /// Resolve a DID document.
-    pub fn resolve(&self, did: &Did) -> Option<&DidDocument> {
-        self.documents.get(&did.to_string())
-    }
-
-    /// Whether the DID has been tombstoned.
-    pub fn is_tombstoned(&self, did: &Did) -> bool {
-        self.tombstones.contains_key(&did.to_string())
-    }
-
-    /// The operation log of an identity.
-    pub fn log(&self, did: &Did) -> &[PlcOperation] {
-        self.logs
-            .get(&did.to_string())
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
-    }
-
     /// Number of live documents.
     pub fn len(&self) -> usize {
         self.documents.len()
@@ -149,11 +131,6 @@ impl PlcDirectory {
         };
         (page, next)
     }
-
-    /// Iterate all live documents.
-    pub fn iter(&self) -> impl Iterator<Item = &DidDocument> {
-        self.documents.values()
-    }
 }
 
 #[cfg(test)]
@@ -181,23 +158,23 @@ mod tests {
         let did = d.did.clone();
         plc.create(d, when()).unwrap();
         assert_eq!(plc.len(), 1);
-        assert!(plc.resolve(&did).is_some());
+        assert!(plc.documents.contains_key(&did.to_string()));
 
         plc.update(&did, "update_handle", when().plus_days(1), |doc| {
             doc.handle = Handle::parse("alice.example.com").unwrap();
         })
         .unwrap();
         assert_eq!(
-            plc.resolve(&did).unwrap().handle.as_str(),
+            plc.documents.get(&did.to_string()).unwrap().handle.as_str(),
             "alice.example.com"
         );
-        assert_eq!(plc.log(&did).len(), 2);
-        assert_eq!(plc.log(&did)[1].kind, "update_handle");
+        assert_eq!(plc.logs[&did.to_string()].len(), 2);
+        assert_eq!(plc.logs[&did.to_string()][1].kind, "update_handle");
 
         plc.tombstone(&did, when().plus_days(2)).unwrap();
-        assert!(plc.resolve(&did).is_none());
-        assert!(plc.is_tombstoned(&did));
-        assert_eq!(plc.log(&did).len(), 3);
+        assert!(!plc.documents.contains_key(&did.to_string()));
+        assert!(plc.tombstones.contains_key(&did.to_string()));
+        assert_eq!(plc.logs[&did.to_string()].len(), 3);
         // Cannot recreate a tombstoned DID.
         assert!(plc.create(doc("alice"), when()).is_err());
     }
@@ -210,7 +187,7 @@ mod tests {
         let missing = Did::plc_from_seed(b"missing");
         assert!(plc.update(&missing, "x", when(), |_| {}).is_err());
         assert!(plc.tombstone(&missing, when()).is_err());
-        assert!(plc.log(&missing).is_empty());
+        assert!(!plc.logs.contains_key(&missing.to_string()));
     }
 
     #[test]

@@ -60,47 +60,14 @@ impl PublicSuffixList {
         PublicSuffixList::default()
     }
 
-    /// Create an empty list (for tests or custom ecosystems).
-    pub fn empty() -> PublicSuffixList {
-        PublicSuffixList {
-            suffixes: BTreeSet::new(),
-            wildcards: BTreeSet::new(),
-        }
-    }
-
     /// Add a suffix rule, e.g. `com`, `co.uk`, `github.io` or `*.example`.
-    pub fn add_suffix(&mut self, suffix: &str) {
+    pub(crate) fn add_suffix(&mut self, suffix: &str) {
         let suffix = suffix.to_ascii_lowercase();
         if let Some(rest) = suffix.strip_prefix("*.") {
             self.wildcards.insert(rest.to_string());
         } else {
             self.suffixes.insert(suffix);
         }
-    }
-
-    /// Number of rules.
-    pub fn len(&self) -> usize {
-        self.suffixes.len() + self.wildcards.len()
-    }
-
-    /// Whether the list has no rules.
-    pub fn is_empty(&self) -> bool {
-        self.suffixes.is_empty() && self.wildcards.is_empty()
-    }
-
-    /// Whether `domain` is itself a public suffix.
-    pub fn is_public_suffix(&self, domain: &str) -> bool {
-        let domain = domain.to_ascii_lowercase();
-        if self.suffixes.contains(&domain) {
-            return true;
-        }
-        // `foo.bar` matches a wildcard rule `*.bar`.
-        if let Some((_, parent)) = domain.split_once('.') {
-            if self.wildcards.contains(parent) {
-                return true;
-            }
-        }
-        false
     }
 
     /// The length (in labels) of the longest public suffix of `labels`, or 0.
@@ -192,8 +159,6 @@ mod tests {
             Some("alice.github.io".into())
         );
         assert_eq!(psl.registered_domain("github.io"), None);
-        assert!(psl.is_public_suffix("github.io"));
-        assert!(!psl.is_public_suffix("alice.github.io"));
     }
 
     #[test]
@@ -207,10 +172,13 @@ mod tests {
 
     #[test]
     fn wildcard_rules() {
-        let mut psl = PublicSuffixList::empty();
+        let mut psl = PublicSuffixList {
+            suffixes: BTreeSet::new(),
+            wildcards: BTreeSet::new(),
+        };
         psl.add_suffix("*.ck");
         psl.add_suffix("ck");
-        assert!(psl.is_public_suffix("www.ck"));
+        assert_eq!(psl.registered_domain("www.ck"), None);
         assert_eq!(
             psl.registered_domain("shop.site.www.ck"),
             Some("site.www.ck".into())
@@ -219,7 +187,7 @@ mod tests {
             psl.registered_domain("site.www.ck"),
             Some("site.www.ck".into())
         );
-        assert!(psl.len() == 2 && !psl.is_empty());
+        assert_eq!((psl.suffixes.len(), psl.wildcards.len()), (1, 1));
     }
 
     #[test]
@@ -229,6 +197,6 @@ mod tests {
             psl.registered_domain("Alice.Example.COM"),
             Some("example.com".into())
         );
-        assert!(psl.is_public_suffix("COM"));
+        assert_eq!(psl.registered_domain("COM"), None);
     }
 }

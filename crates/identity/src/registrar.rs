@@ -58,23 +58,15 @@ pub fn default_catalogue() -> Vec<Registrar> {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WhoisRecord {
     /// The registered domain.
-    pub domain: String,
+    pub(crate) domain: String,
     /// The registrar, if WHOIS data could be retrieved at all.
     pub registrar: Option<Registrar>,
-}
-
-impl WhoisRecord {
-    /// The IANA ID, when both the record and the ID are available.
-    pub fn iana_id(&self) -> Option<u32> {
-        self.registrar.as_ref().and_then(|r| r.iana_id)
-    }
 }
 
 /// The WHOIS database queried by the study's scan.
 #[derive(Debug, Clone, Default)]
 pub struct WhoisDatabase {
     records: BTreeMap<String, WhoisRecord>,
-    queries: std::cell::Cell<u64>,
 }
 
 impl WhoisDatabase {
@@ -93,23 +85,7 @@ impl WhoisDatabase {
 
     /// Perform a WHOIS query. `None` means no data could be retrieved.
     pub fn query(&self, domain: &str) -> Option<&WhoisRecord> {
-        self.queries.set(self.queries.get() + 1);
         self.records.get(&domain.to_ascii_lowercase())
-    }
-
-    /// Number of domains with records.
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// Whether the database is empty.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-
-    /// Total queries served.
-    pub fn queries_served(&self) -> u64 {
-        self.queries.get()
     }
 }
 
@@ -159,14 +135,13 @@ mod tests {
         db.register("hidden.example", None);
 
         let rec = db.query("EXAMPLE.com").unwrap();
-        assert_eq!(rec.iana_id(), Some(1068));
+        assert_eq!(rec.registrar.as_ref().unwrap().iana_id, Some(1068));
         let cc = db.query("example.co.jp").unwrap();
         assert!(cc.registrar.is_some());
-        assert_eq!(cc.iana_id(), None);
+        assert_eq!(cc.registrar.as_ref().unwrap().iana_id, None);
         let hidden = db.query("hidden.example").unwrap();
         assert!(hidden.registrar.is_none());
         assert!(db.query("unregistered.example").is_none());
-        assert_eq!(db.len(), 3);
-        assert_eq!(db.queries_served(), 4);
+        assert_eq!(db.records.len(), 3);
     }
 }

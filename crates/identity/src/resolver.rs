@@ -1,130 +1,19 @@
-//! Handle and DID resolution.
+//! Publishing handle-ownership proofs and `did:web` documents.
 //!
 //! Resolution is bidirectional (§2, §5): a handle resolves to a DID through
 //! one of two ownership proofs (a DNS TXT record at `_atproto.<handle>` or an
 //! HTTPS document at `/.well-known/atproto-did`), and the DID's document must
 //! list that handle back for the pairing to be considered verified. DID
 //! documents themselves come from the PLC directory (`did:plc`) or from
-//! `/.well-known/did.json` on the handle's domain (`did:web`).
+//! `/.well-known/did.json` on the handle's domain (`did:web`). This module is
+//! the publishing half — what a PDS does when an account is created or a
+//! handle changes; the study's collector does the resolving, against the
+//! same DNS and web stores, in `bsky-study`'s `datasets`.
 
 use crate::diddoc::DidDocument;
-use crate::plc::PlcDirectory;
-use bsky_atproto::error::{AtError, Result};
-use bsky_atproto::handle::HandleProof;
-use bsky_atproto::{Did, DidMethod, Handle};
+use bsky_atproto::{Did, Handle};
 use bsky_simnet::dns::DnsZoneStore;
-use bsky_simnet::http::{HttpResponse, WebSpace};
-
-/// Outcome of resolving a handle to a DID.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HandleResolution {
-    /// The resolved DID.
-    pub did: Did,
-    /// Which ownership proof was found first (DNS TXT is preferred).
-    pub proof: HandleProof,
-}
-
-/// The resolver the measurement pipeline and the AppView both use.
-#[derive(Debug, Default)]
-pub struct IdentityResolver {
-    /// Cached statistics: how many resolutions used each proof mechanism.
-    dns_proofs: u64,
-    well_known_proofs: u64,
-}
-
-impl IdentityResolver {
-    /// Create a resolver.
-    pub fn new() -> IdentityResolver {
-        IdentityResolver::default()
-    }
-
-    /// Resolve a handle to a DID using the network's DNS zones and web space.
-    pub fn resolve_handle(
-        &mut self,
-        handle: &Handle,
-        dns: &DnsZoneStore,
-        web: &WebSpace,
-    ) -> Result<HandleResolution> {
-        // 1. DNS TXT record at _atproto.<handle>
-        if let Some(did_str) = dns.lookup_atproto_did(handle.as_str()) {
-            let did = Did::parse(&did_str)?;
-            self.dns_proofs += 1;
-            return Ok(HandleResolution {
-                did,
-                proof: HandleProof::DnsTxt,
-            });
-        }
-        // 2. HTTPS /.well-known/atproto-did
-        match web.get(&handle.well_known_url()) {
-            HttpResponse::Ok(body) => {
-                let did = Did::parse(body.trim())?;
-                self.well_known_proofs += 1;
-                Ok(HandleResolution {
-                    did,
-                    proof: HandleProof::WellKnown,
-                })
-            }
-            _ => Err(AtError::InvalidHandle(format!(
-                "no ownership proof found for {handle}"
-            ))),
-        }
-    }
-
-    /// Resolve a DID to its document.
-    pub fn resolve_did(
-        &self,
-        did: &Did,
-        plc: &PlcDirectory,
-        web: &WebSpace,
-    ) -> Result<DidDocument> {
-        match did.method() {
-            DidMethod::Plc => plc
-                .resolve(did)
-                .cloned()
-                .ok_or_else(|| AtError::InvalidDid(format!("{did} not in PLC directory"))),
-            DidMethod::Web => {
-                let domain = did.web_domain().expect("did:web has a domain");
-                let url = format!("https://{domain}/.well-known/did.json");
-                match web.get(&url) {
-                    HttpResponse::Ok(body) => DidDocument::from_wire(&body),
-                    _ => Err(AtError::InvalidDid(format!(
-                        "did:web document unavailable at {url}"
-                    ))),
-                }
-            }
-        }
-    }
-
-    /// Fully verify a handle: resolve handle → DID, fetch the DID document,
-    /// and check that the document lists the same handle back.
-    pub fn verify_handle(
-        &mut self,
-        handle: &Handle,
-        dns: &DnsZoneStore,
-        web: &WebSpace,
-        plc: &PlcDirectory,
-    ) -> Result<(DidDocument, HandleProof)> {
-        let resolution = self.resolve_handle(handle, dns, web)?;
-        let document = self.resolve_did(&resolution.did, plc, web)?;
-        if document.handle != *handle {
-            return Err(AtError::InvalidHandle(format!(
-                "bidirectional check failed: {handle} resolves to {} but its document claims {}",
-                resolution.did, document.handle
-            )));
-        }
-        Ok((document, resolution.proof))
-    }
-
-    /// Number of successful resolutions that used a DNS TXT proof.
-    pub fn dns_proofs(&self) -> u64 {
-        self.dns_proofs
-    }
-
-    /// Number of successful resolutions that used the well-known proof.
-    pub fn well_known_proofs(&self) -> u64 {
-        self.well_known_proofs
-    }
-}
+use bsky_simnet::http::WebSpace;
 
 /// Helpers for publishing ownership proofs (used by PDSes when accounts are
 /// created or when handles change).
@@ -152,126 +41,82 @@ pub mod publish {
     }
 }
 
+/// What `publish` writes, read back the way the study's collector resolves
+/// it: `DnsZoneStore::{lookup_atproto_did, resolve_atproto}` for the TXT
+/// proof and `WebSpace::get` for the two well-known documents.
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bsky_atproto::Datetime;
+    use bsky_simnet::dns::AtprotoResolution;
+    use bsky_simnet::http::HttpResponse;
 
-    struct World {
-        dns: DnsZoneStore,
-        web: WebSpace,
-        plc: PlcDirectory,
-        resolver: IdentityResolver,
-    }
-
-    fn world() -> World {
-        World {
-            dns: DnsZoneStore::new(),
-            web: WebSpace::new(),
-            plc: PlcDirectory::new(),
-            resolver: IdentityResolver::new(),
-        }
-    }
-
-    fn register_plc(world: &mut World, name: &str, handle: &str) -> DidDocument {
-        let doc = DidDocument::new(
+    fn identity(name: &str, handle: &str) -> (Did, Handle) {
+        (
             Did::plc_from_seed(name.as_bytes()),
             Handle::parse(handle).unwrap(),
-            format!("key-{name}"),
-            "https://pds001.bsky.network".into(),
-        );
-        world
-            .plc
-            .create(doc.clone(), Datetime::from_ymd(2024, 3, 1).unwrap())
-            .unwrap();
-        doc
+        )
     }
 
     #[test]
     fn dns_txt_proof_preferred() {
-        let mut w = world();
-        let doc = register_plc(&mut w, "alice", "alice.example.com");
-        let handle = doc.handle.clone();
-        publish::dns_proof(&mut w.dns, &handle, &doc.did);
-        publish::well_known_proof(&mut w.web, &handle, &doc.did);
-
-        let (resolved, proof) = w
-            .resolver
-            .verify_handle(&handle, &w.dns, &w.web, &w.plc)
-            .unwrap();
-        assert_eq!(resolved.did, doc.did);
-        assert_eq!(proof, HandleProof::DnsTxt);
-        assert_eq!(w.resolver.dns_proofs(), 1);
-        assert_eq!(w.resolver.well_known_proofs(), 0);
+        // Both proofs published: the TXT lookup — the one the identity
+        // analysis tries first — already answers with the DID.
+        let (mut dns, mut web) = (DnsZoneStore::new(), WebSpace::new());
+        let (did, handle) = identity("alice", "alice.example.com");
+        publish::dns_proof(&mut dns, &handle, &did);
+        publish::well_known_proof(&mut web, &handle, &did);
+        assert_eq!(
+            dns.lookup_atproto_did(handle.as_str()),
+            Some(did.to_string())
+        );
+        assert_eq!(
+            dns.resolve_atproto(handle.as_str()),
+            AtprotoResolution::Did(did.to_string())
+        );
     }
 
     #[test]
     fn well_known_fallback() {
-        let mut w = world();
-        let doc = register_plc(&mut w, "bob", "bob.example.org");
-        publish::well_known_proof(&mut w.web, &doc.handle, &doc.did);
-        let (_, proof) = w
-            .resolver
-            .verify_handle(&doc.handle, &w.dns, &w.web, &w.plc)
-            .unwrap();
-        assert_eq!(proof, HandleProof::WellKnown);
-        assert_eq!(w.resolver.well_known_proofs(), 1);
+        let (dns, mut web) = (DnsZoneStore::new(), WebSpace::new());
+        let (did, handle) = identity("bob", "bob.example.org");
+        publish::well_known_proof(&mut web, &handle, &did);
+        assert_eq!(dns.lookup_atproto_did(handle.as_str()), None);
+        assert_eq!(
+            web.get(&handle.well_known_url()),
+            HttpResponse::Ok(did.to_string())
+        );
     }
 
     #[test]
     fn missing_proof_fails() {
-        let mut w = world();
-        let doc = register_plc(&mut w, "carol", "carol.example.net");
-        assert!(w
-            .resolver
-            .verify_handle(&doc.handle, &w.dns, &w.web, &w.plc)
-            .is_err());
-    }
-
-    #[test]
-    fn bidirectional_mismatch_fails() {
-        let mut w = world();
-        let doc = register_plc(&mut w, "dave", "dave.example.com");
-        // The DNS proof claims a handle the document does not list.
-        let imposter_handle = Handle::parse("imposter.example.com").unwrap();
-        publish::dns_proof(&mut w.dns, &imposter_handle, &doc.did);
-        assert!(w
-            .resolver
-            .verify_handle(&imposter_handle, &w.dns, &w.web, &w.plc)
-            .is_err());
+        let (dns, web) = (DnsZoneStore::new(), WebSpace::new());
+        let (_, handle) = identity("carol", "carol.example.net");
+        assert_eq!(
+            dns.resolve_atproto(handle.as_str()),
+            AtprotoResolution::NxDomain
+        );
+        assert_eq!(web.get(&handle.well_known_url()), HttpResponse::NotFound);
     }
 
     #[test]
     fn did_web_resolution() {
-        let mut w = world();
-        let did = Did::web("blog.example.org").unwrap();
+        let mut web = WebSpace::new();
         let doc = DidDocument::new(
-            did.clone(),
+            Did::web("blog.example.org").unwrap(),
             Handle::parse("blog.example.org").unwrap(),
             "key-web".into(),
             "https://self-hosted.example".into(),
         );
-        publish::did_web_document(&mut w.web, &doc);
-        publish::dns_proof(&mut w.dns, &doc.handle, &did);
-        let (resolved, proof) = w
-            .resolver
-            .verify_handle(&doc.handle, &w.dns, &w.web, &w.plc)
-            .unwrap();
-        assert_eq!(resolved, doc);
-        assert_eq!(proof, HandleProof::DnsTxt);
-        // Unpublishing the document breaks DID resolution.
-        w.web
-            .unpublish("https://blog.example.org/.well-known/did.json");
-        assert!(w.resolver.resolve_did(&did, &w.plc, &w.web).is_err());
-    }
-
-    #[test]
-    fn tombstoned_plc_did_does_not_resolve() {
-        let mut w = world();
-        let doc = register_plc(&mut w, "erin", "erin.bsky.social");
-        w.plc
-            .tombstone(&doc.did, Datetime::from_ymd(2024, 4, 1).unwrap())
-            .unwrap();
-        assert!(w.resolver.resolve_did(&doc.did, &w.plc, &w.web).is_err());
+        publish::did_web_document(&mut web, &doc);
+        let served = web.get("https://blog.example.org/.well-known/did.json");
+        assert_eq!(DidDocument::from_wire(served.body().unwrap()).unwrap(), doc);
+        // A `did:plc` document has no domain to be published on.
+        let (did, handle) = identity("dave", "dave.example.com");
+        let before = web.clone();
+        publish::did_web_document(
+            &mut web,
+            &DidDocument::new(did, handle, "key".into(), "https://pds.example".into()),
+        );
+        assert_eq!(format!("{web:?}"), format!("{before:?}"));
     }
 }

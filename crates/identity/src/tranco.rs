@@ -15,7 +15,7 @@ pub struct TrancoList {
 
 impl TrancoList {
     /// Create an empty list.
-    pub fn new() -> TrancoList {
+    pub(crate) fn new() -> TrancoList {
         TrancoList::default()
     }
 
@@ -29,7 +29,7 @@ impl TrancoList {
     }
 
     /// Insert a domain at a rank (keeps the best rank on duplicates).
-    pub fn insert(&mut self, domain: &str, rank: u32) {
+    pub(crate) fn insert(&mut self, domain: &str, rank: u32) {
         let domain = domain.to_ascii_lowercase();
         self.ranks
             .entry(domain)
@@ -38,23 +38,13 @@ impl TrancoList {
     }
 
     /// The rank of a domain, if listed.
-    pub fn rank(&self, domain: &str) -> Option<u32> {
+    pub(crate) fn rank(&self, domain: &str) -> Option<u32> {
         self.ranks.get(&domain.to_ascii_lowercase()).copied()
     }
 
     /// Whether a domain is within the top `n`.
     pub fn in_top(&self, domain: &str, n: u32) -> bool {
         self.rank(domain).map(|r| r <= n).unwrap_or(false)
-    }
-
-    /// Number of listed domains.
-    pub fn len(&self) -> usize {
-        self.ranks.len()
-    }
-
-    /// Whether the list is empty.
-    pub fn is_empty(&self) -> bool {
-        self.ranks.is_empty()
     }
 }
 
@@ -75,8 +65,7 @@ mod tests {
         assert!(list.in_top("amazonaws.com", 2));
         assert!(!list.in_top("nytimes.com", 2));
         assert!(!list.in_top("unknown.example", 1_000_000));
-        assert_eq!(list.len(), 3);
-        assert!(!list.is_empty());
+        assert_eq!(list.ranks.len(), 3);
     }
 
     #[test]

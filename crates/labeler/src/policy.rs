@@ -28,14 +28,6 @@ pub enum ReactionModel {
 }
 
 impl ReactionModel {
-    /// A typical automated pipeline (~1 s median).
-    pub fn fast_automated() -> ReactionModel {
-        ReactionModel::Automated {
-            median_secs: 1.0,
-            sigma: 0.4,
-        }
-    }
-
     /// A typical human-in-the-loop process (hours).
     pub fn slow_manual() -> ReactionModel {
         ReactionModel::Manual {
@@ -44,13 +36,8 @@ impl ReactionModel {
         }
     }
 
-    /// Whether this model represents automation.
-    pub fn is_automated(&self) -> bool {
-        matches!(self, ReactionModel::Automated { .. })
-    }
-
     /// Sample a reaction delay in seconds.
-    pub fn sample_delay_secs(&self, rng: &mut SimRng) -> f64 {
+    pub(crate) fn sample_delay_secs(&self, rng: &mut SimRng) -> f64 {
         let (median, sigma) = match self {
             ReactionModel::Automated { median_secs, sigma }
             | ReactionModel::Manual { median_secs, sigma } => (*median_secs, *sigma),
@@ -109,7 +96,7 @@ pub enum Trigger {
 
 impl Trigger {
     /// The value this trigger applies.
-    pub fn value(&self) -> &str {
+    pub(crate) fn value(&self) -> &str {
         match self {
             Trigger::MissingAltText { value }
             | Trigger::Media { value, .. }
@@ -121,7 +108,7 @@ impl Trigger {
     }
 
     /// Evaluate the trigger against a post.
-    pub fn matches(&self, post: &PostRecord, rng: &mut SimRng) -> bool {
+    pub(crate) fn matches(&self, post: &PostRecord, rng: &mut SimRng) -> bool {
         match self {
             Trigger::MissingAltText { .. } => post.has_media_missing_alt(),
             Trigger::Media { kind, .. } => post.media_kinds().any(|k| k == *kind),
@@ -148,10 +135,10 @@ pub struct IssuancePolicy {
     /// Content triggers, evaluated in order; every matching trigger fires.
     pub triggers: Vec<Trigger>,
     /// Reaction-time model.
-    pub reaction: ReactionModel,
+    pub(crate) reaction: ReactionModel,
     /// Probability that an applied label is later rescinded (false positive
     /// cleanup; the paper observes 23,394 rescinded labels).
-    pub rescind_probability: f64,
+    pub(crate) rescind_probability: f64,
 }
 
 impl IssuancePolicy {
@@ -183,7 +170,7 @@ impl IssuancePolicy {
     }
 
     /// Evaluate every trigger against a post, returning the values to apply.
-    pub fn evaluate(&self, post: &PostRecord, rng: &mut SimRng) -> Vec<String> {
+    pub(crate) fn evaluate(&self, post: &PostRecord, rng: &mut SimRng) -> Vec<String> {
         let mut values: Vec<String> = self
             .triggers
             .iter()
@@ -192,6 +179,18 @@ impl IssuancePolicy {
             .collect();
         values.dedup();
         values
+    }
+}
+
+#[cfg(test)]
+impl ReactionModel {
+    /// A typical automated pipeline (~1 s median): the fixture of this
+    /// crate's tests.
+    pub(crate) fn fast_automated() -> ReactionModel {
+        ReactionModel::Automated {
+            median_secs: 1.0,
+            sigma: 0.4,
+        }
     }
 }
 
@@ -297,8 +296,7 @@ mod tests {
         let mut r = rng();
         let fast = ReactionModel::fast_automated();
         let slow = ReactionModel::slow_manual();
-        assert!(fast.is_automated());
-        assert!(!slow.is_automated());
+        assert!(matches!(slow, ReactionModel::Manual { .. }));
         let fast_samples: Vec<f64> = (0..500).map(|_| fast.sample_delay_secs(&mut r)).collect();
         let slow_samples: Vec<f64> = (0..500).map(|_| slow.sample_delay_secs(&mut r)).collect();
         let fast_mean = fast_samples.iter().sum::<f64>() / 500.0;

@@ -10,7 +10,7 @@
 use crate::policy::IssuancePolicy;
 use bsky_atproto::error::Result;
 use bsky_atproto::label::{Label, LabelTarget};
-use bsky_atproto::record::{LabelValueDefinition, LabelerServiceRecord, PostRecord};
+use bsky_atproto::record::PostRecord;
 use bsky_atproto::{AtUri, Datetime, Did};
 use bsky_simnet::net::HostingClass;
 use bsky_simnet::SimRng;
@@ -39,10 +39,8 @@ pub struct LabelerService {
     did: Did,
     display_name: String,
     operator: LabelerOperator,
-    endpoint: String,
     hosting: HostingClass,
     policy: IssuancePolicy,
-    announced_at: Datetime,
     /// Labels awaiting their reaction delay, ordered by due time. The flag
     /// marks labels that will be rescinded right after publication.
     pending: VecDeque<(Datetime, Label, bool)>,
@@ -64,23 +62,16 @@ impl LabelerService {
         operator: LabelerOperator,
         hosting: HostingClass,
         policy: IssuancePolicy,
-        announced_at: Datetime,
         rng: SimRng,
     ) -> LabelerService {
         let display_name = display_name.into();
-        let endpoint = format!(
-            "https://labeler-{}.example/xrpc/com.atproto.label.subscribeLabels",
-            did.identifier()
-        );
         LabelerService {
             functional: hosting != HostingClass::Dead,
             did,
             display_name,
             operator,
-            endpoint,
             hosting,
             policy,
-            announced_at,
             pending: VecDeque::new(),
             stream: Vec::new(),
             rng,
@@ -103,51 +94,14 @@ impl LabelerService {
         self.operator
     }
 
-    /// The public label-stream endpoint placed in the DID document.
-    pub fn endpoint(&self) -> &str {
-        &self.endpoint
-    }
-
     /// Hosting classification of the endpoint (§6.1).
     pub fn hosting(&self) -> HostingClass {
         self.hosting
     }
 
-    /// When the service record was first announced.
-    pub fn announced_at(&self) -> Datetime {
-        self.announced_at
-    }
-
     /// Whether the endpoint answers at all.
     pub fn is_functional(&self) -> bool {
         self.functional
-    }
-
-    /// Mark the endpoint as (non-)functional.
-    pub fn set_functional(&mut self, functional: bool) {
-        self.functional = functional;
-    }
-
-    /// The issuance policy.
-    pub fn policy(&self) -> &IssuancePolicy {
-        &self.policy
-    }
-
-    /// The `app.bsky.labeler.service` record announcing this labeler.
-    pub fn service_record(&self) -> LabelerServiceRecord {
-        LabelerServiceRecord {
-            policies: self
-                .policy
-                .declared_values()
-                .into_iter()
-                .map(|value| LabelValueDefinition {
-                    value,
-                    severity: "inform".into(),
-                    blurs: "content".into(),
-                })
-                .collect(),
-            created_at: self.announced_at,
-        }
     }
 
     /// Observe a freshly published post. Matching triggers enqueue labels
@@ -253,18 +207,8 @@ impl LabelerService {
         (&self.stream[start..], self.stream.len())
     }
 
-    /// Total labels (including negations) published so far.
-    pub fn published_count(&self) -> usize {
-        self.stream.len()
-    }
-
-    /// Labels still waiting on their reaction delay.
-    pub fn pending_count(&self) -> usize {
-        self.pending.len()
-    }
-
     /// Whether the labeler has ever published anything.
-    pub fn has_issued(&self) -> bool {
+    pub(crate) fn has_issued(&self) -> bool {
         !self.stream.is_empty()
     }
 }
@@ -297,31 +241,14 @@ impl LabelerRegistry {
         &mut self.labelers
     }
 
-    /// Look up a labeler by DID.
-    pub fn by_did(&self, did: &Did) -> Option<&LabelerService> {
-        self.labelers.iter().find(|l| l.did() == did)
-    }
-
     /// Number of announced labelers.
     pub fn announced_count(&self) -> usize {
         self.labelers.len()
     }
 
-    /// Number of labelers with functional endpoints.
-    pub fn functional_count(&self) -> usize {
-        self.labelers.iter().filter(|l| l.is_functional()).count()
-    }
-
     /// Number of labelers that issued at least one label.
     pub fn active_count(&self) -> usize {
         self.labelers.iter().filter(|l| l.has_issued()).count()
-    }
-
-    /// The official Bluesky labeler, if registered.
-    pub fn official(&self) -> Option<&LabelerService> {
-        self.labelers
-            .iter()
-            .find(|l| l.operator() == LabelerOperator::BlueskyOfficial)
     }
 }
 
@@ -374,7 +301,6 @@ mod tests {
                     sigma: 0.1,
                 },
             ),
-            now(),
             SimRng::new(1),
         )
     }
@@ -384,7 +310,7 @@ mod tests {
         let mut labeler = alt_text_labeler();
         labeler.observe_post(&post_uri(1), &media_post(None), now());
         labeler.observe_post(&post_uri(2), &media_post(Some("described")), now());
-        assert_eq!(labeler.pending_count(), 1);
+        assert_eq!(labeler.pending.len(), 1);
         assert_eq!(labeler.poll(now()), 0, "reaction delay has not elapsed");
         let published = labeler.poll(now().plus_seconds(120));
         assert_eq!(published, 1);
@@ -433,7 +359,6 @@ mod tests {
                 }],
                 ReactionModel::fast_automated(),
             ),
-            now(),
             SimRng::new(2),
         );
         assert!(!labeler.is_functional());
@@ -442,7 +367,7 @@ mod tests {
         assert_eq!(labeler.subscribe_labels(0).0.len(), 0);
         assert!(!labeler.has_issued());
         // Bringing it up later lets it work.
-        labeler.set_functional(true);
+        labeler.functional = true;
         labeler.observe_post(&post_uri(2), &media_post(None), now());
         labeler.poll(now().plus_days(1));
         assert!(labeler.has_issued());
@@ -463,7 +388,6 @@ mod tests {
                 ReactionModel::fast_automated(),
             )
             .with_rescind_probability(0.5),
-            now(),
             SimRng::new(3),
         );
         for i in 0..200 {
@@ -499,10 +423,6 @@ mod tests {
         let (labels, _) = labeler.subscribe_labels(0);
         assert_eq!(labels.len(), 1);
         assert_eq!(labels[0].target.kind().display_name(), "Account");
-
-        let record = labeler.service_record();
-        assert_eq!(record.policies.len(), 1);
-        assert_eq!(record.policies[0].value, "no-alt-text");
     }
 
     #[test]
@@ -518,7 +438,6 @@ mod tests {
             LabelerOperator::BlueskyOfficial,
             HostingClass::Cloud,
             IssuancePolicy::new(vec![], ReactionModel::fast_automated()),
-            Datetime::from_ymd(2023, 4, 1).unwrap(),
             SimRng::new(4),
         ));
         registry.register(LabelerService::new(
@@ -527,17 +446,12 @@ mod tests {
             LabelerOperator::Community,
             HostingClass::Dead,
             IssuancePolicy::new(vec![], ReactionModel::fast_automated()),
-            now(),
             SimRng::new(5),
         ));
         assert_eq!(registry.announced_count(), 3);
-        assert_eq!(registry.functional_count(), 2);
+        let functional = registry.all().iter().filter(|l| l.is_functional());
+        assert_eq!(functional.count(), 2);
         assert_eq!(registry.active_count(), 1);
-        assert!(registry.official().is_some());
-        assert!(registry
-            .by_did(&Did::plc_from_seed(b"alt-labeler"))
-            .is_some());
-        assert!(registry.by_did(&Did::plc_from_seed(b"nobody")).is_none());
         assert_eq!(registry.all().len(), registry.all_mut().len());
     }
 }

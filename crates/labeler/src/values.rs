@@ -6,32 +6,6 @@
 //! community-standards values, and the niche values of the most active
 //! community Labelers (Tables 3, 4 and 6).
 
-/// Values the official Bluesky Labeler applies automatically (fast reaction
-/// times in Figure 6: porn, nudity, corpse, ...).
-pub const BLUESKY_AUTOMATED_VALUES: &[&str] = &[
-    "porn",
-    "sexual",
-    "nudity",
-    "graphic-media",
-    "gore",
-    "corpse",
-    "self-harm",
-];
-
-/// Values the official Bluesky Labeler applies through manual review (slow
-/// reaction times in Figure 6: spam, !takedown, intolerant, ...).
-pub const BLUESKY_MANUAL_VALUES: &[&str] = &[
-    "spam",
-    "!takedown",
-    "!warn",
-    "sexual-figurative",
-    "intolerant",
-    "icon-intolerant",
-    "rude",
-    "threat",
-    "impersonation",
-];
-
 /// Representative community labeler profiles observed in Table 3 / Table 6:
 /// `(display name, primary values)`.
 pub const COMMUNITY_LABELER_PROFILES: &[(&str, &[&str])] = &[
@@ -95,21 +69,6 @@ pub const COMMUNITY_LABELER_PROFILES: &[(&str, &[&str])] = &[
     ("Bean Sceptics", &["beanhate", "feature-scold"]),
 ];
 
-/// Every distinct label value in the catalogues above.
-pub fn all_catalogue_values() -> Vec<&'static str> {
-    let mut values: Vec<&'static str> = BLUESKY_AUTOMATED_VALUES
-        .iter()
-        .chain(BLUESKY_MANUAL_VALUES)
-        .copied()
-        .collect();
-    for (_, vals) in COMMUNITY_LABELER_PROFILES {
-        values.extend_from_slice(vals);
-    }
-    values.sort_unstable();
-    values.dedup();
-    values
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -117,16 +76,11 @@ mod tests {
 
     #[test]
     fn all_catalogue_values_are_valid_labels() {
-        for value in all_catalogue_values() {
+        for value in COMMUNITY_LABELER_PROFILES
+            .iter()
+            .flat_map(|(_, values)| *values)
+        {
             assert!(validate_value(value).is_ok(), "{value}");
-        }
-    }
-
-    #[test]
-    fn catalogues_are_disjoint_enough() {
-        // Official automated and manual sets do not overlap.
-        for v in BLUESKY_AUTOMATED_VALUES {
-            assert!(!BLUESKY_MANUAL_VALUES.contains(v), "{v} in both sets");
         }
     }
 
@@ -136,6 +90,5 @@ mod tests {
         // profile list covers the 24 with distinguishable behaviour
         // (Table 6) minus the official one.
         assert!(COMMUNITY_LABELER_PROFILES.len() >= 23);
-        assert!(all_catalogue_values().len() >= 50);
     }
 }

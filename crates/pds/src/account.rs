@@ -55,7 +55,7 @@ impl ModerationPreferences {
 
 /// Account status on its PDS.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AccountStatus {
+pub(crate) enum AccountStatus {
     /// Active account.
     Active,
     /// Deactivated (kept but not serving).
@@ -66,22 +66,22 @@ pub enum AccountStatus {
 
 /// An account hosted on a PDS.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Account {
+pub(crate) struct Account {
     /// The account's immutable DID.
-    pub did: Did,
+    pub(crate) did: Did,
     /// The current handle.
-    pub handle: Handle,
+    pub(crate) handle: Handle,
     /// When the account was created.
-    pub created_at: Datetime,
+    pub(crate) created_at: Datetime,
     /// Account status.
-    pub status: AccountStatus,
+    pub(crate) status: AccountStatus,
     /// Private moderation preferences.
-    pub preferences: ModerationPreferences,
+    pub(crate) preferences: ModerationPreferences,
 }
 
 impl Account {
     /// Create an active account.
-    pub fn new(did: Did, handle: Handle, created_at: Datetime) -> Account {
+    pub(crate) fn new(did: Did, handle: Handle, created_at: Datetime) -> Account {
         Account {
             did,
             handle,

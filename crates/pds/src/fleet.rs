@@ -51,29 +51,14 @@ impl PdsFleet {
         self.servers.insert(pds.hostname().to_string(), pds);
     }
 
-    /// Number of servers.
-    pub fn server_count(&self) -> usize {
-        self.servers.len()
-    }
-
     /// Iterate servers (hostname order).
     pub fn servers(&self) -> impl Iterator<Item = &Pds> {
         self.servers.values()
     }
 
-    /// Mutable iteration over servers.
-    pub fn servers_mut(&mut self) -> impl Iterator<Item = &mut Pds> {
-        self.servers.values_mut()
-    }
-
     /// Access a server by hostname.
     pub fn server(&self, hostname: &str) -> Option<&Pds> {
         self.servers.get(hostname)
-    }
-
-    /// Mutable access to a server by hostname.
-    pub fn server_mut(&mut self, hostname: &str) -> Option<&mut Pds> {
-        self.servers.get_mut(hostname)
     }
 
     /// Hostnames of Bluesky-operated default servers.
@@ -152,11 +137,6 @@ impl PdsFleet {
         Ok(dest.endpoint())
     }
 
-    /// Total number of hosted accounts across all servers.
-    pub fn total_accounts(&self) -> usize {
-        self.routing.len()
-    }
-
     /// Run the repository compaction pass on every server (the study
     /// pipeline calls this on its weekly snapshot cadence).
     pub fn compact_all(&mut self, cutoff: &Tid) -> CompactionStats {
@@ -167,7 +147,7 @@ impl PdsFleet {
         stats
     }
 
-    /// Trim every server's outbox ([`Pds::trim_outbox`]) to its entry in
+    /// Trim every server's outbox (`Pds::trim_outbox`) to its entry in
     /// `crawled`: one absolute outbox position per server, in
     /// [`PdsFleet::servers`] order, below which every crawler of that server
     /// has taken its events.
@@ -202,11 +182,11 @@ mod tests {
     #[test]
     fn default_fleet_layout() {
         let fleet = PdsFleet::with_default_servers(10);
-        assert_eq!(fleet.server_count(), 10);
+        assert_eq!(fleet.servers.len(), 10);
         assert_eq!(fleet.default_hostnames().len(), 10);
         assert!(fleet.server("pds001.host.bsky.network").is_some());
         assert!(fleet.server("missing").is_none());
-        assert_eq!(fleet.total_accounts(), 0);
+        assert_eq!(fleet.routing.len(), 0);
     }
 
     #[test]
@@ -222,8 +202,8 @@ mod tests {
             )
             .unwrap();
         assert_eq!(fleet.locate(&did), Some("pds002.host.bsky.network"));
-        assert!(fleet.pds_for(&did).unwrap().hosts(&did));
-        assert_eq!(fleet.total_accounts(), 1);
+        assert!(fleet.pds_for(&did).unwrap().repo(&did).is_some());
+        assert_eq!(fleet.routing.len(), 1);
         assert!(fleet
             .create_account_on(
                 "missing",

@@ -15,6 +15,6 @@ pub mod account;
 pub mod fleet;
 pub mod server;
 
-pub use account::{Account, AccountStatus, LabelAction, ModerationPreferences};
+pub use account::{LabelAction, ModerationPreferences};
 pub use fleet::PdsFleet;
-pub use server::{Pds, PdsEvent, PdsEventDetail, PdsOperator};
+pub use server::{Pds, PdsEventDetail, PdsOperator};

@@ -10,7 +10,7 @@
 //! The outbox drains. Every event has an *absolute position* — 0 for the
 //! first event the server ever produced — and a crawler's cursor is such a
 //! position, so it keeps its meaning however much of the outbox is still
-//! held. [`Pds::trim_outbox`] lets go of the events below a position and
+//! held. `Pds::trim_outbox` lets go of the events below a position and
 //! counts them; [`Pds::events_since`] serves from the first event still held.
 //! Who trims owns the contract: only events every crawler of this server has
 //! taken may go. A crawler that asks for a position already let go is served
@@ -61,7 +61,7 @@ pub enum PdsEventDetail {
 }
 
 /// A Personal Data Server instance. Its event outbox is read by absolute
-/// position and drains under [`Pds::trim_outbox`]; the module docs state who
+/// position and drains under `Pds::trim_outbox`; the module docs state who
 /// may trim and what a crawler that fell behind is owed.
 #[derive(Debug)]
 pub struct Pds {
@@ -74,7 +74,6 @@ pub struct Pds {
     outbox: Vec<PdsEvent>,
     /// Events let go by [`Pds::trim_outbox`]: the position of `outbox[0]`.
     outbox_trimmed: usize,
-    sync_requests: u64,
     /// Block-store backend every hosted repository is created over.
     store_config: StoreConfig,
 }
@@ -100,7 +99,6 @@ impl Pds {
             repos: BTreeMap::new(),
             outbox: Vec::new(),
             outbox_trimmed: 0,
-            sync_requests: 0,
             store_config,
         }
     }
@@ -116,17 +114,12 @@ impl Pds {
     }
 
     /// Who operates this PDS.
-    pub fn operator(&self) -> PdsOperator {
+    pub(crate) fn operator(&self) -> PdsOperator {
         self.operator
     }
 
-    /// Number of hosted accounts.
-    pub fn account_count(&self) -> usize {
-        self.accounts.len()
-    }
-
     /// Create an account and its empty repository.
-    pub fn create_account(&mut self, did: Did, handle: Handle, at: Datetime) -> Result<()> {
+    pub(crate) fn create_account(&mut self, did: Did, handle: Handle, at: Datetime) -> Result<()> {
         let key = did.as_string();
         if self.accounts.contains_key(&key) {
             return Err(AtError::RepoError(format!("{key} already hosted here")));
@@ -149,24 +142,9 @@ impl Pds {
         Ok(())
     }
 
-    /// Access an account.
-    pub fn account(&self, did: &Did) -> Option<&Account> {
-        self.accounts.get(&did.as_string())
-    }
-
-    /// Mutable access to an account (e.g. to edit preferences).
-    pub fn account_mut(&mut self, did: &Did) -> Option<&mut Account> {
-        self.accounts.get_mut(&did.as_string())
-    }
-
     /// Access a hosted repository.
     pub fn repo(&self, did: &Did) -> Option<&Repository> {
         self.repos.get(&did.as_string())
-    }
-
-    /// Whether the given DID is hosted here.
-    pub fn hosts(&self, did: &Did) -> bool {
-        self.repos.contains_key(&did.as_string())
     }
 
     /// Apply a batch of writes to a hosted repository, emitting a commit
@@ -258,7 +236,7 @@ impl Pds {
     /// Remove a repository as part of a migration to another PDS, returning
     /// it so the destination can import it. The account entry stays as a
     /// deactivated stub.
-    pub fn migrate_out(&mut self, did: &Did, at: Datetime) -> Result<Repository> {
+    pub(crate) fn migrate_out(&mut self, did: &Did, at: Datetime) -> Result<Repository> {
         let key = did.as_string();
         let repo = self
             .repos
@@ -276,7 +254,12 @@ impl Pds {
     }
 
     /// Import a repository migrated from another PDS.
-    pub fn migrate_in(&mut self, repo: Repository, handle: Handle, at: Datetime) -> Result<()> {
+    pub(crate) fn migrate_in(
+        &mut self,
+        repo: Repository,
+        handle: Handle,
+        at: Datetime,
+    ) -> Result<()> {
         let did = repo.did().clone();
         let key = did.as_string();
         if self.repos.contains_key(&key) {
@@ -297,36 +280,8 @@ impl Pds {
 
     // ----- com.atproto.sync.* -----
 
-    /// `sync.listRepos`: page of `(did, latest revision)` pairs in DID order.
-    pub fn list_repos(
-        &mut self,
-        cursor: Option<&str>,
-        limit: usize,
-    ) -> (Vec<(Did, Option<String>)>, Option<String>) {
-        self.sync_requests += 1;
-        let limit = limit.max(1);
-        let iter: Box<dyn Iterator<Item = (&String, &Repository)>> = match cursor {
-            Some(c) => Box::new(self.repos.range::<String, _>((
-                std::ops::Bound::Excluded(c.to_string()),
-                std::ops::Bound::Unbounded,
-            ))),
-            None => Box::new(self.repos.iter()),
-        };
-        let page: Vec<(Did, Option<String>)> = iter
-            .take(limit)
-            .map(|(_, r)| (r.did().clone(), r.rev().map(|t| t.to_string_form())))
-            .collect();
-        let next = if page.len() == limit {
-            page.last().map(|(did, _)| did.as_string())
-        } else {
-            None
-        };
-        (page, next)
-    }
-
     /// `sync.getRepo`: CAR export of a hosted repository.
     pub fn get_repo(&mut self, did: &Did) -> Result<Vec<u8>> {
-        self.sync_requests += 1;
         self.repos
             .get(&did.as_string())
             .map(Repository::export_car)
@@ -340,7 +295,6 @@ impl Pds {
     /// is unknown (rewound / replaced repo), in which case the caller must
     /// fall back to a full [`Pds::get_repo`].
     pub fn get_repo_since(&mut self, did: &Did, since: &Tid, scope: DeltaScope) -> Result<Vec<u8>> {
-        self.sync_requests += 1;
         self.repos
             .get(&did.as_string())
             .ok_or_else(|| AtError::RepoError(format!("{did} not hosted here")))?
@@ -366,7 +320,7 @@ impl Pds {
     /// returning how many went. The caller vouches that every crawler of
     /// this server is at or past `upto`. A position at or below what was
     /// already trimmed is a no-op, so trimming twice is idempotent.
-    pub fn trim_outbox(&mut self, upto: usize) -> usize {
+    pub(crate) fn trim_outbox(&mut self, upto: usize) -> usize {
         let gone = upto
             .saturating_sub(self.outbox_trimmed)
             .min(self.outbox.len());
@@ -375,7 +329,7 @@ impl Pds {
         gone
     }
 
-    /// Events let go by [`Pds::trim_outbox`] so far.
+    /// Events let go by `Pds::trim_outbox` so far.
     pub fn outbox_trimmed(&self) -> usize {
         self.outbox_trimmed
     }
@@ -386,15 +340,10 @@ impl Pds {
         self.outbox.len()
     }
 
-    /// Number of sync API requests served (crawler-load accounting).
-    pub fn sync_requests(&self) -> u64 {
-        self.sync_requests
-    }
-
     /// Run the compaction pass over every hosted repository: blocks that
     /// aged out of the delta-serving window ending at `cutoff` are
     /// reclaimed (see [`Repository::compact_before`]).
-    pub fn compact_repos(&mut self, cutoff: &Tid) -> CompactionStats {
+    pub(crate) fn compact_repos(&mut self, cutoff: &Tid) -> CompactionStats {
         let mut stats = CompactionStats::default();
         for repo in self.repos.values_mut() {
             stats.absorb(&repo.compact_before(cutoff));
@@ -403,7 +352,7 @@ impl Pds {
     }
 
     /// Aggregate block-store statistics over every hosted repository.
-    pub fn store_stats(&self) -> StoreStats {
+    pub(crate) fn store_stats(&self) -> StoreStats {
         let mut stats = StoreStats::default();
         for repo in self.repos.values() {
             stats.absorb(&repo.store_stats());
@@ -446,8 +395,8 @@ mod tests {
     #[test]
     fn account_lifecycle_and_events() {
         let (mut pds, did) = pds_with_alice();
-        assert_eq!(pds.account_count(), 1);
-        assert!(pds.hosts(&did));
+        assert_eq!(pds.accounts.len(), 1);
+        assert!(pds.repo(&did).is_some());
         assert_eq!(pds.endpoint(), "https://pds001.host.bsky.network");
 
         let (_, result) = pds
@@ -463,7 +412,7 @@ mod tests {
         pds.change_handle(&did, Handle::parse("alice.example.com").unwrap(), now())
             .unwrap();
         assert_eq!(
-            pds.account(&did).unwrap().handle.as_str(),
+            pds.accounts[&did.as_string()].handle.as_str(),
             "alice.example.com"
         );
 
@@ -478,7 +427,7 @@ mod tests {
         assert!(later.is_empty());
 
         pds.delete_account(&did, now()).unwrap();
-        assert!(!pds.hosts(&did));
+        assert!(pds.repo(&did).is_none());
         assert!(pds
             .create_record(&did, Nsid::parse(known::POST).unwrap(), post("x"), now())
             .is_err());
@@ -544,35 +493,6 @@ mod tests {
     }
 
     #[test]
-    fn list_repos_pagination() {
-        let mut pds = Pds::new("pds002.host.bsky.network", PdsOperator::BlueskyPbc);
-        for i in 0..25 {
-            let did = Did::plc_from_seed(format!("user{i}").as_bytes());
-            pds.create_account(
-                did.clone(),
-                Handle::parse(&format!("user{i}.bsky.social")).unwrap(),
-                now(),
-            )
-            .unwrap();
-            pds.create_record(&did, Nsid::parse(known::POST).unwrap(), post("hi"), now())
-                .unwrap();
-        }
-        let mut seen = 0;
-        let mut cursor: Option<String> = None;
-        loop {
-            let (page, next) = pds.list_repos(cursor.as_deref(), 10);
-            seen += page.len();
-            assert!(page.iter().all(|(_, rev)| rev.is_some()));
-            match next {
-                Some(c) => cursor = Some(c),
-                None => break,
-            }
-        }
-        assert_eq!(seen, 25);
-        assert!(pds.sync_requests() >= 3);
-    }
-
-    #[test]
     fn car_export_via_sync() {
         let (mut pds, did) = pds_with_alice();
         pds.create_record(
@@ -617,7 +537,6 @@ mod tests {
         assert!(pds
             .get_repo_since(&Did::plc_from_seed(b"stranger"), &since, DeltaScope::Full)
             .is_err());
-        assert!(pds.sync_requests() >= 4);
     }
 
     #[test]
@@ -638,8 +557,8 @@ mod tests {
             .migrate_in(repo, Handle::parse("alice.example.com").unwrap(), now())
             .unwrap();
 
-        assert!(!origin.hosts(&did));
-        assert!(destination.hosts(&did));
+        assert!(origin.repo(&did).is_none());
+        assert!(destination.repo(&did).is_some());
         // Content survives the move.
         let posts = destination
             .repo(&did)

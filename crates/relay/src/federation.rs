@@ -29,10 +29,6 @@
 //!   `(host, outbox_seq)` recorded at crawl time. A frame that reaches the
 //!   hub via two regions is mirrored and emitted exactly once, and every
 //!   drop is counted on the hub's [`RelayStats`](crate::stats::RelayStats).
-//! * **Backfill-on-join** — a region joining late walks the hub's
-//!   `listRepos` view and pulls its slice's repositories through the
-//!   existing `getRepo(since)` delta path: repos it already holds at an
-//!   older revision cost O(delta), unknown repos cost one full fetch.
 //! * **Link accounting** — every forwarded frame is recorded on a passive
 //!   per-link `(time, size)` tap keyed `region->hub`, extending the §10
 //!   observatory from PDS↔relay wires to relay↔relay wires.
@@ -107,24 +103,6 @@ impl DedupIndex {
         let cutoff = now.timestamp() - RETENTION_SECONDS;
         self.seen.retain(|_, t| *t >= cutoff);
     }
-
-    fn len(&self) -> usize {
-        self.seen.len()
-    }
-}
-
-/// Outcome of a region backfill pass (see
-/// [`RelayFederation::backfill_region`]).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct BackfillSummary {
-    /// Repositories fetched into the region's mirror.
-    pub repos: usize,
-    /// How many required a full CAR fetch (previously unmirrored).
-    pub full_fetches: u64,
-    /// How many refreshed through the `getRepo(since)` delta path.
-    pub delta_fetches: u64,
-    /// Total bytes pulled from PDSes (full CARs plus deltas).
-    pub bytes_fetched: u64,
 }
 
 /// The regional tier of a relay hierarchy: N regional relays, each crawling
@@ -167,18 +145,6 @@ impl RelayFederation {
         &self.regions[r]
     }
 
-    /// Mutable access to a regional relay (tests inject duplicate and
-    /// reordered deliveries through this).
-    pub fn region_mut(&mut self, r: usize) -> &mut Relay {
-        &mut self.regions[r]
-    }
-
-    /// Hostname slices: region `r` owns `hosts[r*len/n .. (r+1)*len/n]` of
-    /// the hostname-sorted fleet.
-    pub fn region_hosts(&self, fleet: &PdsFleet) -> Vec<Vec<String>> {
-        Self::partition(fleet, self.regions.len())
-    }
-
     fn partition(fleet: &PdsFleet, regions: usize) -> Vec<Vec<String>> {
         let hostnames: Vec<String> = fleet.servers().map(|p| p.hostname().to_string()).collect();
         let len = hostnames.len();
@@ -209,7 +175,7 @@ impl RelayFederation {
     /// deduplicating across regions. Exposed separately from
     /// [`RelayFederation::crawl_and_forward`] so tests can inject crafted
     /// regional streams; production stepping uses `crawl_and_forward`.
-    pub fn forward_into(&mut self, hub: &mut Relay, now: Datetime) -> usize {
+    pub(crate) fn forward_into(&mut self, hub: &mut Relay, now: Datetime) -> usize {
         let mut forwarded = 0usize;
         for r in 0..self.regions.len() {
             let sub = self.regions[r].subscribe(self.cursors[r]);
@@ -266,49 +232,6 @@ impl RelayFederation {
             .sum()
     }
 
-    /// Backfill region `r`'s mirror from the hub's `listRepos` view: every
-    /// repository hosted on the region's PDS slice is pulled through the
-    /// region's own `getRepo` — a delta refresh when the region already
-    /// mirrors an older revision, a full fetch otherwise. This is how a
-    /// late-joining region catches up without replaying the (retention-
-    /// bounded) firehose.
-    pub fn backfill_region(
-        &mut self,
-        r: usize,
-        hub: &Relay,
-        fleet: &mut PdsFleet,
-        now: Datetime,
-    ) -> BackfillSummary {
-        let hosts = Self::partition(fleet, self.regions.len())[r].clone();
-        let region = &mut self.regions[r];
-        let before_full = region.stats().cache_misses();
-        let before_delta = region.stats().delta_fetches();
-        let before_bytes = region.stats().bytes_fetched_from_pds();
-        let mut repos = 0usize;
-        let mut cursor: Option<String> = None;
-        loop {
-            let (page, next) = hub.list_repos(cursor.as_deref(), 100);
-            for (did, _rev) in &page {
-                let hosted_here = fleet
-                    .locate(did)
-                    .is_some_and(|h| hosts.iter().any(|x| x == h));
-                if hosted_here && region.get_repo(did, fleet, now).is_ok() {
-                    repos += 1;
-                }
-            }
-            match next {
-                Some(c) => cursor = Some(c),
-                None => break,
-            }
-        }
-        BackfillSummary {
-            repos,
-            full_fetches: region.stats().cache_misses() - before_full,
-            delta_fetches: region.stats().delta_fetches() - before_delta,
-            bytes_fetched: region.stats().bytes_fetched_from_pds() - before_bytes,
-        }
-    }
-
     /// Combined residency/spill statistics of every regional mirror store.
     pub fn store_stats(&self) -> StoreStats {
         let mut stats = StoreStats::default();
@@ -316,11 +239,6 @@ impl RelayFederation {
             stats.absorb(&region.store_stats());
         }
         stats
-    }
-
-    /// Live entries in the cross-relay dedup index.
-    pub fn dedup_entries(&self) -> usize {
-        self.dedup.len()
     }
 
     /// Drain the region→hub link taps accumulated since the last drain,
@@ -445,7 +363,7 @@ mod tests {
     fn region_slices_are_contiguous_and_cover_the_fleet() {
         let (fleet, _) = fleet_with_users(4);
         let fed = RelayFederation::new(2, &StoreConfig::default());
-        let slices = fed.region_hosts(&fleet);
+        let slices = RelayFederation::partition(&fleet, 2);
         let all: Vec<String> = slices.iter().flatten().cloned().collect();
         let sorted: Vec<String> = fleet.servers().map(|p| p.hostname().to_string()).collect();
         assert_eq!(all, sorted, "slices must tile the sorted hostname list");
@@ -467,8 +385,8 @@ mod tests {
         // Both regions crawl the *whole* fleet: every frame reaches the hub
         // twice, once per region.
         let mut fed = RelayFederation::new(2, &StoreConfig::default());
-        fed.region_mut(0).crawl(&fleet, now());
-        fed.region_mut(1).crawl(&fleet, now());
+        fed.regions[0].crawl(&fleet, now());
+        fed.regions[1].crawl(&fleet, now());
         let mut hub = Relay::default();
         let forwarded = fed.forward_into(&mut hub, now());
 
@@ -476,7 +394,7 @@ mod tests {
         assert_eq!(stream_of(&hub), clean);
         assert_eq!(hub.stats().duplicates_dropped(), clean.len() as u64);
         assert_eq!(hub.stats().dedup_tracked(), clean.len() as u64);
-        assert_eq!(fed.dedup_entries(), clean.len());
+        assert_eq!(fed.dedup.seen.len(), clean.len());
     }
 
     /// Satellite: property test for `(did, rev)` dedup. Region 0 carries
@@ -495,7 +413,7 @@ mod tests {
             let clean = stream_of(&single);
 
             let mut fed = RelayFederation::new(2, &StoreConfig::default());
-            fed.region_mut(0).crawl(&fleet, now());
+            fed.regions[0].crawl(&fleet, now());
             // Region 1's stream: clean frames with origins, shuffled by a
             // seeded LCG, every third frame delivered twice.
             let mut replay: Vec<(Event, Option<EventOrigin>)> = clean
@@ -516,8 +434,7 @@ mod tests {
             }
             let injected = replay.len();
             for (event, origin) in replay {
-                fed.region_mut(1)
-                    .ingest_event(event.time, event.body, origin);
+                fed.regions[1].ingest_event(event.time, event.body, origin);
             }
 
             let mut hub = Relay::default();
@@ -563,7 +480,7 @@ mod tests {
             t0.timestamp()
         ));
         index.prune(t0.plus_days(4));
-        assert_eq!(index.len(), 0);
+        assert!(index.seen.is_empty());
         assert!(index.admit(
             DedupKey::Origin {
                 host: "a".into(),
@@ -590,70 +507,5 @@ mod tests {
         // bytes equal the hub-side firehose bytes exactly.
         assert_eq!(bytes, hub.stats().total_bytes());
         assert!(fed.take_link_traces().is_empty(), "drain resets the taps");
-    }
-
-    #[test]
-    fn late_region_backfills_through_the_delta_path() {
-        let (mut fleet, dids) = fleet_with_users(6);
-        seed_activity(&mut fleet, &dids);
-        // Enough history per repo that a one-commit delta is visibly
-        // cheaper than a full CAR fetch.
-        for did in &dids[2..] {
-            for i in 0..4 {
-                fleet
-                    .pds_for_mut(did)
-                    .unwrap()
-                    .create_record(
-                        did,
-                        Nsid::parse(known::POST).unwrap(),
-                        post(&format!("history {i}")),
-                        now(),
-                    )
-                    .unwrap();
-            }
-        }
-
-        let mut fed = RelayFederation::new(2, &StoreConfig::default());
-        let mut hub = Relay::default();
-        fed.crawl_and_forward(&mut hub, &fleet, now());
-
-        // Region 1 joins: first backfill is all full fetches.
-        let first = fed.backfill_region(1, &hub, &mut fleet, now());
-        assert!(first.repos > 0);
-        assert_eq!(first.full_fetches, first.repos as u64);
-        assert_eq!(first.delta_fetches, 0);
-        assert!(first.bytes_fetched > 0);
-
-        // New commits land on region 1's slice; after the next crawl cycle
-        // a re-backfill refreshes through `getRepo(since)` deltas only.
-        let hosts = fed.region_hosts(&fleet)[1].clone();
-        let movers: Vec<Did> = dids
-            .iter()
-            .filter(|d| {
-                fleet
-                    .locate(d)
-                    .is_some_and(|h| hosts.iter().any(|x| x == h))
-            })
-            .cloned()
-            .collect();
-        assert!(!movers.is_empty());
-        for did in &movers {
-            fleet
-                .pds_for_mut(did)
-                .unwrap()
-                .create_record(
-                    did,
-                    Nsid::parse(known::POST).unwrap(),
-                    post("update"),
-                    now(),
-                )
-                .unwrap();
-        }
-        fed.crawl_and_forward(&mut hub, &fleet, now());
-        let second = fed.backfill_region(1, &hub, &mut fleet, now());
-        assert_eq!(second.repos, first.repos);
-        assert_eq!(second.full_fetches, 0, "{second:?}");
-        assert_eq!(second.delta_fetches, movers.len() as u64);
-        assert!(second.bytes_fetched < first.bytes_fetched);
     }
 }

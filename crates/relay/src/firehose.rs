@@ -12,7 +12,7 @@ use bsky_atproto::Datetime;
 use std::collections::BTreeMap;
 
 /// Retention window of the firehose, in seconds (three days, §2).
-pub const RETENTION_SECONDS: i64 = 3 * SECONDS_PER_DAY;
+pub(crate) const RETENTION_SECONDS: i64 = 3 * SECONDS_PER_DAY;
 
 /// The sequenced, retention-bounded event log.
 #[derive(Debug, Clone, Default)]
@@ -21,7 +21,6 @@ pub struct FirehoseLog {
     next_seq: Seq,
     /// Totals survive pruning so long-run statistics stay correct.
     totals_by_kind: BTreeMap<EventKind, u64>,
-    total_bytes: u64,
 }
 
 /// Result of reading from a cursor.
@@ -31,14 +30,14 @@ pub struct Subscription {
     pub events: Vec<Event>,
     /// True when the cursor predates the retention window (some events were
     /// missed and an `OutdatedCursor` info frame was prepended).
-    pub outdated_cursor: bool,
+    pub(crate) outdated_cursor: bool,
     /// The new cursor to use for the next read.
     pub cursor: Seq,
 }
 
 impl FirehoseLog {
     /// Create an empty log. Sequence numbers start at 1.
-    pub fn new() -> FirehoseLog {
+    pub(crate) fn new() -> FirehoseLog {
         FirehoseLog {
             next_seq: 1,
             ..FirehoseLog::default()
@@ -48,20 +47,19 @@ impl FirehoseLog {
     /// Append an event body, assigning the next sequence number. Returns
     /// it with the frame's wire size, so a caller that accounts bytes does
     /// not encode the frame a second time.
-    pub fn append(&mut self, time: Datetime, body: EventBody) -> (Seq, usize) {
+    pub(crate) fn append(&mut self, time: Datetime, body: EventBody) -> (Seq, usize) {
         let seq = self.next_seq;
         self.next_seq += 1;
         let event = Event { seq, time, body };
         *self.totals_by_kind.entry(event.kind()).or_insert(0) += 1;
         let wire_size = event.wire_size();
-        self.total_bytes += wire_size as u64;
         self.events.push(event);
         (seq, wire_size)
     }
 
     /// Drop events older than the retention window relative to `now`.
     /// Returns how many were pruned.
-    pub fn prune(&mut self, now: Datetime) -> usize {
+    pub(crate) fn prune(&mut self, now: Datetime) -> usize {
         let cutoff = now.timestamp() - RETENTION_SECONDS;
         let before = self.events.len();
         self.events.retain(|e| e.time.timestamp() >= cutoff);
@@ -69,7 +67,7 @@ impl FirehoseLog {
     }
 
     /// Read events after `cursor` (0 = from the start of retention).
-    pub fn read_from(&self, cursor: Seq) -> Subscription {
+    pub(crate) fn read_from(&self, cursor: Seq) -> Subscription {
         let oldest_retained = self.events.first().map(|e| e.seq).unwrap_or(self.next_seq);
         let outdated = cursor + 1 < oldest_retained;
         let events: Vec<Event> = self
@@ -89,16 +87,6 @@ impl FirehoseLog {
         }
     }
 
-    /// The highest sequence number assigned so far (0 when empty).
-    pub fn head_seq(&self) -> Seq {
-        self.next_seq - 1
-    }
-
-    /// Number of currently retained events.
-    pub fn retained(&self) -> usize {
-        self.events.len()
-    }
-
     /// Lifetime totals per event kind (Table 1).
     pub fn totals_by_kind(&self) -> &BTreeMap<EventKind, u64> {
         &self.totals_by_kind
@@ -109,14 +97,8 @@ impl FirehoseLog {
         self.totals_by_kind.values().sum()
     }
 
-    /// Lifetime total wire bytes (the ≈30 GB/day estimate of §9 divides this
-    /// by the observation window).
-    pub fn total_bytes(&self) -> u64 {
-        self.total_bytes
-    }
-
     /// Iterate retained events oldest-first.
-    pub fn iter(&self) -> impl Iterator<Item = &Event> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &Event> {
         self.events.iter()
     }
 }
@@ -143,9 +125,9 @@ mod tests {
             let (seq, _) = log.append(t(0, i), identity_body(&format!("u{i}")));
             assert_eq!(seq, i as u64 + 1);
         }
-        assert_eq!(log.head_seq(), 10);
+        assert_eq!(log.next_seq, 11);
         assert_eq!(log.total_events(), 10);
-        assert_eq!(log.retained(), 10);
+        assert_eq!(log.events.len(), 10);
     }
 
     #[test]
@@ -180,9 +162,8 @@ mod tests {
             pruned >= 2,
             "events older than 3 days must be pruned, got {pruned}"
         );
-        assert!(log.retained() < 6);
+        assert!(log.events.len() < 6);
         assert_eq!(log.total_events(), 6);
-        assert!(log.total_bytes() > 0);
         assert_eq!(
             log.totals_by_kind().get(&EventKind::Identity).copied(),
             Some(6)
@@ -200,7 +181,7 @@ mod tests {
         assert!(sub.outdated_cursor);
         assert!(!sub.events.is_empty());
         // A cursor at the head is never outdated.
-        let head = log.read_from(log.head_seq());
+        let head = log.read_from(log.next_seq - 1);
         assert!(!head.outdated_cursor);
         assert!(head.events.is_empty());
     }
@@ -211,7 +192,7 @@ mod tests {
         let sub = log.read_from(0);
         assert!(sub.events.is_empty());
         assert!(!sub.outdated_cursor);
-        assert_eq!(log.head_seq(), 0);
+        assert_eq!(log.next_seq, 1);
         assert_eq!(log.total_events(), 0);
     }
 }

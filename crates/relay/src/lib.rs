@@ -11,8 +11,7 @@
 //! * [`federation`] — hierarchical relay federation: N regional relays each
 //!   crawling a contiguous slice of the hostname-sorted PDS fleet, forwarding
 //!   cursor-resumably into a super-relay with cross-relay `(did, rev)` dedup,
-//!   backfill-on-join through the `getRepo(since)` delta path, and passive
-//!   region→hub link taps for the §10 observatory. Built so a federated run
+//!   and passive region→hub link taps for the §10 observatory. Built so a federated run
 //!   is byte-identical to a single-relay run — dedup makes the observed
 //!   stream identical by construction.
 //! * [`stats`] — per-day event/byte accounting behind the ≈30 GB/day
@@ -27,7 +26,5 @@ pub mod firehose;
 pub mod relay;
 pub mod stats;
 
-pub use federation::{BackfillSummary, RelayFederation};
-pub use firehose::{FirehoseLog, Subscription, RETENTION_SECONDS};
-pub use relay::{EventOrigin, Relay};
-pub use stats::RelayStats;
+pub use federation::RelayFederation;
+pub use relay::Relay;

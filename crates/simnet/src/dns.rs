@@ -10,7 +10,7 @@ use std::collections::BTreeMap;
 
 /// Outcome of a DNS TXT lookup.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TxtLookup {
+pub(crate) enum TxtLookup {
     /// The name exists and has TXT records.
     Found(Vec<String>),
     /// The name does not exist (NXDOMAIN).
@@ -21,7 +21,7 @@ pub enum TxtLookup {
 
 impl TxtLookup {
     /// The records, if the lookup succeeded.
-    pub fn records(&self) -> Option<&[String]> {
+    pub(crate) fn records(&self) -> Option<&[String]> {
         match self {
             TxtLookup::Found(r) => Some(r),
             _ => None,
@@ -48,7 +48,6 @@ pub enum AtprotoResolution {
 pub struct DnsZoneStore {
     txt: BTreeMap<String, Vec<String>>,
     broken: BTreeMap<String, ()>,
-    queries: std::cell::Cell<u64>,
 }
 
 impl DnsZoneStore {
@@ -57,33 +56,13 @@ impl DnsZoneStore {
         DnsZoneStore::default()
     }
 
-    /// Publish (append) a TXT record at a name.
-    pub fn add_txt(&mut self, name: &str, value: impl Into<String>) {
-        self.txt
-            .entry(name.to_ascii_lowercase())
-            .or_default()
-            .push(value.into());
-    }
-
     /// Replace all TXT records at a name.
     pub fn set_txt(&mut self, name: &str, values: Vec<String>) {
         self.txt.insert(name.to_ascii_lowercase(), values);
     }
 
-    /// Remove all records at a name.
-    pub fn remove(&mut self, name: &str) {
-        self.txt.remove(&name.to_ascii_lowercase());
-        self.broken.remove(&name.to_ascii_lowercase());
-    }
-
-    /// Mark a name as failing (SERVFAIL) regardless of stored records.
-    pub fn mark_broken(&mut self, name: &str) {
-        self.broken.insert(name.to_ascii_lowercase(), ());
-    }
-
     /// Perform a TXT lookup.
-    pub fn lookup_txt(&self, name: &str) -> TxtLookup {
-        self.queries.set(self.queries.get() + 1);
+    pub(crate) fn lookup_txt(&self, name: &str) -> TxtLookup {
         let name = name.to_ascii_lowercase();
         if self.broken.contains_key(&name) {
             return TxtLookup::ServFail;
@@ -120,21 +99,6 @@ impl DnsZoneStore {
                 .unwrap_or(AtprotoResolution::NoProof),
         }
     }
-
-    /// Number of names with at least one TXT record.
-    pub fn zone_count(&self) -> usize {
-        self.txt.len()
-    }
-
-    /// Total queries served (measurement of crawler load).
-    pub fn queries_served(&self) -> u64 {
-        self.queries.get()
-    }
-
-    /// Iterate all `(name, records)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, &[String])> {
-        self.txt.iter().map(|(k, v)| (k.as_str(), v.as_slice()))
-    }
 }
 
 #[cfg(test)]
@@ -144,8 +108,10 @@ mod tests {
     #[test]
     fn txt_publish_and_lookup() {
         let mut dns = DnsZoneStore::new();
-        dns.add_txt("_atproto.example.com", "did=did:plc:abc");
-        dns.add_txt("_atproto.example.com", "unrelated");
+        dns.set_txt(
+            "_atproto.example.com",
+            vec!["did=did:plc:abc".into(), "unrelated".into()],
+        );
         match dns.lookup_txt("_atproto.EXAMPLE.com") {
             TxtLookup::Found(records) => assert_eq!(records.len(), 2),
             other => panic!("unexpected {other:?}"),
@@ -155,15 +121,14 @@ mod tests {
             Some("did:plc:abc".to_string())
         );
         assert_eq!(dns.lookup_txt("missing.example"), TxtLookup::NxDomain);
-        assert_eq!(dns.zone_count(), 1);
-        assert!(dns.queries_served() >= 3);
+        assert_eq!(dns.txt.len(), 1);
     }
 
     #[test]
     fn broken_names_servfail() {
         let mut dns = DnsZoneStore::new();
-        dns.add_txt("_atproto.broken.example", "did=did:plc:abc");
-        dns.mark_broken("_atproto.broken.example");
+        dns.set_txt("_atproto.broken.example", vec!["did=did:plc:abc".into()]);
+        dns.broken.insert("_atproto.broken.example".into(), ());
         assert_eq!(
             dns.lookup_txt("_atproto.broken.example"),
             TxtLookup::ServFail
@@ -178,35 +143,30 @@ mod tests {
             dns.resolve_atproto("missing.example"),
             AtprotoResolution::NxDomain
         );
-        dns.remove("_atproto.broken.example");
-        assert_eq!(
-            dns.lookup_txt("_atproto.broken.example"),
-            TxtLookup::NxDomain
-        );
     }
 
     #[test]
     fn set_replaces_records() {
         let mut dns = DnsZoneStore::new();
-        dns.add_txt("name.example", "one");
+        dns.set_txt("name.example", vec!["one".into()]);
         dns.set_txt("name.example", vec!["two".into()]);
         assert_eq!(
             dns.lookup_txt("name.example").records().unwrap(),
             &["two".to_string()]
         );
-        assert_eq!(dns.iter().count(), 1);
+        assert_eq!(dns.txt.len(), 1);
     }
 
     #[test]
     fn missing_did_prefix_is_ignored() {
         let mut dns = DnsZoneStore::new();
-        dns.add_txt("_atproto.nodid.example", "verification=xyz");
+        dns.set_txt("_atproto.nodid.example", vec!["verification=xyz".into()]);
         assert_eq!(dns.lookup_atproto_did("nodid.example"), None);
         assert_eq!(
             dns.resolve_atproto("nodid.example"),
             AtprotoResolution::NoProof
         );
-        dns.add_txt("_atproto.good.example", "did=did:plc:ok");
+        dns.set_txt("_atproto.good.example", vec!["did=did:plc:ok".into()]);
         assert_eq!(
             dns.resolve_atproto("good.example"),
             AtprotoResolution::Did("did:plc:ok".into())

@@ -33,14 +33,14 @@ use std::collections::BTreeMap;
 /// sequence. Keeps give-up decisions stable for any policy with
 /// `max_attempts` above the cap: such a policy never gives up, so its
 /// runs fetch exactly what a clean run fetches.
-pub const MAX_INJECTED_FAILURES: u32 = 6;
+pub(crate) const MAX_INJECTED_FAILURES: u32 = 6;
 
 /// How many days back a label storm reaches when flagging posts.
 pub const LABEL_STORM_LOOKBACK_DAYS: usize = 14;
 
 /// Which faults are active and how strongly. `Default` is quiet (no
 /// faults); scenario presets are available via [`FaultSpec::scenario`] and
-/// ad-hoc specs parse from `key=value` lists via [`FaultSpec::parse`].
+/// ad-hoc specs parse from `key=value` lists via [`FaultSpec::parse_onto`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultSpec {
     /// Day (as a fraction of the run, `0.0..=1.0`) a default-fleet PDS
@@ -133,22 +133,17 @@ impl FaultSpec {
         Some(spec)
     }
 
-    /// Parse an ad-hoc `key=value,key=value` spec. Keys: `outage` /
+    /// Parse an ad-hoc `key=value,key=value` spec *on top of* a base spec
+    /// — the path behind `--scenario X --faults Y`: the scenario preset
+    /// (or the quiet default) is the base and each spec key overrides it,
+    /// leaving the base's other knobs intact. Keys: `outage` /
     /// `outage-host`, `flaky`, `dns`, `gap`, `rewind`, `spam` /
     /// `spam-rate`, `label-storm` / `label-prob`, `tombstone` /
     /// `tombstone-prob`. Day keys take run fractions in `0..=1`;
     /// probability keys take `0..=1`; count keys take non-negative
-    /// integers. Unknown keys and out-of-range values are errors.
-    pub fn parse(input: &str) -> Result<FaultSpec, String> {
-        FaultSpec::parse_onto(FaultSpec::default(), input)
-    }
-
-    /// Parse a `key=value` spec *on top of* an existing base spec — the
-    /// composition path behind `--scenario X --faults Y`: the scenario
-    /// preset is the base and each spec key overrides it, leaving the
-    /// preset's other knobs intact. A key given twice with *different*
-    /// values is contradictory and errors; an identical repeat is
-    /// harmless.
+    /// integers. Unknown keys and out-of-range values are errors. A key
+    /// given twice with *different* values is contradictory and errors; an
+    /// identical repeat is harmless.
     pub fn parse_onto(base: FaultSpec, input: &str) -> Result<FaultSpec, String> {
         let mut spec = base;
         let mut seen: BTreeMap<&str, &str> = BTreeMap::new();
@@ -270,11 +265,6 @@ impl FaultPlan {
         self.spec.is_quiet()
     }
 
-    /// The spec this plan was built from.
-    pub fn spec(&self) -> &FaultSpec {
-        &self.spec
-    }
-
     /// The dedicated fork for one `(kind, key, day)` decision.
     fn fork(&self, kind: &str, key: &str, day: u64) -> SimRng {
         SimRng::new(self.seed)
@@ -298,7 +288,7 @@ impl FaultPlan {
     /// How many consecutive injected failures the `(key, day)` request
     /// sequence of operation class `op` suffers before it would succeed.
     /// `0` for most sequences; geometric tail capped at
-    /// [`MAX_INJECTED_FAILURES`]. Distinct `op` labels (e.g. delta vs.
+    /// `MAX_INJECTED_FAILURES`. Distinct `op` labels (e.g. delta vs.
     /// full fetch) draw independently.
     pub fn fetch_failures(&self, op: &str, key: &str, day: u64) -> u32 {
         if self.spec.flaky_fetch <= 0.0 {
@@ -458,7 +448,7 @@ impl RetryPolicy {
     /// Backoff before 0-based retry `retry`: exponential in the base
     /// delay, capped at the ceiling, with ±25% jitter drawn from the
     /// caller's dedicated fork.
-    pub fn backoff_ms(&self, retry: u32, rng: &mut SimRng) -> u64 {
+    pub(crate) fn backoff_ms(&self, retry: u32, rng: &mut SimRng) -> u64 {
         let exp = self
             .base_delay_ms
             .saturating_mul(1u64 << retry.min(20))
@@ -524,19 +514,14 @@ pub struct FaultCounters {
     pub storm_tombstones: u64,
 }
 
-impl FaultCounters {
-    /// Memberwise add (shard merge).
-    pub fn absorb(&mut self, other: &FaultCounters) {
-        self.outage_migrations += other.outage_migrations;
-        self.spam_posts_injected += other.spam_posts_injected;
-        self.storm_labels_applied += other.storm_labels_applied;
-        self.storm_tombstones += other.storm_tombstones;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A spec over the quiet default.
+    fn parse(input: &str) -> Result<FaultSpec, String> {
+        FaultSpec::parse_onto(FaultSpec::default(), input)
+    }
 
     #[test]
     fn default_spec_is_quiet_and_quiet_plan_injects_nothing() {
@@ -569,25 +554,25 @@ mod tests {
 
     #[test]
     fn spec_parse_round_trips_and_validates() {
-        let spec = FaultSpec::parse("flaky=0.25,dns=0.1,gap=0.05,rewind=0.5").unwrap();
+        let spec = parse("flaky=0.25,dns=0.1,gap=0.05,rewind=0.5").unwrap();
         assert_eq!(spec.flaky_fetch, 0.25);
         assert_eq!(spec.dns_flap, 0.1);
         assert_eq!(spec.cursor_gap, 0.05);
         assert_eq!(spec.cursor_rewind, 0.5);
-        let spec = FaultSpec::parse("outage=0.5,outage-host=2,spam=0.1,spam-rate=7").unwrap();
+        let spec = parse("outage=0.5,outage-host=2,spam=0.1,spam-rate=7").unwrap();
         assert_eq!(spec.outage_day, Some(0.5));
         assert_eq!(spec.outage_host, 2);
         assert_eq!(spec.spam_fraction, 0.1);
         assert_eq!(spec.spam_rate, 7);
-        let spec = FaultSpec::parse("label-storm=0.6,tombstone=0.75").unwrap();
+        let spec = parse("label-storm=0.6,tombstone=0.75").unwrap();
         assert_eq!(spec.label_storm_day, Some(0.6));
         assert!(spec.label_storm_prob > 0.0, "default storm probability");
         assert!(spec.tombstone_prob > 0.0, "default storm probability");
-        assert!(FaultSpec::parse("").unwrap().is_quiet());
-        assert!(FaultSpec::parse("bogus=1").is_err());
-        assert!(FaultSpec::parse("flaky=1.5").is_err());
-        assert!(FaultSpec::parse("flaky").is_err());
-        assert!(FaultSpec::parse("flaky=x").is_err());
+        assert!(parse("").unwrap().is_quiet());
+        assert!(parse("bogus=1").is_err());
+        assert!(parse("flaky=1.5").is_err());
+        assert!(parse("flaky").is_err());
+        assert!(parse("flaky=x").is_err());
     }
 
     #[test]
@@ -610,11 +595,6 @@ mod tests {
         assert!(err.contains("contradictory"), "{err}");
         let spec = FaultSpec::parse_onto(FaultSpec::default(), "flaky=0.1,flaky=0.1").unwrap();
         assert_eq!(spec.flaky_fetch, 0.1);
-        // `parse` is `parse_onto` from a quiet base.
-        assert_eq!(
-            FaultSpec::parse("dns=0.3").unwrap(),
-            FaultSpec::parse_onto(FaultSpec::default(), "dns=0.3").unwrap()
-        );
     }
 
     #[test]
@@ -622,7 +602,7 @@ mod tests {
         let spec = FaultSpec::scenario("pds-migration").unwrap();
         let plan = FaultPlan::build(7, 50, spec);
         assert_eq!(plan.outage(), Some((25, 0)));
-        let spec = FaultSpec::parse("label-storm=1.0,tombstone=0.0").unwrap();
+        let spec = parse("label-storm=1.0,tombstone=0.0").unwrap();
         let plan = FaultPlan::build(7, 50, spec);
         assert_eq!(plan.label_storm_day(), Some(49), "clamped to last day");
         assert_eq!(plan.tombstone_day(), Some(0));
@@ -633,8 +613,7 @@ mod tests {
 
     #[test]
     fn predicates_are_pure_functions_of_seed_key_day() {
-        let spec =
-            FaultSpec::parse("flaky=0.4,dns=0.4,gap=0.2,rewind=0.3,spam=0.3,spam-rate=5").unwrap();
+        let spec = parse("flaky=0.4,dns=0.4,gap=0.2,rewind=0.3,spam=0.3,spam-rate=5").unwrap();
         let a = FaultPlan::build(99, 60, spec.clone());
         let b = FaultPlan::build(99, 60, spec.clone());
         for day in 0..60u64 {
@@ -663,7 +642,7 @@ mod tests {
 
     #[test]
     fn operation_classes_draw_independently() {
-        let spec = FaultSpec::parse("flaky=0.5").unwrap();
+        let spec = parse("flaky=0.5").unwrap();
         let plan = FaultPlan::build(11, 60, spec);
         let differs = (0..200u64).any(|day| {
             plan.fetch_failures("delta", "did:plc:x", day)
@@ -677,7 +656,7 @@ mod tests {
 
     #[test]
     fn failure_runs_are_capped() {
-        let spec = FaultSpec::parse("flaky=1.0,dns=1.0").unwrap();
+        let spec = parse("flaky=1.0,dns=1.0").unwrap();
         let plan = FaultPlan::build(3, 30, spec);
         for day in 0..200u64 {
             assert!(plan.fetch_failures("full", "did:plc:x", day) <= MAX_INJECTED_FAILURES);
@@ -688,7 +667,7 @@ mod tests {
 
     #[test]
     fn retry_backoff_schedule_is_deterministic_under_forks() {
-        let plan = FaultPlan::build(42, 30, FaultSpec::parse("flaky=0.5").unwrap());
+        let plan = FaultPlan::build(42, 30, parse("flaky=0.5").unwrap());
         let policy = RetryPolicy::for_class(TimeoutClass::DeltaFetch);
         for day in 0..30u64 {
             for did in ["did:plc:aaa", "did:plc:bbb"] {
@@ -739,7 +718,7 @@ mod tests {
 
     #[test]
     fn spam_conscription_hits_roughly_the_requested_fraction() {
-        let spec = FaultSpec::parse("spam=0.2,spam-rate=10").unwrap();
+        let spec = parse("spam=0.2,spam-rate=10").unwrap();
         let plan = FaultPlan::build(17, 30, spec);
         let conscripted = (0..1000)
             .filter(|i| plan.spam_posts(&format!("did:plc:user{i}"), 5) > 0)
@@ -754,26 +733,5 @@ mod tests {
             .find(|d| plan.spam_posts(d, 5) > 0)
             .unwrap();
         assert!(plan.spam_posts(&spammer, 6) >= 10);
-    }
-
-    #[test]
-    fn fault_counters_absorb_adds() {
-        let mut a = FaultCounters {
-            outage_migrations: 1,
-            spam_posts_injected: 2,
-            storm_labels_applied: 3,
-            storm_tombstones: 4,
-        };
-        let b = FaultCounters {
-            outage_migrations: 10,
-            spam_posts_injected: 20,
-            storm_labels_applied: 30,
-            storm_tombstones: 40,
-        };
-        a.absorb(&b);
-        assert_eq!(a.outage_migrations, 11);
-        assert_eq!(a.spam_posts_injected, 22);
-        assert_eq!(a.storm_labels_applied, 33);
-        assert_eq!(a.storm_tombstones, 44);
     }
 }

@@ -34,7 +34,6 @@ impl HttpResponse {
 pub struct WebSpace {
     documents: BTreeMap<String, String>,
     down_hosts: BTreeMap<String, ()>,
-    requests: std::cell::Cell<u64>,
 }
 
 fn host_of(url: &str) -> Option<&str> {
@@ -55,24 +54,8 @@ impl WebSpace {
         self.documents.insert(url.to_string(), body.into());
     }
 
-    /// Remove a document.
-    pub fn unpublish(&mut self, url: &str) {
-        self.documents.remove(url);
-    }
-
-    /// Mark an entire host as unreachable.
-    pub fn take_host_down(&mut self, host: &str) {
-        self.down_hosts.insert(host.to_ascii_lowercase(), ());
-    }
-
-    /// Bring a host back.
-    pub fn bring_host_up(&mut self, host: &str) {
-        self.down_hosts.remove(&host.to_ascii_lowercase());
-    }
-
     /// Perform a GET.
     pub fn get(&self, url: &str) -> HttpResponse {
-        self.requests.set(self.requests.get() + 1);
         if let Some(host) = host_of(url) {
             if self.down_hosts.contains_key(&host.to_ascii_lowercase()) {
                 return HttpResponse::Unreachable;
@@ -84,16 +67,6 @@ impl WebSpace {
             Some(body) => HttpResponse::Ok(body.clone()),
             None => HttpResponse::NotFound,
         }
-    }
-
-    /// Number of documents published.
-    pub fn document_count(&self) -> usize {
-        self.documents.len()
-    }
-
-    /// Total requests served.
-    pub fn requests_served(&self) -> u64 {
-        self.requests.get()
     }
 }
 
@@ -110,25 +83,19 @@ mod tests {
             HttpResponse::Ok("did:plc:abc".into())
         );
         assert_eq!(web.get("https://example.com/other"), HttpResponse::NotFound);
-        web.unpublish("https://example.com/.well-known/atproto-did");
-        assert_eq!(
-            web.get("https://example.com/.well-known/atproto-did"),
-            HttpResponse::NotFound
-        );
-        assert_eq!(web.document_count(), 0);
-        assert!(web.requests_served() >= 3);
+        assert_eq!(web.documents.len(), 1);
     }
 
     #[test]
     fn host_outages() {
         let mut web = WebSpace::new();
         web.publish("https://labeler.example/xrpc/labels", "[]");
-        web.take_host_down("labeler.example");
+        web.down_hosts.insert("labeler.example".into(), ());
         assert_eq!(
             web.get("https://labeler.example/xrpc/labels"),
             HttpResponse::Unreachable
         );
-        web.bring_host_up("labeler.example");
+        web.down_hosts.clear();
         assert_eq!(
             web.get("https://labeler.example/xrpc/labels"),
             HttpResponse::Ok("[]".into())

@@ -16,29 +16,3 @@ pub enum HostingClass {
     /// No functional endpoint could be determined.
     Dead,
 }
-
-impl HostingClass {
-    /// Display name used in the §6.1 summary.
-    pub fn display_name(&self) -> &'static str {
-        match self {
-            HostingClass::Cloud => "cloud / reverse-proxied",
-            HostingClass::Residential => "residential",
-            HostingClass::Dead => "not functional",
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn display_and_names() {
-        assert_eq!(
-            HostingClass::Cloud.display_name(),
-            "cloud / reverse-proxied"
-        );
-        assert_eq!(HostingClass::Residential.display_name(), "residential");
-        assert_eq!(HostingClass::Dead.display_name(), "not functional");
-    }
-}

@@ -7,7 +7,7 @@
 //! outbound frame's `(time, size)` pair into a per-connection trace, and the
 //! study producer drains the tap at day boundaries.
 //!
-//! Traces are bounded: a connection records at most [`TRACE_CAPACITY`]
+//! Traces are bounded: a connection records at most `TRACE_CAPACITY`
 //! frames between drains; anything beyond is **counted** in
 //! [`ConnTrace::dropped`], never silently discarded, so downstream analyzers
 //! can surface the loss instead of mistaking a truncated trace for a quiet
@@ -17,7 +17,7 @@ use std::collections::BTreeMap;
 
 /// Maximum `(time, size)` pairs retained per connection between drains.
 /// Overflow is counted in [`ConnTrace::dropped`].
-pub const TRACE_CAPACITY: usize = 4096;
+pub(crate) const TRACE_CAPACITY: usize = 4096;
 
 /// The `(time, size)` sequence one connection produced since the last drain.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -30,7 +30,7 @@ pub struct ConnTrace {
 
 impl ConnTrace {
     /// Record one frame, counting instead of storing once full.
-    pub fn record(&mut self, time: i64, bytes: u64) {
+    pub(crate) fn record(&mut self, time: i64, bytes: u64) {
         if self.frames.len() < TRACE_CAPACITY {
             self.frames.push((time, bytes));
         } else {
@@ -79,11 +79,6 @@ impl WireObserver {
         }
     }
 
-    /// Number of connections with a live trace.
-    pub fn connections(&self) -> usize {
-        self.traces.len()
-    }
-
     /// Take every trace accumulated since the last drain, leaving the
     /// observer empty. Returned in deterministic (key-sorted) order.
     pub fn drain(&mut self) -> BTreeMap<String, ConnTrace> {
@@ -101,7 +96,7 @@ mod tests {
         tap.record("did:plc:a", 10, 100);
         tap.record("did:plc:b", 11, 50);
         tap.record("did:plc:a", 12, 200);
-        assert_eq!(tap.connections(), 2);
+        assert_eq!(tap.traces.len(), 2);
         let traces = tap.drain();
         assert_eq!(traces["did:plc:a"].frames, vec![(10, 100), (12, 200)]);
         assert_eq!(traces["did:plc:b"].frames, vec![(11, 50)]);
@@ -113,7 +108,7 @@ mod tests {
         let mut tap = WireObserver::new();
         tap.record("c", 1, 1);
         assert_eq!(tap.drain().len(), 1);
-        assert_eq!(tap.connections(), 0);
+        assert!(tap.traces.is_empty());
         assert!(tap.drain().is_empty());
     }
 

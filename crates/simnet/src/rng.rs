@@ -70,11 +70,6 @@ impl SimRng {
         SimRng { state, seed }
     }
 
-    /// The seed this generator was created with.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     /// Derive an independent generator for a named subsystem. The derived
     /// seed depends only on the parent seed and the label.
     pub fn fork(&self, label: &str) -> SimRng {
@@ -100,7 +95,7 @@ impl SimRng {
     }
 
     /// Raw 64-bit output (for deriving sub-seeds).
-    pub fn next_u64(&mut self) -> u64 {
+    pub(crate) fn next_u64(&mut self) -> u64 {
         let [s0, s1, s2, s3] = self.state;
         let result = s0.wrapping_add(s3).rotate_left(23).wrapping_add(s0);
         let t = s1 << 17;
@@ -258,14 +253,6 @@ impl SimRng {
         }
         Some(weights.len() - 1)
     }
-
-    /// Shuffle a slice in place (Fisher–Yates).
-    pub fn shuffle<T>(&mut self, items: &mut [T]) {
-        for i in (1..items.len()).rev() {
-            let j = self.next_bounded(i as u64 + 1) as usize;
-            items.swap(i, j);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -407,10 +394,5 @@ mod tests {
         for _ in 0..50 {
             assert!(items.contains(rng.pick(&items)));
         }
-        let mut shuffled = items;
-        rng.shuffle(&mut shuffled);
-        let mut sorted = shuffled;
-        sorted.sort();
-        assert_eq!(sorted, items);
     }
 }

@@ -56,7 +56,7 @@ pub mod paper {
 
 /// Language communities and their approximate shares of posting users
 /// (§4: ≈800 K English, >700 K Japanese, then Portuguese and German).
-pub const LANGUAGE_SHARES: &[(&str, f64)] = &[
+pub(crate) const LANGUAGE_SHARES: &[(&str, f64)] = &[
     ("en", 0.40),
     ("ja", 0.35),
     ("pt", 0.10),
@@ -70,21 +70,21 @@ pub const LANGUAGE_SHARES: &[(&str, f64)] = &[
 /// A growth epoch: a date range with a daily signup level and an activity
 /// multiplier, reproducing the shape of Figure 1.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GrowthEpoch {
+pub(crate) struct GrowthEpoch {
     /// Human-readable name.
-    pub name: &'static str,
+    pub(crate) name: &'static str,
     /// First day of the epoch (inclusive).
-    pub start: (i32, u32, u32),
+    pub(crate) start: (i32, u32, u32),
     /// Day after the last day of the epoch (exclusive).
-    pub end: (i32, u32, u32),
+    pub(crate) end: (i32, u32, u32),
     /// New signups per day as a fraction of the final user population.
-    pub daily_signup_fraction: f64,
+    pub(crate) daily_signup_fraction: f64,
     /// Fraction of already-joined users active on a given day.
-    pub daily_active_fraction: f64,
+    pub(crate) daily_active_fraction: f64,
 }
 
 /// The growth epochs of the platform's history (Nov 2022 – Apr 2024).
-pub const GROWTH_EPOCHS: &[GrowthEpoch] = &[
+pub(crate) const GROWTH_EPOCHS: &[GrowthEpoch] = &[
     GrowthEpoch {
         name: "private beta",
         start: (2022, 11, 17),
@@ -138,7 +138,7 @@ pub struct ScenarioConfig {
     /// (2024-03-06 in the paper).
     pub firehose_collection_start: Datetime,
     /// Number of default Bluesky-operated PDSes.
-    pub default_pds_count: usize,
+    pub(crate) default_pds_count: usize,
 }
 
 impl ScenarioConfig {
@@ -166,7 +166,7 @@ impl ScenarioConfig {
     }
 
     /// Scale a full-network quantity down to this scenario.
-    pub fn scaled(&self, full_network_value: u64) -> u64 {
+    pub(crate) fn scaled(&self, full_network_value: u64) -> u64 {
         (full_network_value / self.scale).max(1)
     }
 

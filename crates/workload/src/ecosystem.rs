@@ -17,22 +17,22 @@ use bsky_simnet::SimRng;
 
 /// Plan for one labeler service.
 #[derive(Debug, Clone)]
-pub struct LabelerPlan {
+pub(crate) struct LabelerPlan {
     /// Display name.
-    pub name: String,
+    pub(crate) name: String,
     /// Operator class.
-    pub operator: LabelerOperator,
+    pub(crate) operator: LabelerOperator,
     /// When the service record is announced.
-    pub announced_at: Datetime,
+    pub(crate) announced_at: Datetime,
     /// Hosting classification of the endpoint.
-    pub hosting: HostingClass,
+    pub(crate) hosting: HostingClass,
     /// Issuance policy (empty triggers = announced but never labels).
-    pub policy: IssuancePolicy,
+    pub(crate) policy: IssuancePolicy,
 }
 
 /// Build the issuance policy of the official Bluesky labeler: automated NSFW
 /// classification plus slower manual community-standards enforcement.
-pub fn official_bluesky_policy() -> IssuancePolicy {
+pub(crate) fn official_bluesky_policy() -> IssuancePolicy {
     IssuancePolicy::new(
         vec![
             Trigger::Media {
@@ -244,7 +244,7 @@ fn community_plans(config: &ScenarioConfig, rng: &mut SimRng) -> Vec<LabelerPlan
 }
 
 /// Build the full labeler plan (official + community).
-pub fn build_labeler_plans(config: &ScenarioConfig, rng: &mut SimRng) -> Vec<LabelerPlan> {
+pub(crate) fn build_labeler_plans(config: &ScenarioConfig, rng: &mut SimRng) -> Vec<LabelerPlan> {
     let mut plans = vec![LabelerPlan {
         name: "Bluesky Moderation".to_string(),
         operator: LabelerOperator::BlueskyOfficial,
@@ -258,7 +258,7 @@ pub fn build_labeler_plans(config: &ScenarioConfig, rng: &mut SimRng) -> Vec<Lab
 
 /// Curation archetype for a planned feed generator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FeedArchetype {
+pub(crate) enum FeedArchetype {
     /// Language aggregation feed (e.g. `hebrew-feed`).
     LanguageAggregator,
     /// Keyword/topic feed (e.g. ramen, art, furry).
@@ -277,21 +277,21 @@ pub enum FeedArchetype {
 #[derive(Debug, Clone)]
 pub struct FeedGenPlan {
     /// Feed name (rkey-like).
-    pub name: String,
+    pub(crate) name: String,
     /// Description text (language-specific, used for Figure 8's word
     /// analysis and the language detection of §7.1).
-    pub description: String,
+    pub(crate) description: String,
     /// Description/feed language.
-    pub language: String,
+    pub(crate) language: String,
     /// Which platform hosts it (index into
     /// [`bsky_feedgen::faas::default_platforms`], or `None` = self-hosted).
-    pub platform_index: Option<usize>,
+    pub(crate) platform_index: Option<usize>,
     /// Curation archetype.
-    pub archetype: FeedArchetype,
+    pub(crate) archetype: FeedArchetype,
     /// When the feed is created.
     pub created_at: Datetime,
     /// Rank of the creator in the popularity order (low = popular user).
-    pub creator_popularity_rank: u64,
+    pub(crate) creator_popularity_rank: u64,
 }
 
 /// Topic vocabulary per language used to synthesise descriptions.
@@ -341,12 +341,12 @@ fn description_for(archetype: FeedArchetype, language: &str, rng: &mut SimRng) -
 
 /// Number of feed generators at this scale. Feeds scale more slowly than
 /// users so that small simulations still have a meaningful ecosystem.
-pub fn feed_count(config: &ScenarioConfig) -> usize {
+pub(crate) fn feed_count(config: &ScenarioConfig) -> usize {
     ((40_398 * 25) / config.scale).max(40) as usize
 }
 
 /// Build the feed generator plans.
-pub fn build_feedgen_plans(config: &ScenarioConfig, rng: &mut SimRng) -> Vec<FeedGenPlan> {
+pub(crate) fn build_feedgen_plans(config: &ScenarioConfig, rng: &mut SimRng) -> Vec<FeedGenPlan> {
     let shares = bsky_feedgen::faas::observed_feed_shares();
     let introduced = Datetime::from_ymd(2023, 5, 1).expect("valid date");
     let end = config.end;

@@ -16,5 +16,5 @@ pub mod population;
 pub mod world;
 
 pub use config::ScenarioConfig;
-pub use population::{did_hash, HandleChoice, PopulationPlan, ProofChoice, UserProfile};
-pub use world::{DayCursor, FeedGenInfo, LabelerInfo, ShardSpec, World, WorldSpec};
+pub use population::PopulationPlan;
+pub use world::{ShardSpec, World, WorldSpec};

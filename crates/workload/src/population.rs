@@ -13,7 +13,7 @@ use bsky_simnet::SimRng;
 
 /// How the user chose their handle (§5).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum HandleChoice {
+pub(crate) enum HandleChoice {
     /// Custodial `<name>.bsky.social` subdomain managed by Bluesky PBC.
     BskySocial,
     /// A subdomain under a dedicated third-party provider
@@ -39,7 +39,7 @@ pub enum HandleChoice {
 
 /// Ownership-proof mechanism for non-custodial handles (§5).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ProofChoice {
+pub(crate) enum ProofChoice {
     /// DNS TXT record at `_atproto.<handle>` (98.7 % of custom handles).
     DnsTxt,
     /// `/.well-known/atproto-did` document (1.3 %).
@@ -47,7 +47,7 @@ pub enum ProofChoice {
 }
 
 /// Dedicated subdomain providers observed in Figure 3, with relative weights.
-pub const SUBDOMAIN_PROVIDERS: &[(&str, f64)] = &[
+pub(crate) const SUBDOMAIN_PROVIDERS: &[(&str, f64)] = &[
     ("swifties.social", 256.0),
     ("tired.io", 179.0),
     ("vibes.cool", 133.0),
@@ -62,48 +62,41 @@ pub const SUBDOMAIN_PROVIDERS: &[(&str, f64)] = &[
 #[derive(Debug, Clone, PartialEq)]
 pub struct UserProfile {
     /// Stable per-run index.
-    pub index: usize,
+    pub(crate) index: usize,
     /// The user's DID (`did:plc` for all but a handful of `did:web` users).
     pub did: Did,
     /// The user's handle.
     pub handle: Handle,
     /// How the handle was chosen.
-    pub handle_choice: HandleChoice,
+    pub(crate) handle_choice: HandleChoice,
     /// Ownership proof (only meaningful for non-custodial handles).
-    pub proof: ProofChoice,
+    pub(crate) proof: ProofChoice,
     /// Primary posting language.
-    pub language: String,
+    pub(crate) language: String,
     /// The day the account joined.
-    pub joined: Datetime,
+    pub(crate) joined: Datetime,
     /// Relative activity weight (Zipf-distributed; rank 1 is the most
     /// active/popular account).
     pub activity_weight: f64,
     /// Probability that a post carries media.
-    pub media_probability: f64,
+    pub(crate) media_probability: f64,
     /// Probability that attached media is missing alt text.
-    pub missing_alt_probability: f64,
+    pub(crate) missing_alt_probability: f64,
     /// Probability that a post with media is adult content.
-    pub adult_probability: f64,
+    pub(crate) adult_probability: f64,
     /// Whether the user also publishes third-party (WhiteWind) records.
-    pub uses_whitewind: bool,
-}
-
-impl UserProfile {
-    /// Whether the user has a custodial bsky.social handle.
-    pub fn is_bsky_social(&self) -> bool {
-        matches!(self.handle_choice, HandleChoice::BskySocial)
-    }
+    pub(crate) uses_whitewind: bool,
 }
 
 /// Draw a language according to the calibrated shares.
-pub fn draw_language(rng: &mut SimRng) -> String {
+pub(crate) fn draw_language(rng: &mut SimRng) -> String {
     let weights: Vec<f64> = LANGUAGE_SHARES.iter().map(|(_, w)| *w).collect();
     let idx = rng.pick_weighted(&weights).unwrap_or(0);
     LANGUAGE_SHARES[idx].0.to_string()
 }
 
 /// Synthesise a username from an index (deterministic, readable, unique).
-pub fn username(index: usize) -> String {
+pub(crate) fn username(index: usize) -> String {
     const ADJECTIVES: &[&str] = &[
         "blue",
         "quiet",
@@ -130,7 +123,7 @@ pub fn username(index: usize) -> String {
 
 /// Synthesise a registered domain for a self-managed handle. A small share
 /// are well-known organisation domains (in the Tranco top-1M).
-pub fn self_managed_domain(index: usize, rng: &mut SimRng) -> (String, bool) {
+pub(crate) fn self_managed_domain(index: usize, rng: &mut SimRng) -> (String, bool) {
     const FAMOUS: &[&str] = &[
         "nytimes.com",
         "washingtonpost.com",
@@ -156,7 +149,7 @@ pub fn self_managed_domain(index: usize, rng: &mut SimRng) -> (String, bool) {
 }
 
 /// Draw a user profile.
-pub fn draw_user(
+pub(crate) fn draw_user(
     index: usize,
     joined: Datetime,
     config: &ScenarioConfig,
@@ -261,7 +254,7 @@ pub fn draw_user(
 /// count, the commit timestamp) can be recomputed in isolation without
 /// replaying the rest of the user's day.
 #[derive(Debug, Clone, Copy)]
-pub enum DayPurpose {
+pub(crate) enum DayPurpose {
     /// The daily activity coin.
     Active = 0,
     /// The second-of-day all of the user's commits carry.
@@ -289,11 +282,8 @@ pub enum DayPurpose {
 /// bit for bit.
 #[derive(Debug, Clone)]
 pub struct PopulationPlan {
-    seed: u64,
     start: Datetime,
     total_days: usize,
-    /// Per-day planned signups.
-    signup_schedule: Vec<u32>,
     /// All profiles, indexed by global user index, `joined` already set.
     profiles: Vec<UserProfile>,
     /// Per-user base RNG, forked from the user's DID.
@@ -315,7 +305,7 @@ pub struct PopulationPlan {
 /// FNV-1a over a DID string; the per-DID shard assignment hash. This is
 /// [`Did::shard_hash`] — the same hash the AppView's entity shards route
 /// actors by — re-exported under the name the plan has always used.
-pub fn did_hash(did: &Did) -> u64 {
+pub(crate) fn did_hash(did: &Did) -> u64 {
     did.shard_hash()
 }
 
@@ -393,10 +383,8 @@ impl PopulationPlan {
         });
 
         PopulationPlan {
-            seed: config.seed,
             start: config.start,
             total_days,
-            signup_schedule,
             profiles,
             user_rngs,
             did_hashes,
@@ -413,19 +401,10 @@ impl PopulationPlan {
         self.profiles.len()
     }
 
-    /// Whether the plan is empty.
+    /// Whether the plan is empty. No caller: the companion clippy asks of a
+    /// public `len`.
     pub fn is_empty(&self) -> bool {
         self.profiles.is_empty()
-    }
-
-    /// First simulated day.
-    pub fn start(&self) -> Datetime {
-        self.start
-    }
-
-    /// Number of planned days.
-    pub fn total_days(&self) -> usize {
-        self.total_days
     }
 
     /// The profile of user `index`.
@@ -434,12 +413,12 @@ impl PopulationPlan {
     }
 
     /// The join day index of user `index`.
-    pub fn join_day(&self, index: usize) -> usize {
+    pub(crate) fn join_day(&self, index: usize) -> usize {
         self.join_days[index] as usize
     }
 
     /// Users with `join_day <= day_idx` (they occupy indices `0..count`).
-    pub fn joined_count(&self, day_idx: usize) -> usize {
+    pub(crate) fn joined_count(&self, day_idx: usize) -> usize {
         if self.joined_counts.is_empty() {
             return 0;
         }
@@ -447,7 +426,7 @@ impl PopulationPlan {
     }
 
     /// Planned signups on a day.
-    pub fn signups_on(&self, day_idx: usize) -> std::ops::Range<usize> {
+    pub(crate) fn signups_on(&self, day_idx: usize) -> std::ops::Range<usize> {
         let until = self.joined_count(day_idx);
         let from = if day_idx == 0 {
             0
@@ -458,12 +437,12 @@ impl PopulationPlan {
     }
 
     /// Whether `index` lands on shard `shard` of `shard_count` (by DID hash).
-    pub fn owned_by(&self, index: usize, shard: usize, shard_count: usize) -> bool {
+    pub(crate) fn owned_by(&self, index: usize, shard: usize, shard_count: usize) -> bool {
         shard_count <= 1 || (self.did_hashes[index] % shard_count.max(1) as u64) == shard as u64
     }
 
     /// The per-(user, day, purpose) random stream.
-    pub fn day_rng(&self, index: usize, day_idx: usize, purpose: DayPurpose) -> SimRng {
+    pub(crate) fn day_rng(&self, index: usize, day_idx: usize, purpose: DayPurpose) -> SimRng {
         self.user_rngs[index].fork_u64((day_idx as u64) << 3 | purpose as u64)
     }
 
@@ -472,7 +451,7 @@ impl PopulationPlan {
     /// weight, normalised so the expected number of active users matches the
     /// epoch's daily active fraction. Independence is what makes the
     /// decision computable by any shard for any user.
-    pub fn is_active(&self, index: usize, day_idx: usize) -> bool {
+    pub(crate) fn is_active(&self, index: usize, day_idx: usize) -> bool {
         if day_idx >= self.total_days || self.join_day(index) > day_idx {
             return false;
         }
@@ -490,13 +469,13 @@ impl PopulationPlan {
     }
 
     /// The second-of-day all of the user's commits carry on `day_idx`.
-    pub fn seconds_of_day(&self, index: usize, day_idx: usize) -> i64 {
+    pub(crate) fn seconds_of_day(&self, index: usize, day_idx: usize) -> i64 {
         self.day_rng(index, day_idx, DayPurpose::When)
             .range(0..80_000i64)
     }
 
     /// The commit timestamp of user `index` on `day_idx`.
-    pub fn when(&self, index: usize, day_idx: usize) -> Datetime {
+    pub(crate) fn when(&self, index: usize, day_idx: usize) -> Datetime {
         self.start
             .plus_days(day_idx as i64)
             .plus_seconds(self.seconds_of_day(index, day_idx))
@@ -505,7 +484,7 @@ impl PopulationPlan {
     /// Number of posts user `index` publishes on `day_idx` (0 when
     /// inactive). Any shard can compute this for any user; it is how likes
     /// and reposts target other shards' posts without seeing them.
-    pub fn posts_on(&self, index: usize, day_idx: usize) -> u64 {
+    pub(crate) fn posts_on(&self, index: usize, day_idx: usize) -> u64 {
         if !self.is_active(index, day_idx) {
             return 0;
         }
@@ -515,7 +494,7 @@ impl PopulationPlan {
     }
 
     /// The record key of the `slot`-th post of a user-day.
-    pub fn post_rkey(day_idx: usize, slot: u64) -> String {
+    pub(crate) fn post_rkey(day_idx: usize, slot: u64) -> String {
         Self::day_rkey('p', day_idx, slot, 2)
     }
 
@@ -547,7 +526,7 @@ impl PopulationPlan {
     }
 
     /// The `at://` URI of the `slot`-th post of user `index` on `day_idx`.
-    pub fn post_uri(&self, index: usize, day_idx: usize, slot: u64) -> AtUri {
+    pub(crate) fn post_uri(&self, index: usize, day_idx: usize, slot: u64) -> AtUri {
         AtUri::record(
             self.profiles[index].did.clone(),
             Nsid::POST,
@@ -557,7 +536,7 @@ impl PopulationPlan {
 
     /// Weighted pick (by activity weight) among the users joined by
     /// `day_idx`, using the caller's stream. `None` when nobody joined yet.
-    pub fn pick_joined_weighted(&self, day_idx: usize, rng: &mut SimRng) -> Option<usize> {
+    pub(crate) fn pick_joined_weighted(&self, day_idx: usize, rng: &mut SimRng) -> Option<usize> {
         let joined = self.joined_count(day_idx);
         if joined == 0 {
             return None;
@@ -573,7 +552,7 @@ impl PopulationPlan {
 
     /// The user holding popularity rank `rank` (1 = most popular) among the
     /// users joined by `day_idx`.
-    pub fn creator_for_rank(&self, rank: u64, day_idx: usize) -> Option<usize> {
+    pub(crate) fn creator_for_rank(&self, rank: u64, day_idx: usize) -> Option<usize> {
         let joined = self.joined_count(day_idx);
         if joined == 0 {
             return None;
@@ -591,7 +570,7 @@ impl PopulationPlan {
     /// and one of the author's post slots — all against the plan, so the
     /// pick never needs the author's shard. `None` when no attempt found a
     /// published post.
-    pub fn pick_recent_post(&self, today_idx: usize, rng: &mut SimRng) -> Option<AtUri> {
+    pub(crate) fn pick_recent_post(&self, today_idx: usize, rng: &mut SimRng) -> Option<AtUri> {
         for _ in 0..6 {
             let back = rng.range(0..3i64);
             let Some(day_idx) = today_idx.checked_sub(back as usize) else {
@@ -608,16 +587,6 @@ impl PopulationPlan {
             return Some(self.post_uri(author, day_idx, slot));
         }
         None
-    }
-
-    /// The seed this plan was built from.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// The planned signup schedule (per-day counts).
-    pub fn signup_schedule(&self) -> &[u32] {
-        &self.signup_schedule
     }
 }
 
@@ -674,7 +643,10 @@ mod tests {
     #[test]
     fn handle_concentration_matches_calibration() {
         let users = draw_many(5_000);
-        let custodial = users.iter().filter(|u| u.is_bsky_social()).count();
+        let custodial = users
+            .iter()
+            .filter(|u| matches!(u.handle_choice, HandleChoice::BskySocial))
+            .count();
         let share = custodial as f64 / users.len() as f64;
         assert!((0.975..0.998).contains(&share), "bsky.social share {share}");
         // Some users chose provider subdomains and some self-managed domains.

@@ -11,7 +11,7 @@
 //! ## Sharding
 //!
 //! A world can simulate the *whole* population ([`World::new`]) or one
-//! DID-hash shard of it ([`World::new_shard`]). Every stochastic decision is
+//! DID-hash shard of it ([`WorldSpec::shard`]). Every stochastic decision is
 //! derived from `(seed, DID, day)` via the [`PopulationPlan`] — never from a
 //! shared sequential stream — and every cross-user interaction (like and
 //! repost targets, follow targets, feed curation, labeling verdicts) is
@@ -81,33 +81,28 @@ pub struct ShardSpec {
 
 impl ShardSpec {
     /// The whole-population (serial) shard.
-    pub fn whole() -> ShardSpec {
+    pub(crate) fn whole() -> ShardSpec {
         ShardSpec { index: 0, count: 1 }
     }
 }
 
-/// Metadata about an instantiated feed generator (plan + creator binding).
+/// Metadata about an instantiated feed generator, at its index in
+/// [`World::feedgens`].
 #[derive(Debug, Clone)]
 pub struct FeedGenInfo {
-    /// Index into [`World::feedgens`].
-    pub index: usize,
     /// The plan it was built from.
     pub plan: FeedGenPlan,
-    /// The creator's population index.
-    pub creator_index: usize,
     /// Hosting platform name (`"self-hosted"` when not on a FaaS platform).
     pub platform_name: String,
 }
 
 /// Metadata about an instantiated labeler.
 #[derive(Debug, Clone)]
-pub struct LabelerInfo {
+pub(crate) struct LabelerInfo {
     /// Index into the registry.
-    pub index: usize,
-    /// The plan it was built from.
-    pub plan: LabelerPlan,
+    pub(crate) index: usize,
     /// Per-consumer stream cursor used by the AppView ingestion.
-    pub appview_cursor: usize,
+    pub(crate) appview_cursor: usize,
 }
 
 /// Resumable state of one simulated day (see [`World::begin_day`]).
@@ -124,11 +119,6 @@ impl DayCursor {
     /// The day being simulated.
     pub fn day(&self) -> Datetime {
         self.day
-    }
-
-    /// Number of active (owned) users this day.
-    pub fn active_users(&self) -> usize {
-        self.active.len()
     }
 }
 
@@ -165,7 +155,7 @@ pub struct World {
     /// Labeler registry.
     pub labelers: LabelerRegistry,
     /// Labeler metadata parallel to the registry.
-    pub labeler_info: Vec<LabelerInfo>,
+    pub(crate) labeler_info: Vec<LabelerInfo>,
     /// Feed generators.
     pub feedgens: Vec<FeedGenerator>,
     /// Feed generator metadata parallel to `feedgens`.
@@ -210,28 +200,28 @@ pub struct World {
 #[derive(Debug, Clone)]
 pub struct WorldSpec {
     /// The scenario (seed, dates, scale, mix).
-    pub config: ScenarioConfig,
+    pub(crate) config: ScenarioConfig,
     /// Pre-computed population plan; built from `config` when `None`. The
     /// sharded study runner builds the plan once and hands an [`Arc`] to
     /// each worker.
-    pub plan: Option<Arc<PopulationPlan>>,
+    pub(crate) plan: Option<Arc<PopulationPlan>>,
     /// The engine-shard slice of the population this world owns.
-    pub shard: ShardSpec,
+    pub(crate) shard: ShardSpec,
     /// Block-store backend for repositories, the relay mirror and the
     /// AppView (repro `--store mem|paged`).
-    pub store: StoreConfig,
+    pub(crate) store: StoreConfig,
     /// AppView entity-shard count (repro `--appview-shards N`).
-    pub appview_shards: usize,
+    pub(crate) appview_shards: usize,
     /// Wrap each AppView shard's store in a write-back cache (repro
     /// `--writeback on|off`; on by default).
-    pub write_back: bool,
+    pub(crate) write_back: bool,
     /// Relay tiers (repro `--relays N`): `1` runs the classic single relay;
     /// `N > 1` federates N regional relays under the super-relay in
     /// [`World::relay`]. Byte-identical either way — cross-relay dedup
     /// makes the hub's stream equal the single relay's by construction.
-    pub relays: usize,
+    pub(crate) relays: usize,
     /// The deterministic fault schedule (quiet by default).
-    pub faults: Arc<FaultPlan>,
+    pub(crate) faults: Arc<FaultPlan>,
 }
 
 impl WorldSpec {
@@ -298,12 +288,6 @@ impl World {
     /// simulate.
     pub fn new(config: ScenarioConfig) -> World {
         World::from_spec(WorldSpec::new(config))
-    }
-
-    /// Build one population shard (DID-hash partition `index` of `count`)
-    /// with every other default.
-    pub fn new_shard(config: ScenarioConfig, index: usize, count: usize) -> World {
-        World::from_spec(WorldSpec::new(config).shard(ShardSpec { index, count }))
     }
 
     /// Build a world from a full [`WorldSpec`] — the one constructor every
@@ -392,11 +376,6 @@ impl World {
         }
     }
 
-    /// The fault plan this world runs under.
-    pub fn faults(&self) -> &FaultPlan {
-        &self.faults
-    }
-
     /// Workload-side fault accounting so far (drained by the collector
     /// into the run summary — injected faults are never silent).
     pub fn fault_counters(&self) -> FaultCounters {
@@ -405,7 +384,7 @@ impl World {
 
     /// Whether this shard owns (simulates) the user with the given global
     /// index.
-    pub fn owns_user(&self, index: usize) -> bool {
+    pub(crate) fn owns_user(&self, index: usize) -> bool {
         self.plan
             .owned_by(index, self.shard.index, self.shard.count)
     }
@@ -418,7 +397,7 @@ impl World {
     }
 
     /// Number of days simulated so far.
-    pub fn days_elapsed(&self) -> i64 {
+    pub(crate) fn days_elapsed(&self) -> i64 {
         self.today.days_since(self.config.start)
     }
 
@@ -684,13 +663,11 @@ impl World {
                 plan.operator,
                 plan.hosting,
                 plan.policy.clone(),
-                plan.announced_at,
                 rng,
             );
             self.labelers.register(service);
             self.labeler_info.push(LabelerInfo {
                 index,
-                plan,
                 appview_cursor: 0,
             });
         }
@@ -793,9 +770,7 @@ impl World {
                     + 1.0 / (plan.creator_popularity_rank as f64 + 1.0),
             );
             self.feedgen_info.push(FeedGenInfo {
-                index,
                 plan,
-                creator_index,
                 platform_name,
             });
         }
@@ -1238,7 +1213,10 @@ impl World {
 /// `(seed, domain)`, reproducing the study's coverage calibration (~83 % of
 /// domains have WHOIS data). Domain-keyed so that every shard — and every
 /// re-registration of a shared domain — derives the same record.
-pub fn whois_registrar_for(seed: u64, domain: &str) -> Option<bsky_identity::registrar::Registrar> {
+pub(crate) fn whois_registrar_for(
+    seed: u64,
+    domain: &str,
+) -> Option<bsky_identity::registrar::Registrar> {
     let mut rng = SimRng::new(seed).fork(&format!("whois-{domain}"));
     if rng.chance(0.83) {
         let catalogue = default_catalogue();
@@ -1366,7 +1344,11 @@ mod tests {
             "population {actual} vs target {target}"
         );
         // Handle concentration holds.
-        let custodial = world.users.iter().filter(|u| u.is_bsky_social()).count();
+        let custodial = world
+            .users
+            .iter()
+            .filter(|u| matches!(u.handle_choice, crate::population::HandleChoice::BskySocial))
+            .count();
         assert!(custodial as f64 / actual > 0.95);
         // Activity happened and flowed through the whole pipeline.
         let (posts, likes) = world.ground_truth_totals();
@@ -1445,7 +1427,10 @@ mod tests {
         let mut shard_likes = 0u64;
         let mut shard_events = 0u64;
         for index in 0..shards {
-            let mut shard = World::new_shard(config, index, shards);
+            let mut shard = World::from_spec(WorldSpec::new(config).shard(ShardSpec {
+                index,
+                count: shards,
+            }));
             shard.run_to_end();
             shard_users += shard.users.len();
             let (p, l) = shard.ground_truth_totals();
@@ -1481,7 +1466,8 @@ mod tests {
         let mut whole = World::new(config);
         whole.run_to_end();
         for index in 0..2 {
-            let mut shard = World::new_shard(config, index, 2);
+            let mut shard =
+                World::from_spec(WorldSpec::new(config).shard(ShardSpec { index, count: 2 }));
             shard.run_to_end();
             // Every domain the shard registered answers exactly as in the
             // serial world.
@@ -1529,7 +1515,10 @@ mod tests {
         let shards = 3usize;
         let mut sharded_labels: Vec<String> = Vec::new();
         for index in 0..shards {
-            let mut shard = World::new_shard(config, index, shards);
+            let mut shard = World::from_spec(WorldSpec::new(config).shard(ShardSpec {
+                index,
+                count: shards,
+            }));
             shard.run_to_end();
             sharded_labels.extend(
                 shard

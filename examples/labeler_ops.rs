@@ -38,7 +38,6 @@ fn main() {
             },
         )
         .with_rescind_probability(0.1),
-        now,
         SimRng::new(7),
     );
 

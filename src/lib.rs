@@ -21,7 +21,7 @@
 //!   (firehose event, repo snapshot, user-identifier row, DID document,
 //!   feed-generator entry, labeler entry) plus day-boundary and
 //!   collection-window markers.
-//! * `bsky_study::Analyzer` — incremental consumers: `observe` folds one
+//! * `bsky_study::pipeline::Analyzer` — incremental consumers: `observe` folds one
 //!   observation into accumulators, `merge` combines two folded states,
 //!   `finish` emits the section's tables and figures.
 //! * `bsky_study::ObservationSink` — what a producer emits into (the
@@ -68,7 +68,7 @@
 //! exactly by DID hash: `bsky_study::StudyReport::run` (repro
 //! `--jobs N [--shards S]`) runs one producer + analyzer set per shard on
 //! worker threads and merges the per-shard states through the associative
-//! `bsky_study::Analyzer::merge` — producing a report **byte-identical** to
+//! `Analyzer::merge` — producing a report **byte-identical** to
 //! the serial run for any shard count (see
 //! `tests/pipeline_equivalence.rs`; the serial bytes themselves are stored
 //! hashes in `tests/runspec_golden.rs`).
@@ -80,7 +80,7 @@
 //! shard's producer materializes its borrowed bus items into owned,
 //! sequence-numbered `bsky_study::ObservationBatch`es and ships them over
 //! bounded channels to N analyzer workers
-//! (`bsky_study::PipelinedSink`), each folding a disjoint subset of the
+//! (`bsky_study::shard::PipelinedSink`), each folding a disjoint subset of the
 //! eight analyzers; the bounded channel's backpressure preserves the
 //! one-chunk memory bound, the sequence numbers guarantee every part folds
 //! the exact serial stream, and the per-part states reassemble through the
@@ -99,7 +99,7 @@
 //! The §3 repositories dataset is collected incrementally: repositories
 //! log the blocks each commit introduces, the PDS and relay serve
 //! `com.atproto.sync.getRepo(did, since=rev)` deltas, and
-//! `bsky_study::IncrementalRepoMirror` rides the weekly `sync.listRepos`
+//! `bsky_study::datasets::IncrementalRepoMirror` rides the weekly `sync.listRepos`
 //! snapshots — fetching full CARs only for new or rewound DIDs and
 //! record-scoped deltas otherwise. The window-end full download of every
 //! CAR is not a mode; it is the oracle a test in `datasets.rs` holds the
@@ -110,14 +110,14 @@
 //! Every CID-addressed byte blob — repository record and MST node blocks,
 //! the relay's mirrored CAR archives, the study mirror's record blocks,
 //! and the AppView's per-entity state — lives behind the
-//! `bsky_atproto::blockstore::BlockStore` trait. Three backends:
-//! `MemStore` (the default), `PagedStore` (fixed-size pages with an LRU of
-//! resident pages; cold pages are appended to one segment file per spill
-//! root, shared by every store of the process and removed with the last
-//! of them, a page-in is one positioned read, and every block that comes
-//! back from disk is re-hashed against its CID before it is returned), and
-//! `CountingStore` (a stats-feeding wrapper for invariants like "a
-//! rejected write batch leaves no orphan blocks"). The backend is chosen
+//! `bsky_atproto::blockstore::BlockStore` trait. Two backends, built from
+//! a `StoreConfig` and not nameable otherwise: the in-memory store (the
+//! default) and the paged store (fixed-size pages with an LRU of resident
+//! pages; cold pages are appended to one segment file per spill root,
+//! shared by every store of the process and removed with the last of
+//! them, a page-in is one positioned read, and every block that comes
+//! back from disk is re-hashed against its CID before it is returned).
+//! The backend is chosen
 //! when a world is built (`bsky_workload::WorldSpec::store`, repro
 //! `--store mem|paged --page-size N --spill-dir DIR`) and changes only
 //! *where* blocks reside — the golden equivalence test pins mem == paged
@@ -133,12 +133,15 @@
 //! `PostInfo`/`ActorInfo` entities as DAG-CBOR blocks in its own
 //! `BlockStore` (only key→CID maps, edge sets and counters stay
 //! resident). Ingestion decomposes into per-entity primitives routed to
-//! the owning shard; queries (`following_timeline`, `getProfile`,
-//! `getFeed` hydration) fan out and re-merge under a canonical
-//! `(created_at desc, uri)` order. Configured end to end via
-//! `RunSpec::appview_shards` (repro `--appview-shards N`); a property
-//! test pins sharded == monolithic for random event/label interleavings,
-//! and the golden equivalence test pins the report byte-identical across
+//! the owning shard. The study itself only ingests and probes
+//! (`has_post`, the counters); the read path a client would use
+//! (`getProfile`, `getFeed` hydration, `following_timeline`, which fan out
+//! and re-merge under a canonical `(created_at desc, uri)` order) is
+//! exercised by `examples/` and the tests alone, and the monolithic index
+//! survives only under `#[cfg(test)]` as the oracle of the property test
+//! that pins sharded == monolithic for random event/label interleavings.
+//! Configured end to end via `RunSpec::appview_shards` (repro
+//! `--appview-shards N`); the golden equivalence test pins the report byte-identical across
 //! appview shard counts × store backends. Labels that arrive before the
 //! entity they target are counted
 //! (`StreamSummary::appview_labels_preindex`) instead of silently
@@ -150,8 +153,7 @@
 //! payload, identity fields, labels — encodes once as an immutable
 //! positional DAG-CBOR content block. The *hot* half — like/repost and
 //! follower/post counters, mutated on nearly every event — accumulates in
-//! small resident dirty maps (`bsky_appview::PostCounters` /
-//! `ActorCounters`) and flushes at day boundaries into counter blocks of
+//! small resident dirty maps (`PostCounters` / `ActorCounters`) and flushes at day boundaries into counter blocks of
 //! a dozen-odd bytes, so a day of counter bumps costs one encode+put
 //! instead of a full-entity re-encode → re-hash → delete+put cycle per
 //! event. In front of each shard's store,
@@ -196,7 +198,7 @@
 //!   frame per window. Framing derives purely from (event bytes, event
 //!   time), so the sharded engine splits and merges it exactly (repro
 //!   `--padding none|buckets|constant --batch-window SECS`).
-//! * **Study** — `bsky_study::ObservatoryAnalyzer` folds the traces into
+//! * **Study** — `bsky_study::observatory::ObservatoryAnalyzer` folds the traces into
 //!   the §10 report section: a closed-world 1-NN classifier over
 //!   per-(DID, week) (size, gap) features, trained on even weeks and
 //!   tested on odd weeks with class-balanced sampling, against ground
@@ -240,9 +242,7 @@
 //! relay's sorted crawl would visit, the hub's stream is **byte-identical**
 //! to the classic single-relay firehose — seqs, wire sizes, stats, known
 //! DIDs — pinned by `tests/federation_golden.rs` across engines, stores
-//! and seeds against the pre-federation goldens. A relay joining late
-//! backfills through the same `getRepo(since)` delta path the study
-//! mirror uses (`RelayFederation::backfill_region`). Forwarding volume,
+//! and seeds against the pre-federation goldens. Forwarding volume,
 //! dedup admissions and duplicate drops are `RelayStats` /
 //! `bsky_study::StreamSummary` counters, and inter-relay links run
 //! through the same bounded `WireObserver` tap as every other wire. The
@@ -265,7 +265,7 @@
 //! never-silent rule applies to recovery too: every retry, backoff,
 //! give-up, host-change backfill, dropped event, and replayed event is
 //! a named `bsky_study::StreamSummary` counter, rolled up into a
-//! `Scenario impact` report section (`bsky_study::FaultImpact`).
+//! `Scenario impact` report section (`bsky_study::report::FaultImpact`).
 //! Scenarios are selected with repro `--scenario NAME` (pds-migration,
 //! flaky-fetch, dns-flap, cursor-gap, spam-wave, label-storm,
 //! tombstone-storm) or composed ad hoc with `--faults SPEC`; the
