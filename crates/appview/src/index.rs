@@ -1,15 +1,15 @@
 //! The AppView's indices.
 //!
-//! The AppView consumes the firehose and the label streams, stores everything
-//! in queryable indices, and serves the client-facing API (§2). These indices
-//! are also what the measurement pipeline's AppView-based endpoints
-//! (`getFeedGenerator`, `getFeed`) read from.
+//! The AppView consumes the firehose and the label streams and stores what
+//! they carry in per-entity indices (§2). The measurement pipeline reads
+//! only what ingestion leaves behind: whether a post is indexed (a feed
+//! entry hydrates), the labels that found no target, and the counters.
 //!
 //! ## Store-backed entity state: the hot/cold split
 //!
-//! Per-entity state — one [`PostInfo`] per indexed post, one [`ActorInfo`]
-//! per known account — is not held in plain maps. Each entity is split into
-//! two halves with very different mutation rates:
+//! Per-entity state — one post per indexed post, one actor per known
+//! account — is not held in plain maps. Each entity is split into two
+//! halves with very different mutation rates:
 //!
 //! * **Cold content blocks.** The record payload, identity fields and
 //!   labels encode as a DAG-CBOR *content block* in a pluggable
@@ -29,8 +29,6 @@
 //!   The dirty maps are bounded by one day's touched entities and empty
 //!   again after every flush, so steady-state residency does not grow.
 //!
-//! Queries always overlay the freshest counter state (dirty map first, then
-//! the flushed counter block), so readers never observe flush boundaries.
 //! Because the entity key (AT-URI or DID) is embedded in every content
 //! block, content CIDs are unique per entity; counter blocks embed the
 //! key's FNV-1a hash (falling back to the full key on a hash-and-value
@@ -48,10 +46,10 @@
 //! the target's `followers` counter. `AppViewIndex` therefore exposes the
 //! per-entity *primitives* (`AppViewIndex::insert_post`,
 //! `AppViewIndex::credit_follows`, …), and the entity-sharded
-//! [`crate::shards::AppViewShards`] — the only ingestion and query surface
-//! production has — routes each primitive to the shard owning the touched
-//! entity. The monolithic composition of the same primitives
-//! (`index_record`, `process_event`) and the whole-index reads live under
+//! [`crate::shards::AppViewShards`] — the only ingestion surface production
+//! has — routes each primitive to the shard owning the touched entity. The
+//! monolithic composition of the same primitives (`index_record`,
+//! `process_event`) and every read of entity state live under
 //! `#[cfg(test)]` below as the oracle the shard property test in
 //! `shards.rs` holds the routing to.
 
@@ -64,42 +62,34 @@ use bsky_atproto::record::{PostRecord, ProfileRecord};
 use bsky_atproto::{AtUri, Datetime, Did, Handle};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Indexed information about a post.
+/// The cold half of an indexed post: everything except the hot counters,
+/// which live in [`PostCounters`] state.
 #[derive(Debug, Clone, PartialEq)]
-pub struct PostInfo {
-    /// The post's `at://` URI.
-    pub uri: AtUri,
-    /// The author.
-    pub author: Did,
+pub(crate) struct PostInfo {
+    /// The post's `at://` URI (its DID authority is the author).
+    pub(crate) uri: AtUri,
     /// The record contents.
-    pub record: PostRecord,
+    pub(crate) record: PostRecord,
     /// When the AppView indexed it.
-    pub indexed_at: Datetime,
-    /// Likes counted so far.
-    pub like_count: u64,
-    /// Reposts counted so far.
-    pub repost_count: u64,
+    pub(crate) indexed_at: Datetime,
     /// Labels currently applied (source DID, value).
-    pub labels: Vec<(Did, String)>,
+    pub(crate) labels: Vec<(Did, String)>,
 }
 
 impl PostInfo {
-    /// Encode the cold half as a DAG-CBOR content block — everything except
-    /// the hot counters, which live in [`PostCounters`] state. The block is
-    /// the positional array `[uri, record, indexedAt, labels]`: positional
-    /// fields drop the per-block key overhead of a string-keyed map, and
-    /// the author is not stored at all — a post's author *is* the DID
-    /// authority of its `at://` URI, so decode derives it.
+    /// Encode as a DAG-CBOR content block: the positional array `[uri,
+    /// record, indexedAt, labels]`. Positional fields drop the per-block
+    /// key overhead of a string-keyed map, and the author is not stored at
+    /// all — a post's author *is* the DID authority of its `at://` URI.
     pub(crate) fn content_block(&self) -> Vec<u8> {
         post_content_block(&self.uri, &self.record, self.indexed_at, &self.labels)
     }
 
-    /// Decode a content block; the counters come back zeroed and the caller
-    /// overlays [`PostInfo::with_counters`]. `None` on any mismatch — the
-    /// store contract already maps corrupt blocks to "absent", and the
-    /// index treats an undecodable entity the same way. The format has one
-    /// writer, [`PostInfo::content_block`], so this reads exactly what that
-    /// writes (one typed pass, see `bsky_atproto::cbor`) and nothing else.
+    /// Decode a content block. `None` on any mismatch — the store contract
+    /// already maps corrupt blocks to "absent", and the index treats an
+    /// undecodable entity the same way. The format has one writer,
+    /// [`PostInfo::content_block`], so this reads exactly what that writes
+    /// (one typed pass, see `bsky_atproto::cbor`) and nothing else.
     pub(crate) fn from_content(bytes: &[u8]) -> Option<PostInfo> {
         let mut r = Reader::new(bytes);
         if r.array()? != 4 {
@@ -109,23 +99,12 @@ impl PostInfo {
         let record = PostRecord::decode_from(&mut r)?;
         let indexed_at = Datetime(r.int()?);
         let labels = decode_labels(&mut r)?;
-        let author = uri.did().clone();
         r.at_end().then_some(PostInfo {
             uri,
-            author,
             record,
             indexed_at,
-            like_count: 0,
-            repost_count: 0,
             labels,
         })
-    }
-
-    /// Overlay hot counter state onto a decoded content block.
-    pub(crate) fn with_counters(mut self, counters: PostCounters) -> PostInfo {
-        self.like_count = counters.like_count;
-        self.repost_count = counters.repost_count;
-        self
     }
 }
 
@@ -228,23 +207,17 @@ fn counter_tag(key: &str) -> Value {
     Value::Int(fnv1a_64(key.as_bytes(), FNV_OFFSET) as i64)
 }
 
-/// Indexed information about an actor (account).
+/// The cold half of an indexed actor (account): identity fields, profile,
+/// labels and tombstone flag — not the hot graph counters, which live in
+/// [`ActorCounters`] state.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ActorInfo {
+pub(crate) struct ActorInfo {
     /// The account DID.
     pub(crate) did: Did,
     /// Current handle.
     pub(crate) handle: Handle,
     /// Profile record, if one was published.
     pub(crate) profile: Option<ProfileRecord>,
-    /// Number of accounts this actor follows.
-    pub(crate) follows: u64,
-    /// Number of accounts following this actor.
-    pub(crate) followers: u64,
-    /// Number of posts indexed for this actor.
-    pub(crate) posts: u64,
-    /// Number of block operations targeting this actor.
-    pub(crate) blocked_by: u64,
     /// Labels applied to the whole account.
     pub(crate) account_labels: Vec<(Did, String)>,
     /// Whether the account has been tombstoned.
@@ -257,19 +230,14 @@ impl ActorInfo {
             did: did.clone(),
             handle: handle.clone(),
             profile: None,
-            follows: 0,
-            followers: 0,
-            posts: 0,
-            blocked_by: 0,
             account_labels: Vec::new(),
             deleted: false,
         }
     }
 
-    /// Encode the cold half as a DAG-CBOR content block (identity fields,
-    /// profile, labels, tombstone flag — not the hot graph counters): the
-    /// positional array `[did, handle, profile, accountLabels, deleted]`,
-    /// as in [`PostInfo::content_block`].
+    /// Encode as a DAG-CBOR content block: the positional array `[did,
+    /// handle, profile, accountLabels, deleted]`, as in
+    /// [`PostInfo::content_block`].
     pub(crate) fn content_block(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(192);
         raw::array_head(5, &mut out);
@@ -284,9 +252,8 @@ impl ActorInfo {
         out
     }
 
-    /// Decode a content block; counters come back zeroed for
-    /// [`ActorInfo::with_counters`] to overlay (`None` on any mismatch; as
-    /// with [`PostInfo::from_content`], exactly what the one writer writes).
+    /// Decode a content block (`None` on any mismatch; as with
+    /// [`PostInfo::from_content`], exactly what the one writer writes).
     pub(crate) fn from_content(bytes: &[u8]) -> Option<ActorInfo> {
         let mut r = Reader::new(bytes);
         if r.array()? != 5 {
@@ -305,22 +272,9 @@ impl ActorInfo {
             did,
             handle,
             profile,
-            follows: 0,
-            followers: 0,
-            posts: 0,
-            blocked_by: 0,
             account_labels,
             deleted,
         })
-    }
-
-    /// Overlay hot counter state onto a decoded content block.
-    pub(crate) fn with_counters(mut self, counters: ActorCounters) -> ActorInfo {
-        self.follows = counters.follows;
-        self.followers = counters.followers;
-        self.posts = counters.posts;
-        self.blocked_by = counters.blocked_by;
-        self
     }
 }
 
@@ -394,19 +348,6 @@ fn decode_labels(r: &mut Reader<'_>) -> Option<Vec<(Did, String)>> {
     Some(labels)
 }
 
-/// Canonical timeline order: newest first by the post's self-reported
-/// creation time, ties broken by URI (ascending). Every query surface —
-/// monolithic and sharded fan-out alike — sorts with exactly this
-/// comparator, so shard counts can never reorder a timeline.
-pub(crate) fn sort_timeline(posts: &mut [PostInfo]) {
-    posts.sort_by(|a, b| {
-        b.record
-            .created_at
-            .cmp(&a.record.created_at)
-            .then_with(|| a.uri.cmp(&b.uri))
-    });
-}
-
 /// Where one entity's blocks live: the cold content block plus the
 /// optional flushed counter block (absent while counters are default or
 /// only dirty in memory).
@@ -448,30 +389,17 @@ pub(crate) struct AppViewIndex {
     follow_edges: BTreeSet<(String, String)>,
     /// `(blocker, blocked)` DID pairs, keyed by the blocker.
     block_edges: BTreeSet<(String, String)>,
-    events_processed: u64,
     records_indexed: u64,
     labels_ingested: u64,
     labels_preindex: u64,
     counter_coalesced_writes: u64,
 }
 
-impl Default for AppViewIndex {
-    fn default() -> AppViewIndex {
-        AppViewIndex::new()
-    }
-}
-
 impl AppViewIndex {
-    /// Create an empty index over the in-memory block store with the
-    /// write-back cache on (the standard configuration).
-    pub(crate) fn new() -> AppViewIndex {
-        AppViewIndex::with_store(&StoreConfig::default(), true)
-    }
-
     /// Create an empty index over an explicit block-store backend,
     /// optionally wrapped in a [`WriteBackStore`] (`write_back`). Neither
-    /// the backend nor the cache changes a query result — only where bytes
-    /// reside and how many backend ops a day of mutations costs.
+    /// the backend nor the cache changes the indexed state — only where
+    /// bytes reside and how many backend ops a day of mutations costs.
     pub(crate) fn with_store(store: &StoreConfig, write_back: bool) -> AppViewIndex {
         let store = if write_back {
             Box::new(WriteBackStore::new(store.build()))
@@ -486,7 +414,6 @@ impl AppViewIndex {
             dirty_actors: BTreeMap::new(),
             follow_edges: BTreeSet::new(),
             block_edges: BTreeSet::new(),
-            events_processed: 0,
             records_indexed: 0,
             labels_ingested: 0,
             labels_preindex: 0,
@@ -496,12 +423,9 @@ impl AppViewIndex {
 
     // -- block plumbing ----------------------------------------------------
 
-    /// The freshest counter state for a post: dirty map first, then the
-    /// flushed counter block, then defaults.
-    fn post_counters_for(&self, key: &str, entry: &EntityRef) -> PostCounters {
-        if let Some(counters) = self.dirty_posts.get(key) {
-            return *counters;
-        }
+    /// A post's flushed counter state: its counter block, or defaults when
+    /// it has none.
+    fn flushed_post_counters(&self, entry: &EntityRef) -> PostCounters {
         entry
             .counters
             .and_then(|cid| self.store.get(&cid))
@@ -509,10 +433,7 @@ impl AppViewIndex {
             .unwrap_or_default()
     }
 
-    fn actor_counters_for(&self, key: &str, entry: &EntityRef) -> ActorCounters {
-        if let Some(counters) = self.dirty_actors.get(key) {
-            return *counters;
-        }
+    fn flushed_actor_counters(&self, entry: &EntityRef) -> ActorCounters {
         entry
             .counters
             .and_then(|cid| self.store.get(&cid))
@@ -522,14 +443,12 @@ impl AppViewIndex {
 
     fn load_post_key(&self, key: &str) -> Option<PostInfo> {
         let entry = self.posts.get(key)?;
-        let info = PostInfo::from_content(&self.store.get(&entry.content)?)?;
-        Some(info.with_counters(self.post_counters_for(key, entry)))
+        PostInfo::from_content(&self.store.get(&entry.content)?)
     }
 
     fn load_actor_key(&self, key: &str) -> Option<ActorInfo> {
         let entry = self.actors.get(key)?;
-        let info = ActorInfo::from_content(&self.store.get(&entry.content)?)?;
-        Some(info.with_counters(self.actor_counters_for(key, entry)))
+        ActorInfo::from_content(&self.store.get(&entry.content)?)
     }
 
     /// Mutate a post's hot counters — a resident map update, no block
@@ -545,11 +464,7 @@ impl AppViewIndex {
             self.counter_coalesced_writes += 1;
             return;
         }
-        let mut counters = entry
-            .counters
-            .and_then(|cid| self.store.get(&cid))
-            .and_then(|bytes| PostCounters::from_block(&bytes))
-            .unwrap_or_default();
+        let mut counters = self.flushed_post_counters(&entry);
         apply(&mut counters);
         self.dirty_posts.insert(key, counters);
     }
@@ -563,11 +478,7 @@ impl AppViewIndex {
             self.counter_coalesced_writes += 1;
             return;
         }
-        let mut counters = entry
-            .counters
-            .and_then(|cid| self.store.get(&cid))
-            .and_then(|bytes| ActorCounters::from_block(&bytes))
-            .unwrap_or_default();
+        let mut counters = self.flushed_actor_counters(&entry);
         apply(&mut counters);
         self.dirty_actors.insert(key, counters);
     }
@@ -762,12 +673,6 @@ impl AppViewIndex {
         self.update_actor_content(&author.as_string(), |a| a.profile = Some(profile.clone()));
     }
 
-    /// Count one firehose event (part of every
-    /// [`AppViewIndex::process_event`]).
-    pub(crate) fn count_event(&mut self) {
-        self.events_processed += 1;
-    }
-
     /// Mark an account tombstoned (no-op when unknown).
     pub(crate) fn mark_deleted(&mut self, did: &Did) {
         self.update_actor_content(&did.as_string(), |a| a.deleted = true);
@@ -828,31 +733,16 @@ impl AppViewIndex {
         }
     }
 
-    // -- queries -----------------------------------------------------------
-
-    /// Look up a post (decodes its block; spilled blocks page in verified).
-    pub(crate) fn post(&self, uri: &AtUri) -> Option<PostInfo> {
-        self.load_post_key(&uri.as_string())
-    }
+    // -- reads ---------------------------------------------------------------
 
     /// Whether a post is indexed — a key-index probe, no block decode.
     pub(crate) fn has_post(&self, uri: &AtUri) -> bool {
         self.posts.contains_key(&uri.as_string())
     }
 
-    /// Look up an actor.
-    pub(crate) fn actor(&self, did: &Did) -> Option<ActorInfo> {
-        self.load_actor_key(&did.as_string())
-    }
-
     /// Number of indexed posts.
     pub(crate) fn post_count(&self) -> usize {
         self.posts.len()
-    }
-
-    /// Number of known actors.
-    pub(crate) fn actor_count(&self) -> usize {
-        self.actors.len()
     }
 
     /// Number of follow edges.
@@ -877,40 +767,6 @@ impl AppViewIndex {
         self.records_indexed
     }
 
-    /// Total firehose events processed.
-    pub(crate) fn events_processed(&self) -> u64 {
-        self.events_processed
-    }
-
-    /// The DIDs `viewer` follows (string form), from this index's edge set.
-    pub(crate) fn follow_targets(&self, viewer: &Did) -> BTreeSet<String> {
-        let key = viewer.as_string();
-        self.follow_edges
-            .range((key.clone(), String::new())..)
-            .take_while(|(follower, _)| follower == &key)
-            .map(|(_, followed)| followed.clone())
-            .collect()
-    }
-
-    /// Every indexed post whose author is in `authors` (string DIDs).
-    /// Author-prefix ranges over the URI key index, so only matching posts
-    /// are decoded.
-    pub(crate) fn posts_by_authors(&self, authors: &BTreeSet<String>) -> Vec<PostInfo> {
-        let mut out = Vec::new();
-        for author in authors {
-            let prefix = format!("at://{author}/");
-            for (key, _) in self
-                .posts
-                .range(prefix.clone()..format!("{prefix}\u{10FFFF}"))
-            {
-                if let Some(info) = self.load_post_key(key) {
-                    out.push(info);
-                }
-            }
-        }
-        out
-    }
-
     /// Residency/spill statistics of the backing block store. Call
     /// [`AppViewIndex::flush`] first for steady-state numbers — dirty
     /// counters and write-back-buffered blocks are resident until flushed.
@@ -926,9 +782,10 @@ impl AppViewIndex {
     }
 }
 
-// The monolithic index as an oracle: composed ingestion and whole-index reads.
-// Production ingests and queries through `AppViewShards`; the shard property
-// suite (and the unit tests below) hold it to this.
+// The monolithic index as an oracle: composed ingestion and every read of
+// entity state. Production ingests through `AppViewShards` and reads only
+// `has_post` and the counts; the shard property suite (and the unit tests
+// below) hold it to this.
 #[cfg(test)]
 mod oracle {
     use super::*;
@@ -937,6 +794,58 @@ mod oracle {
     use bsky_atproto::Nsid;
 
     impl AppViewIndex {
+        /// An empty index over the in-memory block store with the write-back
+        /// cache on (the standard configuration).
+        pub(crate) fn new() -> AppViewIndex {
+            AppViewIndex::with_store(&StoreConfig::default(), true)
+        }
+
+        /// The freshest counter state of a post: dirty map first, then the
+        /// flushed counter block, then defaults.
+        fn post_counters_for(&self, key: &str, entry: &EntityRef) -> PostCounters {
+            match self.dirty_posts.get(key) {
+                Some(counters) => *counters,
+                None => self.flushed_post_counters(entry),
+            }
+        }
+
+        fn actor_counters_for(&self, key: &str, entry: &EntityRef) -> ActorCounters {
+            match self.dirty_actors.get(key) {
+                Some(counters) => *counters,
+                None => self.flushed_actor_counters(entry),
+            }
+        }
+
+        /// A post's content and its freshest counters (decodes its blocks;
+        /// spilled blocks page in verified). Reads never observe a flush
+        /// boundary.
+        pub(crate) fn post(&self, uri: &AtUri) -> Option<(PostInfo, PostCounters)> {
+            self.post_key(&uri.as_string())
+        }
+
+        fn post_key(&self, key: &str) -> Option<(PostInfo, PostCounters)> {
+            let entry = self.posts.get(key)?;
+            Some((self.load_post_key(key)?, self.post_counters_for(key, entry)))
+        }
+
+        /// An actor's content and its freshest counters.
+        pub(crate) fn actor(&self, did: &Did) -> Option<(ActorInfo, ActorCounters)> {
+            self.actor_key(&did.as_string())
+        }
+
+        fn actor_key(&self, key: &str) -> Option<(ActorInfo, ActorCounters)> {
+            let entry = self.actors.get(key)?;
+            Some((
+                self.load_actor_key(key)?,
+                self.actor_counters_for(key, entry),
+            ))
+        }
+
+        /// Number of known actors.
+        pub(crate) fn actor_count(&self) -> usize {
+            self.actors.len()
+        }
+
         /// Index a record authored by `author` (the content counterpart of a
         /// firehose commit op). Composed from the per-entity primitives above.
         pub(crate) fn index_record(
@@ -978,7 +887,6 @@ mod oracle {
         /// Process a firehose event's non-content effects (handle changes,
         /// identity updates, tombstones).
         pub(crate) fn process_event(&mut self, event: &Event) {
-            self.count_event();
             match &event.body {
                 EventBody::HandleChange { did, handle } => {
                     self.upsert_actor(did, handle);
@@ -1002,29 +910,19 @@ mod oracle {
         }
 
         /// All posts, decoded, in key (URI) order.
-        pub(crate) fn posts(&self) -> Vec<PostInfo> {
+        pub(crate) fn posts(&self) -> Vec<(PostInfo, PostCounters)> {
             self.posts
                 .keys()
-                .filter_map(|key| self.load_post_key(key))
+                .filter_map(|key| self.post_key(key))
                 .collect()
         }
 
         /// All actors, decoded, in key (DID) order.
-        pub(crate) fn actors(&self) -> Vec<ActorInfo> {
+        pub(crate) fn actors(&self) -> Vec<(ActorInfo, ActorCounters)> {
             self.actors
                 .keys()
-                .filter_map(|key| self.load_actor_key(key))
+                .filter_map(|key| self.actor_key(key))
                 .collect()
-        }
-
-        /// The most recent posts by accounts `viewer` follows (a simple
-        /// "following" timeline), in canonical order — newest `created_at`
-        /// first, ties broken by URI.
-        pub(crate) fn following_timeline(&self, viewer: &Did, limit: usize) -> Vec<PostInfo> {
-            let mut posts = self.posts_by_authors(&self.follow_targets(viewer));
-            sort_timeline(&mut posts);
-            posts.truncate(limit);
-            posts
         }
     }
 }
@@ -1038,7 +936,9 @@ mod tests {
     use bsky_atproto::Nsid;
 
     fn now() -> Datetime {
-        Datetime::from_ymd_hms(2024, 4, 15, 9, 0, 0).unwrap()
+        Datetime::from_ymd(2024, 4, 15)
+            .unwrap()
+            .plus_seconds(9 * 3600)
     }
 
     fn did(name: &str) -> Did {
@@ -1069,8 +969,9 @@ mod tests {
     #[test]
     fn posts_likes_reposts_follows_blocks() {
         let (mut index, alice, bob, uri) = setup();
+        let counters = |index: &AppViewIndex, did: &Did| index.actor(did).unwrap().1;
         assert_eq!(index.post_count(), 1);
-        assert_eq!(index.actor(&alice).unwrap().posts, 1);
+        assert_eq!(counters(&index, &alice).posts, 1);
 
         index.index_record(
             &bob,
@@ -1092,11 +993,11 @@ mod tests {
             }),
             now(),
         );
-        assert_eq!(index.post(&uri).unwrap().like_count, 1);
+        assert_eq!(index.post(&uri).unwrap().1.like_count, 1);
         assert!(index.follows(&bob, &alice));
         assert!(!index.follows(&alice, &bob));
-        assert_eq!(index.actor(&alice).unwrap().followers, 1);
-        assert_eq!(index.actor(&bob).unwrap().follows, 1);
+        assert_eq!(counters(&index, &alice).followers, 1);
+        assert_eq!(counters(&index, &bob).follows, 1);
 
         // Duplicate follow records do not double-count.
         index.index_record(
@@ -1109,7 +1010,7 @@ mod tests {
             }),
             now(),
         );
-        assert_eq!(index.actor(&alice).unwrap().followers, 1);
+        assert_eq!(counters(&index, &alice).followers, 1);
 
         index.index_record(
             &alice,
@@ -1122,7 +1023,7 @@ mod tests {
             now(),
         );
         assert!(index.blocks(&alice, &bob));
-        assert_eq!(index.actor(&bob).unwrap().blocked_by, 1);
+        assert_eq!(counters(&index, &bob).blocked_by, 1);
         assert_eq!(index.records_indexed(), 5);
     }
 
@@ -1137,13 +1038,14 @@ mod tests {
             now(),
         )
         .unwrap();
+        let labels = |index: &AppViewIndex| index.post(&uri).unwrap().0.labels;
         index.ingest_label(&label);
-        assert_eq!(index.post(&uri).unwrap().labels.len(), 1);
+        assert_eq!(labels(&index).len(), 1);
         // Duplicate application is idempotent.
         index.ingest_label(&label);
-        assert_eq!(index.post(&uri).unwrap().labels.len(), 1);
+        assert_eq!(labels(&index).len(), 1);
         index.ingest_label(&label.negation(now()));
-        assert!(index.post(&uri).unwrap().labels.is_empty());
+        assert!(labels(&index).is_empty());
         assert_eq!(index.labels_ingested(), 3);
         assert_eq!(index.labels_preindex(), 0);
 
@@ -1151,7 +1053,10 @@ mod tests {
         let account_label =
             Label::new(labeler, LabelTarget::Account(did("alice")), "spam", now()).unwrap();
         index.ingest_label(&account_label);
-        assert_eq!(index.actor(&did("alice")).unwrap().account_labels.len(), 1);
+        assert_eq!(
+            index.actor(&did("alice")).unwrap().0.account_labels.len(),
+            1
+        );
     }
 
     #[test]
@@ -1164,8 +1069,8 @@ mod tests {
         };
         index.process_event(&event);
         assert!(index.post(&uri).is_none());
-        assert!(index.actor(&alice).unwrap().deleted);
-        assert_eq!(index.events_processed(), 1);
+        assert!(!index.has_post(&uri));
+        assert!(index.actor(&alice).unwrap().0.deleted);
     }
 
     #[test]
@@ -1180,29 +1085,9 @@ mod tests {
             },
         });
         assert_eq!(
-            index.actor(&alice).unwrap().handle.as_str(),
+            index.actor(&alice).unwrap().0.handle.as_str(),
             "alice.example.com"
         );
-    }
-
-    #[test]
-    fn remove_post_and_timeline() {
-        let (mut index, alice, bob, _uri) = setup();
-        index.index_record(
-            &bob,
-            &Nsid::parse(known::FOLLOW).unwrap(),
-            "f1",
-            &Record::Follow(FollowRecord {
-                subject: alice.clone(),
-                created_at: now(),
-            }),
-            now(),
-        );
-        // Bob follows Alice, so Bob's timeline shows Alice's post.
-        let timeline = index.following_timeline(&bob, 10);
-        assert_eq!(timeline.len(), 1);
-        // Alice follows nobody.
-        assert!(index.following_timeline(&alice, 10).is_empty());
     }
 
     #[test]
@@ -1212,7 +1097,14 @@ mod tests {
         // entities; and the typed readers take back exactly what was
         // written.
         use bsky_atproto::record::{Embed, ImageEmbed, MediaKind};
-        use bsky_atproto::testrand::TestRng;
+        use bsky_simnet::SimRng;
+        fn lowercase(rng: &mut SimRng, min_len: usize, max_len: usize) -> String {
+            let len = rng.range(min_len..max_len + 1);
+            (0..len)
+                .map(|_| rng.range(b'a'..b'z' + 1) as char)
+                .collect()
+        }
+        let record_value = |record: Record| cbor::decode(&record.to_cbor()).unwrap();
         fn labels_value(labels: &[(Did, String)]) -> Value {
             Value::Array(
                 labels
@@ -1223,18 +1115,18 @@ mod tests {
                     .collect(),
             )
         }
-        let mut rng = TestRng::new(0xb10c);
-        let arb_labels = |rng: &mut TestRng| -> Vec<(Did, String)> {
-            (0..rng.below(3))
-                .map(|_| (did(&rng.lowercase(1, 8)), rng.lowercase(0, 30)))
+        let mut rng = SimRng::new(0xb10c);
+        let arb_labels = |rng: &mut SimRng| -> Vec<(Did, String)> {
+            (0..rng.range(0..3))
+                .map(|_| (did(&lowercase(rng, 1, 8)), lowercase(rng, 0, 30)))
                 .collect()
         };
         for round in 0..300 {
             let author = match round % 3 {
-                0 => Did::web(&format!("{}.example.org", rng.lowercase(1, 30))).unwrap(),
-                _ => did(&rng.lowercase(1, 8)),
+                0 => Did::web(&format!("{}.example.org", lowercase(&mut rng, 1, 30))).unwrap(),
+                _ => did(&lowercase(&mut rng, 1, 8)),
             };
-            let created_at = now().plus_seconds(rng.below(1 << 24) as i64);
+            let created_at = now().plus_seconds(rng.range(0..1 << 24));
             let embed = match round % 4 {
                 0 => Some(Embed::Images(vec![
                     ImageEmbed {
@@ -1242,35 +1134,36 @@ mod tests {
                         kind: MediaKind::GifTenor,
                     },
                     ImageEmbed {
-                        alt: Some(rng.lowercase(0, 300)),
+                        alt: Some(lowercase(&mut rng, 0, 300)),
                         kind: MediaKind::Artwork,
                     },
                 ])),
                 1 => Some(Embed::Record(AtUri::record(
                     did("quoted"),
                     post_nsid(),
-                    rng.lowercase(1, 13),
+                    lowercase(&mut rng, 1, 13),
                 ))),
                 2 => Some(Embed::External {
-                    uri: format!("https://example.org/{}", rng.lowercase(0, 40)),
+                    uri: format!("https://example.org/{}", lowercase(&mut rng, 0, 40)),
                 }),
                 _ => None,
             };
             let post = PostInfo {
-                uri: AtUri::record(author.clone(), post_nsid(), rng.lowercase(1, 13)),
-                author: author.clone(),
+                uri: AtUri::record(author.clone(), post_nsid(), lowercase(&mut rng, 1, 13)),
                 record: PostRecord {
-                    text: rng.lowercase(0, 300),
+                    text: lowercase(&mut rng, 0, 300),
                     created_at,
-                    langs: (0..rng.below(3)).map(|_| rng.lowercase(2, 2)).collect(),
+                    langs: (0..rng.range(0..3))
+                        .map(|_| lowercase(&mut rng, 2, 2))
+                        .collect(),
                     reply_parent: (round % 5 == 0)
                         .then(|| AtUri::record(did("parent"), post_nsid(), "p00001s00")),
                     embed,
-                    tags: (0..rng.below(3)).map(|_| rng.lowercase(1, 12)).collect(),
+                    tags: (0..rng.range(0..3))
+                        .map(|_| lowercase(&mut rng, 1, 12))
+                        .collect(),
                 },
-                indexed_at: Datetime(rng.next_u64() as i64 >> (round % 40)),
-                like_count: 0,
-                repost_count: 0,
+                indexed_at: Datetime(rng.range(i64::MIN..i64::MAX) >> (round % 40)),
                 labels: arb_labels(&mut rng),
             };
             let block = post.content_block();
@@ -1278,7 +1171,7 @@ mod tests {
                 block,
                 cbor::encode(&Value::Array(vec![
                     Value::text(post.uri.to_string()),
-                    Record::Post(post.record.clone()).to_value(),
+                    record_value(Record::Post(post.record.clone())),
                     Value::Int(post.indexed_at.timestamp()),
                     labels_value(&post.labels),
                 ]))
@@ -1287,18 +1180,15 @@ mod tests {
 
             let actor = ActorInfo {
                 did: author,
-                handle: Handle::parse(&format!("{}.bsky.social", rng.lowercase(1, 18))).unwrap(),
+                handle: Handle::parse(&format!("{}.bsky.social", lowercase(&mut rng, 1, 18)))
+                    .unwrap(),
                 profile: (round % 3 != 1).then(|| ProfileRecord {
-                    display_name: rng.lowercase(0, 40),
-                    description: rng.lowercase(0, 300),
+                    display_name: lowercase(&mut rng, 0, 40),
+                    description: lowercase(&mut rng, 0, 300),
                     has_avatar: round % 2 == 0,
                     has_banner: round % 4 == 0,
                     created_at,
                 }),
-                follows: 0,
-                followers: 0,
-                posts: 0,
-                blocked_by: 0,
                 account_labels: arb_labels(&mut rng),
                 deleted: round % 7 == 0,
             };
@@ -1309,7 +1199,7 @@ mod tests {
                     Value::text(actor.did.to_string()),
                     Value::text(actor.handle.as_str()),
                     match &actor.profile {
-                        Some(profile) => Record::Profile(profile.clone()).to_value(),
+                        Some(profile) => record_value(Record::Profile(profile.clone())),
                         None => Value::Null,
                     },
                     labels_value(&actor.account_labels),
@@ -1329,44 +1219,35 @@ mod tests {
     #[test]
     fn entity_blocks_roundtrip() {
         let (index, alice, _bob, uri) = setup();
-        let post_counters = |post: &PostInfo| PostCounters {
-            like_count: post.like_count,
-            repost_count: post.repost_count,
-        };
-        let post = index.post(&uri).unwrap();
+        let (post, counters) = index.post(&uri).unwrap();
         assert_eq!(
-            PostInfo::from_content(&post.content_block())
-                .map(|p| p.with_counters(post_counters(&post))),
+            PostInfo::from_content(&post.content_block()),
             Some(post.clone())
         );
         let mut labeled = post;
         labeled.labels.push((did("labeler"), "spam".into()));
-        labeled.like_count = 7;
-        // Counters round-trip through their own compact block, content
-        // through its own; together they reconstruct the full info.
-        let counters = PostCounters::from_block(
-            &post_counters(&labeled).to_block(counter_tag(&labeled.uri.to_string())),
-        )
-        .unwrap();
         assert_eq!(
-            PostInfo::from_content(&labeled.content_block()).map(|p| p.with_counters(counters)),
-            Some(labeled)
+            PostInfo::from_content(&labeled.content_block()),
+            Some(labeled.clone())
         );
-        let actor = index.actor(&alice).unwrap();
-        let actor_counters = ActorCounters::from_block(
-            &ActorCounters {
-                follows: actor.follows,
-                followers: actor.followers,
-                posts: actor.posts,
-                blocked_by: actor.blocked_by,
-            }
-            .to_block(counter_tag(&actor.did.to_string())),
-        )
-        .unwrap();
+        // Counters round-trip through their own compact block, content
+        // through its own.
+        let liked = PostCounters {
+            like_count: 7,
+            ..counters
+        };
         assert_eq!(
-            ActorInfo::from_content(&actor.content_block())
-                .map(|a| a.with_counters(actor_counters)),
-            Some(actor)
+            PostCounters::from_block(&liked.to_block(counter_tag(&labeled.uri.to_string()))),
+            Some(liked)
+        );
+        let (actor, counters) = index.actor(&alice).unwrap();
+        assert_eq!(
+            ActorInfo::from_content(&actor.content_block()),
+            Some(actor.clone())
+        );
+        assert_eq!(
+            ActorCounters::from_block(&counters.to_block(counter_tag(&actor.did.to_string()))),
+            Some(counters)
         );
         assert!(PostInfo::from_content(b"garbage").is_none());
         assert!(ActorInfo::from_content(b"garbage").is_none());
@@ -1387,7 +1268,7 @@ mod tests {
             index.apply_like(&uri);
         }
         assert_eq!(index.counter_coalesced_writes(), 4);
-        assert_eq!(index.post(&uri).unwrap().like_count, 5, "dirty overlay");
+        assert_eq!(index.post(&uri).unwrap().1.like_count, 5, "dirty overlay");
         index.flush();
         assert!(index.dirty_posts.is_empty());
         let entry = index.posts.get(&uri.to_string()).copied().unwrap();
@@ -1397,7 +1278,7 @@ mod tests {
             "counter blocks stay compact ({} bytes)",
             block.len()
         );
-        assert_eq!(index.post(&uri).unwrap().like_count, 5, "flushed overlay");
+        assert_eq!(index.post(&uri).unwrap().1.like_count, 5, "flushed overlay");
         // Counters that return to default drop their block at flush.
         index.update_post_counters(uri.to_string(), |c| *c = PostCounters::default());
         index.flush();
@@ -1427,7 +1308,7 @@ mod tests {
             PostCounters::from_block(&index.store.get(&cid).unwrap()),
             Some(counters)
         );
-        assert_eq!(index.post(&uri).unwrap().like_count, 1);
+        assert_eq!(index.post(&uri).unwrap().1.like_count, 1);
     }
 
     #[test]

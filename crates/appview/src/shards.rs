@@ -21,20 +21,18 @@
 //! [`crate::index`]), each routed to the shard owning the touched entity.
 //! Decisions that gate cross-entity effects (edge dedup for follow/block
 //! counters) are made on the edge-owning shard, so they are identical for
-//! every shard count. The shard set therefore answers exactly like the
-//! monolithic index: counts, per-entity state, timelines and label sets.
-//! Every query fans out and re-merges under the canonical
-//! `(created_at desc, uri)` order; the shards themselves are never
-//! collapsed into one index. The property test below pins this for random
-//! event/label interleavings across shard counts 1, 2, 4 and 7.
+//! every shard count. The shard set therefore holds exactly the monolithic
+//! index's state: counts, per-entity state and label sets, spread over
+//! shards that are never collapsed into one index. The property test below
+//! pins this for random event/label interleavings across shard counts 1,
+//! 2, 4 and 7.
 
-use crate::index::{sort_timeline, ActorInfo, AppViewIndex, PostInfo};
+use crate::index::AppViewIndex;
 use bsky_atproto::blockstore::{StoreConfig, StoreStats};
 use bsky_atproto::firehose::{Event, EventBody};
 use bsky_atproto::label::{Label, LabelTarget};
 use bsky_atproto::record::{ProfileRecord, Record};
 use bsky_atproto::{AtUri, Datetime, Did, Handle, Nsid};
-use std::collections::BTreeSet;
 
 /// The AppView's indices, sharded by entity hash. A 1-shard set behaves
 /// exactly like a bare `AppViewIndex`; see the module docs for the
@@ -44,19 +42,7 @@ pub struct AppViewShards {
     shards: Vec<AppViewIndex>,
 }
 
-impl Default for AppViewShards {
-    fn default() -> AppViewShards {
-        AppViewShards::new()
-    }
-}
-
 impl AppViewShards {
-    /// A single in-memory shard (the monolithic default), write-back cache
-    /// on.
-    pub(crate) fn new() -> AppViewShards {
-        AppViewShards::with_shards(1, &StoreConfig::default(), true)
-    }
-
     /// `count` shards (clamped to at least 1), each over its own block
     /// store built from `store`, each wrapped in a write-back cache when
     /// `write_back` is set.
@@ -74,11 +60,6 @@ impl AppViewShards {
         for shard in &mut self.shards {
             shard.flush();
         }
-    }
-
-    /// Number of entity shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
     }
 
     /// The shard owning a post URI.
@@ -152,13 +133,10 @@ impl AppViewShards {
         self.shards[home].set_profile(author, profile);
     }
 
-    /// Process a firehose event's non-content effects. The event counter
-    /// lands on the shard owning the event's repo DID (shard 0 for
-    /// repo-less info frames); tombstones purge posts on *every* shard —
-    /// an account's posts are spread across all of them.
+    /// Process a firehose event's non-content effects. Tombstones purge
+    /// posts on *every* shard — an account's posts are spread across all
+    /// of them.
     pub fn process_event(&mut self, event: &Event) {
-        let counter_home = event.did().map(|d| self.actor_home(d)).unwrap_or(0);
-        self.shards[counter_home].count_event();
         match &event.body {
             EventBody::HandleChange { did, handle } => {
                 let home = self.actor_home(did);
@@ -186,12 +164,7 @@ impl AppViewShards {
         self.shards[home].ingest_label(label);
     }
 
-    // -- queries -----------------------------------------------------------
-
-    /// Look up a post on its owning shard.
-    pub(crate) fn post(&self, uri: &AtUri) -> Option<PostInfo> {
-        self.shards[self.post_home(uri)].post(uri)
-    }
+    // -- reads ---------------------------------------------------------------
 
     /// Whether a post is indexed (key probe on its owning shard, no block
     /// decode).
@@ -199,19 +172,9 @@ impl AppViewShards {
         self.shards[self.post_home(uri)].has_post(uri)
     }
 
-    /// Look up an actor on its owning shard.
-    pub fn actor(&self, did: &Did) -> Option<ActorInfo> {
-        self.shards[self.actor_home(did)].actor(did)
-    }
-
     /// Number of indexed posts across all shards.
     pub fn post_count(&self) -> usize {
         self.shards.iter().map(AppViewIndex::post_count).sum()
-    }
-
-    /// Number of known actors across all shards.
-    pub fn actor_count(&self) -> usize {
-        self.shards.iter().map(AppViewIndex::actor_count).sum()
     }
 
     /// Number of follow edges across all shards.
@@ -238,29 +201,6 @@ impl AppViewShards {
         self.shards.iter().map(AppViewIndex::records_indexed).sum()
     }
 
-    /// Total firehose events processed across all shards.
-    pub fn events_processed(&self) -> u64 {
-        self.shards.iter().map(AppViewIndex::events_processed).sum()
-    }
-
-    /// The "following" timeline, fanned out across shards: the viewer's
-    /// follow set comes from the viewer's edge-owning shard, every shard
-    /// contributes its matching posts, and the union is re-sorted under the
-    /// canonical `(created_at desc, uri)` order — identical to the
-    /// monolithic answer for any shard count.
-    pub fn following_timeline(&self, viewer: &Did, limit: usize) -> Vec<PostInfo> {
-        let followed: BTreeSet<String> =
-            self.shards[self.actor_home(viewer)].follow_targets(viewer);
-        let mut posts: Vec<PostInfo> = self
-            .shards
-            .iter()
-            .flat_map(|shard| shard.posts_by_authors(&followed))
-            .collect();
-        sort_timeline(&mut posts);
-        posts.truncate(limit);
-        posts
-    }
-
     /// Counter mutations coalesced into already-dirty entities, summed
     /// across shards (see `AppViewIndex::counter_coalesced_writes`).
     pub fn counter_coalesced_writes(&self) -> u64 {
@@ -280,43 +220,59 @@ impl AppViewShards {
     }
 }
 
-// Whole-set reads the property test compares against the monolithic oracle.
+// Reads of entity state, which only the tests make: the property test
+// compares them against the monolithic oracle.
 #[cfg(test)]
-impl AppViewShards {
-    /// The shards themselves, in shard order (read-only).
-    pub(crate) fn shards(&self) -> &[AppViewIndex] {
-        &self.shards
-    }
+mod reads {
+    use super::*;
+    use crate::index::{ActorCounters, ActorInfo, PostCounters, PostInfo};
 
-    /// Whether `a` follows `b` (answered by `a`'s edge-owning shard).
-    pub(crate) fn follows(&self, a: &Did, b: &Did) -> bool {
-        self.shards[self.actor_home(a)].follows(a, b)
-    }
+    impl AppViewShards {
+        /// The shards themselves, in shard order (read-only).
+        pub(crate) fn shards(&self) -> &[AppViewIndex] {
+            &self.shards
+        }
 
-    /// Whether `a` blocks `b`.
-    pub(crate) fn blocks(&self, a: &Did, b: &Did) -> bool {
-        self.shards[self.actor_home(a)].blocks(a, b)
-    }
+        /// A post and its counters, from its owning shard.
+        pub(crate) fn post(&self, uri: &AtUri) -> Option<(PostInfo, PostCounters)> {
+            self.shards[self.post_home(uri)].post(uri)
+        }
 
-    /// All posts across shards, in global key (URI) order.
-    pub(crate) fn posts(&self) -> Vec<PostInfo> {
-        let mut out: Vec<PostInfo> = self.shards.iter().flat_map(AppViewIndex::posts).collect();
-        // Sort by the URI *string*, matching the monolithic index's
-        // BTreeMap key order exactly. `AtUri`'s derived Ord compares
-        // (did, collection, rkey) component-wise, which diverges from
-        // string order when one DID is a prefix of another (did:web).
-        out.sort_by_cached_key(|p| p.uri.to_string());
-        out
-    }
+        /// An actor and its counters, from its owning shard.
+        pub(crate) fn actor(&self, did: &Did) -> Option<(ActorInfo, ActorCounters)> {
+            self.shards[self.actor_home(did)].actor(did)
+        }
 
-    /// All actors across shards, in global key (DID) order (`Did`'s
-    /// derived Ord — method then identifier — matches the string order of
-    /// `did:<method>:<identifier>` exactly, since `plc` < `web` and the
-    /// prefix is fixed per method).
-    pub(crate) fn actors(&self) -> Vec<ActorInfo> {
-        let mut out: Vec<ActorInfo> = self.shards.iter().flat_map(AppViewIndex::actors).collect();
-        out.sort_by(|a, b| a.did.cmp(&b.did));
-        out
+        /// Whether `a` follows `b` (answered by `a`'s edge-owning shard).
+        pub(crate) fn follows(&self, a: &Did, b: &Did) -> bool {
+            self.shards[self.actor_home(a)].follows(a, b)
+        }
+
+        /// Whether `a` blocks `b`.
+        pub(crate) fn blocks(&self, a: &Did, b: &Did) -> bool {
+            self.shards[self.actor_home(a)].blocks(a, b)
+        }
+
+        /// All posts across shards, in global key (URI) order.
+        pub(crate) fn posts(&self) -> Vec<(PostInfo, PostCounters)> {
+            let mut out: Vec<_> = self.shards.iter().flat_map(AppViewIndex::posts).collect();
+            // Sort by the URI *string*, matching the monolithic index's
+            // BTreeMap key order exactly. `AtUri`'s derived Ord compares
+            // (did, collection, rkey) component-wise, which diverges from
+            // string order when one DID is a prefix of another (did:web).
+            out.sort_by_cached_key(|(post, _)| post.uri.to_string());
+            out
+        }
+
+        /// All actors across shards, in global key (DID) order (`Did`'s
+        /// derived Ord — method then identifier — matches the string order of
+        /// `did:<method>:<identifier>` exactly, since `plc` < `web` and the
+        /// prefix is fixed per method).
+        pub(crate) fn actors(&self) -> Vec<(ActorInfo, ActorCounters)> {
+            let mut out: Vec<_> = self.shards.iter().flat_map(AppViewIndex::actors).collect();
+            out.sort_by(|(a, _), (b, _)| a.did.cmp(&b.did));
+            out
+        }
     }
 }
 
@@ -327,10 +283,12 @@ mod tests {
     use bsky_atproto::record::{
         BlockRecord, FollowRecord, LikeRecord, PostRecord, ProfileRecord, RepostRecord,
     };
-    use bsky_atproto::testrand::TestRng;
+    use bsky_simnet::SimRng;
 
     fn base() -> Datetime {
-        Datetime::from_ymd_hms(2024, 4, 1, 8, 0, 0).unwrap()
+        Datetime::from_ymd(2024, 4, 1)
+            .unwrap()
+            .plus_seconds(8 * 3600)
     }
 
     fn did(i: u64) -> Did {
@@ -361,39 +319,39 @@ mod tests {
         AccountLabel(u64, String, bool),
     }
 
-    fn arb_op(rng: &mut TestRng, minted: &mut Vec<AtUri>) -> Op {
+    fn arb_op(rng: &mut SimRng, minted: &mut Vec<AtUri>) -> Op {
         const USERS: u64 = 6;
         const VALUES: &[&str] = &["spam", "porn", "no-alt-text", "trolling"];
-        let user = rng.below(USERS);
+        let user = rng.range(0..USERS);
         // A URI from the minted pool — or, now and then, one that was never
         // (or not yet) posted, to exercise the unknown-target paths.
-        let any_uri = |rng: &mut TestRng| -> AtUri {
-            if minted.is_empty() || rng.below(8) == 0 {
+        let any_uri = |rng: &mut SimRng| -> AtUri {
+            if minted.is_empty() || rng.chance(1.0 / 8.0) {
                 post_uri(
-                    &did(rng.below(USERS)),
-                    &format!("ghost{:03}", rng.below(30)),
+                    &did(rng.range(0..USERS)),
+                    &format!("ghost{:03}", rng.range(0..30)),
                 )
             } else {
-                minted[rng.below(minted.len() as u64) as usize].clone()
+                minted[rng.range(0..minted.len())].clone()
             }
         };
-        match rng.below(14) {
+        match rng.range(0..14u8) {
             0 => Op::Upsert(user),
             1..=3 => {
-                let rkey = format!("p{:04}", rng.below(500));
+                let rkey = format!("p{:04}", rng.range(0..500));
                 // A deliberately tiny timestamp universe so created_at ties
                 // are common and the URI tie-break is exercised.
-                let at = base().plus_seconds(rng.below(4) as i64 * 3600);
+                let at = base().plus_seconds(rng.range(0..4i64) * 3600);
                 minted.push(post_uri(&did(user), &rkey));
                 Op::Post(user, rkey, at)
             }
             4..=5 => Op::Like(user, any_uri(rng)),
             6 => Op::Repost(user, any_uri(rng)),
-            7..=8 => Op::Follow(user, rng.below(USERS)),
-            9 => Op::Block(user, rng.below(USERS)),
+            7..=8 => Op::Follow(user, rng.range(0..USERS)),
+            9 => Op::Block(user, rng.range(0..USERS)),
             10 => Op::Profile(user),
             11 => {
-                if rng.below(4) == 0 {
+                if rng.chance(0.25) {
                     Op::Tombstone(user)
                 } else {
                     Op::Like(user, any_uri(rng))
@@ -401,9 +359,9 @@ mod tests {
             }
             12 => Op::HandleChange(user),
             _ => {
-                let value = VALUES[rng.below(VALUES.len() as u64) as usize].to_string();
-                let negated = rng.below(4) == 0;
-                if rng.below(5) == 0 {
+                let value = VALUES[rng.range(0..VALUES.len())].to_string();
+                let negated = rng.chance(0.25);
+                if rng.chance(0.2) {
                     Op::AccountLabel(user, value, negated)
                 } else {
                     Op::Label(any_uri(rng), value, negated)
@@ -469,7 +427,7 @@ mod tests {
                 ),
                 Op::Profile(u) => $target.index_record(
                     &did(*u),
-                    &Nsid::parse(known::PROFILE).unwrap(),
+                    &Nsid::PROFILE,
                     "self",
                     &Record::Profile(ProfileRecord {
                         display_name: format!("user {u}"),
@@ -523,24 +481,17 @@ mod tests {
     fn assert_same_state(oracle: &AppViewIndex, shards: &AppViewShards) {
         // Aggregate counts and counters.
         assert_eq!(shards.post_count(), oracle.post_count());
-        assert_eq!(shards.actor_count(), oracle.actor_count());
         assert_eq!(shards.follow_edge_count(), oracle.follow_edge_count());
         assert_eq!(shards.records_indexed(), oracle.records_indexed());
-        assert_eq!(shards.events_processed(), oracle.events_processed());
         assert_eq!(shards.labels_ingested(), oracle.labels_ingested());
         assert_eq!(shards.labels_preindex(), oracle.labels_preindex());
         // Full per-entity state (includes like/repost counts and label
         // sets), via the canonical key-ordered dumps.
         assert_eq!(shards.posts(), oracle.posts());
         assert_eq!(shards.actors(), oracle.actors());
-        // Query fan-out: timelines and point lookups answer identically.
+        // Point lookups answer identically.
         for u in 0..6 {
             let d = did(u);
-            assert_eq!(
-                shards.following_timeline(&d, 25),
-                oracle.following_timeline(&d, 25),
-                "timeline for user {u}"
-            );
             assert_eq!(shards.actor(&d), oracle.actor(&d));
             for v in 0..6 {
                 assert_eq!(shards.follows(&d, &did(v)), oracle.follows(&d, &did(v)));
@@ -557,7 +508,7 @@ mod tests {
     #[test]
     fn sharded_interleavings_match_monolithic_oracle() {
         for round in 0..6u64 {
-            let mut rng = TestRng::new(0xa99_71e0 + round);
+            let mut rng = SimRng::new(0xa99_71e0 + round);
             let mut minted = Vec::new();
             let ops: Vec<Op> = (0..250).map(|_| arb_op(&mut rng, &mut minted)).collect();
 
@@ -598,6 +549,122 @@ mod tests {
                     assert!(populated > 1, "{count} shards: entities not partitioned");
                 }
             }
+        }
+    }
+
+    // The ingestion edge cases, each at one and at four entity shards,
+    // asserted on the index state they leave behind.
+
+    fn labeler() -> Did {
+        Did::plc_from_seed(b"shard-labeler")
+    }
+
+    fn index_post(appview: &mut AppViewShards, author: &Did, rkey: &str) -> AtUri {
+        appview.index_record(
+            author,
+            &Nsid::parse(known::POST).unwrap(),
+            rkey,
+            &Record::Post(PostRecord::simple("content", "en", base())),
+            base(),
+        );
+        post_uri(author, rkey)
+    }
+
+    fn spam(uri: &AtUri) -> Label {
+        Label::new(labeler(), LabelTarget::Record(uri.clone()), "spam", base()).unwrap()
+    }
+
+    fn labels_on(appview: &AppViewShards, uri: &AtUri) -> Vec<(Did, String)> {
+        appview.post(uri).unwrap().0.labels
+    }
+
+    #[test]
+    fn duplicate_label_delivery_is_idempotent() {
+        for shards in [1, 4] {
+            let mut appview = AppViewShards::with_shards(shards, &StoreConfig::mem(), true);
+            let uri = index_post(&mut appview, &did(0), "p0001");
+            // The same stream entry delivered three times (a labeler
+            // replaying its stream) applies exactly once.
+            for _ in 0..3 {
+                appview.ingest_label(&spam(&uri));
+            }
+            assert_eq!(
+                labels_on(&appview, &uri),
+                vec![(labeler(), "spam".to_string())],
+                "{shards} shard(s)"
+            );
+            assert_eq!(appview.labels_ingested(), 3);
+            assert_eq!(appview.labels_preindex(), 0);
+        }
+    }
+
+    #[test]
+    fn rescinded_label_clears_the_earlier_application() {
+        for shards in [1, 4] {
+            let mut appview = AppViewShards::with_shards(shards, &StoreConfig::mem(), true);
+            let uri = index_post(&mut appview, &did(0), "p0001");
+            appview.ingest_label(&spam(&uri));
+            appview.ingest_label(&spam(&uri).negation(base().plus_seconds(60)));
+            assert!(labels_on(&appview, &uri).is_empty(), "{shards} shard(s)");
+            assert_eq!(appview.labels_ingested(), 2);
+            assert_eq!(appview.labels_preindex(), 0);
+        }
+    }
+
+    #[test]
+    fn labels_racing_their_post_are_counted_not_silently_dropped() {
+        for shards in [1, 4] {
+            let mut appview = AppViewShards::with_shards(shards, &StoreConfig::mem(), true);
+            let uri = post_uri(&did(0), "p0001");
+            // The label stream races ahead of the firehose: the label
+            // arrives before the post is indexed. It cannot apply — but the
+            // gap is counted, like `repo_snapshot_skips`.
+            appview.ingest_label(&spam(&uri));
+            assert_eq!(appview.labels_ingested(), 1);
+            assert_eq!(
+                appview.labels_preindex(),
+                1,
+                "{shards} shard(s): early label must be counted"
+            );
+            // Account-level labels for unknown actors count the same way.
+            let account =
+                Label::new(labeler(), LabelTarget::Account(did(5)), "spam", base()).unwrap();
+            appview.ingest_label(&account);
+            assert_eq!(appview.labels_preindex(), 2);
+            // Once the post lands, later deliveries apply normally.
+            index_post(&mut appview, &did(0), "p0001");
+            appview.ingest_label(&spam(&uri));
+            assert_eq!(labels_on(&appview, &uri).len(), 1);
+            assert_eq!(appview.labels_preindex(), 2, "no new gap");
+        }
+    }
+
+    #[test]
+    fn tombstoned_actors_are_marked_deleted_and_lose_their_posts() {
+        for shards in [1, 4] {
+            let mut appview = AppViewShards::with_shards(shards, &StoreConfig::mem(), true);
+            let alice = did(0);
+            appview.upsert_actor(&alice, &handle(0));
+            let uris: Vec<AtUri> = (0..8)
+                .map(|i| index_post(&mut appview, &alice, &format!("p{i:04}")))
+                .collect();
+            let bystander = index_post(&mut appview, &did(1), "p0000");
+            appview.process_event(&Event {
+                seq: 1,
+                time: base(),
+                body: EventBody::Tombstone { did: alice.clone() },
+            });
+            let (actor, counters) = appview.actor(&alice).unwrap();
+            assert!(actor.deleted, "{shards} shard(s)");
+            // Each post lives on its URI's shard; every shard purges its
+            // share, and nobody else's.
+            assert!(uris
+                .iter()
+                .all(|uri| !appview.has_post(uri) && appview.post(uri).is_none()));
+            assert!(appview.has_post(&bystander));
+            assert_eq!(appview.post_count(), 1, "{shards} shard(s)");
+            // The author's post counter is deliberately left as it was.
+            assert_eq!(counters.posts, 8);
         }
     }
 }

@@ -19,15 +19,6 @@ pub struct AtUri {
 }
 
 impl AtUri {
-    /// URI of an entire repository (`at://<did>`).
-    pub fn repo(did: Did) -> AtUri {
-        AtUri {
-            did,
-            collection: None,
-            rkey: None,
-        }
-    }
-
     /// URI of a record.
     pub fn record(did: Did, collection: Nsid, rkey: impl Into<String>) -> AtUri {
         AtUri {
@@ -158,6 +149,20 @@ impl std::str::FromStr for AtUri {
     type Err = AtError;
     fn from_str(s: &str) -> Result<AtUri> {
         AtUri::parse(s)
+    }
+}
+
+// A repository URI (`at://<did>`) parses from the wire, but nothing in the
+// simulation builds one; only the tests do.
+#[cfg(test)]
+impl AtUri {
+    /// URI of an entire repository (`at://<did>`).
+    pub(crate) fn repo(did: Did) -> AtUri {
+        AtUri {
+            did,
+            collection: None,
+            rkey: None,
+        }
     }
 }
 

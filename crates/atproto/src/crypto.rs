@@ -375,13 +375,13 @@ pub fn from_hex(s: &str) -> Result<Vec<u8>> {
 /// documents) is the SHA-256 of the secret, which is enough for the simulated
 /// network to verify attributions deterministically.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SigningKey {
+pub(crate) struct SigningKey {
     secret: [u8; 32],
 }
 
 /// A verifying (public) key derived from a [`SigningKey`].
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct VerifyingKey {
+pub(crate) struct VerifyingKey {
     public: Digest,
 }
 
@@ -392,14 +392,14 @@ pub(crate) struct Signature(pub Digest);
 impl SigningKey {
     /// Derive a key deterministically from seed material (e.g. a DID string
     /// plus a per-network secret).
-    pub fn from_seed(seed: &[u8]) -> Self {
+    pub(crate) fn from_seed(seed: &[u8]) -> Self {
         SigningKey {
             secret: sha256(seed),
         }
     }
 
     /// The matching verifying key.
-    pub fn verifying_key(&self) -> VerifyingKey {
+    pub(crate) fn verifying_key(&self) -> VerifyingKey {
         VerifyingKey {
             public: sha256(&self.secret),
         }
@@ -417,9 +417,12 @@ impl SigningKey {
     }
 }
 
+// DID documents carry their key as an opaque string; only the tests render
+// one from a key.
+#[cfg(test)]
 impl VerifyingKey {
     /// `did:key`-style multibase rendering used inside DID documents.
-    pub fn to_multibase(&self) -> String {
+    pub(crate) fn to_multibase(&self) -> String {
         format!("zQ3sim{}", to_hex(&self.public))
     }
 }

@@ -90,16 +90,6 @@ impl Datetime {
         ))
     }
 
-    /// Build from a civil date and a time of day.
-    pub fn from_ymd_hms(year: i32, month: u32, day: u32, h: u32, m: u32, s: u32) -> Result<Self> {
-        if h >= 24 || m >= 60 || s >= 60 {
-            return Err(AtError::InvalidDatetime(format!("{h:02}:{m:02}:{s:02}")));
-        }
-        Ok(Datetime(
-            Self::from_ymd(year, month, day)?.0 + (h * 3600 + m * 60 + s) as i64,
-        ))
-    }
-
     /// Seconds since the Unix epoch.
     pub fn timestamp(&self) -> i64 {
         self.0
@@ -210,6 +200,28 @@ impl Datetime {
 impl fmt::Display for Datetime {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}", self.to_iso8601())
+    }
+}
+
+// Fixtures spell times of day; the simulation only ever builds midnights
+// and offsets them.
+#[cfg(test)]
+impl Datetime {
+    /// Build from a civil date and a time of day.
+    pub(crate) fn from_ymd_hms(
+        year: i32,
+        month: u32,
+        day: u32,
+        h: u32,
+        m: u32,
+        s: u32,
+    ) -> Result<Self> {
+        if h >= 24 || m >= 60 || s >= 60 {
+            return Err(AtError::InvalidDatetime(format!("{h:02}:{m:02}:{s:02}")));
+        }
+        Ok(Datetime(
+            Self::from_ymd(year, month, day)?.0 + (h * 3600 + m * 60 + s) as i64,
+        ))
     }
 }
 

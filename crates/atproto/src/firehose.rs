@@ -122,17 +122,6 @@ impl Event {
         }
     }
 
-    /// The account this event concerns (if any).
-    pub fn did(&self) -> Option<&Did> {
-        match &self.body {
-            EventBody::Commit { did, .. }
-            | EventBody::Identity { did }
-            | EventBody::HandleChange { did, .. }
-            | EventBody::Tombstone { did } => Some(did),
-            EventBody::Info { .. } => None,
-        }
-    }
-
     /// Approximate wire size of the frame in bytes (used for the ≈30 GB/day
     /// firehose volume estimate in §9).
     ///
@@ -203,6 +192,21 @@ impl Event {
         1 + entry("seq", len::int(self.seq as i64))
             + entry("time", len::text(self.time.string_len()))
             + entry("body", body)
+    }
+}
+
+// The account of an event, which only the tests ask for.
+#[cfg(test)]
+impl Event {
+    /// The account this event concerns (if any).
+    pub(crate) fn did(&self) -> Option<&Did> {
+        match &self.body {
+            EventBody::Commit { did, .. }
+            | EventBody::Identity { did }
+            | EventBody::HandleChange { did, .. }
+            | EventBody::Tombstone { did } => Some(did),
+            EventBody::Info { .. } => None,
+        }
     }
 }
 

@@ -25,11 +25,11 @@
 
 /// Bytes of frame-level header in the canonical accounting (length prefix,
 /// frame type tag and count).
-pub const FRAME_HEADER_BYTES: usize = 8;
+pub(crate) const FRAME_HEADER_BYTES: usize = 8;
 
 /// Bytes of per-event header inside a frame in the canonical accounting
 /// (length prefix of the embedded event).
-pub const EVENT_HEADER_BYTES: usize = 4;
+pub(crate) const EVENT_HEADER_BYTES: usize = 4;
 
 /// Bucket width for [`PaddingPolicy::Buckets`].
 pub(crate) const PAD_BUCKET_BYTES: usize = 128;
@@ -100,11 +100,6 @@ impl BatchPolicy {
         BatchPolicy { window_secs }
     }
 
-    /// Whether batching is enabled.
-    pub(crate) fn is_active(&self) -> bool {
-        self.window_secs > 0
-    }
-
     /// The flush time (window edge) of window `window`: every event in the
     /// window leaves the host in one frame at this instant.
     pub fn flush_at(&self, window: i64) -> i64 {
@@ -122,24 +117,12 @@ pub struct FramingPolicy {
 }
 
 impl FramingPolicy {
-    /// The unmitigated wire (no padding, no batching).
-    pub fn none() -> FramingPolicy {
-        FramingPolicy::default()
-    }
-
     /// Construct from the two knobs.
     pub fn new(padding: PaddingPolicy, batch_window_secs: u64) -> FramingPolicy {
         FramingPolicy {
             padding,
             batch: BatchPolicy::window(batch_window_secs),
         }
-    }
-
-    /// Whether this policy changes anything relative to the unmitigated
-    /// wire's accounting. (Even [`FramingPolicy::none`] accounts frame and
-    /// event headers; "active" means padding or batching is switched on.)
-    pub fn is_mitigating(&self) -> bool {
-        self.padding != PaddingPolicy::None || self.batch.is_active()
     }
 }
 
@@ -195,9 +178,9 @@ mod tests {
     #[test]
     fn batch_windows_partition_the_clock() {
         let batch = BatchPolicy::window(60);
-        assert!(batch.is_active());
         assert_eq!(batch.flush_at(0), 60);
         assert_eq!(batch.flush_at(1), 120);
-        assert!(!BatchPolicy::window(0).is_active());
+        // A zero-width window is batching off: the unmitigated default.
+        assert_eq!(BatchPolicy::window(0), BatchPolicy::default());
     }
 }

@@ -55,14 +55,15 @@ pub mod mst;
 pub mod nsid;
 pub mod record;
 pub mod repo;
-pub mod testrand;
 pub mod tid;
 
 pub use aturi::AtUri;
-pub use blockstore::{BlockStore, StoreConfig, StoreKind};
 pub use cid::Cid;
 pub use datetime::Datetime;
 pub use did::{Did, DidMethod};
 pub use handle::Handle;
 pub use nsid::Nsid;
 pub use tid::Tid;
+
+#[cfg(test)]
+mod testrand;

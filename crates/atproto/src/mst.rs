@@ -537,17 +537,6 @@ impl Mst {
         Iter::from_key(&self.root, "")
     }
 
-    /// Iterate the keys of a single collection (keys beginning with
-    /// `<collection>/`).
-    pub(crate) fn iter_collection<'a>(
-        &'a self,
-        collection: &str,
-    ) -> impl Iterator<Item = (&'a str, &'a Cid)> + 'a {
-        let end = format!("{collection}0"); // '0' sorts just after '/'
-        Iter::from_key(&self.root, &format!("{collection}/"))
-            .take_while(move |(key, _)| *key < end.as_str())
-    }
-
     /// The root CID. Hashes only the nodes mutated since the last call, so
     /// a repeat with no mutation in between hashes nothing.
     pub fn root_cid(&self) -> Cid {
@@ -676,6 +665,17 @@ pub(crate) mod reference {
     use crate::cbor::Value;
 
     impl Mst {
+        /// Iterate the keys of a single collection (keys beginning with
+        /// `<collection>/`).
+        pub(crate) fn iter_collection<'a>(
+            &'a self,
+            collection: &str,
+        ) -> impl Iterator<Item = (&'a str, &'a Cid)> + 'a {
+            let end = format!("{collection}0"); // '0' sorts just after '/'
+            Iter::from_key(&self.root, &format!("{collection}/"))
+                .take_while(move |(key, _)| *key < end.as_str())
+        }
+
         /// Total serialized size of all node blocks in bytes (prefix-compressed
         /// wire encoding).
         pub(crate) fn structural_size(&self) -> usize {

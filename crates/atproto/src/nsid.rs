@@ -29,7 +29,7 @@ pub mod known {
     /// A block edge.
     pub const BLOCK: &str = "app.bsky.graph.block";
     /// An actor profile record.
-    pub const PROFILE: &str = "app.bsky.actor.profile";
+    pub(crate) const PROFILE: &str = "app.bsky.actor.profile";
     /// A feed generator declaration record.
     pub const FEED_GENERATOR: &str = "app.bsky.feed.generator";
     /// A labeler service declaration record.

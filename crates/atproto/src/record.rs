@@ -422,7 +422,7 @@ impl Record {
     }
 
     /// Encode to the CBOR data model.
-    pub fn to_value(&self) -> Value {
+    pub(crate) fn to_value(&self) -> Value {
         match self {
             Record::Post(r) => {
                 let mut fields = vec![

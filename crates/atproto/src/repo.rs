@@ -76,7 +76,7 @@
 //! is in CID order while its store reads run nodes-then-log-order, and a
 //! paged store's residency follows its read order.
 
-use crate::blockstore::{BlockStore, MemStore, StoreStats};
+use crate::blockstore::{BlockStore, StoreStats};
 use crate::cbor::{self, raw, Value};
 use crate::cid::{Cid, CidMap, CidSet, CID_LEN, CODEC_DAG_CBOR, CODEC_RAW};
 use crate::crypto::{sha256, Signature, SigningKey};
@@ -107,11 +107,6 @@ pub struct Commit {
 }
 
 impl Commit {
-    /// The commit's own CID (hash of its signed encoding).
-    pub fn cid(&self) -> Cid {
-        Cid::for_cbor(&self.to_cbor())
-    }
-
     /// The bytes that are signed (everything except the signature).
     pub(crate) fn unsigned_bytes(&self) -> Vec<u8> {
         self.encode(false)
@@ -354,13 +349,6 @@ fn record_key(collection: &Nsid, rkey: &str) -> String {
 }
 
 impl Repository {
-    /// Create an empty repository for a DID over the default in-memory
-    /// store. The signing key is derived from the DID plus provided key seed
-    /// (the identity layer stores the same key in the DID document).
-    pub fn new(did: Did, key_seed: &[u8]) -> Repository {
-        Repository::with_store(did, key_seed, Box::new(MemStore::new()))
-    }
-
     /// Create an empty repository over an explicit block store backend.
     pub fn with_store(did: Did, key_seed: &[u8], store: Box<dyn BlockStore>) -> Repository {
         let mut seed = did.as_string().into_bytes();
@@ -389,7 +377,7 @@ impl Repository {
     }
 
     /// Latest commit, if any write has happened.
-    pub fn head(&self) -> Option<&Commit> {
+    pub(crate) fn head(&self) -> Option<&Commit> {
         self.commits.last()
     }
 
@@ -409,18 +397,6 @@ impl Repository {
         let cid = self.mst.get(&record_key(collection, rkey))?;
         let bytes = self.store.get(cid)?;
         Record::from_cbor(&bytes).ok()
-    }
-
-    /// List `(rkey, record)` pairs of a collection, in rkey order.
-    pub fn list_collection(&self, collection: &Nsid) -> Vec<(String, Record)> {
-        self.mst
-            .iter_collection(collection.as_str())
-            .filter_map(|(key, cid)| {
-                let rkey = key.rsplit('/').next()?.to_string();
-                let record = Record::from_cbor(&self.store.get(cid)?).ok()?;
-                Some((rkey, record))
-            })
-            .collect()
     }
 
     /// Move one MST key's reference from `old` to `new` in the
@@ -1078,9 +1054,44 @@ fn read_varint(bytes: &[u8]) -> Result<(u64, usize)> {
     Err(AtError::RepoError("truncated varint".into()))
 }
 
+// The repository keeps its head's CID as it commits; only the tests hash a
+// commit again.
+#[cfg(test)]
+impl Commit {
+    /// The commit's own CID (hash of its signed encoding).
+    pub(crate) fn cid(&self) -> Cid {
+        Cid::for_cbor(&self.to_cbor())
+    }
+}
+
+// Test fixtures: a repository over a fresh in-memory store, and a whole
+// collection read back at once (production reads one record at a time).
+#[cfg(test)]
+impl Repository {
+    /// Create an empty repository for a DID over the default in-memory
+    /// store. The signing key is derived from the DID plus provided key seed
+    /// (the identity layer stores the same key in the DID document).
+    pub(crate) fn new(did: Did, key_seed: &[u8]) -> Repository {
+        Repository::with_store(did, key_seed, Box::new(crate::blockstore::MemStore::new()))
+    }
+
+    /// List `(rkey, record)` pairs of a collection, in rkey order.
+    pub(crate) fn list_collection(&self, collection: &Nsid) -> Vec<(String, Record)> {
+        self.mst
+            .iter_collection(collection.as_str())
+            .filter_map(|(key, cid)| {
+                let rkey = key.rsplit('/').next()?.to_string();
+                let record = Record::from_cbor(&self.store.get(cid)?).ok()?;
+                Some((rkey, record))
+            })
+            .collect()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::blockstore::MemStore;
     use crate::nsid::known;
     use crate::record::PostRecord;
     use std::collections::BTreeSet;

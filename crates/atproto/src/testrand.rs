@@ -8,16 +8,16 @@
 //! synthesis. Keep the constants in sync with the twin if either changes.
 
 /// Deterministic pseudo-random generator for test-case synthesis.
-pub struct TestRng(u64);
+pub(crate) struct TestRng(u64);
 
 impl TestRng {
     /// Create from a fixed seed.
-    pub fn new(seed: u64) -> TestRng {
+    pub(crate) fn new(seed: u64) -> TestRng {
         TestRng(seed)
     }
 
     /// Next raw 64-bit value.
-    pub fn next_u64(&mut self) -> u64 {
+    pub(crate) fn next_u64(&mut self) -> u64 {
         self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
         let mut z = self.0;
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -26,19 +26,18 @@ impl TestRng {
     }
 
     /// Uniform value in `[0, bound)` (`bound` must be non-zero).
-    pub fn below(&mut self, bound: u64) -> u64 {
+    pub(crate) fn below(&mut self, bound: u64) -> u64 {
         self.next_u64() % bound
     }
 
     /// Random byte vector with length in `[0, max_len)`.
-    #[cfg(test)]
     pub(crate) fn bytes(&mut self, max_len: usize) -> Vec<u8> {
         let len = self.below(max_len.max(1) as u64) as usize;
         (0..len).map(|_| self.next_u64() as u8).collect()
     }
 
     /// Random lowercase ASCII string with length in `[min_len, max_len]`.
-    pub fn lowercase(&mut self, min_len: usize, max_len: usize) -> String {
+    pub(crate) fn lowercase(&mut self, min_len: usize, max_len: usize) -> String {
         let len = min_len + self.below((max_len - min_len + 1) as u64) as usize;
         (0..len)
             .map(|_| (b'a' + self.below(26) as u8) as char)
@@ -46,7 +45,6 @@ impl TestRng {
     }
 
     /// Random printable-ish string (includes non-ASCII) for parser fuzzing.
-    #[cfg(test)]
     pub(crate) fn junk_string(&mut self, max_len: usize) -> String {
         let len = self.below(max_len.max(1) as u64) as usize;
         (0..len)

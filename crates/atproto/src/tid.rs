@@ -29,11 +29,6 @@ impl Tid {
         Tid((ts << 10) | (clock_id as u64 & 0x3ff))
     }
 
-    /// The embedded timestamp in microseconds since the epoch.
-    pub fn timestamp_micros(&self) -> u64 {
-        self.0 >> 10
-    }
-
     /// The 13 base32-sortable characters, on the stack.
     fn to_array(self) -> [u8; TID_LEN] {
         let mut out = [0u8; TID_LEN];
@@ -123,6 +118,15 @@ impl TidClock {
         }
         self.last_micros = micros;
         Tid::from_micros(micros, self.clock_id)
+    }
+}
+
+// Nothing reads a TID's clock back; the tests check it.
+#[cfg(test)]
+impl Tid {
+    /// The embedded timestamp in microseconds since the epoch.
+    pub(crate) fn timestamp_micros(&self) -> u64 {
+        self.0 >> 10
     }
 }
 

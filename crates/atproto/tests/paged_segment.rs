@@ -2,7 +2,8 @@
 //! of its own: the descriptor count is a property of the whole process, so
 //! no other test may be opening files beside this one.
 
-use bsky_atproto::{BlockStore, Cid, StoreConfig};
+use bsky_atproto::blockstore::{BlockStore, StoreConfig};
+use bsky_atproto::Cid;
 use std::path::Path;
 
 const STORES: usize = 2_000;

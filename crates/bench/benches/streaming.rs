@@ -6,9 +6,6 @@
 //! * **bounded in-flight events** — the producer drains the relay in
 //!   constant-size chunks, so the peak subscription batch must not scale
 //!   with daily volume (asserted across a 3× population difference).
-//! * **bounded moderation index** — the post-creation index is aged past
-//!   the labelers' reaction window, so its peak stays a fraction of the
-//!   total posts observed.
 //! * **paged block store** — the same collection with `--store paged`
 //!   (repos, relay mirror and producer mirror over the disk-spill store)
 //!   must end the run with strictly fewer resident block bytes than the
@@ -27,8 +24,7 @@
 //!   must cost strictly more overhead than bare framing).
 
 use bsky_atproto::Datetime;
-use bsky_study::analysis::ModerationAnalyzer;
-use bsky_study::pipeline::{Analyzer, Observation, ObservationSink, StudyCtx};
+use bsky_study::pipeline::{Observation, ObservationSink, StudyCtx};
 use bsky_study::{Collector, RunSpec, StudyReport};
 use bsky_workload::{ScenarioConfig, World, WorldSpec};
 
@@ -38,29 +34,6 @@ fn bench_config() -> ScenarioConfig {
     config.end = Datetime::from_ymd(2024, 4, 30).unwrap();
     config.scale = 20_000;
     config
-}
-
-/// Streams a world through a lone `ModerationAnalyzer`, tracking its
-/// post-index peak and the total number of posts seen.
-struct IndexProbe {
-    analyzer: ModerationAnalyzer,
-    total_posts: usize,
-}
-
-impl ObservationSink for IndexProbe {
-    fn observe(&mut self, obs: &Observation<'_>, ctx: &StudyCtx<'_>) {
-        if let Observation::Firehose(event) = obs {
-            if let bsky_atproto::firehose::EventBody::Commit { ops, .. } = &event.body {
-                self.total_posts += ops
-                    .iter()
-                    .filter(|op| {
-                        op.collection() == bsky_atproto::nsid::known::POST && op.cid.is_some()
-                    })
-                    .count();
-            }
-        }
-        Analyzer::observe(&mut self.analyzer, obs, ctx);
-    }
 }
 
 fn main() {
@@ -135,7 +108,7 @@ fn main() {
         let summary = Collector::new()
             .store(store)
             .stream(&mut world, &mut NullSink);
-        (summary, world.appview_store_stats())
+        (summary, world.appview.store_stats())
     };
     let (mem_store, mem_appview) = run_with_store(StoreConfig::mem(), 1);
     let (paged_store, paged_appview) = run_with_store(
@@ -202,51 +175,36 @@ fn main() {
         "the write-back cache must buffer and flush dirty entities at bench scale"
     );
 
-    // Memory: the moderation post index is aged past the reaction window.
-    let mut world = World::new(config);
-    let mut probe = IndexProbe {
-        analyzer: ModerationAnalyzer::new(),
-        total_posts: 0,
-    };
-    Collector::new().stream(&mut world, &mut probe);
-    println!(
-        "moderation post index: peak {} of {} posts observed ({:.1} %)",
-        probe.analyzer.peak_post_index(),
-        probe.total_posts,
-        probe.analyzer.peak_post_index() as f64 / probe.total_posts.max(1) as f64 * 100.0,
-    );
-    assert!(probe.total_posts > 0);
-    assert!(
-        probe.analyzer.peak_post_index() <= probe.total_posts * 6 / 10,
-        "post index must be aged out (peak {} vs {} posts)",
-        probe.analyzer.peak_post_index(),
-        probe.total_posts
-    );
-
     // Observatory: one framed run (128-byte buckets, 2 s batch windows)
     // yields both the §10 mitigation sweep — computed counterfactually from
     // the raw captures, so it matches every other run of this config — and
     // the active policy's wire accounting in the summary.
     use bsky_atproto::framing::{FramingPolicy, PaddingPolicy};
-    let framed_spec = RunSpec::new(config).framing(FramingPolicy::new(PaddingPolicy::Buckets, 2));
+    let framed_spec = RunSpec {
+        framing: FramingPolicy::new(PaddingPolicy::Buckets, 2),
+        ..RunSpec::new(config)
+    };
     let (framed_report, framed_summary) = StudyReport::run(&framed_spec);
-    let observatory = &framed_report.observatory;
-    let accuracy_none = observatory.cell_accuracy("none").unwrap_or(0.0);
-    let accuracy_bucketed = observatory.cell_accuracy("pad128").unwrap_or(0.0);
-    let overhead_none = observatory.cell_overhead("none").unwrap_or(0);
-    let overhead_bucketed = observatory.cell_overhead("pad128").unwrap_or(0);
+    let json = framed_report.to_json();
+    let observatory = &json["section10"];
+    let cell = |name: &str| &observatory["cells"][name];
+    let accuracy_none = cell("none")["accuracy"].as_f64().unwrap_or(0.0);
+    let accuracy_bucketed = cell("pad128")["accuracy"].as_f64().unwrap_or(0.0);
+    let overhead_none = cell("none")["overhead_bytes"].as_u64().unwrap_or(0);
+    let overhead_bucketed = cell("pad128")["overhead_bytes"].as_u64().unwrap_or(0);
+    let chance = observatory["chance_accuracy"].as_f64().unwrap_or(0.0);
     println!(
         "observatory: {:.1}% classifier accuracy unmitigated vs {:.1}% under pad128 (chance {:.1}%); framing overhead {} bytes unmitigated vs {} pad128; active wire overhead {} bytes on {} frames",
         accuracy_none * 100.0,
         accuracy_bucketed * 100.0,
-        observatory.chance_accuracy * 100.0,
+        chance * 100.0,
         overhead_none,
         overhead_bucketed,
         framed_summary.merged.padding_overhead_bytes,
         framed_summary.merged.wire_frames,
     );
     assert!(
-        observatory.traced_days > 0,
+        observatory["traced_days"].as_u64().unwrap_or(0) > 0,
         "the wire tap must capture traces at bench scale"
     );
     assert!(
@@ -274,7 +232,11 @@ fn main() {
         cursor_gap: 0.05,
         ..FaultSpec::default()
     };
-    let chaos_run = RunSpec::new(config).faults(chaos_spec).scenario("chaos");
+    let chaos_run = RunSpec {
+        faults: chaos_spec,
+        scenario: Some("chaos".into()),
+        ..RunSpec::new(config)
+    };
     let (_, chaos_summary) = StudyReport::run(&chaos_run);
     let chaos = &chaos_summary.merged;
     println!(

@@ -81,11 +81,11 @@ fn heap_calls_per_record_written_stay_within_budget() {
     let spec = RunSpec::new(config).shards(1).jobs(1);
 
     let before = heap_calls();
-    let (analyzers, world, summary) = collect_sharded(&spec, StudyAnalyzers::new());
+    let (analyzers, world, summary) = collect_sharded(&spec, StudyAnalyzers::default());
     let report = StudyReport::from_analyzers(spec.config, analyzers, &world);
     let calls = heap_calls() - before;
 
-    let records = world.appview.index().records_indexed();
+    let records = world.appview.records_indexed();
     assert!(records > 10_000, "a real study ran: {records} records");
     assert!(summary.merged.repo_delta_fetches > 0, "the mirror synced");
     assert!(report.table1.total > 0);

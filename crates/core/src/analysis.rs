@@ -3,7 +3,7 @@
 //! (DNS, WHOIS, Tranco, endpoint classification) the study performed against
 //! the network.
 //!
-//! Each section is an [`Analyzer`]: `observe` folds one observation into
+//! Each section is an `Analyzer`: `observe` folds one observation into
 //! per-entity accumulators, `merge` combines two independently folded states
 //! (the primitive behind the sharded engine in [`crate::shard`]), and
 //! `finish` computes the result struct with its `render()` method. All
@@ -95,14 +95,14 @@ impl Table1 {
 /// Figure 1 / Figure 2: daily activity series (aggregated monthly for
 /// rendering).
 #[derive(Debug, Clone, PartialEq)]
-pub struct ActivitySeries {
+pub(crate) struct ActivitySeries {
     /// Per-month `(month, active users, posts, likes, reposts)`.
-    pub monthly: Vec<(String, u64, u64, u64, u64)>,
+    pub(crate) monthly: Vec<(String, u64, u64, u64, u64)>,
     /// Per-month per-language active users (Figure 2).
     pub(crate) monthly_by_language: Vec<(String, Vec<(String, u64)>)>,
     /// Grand totals `(posts, likes, follows, reposts, blocks)` from the
     /// repositories dataset (§4 text).
-    pub totals: (u64, u64, u64, u64, u64),
+    pub(crate) totals: (u64, u64, u64, u64, u64),
 }
 
 /// Incremental Figures 1–2 plus §4's operation totals, folded per
@@ -244,9 +244,9 @@ impl ActivitySeries {
 
 /// §4 account popularity and non-Bluesky content.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Section4 {
+pub(crate) struct Section4 {
     /// Most-followed accounts `(handle-ish DID, followers)`.
-    pub most_followed: Vec<(String, u64)>,
+    pub(crate) most_followed: Vec<(String, u64)>,
     /// Most-blocked accounts `(DID, blocks)`.
     pub(crate) most_blocked: Vec<(String, u64)>,
     /// Number of non-Bluesky (third-party lexicon) records observed on the
@@ -344,11 +344,11 @@ impl Section4 {
 
 /// §5 identity findings.
 #[derive(Debug, Clone, PartialEq)]
-pub struct IdentityReport {
+pub(crate) struct IdentityReport {
     /// Total FQDN handles examined.
     pub(crate) total_handles: u64,
     /// Handles under bsky.social and their share (%).
-    pub bsky_social: (u64, f64),
+    pub(crate) bsky_social: (u64, f64),
     /// Number of did:web identities.
     pub(crate) did_web: u64,
     /// Figure 3: non-bsky.social registered domains with most subdomain
@@ -359,12 +359,12 @@ pub struct IdentityReport {
     /// Registered domains found in the Tranco top-1M and their share (%).
     pub(crate) tranco_overlap: (u64, f64),
     /// Ownership proofs: `(dns txt count, well-known count, txt share %)`.
-    pub proofs: (u64, u64, f64),
+    pub(crate) proofs: (u64, u64, f64),
     /// Table 2: registrars `(IANA id, name, domains, share %)`.
-    pub registrars: Vec<(Option<u32>, String, u64, f64)>,
+    pub(crate) registrars: Vec<(Option<u32>, String, u64, f64)>,
     /// Handle updates observed on the firehose: `(changes, unique DIDs,
     /// unique handles, share of final handles under bsky.social %)`.
-    pub handle_updates: (u64, u64, u64, f64),
+    pub(crate) handle_updates: (u64, u64, u64, f64),
 }
 
 /// Incremental §5: identity centralization, Table 2 and Figure 3.
@@ -591,7 +591,7 @@ pub(crate) type LabelTargetRow = (String, u64, f64, Vec<(String, u64)>);
 
 /// Per-labeler reaction-time statistics (Table 6 / Figure 5).
 #[derive(Debug, Clone, PartialEq)]
-pub struct LabelerReaction {
+pub(crate) struct LabelerReaction {
     /// Labeler DID.
     pub(crate) did: String,
     /// Display name.
@@ -607,25 +607,25 @@ pub struct LabelerReaction {
     /// Share of all labels (%).
     pub(crate) share: f64,
     /// Median reaction time in seconds (posts only).
-    pub median_reaction_secs: Option<f64>,
+    pub(crate) median_reaction_secs: Option<f64>,
     /// Interquartile distance of the reaction time.
     pub(crate) iqd_reaction_secs: Option<f64>,
 }
 
 /// The §6 moderation report.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ModerationReport {
+pub(crate) struct ModerationReport {
     /// Announced / functional / active labeler counts.
     pub(crate) labeler_counts: (u64, u64, u64),
     /// Endpoint hosting classification `(cloud, residential, dead)`.
     pub(crate) hosting: (u64, u64, u64),
     /// Figure 4: per-month labels by source `(month, bluesky, community)` and
     /// cumulative community labelers.
-    pub labels_by_month: Vec<(String, u64, u64, u64)>,
+    pub(crate) labels_by_month: Vec<(String, u64, u64, u64)>,
     /// Community share of labels in the last full month (%).
-    pub community_share_last_month: f64,
+    pub(crate) community_share_last_month: f64,
     /// Total label interactions and rescissions.
-    pub interactions: (u64, u64),
+    pub(crate) interactions: (u64, u64),
     /// Unique labeled objects.
     pub(crate) unique_objects: u64,
     /// Share of last-month posts that received a label (%).
@@ -637,11 +637,11 @@ pub struct ModerationReport {
     /// Share of objects labeled by both Bluesky and a community labeler (%).
     pub(crate) bluesky_community_overlap_share: f64,
     /// Table 3: top community labelers `(name, labels applied, likes)`.
-    pub table3: Vec<(String, u64, u64)>,
+    pub(crate) table3: Vec<(String, u64, u64)>,
     /// Table 4: label targets `(kind, objects, share %, top values)`.
     pub(crate) table4: Vec<LabelTargetRow>,
     /// Table 6 / Figure 5: per-labeler reaction statistics.
-    pub table6: Vec<LabelerReaction>,
+    pub(crate) table6: Vec<LabelerReaction>,
     /// Figure 6: per-value `(value, objects, median reaction s, community)`.
     pub(crate) figure6: Vec<(String, u64, f64, bool)>,
 }
@@ -717,7 +717,7 @@ struct PendingReaction {
 /// posts instead of the whole collection (the former `--scale 100` memory
 /// ceiling).
 #[derive(Debug, Default)]
-pub struct ModerationAnalyzer {
+pub(crate) struct ModerationAnalyzer {
     collection_end: Datetime,
     /// Post URI → firehose arrival time, aged past the reaction window.
     post_created: BTreeMap<String, Datetime>,
@@ -739,20 +739,9 @@ pub struct ModerationAnalyzer {
     rescissions: u64,
     likes_on_accounts: BTreeMap<String, u64>,
     pending: Vec<PendingReaction>,
-    peak_post_index: usize,
 }
 
 impl ModerationAnalyzer {
-    /// A fresh accumulator.
-    pub fn new() -> ModerationAnalyzer {
-        ModerationAnalyzer::default()
-    }
-
-    /// Largest size the post-creation index ever reached.
-    pub fn peak_post_index(&self) -> usize {
-        self.peak_post_index
-    }
-
     /// Record one measured reaction: the post's creation month (for the
     /// last-month labeled share), the per-labeler delta and the per-value
     /// delta.
@@ -812,7 +801,6 @@ impl Analyzer for ModerationAnalyzer {
                             }
                         }
                     }
-                    self.peak_post_index = self.peak_post_index.max(self.post_created.len());
                 }
             }
             Observation::Labeler(entry) => {
@@ -902,7 +890,6 @@ impl Analyzer for ModerationAnalyzer {
         for (uri, time) in other.post_created {
             self.post_created.entry(uri).or_insert(time);
         }
-        self.peak_post_index = self.peak_post_index.max(other.peak_post_index);
         for (month, count) in other.posts_per_month {
             *self.posts_per_month.entry(month).or_insert(0) += count;
         }
@@ -1270,11 +1257,11 @@ impl ModerationReport {
 
 /// The §7 recommendation report.
 #[derive(Debug, Clone, PartialEq)]
-pub struct RecommendationReport {
+pub(crate) struct RecommendationReport {
     /// Reachable feed generators.
-    pub total_feeds: u64,
+    pub(crate) total_feeds: u64,
     /// Feeds that never curated a post, and their share (%).
-    pub never_curated: (u64, f64),
+    pub(crate) never_curated: (u64, f64),
     /// Language distribution of descriptions `(language, share %)`.
     pub(crate) description_languages: Vec<(String, f64)>,
     /// Figure 8: most common description words.
@@ -1285,7 +1272,7 @@ pub struct RecommendationReport {
     pub(crate) heavily_labeled_share: f64,
     /// Figure 7: cumulative `(month, feeds, likes on feeds, follows on
     /// creators)`.
-    pub cumulative_growth: Vec<(String, u64, u64, u64)>,
+    pub(crate) cumulative_growth: Vec<(String, u64, u64, u64)>,
     /// Figure 10: `(feed name, posts, likes)` for the most extreme feeds.
     pub(crate) posts_vs_likes: Vec<(String, u64, u64)>,
     /// Figure 11: mean in/out-degree of feed creators vs other users.
@@ -1298,7 +1285,7 @@ pub struct RecommendationReport {
     pub(crate) feeds_per_account: (f64, f64, u64, u64),
     /// Figure 12 / Table 5: per-platform `(name, feeds, share %, posts share
     /// %, likes share %)`.
-    pub platform_shares: Vec<(String, u64, f64, f64, f64)>,
+    pub(crate) platform_shares: Vec<(String, u64, f64, f64, f64)>,
 }
 
 /// Incremental §7 recommendation analyses.
@@ -1706,12 +1693,12 @@ impl RecommendationReport {
 
 /// §9 firehose volume estimate.
 #[derive(Debug, Clone, PartialEq)]
-pub struct FirehoseVolume {
+pub(crate) struct FirehoseVolume {
     /// Mean bytes per day observed on the firehose during collection.
-    pub bytes_per_day: f64,
+    pub(crate) bytes_per_day: f64,
     /// The same figure extrapolated to the full network size (multiplying by
     /// the scale factor).
-    pub extrapolated_full_network: f64,
+    pub(crate) extrapolated_full_network: f64,
 }
 
 /// Incremental §9 firehose-volume accumulator.
@@ -1881,10 +1868,12 @@ mod tests {
         config.end = Datetime::from_ymd(2024, 4, 25).unwrap();
         config.scale = 30_000;
         let mut world = World::new(config);
-        let mut analyzer = ModerationAnalyzer::new();
+        let mut analyzer = ModerationAnalyzer::default();
+        /// Tracks the post index's peak size and the posts seen.
         struct Probe {
             analyzer: ModerationAnalyzer,
             total_posts: usize,
+            peak_post_index: usize,
         }
         impl crate::pipeline::ObservationSink for Probe {
             fn observe(&mut self, obs: &Observation<'_>, ctx: &StudyCtx<'_>) {
@@ -1897,6 +1886,7 @@ mod tests {
                     }
                 }
                 Analyzer::observe(&mut self.analyzer, obs, ctx);
+                self.peak_post_index = self.peak_post_index.max(self.analyzer.post_created.len());
             }
         }
         analyzer.observe(
@@ -1909,18 +1899,19 @@ mod tests {
         let mut probe = Probe {
             analyzer,
             total_posts: 0,
+            peak_post_index: 0,
         };
         Collector::new().stream(&mut world, &mut probe);
         // The aged index peaks far below the total number of posts seen.
         assert!(probe.total_posts > 0);
         assert!(
-            probe.analyzer.peak_post_index() < probe.total_posts,
+            probe.peak_post_index <= probe.total_posts * 6 / 10,
             "peak {} vs total {}",
-            probe.analyzer.peak_post_index(),
+            probe.peak_post_index,
             probe.total_posts
         );
         // And the final index holds at most the last reaction window.
-        assert!(probe.analyzer.post_created.len() <= probe.analyzer.peak_post_index());
+        assert!(probe.analyzer.post_created.len() <= probe.peak_post_index);
     }
 
     /// The merge law, pinned per analyzer: fold the whole recorded stream vs

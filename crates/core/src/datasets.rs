@@ -97,7 +97,6 @@ use bsky_identity::DidDocument;
 use bsky_labeler::LabelerOperator;
 use bsky_pds::PdsFleet;
 use bsky_relay::Relay;
-use bsky_simnet::dns::AtprotoResolution;
 use bsky_simnet::faults::{FaultPlan, RetryPolicy, TimeoutClass};
 use bsky_simnet::http::HttpResponse;
 use bsky_simnet::net::HostingClass;
@@ -720,17 +719,6 @@ impl Collector {
         self
     }
 
-    /// Override the retry/backoff policy for one timeout class (builder
-    /// style). Defaults come from [`RetryPolicy::for_class`].
-    pub fn retry(mut self, class: TimeoutClass, policy: RetryPolicy) -> Collector {
-        match class {
-            TimeoutClass::RepoFetch => self.retry_full = policy,
-            TimeoutClass::DeltaFetch => self.retry_delta = policy,
-            TimeoutClass::DnsLookup => self.retry_dns = policy,
-        }
-        self
-    }
-
     fn emit<S: ObservationSink>(&mut self, sink: &mut S, obs: &Observation<'_>, world: &World) {
         self.observations += 1;
         sink.observe(obs, &StudyCtx::new(world));
@@ -909,12 +897,12 @@ impl Collector {
         // Labels the AppView could not apply because their target was not
         // indexed (post deleted, or label raced the post) — counted like
         // `repo_snapshot_skips`, never silently dropped.
-        summary.appview_labels_preindex = world.appview.index().labels_preindex();
+        summary.appview_labels_preindex = world.appview.labels_preindex();
         // Hot/cold-split accounting: counter writes the dirty maps
         // coalesced, and the write-back caches' hit/flush traffic (the
         // AppView's stores are the only write-back-wrapped ones, so the
         // absorbed totals are AppView totals).
-        summary.counter_coalesced_writes = world.appview_counter_coalesced_writes();
+        summary.counter_coalesced_writes = world.appview.counter_coalesced_writes();
         summary.writeback_flushes = store_stats.writeback_flushes;
         summary.writeback_hits = store_stats.writeback_hits;
         summary.writeback_misses = store_stats.writeback_misses;
@@ -1055,8 +1043,6 @@ impl Collector {
                         // lookup: transient SERVFAILs are retried under the
                         // DnsLookup policy; a give-up leaves the handle
                         // unverified this snapshot (counted, never silent).
-                        // Real resolver SERVFAILs (zone marked failed) are
-                        // counted distinctly from healthy lookups too.
                         let day = when.div_euclid(86_400) as u64;
                         let failures = self.faults.dns_failures(handle, day);
                         if failures > 0 {
@@ -1068,13 +1054,7 @@ impl Collector {
                             if outcome.gave_up {
                                 summary.dns_servfails += 1;
                                 summary.dns_retry_giveups += 1;
-                            } else if world.dns.resolve_atproto(handle)
-                                == AtprotoResolution::ServFail
-                            {
-                                summary.dns_servfails += 1;
                             }
-                        } else if world.dns.resolve_atproto(handle) == AtprotoResolution::ServFail {
-                            summary.dns_servfails += 1;
                         }
                         summary.identity_lookups += 1;
                         // Modeled DNS query + response bytes for the
@@ -1215,7 +1195,7 @@ impl Collector {
                 generator
                     .entries()
                     .iter()
-                    .filter(|entry| world.appview.index().has_post(&entry.uri))
+                    .filter(|entry| world.appview.has_post(&entry.uri))
                     .map(|entry| FeedPost {
                         uri: entry.uri.clone(),
                         created_at: entry.post_created_at,
@@ -1237,6 +1217,22 @@ impl Collector {
             };
             self.emit(sink, &Observation::FeedGenerator(&entry), world);
         }
+    }
+}
+
+// Production collects under the default policy of every timeout class;
+// a test overrides one.
+#[cfg(test)]
+impl Collector {
+    /// Override the retry/backoff policy for one timeout class (builder
+    /// style). Defaults come from [`RetryPolicy::for_class`].
+    pub(crate) fn retry(mut self, class: TimeoutClass, policy: RetryPolicy) -> Collector {
+        match class {
+            TimeoutClass::RepoFetch => self.retry_full = policy,
+            TimeoutClass::DeltaFetch => self.retry_delta = policy,
+            TimeoutClass::DnsLookup => self.retry_dns = policy,
+        }
+        self
     }
 }
 
@@ -1446,7 +1442,9 @@ mod tests {
         use std::sync::atomic::{AtomicU64, Ordering};
 
         fn now() -> Datetime {
-            Datetime::from_ymd_hms(2024, 4, 2, 9, 0, 0).unwrap()
+            Datetime::from_ymd(2024, 4, 2)
+                .unwrap()
+                .plus_seconds(9 * 3600)
         }
 
         fn post(text: &str) -> Record {
@@ -1462,7 +1460,7 @@ mod tests {
         }
 
         fn setup(users: usize) -> (Relay, PdsFleet, Vec<Did>) {
-            let mut fleet = PdsFleet::with_default_servers(2);
+            let mut fleet = PdsFleet::with_default_servers_store(2, &StoreConfig::default());
             let mut dids = Vec::new();
             for i in 0..users {
                 let did = Did::plc_from_seed(format!("mirror-user{i}").as_bytes());
@@ -1695,14 +1693,8 @@ mod tests {
             // synced revision out of its delta-serving window.
             let later = now().plus_days(30);
             post_on(&mut fleet, &dids[0], "after window", later);
-            let head = fleet
-                .pds_for(&dids[0])
-                .unwrap()
-                .repo(&dids[0])
-                .unwrap()
-                .rev()
-                .unwrap();
-            let cutoff = Tid::from_micros(head.timestamp_micros(), 0);
+            // Everything before the new head's commit time goes.
+            let cutoff = Tid::from_micros(later.timestamp() as u64 * 1_000_000, 0);
             let stats = fleet.compact_all(&cutoff);
             assert!(stats.commits_dropped > 0);
             relay.crawl(&fleet, later);
@@ -1793,7 +1785,7 @@ mod tests {
 
         #[test]
         fn repos_without_commits_are_mirrored_once() {
-            let mut fleet = PdsFleet::with_default_servers(1);
+            let mut fleet = PdsFleet::with_default_servers_store(1, &StoreConfig::default());
             let did = Did::plc_from_seed(b"mirror-quiet");
             fleet
                 .create_account_on(
@@ -1820,5 +1812,59 @@ mod tests {
             assert_eq!(summary.repo_full_fetches, 2);
             assert_eq!(summary.repo_delta_fetches, 0);
         }
+    }
+
+    /// A flaky-fetch run whose retry budget always outlasts the injected
+    /// failure cap must fetch exactly the bytes the clean run fetches — a
+    /// retried request is the *same* request, re-issued after simulated
+    /// backoff, never an extra accounted download.
+    #[test]
+    fn retries_never_double_count_fetched_bytes() {
+        let mut config = ScenarioConfig::test_scale(31);
+        config.start = Datetime::from_ymd(2024, 2, 20).unwrap();
+        config.end = Datetime::from_ymd(2024, 4, 20).unwrap();
+        config.scale = 40_000;
+        let total_days = config.end.days_since(config.start).max(0) as usize;
+
+        let clean = {
+            let mut world = World::new(config);
+            let mut analyzers = crate::shard::StudyAnalyzers::default();
+            Collector::new().stream(&mut world, &mut analyzers)
+        };
+
+        // Injected failure runs are capped below 6 failures; 8 attempts can
+        // always outlast them, so nothing ever gives up and every fetch
+        // eventually happens exactly once.
+        let patient = RetryPolicy {
+            max_attempts: 8,
+            base_delay_ms: 100,
+            max_delay_ms: 1_000,
+            timeout_ms: 5_000,
+        };
+        let spec = bsky_simnet::faults::FaultSpec {
+            flaky_fetch: 0.3,
+            ..Default::default()
+        };
+        let plan = Arc::new(FaultPlan::build(config.seed, total_days, spec));
+        let flaky = {
+            let mut world = World::new(config);
+            let mut analyzers = crate::shard::StudyAnalyzers::default();
+            Collector::new()
+                .faults(plan)
+                .retry(TimeoutClass::RepoFetch, patient)
+                .retry(TimeoutClass::DeltaFetch, patient)
+                .stream(&mut world, &mut analyzers)
+        };
+
+        assert!(flaky.retry_attempts > 0, "flakiness never triggered");
+        assert!(flaky.retry_backoff_ms > 0, "retries cost no simulated time");
+        assert_eq!(flaky.fetch_retry_giveups, 0, "patient policy gave up");
+        assert_eq!(
+            flaky.snapshot_bytes_fetched, clean.snapshot_bytes_fetched,
+            "retries double-counted fetched bytes"
+        );
+        assert_eq!(flaky.repo_full_fetches, clean.repo_full_fetches);
+        assert_eq!(flaky.repo_delta_fetches, clean.repo_delta_fetches);
+        assert_eq!(flaky.firehose_events, clean.firehose_events);
     }
 }

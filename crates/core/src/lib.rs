@@ -9,7 +9,7 @@
 //!
 //! * [`pipeline`] — the core abstractions: [`pipeline::Observation`] (one
 //!   variant per §3 dataset item plus collection-window markers),
-//!   the [`pipeline::Analyzer`] trait (`observe` folds one observation,
+//!   the crate's `Analyzer` trait (`observe` folds one observation,
 //!   `merge` combines two folded states, `finish` produces the result),
 //!   [`pipeline::ObservationSink`] (what a producer emits into), and
 //!   [`pipeline::StudyCtx`] (read-only access to the world's active
@@ -92,7 +92,7 @@
 //!    `tests/fault_scenarios.rs`).
 //! 2. **Never silent** — every retry, backoff, give-up, fallback, and
 //!    dropped event lands in a named [`pipeline::StreamSummary`] counter,
-//!    and scenario runs render a dedicated [`report::FaultImpact`]
+//!    and scenario runs render a dedicated `Scenario impact` report
 //!    section. Graceful degradation is always visible in the output.
 
 #![forbid(unsafe_code)]

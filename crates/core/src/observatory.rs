@@ -275,11 +275,11 @@ pub(crate) struct CellReport {
 /// The §10 report: classifier accuracy × bandwidth overhead per mitigation
 /// cell, plus the capture totals.
 #[derive(Debug, Clone, PartialEq, Default)]
-pub struct ObservatoryReport {
+pub(crate) struct ObservatoryReport {
     /// Per-cell accuracy and overhead, in [`MITIGATION_CELLS`] order.
     pub(crate) cells: Vec<CellReport>,
     /// `(did, day)` firehose traces captured.
-    pub traced_days: u64,
+    pub(crate) traced_days: u64,
     /// Raw firehose payload bytes across all traces.
     pub(crate) payload_bytes: u64,
     /// Identity-resolution lookups observed on the DNS wire.
@@ -299,7 +299,7 @@ pub struct ObservatoryReport {
     pub(crate) test_total: usize,
     /// Majority-class share of the balanced, sampled test set — the chance
     /// baseline (~1/classes).
-    pub chance_accuracy: f64,
+    pub(crate) chance_accuracy: f64,
 }
 
 impl ObservatoryReport {
@@ -365,22 +365,6 @@ impl ObservatoryReport {
             .with("dns_lookups", self.dns_lookups)
             .with("chance_accuracy", self.chance_accuracy)
             .with("cells", cells)
-    }
-
-    /// The accuracy of one named cell (used by the bench export).
-    pub fn cell_accuracy(&self, name: &str) -> Option<f64> {
-        self.cells
-            .iter()
-            .find(|c| c.name == name)
-            .map(|c| c.accuracy)
-    }
-
-    /// The overhead of one named cell.
-    pub fn cell_overhead(&self, name: &str) -> Option<u64> {
-        self.cells
-            .iter()
-            .find(|c| c.name == name)
-            .map(|c| c.overhead_bytes)
     }
 }
 
@@ -674,10 +658,36 @@ fn nearest_neighbor_accuracy(train: &[Instance], test: &[Instance]) -> f64 {
     correct as f64 / test.len() as f64
 }
 
+// Point lookups into the sweep, which only the tests make (the report
+// renders and serialises every cell).
+#[cfg(test)]
+impl ObservatoryReport {
+    /// The accuracy of one named cell.
+    pub(crate) fn cell_accuracy(&self, name: &str) -> Option<f64> {
+        self.cells
+            .iter()
+            .find(|c| c.name == name)
+            .map(|c| c.accuracy)
+    }
+
+    /// The overhead of one named cell.
+    pub(crate) fn cell_overhead(&self, name: &str) -> Option<u64> {
+        self.cells
+            .iter()
+            .find(|c| c.name == name)
+            .map(|c| c.overhead_bytes)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bsky_atproto::framing::{EVENT_HEADER_BYTES, FRAME_HEADER_BYTES};
+
+    /// Bytes of one unpadded frame carrying `events` events of `payload`
+    /// bytes in all.
+    fn frame(events: usize, payload: usize) -> u64 {
+        PaddingPolicy::None.frame_wire_size(events, payload) as u64
+    }
 
     fn did(seed: &[u8]) -> Did {
         Did::plc_from_seed(seed)
@@ -698,7 +708,7 @@ mod tests {
         assert_eq!(cell.frames, 3);
         assert_eq!(
             cell.wire_bytes,
-            (3 * (FRAME_HEADER_BYTES + EVENT_HEADER_BYTES) + 600) as u64
+            frame(1, 200) + frame(1, 300) + frame(1, 100)
         );
         assert_eq!((cell.first, cell.last), (100, 220));
     }
@@ -711,9 +721,7 @@ mod tests {
         let cell = cell_trace(&frames, PaddingPolicy::None, 60);
         assert_eq!(cell.frames, 2);
         assert_eq!((cell.first, cell.last), (120, 240));
-        let batched_payload = (FRAME_HEADER_BYTES + 2 * EVENT_HEADER_BYTES + 500) as u64;
-        let single = (FRAME_HEADER_BYTES + EVENT_HEADER_BYTES + 100) as u64;
-        assert_eq!(cell.wire_bytes, batched_payload + single);
+        assert_eq!(cell.wire_bytes, frame(2, 500) + frame(1, 100));
         // Batching strictly saves header bytes relative to per-event frames.
         let unbatched = cell_trace(&frames, PaddingPolicy::None, 0);
         assert!(cell.wire_bytes < unbatched.wire_bytes);

@@ -8,12 +8,12 @@
 //!   of one of the §3 datasets, a batch of freshly published labels, or a
 //!   collection-window marker. Observations borrow their payloads, so
 //!   producers can emit and immediately drop them.
-//! * [`Analyzer`] — an incremental consumer: `observe` folds one observation
+//! * `Analyzer` (crate-internal) — an incremental consumer: `observe` folds one observation
 //!   into internal accumulators, `merge` combines two independently folded
 //!   states, and `finish` computes the final result struct.
 //! * [`ObservationSink`] — anything a producer can emit into: the report's
 //!   concrete analyzer set ([`crate::shard::StudyAnalyzers`]), a custom
-//!   probe (the bench uses one to watch accumulator sizes), or a plain
+//!   probe, or a plain
 //!   `Vec<OwnedObservation>` for a caller that wants to keep the stream.
 //! * [`StudyCtx`] — read-only access to the simulated [`World`]'s active
 //!   measurement surfaces (DNS, WHOIS, Tranco, PSL, AppView), mirroring the
@@ -21,7 +21,7 @@
 //!
 //! ## The merge law
 //!
-//! [`Analyzer::merge`] is the primitive behind the sharded engine
+//! `Analyzer::merge` is the primitive behind the sharded engine
 //! ([`crate::shard`]): the population is partitioned by DID hash, one
 //! producer + analyzer set runs per shard, and the per-shard states are
 //! merged in shard order before a single `finish`. Implementations must be
@@ -300,7 +300,7 @@ impl<'a> StudyCtx<'a> {
 /// An incremental analysis: folds observations as they arrive, merges with
 /// independently folded peers, and produces its result struct once the
 /// collection window closes.
-pub trait Analyzer {
+pub(crate) trait Analyzer {
     /// The analysis result (one of the report's table/figure structs).
     type Output;
 
@@ -445,9 +445,9 @@ pub struct StreamSummary {
     pub fetch_retry_giveups: u64,
     /// DNS resolutions abandoned after the retry budget was exhausted.
     pub dns_retry_giveups: u64,
-    /// `_atproto.` TXT resolutions that returned SERVFAIL — injected flaps
-    /// plus genuinely broken delegations, counted distinctly from generic
-    /// lookup failure.
+    /// `_atproto.` TXT resolutions that returned SERVFAIL — the injected
+    /// flaps, retried or not — counted distinctly from generic lookup
+    /// failure.
     pub dns_servfails: u64,
     /// Mirror repos re-fetched in full because their hosting PDS changed
     /// (mass migration after a host outage, or organic churn migration).

@@ -31,9 +31,9 @@ use bsky_workload::{ScenarioConfig, World};
 /// carry `None` and their reports stay byte-identical to pre-fault-layer
 /// output.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FaultImpact {
+pub(crate) struct FaultImpact {
     /// Scenario name (or `custom` for a `--faults` spec).
-    pub scenario: String,
+    pub(crate) scenario: String,
     /// Retries issued across all timeout classes.
     pub(crate) retry_attempts: u64,
     /// Simulated milliseconds spent in timeouts + backoff.
@@ -143,22 +143,22 @@ pub struct StudyReport {
     /// Table 1.
     pub table1: Table1,
     /// Figures 1–2 and §4 totals.
-    pub activity: ActivitySeries,
+    pub(crate) activity: ActivitySeries,
     /// §4 account popularity and non-Bluesky content.
-    pub section4: Section4,
+    pub(crate) section4: Section4,
     /// §5, Table 2, Figure 3.
-    pub identity: IdentityReport,
+    pub(crate) identity: IdentityReport,
     /// §6, Tables 3/4/6, Figures 4/5/6.
-    pub moderation: ModerationReport,
+    pub(crate) moderation: ModerationReport,
     /// §7, Table 5, Figures 7–12.
-    pub recommendation: RecommendationReport,
+    pub(crate) recommendation: RecommendationReport,
     /// §9 firehose volume.
-    pub firehose_volume: FirehoseVolume,
+    pub(crate) firehose_volume: FirehoseVolume,
     /// §10 wire-traffic observatory (classifier × mitigation sweep).
-    pub observatory: ObservatoryReport,
+    pub(crate) observatory: ObservatoryReport,
     /// Injected-fault impact (scenario runs only; `None` keeps quiet runs'
     /// rendered/serialised output byte-identical to pre-fault-layer runs).
-    pub faults: Option<FaultImpact>,
+    pub(crate) faults: Option<FaultImpact>,
 }
 
 impl StudyReport {
@@ -172,12 +172,12 @@ impl StudyReport {
     /// `(shards, jobs)`, store backend, AppView sharding, write-back
     /// setting, or framing policy; the golden equivalence test pins this.
     ///
-    /// Non-quiet [`RunSpec::faults`] specs attach a [`FaultImpact`] section
+    /// Non-quiet [`RunSpec::faults`] specs attach a `Scenario impact` section
     /// labelled by [`RunSpec::scenario`] (`custom` when unlabelled).
     ///
     /// Panics on an invalid spec (see [`RunSpec::validate`]).
     pub fn run(spec: &RunSpec) -> (StudyReport, ShardedSummary) {
-        let (analyzers, world, summary) = collect_sharded(spec, StudyAnalyzers::new());
+        let (analyzers, world, summary) = collect_sharded(spec, StudyAnalyzers::default());
         let mut report = StudyReport::from_analyzers(spec.config, analyzers, &world);
         if !spec.faults.is_quiet() {
             report.faults = Some(FaultImpact::from_summary(
@@ -393,5 +393,48 @@ mod tests {
         assert_eq!(summary.firehose_events, report.table1.total);
         assert!(summary.peak_in_flight_events > 0);
         assert!((summary.peak_in_flight_events as u64) < summary.firehose_events);
+    }
+
+    #[test]
+    fn full_study_reproduces_headline_shapes() {
+        let (report, _) = StudyReport::run_serial(&RunSpec::new(small_config(1)));
+
+        // Table 1: commits dominate the firehose.
+        let commit_share = report
+            .table1
+            .rows
+            .iter()
+            .find(|r| r.0 == "Repo Commit")
+            .map(|r| r.2)
+            .unwrap_or(0.0);
+        assert!(commit_share > 90.0, "commit share {commit_share}");
+
+        // §4: likes outnumber posts, posts outnumber reposts.
+        let (posts, likes, _follows, reposts, blocks) = report.activity.totals;
+        assert!(likes > posts && posts > reposts && blocks < reposts);
+
+        // §5: custodial handles dominate; DNS TXT proofs dominate.
+        assert!(report.identity.bsky_social.1 > 95.0);
+        assert!(report.identity.proofs.2 > 80.0);
+
+        // §6: community labelers issue the majority of recent labels; the most
+        // prolific labeler is an automated one with a sub-minute median.
+        assert!(report.moderation.community_share_last_month > 50.0);
+        if let Some(top) = report.moderation.table6.first() {
+            if let Some(median) = top.median_reaction_secs {
+                assert!(median < 60.0, "top labeler median {median}");
+            }
+        }
+
+        // §7: Skyfeed hosts the largest share of feeds; some feeds never curated.
+        assert_eq!(report.recommendation.platform_shares[0].0, "Skyfeed");
+        assert!(report.recommendation.platform_shares[0].2 > 50.0);
+        assert!(report.recommendation.never_curated.0 > 0);
+
+        // §9: extrapolated firehose volume is positive and scales with the
+        // configured factor.
+        assert!(
+            report.firehose_volume.extrapolated_full_network > report.firehose_volume.bytes_per_day
+        );
     }
 }

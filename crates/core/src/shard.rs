@@ -60,7 +60,7 @@ use std::thread::JoinHandle;
 /// coordinating thread absorbs the per-shard states in shard-index order.
 ///
 /// `absorb` must be associative and agree with serial observation order —
-/// the same merge law every [`Analyzer`] obeys — so that the sharded result
+/// the same merge law every `Analyzer` obeys — so that the sharded result
 /// is byte-identical to the serial one. (`'static` because shard workers
 /// and the intra-shard pipeline move sink instances across threads.)
 pub trait ShardSink: ObservationSink + Default + Send + 'static {
@@ -109,11 +109,6 @@ pub struct StudyAnalyzers {
 }
 
 impl StudyAnalyzers {
-    /// A fresh set.
-    pub fn new() -> StudyAnalyzers {
-        StudyAnalyzers::default()
-    }
-
     /// Merge another set's state into this one (memberwise).
     pub fn merge(&mut self, other: StudyAnalyzers) {
         self.table1.merge(other.table1);
@@ -548,7 +543,7 @@ mod tests {
     #[test]
     fn sharded_collection_merges_summaries() {
         let spec = RunSpec::new(small_config(51)).shards(3).jobs(2);
-        let (analyzers, world, summary) = collect_sharded(&spec, StudyAnalyzers::new());
+        let (analyzers, world, summary) = collect_sharded(&spec, StudyAnalyzers::default());
         assert_eq!(summary.shards, 3);
         assert_eq!(summary.jobs, 2);
         assert_eq!(summary.per_shard.len(), 3);
@@ -569,7 +564,7 @@ mod tests {
     #[should_panic(expected = "exceeds the shard count")]
     fn rejects_more_jobs_than_shards() {
         let spec = RunSpec::new(small_config(51)).shards(2).jobs(3);
-        let _ = collect_sharded(&spec, StudyAnalyzers::new());
+        let _ = collect_sharded(&spec, StudyAnalyzers::default());
     }
 
     /// A sink that gives up on its first observation in shard 1.
@@ -709,9 +704,9 @@ mod tests {
     #[test]
     fn pipelined_sharded_collection_matches_plain() {
         let base = RunSpec::new(small_config(52)).shards(2).jobs(2);
-        let (plain, _, plain_summary) = collect_sharded(&base, StudyAnalyzers::new());
+        let (plain, _, plain_summary) = collect_sharded(&base, StudyAnalyzers::default());
         let spec = base.pipeline(true).analyzer_threads(3);
-        let (piped, world, summary) = collect_sharded(&spec, StudyAnalyzers::new());
+        let (piped, world, summary) = collect_sharded(&spec, StudyAnalyzers::default());
         assert!(summary.merged.pipeline_batches > 0);
         assert_eq!(plain_summary.merged.pipeline_batches, 0);
         assert_eq!(

@@ -3,11 +3,11 @@
 //! Every knob the pipeline understands — scenario seed/scale, engine
 //! shards and worker threads, block-store backend, AppView entity shards
 //! and the write-back cache, wire [`FramingPolicy`] and fault injection —
-//! lives in one builder, and a spec describes exactly one run. The entry points ([`crate::report::StudyReport::run`],
+//! lives in one struct, and a spec describes exactly one run. The entry points ([`crate::report::StudyReport::run`],
 //! [`crate::report::StudyReport::run_serial`],
 //! [`crate::shard::collect_sharded`]) all take a `&RunSpec`, so a new knob
-//! is one field + one builder method — never a new suffix-combinated
-//! function variant. A sweep over seeds or scales is a loop over specs
+//! is one field (a builder method only where an outside caller chains it) —
+//! never a new suffix-combinated function variant. A sweep over seeds or scales is a loop over specs
 //! (or a shell loop over `repro --seed` / `--scale`), which composes with
 //! every other knob.
 //!
@@ -22,8 +22,8 @@ use bsky_simnet::faults::FaultSpec;
 use bsky_workload::ScenarioConfig;
 
 /// A full, validated-on-demand description of one study run. Construct
-/// with [`RunSpec::new`], refine with the builder methods, hand to an entry
-/// point.
+/// with [`RunSpec::new`], refine with the builder methods or by setting the
+/// fields, hand to an entry point.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunSpec {
     /// The scenario (seed, dates, scale, mix).
@@ -149,35 +149,6 @@ impl RunSpec {
         self
     }
 
-    /// Whether this spec runs the federated (multi-tier) relay topology.
-    pub fn federation(&self) -> bool {
-        self.relays > 1
-    }
-
-    /// Toggle the AppView write-back cache.
-    pub fn write_back(mut self, write_back: bool) -> RunSpec {
-        self.write_back = write_back;
-        self
-    }
-
-    /// Select the wire framing policy.
-    pub fn framing(mut self, framing: FramingPolicy) -> RunSpec {
-        self.framing = framing;
-        self
-    }
-
-    /// Inject faults (optionally labelled via [`RunSpec::scenario`]).
-    pub fn faults(mut self, faults: FaultSpec) -> RunSpec {
-        self.faults = faults;
-        self
-    }
-
-    /// Label the fault spec for the report's scenario-impact section.
-    pub fn scenario(mut self, name: impl Into<String>) -> RunSpec {
-        self.scenario = Some(name.into());
-        self
-    }
-
     /// Check every range rule and the one cross-knob rule (`jobs <=
     /// shards`). The repro CLI maps an error to exit code 2 (the messages
     /// name the CLI flags); library callers get the identical rules. Entry
@@ -294,10 +265,9 @@ mod tests {
 
     #[test]
     fn relay_topology_knob() {
-        assert!(!base().federation(), "single relay by default");
-        assert_eq!(base().relays, 1);
+        assert_eq!(base().relays, 1, "single relay by default");
         let fed = base().relays(2);
-        assert!(fed.federation());
+        assert_eq!(fed.relays, 2);
         assert!(fed.validate().is_ok());
         assert!(base().relays(2).shards(4).jobs(4).validate().is_ok());
     }

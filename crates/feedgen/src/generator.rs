@@ -7,20 +7,22 @@
 //! personalised algorithms), how much history they retain, and where they are
 //! hosted (Feed-Generator-as-a-Service platforms vs self-hosting).
 
-use crate::filter::FeedPipeline;
+use crate::filter::{curates, FeedFilter};
 use bsky_atproto::record::{FeedGeneratorRecord, PostRecord};
 use bsky_atproto::{AtUri, Datetime, Did, Nsid};
 
 /// How a generator selects posts.
 #[derive(Debug, Clone)]
 pub enum CurationMode {
-    /// A declarative filter pipeline (what FaaS platforms build).
-    Pipeline(FeedPipeline),
+    /// A filter pipeline over the whole network (what FaaS platforms
+    /// build): a post is curated when every filter passes.
+    Pipeline(Vec<FeedFilter>),
     /// A personalised feed (e.g. "the-algorithm", "whats-hot"): output depends
     /// on the requesting viewer and is empty for unknown/empty accounts —
     /// which is why the paper's crawler sees no posts from them (§7.1).
     Personalized,
-    /// Manually curated by the creator (posts are added explicitly).
+    /// Manually curated by the creator. Nothing in the simulation adds
+    /// posts to such a feed, so it never curates anything.
     Manual,
 }
 
@@ -111,9 +113,9 @@ impl FeedGenerator {
 
     /// Observe a post from the firehose; pipeline generators curate it if it
     /// matches.
-    pub fn observe_post(&mut self, uri: &AtUri, author: &Did, post: &PostRecord, now: Datetime) {
+    pub fn observe_post(&mut self, uri: &AtUri, post: &PostRecord, now: Datetime) {
         let curate = match &self.mode {
-            CurationMode::Pipeline(pipeline) => pipeline.curates(author, post),
+            CurationMode::Pipeline(filters) => curates(filters, post),
             CurationMode::Personalized | CurationMode::Manual => false,
         };
         if curate {
@@ -123,16 +125,6 @@ impl FeedGenerator {
                 curated_at: now,
             });
         }
-    }
-
-    /// Manually add a post (manual curation, or personalised feeds serving a
-    /// concrete viewer).
-    pub fn curate_manually(&mut self, uri: AtUri, post_created_at: Datetime, now: Datetime) {
-        self.push_entry(FeedEntry {
-            uri,
-            post_created_at,
-            curated_at: now,
-        });
     }
 
     fn push_entry(&mut self, entry: FeedEntry) {
@@ -165,31 +157,10 @@ impl FeedGenerator {
         }
     }
 
-    /// `getFeedSkeleton`: the most recent `limit` entries, newest first
-    /// (ties broken by URI so the order is total and observer-independent).
-    /// Personalised feeds return nothing for an anonymous / empty viewer.
-    pub fn get_feed(&mut self, limit: usize, viewer: Option<&Did>) -> Vec<FeedEntry> {
-        if self.is_personalized() && viewer.is_none() {
-            return Vec::new();
-        }
-        let mut out: Vec<FeedEntry> = self.entries.clone();
-        out.sort_by(|a, b| {
-            b.post_created_at
-                .cmp(&a.post_created_at)
-                .then_with(|| a.uri.cmp(&b.uri))
-        });
-        out.truncate(limit);
-        out
-    }
-
-    /// All curated entries (oldest first), regardless of viewer.
+    /// All retained entries in curation order (oldest first), regardless of
+    /// viewer.
     pub fn entries(&self) -> &[FeedEntry] {
         &self.entries
-    }
-
-    /// Whether the generator has ever curated anything.
-    pub fn has_curated(&self) -> bool {
-        !self.entries.is_empty()
     }
 
     /// Record a like on the generator.
@@ -206,12 +177,13 @@ impl FeedGenerator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::filter::{FeedFilter, FeedInput};
     use bsky_atproto::nsid::known;
     use bsky_atproto::record::Record;
 
     fn now() -> Datetime {
-        Datetime::from_ymd_hms(2024, 4, 20, 10, 0, 0).unwrap()
+        Datetime::from_ymd(2024, 4, 20)
+            .unwrap()
+            .plus_seconds(10 * 3600)
     }
 
     fn creator() -> Did {
@@ -240,35 +212,37 @@ mod tests {
             creator(),
             "hebrew-feed",
             record("hebrew-feed"),
-            CurationMode::Pipeline(FeedPipeline {
-                inputs: vec![FeedInput::WholeNetwork],
-                filters: vec![FeedFilter::Language(vec!["he".into()])],
-            }),
+            CurationMode::Pipeline(vec![FeedFilter::Language(vec!["he".into()])]),
             RetentionPolicy::All,
+        )
+    }
+
+    /// A pipeline feed with no filters: it curates every post it observes.
+    fn everything_feed(retention: RetentionPolicy) -> FeedGenerator {
+        FeedGenerator::new(
+            creator(),
+            "everything",
+            record("everything"),
+            CurationMode::Pipeline(Vec::new()),
+            retention,
         )
     }
 
     #[test]
     fn pipeline_generator_curates_matching_posts() {
         let mut feed = hebrew_feed();
-        let author = Did::plc_from_seed(b"author");
         feed.observe_post(
             &post_uri(1),
-            &author,
             &PostRecord::simple("שלום", "he", now()),
             now(),
         );
         feed.observe_post(
             &post_uri(2),
-            &author,
             &PostRecord::simple("hello", "en", now()),
             now(),
         );
         assert_eq!(feed.entries().len(), 1);
-        assert!(feed.has_curated());
-        let skeleton = feed.get_feed(10, None);
-        assert_eq!(skeleton.len(), 1);
-        assert_eq!(skeleton[0].uri, post_uri(1));
+        assert_eq!(feed.entries()[0].uri, post_uri(1));
         assert_eq!(
             feed.uri().collection().unwrap().as_str(),
             known::FEED_GENERATOR
@@ -280,6 +254,8 @@ mod tests {
 
     #[test]
     fn personalized_feeds_return_nothing_to_anonymous_crawlers() {
+        // A personalised feed curates nothing from the firehose; the
+        // collector serves its anonymous crawler nothing for it either.
         let mut feed = FeedGenerator::new(
             creator(),
             "the-algorithm",
@@ -288,26 +264,17 @@ mod tests {
             RetentionPolicy::All,
         );
         assert!(feed.is_personalized());
-        feed.curate_manually(post_uri(1), now(), now());
-        assert!(
-            feed.get_feed(10, None).is_empty(),
-            "anonymous viewer sees nothing"
-        );
-        let viewer = Did::plc_from_seed(b"real-user");
-        assert_eq!(feed.get_feed(10, Some(&viewer)).len(), 1);
+        feed.observe_post(&post_uri(1), &PostRecord::simple("hi", "en", now()), now());
+        assert!(feed.entries().is_empty(), "anonymous viewer sees nothing");
+        assert!(!hebrew_feed().is_personalized());
     }
 
     #[test]
     fn count_retention_keeps_most_recent() {
-        let mut feed = FeedGenerator::new(
-            creator(),
-            "last-100",
-            record("last-100"),
-            CurationMode::Manual,
-            RetentionPolicy::Count(100),
-        );
+        let mut feed = everything_feed(RetentionPolicy::Count(100));
         for i in 0..250 {
-            feed.curate_manually(post_uri(i), now().plus_seconds(i as i64), now());
+            let post = PostRecord::simple("post", "en", now().plus_seconds(i as i64));
+            feed.observe_post(&post_uri(i), &post, now());
         }
         assert_eq!(feed.entries().len(), 100);
         assert_eq!(feed.entries()[0].uri, post_uri(150));
@@ -315,19 +282,10 @@ mod tests {
 
     #[test]
     fn day_retention_drops_old_entries() {
-        let mut feed = FeedGenerator::new(
-            creator(),
-            "last-week",
-            record("last-week"),
-            CurationMode::Manual,
-            RetentionPolicy::Days(7),
-        );
+        let mut feed = everything_feed(RetentionPolicy::Days(7));
         for day in 0..20 {
-            feed.curate_manually(
-                post_uri(day),
-                now().plus_days(day as i64),
-                now().plus_days(day as i64),
-            );
+            let at = now().plus_days(day as i64);
+            feed.observe_post(&post_uri(day), &PostRecord::simple("post", "en", at), at);
         }
         let end = now().plus_days(20);
         feed.enforce_retention(end);
@@ -340,26 +298,6 @@ mod tests {
             .entries()
             .iter()
             .all(|e| end.timestamp() - e.curated_at.timestamp() <= 7 * 86_400));
-    }
-
-    #[test]
-    fn skeleton_is_newest_first_and_limited() {
-        let mut feed = hebrew_feed();
-        let author = Did::plc_from_seed(b"author");
-        for i in 0..30 {
-            feed.observe_post(
-                &post_uri(i),
-                &author,
-                &PostRecord::simple("שלום", "he", now().plus_seconds(i as i64 * 60)),
-                now().plus_seconds(i as i64 * 60),
-            );
-        }
-        let skeleton = feed.get_feed(10, None);
-        assert_eq!(skeleton.len(), 10);
-        assert!(skeleton
-            .windows(2)
-            .all(|w| w[0].post_created_at >= w[1].post_created_at));
-        assert_eq!(skeleton[0].uri, post_uri(29));
     }
 
     #[test]
@@ -376,15 +314,10 @@ mod tests {
         // §7.1: 2,202 feed posts carry timestamps predating Bluesky's launch
         // (1185, 1776, ...). The generator must not reject them — they are an
         // upstream data quirk the analysis detects.
-        let mut feed = FeedGenerator::new(
-            creator(),
-            "old-posts",
-            record("old-posts"),
-            CurationMode::Manual,
-            RetentionPolicy::All,
-        );
+        let mut feed = everything_feed(RetentionPolicy::All);
         let medieval = Datetime::from_ymd(1185, 6, 1).unwrap();
-        feed.curate_manually(post_uri(1), medieval, now());
-        assert_eq!(feed.get_feed(10, None)[0].post_created_at, medieval);
+        let post = PostRecord::simple("old news", "en", medieval);
+        feed.observe_post(&post_uri(1), &post, now());
+        assert_eq!(feed.entries()[0].post_created_at, medieval);
     }
 }

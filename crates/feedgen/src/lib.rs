@@ -2,11 +2,10 @@
 //!
 //! Feed Generators: the content-recommendation ecosystem of §7 of the paper.
 //!
-//! * [`regex`] — a small regular-expression engine (the Skyfeed-only feature
-//!   of Table 5).
-//! * [`filter`] — declarative feed pipelines: inputs and filters.
+//! * [`filter`] — the filters a pipeline feed applies to every post on the
+//!   network.
 //! * [`generator`] — Feed Generator instances: curation modes (pipeline,
-//!   personalised, manual), retention policies, `getFeedSkeleton`, likes.
+//!   personalised, manual), retention policies, likes.
 //! * [`faas`] — the Feed-Generator-as-a-Service platforms of Table 5 with
 //!   their feature matrices and observed market shares.
 
@@ -16,8 +15,6 @@
 pub mod faas;
 pub mod filter;
 pub mod generator;
-pub mod regex;
 
-pub use filter::{FeedFilter, FeedInput, FeedPipeline};
+pub use filter::FeedFilter;
 pub use generator::{CurationMode, FeedGenerator, RetentionPolicy};
-pub use regex::Regex;

@@ -157,15 +157,12 @@ impl DidDocument {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bsky_atproto::crypto::SigningKey;
 
     fn doc() -> DidDocument {
         DidDocument::new(
             Did::plc_from_seed(b"alice"),
             Handle::parse("alice.bsky.social").unwrap(),
-            SigningKey::from_seed(b"alice-key")
-                .verifying_key()
-                .to_multibase(),
+            "zQ3simalice-key".into(),
             "https://pds001.bsky.network".into(),
         )
     }

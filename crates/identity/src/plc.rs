@@ -4,29 +4,19 @@
 //! stores the DID documents of every `did:plc` identity (§2, §5). The study
 //! downloaded a full snapshot of it (5,077,159 documents) over one week. The
 //! simulated directory supports creation, updates (PDS migration, handle
-//! change, key rotation), tombstoning, and a paginated export used by the
-//! measurement pipeline.
+//! change), tombstoning, and a paginated export used by the measurement
+//! pipeline.
 
 use crate::diddoc::DidDocument;
 use bsky_atproto::error::{AtError, Result};
-use bsky_atproto::{Datetime, Did};
-use std::collections::BTreeMap;
-
-/// One operation in an identity's PLC log.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct PlcOperation {
-    /// When the operation was registered.
-    pub(crate) at: Datetime,
-    /// A human-readable description (`create`, `update_handle`, ...).
-    pub(crate) kind: String,
-}
+use bsky_atproto::Did;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// The PLC directory service.
 #[derive(Debug, Clone, Default)]
 pub struct PlcDirectory {
     documents: BTreeMap<String, DidDocument>,
-    logs: BTreeMap<String, Vec<PlcOperation>>,
-    tombstones: BTreeMap<String, Datetime>,
+    tombstones: BTreeSet<String>,
 }
 
 impl PlcDirectory {
@@ -35,9 +25,9 @@ impl PlcDirectory {
         PlcDirectory::default()
     }
 
-    /// Register a new identity. Fails if the DID already exists or is not a
-    /// `did:plc`.
-    pub fn create(&mut self, document: DidDocument, at: Datetime) -> Result<()> {
+    /// Register a new identity. Fails if the DID already exists (or was
+    /// tombstoned) or is not a `did:plc`.
+    pub fn create(&mut self, document: DidDocument) -> Result<()> {
         if document.did.method() != bsky_atproto::DidMethod::Plc {
             return Err(AtError::InvalidDid(format!(
                 "PLC directory only stores did:plc, got {}",
@@ -45,66 +35,32 @@ impl PlcDirectory {
             )));
         }
         let key = document.did.to_string();
-        if self.documents.contains_key(&key) || self.tombstones.contains_key(&key) {
+        if self.documents.contains_key(&key) || self.tombstones.contains(&key) {
             return Err(AtError::InvalidDid(format!("{key} already registered")));
         }
-        self.logs
-            .entry(key.clone())
-            .or_default()
-            .push(PlcOperation {
-                at,
-                kind: "create".into(),
-            });
         self.documents.insert(key, document);
         Ok(())
     }
 
     /// Update an identity's document (handle change, PDS migration, ...).
-    pub fn update(
-        &mut self,
-        did: &Did,
-        kind: &str,
-        at: Datetime,
-        mutate: impl FnOnce(&mut DidDocument),
-    ) -> Result<()> {
+    pub fn update(&mut self, did: &Did, mutate: impl FnOnce(&mut DidDocument)) -> Result<()> {
         let key = did.to_string();
         let doc = self
             .documents
             .get_mut(&key)
             .ok_or_else(|| AtError::InvalidDid(format!("{key} not registered")))?;
         mutate(doc);
-        self.logs.entry(key).or_default().push(PlcOperation {
-            at,
-            kind: kind.to_string(),
-        });
         Ok(())
     }
 
     /// Tombstone (delete) an identity.
-    pub fn tombstone(&mut self, did: &Did, at: Datetime) -> Result<()> {
+    pub fn tombstone(&mut self, did: &Did) -> Result<()> {
         let key = did.to_string();
         if self.documents.remove(&key).is_none() {
             return Err(AtError::InvalidDid(format!("{key} not registered")));
         }
-        self.logs
-            .entry(key.clone())
-            .or_default()
-            .push(PlcOperation {
-                at,
-                kind: "tombstone".into(),
-            });
-        self.tombstones.insert(key, at);
+        self.tombstones.insert(key);
         Ok(())
-    }
-
-    /// Number of live documents.
-    pub fn len(&self) -> usize {
-        self.documents.len()
-    }
-
-    /// Whether the directory is empty.
-    pub fn is_empty(&self) -> bool {
-        self.documents.is_empty()
     }
 
     /// Paginated export: documents in DID order, starting after `cursor`.
@@ -147,20 +103,16 @@ mod tests {
         )
     }
 
-    fn when() -> Datetime {
-        Datetime::from_ymd(2024, 3, 1).unwrap()
-    }
-
     #[test]
     fn create_resolve_update_tombstone() {
         let mut plc = PlcDirectory::new();
         let d = doc("alice");
         let did = d.did.clone();
-        plc.create(d, when()).unwrap();
-        assert_eq!(plc.len(), 1);
+        plc.create(d).unwrap();
+        assert_eq!(plc.documents.len(), 1);
         assert!(plc.documents.contains_key(&did.to_string()));
 
-        plc.update(&did, "update_handle", when().plus_days(1), |doc| {
+        plc.update(&did, |doc| {
             doc.handle = Handle::parse("alice.example.com").unwrap();
         })
         .unwrap();
@@ -168,26 +120,23 @@ mod tests {
             plc.documents.get(&did.to_string()).unwrap().handle.as_str(),
             "alice.example.com"
         );
-        assert_eq!(plc.logs[&did.to_string()].len(), 2);
-        assert_eq!(plc.logs[&did.to_string()][1].kind, "update_handle");
 
-        plc.tombstone(&did, when().plus_days(2)).unwrap();
+        plc.tombstone(&did).unwrap();
         assert!(!plc.documents.contains_key(&did.to_string()));
-        assert!(plc.tombstones.contains_key(&did.to_string()));
-        assert_eq!(plc.logs[&did.to_string()].len(), 3);
+        assert!(plc.tombstones.contains(&did.to_string()));
         // Cannot recreate a tombstoned DID.
-        assert!(plc.create(doc("alice"), when()).is_err());
+        assert!(plc.create(doc("alice")).is_err());
     }
 
     #[test]
     fn duplicate_and_missing_errors() {
         let mut plc = PlcDirectory::new();
-        plc.create(doc("bob"), when()).unwrap();
-        assert!(plc.create(doc("bob"), when()).is_err());
+        plc.create(doc("bob")).unwrap();
+        assert!(plc.create(doc("bob")).is_err());
         let missing = Did::plc_from_seed(b"missing");
-        assert!(plc.update(&missing, "x", when(), |_| {}).is_err());
-        assert!(plc.tombstone(&missing, when()).is_err());
-        assert!(!plc.logs.contains_key(&missing.to_string()));
+        assert!(plc.update(&missing, |_| {}).is_err());
+        assert!(plc.tombstone(&missing).is_err());
+        assert!(!plc.tombstones.contains(&missing.to_string()));
     }
 
     #[test]
@@ -199,14 +148,14 @@ mod tests {
             "key".into(),
             "https://pds.example".into(),
         );
-        assert!(plc.create(d, when()).is_err());
+        assert!(plc.create(d).is_err());
     }
 
     #[test]
     fn paginated_export_covers_everything_once() {
         let mut plc = PlcDirectory::new();
         for i in 0..57 {
-            plc.create(doc(&format!("user{i}")), when()).unwrap();
+            plc.create(doc(&format!("user{i}"))).unwrap();
         }
         let mut seen = Vec::new();
         let mut cursor: Option<String> = None;

@@ -41,13 +41,12 @@ pub mod publish {
     }
 }
 
-/// What `publish` writes, read back the way the study's collector resolves
-/// it: `DnsZoneStore::{lookup_atproto_did, resolve_atproto}` for the TXT
-/// proof and `WebSpace::get` for the two well-known documents.
+/// What `publish` writes, read back the way the study resolves it:
+/// `DnsZoneStore::lookup_atproto_did` for the TXT proof and `WebSpace::get`
+/// for the two well-known documents.
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bsky_simnet::dns::AtprotoResolution;
     use bsky_simnet::http::HttpResponse;
 
     fn identity(name: &str, handle: &str) -> (Did, Handle) {
@@ -69,10 +68,6 @@ mod tests {
             dns.lookup_atproto_did(handle.as_str()),
             Some(did.to_string())
         );
-        assert_eq!(
-            dns.resolve_atproto(handle.as_str()),
-            AtprotoResolution::Did(did.to_string())
-        );
     }
 
     #[test]
@@ -91,10 +86,7 @@ mod tests {
     fn missing_proof_fails() {
         let (dns, web) = (DnsZoneStore::new(), WebSpace::new());
         let (_, handle) = identity("carol", "carol.example.net");
-        assert_eq!(
-            dns.resolve_atproto(handle.as_str()),
-            AtprotoResolution::NxDomain
-        );
+        assert_eq!(dns.lookup_atproto_did(handle.as_str()), None);
         assert_eq!(web.get(&handle.well_known_url()), HttpResponse::NotFound);
     }
 

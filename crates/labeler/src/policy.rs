@@ -96,7 +96,7 @@ pub enum Trigger {
 
 impl Trigger {
     /// The value this trigger applies.
-    pub(crate) fn value(&self) -> &str {
+    pub fn value(&self) -> &str {
         match self {
             Trigger::MissingAltText { value }
             | Trigger::Media { value, .. }
@@ -157,18 +157,6 @@ impl IssuancePolicy {
         self
     }
 
-    /// Values this policy may emit.
-    pub fn declared_values(&self) -> Vec<String> {
-        let mut values: Vec<String> = self
-            .triggers
-            .iter()
-            .map(|t| t.value().to_string())
-            .collect();
-        values.sort();
-        values.dedup();
-        values
-    }
-
     /// Evaluate every trigger against a post, returning the values to apply.
     pub(crate) fn evaluate(&self, post: &PostRecord, rng: &mut SimRng) -> Vec<String> {
         let mut values: Vec<String> = self
@@ -177,6 +165,21 @@ impl IssuancePolicy {
             .filter(|t| t.matches(post, rng))
             .map(|t| t.value().to_string())
             .collect();
+        values.dedup();
+        values
+    }
+}
+
+#[cfg(test)]
+impl IssuancePolicy {
+    /// Values this policy may emit.
+    pub(crate) fn declared_values(&self) -> Vec<String> {
+        let mut values: Vec<String> = self
+            .triggers
+            .iter()
+            .map(|t| t.value().to_string())
+            .collect();
+        values.sort();
         values.dedup();
         values
     }

@@ -72,15 +72,20 @@ pub const COMMUNITY_LABELER_PROFILES: &[(&str, &[&str])] = &[
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bsky_atproto::label::validate_value;
+    use bsky_atproto::label::{Label, LabelTarget};
+    use bsky_atproto::{Datetime, Did};
 
     #[test]
     fn all_catalogue_values_are_valid_labels() {
+        let labeler = Did::plc_from_seed(b"labeler");
+        let target = LabelTarget::Account(Did::plc_from_seed(b"subject"));
+        let at = Datetime::from_ymd(2024, 4, 1).unwrap();
         for value in COMMUNITY_LABELER_PROFILES
             .iter()
             .flat_map(|(_, values)| *values)
         {
-            assert!(validate_value(value).is_ok(), "{value}");
+            let label = Label::new(labeler.clone(), target.clone(), *value, at);
+            assert!(label.is_ok(), "{value}");
         }
     }
 

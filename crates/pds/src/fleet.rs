@@ -26,12 +26,6 @@ impl PdsFleet {
         PdsFleet::default()
     }
 
-    /// Create a fleet with `n` default Bluesky-operated PDSes over the
-    /// default in-memory block store.
-    pub fn with_default_servers(n: usize) -> PdsFleet {
-        PdsFleet::with_default_servers_store(n, &StoreConfig::default())
-    }
-
     /// Create a fleet with `n` default Bluesky-operated PDSes whose
     /// repositories use an explicit block-store backend.
     pub fn with_default_servers_store(n: usize, store: &StoreConfig) -> PdsFleet {
@@ -181,7 +175,7 @@ mod tests {
 
     #[test]
     fn default_fleet_layout() {
-        let fleet = PdsFleet::with_default_servers(10);
+        let fleet = PdsFleet::with_default_servers_store(10, &StoreConfig::default());
         assert_eq!(fleet.servers.len(), 10);
         assert_eq!(fleet.default_hostnames().len(), 10);
         assert!(fleet.server("pds001.host.bsky.network").is_some());
@@ -191,7 +185,7 @@ mod tests {
 
     #[test]
     fn account_creation_and_routing() {
-        let mut fleet = PdsFleet::with_default_servers(2);
+        let mut fleet = PdsFleet::with_default_servers_store(2, &StoreConfig::default());
         let did = Did::plc_from_seed(b"alice");
         fleet
             .create_account_on(
@@ -216,8 +210,12 @@ mod tests {
 
     #[test]
     fn migration_moves_routing_and_content() {
-        let mut fleet = PdsFleet::with_default_servers(1);
-        fleet.add_server(Pds::new("self.example", PdsOperator::SelfHosted));
+        let mut fleet = PdsFleet::with_default_servers_store(1, &StoreConfig::default());
+        fleet.add_server(Pds::with_store(
+            "self.example",
+            PdsOperator::SelfHosted,
+            StoreConfig::default(),
+        ));
         let did = Did::plc_from_seed(b"carol");
         fleet
             .create_account_on(
@@ -227,13 +225,14 @@ mod tests {
                 now(),
             )
             .unwrap();
-        fleet
+        let hello = Record::Post(PostRecord::simple("hello", "en", now()));
+        let (rkey, _) = fleet
             .pds_for_mut(&did)
             .unwrap()
             .create_record(
                 &did,
                 Nsid::parse(known::POST).unwrap(),
-                Record::Post(PostRecord::simple("hello", "en", now())),
+                hello.clone(),
                 now(),
             )
             .unwrap();
@@ -248,13 +247,11 @@ mod tests {
             .unwrap();
         assert_eq!(endpoint, "https://self.example");
         assert_eq!(fleet.locate(&did), Some("self.example"));
-        let posts = fleet
-            .pds_for(&did)
-            .unwrap()
-            .repo(&did)
-            .unwrap()
-            .list_collection(&Nsid::parse(known::POST).unwrap());
-        assert_eq!(posts.len(), 1);
+        let moved = fleet.pds_for(&did).unwrap().repo(&did).unwrap();
+        assert_eq!(
+            moved.get_record(&Nsid::parse(known::POST).unwrap(), &rkey),
+            Some(hello)
+        );
         // Errors: unknown destination, migrating to the same host, unknown DID.
         assert!(fleet
             .migrate_account(

@@ -2,7 +2,7 @@
 //!
 //! Personal Data Servers for the simulated Bluesky network (§2 of the paper).
 //!
-//! * [`account`] — hosted accounts and their private moderation preferences.
+//! * `account` — hosted accounts: identity and status.
 //! * [`server`] — a single PDS: repository hosting, the `com.atproto.sync.*`
 //!   endpoints the Relay crawls, handle changes, deletions and migrations.
 //! * [`fleet`] — the fleet of default Bluesky-operated PDSes plus self-hosted
@@ -11,10 +11,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod account;
+mod account;
 pub mod fleet;
 pub mod server;
 
-pub use account::{LabelAction, ModerationPreferences};
 pub use fleet::PdsFleet;
 pub use server::{Pds, PdsEventDetail, PdsOperator};

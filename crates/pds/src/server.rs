@@ -79,12 +79,6 @@ pub struct Pds {
 }
 
 impl Pds {
-    /// Create a PDS with a hostname like `pds001.host.bsky.network`, backed
-    /// by the default in-memory block store.
-    pub fn new(hostname: impl Into<String>, operator: PdsOperator) -> Pds {
-        Pds::with_store(hostname, operator, StoreConfig::default())
-    }
-
     /// Create a PDS whose hosted repositories use an explicit block-store
     /// backend (e.g. the paged disk-spill store).
     pub fn with_store(
@@ -329,17 +323,6 @@ impl Pds {
         gone
     }
 
-    /// Events let go by `Pds::trim_outbox` so far.
-    pub fn outbox_trimmed(&self) -> usize {
-        self.outbox_trimmed
-    }
-
-    /// Events the outbox still holds; with [`Pds::outbox_trimmed`], every
-    /// event this server produced.
-    pub fn outbox_len(&self) -> usize {
-        self.outbox.len()
-    }
-
     /// Run the compaction pass over every hosted repository: blocks that
     /// aged out of the delta-serving window ending at `cutoff` are
     /// reclaimed (see [`Repository::compact_before`]).
@@ -373,7 +356,9 @@ mod tests {
     use bsky_atproto::record::PostRecord;
 
     fn now() -> Datetime {
-        Datetime::from_ymd_hms(2024, 4, 1, 8, 0, 0).unwrap()
+        Datetime::from_ymd(2024, 4, 1)
+            .unwrap()
+            .plus_seconds(8 * 3600)
     }
 
     fn post(text: &str) -> Record {
@@ -381,7 +366,11 @@ mod tests {
     }
 
     fn pds_with_alice() -> (Pds, Did) {
-        let mut pds = Pds::new("pds001.host.bsky.network", PdsOperator::BlueskyPbc);
+        let mut pds = Pds::with_store(
+            "pds001.host.bsky.network",
+            PdsOperator::BlueskyPbc,
+            StoreConfig::default(),
+        );
         let did = Did::plc_from_seed(b"alice");
         pds.create_account(
             did.clone(),
@@ -445,8 +434,14 @@ mod tests {
         // identity + three commits at positions 0..4.
         let all: Vec<PdsEvent> = pds.events_since(0).0.to_vec();
         assert_eq!((all.len(), pds.events_since(0).1), (4, 4));
+        // (events let go, events held): the held slice from the start ends
+        // at the absolute position of the next event.
+        let outbox = |pds: &Pds| {
+            let (held, next) = pds.events_since(0);
+            (next - held.len(), held.len())
+        };
         assert_eq!(pds.trim_outbox(2), 2);
-        assert_eq!((pds.outbox_trimmed(), pds.outbox_len()), (2, 2));
+        assert_eq!(outbox(&pds), (2, 2));
         // A cursor at or past the trim point is served exactly as before.
         assert_eq!(pds.events_since(2), (&all[2..], 4));
         assert_eq!(pds.events_since(3), (&all[3..], 4));
@@ -458,7 +453,7 @@ mod tests {
         assert_eq!(pds.trim_outbox(2), 0);
         assert_eq!(pds.trim_outbox(1), 0);
         assert_eq!(pds.trim_outbox(100), 2);
-        assert_eq!((pds.outbox_trimmed(), pds.outbox_len()), (4, 0));
+        assert_eq!(outbox(&pds), (4, 0));
         // New events continue the sequence.
         pds.create_record(&did, Nsid::parse(known::POST).unwrap(), post("four"), now())
             .unwrap();
@@ -525,7 +520,8 @@ mod tests {
         assert!(delta.len() < pds.get_repo(&did).unwrap().len());
         let merged = Repository::apply_delta(&base, &delta).unwrap();
         let (roots, _) = Repository::parse_car(&merged).unwrap();
-        assert_eq!(roots, vec![pds.repo(&did).unwrap().head().unwrap().cid()]);
+        let full = pds.get_repo(&did).unwrap();
+        assert_eq!(roots, Repository::parse_car(&full).unwrap().0);
         // Unknown revisions and unknown DIDs error (full-fetch fallback).
         assert!(pds
             .get_repo_since(
@@ -542,7 +538,7 @@ mod tests {
     #[test]
     fn migration_between_pdses() {
         let (mut origin, did) = pds_with_alice();
-        origin
+        let (pre_move, _) = origin
             .create_record(
                 &did,
                 Nsid::parse(known::POST).unwrap(),
@@ -550,7 +546,11 @@ mod tests {
                 now(),
             )
             .unwrap();
-        let mut destination = Pds::new("self-hosted.example", PdsOperator::SelfHosted);
+        let mut destination = Pds::with_store(
+            "self-hosted.example",
+            PdsOperator::SelfHosted,
+            StoreConfig::default(),
+        );
 
         let repo = origin.migrate_out(&did, now()).unwrap();
         destination
@@ -560,30 +560,21 @@ mod tests {
         assert!(origin.repo(&did).is_none());
         assert!(destination.repo(&did).is_some());
         // Content survives the move.
-        let posts = destination
-            .repo(&did)
-            .unwrap()
-            .list_collection(&Nsid::parse(known::POST).unwrap());
-        assert_eq!(posts.len(), 1);
+        let posts = Nsid::parse(known::POST).unwrap();
+        let moved = destination.repo(&did).unwrap();
+        assert_eq!(moved.get_record(&posts, &pre_move), Some(post("pre-move")));
         // Writes continue at the destination.
-        destination
-            .create_record(
-                &did,
-                Nsid::parse(known::POST).unwrap(),
-                post("post-move"),
-                now(),
-            )
+        let (post_move, _) = destination
+            .create_record(&did, posts.clone(), post("post-move"), now())
             .unwrap();
+        let moved = destination.repo(&did).unwrap();
+        assert!(moved.get_record(&posts, &pre_move).is_some());
         assert_eq!(
-            destination
-                .repo(&did)
-                .unwrap()
-                .list_collection(&Nsid::parse(known::POST).unwrap())
-                .len(),
-            2
+            moved.get_record(&posts, &post_move),
+            Some(post("post-move"))
         );
         // Importing twice fails.
-        let repo_again = Repository::new(did.clone(), b"x");
+        let repo_again = Repository::with_store(did.clone(), b"x", StoreConfig::default().build());
         assert!(destination
             .migrate_in(
                 repo_again,

@@ -29,9 +29,6 @@
 //!   `(host, outbox_seq)` recorded at crawl time. A frame that reaches the
 //!   hub via two regions is mirrored and emitted exactly once, and every
 //!   drop is counted on the hub's [`RelayStats`](crate::stats::RelayStats).
-//! * **Link accounting** — every forwarded frame is recorded on a passive
-//!   per-link `(time, size)` tap keyed `region->hub`, extending the §10
-//!   observatory from PDS↔relay wires to relay↔relay wires.
 //!
 //! Regional relays and the hub each ride their own [`BlockStore`]
 //! (`StoreConfig::paged()` everywhere for bounded residency), so the
@@ -47,7 +44,6 @@ use bsky_atproto::blockstore::{StoreConfig, StoreStats};
 use bsky_atproto::firehose::{Event, EventBody, Seq};
 use bsky_atproto::Datetime;
 use bsky_pds::PdsFleet;
-use bsky_simnet::observer::{ConnTrace, WireObserver};
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
@@ -115,9 +111,6 @@ pub struct RelayFederation {
     /// Per-region forwarding cursor into that region's firehose.
     cursors: Vec<Seq>,
     dedup: DedupIndex,
-    /// Passive `(time, size)` tap of the region→hub wires, keyed
-    /// `"<region hostname>-><hub hostname>"`.
-    links: WireObserver,
 }
 
 impl RelayFederation {
@@ -131,18 +124,7 @@ impl RelayFederation {
                 .collect(),
             cursors: vec![0; regions],
             dedup: DedupIndex::default(),
-            links: WireObserver::new(),
         }
-    }
-
-    /// Number of regional relays.
-    pub fn region_count(&self) -> usize {
-        self.regions.len()
-    }
-
-    /// A regional relay by index.
-    pub fn region(&self, r: usize) -> &Relay {
-        &self.regions[r]
     }
 
     fn partition(fleet: &PdsFleet, regions: usize) -> Vec<Vec<String>> {
@@ -180,15 +162,12 @@ impl RelayFederation {
         for r in 0..self.regions.len() {
             let sub = self.regions[r].subscribe(self.cursors[r]);
             self.cursors[r] = sub.cursor;
-            let link = format!("{}->{}", self.regions[r].hostname(), hub.hostname());
             for event in sub.events {
                 // Info frames are subscription artifacts (e.g. an
                 // OutdatedCursor notice), not network activity.
                 if matches!(event.body, EventBody::Info { .. }) {
                     continue;
                 }
-                self.links
-                    .record(&link, event.time.timestamp(), event.wire_size() as u64);
                 let origin = self.regions[r].event_origin(event.seq).cloned();
                 if let Some(key) = DedupIndex::key_for(&event, origin.as_ref()) {
                     if self.dedup.admit(key, event.time.timestamp()) {
@@ -240,12 +219,6 @@ impl RelayFederation {
         }
         stats
     }
-
-    /// Drain the region→hub link taps accumulated since the last drain,
-    /// keyed `"<region>-><hub>"` in deterministic order.
-    pub fn take_link_traces(&mut self) -> BTreeMap<String, ConnTrace> {
-        self.links.drain()
-    }
 }
 
 #[cfg(test)]
@@ -257,7 +230,9 @@ mod tests {
     use bsky_pds::{Pds, PdsOperator};
 
     fn now() -> Datetime {
-        Datetime::from_ymd_hms(2024, 4, 1, 12, 0, 0).unwrap()
+        Datetime::from_ymd(2024, 4, 1)
+            .unwrap()
+            .plus_seconds(12 * 3600)
     }
 
     fn post(text: &str) -> Record {
@@ -265,8 +240,12 @@ mod tests {
     }
 
     fn fleet_with_users(n: usize) -> (PdsFleet, Vec<Did>) {
-        let mut fleet = PdsFleet::with_default_servers(4);
-        fleet.add_server(Pds::new("self.example", PdsOperator::SelfHosted));
+        let mut fleet = PdsFleet::with_default_servers_store(4, &StoreConfig::default());
+        fleet.add_server(Pds::with_store(
+            "self.example",
+            PdsOperator::SelfHosted,
+            StoreConfig::default(),
+        ));
         let hosts: Vec<String> = fleet.servers().map(|p| p.hostname().to_string()).collect();
         let mut dids = Vec::new();
         for i in 0..n {
@@ -337,7 +316,6 @@ mod tests {
             );
             assert_eq!(hub.stats().duplicates_dropped(), 0);
             assert_eq!(hub.stats().events_forwarded(), hub.stats().dedup_tracked());
-            assert_eq!(hub.stats().total_bytes(), single.stats().total_bytes());
 
             // Incremental forwarding resumes from per-region cursors: the
             // next cycle forwards only new activity, and the hub keeps
@@ -371,6 +349,43 @@ mod tests {
             let relay = Relay::default();
             relay.pending_events(&fleet)
         });
+    }
+
+    #[test]
+    fn trimming_to_the_region_cursors_skips_nothing() {
+        // The world trims every outbox to the crawl cursor of the region
+        // that owns its server: no region is served past events it has not
+        // seen. Trimming past the cursors instead is counted, region by
+        // region.
+        let skipped = |fed: &RelayFederation| -> Vec<u64> {
+            let regions = fed.regions.iter();
+            regions
+                .map(|r| r.stats().outbox_positions_skipped())
+                .collect()
+        };
+        let (mut fleet, dids) = fleet_with_users(10);
+        let mut fed = RelayFederation::new(3, &StoreConfig::default());
+        let mut hub = Relay::default();
+        let mut forwarded = fed.crawl_and_forward(&mut hub, &fleet, now());
+        fleet.trim_outboxes(&fed.crawl_cursors(&fleet));
+        seed_activity(&mut fleet, &dids);
+        forwarded += fed.crawl_and_forward(&mut hub, &fleet, now());
+        fleet.trim_outboxes(&fed.crawl_cursors(&fleet));
+        let produced: usize = fleet.servers().map(|pds| pds.events_since(0).1).sum();
+        assert_eq!(forwarded, produced);
+        assert_eq!(skipped(&fed), [0, 0, 0]);
+
+        // Ahead of every crawl, the fleet lets go of each outbox.
+        seed_activity(&mut fleet, &dids[2..]);
+        let held: Vec<usize> = fleet
+            .servers()
+            .map(|pds| pds.events_since(0).0.len())
+            .collect();
+        fleet.trim_outboxes(&vec![usize::MAX; held.len()]);
+        assert_eq!(fed.crawl_and_forward(&mut hub, &fleet, now()), 0);
+        let lost = skipped(&fed).iter().sum::<u64>();
+        assert_eq!(lost as usize, held.iter().sum::<usize>());
+        assert!(skipped(&fed).iter().all(|&n| n > 0), "{:?}", skipped(&fed));
     }
 
     #[test]
@@ -420,7 +435,7 @@ mod tests {
                 .iter()
                 .enumerate()
                 .flat_map(|(i, e)| {
-                    let origin = fed.region(0).event_origin(e.seq).cloned();
+                    let origin = fed.regions[0].event_origin(e.seq).cloned();
                     let copies = if i % 3 == 0 { 2 } else { 1 };
                     std::iter::repeat_n((e.clone(), origin), copies)
                 })
@@ -488,24 +503,5 @@ mod tests {
             },
             t0.plus_days(4).timestamp()
         ));
-    }
-
-    #[test]
-    fn link_taps_account_every_forwarded_frame() {
-        let (mut fleet, dids) = fleet_with_users(6);
-        seed_activity(&mut fleet, &dids);
-        let mut fed = RelayFederation::new(2, &StoreConfig::default());
-        let mut hub = Relay::default();
-        fed.crawl_and_forward(&mut hub, &fleet, now());
-        let traces = fed.take_link_traces();
-        assert_eq!(traces.len(), 2);
-        assert!(traces.contains_key("relay00.bsky.network->bsky.network"));
-        let frames: usize = traces.values().map(|t| t.frame_count()).sum();
-        let bytes: u64 = traces.values().map(|t| t.total_bytes()).sum();
-        assert_eq!(frames as u64, hub.stats().events_forwarded());
-        // Wire sizes canonicalise the seq width, so the region-side frame
-        // bytes equal the hub-side firehose bytes exactly.
-        assert_eq!(bytes, hub.stats().total_bytes());
-        assert!(fed.take_link_traces().is_empty(), "drain resets the taps");
     }
 }

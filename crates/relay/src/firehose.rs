@@ -87,11 +87,6 @@ impl FirehoseLog {
         }
     }
 
-    /// Lifetime totals per event kind (Table 1).
-    pub fn totals_by_kind(&self) -> &BTreeMap<EventKind, u64> {
-        &self.totals_by_kind
-    }
-
     /// Lifetime total number of events.
     pub fn total_events(&self) -> u64 {
         self.totals_by_kind.values().sum()
@@ -100,6 +95,16 @@ impl FirehoseLog {
     /// Iterate retained events oldest-first.
     pub(crate) fn iter(&self) -> impl Iterator<Item = &Event> {
         self.events.iter()
+    }
+}
+
+// The per-kind split, which only the tests read (Table 1 is the study's
+// own count of the frames it reads).
+#[cfg(test)]
+impl FirehoseLog {
+    /// Lifetime totals per event kind (Table 1).
+    pub(crate) fn totals_by_kind(&self) -> &BTreeMap<EventKind, u64> {
+        &self.totals_by_kind
     }
 }
 

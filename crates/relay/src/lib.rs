@@ -10,13 +10,12 @@
 //!   (`sync.getRepo` with caching), network-wide `sync.listRepos`.
 //! * [`federation`] — hierarchical relay federation: N regional relays each
 //!   crawling a contiguous slice of the hostname-sorted PDS fleet, forwarding
-//!   cursor-resumably into a super-relay with cross-relay `(did, rev)` dedup,
-//!   and passive region→hub link taps for the §10 observatory. Built so a federated run
-//!   is byte-identical to a single-relay run — dedup makes the observed
-//!   stream identical by construction.
-//! * [`stats`] — per-day event/byte accounting behind the ≈30 GB/day
-//!   firehose-volume estimate (§9), plus forwarding/dedup counters for the
-//!   federated topology.
+//!   cursor-resumably into a super-relay with cross-relay `(did, rev)`
+//!   dedup. Built so a federated run is byte-identical to a single-relay
+//!   run — dedup makes the observed stream identical by construction.
+//! * [`stats`] — mirror cache and delta-fetch accounting, each degraded
+//!   fetch counted, plus forwarding/dedup counters for the federated
+//!   topology and the outbox positions a lagging crawl skipped.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

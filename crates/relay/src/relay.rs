@@ -44,7 +44,6 @@ pub struct EventOrigin {
 /// The Relay: PDS crawler, repository mirror and firehose publisher.
 #[derive(Debug)]
 pub struct Relay {
-    hostname: String,
     firehose: FirehoseLog,
     crawl_cursors: BTreeMap<String, usize>,
     mirror: BTreeMap<String, MirrorEntry>,
@@ -68,22 +67,20 @@ pub struct Relay {
 }
 
 impl Default for Relay {
+    /// The default network relay, `bsky.network`, over the default
+    /// in-memory mirror store.
     fn default() -> Self {
-        Relay::new("bsky.network")
+        Relay::with_store("bsky.network", &StoreConfig::default())
     }
 }
 
 impl Relay {
-    /// Create a relay with a hostname (the default network relay is
-    /// `bsky.network`), backed by the default in-memory mirror store.
-    pub(crate) fn new(hostname: impl Into<String>) -> Relay {
-        Relay::with_store(hostname, &StoreConfig::default())
-    }
-
     /// Create a relay whose CAR mirror uses an explicit block-store backend.
-    pub fn with_store(hostname: impl Into<String>, store: &StoreConfig) -> Relay {
+    /// (`_hostname` names the relay on the network, but nothing in the
+    /// simulation reads it; the signature is part of the benchmark's pinned
+    /// surface.)
+    pub fn with_store(_hostname: impl Into<String>, store: &StoreConfig) -> Relay {
         Relay {
-            hostname: hostname.into(),
             firehose: FirehoseLog::new(),
             crawl_cursors: BTreeMap::new(),
             mirror: BTreeMap::new(),
@@ -118,11 +115,6 @@ impl Relay {
         }
     }
 
-    /// The relay hostname.
-    pub(crate) fn hostname(&self) -> &str {
-        &self.hostname
-    }
-
     /// Crawl every PDS in the fleet, ingesting new events into the firehose.
     /// Returns the number of events ingested.
     ///
@@ -132,7 +124,7 @@ impl Relay {
     /// ([`Relay::crawl_cursors`] is what this relay has taken). Should a
     /// server have let go of positions this relay had not reached, the crawl
     /// resumes at the first retained event and counts the gap into
-    /// [`RelayStats::outbox_positions_skipped`] — lagging is loud.
+    /// the relay's count of skipped outbox positions — lagging is loud.
     pub fn crawl(&mut self, fleet: &PdsFleet, now: Datetime) -> usize {
         let ingested = self.crawl_hosts(fleet, now, |_| true);
         self.prune_firehose(now);
@@ -246,7 +238,6 @@ impl Relay {
             EventBody::Info { .. } => None,
         };
         let (seq, wire_size) = self.firehose.append(time, body);
-        self.stats.record_event(time, wire_size);
         // Feed the passive tap: a firehose subscriber's wire carries this
         // frame at this instant, keyed by the subject DID.
         if let Some(key) = tap_key {
@@ -483,7 +474,9 @@ mod tests {
     use bsky_pds::{Pds, PdsOperator};
 
     fn now() -> Datetime {
-        Datetime::from_ymd_hms(2024, 4, 1, 12, 0, 0).unwrap()
+        Datetime::from_ymd(2024, 4, 1)
+            .unwrap()
+            .plus_seconds(12 * 3600)
     }
 
     fn post(text: &str) -> Record {
@@ -491,8 +484,12 @@ mod tests {
     }
 
     fn fleet_with_users(n: usize) -> (PdsFleet, Vec<Did>) {
-        let mut fleet = PdsFleet::with_default_servers(2);
-        fleet.add_server(Pds::new("self.example", PdsOperator::SelfHosted));
+        let mut fleet = PdsFleet::with_default_servers_store(2, &StoreConfig::default());
+        fleet.add_server(Pds::with_store(
+            "self.example",
+            PdsOperator::SelfHosted,
+            StoreConfig::default(),
+        ));
         let hosts = [
             "pds001.host.bsky.network",
             "pds002.host.bsky.network",
@@ -559,8 +556,15 @@ mod tests {
             pds.create_record(did, Nsid::parse(known::POST).unwrap(), post(text), now())
                 .unwrap();
         };
-        let held = |fleet: &PdsFleet| fleet.servers().map(Pds::outbox_len).sum::<usize>();
-        let trimmed = |fleet: &PdsFleet| fleet.servers().map(Pds::outbox_trimmed).sum::<usize>();
+        // (events held, events let go), summed over the fleet: each
+        // outbox's held slice ends at the next absolute position.
+        let outboxes = |fleet: &PdsFleet| {
+            let mut sums = (0, 0);
+            for (held, next) in fleet.servers().map(|pds| pds.events_since(0)) {
+                sums = (sums.0 + held.len(), sums.1 + next - held.len());
+            }
+            sums
+        };
         let origins = |relay: &Relay, from: Seq| -> Vec<EventOrigin> {
             let events = relay.subscribe(from).events;
             let origin = |e: &bsky_atproto::firehose::Event| relay.event_origin(e.seq).cloned();
@@ -576,12 +580,12 @@ mod tests {
         write(&mut fleet, &dids[3], "after the crawl");
         let crawled = relay.crawl_cursors(&fleet);
         fleet.trim_outboxes(&crawled);
-        assert_eq!((held(&fleet), trimmed(&fleet)), (2, 12));
+        assert_eq!(outboxes(&fleet), (2, 12));
         assert_eq!(relay.pending_events(&fleet), 2);
         // Trimming again, or to an older position, lets nothing more go.
         fleet.trim_outboxes(&crawled);
         fleet.trim_outboxes(&vec![0; crawled.len()]);
-        assert_eq!((held(&fleet), trimmed(&fleet)), (2, 12));
+        assert_eq!(outboxes(&fleet), (2, 12));
 
         // Positions stay absolute: the next crawl continues each outbox's
         // sequence where the last one ended, over the trimmed outbox.
@@ -602,7 +606,7 @@ mod tests {
         // A second relay starting from 0 after the trim gets what is still
         // held, at its true positions, and counts every position it missed.
         write(&mut fleet, &dids[1], "held for the latecomer");
-        let mut late = Relay::new("late.example");
+        let mut late = Relay::default();
         assert_eq!(late.crawl(&fleet, now()), 3);
         assert_eq!(late.stats().outbox_positions_skipped(), 12);
         let mut seen = origins(&late, 0);
@@ -854,14 +858,8 @@ mod tests {
             .unwrap()
             .create_record(&did, Nsid::parse(known::POST).unwrap(), post("new"), later)
             .unwrap();
-        let head = fleet
-            .pds_for(&did)
-            .unwrap()
-            .repo(&did)
-            .unwrap()
-            .rev()
-            .unwrap();
-        let cutoff = bsky_atproto::Tid::from_micros(head.timestamp_micros(), 0);
+        // Everything before the new head's commit time goes.
+        let cutoff = bsky_atproto::Tid::from_micros(later.timestamp() as u64 * 1_000_000, 0);
         let stats = fleet.compact_all(&cutoff);
         assert!(stats.commits_dropped > 0, "{stats:?}");
         relay.crawl(&fleet, later);

@@ -1,19 +1,11 @@
-//! Relay volume accounting.
-//!
-//! §9 estimates that "the Firehose already outputs ≈30 GB of data per day per
-//! subscribed client". The relay keeps per-day event and byte counters so the
-//! study can reproduce that estimate for the simulated network (and so the
-//! scaling section of EXPERIMENTS.md can extrapolate it to the real network
-//! size).
+//! Relay accounting: the repository mirror's cache traffic and delta
+//! fetches, each way a fetch can degrade, and the federation's forwarding
+//! and dedup counters. (The firehose's own volume, §9, is measured by the
+//! study from the frames it reads, not from these.)
 
-use bsky_atproto::Datetime;
-use std::collections::BTreeMap;
-
-/// Per-day and lifetime relay statistics.
+/// Lifetime relay statistics.
 #[derive(Debug, Clone, Default)]
 pub struct RelayStats {
-    events_per_day: BTreeMap<i64, u64>,
-    bytes_per_day: BTreeMap<i64, u64>,
     pub(crate) cache_hits: u64,
     pub(crate) cache_misses: u64,
     pub(crate) delta_fetches: u64,
@@ -35,13 +27,6 @@ impl RelayStats {
         RelayStats::default()
     }
 
-    /// Record one firehose event of `wire_bytes` at `time`.
-    pub(crate) fn record_event(&mut self, time: Datetime, wire_bytes: usize) {
-        let day = time.day_index();
-        *self.events_per_day.entry(day).or_insert(0) += 1;
-        *self.bytes_per_day.entry(day).or_insert(0) += wire_bytes as u64;
-    }
-
     /// Record a repo fetch served from the mirror cache.
     pub(crate) fn record_cache_hit(&mut self) {
         self.cache_hits += 1;
@@ -60,16 +45,6 @@ impl RelayStats {
         self.delta_fetches += 1;
         self.bytes_fetched_from_pds += bytes as u64;
         self.delta_bytes_fetched += bytes as u64;
-    }
-
-    /// Total events observed.
-    pub fn total_events(&self) -> u64 {
-        self.events_per_day.values().sum()
-    }
-
-    /// Total firehose bytes emitted.
-    pub fn total_bytes(&self) -> u64 {
-        self.bytes_per_day.values().sum()
     }
 
     /// Record a delta attempt that failed because the PDS compacted the
@@ -123,12 +98,6 @@ impl RelayStats {
         self.outbox_positions_skipped += positions as u64;
     }
 
-    /// PDS outbox positions trimmed before this relay crawled them. 0
-    /// whenever outboxes are trimmed to this relay's own crawl cursors.
-    pub fn outbox_positions_skipped(&self) -> u64 {
-        self.outbox_positions_skipped
-    }
-
     /// Frames forwarded into this relay from upstream relay tiers.
     pub fn events_forwarded(&self) -> u64 {
         self.events_forwarded
@@ -146,25 +115,17 @@ impl RelayStats {
 }
 
 #[cfg(test)]
+impl RelayStats {
+    /// PDS outbox positions trimmed before this relay crawled them. 0
+    /// whenever outboxes are trimmed to this relay's own crawl cursors.
+    pub(crate) fn outbox_positions_skipped(&self) -> u64 {
+        self.outbox_positions_skipped
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
-
-    fn day(n: i64) -> Datetime {
-        Datetime::from_ymd(2024, 4, 1).unwrap().plus_days(n)
-    }
-
-    #[test]
-    fn per_day_accounting() {
-        let mut stats = RelayStats::new();
-        stats.record_event(day(0), 100);
-        stats.record_event(day(0), 150);
-        stats.record_event(day(1), 200);
-        assert_eq!(stats.total_events(), 3);
-        assert_eq!(stats.total_bytes(), 450);
-        assert_eq!(stats.events_per_day.len(), 2);
-        assert_eq!(stats.events_per_day[&day(0).day_index()], 2);
-        assert_eq!(stats.bytes_per_day[&day(0).day_index()], 250);
-    }
 
     #[test]
     fn cache_accounting() {
@@ -183,7 +144,9 @@ mod tests {
     #[test]
     fn empty_stats() {
         let stats = RelayStats::new();
-        assert_eq!(stats.total_events(), 0);
-        assert_eq!(stats.total_bytes(), 0);
+        assert_eq!((stats.cache_hits, stats.cache_misses), (0, 0));
+        assert_eq!(stats.bytes_fetched_from_pds, 0);
+        assert_eq!(stats.events_forwarded(), 0);
+        assert_eq!(stats.outbox_positions_skipped(), 0);
     }
 }

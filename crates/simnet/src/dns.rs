@@ -3,51 +3,16 @@
 //! The study's identity analyses (§5) hinge on DNS: `_atproto.<handle>` TXT
 //! records prove handle ownership, and WHOIS data maps registered domains to
 //! registrars. This module provides the authoritative zone store the
-//! simulated resolvers query. Lookups can be made to fail for a configurable
-//! fraction of zones to model broken delegations.
+//! simulated resolvers query. The store itself always answers; lookup
+//! failures (SERVFAIL) are injected on the resolving side by the fault plan
+//! ([`crate::faults::FaultPlan::dns_failures`], the `dns-flap` scenario).
 
 use std::collections::BTreeMap;
 
-/// Outcome of a DNS TXT lookup.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum TxtLookup {
-    /// The name exists and has TXT records.
-    Found(Vec<String>),
-    /// The name does not exist (NXDOMAIN).
-    NxDomain,
-    /// The query timed out / the delegation is broken.
-    ServFail,
-}
-
-impl TxtLookup {
-    /// The records, if the lookup succeeded.
-    pub(crate) fn records(&self) -> Option<&[String]> {
-        match self {
-            TxtLookup::Found(r) => Some(r),
-            _ => None,
-        }
-    }
-}
-
-/// Outcome of an `_atproto.` handle-ownership resolution, with every
-/// failure mode kept distinct so callers can count them separately.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum AtprotoResolution {
-    /// A valid `did=` proof was found.
-    Did(String),
-    /// The name exists but carries no `did=` proof.
-    NoProof,
-    /// The name does not exist.
-    NxDomain,
-    /// The name is marked failed (broken delegation / timeout).
-    ServFail,
-}
-
-/// An authoritative store of TXT records plus per-name failure marks.
+/// An authoritative store of TXT records.
 #[derive(Debug, Clone, Default)]
 pub struct DnsZoneStore {
     txt: BTreeMap<String, Vec<String>>,
-    broken: BTreeMap<String, ()>,
 }
 
 impl DnsZoneStore {
@@ -61,43 +26,18 @@ impl DnsZoneStore {
         self.txt.insert(name.to_ascii_lowercase(), values);
     }
 
-    /// Perform a TXT lookup.
-    pub(crate) fn lookup_txt(&self, name: &str) -> TxtLookup {
-        let name = name.to_ascii_lowercase();
-        if self.broken.contains_key(&name) {
-            return TxtLookup::ServFail;
-        }
-        match self.txt.get(&name) {
-            Some(records) => TxtLookup::Found(records.clone()),
-            None => TxtLookup::NxDomain,
-        }
+    /// The TXT records at a name; `None` when the name does not exist
+    /// (NXDOMAIN).
+    pub(crate) fn lookup_txt(&self, name: &str) -> Option<&[String]> {
+        self.txt.get(&name.to_ascii_lowercase()).map(Vec::as_slice)
     }
 
-    /// Convenience: the `did=` payload of an `_atproto.` TXT proof, if any.
+    /// The `did=` payload of an `_atproto.` TXT proof, if any.
     pub fn lookup_atproto_did(&self, handle: &str) -> Option<String> {
         let name = format!("_atproto.{}", handle.to_ascii_lowercase());
-        self.lookup_txt(&name)
-            .records()?
+        self.lookup_txt(&name)?
             .iter()
             .find_map(|r| r.strip_prefix("did=").map(str::to_string))
-    }
-
-    /// Outcome-preserving `_atproto.` resolution: like
-    /// [`lookup_atproto_did`](DnsZoneStore::lookup_atproto_did) but a name
-    /// marked failed surfaces as a distinct [`AtprotoResolution::ServFail`]
-    /// instead of folding into generic lookup failure, so identity-path
-    /// callers can count it separately.
-    pub fn resolve_atproto(&self, handle: &str) -> AtprotoResolution {
-        let name = format!("_atproto.{}", handle.to_ascii_lowercase());
-        match self.lookup_txt(&name) {
-            TxtLookup::ServFail => AtprotoResolution::ServFail,
-            TxtLookup::NxDomain => AtprotoResolution::NxDomain,
-            TxtLookup::Found(records) => records
-                .iter()
-                .find_map(|r| r.strip_prefix("did=").map(str::to_string))
-                .map(AtprotoResolution::Did)
-                .unwrap_or(AtprotoResolution::NoProof),
-        }
     }
 }
 
@@ -112,37 +52,16 @@ mod tests {
             "_atproto.example.com",
             vec!["did=did:plc:abc".into(), "unrelated".into()],
         );
-        match dns.lookup_txt("_atproto.EXAMPLE.com") {
-            TxtLookup::Found(records) => assert_eq!(records.len(), 2),
-            other => panic!("unexpected {other:?}"),
-        }
+        assert_eq!(
+            dns.lookup_txt("_atproto.EXAMPLE.com").map(<[String]>::len),
+            Some(2)
+        );
         assert_eq!(
             dns.lookup_atproto_did("example.com"),
             Some("did:plc:abc".to_string())
         );
-        assert_eq!(dns.lookup_txt("missing.example"), TxtLookup::NxDomain);
+        assert_eq!(dns.lookup_txt("missing.example"), None);
         assert_eq!(dns.txt.len(), 1);
-    }
-
-    #[test]
-    fn broken_names_servfail() {
-        let mut dns = DnsZoneStore::new();
-        dns.set_txt("_atproto.broken.example", vec!["did=did:plc:abc".into()]);
-        dns.broken.insert("_atproto.broken.example".into(), ());
-        assert_eq!(
-            dns.lookup_txt("_atproto.broken.example"),
-            TxtLookup::ServFail
-        );
-        assert_eq!(dns.lookup_atproto_did("broken.example"), None);
-        // The outcome-preserving resolver keeps the failure mode distinct.
-        assert_eq!(
-            dns.resolve_atproto("broken.example"),
-            AtprotoResolution::ServFail
-        );
-        assert_eq!(
-            dns.resolve_atproto("missing.example"),
-            AtprotoResolution::NxDomain
-        );
     }
 
     #[test]
@@ -151,7 +70,7 @@ mod tests {
         dns.set_txt("name.example", vec!["one".into()]);
         dns.set_txt("name.example", vec!["two".into()]);
         assert_eq!(
-            dns.lookup_txt("name.example").records().unwrap(),
+            dns.lookup_txt("name.example").unwrap(),
             &["two".to_string()]
         );
         assert_eq!(dns.txt.len(), 1);
@@ -162,14 +81,10 @@ mod tests {
         let mut dns = DnsZoneStore::new();
         dns.set_txt("_atproto.nodid.example", vec!["verification=xyz".into()]);
         assert_eq!(dns.lookup_atproto_did("nodid.example"), None);
-        assert_eq!(
-            dns.resolve_atproto("nodid.example"),
-            AtprotoResolution::NoProof
-        );
         dns.set_txt("_atproto.good.example", vec!["did=did:plc:ok".into()]);
         assert_eq!(
-            dns.resolve_atproto("good.example"),
-            AtprotoResolution::Did("did:plc:ok".into())
+            dns.lookup_atproto_did("good.example"),
+            Some("did:plc:ok".into())
         );
     }
 }

@@ -3,8 +3,8 @@
 //! Several ATProto mechanisms are "fetch a small document over HTTPS":
 //! `/.well-known/atproto-did` handle proofs, `/.well-known/did.json` for
 //! `did:web`, feed-generator `describeFeedGenerator` metadata, and labeler
-//! endpoints. This module stores such documents keyed by URL and models
-//! unavailability.
+//! endpoints. This module stores such documents keyed by URL; a URL that
+//! names no `http(s)://` host is unreachable.
 
 use std::collections::BTreeMap;
 
@@ -15,7 +15,7 @@ pub enum HttpResponse {
     Ok(String),
     /// 404 — the document does not exist.
     NotFound,
-    /// Connection failure / timeout (host down, DNS broken, ...).
+    /// No host to connect to (a malformed URL).
     Unreachable,
 }
 
@@ -29,11 +29,10 @@ impl HttpResponse {
     }
 }
 
-/// A miniature web: URL → document, plus per-host outage marks.
+/// A miniature web: URL → document.
 #[derive(Debug, Clone, Default)]
 pub struct WebSpace {
     documents: BTreeMap<String, String>,
-    down_hosts: BTreeMap<String, ()>,
 }
 
 fn host_of(url: &str) -> Option<&str> {
@@ -56,11 +55,7 @@ impl WebSpace {
 
     /// Perform a GET.
     pub fn get(&self, url: &str) -> HttpResponse {
-        if let Some(host) = host_of(url) {
-            if self.down_hosts.contains_key(&host.to_ascii_lowercase()) {
-                return HttpResponse::Unreachable;
-            }
-        } else {
+        if host_of(url).is_none() {
             return HttpResponse::Unreachable;
         }
         match self.documents.get(url) {
@@ -84,22 +79,6 @@ mod tests {
         );
         assert_eq!(web.get("https://example.com/other"), HttpResponse::NotFound);
         assert_eq!(web.documents.len(), 1);
-    }
-
-    #[test]
-    fn host_outages() {
-        let mut web = WebSpace::new();
-        web.publish("https://labeler.example/xrpc/labels", "[]");
-        web.down_hosts.insert("labeler.example".into(), ());
-        assert_eq!(
-            web.get("https://labeler.example/xrpc/labels"),
-            HttpResponse::Unreachable
-        );
-        web.down_hosts.clear();
-        assert_eq!(
-            web.get("https://labeler.example/xrpc/labels"),
-            HttpResponse::Ok("[]".into())
-        );
     }
 
     #[test]

@@ -37,19 +37,6 @@ impl ConnTrace {
             self.dropped += 1;
         }
     }
-
-    /// Total wire bytes of the retained frames. Inter-relay link accounting
-    /// sums this per `region->hub` connection; dropped frames are *not*
-    /// included (their sizes were never stored), so pair it with
-    /// [`ConnTrace::dropped`] when judging completeness.
-    pub fn total_bytes(&self) -> u64 {
-        self.frames.iter().map(|(_, bytes)| bytes).sum()
-    }
-
-    /// Number of retained frames (excludes counted-but-dropped overflow).
-    pub fn frame_count(&self) -> usize {
-        self.frames.len()
-    }
 }
 
 /// A passive per-connection `(size, gap)` tap.

@@ -1,20 +1,17 @@
-//! Run a community Labeler end to end: observe posts, publish labels after a
-//! reaction delay, rescind a false positive, and apply user moderation
-//! preferences to decide what a client shows (§6 of the paper).
+//! Run a community Labeler end to end: observe posts, then publish labels
+//! after a reaction delay, rescinding some as false positives (§6 of the
+//! paper).
 //!
 //! ```sh
 //! cargo run --example labeler_ops
 //! ```
 
-use bluesky_repro::bsky_appview::{decide_post_visibility, PostInfo, Visibility};
-use bluesky_repro::bsky_atproto::label::LabelTarget;
 use bluesky_repro::bsky_atproto::nsid::known;
 use bluesky_repro::bsky_atproto::record::{Embed, ImageEmbed, MediaKind, PostRecord};
 use bluesky_repro::bsky_atproto::{AtUri, Datetime, Did, Nsid};
 use bluesky_repro::bsky_labeler::{
     IssuancePolicy, LabelerOperator, LabelerService, ReactionModel, Trigger,
 };
-use bluesky_repro::bsky_pds::ModerationPreferences;
 use bluesky_repro::bsky_simnet::net::HostingClass;
 use bluesky_repro::bsky_simnet::SimRng;
 
@@ -65,11 +62,7 @@ fn main() {
         Nsid::parse(known::POST).unwrap(),
         "withalt00001",
     );
-    let uri_missing = AtUri::record(
-        author.clone(),
-        Nsid::parse(known::POST).unwrap(),
-        "noalt0000001",
-    );
+    let uri_missing = AtUri::record(author, Nsid::parse(known::POST).unwrap(), "noalt0000001");
     labeler.observe_post(&uri_ok, &described, now);
     labeler.observe_post(&uri_missing, &undescribed, now);
 
@@ -85,41 +78,4 @@ fn main() {
             label.negated
         );
     }
-
-    // Account-level moderation from the official labeler.
-    let official = Did::plc_from_seed(b"bluesky-official");
-    labeler
-        .apply_label(
-            LabelTarget::Account(Did::plc_from_seed(b"spammer")),
-            "spam",
-            now,
-        )
-        .unwrap();
-
-    // Client-side decision: a viewer subscribed to the community labeler.
-    let mut prefs = ModerationPreferences::default();
-    prefs.subscribe(labeler.did().clone());
-    let post_info = PostInfo {
-        uri: uri_missing.clone(),
-        author,
-        record: undescribed,
-        indexed_at: now,
-        like_count: 0,
-        repost_count: 0,
-        labels: labels
-            .iter()
-            .filter(|l| !l.negated && l.target.uri() == uri_missing.to_string())
-            .map(|l| (l.src.clone(), l.value.clone()))
-            .collect(),
-    };
-    let decision = decide_post_visibility(&post_info, &prefs, &official);
-    println!(
-        "viewer subscribed to the labeler sees the un-described post as: {:?}",
-        decision
-    );
-    assert_ne!(
-        decision,
-        Visibility::Hide,
-        "warnings, not removal, by default"
-    );
 }

@@ -32,28 +32,14 @@ fn main() {
         "firehose events:         {}",
         world.relay.firehose().total_events()
     );
-    println!(
-        "posts indexed by AppView: {}",
-        world.appview.index().post_count()
-    );
+    println!("posts indexed by AppView: {}", world.appview.post_count());
     println!(
         "follow edges:            {}",
-        world.appview.index().follow_edge_count()
+        world.appview.follow_edge_count()
     );
     println!(
         "labels ingested:         {}",
-        world.appview.index().labels_ingested()
+        world.appview.labels_ingested()
     );
     println!("feed generators online:  {}", world.feedgens.len());
-
-    // Show one user's profile through the AppView API, like a client would.
-    if let Some(user) = world.users.first() {
-        let did = user.did.clone();
-        if let Ok(profile) = world.appview.get_profile(&did) {
-            println!(
-                "profile of @{}: {} posts, {} followers, {} follows",
-                profile.handle, profile.posts, profile.followers, profile.follows
-            );
-        }
-    }
 }

@@ -21,7 +21,7 @@
 //!   (firehose event, repo snapshot, user-identifier row, DID document,
 //!   feed-generator entry, labeler entry) plus day-boundary and
 //!   collection-window markers.
-//! * `bsky_study::pipeline::Analyzer` — incremental consumers: `observe` folds one
+//! * the study's `Analyzer`s — incremental consumers: `observe` folds one
 //!   observation into accumulators, `merge` combines two folded states,
 //!   `finish` emits the section's tables and figures.
 //! * `bsky_study::ObservationSink` — what a producer emits into (the
@@ -42,22 +42,24 @@
 //! Every knob a study run has — seed and scale, engine shards and worker
 //! threads, block-store backend, AppView entity shards, the write-back
 //! cache, wire framing, relay topology, fault scenario — lives on one
-//! builder, `bsky_study::RunSpec`:
+//! struct, `bsky_study::RunSpec`, with builder methods for the knobs
+//! callers chain:
 //!
 //! ```ignore
-//! let spec = RunSpec::new(config)
+//! let mut spec = RunSpec::new(config)
 //!     .jobs(4)
 //!     .shards(8)
 //!     .store(StoreConfig::paged().page_size(4096))
-//!     .appview_shards(4)
-//!     .scenario("pds-migration");
+//!     .appview_shards(4);
+//! spec.faults = FaultSpec::scenario("pds-migration").unwrap();
+//! spec.scenario = Some("pds-migration".into());
 //! let (report, summary) = StudyReport::run(&spec);
 //! ```
 //!
 //! The entry points are `bsky_study::StudyReport::run` (sharded across
 //! worker threads) and `run_serial` (the same call coerced to one shard on
 //! one thread); there is no other way a report is computed, and the repro
-//! CLI maps its flags onto the same builder. `RunSpec::validate` rejects
+//! CLI maps its flags onto the same struct. `RunSpec::validate` rejects
 //! out-of-range values up front with an actionable message instead of a
 //! mid-run panic.
 //!
@@ -133,13 +135,13 @@
 //! `PostInfo`/`ActorInfo` entities as DAG-CBOR blocks in its own
 //! `BlockStore` (only key→CID maps, edge sets and counters stay
 //! resident). Ingestion decomposes into per-entity primitives routed to
-//! the owning shard. The study itself only ingests and probes
-//! (`has_post`, the counters); the read path a client would use
-//! (`getProfile`, `getFeed` hydration, `following_timeline`, which fan out
-//! and re-merge under a canonical `(created_at desc, uri)` order) is
-//! exercised by `examples/` and the tests alone, and the monolithic index
-//! survives only under `#[cfg(test)]` as the oracle of the property test
-//! that pins sharded == monolithic for random event/label interleavings.
+//! the owning shard. The study never acts as the AppView's client: it only
+//! ingests and probes (`has_post` when a feed's entries hydrate, the
+//! counters); a content block is read back only to be rewritten (a label,
+//! a handle change, a tombstone). Every query of a post or an actor, and
+//! the monolithic index itself, lives under `#[cfg(test)]` as the oracle of
+//! the property test that pins sharded == monolithic for random event/label
+//! interleavings.
 //! Configured end to end via `RunSpec::appview_shards` (repro
 //! `--appview-shards N`); the golden equivalence test pins the report byte-identical across
 //! appview shard counts × store backends. Labels that arrive before the
@@ -244,8 +246,7 @@
 //! DIDs — pinned by `tests/federation_golden.rs` across engines, stores
 //! and seeds against the pre-federation goldens. Forwarding volume,
 //! dedup admissions and duplicate drops are `RelayStats` /
-//! `bsky_study::StreamSummary` counters, and inter-relay links run
-//! through the same bounded `WireObserver` tap as every other wire. The
+//! `bsky_study::StreamSummary` counters. The
 //! streaming bench (`crates/bench/benches/streaming.rs`, run by
 //! `cargo test`) asserts the scale-out claim: resident block bytes per DID
 //! at two population scales, the larger population strictly cheaper.

@@ -6,8 +6,8 @@
 //! the CAR, delta, record and CBOR decoders have theirs beside their oracle
 //! tests in `bsky-atproto`.
 
-use bluesky_repro::bsky_atproto::testrand::TestRng;
 use bluesky_repro::bsky_simnet::faults::FaultSpec;
+use bluesky_repro::bsky_simnet::SimRng;
 use bluesky_repro::bsky_study::json::Json;
 
 /// Mutations per valid input.
@@ -17,27 +17,27 @@ const ROUNDS: usize = 2_000;
 /// time one the input already uses, so structural bytes are likely), splice
 /// a run of `0xff` over a stretch (one time in four over the very start,
 /// where the binary formats keep a length head), or swap two bytes.
-fn mutate(rng: &mut TestRng, valid: &[u8]) -> Vec<u8> {
+fn mutate(rng: &mut SimRng, valid: &[u8]) -> Vec<u8> {
     let mut bytes = valid.to_vec();
-    let len = bytes.len() as u64;
-    let at = rng.below(len) as usize;
-    match rng.below(5) {
+    let len = bytes.len();
+    let at = rng.range(0..len);
+    match rng.range(0..5u8) {
         0 => bytes.truncate(at),
-        1 => bytes[at] ^= 1 + rng.below(255) as u8,
+        1 => bytes[at] ^= rng.range(1..256u16) as u8,
         2 => {
-            let byte = if rng.below(2) == 0 {
-                valid[rng.below(len) as usize]
+            let byte = if rng.chance(0.5) {
+                valid[rng.range(0..len)]
             } else {
-                rng.next_u64() as u8
+                rng.range(0..256u16) as u8
             };
             bytes.insert(at, byte);
         }
         3 => {
-            let start = if rng.below(4) == 0 { 0 } else { at };
-            let end = (start + 1 + rng.below(8) as usize).min(bytes.len());
+            let start = if rng.chance(0.25) { 0 } else { at };
+            let end = (start + rng.range(1..9)).min(bytes.len());
             bytes[start..end].fill(0xff);
         }
-        _ => bytes.swap(at, rng.below(len) as usize),
+        _ => bytes.swap(at, rng.range(0..len)),
     }
     bytes
 }
@@ -45,7 +45,7 @@ fn mutate(rng: &mut TestRng, valid: &[u8]) -> Vec<u8> {
 /// Feed `decode` the valid input (which it must accept) and then
 /// [`ROUNDS`] mutants of it, asserting nothing but that every call returns.
 fn survives<T, E: std::fmt::Debug>(
-    rng: &mut TestRng,
+    rng: &mut SimRng,
     valid: &[u8],
     decode: impl Fn(&[u8]) -> Result<T, E>,
 ) {
@@ -57,7 +57,7 @@ fn survives<T, E: std::fmt::Debug>(
 
 #[test]
 fn decoders_return_on_mutated_input() {
-    let mut rng = TestRng::new(0xdec0_de55);
+    let mut rng = SimRng::new(0xdec0_de55);
 
     // `Json::parse`: the benchmark reads `BENCHMARK.json` and every child's
     // result line through it (`benchmark/src/{contract, harness}.rs`).

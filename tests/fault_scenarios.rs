@@ -6,23 +6,23 @@
 //!    for multiple seeds. The fault machinery must never consume workload
 //!    randomness or perturb output when nothing is injected.
 //! 2. **Scenarios shard and spill exactly** — for each pinned scenario
-//!    (pds-migration, label-storm, cursor-gap) the serial in-memory run,
+//!    (pds-migration, label-storm, cursor-gap, dns-flap) the serial in-memory run,
 //!    the 4×4 sharded run, and the paged-store run all render
 //!    byte-identical reports, because every injected decision is a pure
 //!    function of `(seed, key, day)`.
 //! 3. **Never silent** — every scenario run surfaces its injected faults
 //!    through nonzero named counters; no scenario completes with zero
 //!    recovery-path counters.
-//! 4. **Retries never double-count** — a flaky run whose retry budget
-//!    always outlasts the injected failure cap fetches exactly the bytes
-//!    the clean run fetches, while still recording its retries.
+//!
+//! (That retries never double-count fetched bytes is pinned beside the
+//! collector, in `bsky-study`'s `datasets` tests.)
 
 use bluesky_repro::bsky_atproto::blockstore::StoreConfig;
 use bluesky_repro::bsky_atproto::Datetime;
-use bluesky_repro::bsky_simnet::faults::{FaultPlan, FaultSpec, RetryPolicy, TimeoutClass};
-use bluesky_repro::bsky_study::{Collector, RunSpec, StudyAnalyzers, StudyReport};
-use bluesky_repro::bsky_workload::{ScenarioConfig, World};
-use std::sync::Arc;
+use bluesky_repro::bsky_simnet::faults::FaultSpec;
+use bluesky_repro::bsky_study::json::Json;
+use bluesky_repro::bsky_study::{RunSpec, StudyReport};
+use bluesky_repro::bsky_workload::ScenarioConfig;
 
 fn small_config(seed: u64) -> ScenarioConfig {
     let mut config = ScenarioConfig::test_scale(seed);
@@ -40,14 +40,14 @@ fn run_faulted(
     spec: &FaultSpec,
     scenario: Option<&str>,
 ) -> (StudyReport, bluesky_repro::bsky_study::ShardedSummary) {
-    let mut run = RunSpec::new(config)
-        .shards(shards)
-        .jobs(jobs)
-        .store(store.clone())
-        .faults(spec.clone());
-    if let Some(name) = scenario {
-        run = run.scenario(name);
-    }
+    let run = RunSpec {
+        faults: spec.clone(),
+        scenario: scenario.map(str::to_string),
+        ..RunSpec::new(config)
+            .shards(shards)
+            .jobs(jobs)
+            .store(store.clone())
+    };
     StudyReport::run(&run)
 }
 
@@ -66,7 +66,7 @@ fn quiet_fault_plan_is_byte_inert() {
             None,
         );
         assert!(
-            quiet.faults.is_none(),
+            quiet.to_json()["faults"] == Json::Null,
             "seed {seed}: quiet run grew a fault section"
         );
         assert_eq!(quiet.render(), baseline.render(), "seed {seed}");
@@ -113,7 +113,7 @@ fn scenarios_are_shard_and_store_exact_and_never_silent() {
     let seed = 31u64;
     let config = small_config(seed);
     let paged = StoreConfig::paged().page_size(4096).resident_pages(2);
-    for name in ["pds-migration", "label-storm", "cursor-gap"] {
+    for name in ["pds-migration", "label-storm", "cursor-gap", "dns-flap"] {
         let spec = FaultSpec::scenario(name).expect("pinned scenario exists");
         let (serial, serial_summary) =
             run_faulted(config, 1, 1, &StoreConfig::mem(), &spec, Some(name));
@@ -145,14 +145,10 @@ fn scenarios_are_shard_and_store_exact_and_never_silent() {
             "{name}: paged run never spilled"
         );
         // The report carries the scenario-impact section.
-        let impact = serial
-            .faults
-            .as_ref()
-            .expect("scenario run has a fault section");
-        assert_eq!(impact.scenario, name);
         assert!(serial.render().contains("Scenario impact"), "{name}");
-        assert!(
-            serial.to_json()["faults"]["scenario"].as_str().is_some(),
+        assert_eq!(
+            serial.to_json()["faults"]["scenario"].as_str(),
+            Some(name),
             "{name}: faults missing from JSON"
         );
         // Never silent: the scenario's injected faults land in its named
@@ -176,6 +172,10 @@ fn scenarios_are_shard_and_store_exact_and_never_silent() {
                     "{name}: no rewind replays"
                 );
             }
+            "dns-flap" => {
+                // Injected flaps are the only writer of this counter.
+                assert!(merged.dns_servfails > 0, "{name}: no SERVFAILs");
+            }
             _ => unreachable!(),
         }
         for (label, other) in [
@@ -198,6 +198,14 @@ fn scenarios_are_shard_and_store_exact_and_never_silent() {
                 merged.backfill_full_fetches, other.backfill_full_fetches,
                 "{name}: {label} backfills diverged"
             );
+            assert_eq!(
+                merged.dns_servfails, other.dns_servfails,
+                "{name}: {label} SERVFAILs diverged"
+            );
+            assert_eq!(
+                merged.dns_retry_giveups, other.dns_retry_giveups,
+                "{name}: {label} DNS give-ups diverged"
+            );
             // Faults cost fetches, never decodes: whatever the mirror kept
             // through outages, migrations and backfills still decodes.
             assert_eq!(
@@ -207,55 +215,4 @@ fn scenarios_are_shard_and_store_exact_and_never_silent() {
             );
         }
     }
-}
-
-/// A flaky-fetch run whose retry budget always outlasts the injected
-/// failure cap must fetch exactly the bytes the clean run fetches — a
-/// retried request is the *same* request, re-issued after simulated
-/// backoff, never an extra accounted download.
-#[test]
-fn retries_never_double_count_fetched_bytes() {
-    let config = small_config(31);
-    let total_days = config.end.days_since(config.start).max(0) as usize;
-
-    let clean = {
-        let mut world = World::new(config);
-        let mut analyzers = StudyAnalyzers::new();
-        Collector::new().stream(&mut world, &mut analyzers)
-    };
-
-    // Injected failure runs are capped below 6 failures; 8 attempts can
-    // always outlast them, so nothing ever gives up and every fetch
-    // eventually happens exactly once.
-    let patient = RetryPolicy {
-        max_attempts: 8,
-        base_delay_ms: 100,
-        max_delay_ms: 1_000,
-        timeout_ms: 5_000,
-    };
-    let spec = FaultSpec {
-        flaky_fetch: 0.3,
-        ..FaultSpec::default()
-    };
-    let plan = Arc::new(FaultPlan::build(config.seed, total_days, spec));
-    let flaky = {
-        let mut world = World::new(config);
-        let mut analyzers = StudyAnalyzers::new();
-        Collector::new()
-            .faults(plan)
-            .retry(TimeoutClass::RepoFetch, patient)
-            .retry(TimeoutClass::DeltaFetch, patient)
-            .stream(&mut world, &mut analyzers)
-    };
-
-    assert!(flaky.retry_attempts > 0, "flakiness never triggered");
-    assert!(flaky.retry_backoff_ms > 0, "retries cost no simulated time");
-    assert_eq!(flaky.fetch_retry_giveups, 0, "patient policy gave up");
-    assert_eq!(
-        flaky.snapshot_bytes_fetched, clean.snapshot_bytes_fetched,
-        "retries double-counted fetched bytes"
-    );
-    assert_eq!(flaky.repo_full_fetches, clean.repo_full_fetches);
-    assert_eq!(flaky.repo_delta_fetches, clean.repo_delta_fetches);
-    assert_eq!(flaky.firehose_events, clean.firehose_events);
 }

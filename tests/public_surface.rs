@@ -27,52 +27,22 @@ const EXEMPT: &[(&str, &str)] = &[
         "atproto::crypto::finalize",
         "`Sha256::finalize`, called by that doctest",
     ),
-    (
-        "appview::api::FeedGeneratorView",
-        "AppView::get_feed_generator",
-    ),
-    ("appview::api::ProfileView", "AppView::get_profile"),
     ("atproto::cid::CidHasher", "the CidMap alias"),
-    ("atproto::crypto::VerifyingKey", "SigningKey::verifying_key"),
     ("atproto::datetime::CivilDate", "Datetime::date"),
     (
         "atproto::record::LabelerServiceRecord",
         "Record::LabelerService",
     ),
     ("atproto::repo::RecordOp", "EventBody::Commit::ops"),
-    ("core::analysis::ActivitySeries", "StudyReport::activity"),
-    (
-        "core::analysis::FirehoseVolume",
-        "StudyReport::firehose_volume",
-    ),
-    ("core::analysis::IdentityReport", "StudyReport::identity"),
-    (
-        "core::analysis::LabelerReaction",
-        "ModerationReport::table6",
-    ),
-    (
-        "core::analysis::ModerationReport",
-        "StudyReport::moderation",
-    ),
-    (
-        "core::analysis::RecommendationReport",
-        "StudyReport::recommendation",
-    ),
-    ("core::analysis::Section4", "StudyReport::section4"),
     ("core::analysis::Table1", "StudyReport::table1"),
     ("core::datasets::FeedGenEntry", "Observation::FeedGenerator"),
     ("core::datasets::LabelerEntry", "Observation::Labeler"),
     ("core::datasets::RepoSnapshot", "Observation::Repo"),
-    (
-        "core::observatory::ObservatoryReport",
-        "StudyReport::observatory",
-    ),
     ("core::observatory::WireTraceDay", "Observation::WireTrace"),
     ("feedgen::faas::FaasPlatform", "faas::default_platforms"),
     ("feedgen::faas::FilterFeatures", "FaasPlatform::filters"),
     ("feedgen::faas::Pricing", "FaasPlatform::pricing"),
     ("feedgen::generator::FeedEntry", "FeedGenerator::entries"),
-    ("feedgen::regex::RegexError", "Regex::new_case_insensitive"),
     ("identity::registrar::WhoisRecord", "WhoisDatabase::query"),
     ("pds::server::PdsEvent", "Pds::events_since"),
     ("relay::firehose::FirehoseLog", "Relay::firehose"),

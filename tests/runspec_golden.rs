@@ -72,8 +72,14 @@ fn write_back_cache_is_byte_inert_everywhere() {
                         .jobs(engine_shards)
                         .store(store.clone())
                 };
-                let (cached, cached_summary) = StudyReport::run(&cell().write_back(true));
-                let (raw, raw_summary) = StudyReport::run(&cell().write_back(false));
+                let (cached, cached_summary) = StudyReport::run(&RunSpec {
+                    write_back: true,
+                    ..cell()
+                });
+                let (raw, raw_summary) = StudyReport::run(&RunSpec {
+                    write_back: false,
+                    ..cell()
+                });
                 let label = format!("seed {seed}, {engine_label}, {store_label}");
                 assert_eq!(
                     cached.render(),
