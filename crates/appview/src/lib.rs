@@ -7,11 +7,9 @@
 //! their target, and the counters.
 //!
 //! * `index` — one entity shard's post/actor/graph indices, fed by the
-//!   firehose and label streams. Per-entity state is encoded as DAG-CBOR
-//!   blocks in a pluggable [`bsky_atproto::blockstore::BlockStore`]; only the
-//!   `key → CID` maps, graph edge sets and counters stay resident, so the
-//!   paged backend bounds the AppView's memory like it already bounds
-//!   repositories and the relay mirror.
+//!   firehose and label streams: a resident key per post and per account,
+//!   the graph edge sets, and counters, flushed daily into DAG-CBOR counter
+//!   blocks in a pluggable [`bsky_atproto::blockstore::BlockStore`].
 //! * `shards` — [`AppViewShards`]: the indices sharded by *entity hash*
 //!   (posts by AT-URI hash, actors and their outgoing graph edges by
 //!   [`bsky_atproto::Did::shard_hash`] — the same hash the workload plan

@@ -29,7 +29,7 @@ impl AtUri {
     }
 
     /// Parse an `at://` URI string.
-    pub fn parse(s: &str) -> Result<AtUri> {
+    pub(crate) fn parse(s: &str) -> Result<AtUri> {
         let rest = s
             .strip_prefix("at://")
             .ok_or_else(|| AtError::InvalidAtUri(s.to_string()))?;
@@ -86,14 +86,14 @@ impl AtUri {
     }
 
     /// Length in bytes of the full string form, without rendering it.
-    pub fn string_len(&self) -> usize {
+    pub(crate) fn string_len(&self) -> usize {
         "at://".len()
             + self.did.string_len()
             + self.collection.as_ref().map_or(0, |c| 1 + c.string_len())
             + self.rkey.as_ref().map_or(0, |r| 1 + r.len())
     }
 
-    /// Append the full string form to `out` ([`Self::string_len`] bytes).
+    /// Append the full string form to `out` (`Self::string_len` bytes).
     pub fn write_to(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(b"at://");
         self.did.write_to(out);

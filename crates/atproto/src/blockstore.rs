@@ -1,7 +1,7 @@
 //! Pluggable, CID-addressed block storage.
 //!
 //! Every content-addressed byte blob in the system — repository record
-//! blocks, MST node blocks, the relay's mirrored CAR archives, the study
+//! blocks, MST node blocks, the AppView's counter blocks, the study
 //! mirror's decoded-record blocks — lives behind one trait with these
 //! backends:
 //!
@@ -25,7 +25,7 @@
 //!   still-buffered block cancels the write before it ever reaches the
 //!   backend. A read-modify-write chain that rewrites an entity N times
 //!   between flushes therefore costs the backend a single `put` instead of
-//!   N `put`/`delete` pairs. The AppView wraps its entity store in one and
+//!   N `put`/`delete` pairs. The AppView wraps its counter store in one and
 //!   flushes at day boundaries (the `--writeback` knob).
 //!
 //! ## Contract

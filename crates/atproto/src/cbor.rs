@@ -17,14 +17,14 @@
 //!   canonical), what the cold readers still use (a CAR's header, a commit's
 //!   summary) and the reference every typed encoder and decoder is tested
 //!   against.
-//! * **Typed**: the [`raw`] writers and the borrowed [`Reader`]. One pass,
+//! * **Typed**: the [`raw`] writers and the borrowed `Reader`. One pass,
 //!   no intermediate tree: an encoder that knows its shape emits the fields
 //!   in canonical key order straight into the output buffer, and a decoder
 //!   that knows its shape reads exactly that sequence straight off the slice.
 //!
 //! The rule that separates them: the typed path is for the shapes this
 //! workspace itself emits (the eight modelled record kinds, commits, MST
-//! nodes, the AppView's content blocks); everything else goes through
+//! nodes); everything else goes through
 //! [`Value`]. A typed encoder must produce [`encode`]'s bytes for the
 //! equivalent `Value`, and a typed decoder accepts only the canonical shape
 //! and reports *any* deviation as `None`, on which its caller falls back to
@@ -203,7 +203,7 @@ fn encode_into(value: &Value, out: &mut Vec<u8>) {
 /// The streaming writer: one function per item kind, each appending to the
 /// output buffer exactly the bytes [`encode`] produces for the equivalent
 /// [`Value`]. For encoders that emit a fixed, known shape (records, commits,
-/// MST nodes, content blocks) without building a `Value` tree first. Callers
+/// MST nodes) without building a `Value` tree first. Callers
 /// are responsible for emitting map keys in DAG-CBOR canonical order
 /// (shorter first, then bytewise).
 pub mod raw {
@@ -215,19 +215,19 @@ pub mod raw {
     }
 
     /// Array head for `len` items.
-    pub fn array_head(len: u64, out: &mut Vec<u8>) {
+    pub(crate) fn array_head(len: u64, out: &mut Vec<u8>) {
         write_head(MAJOR_ARRAY, len, out);
     }
 
     /// Head of a text string of `len` bytes; the caller appends exactly
     /// that many bytes of UTF-8 next (how identifiers are rendered in place
     /// instead of into a `String` first).
-    pub fn text_head(len: usize, out: &mut Vec<u8>) {
+    pub(crate) fn text_head(len: usize, out: &mut Vec<u8>) {
         write_head(MAJOR_TEXT, len as u64, out);
     }
 
     /// Text string.
-    pub fn text(s: &str, out: &mut Vec<u8>) {
+    pub(crate) fn text(s: &str, out: &mut Vec<u8>) {
         text_head(s.len(), out);
         out.extend_from_slice(s.as_bytes());
     }
@@ -244,7 +244,7 @@ pub mod raw {
     }
 
     /// Signed integer (major type 0 or 1).
-    pub fn int(value: i64, out: &mut Vec<u8>) {
+    pub(crate) fn int(value: i64, out: &mut Vec<u8>) {
         if value >= 0 {
             write_head(MAJOR_UINT, value as u64, out);
         } else {
@@ -253,12 +253,12 @@ pub mod raw {
     }
 
     /// Boolean.
-    pub fn bool(value: bool, out: &mut Vec<u8>) {
+    pub(crate) fn bool(value: bool, out: &mut Vec<u8>) {
         out.push((MAJOR_SIMPLE << 5) | if value { 21 } else { 20 });
     }
 
     /// Null.
-    pub fn null(out: &mut Vec<u8>) {
+    pub(crate) fn null(out: &mut Vec<u8>) {
         out.push((MAJOR_SIMPLE << 5) | 22);
     }
 
@@ -327,7 +327,7 @@ pub fn decode(bytes: &[u8]) -> Result<Value> {
 /// caller's only move is to give the whole input to [`decode`]. Everything a
 /// typed read accepts, [`decode`] accepts with the same meaning.
 #[derive(Debug)]
-pub struct Reader<'a> {
+pub(crate) struct Reader<'a> {
     bytes: &'a [u8],
     pos: usize,
 }
@@ -336,13 +336,13 @@ const MAX_DEPTH: usize = 64;
 
 impl<'a> Reader<'a> {
     /// A reader at the start of `bytes`.
-    pub fn new(bytes: &'a [u8]) -> Reader<'a> {
+    pub(crate) fn new(bytes: &'a [u8]) -> Reader<'a> {
         Reader { bytes, pos: 0 }
     }
 
     /// Whether every byte of the input has been read. A typed decoder ends
     /// with this: trailing bytes are a deviation like any other.
-    pub fn at_end(&self) -> bool {
+    pub(crate) fn at_end(&self) -> bool {
         self.pos == self.bytes.len()
     }
 
@@ -369,12 +369,12 @@ impl<'a> Reader<'a> {
     }
 
     /// An array head: the number of items that follow.
-    pub fn array(&mut self) -> Option<usize> {
+    pub(crate) fn array(&mut self) -> Option<usize> {
         self.count(MAJOR_ARRAY)
     }
 
     /// A text string.
-    pub fn text(&mut self) -> Option<&'a str> {
+    pub(crate) fn text(&mut self) -> Option<&'a str> {
         let len = usize::try_from(self.head(MAJOR_TEXT)?).ok()?;
         std::str::from_utf8(self.read_slice(len).ok()?).ok()
     }
@@ -386,19 +386,8 @@ impl<'a> Reader<'a> {
         (self.read_slice(len).ok()? == name.as_bytes()).then_some(())
     }
 
-    /// An integer of either sign, within the range [`decode`] accepts.
-    pub fn int(&mut self) -> Option<i64> {
-        let initial = self.read_byte().ok()?;
-        let arg = self.read_arg(initial & 0x1f).ok()?;
-        match initial >> 5 {
-            MAJOR_UINT => i64::try_from(arg).ok(),
-            MAJOR_NEGINT if arg < i64::MAX as u64 => Some(-1 - arg as i64),
-            _ => None,
-        }
-    }
-
     /// A boolean.
-    pub fn bool(&mut self) -> Option<bool> {
+    pub(crate) fn bool(&mut self) -> Option<bool> {
         match self.read_byte().ok()? {
             0xf4 => Some(false),
             0xf5 => Some(true),
@@ -407,7 +396,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Consume a null if that is the next item; otherwise read nothing.
-    pub fn null(&mut self) -> bool {
+    pub(crate) fn null(&mut self) -> bool {
         let found = self.bytes.get(self.pos) == Some(&0xf6);
         self.pos += found as usize;
         found

@@ -138,12 +138,12 @@ impl Did {
     }
 
     /// Length in bytes of the full string form, without rendering it.
-    pub fn string_len(&self) -> usize {
+    pub(crate) fn string_len(&self) -> usize {
         "did:".len() + self.method.as_str().len() + ":".len() + self.identifier.len()
     }
 
     /// Append the full string form to `out` ([`Self::string_len`] bytes).
-    pub fn write_to(&self, out: &mut Vec<u8>) {
+    pub(crate) fn write_to(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(b"did:");
         out.extend_from_slice(self.method.as_str().as_bytes());
         out.push(b':');

@@ -149,7 +149,7 @@ impl PostRecord {
     /// Append this post's DAG-CBOR encoding to `out`: the typed, one-pass
     /// twin of `cbor::encode(&Record::Post(..).to_value())`, fields in
     /// canonical key order.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
+    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
         let fields = 5 + self.embed.is_some() as u64 + self.reply_parent.is_some() as u64;
         raw::map_head(fields, out);
         raw::text("tags", out);
@@ -177,7 +177,7 @@ impl PostRecord {
     /// Read what [`Self::encode_into`] writes, straight off the reader.
     /// `None` on any deviation from that canonical shape (see
     /// [`cbor::Reader`]); the generic decoder is the fallback.
-    pub fn decode_from(r: &mut Reader<'_>) -> Option<PostRecord> {
+    pub(crate) fn decode_from(r: &mut Reader<'_>) -> Option<PostRecord> {
         let fields = r.map()?;
         r.key("tags")?;
         let tags = decode_texts(r)?;
@@ -277,7 +277,7 @@ pub struct ProfileRecord {
 impl ProfileRecord {
     /// Append this profile's DAG-CBOR encoding to `out` (typed, one pass;
     /// see [`PostRecord::encode_into`]).
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
+    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
         raw::map_head(6, out);
         raw::text("$type", out);
         raw::text(known::PROFILE, out);
@@ -295,7 +295,7 @@ impl ProfileRecord {
 
     /// Read what [`Self::encode_into`] writes (see
     /// [`PostRecord::decode_from`]).
-    pub fn decode_from(r: &mut Reader<'_>) -> Option<ProfileRecord> {
+    pub(crate) fn decode_from(r: &mut Reader<'_>) -> Option<ProfileRecord> {
         if r.map()? != 6 {
             return None;
         }

@@ -18,7 +18,7 @@ fn entries(dir: impl AsRef<Path>) -> usize {
 fn block(store: usize, n: u64) -> (Cid, Vec<u8>) {
     let mut bytes = (store as u64 * BLOCKS + n).to_be_bytes().to_vec();
     bytes.resize(32, 0xab);
-    (Cid::for_raw(&bytes), bytes)
+    (Cid::for_cbor(&bytes), bytes)
 }
 
 #[test]

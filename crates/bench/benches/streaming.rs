@@ -6,14 +6,12 @@
 //! * **bounded in-flight events** — the producer drains the relay in
 //!   constant-size chunks, so the peak subscription batch must not scale
 //!   with daily volume (asserted across a 3× population difference).
-//! * **paged block store** — the same collection with `--store paged`
-//!   (repos, relay mirror and producer mirror over the disk-spill store)
-//!   must end the run with strictly fewer resident block bytes than the
-//!   in-memory store, with the difference spilled (the reports are
-//!   byte-identical, pinned by the golden equivalence test).
-//! * **paged AppView entity shards** — the same comparison for the
-//!   AppView's own CBOR entity blocks (`--appview-shards 4 --store paged`
-//!   vs the monolithic in-memory default).
+//! * **paged block store** — the same collection with `--store paged
+//!   --appview-shards 4` (repos, AppView counter blocks and producer mirror
+//!   over the disk-spill store) must end the run with strictly fewer
+//!   resident block bytes than the in-memory store, with the difference
+//!   spilled (the reports are byte-identical, pinned by the golden
+//!   equivalence test).
 //! * **relay federation** — the collection with the PDS fleet crawled by
 //!   two regional relays forwarding into the super-relay over the paged
 //!   store, at two population scales: resident block bytes per DID must
@@ -96,8 +94,8 @@ fn main() {
     // block store — the paged run with the NUMA-scale AppView layout (4
     // entity shards). The paged backend must end the window with strictly
     // fewer resident block bytes — the rest spilled to disk — while the
-    // golden test pins the reports byte-identical; the AppView's own
-    // entity blocks are checked separately.
+    // golden test pins the reports byte-identical. (The AppView keeps only
+    // counter blocks, tens of kilobytes here, so it need not spill itself.)
     use bsky_atproto::blockstore::StoreConfig;
     let run_with_store = |store: StoreConfig, appview_shards: usize| {
         let mut world = World::from_spec(
@@ -123,7 +121,7 @@ fn main() {
         paged_store.store_bytes_reclaimed,
     );
     println!(
-        "appview entity blocks: {} bytes resident (mem, 1 shard) vs {} resident + {} spilled (paged, 4 shards)",
+        "appview counter blocks: {} bytes resident (mem, 1 shard) vs {} resident + {} spilled (paged, 4 shards)",
         mem_appview.resident_bytes, paged_appview.resident_bytes, paged_appview.spilled_bytes,
     );
     assert!(
@@ -137,25 +135,16 @@ fn main() {
         mem_store.resident_block_bytes,
     );
     assert!(
-        paged_appview.spilled_bytes > 0,
-        "the sharded paged AppView must actually spill at bench scale"
-    );
-    assert!(
-        paged_appview.resident_bytes < mem_appview.resident_bytes,
-        "paged appview resident bytes ({}) must be strictly below mem ({})",
-        paged_appview.resident_bytes,
-        mem_appview.resident_bytes,
-    );
-    assert!(
         mem_store.store_bytes_reclaimed > 0,
         "the weekly compaction pass must reclaim history"
     );
 
-    // Hot/cold split + write-back cache: same-day counter bumps must
+    // Dirty counters + write-back cache: same-day counter bumps must
     // coalesce into single counter-block writes, and the write-back buffer
-    // must absorb repeat touches before the day-boundary flush. The golden
-    // test pins the reports byte-identical with the cache on vs off; this
-    // leg tracks how much write traffic the cache actually saves.
+    // must drain at the day-boundary flush. The golden test pins the
+    // reports byte-identical with the cache on vs off; this leg prints how
+    // often the buffer is read (the AppView reads a counter block back
+    // only on the first bump of a day, so hits are rare).
     let writeback_hit_rate = mem_store.writeback_hits as f64
         / (mem_store.writeback_hits + mem_store.writeback_misses).max(1) as f64;
     println!(
@@ -171,7 +160,7 @@ fn main() {
         "the hot/cold split must coalesce counter writes at bench scale"
     );
     assert!(
-        mem_store.writeback_flushes > 0 && mem_store.writeback_hits > 0,
+        mem_store.writeback_flushes > 0,
         "the write-back cache must buffer and flush dirty entities at bench scale"
     );
 

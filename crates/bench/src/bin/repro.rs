@@ -29,13 +29,13 @@
 //! bytes, more threads. One invocation is one run; a sweep is a shell loop,
 //! which composes with every flag:
 //! `for s in 1 2; do repro --seed $s --scale 40000 > report-$s.txt; done`.
-//! `--store paged` backs every repository, the relay's CAR mirror, the
-//! producer's repo mirror and the AppView's entity blocks with the paged
-//! disk-spill block store (`--page-size` sets the page capacity in bytes,
-//! `--spill-dir` the spill root, created before the run starts).
-//! `--appview-shards N` partitions the AppView's post/actor indices by
-//! entity hash into `N` store-backed shards; `--writeback off` disables the
-//! write-back cache in front of those entity stores (on by default).
+//! `--store paged` backs every repository, the producer's repo mirror and
+//! the AppView's counter blocks with the paged disk-spill block store
+//! (`--page-size` sets the page capacity in bytes, `--spill-dir` the spill
+//! root, created before the run starts). `--appview-shards N` partitions
+//! the AppView's post/actor indices by entity hash into `N` shards, each
+//! with its own counter store; `--writeback off` disables the write-back
+//! cache in front of those stores (on by default).
 //! `--relays N` federates the crawl across `N` regional relays, each
 //! owning a contiguous slice of the PDS fleet and forwarding its firehose
 //! (cursor-resumable, `(did, rev)`-deduplicated) into the super-relay the

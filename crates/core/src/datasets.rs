@@ -9,7 +9,8 @@
 //! * **DID Documents** — a full PLC-directory export plus `did:web`
 //!   documents fetched over HTTPS.
 //! * **Repositories Dataset** — a snapshot of every repository, downloaded as
-//!   CAR archives from the Relay mirror, decoded, emitted, and dropped.
+//!   CAR archives through the Relay's `sync.getRepo`, decoded, emitted, and
+//!   dropped.
 //! * **Firehose Dataset** — a continuous subscription from 2024-03-06. The
 //!   producer interleaves chunked day steps ([`World::step_chunk`]) with
 //!   subscription reads, so it never holds more than one chunk's worth of
@@ -33,8 +34,8 @@
 //!    fetched as a `com.atproto.sync.getRepo(did, since=rev)` **delta** —
 //!    the head commit plus the record blocks created after the mirror's
 //!    revision (`DeltaScope::Records`: this mirror keeps decoded records,
-//!    so it skips the MST node blocks a full-fidelity block mirror such as
-//!    the Relay's would request — see `bsky_atproto::repo`);
+//!    so it skips the MST node blocks a full-fidelity block mirror would
+//!    request — see `bsky_atproto::repo`);
 //! 3. new DIDs, revision rewinds, and failed or unverifiable deltas fall
 //!    back to a full CAR fetch; DIDs that vanish from `listRepos`
 //!    (deletions) drop their mirror state and are counted as skips;
@@ -447,7 +448,7 @@ impl IncrementalRepoMirror {
         ) {
             return false;
         }
-        let delta = match relay.get_repo_since(did, &since, DeltaScope::Records, fleet, now) {
+        let delta = match relay.get_repo_since(did, &since, DeltaScope::Records, fleet) {
             Ok(delta) => delta,
             Err(AtError::RevisionCompacted(_)) => {
                 // The PDS compacted our revision out of its delta window;
@@ -884,8 +885,8 @@ impl Collector {
         self.snapshot_repositories(world, sink, &mut summary);
         self.emit(sink, &Observation::WindowEnd { at: collection_end }, world);
         summary.observations = self.observations;
-        // End-of-run storage accounting: fleet repos + relay CAR mirror +
-        // the producer's own repo mirror.
+        // End-of-run storage accounting: fleet repos + AppView counter
+        // blocks + the producer's own repo mirror.
         let mut store_stats = world.store_stats();
         store_stats.absorb(&self.mirror.store_stats());
         summary.resident_block_bytes = store_stats.resident_bytes as u64;

@@ -390,16 +390,16 @@ pub struct StreamSummary {
     /// versions).
     pub store_bytes_reclaimed: u64,
     /// Block bytes resident in memory at the end of the run (fleet repos +
-    /// relay CAR mirror + the producer's repo mirror).
+    /// AppView counter blocks + the producer's repo mirror).
     pub resident_block_bytes: u64,
     /// Block bytes spilled to disk at the end of the run (paged stores
     /// only; zero for the in-memory backend).
     pub spilled_block_bytes: u64,
     /// Blocks that failed CID verification when paged back in from disk,
-    /// across every store in the run (repos, relay mirror, producer
-    /// mirror). Corrupt blocks read as absent — any non-zero count here
-    /// means data was lost to spill-file corruption and the run's snapshots
-    /// may be incomplete; surfaced so that loss is never silent.
+    /// across every store in the run (repos, AppView counter blocks,
+    /// producer mirror). Corrupt blocks read as absent — any non-zero count
+    /// here means data was lost to spill-file corruption and the run's
+    /// snapshots may be incomplete; surfaced so that loss is never silent.
     pub store_corrupt_reads: u64,
     /// Labels the AppView could not apply because their target entity was
     /// not indexed when they arrived (the post was deleted, or the label
@@ -407,10 +407,10 @@ pub struct StreamSummary {
     /// dataset gap, never a silent drop.
     pub(crate) appview_labels_preindex: u64,
     /// AppView counter mutations coalesced into an already-dirty entity by
-    /// the hot/cold split — entity-block rewrite cycles the run did *not*
-    /// pay compared to the one-block-per-entity design.
+    /// the resident dirty maps — counter-block writes the run did *not*
+    /// pay.
     pub counter_coalesced_writes: u64,
-    /// Write-back cache drains across the AppView's entity stores (one per
+    /// Write-back cache drains across the AppView's counter stores (one per
     /// shard per day boundary with a non-empty buffer). Zero when the cache
     /// is off (`--writeback off`).
     pub writeback_flushes: u64,

@@ -46,8 +46,8 @@ pub struct RunSpec {
     /// (clamped to the sink's fan-out part count at run time; inert when
     /// the pipeline is off).
     pub analyzer_threads: usize,
-    /// Block-store backend for every repository, relay mirror, producer
-    /// mirror and AppView entity store.
+    /// Block-store backend for every repository, producer mirror and
+    /// AppView counter store.
     pub store: StoreConfig,
     /// AppView entity-shard count per engine shard.
     pub appview_shards: usize,
@@ -57,7 +57,7 @@ pub struct RunSpec {
     /// runs are byte-identical to single-relay runs by construction — see
     /// `bsky_relay::federation`.
     pub relays: usize,
-    /// Wrap the AppView's entity stores in a write-back cache (repro
+    /// Wrap the AppView's counter stores in a write-back cache (repro
     /// `--writeback on|off`; on by default). Observationally transparent —
     /// reports are byte-identical either way.
     pub write_back: bool,

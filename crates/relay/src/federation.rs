@@ -27,20 +27,16 @@
 //!   only ever denote the same commit); identity/handle/tombstone frames
 //!   carry no revision and are deduplicated by their PDS outbox provenance
 //!   `(host, outbox_seq)` recorded at crawl time. A frame that reaches the
-//!   hub via two regions is mirrored and emitted exactly once, and every
+//!   hub via two regions is listed and emitted exactly once, and every
 //!   drop is counted on the hub's [`RelayStats`](crate::stats::RelayStats).
 //!
-//! Regional relays and the hub each ride their own [`BlockStore`]
-//! (`StoreConfig::paged()` everywhere for bounded residency), so the
-//! federation's resident footprint stays sublinear in population: mirrors
-//! spill cold archives and only the dedup index and forwarding cursors stay
-//! hot.
-//!
-//! [`BlockStore`]: bsky_atproto::blockstore::BlockStore
+//! No tier stores repository blocks — `sync.getRepo` is proxied to the
+//! hosting PDS — so what the federation keeps is the regional firehose
+//! windows, the dedup index and the forwarding cursors.
 
 use crate::firehose::RETENTION_SECONDS;
 use crate::relay::{EventOrigin, Relay};
-use bsky_atproto::blockstore::{StoreConfig, StoreStats};
+use bsky_atproto::blockstore::StoreConfig;
 use bsky_atproto::firehose::{Event, EventBody, Seq};
 use bsky_atproto::Datetime;
 use bsky_pds::PdsFleet;
@@ -114,14 +110,13 @@ pub struct RelayFederation {
 }
 
 impl RelayFederation {
-    /// Create `regions` regional relays, each mirror riding its own block
-    /// store built from `store`.
-    pub fn new(regions: usize, store: &StoreConfig) -> RelayFederation {
+    /// Create `regions` regional relays. (`_store` is unused, since no
+    /// relay stores blocks; the signature is part of the benchmark's pinned
+    /// surface.)
+    pub fn new(regions: usize, _store: &StoreConfig) -> RelayFederation {
         let regions = regions.max(1);
         RelayFederation {
-            regions: (0..regions)
-                .map(|r| Relay::with_store(format!("relay{r:02}.bsky.network"), store))
-                .collect(),
+            regions: (0..regions).map(|_| Relay::default()).collect(),
             cursors: vec![0; regions],
             dedup: DedupIndex::default(),
         }
@@ -209,15 +204,6 @@ impl RelayFederation {
                 region.pending_events_for(fleet, |h| hosts.iter().any(|x| x == h))
             })
             .sum()
-    }
-
-    /// Combined residency/spill statistics of every regional mirror store.
-    pub fn store_stats(&self) -> StoreStats {
-        let mut stats = StoreStats::default();
-        for region in &self.regions {
-            stats.absorb(&region.store_stats());
-        }
-        stats
     }
 }
 
@@ -416,7 +402,7 @@ mod tests {
     /// the clean stream; region 1 re-delivers the same frames *reordered*
     /// (seeded shuffle) and with every third frame duplicated a second
     /// time. The hub must emit exactly the clean single-relay sequence,
-    /// mirror the same repositories, and count every injected duplicate.
+    /// list the same repositories, and count every injected duplicate.
     #[test]
     fn dedup_is_order_insensitive_and_counts_every_duplicate() {
         for seed in [7u64, 1234, 987_654] {
@@ -462,7 +448,8 @@ mod tests {
                 injected as u64,
                 "seed={seed}: every region-1 frame is a duplicate"
             );
-            // The super-relay mirror equals the single relay's, repo by repo.
+            // The super-relay serves what the single relay serves, repo by
+            // repo.
             let (hub_repos, _) = hub.list_repos(None, 1000);
             let (single_repos, _) = single.list_repos(None, 1000);
             assert_eq!(hub_repos, single_repos, "seed={seed}");

@@ -1,31 +1,22 @@
 //! The Relay service.
 //!
 //! The Relay aggregates user interactions across every known PDS: it crawls
-//! their sync endpoints, mirrors repository data, and republishes everything
-//! on the firehose (§2). Bluesky PBC runs the default Relay at
-//! `bsky.network`; the study obtained both its full repository snapshot and
-//! its real-time event stream from this single vantage point (§3).
+//! their sync endpoints, republishes everything on the firehose, and serves
+//! `sync.listRepos` and `sync.getRepo` for the whole network (§2). Bluesky
+//! PBC runs the default Relay at `bsky.network`; the study obtained both its
+//! full repository snapshot and its real-time event stream from this single
+//! vantage point (§3).
 
 use crate::firehose::{FirehoseLog, Subscription};
 use crate::stats::RelayStats;
-use bsky_atproto::blockstore::{BlockStore, StoreConfig, StoreStats};
-use bsky_atproto::cid::{Cid, CidMap};
+use bsky_atproto::blockstore::StoreConfig;
 use bsky_atproto::error::{AtError, Result};
 use bsky_atproto::firehose::{EventBody, Seq};
-use bsky_atproto::repo::{DeltaScope, Repository};
+use bsky_atproto::repo::DeltaScope;
 use bsky_atproto::{Datetime, Did, Tid};
-use bsky_pds::{PdsEventDetail, PdsFleet};
+use bsky_pds::{Pds, PdsEventDetail, PdsFleet};
 use bsky_simnet::observer::{ConnTrace, WireObserver};
 use std::collections::BTreeMap;
-
-/// A cached repository mirror entry. The CAR bytes themselves live in the
-/// relay's [`BlockStore`], addressed by their content CID, so a paged store
-/// can spill cold archives to disk.
-#[derive(Debug, Clone)]
-struct MirrorEntry {
-    rev: Option<String>,
-    car_cid: Cid,
-}
 
 /// Provenance of a firehose event: which PDS outbox produced it, and at
 /// which absolute outbox position (0: the first event that server ever
@@ -41,21 +32,13 @@ pub struct EventOrigin {
     pub(crate) outbox_seq: u64,
 }
 
-/// The Relay: PDS crawler, repository mirror and firehose publisher.
+/// The Relay: PDS crawler, firehose publisher and `sync` endpoint.
 #[derive(Debug)]
 pub struct Relay {
     firehose: FirehoseLog,
     crawl_cursors: BTreeMap<String, usize>,
-    mirror: BTreeMap<String, MirrorEntry>,
     known_dids: BTreeMap<String, Option<String>>,
     stats: RelayStats,
-    /// Mirrored CAR archives, CID-addressed.
-    store: Box<dyn BlockStore>,
-    /// Reference counts per CAR block: distinct DIDs can share identical
-    /// archive bytes (e.g. two empty repositories), and a shared block must
-    /// survive until the last referencing entry is gone. Looked up per
-    /// archive, never iterated.
-    car_refs: CidMap<u32>,
     /// Passive wire tap: per-DID firehose `(time, size)` traces for the §10
     /// traffic observatory. Always on — recording is a couple of integer
     /// pushes per event — and drained by the study producer at day ends.
@@ -67,51 +50,24 @@ pub struct Relay {
 }
 
 impl Default for Relay {
-    /// The default network relay, `bsky.network`, over the default
-    /// in-memory mirror store.
+    /// The default network relay, `bsky.network`.
     fn default() -> Self {
         Relay::with_store("bsky.network", &StoreConfig::default())
     }
 }
 
 impl Relay {
-    /// Create a relay whose CAR mirror uses an explicit block-store backend.
-    /// (`_hostname` names the relay on the network, but nothing in the
-    /// simulation reads it; the signature is part of the benchmark's pinned
-    /// surface.)
-    pub fn with_store(_hostname: impl Into<String>, store: &StoreConfig) -> Relay {
+    /// Create a relay. It stores no blocks: `sync.getRepo` is served from
+    /// the hosting PDS. (`_hostname` and `_store` are unused; the signature
+    /// is part of the benchmark's pinned surface.)
+    pub fn with_store(_hostname: impl Into<String>, _store: &StoreConfig) -> Relay {
         Relay {
             firehose: FirehoseLog::new(),
             crawl_cursors: BTreeMap::new(),
-            mirror: BTreeMap::new(),
             known_dids: BTreeMap::new(),
             stats: RelayStats::new(),
-            store: store.build(),
-            car_refs: CidMap::default(),
             wire_tap: WireObserver::new(),
             origins: BTreeMap::new(),
-        }
-    }
-
-    /// Insert or replace a mirror entry, storing the CAR in the block store
-    /// with reference counting.
-    fn cache_car(&mut self, key: String, rev: Option<String>, car: &[u8]) {
-        let car_cid = Cid::for_raw(car);
-        self.drop_entry(&key);
-        *self.car_refs.entry(car_cid).or_insert(0) += 1;
-        self.store.put(car_cid, car.to_vec());
-        self.mirror.insert(key, MirrorEntry { rev, car_cid });
-    }
-
-    /// Remove a mirror entry, deleting its CAR block once unreferenced.
-    fn drop_entry(&mut self, key: &str) {
-        if let Some(entry) = self.mirror.remove(key) {
-            let refs = self.car_refs.entry(entry.car_cid).or_insert(1);
-            *refs -= 1;
-            if *refs == 0 {
-                self.car_refs.remove(&entry.car_cid);
-                self.store.delete(&entry.car_cid);
-            }
         }
     }
 
@@ -203,8 +159,8 @@ impl Relay {
     /// stats and passive wire tap exactly as a crawl would. This is the
     /// ingress path shared by [`Relay::crawl`] and inter-relay forwarding:
     /// a super-relay receiving a frame from a regional relay feeds it
-    /// through here so its mirror bookkeeping, `listRepos` view and wire
-    /// accounting are indistinguishable from having crawled the PDS itself.
+    /// through here so its `listRepos` view and wire accounting are
+    /// indistinguishable from having crawled the PDS itself.
     pub(crate) fn ingest_event(
         &mut self,
         time: Datetime,
@@ -213,10 +169,7 @@ impl Relay {
     ) -> Seq {
         match &body {
             EventBody::Commit { did, rev, .. } => {
-                // Track latest known revision for listRepos. The mirror
-                // entry (if any) is *kept*: it goes stale, and the next
-                // `get_repo` refreshes it with a `getRepo(since)` delta
-                // instead of a full refetch.
+                // Track latest known revision for listRepos.
                 self.known_dids
                     .insert(did.to_string(), Some(rev.to_string()));
             }
@@ -224,9 +177,7 @@ impl Relay {
                 self.known_dids.entry(did.to_string()).or_insert(None);
             }
             EventBody::Tombstone { did } => {
-                let key = did.to_string();
-                self.known_dids.remove(&key);
-                self.drop_entry(&key);
+                self.known_dids.remove(&did.to_string());
             }
             EventBody::HandleChange { .. } | EventBody::Info { .. } => {}
         }
@@ -368,99 +319,36 @@ impl Relay {
         self.known_dids.len()
     }
 
-    /// `sync.getRepo` served from the relay's local cache, falling back to
-    /// fetching from the hosting PDS (and caching the result). This is the
-    /// recommended way for researchers to download repositories because it
-    /// "reduces load elsewhere in the network" (§3).
-    ///
-    /// A stale mirror entry whose revision is known is refreshed with a
-    /// `getRepo(since)` delta from the PDS — only the blocks committed since
-    /// the cached revision travel — and reassembled via
-    /// [`Repository::apply_delta`]; a full fetch happens only for unknown
-    /// repos, rev rewinds, or delta failures. (`_now` is unused since the
-    /// mirror stopped stamping entries; the signature is part of the
-    /// benchmark's pinned surface.)
-    pub fn get_repo(&mut self, did: &Did, fleet: &mut PdsFleet, _now: Datetime) -> Result<Vec<u8>> {
-        let key = did.to_string();
-        let current_rev = self.known_dids.get(&key).cloned().flatten();
-        if let Some(entry) = self.mirror.get(&key) {
-            if entry.rev == current_rev {
-                // The store verifies read-backs by CID; a block it cannot
-                // return (corrupt spill) degrades to a refetch below —
-                // counted, never silent.
-                match self.store.get(&entry.car_cid) {
-                    Some(car) => {
-                        self.stats.record_cache_hit();
-                        return Ok(car);
-                    }
-                    None => self.stats.record_mirror_read_failure(),
-                }
-            }
-        }
-        let pds = fleet
-            .pds_for_mut(did)
-            .ok_or_else(|| AtError::RepoError(format!("{did} is not hosted on any known PDS")))?;
-        // Delta refresh: cached at a known revision, repo has advanced.
-        if let (Some(entry), Some(_)) = (self.mirror.get(&key), current_rev.as_deref()) {
-            if let Some(since) = entry.rev.as_deref().and_then(|r| Tid::parse(r).ok()) {
-                let cached = self.store.get(&entry.car_cid);
-                match (cached, pds.get_repo_since(did, &since, DeltaScope::Full)) {
-                    (Some(base), Ok(delta)) => match Repository::apply_delta(&base, &delta) {
-                        Ok(car) => {
-                            self.stats.record_delta_fetch(delta.len());
-                            self.cache_car(key, current_rev, &car);
-                            return Ok(car);
-                        }
-                        // A delta that will not apply to the cached base
-                        // degrades to a full refetch, visibly.
-                        Err(_) => self.stats.record_delta_apply_failure(),
-                    },
-                    // The cached base could not be read back from the store.
-                    (None, Ok(_)) => self.stats.record_mirror_read_failure(),
-                    (_, Err(AtError::RevisionCompacted(_))) => {
-                        // The PDS compacted our revision out of its delta
-                        // window: fall back to a full fetch, visibly.
-                        self.stats.record_compaction_fallback();
-                    }
-                    // Any other delta error also falls back to a full
-                    // fetch — counted, never silent.
-                    (_, Err(_)) => self.stats.record_delta_fetch_error(),
-                }
-            }
-        }
-        let car = pds.get_repo(did)?;
-        self.stats.record_cache_miss(car.len());
-        self.cache_car(key, current_rev, &car);
-        Ok(car)
+    /// `sync.getRepo`, proxied to the PDS hosting the DID: the relay hands
+    /// over the server's CAR byte for byte and keeps no copy, because
+    /// nothing reads one back. This is the endpoint the study downloaded
+    /// every repository through, as the recommended way for researchers
+    /// because it "reduces load elsewhere in the network" (§3). (`_now` is
+    /// unused; the signature is part of the benchmark's pinned surface.)
+    pub fn get_repo(&self, did: &Did, fleet: &mut PdsFleet, _now: Datetime) -> Result<Vec<u8>> {
+        host_of(did, fleet)?.get_repo(did)
     }
 
     /// `sync.getRepo` with `since`, for downstream incremental mirrors: the
-    /// delta is fetched from the hosting PDS and handed through. The
-    /// relay's own mirror entry is left untouched — it refreshes lazily
-    /// (and with its own delta) on the next full [`Relay::get_repo`], so
-    /// forwarding costs O(delta), never a re-verification of the cached
-    /// archive. Errors — unknown DID or unknown revision — mean the
-    /// consumer must fall back to a full fetch.
+    /// delta is fetched from the hosting PDS and handed through. Errors —
+    /// unknown DID or unknown revision — mean the consumer must fall back
+    /// to a full fetch.
     pub fn get_repo_since(
-        &mut self,
+        &self,
         did: &Did,
         since: &Tid,
         scope: DeltaScope,
         fleet: &mut PdsFleet,
-        _now: Datetime,
     ) -> Result<Vec<u8>> {
-        let pds = fleet
-            .pds_for_mut(did)
-            .ok_or_else(|| AtError::RepoError(format!("{did} is not hosted on any known PDS")))?;
-        let delta = pds.get_repo_since(did, since, scope)?;
-        self.stats.record_delta_fetch(delta.len());
-        Ok(delta)
+        host_of(did, fleet)?.get_repo_since(did, since, scope)
     }
+}
 
-    /// Residency/spill statistics of the mirror's block store.
-    pub fn store_stats(&self) -> StoreStats {
-        self.store.stats()
-    }
+/// The PDS hosting `did`, or the error a `sync` proxy returns for it.
+fn host_of<'f>(did: &Did, fleet: &'f mut PdsFleet) -> Result<&'f mut Pds> {
+    fleet
+        .pds_for_mut(did)
+        .ok_or_else(|| AtError::RepoError(format!("{did} is not hosted on any known PDS")))
 }
 
 #[cfg(test)]
@@ -676,55 +564,63 @@ mod tests {
     }
 
     #[test]
-    fn get_repo_caches_and_refreshes_with_deltas() {
-        let (mut fleet, dids) = fleet_with_users(2);
-        let did = dids[0].clone();
-        fleet
-            .pds_for_mut(&did)
-            .unwrap()
-            .create_record(&did, Nsid::parse(known::POST).unwrap(), post("v1"), now())
-            .unwrap();
+    fn get_repo_serves_the_hosting_pds_bytes() {
+        let (mut fleet, dids) = fleet_with_users(3);
+        for did in &dids {
+            fleet
+                .pds_for_mut(did)
+                .unwrap()
+                .create_record(did, Nsid::parse(known::POST).unwrap(), post("v1"), now())
+                .unwrap();
+        }
         let mut relay = Relay::default();
         relay.crawl(&fleet, now());
+        let from_pds =
+            |fleet: &mut PdsFleet, did: &Did| fleet.pds_for_mut(did).unwrap().get_repo(did);
 
-        let car1 = relay.get_repo(&did, &mut fleet, now()).unwrap();
-        let car2 = relay.get_repo(&did, &mut fleet, now()).unwrap();
-        assert_eq!(car1, car2);
-        assert_eq!(relay.stats().cache_hits, 1);
-        assert_eq!(relay.mirror.len(), 1);
-        let (_, blocks) = Repository::parse_car(&car1).unwrap();
-        assert!(!blocks.is_empty());
-
-        // New activity makes the entry stale; the next fetch refreshes it
-        // with a delta from the PDS instead of re-reading the whole repo.
+        // A live DID: exactly the hosting server's CAR, again after it
+        // advances.
+        let did = &dids[0];
+        let car = relay.get_repo(did, &mut fleet, now()).unwrap();
+        assert_eq!(car, from_pds(&mut fleet, did).unwrap());
         fleet
-            .pds_for_mut(&did)
+            .pds_for_mut(did)
             .unwrap()
-            .create_record(&did, Nsid::parse(known::POST).unwrap(), post("v2"), now())
+            .create_record(did, Nsid::parse(known::POST).unwrap(), post("v2"), now())
             .unwrap();
         relay.crawl(&fleet, now());
-        let car3 = relay.get_repo(&did, &mut fleet, now()).unwrap();
-        assert_ne!(car1, car3);
-        assert_eq!(relay.stats().cache_misses, 1, "refresh must be a delta");
-        assert_eq!(relay.stats().delta_fetches, 1);
-        assert!(relay.stats().delta_bytes_fetched > 0);
-        assert!(relay.stats().delta_bytes_fetched < car3.len() as u64);
-        // The reassembled archive carries both record versions.
-        let (_, blocks3) = Repository::parse_car(&car3).unwrap();
-        let records: Vec<Record> = blocks3
-            .values()
-            .filter_map(|b| Record::from_cbor(b).ok())
-            .collect();
-        assert!(records.contains(&post("v1")));
-        assert!(records.contains(&post("v2")));
-        // Serving from the refreshed mirror is a hit again.
-        relay.get_repo(&did, &mut fleet, now()).unwrap();
-        assert_eq!(relay.stats().cache_hits, 2);
+        let advanced = relay.get_repo(did, &mut fleet, now()).unwrap();
+        assert_ne!(advanced, car);
+        assert_eq!(advanced, from_pds(&mut fleet, did).unwrap());
 
-        // Unknown DIDs error.
-        assert!(relay
-            .get_repo(&Did::plc_from_seed(b"nobody"), &mut fleet, now())
-            .is_err());
+        // A migrated DID: the new host's CAR.
+        let moved = &dids[1];
+        let origin = fleet.locate(moved).unwrap().to_string();
+        let destination = fleet
+            .servers()
+            .map(|pds| pds.hostname().to_string())
+            .find(|host| *host != origin)
+            .unwrap();
+        let handle = Handle::parse("user1.bsky.social").unwrap();
+        fleet
+            .migrate_account(moved, &destination, handle, now())
+            .unwrap();
+        relay.crawl(&fleet, now());
+        assert_eq!(fleet.locate(moved), Some(destination.as_str()));
+        let migrated = relay.get_repo(moved, &mut fleet, now()).unwrap();
+        assert_eq!(migrated, from_pds(&mut fleet, moved).unwrap());
+
+        // An unknown DID and a tombstoned one are errors.
+        let nobody = Did::plc_from_seed(b"nobody");
+        assert!(relay.get_repo(&nobody, &mut fleet, now()).is_err());
+        let gone = &dids[2];
+        fleet
+            .pds_for_mut(gone)
+            .unwrap()
+            .delete_account(gone, now())
+            .unwrap();
+        relay.crawl(&fleet, now());
+        assert!(relay.get_repo(gone, &mut fleet, now()).is_err());
     }
 
     #[test]
@@ -755,129 +651,40 @@ mod tests {
             .unwrap();
         relay.crawl(&fleet, now());
         let delta = relay
-            .get_repo_since(&did, &since, DeltaScope::Full, &mut fleet, now())
+            .get_repo_since(&did, &since, DeltaScope::Full, &mut fleet)
             .unwrap();
         assert!(delta.len() < base.len());
-        assert_eq!(relay.stats().delta_fetches, 1);
-        let merged = Repository::apply_delta(&base, &delta).unwrap();
-        assert!(!merged.is_empty());
-        // The relay's own mirror entry went stale and refreshes lazily —
-        // with a delta of its own — on the next full read.
-        let car = relay.get_repo(&did, &mut fleet, now()).unwrap();
-        assert_eq!(relay.stats().delta_fetches, 2);
-        assert_eq!(relay.stats().cache_misses, 1, "no full refetch");
-        assert_eq!(car, merged);
-
-        // Unknown revisions propagate as errors (full-fetch fallback).
-        assert!(relay
-            .get_repo_since(
-                &did,
-                &Tid::from_micros(3, 3),
-                DeltaScope::Full,
-                &mut fleet,
-                now()
-            )
-            .is_err());
-    }
-
-    #[test]
-    fn mirror_is_store_backed_with_refcounted_cars() {
-        use bsky_atproto::blockstore::StoreConfig;
-        // A paged mirror store spills cold archives and still serves them
-        // byte-identically.
-        let (mut fleet, dids) = fleet_with_users(6);
-        for did in &dids {
-            for i in 0..5 {
-                fleet
-                    .pds_for_mut(did)
-                    .unwrap()
-                    .create_record(
-                        did,
-                        Nsid::parse(known::POST).unwrap(),
-                        post(&format!("{did} {i}")),
-                        now(),
-                    )
-                    .unwrap();
-            }
-        }
-        let paged = StoreConfig::paged().page_size(512).resident_pages(1);
-        let mut relay = Relay::with_store("bsky.network", &paged);
-        relay.crawl(&fleet, now());
-        let mut cars = Vec::new();
-        for did in &dids {
-            cars.push(relay.get_repo(did, &mut fleet, now()).unwrap());
-        }
-        let stats = relay.store_stats();
-        assert!(stats.spilled_bytes > 0, "mirror must spill: {stats:?}");
-        assert_eq!(
-            stats.logical_bytes,
-            cars.iter().map(Vec::len).sum::<usize>()
-        );
-        // Cache hits page spilled archives back in, byte-identical.
-        for (did, car) in dids.iter().zip(&cars) {
-            assert_eq!(&relay.get_repo(did, &mut fleet, now()).unwrap(), car);
-        }
-        // Deleting an account drops its entry and its store block.
-        let blocks_before = relay.store_stats().blocks;
-        fleet
-            .pds_for_mut(&dids[0])
-            .unwrap()
-            .delete_account(&dids[0], now())
-            .unwrap();
-        relay.crawl(&fleet, now());
-        assert_eq!(relay.mirror.len(), dids.len() - 1);
-        assert_eq!(relay.store_stats().blocks, blocks_before - 1);
-    }
-
-    #[test]
-    fn compacted_revisions_fall_back_to_full_fetch_visibly() {
-        let (mut fleet, dids) = fleet_with_users(1);
-        let did = dids[0].clone();
-        for i in 0..10 {
-            fleet
-                .pds_for_mut(&did)
-                .unwrap()
-                .create_record(
-                    &did,
-                    Nsid::parse(known::POST).unwrap(),
-                    post(&format!("old {i}")),
-                    now(),
-                )
-                .unwrap();
-        }
-        let mut relay = Relay::default();
-        relay.crawl(&fleet, now());
-        relay.get_repo(&did, &mut fleet, now()).unwrap();
-        assert_eq!(relay.stats().cache_misses, 1);
-
-        // The repo advances, then the PDS compacts the relay's cached
-        // revision out of its delta window.
-        let later = now().plus_days(30);
-        fleet
-            .pds_for_mut(&did)
-            .unwrap()
-            .create_record(&did, Nsid::parse(known::POST).unwrap(), post("new"), later)
-            .unwrap();
-        // Everything before the new head's commit time goes.
-        let cutoff = bsky_atproto::Tid::from_micros(later.timestamp() as u64 * 1_000_000, 0);
-        let stats = fleet.compact_all(&cutoff);
-        assert!(stats.commits_dropped > 0, "{stats:?}");
-        relay.crawl(&fleet, later);
-
-        // The refresh cannot be a delta anymore: the fallback is a full
-        // fetch and it is *counted*, never silent.
-        let car = relay.get_repo(&did, &mut fleet, later).unwrap();
-        assert_eq!(relay.stats().compaction_fallbacks, 1);
-        assert_eq!(relay.stats().delta_fetches, 0);
-        assert_eq!(relay.stats().cache_misses, 2);
-        let records: Vec<Record> = Repository::parse_car(&car)
-            .unwrap()
-            .1
+        // The delta carries the new record, and on the base it rebuilds
+        // what a full fetch now serves.
+        let (_, blocks) = Repository::parse_car(&delta).unwrap();
+        let records: Vec<Record> = blocks
             .values()
             .filter_map(|b| Record::from_cbor(b).ok())
             .collect();
-        assert!(records.contains(&post("new")));
-        assert_eq!(records.len(), 11, "live records all survive compaction");
+        assert_eq!(records, vec![post("v2")]);
+        let merged = Repository::apply_delta(&base, &delta).unwrap();
+        let full = relay.get_repo(&did, &mut fleet, now()).unwrap();
+        let record_set = |car: &[u8]| {
+            let (roots, blocks) = Repository::parse_car(car).unwrap();
+            let mut records: Vec<Record> = blocks
+                .values()
+                .filter_map(|b| Record::from_cbor(b).ok())
+                .collect();
+            records.sort_by_key(|r| r.to_cbor());
+            (roots, records)
+        };
+        assert_eq!(record_set(&merged), record_set(&full));
+
+        // Unknown revisions and unknown DIDs propagate as errors
+        // (full-fetch fallback).
+        let unknown_rev = Tid::from_micros(3, 3);
+        assert!(relay
+            .get_repo_since(&did, &unknown_rev, DeltaScope::Full, &mut fleet)
+            .is_err());
+        let nobody = Did::plc_from_seed(b"nobody");
+        assert!(relay
+            .get_repo_since(&nobody, &since, DeltaScope::Full, &mut fleet)
+            .is_err());
     }
 
     #[test]

@@ -205,8 +205,8 @@ pub struct WorldSpec {
     pub(crate) plan: Option<Arc<PopulationPlan>>,
     /// The engine-shard slice of the population this world owns.
     pub(crate) shard: ShardSpec,
-    /// Block-store backend for repositories, the relay mirror and the
-    /// AppView (repro `--store mem|paged`).
+    /// Block-store backend for repositories and the AppView's counter
+    /// blocks (repro `--store mem|paged`).
     pub(crate) store: StoreConfig,
     /// AppView entity-shard count (repro `--appview-shards N`).
     pub(crate) appview_shards: usize,
@@ -1161,15 +1161,10 @@ impl World {
         (self.total_posts, self.total_likes)
     }
 
-    /// Aggregate block-store statistics over every repository in the fleet,
-    /// the relay's CAR mirror, and the AppView's entity shards (resident vs
-    /// spilled bytes).
+    /// Aggregate block-store statistics over every repository in the fleet
+    /// and the AppView's counter blocks (resident vs spilled bytes).
     pub fn store_stats(&self) -> StoreStats {
         let mut stats = self.fleet.store_stats();
-        stats.absorb(&self.relay.store_stats());
-        if let Some(fed) = &self.federation {
-            stats.absorb(&fed.store_stats());
-        }
         stats.absorb(&self.appview.store_stats());
         stats
     }
@@ -1525,8 +1520,8 @@ mod tests {
         let config = small_config();
         let mut baseline = World::new(config);
         // 4 entity shards over tiny paged stores, write-back cache off (the
-        // baseline has it on): the AppView must spill while holding exactly
-        // the monolithic default's state.
+        // baseline has it on): the run must spill while the AppView holds
+        // exactly the monolithic default's state.
         let mut sharded = World::from_spec(
             WorldSpec::new(config)
                 .store(StoreConfig::paged().page_size(2048).resident_pages(1))
@@ -1548,10 +1543,15 @@ mod tests {
         for entry in baseline.feedgens.iter().flat_map(|f| f.entries()) {
             assert_eq!(a.has_post(&entry.uri), b.has_post(&entry.uri));
         }
-        // The paged AppView really spilled, and holds fewer resident bytes.
-        let paged = sharded.appview.store_stats();
-        let mem = baseline.appview.store_stats();
-        assert!(paged.spilled_bytes > 0, "appview never spilled: {paged:?}");
+        // The paged run really spilled, and holds fewer resident bytes.
+        // (The AppView keeps only counter blocks, too few to spill at this
+        // scale, so the check is over the whole run's stores.)
+        let paged = sharded.store_stats();
+        let mem = baseline.store_stats();
+        assert!(
+            paged.spilled_bytes > 0,
+            "the paged run never spilled: {paged:?}"
+        );
         assert!(paged.resident_bytes < mem.resident_bytes);
     }
 

@@ -110,9 +110,9 @@
 //! ## Pluggable block storage and compaction
 //!
 //! Every CID-addressed byte blob — repository record and MST node blocks,
-//! the relay's mirrored CAR archives, the study mirror's record blocks,
-//! and the AppView's per-entity state — lives behind the
-//! `bsky_atproto::blockstore::BlockStore` trait. Two backends, built from
+//! the study mirror's record blocks and the AppView's counter blocks —
+//! lives behind the `bsky_atproto::blockstore::BlockStore` trait. Two
+//! backends, built from
 //! a `StoreConfig` and not nameable otherwise: the in-memory store (the
 //! default) and the paged store (fixed-size pages with an LRU of resident
 //! pages; cold pages are appended to one segment file per spill root,
@@ -125,23 +125,21 @@
 //! *where* blocks reside — the golden equivalence test pins mem == paged
 //! byte-identical, serial and sharded.
 //!
-//! ## Entity-sharded, store-backed AppView
+//! ## Entity-sharded AppView
 //!
-//! The AppView's own indices were the last monolithic in-memory state:
-//! `bsky_appview::AppViewShards` partitions them by *entity hash* — posts
-//! by the FNV-1a hash of their AT-URI, actors and their outgoing graph
-//! edges by `bsky_atproto::Did::shard_hash`, the same hash the workload
-//! plan partitions the population by — and each shard keeps its
-//! `PostInfo`/`ActorInfo` entities as DAG-CBOR blocks in its own
-//! `BlockStore` (only key→CID maps, edge sets and counters stay
-//! resident). Ingestion decomposes into per-entity primitives routed to
-//! the owning shard. The study never acts as the AppView's client: it only
-//! ingests and probes (`has_post` when a feed's entries hydrate, the
-//! counters); a content block is read back only to be rewritten (a label,
-//! a handle change, a tombstone). Every query of a post or an actor, and
-//! the monolithic index itself, lives under `#[cfg(test)]` as the oracle of
-//! the property test that pins sharded == monolithic for random event/label
-//! interleavings.
+//! `bsky_appview::AppViewShards` partitions the AppView's indices by
+//! *entity hash* — posts by the FNV-1a hash of their AT-URI, actors and
+//! their outgoing graph edges by `bsky_atproto::Did::shard_hash`, the same
+//! hash the workload plan partitions the population by. Ingestion
+//! decomposes into per-entity primitives routed to the owning shard. The
+//! study never acts as the AppView's client: it only ingests and probes
+//! (`has_post` when a feed's entries hydrate, the labels that found no
+//! target, the counters). So a shard keeps exactly that — a resident key
+//! per post and per account, the follow/block edge sets, and counters —
+//! and no record, profile, handle or label set. Every query of an entity,
+//! and the monolithic index itself, lives under `#[cfg(test)]` as the
+//! oracle of the property test that pins sharded == monolithic for random
+//! event/label interleavings.
 //! Configured end to end via `RunSpec::appview_shards` (repro
 //! `--appview-shards N`); the golden equivalence test pins the report byte-identical across
 //! appview shard counts × store backends. Labels that arrive before the
@@ -149,25 +147,21 @@
 //! (`StreamSummary::appview_labels_preindex`) instead of silently
 //! dropped.
 //!
-//! ## Hot/cold entity split & the write-back cache
+//! ## Dirty counters & the write-back cache
 //!
-//! Each AppView entity is stored in two halves. The *cold* half — record
-//! payload, identity fields, labels — encodes once as an immutable
-//! positional DAG-CBOR content block. The *hot* half — like/repost and
-//! follower/post counters, mutated on nearly every event — accumulates in
-//! small resident dirty maps (`PostCounters` / `ActorCounters`) and flushes at day boundaries into counter blocks of
-//! a dozen-odd bytes, so a day of counter bumps costs one encode+put
-//! instead of a full-entity re-encode → re-hash → delete+put cycle per
-//! event. In front of each shard's store,
+//! An AppView entity's counters — like/repost and follower/post counters,
+//! mutated on nearly every event — accumulate in small resident dirty maps
+//! (`PostCounters` / `ActorCounters`) and flush at day boundaries into
+//! counter blocks of a dozen-odd bytes, so a day of counter bumps costs
+//! one encode+put per entity. In front of each shard's counter store,
 //! `bsky_atproto::blockstore::WriteBackStore` (repro `--writeback
-//! on|off`, `RunSpec::write_back`) buffers same-day block writes so
-//! create → mutate → delete cycles within a day never reach the backend,
-//! and the day-boundary flush also demotes sealed cold pages
-//! (`BlockStore::evict_cold`), keeping steady-state residency to the open
-//! page plus the dirty maps. Cache hits, misses, flushes and coalesced
-//! writes are `bsky_study::StreamSummary` counters, and the golden
-//! equivalence tests pin reports byte-identical cache-on vs cache-off,
-//! serial and sharded, mem and paged.
+//! on|off`, `RunSpec::write_back`) buffers same-day block writes until the
+//! flush, which also demotes sealed cold pages (`BlockStore::evict_cold`),
+//! keeping steady-state residency to the open page plus the dirty maps.
+//! Cache hits, misses, flushes and coalesced writes are
+//! `bsky_study::StreamSummary` counters, and the golden equivalence tests
+//! pin reports byte-identical cache-on vs cache-off, serial and sharded,
+//! mem and paged.
 //!
 //! On the wire, MST node entries are prefix-compressed exactly like the
 //! reference implementation (`p` shared-prefix length + `k` suffix),
@@ -177,8 +171,8 @@
 //! out of the delta-serving window are dropped with their unreachable
 //! record versions, and superseded MST nodes are reclaimed. A delta
 //! requested since a compacted revision fails with
-//! `AtError::RevisionCompacted`, and both the relay and the incremental
-//! mirror fall back to a full fetch *visibly* — the fallback count is
+//! `AtError::RevisionCompacted`, and the incremental mirror falls back to
+//! a full fetch *visibly* — the fallback count is
 //! surfaced in `bsky_study::StreamSummary`, never swallowed.
 //!
 //! ## The wire-level traffic observatory

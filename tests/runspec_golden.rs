@@ -97,15 +97,10 @@ fn write_back_cache_is_byte_inert_everywhere() {
                     "{label}: cell diverged from the serial mem baseline"
                 );
                 // The knob is real: cached runs flush the write-back buffer
-                // at day boundaries and see same-day hits, raw runs never
-                // touch that machinery.
+                // at day boundaries, raw runs never touch that machinery.
                 assert!(
                     cached_summary.merged.writeback_flushes > 0,
                     "{label}: cached run never flushed"
-                );
-                assert!(
-                    cached_summary.merged.writeback_hits > 0,
-                    "{label}: cached run saw no buffer hits"
                 );
                 assert_eq!(
                     raw_summary.merged.writeback_flushes, 0,
