@@ -136,7 +136,7 @@ fn main() {
     );
     assert!(
         mem_store.store_bytes_reclaimed > 0,
-        "the weekly compaction pass must reclaim history"
+        "the repositories must free superseded MST nodes, reported by the weekly compaction pass"
     );
 
     // Dirty counters + write-back cache: same-day counter bumps must

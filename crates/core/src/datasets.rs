@@ -117,8 +117,9 @@ pub struct RepoSnapshot {
 /// One curated post of a feed-generator dataset entry.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct FeedPost {
-    /// The post URI.
-    pub(crate) uri: AtUri,
+    /// The post URI: the allocation the world made when the post was
+    /// written, shared with every feed that curated it.
+    pub(crate) uri: Arc<AtUri>,
     /// The post's self-reported creation time.
     pub(crate) created_at: Datetime,
     /// When the generator curated it.
@@ -1198,7 +1199,7 @@ impl Collector {
                     .iter()
                     .filter(|entry| world.appview.has_post(&entry.uri))
                     .map(|entry| FeedPost {
-                        uri: entry.uri.clone(),
+                        uri: Arc::clone(&entry.uri),
                         created_at: entry.post_created_at,
                         curated_at: entry.curated_at,
                     })

@@ -5,11 +5,13 @@
 //! [`crate::faas`]. Every pipeline feed the simulated ecosystem builds draws
 //! from the whole network (the firehose) and applies filters of the three
 //! kinds [`FeedFilter`] has; it curates a post when every filter passes.
+//! Filters compare structurally, so feeds with equal pipelines share one
+//! [`crate::route`] and each post is checked against that pipeline once.
 
 use bsky_atproto::record::{MediaKind, PostRecord};
 
 /// A predicate applied to every post on the network (Table 5, "Filters").
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum FeedFilter {
     /// Keep only posts in one of these languages.
     Language(Vec<String>),

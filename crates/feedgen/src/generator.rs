@@ -6,10 +6,15 @@
 //! (§2, §7). Generators differ in how they curate (filter pipelines vs
 //! personalised algorithms), how much history they retain, and where they are
 //! hosted (Feed-Generator-as-a-Service platforms vs self-hosting).
+//!
+//! A generator does not read the firehose itself: [`crate::route::FeedRoutes`]
+//! evaluates each distinct filter pipeline once per post and hands the post
+//! to every feed on a passing route, all of them sharing one URI allocation.
 
-use crate::filter::{curates, FeedFilter};
-use bsky_atproto::record::{FeedGeneratorRecord, PostRecord};
+use crate::filter::FeedFilter;
+use bsky_atproto::record::FeedGeneratorRecord;
 use bsky_atproto::{AtUri, Datetime, Did, Nsid};
+use std::sync::Arc;
 
 /// How a generator selects posts.
 #[derive(Debug, Clone)]
@@ -41,8 +46,9 @@ pub enum RetentionPolicy {
 /// A curated entry in a feed.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FeedEntry {
-    /// The curated post.
-    pub uri: AtUri,
+    /// The curated post: one allocation per post, shared by every feed that
+    /// curated it and by the datasets built from them.
+    pub uri: Arc<AtUri>,
     /// The post's self-reported creation time.
     pub post_created_at: Datetime,
     /// When the generator curated it.
@@ -111,23 +117,15 @@ impl FeedGenerator {
         matches!(self.mode, CurationMode::Personalized)
     }
 
-    /// Observe a post from the firehose; pipeline generators curate it if it
-    /// matches.
-    pub fn observe_post(&mut self, uri: &AtUri, post: &PostRecord, now: Datetime) {
-        let curate = match &self.mode {
-            CurationMode::Pipeline(filters) => curates(filters, post),
-            CurationMode::Personalized | CurationMode::Manual => false,
-        };
-        if curate {
-            self.push_entry(FeedEntry {
-                uri: uri.clone(),
-                post_created_at: post.created_at,
-                curated_at: now,
-            });
-        }
+    /// How the generator selects posts.
+    pub(crate) fn mode(&self) -> &CurationMode {
+        &self.mode
     }
 
-    fn push_entry(&mut self, entry: FeedEntry) {
+    /// Curate one post (the route decided that it passes this generator's
+    /// filters). Retention is applied later, by
+    /// [`FeedGenerator::enforce_retention`].
+    pub(crate) fn push_entry(&mut self, entry: FeedEntry) {
         // Entries are kept sorted by the canonical curation order
         // `(curated_at, uri)` — structural `AtUri` ordering, allocation-free
         // and used identically by the study pipeline's feed merge. This is
@@ -141,20 +139,24 @@ impl FeedGenerator {
             .entries
             .partition_point(|e| (e.curated_at, &e.uri) <= (entry.curated_at, &entry.uri));
         self.entries.insert(idx, entry);
-        if let RetentionPolicy::Count(max) = self.retention {
-            if self.entries.len() > max {
-                let excess = self.entries.len() - max;
-                self.entries.drain(0..excess);
-            }
-        }
     }
 
-    /// Apply time-based retention relative to `now`.
+    /// Apply the retention policy as of `now`. Entries are sorted by
+    /// `curated_at`, so what either policy drops is a prefix: entries
+    /// curated more than `Days` before `now`, or all but the last `Count`.
+    /// Trimming `Count` here rather than on every curated post keeps the
+    /// same entries, because it drops the oldest either way.
     pub fn enforce_retention(&mut self, now: Datetime) {
-        if let RetentionPolicy::Days(days) = self.retention {
-            let cutoff = now.timestamp() - days as i64 * 86_400;
-            self.entries.retain(|e| e.curated_at.timestamp() >= cutoff);
-        }
+        let expired = match self.retention {
+            RetentionPolicy::All => 0,
+            RetentionPolicy::Days(days) => {
+                let cutoff = now.timestamp() - days as i64 * 86_400;
+                self.entries
+                    .partition_point(|e| e.curated_at.timestamp() < cutoff)
+            }
+            RetentionPolicy::Count(max) => self.entries.len().saturating_sub(max),
+        };
+        self.entries.drain(..expired);
     }
 
     /// All retained entries in curation order (oldest first), regardless of
@@ -177,8 +179,9 @@ impl FeedGenerator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::route::FeedRoutes;
     use bsky_atproto::nsid::known;
-    use bsky_atproto::record::Record;
+    use bsky_atproto::record::{PostRecord, Record};
 
     fn now() -> Datetime {
         Datetime::from_ymd(2024, 4, 20)
@@ -207,6 +210,19 @@ mod tests {
         )
     }
 
+    /// A new post reaching `feed` the way production delivers it: through
+    /// the feed's route.
+    fn observe(feed: &mut FeedGenerator, n: u32, post: &PostRecord, now: Datetime) {
+        let mut routes = FeedRoutes::default();
+        routes.add(0, feed);
+        routes.route(
+            &Arc::new(post_uri(n)),
+            post,
+            now,
+            std::slice::from_mut(feed),
+        );
+    }
+
     fn hebrew_feed() -> FeedGenerator {
         FeedGenerator::new(
             creator(),
@@ -231,18 +247,20 @@ mod tests {
     #[test]
     fn pipeline_generator_curates_matching_posts() {
         let mut feed = hebrew_feed();
-        feed.observe_post(
-            &post_uri(1),
+        observe(
+            &mut feed,
+            1,
             &PostRecord::simple("שלום", "he", now()),
             now(),
         );
-        feed.observe_post(
-            &post_uri(2),
+        observe(
+            &mut feed,
+            2,
             &PostRecord::simple("hello", "en", now()),
             now(),
         );
         assert_eq!(feed.entries().len(), 1);
-        assert_eq!(feed.entries()[0].uri, post_uri(1));
+        assert_eq!(*feed.entries()[0].uri, post_uri(1));
         assert_eq!(
             feed.uri().collection().unwrap().as_str(),
             known::FEED_GENERATOR
@@ -264,7 +282,7 @@ mod tests {
             RetentionPolicy::All,
         );
         assert!(feed.is_personalized());
-        feed.observe_post(&post_uri(1), &PostRecord::simple("hi", "en", now()), now());
+        observe(&mut feed, 1, &PostRecord::simple("hi", "en", now()), now());
         assert!(feed.entries().is_empty(), "anonymous viewer sees nothing");
         assert!(!hebrew_feed().is_personalized());
     }
@@ -272,12 +290,19 @@ mod tests {
     #[test]
     fn count_retention_keeps_most_recent() {
         let mut feed = everything_feed(RetentionPolicy::Count(100));
-        for i in 0..250 {
-            let post = PostRecord::simple("post", "en", now().plus_seconds(i as i64));
-            feed.observe_post(&post_uri(i), &post, now());
+        // Curated out of order: the newest 100 by curation time are kept,
+        // whatever order they arrived in.
+        for i in (0..250).rev() {
+            let post = PostRecord::simple("post", "en", now());
+            observe(&mut feed, i, &post, now().plus_seconds(i as i64));
         }
+        feed.enforce_retention(now().plus_days(1));
         assert_eq!(feed.entries().len(), 100);
-        assert_eq!(feed.entries()[0].uri, post_uri(150));
+        assert_eq!(*feed.entries()[0].uri, post_uri(150));
+        assert_eq!(*feed.entries()[99].uri, post_uri(249));
+        // Under the cap, a pass drops nothing.
+        feed.enforce_retention(now().plus_days(2));
+        assert_eq!(feed.entries().len(), 100);
     }
 
     #[test]
@@ -285,15 +310,12 @@ mod tests {
         let mut feed = everything_feed(RetentionPolicy::Days(7));
         for day in 0..20 {
             let at = now().plus_days(day as i64);
-            feed.observe_post(&post_uri(day), &PostRecord::simple("post", "en", at), at);
+            observe(&mut feed, day, &PostRecord::simple("post", "en", at), at);
         }
         let end = now().plus_days(20);
         feed.enforce_retention(end);
-        assert!(
-            feed.entries().len() <= 8,
-            "only ~a week retained, got {}",
-            feed.entries().len()
-        );
+        // Curated on days 13..20: exactly the last seven days' entries.
+        assert_eq!(feed.entries().len(), 7);
         assert!(feed
             .entries()
             .iter()
@@ -317,7 +339,7 @@ mod tests {
         let mut feed = everything_feed(RetentionPolicy::All);
         let medieval = Datetime::from_ymd(1185, 6, 1).unwrap();
         let post = PostRecord::simple("old news", "en", medieval);
-        feed.observe_post(&post_uri(1), &post, now());
+        observe(&mut feed, 1, &post, now());
         assert_eq!(feed.entries()[0].post_created_at, medieval);
     }
 }

@@ -6,6 +6,8 @@
 //!   network.
 //! * [`generator`] — Feed Generator instances: curation modes (pipeline,
 //!   personalised, manual), retention policies, likes.
+//! * [`route`] — how a new post reaches the pipeline feeds that curate it:
+//!   one filter check per distinct pipeline, one URI allocation per post.
 //! * [`faas`] — the Feed-Generator-as-a-Service platforms of Table 5 with
 //!   their feature matrices and observed market shares.
 
@@ -15,6 +17,8 @@
 pub mod faas;
 pub mod filter;
 pub mod generator;
+pub mod route;
 
 pub use filter::FeedFilter;
 pub use generator::{CurationMode, FeedGenerator, RetentionPolicy};
+pub use route::FeedRoutes;

@@ -54,7 +54,7 @@ use bsky_atproto::repo::{CompactionStats, Write};
 use bsky_atproto::Tid;
 use bsky_atproto::{cbor, AtUri, Datetime, Did, Handle, Nsid};
 use bsky_feedgen::faas::default_platforms;
-use bsky_feedgen::{CurationMode, FeedFilter, FeedGenerator, RetentionPolicy};
+use bsky_feedgen::{CurationMode, FeedFilter, FeedGenerator, FeedRoutes, RetentionPolicy};
 use bsky_identity::registrar::default_catalogue;
 use bsky_identity::resolver::publish;
 use bsky_identity::{DidDocument, PlcDirectory, PublicSuffixList, TrancoList, WhoisDatabase};
@@ -158,6 +158,9 @@ pub struct World {
     pub feedgens: Vec<FeedGenerator>,
     /// Feed generator metadata parallel to `feedgens`.
     pub feedgen_info: Vec<FeedGenInfo>,
+    /// The pipeline feeds of `feedgens` grouped by their filters: the only
+    /// way a new post reaches a feed.
+    feed_routes: FeedRoutes,
     /// WHOIS database.
     pub whois: WhoisDatabase,
     /// Tranco-style ranking.
@@ -354,6 +357,7 @@ impl World {
             labeler_info: Vec::new(),
             feedgens: Vec::new(),
             feedgen_info: Vec::new(),
+            feed_routes: FeedRoutes::default(),
             whois: WhoisDatabase::new(),
             tranco,
             psl: PublicSuffixList::embedded(),
@@ -753,6 +757,7 @@ impl World {
             }
             let generator =
                 FeedGenerator::new(creator, format!("feed{index:06}"), record, mode, retention);
+            self.feed_routes.add(index, &generator);
             self.feedgens.push(generator);
             self.feed_like_cumsum.push(
                 self.feed_like_cumsum.last().copied().unwrap_or(0.0)
@@ -925,10 +930,8 @@ impl World {
                 ..
             } = write
             {
-                let uri = AtUri::record(user.did.clone(), Nsid::POST, rkey.as_str());
-                for feed in &mut self.feedgens {
-                    feed.observe_post(&uri, post, when);
-                }
+                let uri = Arc::new(AtUri::record(user.did.clone(), Nsid::POST, rkey.as_str()));
+                self.feed_routes.route(&uri, post, when, &mut self.feedgens);
                 for labeler in self.labelers.all_mut() {
                     labeler.observe_post(&uri, post, when);
                 }

@@ -166,10 +166,12 @@
 //! On the wire, MST node entries are prefix-compressed exactly like the
 //! reference implementation (`p` shared-prefix length + `k` suffix),
 //! shrinking full CARs and structural deltas alike. On the storage side,
-//! the study producer runs a weekly compaction pass
+//! a commit deletes the MST nodes it supersedes (deltas ship only current
+//! nodes), and the study producer runs a weekly compaction pass
 //! (`bsky_atproto::repo::Repository::compact_before`): commits that aged
 //! out of the delta-serving window are dropped with their unreachable
-//! record versions, and superseded MST nodes are reclaimed. A delta
+//! record versions, and the pass reports the nodes freed since the
+//! previous one. A delta
 //! requested since a compacted revision fails with
 //! `AtError::RevisionCompacted`, and the incremental mirror falls back to
 //! a full fetch *visibly* — the fallback count is
