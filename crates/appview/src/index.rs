@@ -327,7 +327,8 @@ impl AppViewIndex {
         self.actors.entry(did.as_string()).or_insert(None);
     }
 
-    /// Count one indexed record (part of every [`AppViewIndex::index_record`]).
+    /// Count one indexed record (part of every
+    /// [`crate::AppViewShards::index_record`]).
     pub(crate) fn count_record(&mut self) {
         self.records_indexed += 1;
     }

@@ -1,9 +1,9 @@
 //! Pluggable, CID-addressed block storage.
 //!
-//! Every content-addressed byte blob in the system — repository record
-//! blocks, MST node blocks, the AppView's counter blocks, the study
-//! mirror's decoded-record blocks — lives behind one trait with these
-//! backends:
+//! Every stored content-addressed byte blob in the system — repository
+//! record blocks, the AppView's counter blocks, the study mirror's
+//! decoded-record blocks — lives behind one trait with these backends (MST
+//! node blocks are not stored: the in-memory tree encodes them on export):
 //!
 //! * `MemStore` — everything resident in one hash table keyed by CID
 //!   ([`CidMap`]: a block is found by its digest, not by comparing keys down
@@ -148,10 +148,10 @@ pub trait BlockStore: std::fmt::Debug + Send {
     /// Demote cold resident data to backing storage. A no-op for fully
     /// resident backends; `PagedStore` spills every sealed resident page,
     /// leaving only the open page in memory. Callers with an epoch rhythm
-    /// (the AppView's day loop) invoke this right after [`flush`]: a day
-    /// boundary ends the hot window, so sealed pages are overwhelmingly
-    /// cold and any block that *is* re-read pages back in through the
-    /// normal verified path.
+    /// (the AppView's day loop right after [`flush`], a repository's weekly
+    /// compaction pass) invoke this at its boundary: the boundary ends the
+    /// hot window, so sealed pages are overwhelmingly cold and any block
+    /// that *is* re-read pages back in through the normal verified path.
     ///
     /// [`flush`]: BlockStore::flush
     fn evict_cold(&mut self) {}

@@ -22,11 +22,13 @@
 //! hashes that path alone: a commit costs its batch, not its repository.
 //! The node tree is the only copy of the mapping; lookups and ordered
 //! iteration walk it. `Mst::take_node_delta` reports what a batch of
-//! mutations did to the node *set* (blocks that joined the tree, children
-//! before parents, and CIDs that left it), which is what the repository
-//! layer stores and logs per commit. Node blocks are encoded directly to
-//! bytes with [`crate::cbor`]'s raw writers — byte-identical to the generic
-//! `Value` encoder, without allocating a value tree per node.
+//! mutations did to the node *set* (the CIDs that joined the tree, children
+//! before parents, and those that left it), which the repository layer logs
+//! per commit. The tree is also the only copy of its node *blocks*: nothing
+//! stores them, and `Mst::for_each_block` encodes them while an archive is
+//! written, pruned to the subtrees a consumer lacks. Node blocks are encoded
+//! directly to bytes with [`crate::cbor`]'s raw writers — byte-identical to
+//! the generic `Value` encoder, without allocating a value tree per node.
 //!
 //! Node entries are **prefix-compressed on the wire**, as in the reference
 //! implementation: within a node, each entry carries `p` (the number of key
@@ -206,17 +208,15 @@ impl Node {
         for child in self.children() {
             child.seal(walk);
         }
-        self.encode_into(&mut walk.scratch);
         let cid = known.unwrap_or_else(|| {
+            self.encode_into(&mut walk.scratch);
             walk.hashed.set(walk.hashed.get() + 1);
             Cid::for_cbor(&walk.scratch)
         });
         match &mut walk.delta {
             Some(delta) => {
                 if !delta.removed.remove(&cid) {
-                    // The block the store will hold: an exact-size copy.
-                    let bytes = walk.scratch.clone();
-                    delta.added.push(MstNode { cid, bytes });
+                    delta.added.push(cid);
                 }
                 self.memo.set(Memo::Settled(cid));
             }
@@ -225,17 +225,24 @@ impl Node {
         cid
     }
 
-    /// Every node block of this (sealed) subtree, children before parents,
-    /// each an exact-size copy out of `scratch`.
-    fn collect_blocks(&self, scratch: &mut Vec<u8>, out: &mut Vec<MstNode>) {
+    /// Hand `visit` the block of every node of this (sealed) subtree that
+    /// `descend` accepts, children before parents, encoded into `scratch`;
+    /// a node `descend` refuses is skipped with everything under it.
+    fn for_each_block(
+        &self,
+        scratch: &mut Vec<u8>,
+        descend: &mut impl FnMut(&Cid) -> bool,
+        visit: &mut impl FnMut(&Cid, &[u8]),
+    ) {
+        let cid = self.cid();
+        if !descend(&cid) {
+            return;
+        }
         for child in self.children() {
-            child.collect_blocks(scratch, out);
+            child.for_each_block(scratch, descend, visit);
         }
         self.encode_into(scratch);
-        out.push(MstNode {
-            cid: self.cid(),
-            bytes: scratch.clone(),
-        });
+        visit(&cid, scratch);
     }
 
     /// Replace the value of a key in this subtree, returning the old value
@@ -304,9 +311,8 @@ struct Sealing<'a> {
     hashed: &'a Cell<u64>,
     /// `Some`: the walk is a drain (see [`Node::seal`]).
     delta: Option<&'a mut NodeDelta>,
-    /// Every node is encoded here, one after the other; a block that is
-    /// kept is copied out of it at its exact size, so no block is grown by
-    /// `realloc` and none carries spare capacity into a store.
+    /// Every dirty node is encoded here, one after the other, and hashed in
+    /// place.
     scratch: Vec<u8>,
 }
 
@@ -362,9 +368,10 @@ pub struct Mst {
     /// nodes have been mutated or unlinked since. Bounded by the size of the
     /// tree at that drain; a tree that is never drained never adds to it.
     removed: CidSet,
-    /// Nodes hashed so far (see [`Mst::nodes_hashed`]).
+    /// Nodes hashed so far, the unit of the tests' work bounds.
     hashed: Cell<u64>,
-    /// The encode buffer of [`Sealing`], kept between walks.
+    /// The encode buffer of [`Sealing`] and [`Mst::for_each_block`], kept
+    /// between walks.
     scratch: RefCell<Vec<u8>>,
 }
 
@@ -390,24 +397,17 @@ impl PartialEq for Mst {
 
 impl Eq for Mst {}
 
-/// An encoded tree node.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct MstNode {
-    /// CID of this node's encoded block.
-    pub(crate) cid: Cid,
-    /// The encoded DAG-CBOR bytes of the node.
-    pub(crate) bytes: Vec<u8>,
-}
-
 /// What the mutations since the previous [`Mst::take_node_delta`] did to the
 /// tree's node set: exactly the set difference between the node sets after
 /// and before, however the mutations got there (a batch that was undone, or
-/// a delete and re-add of the same value, nets to nothing).
+/// a delete and re-add of the same value, nets to nothing). CIDs only: the
+/// blocks stay in the tree, which encodes them again when an archive needs
+/// them.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub(crate) struct NodeDelta {
-    /// Nodes of the tree now that were not nodes of it then, children
-    /// before parents.
-    pub(crate) added: Vec<MstNode>,
+    /// CIDs of the nodes of the tree now that were not nodes of it then,
+    /// children before parents.
+    pub(crate) added: Vec<Cid>,
     /// CIDs of nodes of the tree then that are not nodes of it now, in no
     /// particular order.
     pub(crate) removed: CidSet,
@@ -557,7 +557,7 @@ impl Mst {
     /// The root CID plus what the mutations since the previous call did to
     /// the node set (the first call reports the whole tree as added). This
     /// is the commit path: one walk over the touched nodes hashes them and
-    /// yields the blocks to store.
+    /// yields the CIDs to log.
     pub(crate) fn take_node_delta(&mut self) -> (Cid, NodeDelta) {
         let mut delta = NodeDelta {
             added: Vec::new(),
@@ -567,13 +567,21 @@ impl Mst {
         (root, delta)
     }
 
-    /// All node blocks of the tree, children before parents (for CAR export
-    /// and sync). Re-encodes every node; hashes only the dirty ones.
-    pub(crate) fn blocks(&self) -> Vec<MstNode> {
+    /// The one walk over the tree's node blocks, for both archive exports:
+    /// seals the tree, then hands `visit` each node's CID and block bytes,
+    /// children before parents, descending only into nodes `descend`
+    /// accepts (`|_| true`: the whole tree). Re-encodes every visited node
+    /// into one reused buffer; hashes only the dirty ones.
+    pub(crate) fn for_each_block(
+        &self,
+        mut descend: impl FnMut(&Cid) -> bool,
+        mut visit: impl FnMut(&Cid, &[u8]),
+    ) {
         self.root_cid();
-        let mut blocks = Vec::new();
-        self.root.collect_blocks(&mut Vec::new(), &mut blocks);
-        blocks
+        let mut scratch = self.scratch.take();
+        self.root
+            .for_each_block(&mut scratch, &mut descend, &mut visit);
+        self.scratch.replace(scratch);
     }
 }
 
@@ -664,7 +672,32 @@ pub(crate) mod reference {
     use super::*;
     use crate::cbor::Value;
 
+    /// An encoded tree node.
+    #[derive(Debug, Clone, PartialEq)]
+    pub(crate) struct MstNode {
+        /// CID of this node's encoded block.
+        pub(crate) cid: Cid,
+        /// The encoded DAG-CBOR bytes of the node.
+        pub(crate) bytes: Vec<u8>,
+    }
+
     impl Mst {
+        /// Every node block of the tree, children before parents: what
+        /// [`Mst::for_each_block`] hands a full export, copied out.
+        pub(crate) fn blocks(&self) -> Vec<MstNode> {
+            let mut blocks = Vec::new();
+            self.for_each_block(
+                |_| true,
+                |cid, bytes| {
+                    blocks.push(MstNode {
+                        cid: *cid,
+                        bytes: bytes.to_vec(),
+                    })
+                },
+            );
+            blocks
+        }
+
         /// Iterate the keys of a single collection (keys beginning with
         /// `<collection>/`).
         pub(crate) fn iter_collection<'a>(
@@ -782,9 +815,9 @@ pub(crate) mod reference {
 
         /// The MST diff walk at the node level: the node blocks of `self` that
         /// are not nodes of `old` — what a sync consumer that already holds
-        /// `old` is missing. Encodes both trees, O(n); the repository serves
-        /// deltas from its O(churn) per-commit node log instead, and a test in
-        /// `repo.rs` pins the two equal.
+        /// `old` is missing. Encodes both trees whole; the repository walks
+        /// only the subtrees its per-commit node log says are new, and the
+        /// tests in `repo.rs` pin the two equal.
         pub(crate) fn node_delta(&self, old: &Mst) -> Vec<MstNode> {
             let old_cids: CidSet = old.blocks().iter().map(|n| n.cid).collect();
             self.blocks()
@@ -1147,10 +1180,20 @@ mod tests {
         // old nodes they cover the new tree completely.
         let new_cids: BTreeMap<Cid, ()> = new.blocks().iter().map(|n| (n.cid, ())).collect();
         assert!(delta.iter().all(|n| new_cids.contains_key(&n.cid)));
-        let mut covered: std::collections::BTreeSet<Cid> =
+        let old_cids: std::collections::BTreeSet<Cid> =
             old.blocks().iter().map(|n| n.cid).collect();
+        let mut covered = old_cids.clone();
         covered.extend(delta.iter().map(|n| n.cid));
         assert!(new.blocks().iter().all(|n| covered.contains(&n.cid)));
+        // A walk pruned at the nodes `old` has (an unchanged node's whole
+        // subtree is unchanged) yields the same blocks in the same order.
+        let mut pruned = Vec::new();
+        new.for_each_block(
+            |cid| !old_cids.contains(cid),
+            |cid, bytes| pruned.push((*cid, bytes.to_vec())),
+        );
+        let expected: Vec<(Cid, Vec<u8>)> = delta.into_iter().map(|n| (n.cid, n.bytes)).collect();
+        assert_eq!(pruned, expected);
     }
 
     #[test]
@@ -1287,8 +1330,9 @@ mod proptests {
             assert_eq!(self.mst.remove(key), self.model.remove(key), "{key}");
         }
 
-        /// The end of a batch: root CID, block list (in order) and reported
-        /// node delta must all be what the reference rebuild says.
+        /// The end of a batch: root CID, block list (in order, bytes
+        /// included) and reported node delta (added CIDs in order, removed
+        /// CIDs as a set) must all be what the reference rebuild says.
         /// `peek_root` reads the root before draining, so the drain meets
         /// nodes an earlier `root_cid()` already hashed.
         fn check(&mut self, peek_root: bool) {
@@ -1305,9 +1349,10 @@ mod proptests {
             assert_eq!(drained_root, root);
             assert_eq!(self.mst.blocks(), blocks);
             let now: BTreeSet<Cid> = blocks.iter().map(|n| n.cid).collect();
-            let added: Vec<MstNode> = blocks
-                .into_iter()
-                .filter(|n| !self.live.contains(&n.cid))
+            let added: Vec<Cid> = blocks
+                .iter()
+                .map(|n| n.cid)
+                .filter(|cid| !self.live.contains(cid))
                 .collect();
             assert_eq!(delta.added, added);
             let removed: BTreeSet<Cid> = self.live.difference(&now).copied().collect();

@@ -9,44 +9,42 @@
 //! concern — we model that by keeping deleted blocks until an explicit
 //! garbage-collection call.
 //!
-//! Each commit additionally logs the blocks it introduced (records and MST
-//! nodes), so [`Repository::export_car_since`] can serve the
-//! `com.atproto.sync.getRepo(did, since=rev)` delta path — only the blocks
-//! created after a known revision — and [`Repository::apply_delta`] lets a
-//! mirror reassemble the full archive from a cached CAR plus such a delta.
+//! Each commit additionally logs the record blocks it introduced and the MST
+//! node CIDs that joined and left the tree, so [`Repository::export_car_since`]
+//! can serve the `com.atproto.sync.getRepo(did, since=rev)` delta path —
+//! only the blocks created after a known revision — and
+//! [`Repository::apply_delta`] lets a mirror reassemble the full archive from
+//! a cached CAR plus such a delta.
 //!
 //! ## Storage and the delta-serving window
 //!
-//! All record and MST node blocks live behind the pluggable
+//! Record blocks, and only record blocks, live behind the pluggable
 //! [`crate::blockstore::BlockStore`] trait ([`Repository::with_store`]): the
 //! in-memory default, or a paged store that spills cold pages to disk and
-//! verifies every read-back by CID. The repository itself keeps only the
-//! record index (the MST's node tree: keys and CIDs, no block bytes) and the
-//! CID indexes (`record_cids` with its live-reference counts, the live node
-//! set and the per-commit log) resident, so its memory footprint is governed
-//! by the store backend. The store's node blocks are exactly the live tree's:
-//! a commit deletes the nodes it drops.
+//! verifies every read-back by CID. The MST is the one copy of the tree:
+//! deltas only ever ship *current* nodes, so no node block is kept for a
+//! past revision, and an export encodes the live nodes from the tree while
+//! it writes the archive. Beside the tree the repository keeps only CID
+//! indexes resident (`record_cids` with its live-reference counts, and the
+//! per-commit log), so its block memory is governed by the store backend.
 //!
 //! The CID indexes are hash tables ([`CidMap`] / `CidSet`): a write, a
 //! commit and a compaction pass look CIDs up and never need them in order.
 //! Order exists only where it reaches bytes or a store's read order, and is
 //! made there: a full export sorts the record CIDs it frames, a delta export
-//! sorts the joined nodes before it reads them and stages its blocks in a
-//! CID-ordered map, and the archive parsers collect into ordered maps.
+//! stages its blocks in a CID-ordered map, and the archive parsers collect
+//! into ordered maps.
 //!
 //! A commit costs its batch, not its repository: the MST is updated in
 //! place, hashing only the leaf-to-root paths the batch touched, and hands
-//! back the node-set change (blocks that joined the live tree, CIDs that
-//! left it) from which the node bookkeeping is maintained incrementally.
+//! back the node-set change (CIDs that joined the live tree, CIDs that left
+//! it), which the commit logs and nothing else keeps.
 //!
 //! ## Compaction
 //!
-//! MST node blocks never wait for it: deltas only ever ship *current* nodes
-//! (the per-commit churn log reconstructs historical node *sets* without
-//! their bytes), so each commit deletes the nodes it drops from the live
-//! tree, and the next pass reports them. [`Repository::compact_before`]
-//! bounds the grow-only history: commits (and their log entries) older than
-//! a cutoff revision leave the delta-serving window, and record blocks
+//! Only record blocks wait for it. [`Repository::compact_before`] bounds
+//! the grow-only history: commits (and their log entries) older than a
+//! cutoff revision leave the delta-serving window, and record blocks
 //! unreachable from the head that aged out are deleted. The invariant:
 //! [`Repository::export_car_since`] still serves every retained
 //! revision exactly; a request since a compacted revision fails with
@@ -73,10 +71,11 @@
 //! [`Repository::parse_car`] collects it, [`Repository::apply_delta`] merges
 //! two of them as borrowed slices (each block is copied once, into the
 //! output) and the study's repository mirror classifies blocks straight off
-//! it. A full export frames each block into the output buffer as it comes
-//! out of the store. A delta export still stages what it reads: its archive
-//! is in CID order while its store reads run nodes-then-log-order, and a
-//! paged store's residency follows its read order.
+//! it. A full export frames each block into the output buffer as the tree
+//! encodes it or the store returns it. A delta export still stages what it
+//! gathers: its archive is in CID order while the tree walk runs children
+//! first and its store reads run in log order, and a paged store's
+//! residency follows its read order.
 
 use crate::blockstore::{BlockStore, StoreStats};
 use crate::cbor::{self, raw, Value};
@@ -257,21 +256,21 @@ pub enum DeltaScope {
     Records,
 }
 
-/// Per-commit block accounting: which record blocks and which MST node
-/// blocks each commit introduced. This is what makes
+/// Per-commit block accounting: which record blocks each commit introduced
+/// and how it changed the tree's node set. This is what makes
 /// `com.atproto.sync.getRepo(did, since)` cheap — the delta for any known
-/// `since` revision is the union of the logged blocks of the commits after
-/// it, with no tree reconstruction at request time.
+/// `since` revision is read off the log entries of the commits after it,
+/// with no tree reconstruction at request time.
 #[derive(Debug, Clone, Default)]
 struct CommitBlocks {
     /// Record blocks first written by this commit.
     record_cids: Vec<Cid>,
-    /// MST node blocks this commit added to the live tree.
+    /// MST nodes this commit added to the live tree.
     node_cids: Vec<Cid>,
-    /// MST node blocks this commit dropped from the live tree. Together
-    /// with `node_cids` this lets a delta export reconstruct the node set
-    /// at any past revision by backward replay — O(churn), never a tree
-    /// rebuild — and ship only the *net* node difference.
+    /// MST nodes this commit dropped from the live tree. Together with
+    /// `node_cids` this lets a delta export tell, by backward replay —
+    /// O(churn), never a tree rebuild — which live nodes were not in the
+    /// tree at a past revision, and ship only that *net* node difference.
     removed_node_cids: Vec<Cid>,
 }
 
@@ -282,10 +281,7 @@ pub struct CompactionStats {
     pub commits_dropped: usize,
     /// Aged-out record blocks unreachable from the head that were deleted.
     pub(crate) records_dropped: usize,
-    /// MST node blocks the commits since the previous pass deleted as they
-    /// left the live tree.
-    pub(crate) nodes_dropped: usize,
-    /// Logical bytes reclaimed from the block store.
+    /// Logical bytes of those record blocks, reclaimed from the block store.
     pub bytes_reclaimed: usize,
 }
 
@@ -294,7 +290,6 @@ impl CompactionStats {
     pub fn absorb(&mut self, other: &CompactionStats) {
         self.commits_dropped += other.commits_dropped;
         self.records_dropped += other.records_dropped;
-        self.nodes_dropped += other.nodes_dropped;
         self.bytes_reclaimed += other.bytes_reclaimed;
     }
 }
@@ -304,11 +299,12 @@ impl CompactionStats {
 pub struct Repository {
     did: Did,
     signing_key: SigningKey,
-    /// The record index, kept materialised and updated in place. Its node
-    /// delta is drained once per commit (in `apply_writes`), so between
-    /// commits its node set is exactly `current_node_cids`.
+    /// The record index, kept materialised and updated in place, and the
+    /// only copy of the tree: its node blocks are encoded from it when an
+    /// archive is written. Its node delta is drained once per commit (in
+    /// `apply_writes`) into the commit log.
     mst: Mst,
-    /// All record and MST node blocks, behind the pluggable store.
+    /// The record blocks, behind the pluggable store.
     store: Box<dyn BlockStore>,
     /// Every record block currently in the store, with the number of MST
     /// keys that point at it (0: a deleted or superseded version kept until
@@ -317,8 +313,6 @@ pub struct Repository {
     /// small compared to the blocks themselves. Counts move in `move_ref`
     /// only.
     record_cids: CidMap<u32>,
-    /// Total bytes of the blocks in `record_cids`.
-    record_bytes: usize,
     /// Retained commits (oldest first). Compaction drops the front.
     commits: Vec<Commit>,
     /// Aligned 1:1 with `commits`: the blocks each commit introduced.
@@ -329,15 +323,6 @@ pub struct Repository {
     /// Revision of the newest commit a compaction pass dropped; deltas since
     /// revisions at or below it must fall back to a full fetch.
     compacted_through: Option<Tid>,
-    /// Node CIDs of the live tree as of the latest commit, maintained from
-    /// each commit's node delta (added in, removed out) — never rebuilt.
-    /// The store holds exactly these node blocks: a commit deletes the
-    /// nodes it drops.
-    current_node_cids: CidSet,
-    /// The node blocks commits freed since the last compaction pass
-    /// (`nodes_dropped`, `bytes_reclaimed`), which that pass reports as its
-    /// own so the reclaimed-bytes accounting still sees them.
-    freed_nodes: CompactionStats,
     clock: TidClock,
     /// Where `put_record` encodes each record before storing an exact-size
     /// copy: one allocation per stored block, none to grow it.
@@ -365,13 +350,10 @@ impl Repository {
             mst: Mst::new(),
             store,
             record_cids: CidMap::default(),
-            record_bytes: 0,
             commits: Vec::new(),
             log: Vec::new(),
             head_cid: None,
             compacted_through: None,
-            current_node_cids: CidSet::default(),
-            freed_nodes: CompactionStats::default(),
             encode_buf: Vec::new(),
         }
     }
@@ -391,8 +373,8 @@ impl Repository {
         self.head().map(|c| c.rev)
     }
 
-    /// Residency/spill statistics of the backing block store (records and
-    /// MST nodes combined).
+    /// Residency/spill statistics of the backing block store, which holds
+    /// the record blocks (the MST's nodes live in the tree alone).
     pub fn store_stats(&self) -> StoreStats {
         self.store.stats()
     }
@@ -438,7 +420,6 @@ impl Repository {
         if self.store.put(cid, self.encode_buf.clone()) {
             fresh_blocks.push(cid);
             self.record_cids.insert(cid, 0);
-            self.record_bytes += len;
         }
         let initial = self.mst.insert(&key, cid)?;
         self.move_ref(initial, Some(cid));
@@ -530,7 +511,7 @@ impl Repository {
                     }
                 }
                 for cid in &fresh_blocks {
-                    self.record_bytes -= self.store.delete(cid);
+                    self.store.delete(cid);
                     self.record_cids.remove(cid);
                 }
                 return Err(err);
@@ -561,25 +542,8 @@ impl Repository {
         let rev = self.clock.next(now);
         // One walk over the nodes this batch touched hashes them for the
         // commit's `data` pointer and yields the node-set change since the
-        // previous commit: the nodes that joined the live tree are the
-        // structural blocks a `getRepo(since)` delta must carry.
+        // previous commit, which the log keeps for `getRepo(since)` deltas.
         let (data, delta) = self.mst.take_node_delta();
-        let mut node_cids = Vec::with_capacity(delta.added.len());
-        for node in delta.added {
-            node_cids.push(node.cid);
-            self.store.put(node.cid, node.bytes);
-            self.current_node_cids.insert(node.cid);
-        }
-        // The delta is net, so a node that left serves no retained
-        // revision (deltas ship only current nodes) and is freed now; one
-        // that rejoins later comes back in that commit's `added`, bytes
-        // and all.
-        for cid in &delta.removed {
-            self.current_node_cids.remove(cid);
-            self.freed_nodes.bytes_reclaimed += self.store.delete(cid);
-            self.freed_nodes.nodes_dropped += 1;
-        }
-        let removed_node_cids: Vec<Cid> = delta.removed.into_iter().collect();
         let mut commit = Commit {
             did: self.did.clone(),
             version: 3,
@@ -598,8 +562,8 @@ impl Repository {
         self.commits.push(commit.clone());
         self.log.push(CommitBlocks {
             record_cids: fresh_blocks,
-            node_cids,
-            removed_node_cids,
+            node_cids: delta.added,
+            removed_node_cids: delta.removed.into_iter().collect(),
         });
         Ok(CommitResult {
             commit,
@@ -639,9 +603,8 @@ impl Repository {
             let bytes = commit.to_cbor();
             car.block(&Cid::for_cbor(&bytes), &bytes);
         }
-        for node in self.mst.blocks() {
-            car.block(&node.cid, &node.bytes);
-        }
+        self.mst
+            .for_each_block(|_| true, |cid, bytes| car.block(cid, bytes));
         // Sorted: the archive frames its record blocks in ascending CID
         // order, and a paged store is read in that order.
         let mut record_cids: Vec<Cid> = self.record_cids.keys().copied().collect();
@@ -658,14 +621,15 @@ impl Repository {
     /// consumer synced to `since` is missing — the commits after `since`
     /// ([`DeltaScope::Records`] trims this to the head commit alone, which
     /// is all a decoded-record consumer verifies), the **net** MST node
-    /// difference between the live tree and the tree at `since`
-    /// (reconstructed by replaying the per-commit add/remove log backwards,
-    /// so transient nodes that appeared and vanished between the two
-    /// snapshots never travel; [`DeltaScope::Full`] only), and every record
-    /// block written after `since` (including intermediate versions, which
-    /// full exports also retain). A [`DeltaScope::Full`] delta applied to a
-    /// full archive at `since` therefore yields a superset of a fresh full
-    /// export: commit chain, live tree and record store all intact.
+    /// difference between the live tree and the tree at `since` (found by
+    /// replaying the per-commit add/remove log backwards and encoding only
+    /// the live subtrees it marks new, so transient nodes that appeared and
+    /// vanished between the two snapshots never travel; [`DeltaScope::Full`]
+    /// only), and every record block written after `since` (including
+    /// intermediate versions, which full exports also retain). A
+    /// [`DeltaScope::Full`] delta applied to a full archive at `since`
+    /// therefore yields a superset of a fresh full export: commit chain,
+    /// live tree and record store all intact.
     ///
     /// Errors when `since` is not a revision of this repository (a rewound
     /// or replaced repo, or a revision predating a takedown) — or, as
@@ -694,9 +658,10 @@ impl Repository {
                 )),
             })?;
         // Ordered: the archive is framed in this map's CID order, while the
-        // store is read in the order below (nodes, then records in log
-        // order) — a paged store's residency follows its read order, and
-        // that order is pinned with the byte counters it produces.
+        // tree hands over its nodes children first and the store is read in
+        // the order below (records in log order) — a paged store's
+        // residency follows its read order, and that order is pinned with
+        // the byte counters it produces.
         let mut blocks: BTreeMap<Cid, Vec<u8>> = BTreeMap::new();
         if index + 1 < self.commits.len() {
             blocks.insert(head_cid, head.to_cbor());
@@ -720,18 +685,18 @@ impl Repository {
                     in_tree_at_since.insert(*cid, true);
                 }
             }
-            let mut joined: Vec<Cid> = in_tree_at_since
-                .into_iter()
-                .filter(|(cid, at_since)| !at_since && self.current_node_cids.contains(cid))
-                .map(|(cid, _)| cid)
-                .collect();
-            // Sorted: a paged store is read in ascending CID order here.
-            joined.sort_unstable();
-            for cid in &joined {
-                if let Some(bytes) = self.store.get(cid) {
-                    blocks.insert(*cid, bytes);
-                }
-            }
+            // The live nodes that joined since: a walk of the live tree that
+            // descends only into nodes a commit after `since` added first. A
+            // node that was in the tree at `since` (touched by no later
+            // commit, or removed first) roots a subtree unchanged since
+            // then, by the Merkle property, so the walk skips all of it; a
+            // node that joined has only joined nodes above it.
+            self.mst.for_each_block(
+                |cid| in_tree_at_since.get(cid) == Some(&false),
+                |cid, bytes| {
+                    blocks.insert(*cid, bytes.to_vec());
+                },
+            );
         }
         for entry in &self.log[index + 1..] {
             for cid in &entry.record_cids {
@@ -821,12 +786,8 @@ impl Repository {
     /// The compaction pass: garbage-collect everything that aged out of the
     /// delta-serving window ending at `cutoff`.
     ///
-    /// * **MST nodes** — nothing to do: each commit deletes the node blocks
-    ///   it drops from the live tree, since deltas only ever ship *current*
-    ///   nodes (the per-commit churn log reconstructs historical node sets
-    ///   without needing their bytes). The pass reports the nodes and bytes
-    ///   the commits since the previous pass freed, so its stats still
-    ///   account for every reclaimed block.
+    /// * **MST nodes** — nothing to do: the store holds none, since deltas
+    ///   only ever ship *current* nodes, which the live tree encodes.
     /// * **Commits + log entries** — commits with `rev < cutoff` leave the
     ///   window (the head commit is always retained). Subsequent
     ///   [`Repository::export_car_since`] calls for a dropped revision fail
@@ -835,10 +796,16 @@ impl Repository {
     /// * **Records** — record blocks introduced by dropped commits that are
     ///   neither live in the MST nor re-introduced by a retained commit are
     ///   deleted (old versions past the window).
+    /// * **Cold pages** — the store demotes its sealed pages to its spill
+    ///   file ([`BlockStore::evict_cold`]; a no-op in memory). After its
+    ///   write a record block is read by exports, and a delta export reads
+    ///   only the recent ones, so what was written before the pass is cold.
+    ///   Without it a paged store keeps its last pages resident however
+    ///   cold they are.
     ///
     /// Idempotent: a second pass with the same cutoff reclaims nothing.
     pub fn compact_before(&mut self, cutoff: &Tid) -> CompactionStats {
-        let mut stats = std::mem::take(&mut self.freed_nodes);
+        let mut stats = CompactionStats::default();
         if self.commits.len() > 1 {
             let floor = self
                 .commits
@@ -863,9 +830,7 @@ impl Repository {
                         continue;
                     }
                     self.record_cids.remove(cid);
-                    let removed = self.store.delete(cid);
-                    self.record_bytes -= removed;
-                    stats.bytes_reclaimed += removed;
+                    stats.bytes_reclaimed += self.store.delete(cid);
                     stats.records_dropped += 1;
                 }
                 let last_dropped = self.commits[floor - 1].rev;
@@ -878,6 +843,7 @@ impl Repository {
                 stats.commits_dropped = floor;
             }
         }
+        self.store.evict_cold();
         stats
     }
 }
@@ -1552,8 +1518,8 @@ mod tests {
         // store's residency follows read order, so the order of the `get`s
         // is pinned as well as the order of the frames: a full export reads
         // and frames its record blocks ascending; a delta export reads the
-        // joined nodes ascending, then the record blocks in log order, and
-        // frames everything ascending.
+        // record blocks in log order (its nodes come from the tree, not the
+        // store) and frames everything ascending.
         let store = ReadLog::default();
         let gets = store.gets.clone();
         let did = Did::plc_from_seed(b"read-order");
@@ -1563,7 +1529,7 @@ mod tests {
                 .unwrap();
         }
         let since = repo.rev().unwrap();
-        let nodes_at_since = live_nodes(&repo);
+        let nodes_at_since = tree_blocks(&repo.mst);
         let commits_at_since = repo.log.len();
         for i in 0..25 {
             let at = now().plus_seconds(1 + i);
@@ -1596,18 +1562,19 @@ mod tests {
         assert_eq!(framed, sorted_records);
 
         let delta = repo.export_car_since(&since, DeltaScope::Full).unwrap();
-        let joined: Vec<Cid> = live_nodes(&repo)
-            .difference(&nodes_at_since)
-            .copied()
-            .collect();
-        assert!(joined.len() > 1 && ascending(&joined));
         let log_order: Vec<Cid> = repo.log[commits_at_since..]
             .iter()
             .flat_map(|e| e.record_cids.clone())
             .collect();
         assert!(!ascending(&log_order));
-        assert_eq!(take_gets(), [joined, log_order].concat());
-        assert!(ascending(&frames(&delta)));
+        assert_eq!(take_gets(), log_order);
+        let framed = frames(&delta);
+        assert!(ascending(&framed));
+        let joined: Vec<Cid> = tree_blocks(&repo.mst)
+            .into_keys()
+            .filter(|cid| !nodes_at_since.contains_key(cid))
+            .collect();
+        assert!(joined.len() > 1 && joined.iter().all(|cid| framed.contains(cid)));
     }
 
     #[test]
@@ -1665,7 +1632,7 @@ mod tests {
         let (rkey, _) = repo
             .create_record(post_nsid(), post("keep"), now())
             .unwrap();
-        let size_before = repo.record_bytes;
+        let size_before = repo.store_stats().logical_bytes;
         // The first write of this batch inserts a fresh block, then the
         // second write fails: the whole batch must roll back, store
         // included, so the commit log stays exact.
@@ -1685,7 +1652,7 @@ mod tests {
             now(),
         );
         assert!(err.is_err());
-        assert_eq!(repo.record_bytes, size_before);
+        assert_eq!(repo.store_stats().logical_bytes, size_before);
         assert_eq!(repo.commits.len(), 1);
         let vanished = Cid::for_cbor(&post("should vanish").to_cbor());
         assert!(repo.store.get(&vanished).is_none());
@@ -1712,8 +1679,7 @@ mod tests {
         let nodes_before: std::collections::BTreeSet<Cid> =
             repo.mst.build_with(true).1.iter().map(|n| n.cid).collect();
         let car_before = repo.export_car();
-        let size_before = repo.record_bytes;
-        let (blocks_before, bytes_before) = (repo.store.len(), repo.store.bytes());
+        let stats_before = repo.store_stats();
         let err = repo.apply_writes(
             &[
                 Write::Create {
@@ -1741,13 +1707,13 @@ mod tests {
         assert!(err.is_err());
         // Every write the batch made before failing was undone.
         assert_eq!(
-            (repo.store.len(), repo.store.bytes()),
-            (blocks_before, bytes_before),
+            (repo.store.len(), repo.store_stats().logical_bytes),
+            (stats_before.blocks, stats_before.logical_bytes),
             "orphaned blocks left behind"
         );
+        assert_store_holds_records_only(&repo, "after the failed batch");
         // And the store is byte-identical: the full export round-trips.
         assert_eq!(repo.export_car(), car_before);
-        assert_eq!(repo.record_bytes, size_before);
         // The rollback restored the index through the tree's own insert and
         // remove, which re-dirtied paths without changing them. The next
         // commit must log exactly the node-set change the reference rebuild
@@ -1776,7 +1742,7 @@ mod tests {
         let mut logged_removed = logged.removed_node_cids.clone();
         logged_removed.sort_unstable();
         assert_eq!(logged_removed, removed);
-        assert_eq!(live_nodes(&repo), live_after);
+        assert_store_holds_records_only(&repo, "after the next commit");
     }
 
     #[test]
@@ -1804,10 +1770,22 @@ mod tests {
             paged.export_car_since(&since, DeltaScope::Full).unwrap(),
             mem.export_car_since(&since, DeltaScope::Full).unwrap()
         );
+        // A compaction pass leaves only the open page resident; the blocks
+        // page back in for the next export, byte for byte.
+        let cutoff = mem.commits[5].rev;
+        assert_eq!(paged.compact_before(&cutoff), mem.compact_before(&cutoff));
+        let stats = paged.store_stats();
+        assert!(stats.resident_bytes < 256, "{stats:?}");
+        assert_eq!(stats.logical_bytes, mem.store_stats().logical_bytes);
+        assert_eq!(paged.export_car(), mem.export_car());
+        assert_eq!(
+            paged.export_car_since(&since, DeltaScope::Full).unwrap(),
+            mem.export_car_since(&since, DeltaScope::Full).unwrap()
+        );
     }
 
     #[test]
-    fn compaction_reclaims_nodes_and_aged_records() {
+    fn compaction_reclaims_aged_records() {
         let mut repo = new_repo("quinn");
         let mut rkeys = Vec::new();
         for i in 0..20 {
@@ -1835,21 +1813,17 @@ mod tests {
         let delta_before = repo.export_car_since(&mid_rev, DeltaScope::Full).unwrap();
         let expected_floor = repo.commits[commits_before - 3].rev;
 
-        // Compact everything older than the last two commits. The superseded
-        // nodes left the store as their commits landed; the pass reports
-        // them from the commits' tally.
-        let freed = repo.freed_nodes;
-        assert!(freed.nodes_dropped > 0, "stale nodes must be reclaimed");
+        // Compact everything older than the last two commits. The store
+        // holds record blocks only, so what the pass reports is exactly
+        // what the store lost.
         let cutoff = mid_rev;
         let stats = repo.compact_before(&cutoff);
         assert!(stats.commits_dropped > 0);
         assert_eq!(
-            (stats.nodes_dropped, stats.bytes_reclaimed),
-            (
-                freed.nodes_dropped,
-                freed.bytes_reclaimed + store_bytes_before - repo.store_stats().logical_bytes
-            )
+            stats.bytes_reclaimed,
+            store_bytes_before - repo.store_stats().logical_bytes
         );
+        assert_store_holds_records_only(&repo, "after compaction");
         assert!(
             stats.records_dropped >= 1,
             "the superseded original version must be reclaimed: {stats:?}"
@@ -1975,9 +1949,20 @@ mod tests {
         repo.record_cids.iter().map(|(c, n)| (*c, *n)).collect()
     }
 
-    /// The hashed live node set, in order for comparison.
-    fn live_nodes(repo: &Repository) -> BTreeSet<Cid> {
-        repo.current_node_cids.iter().copied().collect()
+    /// Every node block of a tree as the reference rebuild encodes it.
+    fn tree_blocks(mst: &Mst) -> BTreeMap<Cid, Vec<u8>> {
+        let (_, nodes) = mst.build_with(true);
+        nodes.into_iter().map(|n| (n.cid, n.bytes)).collect()
+    }
+
+    /// The MST node blocks of an archive: those that decode as nodes
+    /// (commits and records have no entry array).
+    fn node_blocks(car: &[u8]) -> BTreeMap<Cid, Vec<u8>> {
+        let (_, blocks) = Repository::parse_car(car).unwrap();
+        blocks
+            .into_iter()
+            .filter(|(_, bytes)| crate::mst::reference::decode_node(bytes).is_ok())
+            .collect()
     }
 
     /// The live-reference counts, recomputed from scratch: every stored
@@ -1992,37 +1977,30 @@ mod tests {
         counts
     }
 
-    /// The node half of the oracle: the store holds exactly the node blocks
-    /// of the live tree, as a rebuild from scratch encodes them, beside the
-    /// record blocks. Returns the live node set.
-    fn assert_store_holds_the_live_tree(repo: &Repository, at: &str) -> BTreeSet<Cid> {
-        let (_, nodes) = repo.mst.build_with(true);
-        for node in &nodes {
-            assert_eq!(repo.store.get(&node.cid), Some(node.bytes.clone()), "{at}");
-        }
-        let live: BTreeSet<Cid> = nodes.iter().map(|n| n.cid).collect();
-        assert_eq!(live_nodes(repo), live, "{at}");
-        // Record and node blocks are disjoint, so nothing else is stored.
-        assert_eq!(
-            repo.store.len(),
-            repo.record_cids.len() + live.len(),
+    /// The tree is held once: the store holds exactly the record blocks
+    /// `record_cids` names, and no node of the live tree (as a rebuild from
+    /// scratch encodes it).
+    fn assert_store_holds_records_only(repo: &Repository, at: &str) {
+        assert_eq!(repo.store.len(), repo.record_cids.len(), "{at}");
+        assert!(
+            repo.record_cids.keys().all(|cid| repo.store.has(cid)),
             "{at}"
         );
-        live
+        assert!(
+            tree_blocks(&repo.mst)
+                .keys()
+                .all(|cid| !repo.store.has(cid)),
+            "{at}"
+        );
     }
 
-    /// The record half of the compaction rule as it was written before the
-    /// counts existed — a `live` set from a walk of the whole tree, a
-    /// `retained` set from the whole retained log — kept as the oracle: what
-    /// a pass at `cutoff` must delete, and the stats it must report on top
-    /// of `freed`, the node blocks the commits since the last pass freed.
-    fn set_based_compaction(
-        repo: &Repository,
-        freed: CompactionStats,
-        cutoff: &Tid,
-    ) -> (BTreeSet<Cid>, CompactionStats) {
+    /// The compaction rule as it was written before the counts existed — a
+    /// `live` set from a walk of the whole tree, a `retained` set from the
+    /// whole retained log — kept as the oracle: what a pass at `cutoff` must
+    /// delete, and the stats it must report.
+    fn set_based_compaction(repo: &Repository, cutoff: &Tid) -> (BTreeSet<Cid>, CompactionStats) {
         let block_len = |cid: &Cid| repo.store.get(cid).map_or(0, |b| b.len());
-        let mut stats = freed;
+        let mut stats = CompactionStats::default();
         let mut victims = BTreeSet::new();
         if repo.commits.len() > 1 {
             let floor = repo
@@ -2051,6 +2029,33 @@ mod tests {
         (victims, stats)
     }
 
+    /// The delta oracle: a `Full` delta since `since`, when the tree was
+    /// `tree_then` and the full archive `car_then`, carries exactly the live
+    /// tree's nodes that `tree_then` lacks, bytes included, and applied to
+    /// `car_then` holds every block of a fresh full export. Returns the
+    /// delta's node blocks.
+    fn assert_full_delta_ships_the_node_difference(
+        repo: &Repository,
+        since: &Tid,
+        (tree_then, car_then): (&Mst, &[u8]),
+        at: &str,
+    ) -> BTreeMap<Cid, Vec<u8>> {
+        let delta = repo.export_car_since(since, DeltaScope::Full).unwrap();
+        let then = tree_blocks(tree_then);
+        let mut expected = tree_blocks(&repo.mst);
+        expected.retain(|cid, _| !then.contains_key(cid));
+        let shipped = node_blocks(&delta);
+        assert_eq!(shipped, expected, "{at}");
+        let merged = Repository::apply_delta(car_then, &delta).unwrap();
+        let (roots, merged) = Repository::parse_car(&merged).unwrap();
+        let (head_roots, head) = Repository::parse_car(&repo.export_car()).unwrap();
+        assert_eq!(roots, head_roots, "{at}");
+        for (cid, bytes) in &head {
+            assert_eq!(merged.get(cid), Some(bytes), "{at}: {cid}");
+        }
+        shipped
+    }
+
     #[test]
     fn reference_counts_agree_with_a_walk_and_the_set_based_rule() {
         // The study's workload only creates records, so no golden reaches
@@ -2059,21 +2064,21 @@ mod tests {
         // under two keys, updates rewrite identical bytes, one batch writes
         // a key several times, and conflicting writes fail batches half-way.
         // After every step each count equals a recount by walk and the
-        // store's node blocks are the live tree's, and every compaction
-        // deletes exactly what the set-based rule deletes.
+        // store holds the record blocks and nothing else, every compaction
+        // deletes exactly what the set-based rule deletes, and a `Full`
+        // delta since a random retained revision ships exactly the node
+        // difference the reference rebuild gives.
         use crate::testrand::TestRng;
         let collections = [post_nsid(), Nsid::parse(known::LIKE).unwrap()];
         let mut seen = (0, 0, 0, 0, 0, 0); // see the final assert
         for seed in [0x5eed_0001u64, 0x5eed_0002, 0x5eed_0003] {
             let mut rng = TestRng::new(seed);
             let mut repo = new_repo(&format!("oracle-{seed}"));
-            let mut live = BTreeSet::new();
-            // Bytes of every node block seen stored, and the nodes (and
-            // their bytes) the commits since the last pass dropped.
-            let mut node_len: BTreeMap<Cid, usize> = BTreeMap::new();
-            let mut freed = CompactionStats::default();
+            // The tree and the full archive at every retained revision.
+            let mut history: BTreeMap<Tid, (Mst, Vec<u8>)> = BTreeMap::new();
             for step in 0..400i64 {
                 let at = now().plus_seconds(step * 3_600);
+                let here = format!("seed {seed} step {step}");
                 // The keys present as the batch is generated, so that most
                 // writes are valid given the ones before them; one in ten
                 // ignores it and (usually) fails the batch where it stands.
@@ -2126,31 +2131,18 @@ mod tests {
                     Ok(_) => {
                         seen.0 += 1;
                         seen.1 += usize::from(identical_update);
+                        let car = repo.export_car();
+                        history.insert(repo.rev().unwrap(), (repo.mst.clone(), car));
                     }
                     Err(_) => {
                         // Rollback: counts, store and index as before.
                         seen.2 += 1;
-                        assert_eq!(counts(&repo), counts_before, "seed {seed} step {step}");
-                        assert_eq!(repo.export_car(), car_before, "seed {seed} step {step}");
+                        assert_eq!(counts(&repo), counts_before, "{here}");
+                        assert_eq!(repo.export_car(), car_before, "{here}");
                     }
                 }
-                assert_eq!(
-                    counts(&repo),
-                    counts_by_walk(&repo),
-                    "seed {seed} step {step}: {batch:?}"
-                );
-                // A commit frees the nodes it drops: each left the store as
-                // it left the tree.
-                let now_live =
-                    assert_store_holds_the_live_tree(&repo, &format!("seed {seed} step {step}"));
-                for cid in live.difference(&now_live) {
-                    freed.nodes_dropped += 1;
-                    freed.bytes_reclaimed += node_len[cid];
-                }
-                for cid in &now_live {
-                    node_len.insert(*cid, repo.store.get(cid).unwrap().len());
-                }
-                live = now_live;
+                assert_eq!(counts(&repo), counts_by_walk(&repo), "{here}: {batch:?}");
+                assert_store_holds_records_only(&repo, &here);
                 seen.3 += usize::from(repo.record_cids.values().any(|&n| n >= 2));
                 if rng.below(12) == 0 && !repo.commits.is_empty() {
                     // A cutoff anywhere from before the oldest retained
@@ -2159,54 +2151,69 @@ mod tests {
                         index if index < repo.commits.len() => repo.commits[index].rev,
                         _ => Tid::from_micros(at.timestamp() as u64 * 1_000_000 + 1, 0),
                     };
-                    let freed = std::mem::take(&mut freed);
-                    let (victims, expected) = set_based_compaction(&repo, freed, &cutoff);
-                    seen.5 += expected.nodes_dropped;
+                    let (victims, expected) = set_based_compaction(&repo, &cutoff);
                     let mut survivors = counts(&repo);
                     survivors.retain(|cid, _| !victims.contains(cid));
                     let victim_bytes: usize = victims
                         .iter()
                         .map(|cid| repo.store.get(cid).unwrap().len())
                         .sum();
-                    let bytes_before = repo.record_bytes;
+                    let bytes_before = repo.store_stats().logical_bytes;
                     let stats = repo.compact_before(&cutoff);
-                    assert_eq!(stats, expected, "seed {seed} step {step}");
-                    assert_eq!(counts(&repo), survivors, "seed {seed} step {step}");
-                    assert_store_holds_the_live_tree(&repo, &format!("seed {seed} step {step}"));
+                    assert_eq!(stats, expected, "{here}");
+                    assert_eq!(counts(&repo), survivors, "{here}");
+                    assert_store_holds_records_only(&repo, &here);
                     assert!(victims.iter().all(|cid| repo.store.get(cid).is_none()));
                     assert!(survivors.keys().all(|cid| repo.store.get(cid).is_some()));
-                    assert_eq!(bytes_before - repo.record_bytes, victim_bytes);
+                    assert_eq!(
+                        bytes_before - repo.store_stats().logical_bytes,
+                        victim_bytes
+                    );
                     seen.4 += stats.records_dropped;
                     // Idempotent, and the counts survive the pass.
                     assert_eq!(repo.compact_before(&cutoff), CompactionStats::default());
                     assert_eq!(counts(&repo), counts_by_walk(&repo));
+                    let oldest = repo.commits[0].rev;
+                    history.retain(|rev, _| *rev >= oldest);
+                }
+                if rng.below(6) == 0 && !repo.commits.is_empty() {
+                    let since = repo.commits[rng.below(repo.commits.len() as u64) as usize].rev;
+                    let (tree, car) = &history[&since];
+                    let shipped = assert_full_delta_ships_the_node_difference(
+                        &repo,
+                        &since,
+                        (tree, car),
+                        &format!("{here} since {since}"),
+                    );
+                    seen.5 += usize::from(!shipped.is_empty());
                 }
             }
         }
-        let (committed, identical, failed, shared, dropped, nodes) = seen;
+        let (committed, identical, failed, shared, dropped, node_deltas) = seen;
         assert!(
             committed > 300
                 && identical > 0
                 && failed > 100
                 && shared > 0
                 && dropped > 0
-                && nodes > 0,
+                && node_deltas > 20,
             "the generator stopped reaching a case: {seen:?}"
         );
     }
 
     #[test]
-    fn a_node_that_returns_or_leaves_twice_is_freed_by_each_commit() {
-        // The tree goes A → B → A → B: the nodes only A has leave, return
-        // and leave again, the nodes only B has leave and are back. Each
-        // commit frees what it drops and stores what rejoins, so after every
-        // commit the store holds exactly the live tree, and every retained
-        // revision still serves a delta its archive accepts.
+    fn a_delta_over_a_tree_that_swings_back_ships_only_the_nodes_it_lacks() {
+        // The tree goes A → B → A → B over revisions r1 to r4: the nodes
+        // only A has leave, return and leave again, the nodes only B has
+        // leave and come back, and the store holds none of them throughout.
+        // A delta since r1 or r3 (tree A) carries exactly B's own nodes, one
+        // since r2 (tree B) carries none, and every retained revision's
+        // delta applies to the archive taken at it.
         let mut repo = new_repo("pendulum");
         repo.create_record(post_nsid(), post("anchor"), now())
             .unwrap();
-        let mut archives = vec![(repo.rev().unwrap(), repo.export_car())];
-        let mut swing = |repo: &mut Repository, create: bool| {
+        let mut history = vec![(repo.rev().unwrap(), repo.mst.clone(), repo.export_car())];
+        for create in [true, false, true] {
             let (collection, rkey) = (post_nsid(), "swing".to_string());
             let write = match create {
                 true => Write::Create {
@@ -2217,68 +2224,26 @@ mod tests {
                 false => Write::Delete { collection, rkey },
             };
             repo.apply_writes(&[write], now().plus_seconds(60)).unwrap();
-            archives.push((repo.rev().unwrap(), repo.export_car()));
-            assert_store_holds_the_live_tree(repo, &format!("commit {}", archives.len()))
-        };
-        let tree_a = assert_store_holds_the_live_tree(&repo, "commit 1");
-        let a_len: BTreeMap<Cid, usize> = tree_a
-            .iter()
-            .map(|cid| (*cid, repo.store.get(cid).unwrap().len()))
-            .collect();
-        let tree_b = swing(&mut repo, true);
-        let only_a: BTreeSet<Cid> = tree_a.difference(&tree_b).copied().collect();
-        let a_bytes: usize = only_a.iter().map(|cid| a_len[cid]).sum();
-        let only_b: BTreeSet<Cid> = tree_b.difference(&tree_a).copied().collect();
-        assert!(!only_a.is_empty() && !only_b.is_empty());
-        let stored = |repo: &Repository, cid: &Cid| repo.store.get(cid).is_some();
-        assert!(
-            only_a.iter().all(|cid| !stored(&repo, cid)),
-            "A's nodes freed"
-        );
-        // Back to A: its nodes are readable again, B's are freed.
-        assert_eq!(
-            swing(&mut repo, false),
-            tree_a,
-            "the delete restored the tree"
-        );
-        assert!(only_a.iter().all(|cid| stored(&repo, cid)));
-        assert!(only_b.iter().all(|cid| !stored(&repo, cid)));
-        assert_eq!(swing(&mut repo, true), tree_b);
-        assert!(only_a.iter().all(|cid| !stored(&repo, cid)));
-        assert!(only_b.iter().all(|cid| stored(&repo, cid)));
-
-        // Every retained revision's delta rebuilds the head from the
-        // archive taken at it, although the nodes it dropped are gone.
-        let head = repo.export_car();
-        for (rev, car) in &archives {
-            let delta = repo.export_car_since(rev, DeltaScope::Full).unwrap();
-            let merged = Repository::apply_delta(car, &delta).unwrap();
-            assert_eq!(
-                decoded_records(&merged),
-                decoded_records(&head),
-                "since {rev}"
-            );
-            let (_, blocks) = Repository::parse_car(&merged).unwrap();
-            assert!(
-                tree_b.iter().all(|cid| blocks.contains_key(cid)),
-                "since {rev}"
-            );
+            assert_store_holds_records_only(&repo, &format!("r{}", history.len() + 1));
+            history.push((repo.rev().unwrap(), repo.mst.clone(), repo.export_car()));
         }
-
-        // The pass reports what the commits freed: A's nodes twice, B's
-        // once, with their bytes.
-        let b_bytes: usize = only_b
-            .iter()
-            .map(|cid| repo.store.get(cid).unwrap().len())
-            .sum();
-        let expected = CompactionStats {
-            nodes_dropped: 2 * only_a.len() + only_b.len(),
-            bytes_reclaimed: 2 * a_bytes + b_bytes,
-            ..CompactionStats::default()
-        };
-        let cutoff = Tid::from_micros(1, 0);
-        assert_eq!(repo.compact_before(&cutoff), expected);
-        assert_eq!(repo.compact_before(&cutoff), CompactionStats::default());
+        let tree_a = tree_blocks(&history[0].1);
+        let tree_b = tree_blocks(&history[1].1);
+        assert_eq!(tree_blocks(&history[2].1), tree_a, "the delete restored A");
+        assert_eq!(tree_blocks(&repo.mst), tree_b);
+        let mut only_b = tree_b.clone();
+        only_b.retain(|cid, _| !tree_a.contains_key(cid));
+        assert!(!only_b.is_empty() && tree_a.keys().any(|cid| !tree_b.contains_key(cid)));
+        for (r, (rev, tree, car)) in history.iter().enumerate() {
+            let since = format!("since r{}", r + 1);
+            let shipped =
+                assert_full_delta_ships_the_node_difference(&repo, rev, (tree, car), &since);
+            let expected = match r % 2 {
+                0 => only_b.clone(),
+                _ => BTreeMap::new(),
+            };
+            assert_eq!(shipped, expected, "{since}");
+        }
     }
 
     /// A repository holding one record of each of the nine kinds over

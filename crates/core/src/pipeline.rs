@@ -385,10 +385,10 @@ pub struct StreamSummary {
     /// claimed a `$type` and then failed their lexicon's decode. A visible
     /// dataset gap, never a silent drop; zero in every clean run.
     pub repo_records_undecodable: u64,
-    /// Block-store bytes reclaimed from the repositories, as the weekly
-    /// compaction passes report them: the MST nodes the commits since the
-    /// previous pass superseded (freed as each commit landed) and the
-    /// unreachable record versions the pass deleted.
+    /// Block-store bytes reclaimed from the repositories by the weekly
+    /// compaction passes: the aged-out, unreachable record versions they
+    /// deleted (the stores hold no MST nodes). Zero while the workload only
+    /// creates records.
     pub store_bytes_reclaimed: u64,
     /// Block bytes resident in memory at the end of the run (fleet repos +
     /// AppView counter blocks + the producer's repo mirror).

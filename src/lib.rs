@@ -109,9 +109,9 @@
 //!
 //! ## Pluggable block storage and compaction
 //!
-//! Every CID-addressed byte blob — repository record and MST node blocks,
-//! the study mirror's record blocks and the AppView's counter blocks —
-//! lives behind the `bsky_atproto::blockstore::BlockStore` trait. Two
+//! Every stored CID-addressed byte blob — repository record blocks, the
+//! study mirror's record blocks and the AppView's counter blocks — lives
+//! behind the `bsky_atproto::blockstore::BlockStore` trait. Two
 //! backends, built from
 //! a `StoreConfig` and not nameable otherwise: the in-memory store (the
 //! default) and the paged store (fixed-size pages with an LRU of resident
@@ -166,12 +166,12 @@
 //! On the wire, MST node entries are prefix-compressed exactly like the
 //! reference implementation (`p` shared-prefix length + `k` suffix),
 //! shrinking full CARs and structural deltas alike. On the storage side,
-//! a commit deletes the MST nodes it supersedes (deltas ship only current
-//! nodes), and the study producer runs a weekly compaction pass
-//! (`bsky_atproto::repo::Repository::compact_before`): commits that aged
-//! out of the delta-serving window are dropped with their unreachable
-//! record versions, and the pass reports the nodes freed since the
-//! previous one. A delta
+//! a repository's block store holds record blocks only: the in-memory MST
+//! is the one copy of the tree, encoded while a CAR is written (deltas
+//! ship only current nodes). The study producer runs a weekly compaction
+//! pass (`bsky_atproto::repo::Repository::compact_before`): commits that
+//! aged out of the delta-serving window are dropped with their unreachable
+//! record versions. A delta
 //! requested since a compacted revision fails with
 //! `AtError::RevisionCompacted`, and the incremental mirror falls back to
 //! a full fetch *visibly* — the fallback count is
