@@ -1,9 +1,10 @@
 //! Pluggable, CID-addressed block storage.
 //!
 //! Every stored content-addressed byte blob in the system — repository
-//! record blocks, the AppView's counter blocks, the study mirror's
-//! decoded-record blocks — lives behind one trait with these backends (MST
-//! node blocks are not stored: the in-memory tree encodes them on export):
+//! record blocks, the AppView's counter blocks, the study mirror's copies of
+//! fetched record blocks (decoded once, at the window end) — lives behind
+//! one trait with these backends (MST node blocks are not stored: the
+//! in-memory tree encodes them on export):
 //!
 //! * `MemStore` — everything resident in one hash table keyed by CID
 //!   ([`CidMap`]: a block is found by its digest, not by comparing keys down

@@ -25,13 +25,15 @@
 //! deltas only ever ship *current* nodes, so no node block is kept for a
 //! past revision, and an export encodes the live nodes from the tree while
 //! it writes the archive. Beside the tree the repository keeps only CID
-//! indexes resident (`record_cids` with its live-reference counts, and the
-//! per-commit log), so its block memory is governed by the store backend.
+//! indexes resident (the per-commit log, and `record_cids`, the live-reference
+//! counts that are not 1), so its block memory is governed by the store
+//! backend.
 //!
 //! The CID indexes are hash tables ([`CidMap`] / `CidSet`): a write, a
 //! commit and a compaction pass look CIDs up and never need them in order.
 //! Order exists only where it reaches bytes or a store's read order, and is
-//! made there: a full export sorts the record CIDs it frames, a delta export
+//! made there: a full export sorts the record CIDs it frames (the tree's
+//! distinct values plus the versions waiting for compaction), a delta export
 //! stages its blocks in a CID-ordered map, and the archive parsers collect
 //! into ordered maps.
 //!
@@ -52,16 +54,19 @@
 //! fetch *visibly* (the study pipeline surfaces these fallbacks in its
 //! stream summary rather than hiding them).
 //!
-//! A pass costs what aged out, never the repository. `record_cids` maps every
-//! stored record block to the number of MST keys that currently point at it,
-//! moved by each write as it is applied (and moved back when a failed batch
-//! rolls back), so "unreachable from the head" is `count == 0` — one map
-//! lookup per aged-out block, no walk of the tree. The other half of the
-//! rule, "not re-introduced by a retained commit", needs the set of blocks
-//! the retained log entries name; it is built lazily, only once an aged-out
-//! block with no live reference turns up. A repository that only ever
-//! creates records never has one, so its weekly pass is a lookup per
-//! aged-out record.
+//! A pass costs what aged out, never the repository. Every stored record
+//! block has a live-reference count, the number of MST keys that currently
+//! point at it, moved by each write as it is applied (and moved back when a
+//! failed batch rolls back). Nearly every count is 1, so `record_cids` holds
+//! only the others: 0 for a deleted or superseded version waiting for
+//! compaction, 2 or more for content shared between keys; a stored block
+//! with no entry has count 1. "Unreachable from the head" is an entry of 0 —
+//! one map lookup per aged-out block, no walk of the tree. The other half of
+//! the rule, "not re-introduced by a retained commit", needs the set of
+//! blocks the retained log entries name; it is built lazily, only once an
+//! aged-out block with no live reference turns up. A repository that only
+//! ever creates distinct records never has one: its `record_cids` stays
+//! empty, and its weekly pass is a lookup per aged-out record.
 //!
 //! ## CAR archives
 //!
@@ -242,8 +247,8 @@ pub(crate) type ParsedCar = (Vec<Cid>, BTreeMap<Cid, Vec<u8>>);
 /// every appended record rewrites its leaf-to-root path, so a weekly sync
 /// re-ships each touched path once even though the *records* of that week
 /// are much smaller. Consumers that maintain a verifiable block mirror (the
-/// Relay) need those nodes; consumers that maintain only decoded records
-/// (the §3 dataset mirror) can skip them and verify the head commit alone.
+/// Relay) need those nodes; consumers that keep only the record blocks (the
+/// §3 dataset mirror) can skip them and verify the head commit alone.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DeltaScope {
     /// Head commit + net MST node difference + record blocks: everything a
@@ -252,7 +257,7 @@ pub enum DeltaScope {
     #[default]
     Full,
     /// Head commit + record blocks only: sufficient (and much smaller) for
-    /// consumers that keep decoded records rather than raw block stores.
+    /// consumers that keep record blocks but not the tree.
     Records,
 }
 
@@ -306,12 +311,13 @@ pub struct Repository {
     mst: Mst,
     /// The record blocks, behind the pluggable store.
     store: Box<dyn BlockStore>,
-    /// Every record block currently in the store, with the number of MST
-    /// keys that point at it (0: a deleted or superseded version kept until
-    /// compaction or GC). The block list for exports (sorted there) and the
-    /// liveness test for compaction and GC, kept resident because it is
-    /// small compared to the blocks themselves. Counts move in `move_ref`
-    /// only.
+    /// The live-reference counts that are not 1: for a record block in the
+    /// store, the number of MST keys that point at it. 0 is a deleted or
+    /// superseded version kept until compaction, 2 or more is content shared
+    /// between keys, and a stored block with no entry has count 1. Every
+    /// entry names a stored block. The zero entries are the liveness test
+    /// for compaction and, with the tree's values, the block list for full
+    /// exports. Counts move in `add_ref` only.
     record_cids: CidMap<u32>,
     /// Retained commits (oldest first). Compaction drops the front.
     commits: Vec<Commit>,
@@ -387,18 +393,33 @@ impl Repository {
     }
 
     /// Move one MST key's reference from `old` to `new` in the
-    /// live-reference counts (`None`: the key is absent on that side). Both
-    /// blocks are in the store — `old` because a key pointed at it, `new`
-    /// because the caller just put it.
+    /// live-reference counts (`None`: the key is absent on that side, or
+    /// `new` is a block the caller just stored, whose count starts at this
+    /// key's reference). Both blocks are in the store — `old` because a key
+    /// pointed at it, `new` because the caller found it there.
     fn move_ref(&mut self, old: Option<Cid>, new: Option<Cid>) {
         if old == new {
             return;
         }
-        if let Some(count) = old.and_then(|cid| self.record_cids.get_mut(&cid)) {
-            *count -= 1;
+        if let Some(cid) = old {
+            self.add_ref(cid, -1);
         }
-        if let Some(count) = new.and_then(|cid| self.record_cids.get_mut(&cid)) {
-            *count += 1;
+        if let Some(cid) = new {
+            self.add_ref(cid, 1);
+        }
+    }
+
+    /// Add `step` (±1) to a stored block's count under the map's rule: a
+    /// count that reaches 1 leaves the map, one that leaves 1 enters it.
+    fn add_ref(&mut self, cid: Cid, step: i32) {
+        let count = self.record_cids.get(&cid).copied().unwrap_or(1);
+        let count = count
+            .checked_add_signed(step)
+            .expect("a live-reference count never falls below 0");
+        if count == 1 {
+            self.record_cids.remove(&cid);
+        } else {
+            self.record_cids.insert(cid, count);
         }
     }
 
@@ -417,12 +438,13 @@ impl Repository {
         let cid = Cid::for_cbor(&self.encode_buf);
         let len = self.encode_buf.len();
         *bytes_written += len;
-        if self.store.put(cid, self.encode_buf.clone()) {
+        let fresh = self.store.put(cid, self.encode_buf.clone());
+        if fresh {
             fresh_blocks.push(cid);
-            self.record_cids.insert(cid, 0);
         }
         let initial = self.mst.insert(&key, cid)?;
-        self.move_ref(initial, Some(cid));
+        // A fresh block's count is this key's reference: 1, no entry.
+        self.move_ref(initial, (!fresh).then_some(cid));
         touched.entry(key).or_insert((initial, initial)).1 = Some(cid);
         Ok(())
     }
@@ -594,7 +616,9 @@ impl Repository {
 
     /// Export the full repository as a CAR-like archive: header + every
     /// retained block (commits, MST nodes, records). Used by
-    /// `com.atproto.sync.getRepo`. Commits and record versions dropped by a
+    /// `com.atproto.sync.getRepo`. The record blocks are the stored ones:
+    /// the tree's distinct values plus the versions waiting for compaction
+    /// (the zero counts). Commits and record versions dropped by a
     /// compaction pass are gone from full exports too.
     pub fn export_car(&self) -> Vec<u8> {
         let roots: Vec<Cid> = self.head_cid.into_iter().collect();
@@ -607,8 +631,16 @@ impl Repository {
             .for_each_block(|_| true, |cid, bytes| car.block(cid, bytes));
         // Sorted: the archive frames its record blocks in ascending CID
         // order, and a paged store is read in that order.
-        let mut record_cids: Vec<Cid> = self.record_cids.keys().copied().collect();
+        let mut record_cids: Vec<Cid> = Vec::with_capacity(self.store.len());
+        record_cids.extend(self.mst.iter().map(|(_, cid)| *cid));
+        record_cids.extend(
+            self.record_cids
+                .iter()
+                .filter(|&(_, &count)| count == 0)
+                .map(|(cid, _)| *cid),
+        );
         record_cids.sort_unstable();
+        record_cids.dedup();
         for cid in &record_cids {
             if let Some(bytes) = self.store.get(cid) {
                 car.block(cid, &bytes);
@@ -620,7 +652,7 @@ impl Repository {
     /// `com.atproto.sync.getRepo(did, since=rev)`: export only what a
     /// consumer synced to `since` is missing — the commits after `since`
     /// ([`DeltaScope::Records`] trims this to the head commit alone, which
-    /// is all a decoded-record consumer verifies), the **net** MST node
+    /// is all a records-only consumer verifies), the **net** MST node
     /// difference between the live tree and the tree at `since` (found by
     /// replaying the per-commit add/remove log backwards and encoding only
     /// the live subtrees it marks new, so transient nodes that appeared and
@@ -816,7 +848,9 @@ impl Repository {
                 // an aged-out block without a live reference turns up.
                 let mut retained: Option<CidSet> = None;
                 for cid in self.log[..floor].iter().flat_map(|e| &e.record_cids) {
-                    // Still referenced by the tree — or already deleted.
+                    // Only a zero count is unreferenced: no entry is a
+                    // count of 1 (or a block already deleted), and any
+                    // other entry is shared content.
                     if self.record_cids.get(cid) != Some(&0) {
                         continue;
                     }
@@ -1557,7 +1591,7 @@ mod tests {
         assert_eq!(take_gets(), sorted_records);
         let framed: Vec<Cid> = frames(&full)
             .into_iter()
-            .filter(|cid| repo.record_cids.contains_key(cid))
+            .filter(|cid| repo.store.has(cid))
             .collect();
         assert_eq!(framed, sorted_records);
 
@@ -1944,9 +1978,17 @@ mod tests {
         assert!(repo.store.get(&record_cid).is_none());
     }
 
-    /// The hashed live-reference counts, in order for comparison.
+    /// Every stored record block with its live-reference count, in order
+    /// for comparison: the map's rule expanded to the tree's distinct values
+    /// and the zero-count entries, with 1 where there is no entry.
     fn counts(repo: &Repository) -> BTreeMap<Cid, u32> {
-        repo.record_cids.iter().map(|(c, n)| (*c, *n)).collect()
+        let count = |cid: &Cid| repo.record_cids.get(cid).copied().unwrap_or(1);
+        let zeros = repo.record_cids.iter().filter(|&(_, &n)| n == 0);
+        repo.mst
+            .iter()
+            .map(|(_, cid)| (*cid, count(cid)))
+            .chain(zeros.map(|(cid, n)| (*cid, *n)))
+            .collect()
     }
 
     /// Every node block of a tree as the reference rebuild encodes it.
@@ -1965,26 +2007,33 @@ mod tests {
             .collect()
     }
 
-    /// The live-reference counts, recomputed from scratch: every stored
-    /// record block with the number of MST keys whose value it is.
+    /// The live-reference counts, recomputed from scratch: the number of
+    /// MST keys whose value each block is, beside the zero-count entries.
     fn counts_by_walk(repo: &Repository) -> BTreeMap<Cid, u32> {
-        let mut counts: BTreeMap<Cid, u32> = repo.record_cids.keys().map(|c| (*c, 0)).collect();
+        let zeros = repo.record_cids.iter().filter(|&(_, &n)| n == 0);
+        let mut counts: BTreeMap<Cid, u32> = zeros.map(|(cid, _)| (*cid, 0)).collect();
         for (key, cid) in repo.mst.iter() {
-            *counts
-                .get_mut(cid)
-                .unwrap_or_else(|| panic!("{key} points at an unstored block")) += 1;
+            assert!(repo.store.has(cid), "{key} points at an unstored block");
+            *counts.entry(*cid).or_insert(0) += 1;
         }
         counts
     }
 
-    /// The tree is held once: the store holds exactly the record blocks
-    /// `record_cids` names, and no node of the live tree (as a rebuild from
-    /// scratch encodes it).
+    /// The tree is held once and the counts keep their rule: the store
+    /// holds exactly the record blocks `counts` names and no node of the
+    /// live tree (as a rebuild from scratch encodes it), no entry is a
+    /// count of 1, and every entry names a stored block.
     fn assert_store_holds_records_only(repo: &Repository, at: &str) {
-        assert_eq!(repo.store.len(), repo.record_cids.len(), "{at}");
+        let blocks = counts(repo);
+        assert_eq!(repo.store.len(), blocks.len(), "{at}");
+        assert!(blocks.keys().all(|cid| repo.store.has(cid)), "{at}");
+        assert!(
+            repo.record_cids.values().all(|&n| n != 1),
+            "{at}: a count of 1 is stored"
+        );
         assert!(
             repo.record_cids.keys().all(|cid| repo.store.has(cid)),
-            "{at}"
+            "{at}: a count names an unstored block"
         );
         assert!(
             tree_blocks(&repo.mst)
@@ -2016,7 +2065,7 @@ mod tests {
                 for cid in repo.log[..floor].iter().flat_map(|e| &e.record_cids) {
                     if !live.contains(cid)
                         && !retained.contains(cid)
-                        && repo.record_cids.contains_key(cid)
+                        && repo.store.has(cid)
                         && victims.insert(*cid)
                     {
                         stats.records_dropped += 1;
@@ -2069,6 +2118,17 @@ mod tests {
         // delta since a random retained revision ships exactly the node
         // difference the reference rebuild gives.
         use crate::testrand::TestRng;
+        // The study's case first: a repository that only creates distinct
+        // records stores no count at all, not even an emptied table.
+        let mut creates_only = new_repo("creates-only");
+        for i in 0..50 {
+            creates_only
+                .create_record(post_nsid(), post(&format!("distinct {i}")), now())
+                .unwrap();
+        }
+        creates_only.compact_before(&creates_only.rev().unwrap());
+        assert_eq!(creates_only.record_cids.capacity(), 0);
+        assert_store_holds_records_only(&creates_only, "creates only");
         let collections = [post_nsid(), Nsid::parse(known::LIKE).unwrap()];
         let mut seen = (0, 0, 0, 0, 0, 0); // see the final assert
         for seed in [0x5eed_0001u64, 0x5eed_0002, 0x5eed_0003] {

@@ -19,6 +19,7 @@
 //! | no relay CAR cache, no AppView content blocks | 846 270 | 20 069 | 42.2 |
 //! | MST nodes freed by their commit, one URI per curated post | 814 248 | 20 069 | 40.6 |
 //! | MST nodes only in the tree, not in the repository store | 779 987 | 20 069 | 38.9 |
+//! | reference counts stored only where they are not 1 | 777 532 | 20 069 | 38.7 |
 //!
 //! The budget ratchets: it is the last row plus one call of slack, and a
 //! change that lowers the figure lowers the budget with it. The `LD_PRELOAD`
@@ -79,7 +80,7 @@ fn heap_calls() -> u64 {
 }
 
 /// The last row of the table above, plus one call of slack.
-const BUDGET_PER_RECORD: f64 = 39.9;
+const BUDGET_PER_RECORD: f64 = 39.7;
 
 #[test]
 fn heap_calls_per_record_written_stay_within_budget() {

@@ -33,9 +33,10 @@
 //! 2. an unchanged revision costs **zero** fetches; a changed one is
 //!    fetched as a `com.atproto.sync.getRepo(did, since=rev)` **delta** —
 //!    the head commit plus the record blocks created after the mirror's
-//!    revision (`DeltaScope::Records`: this mirror keeps decoded records,
-//!    so it skips the MST node blocks a full-fidelity block mirror would
-//!    request — see `bsky_atproto::repo`);
+//!    revision (`DeltaScope::Records`: this mirror keeps record blocks and
+//!    decodes them once, at the window end, so it skips the MST node blocks
+//!    a full-fidelity block mirror would request — see
+//!    `bsky_atproto::repo`);
 //! 3. new DIDs, revision rewinds, and failed or unverifiable deltas fall
 //!    back to a full CAR fetch; DIDs that vanish from `listRepos`
 //!    (deletions) drop their mirror state and are counted as skips;
@@ -102,6 +103,7 @@ use bsky_simnet::faults::{FaultPlan, RetryPolicy, TimeoutClass};
 use bsky_simnet::http::HttpResponse;
 use bsky_simnet::net::HostingClass;
 use bsky_workload::World;
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -225,9 +227,11 @@ struct MirroredRepo {
     rev: Option<Tid>,
     /// CIDs of every fetched block that carries a record's `$type` — the
     /// same view a reader of the full CAR takes, so decoding these in CID
-    /// order reproduces what a window-end full export decodes to. Ordered:
-    /// `records` decodes in this set's order, which reaches the analyzers.
-    record_cids: BTreeSet<Cid>,
+    /// order reproduces what a window-end full export decodes to. Sorted,
+    /// each CID once, at exact capacity: `records` decodes in this order,
+    /// which reaches the analyzers, and each fetched archive's CID-sorted
+    /// records are merged in.
+    record_cids: Vec<Cid>,
     /// The PDS hostname the state was fetched from. A repo that re-homes
     /// (account migration) is backfilled with a full fetch: deltas across
     /// a host change are not trusted.
@@ -261,10 +265,12 @@ pub(crate) struct IncrementalRepoMirror {
     passes: u64,
     /// Record blocks, CID-addressed and shared across DIDs.
     store: Box<dyn BlockStore>,
-    /// Per-block reference counts: identical records fetched from different
-    /// repositories share one block, which must survive until the last
-    /// referencing DID is dropped. Looked up per block, never iterated.
-    refs: CidMap<u32>,
+    /// How many DIDs hold each block that two or more of them hold:
+    /// identical records fetched from different repositories share one
+    /// block, which must survive until its last holder is dropped. A stored
+    /// block with no entry has one holder, as nearly every block does.
+    /// Looked up per block, never iterated.
+    shared: CidMap<u32>,
     /// The deterministic fault schedule (quiet by default).
     faults: Arc<FaultPlan>,
     /// Retry policy for full `getRepo` fetches.
@@ -309,7 +315,7 @@ impl IncrementalRepoMirror {
             repos: BTreeMap::new(),
             passes: 0,
             store,
-            refs: CidMap::default(),
+            shared: CidMap::default(),
             faults,
             retry_full,
             retry_delta,
@@ -321,36 +327,54 @@ impl IncrementalRepoMirror {
         self.store.stats()
     }
 
-    /// Reference-counted insert of one DID's freshly fetched record blocks,
-    /// still borrowed from the CAR they arrived in: a block is copied once,
-    /// into the store, and only if no DID holds it yet.
+    /// Insert one DID's freshly fetched record blocks, CID-sorted and still
+    /// borrowed from the CAR they arrived in, by merging their CIDs into the
+    /// DID's list: a CID the DID already holds, or one repeated in the
+    /// archive, counts once. A block is copied once, into the store, when no
+    /// DID holds it yet; a block the store already has gains a holder in
+    /// `shared` instead.
     fn insert_records(&mut self, did: &Did, records: &[(Cid, &[u8])]) -> &mut MirroredRepo {
         if !self.repos.contains_key(did) {
             self.repos.insert(did.clone(), MirroredRepo::default());
         }
         let entry = self.repos.get_mut(did).expect("present or just inserted");
         entry.listed_in = self.passes;
-        for &(cid, bytes) in records {
-            if entry.record_cids.insert(cid) {
-                let refs = self.refs.entry(cid).or_insert(0);
-                *refs += 1;
-                if *refs == 1 {
-                    self.store.put(cid, bytes.to_vec());
-                }
-            }
+        if records.is_empty() {
+            return entry;
         }
+        let held = std::mem::take(&mut entry.record_cids);
+        let mut merged = Vec::with_capacity(held.len() + records.len());
+        let mut held = held.into_iter().peekable();
+        for &(cid, bytes) in records {
+            merged.extend(std::iter::from_fn(|| held.next_if(|old| *old < cid)));
+            if held.peek() == Some(&cid) || merged.last() == Some(&cid) {
+                continue;
+            }
+            if self.store.has(&cid) {
+                *self.shared.entry(cid).or_insert(1) += 1;
+            } else {
+                self.store.put(cid, bytes.to_vec());
+            }
+            merged.push(cid);
+        }
+        merged.extend(held);
+        merged.shrink_to_fit();
+        entry.record_cids = merged;
         entry
     }
 
-    /// Drop one DID's state, deleting blocks that became unreferenced.
+    /// Drop one DID's state, deleting the blocks no other DID holds.
     fn drop_state(&mut self, did: &Did) {
         if let Some(entry) = self.repos.remove(did) {
             for cid in entry.record_cids {
-                let refs = self.refs.entry(cid).or_insert(1);
-                *refs -= 1;
-                if *refs == 0 {
-                    self.refs.remove(&cid);
-                    self.store.delete(&cid);
+                match self.shared.entry(cid) {
+                    Entry::Occupied(mut holders) if *holders.get() > 2 => *holders.get_mut() -= 1,
+                    Entry::Occupied(holders) => {
+                        holders.remove();
+                    }
+                    Entry::Vacant(_) => {
+                        self.store.delete(&cid);
+                    }
                 }
             }
         }
@@ -1777,12 +1801,84 @@ mod tests {
                 );
             }
             assert_eq!(s1.repo_records_undecodable + s2.repo_records_undecodable, 0);
-            // Dropping every DID empties the store (refcounts balance).
+            // Dropping every DID empties the store.
             for did in &dids {
                 paged.drop_state(did);
             }
             assert_eq!(paged.store_stats().blocks, 0);
             assert_eq!(paged.store_stats().logical_bytes, 0);
+        }
+
+        #[test]
+        fn a_block_two_dids_hold_outlives_either_of_them() {
+            // Two repositories hold an identical record, so the mirror
+            // stores it once and lists it in `shared`. Losing one holder —
+            // its DID vanishes from `listRepos`, or a full refetch replaces
+            // its state — leaves the block to the other; losing both empties
+            // the store and the map. On both backends.
+            let said_twice = post("said twice");
+            let shared = Cid::for_cbor(&said_twice.to_cbor());
+            let later = now().plus_days(1);
+            for config in [
+                StoreConfig::mem(),
+                StoreConfig::paged().page_size(512).resident_pages(1),
+            ] {
+                for replaced in [false, true] {
+                    let here = format!("{config:?}, replaced: {replaced}");
+                    let (mut relay, mut fleet, dids) = setup(2);
+                    for did in &dids {
+                        post_on(&mut fleet, did, "said twice", now());
+                    }
+                    relay.crawl(&fleet, now());
+                    let mut mirror = IncrementalRepoMirror::with_store(config.build());
+                    let mut summary = StreamSummary::default();
+                    mirror.sync(&mut relay, &mut fleet, now(), &mut summary);
+                    assert_eq!(mirror.shared.get(&shared), Some(&2), "{here}");
+                    let blocks = mirror.store_stats().blocks;
+
+                    let (gone, keeper) = (&dids[0], &dids[1]);
+                    fleet
+                        .pds_for_mut(gone)
+                        .unwrap()
+                        .delete_account(gone, later)
+                        .unwrap();
+                    if replaced {
+                        fleet
+                            .create_account_on(
+                                "pds002.host.bsky.network",
+                                gone.clone(),
+                                Handle::parse("mu0-reborn.bsky.social").unwrap(),
+                                later,
+                            )
+                            .unwrap();
+                        post_on(&mut fleet, gone, "said once", later);
+                    }
+                    relay.crawl(&fleet, later);
+                    mirror.sync(&mut relay, &mut fleet, later, &mut summary);
+                    let full_fetches = 2 + u64::from(replaced);
+                    assert_eq!(summary.repo_full_fetches, full_fetches, "{here}");
+                    assert!(mirror.shared.is_empty(), "{here}");
+                    let kept = mirror.records(keeper, &mut summary).unwrap();
+                    assert!(kept.iter().any(|(_, _, r)| *r == said_twice), "{here}");
+                    let replacement = mirror
+                        .records(gone, &mut summary)
+                        .map(|records| records.into_iter().map(|(_, _, r)| r).collect::<Vec<_>>());
+                    let expected = replaced.then(|| vec![post("said once")]);
+                    assert_eq!(replacement, expected, "{here}");
+                    // The dropped DID's own ten posts left; the shared block
+                    // stayed; a replacement added its one post.
+                    let expected = blocks - 10 + usize::from(replaced);
+                    assert_eq!(mirror.store_stats().blocks, expected, "{here}");
+                    assert_eq!(summary.repo_records_undecodable, 0, "{here}");
+
+                    for did in &dids {
+                        mirror.drop_state(did);
+                    }
+                    assert_eq!(mirror.store_stats().blocks, 0, "{here}");
+                    assert_eq!(mirror.store_stats().logical_bytes, 0, "{here}");
+                    assert!(mirror.shared.is_empty(), "{here}");
+                }
+            }
         }
 
         #[test]
