@@ -6,9 +6,12 @@
 //! one trait with these backends (MST node blocks are not stored: the
 //! in-memory tree encodes them on export):
 //!
-//! * `MemStore` — everything resident in one hash table keyed by CID
-//!   ([`CidMap`]: a block is found by its digest, not by comparing keys down
-//!   an ordered map). The default.
+//! * `MemStore` — everything resident: the blocks' bytes packed into one
+//!   append-only buffer per store, found through a hash table from CID to
+//!   their span ([`CidMap`]: a block is found by its digest, not by
+//!   comparing keys down an ordered map). A block is not an allocation of
+//!   its own, and [`BlockStore::put_slice`] copies it in once from a buffer
+//!   the caller keeps. The default.
 //! * `PagedStore` — blocks are appended to fixed-size *pages*; a full page
 //!   is sealed into one immutable buffer and an LRU of sealed pages bounds
 //!   memory. An evicted page is appended, once, to the *segment* of its
@@ -32,12 +35,13 @@
 //! ## Contract
 //!
 //! A `BlockStore` is a set of `(Cid, bytes)` pairs where the CID is the
-//! content address of the bytes (DAG-CBOR or raw codec). `put` of an
-//! existing CID is a no-op (content-addressed stores are idempotent);
-//! `get` returns exactly the bytes that were put or nothing. Backends may
-//! move blocks between memory and disk freely but must never lose or
-//! reorder them: for any op sequence, every backend is observationally
-//! equivalent to `MemStore` (pinned by the oracle property test below).
+//! content address of the bytes (DAG-CBOR or raw codec). `put` (or
+//! `put_slice`) of an existing CID is a no-op (content-addressed stores are
+//! idempotent); `get` returns exactly the bytes that were put or nothing.
+//! Backends may move blocks between memory and disk freely but must never
+//! lose or reorder them: for any op sequence, every backend is
+//! observationally equivalent to `MemStore` (pinned by the oracle property
+//! test below).
 //!
 //! Stores are built from a [`StoreConfig`], which is what the study CLI
 //! (`repro --store mem|paged --page-size N --spill-dir DIR`) and the world
@@ -115,10 +119,23 @@ pub trait BlockStore: std::fmt::Debug + Send {
     /// store may have to page them in.
     fn get(&self, cid: &Cid) -> Option<Vec<u8>>;
 
-    /// Insert a block. Returns `true` when the block was newly inserted,
-    /// `false` when the CID was already present (the bytes are dropped —
-    /// content addressing makes them identical).
+    /// Insert a block, handing the store its bytes. Returns `true` when the
+    /// block was newly inserted, `false` when the CID was already present
+    /// (the bytes are dropped — content addressing makes them identical). A
+    /// backend that keeps blocks in buffers of its own copies the bytes in
+    /// and drops the `Vec`.
     fn put(&mut self, cid: Cid, bytes: Vec<u8>) -> bool;
+
+    /// Insert a block from bytes the caller keeps (an encode buffer it
+    /// reuses, the archive a block arrived in); same result as [`put`]. A
+    /// backend copies out of the slice only when the block is new, so the
+    /// bytes are copied once, into the store. The default builds the `Vec`
+    /// that [`put`] takes; `MemStore` copies straight into its arena.
+    ///
+    /// [`put`]: BlockStore::put
+    fn put_slice(&mut self, cid: Cid, bytes: &[u8]) -> bool {
+        !self.has(&cid) && self.put(cid, bytes.to_vec())
+    }
 
     /// Whether a block is present.
     fn has(&self, cid: &Cid) -> bool;
@@ -242,12 +259,31 @@ impl StoreConfig {
 // MemStore
 // ---------------------------------------------------------------------------
 
-/// The resident backend: one hash table from CID to bytes. Nothing iterates
-/// it, so its layout never reaches output. Also the oracle the paged backend
-/// is property-tested against (and itself tested against an ordered model).
-#[derive(Debug, Clone, Default)]
+/// Holes a [`MemStore`] arena tolerates before it may be rebuilt, however few
+/// live bytes it holds: a small store is not recopied for every delete.
+const HOLE_FLOOR: usize = 4 * 1024;
+
+/// Growth floor of a [`MemStore`] arena, so a small store does not
+/// reallocate for every block.
+const GROW_FLOOR: usize = 256;
+
+/// The resident backend: every block's bytes packed into one append-only
+/// buffer (the *arena*), found through a hash table from CID to their span.
+/// A block costs its bytes plus one table slot, not a heap allocation of its
+/// own. A delete leaves a hole; once the holes outweigh the live bytes (and
+/// pass [`HOLE_FLOOR`]) the arena is rebuilt from the live blocks, so it
+/// never holds more than twice the live bytes plus that floor. It grows by a
+/// quarter of its length at a time (at least [`GROW_FLOOR`] and the block),
+/// not by doubling, so its spare capacity stays a quarter of what it holds.
+/// Nothing iterates the table towards output, so neither its layout nor the
+/// arena's reaches a report. Also the oracle the paged backend is
+/// property-tested against (and itself tested against an ordered model).
+#[derive(Debug, Default)]
 pub(crate) struct MemStore {
-    blocks: CidMap<Vec<u8>>,
+    /// Offset and length of every live block in `arena`.
+    index: CidMap<(u32, u32)>,
+    arena: Vec<u8>,
+    /// Live bytes: `arena.len()` minus the holes.
     bytes: usize,
 }
 
@@ -256,40 +292,68 @@ impl MemStore {
     pub(crate) fn new() -> MemStore {
         MemStore::default()
     }
+
+    /// Copy the live blocks into a fresh, exact-size arena.
+    fn compact(&mut self) {
+        let mut arena = Vec::with_capacity(self.bytes);
+        for (off, len) in self.index.values_mut() {
+            let at = span_u32(arena.len());
+            arena.extend_from_slice(&self.arena[*off as usize..][..*len as usize]);
+            *off = at;
+        }
+        self.arena = arena;
+    }
+}
+
+/// An arena offset or block length as stored in a [`MemStore`] index:
+/// a store past 4 GiB stops here rather than wrap to a wrong span.
+fn span_u32(n: usize) -> u32 {
+    u32::try_from(n).expect("MemStore arena exceeds 4 GiB")
 }
 
 impl BlockStore for MemStore {
     fn get(&self, cid: &Cid) -> Option<Vec<u8>> {
-        self.blocks.get(cid).cloned()
+        let &(off, len) = self.index.get(cid)?;
+        Some(self.arena[off as usize..][..len as usize].to_vec())
     }
 
     fn put(&mut self, cid: Cid, bytes: Vec<u8>) -> bool {
-        match self.blocks.entry(cid) {
-            Entry::Vacant(slot) => {
-                self.bytes += bytes.len();
-                slot.insert(bytes);
-                true
-            }
-            Entry::Occupied(_) => false,
+        self.put_slice(cid, &bytes)
+    }
+
+    fn put_slice(&mut self, cid: Cid, bytes: &[u8]) -> bool {
+        let Entry::Vacant(slot) = self.index.entry(cid) else {
+            return false;
+        };
+        let (off, len) = (span_u32(self.arena.len()), span_u32(bytes.len()));
+        if self.arena.capacity() - self.arena.len() < bytes.len() {
+            let grow = (self.arena.len() / 4).max(GROW_FLOOR).max(bytes.len());
+            self.arena.reserve_exact(grow);
         }
+        self.arena.extend_from_slice(bytes);
+        slot.insert((off, len));
+        self.bytes += bytes.len();
+        true
     }
 
     fn has(&self, cid: &Cid) -> bool {
-        self.blocks.contains_key(cid)
+        self.index.contains_key(cid)
     }
 
     fn delete(&mut self, cid: &Cid) -> usize {
-        match self.blocks.remove(cid) {
-            Some(bytes) => {
-                self.bytes -= bytes.len();
-                bytes.len()
-            }
-            None => 0,
+        let Some((_, len)) = self.index.remove(cid) else {
+            return 0;
+        };
+        self.bytes -= len as usize;
+        let holes = self.arena.len() - self.bytes;
+        if holes > self.bytes && holes >= HOLE_FLOOR {
+            self.compact();
         }
+        len as usize
     }
 
     fn len(&self) -> usize {
-        self.blocks.len()
+        self.index.len()
     }
 
     fn bytes(&self) -> usize {
@@ -298,7 +362,7 @@ impl BlockStore for MemStore {
 
     fn stats(&self) -> StoreStats {
         StoreStats {
-            blocks: self.blocks.len(),
+            blocks: self.index.len(),
             logical_bytes: self.bytes,
             resident_bytes: self.bytes,
             ..StoreStats::default()
@@ -881,21 +945,23 @@ mod tests {
         assert_eq!(store.get(&cid), None);
     }
 
-    /// The hashed table against an ordered model: any interleaving of put /
-    /// get / has / delete agrees with a `BTreeMap<Cid, Vec<u8>>`, over a
-    /// universe where a third of the CIDs are built to share the eight
+    /// The arena against an ordered model: any interleaving of put /
+    /// put_slice / get / has / delete agrees with a `BTreeMap<Cid, Vec<u8>>`,
+    /// over a universe where a third of the CIDs are built to share the eight
     /// digest bytes the hasher reads with another CID — differing in a later
     /// digest byte, or in the codec alone — so that buckets really collide
-    /// and only full-key equality tells the blocks apart.
+    /// and only full-key equality tells the blocks apart. Deletes cross the
+    /// compaction threshold many times, and after every op the arena is
+    /// within the bounds its compaction and growth rules promise.
     #[test]
     fn mem_store_matches_ordered_model_with_colliding_cids() {
         use std::hash::BuildHasher;
         let hash = |cid: &Cid| CidMap::<()>::default().hasher().hash_one(cid);
         let mut rng = TestRng::new(0x00c0_111d);
-        let mut collisions = 0;
+        let (mut collisions, mut compactions) = (0, 0);
         for round in 0..12u64 {
             let mut universe: Vec<(Cid, Vec<u8>)> = (0..16)
-                .map(|i| block(round * 1_000 + i, 8 + rng.below(40) as usize))
+                .map(|i| block(round * 1_000 + i, 8 + rng.below(240) as usize))
                 .collect();
             for i in 0..8 {
                 let (twin_of, _) = universe[rng.below(16) as usize];
@@ -913,21 +979,27 @@ mod tests {
                 assert_ne!(twin, twin_of);
                 assert_eq!(hash(&twin), hash(&twin_of), "built to collide");
                 if !universe.iter().any(|(cid, _)| *cid == twin) {
-                    universe.push((twin, rng.bytes(48)));
+                    universe.push((twin, rng.bytes(128)));
                     collisions += 1;
                 }
             }
+            let largest = universe.iter().map(|(_, b)| b.len()).max().unwrap();
             let mut store = MemStore::new();
             let mut model: BTreeMap<Cid, Vec<u8>> = BTreeMap::new();
-            for _ in 0..600 {
+            for _ in 0..2_400 {
                 let (cid, bytes) = &universe[rng.below(universe.len() as u64) as usize];
+                let arena_len = store.arena.len();
                 match rng.below(10) {
                     0..=3 => {
                         let fresh = !model.contains_key(cid);
                         if fresh {
                             model.insert(*cid, bytes.clone());
                         }
-                        assert_eq!(store.put(*cid, bytes.clone()), fresh, "put disagrees");
+                        let put = match rng.below(2) {
+                            0 => store.put(*cid, bytes.clone()),
+                            _ => store.put_slice(*cid, bytes),
+                        };
+                        assert_eq!(put, fresh, "put disagrees");
                     }
                     4..=5 => assert_eq!(store.get(cid), model.get(cid).cloned()),
                     6 => assert_eq!(store.has(cid), model.contains_key(cid)),
@@ -936,8 +1008,24 @@ mod tests {
                         assert_eq!(store.delete(cid), removed, "delete disagrees");
                     }
                 }
+                if store.arena.len() < arena_len {
+                    compactions += 1;
+                }
+                for (cid, _) in &universe {
+                    assert_eq!(store.get(cid), model.get(cid).cloned());
+                }
+                let live = model.values().map(Vec::len).sum::<usize>();
                 assert_eq!(store.len(), model.len());
-                assert_eq!(store.bytes(), model.values().map(Vec::len).sum::<usize>());
+                assert_eq!(store.bytes(), live);
+                let (len, cap) = (store.arena.len(), store.arena.capacity());
+                assert!(
+                    len - live <= live.max(HOLE_FLOOR - 1),
+                    "{len}-byte arena for {live} live bytes"
+                );
+                assert!(
+                    cap - len <= (len / 4).max(GROW_FLOOR).max(largest),
+                    "{cap}-byte arena capacity for {len} bytes"
+                );
             }
             for (cid, _) in &universe {
                 assert_eq!(store.get(cid), model.get(cid).cloned());
@@ -945,6 +1033,7 @@ mod tests {
             }
         }
         assert!(collisions > 60, "colliding CIDs in play: {collisions}");
+        assert!(compactions > 60, "arena compactions: {compactions}");
     }
 
     #[test]
@@ -1201,9 +1290,9 @@ mod tests {
         assert_eq!(store.stats().writeback_flushes, 1);
     }
 
-    /// Write-back oracle: any interleaving of put / get / delete / flush —
-    /// over either backend — is observationally identical to the bare
-    /// in-memory oracle.
+    /// Write-back oracle: any interleaving of put / put_slice / get / delete
+    /// / flush — over either backend — is observationally identical to the
+    /// bare in-memory oracle.
     #[test]
     fn writeback_store_matches_mem_oracle_under_random_ops() {
         let mut rng = TestRng::new(0x00b1_0c4e);
@@ -1226,11 +1315,18 @@ mod tests {
             for _ in 0..400 {
                 let (cid, bytes) = &universe[rng.below(universe.len() as u64) as usize];
                 match rng.below(10) {
-                    0..=3 => {
+                    0..=1 => {
                         assert_eq!(
                             cached.put(*cid, bytes.clone()),
                             oracle.put(*cid, bytes.clone()),
                             "put disagrees"
+                        );
+                    }
+                    2..=3 => {
+                        assert_eq!(
+                            cached.put_slice(*cid, bytes),
+                            oracle.put_slice(*cid, bytes),
+                            "put_slice disagrees"
                         );
                     }
                     4..=6 => {
@@ -1253,8 +1349,8 @@ mod tests {
         }
     }
 
-    /// The oracle property test: any interleaving of put / get / delete /
-    /// `evict_cold` on a tiny-paged store behaves exactly like the
+    /// The oracle property test: any interleaving of put / put_slice / get /
+    /// delete / `evict_cold` on a tiny-paged store behaves exactly like the
     /// in-memory oracle, wherever the touched block happens to live.
     #[test]
     fn paged_store_matches_mem_oracle_under_random_ops() {
@@ -1275,11 +1371,18 @@ mod tests {
             for _ in 0..400 {
                 let (cid, bytes) = &universe[rng.below(universe.len() as u64) as usize];
                 match rng.below(10) {
-                    0..=3 => {
+                    0..=1 => {
                         assert_eq!(
                             paged.put(*cid, bytes.clone()),
                             oracle.put(*cid, bytes.clone()),
                             "put disagrees"
+                        );
+                    }
+                    2..=3 => {
+                        assert_eq!(
+                            paged.put_slice(*cid, bytes),
+                            oracle.put_slice(*cid, bytes),
+                            "put_slice disagrees"
                         );
                     }
                     4..=6 => {

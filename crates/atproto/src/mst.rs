@@ -113,7 +113,26 @@ struct Node {
     memo: Cell<Memo>,
     /// The gap before the first entry.
     left: Gap,
+    /// Never more than [`slack_bound`] slots for its length: a full vector
+    /// grows by half its length ([`Node::insert_new`]), and one left with
+    /// more after a split, merge or removal is shrunk to fit ([`fit`]).
+    /// `Vec`'s own doubling would leave a tree built in key order — a
+    /// repository's, whose record keys are timestamps — at twice the slots
+    /// it uses, while shrinking after every insert would reallocate every
+    /// node on every write.
     entries: Vec<Entry>,
+}
+
+/// The most entry slots a node of `len` entries may hold.
+fn slack_bound(len: usize) -> usize {
+    len + len / 2 + 1
+}
+
+/// Give back a node's spare entry slots once they pass [`slack_bound`].
+fn fit(entries: &mut Vec<Entry>) {
+    if entries.capacity() > slack_bound(entries.len()) {
+        entries.shrink_to_fit();
+    }
 }
 
 impl Node {
@@ -271,6 +290,9 @@ impl Node {
             // The gap the key lands in splits around it.
             let (before, after) = split(self.gap_mut(i).take(), key, removed);
             *self.gap_mut(i) = before;
+            if self.entries.len() == self.entries.capacity() {
+                self.entries.reserve_exact(self.entries.len() / 2 + 1);
+            }
             self.entries.insert(i, entry(after));
         } else if let Some(child) = self.gap_mut(i) {
             child.insert_new(key, layer, value, removed);
@@ -287,6 +309,7 @@ impl Node {
             Ok(i) => {
                 // The gaps on either side of the entry become one.
                 let entry = self.entries.remove(i);
+                fit(&mut self.entries);
                 let before = self.gap_mut(i);
                 *before = merge(before.take(), entry.right, removed);
                 entry.value
@@ -326,6 +349,7 @@ fn split(gap: Gap, key: &str, removed: &mut CidSet) -> (Gap, Gap) {
     let i = node.entries.partition_point(|e| e.key.as_str() < key);
     let (before, after) = split(node.gap_mut(i).take(), key, removed);
     let upper = Node::new(node.layer, after, node.entries.split_off(i));
+    fit(&mut node.entries);
     *node.gap_mut(i) = before;
     let keep = |node: Box<Node>| (!node.is_vacant()).then_some(node);
     (keep(node), keep(Box::new(upper)))
@@ -343,6 +367,7 @@ fn merge(before: Gap, after: Gap, removed: &mut CidSet) -> Gap {
     let last = node.entries.len();
     let seam = node.gap_mut(last);
     *seam = merge(seam.take(), upper.left.take(), removed);
+    node.entries.reserve_exact(upper.entries.len());
     node.entries.append(&mut upper.entries);
     Some(node)
 }
@@ -485,11 +510,11 @@ impl Mst {
             let old_root = std::mem::replace(&mut self.root, Node::new(layer, None, Vec::new()));
             let (before, after) = split(Some(Box::new(old_root)), key, removed);
             self.root.left = lift(before, layer - 1);
-            self.root.entries.push(Entry {
+            self.root.entries = vec![Entry {
                 key: key.to_string(),
                 value: cid,
                 right: lift(after, layer - 1),
-            });
+            }];
         } else {
             self.root.insert_new(key, layer, cid, removed);
         }
@@ -1320,14 +1345,35 @@ mod proptests {
         live: BTreeSet<Cid>,
     }
 
+    /// Entry slots held and entries used over every node of the tree,
+    /// asserting on the way that no node holds more slots than
+    /// [`slack_bound`] allows for its length.
+    fn entry_slots(mst: &Mst) -> (usize, usize) {
+        let (mut slots, mut used) = (0, 0);
+        let mut stack = vec![&mst.root];
+        while let Some(node) = stack.pop() {
+            let (cap, len) = (node.entries.capacity(), node.entries.len());
+            assert!(
+                cap <= slack_bound(len),
+                "a node of {len} entries holds {cap} slots"
+            );
+            slots += cap;
+            used += len;
+            stack.extend(node.children());
+        }
+        (slots, used)
+    }
+
     impl Checked {
         fn insert(&mut self, key: &str, cid: Cid) {
             let old = self.mst.insert(key, cid).unwrap();
             assert_eq!(old, self.model.insert(key.to_string(), cid), "{key}");
+            entry_slots(&self.mst);
         }
 
         fn remove(&mut self, key: &str) {
             assert_eq!(self.mst.remove(key), self.model.remove(key), "{key}");
+            entry_slots(&self.mst);
         }
 
         /// The end of a batch: root CID, block list (in order, bytes
@@ -1480,6 +1526,36 @@ mod proptests {
         tree.remove(&high[0]);
         tree.check(true);
         assert_eq!(tree.mst.root.layer, 0);
+    }
+
+    /// A repository's tree: record keys are TIDs, so each collection's keys
+    /// arrive in ascending order, and the collections interleave. Built in
+    /// that order, the tree holds a fraction more entry slots than entries,
+    /// not the twice as many `Vec` doubling would leave.
+    #[test]
+    fn a_repository_shaped_tree_holds_little_entry_slack() {
+        let collections = [
+            "app.bsky.feed.like",
+            "app.bsky.feed.post",
+            "app.bsky.feed.repost",
+            "app.bsky.graph.follow",
+        ];
+        let mut rng = TestRng::new(0x7d5);
+        let mut mst = Mst::new();
+        let mut micros = 1_700_000_000_000_000u64;
+        for n in 0..30_000u64 {
+            micros += 1 + rng.below(5_000_000);
+            let collection = collections[rng.below(4) as usize];
+            let rkey = crate::tid::Tid::from_micros(micros, 7).to_string_form();
+            let key = format!("{collection}/{rkey}");
+            assert_eq!(mst.insert(&key, value(n)).unwrap(), None);
+        }
+        let (slots, used) = entry_slots(&mst);
+        assert_eq!(used, 30_000);
+        assert!(
+            slots * 10 <= used * 13,
+            "{slots} entry slots for {used} entries"
+        );
     }
 
     fn arb_entries(rng: &mut TestRng) -> BTreeMap<String, u32> {

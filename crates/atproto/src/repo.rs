@@ -330,8 +330,9 @@ pub struct Repository {
     /// revisions at or below it must fall back to a full fetch.
     compacted_through: Option<Tid>,
     clock: TidClock,
-    /// Where `put_record` encodes each record before storing an exact-size
-    /// copy: one allocation per stored block, none to grow it.
+    /// Where `put_record` encodes each record; the store copies a new
+    /// block's bytes out of it ([`BlockStore::put_slice`]), so a record
+    /// costs no allocation of its own on the way in.
     encode_buf: Vec<u8>,
 }
 
@@ -438,7 +439,7 @@ impl Repository {
         let cid = Cid::for_cbor(&self.encode_buf);
         let len = self.encode_buf.len();
         *bytes_written += len;
-        let fresh = self.store.put(cid, self.encode_buf.clone());
+        let fresh = self.store.put_slice(cid, &self.encode_buf);
         if fresh {
             fresh_blocks.push(cid);
         }

@@ -350,10 +350,8 @@ impl IncrementalRepoMirror {
             if held.peek() == Some(&cid) || merged.last() == Some(&cid) {
                 continue;
             }
-            if self.store.has(&cid) {
+            if !self.store.put_slice(cid, bytes) {
                 *self.shared.entry(cid).or_insert(1) += 1;
-            } else {
-                self.store.put(cid, bytes.to_vec());
             }
             merged.push(cid);
         }

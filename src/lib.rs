@@ -112,15 +112,15 @@
 //! Every stored CID-addressed byte blob — repository record blocks, the
 //! study mirror's record blocks and the AppView's counter blocks — lives
 //! behind the `bsky_atproto::blockstore::BlockStore` trait. Two
-//! backends, built from
-//! a `StoreConfig` and not nameable otherwise: the in-memory store (the
-//! default) and the paged store (fixed-size pages with an LRU of resident
-//! pages; cold pages are appended to one segment file per spill root,
-//! shared by every store of the process and removed with the last of
-//! them, a page-in is one positioned read, and every block that comes
-//! back from disk is re-hashed against its CID before it is returned).
-//! The backend is chosen
-//! when a world is built (`bsky_workload::WorldSpec::store`, repro
+//! backends, built from a `StoreConfig` and not nameable otherwise: the
+//! in-memory store (the default; one buffer per store packs its blocks'
+//! bytes, found through a CID-keyed table of spans) and the paged store
+//! (fixed-size pages with an LRU of resident pages; cold pages are
+//! appended to one segment file per spill root, shared by every store of
+//! the process and removed with the last of them, a page-in is one
+//! positioned read, and every block that comes back from disk is
+//! re-hashed against its CID before it is returned). The backend is
+//! chosen when a world is built (`bsky_workload::WorldSpec::store`, repro
 //! `--store mem|paged --page-size N --spill-dir DIR`) and changes only
 //! *where* blocks reside — the golden equivalence test pins mem == paged
 //! byte-identical, serial and sharded.
