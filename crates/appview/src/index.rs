@@ -1,15 +1,9 @@
 //! The AppView's indices.
 //!
-//! The AppView consumes the firehose and the label streams and indexes what
-//! they carry per entity (§2). The measurement pipeline reads only what
-//! ingestion leaves behind: whether a post is indexed (a feed entry
-//! hydrates), the labels that found no target, and the counters. That is
-//! all an index keeps:
+//! The AppView indexes the records the firehose carries per entity (§2):
 //!
 //! * **Entity keys.** One resident key per indexed post (its AT-URI) and
-//!   per known account (its DID). A label is counted against its target's
-//!   key. No record, profile, handle or label set is stored, because
-//!   nothing reads one.
+//!   per known account (its DID). No record, profile or handle is stored.
 //! * **Hot counters.** Likes, reposts and the actor graph counters live in
 //!   small resident dirty maps (`PostCounters` / `ActorCounters`). A
 //!   counter bump is a map update; `AppViewIndex::flush` (called at day
@@ -34,16 +28,14 @@
 //! `AppViewIndex::credit_follows`, …), and the entity-sharded
 //! [`crate::shards::AppViewShards`] — the only ingestion surface production
 //! has — routes each primitive to the shard owning the touched entity. The
-//! monolithic composition of the same primitives (`index_record`,
-//! `process_event`) and every read of entity state live under
-//! `#[cfg(test)]` below as the oracle the shard property test in
-//! `shards.rs` holds the routing to.
+//! monolithic composition of the same primitives (`index_record`) and
+//! every read of entity state live under `#[cfg(test)]` below as the
+//! oracle the shard property test in `shards.rs` holds the routing to.
 
 use bsky_atproto::blockstore::{BlockStore, StoreConfig, StoreStats, WriteBackStore};
 use bsky_atproto::cbor::{self, Value};
 use bsky_atproto::cid::Cid;
 use bsky_atproto::did::{fnv1a_64, FNV_OFFSET};
-use bsky_atproto::label::{Label, LabelTarget};
 use bsky_atproto::{AtUri, Did};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -170,8 +162,6 @@ pub(crate) struct AppViewIndex {
     /// `(blocker, blocked)` DID pairs, keyed by the blocker.
     block_edges: BTreeSet<(String, String)>,
     records_indexed: u64,
-    labels_ingested: u64,
-    labels_preindex: u64,
     counter_coalesced_writes: u64,
 }
 
@@ -195,8 +185,6 @@ impl AppViewIndex {
             follow_edges: BTreeSet::new(),
             block_edges: BTreeSet::new(),
             records_indexed: 0,
-            labels_ingested: 0,
-            labels_preindex: 0,
             counter_coalesced_writes: 0,
         }
     }
@@ -321,8 +309,7 @@ impl AppViewIndex {
 
     // -- ingestion primitives (the shard router's surface) -----------------
 
-    /// Register an account (at signup or on a handle change). Targets the
-    /// actor entity only.
+    /// Register an account. Targets the actor entity only.
     pub(crate) fn register_actor(&mut self, did: &Did) {
         self.actors.entry(did.as_string()).or_insert(None);
     }
@@ -395,69 +382,7 @@ impl AppViewIndex {
         self.update_actor_counters(blocked.as_string(), |a| a.blocked_by += 1);
     }
 
-    /// Purge every post authored by `did` from this index's post map
-    /// (tombstone handling; the author's post counter is deliberately
-    /// untouched, like the monolithic path).
-    pub(crate) fn purge_posts_of(&mut self, did: &Did) {
-        let prefix = format!("at://{did}/");
-        let keys: Vec<String> = self
-            .posts
-            .range(prefix.clone()..format!("{prefix}\u{10FFFF}"))
-            .map(|(k, _)| k.clone())
-            .collect();
-        for key in keys {
-            self.dirty_posts.remove(&key);
-            if let Some(Some(cid)) = self.posts.remove(&key) {
-                self.store.delete(&cid);
-            }
-        }
-    }
-
-    /// Ingest a label from a labeler stream, application or rescission.
-    ///
-    /// A label whose target the AppView has not indexed (it arrived before
-    /// the post, or the post was deleted) is counted into
-    /// [`AppViewIndex::labels_preindex`] instead of vanishing silently.
-    pub(crate) fn ingest_label(&mut self, label: &Label) {
-        self.labels_ingested += 1;
-        let indexed = match &label.target {
-            LabelTarget::Record(uri) => self.posts.contains_key(&uri.as_string()),
-            LabelTarget::Account(did) | LabelTarget::ProfileMedia(did) => {
-                self.actors.contains_key(&did.as_string())
-            }
-        };
-        if !indexed {
-            self.labels_preindex += 1;
-        }
-    }
-
     // -- reads ---------------------------------------------------------------
-
-    /// Whether a post is indexed — a key-index probe, no block decode.
-    pub(crate) fn has_post(&self, uri: &AtUri) -> bool {
-        self.posts.contains_key(&uri.as_string())
-    }
-
-    /// Number of indexed posts.
-    pub(crate) fn post_count(&self) -> usize {
-        self.posts.len()
-    }
-
-    /// Number of follow edges.
-    pub(crate) fn follow_edge_count(&self) -> usize {
-        self.follow_edges.len()
-    }
-
-    /// Total labels ingested (including negations).
-    pub(crate) fn labels_ingested(&self) -> u64 {
-        self.labels_ingested
-    }
-
-    /// Labels that arrived before the entity they target was indexed (or
-    /// after it was deleted) — counted, never silently dropped.
-    pub(crate) fn labels_preindex(&self) -> u64 {
-        self.labels_preindex
-    }
 
     /// Total records indexed.
     pub(crate) fn records_indexed(&self) -> u64 {
@@ -480,12 +405,11 @@ impl AppViewIndex {
 
 // The monolithic index as an oracle: composed ingestion and every read of
 // entity state. Production ingests through `AppViewShards` and reads only
-// `has_post` and the counts; the shard property suite (and the unit tests
-// below) hold it to this.
+// the counts; the shard property suite (and the unit tests below) hold it
+// to this.
 #[cfg(test)]
 mod oracle {
     use super::*;
-    use bsky_atproto::firehose::{Event, EventBody};
     use bsky_atproto::record::Record;
     use bsky_atproto::{Datetime, Handle, Nsid};
 
@@ -574,16 +498,6 @@ mod oracle {
             }
         }
 
-        /// Process a firehose event's non-content effects (handle changes
-        /// register the account, tombstones purge its posts).
-        pub(crate) fn process_event(&mut self, event: &Event) {
-            match &event.body {
-                EventBody::HandleChange { did, .. } => self.register_actor(did),
-                EventBody::Tombstone { did } => self.purge_posts_of(did),
-                EventBody::Commit { .. } | EventBody::Identity { .. } | EventBody::Info { .. } => {}
-            }
-        }
-
         /// Whether `a` follows `b`.
         pub(crate) fn follows(&self, a: &Did, b: &Did) -> bool {
             self.follow_edges.contains(&(a.as_string(), b.as_string()))
@@ -613,10 +527,9 @@ mod oracle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bsky_atproto::firehose::{Event, EventBody};
     use bsky_atproto::nsid::known;
     use bsky_atproto::record::{FollowRecord, LikeRecord, PostRecord, Record};
-    use bsky_atproto::{Datetime, Handle, Nsid};
+    use bsky_atproto::{Datetime, Nsid};
 
     fn now() -> Datetime {
         Datetime::from_ymd(2024, 4, 15)
@@ -653,7 +566,7 @@ mod tests {
     fn posts_likes_reposts_follows_blocks() {
         let (mut index, alice, bob, uri) = setup();
         let counters = |index: &AppViewIndex, did: &Did| index.actor(did).unwrap();
-        assert_eq!(index.post_count(), 1);
+        assert_eq!(index.posts().len(), 1);
         assert_eq!(counters(&index, &alice).posts, 1);
 
         index.index_record(
@@ -708,77 +621,6 @@ mod tests {
         assert!(index.blocks(&alice, &bob));
         assert_eq!(counters(&index, &bob).blocked_by, 1);
         assert_eq!(index.records_indexed(), 5);
-    }
-
-    #[test]
-    fn labels_apply_and_rescind() {
-        // A label and its rescission are counted against an indexed target;
-        // only a target the index does not hold counts as a gap.
-        let (mut index, alice, _bob, uri) = setup();
-        let labeler = did("labeler");
-        let label = Label::new(
-            labeler.clone(),
-            LabelTarget::Record(uri.clone()),
-            "porn",
-            now(),
-        )
-        .unwrap();
-        index.ingest_label(&label);
-        index.ingest_label(&label);
-        index.ingest_label(&label.negation(now()));
-        assert_eq!(index.labels_ingested(), 3);
-        assert_eq!(index.labels_preindex(), 0);
-        assert!(index.has_post(&uri));
-
-        // Account-level labels: a known actor, then an unknown one.
-        let on = |did: Did| Label::new(labeler.clone(), LabelTarget::Account(did), "spam", now());
-        index.ingest_label(&on(alice).unwrap());
-        assert_eq!(index.labels_preindex(), 0);
-        index.ingest_label(&on(did("carol")).unwrap());
-        assert_eq!(index.labels_preindex(), 1);
-        assert_eq!(index.labels_ingested(), 5);
-    }
-
-    #[test]
-    fn tombstone_purges_posts() {
-        let (mut index, alice, _bob, uri) = setup();
-        index.apply_like(&uri);
-        index.flush();
-        let event = Event {
-            seq: 1,
-            time: now(),
-            body: EventBody::Tombstone { did: alice.clone() },
-        };
-        index.process_event(&event);
-        assert!(index.post(&uri).is_none());
-        assert!(!index.has_post(&uri));
-        // The purged post's counter block went with it; the author's own
-        // counters are untouched.
-        index.flush();
-        assert_eq!(index.store_stats().blocks, 1);
-        assert_eq!(index.actor(&alice).unwrap().posts, 1);
-    }
-
-    #[test]
-    fn handle_change_events_update_actors() {
-        // A handle change registers an account the index did not know, and
-        // leaves a known account's counters as they were.
-        let (mut index, alice, _bob, _uri) = setup();
-        let carol = did("carol");
-        assert!(index.actor(&carol).is_none());
-        for (who, handle) in [(&carol, "carol.example.com"), (&alice, "alice.example.com")] {
-            index.process_event(&Event {
-                seq: 2,
-                time: now(),
-                body: EventBody::HandleChange {
-                    did: who.clone(),
-                    handle: Handle::parse(handle).unwrap(),
-                },
-            });
-        }
-        assert_eq!(index.actor(&carol), Some(ActorCounters::default()));
-        assert_eq!(index.actor(&alice).unwrap().posts, 1);
-        assert_eq!(index.actor_count(), 3);
     }
 
     #[test]

@@ -23,13 +23,11 @@
 //! every shard count. The shard set therefore holds exactly the monolithic
 //! index's state: entity keys, counters, edges and counts, spread over
 //! shards that are never collapsed into one index. The property test below
-//! pins this for random event/label interleavings across shard counts 1,
-//! 2, 4 and 7.
+//! pins this for random record interleavings across shard counts 1, 2, 4
+//! and 7.
 
 use crate::index::AppViewIndex;
 use bsky_atproto::blockstore::{StoreConfig, StoreStats};
-use bsky_atproto::firehose::{Event, EventBody};
-use bsky_atproto::label::{Label, LabelTarget};
 use bsky_atproto::record::Record;
 use bsky_atproto::{AtUri, Datetime, Did, Handle, Nsid};
 
@@ -132,65 +130,7 @@ impl AppViewShards {
         }
     }
 
-    /// Process a firehose event's non-content effects. A handle change
-    /// registers the account; a tombstone purges its posts on *every*
-    /// shard — an account's posts are spread across all of them.
-    pub fn process_event(&mut self, event: &Event) {
-        match &event.body {
-            EventBody::HandleChange { did, .. } => {
-                let home = self.actor_home(did);
-                self.shards[home].register_actor(did);
-            }
-            EventBody::Tombstone { did } => {
-                for shard in &mut self.shards {
-                    shard.purge_posts_of(did);
-                }
-            }
-            EventBody::Commit { .. } | EventBody::Identity { .. } | EventBody::Info { .. } => {}
-        }
-    }
-
-    /// Ingest a label, routed to the shard owning its target entity (post
-    /// URI or account DID). Labels whose target is unknown are counted into
-    /// [`AppViewShards::labels_preindex`] on that same shard.
-    pub fn ingest_label(&mut self, label: &Label) {
-        let home = match &label.target {
-            LabelTarget::Record(uri) => self.post_home(uri),
-            LabelTarget::Account(did) | LabelTarget::ProfileMedia(did) => self.actor_home(did),
-        };
-        self.shards[home].ingest_label(label);
-    }
-
     // -- reads ---------------------------------------------------------------
-
-    /// Whether a post is indexed (key probe on its owning shard).
-    pub fn has_post(&self, uri: &AtUri) -> bool {
-        self.shards[self.post_home(uri)].has_post(uri)
-    }
-
-    /// Number of indexed posts across all shards.
-    pub fn post_count(&self) -> usize {
-        self.shards.iter().map(AppViewIndex::post_count).sum()
-    }
-
-    /// Number of follow edges across all shards.
-    pub fn follow_edge_count(&self) -> usize {
-        self.shards
-            .iter()
-            .map(AppViewIndex::follow_edge_count)
-            .sum()
-    }
-
-    /// Total labels ingested across all shards (including negations).
-    pub fn labels_ingested(&self) -> u64 {
-        self.shards.iter().map(AppViewIndex::labels_ingested).sum()
-    }
-
-    /// Labels whose target was not indexed when they arrived — counted,
-    /// never silently dropped (summed across shards).
-    pub fn labels_preindex(&self) -> u64 {
-        self.shards.iter().map(AppViewIndex::labels_preindex).sum()
-    }
 
     /// Total records indexed across all shards.
     pub fn records_indexed(&self) -> u64 {
@@ -227,11 +167,6 @@ mod reads {
         /// The shards themselves, in shard order (read-only).
         pub(crate) fn shards(&self) -> &[AppViewIndex] {
             &self.shards
-        }
-
-        /// A post's counters, from its owning shard.
-        pub(crate) fn post(&self, uri: &AtUri) -> Option<PostCounters> {
-            self.shards[self.post_home(uri)].post(uri)
         }
 
         /// An actor's counters, from its owning shard.
@@ -304,15 +239,10 @@ mod tests {
         Follow(u64, u64),
         Block(u64, u64),
         Profile(u64),
-        Tombstone(u64),
-        HandleChange(u64),
-        Label(AtUri, String, bool),
-        AccountLabel(u64, String, bool),
     }
 
     fn arb_op(rng: &mut SimRng, minted: &mut Vec<AtUri>) -> Op {
         const USERS: u64 = 6;
-        const VALUES: &[&str] = &["spam", "porn", "no-alt-text", "trolling"];
         let user = rng.range(0..USERS);
         // A URI from the minted pool — or, now and then, one that was never
         // (or not yet) posted, to exercise the unknown-target paths.
@@ -326,7 +256,7 @@ mod tests {
                 minted[rng.range(0..minted.len())].clone()
             }
         };
-        match rng.range(0..14u8) {
+        match rng.range(0..11u8) {
             0 => Op::Upsert(user),
             1..=3 => {
                 let rkey = format!("p{:04}", rng.range(0..500));
@@ -340,24 +270,7 @@ mod tests {
             6 => Op::Repost(user, any_uri(rng)),
             7..=8 => Op::Follow(user, rng.range(0..USERS)),
             9 => Op::Block(user, rng.range(0..USERS)),
-            10 => Op::Profile(user),
-            11 => {
-                if rng.chance(0.25) {
-                    Op::Tombstone(user)
-                } else {
-                    Op::Like(user, any_uri(rng))
-                }
-            }
-            12 => Op::HandleChange(user),
-            _ => {
-                let value = VALUES[rng.range(0..VALUES.len())].to_string();
-                let negated = rng.chance(0.25);
-                if rng.chance(0.2) {
-                    Op::AccountLabel(user, value, negated)
-                } else {
-                    Op::Label(any_uri(rng), value, negated)
-                }
-            }
+            _ => Op::Profile(user),
         }
     }
 
@@ -366,7 +279,6 @@ mod tests {
     // surfaces are intentionally identical).
     macro_rules! apply_op {
         ($target:expr, $op:expr, $seq:expr) => {{
-            let labeler = Did::plc_from_seed(b"shard-labeler");
             match $op {
                 Op::Upsert(u) => $target.upsert_actor(&did(*u), &handle(*u)),
                 Op::Post(u, rkey, at) => $target.index_record(
@@ -429,53 +341,13 @@ mod tests {
                     }),
                     base(),
                 ),
-                Op::Tombstone(u) => $target.process_event(&Event {
-                    seq: *$seq,
-                    time: base(),
-                    body: EventBody::Tombstone { did: did(*u) },
-                }),
-                Op::HandleChange(u) => $target.process_event(&Event {
-                    seq: *$seq,
-                    time: base(),
-                    body: EventBody::HandleChange {
-                        did: did(*u),
-                        handle: Handle::parse(&format!("user{u}-new.example.org")).unwrap(),
-                    },
-                }),
-                Op::Label(uri, value, negated) => {
-                    let mut label = Label::new(
-                        labeler.clone(),
-                        LabelTarget::Record(uri.clone()),
-                        value.as_str(),
-                        base(),
-                    )
-                    .unwrap();
-                    label.negated = *negated;
-                    $target.ingest_label(&label);
-                }
-                Op::AccountLabel(u, value, negated) => {
-                    let mut label = Label::new(
-                        labeler.clone(),
-                        LabelTarget::Account(did(*u)),
-                        value.as_str(),
-                        base(),
-                    )
-                    .unwrap();
-                    label.negated = *negated;
-                    $target.ingest_label(&label);
-                }
             }
             *$seq += 1;
         }};
     }
 
     fn assert_same_state(oracle: &AppViewIndex, shards: &AppViewShards) {
-        // Aggregate counts and counters.
-        assert_eq!(shards.post_count(), oracle.post_count());
-        assert_eq!(shards.follow_edge_count(), oracle.follow_edge_count());
         assert_eq!(shards.records_indexed(), oracle.records_indexed());
-        assert_eq!(shards.labels_ingested(), oracle.labels_ingested());
-        assert_eq!(shards.labels_preindex(), oracle.labels_preindex());
         // Key sets with their like/repost and graph counters, via the
         // canonical key-ordered dumps.
         assert_eq!(shards.posts(), oracle.posts());
@@ -491,7 +363,7 @@ mod tests {
         }
     }
 
-    /// The tentpole property: random event/label interleavings applied to
+    /// The tentpole property: random record interleavings applied to
     /// sharded sets (1, 2, 4, 7 shards) are indistinguishable from the
     /// monolithic oracle. Flushes run at *different* cadences on the two
     /// sides and the write-back cache alternates per round, pinning that
@@ -535,130 +407,11 @@ mod tests {
                     let populated = shards
                         .shards()
                         .iter()
-                        .filter(|s| s.post_count() + s.actor_count() > 0)
+                        .filter(|s| s.posts().len() + s.actor_count() > 0)
                         .count();
                     assert!(populated > 1, "{count} shards: entities not partitioned");
                 }
             }
-        }
-    }
-
-    // The ingestion edge cases, each at one and at four entity shards,
-    // asserted on the index state they leave behind.
-
-    fn labeler() -> Did {
-        Did::plc_from_seed(b"shard-labeler")
-    }
-
-    fn index_post(appview: &mut AppViewShards, author: &Did, rkey: &str) -> AtUri {
-        appview.index_record(
-            author,
-            &Nsid::parse(known::POST).unwrap(),
-            rkey,
-            &Record::Post(PostRecord::simple("content", "en", base())),
-            base(),
-        );
-        post_uri(author, rkey)
-    }
-
-    fn spam(uri: &AtUri) -> Label {
-        Label::new(labeler(), LabelTarget::Record(uri.clone()), "spam", base()).unwrap()
-    }
-
-    #[test]
-    fn duplicate_label_delivery_is_idempotent() {
-        for shards in [1, 4] {
-            let mut appview = AppViewShards::with_shards(shards, &StoreConfig::mem(), true);
-            let uri = index_post(&mut appview, &did(0), "p0001");
-            // The same stream entry delivered three times (a labeler
-            // replaying its stream) is counted each time, never as a gap,
-            // and leaves the indexed post as it was.
-            for _ in 0..3 {
-                appview.ingest_label(&spam(&uri));
-            }
-            assert_eq!(appview.labels_ingested(), 3, "{shards} shard(s)");
-            assert_eq!(appview.labels_preindex(), 0);
-            assert!(appview.has_post(&uri));
-            assert_eq!(appview.post_count(), 1);
-        }
-    }
-
-    #[test]
-    fn rescinded_label_is_ingested_like_its_application() {
-        for shards in [1, 4] {
-            let mut appview = AppViewShards::with_shards(shards, &StoreConfig::mem(), true);
-            let uri = index_post(&mut appview, &did(0), "p0001");
-            appview.ingest_label(&spam(&uri));
-            appview.ingest_label(&spam(&uri).negation(base().plus_seconds(60)));
-            assert_eq!(appview.labels_ingested(), 2, "{shards} shard(s)");
-            assert_eq!(appview.labels_preindex(), 0);
-            assert!(appview.has_post(&uri));
-            // A rescission racing its post is a gap like any other label.
-            let early = post_uri(&did(1), "p0002");
-            appview.ingest_label(&spam(&early).negation(base()));
-            assert_eq!(appview.labels_preindex(), 1);
-        }
-    }
-
-    #[test]
-    fn labels_racing_their_post_are_counted_not_silently_dropped() {
-        for shards in [1, 4] {
-            let mut appview = AppViewShards::with_shards(shards, &StoreConfig::mem(), true);
-            let uri = post_uri(&did(0), "p0001");
-            // The label stream races ahead of the firehose: the label
-            // arrives before the post is indexed. It cannot apply — but the
-            // gap is counted, like `repo_snapshot_skips`.
-            appview.ingest_label(&spam(&uri));
-            assert_eq!(appview.labels_ingested(), 1);
-            assert_eq!(
-                appview.labels_preindex(),
-                1,
-                "{shards} shard(s): early label must be counted"
-            );
-            // Account-level labels for unknown actors count the same way.
-            let account =
-                Label::new(labeler(), LabelTarget::Account(did(5)), "spam", base()).unwrap();
-            appview.ingest_label(&account);
-            assert_eq!(appview.labels_preindex(), 2);
-            // Once the post and the actor land, later deliveries find them.
-            index_post(&mut appview, &did(0), "p0001");
-            appview.upsert_actor(&did(5), &handle(5));
-            appview.ingest_label(&spam(&uri));
-            appview.ingest_label(&account);
-            assert!(appview.has_post(&uri));
-            assert_eq!(appview.labels_ingested(), 4);
-            assert_eq!(appview.labels_preindex(), 2, "no new gap");
-        }
-    }
-
-    #[test]
-    fn tombstoned_actors_lose_their_posts() {
-        for shards in [1, 4] {
-            let mut appview = AppViewShards::with_shards(shards, &StoreConfig::mem(), true);
-            let alice = did(0);
-            appview.upsert_actor(&alice, &handle(0));
-            let uris: Vec<AtUri> = (0..8)
-                .map(|i| index_post(&mut appview, &alice, &format!("p{i:04}")))
-                .collect();
-            let bystander = index_post(&mut appview, &did(1), "p0000");
-            appview.process_event(&Event {
-                seq: 1,
-                time: base(),
-                body: EventBody::Tombstone { did: alice.clone() },
-            });
-            // Each post lives on its URI's shard; every shard purges its
-            // share, and nobody else's.
-            assert!(uris
-                .iter()
-                .all(|uri| !appview.has_post(uri) && appview.post(uri).is_none()));
-            assert!(appview.has_post(&bystander));
-            assert_eq!(appview.post_count(), 1, "{shards} shard(s)");
-            // The author's post counter is deliberately left as it was.
-            assert_eq!(appview.actor(&alice).unwrap().posts, 8);
-            // A label on a purged post finds no target: a counted gap.
-            appview.ingest_label(&spam(&uris[3]));
-            appview.ingest_label(&spam(&bystander));
-            assert_eq!(appview.labels_preindex(), 1, "{shards} shard(s)");
         }
     }
 }

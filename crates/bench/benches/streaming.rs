@@ -6,12 +6,11 @@
 //! * **bounded in-flight events** — the producer drains the relay in
 //!   constant-size chunks, so the peak subscription batch must not scale
 //!   with daily volume (asserted across a 3× population difference).
-//! * **paged block store** — the same collection with `--store paged
-//!   --appview-shards 4` (repos, AppView counter blocks and producer mirror
-//!   over the disk-spill store) must end the run with strictly fewer
-//!   resident block bytes than the in-memory store, with the difference
-//!   spilled (the reports are byte-identical, pinned by the golden
-//!   equivalence test).
+//! * **paged block store** — the same collection with `--store paged`
+//!   (repos and producer mirror over the disk-spill store) must end the
+//!   run with strictly fewer resident block bytes than the in-memory
+//!   store, with the difference spilled (the reports are byte-identical,
+//!   pinned by the golden equivalence test).
 //! * **relay federation** — the collection with the PDS fleet crawled by
 //!   two regional relays forwarding into the super-relay over the paged
 //!   store, at two population scales: resident block bytes per DID must
@@ -91,38 +90,24 @@ fn main() {
     );
 
     // Storage: the same run over the in-memory vs the paged disk-spill
-    // block store — the paged run with the NUMA-scale AppView layout (4
-    // entity shards). The paged backend must end the window with strictly
+    // block store. The paged backend must end the window with strictly
     // fewer resident block bytes — the rest spilled to disk — while the
-    // golden test pins the reports byte-identical. (The AppView keeps only
-    // counter blocks, tens of kilobytes here, so it need not spill itself.)
+    // golden test pins the reports byte-identical.
     use bsky_atproto::blockstore::StoreConfig;
-    let run_with_store = |store: StoreConfig, appview_shards: usize| {
-        let mut world = World::from_spec(
-            WorldSpec::new(config)
-                .store(store.clone())
-                .appview_shards(appview_shards),
-        );
-        let summary = Collector::new()
+    let run_with_store = |store: StoreConfig| {
+        let mut world = World::from_spec(WorldSpec::new(config).store(store.clone()));
+        Collector::new()
             .store(store)
-            .stream(&mut world, &mut NullSink);
-        (summary, world.appview.store_stats())
+            .stream(&mut world, &mut NullSink)
     };
-    let (mem_store, mem_appview) = run_with_store(StoreConfig::mem(), 1);
-    let (paged_store, paged_appview) = run_with_store(
-        StoreConfig::paged().page_size(8 * 1024).resident_pages(2),
-        4,
-    );
+    let mem_store = run_with_store(StoreConfig::mem());
+    let paged_store = run_with_store(StoreConfig::paged().page_size(8 * 1024).resident_pages(2));
     println!(
         "block store: {} bytes resident (mem) vs {} resident + {} spilled (paged); {} reclaimed by compaction",
         mem_store.resident_block_bytes,
         paged_store.resident_block_bytes,
         paged_store.spilled_block_bytes,
         paged_store.store_bytes_reclaimed,
-    );
-    println!(
-        "appview counter blocks: {} bytes resident (mem, 1 shard) vs {} resident + {} spilled (paged, 4 shards)",
-        mem_appview.resident_bytes, paged_appview.resident_bytes, paged_appview.spilled_bytes,
     );
     assert!(
         paged_store.spilled_block_bytes > 0,
@@ -138,31 +123,6 @@ fn main() {
         mem_store.store_bytes_reclaimed, 0,
         "compaction reclaimed record versions: the workload only creates records, and the \
          collector relies on compaction never deleting a record the mirror fetched"
-    );
-
-    // Dirty counters + write-back cache: same-day counter bumps must
-    // coalesce into single counter-block writes, and the write-back buffer
-    // must drain at the day-boundary flush. The golden test pins the
-    // reports byte-identical with the cache on vs off; this leg prints how
-    // often the buffer is read (the AppView reads a counter block back
-    // only on the first bump of a day, so hits are rare).
-    let writeback_hit_rate = mem_store.writeback_hits as f64
-        / (mem_store.writeback_hits + mem_store.writeback_misses).max(1) as f64;
-    println!(
-        "write-back cache: {} counter write(s) coalesced, {} flush(es), {:.1} % buffer hit rate ({} hits / {} misses)",
-        mem_store.counter_coalesced_writes,
-        mem_store.writeback_flushes,
-        writeback_hit_rate * 100.0,
-        mem_store.writeback_hits,
-        mem_store.writeback_misses,
-    );
-    assert!(
-        mem_store.counter_coalesced_writes > 0,
-        "the hot/cold split must coalesce counter writes at bench scale"
-    );
-    assert!(
-        mem_store.writeback_flushes > 0,
-        "the write-back cache must buffer and flush dirty entities at bench scale"
     );
 
     // Observatory: one framed run (128-byte buckets, 2 s batch windows)

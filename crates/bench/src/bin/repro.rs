@@ -4,8 +4,7 @@
 //! Usage:
 //!   repro [--seed N] [--scale N]
 //!         [--jobs auto|N] [--shards N] [--pipeline] [--analyzer-threads N]
-//!         [--appview-shards N] [--writeback on|off] [--relays N]
-//!         [--json] [--stream] [--store mem|paged] [--page-size BYTES]
+//!         [--relays N] [--json] [--stream] [--store mem|paged] [--page-size BYTES]
 //!         [--spill-dir DIR]
 //!         [--padding none|buckets|constant] [--batch-window SECS]
 //!         [--scenario NAME] [--faults SPEC]
@@ -29,13 +28,10 @@
 //! bytes, more threads. One invocation is one run; a sweep is a shell loop,
 //! which composes with every flag:
 //! `for s in 1 2; do repro --seed $s --scale 40000 > report-$s.txt; done`.
-//! `--store paged` backs every repository, the producer's repo mirror and
-//! the AppView's counter blocks with the paged disk-spill block store
-//! (`--page-size` sets the page capacity in bytes, `--spill-dir` the spill
-//! root, created before the run starts). `--appview-shards N` partitions
-//! the AppView's post/actor indices by entity hash into `N` shards, each
-//! with its own counter store; `--writeback off` disables the write-back
-//! cache in front of those stores (on by default).
+//! `--store paged` backs every repository and the producer's repo mirror
+//! with the paged disk-spill block store (`--page-size` sets the page
+//! capacity in bytes, `--spill-dir` the spill root, created before the run
+//! starts).
 //! `--relays N` federates the crawl across `N` regional relays, each
 //! owning a contiguous slice of the PDS fleet and forwarding its firehose
 //! (cursor-resumable, `(did, rev)`-deduplicated) into the super-relay the
@@ -48,9 +44,8 @@
 //! on top of the preset. Giving the *same* key two different values in one
 //! spec is a contradiction and exits 2.
 //!
-//! All of these knobs are observationally transparent: stores, AppView
-//! sharding, the write-back cache and framing move only the `--stream`
-//! summary's accounting, and fault placement is a pure function of
+//! All of these knobs are observationally transparent: stores, relays and
+//! framing move only the `--stream` summary's accounting, and fault placement is a pure function of
 //! `(seed, DID, day)` — the rendered report is byte-identical across every
 //! combination (scenario runs add an impact section).
 //!
@@ -64,7 +59,7 @@ use bsky_study::faults::{FaultSpec, SCENARIO_NAMES};
 use bsky_study::{RunSpec, StudyReport};
 use bsky_workload::ScenarioConfig;
 
-const USAGE: &str = "usage: repro [--seed N] [--scale N] [--jobs auto|N] [--shards N] [--pipeline] [--analyzer-threads N] [--appview-shards N] [--writeback on|off] [--relays N] [--json] [--stream] [--store mem|paged] [--page-size BYTES] [--spill-dir DIR] [--padding none|buckets|constant] [--batch-window SECS] [--scenario NAME] [--faults SPEC]\n  one invocation is one run; sweep with a shell loop: for s in 1 2; do repro --seed $s ...; done";
+const USAGE: &str = "usage: repro [--seed N] [--scale N] [--jobs auto|N] [--shards N] [--pipeline] [--analyzer-threads N] [--relays N] [--json] [--stream] [--store mem|paged] [--page-size BYTES] [--spill-dir DIR] [--padding none|buckets|constant] [--batch-window SECS] [--scenario NAME] [--faults SPEC]\n  one invocation is one run; sweep with a shell loop: for s in 1 2; do repro --seed $s ...; done";
 
 /// Parsed command line: the library [`RunSpec`] plus the CLI-only output
 /// modes.
@@ -141,25 +136,8 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
                 shards = Some(parse_value("--shards", args.get(i + 1))?);
                 i += 1;
             }
-            "--appview-shards" => {
-                opts.spec.appview_shards = parse_value("--appview-shards", args.get(i + 1))?;
-                i += 1;
-            }
             "--relays" => {
                 opts.spec.relays = parse_value("--relays", args.get(i + 1))?;
-                i += 1;
-            }
-            "--writeback" => {
-                let value: String = parse_value("--writeback", args.get(i + 1))?;
-                opts.spec.write_back = match value.as_str() {
-                    "on" => true,
-                    "off" => false,
-                    other => {
-                        return Err(format!(
-                            "invalid value for --writeback: {other:?} (expected on or off)"
-                        ))
-                    }
-                };
                 i += 1;
             }
             "--store" => {
@@ -340,7 +318,6 @@ mod tests {
         assert_eq!(opts, Options::default());
         assert_eq!(opts.spec.config.seed, 42);
         assert_eq!(opts.spec.config.scale, 2_000);
-        assert!(opts.spec.write_back);
     }
 
     #[test]
@@ -432,63 +409,18 @@ mod tests {
     #[test]
     fn grid_flags_are_unknown_arguments() {
         // A sweep is a shell loop over --seed / --scale; the list flags
-        // exit 2 like any other unknown argument.
-        for flag in [["--seeds", "1,2"], ["--scales", "40000"]] {
+        // exit 2 like any other unknown argument. So do the AppView flags
+        // of older command lines: the study runs no AppView.
+        for flag in [
+            ["--seeds", "1,2"],
+            ["--scales", "40000"],
+            ["--appview-shards", "4"],
+            ["--writeback", "off"],
+        ] {
             let err = parse_args(&args(&flag)).unwrap_err();
             assert!(err.contains("unknown argument"), "{err}");
             assert!(err.contains(flag[0]), "{err}");
         }
-    }
-
-    #[test]
-    fn appview_shards_flag_parses() {
-        let opts = parse_args(&[]).unwrap().unwrap();
-        assert_eq!(opts.spec.appview_shards, 1);
-        let opts = parse_args(&args(&["--appview-shards", "4"]))
-            .unwrap()
-            .unwrap();
-        assert_eq!(opts.spec.appview_shards, 4);
-        // Composes with the engine shards and store backends.
-        let opts = parse_args(&args(&[
-            "--appview-shards",
-            "4",
-            "--jobs",
-            "2",
-            "--store",
-            "paged",
-        ]))
-        .unwrap()
-        .unwrap();
-        assert_eq!(opts.spec.appview_shards, 4);
-        // Errors: zero, missing/garbage values.
-        assert!(parse_args(&args(&["--appview-shards", "0"])).is_err());
-        assert!(parse_args(&args(&["--appview-shards"])).is_err());
-        assert!(parse_args(&args(&["--appview-shards", "x"])).is_err());
-    }
-
-    #[test]
-    fn writeback_flag_parses() {
-        let opts = parse_args(&args(&["--writeback", "on"])).unwrap().unwrap();
-        assert!(opts.spec.write_back);
-        let opts = parse_args(&args(&["--writeback", "off"])).unwrap().unwrap();
-        assert!(!opts.spec.write_back);
-        // Composes with sharding and stores.
-        let opts = parse_args(&args(&[
-            "--writeback",
-            "off",
-            "--appview-shards",
-            "4",
-            "--store",
-            "paged",
-            "--jobs",
-            "2",
-        ]))
-        .unwrap()
-        .unwrap();
-        assert!(!opts.spec.write_back);
-        // Errors: bad/missing values.
-        assert!(parse_args(&args(&["--writeback", "maybe"])).is_err());
-        assert!(parse_args(&args(&["--writeback"])).is_err());
     }
 
     #[test]
@@ -572,8 +504,6 @@ mod tests {
             "2",
             "--store",
             "paged",
-            "--appview-shards",
-            "4",
         ]))
         .is_ok());
         // Errors: bad/missing values.
@@ -598,7 +528,7 @@ mod tests {
             .unwrap();
         assert!(!opts.spec.faults.is_quiet());
         assert_eq!(opts.spec.scenario, None);
-        // Composes with sharding, stores and AppView sharding.
+        // Composes with sharding and stores.
         assert!(parse_args(&args(&[
             "--scenario",
             "label-storm",
@@ -606,8 +536,6 @@ mod tests {
             "2",
             "--store",
             "paged",
-            "--appview-shards",
-            "4",
         ]))
         .is_ok());
         // Errors: unknown scenario (must list the valid names), bad spec,
@@ -673,8 +601,6 @@ mod tests {
             "4",
             "--store",
             "paged",
-            "--appview-shards",
-            "4",
             "--scenario",
             "dns-flap",
         ]))

@@ -908,9 +908,9 @@ impl Collector {
         self.snapshot_repositories(world, sink, &mut summary);
         self.emit(sink, &Observation::WindowEnd { at: collection_end }, world);
         summary.observations = self.observations;
-        // End-of-run storage accounting: fleet repos + AppView counter
-        // blocks + the producer's own repo mirror.
-        let mut store_stats = world.store_stats();
+        // End-of-run storage accounting: fleet repos + the producer's own
+        // repo mirror.
+        let mut store_stats = world.fleet.store_stats();
         store_stats.absorb(&self.mirror.store_stats());
         summary.resident_block_bytes = store_stats.resident_bytes as u64;
         summary.spilled_block_bytes = store_stats.spilled_bytes as u64;
@@ -918,18 +918,6 @@ impl Collector {
         // every read-back by CID); any such loss would make the emitted
         // snapshots incomplete, so the count is surfaced — never silent.
         summary.store_corrupt_reads = store_stats.corrupt_reads;
-        // Labels the AppView could not apply because their target was not
-        // indexed (post deleted, or label raced the post) — counted like
-        // `repo_snapshot_skips`, never silently dropped.
-        summary.appview_labels_preindex = world.appview.labels_preindex();
-        // Hot/cold-split accounting: counter writes the dirty maps
-        // coalesced, and the write-back caches' hit/flush traffic (the
-        // AppView's stores are the only write-back-wrapped ones, so the
-        // absorbed totals are AppView totals).
-        summary.counter_coalesced_writes = world.appview.counter_coalesced_writes();
-        summary.writeback_flushes = store_stats.writeback_flushes;
-        summary.writeback_hits = store_stats.writeback_hits;
-        summary.writeback_misses = store_stats.writeback_misses;
         // Workload-side injected-fault accounting (outage migrations, spam
         // waves, label/tombstone storms) flows into the same summary so
         // every injected fault in a scenario run shows up as a named
@@ -1207,19 +1195,21 @@ impl Collector {
             let platform = info.platform_name.clone();
             let created_at = info.plan.created_at;
             let generator = &world.feedgens[index];
-            // Hydrate the retained entries against the post index, as
-            // `getFeed` does on the live network: URIs the AppView cannot
-            // resolve are silently dropped. `has_post` probes the sharded
-            // key index without decoding (or paging in) the post blocks.
-            // Personalised feeds serve nothing to the study's anonymous
-            // crawler.
+            // Hydrate the retained entries as `getFeed` does on the live
+            // network, which silently drops posts its index no longer holds.
+            // Every entry is a post its author committed, and the index
+            // forgets a post only when its author's `#tombstone` arrives over
+            // the relay — the event that also drops the author from the
+            // relay's `listRepos`. So an entry hydrates while the relay lists
+            // its author. Personalised feeds serve nothing to the study's
+            // anonymous crawler.
             let posts: Vec<FeedPost> = if generator.is_personalized() {
                 Vec::new()
             } else {
                 generator
                     .entries()
                     .iter()
-                    .filter(|entry| world.appview.has_post(&entry.uri))
+                    .filter(|entry| world.relay.lists_repo(entry.uri.did()))
                     .map(|entry| FeedPost {
                         uri: Arc::clone(&entry.uri),
                         created_at: entry.post_created_at,
@@ -1266,7 +1256,7 @@ mod tests {
     use crate::pipeline::OwnedObservation;
     use bsky_atproto::firehose::Event;
     use bsky_atproto::repo::Repository;
-    use bsky_workload::ScenarioConfig;
+    use bsky_workload::{ScenarioConfig, WorldSpec};
 
     fn small_config(seed: u64) -> ScenarioConfig {
         let mut config = ScenarioConfig::test_scale(seed);
@@ -1346,6 +1336,43 @@ mod tests {
         assert!(label_interactions > 0);
         // The world is still usable afterwards.
         assert!(world.finished());
+    }
+
+    #[test]
+    fn feed_snapshots_drop_the_posts_of_crawled_tombstones() {
+        // A storm deletes a fifth of the accounts three quarters into the
+        // window: each feed snapshot serves exactly its curated posts whose
+        // author the relay still lists, so the storm's authors lose theirs.
+        let config = small_config(5);
+        let spec = bsky_simnet::faults::FaultSpec {
+            tombstone_day: Some(0.75),
+            tombstone_prob: 0.2,
+            ..Default::default()
+        };
+        let days = config.end.days_since(config.start) as usize;
+        let plan = Arc::new(FaultPlan::build(config.seed, days, spec));
+        let mut world = World::from_spec(WorldSpec::new(config).faults(Arc::clone(&plan)));
+        let mut tape = Vec::new();
+        Collector::new().faults(plan).stream(&mut world, &mut tape);
+        assert!(world.fault_counters().storm_tombstones > 0);
+        let mut dropped = 0;
+        for obs in &tape {
+            let OwnedObservation::FeedGenerator(feed) = obs else {
+                continue;
+            };
+            let generator = world.feedgens.iter().find(|g| *g.uri() == feed.uri);
+            let generator = generator.expect("a snapshot names a live generator");
+            if generator.is_personalized() {
+                continue;
+            }
+            let curated: Vec<&AtUri> = generator.entries().iter().map(|e| &*e.uri).collect();
+            let served: Vec<&AtUri> = feed.posts.iter().map(|p| &*p.uri).collect();
+            let listed = |uri: &&AtUri| world.relay.lists_repo(uri.did());
+            let kept: Vec<&AtUri> = curated.iter().copied().filter(listed).collect();
+            assert_eq!(served, kept, "{}", feed.uri);
+            dropped += curated.len() - served.len();
+        }
+        assert!(dropped > 0, "the storm's authors had no curated post");
     }
 
     #[test]

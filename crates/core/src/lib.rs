@@ -32,9 +32,9 @@
 //!
 //! * [`spec`] — [`RunSpec`], the one builder every run flows through:
 //!   seed and scale, engine shards and worker threads, block-store backend,
-//!   AppView entity shards, the write-back cache, wire framing, and fault
-//!   scenario all live on it, and [`RunSpec::validate`] rejects
-//!   out-of-range values up front. One spec describes one run.
+//!   relay topology, wire framing, and fault scenario all live on it, and
+//!   [`RunSpec::validate`] rejects out-of-range values up front. One spec
+//!   describes one run.
 //! * [`report`] — the entry points, both taking a `&RunSpec`:
 //!   [`StudyReport::run`] computes the full report across worker threads
 //!   in **one pass with bounded memory** (firehose events are never

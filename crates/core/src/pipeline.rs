@@ -16,7 +16,7 @@
 //!   probe, or a plain
 //!   `Vec<OwnedObservation>` for a caller that wants to keep the stream.
 //! * [`StudyCtx`] — read-only access to the simulated [`World`]'s active
-//!   measurement surfaces (DNS, WHOIS, Tranco, PSL, AppView), mirroring the
+//!   measurement surfaces (DNS, WHOIS, Tranco, PSL), mirroring the
 //!   active measurements the study ran alongside the passive collection.
 //!
 //! ## The merge law
@@ -391,33 +391,26 @@ pub struct StreamSummary {
     /// creates records.
     pub store_bytes_reclaimed: u64,
     /// Block bytes resident in memory at the end of the run (fleet repos +
-    /// AppView counter blocks + the producer's repo mirror).
+    /// the producer's repo mirror).
     pub resident_block_bytes: u64,
     /// Block bytes spilled to disk at the end of the run (paged stores
     /// only; zero for the in-memory backend).
     pub spilled_block_bytes: u64,
     /// Blocks that failed CID verification when paged back in from disk,
-    /// across every store in the run (repos, AppView counter blocks,
-    /// producer mirror). Corrupt blocks read as absent — any non-zero count
-    /// here means data was lost to spill-file corruption and the run's
-    /// snapshots may be incomplete; surfaced so that loss is never silent.
+    /// across every store in the run (repos, producer mirror). Corrupt
+    /// blocks read as absent — any non-zero count here means data was lost
+    /// to spill-file corruption and the run's snapshots may be incomplete;
+    /// surfaced so that loss is never silent.
     pub store_corrupt_reads: u64,
-    /// Labels the AppView could not apply because their target entity was
-    /// not indexed when they arrived (the post was deleted, or the label
-    /// raced the post). Counted like `repo_snapshot_skips` — a visible
-    /// dataset gap, never a silent drop.
-    pub(crate) appview_labels_preindex: u64,
-    /// AppView counter mutations coalesced into an already-dirty entity by
-    /// the resident dirty maps — counter-block writes the run did *not*
-    /// pay.
+    /// Always 0, like the three `writeback_*` counters: the study runs no
+    /// AppView and no write-back cache. The four stay because
+    /// `benchmark/src/surface.rs` reads them.
     pub counter_coalesced_writes: u64,
-    /// Write-back cache drains across the AppView's counter stores (one per
-    /// shard per day boundary with a non-empty buffer). Zero when the cache
-    /// is off (`--writeback off`).
+    /// Always 0; see [`StreamSummary::counter_coalesced_writes`].
     pub writeback_flushes: u64,
-    /// Block reads served out of the write-back cache's dirty buffer.
+    /// Always 0; see [`StreamSummary::counter_coalesced_writes`].
     pub writeback_hits: u64,
-    /// Block reads that fell through the write-back buffer to the backend.
+    /// Always 0; see [`StreamSummary::counter_coalesced_writes`].
     pub writeback_misses: u64,
     /// Identity-resolution lookups the producer issued against the DNS
     /// zone store (`_atproto.<handle>` TXT) while riding the weekly
@@ -527,21 +520,6 @@ impl StreamSummary {
                 self.repo_records_undecodable
             ));
         }
-        if self.appview_labels_preindex > 0 {
-            out.push_str(&format!(
-                "; appview: {} label(s) targeted unindexed entities",
-                self.appview_labels_preindex
-            ));
-        }
-        if self.counter_coalesced_writes > 0 || self.writeback_flushes > 0 {
-            out.push_str(&format!(
-                "; hot/cold: {} counter write(s) coalesced, write-back {} flush(es), {} hit(s), {} miss(es)",
-                self.counter_coalesced_writes,
-                self.writeback_flushes,
-                self.writeback_hits,
-                self.writeback_misses
-            ));
-        }
         if self.retry_attempts > 0 || self.fetch_retry_giveups > 0 || self.dns_retry_giveups > 0 {
             out.push_str(&format!(
                 "; retries: {} attempts over {} ms backoff, {} fetch give-up(s), {} dns give-up(s)",
@@ -621,11 +599,6 @@ impl StreamSummary {
         self.resident_block_bytes += other.resident_block_bytes;
         self.spilled_block_bytes += other.spilled_block_bytes;
         self.store_corrupt_reads += other.store_corrupt_reads;
-        self.appview_labels_preindex += other.appview_labels_preindex;
-        self.counter_coalesced_writes += other.counter_coalesced_writes;
-        self.writeback_flushes += other.writeback_flushes;
-        self.writeback_hits += other.writeback_hits;
-        self.writeback_misses += other.writeback_misses;
         self.identity_lookups += other.identity_lookups;
         self.wire_frames += other.wire_frames;
         self.padding_overhead_bytes += other.padding_overhead_bytes;

@@ -169,8 +169,8 @@ impl StudyReport {
     /// states are merged in shard order. Every observation folds into the
     /// incremental analyzers — the firehose is never retained — and the
     /// report is **byte-identical** to the serial run's for any
-    /// `(shards, jobs)`, store backend, AppView sharding, write-back
-    /// setting, or framing policy; the golden equivalence test pins this.
+    /// `(shards, jobs)`, store backend, relay topology or framing policy;
+    /// the golden equivalence tests pin this.
     ///
     /// Non-quiet [`RunSpec::faults`] specs attach a `Scenario impact` section
     /// labelled by [`RunSpec::scenario`] (`custom` when unlabelled).

@@ -31,10 +31,9 @@
 //! `(shards, jobs, analyzer_threads)` — pinned by the golden tests.
 //!
 //! Every run knob rides in on the [`RunSpec`]: the store backend changes
-//! only where blocks reside, AppView entity shards and the write-back cache
-//! only where hot counters live, framing only the wire accounting, and
-//! fault plans inject identically across shard counts — none of them moves
-//! a byte of the merged report.
+//! only where blocks reside, framing only the wire accounting, and fault
+//! plans inject identically across shard counts — none of them moves a
+//! byte of the merged report.
 
 use crate::analysis::{
     ActivityAnalyzer, FirehoseVolumeAnalyzer, IdentityAnalyzer, ModerationAnalyzer,
@@ -383,8 +382,6 @@ fn run_shard<S: ShardSink>(
                 count: spec.shards,
             })
             .store(spec.store.clone())
-            .appview_shards(spec.appview_shards)
-            .write_back(spec.write_back)
             .relays(spec.relays)
             .faults(faults.clone()),
     );

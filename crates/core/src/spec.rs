@@ -1,18 +1,23 @@
 //! [`RunSpec`]: one declarative description of a study run.
 //!
 //! Every knob the pipeline understands — scenario seed/scale, engine
-//! shards and worker threads, block-store backend, AppView entity shards
-//! and the write-back cache, wire [`FramingPolicy`] and fault injection —
-//! lives in one struct, and a spec describes exactly one run. The entry points ([`crate::report::StudyReport::run`],
+//! shards and worker threads, block-store backend, relay topology, wire
+//! [`FramingPolicy`] and fault injection — lives in one struct, and a spec
+//! describes exactly one run. The entry points
+//! ([`crate::report::StudyReport::run`],
 //! [`crate::report::StudyReport::run_serial`],
 //! [`crate::shard::collect_sharded`]) all take a `&RunSpec`, so a new knob
 //! is one field (a builder method only where an outside caller chains it) —
-//! never a new suffix-combinated function variant. A sweep over seeds or scales is a loop over specs
-//! (or a shell loop over `repro --seed` / `--scale`), which composes with
-//! every other knob.
+//! never a new suffix-combinated function variant. A sweep over seeds or
+//! scales is a loop over specs (or a shell loop over `repro --seed` /
+//! `--scale`), which composes with every other knob.
 //!
-//! [`RunSpec::validate`] holds the range rules (positive scale, shard,
-//! AppView-shard and relay counts; `1 <= jobs <= shards`;
+//! Two fields are inert: `appview_shards` and `write_back` configured an
+//! AppView the study no longer runs. They stay only because
+//! `benchmark/src/surface.rs` sets and reads them.
+//!
+//! [`RunSpec::validate`] holds the range rules (positive scale, shard and
+//! relay counts; `1 <= jobs <= shards`;
 //! `1 <= analyzer_threads <= 8`). The CLI maps a `validate()` error to exit
 //! code 2; library callers get the same checks for free.
 
@@ -46,10 +51,10 @@ pub struct RunSpec {
     /// (clamped to the sink's fan-out part count at run time; inert when
     /// the pipeline is off).
     pub analyzer_threads: usize,
-    /// Block-store backend for every repository, producer mirror and
-    /// AppView counter store.
+    /// Block-store backend for every repository and the producer mirror.
     pub store: StoreConfig,
-    /// AppView entity-shard count per engine shard.
+    /// Inert, kept for `benchmark/src/surface.rs`; deleted by ROADMAP
+    /// item 2 step 1.
     pub appview_shards: usize,
     /// Relay tiers: `1` (the default) runs the classic single relay; `N > 1`
     /// runs a federated hierarchy of N regional relays forwarding into one
@@ -57,9 +62,8 @@ pub struct RunSpec {
     /// runs are byte-identical to single-relay runs by construction — see
     /// `bsky_relay::federation`.
     pub relays: usize,
-    /// Wrap the AppView's counter stores in a write-back cache (repro
-    /// `--writeback on|off`; on by default). Observationally transparent —
-    /// reports are byte-identical either way.
+    /// Inert, kept for `benchmark/src/surface.rs`; deleted by ROADMAP
+    /// item 2 step 1.
     pub write_back: bool,
     /// Wire framing policy (padding / batching mitigations, §10).
     pub framing: FramingPolicy,
@@ -72,9 +76,9 @@ pub struct RunSpec {
 
 impl RunSpec {
     /// A single serial run of `config` with every default: one shard, auto
-    /// jobs (which one shard clamps to one worker), in-memory store,
-    /// monolithic AppView with the write-back cache on, no intra-shard
-    /// pipeline, unmitigated wire, quiet faults.
+    /// jobs (which one shard clamps to one worker), in-memory store, no
+    /// intra-shard pipeline, a single relay, unmitigated wire, quiet
+    /// faults.
     pub fn new(config: ScenarioConfig) -> RunSpec {
         RunSpec {
             config,
@@ -136,7 +140,8 @@ impl RunSpec {
         self
     }
 
-    /// Select the AppView entity-shard count.
+    /// Sets the inert [`RunSpec::appview_shards`]; kept for
+    /// `benchmark/src/surface.rs`, deleted by ROADMAP item 2 step 1.
     pub fn appview_shards(mut self, shards: usize) -> RunSpec {
         self.appview_shards = shards;
         self
@@ -180,9 +185,6 @@ impl RunSpec {
                 self.analyzer_threads
             ));
         }
-        if self.appview_shards == 0 {
-            return Err("--appview-shards must be at least 1".into());
-        }
         if self.relays == 0 {
             return Err("--relays must be at least 1".into());
         }
@@ -207,7 +209,6 @@ mod tests {
         // Auto jobs clamp to the shard count, so the default stays serial.
         assert_eq!(spec.effective_jobs(), 1);
         assert!(!spec.pipeline);
-        assert!(spec.write_back);
         assert!(spec.faults.is_quiet());
     }
 
@@ -256,7 +257,6 @@ mod tests {
         assert!(err.contains("exceeds the shard count"), "{err}");
         assert!(base().jobs(0).validate().is_err());
         assert!(base().shards(0).jobs(0).validate().is_err());
-        assert!(base().appview_shards(0).validate().is_err());
         assert!(base().relays(0).validate().is_err());
         let mut spec = base();
         spec.config.scale = 0;

@@ -319,6 +319,12 @@ impl Relay {
         self.known_dids.len()
     }
 
+    /// Whether `sync.listRepos` lists `did`: the relay has crawled an event
+    /// of the account and no `#tombstone` of it since.
+    pub fn lists_repo(&self, did: &Did) -> bool {
+        self.known_dids.contains_key(&did.as_string())
+    }
+
     /// `sync.getRepo`, proxied to the PDS hosting the DID: the relay hands
     /// over the server's CAR byte for byte and keeps no copy, because
     /// nothing reads one back. This is the endpoint the study downloaded
@@ -609,6 +615,7 @@ mod tests {
         assert_eq!(fleet.locate(moved), Some(destination.as_str()));
         let migrated = relay.get_repo(moved, &mut fleet, now()).unwrap();
         assert_eq!(migrated, from_pds(&mut fleet, moved).unwrap());
+        assert!(relay.lists_repo(moved));
 
         // An unknown DID and a tombstoned one are errors.
         let nobody = Did::plc_from_seed(b"nobody");
@@ -619,7 +626,12 @@ mod tests {
             .unwrap()
             .delete_account(gone, now())
             .unwrap();
+        assert!(
+            relay.lists_repo(gone),
+            "listed until the tombstone is crawled"
+        );
         relay.crawl(&fleet, now());
+        assert!(!relay.lists_repo(gone));
         assert!(relay.get_repo(gone, &mut fleet, now()).is_err());
     }
 

@@ -303,8 +303,8 @@ pub struct PopulationPlan {
 }
 
 /// FNV-1a over a DID string; the per-DID shard assignment hash. This is
-/// [`Did::shard_hash`] — the same hash the AppView's entity shards route
-/// actors by — re-exported under the name the plan has always used.
+/// [`Did::shard_hash`], re-exported under the name the plan has always
+/// used.
 pub(crate) fn did_hash(did: &Did) -> u64 {
     did.shard_hash()
 }

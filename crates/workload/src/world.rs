@@ -3,10 +3,10 @@
 //! [`World::new`] builds the static ecosystem (PDS fleet, PLC directory, DNS
 //! zones, registrars, labeler and feed-generator plans); the simulation then
 //! advances one day at a time — signups, posting/liking/following activity,
-//! handle changes, deletions, label issuance, feed curation, the Relay crawl
-//! and AppView ingestion. The measurement pipeline in `bsky-study` drives a
-//! `World` and observes it exclusively through the same service interfaces
-//! the real study used.
+//! handle changes, deletions, label issuance, feed curation and the Relay
+//! crawl. The measurement pipeline in `bsky-study` drives a `World` and
+//! observes it exclusively through the same service interfaces the real
+//! study used.
 //!
 //! ## Sharding
 //!
@@ -42,8 +42,7 @@ use crate::ecosystem::{
     build_feedgen_plans, build_labeler_plans, FeedArchetype, FeedGenPlan, LabelerPlan,
 };
 use crate::population::{DayPurpose, PopulationPlan, UserProfile};
-use bsky_appview::AppViewShards;
-use bsky_atproto::blockstore::{StoreConfig, StoreStats};
+use bsky_atproto::blockstore::StoreConfig;
 use bsky_atproto::label::LabelTarget;
 use bsky_atproto::nsid::known;
 use bsky_atproto::record::{
@@ -94,15 +93,6 @@ pub struct FeedGenInfo {
     pub platform_name: String,
 }
 
-/// Metadata about an instantiated labeler.
-#[derive(Debug, Clone)]
-pub(crate) struct LabelerInfo {
-    /// Index into the registry.
-    pub(crate) index: usize,
-    /// Per-consumer stream cursor used by the AppView ingestion.
-    pub(crate) appview_cursor: usize,
-}
-
 /// Resumable state of one simulated day (see [`World::begin_day`]).
 #[derive(Debug)]
 pub struct DayCursor {
@@ -142,18 +132,14 @@ pub struct World {
     pub web: WebSpace,
     /// The Relay. Under federation this is the *super-relay* (hub): it
     /// receives every frame forwarded by the regional tier, and every
-    /// consumer (AppView, study collector, observatory taps) keeps reading
-    /// from it unchanged.
+    /// consumer (study collector, observatory taps) keeps reading from it
+    /// unchanged.
     pub relay: Relay,
     /// The regional relay tier, when [`WorldSpec::relays`] > 1. `None` runs
     /// the classic single-relay topology.
     pub federation: Option<RelayFederation>,
-    /// The AppView's entity-sharded index.
-    pub appview: AppViewShards,
     /// Labeler registry.
     pub labelers: LabelerRegistry,
-    /// Labeler metadata parallel to the registry.
-    pub(crate) labeler_info: Vec<LabelerInfo>,
     /// Feed generators.
     pub feedgens: Vec<FeedGenerator>,
     /// Feed generator metadata parallel to `feedgens`.
@@ -177,8 +163,6 @@ pub struct World {
     /// Cumulative like-attractiveness weights parallel to `feedgens`.
     feed_like_cumsum: Vec<f64>,
     self_hosted_pds: Vec<String>,
-    /// Firehose cursor of the world's own AppView subscription.
-    appview_cursor: u64,
     pub(crate) total_posts: u64,
     pub(crate) total_likes: u64,
     /// The deterministic fault schedule (quiet by default).
@@ -189,15 +173,14 @@ pub struct World {
 
 /// Everything [`World::from_spec`] needs to build a world: scenario,
 /// optional pre-computed population plan, engine-shard slice, storage
-/// backend, AppView layout and fault schedule. One spec replaces the old
-/// ladder of suffix-combinated constructors
-/// (`new_store`/`with_plan_store_appview_faults`/…); callers set only the
-/// fields that differ from the defaults.
+/// backend, relay topology and fault schedule. One spec replaces the old
+/// ladder of suffix-combinated constructors; callers set only the fields
+/// that differ from the defaults.
 ///
-/// None of the knobs below changes a simulated byte — backend, cache,
-/// AppView shard count and a quiet fault plan all leave every report
-/// byte-identical; only residency, op counts and (for a non-quiet plan)
-/// the fault-visibility counters move.
+/// None of the knobs below changes a simulated byte — backend, relay
+/// topology and a quiet fault plan all leave every report byte-identical;
+/// only residency, op counts and (for a non-quiet plan) the
+/// fault-visibility counters move.
 #[derive(Debug, Clone)]
 pub struct WorldSpec {
     /// The scenario (seed, dates, scale, mix).
@@ -208,14 +191,8 @@ pub struct WorldSpec {
     pub(crate) plan: Option<Arc<PopulationPlan>>,
     /// The engine-shard slice of the population this world owns.
     pub(crate) shard: ShardSpec,
-    /// Block-store backend for repositories and the AppView's counter
-    /// blocks (repro `--store mem|paged`).
+    /// Block-store backend for repositories (repro `--store mem|paged`).
     pub(crate) store: StoreConfig,
-    /// AppView entity-shard count (repro `--appview-shards N`).
-    pub(crate) appview_shards: usize,
-    /// Wrap each AppView shard's store in a write-back cache (repro
-    /// `--writeback on|off`; on by default).
-    pub(crate) write_back: bool,
     /// Relay tiers (repro `--relays N`): `1` runs the classic single relay;
     /// `N > 1` federates N regional relays under the super-relay in
     /// [`World::relay`]. Byte-identical either way — cross-relay dedup
@@ -233,8 +210,6 @@ impl WorldSpec {
             plan: None,
             shard: ShardSpec::whole(),
             store: StoreConfig::default(),
-            appview_shards: 1,
-            write_back: true,
             relays: 1,
             faults: Arc::new(FaultPlan::quiet()),
         }
@@ -258,15 +233,14 @@ impl WorldSpec {
         self
     }
 
-    /// Select the AppView entity-shard count.
-    pub fn appview_shards(mut self, shards: usize) -> WorldSpec {
-        self.appview_shards = shards;
+    /// Inert: the world runs no AppView. Kept, like `write_back`, because
+    /// `benchmark/src/surface.rs` calls it.
+    pub fn appview_shards(self, _shards: usize) -> WorldSpec {
         self
     }
 
-    /// Toggle the AppView write-back cache.
-    pub fn write_back(mut self, write_back: bool) -> WorldSpec {
-        self.write_back = write_back;
+    /// Inert; see [`WorldSpec::appview_shards`].
+    pub fn write_back(self, _write_back: bool) -> WorldSpec {
         self
     }
 
@@ -303,8 +277,6 @@ impl World {
             plan,
             shard,
             store,
-            appview_shards,
-            write_back,
             relays,
             faults,
         } = spec;
@@ -352,9 +324,7 @@ impl World {
             web: WebSpace::new(),
             relay: Relay::with_store("bsky.network", &store),
             federation: (relays > 1).then(|| RelayFederation::new(relays, &store)),
-            appview: AppViewShards::with_shards(appview_shards, &store, write_back),
             labelers: LabelerRegistry::new(),
-            labeler_info: Vec::new(),
             feedgens: Vec::new(),
             feedgen_info: Vec::new(),
             feed_routes: FeedRoutes::default(),
@@ -367,7 +337,6 @@ impl World {
             feedgen_plans,
             feed_like_cumsum: Vec::new(),
             self_hosted_pds,
-            appview_cursor: 0,
             total_posts: 0,
             total_likes: 0,
             faults,
@@ -483,16 +452,17 @@ impl World {
             cursor.pos += 1;
             self.simulate_user_day(user, cursor.day_idx, cursor.day);
             if self.pending_relay_events() >= chunk_events {
-                self.crawl_and_index(cursor.day);
+                self.crawl(cursor.day);
                 return false;
             }
         }
-        self.crawl_and_index(cursor.day);
+        self.crawl(cursor.day);
         true
     }
 
-    /// Close the day: labelers publish due labels, the AppView ingests
-    /// them, feeds enforce retention, and the clock advances.
+    /// Close the day: scheduled storms strike, labelers publish due labels,
+    /// feeds enforce retention, and the clock advances. A tombstone a storm
+    /// issues here reaches the relay only with the next day's first crawl.
     pub fn end_day(&mut self, cursor: DayCursor) {
         debug_assert!(cursor.pos >= cursor.active.len(), "day not exhausted");
         let day = cursor.day;
@@ -506,9 +476,6 @@ impl World {
         for feed in &mut self.feedgens {
             feed.enforce_retention(day);
         }
-        // Day boundary: flush the AppView's dirty counter state and
-        // write-back buffers (a state-transparent epoch flush).
-        self.appview.flush();
         self.today = day.plus_days(1);
     }
 
@@ -521,16 +488,15 @@ impl World {
         }
     }
 
-    /// Crawl the relay tier and let the AppView process the newly ingested
-    /// events. Under federation the regions crawl their PDS slices and
-    /// forward into the super-relay; either way the AppView subscribes to
-    /// `self.relay` and sees the identical stream.
+    /// Crawl the relay tier. Under federation the regions crawl their PDS
+    /// slices and forward into the super-relay; either way `self.relay`
+    /// ends up with the identical stream and account table.
     ///
     /// The world owns the fleet and every relay that crawls it, so it is the
     /// one to let crawled events go: after each crawl every PDS outbox is
     /// trimmed to the cursor of the relay that crawls it, and so holds at
     /// most the chunk of events produced since.
-    fn crawl_and_index(&mut self, day: Datetime) {
+    fn crawl(&mut self, day: Datetime) {
         let now = day.plus_seconds(86_399);
         let crawled = match self.federation.as_mut() {
             Some(fed) => {
@@ -543,11 +509,6 @@ impl World {
             }
         };
         self.fleet.trim_outboxes(&crawled);
-        let sub = self.relay.subscribe(self.appview_cursor);
-        self.appview_cursor = sub.cursor;
-        for event in &sub.events {
-            self.appview.process_event(event);
-        }
     }
 
     fn sign_up_user(&mut self, index: usize, today: Datetime) {
@@ -614,8 +575,6 @@ impl World {
                 .register(domain, whois_registrar_for(self.config.seed, domain));
         }
 
-        // AppView learns about the actor and their profile record.
-        self.appview.upsert_actor(&user.did, &user.handle);
         let profile = Record::Profile(ProfileRecord {
             display_name: user.handle.labels()[0].to_string(),
             description: format!("posting in {}", user.language),
@@ -623,20 +582,17 @@ impl World {
             has_banner: rng.chance(0.4),
             created_at: today,
         });
-        let rkey = "self".to_string();
         if let Some(pds) = self.fleet.pds_for_mut(&user.did) {
             let _ = pds.apply_writes(
                 &user.did,
                 &[Write::Create {
                     collection: Nsid::PROFILE,
-                    rkey: rkey.clone(),
-                    record: profile.clone(),
+                    rkey: "self".to_string(),
+                    record: profile,
                 }],
                 today,
             );
         }
-        self.appview
-            .index_record(&user.did, &Nsid::PROFILE, &rkey, &profile, today);
         self.owned_local.insert(index, self.users.len());
         self.users.push(user);
     }
@@ -664,10 +620,6 @@ impl World {
                 rng,
             );
             self.labelers.register(service);
-            self.labeler_info.push(LabelerInfo {
-                index,
-                appview_cursor: 0,
-            });
         }
     }
 
@@ -773,7 +725,7 @@ impl World {
     /// One active user's actions for one day, applied as a single commit.
     /// Consumes only the user's own per-day streams plus the read-only plan.
     /// Each record is built once, inside its [`Write`], and lent from there
-    /// to the PDS, the AppView, the feed generators and the labelers.
+    /// to the PDS, the feed generators and the labelers.
     fn simulate_user_day(&mut self, index: usize, day_idx: usize, today: Datetime) {
         let Some(&local) = self.owned_local.get(&index) else {
             return; // signup failed (should not happen)
@@ -910,19 +862,8 @@ impl World {
             return;
         }
 
-        // AppView indexing, then feed curation and labeler observation for
-        // the new posts (the "firehose with blocks" path).
-        for write in &writes {
-            if let Write::Create {
-                collection,
-                rkey,
-                record,
-            } = write
-            {
-                self.appview
-                    .index_record(&user.did, collection, rkey, record, when);
-            }
-        }
+        // Feed curation and labeler observation for the new posts (the
+        // "firehose with blocks" path).
         for write in &writes {
             if let Write::Create {
                 rkey,
@@ -1147,29 +1088,12 @@ impl World {
         for labeler in self.labelers.all_mut() {
             labeler.poll(end_of_day);
         }
-        // The AppView subscribes to every labeler's stream.
-        for info in &mut self.labeler_info {
-            let labeler = &self.labelers.all()[info.index];
-            let (labels, next) = labeler.subscribe_labels(info.appview_cursor);
-            for label in labels {
-                self.appview.ingest_label(label);
-            }
-            info.appview_cursor = next;
-        }
     }
 
     /// Ground-truth totals (used only by tests and sanity checks, never by
     /// the measurement pipeline). Shard-local.
     pub fn ground_truth_totals(&self) -> (u64, u64) {
         (self.total_posts, self.total_likes)
-    }
-
-    /// Aggregate block-store statistics over every repository in the fleet
-    /// and the AppView's counter blocks (resident vs spilled bytes).
-    pub fn store_stats(&self) -> StoreStats {
-        let mut stats = self.fleet.store_stats();
-        stats.absorb(&self.appview.store_stats());
-        stats
     }
 
     /// Run the repository compaction pass over the whole fleet: blocks
@@ -1286,6 +1210,19 @@ mod tests {
         World::new(small_config())
     }
 
+    /// Every post a non-personalised feed holds, in feed order.
+    fn curated(world: &World) -> Vec<Arc<AtUri>> {
+        let feeds = world.feedgens.iter().filter(|f| !f.is_personalized());
+        let entries = feeds.flat_map(|f| f.entries());
+        entries.map(|entry| Arc::clone(&entry.uri)).collect()
+    }
+
+    /// Labels every labeler's stream carries.
+    fn labels_issued(world: &World) -> usize {
+        let streams = world.labelers.all().iter();
+        streams.map(|l| l.subscribe_labels(0).0.len()).sum()
+    }
+
     #[test]
     fn world_builds_and_steps() {
         let mut world = small_world();
@@ -1299,7 +1236,7 @@ mod tests {
             world.users.len()
         );
         assert!(world.relay.known_account_count() > 0);
-        assert!(world.appview.post_count() > 0);
+        assert!(world.ground_truth_totals().0 > 0);
         assert!(world.relay.firehose().total_events() > 0);
         assert_eq!(world.days_elapsed(), 30);
     }
@@ -1330,8 +1267,6 @@ mod tests {
             likes > posts,
             "likes ({likes}) should outnumber posts ({posts})"
         );
-        assert!(world.appview.post_count() > 0);
-        assert!(world.appview.follow_edge_count() > 0);
         // The relay's retained firehose still carries commits.
         assert!(world
             .relay
@@ -1344,7 +1279,6 @@ mod tests {
         let publishing = world.labelers.all().iter();
         let publishing = publishing.filter(|l| !l.subscribe_labels(0).0.is_empty());
         assert!(publishing.count() >= 2);
-        assert!(world.appview.labels_ingested() > 0);
         // Feed generators exist and most curated something.
         assert!(!world.feedgens.is_empty());
         let curating = world
@@ -1373,7 +1307,7 @@ mod tests {
             a.relay.firehose().total_events(),
             b.relay.firehose().total_events()
         );
-        assert_eq!(a.appview.labels_ingested(), b.appview.labels_ingested());
+        assert_eq!(labels_issued(&a), labels_issued(&b));
     }
 
     #[test]
@@ -1522,10 +1456,9 @@ mod tests {
     fn appview_shards_and_store_do_not_change_the_world() {
         let config = small_config();
         let mut baseline = World::new(config);
-        // 4 entity shards over tiny paged stores, write-back cache off (the
-        // baseline has it on): the run must spill while the AppView holds
-        // exactly the monolithic default's state.
-        let mut sharded = World::from_spec(
+        // Tiny paged stores and the inert AppView knobs: the run must spill
+        // while simulating exactly the in-memory default's world.
+        let mut paged = World::from_spec(
             WorldSpec::new(config)
                 .store(StoreConfig::paged().page_size(2048).resident_pages(1))
                 .appview_shards(4)
@@ -1533,29 +1466,89 @@ mod tests {
         );
         for _ in 0..45 {
             baseline.step_day();
-            sharded.step_day();
+            paged.step_day();
         }
-        let (a, b) = (&baseline.appview, &sharded.appview);
-        assert_eq!(a.post_count(), b.post_count());
-        assert_eq!(a.follow_edge_count(), b.follow_edge_count());
-        assert_eq!(a.labels_ingested(), b.labels_ingested());
-        assert_eq!(a.labels_preindex(), b.labels_preindex());
-        assert_eq!(a.records_indexed(), b.records_indexed());
-        assert!(a.post_count() > 0, "the window must index posts");
-        // Every post a feed curated hydrates identically.
-        for entry in baseline.feedgens.iter().flat_map(|f| f.entries()) {
-            assert_eq!(a.has_post(&entry.uri), b.has_post(&entry.uri));
-        }
-        // The paged run really spilled, and holds fewer resident bytes.
-        // (The AppView keeps only counter blocks, too few to spill at this
-        // scale, so the check is over the whole run's stores.)
-        let paged = sharded.store_stats();
-        let mem = baseline.store_stats();
-        assert!(
-            paged.spilled_bytes > 0,
-            "the paged run never spilled: {paged:?}"
+        assert_eq!(baseline.ground_truth_totals(), paged.ground_truth_totals());
+        assert_eq!(
+            baseline.relay.subscribe(0).events,
+            paged.relay.subscribe(0).events
         );
-        assert!(paged.resident_bytes < mem.resident_bytes);
+        assert_eq!(labels_issued(&baseline), labels_issued(&paged));
+        assert!(
+            !curated(&baseline).is_empty(),
+            "the window must curate posts"
+        );
+        assert_eq!(curated(&baseline), curated(&paged));
+        // The paged run really spilled, and holds fewer resident bytes.
+        let spilled = paged.fleet.store_stats();
+        let mem = baseline.fleet.store_stats();
+        assert!(
+            spilled.spilled_bytes > 0,
+            "the paged run never spilled: {spilled:?}"
+        );
+        assert!(spilled.resident_bytes < mem.resident_bytes);
+    }
+
+    #[test]
+    fn feed_hydration_counts_a_tombstone_from_the_crawl_that_delivers_it() {
+        // The collector hydrates a feed entry while the relay lists its
+        // author: a post leaves the index only through its author's
+        // `#tombstone`, and only once a crawl has delivered it.
+        let mut world = small_world();
+        for _ in 0..75 {
+            world.step_day();
+        }
+        let entries = curated(&world);
+        let deleted = entries[0].did().clone();
+        let migrated = entries
+            .iter()
+            .map(|uri| uri.did())
+            .find(|did| **did != deleted)
+            .expect("two curated authors")
+            .clone();
+        // What the collector's feed snapshot serves, and one author's share.
+        let hydrated = |world: &World| -> Vec<Arc<AtUri>> {
+            let entries = curated(world).into_iter();
+            entries
+                .filter(|uri| world.relay.lists_repo(uri.did()))
+                .collect()
+        };
+        let posts_of = |uris: &[Arc<AtUri>], author: &Did| {
+            uris.iter().filter(|uri| uri.did() == author).count()
+        };
+        let (deleted_posts, migrated_posts) =
+            (posts_of(&entries, &deleted), posts_of(&entries, &migrated));
+        assert!(deleted_posts > 0 && migrated_posts > 0);
+        assert_eq!(posts_of(&hydrated(&world), &deleted), deleted_posts);
+
+        // Deleted after the day's last crawl: the tombstone sits in the
+        // PDS outbox, so the author's posts still hydrate.
+        let today = world.today;
+        let pds = world.fleet.pds_for_mut(&deleted).unwrap();
+        pds.delete_account(&deleted, today).unwrap();
+        assert_eq!(posts_of(&hydrated(&world), &deleted), deleted_posts);
+
+        // A migration moves the repository, not its posts.
+        let origin = world.fleet.locate(&migrated).unwrap().to_string();
+        let destination = world
+            .fleet
+            .servers()
+            .map(|pds| pds.hostname().to_string())
+            .find(|host| *host != origin)
+            .unwrap();
+        let handle = world.users.iter().find(|u| u.did == migrated).unwrap();
+        let handle = handle.handle.clone();
+        world
+            .fleet
+            .migrate_account(&migrated, &destination, handle, today)
+            .unwrap();
+
+        // The next crawl delivers both: the tombstoned author's curated
+        // posts are gone, the migrated author's stay.
+        world.crawl(today);
+        let served = hydrated(&world);
+        assert_eq!(posts_of(&served, &deleted), 0);
+        assert_eq!(posts_of(&served, &migrated), migrated_posts);
     }
 
     #[test]
@@ -1577,7 +1570,7 @@ mod tests {
             coarse.relay.firehose().total_events(),
             fine.relay.firehose().total_events()
         );
-        assert_eq!(coarse.appview.post_count(), fine.appview.post_count());
+        assert_eq!(curated(&coarse), curated(&fine));
     }
 
     #[test]
@@ -1604,7 +1597,10 @@ mod tests {
             single.relay.known_account_count(),
             fed.relay.known_account_count()
         );
-        assert_eq!(single.appview.post_count(), fed.appview.post_count());
+        assert_eq!(
+            single.relay.list_repos(None, usize::MAX),
+            fed.relay.list_repos(None, usize::MAX)
+        );
         // Everything travelled through the regional tier: forwarding and
         // dedup tracking are live, and a clean partition never deduplicates.
         let stats = fed.relay.stats();

@@ -1,5 +1,6 @@
 //! Quickstart: build a tiny simulated Bluesky network, run it for a few
-//! weeks, and print what the Relay and AppView observed.
+//! weeks, and print what the Relay, the PDS fleet and the feed generators
+//! saw.
 //!
 //! ```sh
 //! cargo run --example quickstart
@@ -32,14 +33,17 @@ fn main() {
         "firehose events:         {}",
         world.relay.firehose().total_events()
     );
-    println!("posts indexed by AppView: {}", world.appview.post_count());
     println!(
-        "follow edges:            {}",
-        world.appview.follow_edge_count()
-    );
-    println!(
-        "labels ingested:         {}",
-        world.appview.labels_ingested()
+        "record blocks on PDSes:  {}",
+        world.fleet.store_stats().blocks
     );
     println!("feed generators online:  {}", world.feedgens.len());
+    println!(
+        "posts curated by feeds:  {}",
+        world
+            .feedgens
+            .iter()
+            .map(|f| f.entries().len())
+            .sum::<usize>()
+    );
 }

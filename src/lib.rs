@@ -40,17 +40,15 @@
 //! ## Run configuration: one `RunSpec`, two entry points
 //!
 //! Every knob a study run has — seed and scale, engine shards and worker
-//! threads, block-store backend, AppView entity shards, the write-back
-//! cache, wire framing, relay topology, fault scenario — lives on one
-//! struct, `bsky_study::RunSpec`, with builder methods for the knobs
+//! threads, block-store backend, wire framing, relay topology, fault
+//! scenario — lives on one struct, `bsky_study::RunSpec`, with builder methods for the knobs
 //! callers chain:
 //!
 //! ```ignore
 //! let mut spec = RunSpec::new(config)
 //!     .jobs(4)
 //!     .shards(8)
-//!     .store(StoreConfig::paged().page_size(4096))
-//!     .appview_shards(4);
+//!     .store(StoreConfig::paged().page_size(4096));
 //! spec.faults = FaultSpec::scenario("pds-migration").unwrap();
 //! spec.scenario = Some("pds-migration".into());
 //! let (report, summary) = StudyReport::run(&spec);
@@ -109,12 +107,12 @@
 //!
 //! ## Pluggable block storage and compaction
 //!
-//! Every stored CID-addressed byte blob — repository record blocks, the
-//! study mirror's record blocks and the AppView's counter blocks — lives
-//! behind the `bsky_atproto::blockstore::BlockStore` trait. Two
-//! backends, built from a `StoreConfig` and not nameable otherwise: the
-//! in-memory store (the default; one buffer per store packs its blocks'
-//! bytes, found through a CID-keyed table of spans) and the paged store
+//! Every stored CID-addressed byte blob — repository record blocks and the
+//! study mirror's record blocks — lives behind the
+//! `bsky_atproto::blockstore::BlockStore` trait. Two backends, built from
+//! a `StoreConfig` and not nameable otherwise: the in-memory store (the
+//! default; one buffer per store packs its blocks' bytes, found through a
+//! CID-keyed table of spans) and the paged store
 //! (fixed-size pages with an LRU of resident pages; cold pages are
 //! appended to one segment file per spill root, shared by every store of
 //! the process and removed with the last of them, a page-in is one
@@ -124,44 +122,6 @@
 //! `--store mem|paged --page-size N --spill-dir DIR`) and changes only
 //! *where* blocks reside — the golden equivalence test pins mem == paged
 //! byte-identical, serial and sharded.
-//!
-//! ## Entity-sharded AppView
-//!
-//! `bsky_appview::AppViewShards` partitions the AppView's indices by
-//! *entity hash* — posts by the FNV-1a hash of their AT-URI, actors and
-//! their outgoing graph edges by `bsky_atproto::Did::shard_hash`, the same
-//! hash the workload plan partitions the population by. Ingestion
-//! decomposes into per-entity primitives routed to the owning shard. The
-//! study never acts as the AppView's client: it only ingests and probes
-//! (`has_post` when a feed's entries hydrate, the labels that found no
-//! target, the counters). So a shard keeps exactly that — a resident key
-//! per post and per account, the follow/block edge sets, and counters —
-//! and no record, profile, handle or label set. Every query of an entity,
-//! and the monolithic index itself, lives under `#[cfg(test)]` as the
-//! oracle of the property test that pins sharded == monolithic for random
-//! event/label interleavings.
-//! Configured end to end via `RunSpec::appview_shards` (repro
-//! `--appview-shards N`); the golden equivalence test pins the report byte-identical across
-//! appview shard counts × store backends. Labels that arrive before the
-//! entity they target are counted
-//! (`StreamSummary::appview_labels_preindex`) instead of silently
-//! dropped.
-//!
-//! ## Dirty counters & the write-back cache
-//!
-//! An AppView entity's counters — like/repost and follower/post counters,
-//! mutated on nearly every event — accumulate in small resident dirty maps
-//! (`PostCounters` / `ActorCounters`) and flush at day boundaries into
-//! counter blocks of a dozen-odd bytes, so a day of counter bumps costs
-//! one encode+put per entity. In front of each shard's counter store,
-//! `bsky_atproto::blockstore::WriteBackStore` (repro `--writeback
-//! on|off`, `RunSpec::write_back`) buffers same-day block writes until the
-//! flush, which also demotes sealed cold pages (`BlockStore::evict_cold`),
-//! keeping steady-state residency to the open page plus the dirty maps.
-//! Cache hits, misses, flushes and coalesced writes are
-//! `bsky_study::StreamSummary` counters, and the golden equivalence tests
-//! pin reports byte-identical cache-on vs cache-off, serial and sharded,
-//! mem and paged.
 //!
 //! On the wire, MST node entries are prefix-compressed exactly like the
 //! reference implementation (`p` shared-prefix length + `k` suffix),
@@ -176,6 +136,20 @@
 //! `AtError::RevisionCompacted`, and the incremental mirror falls back to
 //! a full fetch *visibly* — the fallback count is
 //! surfaced in `bsky_study::StreamSummary`, never swallowed.
+//!
+//! ## The AppView the study sees
+//!
+//! The study never acts as an AppView's client. What an AppView knows
+//! reaches the report through one read: `getFeed` hydration, which drops
+//! the posts its index no longer holds. A post leaves that index only when
+//! its author's `#tombstone` arrives over the relay — the event that also
+//! drops the author from the relay's `listRepos` — so the collector
+//! hydrates a feed entry while `bsky_relay::Relay::lists_repo` holds for
+//! its author, and the world runs no AppView. `bsky_appview::AppViewShards`
+//! (an entity-sharded index whose counters flush daily into counter blocks
+//! behind a `WriteBackStore`) remains for the benchmark, which replays the
+//! world's records into it; `RunSpec::{appview_shards, write_back}` are
+//! inert.
 //!
 //! ## The wire-level traffic observatory
 //!

@@ -1,5 +1,5 @@
 //! Golden equivalence: every layout of the one streaming engine — sharded
-//! (`--jobs 4`), paged, AppView-sharded, framed, pipelined — must render a
+//! (`--jobs 4`), paged, framed, pipelined — must render a
 //! `StudyReport` **byte-identical** to the serial in-memory run's, for
 //! multiple seeds. The serial run's own bytes are pinned as stored hashes in
 //! `tests/runspec_golden.rs`.
@@ -122,36 +122,33 @@ fn paged_store_is_byte_identical_to_mem_store_serial_and_sharded() {
 
 #[test]
 fn appview_sharding_is_byte_identical_across_backends() {
+    // The study runs no AppView any more; what this test keeps is its
+    // store-backend × engine grid.
+    let paged = StoreConfig::paged().page_size(4096).resident_pages(2);
     for seed in [31u64, 32] {
-        // Baseline: monolithic in-memory AppView (1 entity shard), serial.
+        // Baseline: the in-memory store, serial.
         let (baseline, _) = StudyReport::run_serial(&spec(seed));
-        let paged = StoreConfig::paged().page_size(4096).resident_pages(2);
-        // The full appview-shard-count × store-backend grid, serial AND on
-        // the 4-shard engine: entity sharding and spill change only where
-        // AppView state resides — never a report byte.
-        for (appview_shards, store, label) in [
-            (4usize, StoreConfig::mem(), "4 shards, mem"),
-            (1, paged.clone(), "1 shard, paged"),
-            (4, paged.clone(), "4 shards, paged"),
-        ] {
-            let cell = |engine_shards: usize| {
-                spec(seed)
-                    .shards(engine_shards)
-                    .jobs(engine_shards)
-                    .store(store.clone())
-                    .appview_shards(appview_shards)
-            };
-            let (serial, serial_summary) = StudyReport::run(&cell(1));
-            assert_reports_identical(&serial, &baseline, seed);
-            let (sharded_engine, _) = StudyReport::run(&cell(4));
-            assert_reports_identical(&sharded_engine, &baseline, seed);
-            // Paged layouts really exercised the spill path (repo, relay
-            // and appview stores all ride the same backend).
-            if store.kind == bluesky_repro::bsky_atproto::blockstore::StoreKind::Paged {
-                assert!(
-                    serial_summary.merged.spilled_block_bytes > 0,
-                    "seed {seed} ({label}): paged run never spilled"
+        // Every store backend, serial AND on the 4-shard engine: spill
+        // changes only where blocks reside — never a report byte — and
+        // every mirrored record block decodes into its snapshot.
+        for (store, label) in [(StoreConfig::mem(), "mem"), (paged.clone(), "paged")] {
+            for engine_shards in [1usize, 4] {
+                let (report, summary) = StudyReport::run(
+                    &spec(seed)
+                        .shards(engine_shards)
+                        .jobs(engine_shards)
+                        .store(store.clone()),
                 );
+                assert_reports_identical(&report, &baseline, seed);
+                let label = format!("seed {seed}, {label}, {engine_shards} shard(s)");
+                assert_eq!(summary.merged.repo_records_undecodable, 0, "{label}");
+                // Paged layouts really exercised the spill path.
+                if store.kind == bluesky_repro::bsky_atproto::blockstore::StoreKind::Paged {
+                    assert!(
+                        summary.merged.spilled_block_bytes > 0,
+                        "{label}: never spilled"
+                    );
+                }
             }
         }
     }
@@ -203,7 +200,7 @@ fn observatory_mitigations_never_change_the_report() {
         // exact serial totals (frame boundaries derive from (DID, time), so
         // partitioning the population cannot move them).
         let (sharded, sharded_summary) =
-            StudyReport::run(&framed(seed, mitigated).shards(4).jobs(4).appview_shards(4));
+            StudyReport::run(&framed(seed, mitigated).shards(4).jobs(4));
         assert_reports_identical(&sharded, &baseline, seed);
         assert_eq!(
             sharded_summary.merged.wire_frames, padded_summary.merged.wire_frames,
