@@ -6,12 +6,16 @@
 //! one trait with these backends (MST node blocks are not stored: the
 //! in-memory tree encodes them on export):
 //!
-//! * `MemStore` — everything resident: the blocks' bytes packed into one
-//!   append-only buffer per store, found through a hash table from CID to
-//!   their span ([`CidMap`]: a block is found by its digest, not by
-//!   comparing keys down an ordered map). A block is not an allocation of
-//!   its own, and [`BlockStore::put_slice`] copies it in once from a buffer
-//!   the caller keeps. The default.
+//! * `MemStore` — everything resident: each block packed into one
+//!   append-only buffer per store behind a header that holds its CID and
+//!   length, `[CID 33 B][len u32 LE][payload]`, and found through an
+//!   open-addressed table of `u32` offsets into that buffer (linear probing
+//!   from the digest's first eight bytes, doubled past three quarters full,
+//!   backward-shift deletes, rebuilt with the buffer when it is compacted).
+//!   A block is neither an allocation nor an owned key of its own: its CID
+//!   is kept once, beside its bytes, and [`BlockStore::put_slice`] copies it
+//!   in once from a buffer the caller keeps. `len`, `bytes()` and `stats`
+//!   count payloads only; headers and table are overhead. The default.
 //! * `PagedStore` — blocks are appended to fixed-size *pages*; a full page
 //!   is sealed into one immutable buffer and an LRU of sealed pages bounds
 //!   memory. An evicted page is appended, once, to the *segment* of its
@@ -29,8 +33,9 @@
 //!   still-buffered block cancels the write before it ever reaches the
 //!   backend. A read-modify-write chain that rewrites an entity N times
 //!   between flushes therefore costs the backend a single `put` instead of
-//!   N `put`/`delete` pairs. The AppView wraps its counter store in one and
-//!   flushes at day boundaries (the `--writeback` knob).
+//!   N `put`/`delete` pairs. The AppView wraps its counter store in one
+//!   when it is built with write-back on, and flushes at its day
+//!   boundaries.
 //!
 //! ## Contract
 //!
@@ -48,7 +53,7 @@
 //! builders plumb through the stack.
 
 use crate::cid::{Cid, CidMap};
-use crate::crypto::sha256;
+use crate::crypto::{sha256, DIGEST_LEN};
 use std::cell::{Cell, RefCell};
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, VecDeque};
@@ -267,24 +272,106 @@ const HOLE_FLOOR: usize = 4 * 1024;
 /// reallocate for every block.
 const GROW_FLOOR: usize = 256;
 
-/// The resident backend: every block's bytes packed into one append-only
-/// buffer (the *arena*), found through a hash table from CID to their span.
-/// A block costs its bytes plus one table slot, not a heap allocation of its
-/// own. A delete leaves a hole; once the holes outweigh the live bytes (and
-/// pass [`HOLE_FLOOR`]) the arena is rebuilt from the live blocks, so it
-/// never holds more than twice the live bytes plus that floor. It grows by a
-/// quarter of its length at a time (at least [`GROW_FLOOR`] and the block),
-/// not by doubling, so its spare capacity stays a quarter of what it holds.
-/// Nothing iterates the table towards output, so neither its layout nor the
-/// arena's reaches a report. Also the oracle the paged backend is
-/// property-tested against (and itself tested against an ordered model).
+/// A CID as a [`MemStore`] header holds it: the codec byte, then the digest.
+const CID_KEY: usize = 1 + DIGEST_LEN;
+
+/// A [`MemStore`] block header: the CID, then the payload length (`u32`,
+/// little-endian).
+const HEADER: usize = CID_KEY + 4;
+
+/// Slots of the smallest [`MemStore`] table.
+const MIN_TABLE: usize = 8;
+
+/// The resident backend: every block packed into one append-only buffer
+/// (the *arena*) as `[CID 33 B][payload length u32 LE][payload]`, found
+/// through an open-addressed table of `u32` arena offsets. A block costs its
+/// bytes, a 37-byte header and one 4-byte slot, not a heap allocation or an
+/// owned key of its own.
+///
+/// *The table.* A slot holds the offset of a block's payload, just past its
+/// header, so it is never 0 and 0 marks an empty slot. A CID probes
+/// linearly from the first eight bytes of its digest (the [`CidHasher`]
+/// rule) and matches a slot whose header holds its 33 bytes. The table is a
+/// power of two long and doubles before an insert would take it past three
+/// quarters full; a delete shifts the rest of its probe run back, so there
+/// are no tombstones.
+///
+/// *The arena.* A delete leaves a hole; once the holes outweigh the live
+/// header and payload bytes (and pass [`HOLE_FLOOR`]) the arena is rebuilt
+/// from the live blocks, and the table with it, sized to what is left. So
+/// the arena never holds more than twice its live bytes plus that floor. It
+/// grows by a quarter of its length at a time (at least [`GROW_FLOOR`] and
+/// the block), not by doubling, so its spare capacity stays a quarter of
+/// what it holds.
+///
+/// `len`, `bytes` and `stats` count payloads only: a header is the store's
+/// overhead, like a table slot. Nothing iterates the table towards output,
+/// so neither its layout nor the arena's reaches a report. Also the oracle
+/// the paged backend is property-tested against (and itself tested against
+/// an ordered model).
+///
+/// [`CidHasher`]: crate::cid::CidHasher
 #[derive(Debug, Default)]
 pub(crate) struct MemStore {
-    /// Offset and length of every live block in `arena`.
-    index: CidMap<(u32, u32)>,
+    /// Payload offsets into `arena` (0: empty slot); empty or a power of
+    /// two long.
+    table: Vec<u32>,
     arena: Vec<u8>,
-    /// Live bytes: `arena.len()` minus the holes.
+    /// Blocks held.
+    len: usize,
+    /// Live payload bytes.
     bytes: usize,
+}
+
+/// A CID's header bytes (see [`CID_KEY`]).
+fn cid_key(cid: &Cid) -> [u8; CID_KEY] {
+    let mut key = [0u8; CID_KEY];
+    key[0] = cid.codec();
+    key[1..].copy_from_slice(cid.digest());
+    key
+}
+
+/// The slot a CID's probe starts from, given its header bytes: the first
+/// eight digest bytes, as [`Cid`]'s `Hash` reads them.
+fn home_slot(key: &[u8], mask: usize) -> usize {
+    let mut head = [0u8; 8];
+    head.copy_from_slice(&key[1..9]);
+    u64::from_le_bytes(head) as usize & mask
+}
+
+/// Table slots for `blocks` blocks: the smallest power of two, at least
+/// [`MIN_TABLE`], that they fill no more than three quarters of.
+fn table_len_for(blocks: usize) -> usize {
+    let mut len = MIN_TABLE;
+    while blocks * 4 > len * 3 {
+        len *= 2;
+    }
+    len
+}
+
+/// Put the block whose payload starts at `arena[at]` into the first empty
+/// slot of its probe run.
+fn place(table: &mut [u32], arena: &[u8], at: u32) {
+    let mask = table.len() - 1;
+    let mut slot = home_slot(header_key(arena, at), mask);
+    while table[slot] != 0 {
+        slot = (slot + 1) & mask;
+    }
+    table[slot] = at;
+}
+
+/// The CID bytes in the header of the block whose payload starts at
+/// `arena[at]`.
+fn header_key(arena: &[u8], at: u32) -> &[u8] {
+    &arena[at as usize - HEADER..][..CID_KEY]
+}
+
+/// The payload that starts at `arena[at]`.
+fn payload(arena: &[u8], at: u32) -> &[u8] {
+    let at = at as usize;
+    let mut len = [0u8; 4];
+    len.copy_from_slice(&arena[at - 4..at]);
+    &arena[at..][..u32::from_le_bytes(len) as usize]
 }
 
 impl MemStore {
@@ -293,28 +380,90 @@ impl MemStore {
         MemStore::default()
     }
 
-    /// Copy the live blocks into a fresh, exact-size arena.
+    /// Header and payload bytes of the live blocks: `arena.len()` minus the
+    /// holes.
+    fn live_bytes(&self) -> usize {
+        self.bytes + self.len * HEADER
+    }
+
+    /// The slot holding `key`, or the empty slot its probe ends at. The
+    /// table must not be empty.
+    fn probe(&self, key: &[u8; CID_KEY]) -> std::result::Result<usize, usize> {
+        let mask = self.table.len() - 1;
+        let mut slot = home_slot(key, mask);
+        loop {
+            match self.table[slot] {
+                0 => return Err(slot),
+                at if header_key(&self.arena, at) == key => return Ok(slot),
+                _ => slot = (slot + 1) & mask,
+            }
+        }
+    }
+
+    /// The slot holding `cid`, if it is stored.
+    fn find(&self, cid: &Cid) -> Option<usize> {
+        if self.table.is_empty() {
+            return None;
+        }
+        self.probe(&cid_key(cid)).ok()
+    }
+
+    /// Empty `slot` and shift the rest of its probe run back over it, so
+    /// every later entry stays reachable from its home slot.
+    fn unlink(&mut self, mut slot: usize) {
+        let mask = self.table.len() - 1;
+        let mut next = slot;
+        loop {
+            next = (next + 1) & mask;
+            let at = self.table[next];
+            if at == 0 {
+                break;
+            }
+            let home = home_slot(header_key(&self.arena, at), mask);
+            // The entry may move back to `slot` unless its home lies after
+            // `slot` in the run (cyclically, within `slot + 1 ..= next`).
+            if next.wrapping_sub(home) & mask >= next.wrapping_sub(slot) & mask {
+                self.table[slot] = at;
+                slot = next;
+            }
+        }
+        self.table[slot] = 0;
+    }
+
+    /// Rehash every block into a fresh table of `len` slots.
+    fn rebuild_table(&mut self, len: usize) {
+        let mut table = vec![0u32; len];
+        for &at in self.table.iter().filter(|&&at| at != 0) {
+            place(&mut table, &self.arena, at);
+        }
+        self.table = table;
+    }
+
+    /// Copy the live blocks, headers included, into a fresh, exact-size
+    /// arena, and index them in a fresh table sized to them.
     fn compact(&mut self) {
-        let mut arena = Vec::with_capacity(self.bytes);
-        for (off, len) in self.index.values_mut() {
-            let at = span_u32(arena.len());
-            arena.extend_from_slice(&self.arena[*off as usize..][..*len as usize]);
-            *off = at;
+        let mut arena = Vec::with_capacity(self.live_bytes());
+        let mut table = vec![0u32; table_len_for(self.len)];
+        for &at in self.table.iter().filter(|&&at| at != 0) {
+            let block = payload(&self.arena, at);
+            arena.extend_from_slice(&self.arena[at as usize - HEADER..][..HEADER + block.len()]);
+            place(&mut table, &arena, span_u32(arena.len() - block.len()));
         }
         self.arena = arena;
+        self.table = table;
     }
 }
 
-/// An arena offset or block length as stored in a [`MemStore`] index:
-/// a store past 4 GiB stops here rather than wrap to a wrong span.
+/// An arena offset or block length as a [`MemStore`] stores it: a store past
+/// 4 GiB stops here rather than wrap to a wrong offset.
 fn span_u32(n: usize) -> u32 {
     u32::try_from(n).expect("MemStore arena exceeds 4 GiB")
 }
 
 impl BlockStore for MemStore {
     fn get(&self, cid: &Cid) -> Option<Vec<u8>> {
-        let &(off, len) = self.index.get(cid)?;
-        Some(self.arena[off as usize..][..len as usize].to_vec())
+        let slot = self.find(cid)?;
+        Some(payload(&self.arena, self.table[slot]).to_vec())
     }
 
     fn put(&mut self, cid: Cid, bytes: Vec<u8>) -> bool {
@@ -322,38 +471,52 @@ impl BlockStore for MemStore {
     }
 
     fn put_slice(&mut self, cid: Cid, bytes: &[u8]) -> bool {
-        let Entry::Vacant(slot) = self.index.entry(cid) else {
-            return false;
+        let key = cid_key(&cid);
+        let fits = (self.len + 1) * 4 <= self.table.len() * 3;
+        let slot = match (!self.table.is_empty()).then(|| self.probe(&key)) {
+            Some(Ok(_)) => return false,
+            Some(Err(slot)) if fits => slot,
+            _ => {
+                self.rebuild_table(table_len_for(self.len + 1));
+                self.probe(&key).expect_err("the CID was absent")
+            }
         };
-        let (off, len) = (span_u32(self.arena.len()), span_u32(bytes.len()));
-        if self.arena.capacity() - self.arena.len() < bytes.len() {
-            let grow = (self.arena.len() / 4).max(GROW_FLOOR).max(bytes.len());
+        let need = HEADER + bytes.len();
+        if self.arena.capacity() - self.arena.len() < need {
+            let grow = (self.arena.len() / 4).max(GROW_FLOOR).max(need);
             self.arena.reserve_exact(grow);
         }
+        self.arena.extend_from_slice(&key);
+        self.arena
+            .extend_from_slice(&span_u32(bytes.len()).to_le_bytes());
+        self.table[slot] = span_u32(self.arena.len());
         self.arena.extend_from_slice(bytes);
-        slot.insert((off, len));
+        self.len += 1;
         self.bytes += bytes.len();
         true
     }
 
     fn has(&self, cid: &Cid) -> bool {
-        self.index.contains_key(cid)
+        self.find(cid).is_some()
     }
 
     fn delete(&mut self, cid: &Cid) -> usize {
-        let Some((_, len)) = self.index.remove(cid) else {
+        let Some(slot) = self.find(cid) else {
             return 0;
         };
-        self.bytes -= len as usize;
-        let holes = self.arena.len() - self.bytes;
-        if holes > self.bytes && holes >= HOLE_FLOOR {
+        let len = payload(&self.arena, self.table[slot]).len();
+        self.unlink(slot);
+        self.len -= 1;
+        self.bytes -= len;
+        let holes = self.arena.len() - self.live_bytes();
+        if holes > self.live_bytes() && holes >= HOLE_FLOOR {
             self.compact();
         }
-        len as usize
+        len
     }
 
     fn len(&self) -> usize {
-        self.index.len()
+        self.len
     }
 
     fn bytes(&self) -> usize {
@@ -362,7 +525,7 @@ impl BlockStore for MemStore {
 
     fn stats(&self) -> StoreStats {
         StoreStats {
-            blocks: self.index.len(),
+            blocks: self.len,
             logical_bytes: self.bytes,
             resident_bytes: self.bytes,
             ..StoreStats::default()
@@ -949,16 +1112,21 @@ mod tests {
     /// put_slice / get / has / delete agrees with a `BTreeMap<Cid, Vec<u8>>`,
     /// over a universe where a third of the CIDs are built to share the eight
     /// digest bytes the hasher reads with another CID — differing in a later
-    /// digest byte, or in the codec alone — so that buckets really collide
-    /// and only full-key equality tells the blocks apart. Deletes cross the
-    /// compaction threshold many times, and after every op the arena is
-    /// within the bounds its compaction and growth rules promise.
+    /// digest byte, or in the codec alone — so that probes really collide
+    /// and only the full 33 header bytes tell the blocks apart. Deletes
+    /// cross the compaction threshold many times, and after every op the
+    /// arena (headers and payloads) is within the bounds its compaction and
+    /// growth rules promise, and the table within ≈ 11 bytes per block
+    /// header in the arena. A `CidMap<(u32, u32)>` index, 44-byte slots plus
+    /// a control byte each at most seven eighths full, would hold 45 or more
+    /// bytes per live block and fail that bound.
     #[test]
     fn mem_store_matches_ordered_model_with_colliding_cids() {
         use std::hash::BuildHasher;
         let hash = |cid: &Cid| CidMap::<()>::default().hasher().hash_one(cid);
         let mut rng = TestRng::new(0x00c0_111d);
         let (mut collisions, mut compactions) = (0, 0);
+        let (mut index_bytes, mut live_blocks) = (0, 0);
         for round in 0..12u64 {
             let mut universe: Vec<(Cid, Vec<u8>)> = (0..16)
                 .map(|i| block(round * 1_000 + i, 8 + rng.below(240) as usize))
@@ -1014,18 +1182,28 @@ mod tests {
                 for (cid, _) in &universe {
                     assert_eq!(store.get(cid), model.get(cid).cloned());
                 }
-                let live = model.values().map(Vec::len).sum::<usize>();
+                let payloads = model.values().map(Vec::len).sum::<usize>();
                 assert_eq!(store.len(), model.len());
-                assert_eq!(store.bytes(), live);
+                assert_eq!(store.bytes(), payloads);
+                let live = payloads + model.len() * HEADER;
                 let (len, cap) = (store.arena.len(), store.arena.capacity());
                 assert!(
                     len - live <= live.max(HOLE_FLOOR - 1),
                     "{len}-byte arena for {live} live bytes"
                 );
                 assert!(
-                    cap - len <= (len / 4).max(GROW_FLOOR).max(largest),
+                    cap - len <= (len / 4).max(GROW_FLOOR).max(HEADER + largest),
                     "{cap}-byte arena capacity for {len} bytes"
                 );
+                let headers = arena_headers(&store);
+                assert!(headers >= model.len());
+                let index = store.table.capacity() * std::mem::size_of::<u32>();
+                assert!(
+                    3 * index <= (32 * headers).max(3 * 4 * MIN_TABLE),
+                    "{index}-byte table for {headers} block headers"
+                );
+                index_bytes += index;
+                live_blocks += model.len();
             }
             for (cid, _) in &universe {
                 assert_eq!(store.get(cid), model.get(cid).cloned());
@@ -1034,6 +1212,28 @@ mod tests {
         }
         assert!(collisions > 60, "colliding CIDs in play: {collisions}");
         assert!(compactions > 60, "arena compactions: {compactions}");
+        assert!(
+            index_bytes <= 16 * live_blocks,
+            "{index_bytes} table bytes over {live_blocks} live blocks, summed over every op"
+        );
+    }
+
+    /// Walk a [`MemStore`] arena header by header, checking that the walk
+    /// ends exactly at its end and that every table slot points at one of
+    /// its payloads; returns the number of headers, live and dead.
+    fn arena_headers(store: &MemStore) -> usize {
+        let mut payloads = std::collections::BTreeSet::new();
+        let mut at = 0;
+        while at < store.arena.len() {
+            let start = span_u32(at + HEADER);
+            payloads.insert(start);
+            at = start as usize + payload(&store.arena, start).len();
+        }
+        assert_eq!(at, store.arena.len(), "the last block overruns the arena");
+        let slots = store.table.iter().filter(|&&at| at != 0);
+        assert!(slots.clone().all(|at| payloads.contains(at)));
+        assert_eq!(slots.count(), store.len());
+        payloads.len()
     }
 
     #[test]

@@ -17,18 +17,29 @@
 //!
 //! Mutations keep the shape: an insert splits the gap subtree it lands in
 //! around the new key, a delete merges the two neighbouring gap subtrees and
-//! trims an entry-less root, and a replace only swaps a value. Every node on
-//! the touched path drops its memoised CID, so [`Mst::root_cid`] encodes and
-//! hashes that path alone: a commit costs its batch, not its repository.
-//! The node tree is the only copy of the mapping; lookups and ordered
-//! iteration walk it. `Mst::take_node_delta` reports what a batch of
-//! mutations did to the node *set* (the CIDs that joined the tree, children
-//! before parents, and those that left it), which the repository layer logs
-//! per commit. The tree is also the only copy of its node *blocks*: nothing
+//! trims an entry-less root, and a replace only swaps a value. A write is
+//! one descent: [`Mst::insert`] computes the key's layer once and walks down
+//! to the node of that layer, where it either finds the key and swaps its
+//! value or splits the gap for it, so the caller learns from the returned
+//! previous value whether it created or replaced. Every node on the touched
+//! path drops its memoised CID, so [`Mst::root_cid`] encodes and hashes that
+//! path alone: a commit costs its batch, not its repository. The node tree
+//! is the only copy of the mapping; lookups and ordered iteration walk it.
+//! `Mst::take_node_delta` reports what a batch of mutations did to the node
+//! *set* (the CIDs that joined the tree, children before parents, and those
+//! that left it), which the repository layer logs per commit. The tree is also the only copy of its node *blocks*: nothing
 //! stores them, and `Mst::for_each_block` encodes them while an archive is
 //! written, pruned to the subtrees a consumer lacks. Node blocks are encoded
 //! directly to bytes with [`crate::cbor`]'s raw writers — byte-identical to
 //! the generic `Value` encoder, without allocating a value tree per node.
+//!
+//! *Keys.* A tree keeps all its keys back to back in one buffer, and an
+//! entry names its key by offset and length into it, so an entry is 48
+//! bytes and a key costs no allocation of its own. A new key is appended; a
+//! replaced value leaves the buffer as it is; a removed key leaves a hole,
+//! unless it was the last key appended, which is cut off. Once the holes
+//! outweigh the live key bytes and pass 4 KiB, one walk over the tree
+//! repacks the live keys into a fresh buffer in key order.
 //!
 //! Node entries are **prefix-compressed on the wire**, as in the reference
 //! implementation: within a node, each entry carries `p` (the number of key
@@ -99,10 +110,42 @@ type Gap = Option<Box<Node>>;
 
 #[derive(Debug, Clone)]
 struct Entry {
-    key: String,
+    /// With `key_len`, where this entry's key sits in the tree's key buffer
+    /// ([`Mst::keys`]). Two fields, because a `(u32, u16)` pair pads to 8
+    /// bytes and the entry with it to 56.
+    key_at: u32,
+    key_len: u16,
     value: Cid,
     /// The gap between this entry and the next.
     right: Gap,
+}
+
+impl Entry {
+    fn new((key_at, key_len): (u32, u16), value: Cid, right: Gap) -> Entry {
+        Entry {
+            key_at,
+            key_len,
+            value,
+            right,
+        }
+    }
+
+    /// This entry's key, read from the tree's key buffer.
+    fn key<'k>(&self, keys: &'k str) -> &'k str {
+        &keys[self.key_at as usize..][..usize::from(self.key_len)]
+    }
+}
+
+/// Removed key bytes a tree's key buffer tolerates before it may be
+/// repacked, however few live bytes it holds.
+const KEY_HOLE_FLOOR: usize = 4 * 1024;
+
+/// Append `key` to a key buffer, returning its span there.
+fn push_key(keys: &mut String, key: &str) -> (u32, u16) {
+    let at = u32::try_from(keys.len()).expect("MST key buffer exceeds 4 GiB");
+    let len = u16::try_from(key.len()).expect("MST key longer than 64 KiB");
+    keys.push_str(key);
+    (at, len)
 }
 
 /// One tree node. Below the root a node is never vacant (it has an entry or
@@ -114,7 +157,7 @@ struct Node {
     /// The gap before the first entry.
     left: Gap,
     /// Never more than [`slack_bound`] slots for its length: a full vector
-    /// grows by half its length ([`Node::insert_new`]), and one left with
+    /// grows by half its length ([`Node::upsert`]), and one left with
     /// more after a split, merge or removal is shrunk to fit ([`fit`]).
     /// `Vec`'s own doubling would leave a tree built in key order — a
     /// repository's, whose record keys are timestamps — at twice the slots
@@ -151,8 +194,13 @@ impl Node {
 
     /// `Ok(i)` when entry `i` holds `key`, else `Err(i)` for the gap it
     /// sorts into.
-    fn search(&self, key: &str) -> std::result::Result<usize, usize> {
-        self.entries.binary_search_by(|e| e.key.as_str().cmp(key))
+    fn search(&self, keys: &str, key: &str) -> std::result::Result<usize, usize> {
+        self.entries.binary_search_by(|e| e.key(keys).cmp(key))
+    }
+
+    /// The index of the first entry whose key is not below `key`.
+    fn position(&self, keys: &str, key: &str) -> usize {
+        self.entries.partition_point(|e| e.key(keys) < key)
     }
 
     /// Gap `i`: before entry `i`, or trailing when `i == entries.len()`.
@@ -196,9 +244,9 @@ impl Node {
 
     /// This node's block, written over `out`; its children must already be
     /// hashed.
-    fn encode_into(&self, out: &mut Vec<u8>) {
+    fn encode_into(&self, keys: &str, out: &mut Vec<u8>) {
         let entries = self.entries.iter().map(|e| PendingEntry {
-            key: &e.key,
+            key: e.key(keys),
             value: e.value,
             subtree: e.right.as_deref().map(Node::cid),
         });
@@ -228,7 +276,7 @@ impl Node {
             child.seal(walk);
         }
         let cid = known.unwrap_or_else(|| {
-            self.encode_into(&mut walk.scratch);
+            self.encode_into(walk.keys, &mut walk.scratch);
             walk.hashed.set(walk.hashed.get() + 1);
             Cid::for_cbor(&walk.scratch)
         });
@@ -249,6 +297,7 @@ impl Node {
     /// a node `descend` refuses is skipped with everything under it.
     fn for_each_block(
         &self,
+        keys: &str,
         scratch: &mut Vec<u8>,
         descend: &mut impl FnMut(&Cid) -> bool,
         visit: &mut impl FnMut(&Cid, &[u8]),
@@ -258,66 +307,76 @@ impl Node {
             return;
         }
         for child in self.children() {
-            child.for_each_block(scratch, descend, visit);
+            child.for_each_block(keys, scratch, descend, visit);
         }
-        self.encode_into(scratch);
+        self.encode_into(keys, scratch);
         visit(&cid, scratch);
     }
 
-    /// Replace the value of a key in this subtree, returning the old value
-    /// (`None`: the key is absent). Only a real change dirties the path.
-    fn replace(&mut self, key: &str, value: Cid, removed: &mut CidSet) -> Option<Cid> {
-        let old = match self.search(key) {
-            Ok(i) => std::mem::replace(&mut self.entries[i].value, value),
-            Err(i) => self.gap_mut(i).as_mut()?.replace(key, value, removed)?,
-        };
-        if old != value {
-            self.touch(removed);
-        }
-        Some(old)
-    }
-
-    /// Insert a key known to be absent, at `layer <= self.layer`.
-    fn insert_new(&mut self, key: &str, layer: u32, value: Cid, removed: &mut CidSet) {
-        self.touch(removed);
-        let i = self.entries.partition_point(|e| e.key.as_str() < key);
-        let entry = |right| Entry {
-            key: key.to_string(),
-            value,
-            right,
-        };
-        if layer == self.layer {
-            // The gap the key lands in splits around it.
-            let (before, after) = split(self.gap_mut(i).take(), key, removed);
-            *self.gap_mut(i) = before;
-            if self.entries.len() == self.entries.capacity() {
-                self.entries.reserve_exact(self.entries.len() / 2 + 1);
+    /// Insert or replace a key of `layer <= self.layer` in this subtree,
+    /// returning the previous value (`None`: the key was absent and is now
+    /// appended to `keys`). One descent: the key can only sit in the node of
+    /// its own layer, so the nodes above it just pick the gap to go down,
+    /// and only a real change dirties the path back up.
+    fn upsert(
+        &mut self,
+        keys: &mut String,
+        key: &str,
+        layer: u32,
+        value: Cid,
+        removed: &mut CidSet,
+    ) -> Option<Cid> {
+        let i = self.position(keys, key);
+        if layer < self.layer {
+            let old = match self.gap_mut(i) {
+                Some(child) => child.upsert(keys, key, layer, value, removed),
+                None => {
+                    let entry = Entry::new(push_key(keys, key), value, None);
+                    let leaf = Box::new(Node::new(layer, None, vec![entry]));
+                    *self.gap_mut(i) = lift(Some(leaf), self.layer - 1);
+                    None
+                }
+            };
+            if old != Some(value) {
+                self.touch(removed);
             }
-            self.entries.insert(i, entry(after));
-        } else if let Some(child) = self.gap_mut(i) {
-            child.insert_new(key, layer, value, removed);
-        } else {
-            let leaf = Box::new(Node::new(layer, None, vec![entry(None)]));
-            *self.gap_mut(i) = lift(Some(leaf), self.layer - 1);
+            return old;
         }
+        if let Some(entry) = self.entries.get_mut(i).filter(|e| e.key(keys) == key) {
+            let old = std::mem::replace(&mut entry.value, value);
+            if old != value {
+                self.touch(removed);
+            }
+            return Some(old);
+        }
+        // The gap the key lands in splits around it.
+        self.touch(removed);
+        let (before, after) = split(self.gap_mut(i).take(), keys, key, removed);
+        *self.gap_mut(i) = before;
+        if self.entries.len() == self.entries.capacity() {
+            self.entries.reserve_exact(self.entries.len() / 2 + 1);
+        }
+        self.entries
+            .insert(i, Entry::new(push_key(keys, key), value, after));
+        None
     }
 
-    /// Remove a key from this subtree, returning its value. The caller
-    /// unlinks this node if that leaves it vacant.
-    fn remove(&mut self, key: &str, removed: &mut CidSet) -> Option<Cid> {
-        let old = match self.search(key) {
+    /// Remove a key from this subtree, returning its value and its span in
+    /// `keys`. The caller unlinks this node if that leaves it vacant.
+    fn remove(&mut self, keys: &str, key: &str, removed: &mut CidSet) -> Option<(Cid, (u32, u16))> {
+        let old = match self.search(keys, key) {
             Ok(i) => {
                 // The gaps on either side of the entry become one.
                 let entry = self.entries.remove(i);
                 fit(&mut self.entries);
                 let before = self.gap_mut(i);
                 *before = merge(before.take(), entry.right, removed);
-                entry.value
+                (entry.value, (entry.key_at, entry.key_len))
             }
             Err(i) => {
                 let gap = self.gap_mut(i);
                 let child = gap.as_mut()?;
-                let old = child.remove(key, removed)?;
+                let old = child.remove(keys, key, removed)?;
                 if child.is_vacant() {
                     *gap = None;
                 }
@@ -327,10 +386,27 @@ impl Node {
         self.touch(removed);
         Some(old)
     }
+
+    /// Copy every key of this subtree, in key order, from `old` to the end
+    /// of `packed`, and point the entries at their new spans.
+    fn repack(&mut self, old: &str, packed: &mut String) {
+        if let Some(left) = &mut self.left {
+            left.repack(old, packed);
+        }
+        for entry in &mut self.entries {
+            let span = push_key(packed, entry.key(old));
+            entry.key_at = span.0;
+            if let Some(right) = &mut entry.right {
+                right.repack(old, packed);
+            }
+        }
+    }
 }
 
 /// What one [`Node::seal`] walk carries down the tree.
 struct Sealing<'a> {
+    /// The tree's key buffer.
+    keys: &'a str,
     hashed: &'a Cell<u64>,
     /// `Some`: the walk is a drain (see [`Node::seal`]).
     delta: Option<&'a mut NodeDelta>,
@@ -341,13 +417,13 @@ struct Sealing<'a> {
 
 /// Split a gap subtree around an absent key that belongs above it: the keys
 /// before it and the keys after it, each still a valid gap at that layer.
-fn split(gap: Gap, key: &str, removed: &mut CidSet) -> (Gap, Gap) {
+fn split(gap: Gap, keys: &str, key: &str, removed: &mut CidSet) -> (Gap, Gap) {
     let Some(mut node) = gap else {
         return (None, None);
     };
     node.touch(removed);
-    let i = node.entries.partition_point(|e| e.key.as_str() < key);
-    let (before, after) = split(node.gap_mut(i).take(), key, removed);
+    let i = node.position(keys, key);
+    let (before, after) = split(node.gap_mut(i).take(), keys, key, removed);
     let upper = Node::new(node.layer, after, node.entries.split_off(i));
     fit(&mut node.entries);
     *node.gap_mut(i) = before;
@@ -389,6 +465,10 @@ fn lift(gap: Gap, layer: u32) -> Gap {
 pub struct Mst {
     root: Node,
     len: usize,
+    /// Every entry's key, back to back (see the module docs): the live keys
+    /// plus `key_holes` bytes of removed ones.
+    keys: String,
+    key_holes: usize,
     /// CIDs that were live at the last [`Mst::take_node_delta`] and whose
     /// nodes have been mutated or unlinked since. Bounded by the size of the
     /// tree at that drain; a tree that is never drained never adds to it.
@@ -405,6 +485,8 @@ impl Default for Mst {
         Mst {
             root: Node::new(0, None, Vec::new()),
             len: 0,
+            keys: String::new(),
+            key_holes: 0,
             removed: CidSet::default(),
             hashed: Cell::new(0),
             scratch: RefCell::default(),
@@ -440,6 +522,8 @@ pub(crate) struct NodeDelta {
 
 /// In-order iterator over a tree's `(key, cid)` pairs.
 struct Iter<'a> {
+    /// The tree's key buffer.
+    keys: &'a str,
     /// Path from the root to the current position: each node with the index
     /// of its next entry to yield (the gap before that entry is done or on
     /// the stack above it).
@@ -448,15 +532,18 @@ struct Iter<'a> {
 
 impl<'a> Iter<'a> {
     /// Start at the first key `>= from`.
-    fn from_key(root: &'a Node, from: &str) -> Iter<'a> {
-        let mut iter = Iter { stack: Vec::new() };
-        iter.descend(Some(root), from);
+    fn from_key(mst: &'a Mst, from: &str) -> Iter<'a> {
+        let mut iter = Iter {
+            keys: &mst.keys,
+            stack: Vec::new(),
+        };
+        iter.descend(Some(&mst.root), from);
         iter
     }
 
     fn descend(&mut self, mut gap: Option<&'a Node>, from: &str) {
         while let Some(node) = gap {
-            let i = node.entries.partition_point(|e| e.key.as_str() < from);
+            let i = node.position(self.keys, from);
             self.stack.push((node, i));
             gap = node.gap(i);
         }
@@ -476,7 +563,7 @@ impl<'a> Iterator for Iter<'a> {
             };
             top.1 += 1;
             self.descend(entry.right.as_deref(), "");
-            return Some((&entry.key, &entry.value));
+            return Some((entry.key(self.keys), &entry.value));
         }
     }
 }
@@ -494,38 +581,36 @@ impl Mst {
     }
 
     fn set(&mut self, key: &str, cid: Cid) -> Option<Cid> {
-        let removed = &mut self.removed;
-        if let Some(old) = self.root.replace(key, cid, removed) {
-            return Some(old);
-        }
         let layer = key_layer(key);
+        let removed = &mut self.removed;
         if self.len == 0 {
             self.root.touch(removed);
             self.root.layer = layer;
         }
-        if layer > self.root.layer {
+        let old = if layer > self.root.layer {
             // The key becomes the only entry of a new, higher root; the old
             // root splits around it and each half is lifted to sit just
             // under the new one.
             let old_root = std::mem::replace(&mut self.root, Node::new(layer, None, Vec::new()));
-            let (before, after) = split(Some(Box::new(old_root)), key, removed);
+            let (before, after) = split(Some(Box::new(old_root)), &self.keys, key, removed);
             self.root.left = lift(before, layer - 1);
-            self.root.entries = vec![Entry {
-                key: key.to_string(),
-                value: cid,
-                right: lift(after, layer - 1),
-            }];
+            let span = push_key(&mut self.keys, key);
+            self.root.entries = vec![Entry::new(span, cid, lift(after, layer - 1))];
+            None
         } else {
-            self.root.insert_new(key, layer, cid, removed);
+            self.root.upsert(&mut self.keys, key, layer, cid, removed)
+        };
+        if old.is_none() {
+            self.len += 1;
         }
-        self.len += 1;
-        None
+        old
     }
 
     /// Remove a key, returning its value if it was present.
     pub(crate) fn remove(&mut self, key: &str) -> Option<Cid> {
-        let old = self.root.remove(key, &mut self.removed)?;
+        let (old, span) = self.root.remove(&self.keys, key, &mut self.removed)?;
         self.len -= 1;
+        self.release_key(span);
         // The root sits at the highest layer any key has: an entry-less
         // root gives way to its only child, and the empty tree is layer 0.
         while self.root.entries.is_empty() {
@@ -541,25 +626,39 @@ impl Mst {
         Some(old)
     }
 
+    /// Give back a removed key's bytes: cut off at the end of the buffer,
+    /// a hole anywhere else. Once the holes outweigh the live bytes and pass
+    /// [`KEY_HOLE_FLOOR`], the live keys are repacked into a fresh buffer.
+    fn release_key(&mut self, (at, len): (u32, u16)) {
+        let (at, len) = (at as usize, usize::from(len));
+        if at + len == self.keys.len() {
+            self.keys.truncate(at);
+        } else {
+            self.key_holes += len;
+        }
+        let live = self.keys.len() - self.key_holes;
+        if self.key_holes > live && self.key_holes >= KEY_HOLE_FLOOR {
+            let mut packed = String::with_capacity(live);
+            self.root.repack(&self.keys, &mut packed);
+            self.keys = packed;
+            self.key_holes = 0;
+        }
+    }
+
     /// Look up a key.
     pub(crate) fn get(&self, key: &str) -> Option<&Cid> {
         let mut node = &self.root;
         loop {
-            match node.search(key) {
+            match node.search(&self.keys, key) {
                 Ok(i) => return Some(&node.entries[i].value),
                 Err(i) => node = node.gap(i)?,
             }
         }
     }
 
-    /// Whether a key is present.
-    pub(crate) fn contains(&self, key: &str) -> bool {
-        self.get(key).is_some()
-    }
-
     /// Iterate all `(key, cid)` pairs in key order.
     pub(crate) fn iter(&self) -> impl Iterator<Item = (&str, &Cid)> {
-        Iter::from_key(&self.root, "")
+        Iter::from_key(self, "")
     }
 
     /// The root CID. Hashes only the nodes mutated since the last call, so
@@ -570,6 +669,7 @@ impl Mst {
 
     fn seal(&self, delta: Option<&mut NodeDelta>) -> Cid {
         let mut walk = Sealing {
+            keys: &self.keys,
             hashed: &self.hashed,
             delta,
             scratch: self.scratch.take(),
@@ -605,7 +705,7 @@ impl Mst {
         self.root_cid();
         let mut scratch = self.scratch.take();
         self.root
-            .for_each_block(&mut scratch, &mut descend, &mut visit);
+            .for_each_block(&self.keys, &mut scratch, &mut descend, &mut visit);
         self.scratch.replace(scratch);
     }
 }
@@ -723,6 +823,11 @@ pub(crate) mod reference {
             blocks
         }
 
+        /// The key buffer, holes included.
+        pub(crate) fn keys_buffer(&self) -> &str {
+            &self.keys
+        }
+
         /// Iterate the keys of a single collection (keys beginning with
         /// `<collection>/`).
         pub(crate) fn iter_collection<'a>(
@@ -730,7 +835,7 @@ pub(crate) mod reference {
             collection: &str,
         ) -> impl Iterator<Item = (&'a str, &'a Cid)> + 'a {
             let end = format!("{collection}0"); // '0' sorts just after '/'
-            Iter::from_key(&self.root, &format!("{collection}/"))
+            Iter::from_key(self, &format!("{collection}/"))
                 .take_while(move |(key, _)| *key < end.as_str())
         }
 
@@ -1064,15 +1169,21 @@ mod tests {
         let mut mst = Mst::new();
         assert_eq!(mst.len, 0);
         assert_eq!(mst.insert(&key_for(1), cid_for(1)).unwrap(), None);
+        assert_eq!(mst.keys, key_for(1));
+        // A replaced value leaves the key buffer as it is.
         assert_eq!(
             mst.insert(&key_for(1), cid_for(2)).unwrap(),
             Some(cid_for(1))
         );
+        assert_eq!(mst.keys, key_for(1));
         assert_eq!(mst.get(&key_for(1)), Some(&cid_for(2)));
-        assert!(mst.contains(&key_for(1)));
         assert_eq!(mst.len, 1);
         assert_eq!(mst.remove(&key_for(1)), Some(cid_for(2)));
         assert_eq!(mst.len, 0);
+        assert_eq!((mst.keys.len(), mst.key_holes), (0, 0));
+        // A key's span is two fields beside a 33-byte CID and a child
+        // pointer: 48 bytes, where a `String` key made an entry 72.
+        assert_eq!(std::mem::size_of::<Entry>(), 48);
     }
 
     #[test]
@@ -1343,13 +1454,19 @@ mod proptests {
         model: BTreeMap<String, Cid>,
         /// The reference node set at the last drain (empty at creation).
         live: BTreeSet<Cid>,
+        /// Removals that repacked the key buffer.
+        repacks: usize,
     }
 
     /// Entry slots held and entries used over every node of the tree,
     /// asserting on the way that no node holds more slots than
-    /// [`slack_bound`] allows for its length.
+    /// [`slack_bound`] allows for its length, and that the key buffer holds
+    /// each live key once: its length less the holes is the live keys'
+    /// total length, no two entries share bytes, and the holes stay within
+    /// the repacking rule's bound.
     fn entry_slots(mst: &Mst) -> (usize, usize) {
         let (mut slots, mut used) = (0, 0);
+        let mut spans = Vec::new();
         let mut stack = vec![&mst.root];
         while let Some(node) = stack.pop() {
             let (cap, len) = (node.entries.capacity(), node.entries.len());
@@ -1359,20 +1476,43 @@ mod proptests {
             );
             slots += cap;
             used += len;
+            let entries = node.entries.iter();
+            spans.extend(entries.map(|e| (e.key_at as usize, usize::from(e.key_len))));
             stack.extend(node.children());
         }
+        spans.sort_unstable();
+        assert!(spans.windows(2).all(|w| w[0].0 + w[0].1 <= w[1].0));
+        let live: usize = spans.iter().map(|(_, len)| len).sum();
+        assert_eq!(mst.keys.len() - mst.key_holes, live, "live key bytes");
+        assert!(
+            mst.key_holes <= live.max(KEY_HOLE_FLOOR - 1),
+            "{} bytes of holes beside {live} live key bytes",
+            mst.key_holes
+        );
         (slots, used)
     }
 
     impl Checked {
         fn insert(&mut self, key: &str, cid: Cid) {
+            let buffer = self.mst.keys.len();
             let old = self.mst.insert(key, cid).unwrap();
             assert_eq!(old, self.model.insert(key.to_string(), cid), "{key}");
+            if old.is_some() {
+                assert_eq!(
+                    self.mst.keys.len(),
+                    buffer,
+                    "a replace moved the key buffer"
+                );
+            }
             entry_slots(&self.mst);
         }
 
         fn remove(&mut self, key: &str) {
+            let holes = self.mst.key_holes;
             assert_eq!(self.mst.remove(key), self.model.remove(key), "{key}");
+            if self.mst.key_holes < holes {
+                self.repacks += 1;
+            }
             entry_slots(&self.mst);
         }
 
@@ -1423,6 +1563,7 @@ mod proptests {
     #[test]
     fn incremental_tree_matches_the_reference_rebuild() {
         let mut rng = TestRng::new(0x35a);
+        let mut repacks = 0;
         for round in 0..6 {
             let mut tree = Checked::default();
             // A key space small enough that updates, deletes and re-adds of
@@ -1476,7 +1617,9 @@ mod proptests {
             assert_eq!(tree.live.len(), 1, "the empty tree is one empty node");
             tree.insert(&arb_key(&mut rng), value(1));
             tree.check(true);
+            repacks += tree.repacks;
         }
+        assert!(repacks > 0, "key buffer repacks: {repacks}");
     }
 
     /// The shape changes random batches rarely hit, one at a time.

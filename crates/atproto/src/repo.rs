@@ -424,11 +424,16 @@ impl Repository {
         }
     }
 
-    /// Store a record block under `key` (the create and update halves of
-    /// [`Repository::apply_one_write`] differ only in their precondition).
+    /// Store a record block under `key`: the create (`update == false`) and
+    /// update halves of [`Repository::apply_one_write`]. Their precondition
+    /// (the key is absent, or present) is read from the value the tree
+    /// insert replaced, so a write descends the tree once. A write that
+    /// breaks it has already been applied and booked like any other, and
+    /// fails the batch, whose rollback undoes it.
     fn put_record(
         &mut self,
         key: String,
+        update: bool,
         record: &Record,
         fresh_blocks: &mut Vec<Cid>,
         bytes_written: &mut usize,
@@ -446,8 +451,13 @@ impl Repository {
         let initial = self.mst.insert(&key, cid)?;
         // A fresh block's count is this key's reference: 1, no entry.
         self.move_ref(initial, (!fresh).then_some(cid));
+        let broken = match (update, initial) {
+            (false, Some(_)) => Some(format!("record exists: {key}")),
+            (true, None) => Some(format!("record missing: {key}")),
+            _ => None,
+        };
         touched.entry(key).or_insert((initial, initial)).1 = Some(cid);
-        Ok(())
+        broken.map_or(Ok(()), |message| Err(AtError::RepoError(message)))
     }
 
     /// Apply one write, recording any freshly inserted block in
@@ -469,10 +479,7 @@ impl Repository {
                 record,
             } => {
                 let key = record_key(collection, rkey);
-                if self.mst.contains(&key) {
-                    return Err(AtError::RepoError(format!("record exists: {key}")));
-                }
-                self.put_record(key, record, fresh_blocks, bytes_written, touched)
+                self.put_record(key, false, record, fresh_blocks, bytes_written, touched)
             }
             Write::Update {
                 collection,
@@ -480,10 +487,7 @@ impl Repository {
                 record,
             } => {
                 let key = record_key(collection, rkey);
-                if !self.mst.contains(&key) {
-                    return Err(AtError::RepoError(format!("record missing: {key}")));
-                }
-                self.put_record(key, record, fresh_blocks, bytes_written, touched)
+                self.put_record(key, true, record, fresh_blocks, bytes_written, touched)
             }
             Write::Delete { collection, rkey } => {
                 let key = record_key(collection, rkey);
@@ -1260,6 +1264,19 @@ mod tests {
         );
         assert!(err.is_err());
         assert_eq!(repo.get_record(&post_nsid(), &rkey), Some(post("x")));
+        // So does creating over it with content another key stores.
+        let (other, _) = repo.create_record(post_nsid(), post("w"), now()).unwrap();
+        let err = repo.apply_writes(
+            &[Write::Create {
+                collection: post_nsid(),
+                rkey: rkey.clone(),
+                record: post("w"),
+            }],
+            now(),
+        );
+        assert!(err.is_err());
+        assert_eq!(repo.get_record(&post_nsid(), &rkey), Some(post("x")));
+        assert_eq!(repo.get_record(&post_nsid(), &other), Some(post("w")));
         // Updating or deleting a missing key fails.
         assert!(repo
             .apply_writes(
@@ -1280,9 +1297,10 @@ mod tests {
                 now()
             )
             .is_err());
+        assert_eq!(repo.get_record(&post_nsid(), "missing123"), None);
         // Empty batches are rejected.
         assert!(repo.apply_writes(&[], now()).is_err());
-        assert_eq!(repo.commits.len(), 1);
+        assert_eq!(repo.commits.len(), 2);
     }
 
     #[test]
@@ -1749,6 +1767,49 @@ mod tests {
         assert_store_holds_records_only(&repo, "after the failed batch");
         // And the store is byte-identical: the full export round-trips.
         assert_eq!(repo.export_car(), car_before);
+        // A create or update finds out whether its key existed from the
+        // tree insert itself, so the write has landed when it fails. Two
+        // such failures, each its own batch, leave the tree, its key
+        // buffer, the count map and the store exactly as they were: a
+        // create over a live key with content another key already stores
+        // (the counted, non-fresh path), and an update of a missing key
+        // (a fresh block under a key the tree had to append).
+        let shared_content = post("seed 5");
+        let failing = [
+            Write::Create {
+                collection: post_nsid(),
+                rkey: seeded[3].clone(),
+                record: shared_content.clone(),
+            },
+            Write::Update {
+                collection: post_nsid(),
+                rkey: "missing789".into(),
+                record: post("never lands"),
+            },
+        ];
+        for write in failing {
+            let tree = repo.mst.clone();
+            let keys = repo.mst.keys_buffer().to_string();
+            let counted: BTreeMap<Cid, u32> =
+                repo.record_cids.iter().map(|(c, n)| (*c, *n)).collect();
+            let car = repo.export_car();
+            let err = repo.apply_writes(std::slice::from_ref(&write), now());
+            assert!(err.is_err(), "{write:?}");
+            assert!(repo.mst == tree && repo.mst.root_cid() == tree.root_cid());
+            assert_eq!(repo.mst.keys_buffer(), keys, "key buffer after {write:?}");
+            let counted_after: BTreeMap<Cid, u32> =
+                repo.record_cids.iter().map(|(c, n)| (*c, *n)).collect();
+            assert_eq!(counted_after, counted, "count map after {write:?}");
+            assert_eq!(repo.export_car(), car);
+            assert_store_holds_records_only(&repo, "after a failed precondition");
+        }
+        assert_eq!(
+            repo.get_record(&post_nsid(), &seeded[3]),
+            Some(post("seed 3"))
+        );
+        assert_eq!(repo.get_record(&post_nsid(), "missing789"), None);
+        let shared = Cid::for_cbor(&shared_content.to_cbor());
+        assert!(repo.store.has(&shared), "a block another key holds stays");
         // The rollback restored the index through the tree's own insert and
         // remove, which re-dirtied paths without changing them. The next
         // commit must log exactly the node-set change the reference rebuild

@@ -32,6 +32,7 @@
 //! |----------------------------------|-----------:|--------------:|-----------:|
 //! | the last row above, re-read      |    745 462 |        18 923 |       39.4 |
 //! | no AppView in the world          |    638 007 |        18 923 |       33.7 |
+//! | CIDs beside their bytes, MST keys in one buffer | 619 017 | 18 923 | 32.7 |
 //!
 //! The budget ratchets: it is the last row plus one call of slack, and a
 //! change that lowers the figure lowers the budget with it. The `LD_PRELOAD`
@@ -43,7 +44,11 @@
 //! allocation per curated post, 43.7; with MST nodes kept only in the tree,
 //! 41.9; with reference counts only where they are not 1, 41.8; with one
 //! block arena per store and MST nodes grown by half (the first table's last
-//! row), 40.2.
+//! row), 40.2. Since the world has no AppView the child's total is quoted
+//! instead: 1 448 428 calls, and 1 407 767 with each CID kept beside its
+//! bytes and the MST's keys in one buffer per tree. (A store's offset table
+//! is zeroed memory: `calloc` to that counter, which leaves it out, and
+//! `alloc_zeroed` to this file's, which counts it.)
 
 use bsky_study::{collect_sharded, RunSpec, StudyAnalyzers, StudyReport};
 use bsky_workload::ScenarioConfig;
@@ -94,7 +99,7 @@ fn heap_calls() -> u64 {
 }
 
 /// The last row of the tables above, plus one call of slack.
-const BUDGET_PER_RECORD: f64 = 34.7;
+const BUDGET_PER_RECORD: f64 = 33.7;
 
 #[test]
 fn heap_calls_per_record_written_stay_within_budget() {

@@ -111,8 +111,10 @@
 //! study mirror's record blocks — lives behind the
 //! `bsky_atproto::blockstore::BlockStore` trait. Two backends, built from
 //! a `StoreConfig` and not nameable otherwise: the in-memory store (the
-//! default; one buffer per store packs its blocks' bytes, found through a
-//! CID-keyed table of spans) and the paged store
+//! default; one buffer per store packs each block behind a header holding
+//! its CID and length, found through an open-addressed table of 4-byte
+//! offsets into that buffer, so a CID is kept once, beside its bytes) and
+//! the paged store
 //! (fixed-size pages with an LRU of resident pages; cold pages are
 //! appended to one segment file per spill root, shared by every store of
 //! the process and removed with the last of them, a page-in is one
@@ -128,7 +130,10 @@
 //! shrinking full CARs and structural deltas alike. On the storage side,
 //! a repository's block store holds record blocks only: the in-memory MST
 //! is the one copy of the tree, encoded while a CAR is written (deltas
-//! ship only current nodes). The study producer runs a weekly compaction
+//! ship only current nodes), and it keeps all its keys in one buffer that
+//! its entries index by offset. A write descends the tree once, and
+//! whether it created or replaced a key is read from the value it
+//! displaced. The study producer runs a weekly compaction
 //! pass (`bsky_atproto::repo::Repository::compact_before`): commits that
 //! aged out of the delta-serving window are dropped with their unreachable
 //! record versions. A delta
