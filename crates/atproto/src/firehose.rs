@@ -155,12 +155,13 @@ impl Event {
                 blocks_bytes,
                 ..
             } => {
+                // Every op is a create, with a link to its record.
                 let ops_len: usize = ops
                     .iter()
                     .map(|op| {
-                        1 + entry("action", len::text(op.action.as_str().len()))
+                        1 + entry("action", len::text("create".len()))
                             + entry("path", len::text(op.key.len()))
-                            + entry("cid", if op.cid.is_some() { len::LINK } else { 1 })
+                            + entry("cid", len::LINK)
                     })
                     .sum();
                 entry("t", len::text("#commit".len()))
@@ -215,7 +216,6 @@ mod tests {
     use super::*;
     use crate::cbor::{self, Value};
     use crate::nsid::known;
-    use crate::repo::WriteAction;
 
     impl Event {
         /// The frame as DAG-CBOR through the generic `Value` codec: what
@@ -242,15 +242,9 @@ mod tests {
                             ops.iter()
                                 .map(|op| {
                                     Value::map([
-                                        ("action", Value::text(op.action.as_str())),
+                                        ("action", Value::text("create")),
                                         ("path", Value::text(&op.key)),
-                                        (
-                                            "cid",
-                                            match op.cid {
-                                                Some(c) => Value::Link(c),
-                                                None => Value::Null,
-                                            },
-                                        ),
+                                        ("cid", Value::Link(op.cid)),
                                     ])
                                 })
                                 .collect(),
@@ -300,14 +294,12 @@ mod tests {
                 rev: Tid::from_micros(1_000_000, 1),
                 ops: vec![
                     RecordOp {
-                        action: WriteAction::Create,
                         key: format!("{}/3kabcdefgh234", known::POST),
-                        cid: Some(Cid::for_cbor(b"record")),
+                        cid: Cid::for_cbor(b"record"),
                     },
                     RecordOp {
-                        action: WriteAction::Delete,
                         key: format!("{}/3kabcdefgh235", known::LIKE),
-                        cid: None,
+                        cid: Cid::for_cbor(b"like"),
                     },
                 ],
                 blocks_bytes: 512,
@@ -335,7 +327,7 @@ mod tests {
         assert!(small.wire_size() >= small.encode().len());
     }
 
-    fn single_op_commit(collection: &str, action: WriteAction) -> Event {
+    fn single_op_commit(collection: &str) -> Event {
         Event {
             seq: 7,
             time: now(),
@@ -344,12 +336,8 @@ mod tests {
                 commit: Cid::for_cbor(b"commit"),
                 rev: Tid::from_micros(1_000_000, 1),
                 ops: vec![RecordOp {
-                    action,
                     key: format!("{collection}/3kabcdefgh234"),
-                    cid: match action {
-                        WriteAction::Delete => None,
-                        _ => Some(Cid::for_cbor(b"record")),
-                    },
+                    cid: Cid::for_cbor(b"record"),
                 }],
                 blocks_bytes: 512,
                 too_big: false,
@@ -372,9 +360,8 @@ mod tests {
                 rev: Tid::from_micros(1_000_000, 1),
                 ops: (0..3)
                     .map(|i| RecordOp {
-                        action: WriteAction::Create,
                         key: format!("{}/3kabcdefgh23{i}", known::LABELER_SERVICE),
-                        cid: Some(Cid::for_cbor(&[i])),
+                        cid: Cid::for_cbor(&[i]),
                     })
                     .collect(),
                 blocks_bytes: 2048,
@@ -382,36 +369,11 @@ mod tests {
             },
         };
         let cases: Vec<(&str, Event, usize)> = vec![
-            (
-                "post create",
-                single_op_commit(known::POST, WriteAction::Create),
-                288,
-            ),
-            (
-                "like create",
-                single_op_commit(known::LIKE, WriteAction::Create),
-                288,
-            ),
-            (
-                "follow create",
-                single_op_commit(known::FOLLOW, WriteAction::Create),
-                291,
-            ),
-            (
-                "repost create",
-                single_op_commit(known::REPOST, WriteAction::Create),
-                290,
-            ),
-            (
-                "post delete",
-                single_op_commit(known::POST, WriteAction::Delete),
-                248,
-            ),
-            (
-                "profile update",
-                single_op_commit(known::PROFILE, WriteAction::Update),
-                292,
-            ),
+            ("post create", single_op_commit(known::POST), 288),
+            ("like create", single_op_commit(known::LIKE), 288),
+            ("follow create", single_op_commit(known::FOLLOW), 291),
+            ("repost create", single_op_commit(known::REPOST), 290),
+            ("profile create", single_op_commit(known::PROFILE), 292),
             ("labels batch", labels_batch, 504),
             (
                 "identity",
@@ -472,7 +434,7 @@ mod tests {
     fn encoded_len_equals_the_encoding_on_random_events() {
         // `wire_size` no longer encodes the frame, so the arithmetic twin is
         // pinned against the encoder over every body kind and every width
-        // class a head can take: deletes (`cid: None`), paths and op counts
+        // class a head can take: paths and op counts
         // on both sides of the 24 and 256 boundaries, `blocks_bytes` and
         // `seq` in each of the five integer widths, both DID methods, and
         // times whose year does not fit four digits.
@@ -489,7 +451,7 @@ mod tests {
             }
         };
         let mut kinds = std::collections::BTreeSet::new();
-        let (mut deletes, mut long_paths, mut huge_paths, mut many_ops) = (0, 0, 0, 0);
+        let (mut long_paths, mut huge_paths, mut many_ops) = (0, 0, 0);
         for round in 0..400u64 {
             let did = if rng.below(4) == 0 {
                 Did::web(&format!("{}.example.com", rng.lowercase(1, 40))).unwrap()
@@ -507,11 +469,6 @@ mod tests {
                     many_ops += usize::from(op_count >= 24);
                     let ops = (0..op_count)
                         .map(|_| {
-                            let action = [
-                                WriteAction::Create,
-                                WriteAction::Update,
-                                WriteAction::Delete,
-                            ][rng.below(3) as usize];
                             let path_len = match rng.below(4) {
                                 0 => rng.below(24),
                                 1 => 24 + rng.below(40),
@@ -520,12 +477,9 @@ mod tests {
                             } as usize;
                             long_paths += usize::from(path_len >= 24);
                             huge_paths += usize::from(path_len >= 256);
-                            deletes += usize::from(action == WriteAction::Delete);
                             RecordOp {
-                                action,
                                 key: "k".repeat(path_len),
-                                cid: (action != WriteAction::Delete)
-                                    .then(|| Cid::for_cbor(&rng.bytes(8))),
+                                cid: Cid::for_cbor(&rng.bytes(8)),
                             }
                         })
                         .collect();
@@ -565,7 +519,7 @@ mod tests {
             assert_eq!(event.wire_size(), encoded.len() - len::head(event.seq) + 9);
         }
         assert_eq!(kinds.len(), 5);
-        assert!(deletes > 0 && long_paths > 0 && huge_paths > 0 && many_ops > 0);
+        assert!(long_paths > 0 && huge_paths > 0 && many_ops > 0);
         // The extremes the generator cannot reach by chance.
         for (seq, blocks_bytes) in [(u64::MAX, usize::MAX), (i64::MAX as u64, 0)] {
             let mut event = commit_event(seq);

@@ -16,9 +16,10 @@
 //! give identical node bytes and an identical root CID.
 //!
 //! Mutations keep the shape: an insert splits the gap subtree it lands in
-//! around the new key, a delete merges the two neighbouring gap subtrees and
-//! trims an entry-less root, and a replace only swaps a value. A write is
-//! one descent: [`Mst::insert`] computes the key's layer once and walks down
+//! around the new key, and a replace only swaps a value. There is no
+//! removal: a key, once inserted, stays, so the tree only grows (a
+//! repository only creates records). A write is one descent:
+//! [`Mst::insert`] computes the key's layer once and walks down
 //! to the node of that layer, where it either finds the key and swaps its
 //! value or splits the gap for it, so the caller learns from the returned
 //! previous value whether it created or replaced. Every node on the touched
@@ -35,11 +36,9 @@
 //!
 //! *Keys.* A tree keeps all its keys back to back in one buffer, and an
 //! entry names its key by offset and length into it, so an entry is 48
-//! bytes and a key costs no allocation of its own. A new key is appended; a
-//! replaced value leaves the buffer as it is; a removed key leaves a hole,
-//! unless it was the last key appended, which is cut off. Once the holes
-//! outweigh the live key bytes and pass 4 KiB, one walk over the tree
-//! repacks the live keys into a fresh buffer in key order.
+//! bytes and a key costs no allocation of its own. A new key is appended and
+//! a replaced value leaves the buffer as it is; since no key is removed, the
+//! buffer holds each key exactly once, in insertion order.
 //!
 //! Node entries are **prefix-compressed on the wire**, as in the reference
 //! implementation: within a node, each entry carries `p` (the number of key
@@ -136,10 +135,6 @@ impl Entry {
     }
 }
 
-/// Removed key bytes a tree's key buffer tolerates before it may be
-/// repacked, however few live bytes it holds.
-const KEY_HOLE_FLOOR: usize = 4 * 1024;
-
 /// Append `key` to a key buffer, returning its span there.
 fn push_key(keys: &mut String, key: &str) -> (u32, u16) {
     let at = u32::try_from(keys.len()).expect("MST key buffer exceeds 4 GiB");
@@ -158,7 +153,7 @@ struct Node {
     left: Gap,
     /// Never more than [`slack_bound`] slots for its length: a full vector
     /// grows by half its length ([`Node::upsert`]), and one left with
-    /// more after a split, merge or removal is shrunk to fit ([`fit`]).
+    /// more after a split is shrunk to fit ([`fit`]).
     /// `Vec`'s own doubling would leave a tree built in key order — a
     /// repository's, whose record keys are timestamps — at twice the slots
     /// it uses, while shrinking after every insert would reallocate every
@@ -360,47 +355,6 @@ impl Node {
             .insert(i, Entry::new(push_key(keys, key), value, after));
         None
     }
-
-    /// Remove a key from this subtree, returning its value and its span in
-    /// `keys`. The caller unlinks this node if that leaves it vacant.
-    fn remove(&mut self, keys: &str, key: &str, removed: &mut CidSet) -> Option<(Cid, (u32, u16))> {
-        let old = match self.search(keys, key) {
-            Ok(i) => {
-                // The gaps on either side of the entry become one.
-                let entry = self.entries.remove(i);
-                fit(&mut self.entries);
-                let before = self.gap_mut(i);
-                *before = merge(before.take(), entry.right, removed);
-                (entry.value, (entry.key_at, entry.key_len))
-            }
-            Err(i) => {
-                let gap = self.gap_mut(i);
-                let child = gap.as_mut()?;
-                let old = child.remove(keys, key, removed)?;
-                if child.is_vacant() {
-                    *gap = None;
-                }
-                old
-            }
-        };
-        self.touch(removed);
-        Some(old)
-    }
-
-    /// Copy every key of this subtree, in key order, from `old` to the end
-    /// of `packed`, and point the entries at their new spans.
-    fn repack(&mut self, old: &str, packed: &mut String) {
-        if let Some(left) = &mut self.left {
-            left.repack(old, packed);
-        }
-        for entry in &mut self.entries {
-            let span = push_key(packed, entry.key(old));
-            entry.key_at = span.0;
-            if let Some(right) = &mut entry.right {
-                right.repack(old, packed);
-            }
-        }
-    }
 }
 
 /// What one [`Node::seal`] walk carries down the tree.
@@ -431,23 +385,6 @@ fn split(gap: Gap, keys: &str, key: &str, removed: &mut CidSet) -> (Gap, Gap) {
     (keep(node), keep(Box::new(upper)))
 }
 
-/// Join two adjacent gap subtrees of the same layer (the entry between them
-/// is gone) into one.
-fn merge(before: Gap, after: Gap, removed: &mut CidSet) -> Gap {
-    let (mut node, mut upper) = match (before, after) {
-        (Some(before), Some(after)) => (before, after),
-        (before, after) => return before.or(after),
-    };
-    node.touch(removed);
-    upper.touch(removed);
-    let last = node.entries.len();
-    let seam = node.gap_mut(last);
-    *seam = merge(seam.take(), upper.left.take(), removed);
-    node.entries.reserve_exact(upper.entries.len());
-    node.entries.append(&mut upper.entries);
-    Some(node)
-}
-
 /// Wrap a gap subtree in entry-less pass-through nodes up to `layer`.
 fn lift(gap: Gap, layer: u32) -> Gap {
     let mut node = gap?;
@@ -465,10 +402,8 @@ fn lift(gap: Gap, layer: u32) -> Gap {
 pub struct Mst {
     root: Node,
     len: usize,
-    /// Every entry's key, back to back (see the module docs): the live keys
-    /// plus `key_holes` bytes of removed ones.
+    /// Every entry's key, back to back (see the module docs).
     keys: String,
-    key_holes: usize,
     /// CIDs that were live at the last [`Mst::take_node_delta`] and whose
     /// nodes have been mutated or unlinked since. Bounded by the size of the
     /// tree at that drain; a tree that is never drained never adds to it.
@@ -486,7 +421,6 @@ impl Default for Mst {
             root: Node::new(0, None, Vec::new()),
             len: 0,
             keys: String::new(),
-            key_holes: 0,
             removed: CidSet::default(),
             hashed: Cell::new(0),
             scratch: RefCell::default(),
@@ -506,8 +440,8 @@ impl Eq for Mst {}
 
 /// What the mutations since the previous [`Mst::take_node_delta`] did to the
 /// tree's node set: exactly the set difference between the node sets after
-/// and before, however the mutations got there (a batch that was undone, or
-/// a delete and re-add of the same value, nets to nothing). CIDs only: the
+/// and before, however the mutations got there (a value replaced and then
+/// put back nets to nothing). CIDs only: the
 /// blocks stay in the tree, which encodes them again when an archive needs
 /// them.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -580,7 +514,8 @@ impl Mst {
         Ok(self.set(key, cid))
     }
 
-    fn set(&mut self, key: &str, cid: Cid) -> Option<Cid> {
+    /// [`Mst::insert`] of a key the caller has already validated.
+    pub(crate) fn set(&mut self, key: &str, cid: Cid) -> Option<Cid> {
         let layer = key_layer(key);
         let removed = &mut self.removed;
         if self.len == 0 {
@@ -604,45 +539,6 @@ impl Mst {
             self.len += 1;
         }
         old
-    }
-
-    /// Remove a key, returning its value if it was present.
-    pub(crate) fn remove(&mut self, key: &str) -> Option<Cid> {
-        let (old, span) = self.root.remove(&self.keys, key, &mut self.removed)?;
-        self.len -= 1;
-        self.release_key(span);
-        // The root sits at the highest layer any key has: an entry-less
-        // root gives way to its only child, and the empty tree is layer 0.
-        while self.root.entries.is_empty() {
-            self.root.touch(&mut self.removed);
-            match self.root.left.take() {
-                Some(below) => self.root = *below,
-                None => {
-                    self.root.layer = 0;
-                    break;
-                }
-            }
-        }
-        Some(old)
-    }
-
-    /// Give back a removed key's bytes: cut off at the end of the buffer,
-    /// a hole anywhere else. Once the holes outweigh the live bytes and pass
-    /// [`KEY_HOLE_FLOOR`], the live keys are repacked into a fresh buffer.
-    fn release_key(&mut self, (at, len): (u32, u16)) {
-        let (at, len) = (at as usize, usize::from(len));
-        if at + len == self.keys.len() {
-            self.keys.truncate(at);
-        } else {
-            self.key_holes += len;
-        }
-        let live = self.keys.len() - self.key_holes;
-        if self.key_holes > live && self.key_holes >= KEY_HOLE_FLOOR {
-            let mut packed = String::with_capacity(live);
-            self.root.repack(&self.keys, &mut packed);
-            self.keys = packed;
-            self.key_holes = 0;
-        }
     }
 
     /// Look up a key.
@@ -1112,8 +1008,6 @@ mod tests {
         mst.insert(&key_for(2), cid_for(2)).unwrap();
         let root2 = mst.root_cid();
         assert_ne!(root2, root1, "insert invalidates the memo");
-        mst.remove(&key_for(2)).unwrap();
-        assert_eq!(mst.root_cid(), root1, "remove invalidates the memo");
     }
 
     fn key_for(n: u32) -> String {
@@ -1153,7 +1047,7 @@ mod tests {
         }
         for n in 0..2000 {
             standalone.insert(&key_for(n), cid_for(n + 1)).unwrap();
-            standalone.remove(&key_for(n + 1000));
+            standalone.insert(&key_for(n + 2000), cid_for(n)).unwrap();
             standalone.root_cid();
         }
         assert!(
@@ -1165,7 +1059,7 @@ mod tests {
     }
 
     #[test]
-    fn insert_get_remove() {
+    fn insert_get_and_replace() {
         let mut mst = Mst::new();
         assert_eq!(mst.len, 0);
         assert_eq!(mst.insert(&key_for(1), cid_for(1)).unwrap(), None);
@@ -1177,10 +1071,8 @@ mod tests {
         );
         assert_eq!(mst.keys, key_for(1));
         assert_eq!(mst.get(&key_for(1)), Some(&cid_for(2)));
+        assert_eq!(mst.get(&key_for(2)), None);
         assert_eq!(mst.len, 1);
-        assert_eq!(mst.remove(&key_for(1)), Some(cid_for(2)));
-        assert_eq!(mst.len, 0);
-        assert_eq!((mst.keys.len(), mst.key_holes), (0, 0));
         // A key's span is two fields beside a 33-byte CID and a child
         // pointer: 48 bytes, where a `String` key made an entry 72.
         assert_eq!(std::mem::size_of::<Entry>(), 48);
@@ -1208,9 +1100,9 @@ mod tests {
         for i in (0..n).rev() {
             b.insert(&key_for(i), cid_for(i)).unwrap();
         }
-        // Insert and remove extra keys in b; final contents are identical.
-        b.insert(&key_for(10_000), cid_for(1)).unwrap();
-        b.remove(&key_for(10_000));
+        // Replace a value in b and put it back; final contents are identical.
+        b.insert(&key_for(10), cid_for(10_000)).unwrap();
+        b.insert(&key_for(10), cid_for(10)).unwrap();
         assert_eq!(a.root_cid(), b.root_cid());
         assert_eq!(a, b);
     }
@@ -1333,27 +1225,6 @@ mod tests {
     }
 
     #[test]
-    fn node_delta_after_delete_and_readd_under_same_key() {
-        let mut old = Mst::new();
-        for i in 0..50 {
-            old.insert(&key_for(i), cid_for(i)).unwrap();
-        }
-        // Delete + re-add with the *same* value: the tree is content-
-        // addressed, so the final state is identical and the delta is empty.
-        let mut same = old.clone();
-        same.remove(&key_for(7));
-        same.insert(&key_for(7), cid_for(7)).unwrap();
-        assert_eq!(same.root_cid(), old.root_cid());
-        assert!(same.node_delta(&old).is_empty());
-        // Delete + re-add with a *different* value rewrites the leaf path.
-        let mut changed = old.clone();
-        changed.remove(&key_for(7));
-        changed.insert(&key_for(7), cid_for(700)).unwrap();
-        assert_ne!(changed.root_cid(), old.root_cid());
-        assert!(!changed.node_delta(&old).is_empty());
-    }
-
-    #[test]
     fn node_decode_reconstructs_prefix_compressed_keys() {
         let mut mst = Mst::new();
         for i in 0..300 {
@@ -1454,16 +1325,13 @@ mod proptests {
         model: BTreeMap<String, Cid>,
         /// The reference node set at the last drain (empty at creation).
         live: BTreeSet<Cid>,
-        /// Removals that repacked the key buffer.
-        repacks: usize,
     }
 
     /// Entry slots held and entries used over every node of the tree,
     /// asserting on the way that no node holds more slots than
     /// [`slack_bound`] allows for its length, and that the key buffer holds
-    /// each live key once: its length less the holes is the live keys'
-    /// total length, no two entries share bytes, and the holes stay within
-    /// the repacking rule's bound.
+    /// each key once: its length is the keys' total length, and no two
+    /// entries share bytes.
     fn entry_slots(mst: &Mst) -> (usize, usize) {
         let (mut slots, mut used) = (0, 0);
         let mut spans = Vec::new();
@@ -1482,13 +1350,8 @@ mod proptests {
         }
         spans.sort_unstable();
         assert!(spans.windows(2).all(|w| w[0].0 + w[0].1 <= w[1].0));
-        let live: usize = spans.iter().map(|(_, len)| len).sum();
-        assert_eq!(mst.keys.len() - mst.key_holes, live, "live key bytes");
-        assert!(
-            mst.key_holes <= live.max(KEY_HOLE_FLOOR - 1),
-            "{} bytes of holes beside {live} live key bytes",
-            mst.key_holes
-        );
+        let key_bytes: usize = spans.iter().map(|(_, len)| len).sum();
+        assert_eq!(mst.keys.len(), key_bytes, "key buffer bytes");
         (slots, used)
     }
 
@@ -1503,15 +1366,6 @@ mod proptests {
                     buffer,
                     "a replace moved the key buffer"
                 );
-            }
-            entry_slots(&self.mst);
-        }
-
-        fn remove(&mut self, key: &str) {
-            let holes = self.mst.key_holes;
-            assert_eq!(self.mst.remove(key), self.model.remove(key), "{key}");
-            if self.mst.key_holes < holes {
-                self.repacks += 1;
             }
             entry_slots(&self.mst);
         }
@@ -1563,11 +1417,10 @@ mod proptests {
     #[test]
     fn incremental_tree_matches_the_reference_rebuild() {
         let mut rng = TestRng::new(0x35a);
-        let mut repacks = 0;
         for round in 0..6 {
             let mut tree = Checked::default();
-            // A key space small enough that updates, deletes and re-adds of
-            // live keys are common, over two collections.
+            // A key space small enough that replaces of live keys are
+            // common, over two collections.
             let space = 40 + 150 * round;
             let arb_key = |rng: &mut TestRng| {
                 let collection =
@@ -1575,56 +1428,40 @@ mod proptests {
                 format!("{collection}/r{}", rng.below(space))
             };
             for batch in 0..60 {
-                // Every fifth batch is applied and then undone, the way a
-                // failed repository batch rolls back: the net delta is empty.
-                let undo = batch % 5 == 4;
-                let before = tree.model.clone();
-                for _ in 0..1 + rng.below(6) {
-                    let key = arb_key(&mut rng);
-                    match (rng.below(4), tree.model.get(&key).copied()) {
-                        (0, Some(_)) => tree.remove(&key),
-                        (1, Some(same)) => tree.insert(&key, same), // no-op replace
-                        _ => tree.insert(&key, value(rng.next_u64())),
+                // Every fifth batch replaces live values and then puts them
+                // back: the net delta is empty.
+                if batch % 5 == 4 && !tree.model.is_empty() {
+                    let before = tree.model.clone();
+                    let keys: Vec<String> = before.keys().cloned().collect();
+                    for _ in 0..1 + rng.below(6) {
+                        let key = &keys[rng.below(keys.len() as u64) as usize];
+                        tree.insert(key, value(rng.next_u64()));
                     }
-                }
-                if undo {
-                    let touched: Vec<String> = tree
-                        .model
-                        .keys()
-                        .chain(before.keys())
-                        .filter(|k| tree.model.get(*k) != before.get(*k))
-                        .cloned()
-                        .collect();
-                    for key in touched {
-                        match before.get(&key) {
-                            Some(cid) => tree.insert(&key, *cid),
-                            None => tree.remove(&key),
+                    for (key, cid) in &before {
+                        if tree.model[key] != *cid {
+                            tree.insert(key, *cid);
                         }
                     }
                     let live = tree.live.clone();
                     tree.check(batch % 2 == 0);
-                    assert_eq!(tree.live, live, "an undone batch nets to nothing");
-                } else {
-                    tree.check(batch % 2 == 0);
+                    assert_eq!(tree.live, live, "a batch put back nets to nothing");
+                    continue;
                 }
+                for _ in 0..1 + rng.below(6) {
+                    let key = arb_key(&mut rng);
+                    match tree.model.get(&key).copied() {
+                        Some(same) if rng.below(2) == 0 => tree.insert(&key, same), // no-op replace
+                        _ => tree.insert(&key, value(rng.next_u64())),
+                    }
+                }
+                tree.check(batch % 2 == 0);
             }
-            // Empty the tree key by key, then refill it.
-            for key in tree.model.keys().cloned().collect::<Vec<_>>() {
-                tree.remove(&key);
-                tree.check(false);
-            }
-            assert_eq!(tree.mst.len, 0);
-            assert_eq!(tree.live.len(), 1, "the empty tree is one empty node");
-            tree.insert(&arb_key(&mut rng), value(1));
-            tree.check(true);
-            repacks += tree.repacks;
         }
-        assert!(repacks > 0, "key buffer repacks: {repacks}");
     }
 
     /// The shape changes random batches rarely hit, one at a time.
     #[test]
-    fn incremental_tree_handles_root_lifts_and_trims() {
+    fn incremental_tree_handles_root_lifts() {
         let low = keys_where(|layer| layer == 0, 12);
         let mid = keys_where(|layer| layer == 1, 2);
         let high = keys_where(|layer| layer >= 2, 2);
@@ -1649,26 +1486,11 @@ mod proptests {
         let hashed = tree.mst.hashed.get();
         tree.check(false);
         assert_eq!(tree.mst.hashed.get(), hashed);
-        // Delete the top-layer keys one by one: the halves merge back and
-        // the root drops to the highest layer left.
-        tree.remove(&high[1]);
-        tree.check(false);
-        tree.remove(&high[0]);
-        tree.check(true);
-        tree.remove(&mid[0]);
-        tree.remove(&mid[1]);
-        tree.check(false);
-        assert_eq!(tree.mst.root.layer, 0);
-        // A lone high key is its own root; removing it empties the tree.
-        for key in &low {
-            tree.remove(key);
-        }
-        tree.insert(&high[0], value(200));
-        tree.check(false);
-        assert!(tree.mst.root.layer >= 2);
-        tree.remove(&high[0]);
-        tree.check(true);
-        assert_eq!(tree.mst.root.layer, 0);
+        // A lone high key is its own root.
+        let mut lone = Checked::default();
+        lone.insert(&high[0], value(200));
+        lone.check(false);
+        assert!(lone.mst.root.layer >= 2);
     }
 
     /// A repository's tree: record keys are TIDs, so each collection's keys
@@ -1739,8 +1561,17 @@ mod proptests {
     fn diff_then_apply_restores_equality() {
         let mut rng = TestRng::new(0x358);
         for _ in 0..40 {
+            // `b` holds every key of `a`, some under new values, and more.
             let a = arb_entries(&mut rng);
-            let b = arb_entries(&mut rng);
+            let mut b = arb_entries(&mut rng);
+            for (key, value) in &a {
+                let value = if rng.below(3) == 0 {
+                    rng.next_u64() as u32
+                } else {
+                    *value
+                };
+                b.entry(key.clone()).or_insert(value);
+            }
             let make = |m: &BTreeMap<String, u32>| -> Mst {
                 m.iter()
                     .map(|(k, v)| (k.clone(), Cid::for_cbor(&v.to_be_bytes())))
@@ -1753,10 +1584,8 @@ mod proptests {
             for (key, cid) in new.iter() {
                 patched.insert(key, *cid).unwrap();
             }
-            for key in a.keys().filter(|key| !b.contains_key(*key)) {
-                patched.remove(key);
-            }
             assert_eq!(patched.root_cid(), new.root_cid());
+            assert_eq!(patched, new);
         }
     }
 }

@@ -121,8 +121,8 @@ fn main() {
     );
     assert_eq!(
         mem_store.store_bytes_reclaimed, 0,
-        "compaction reclaimed record versions: the workload only creates records, and the \
-         collector relies on compaction never deleting a record the mirror fetched"
+        "compaction reclaimed record blocks: a repository only creates records (`Write` has \
+         no update or delete), so compaction drops commits, never a record the mirror fetched"
     );
 
     // Observatory: one framed run (128-byte buckets, 2 s batch windows)

@@ -33,6 +33,7 @@
 //! | the last row above, re-read      |    745 462 |        18 923 |       39.4 |
 //! | no AppView in the world          |    638 007 |        18 923 |       33.7 |
 //! | CIDs beside their bytes, MST keys in one buffer | 619 017 | 18 923 | 32.7 |
+//! | create-only writes: no per-commit `touched` map, no key clones | 600 373 | 18 923 | 31.7 |
 //!
 //! The budget ratchets: it is the last row plus one call of slack, and a
 //! change that lowers the figure lowers the budget with it. The `LD_PRELOAD`
@@ -99,7 +100,7 @@ fn heap_calls() -> u64 {
 }
 
 /// The last row of the tables above, plus one call of slack.
-const BUDGET_PER_RECORD: f64 = 33.7;
+const BUDGET_PER_RECORD: f64 = 32.7;
 
 #[test]
 fn heap_calls_per_record_written_stay_within_budget() {

@@ -788,7 +788,7 @@ impl Analyzer for ModerationAnalyzer {
                 if let EventBody::Commit { did, ops, .. } = &event.body {
                     let did = did.as_string();
                     for op in ops {
-                        if op.collection() == known::POST && op.cid.is_some() {
+                        if op.collection() == known::POST {
                             let uri = ["at://", &did, "/", &op.key].concat();
                             if let std::collections::btree_map::Entry::Vacant(e) =
                                 self.post_created.entry(uri)
@@ -1881,7 +1881,7 @@ mod tests {
                     if let EventBody::Commit { ops, .. } = &event.body {
                         self.total_posts += ops
                             .iter()
-                            .filter(|op| op.collection() == known::POST && op.cid.is_some())
+                            .filter(|op| op.collection() == known::POST)
                             .count();
                     }
                 }

@@ -75,14 +75,12 @@
 //! mode. It survives as the **test oracle** in this file: a test streams a
 //! world, fetches every collected DID's full CAR at the window end, decodes
 //! it, and requires the mirror's emitted snapshots to be equal record for
-//! record (and the mirror to have fetched strictly fewer bytes). The
-//! oracle is what guards the one assumption the mirror leans on: the
-//! workload only ever *creates* records (account deletion drops whole
-//! repos), so neither a delta nor the weekly compaction can remove a record
-//! version the mirror already holds. A workload that gains record updates
-//! or deletes makes the mirror's accumulated view diverge from a full
-//! export — a bug the oracle catches the moment it appears (at which point
-//! deltas need to carry purged-CID lists).
+//! record (and the mirror to have fetched strictly fewer bytes). The mirror
+//! only ever adds what a delta carries, which is exact because a repository
+//! only creates records: `bsky_atproto::repo::Write` has no update and no
+//! delete, so a record the mirror holds stays in its repository, and the
+//! weekly compaction drops commits, never a record block. (Account deletion
+//! drops a whole repository, which the mirror handles per DID.)
 
 use crate::observatory::{cell_trace, ActivityClass, TraceKind, WireTraceDay};
 use crate::pipeline::{Observation, ObservationSink, StreamSummary, StudyCtx};
@@ -884,18 +882,15 @@ impl Collector {
                     // at the window end.
                     self.mirror
                         .sync(&mut world.relay, &mut world.fleet, today, &mut summary);
-                    // Weekly compaction pass: repositories drop history
-                    // that aged out of the delta window. Cadence and cutoff
+                    // Weekly compaction pass: repositories drop commits
+                    // that aged out of the delta window, never a record
+                    // block (see the module docs). Cadence and cutoff
                     // derive only from simulated time, so every shard and
-                    // backend compacts identically. Compaction never
-                    // removes a record version the mirror already fetched
-                    // because the workload only creates records — see the
-                    // module docs; the window-end oracle test guards it.
+                    // backend compacts identically.
                     let cutoff_day = today.plus_days(-COMPACTION_WINDOW_DAYS);
                     let cutoff =
                         Tid::from_micros(cutoff_day.timestamp().max(0) as u64 * 1_000_000, 0);
-                    let stats = world.compact_repos(&cutoff);
-                    summary.store_bytes_reclaimed += stats.bytes_reclaimed as u64;
+                    world.compact_repos(&cutoff);
                     last_listrepos = Some(today);
                     summary.listrepos_snapshots += 1;
                 }

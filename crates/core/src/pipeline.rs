@@ -385,10 +385,9 @@ pub struct StreamSummary {
     /// claimed a `$type` and then failed their lexicon's decode. A visible
     /// dataset gap, never a silent drop; zero in every clean run.
     pub repo_records_undecodable: u64,
-    /// Block-store bytes reclaimed from the repositories by the weekly
-    /// compaction passes: the aged-out, unreachable record versions they
-    /// deleted (the stores hold no MST nodes). Zero while the workload only
-    /// creates records.
+    /// Always 0: compaction deletes no block, since a repository only
+    /// creates records. A shim kept while the pinned benchmark surface
+    /// still reads it; it goes with that pin.
     pub store_bytes_reclaimed: u64,
     /// Block bytes resident in memory at the end of the run (fleet repos +
     /// the producer's repo mirror).

@@ -141,6 +141,13 @@ impl Pds {
         self.repos.get(&did.as_string())
     }
 
+    /// Whether `did` has an active account here: the status every write
+    /// checks first.
+    pub fn is_active(&self, did: &Did) -> bool {
+        let account = self.accounts.get(&did.as_string());
+        account.is_some_and(|a| a.status == AccountStatus::Active)
+    }
+
     /// Apply a batch of writes to a hosted repository, emitting a commit
     /// event for the Relay.
     pub fn apply_writes(
@@ -177,9 +184,8 @@ impl Pds {
         at: Datetime,
     ) -> Result<(String, CommitResult)> {
         let key = did.as_string();
-        match self.accounts.get(&key) {
-            Some(a) if a.status == AccountStatus::Active => {}
-            _ => return Err(AtError::RepoError(format!("{key} is not active"))),
+        if !self.is_active(did) {
+            return Err(AtError::RepoError(format!("{key} is not active")));
         }
         let repo = self
             .repos
@@ -323,9 +329,9 @@ impl Pds {
         gone
     }
 
-    /// Run the compaction pass over every hosted repository: blocks that
-    /// aged out of the delta-serving window ending at `cutoff` are
-    /// reclaimed (see [`Repository::compact_before`]).
+    /// Run the compaction pass over every hosted repository: commits that
+    /// aged out of the delta-serving window ending at `cutoff` are dropped
+    /// (see [`Repository::compact_before`]).
     pub(crate) fn compact_repos(&mut self, cutoff: &Tid) -> CompactionStats {
         let mut stats = CompactionStats::default();
         for repo in self.repos.values_mut() {

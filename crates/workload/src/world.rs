@@ -582,17 +582,20 @@ impl World {
             has_banner: rng.chance(0.4),
             created_at: today,
         });
-        if let Some(pds) = self.fleet.pds_for_mut(&user.did) {
-            let _ = pds.apply_writes(
-                &user.did,
-                &[Write::Create {
-                    collection: Nsid::PROFILE,
-                    rkey: "self".to_string(),
-                    record: profile,
-                }],
-                today,
-            );
-        }
+        let pds = self
+            .fleet
+            .pds_for_mut(&user.did)
+            .expect("the account was just created");
+        pds.apply_writes(
+            &user.did,
+            &[Write::Create {
+                collection: Nsid::PROFILE,
+                rkey: "self".to_string(),
+                record: profile,
+            }],
+            today,
+        )
+        .expect("a new account accepts its profile");
         self.owned_local.insert(index, self.users.len());
         self.users.push(user);
     }
@@ -725,7 +728,8 @@ impl World {
     /// One active user's actions for one day, applied as a single commit.
     /// Consumes only the user's own per-day streams plus the read-only plan.
     /// Each record is built once, inside its [`Write`], and lent from there
-    /// to the PDS, the feed generators and the labelers.
+    /// to the PDS, the feed generators and the labelers. A deleted account
+    /// stays on the schedule: its day is drawn, then not written.
     fn simulate_user_day(&mut self, index: usize, day_idx: usize, today: Datetime) {
         let Some(&local) = self.owned_local.get(&index) else {
             return; // signup failed (should not happen)
@@ -854,13 +858,17 @@ impl World {
         if writes.is_empty() {
             return;
         }
-        if let Some(pds) = self.fleet.pds_for_mut(&user.did) {
-            if pds.apply_writes(&user.did, &writes, when).is_err() {
-                return;
-            }
-        } else {
+        // The account's PDS says whether it may still write. The draw above
+        // runs either way: a deleted account's feed-generator likes are
+        // counted although its day is not written.
+        let hosted = self.fleet.pds_for_mut(&user.did);
+        let Some(pds) = hosted.filter(|pds| pds.is_active(&user.did)) else {
             return;
-        }
+        };
+        // Every key is fresh (a day's rkeys are unique to the day), so an
+        // active account's batch is accepted.
+        pds.apply_writes(&user.did, &writes, when)
+            .expect("a day's creates are accepted");
 
         // Feed curation and labeler observation for the new posts (the
         // "firehose with blocks" path).
@@ -1096,9 +1104,9 @@ impl World {
         (self.total_posts, self.total_likes)
     }
 
-    /// Run the repository compaction pass over the whole fleet: blocks
-    /// older than `cutoff` that left the delta-serving window are
-    /// reclaimed. The study producer calls this on its weekly snapshot
+    /// Run the repository compaction pass over the whole fleet: commits
+    /// older than `cutoff` leave the delta-serving window. The study
+    /// producer calls this on its weekly snapshot
     /// cadence; cadence and cutoff derive only from simulated time, so
     /// every shard (and every snapshot mode) compacts identically.
     pub fn compact_repos(&mut self, cutoff: &Tid) -> CompactionStats {

@@ -131,12 +131,14 @@
 //! a repository's block store holds record blocks only: the in-memory MST
 //! is the one copy of the tree, encoded while a CAR is written (deltas
 //! ship only current nodes), and it keeps all its keys in one buffer that
-//! its entries index by offset. A write descends the tree once, and
-//! whether it created or replaced a key is read from the value it
-//! displaced. The study producer runs a weekly compaction
+//! its entries index by offset. A repository only creates records: a
+//! write batch is validated whole (keys valid, absent, named once) and then
+//! applied with no failure path, so the store holds exactly the tree's
+//! values and nothing ever needs a reference count or a rollback. The
+//! study producer runs a weekly compaction
 //! pass (`bsky_atproto::repo::Repository::compact_before`): commits that
-//! aged out of the delta-serving window are dropped with their unreachable
-//! record versions. A delta
+//! aged out of the delta-serving window are dropped, and no record block
+//! goes with them. A delta
 //! requested since a compacted revision fails with
 //! `AtError::RevisionCompacted`, and the incremental mirror falls back to
 //! a full fetch *visibly* — the fallback count is
