@@ -56,7 +56,7 @@ impl Hash for Cid {
 /// produced at those sites — by sorting, or by an ordered map kept for that
 /// purpose — and each such site says which bytes or which order depend on it.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct CidHasher(u64);
+pub(crate) struct CidHasher(u64);
 
 impl Hasher for CidHasher {
     fn finish(&self) -> u64 {
@@ -77,7 +77,7 @@ impl Hasher for CidHasher {
 }
 
 /// A hash map keyed by CID (see [`CidHasher`]).
-pub type CidMap<V> = HashMap<Cid, V, BuildHasherDefault<CidHasher>>;
+pub(crate) type CidMap<V> = HashMap<Cid, V, BuildHasherDefault<CidHasher>>;
 /// A hash set of CIDs (see [`CidHasher`]).
 pub(crate) type CidSet = HashSet<Cid, BuildHasherDefault<CidHasher>>;
 

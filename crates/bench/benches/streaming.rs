@@ -7,7 +7,7 @@
 //!   constant-size chunks, so the peak subscription batch must not scale
 //!   with daily volume (asserted across a 3× population difference).
 //! * **paged block store** — the same collection with `--store paged`
-//!   (repos and producer mirror over the disk-spill store) must end the
+//!   (the fleet's repositories over the disk-spill store) must end the
 //!   run with strictly fewer resident block bytes than the in-memory
 //!   store, with the difference spilled (the reports are byte-identical,
 //!   pinned by the golden equivalence test).
@@ -95,10 +95,8 @@ fn main() {
     // golden test pins the reports byte-identical.
     use bsky_atproto::blockstore::StoreConfig;
     let run_with_store = |store: StoreConfig| {
-        let mut world = World::from_spec(WorldSpec::new(config).store(store.clone()));
-        Collector::new()
-            .store(store)
-            .stream(&mut world, &mut NullSink)
+        let mut world = World::from_spec(WorldSpec::new(config).store(store));
+        Collector::new().stream(&mut world, &mut NullSink)
     };
     let mem_store = run_with_store(StoreConfig::mem());
     let paged_store = run_with_store(StoreConfig::paged().page_size(8 * 1024).resident_pages(2));
@@ -224,10 +222,8 @@ fn main() {
     // grows (sublinear scale-out).
     let federated_run = |config: ScenarioConfig| {
         let store = StoreConfig::paged().page_size(8 * 1024).resident_pages(2);
-        let mut world = World::from_spec(WorldSpec::new(config).store(store.clone()).relays(2));
-        let summary = Collector::new()
-            .store(store)
-            .stream(&mut world, &mut NullSink);
+        let mut world = World::from_spec(WorldSpec::new(config).store(store).relays(2));
+        let summary = Collector::new().stream(&mut world, &mut NullSink);
         let population = world.users.len().max(1) as u64;
         assert!(
             summary.relay_events_forwarded > 0 && summary.relay_dedup_tracked > 0,

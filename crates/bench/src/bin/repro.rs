@@ -28,10 +28,9 @@
 //! bytes, more threads. One invocation is one run; a sweep is a shell loop,
 //! which composes with every flag:
 //! `for s in 1 2; do repro --seed $s --scale 40000 > report-$s.txt; done`.
-//! `--store paged` backs every repository and the producer's repo mirror
-//! with the paged disk-spill block store (`--page-size` sets the page
-//! capacity in bytes, `--spill-dir` the spill root, created before the run
-//! starts).
+//! `--store paged` backs every repository of the PDS fleet with the paged
+//! disk-spill block store (`--page-size` sets the page capacity in bytes,
+//! `--spill-dir` the spill root, created before the run starts).
 //! `--relays N` federates the crawl across `N` regional relays, each
 //! owning a contiguous slice of the PDS fleet and forwarding its firehose
 //! (cursor-resumable, `(did, rev)`-deduplicated) into the super-relay the

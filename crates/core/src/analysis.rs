@@ -18,7 +18,6 @@ use crate::stats;
 use bsky_atproto::firehose::{EventBody, EventKind};
 use bsky_atproto::label::LabelTargetKind;
 use bsky_atproto::nsid::known;
-use bsky_atproto::record::Record;
 use bsky_atproto::Datetime;
 use bsky_labeler::{LabelerOperator, REACTION_WINDOW_DAYS};
 use bsky_simnet::net::HostingClass;
@@ -129,22 +128,18 @@ impl Analyzer for ActivityAnalyzer {
                 users.insert(did.clone());
             }
         };
-        for (collection, _rkey, record) in &repo.records {
-            let created = match record.created_at() {
-                Some(c) => c,
-                None => continue,
+        for record in repo.records() {
+            let Some(created) = record.created_at else {
+                continue;
             };
             let month = month_of(created);
-            let lang = match record {
-                Record::Post(p) => p.langs.first().cloned().unwrap_or_else(|| "und".into()),
-                _ => "und".into(),
-            };
-            match collection.as_str() {
+            match record.collection.as_str() {
                 known::POST => {
                     self.totals.0 += 1;
                     let entry = self.monthly_ops.entry(month.clone()).or_default();
                     note(&mut entry.0);
                     entry.1 += 1;
+                    let lang = record.lang.unwrap_or("und").to_string();
                     note(self.daily_users.entry((month.clone(), lang)).or_default());
                 }
                 known::LIKE => {
@@ -272,17 +267,17 @@ impl Analyzer for Section4Analyzer {
         match obs {
             Observation::Firehose(_) => self.firehose_events += 1,
             Observation::Repo(repo) => {
-                for (collection, _, record) in &repo.records {
-                    match record {
-                        Record::Follow(f) => {
-                            *self.followers.entry(f.subject.as_string()).or_insert(0) += 1
+                for record in repo.records() {
+                    match (record.collection.as_str(), record.subject) {
+                        (known::FOLLOW, Some(subject)) => {
+                            *self.followers.entry(subject.as_string()).or_insert(0) += 1
                         }
-                        Record::Block(b) => {
-                            *self.blocks.entry(b.subject.as_string()).or_insert(0) += 1
+                        (known::BLOCK, Some(subject)) => {
+                            *self.blocks.entry(subject.as_string()).or_insert(0) += 1
                         }
                         _ => {}
                     }
-                    if !collection.is_bluesky_lexicon() {
+                    if !record.collection.is_bluesky_lexicon() {
                         self.non_bsky += 1;
                     }
                 }
@@ -868,11 +863,13 @@ impl Analyzer for ModerationAnalyzer {
             }
             Observation::Repo(repo) => {
                 // Table 3's likes column: likes on labeler accounts.
-                for (_, _, record) in &repo.records {
-                    if let Record::Like(like) = record {
+                for record in repo.records() {
+                    if let (known::LIKE, Some(subject)) =
+                        (record.collection.as_str(), record.subject)
+                    {
                         *self
                             .likes_on_accounts
-                            .entry(like.subject.did().as_string())
+                            .entry(subject.as_string())
                             .or_insert(0) += 1;
                     }
                 }
@@ -1341,31 +1338,28 @@ impl Analyzer for RecommendationAnalyzer {
             }
             Observation::Repo(repo) => {
                 let did = repo.did.as_string();
-                for (_, _, record) in &repo.records {
-                    match record {
+                for record in repo.records() {
+                    let Some(created) = record.created_at else {
+                        continue;
+                    };
+                    match (record.collection.as_str(), record.subject) {
                         // Figure 7: likes on feed-generator records,
                         // recognised structurally so no cross-category state
                         // is needed at observe time.
-                        Record::Like(like)
-                            if like
-                                .subject
-                                .collection()
-                                .map(|c| c.as_str() == known::FEED_GENERATOR)
-                                .unwrap_or(false) =>
-                        {
+                        (known::LIKE, _) if record.likes_feed_generator => {
                             *self
                                 .feed_likes_by_month
-                                .entry(month_of(like.created_at))
+                                .entry(month_of(created))
                                 .or_insert(0) += 1;
                         }
-                        Record::Follow(follow) => {
-                            let subject = follow.subject.as_string();
+                        (known::FOLLOW, Some(subject)) => {
+                            let subject = subject.as_string();
                             self.follow_edges.insert((did.clone(), subject.clone()));
                             *self
                                 .follows_by_subject_month
                                 .entry(subject)
                                 .or_default()
-                                .entry(month_of(follow.created_at))
+                                .entry(month_of(created))
                                 .or_insert(0) += 1;
                         }
                         _ => {}

@@ -33,10 +33,9 @@
 //! 2. an unchanged revision costs **zero** fetches; a changed one is
 //!    fetched as a `com.atproto.sync.getRepo(did, since=rev)` **delta** —
 //!    the head commit plus the record blocks created after the mirror's
-//!    revision (`DeltaScope::Records`: this mirror keeps record blocks and
-//!    decodes them once, at the window end, so it skips the MST node blocks
-//!    a full-fidelity block mirror would request — see
-//!    `bsky_atproto::repo`);
+//!    revision (`DeltaScope::Records`: this mirror keeps what the study
+//!    reads of each record, so it skips the MST node blocks a full-fidelity
+//!    block mirror would request — see `bsky_atproto::repo`);
 //! 3. new DIDs, revision rewinds, and failed or unverifiable deltas fall
 //!    back to a full CAR fetch; DIDs that vanish from `listRepos`
 //!    (deletions) drop their mirror state and are counted as skips;
@@ -55,40 +54,46 @@
 //! * **advanced revision** — one delta fetch and one pass over it with the
 //!   borrowed CAR reader: a SHA-256 per block (the CID check), a walk of
 //!   each block's top-level item heads to find its `$type`
-//!   ([`Record::is_record_block`] — no block is decoded), one decode of the
-//!   head commit to check its revision, and then exactly one copy of each
-//!   *new* record block, into the mirror's store. Nothing is inserted
+//!   ([`Record::is_record_block`]), one decode of the head commit to check
+//!   its revision, and then, once the whole delta has verified, exactly one
+//!   [`Record::from_cbor`] of each *new* record block. Nothing is inserted
 //!   before the whole delta has verified.
 //! * **new DID** (also a rewind, a re-homed repo or a failed delta) — the
 //!   same pass over a full CAR.
 //!
-//! The mirror never reads its store during a round, and a mirrored block is
-//! decoded once per study: at the window end, when
-//! `IncrementalRepoMirror::records` builds the emitted snapshots. A block
-//! that fails that decode (or that the store cannot return) is left out and
-//! counted in [`StreamSummary::repo_records_undecodable`]. On the PDS side
-//! the round's compaction pass costs what aged out of the window, not the
-//! repository (see `bsky_atproto::repo`, "Compaction").
+//! A mirrored record is decoded once, when it arrives, and the mirror keeps
+//! no block: only a fixed-size projection of what the analyzers read (the
+//! collection, `createdAt`, a post's first language, a follow's, block's or
+//! like's subject). Names in it are interned mirror-wide, so a record costs
+//! the same bytes whatever its text, embeds or facets. A block that claims a
+//! `$type` and then fails its lexicon is kept as a marker and counted in
+//! [`StreamSummary::repo_records_undecodable`] when its snapshot is emitted.
+//! Emission moves each DID's projections into its [`RepoSnapshot`] and
+//! decodes nothing. On the PDS side the round's compaction pass costs what
+//! aged out of the window, not the repository (see `bsky_atproto::repo`,
+//! "Compaction").
 //!
 //! The paper's naive reading of §3 — download and decode every repository
 //! CAR once, at the window end, O(total repo bytes) — is not a selectable
 //! mode. It survives as the **test oracle** in this file: a test streams a
 //! world, fetches every collected DID's full CAR at the window end, decodes
-//! it, and requires the mirror's emitted snapshots to be equal record for
-//! record (and the mirror to have fetched strictly fewer bytes). The mirror
-//! only ever adds what a delta carries, which is exact because a repository
-//! only creates records: `bsky_atproto::repo::Write` has no update and no
-//! delete, so a record the mirror holds stays in its repository, and the
-//! weekly compaction drops commits, never a record block. (Account deletion
-//! drops a whole repository, which the mirror handles per DID.)
+//! it, projects every record the way the mirror does, and requires the
+//! mirror's emitted snapshots to be equal record for record (and the mirror
+//! to have fetched strictly fewer bytes). The mirror only ever adds what a
+//! delta carries, which is exact because a repository only creates records:
+//! `bsky_atproto::repo::Write` has no update and no delete, so a record the
+//! mirror holds stays in its repository, and the weekly compaction drops
+//! commits, never a record block. (Account deletion drops a whole
+//! repository, which the mirror handles per DID.)
 
 use crate::observatory::{cell_trace, ActivityClass, TraceKind, WireTraceDay};
 use crate::pipeline::{Observation, ObservationSink, StreamSummary, StudyCtx};
-use bsky_atproto::blockstore::{BlockStore, StoreConfig, StoreStats};
-use bsky_atproto::cid::{Cid, CidMap};
+use bsky_atproto::blockstore::StoreConfig;
+use bsky_atproto::cid::Cid;
 use bsky_atproto::error::AtError;
 use bsky_atproto::firehose::EventBody;
 use bsky_atproto::framing::FramingPolicy;
+use bsky_atproto::nsid::known;
 use bsky_atproto::record::Record;
 use bsky_atproto::repo::{commit_summary, CarReader, DeltaScope};
 use bsky_atproto::{AtUri, Datetime, Did, Nsid, Tid};
@@ -101,17 +106,170 @@ use bsky_simnet::faults::{FaultPlan, RetryPolicy, TimeoutClass};
 use bsky_simnet::http::HttpResponse;
 use bsky_simnet::net::HostingClass;
 use bsky_workload::World;
-use std::collections::hash_map::Entry;
+use std::borrow::Borrow;
 use std::collections::{BTreeMap, BTreeSet};
+use std::num::NonZeroU32;
 use std::sync::Arc;
 
-/// A decoded repository snapshot.
+/// One DID's repository at the window end, as the analyzers read it.
 #[derive(Debug, Clone)]
 pub struct RepoSnapshot {
     /// Repository owner.
     pub(crate) did: Did,
-    /// All live records: `(collection, rkey, record)`.
-    pub records: Vec<(Nsid, String, Record)>,
+    /// Every record the mirror held for the DID, in CID order, each CID
+    /// once, undecodable markers included.
+    records: Vec<MirroredRecord>,
+    /// The mirror's name tables, which the records' ids index.
+    names: Arc<MirrorNames>,
+}
+
+impl RepoSnapshot {
+    /// The decodable records, in CID order.
+    pub fn records(&self) -> impl Iterator<Item = RecordView<'_>> {
+        self.records
+            .iter()
+            .filter_map(|record| self.names.view(record))
+    }
+}
+
+/// What the study reads of one repository record: every field an analyzer
+/// looks at, with its names resolved.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RecordView<'a> {
+    /// The record's collection (its `$type`).
+    pub collection: &'a Nsid,
+    /// The record's self-reported creation time, when its lexicon has one.
+    pub(crate) created_at: Option<Datetime>,
+    /// A post's first language.
+    pub(crate) lang: Option<&'a str>,
+    /// The subject DID of a follow, a block or a like.
+    pub(crate) subject: Option<&'a Did>,
+    /// Whether a like's subject is a feed generator.
+    pub(crate) likes_feed_generator: bool,
+}
+
+/// The index of a name in one of the mirror's [`Interned`] tables.
+type NameId = NonZeroU32;
+
+/// One mirrored record: its CID and a fixed-size projection of what the
+/// study reads, owning no heap memory (its names are ids into the mirror's
+/// [`MirrorNames`]). A few dozen bytes however long the post was.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct MirroredRecord {
+    cid: Cid,
+    /// `None` marks a block that claimed a `$type` and then failed its
+    /// lexicon's decode: kept so each emission counts it.
+    collection: Option<NameId>,
+    /// Meaningful only when `dated`: an `Option<Datetime>` would take a
+    /// word more than the flag beside it.
+    created_at: Datetime,
+    dated: bool,
+    lang: Option<NameId>,
+    subject: Option<NameId>,
+    likes_feed_generator: bool,
+}
+
+/// Distinct values, each named by a [`NameId`] in first-seen order (and
+/// held twice: in its slot, and as its lookup key). The lookup is ordered,
+/// not hashed: a default `HashMap` draws fresh hash keys in every process,
+/// so its layout, and the work of each lookup, would differ from one run of
+/// the same input to the next.
+#[derive(Debug, Clone)]
+struct Interned<T> {
+    values: Vec<T>,
+    ids: BTreeMap<T, NameId>,
+}
+
+impl<T> Default for Interned<T> {
+    fn default() -> Interned<T> {
+        Interned {
+            values: Vec::new(),
+            ids: BTreeMap::new(),
+        }
+    }
+}
+
+impl<T: Clone + Ord> Interned<T> {
+    fn id<Q>(&mut self, value: &Q) -> NameId
+    where
+        T: Borrow<Q>,
+        Q: Ord + ToOwned<Owned = T> + ?Sized,
+    {
+        if let Some(&id) = self.ids.get(value) {
+            return id;
+        }
+        let id = u32::try_from(self.values.len() + 1)
+            .ok()
+            .and_then(NonZeroU32::new)
+            .expect("fewer than 2^32 distinct names");
+        self.values.push(value.to_owned());
+        self.ids.insert(value.to_owned(), id);
+        id
+    }
+
+    fn get(&self, id: NameId) -> &T {
+        &self.values[id.get() as usize - 1]
+    }
+}
+
+/// The mirror-wide name tables behind every [`MirroredRecord`].
+#[derive(Debug, Clone, Default)]
+struct MirrorNames {
+    collections: Interned<Nsid>,
+    langs: Interned<String>,
+    subjects: Interned<Did>,
+}
+
+impl MirrorNames {
+    /// Project one record, decoded from the block `cid` names, or a marker
+    /// when the decode failed. The one place a record becomes what the
+    /// study keeps of it; the oracle test projects its own decode with it.
+    fn project(&mut self, cid: Cid, record: Option<&Record>) -> MirroredRecord {
+        let mut out = MirroredRecord {
+            cid,
+            collection: None,
+            created_at: Datetime::default(),
+            dated: false,
+            lang: None,
+            subject: None,
+            likes_feed_generator: false,
+        };
+        let Some(record) = record else {
+            return out;
+        };
+        out.collection = Some(self.collections.id(&record.collection()));
+        if let Some(created_at) = record.created_at() {
+            out.created_at = created_at;
+            out.dated = true;
+        }
+        match record {
+            Record::Post(post) => {
+                out.lang = post.langs.first().map(|lang| self.langs.id(lang.as_str()))
+            }
+            Record::Follow(follow) => out.subject = Some(self.subjects.id(&follow.subject)),
+            Record::Block(block) => out.subject = Some(self.subjects.id(&block.subject)),
+            Record::Like(like) => {
+                out.subject = Some(self.subjects.id(like.subject.did()));
+                out.likes_feed_generator = like
+                    .subject
+                    .collection()
+                    .is_some_and(|collection| collection.as_str() == known::FEED_GENERATOR);
+            }
+            _ => {}
+        }
+        out
+    }
+
+    /// `record` with its names resolved, or `None` for a marker.
+    fn view(&self, record: &MirroredRecord) -> Option<RecordView<'_>> {
+        Some(RecordView {
+            collection: self.collections.get(record.collection?),
+            created_at: record.dated.then_some(record.created_at),
+            lang: record.lang.map(|id| self.langs.get(id).as_str()),
+            subject: record.subject.map(|id| self.subjects.get(id)),
+            likes_feed_generator: record.likes_feed_generator,
+        })
+    }
 }
 
 /// One curated post of a feed-generator dataset entry.
@@ -216,20 +374,17 @@ pub struct LabelerEntry {
 /// Default number of pending relay events per producer chunk.
 pub const DEFAULT_CHUNK_EVENTS: usize = 256;
 
-/// Mirrored repository state for one DID, synced to a known revision. The
-/// record block bytes live in the mirror's shared [`BlockStore`]; the entry
-/// keeps only their CIDs.
+/// Mirrored repository state for one DID, synced to a known revision.
 #[derive(Debug, Clone, Default)]
 struct MirroredRepo {
     /// The revision the state is synced to (`None`: no commits yet).
     rev: Option<Tid>,
-    /// CIDs of every fetched block that carries a record's `$type` — the
-    /// same view a reader of the full CAR takes, so decoding these in CID
-    /// order reproduces what a window-end full export decodes to. Sorted,
-    /// each CID once, at exact capacity: `records` decodes in this order,
-    /// which reaches the analyzers, and each fetched archive's CID-sorted
-    /// records are merged in.
-    record_cids: Vec<Cid>,
+    /// One projection per fetched block that carries a record's `$type` —
+    /// the same view a reader of the full CAR takes, so these in CID order
+    /// are what a window-end full export decodes to. Sorted by CID, each
+    /// CID once, at exact capacity: this order reaches the analyzers, and
+    /// each fetched archive's CID-sorted records are merged in.
+    records: Vec<MirroredRecord>,
     /// The PDS hostname the state was fetched from. A repo that re-homes
     /// (account migration) is backfilled with a full fetch: deltas across
     /// a host change are not trusted.
@@ -240,9 +395,8 @@ struct MirroredRepo {
 }
 
 /// The incremental repository mirror: per-DID repo state maintained across
-/// weekly `sync.listRepos` snapshots, with the record blocks in a pluggable
-/// [`BlockStore`] (in-memory by default; the paged backend bounds the
-/// mirror's resident footprint by spilling cold blocks to disk).
+/// weekly `sync.listRepos` snapshots, each record kept as its fixed-size
+/// projection, never as its block.
 ///
 /// [`IncrementalRepoMirror::sync`] performs one rev-aware pass: repos whose
 /// revision is unchanged cost nothing, advanced repos are fetched as
@@ -261,14 +415,9 @@ pub(crate) struct IncrementalRepoMirror {
     repos: BTreeMap<Did, MirroredRepo>,
     /// Sync passes made so far (see `MirroredRepo::listed_in`).
     passes: u64,
-    /// Record blocks, CID-addressed and shared across DIDs.
-    store: Box<dyn BlockStore>,
-    /// How many DIDs hold each block that two or more of them hold:
-    /// identical records fetched from different repositories share one
-    /// block, which must survive until its last holder is dropped. A stored
-    /// block with no entry has one holder, as nearly every block does.
-    /// Looked up per block, never iterated.
-    shared: CidMap<u32>,
+    /// The names every DID's records refer to. Shared with the emitted
+    /// snapshots; an insert after an emission copies them first.
+    names: Arc<MirrorNames>,
     /// The deterministic fault schedule (quiet by default).
     faults: Arc<FaultPlan>,
     /// Retry policy for full `getRepo` fetches.
@@ -284,15 +433,9 @@ impl Default for IncrementalRepoMirror {
 }
 
 impl IncrementalRepoMirror {
-    /// An empty mirror over the default in-memory store.
+    /// An empty mirror under the quiet fault plan.
     pub(crate) fn new() -> IncrementalRepoMirror {
-        IncrementalRepoMirror::with_store(StoreConfig::default().build())
-    }
-
-    /// An empty mirror over an explicit block store.
-    pub(crate) fn with_store(store: Box<dyn BlockStore>) -> IncrementalRepoMirror {
-        IncrementalRepoMirror::with_store_faults(
-            store,
+        IncrementalRepoMirror::with_faults(
             Arc::new(FaultPlan::quiet()),
             RetryPolicy::for_class(TimeoutClass::RepoFetch),
             RetryPolicy::for_class(TimeoutClass::DeltaFetch),
@@ -303,8 +446,7 @@ impl IncrementalRepoMirror {
     /// policies. Faults resolve as pure functions of `(seed, DID, day)`
     /// before any wire traffic; retries, backoff and give-ups are counted
     /// into the sync summary — never silent.
-    pub(crate) fn with_store_faults(
-        store: Box<dyn BlockStore>,
+    pub(crate) fn with_faults(
         faults: Arc<FaultPlan>,
         retry_full: RetryPolicy,
         retry_delta: RetryPolicy,
@@ -312,25 +454,18 @@ impl IncrementalRepoMirror {
         IncrementalRepoMirror {
             repos: BTreeMap::new(),
             passes: 0,
-            store,
-            shared: CidMap::default(),
+            names: Arc::default(),
             faults,
             retry_full,
             retry_delta,
         }
     }
 
-    /// Residency/spill statistics of the mirror's block store.
-    pub(crate) fn store_stats(&self) -> StoreStats {
-        self.store.stats()
-    }
-
     /// Insert one DID's freshly fetched record blocks, CID-sorted and still
-    /// borrowed from the CAR they arrived in, by merging their CIDs into the
-    /// DID's list: a CID the DID already holds, or one repeated in the
-    /// archive, counts once. A block is copied once, into the store, when no
-    /// DID holds it yet; a block the store already has gains a holder in
-    /// `shared` instead.
+    /// borrowed from the verified CAR they arrived in, by merging them into
+    /// the DID's list: a CID the DID already holds, or one repeated in the
+    /// archive, counts once. Each new block is decoded here, once, and only
+    /// its projection is kept.
     fn insert_records(&mut self, did: &Did, records: &[(Cid, &[u8])]) -> &mut MirroredRepo {
         if !self.repos.contains_key(did) {
             self.repos.insert(did.clone(), MirroredRepo::default());
@@ -340,40 +475,22 @@ impl IncrementalRepoMirror {
         if records.is_empty() {
             return entry;
         }
-        let held = std::mem::take(&mut entry.record_cids);
+        let names = Arc::make_mut(&mut self.names);
+        let held = std::mem::take(&mut entry.records);
         let mut merged = Vec::with_capacity(held.len() + records.len());
         let mut held = held.into_iter().peekable();
         for &(cid, bytes) in records {
-            merged.extend(std::iter::from_fn(|| held.next_if(|old| *old < cid)));
-            if held.peek() == Some(&cid) || merged.last() == Some(&cid) {
+            merged.extend(std::iter::from_fn(|| held.next_if(|old| old.cid < cid)));
+            let seen = |record: &MirroredRecord| record.cid == cid;
+            if held.peek().is_some_and(seen) || merged.last().is_some_and(seen) {
                 continue;
             }
-            if !self.store.put_slice(cid, bytes) {
-                *self.shared.entry(cid).or_insert(1) += 1;
-            }
-            merged.push(cid);
+            merged.push(names.project(cid, Record::from_cbor(bytes).ok().as_ref()));
         }
         merged.extend(held);
         merged.shrink_to_fit();
-        entry.record_cids = merged;
+        entry.records = merged;
         entry
-    }
-
-    /// Drop one DID's state, deleting the blocks no other DID holds.
-    fn drop_state(&mut self, did: &Did) {
-        if let Some(entry) = self.repos.remove(did) {
-            for cid in entry.record_cids {
-                match self.shared.entry(cid) {
-                    Entry::Occupied(mut holders) if *holders.get() > 2 => *holders.get_mut() -= 1,
-                    Entry::Occupied(holders) => {
-                        holders.remove();
-                    }
-                    Entry::Vacant(_) => {
-                        self.store.delete(&cid);
-                    }
-                }
-            }
-        }
     }
 
     /// One rev-aware sync pass over the relay's `listRepos` view. Fetch
@@ -430,7 +547,7 @@ impl IncrementalRepoMirror {
             .collect();
         summary.repo_snapshot_skips += vanished.len() as u64;
         for did in vanished {
-            self.drop_state(&did);
+            self.repos.remove(&did);
         }
     }
 
@@ -511,7 +628,7 @@ impl IncrementalRepoMirror {
         let key = did.as_string();
         if !resolve_retries(&self.faults, self.retry_full, "full", &key, now, summary) {
             summary.repo_snapshot_skips += 1;
-            self.drop_state(did);
+            self.repos.remove(did);
             return;
         }
         match relay.get_repo(did, fleet, now) {
@@ -520,45 +637,41 @@ impl IncrementalRepoMirror {
                 summary.repo_full_fetches += 1;
                 let Some(scan) = scan_car(&car) else {
                     summary.repo_snapshot_skips += 1;
-                    self.drop_state(did);
+                    self.repos.remove(did);
                     return;
                 };
                 // Replace: a full fetch supersedes any previous state
                 // (rewound repos must not retain pre-rewind records).
-                self.drop_state(did);
+                self.repos.remove(did);
                 let entry = self.insert_records(did, &scan.records);
                 entry.rev = current;
                 entry.host = host;
             }
             Err(_) => {
                 summary.repo_snapshot_skips += 1;
-                self.drop_state(did);
+                self.repos.remove(did);
             }
         }
     }
 
-    /// The decoded records of a mirrored DID in CID order — the exact
-    /// contents a full CAR fetched now would decode to — or `None` when the
-    /// DID is not mirrored. Reads go through the block store, paging in and
-    /// CID-verifying any spilled blocks. This is the one place a mirrored
-    /// block is decoded; a block the store cannot return, or one that
-    /// claimed a `$type` and then fails its lexicon, is left out of the
-    /// snapshot and counted into
-    /// [`StreamSummary::repo_records_undecodable`] — never silently.
-    pub(crate) fn records(
-        &self,
+    /// Move a mirrored DID's records into its emitted snapshot, or `None`
+    /// when the DID is not mirrored. Emission is the mirror's last use of
+    /// the state, so nothing is copied or decoded; each undecodable marker
+    /// is counted into [`StreamSummary::repo_records_undecodable`] here —
+    /// never silently.
+    pub(crate) fn take_snapshot(
+        &mut self,
         did: &Did,
         summary: &mut StreamSummary,
-    ) -> Option<Vec<(Nsid, String, Record)>> {
-        let entry = self.repos.get(did)?;
-        let mut records = Vec::with_capacity(entry.record_cids.len());
-        for cid in &entry.record_cids {
-            match self.store.get(cid).map(|bytes| Record::from_cbor(&bytes)) {
-                Some(Ok(record)) => records.push((record.collection(), String::new(), record)),
-                _ => summary.repo_records_undecodable += 1,
-            }
-        }
-        Some(records)
+    ) -> Option<RepoSnapshot> {
+        let entry = self.repos.remove(did)?;
+        let undecodable = entry.records.iter().filter(|r| r.collection.is_none());
+        summary.repo_records_undecodable += undecodable.count() as u64;
+        Some(RepoSnapshot {
+            did: did.clone(),
+            records: entry.records,
+            names: Arc::clone(&self.names),
+        })
     }
 }
 
@@ -603,7 +716,7 @@ struct ScannedCar<'a> {
 /// checks the framing and verifies every block against its CID; blocks are
 /// classified by their top-level `$type` alone (commit and MST node blocks
 /// carry none and fall out), so nothing is decoded and nothing is copied
-/// here. The whole archive is read before the caller sees any of it: one
+/// here: a record block is decoded when the mirror inserts it. The whole archive is read before the caller sees any of it: one
 /// bad block anywhere rejects it all.
 fn scan_car(car: &[u8]) -> Option<ScannedCar<'_>> {
     let mut reader = CarReader::new(car).ok()?;
@@ -622,7 +735,7 @@ fn scan_car(car: &[u8]) -> Option<ScannedCar<'_>> {
         }
     }
     // CID order whatever the archive's own (exports already are): the
-    // mirror's store sees the same insertion order for the same blocks.
+    // mirror merges each archive into a DID's CID-sorted list.
     scan.records.sort_unstable_by_key(|&(cid, _)| cid);
     Some(scan)
 }
@@ -648,8 +761,6 @@ pub(crate) const COMPACTION_WINDOW_DAYS: i64 = 14;
 #[derive(Debug)]
 pub struct Collector {
     chunk_events: usize,
-    /// Backend for the mirror's record-block store (rebuilt per stream).
-    store_config: StoreConfig,
     mirror: IncrementalRepoMirror,
     firehose_cursor: u64,
     seen_identifiers: BTreeSet<Did>,
@@ -694,7 +805,6 @@ impl Collector {
     pub fn with_chunk_size(chunk_events: usize) -> Collector {
         Collector {
             chunk_events: chunk_events.max(1),
-            store_config: StoreConfig::default(),
             mirror: IncrementalRepoMirror::new(),
             firehose_cursor: 0,
             seen_identifiers: BTreeSet::new(),
@@ -711,11 +821,11 @@ impl Collector {
         }
     }
 
-    /// Select the block-store backend for the producer's repo mirror
-    /// (builder style). The world's own stores are chosen when the world is
-    /// built — see [`bsky_workload::WorldSpec`] / [`crate::RunSpec::store`].
-    pub fn store(mut self, store: StoreConfig) -> Collector {
-        self.store_config = store;
+    /// Inert: the collector keeps no blocks, so it has no store to select.
+    /// The stores of a run are the world's, chosen when the world is built
+    /// — see [`bsky_workload::WorldSpec`] / [`crate::RunSpec::store`]. Kept
+    /// because `benchmark/src/surface.rs` calls it.
+    pub fn store(self, _store: StoreConfig) -> Collector {
         self
     }
 
@@ -760,8 +870,7 @@ impl Collector {
         // Each stream is a complete, independent collection: reset the
         // per-run producer state so a reused collector starts fresh.
         self.firehose_cursor = 0;
-        self.mirror = IncrementalRepoMirror::with_store_faults(
-            self.store_config.build(),
+        self.mirror = IncrementalRepoMirror::with_faults(
             self.faults.clone(),
             self.retry_full,
             self.retry_delta,
@@ -903,15 +1012,15 @@ impl Collector {
         self.snapshot_repositories(world, sink, &mut summary);
         self.emit(sink, &Observation::WindowEnd { at: collection_end }, world);
         summary.observations = self.observations;
-        // End-of-run storage accounting: fleet repos + the producer's own
-        // repo mirror.
-        let mut store_stats = world.fleet.store_stats();
-        store_stats.absorb(&self.mirror.store_stats());
+        // End-of-run storage accounting: the fleet's repository stores, the
+        // only block stores of a run.
+        let store_stats = world.fleet.store_stats();
         summary.resident_block_bytes = store_stats.resident_bytes as u64;
         summary.spilled_block_bytes = store_stats.spilled_bytes as u64;
         // Corrupt spill-file blocks read as absent (the store verifies
-        // every read-back by CID); any such loss would make the emitted
-        // snapshots incomplete, so the count is surfaced — never silent.
+        // every read-back by CID); any such loss would make the repositories
+        // the fleet serves incomplete, so the count is surfaced — never
+        // silent.
         summary.store_corrupt_reads = store_stats.corrupt_reads;
         // Workload-side injected-fault accounting (outage migrations, spam
         // waves, label/tombstone storms) flows into the same summary so
@@ -1172,12 +1281,8 @@ impl Collector {
         // per collected user.
         let order = std::mem::take(&mut self.identifier_order);
         for did in &order {
-            let Some(records) = self.mirror.records(did, summary) else {
+            let Some(snapshot) = self.mirror.take_snapshot(did, summary) else {
                 continue; // deleted mid-window; skip counted at sync
-            };
-            let snapshot = RepoSnapshot {
-                did: did.clone(),
-                records,
             };
             self.emit(sink, &Observation::Repo(&snapshot), world);
         }
@@ -1441,25 +1546,38 @@ mod tests {
                 car_bytes += car.len() as u64;
                 let (_roots, blocks) =
                     Repository::parse_car(&car).expect("relay serves valid CARs");
-                // Every block that decodes as a record, in CID order.
+                // Every block that decodes as a record, in CID order,
+                // projected the way the mirror projects what it decodes.
+                let mut names = MirrorNames::default();
                 let records = blocks
-                    .values()
-                    .filter_map(|bytes| Record::from_cbor(bytes).ok())
-                    .map(|record| (record.collection(), String::new(), record))
+                    .iter()
+                    .filter_map(|(cid, bytes)| {
+                        let record = Record::from_cbor(bytes).ok()?;
+                        Some(names.project(*cid, Some(&record)))
+                    })
                     .collect();
                 oracle.push(RepoSnapshot {
                     did: did.clone(),
                     records,
+                    names: Arc::new(names),
                 });
             }
-            // Same DIDs in the same order, same decoded records.
+            // Same DIDs in the same order, same records: the same CIDs with
+            // the same projections once their names are resolved (each
+            // side numbers its names in its own order).
+            fn resolved(snapshot: &RepoSnapshot) -> Vec<(Cid, Option<RecordView<'_>>)> {
+                let names = &snapshot.names;
+                let records = snapshot.records.iter();
+                records.map(|r| (r.cid, names.view(r))).collect()
+            }
             let emitted = repositories(&tape);
             assert!(!emitted.is_empty(), "seed {seed}");
             assert_eq!(emitted.len(), oracle.len(), "seed {seed}");
             for (a, b) in emitted.iter().zip(&oracle) {
                 assert_eq!(a.did, b.did, "seed {seed}");
                 assert_eq!(
-                    a.records, b.records,
+                    resolved(a),
+                    resolved(b),
                     "seed {seed}: records diverge for {}",
                     a.did
                 );
@@ -1477,15 +1595,12 @@ mod tests {
 
     mod mirror {
         use super::*;
-        use bsky_atproto::blockstore::StoreStats;
         use bsky_atproto::cbor::Value;
-        use bsky_atproto::nsid::known;
         use bsky_atproto::record::{PostRecord, UnknownRecord};
-        use bsky_atproto::Cid;
         use bsky_atproto::Handle;
         use bsky_pds::PdsFleet;
         use bsky_relay::Relay;
-        use std::sync::atomic::{AtomicU64, Ordering};
+        use std::mem::size_of;
 
         fn now() -> Datetime {
             Datetime::from_ymd(2024, 4, 2)
@@ -1528,109 +1643,102 @@ mod tests {
             (relay, fleet, dids)
         }
 
-        /// How many blocks a [`CountingStore`] was newly handed and how
-        /// many reads it served.
-        #[derive(Debug, Default)]
-        struct CountingTotals {
-            puts: AtomicU64,
-            gets: AtomicU64,
+        /// The CIDs of the records the mirror holds for `did`, in its order.
+        fn held(mirror: &IncrementalRepoMirror, did: &Did) -> Vec<Cid> {
+            mirror.repos[did].records.iter().map(|r| r.cid).collect()
         }
 
-        impl CountingTotals {
-            fn puts(&self) -> u64 {
-                self.puts.load(Ordering::Relaxed)
-            }
-
-            fn gets(&self) -> u64 {
-                self.gets.load(Ordering::Relaxed)
-            }
+        fn cid_of(record: &Record) -> Cid {
+            Cid::for_cbor(&record.to_cbor())
         }
 
-        /// A transparent store wrapper whose totals stay with the test
-        /// while the store disappears into the mirror.
-        #[derive(Debug)]
-        struct CountingStore {
-            inner: Box<dyn BlockStore>,
-            totals: Arc<CountingTotals>,
+        /// The heap bytes a mirror holds: each DID's state and record list,
+        /// and the name tables (each name counted twice: once in its table,
+        /// once as a lookup key).
+        fn mirror_bytes(mirror: &IncrementalRepoMirror) -> usize {
+            let did = |did: &Did| size_of::<Did>() + did.as_string().len();
+            let repos: usize = mirror
+                .repos
+                .iter()
+                .map(|(key, entry)| {
+                    did(key)
+                        + size_of::<MirroredRepo>()
+                        + entry.records.capacity() * size_of::<MirroredRecord>()
+                        + entry.host.as_ref().map_or(0, String::capacity)
+                })
+                .sum();
+            let names = &mirror.names;
+            let collections = names.collections.values.iter();
+            let collections: usize = collections
+                .map(|nsid| size_of::<Nsid>() + nsid.as_str().len())
+                .sum();
+            let langs = names.langs.values.iter();
+            let langs: usize = langs.map(|lang| size_of::<String>() + lang.len()).sum();
+            let subjects: usize = names.subjects.values.iter().map(did).sum();
+            repos + 2 * (collections + langs + subjects)
         }
 
-        impl BlockStore for CountingStore {
-            fn get(&self, cid: &Cid) -> Option<Vec<u8>> {
-                let out = self.inner.get(cid);
-                if out.is_some() {
-                    self.totals.gets.fetch_add(1, Ordering::Relaxed);
-                }
-                out
-            }
-            fn put(&mut self, cid: Cid, bytes: Vec<u8>) -> bool {
-                let fresh = self.inner.put(cid, bytes);
-                if fresh {
-                    self.totals.puts.fetch_add(1, Ordering::Relaxed);
-                }
-                fresh
-            }
-            fn has(&self, cid: &Cid) -> bool {
-                self.inner.has(cid)
-            }
-            fn delete(&mut self, cid: &Cid) -> usize {
-                self.inner.delete(cid)
-            }
-            fn len(&self) -> usize {
-                self.inner.len()
-            }
-            fn bytes(&self) -> usize {
-                self.inner.bytes()
-            }
-            fn stats(&self) -> StoreStats {
-                self.inner.stats()
-            }
+        #[test]
+        fn a_mirrored_record_is_a_fixed_size_projection() {
+            // CID included: the per-record cost the mirror's lists pay.
+            let size = size_of::<MirroredRecord>();
+            assert!(size <= 56, "{size} bytes");
         }
 
-        /// A mirror over a counting in-memory store.
-        fn counted_mirror() -> (IncrementalRepoMirror, Arc<CountingTotals>) {
-            let totals = Arc::new(CountingTotals::default());
-            let store = CountingStore {
-                inner: StoreConfig::mem().build(),
-                totals: totals.clone(),
-            };
-            (IncrementalRepoMirror::with_store(Box::new(store)), totals)
+        #[test]
+        fn a_long_post_costs_the_mirror_what_a_short_one_does() {
+            let mut fetched = Vec::new();
+            let mut bytes = Vec::new();
+            for text in ["hi".to_string(), "long text ".repeat(1_024)] {
+                let (mut relay, mut fleet, dids) = setup(1);
+                post_on(&mut fleet, &dids[0], &text, now());
+                relay.crawl(&fleet, now());
+                let mut mirror = IncrementalRepoMirror::new();
+                let mut summary = StreamSummary::default();
+                mirror.sync(&mut relay, &mut fleet, now(), &mut summary);
+                assert_eq!(mirror.repos[&dids[0]].records.len(), 11);
+                fetched.push(summary.snapshot_bytes_fetched);
+                bytes.push(mirror_bytes(&mirror));
+            }
+            assert!(fetched[1] > fetched[0] + 10_000, "{fetched:?}");
+            assert_eq!(bytes[0], bytes[1]);
         }
 
         #[test]
         fn unchanged_revs_cost_no_fetches() {
             let (mut relay, mut fleet, dids) = setup(3);
-            let (mut mirror, store) = counted_mirror();
+            let mut mirror = IncrementalRepoMirror::new();
             let mut summary = StreamSummary::default();
             mirror.sync(&mut relay, &mut fleet, now(), &mut summary);
             assert_eq!(mirror.repos.len(), 3);
             assert_eq!(summary.repo_full_fetches, 3);
+            assert_eq!(summary.repo_delta_fetches, 0);
             let after_first = summary;
-            let puts_after_first = store.puts();
+            let state = |mirror: &IncrementalRepoMirror| -> Vec<Vec<Cid>> {
+                dids.iter().map(|did| held(mirror, did)).collect()
+            };
+            let held_after_first = state(&mirror);
             // Nothing changed: the second weekly sync is free — no fetch,
-            // no block written.
+            // nothing inserted.
             mirror.sync(&mut relay, &mut fleet, now(), &mut summary);
             assert_eq!(summary, after_first);
-            assert_eq!(store.puts(), puts_after_first);
-            // Syncing never reads a block back and stores each record block
-            // once: what the store was handed is what the snapshots decode.
-            assert_eq!(store.gets(), 0);
-            let mirrored: usize = dids
-                .iter()
-                .map(|did| mirror.records(did, &mut summary).unwrap().len())
-                .sum();
-            assert!(mirrored >= 30);
-            assert_eq!(store.puts(), mirrored as u64);
+            assert_eq!(state(&mirror), held_after_first);
+            // Each DID's ten posts, once each, all decodable.
+            for did in &dids {
+                let snapshot = mirror.take_snapshot(did, &mut summary).unwrap();
+                assert_eq!(snapshot.records().count(), 10);
+            }
             assert_eq!(summary.repo_records_undecodable, 0);
         }
 
         #[test]
         fn advanced_revs_sync_with_deltas() {
             let (mut relay, mut fleet, dids) = setup(3);
-            let (mut mirror, store) = counted_mirror();
+            let mut mirror = IncrementalRepoMirror::new();
             let mut summary = StreamSummary::default();
             mirror.sync(&mut relay, &mut fleet, now(), &mut summary);
             let full_bytes = summary.snapshot_bytes_fetched;
-            let puts_after_first = store.puts();
+            let before: Vec<Vec<Cid>> = dids.iter().map(|did| held(&mirror, did)).collect();
 
             // One user posts; only that repo is re-synced, as a delta.
             post_on(&mut fleet, &dids[1], "fresh", now().plus_days(1));
@@ -1641,13 +1749,14 @@ mod tests {
             let delta_bytes = summary.snapshot_bytes_fetched - full_bytes;
             assert!(delta_bytes > 0);
             assert!(delta_bytes < full_bytes / 3, "delta must be small");
-            // The delta cost the store its one new record block — the head
-            // commit it carried was verified, not kept — and no read.
-            assert_eq!(store.puts(), puts_after_first + 1);
-            assert_eq!(store.gets(), 0);
-            // The mirrored state now includes the new record.
-            let records = mirror.records(&dids[1], &mut summary).unwrap();
-            assert!(records.iter().any(|(_, _, r)| *r == post("fresh")));
+            // The delta added its one new record — the head commit it
+            // carried was verified, not kept — and touched no other DID.
+            let mut expected = before[1].clone();
+            expected.push(cid_of(&post("fresh")));
+            expected.sort();
+            assert_eq!(held(&mirror, &dids[1]), expected);
+            assert_eq!(held(&mirror, &dids[0]), before[0]);
+            assert_eq!(held(&mirror, &dids[2]), before[2]);
         }
 
         #[test]
@@ -1665,8 +1774,8 @@ mod tests {
             relay.crawl(&fleet, now().plus_days(1));
             mirror.sync(&mut relay, &mut fleet, now().plus_days(1), &mut summary);
             assert_eq!(mirror.repos.len(), 1);
-            assert!(mirror.records(&dids[0], &mut summary).is_none());
-            assert!(mirror.records(&dids[1], &mut summary).is_some());
+            assert!(mirror.take_snapshot(&dids[0], &mut summary).is_none());
+            assert!(mirror.take_snapshot(&dids[1], &mut summary).is_some());
             // The dropped repo is a dataset gap, counted as a skip.
             assert_eq!(summary.repo_snapshot_skips, 1);
         }
@@ -1719,12 +1828,8 @@ mod tests {
                 .unwrap()
                 .to_string();
             assert_ne!(new_rev, old_rev);
-            let records = mirror.records(&did, &mut summary).unwrap();
-            assert!(records.iter().any(|(_, _, r)| *r == post("rewound")));
-            assert!(
-                !records.iter().any(|(_, _, r)| *r == post("u0 post 0")),
-                "replaced repos must not retain pre-rewind records"
-            );
+            // Replaced repos must not retain pre-rewind records.
+            assert_eq!(held(&mirror, &did), vec![cid_of(&post("rewound"))]);
         }
 
         #[test]
@@ -1751,14 +1856,13 @@ mod tests {
             assert_eq!(summary.repo_compaction_fallbacks, 1, "{summary:?}");
             assert_eq!(summary.repo_delta_fetches, 0);
             assert_eq!(summary.repo_full_fetches, 3);
-            let records = mirror.records(&dids[0], &mut summary).unwrap();
-            assert!(records.iter().any(|(_, _, r)| *r == post("after window")));
+            assert!(held(&mirror, &dids[0]).contains(&cid_of(&post("after window"))));
         }
 
         #[test]
         fn undecodable_mirrored_blocks_are_counted_not_dropped() {
             // A block that claims the post lexicon and lacks its required
-            // fields: the `$type` probe mirrors it, the window-end decode
+            // fields: the `$type` probe mirrors it, the decode on arrival
             // refuses it. It must show up in the summary, once, and not in
             // the snapshot.
             let (mut relay, mut fleet, dids) = setup(2);
@@ -1779,13 +1883,15 @@ mod tests {
             let mut mirror = IncrementalRepoMirror::new();
             let mut summary = StreamSummary::default();
             mirror.sync(&mut relay, &mut fleet, now().plus_days(1), &mut summary);
-            assert_eq!(summary.repo_records_undecodable, 0, "counted at decode");
-            let healthy = mirror.records(&dids[1], &mut summary).unwrap();
+            assert_eq!(summary.repo_records_undecodable, 0, "counted at emission");
+            let healthy = mirror.take_snapshot(&dids[1], &mut summary).unwrap();
             assert_eq!(summary.repo_records_undecodable, 0);
-            let gapped = mirror.records(&dids[0], &mut summary).unwrap();
+            let gapped = mirror.take_snapshot(&dids[0], &mut summary).unwrap();
             assert_eq!(summary.repo_records_undecodable, 1);
-            assert_eq!(gapped.len(), healthy.len());
-            assert!(gapped.iter().all(|(_, _, r)| matches!(r, Record::Post(_))));
+            assert_eq!(gapped.records().count(), healthy.records().count());
+            assert!(gapped
+                .records()
+                .all(|r| r.collection.as_str() == known::POST));
 
             // Rendered only when non-zero, and shards add up exactly.
             assert!(!StreamSummary::default().render().contains("undecodable"));
@@ -1797,107 +1903,55 @@ mod tests {
         }
 
         #[test]
-        fn paged_mirror_serves_identical_records_while_spilling() {
-            use bsky_atproto::blockstore::StoreConfig;
-            let (mut relay, mut fleet, dids) = setup(4);
-            let mut mem = IncrementalRepoMirror::new();
-            let paged_config = StoreConfig::paged().page_size(512).resident_pages(1);
-            let mut paged = IncrementalRepoMirror::with_store(paged_config.build());
-            let mut s1 = StreamSummary::default();
-            let mut s2 = StreamSummary::default();
-            mem.sync(&mut relay, &mut fleet, now(), &mut s1);
-            paged.sync(&mut relay, &mut fleet, now(), &mut s2);
-            assert!(
-                paged.store_stats().spilled_bytes > 0,
-                "mirror must spill: {:?}",
-                paged.store_stats()
-            );
-            assert!(paged.store_stats().resident_bytes < mem.store_stats().resident_bytes);
-            for did in &dids {
-                assert_eq!(
-                    paged.records(did, &mut s2),
-                    mem.records(did, &mut s1),
-                    "{did}"
-                );
-            }
-            assert_eq!(s1.repo_records_undecodable + s2.repo_records_undecodable, 0);
-            // Dropping every DID empties the store.
-            for did in &dids {
-                paged.drop_state(did);
-            }
-            assert_eq!(paged.store_stats().blocks, 0);
-            assert_eq!(paged.store_stats().logical_bytes, 0);
-        }
-
-        #[test]
         fn a_block_two_dids_hold_outlives_either_of_them() {
-            // Two repositories hold an identical record, so the mirror
-            // stores it once and lists it in `shared`. Losing one holder —
-            // its DID vanishes from `listRepos`, or a full refetch replaces
-            // its state — leaves the block to the other; losing both empties
-            // the store and the map. On both backends.
-            let said_twice = post("said twice");
-            let shared = Cid::for_cbor(&said_twice.to_cbor());
+            // Two repositories hold an identical record, so both DIDs hold
+            // its projection. Losing one holder — its DID vanishes from
+            // `listRepos`, or a full refetch replaces its state — leaves the
+            // record in the other DID's snapshot.
+            let said_twice = cid_of(&post("said twice"));
             let later = now().plus_days(1);
-            for config in [
-                StoreConfig::mem(),
-                StoreConfig::paged().page_size(512).resident_pages(1),
-            ] {
-                for replaced in [false, true] {
-                    let here = format!("{config:?}, replaced: {replaced}");
-                    let (mut relay, mut fleet, dids) = setup(2);
-                    for did in &dids {
-                        post_on(&mut fleet, did, "said twice", now());
-                    }
-                    relay.crawl(&fleet, now());
-                    let mut mirror = IncrementalRepoMirror::with_store(config.build());
-                    let mut summary = StreamSummary::default();
-                    mirror.sync(&mut relay, &mut fleet, now(), &mut summary);
-                    assert_eq!(mirror.shared.get(&shared), Some(&2), "{here}");
-                    let blocks = mirror.store_stats().blocks;
-
-                    let (gone, keeper) = (&dids[0], &dids[1]);
-                    fleet
-                        .pds_for_mut(gone)
-                        .unwrap()
-                        .delete_account(gone, later)
-                        .unwrap();
-                    if replaced {
-                        fleet
-                            .create_account_on(
-                                "pds002.host.bsky.network",
-                                gone.clone(),
-                                Handle::parse("mu0-reborn.bsky.social").unwrap(),
-                                later,
-                            )
-                            .unwrap();
-                        post_on(&mut fleet, gone, "said once", later);
-                    }
-                    relay.crawl(&fleet, later);
-                    mirror.sync(&mut relay, &mut fleet, later, &mut summary);
-                    let full_fetches = 2 + u64::from(replaced);
-                    assert_eq!(summary.repo_full_fetches, full_fetches, "{here}");
-                    assert!(mirror.shared.is_empty(), "{here}");
-                    let kept = mirror.records(keeper, &mut summary).unwrap();
-                    assert!(kept.iter().any(|(_, _, r)| *r == said_twice), "{here}");
-                    let replacement = mirror
-                        .records(gone, &mut summary)
-                        .map(|records| records.into_iter().map(|(_, _, r)| r).collect::<Vec<_>>());
-                    let expected = replaced.then(|| vec![post("said once")]);
-                    assert_eq!(replacement, expected, "{here}");
-                    // The dropped DID's own ten posts left; the shared block
-                    // stayed; a replacement added its one post.
-                    let expected = blocks - 10 + usize::from(replaced);
-                    assert_eq!(mirror.store_stats().blocks, expected, "{here}");
-                    assert_eq!(summary.repo_records_undecodable, 0, "{here}");
-
-                    for did in &dids {
-                        mirror.drop_state(did);
-                    }
-                    assert_eq!(mirror.store_stats().blocks, 0, "{here}");
-                    assert_eq!(mirror.store_stats().logical_bytes, 0, "{here}");
-                    assert!(mirror.shared.is_empty(), "{here}");
+            for replaced in [false, true] {
+                let here = format!("replaced: {replaced}");
+                let (mut relay, mut fleet, dids) = setup(2);
+                for did in &dids {
+                    post_on(&mut fleet, did, "said twice", now());
                 }
+                relay.crawl(&fleet, now());
+                let mut mirror = IncrementalRepoMirror::new();
+                let mut summary = StreamSummary::default();
+                mirror.sync(&mut relay, &mut fleet, now(), &mut summary);
+                let (gone, keeper) = (&dids[0], &dids[1]);
+                assert!(held(&mirror, gone).contains(&said_twice), "{here}");
+                let kept_before = held(&mirror, keeper);
+                assert!(kept_before.contains(&said_twice), "{here}");
+
+                fleet
+                    .pds_for_mut(gone)
+                    .unwrap()
+                    .delete_account(gone, later)
+                    .unwrap();
+                if replaced {
+                    fleet
+                        .create_account_on(
+                            "pds002.host.bsky.network",
+                            gone.clone(),
+                            Handle::parse("mu0-reborn.bsky.social").unwrap(),
+                            later,
+                        )
+                        .unwrap();
+                    post_on(&mut fleet, gone, "said once", later);
+                }
+                relay.crawl(&fleet, later);
+                mirror.sync(&mut relay, &mut fleet, later, &mut summary);
+                let full_fetches = 2 + u64::from(replaced);
+                assert_eq!(summary.repo_full_fetches, full_fetches, "{here}");
+                let replacement = mirror.repos.contains_key(gone).then(|| held(&mirror, gone));
+                let expected = replaced.then(|| vec![cid_of(&post("said once"))]);
+                assert_eq!(replacement, expected, "{here}");
+                let kept = mirror.take_snapshot(keeper, &mut summary).unwrap();
+                let kept: Vec<Cid> = kept.records.iter().map(|r| r.cid).collect();
+                assert_eq!(kept, kept_before, "{here}");
+                assert_eq!(summary.repo_records_undecodable, 0, "{here}");
             }
         }
 

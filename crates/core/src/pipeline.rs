@@ -100,7 +100,7 @@ pub enum Observation<'a> {
     },
     /// One feed generator with its curated posts.
     FeedGenerator(&'a FeedGenEntry),
-    /// One decoded repository snapshot.
+    /// One repository snapshot: what the study reads of each record.
     Repo(&'a RepoSnapshot),
     /// One day of passively observed wire traffic on one connection (a
     /// per-DID firehose subscription or the identity-resolution client),
@@ -381,25 +381,25 @@ pub struct StreamSummary {
     /// surfaced here, never silent.
     pub(crate) repo_compaction_fallbacks: u64,
     /// Mirrored record blocks left out of the emitted repository snapshots
-    /// because the mirror's store could not return them or because they
-    /// claimed a `$type` and then failed their lexicon's decode. A visible
-    /// dataset gap, never a silent drop; zero in every clean run.
+    /// because they claimed a `$type` and then failed their lexicon's
+    /// decode. A visible dataset gap, never a silent drop; zero in every
+    /// clean run.
     pub repo_records_undecodable: u64,
     /// Always 0: compaction deletes no block, since a repository only
     /// creates records. A shim kept while the pinned benchmark surface
     /// still reads it; it goes with that pin.
     pub store_bytes_reclaimed: u64,
-    /// Block bytes resident in memory at the end of the run (fleet repos +
-    /// the producer's repo mirror).
+    /// Block bytes resident in memory at the end of the run, in the PDS
+    /// fleet's repository stores (the collector keeps no blocks).
     pub resident_block_bytes: u64,
-    /// Block bytes spilled to disk at the end of the run (paged stores
-    /// only; zero for the in-memory backend).
+    /// Block bytes the fleet's repository stores spilled to disk by the end
+    /// of the run (paged stores only; zero for the in-memory backend).
     pub spilled_block_bytes: u64,
     /// Blocks that failed CID verification when paged back in from disk,
-    /// across every store in the run (repos, producer mirror). Corrupt
-    /// blocks read as absent — any non-zero count here means data was lost
-    /// to spill-file corruption and the run's snapshots may be incomplete;
-    /// surfaced so that loss is never silent.
+    /// across the fleet's repository stores. Corrupt blocks read as absent
+    /// — any non-zero count here means data was lost to spill-file
+    /// corruption and the run's snapshots may be incomplete; surfaced so
+    /// that loss is never silent.
     pub store_corrupt_reads: u64,
     /// Always 0, like the three `writeback_*` counters: the study runs no
     /// AppView and no write-back cache. The four stay because

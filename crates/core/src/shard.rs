@@ -385,10 +385,7 @@ fn run_shard<S: ShardSink>(
             .relays(spec.relays)
             .faults(faults.clone()),
     );
-    let mut collector = Collector::new()
-        .store(spec.store.clone())
-        .framing(spec.framing)
-        .faults(faults);
+    let mut collector = Collector::new().framing(spec.framing).faults(faults);
     let (sink, summary) = if spec.pipeline {
         let mut pipelined = PipelinedSink::<S>::new(spec.analyzer_threads);
         let mut summary = collector.stream(&mut world, &mut pipelined);

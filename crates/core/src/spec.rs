@@ -51,7 +51,7 @@ pub struct RunSpec {
     /// (clamped to the sink's fan-out part count at run time; inert when
     /// the pipeline is off).
     pub analyzer_threads: usize,
-    /// Block-store backend for every repository and the producer mirror.
+    /// Block-store backend for every repository of the PDS fleet.
     pub store: StoreConfig,
     /// Inert, kept for `benchmark/src/surface.rs`; deleted by ROADMAP
     /// item 2 step 1.

@@ -107,9 +107,11 @@
 //!
 //! ## Pluggable block storage and compaction
 //!
-//! Every stored CID-addressed byte blob — repository record blocks and the
-//! study mirror's record blocks — lives behind the
-//! `bsky_atproto::blockstore::BlockStore` trait. Two backends, built from
+//! Every stored CID-addressed byte blob — a repository's record blocks —
+//! lives behind the `bsky_atproto::blockstore::BlockStore` trait. (The
+//! study's repository mirror keeps no blocks: it decodes each record once,
+//! on arrival, and keeps a fixed-size projection of what the analyzers
+//! read.) Two backends, built from
 //! a `StoreConfig` and not nameable otherwise: the in-memory store (the
 //! default; one buffer per store packs each block behind a header holding
 //! its CID and length, found through an open-addressed table of 4-byte

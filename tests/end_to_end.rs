@@ -31,8 +31,8 @@ fn collector_observes_only_public_surfaces() {
             // Repositories decode into records; every decoded record
             // belongs to a collection with a valid NSID.
             OwnedObservation::Repo(repo) => {
-                for (collection, _, _) in &repo.records {
-                    assert!(collection.as_str().split('.').count() >= 3);
+                for record in repo.records() {
+                    assert!(record.collection.as_str().split('.').count() >= 3);
                 }
             }
             OwnedObservation::Labels { src, labels } => label_streams

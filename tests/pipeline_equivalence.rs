@@ -89,8 +89,8 @@ fn paged_store_is_byte_identical_to_mem_store_serial_and_sharded() {
     for seed in [31u64, 32] {
         // Baseline: the in-memory block store (the default everywhere).
         let (mem, mem_summary) = StudyReport::run(&spec(seed).store(StoreConfig::mem()));
-        // Paged: tiny pages and a 2-page LRU so repositories, the relay
-        // mirror and the producer mirror all actually spill to disk.
+        // Paged: tiny pages and a 2-page LRU so the repositories actually
+        // spill to disk.
         let paged_config = StoreConfig::paged().page_size(4096).resident_pages(2);
         let (paged, paged_summary) = StudyReport::run(&spec(seed).store(paged_config.clone()));
         assert_reports_identical(&paged, &mem, seed);

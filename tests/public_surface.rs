@@ -27,7 +27,6 @@ const EXEMPT: &[(&str, &str)] = &[
         "atproto::crypto::finalize",
         "`Sha256::finalize`, called by that doctest",
     ),
-    ("atproto::cid::CidHasher", "the CidMap alias"),
     ("atproto::datetime::CivilDate", "Datetime::date"),
     (
         "atproto::record::LabelerServiceRecord",
@@ -38,6 +37,7 @@ const EXEMPT: &[(&str, &str)] = &[
     ("core::datasets::FeedGenEntry", "Observation::FeedGenerator"),
     ("core::datasets::LabelerEntry", "Observation::Labeler"),
     ("core::datasets::RepoSnapshot", "Observation::Repo"),
+    ("core::datasets::RecordView", "RepoSnapshot::records"),
     ("core::observatory::WireTraceDay", "Observation::WireTrace"),
     ("feedgen::faas::FaasPlatform", "faas::default_platforms"),
     ("feedgen::faas::FilterFeatures", "FaasPlatform::filters"),
