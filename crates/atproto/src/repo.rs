@@ -668,6 +668,10 @@ impl Repository {
                 });
                 self.commits.drain(..floor);
                 self.log.drain(..floor);
+                // Draining keeps the capacity of the longest history; give
+                // back what more than doubles the retained window.
+                self.commits.shrink_to(2 * self.commits.len());
+                self.log.shrink_to(2 * self.log.len());
                 stats.commits_dropped = floor;
             }
         }
@@ -1557,6 +1561,8 @@ mod tests {
         assert_eq!(repo.commits.len(), 2);
         assert_eq!(repo.log.len(), repo.commits.len());
         assert_eq!(repo.compacted_through, Some(expected_floor));
+        assert!(repo.commits.capacity() <= 2 * repo.commits.len());
+        assert!(repo.log.capacity() <= 2 * repo.log.len());
         assert_eq!(repo.store_stats(), store_before);
         assert_store_holds_records_only(&repo, "after compaction");
 
@@ -1620,6 +1626,32 @@ mod tests {
         let records = decoded_records(&repo.export_car());
         assert!(records.contains(&post("ancient but live")));
         assert_eq!(records.len(), 11);
+    }
+
+    #[test]
+    fn compaction_gives_back_the_capacity_of_a_long_history() {
+        // A year of daily commits compacted to its last week: the commit
+        // list and its log hold at most twice what they retain, and the
+        // retained commits and their deltas are untouched.
+        let mut repo = new_repo("saul");
+        for day in 0..365 {
+            repo.create_record(post_nsid(), post(&format!("d{day}")), now().plus_days(day))
+                .unwrap();
+        }
+        let kept = repo.commits[358..].to_vec();
+        let since = kept[0].rev;
+        let delta = repo.export_car_since(&since, DeltaScope::Full).unwrap();
+        let stats = repo.compact_before(&since);
+        assert_eq!(stats.commits_dropped, 358);
+        assert_eq!(repo.commits, kept);
+        assert_eq!(repo.log.len(), kept.len());
+        assert!(repo.commits.capacity() <= 2 * kept.len());
+        assert!(repo.log.capacity() <= 2 * kept.len());
+        assert_eq!(
+            repo.export_car_since(&since, DeltaScope::Full).unwrap(),
+            delta
+        );
+        assert_eq!(decoded_records(&repo.export_car()).len(), 365);
     }
 
     #[test]

@@ -97,6 +97,7 @@ use bsky_atproto::nsid::known;
 use bsky_atproto::record::Record;
 use bsky_atproto::repo::{commit_summary, CarReader, DeltaScope};
 use bsky_atproto::{AtUri, Datetime, Did, Nsid, Tid};
+use bsky_feedgen::route::FeedEntry;
 use bsky_feedgen::RetentionPolicy;
 use bsky_identity::DidDocument;
 use bsky_labeler::LabelerOperator;
@@ -107,6 +108,7 @@ use bsky_simnet::http::HttpResponse;
 use bsky_simnet::net::HostingClass;
 use bsky_workload::World;
 use std::borrow::Borrow;
+use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet};
 use std::num::NonZeroU32;
 use std::sync::Arc;
@@ -308,9 +310,10 @@ pub struct FeedGenEntry {
     pub(crate) retention: RetentionPolicy,
     /// Likes observed on the generator record.
     pub(crate) like_count: u64,
-    /// Retained, hydrated curated entries in canonical `(curated_at, uri)`
-    /// order. Use [`FeedGenEntry::served_posts`] for the capped
-    /// `getFeed`-style view.
+    /// The hydrated curated entries on the page `getFeed` serves (a
+    /// shard's page, until `absorb` merges them), in canonical
+    /// `(curated_at, uri)` order. Use [`FeedGenEntry::served_posts`] for
+    /// the page in serving order.
     pub(crate) posts: Vec<FeedPost>,
 }
 
@@ -327,9 +330,9 @@ impl FeedGenEntry {
         self.like_count += other.like_count;
         self.posts.extend(other.posts);
         // Canonical curation order — the same structural (curated_at, uri)
-        // comparison `FeedGenerator::push_entry` maintains, so re-applying
-        // Count retention below selects exactly the entries a single
-        // generator would have kept.
+        // comparison a route's list is kept in, so re-applying Count
+        // retention below selects exactly the entries a single generator
+        // would have kept.
         self.posts
             .sort_by(|a, b| (a.curated_at, &a.uri).cmp(&(b.curated_at, &b.uri)));
         self.posts.dedup_by(|a, b| a.uri == b.uri);
@@ -345,14 +348,35 @@ impl FeedGenEntry {
     /// creation time (ties broken by URI), capped at [`GET_FEED_LIMIT`].
     pub(crate) fn served_posts(&self) -> Vec<&FeedPost> {
         let mut out: Vec<&FeedPost> = self.posts.iter().collect();
-        out.sort_by(|a, b| {
-            b.created_at
-                .cmp(&a.created_at)
-                .then_with(|| a.uri.cmp(&b.uri))
-        });
+        out.sort_by(|a, b| served_key(a).cmp(&served_key(b)));
         out.truncate(GET_FEED_LIMIT);
         out
     }
+}
+
+/// The order `getFeed` serves posts in: newest first by post creation time,
+/// ties broken by URI.
+fn served_key(post: &FeedPost) -> (Reverse<Datetime>, &AtUri) {
+    (Reverse(post.created_at), &post.uri)
+}
+
+/// The posts among `posts` that `getFeed` serves — the first
+/// [`GET_FEED_LIMIT`] in [`served_key`] order — kept in `posts`' order.
+///
+/// Cutting each shard's list to its page is exact for every feed: the top
+/// page of a union is the top page of the shards' pages. A `Count(n)` feed
+/// retains n < [`GET_FEED_LIMIT`] entries (the world draws n below 500),
+/// so the cut leaves its list whole and `absorb` still applies the count
+/// to every entry the shards retained.
+fn served_page(mut posts: Vec<FeedPost>) -> Vec<FeedPost> {
+    if posts.len() > GET_FEED_LIMIT {
+        let mut served: Vec<&FeedPost> = posts.iter().collect();
+        let (_, last, _) = served
+            .select_nth_unstable_by(GET_FEED_LIMIT - 1, |a, b| served_key(a).cmp(&served_key(b)));
+        let last = (Reverse(last.created_at), Arc::clone(&last.uri));
+        posts.retain(|post| served_key(post) <= (last.0, &*last.1));
+    }
+    posts
 }
 
 /// Labeling-service dataset entry: the service's metadata. Its labels
@@ -1290,32 +1314,49 @@ impl Collector {
     }
 
     fn snapshot_feed_generators<S: ObservationSink>(&mut self, world: &World, sink: &mut S) {
+        // Hydrate each route's list once, as `getFeed` does on the live
+        // network, which silently drops posts its index no longer holds.
+        // Every entry is a post its author committed, and the index forgets
+        // a post only when its author's `#tombstone` arrives over the relay
+        // — the event that also drops the author from the relay's
+        // `listRepos`. So an entry hydrates while the relay lists its
+        // author, and every feed on a route reads the same checks.
+        let routes = world.feed_routes();
+        let lists: Vec<&[FeedEntry]> = routes.lists().collect();
+        let listed: Vec<Vec<bool>> = lists
+            .iter()
+            .map(|list| {
+                let authors = list.iter().map(|e| world.relay.lists_repo(e.uri.did()));
+                authors.collect()
+            })
+            .collect();
         for index in 0..world.feedgens.len() {
             let info = &world.feedgen_info[index];
             let platform = info.platform_name.clone();
             let created_at = info.plan.created_at;
             let generator = &world.feedgens[index];
-            // Hydrate the retained entries as `getFeed` does on the live
-            // network, which silently drops posts its index no longer holds.
-            // Every entry is a post its author committed, and the index
-            // forgets a post only when its author's `#tombstone` arrives over
-            // the relay — the event that also drops the author from the
-            // relay's `listRepos`. So an entry hydrates while the relay lists
-            // its author. Personalised feeds serve nothing to the study's
-            // anonymous crawler.
-            let posts: Vec<FeedPost> = if generator.is_personalized() {
-                Vec::new()
-            } else {
-                generator
-                    .entries()
-                    .iter()
-                    .filter(|entry| world.relay.lists_repo(entry.uri.did()))
-                    .map(|entry| FeedPost {
-                        uri: Arc::clone(&entry.uri),
-                        created_at: entry.post_created_at,
-                        curated_at: entry.curated_at,
-                    })
-                    .collect()
+            // A feed retains a suffix of its route's list. Personalised
+            // (and manual) feeds are on no route: they serve the study's
+            // anonymous crawler nothing.
+            let posts: Vec<FeedPost> = match routes.view(generator) {
+                None => Vec::new(),
+                Some((route, start)) => {
+                    let hydrated: Vec<FeedPost> = lists[route][start..]
+                        .iter()
+                        .zip(&listed[route][start..])
+                        .filter(|(_, listed)| **listed)
+                        .map(|(entry, _)| FeedPost {
+                            uri: Arc::clone(&entry.uri),
+                            created_at: entry.post_created_at,
+                            curated_at: entry.curated_at,
+                        })
+                        .collect();
+                    debug_assert!(
+                        !matches!(generator.retention(), RetentionPolicy::Count(n) if n >= GET_FEED_LIMIT),
+                        "a Count feed retains more than a page"
+                    );
+                    served_page(hydrated)
+                }
             };
             let record = generator.record();
             let entry = FeedGenEntry {
@@ -1441,8 +1482,9 @@ mod tests {
     #[test]
     fn feed_snapshots_drop_the_posts_of_crawled_tombstones() {
         // A storm deletes a fifth of the accounts three quarters into the
-        // window: each feed snapshot serves exactly its curated posts whose
-        // author the relay still lists, so the storm's authors lose theirs.
+        // window: each feed snapshot serves the top page of its curated
+        // posts whose author the relay still lists, so the storm's authors
+        // lose theirs.
         let config = small_config(5);
         let spec = bsky_simnet::faults::FaultSpec {
             tombstone_day: Some(0.75),
@@ -1465,14 +1507,85 @@ mod tests {
             if generator.is_personalized() {
                 continue;
             }
-            let curated: Vec<&AtUri> = generator.entries().iter().map(|e| &*e.uri).collect();
-            let served: Vec<&AtUri> = feed.posts.iter().map(|p| &*p.uri).collect();
-            let listed = |uri: &&AtUri| world.relay.lists_repo(uri.did());
-            let kept: Vec<&AtUri> = curated.iter().copied().filter(listed).collect();
-            assert_eq!(served, kept, "{}", feed.uri);
-            dropped += curated.len() - served.len();
+            let curated = world.feed_routes().entries(generator);
+            let listed = |entry: &&FeedEntry| world.relay.lists_repo(entry.uri.did());
+            let kept: Vec<FeedPost> = curated
+                .iter()
+                .filter(listed)
+                .map(|entry| FeedPost {
+                    uri: Arc::clone(&entry.uri),
+                    created_at: entry.post_created_at,
+                    curated_at: entry.curated_at,
+                })
+                .collect();
+            dropped += curated.len() - kept.len();
+            assert_eq!(feed.posts, served_page(kept), "{}", feed.uri);
+            assert!(feed.posts.len() <= GET_FEED_LIMIT);
         }
         assert!(dropped > 0, "the storm's authors had no curated post");
+    }
+
+    #[test]
+    fn absorbing_the_shards_pages_serves_the_page_of_their_union() {
+        // One feed's hydrated posts, five times a page, with creation
+        // times that tie, split over one and four shards: absorbing each
+        // shard's served page serves exactly what absorbing the shards'
+        // whole lists serves.
+        let mut rng = bsky_simnet::rng::SimRng::new(38);
+        let start = Datetime::from_ymd(2024, 3, 1).unwrap();
+        let posts: Vec<FeedPost> = (0..5 * GET_FEED_LIMIT)
+            .map(|n| FeedPost {
+                uri: Arc::new(AtUri::record(
+                    Did::plc_from_seed(format!("author{}", n % 97).as_bytes()),
+                    Nsid::POST,
+                    format!("post{n:05}"),
+                )),
+                created_at: start.plus_seconds(rng.range(0..2_000i64) * 60),
+                curated_at: start.plus_seconds(rng.range(0..86_400 * 30i64)),
+            })
+            .collect();
+        let merged = |lists: Vec<Vec<FeedPost>>, retention| {
+            let mut lists = lists.into_iter();
+            let mut entry = FeedGenEntry {
+                uri: AtUri::record(Did::plc_from_seed(b"creator"), Nsid::FEED_GENERATOR, "f"),
+                creator: Did::plc_from_seed(b"creator"),
+                display_name: String::new(),
+                description: String::new(),
+                platform: String::new(),
+                created_at: start,
+                retention,
+                like_count: 0,
+                posts: lists.next().unwrap(),
+            };
+            for shard in lists {
+                let mut other = entry.clone();
+                other.posts = shard;
+                entry.absorb(other);
+            }
+            entry
+        };
+        for shards in [1, 4] {
+            let mut lists = vec![Vec::new(); shards];
+            for (n, post) in posts.iter().enumerate() {
+                lists[n % shards].push(post.clone());
+            }
+            for list in &mut lists {
+                list.sort_by(|a, b| (a.curated_at, &a.uri).cmp(&(b.curated_at, &b.uri)));
+            }
+            let pages: Vec<Vec<FeedPost>> = lists.iter().cloned().map(served_page).collect();
+            for page in &pages {
+                assert_eq!(page.len(), GET_FEED_LIMIT, "{shards} shard(s)");
+            }
+            for retention in [RetentionPolicy::All, RetentionPolicy::Days(3)] {
+                let whole = merged(lists.clone(), retention);
+                let cut = merged(pages.clone(), retention);
+                assert_eq!(whole.posts.len(), posts.len());
+                assert_eq!(cut.posts.len(), shards * GET_FEED_LIMIT);
+                let (whole, cut) = (whole.served_posts(), cut.served_posts());
+                assert_eq!(whole.len(), GET_FEED_LIMIT);
+                assert_eq!(whole, cut, "{shards} shard(s), {retention:?}");
+            }
+        }
     }
 
     #[test]

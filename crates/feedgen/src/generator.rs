@@ -7,14 +7,16 @@
 //! personalised algorithms), how much history they retain, and where they are
 //! hosted (Feed-Generator-as-a-Service platforms vs self-hosting).
 //!
-//! A generator does not read the firehose itself: [`crate::route::FeedRoutes`]
-//! evaluates each distinct filter pipeline once per post and hands the post
-//! to every feed on a passing route, all of them sharing one URI allocation.
+//! A generator does not read the firehose, and holds no posts of its own: a
+//! feed is a view of its route. [`crate::route::FeedRoutes`] evaluates each
+//! distinct filter pipeline once per post and keeps one curated list per
+//! pipeline; a pipeline feed remembers only which route it reads and when it
+//! joined it, and retains the suffix of that list its activation and
+//! retention policy allow.
 
 use crate::filter::FeedFilter;
 use bsky_atproto::record::FeedGeneratorRecord;
 use bsky_atproto::{AtUri, Datetime, Did, Nsid};
-use std::sync::Arc;
 
 /// How a generator selects posts.
 #[derive(Debug, Clone)]
@@ -43,18 +45,6 @@ pub enum RetentionPolicy {
     Count(usize),
 }
 
-/// A curated entry in a feed.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FeedEntry {
-    /// The curated post: one allocation per post, shared by every feed that
-    /// curated it and by the datasets built from them.
-    pub uri: Arc<AtUri>,
-    /// The post's self-reported creation time.
-    pub post_created_at: Datetime,
-    /// When the generator curated it.
-    pub curated_at: Datetime,
-}
-
 /// A Feed Generator instance.
 #[derive(Debug, Clone)]
 pub struct FeedGenerator {
@@ -63,7 +53,9 @@ pub struct FeedGenerator {
     record: FeedGeneratorRecord,
     mode: CurationMode,
     retention: RetentionPolicy,
-    entries: Vec<FeedEntry>,
+    /// The route the feed reads and the instant it joined it, set by
+    /// [`crate::route::FeedRoutes::add`]; `None` for a feed on no route.
+    pub(crate) route: Option<(usize, Datetime)>,
     like_count: u64,
 }
 
@@ -87,7 +79,7 @@ impl FeedGenerator {
             record,
             mode,
             retention,
-            entries: Vec::new(),
+            route: None,
             like_count: 0,
         }
     }
@@ -122,49 +114,6 @@ impl FeedGenerator {
         &self.mode
     }
 
-    /// Curate one post (the route decided that it passes this generator's
-    /// filters). Retention is applied later, by
-    /// [`FeedGenerator::enforce_retention`].
-    pub(crate) fn push_entry(&mut self, entry: FeedEntry) {
-        // Entries are kept sorted by the canonical curation order
-        // `(curated_at, uri)` — structural `AtUri` ordering, allocation-free
-        // and used identically by the study pipeline's feed merge. This is
-        // a *total* order, so "keep the most recent N" means the same thing
-        // no matter how the underlying post stream was partitioned: a
-        // generator that saw only a subset of the network retains exactly
-        // its subset of what a generator that saw everything would retain,
-        // which is what makes sharded curation merge back into the
-        // single-instance feed exactly.
-        let idx = self
-            .entries
-            .partition_point(|e| (e.curated_at, &e.uri) <= (entry.curated_at, &entry.uri));
-        self.entries.insert(idx, entry);
-    }
-
-    /// Apply the retention policy as of `now`. Entries are sorted by
-    /// `curated_at`, so what either policy drops is a prefix: entries
-    /// curated more than `Days` before `now`, or all but the last `Count`.
-    /// Trimming `Count` here rather than on every curated post keeps the
-    /// same entries, because it drops the oldest either way.
-    pub fn enforce_retention(&mut self, now: Datetime) {
-        let expired = match self.retention {
-            RetentionPolicy::All => 0,
-            RetentionPolicy::Days(days) => {
-                let cutoff = now.timestamp() - days as i64 * 86_400;
-                self.entries
-                    .partition_point(|e| e.curated_at.timestamp() < cutoff)
-            }
-            RetentionPolicy::Count(max) => self.entries.len().saturating_sub(max),
-        };
-        self.entries.drain(..expired);
-    }
-
-    /// All retained entries in curation order (oldest first), regardless of
-    /// viewer.
-    pub fn entries(&self) -> &[FeedEntry] {
-        &self.entries
-    }
-
     /// Record a like on the generator.
     pub fn add_like(&mut self) {
         self.like_count += 1;
@@ -182,6 +131,7 @@ mod tests {
     use crate::route::FeedRoutes;
     use bsky_atproto::nsid::known;
     use bsky_atproto::record::{PostRecord, Record};
+    use std::sync::Arc;
 
     fn now() -> Datetime {
         Datetime::from_ymd(2024, 4, 20)
@@ -210,17 +160,17 @@ mod tests {
         )
     }
 
-    /// A new post reaching `feed` the way production delivers it: through
-    /// the feed's route.
-    fn observe(feed: &mut FeedGenerator, n: u32, post: &PostRecord, now: Datetime) {
+    /// `feed`, activated at [`now`] on routes of its own.
+    fn activated(mut feed: FeedGenerator) -> (FeedRoutes, FeedGenerator) {
         let mut routes = FeedRoutes::default();
-        routes.add(0, feed);
-        routes.route(
-            &Arc::new(post_uri(n)),
-            post,
-            now,
-            std::slice::from_mut(feed),
-        );
+        routes.add(&mut feed, now());
+        (routes, feed)
+    }
+
+    /// A new post reaching the feeds the way production delivers it:
+    /// through their routes.
+    fn observe(routes: &mut FeedRoutes, n: u32, post: &PostRecord, now: Datetime) {
+        routes.route(&Arc::new(post_uri(n)), post, now);
     }
 
     fn hebrew_feed() -> FeedGenerator {
@@ -246,21 +196,17 @@ mod tests {
 
     #[test]
     fn pipeline_generator_curates_matching_posts() {
-        let mut feed = hebrew_feed();
+        let (mut routes, feed) = activated(hebrew_feed());
+        let hebrew = PostRecord::simple("שלום", "he", now());
+        observe(&mut routes, 1, &hebrew, now());
         observe(
-            &mut feed,
-            1,
-            &PostRecord::simple("שלום", "he", now()),
-            now(),
-        );
-        observe(
-            &mut feed,
+            &mut routes,
             2,
             &PostRecord::simple("hello", "en", now()),
             now(),
         );
-        assert_eq!(feed.entries().len(), 1);
-        assert_eq!(*feed.entries()[0].uri, post_uri(1));
+        assert_eq!(routes.entries(&feed).len(), 1);
+        assert_eq!(*routes.entries(&feed)[0].uri, post_uri(1));
         assert_eq!(
             feed.uri().collection().unwrap().as_str(),
             known::FEED_GENERATOR
@@ -272,52 +218,64 @@ mod tests {
 
     #[test]
     fn personalized_feeds_return_nothing_to_anonymous_crawlers() {
-        // A personalised feed curates nothing from the firehose; the
-        // collector serves its anonymous crawler nothing for it either.
-        let mut feed = FeedGenerator::new(
+        // A personalised feed is on no route: it curates nothing from the
+        // firehose, and the collector serves its anonymous crawler nothing
+        // for it either.
+        let (mut routes, feed) = activated(FeedGenerator::new(
             creator(),
             "the-algorithm",
             record("the-algorithm"),
             CurationMode::Personalized,
             RetentionPolicy::All,
-        );
+        ));
         assert!(feed.is_personalized());
-        observe(&mut feed, 1, &PostRecord::simple("hi", "en", now()), now());
-        assert!(feed.entries().is_empty(), "anonymous viewer sees nothing");
+        observe(
+            &mut routes,
+            1,
+            &PostRecord::simple("hi", "en", now()),
+            now(),
+        );
+        assert!(
+            routes.entries(&feed).is_empty(),
+            "anonymous viewer sees nothing"
+        );
         assert!(!hebrew_feed().is_personalized());
     }
 
     #[test]
     fn count_retention_keeps_most_recent() {
-        let mut feed = everything_feed(RetentionPolicy::Count(100));
+        let (mut routes, feed) = activated(everything_feed(RetentionPolicy::Count(100)));
         // Curated out of order: the newest 100 by curation time are kept,
         // whatever order they arrived in.
         for i in (0..250).rev() {
             let post = PostRecord::simple("post", "en", now());
-            observe(&mut feed, i, &post, now().plus_seconds(i as i64));
+            observe(&mut routes, i, &post, now().plus_seconds(i as i64));
         }
-        feed.enforce_retention(now().plus_days(1));
-        assert_eq!(feed.entries().len(), 100);
-        assert_eq!(*feed.entries()[0].uri, post_uri(150));
-        assert_eq!(*feed.entries()[99].uri, post_uri(249));
-        // Under the cap, a pass drops nothing.
-        feed.enforce_retention(now().plus_days(2));
-        assert_eq!(feed.entries().len(), 100);
+        let feeds = std::slice::from_ref(&feed);
+        routes.enforce_retention(now().plus_days(1), feeds);
+        assert_eq!(routes.entries(&feed).len(), 100);
+        assert_eq!(*routes.entries(&feed)[0].uri, post_uri(150));
+        assert_eq!(*routes.entries(&feed)[99].uri, post_uri(249));
+        // The route keeps only what its one feed retains, and under the
+        // cap a pass drops nothing.
+        assert_eq!(routes.lists().map(|list| list.len()).sum::<usize>(), 100);
+        routes.enforce_retention(now().plus_days(2), feeds);
+        assert_eq!(routes.entries(&feed).len(), 100);
     }
 
     #[test]
     fn day_retention_drops_old_entries() {
-        let mut feed = everything_feed(RetentionPolicy::Days(7));
+        let (mut routes, feed) = activated(everything_feed(RetentionPolicy::Days(7)));
         for day in 0..20 {
             let at = now().plus_days(day as i64);
-            observe(&mut feed, day, &PostRecord::simple("post", "en", at), at);
+            observe(&mut routes, day, &PostRecord::simple("post", "en", at), at);
         }
         let end = now().plus_days(20);
-        feed.enforce_retention(end);
+        routes.enforce_retention(end, std::slice::from_ref(&feed));
         // Curated on days 13..20: exactly the last seven days' entries.
-        assert_eq!(feed.entries().len(), 7);
-        assert!(feed
-            .entries()
+        let entries = routes.entries(&feed);
+        assert_eq!(entries.len(), 7);
+        assert!(entries
             .iter()
             .all(|e| end.timestamp() - e.curated_at.timestamp() <= 7 * 86_400));
     }
@@ -336,10 +294,10 @@ mod tests {
         // §7.1: 2,202 feed posts carry timestamps predating Bluesky's launch
         // (1185, 1776, ...). The generator must not reject them — they are an
         // upstream data quirk the analysis detects.
-        let mut feed = everything_feed(RetentionPolicy::All);
+        let (mut routes, feed) = activated(everything_feed(RetentionPolicy::All));
         let medieval = Datetime::from_ymd(1185, 6, 1).unwrap();
         let post = PostRecord::simple("old news", "en", medieval);
-        observe(&mut feed, 1, &post, now());
-        assert_eq!(feed.entries()[0].post_created_at, medieval);
+        observe(&mut routes, 1, &post, now());
+        assert_eq!(routes.entries(&feed)[0].post_created_at, medieval);
     }
 }

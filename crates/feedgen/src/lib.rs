@@ -7,7 +7,8 @@
 //! * [`generator`] — Feed Generator instances: curation modes (pipeline,
 //!   personalised, manual), retention policies, likes.
 //! * [`route`] — how a new post reaches the pipeline feeds that curate it:
-//!   one filter check per distinct pipeline, one URI allocation per post.
+//!   one filter check and one curated list per distinct pipeline, of which
+//!   each feed on it is a view.
 //! * [`faas`] — the Feed-Generator-as-a-Service platforms of Table 5 with
 //!   their feature matrices and observed market shares.
 

@@ -145,7 +145,8 @@ pub struct World {
     /// Feed generator metadata parallel to `feedgens`.
     pub feedgen_info: Vec<FeedGenInfo>,
     /// The pipeline feeds of `feedgens` grouped by their filters: the only
-    /// way a new post reaches a feed.
+    /// way a new post reaches a feed, and the one curated list per pipeline
+    /// that each feed on it is a view of.
     feed_routes: FeedRoutes,
     /// WHOIS database.
     pub whois: WhoisDatabase,
@@ -353,6 +354,12 @@ impl World {
         self.fault_counters
     }
 
+    /// The routes of [`World::feedgens`]: `feed_routes().entries(feed)` is
+    /// what a feed retains.
+    pub fn feed_routes(&self) -> &FeedRoutes {
+        &self.feed_routes
+    }
+
     /// Whether this shard owns (simulates) the user with the given global
     /// index.
     pub(crate) fn owns_user(&self, index: usize) -> bool {
@@ -461,7 +468,7 @@ impl World {
     }
 
     /// Close the day: scheduled storms strike, labelers publish due labels,
-    /// feeds enforce retention, and the clock advances. A tombstone a storm
+    /// the feed routes apply every feed's retention, and the clock advances. A tombstone a storm
     /// issues here reaches the relay only with the next day's first crawl.
     pub fn end_day(&mut self, cursor: DayCursor) {
         debug_assert!(cursor.pos >= cursor.active.len(), "day not exhausted");
@@ -473,9 +480,7 @@ impl World {
             self.apply_tombstone_storm(day);
         }
         self.poll_labelers(day);
-        for feed in &mut self.feedgens {
-            feed.enforce_retention(day);
-        }
+        self.feed_routes.enforce_retention(day, &self.feedgens);
         self.today = day.plus_days(1);
     }
 
@@ -710,9 +715,9 @@ impl World {
                     today,
                 );
             }
-            let generator =
+            let mut generator =
                 FeedGenerator::new(creator, format!("feed{index:06}"), record, mode, retention);
-            self.feed_routes.add(index, &generator);
+            self.feed_routes.add(&mut generator, today);
             self.feedgens.push(generator);
             self.feed_like_cumsum.push(
                 self.feed_like_cumsum.last().copied().unwrap_or(0.0)
@@ -880,7 +885,7 @@ impl World {
             } = write
             {
                 let uri = Arc::new(AtUri::record(user.did.clone(), Nsid::POST, rkey.as_str()));
-                self.feed_routes.route(&uri, post, when, &mut self.feedgens);
+                self.feed_routes.route(&uri, post, when);
                 for labeler in self.labelers.all_mut() {
                     labeler.observe_post(&uri, post, when);
                 }
@@ -1221,7 +1226,7 @@ mod tests {
     /// Every post a non-personalised feed holds, in feed order.
     fn curated(world: &World) -> Vec<Arc<AtUri>> {
         let feeds = world.feedgens.iter().filter(|f| !f.is_personalized());
-        let entries = feeds.flat_map(|f| f.entries());
+        let entries = feeds.flat_map(|f| world.feed_routes().entries(f));
         entries.map(|entry| Arc::clone(&entry.uri)).collect()
     }
 
@@ -1292,7 +1297,7 @@ mod tests {
         let curating = world
             .feedgens
             .iter()
-            .filter(|f| !f.entries().is_empty())
+            .filter(|f| !world.feed_routes().entries(f).is_empty())
             .count();
         assert!(curating > 0);
         // The PLC directory has roughly one document per did:plc user.

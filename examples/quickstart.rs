@@ -43,7 +43,7 @@ fn main() {
         world
             .feedgens
             .iter()
-            .map(|f| f.entries().len())
+            .map(|f| world.feed_routes().entries(f).len())
             .sum::<usize>()
     );
 }
