@@ -154,7 +154,7 @@ pub fn encode(value: &Value) -> Vec<u8> {
     out
 }
 
-fn write_head(major: u8, arg: u64, out: &mut Vec<u8>) {
+fn write_head(major: u8, arg: u64, out: &mut impl raw::Sink) {
     let mt = major << 5;
     if arg < 24 {
         out.push(mt | arg as u8);
@@ -163,13 +163,13 @@ fn write_head(major: u8, arg: u64, out: &mut Vec<u8>) {
         out.push(arg as u8);
     } else if arg <= u16::MAX as u64 {
         out.push(mt | 25);
-        out.extend_from_slice(&(arg as u16).to_be_bytes());
+        out.put(&(arg as u16).to_be_bytes());
     } else if arg <= u32::MAX as u64 {
         out.push(mt | 26);
-        out.extend_from_slice(&(arg as u32).to_be_bytes());
+        out.put(&(arg as u32).to_be_bytes());
     } else {
         out.push(mt | 27);
-        out.extend_from_slice(&arg.to_be_bytes());
+        out.put(&arg.to_be_bytes());
     }
 }
 
@@ -209,42 +209,65 @@ fn encode_into(value: &Value, out: &mut Vec<u8>) {
 pub mod raw {
     use super::*;
 
+    /// Where the writers put their bytes: a buffer, or anything else that
+    /// takes bytes as they come (an MST node is hashed as it is encoded,
+    /// without a buffer of its own).
+    pub(crate) trait Sink {
+        /// Append `bytes`.
+        fn put(&mut self, bytes: &[u8]);
+
+        /// Append one byte.
+        fn push(&mut self, byte: u8) {
+            self.put(&[byte]);
+        }
+    }
+
+    impl Sink for Vec<u8> {
+        fn put(&mut self, bytes: &[u8]) {
+            self.extend_from_slice(bytes);
+        }
+
+        fn push(&mut self, byte: u8) {
+            Vec::push(self, byte);
+        }
+    }
+
     /// Map head for `len` pairs.
-    pub(crate) fn map_head(len: u64, out: &mut Vec<u8>) {
+    pub(crate) fn map_head(len: u64, out: &mut impl Sink) {
         write_head(MAJOR_MAP, len, out);
     }
 
     /// Array head for `len` items.
-    pub(crate) fn array_head(len: u64, out: &mut Vec<u8>) {
+    pub(crate) fn array_head(len: u64, out: &mut impl Sink) {
         write_head(MAJOR_ARRAY, len, out);
     }
 
     /// Head of a text string of `len` bytes; the caller appends exactly
     /// that many bytes of UTF-8 next (how identifiers are rendered in place
     /// instead of into a `String` first).
-    pub(crate) fn text_head(len: usize, out: &mut Vec<u8>) {
+    pub(crate) fn text_head(len: usize, out: &mut impl Sink) {
         write_head(MAJOR_TEXT, len as u64, out);
     }
 
     /// Text string.
-    pub(crate) fn text(s: &str, out: &mut Vec<u8>) {
+    pub(crate) fn text(s: &str, out: &mut impl Sink) {
         text_head(s.len(), out);
-        out.extend_from_slice(s.as_bytes());
+        out.put(s.as_bytes());
     }
 
     /// Byte string.
-    pub(crate) fn bytes(b: &[u8], out: &mut Vec<u8>) {
+    pub(crate) fn bytes(b: &[u8], out: &mut impl Sink) {
         write_head(MAJOR_BYTES, b.len() as u64, out);
-        out.extend_from_slice(b);
+        out.put(b);
     }
 
     /// Non-negative integer.
-    pub(crate) fn uint(value: u64, out: &mut Vec<u8>) {
+    pub(crate) fn uint(value: u64, out: &mut impl Sink) {
         write_head(MAJOR_UINT, value, out);
     }
 
     /// Signed integer (major type 0 or 1).
-    pub(crate) fn int(value: i64, out: &mut Vec<u8>) {
+    pub(crate) fn int(value: i64, out: &mut impl Sink) {
         if value >= 0 {
             write_head(MAJOR_UINT, value as u64, out);
         } else {
@@ -253,23 +276,23 @@ pub mod raw {
     }
 
     /// Boolean.
-    pub(crate) fn bool(value: bool, out: &mut Vec<u8>) {
+    pub(crate) fn bool(value: bool, out: &mut impl Sink) {
         out.push((MAJOR_SIMPLE << 5) | if value { 21 } else { 20 });
     }
 
     /// Null.
-    pub(crate) fn null(out: &mut Vec<u8>) {
+    pub(crate) fn null(out: &mut impl Sink) {
         out.push((MAJOR_SIMPLE << 5) | 22);
     }
 
     /// A tagged IPLD link (CID): tag 42 over the multibase identity prefix
     /// (0x00, per the DAG-CBOR CID convention) and the binary CID, written
     /// from the stack.
-    pub(crate) fn link(cid: &Cid, out: &mut Vec<u8>) {
+    pub(crate) fn link(cid: &Cid, out: &mut impl Sink) {
         write_head(MAJOR_TAG, TAG_CID, out);
         write_head(MAJOR_BYTES, (CID_LEN + 1) as u64, out);
         out.push(0x00);
-        out.extend_from_slice(&cid.to_array());
+        out.put(&cid.to_array());
     }
 }
 

@@ -21,6 +21,9 @@ pub(crate) const CODEC_DAG_CBOR: u8 = 0x71;
 pub(crate) const CODEC_RAW: u8 = 0x55;
 /// Length of the binary form: version, codec, hash tag, digest length, digest.
 pub(crate) const CID_LEN: usize = 4 + DIGEST_LEN;
+/// Length of the packed form: codec and digest, without the binary form's
+/// constant bytes.
+pub(crate) const PACKED_LEN: usize = 1 + DIGEST_LEN;
 
 /// A content identifier: (version, codec, SHA-256 digest).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -87,6 +90,33 @@ impl Cid {
         Cid {
             codec: CODEC_DAG_CBOR,
             digest: sha256(bytes),
+        }
+    }
+
+    /// CID of a DAG-CBOR block from its SHA-256 digest, for a block hashed
+    /// as it was encoded.
+    pub(crate) fn for_cbor_digest(digest: Digest) -> Cid {
+        Cid {
+            codec: CODEC_DAG_CBOR,
+            digest,
+        }
+    }
+
+    /// The packed form, for a structure that stores CIDs among other bytes.
+    pub(crate) fn to_packed(self) -> [u8; PACKED_LEN] {
+        let mut out = [0u8; PACKED_LEN];
+        out[0] = self.codec;
+        out[1..].copy_from_slice(&self.digest);
+        out
+    }
+
+    /// Read back [`Self::to_packed`].
+    pub(crate) fn from_packed(bytes: &[u8; PACKED_LEN]) -> Cid {
+        let mut digest = [0u8; DIGEST_LEN];
+        digest.copy_from_slice(&bytes[1..]);
+        Cid {
+            codec: bytes[0],
+            digest,
         }
     }
 

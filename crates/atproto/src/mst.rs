@@ -25,39 +25,56 @@
 //! previous value whether it created or replaced. Every node on the touched
 //! path drops its memoised CID, so [`Mst::root_cid`] encodes and hashes that
 //! path alone: a commit costs its batch, not its repository. The node tree
-//! is the only copy of the mapping; lookups and ordered iteration walk it.
+//! is the only copy of the mapping; lookups and ordered walks read it.
 //! `Mst::take_node_delta` reports what a batch of mutations did to the node
 //! *set* (the CIDs that joined the tree, children before parents, and those
 //! that left it), which the repository layer logs per commit. The tree is also the only copy of its node *blocks*: nothing
 //! stores them, and `Mst::for_each_block` encodes them while an archive is
 //! written, pruned to the subtrees a consumer lacks. Node blocks are encoded
-//! directly to bytes with [`crate::cbor`]'s raw writers — byte-identical to
-//! the generic `Value` encoder, without allocating a value tree per node.
-//!
-//! *Keys.* A tree keeps all its keys back to back in one buffer, and an
-//! entry names its key by offset and length into it, so an entry is 48
-//! bytes and a key costs no allocation of its own. A new key is appended and
-//! a replaced value leaves the buffer as it is; since no key is removed, the
-//! buffer holds each key exactly once, in insertion order.
+//! directly with [`crate::cbor`]'s raw writers — byte-identical to the
+//! generic `Value` encoder, without allocating a value tree per node — and
+//! a node that is only hashed is encoded straight into the hasher.
 //!
 //! Node entries are **prefix-compressed on the wire**, as in the reference
 //! implementation: within a node, each entry carries `p` (the number of key
 //! bytes shared with the previous entry's key) and `k` (the remaining
 //! suffix). Sibling record keys share long `<collection>/<rkey>` prefixes,
 //! so this shrinks every node block — and with them full CAR exports and the
-//! structural section of `getRepo(since)` deltas. The tests pin the
-//! incremental tree, its encoder and the byte win over the legacy full-key
-//! encoding against a rebuild-from-scratch reference builder and a node
-//! decoder that live beside them under `#[cfg(test)]`.
+//! structural section of `getRepo(since)` deltas.
+//!
+//! *Keys.* The tree keeps its keys in that wire form too. All of a tree's
+//! nodes sit in one arena and name each other by index, and a node keeps
+//! its entries back to back in one byte record: per entry `p`, the suffix
+//! length, the suffix, the value CID and — above layer 0, where a node can
+//! have subtrees — the index of the subtree to its right. A node's first
+//! key is whole (`p` is 0), so an entry costs its CID, its suffix and two
+//! to six bytes, and no key costs an allocation of its own. Sealing copies
+//! the stored `p` and suffix straight into the block. A search compares a
+//! key with each entry's `p` and suffix without rebuilding the entry's key;
+//! an ordered walk rebuilds keys in one fixed buffer of the longest length
+//! `validate_key` admits, and a `p` or a suffix length is a byte, so
+//! every key entering a tree is validated. An insert rewrites the `p` and
+//! suffix of the entry after the new one, whose shared prefix can only
+//! grow.
+//!
+//! The tests pin the incremental tree, its encoder and the byte win over the
+//! legacy full-key encoding against a rebuild-from-scratch reference builder
+//! and a node decoder that live beside them under `#[cfg(test)]`.
 
-use crate::cid::{Cid, CidSet};
-use crate::crypto::sha256;
+use crate::cbor::raw::{self, Sink};
+use crate::cid::{Cid, CidSet, PACKED_LEN};
+use crate::crypto::{sha256, Sha256};
 use crate::error::{AtError, Result};
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
+use std::cmp::Ordering;
 
 /// The fanout parameter: a key's layer is the number of leading zero *pairs of
 /// bits* in its SHA-256 hash (fanout 4, as in the reference implementation).
 const BITS_PER_LAYER: u32 = 2;
+
+/// The longest key [`validate_key`] admits, and so the length of the buffer
+/// an ordered walk rebuilds keys in ([`KeyBuf`]).
+const MAX_KEY_LEN: usize = 256;
 
 /// Compute the MST layer of a key.
 pub(crate) fn key_layer(key: &str) -> u32 {
@@ -79,7 +96,7 @@ pub(crate) fn validate_key(key: &str) -> Result<()> {
     let (collection, rkey) = key
         .split_once('/')
         .ok_or_else(|| AtError::RepoError(format!("MST key missing '/': {key}")))?;
-    if collection.is_empty() || rkey.is_empty() || key.len() > 256 {
+    if collection.is_empty() || rkey.is_empty() || key.len() > MAX_KEY_LEN {
         return Err(AtError::RepoError(format!("invalid MST key: {key}")));
     }
     if !key
@@ -103,130 +120,335 @@ enum Memo {
     Settled(Cid),
 }
 
-/// A gap between two entries of a node (or at either end): the subtree one
-/// layer down holding the keys that sort there, if there are any.
-type Gap = Option<Box<Node>>;
+/// A node's index in its tree's arena ([`Mst::nodes`]).
+type NodeId = u32;
 
-#[derive(Debug, Clone)]
-struct Entry {
-    /// With `key_len`, where this entry's key sits in the tree's key buffer
-    /// ([`Mst::keys`]). Two fields, because a `(u32, u16)` pair pads to 8
-    /// bytes and the entry with it to 56.
-    key_at: u32,
-    key_len: u16,
-    value: Cid,
-    /// The gap between this entry and the next.
-    right: Gap,
+/// No node: an empty gap, or the end of the free list.
+const NIL: NodeId = NodeId::MAX;
+
+/// The bytes of an entry record besides its suffix and its right subtree:
+/// `p`, the suffix length less one (a suffix is 1 to [`MAX_KEY_LEN`] bytes)
+/// and the packed value CID.
+const ENTRY_FIXED: usize = 2 + PACKED_LEN;
+
+/// The bytes an entry's right subtree takes in a node at `layer`: its
+/// [`NodeId`], or nothing at layer 0, where every gap is empty. Most entries
+/// sit at layer 0 (a key's layer is 0 with odds of 3 in 4).
+fn right_len(layer: u8) -> usize {
+    4 * usize::from(layer > 0)
 }
 
-impl Entry {
-    fn new((key_at, key_len): (u32, u16), value: Cid, right: Gap) -> Entry {
-        Entry {
-            key_at,
-            key_len,
-            value,
-            right,
+/// One entry of a node's record, read in place.
+struct Entry<'r> {
+    /// Where the entry starts in the record.
+    at: usize,
+    /// `p`: the key bytes shared with the previous entry's key.
+    prefix: usize,
+    /// `k`: the rest of the key.
+    suffix: &'r [u8],
+    value: &'r [u8; PACKED_LEN],
+    /// The gap between this entry and the next.
+    right: NodeId,
+    /// Where the record's next entry starts.
+    end: usize,
+}
+
+impl Entry<'_> {
+    /// Where the value sits in the record.
+    fn value_at(&self) -> usize {
+        self.at + 2 + self.suffix.len()
+    }
+
+    /// Where the right subtree's index sits in the record (at layers above
+    /// 0).
+    fn right_at(&self) -> usize {
+        self.value_at() + PACKED_LEN
+    }
+
+    fn value(&self) -> Cid {
+        Cid::from_packed(self.value)
+    }
+}
+
+/// Read the entry that starts at `at` in the record of a node at `layer`.
+fn entry_at(record: &[u8], at: usize, layer: u8) -> Entry<'_> {
+    let value_at = at + 3 + usize::from(record[at + 1]);
+    let right_at = value_at + PACKED_LEN;
+    let end = right_at + right_len(layer);
+    Entry {
+        at,
+        prefix: usize::from(record[at]),
+        suffix: &record[at + 2..value_at],
+        value: record[value_at..right_at].try_into().expect("a packed CID"),
+        right: match layer {
+            0 => NIL,
+            _ => NodeId::from_le_bytes(record[right_at..end].try_into().expect("a node index")),
+        },
+        end,
+    }
+}
+
+/// Append an entry's `p` and suffix length to `out`. The caller has
+/// validated the key, so `prefix + suffix_len` is at most [`MAX_KEY_LEN`]
+/// and the suffix is not empty.
+fn write_head(prefix: usize, suffix_len: usize, out: &mut impl Sink) {
+    out.push(u8::try_from(prefix).expect("a prefix shorter than a key"));
+    out.push(u8::try_from(suffix_len - 1).expect("a key of at most 256 bytes"));
+}
+
+/// Append the record of an entry of a node at `layer` to `out`.
+fn write_entry(
+    prefix: usize,
+    suffix: &[u8],
+    value: Cid,
+    layer: u8,
+    right: NodeId,
+    out: &mut impl Sink,
+) {
+    write_head(prefix, suffix.len(), out);
+    out.put(suffix);
+    out.put(&value.to_packed());
+    if layer > 0 {
+        out.put(&right.to_le_bytes());
+    }
+}
+
+/// An entry record and the new head of the entry after it, built on the
+/// stack ([`Node::insert`]).
+struct EntryBuf {
+    len: usize,
+    bytes: [u8; EntryBuf::CAPACITY],
+}
+
+impl EntryBuf {
+    const CAPACITY: usize = ENTRY_FIXED + MAX_KEY_LEN + 4 + 2;
+}
+
+impl Sink for EntryBuf {
+    fn put(&mut self, bytes: &[u8]) {
+        self.bytes[self.len..self.len + bytes.len()].copy_from_slice(bytes);
+        self.len += bytes.len();
+    }
+}
+
+/// Number of leading bytes two keys share.
+fn common_prefix_len(a: &[u8], b: &[u8]) -> usize {
+    a.iter().zip(b).take_while(|(x, y)| x == y).count()
+}
+
+/// A key rebuilt from prefix-compressed entries, in key order: each entry's
+/// `p` cuts the previous key and its suffix extends it.
+struct KeyBuf {
+    len: usize,
+    bytes: [u8; MAX_KEY_LEN],
+}
+
+impl KeyBuf {
+    fn new() -> KeyBuf {
+        KeyBuf {
+            len: 0,
+            bytes: [0; MAX_KEY_LEN],
         }
     }
 
-    /// This entry's key, read from the tree's key buffer.
-    fn key<'k>(&self, keys: &'k str) -> &'k str {
-        &keys[self.key_at as usize..][..usize::from(self.key_len)]
+    /// Step to `entry`'s key from the key of the entry before it, or from
+    /// any key that sorts between the two (they share at least `p` bytes).
+    fn step(&mut self, entry: &Entry<'_>) {
+        let end = entry.prefix + entry.suffix.len();
+        self.bytes[entry.prefix..end].copy_from_slice(entry.suffix);
+        self.len = end;
+    }
+
+    fn get(&self) -> &[u8] {
+        &self.bytes[..self.len]
     }
 }
 
-/// Append `key` to a key buffer, returning its span there.
-fn push_key(keys: &mut String, key: &str) -> (u32, u16) {
-    let at = u32::try_from(keys.len()).expect("MST key buffer exceeds 4 GiB");
-    let len = u16::try_from(key.len()).expect("MST key longer than 64 KiB");
-    keys.push_str(key);
-    (at, len)
+/// Where a key falls in one node.
+struct Place {
+    /// The first entry whose key is not below the key (the record's length
+    /// when there is none).
+    at: usize,
+    /// The entry at `at` holds the key.
+    found: bool,
+    /// Where the index of the gap before `at` sits: `None` for the node's
+    /// left subtree, else the offset of that index in the record (which a
+    /// node at layer 0 does not store).
+    gap: Option<usize>,
+    /// Bytes the key shares with the key before `at` (0 when there is none):
+    /// the key's `p` were it inserted here.
+    shared_before: usize,
+    /// Bytes the key shares with the key at `at`.
+    shared_after: usize,
 }
 
 /// One tree node. Below the root a node is never vacant (it has an entry or
-/// a left child) and sits exactly one layer under its parent.
+/// a left subtree) and sits exactly one layer under its parent.
 #[derive(Debug, Clone)]
 struct Node {
-    layer: u32,
-    memo: Cell<Memo>,
+    /// The entries' records, back to back (see the module docs). Its
+    /// capacity is never more than half again its length: a full record
+    /// grows by half its length ([`splice`]), and the lower half of a split
+    /// is shrunk to fit ([`Node::split_off`]). `Vec`'s own doubling would
+    /// leave a tree built in key order — a repository's, whose record keys
+    /// are timestamps — at twice the bytes it uses, while an exact size
+    /// would reallocate every node on every write.
+    record: Vec<u8>,
     /// The gap before the first entry.
-    left: Gap,
-    /// Never more than [`slack_bound`] slots for its length: a full vector
-    /// grows by half its length ([`Node::upsert`]), and one left with
-    /// more after a split is shrunk to fit ([`fit`]).
-    /// `Vec`'s own doubling would leave a tree built in key order — a
-    /// repository's, whose record keys are timestamps — at twice the slots
-    /// it uses, while shrinking after every insert would reallocate every
-    /// node on every write.
-    entries: Vec<Entry>,
+    left: NodeId,
+    memo: Cell<Memo>,
+    /// At most 128: a digest has 256 bits.
+    layer: u8,
 }
 
-/// The most entry slots a node of `len` entries may hold.
-fn slack_bound(len: usize) -> usize {
-    len + len / 2 + 1
-}
-
-/// Give back a node's spare entry slots once they pass [`slack_bound`].
-fn fit(entries: &mut Vec<Entry>) {
-    if entries.capacity() > slack_bound(entries.len()) {
-        entries.shrink_to_fit();
+/// Replace the `len` bytes of `record` at `at` with the longer `with`.
+fn splice(record: &mut Vec<u8>, at: usize, len: usize, with: &[u8]) {
+    let (old, grow) = (record.len(), with.len() - len);
+    if record.capacity() < old + grow {
+        record.reserve_exact(grow.max(old / 2));
     }
+    record.resize(old + grow, 0);
+    record.copy_within(at + len..old, at + with.len());
+    record[at..at + with.len()].copy_from_slice(with);
 }
 
 impl Node {
-    fn new(layer: u32, left: Gap, entries: Vec<Entry>) -> Node {
+    fn new(layer: u8, left: NodeId, record: Vec<u8>) -> Node {
         Node {
-            layer,
-            memo: Cell::new(Memo::Dirty),
+            record,
             left,
-            entries,
+            memo: Cell::new(Memo::Dirty),
+            layer,
         }
+    }
+
+    /// A node of one entry, `key` over `right`.
+    fn single(layer: u8, left: NodeId, key: &[u8], value: Cid, right: NodeId) -> Node {
+        let mut record = Vec::with_capacity(ENTRY_FIXED + key.len() + right_len(layer));
+        write_entry(0, key, value, layer, right, &mut record);
+        Node::new(layer, left, record)
     }
 
     fn is_vacant(&self) -> bool {
-        self.entries.is_empty() && self.left.is_none()
+        self.record.is_empty() && self.left == NIL
     }
 
-    /// `Ok(i)` when entry `i` holds `key`, else `Err(i)` for the gap it
-    /// sorts into.
-    fn search(&self, keys: &str, key: &str) -> std::result::Result<usize, usize> {
-        self.entries.binary_search_by(|e| e.key(keys).cmp(key))
+    fn entries(&self) -> impl Iterator<Item = Entry<'_>> {
+        let mut at = 0;
+        std::iter::from_fn(move || {
+            let entry = (at < self.record.len()).then(|| entry_at(&self.record, at, self.layer))?;
+            at = entry.end;
+            Some(entry)
+        })
     }
 
-    /// The index of the first entry whose key is not below `key`.
-    fn position(&self, keys: &str, key: &str) -> usize {
-        self.entries.partition_point(|e| e.key(keys) < key)
+    /// Where `key` falls. Keys are compared without being rebuilt: an
+    /// entry's key is the previous entry's first `p` bytes and its suffix,
+    /// and the previous key sorts below `key`, sharing
+    /// [`Place::shared_before`] bytes with it. A larger `p` puts the entry
+    /// below `key` too, a smaller one above it, and only an equal one needs
+    /// its suffix compared.
+    fn place(&self, key: &[u8]) -> Place {
+        let mut place = Place {
+            at: self.record.len(),
+            found: false,
+            gap: None,
+            shared_before: 0,
+            shared_after: 0,
+        };
+        for entry in self.entries() {
+            if entry.prefix > place.shared_before {
+                place.gap = Some(entry.right_at());
+                continue;
+            }
+            let mut shared = entry.prefix;
+            let mut order = Ordering::Greater;
+            if entry.prefix == place.shared_before {
+                let rest = &key[shared..];
+                let common = common_prefix_len(entry.suffix, rest);
+                shared += common;
+                order = entry.suffix[common..].cmp(&rest[common..]);
+            }
+            if order == Ordering::Less {
+                place.gap = Some(entry.right_at());
+                place.shared_before = shared;
+                continue;
+            }
+            place.at = entry.at;
+            place.found = order == Ordering::Equal;
+            place.shared_after = shared;
+            break;
+        }
+        place
     }
 
-    /// Gap `i`: before entry `i`, or trailing when `i == entries.len()`.
-    fn gap(&self, i: usize) -> Option<&Node> {
-        match i {
-            0 => self.left.as_deref(),
-            _ => self.entries[i - 1].right.as_deref(),
+    /// The subtree in the gap [`Place::gap`] names; nothing hangs under a
+    /// node at layer 0.
+    fn gap(&self, gap: Option<usize>) -> NodeId {
+        match gap {
+            _ if self.layer == 0 => NIL,
+            None => self.left,
+            Some(at) => {
+                NodeId::from_le_bytes(self.record[at..at + 4].try_into().expect("a node index"))
+            }
         }
     }
 
-    fn gap_mut(&mut self, i: usize) -> &mut Gap {
-        match i {
-            0 => &mut self.left,
-            _ => &mut self.entries[i - 1].right,
+    fn set_gap(&mut self, gap: Option<usize>, child: NodeId) {
+        match gap {
+            _ if self.layer == 0 => assert_eq!(child, NIL, "a subtree under layer 0"),
+            None => self.left = child,
+            Some(at) => self.record[at..at + 4].copy_from_slice(&child.to_le_bytes()),
         }
     }
 
-    /// Child nodes in key order.
-    fn children(&self) -> impl Iterator<Item = &Node> {
-        self.left
-            .as_deref()
-            .into_iter()
-            .chain(self.entries.iter().filter_map(|e| e.right.as_deref()))
+    /// Subtrees in key order.
+    fn children(&self) -> impl Iterator<Item = NodeId> + '_ {
+        std::iter::once(self.left)
+            .chain(self.entries().map(|entry| entry.right))
+            .filter(|&child| child != NIL)
     }
 
-    /// Drop the memoised CID ahead of a mutation; a CID the last drain
-    /// counted as live is noted as having left the tree.
-    fn touch(&self, removed: &mut CidSet) {
-        if let Memo::Settled(cid) = self.memo.replace(Memo::Dirty) {
-            removed.insert(cid);
+    /// Insert an absent key at `place`, over the subtree `right`. The entry
+    /// after it shares `place.shared_after` bytes with the key, no fewer
+    /// than it shared with the key before, so its stored suffix loses the
+    /// difference.
+    fn insert(&mut self, place: &Place, key: &[u8], value: Cid, right: NodeId) {
+        let mut with = EntryBuf {
+            len: 0,
+            bytes: [0; EntryBuf::CAPACITY],
+        };
+        let (prefix, layer) = (place.shared_before, self.layer);
+        write_entry(prefix, &key[prefix..], value, layer, right, &mut with);
+        let mut len = 0;
+        if place.at < self.record.len() {
+            let next = entry_at(&self.record, place.at, layer);
+            let cut = place.shared_after - next.prefix;
+            write_head(place.shared_after, next.suffix.len() - cut, &mut with);
+            len = 2 + cut;
         }
+        splice(&mut self.record, place.at, len, &with.bytes[..with.len]);
+    }
+
+    /// Cut the entries from `at` on out of this node into a record of their
+    /// own, whose first entry's key is stored whole: the first `p` bytes of
+    /// `key`, which that entry's key shares ([`Node::place`]), and its
+    /// suffix. What stays is shrunk to fit: in a tree built in key order
+    /// the key that splits a node closes it, as every later key sorts after
+    /// that one.
+    fn split_off(&mut self, at: usize, key: &[u8]) -> Vec<u8> {
+        let mut upper = Vec::new();
+        if at < self.record.len() {
+            let entry = entry_at(&self.record, at, self.layer);
+            let rest = &self.record[at + 2..];
+            upper.reserve_exact(2 + entry.prefix + rest.len());
+            write_head(0, entry.prefix + entry.suffix.len(), &mut upper);
+            upper.extend_from_slice(&key[..entry.prefix]);
+            upper.extend_from_slice(rest);
+            self.record.truncate(at);
+        }
+        self.record.shrink_to_fit();
+        upper
     }
 
     /// The memoised CID; every reader seals the tree first.
@@ -236,203 +458,87 @@ impl Node {
             Memo::Dirty => panic!("MST node read before it was hashed"),
         }
     }
+}
 
-    /// This node's block, written over `out`; its children must already be
-    /// hashed.
-    fn encode_into(&self, keys: &str, out: &mut Vec<u8>) {
-        let entries = self.entries.iter().map(|e| PendingEntry {
-            key: e.key(keys),
-            value: e.value,
-            subtree: e.right.as_deref().map(Node::cid),
-        });
-        out.clear();
-        encode_node(
-            self.left.as_deref().map(Node::cid),
-            entries,
-            self.layer,
-            true,
-            out,
-        );
-    }
+/// The bytes [`Hashing`] gathers before it hashes them.
+const HASHING_BLOCK: usize = 512;
 
-    /// Hash every dirty node of this subtree, children before parents, and
-    /// return the subtree's CID. With a delta the walk is a drain: it also
-    /// revisits nodes hashed since the last drain, settles them, and reports
-    /// each one whose CID was not live at that drain as added (a node that
-    /// hashes back to a removed CID cancels the departure instead).
-    fn seal(&self, walk: &mut Sealing<'_>) -> Cid {
-        let known = match self.memo.get() {
-            Memo::Settled(cid) => return cid,
-            Memo::Fresh(cid) if walk.delta.is_none() => return cid,
-            Memo::Fresh(cid) => Some(cid),
-            Memo::Dirty => None,
-        };
-        for child in self.children() {
-            child.seal(walk);
-        }
-        let cid = known.unwrap_or_else(|| {
-            self.encode_into(walk.keys, &mut walk.scratch);
-            walk.hashed.set(walk.hashed.get() + 1);
-            Cid::for_cbor(&walk.scratch)
-        });
-        match &mut walk.delta {
-            Some(delta) => {
-                if !delta.removed.remove(&cid) {
-                    delta.added.push(cid);
-                }
-                self.memo.set(Memo::Settled(cid));
-            }
-            None => self.memo.set(Memo::Fresh(cid)),
-        }
-        cid
-    }
+/// A node block on its way into the hasher: the raw writers' small pieces
+/// are gathered on the stack and hashed a block at a time.
+struct Hashing {
+    hasher: Sha256,
+    len: usize,
+    block: [u8; HASHING_BLOCK],
+}
 
-    /// Hand `visit` the block of every node of this (sealed) subtree that
-    /// `descend` accepts, children before parents, encoded into `scratch`;
-    /// a node `descend` refuses is skipped with everything under it.
-    fn for_each_block(
-        &self,
-        keys: &str,
-        scratch: &mut Vec<u8>,
-        descend: &mut impl FnMut(&Cid) -> bool,
-        visit: &mut impl FnMut(&Cid, &[u8]),
-    ) {
-        let cid = self.cid();
-        if !descend(&cid) {
-            return;
+impl Sink for Hashing {
+    fn put(&mut self, bytes: &[u8]) {
+        if self.len + bytes.len() > HASHING_BLOCK {
+            self.hasher.update(&self.block[..self.len]);
+            self.len = 0;
         }
-        for child in self.children() {
-            child.for_each_block(keys, scratch, descend, visit);
+        if bytes.len() > HASHING_BLOCK {
+            self.hasher.update(bytes);
+        } else {
+            self.block[self.len..self.len + bytes.len()].copy_from_slice(bytes);
+            self.len += bytes.len();
         }
-        self.encode_into(keys, scratch);
-        visit(&cid, scratch);
-    }
-
-    /// Insert or replace a key of `layer <= self.layer` in this subtree,
-    /// returning the previous value (`None`: the key was absent and is now
-    /// appended to `keys`). One descent: the key can only sit in the node of
-    /// its own layer, so the nodes above it just pick the gap to go down,
-    /// and only a real change dirties the path back up.
-    fn upsert(
-        &mut self,
-        keys: &mut String,
-        key: &str,
-        layer: u32,
-        value: Cid,
-        removed: &mut CidSet,
-    ) -> Option<Cid> {
-        let i = self.position(keys, key);
-        if layer < self.layer {
-            let old = match self.gap_mut(i) {
-                Some(child) => child.upsert(keys, key, layer, value, removed),
-                None => {
-                    let entry = Entry::new(push_key(keys, key), value, None);
-                    let leaf = Box::new(Node::new(layer, None, vec![entry]));
-                    *self.gap_mut(i) = lift(Some(leaf), self.layer - 1);
-                    None
-                }
-            };
-            if old != Some(value) {
-                self.touch(removed);
-            }
-            return old;
-        }
-        if let Some(entry) = self.entries.get_mut(i).filter(|e| e.key(keys) == key) {
-            let old = std::mem::replace(&mut entry.value, value);
-            if old != value {
-                self.touch(removed);
-            }
-            return Some(old);
-        }
-        // The gap the key lands in splits around it.
-        self.touch(removed);
-        let (before, after) = split(self.gap_mut(i).take(), keys, key, removed);
-        *self.gap_mut(i) = before;
-        if self.entries.len() == self.entries.capacity() {
-            self.entries.reserve_exact(self.entries.len() / 2 + 1);
-        }
-        self.entries
-            .insert(i, Entry::new(push_key(keys, key), value, after));
-        None
     }
 }
 
-/// What one [`Node::seal`] walk carries down the tree.
-struct Sealing<'a> {
-    /// The tree's key buffer.
-    keys: &'a str,
-    hashed: &'a Cell<u64>,
-    /// `Some`: the walk is a drain (see [`Node::seal`]).
-    delta: Option<&'a mut NodeDelta>,
-    /// Every dirty node is encoded here, one after the other, and hashed in
-    /// place.
-    scratch: Vec<u8>,
-}
-
-/// Split a gap subtree around an absent key that belongs above it: the keys
-/// before it and the keys after it, each still a valid gap at that layer.
-fn split(gap: Gap, keys: &str, key: &str, removed: &mut CidSet) -> (Gap, Gap) {
-    let Some(mut node) = gap else {
-        return (None, None);
-    };
-    node.touch(removed);
-    let i = node.position(keys, key);
-    let (before, after) = split(node.gap_mut(i).take(), keys, key, removed);
-    let upper = Node::new(node.layer, after, node.entries.split_off(i));
-    fit(&mut node.entries);
-    *node.gap_mut(i) = before;
-    let keep = |node: Box<Node>| (!node.is_vacant()).then_some(node);
-    (keep(node), keep(Box::new(upper)))
-}
-
-/// Wrap a gap subtree in entry-less pass-through nodes up to `layer`.
-fn lift(gap: Gap, layer: u32) -> Gap {
-    let mut node = gap?;
-    while node.layer < layer {
-        node = Box::new(Node::new(node.layer + 1, Some(node), Vec::new()));
+impl Hashing {
+    fn cid(mut self) -> Cid {
+        self.hasher.update(&self.block[..self.len]);
+        Cid::for_cbor_digest(self.hasher.finalize())
     }
-    Some(node)
 }
 
 /// A content-addressed key→CID index.
 ///
 /// The node tree under `root` is the authoritative state; see the module
-/// docs for its shape and how mutations maintain it.
+/// docs for its shape and layout and how mutations maintain it.
 #[derive(Debug, Clone)]
 pub struct Mst {
-    root: Node,
+    /// Every node of the tree, and the free slots a split left behind.
+    nodes: Vec<Node>,
+    root: NodeId,
+    /// The first free slot of `nodes`; each free slot's `left` names the
+    /// next.
+    free: NodeId,
     len: usize,
-    /// Every entry's key, back to back (see the module docs).
-    keys: String,
     /// CIDs that were live at the last [`Mst::take_node_delta`] and whose
     /// nodes have been mutated or unlinked since. Bounded by the size of the
     /// tree at that drain; a tree that is never drained never adds to it.
     removed: CidSet,
     /// Nodes hashed so far, the unit of the tests' work bounds.
     hashed: Cell<u64>,
-    /// The encode buffer of [`Sealing`] and [`Mst::for_each_block`], kept
-    /// between walks.
-    scratch: RefCell<Vec<u8>>,
 }
 
 impl Default for Mst {
     fn default() -> Mst {
         Mst {
-            root: Node::new(0, None, Vec::new()),
+            nodes: vec![Node::new(0, NIL, Vec::new())],
+            root: 0,
+            free: NIL,
             len: 0,
-            keys: String::new(),
             removed: CidSet::default(),
             hashed: Cell::new(0),
-            scratch: RefCell::default(),
         }
     }
 }
 
 impl PartialEq for Mst {
     fn eq(&self, other: &Mst) -> bool {
-        // Memos and drain bookkeeping are derived state; two trees are
-        // equal iff their contents are.
-        self.len == other.len && self.iter().eq(other.iter())
+        // Memos, drain bookkeeping and the arena's layout are derived state;
+        // two trees are equal iff their contents are.
+        let mut theirs = Vec::with_capacity(other.len);
+        other.for_each_entry(|key, value| theirs.push((key.to_owned(), value)));
+        let mut theirs = theirs.into_iter();
+        let mut same = self.len == other.len;
+        self.for_each_entry(|key, value| {
+            same &= theirs.next().is_some_and(|(k, v)| k == key && v == value);
+        });
+        same
     }
 }
 
@@ -454,58 +560,48 @@ pub(crate) struct NodeDelta {
     pub(crate) removed: CidSet,
 }
 
-/// In-order iterator over a tree's `(key, cid)` pairs.
-struct Iter<'a> {
-    /// The tree's key buffer.
-    keys: &'a str,
-    /// Path from the root to the current position: each node with the index
-    /// of its next entry to yield (the gap before that entry is done or on
-    /// the stack above it).
-    stack: Vec<(&'a Node, usize)>,
-}
-
-impl<'a> Iter<'a> {
-    /// Start at the first key `>= from`.
-    fn from_key(mst: &'a Mst, from: &str) -> Iter<'a> {
-        let mut iter = Iter {
-            keys: &mst.keys,
-            stack: Vec::new(),
-        };
-        iter.descend(Some(&mst.root), from);
-        iter
-    }
-
-    fn descend(&mut self, mut gap: Option<&'a Node>, from: &str) {
-        while let Some(node) = gap {
-            let i = node.position(self.keys, from);
-            self.stack.push((node, i));
-            gap = node.gap(i);
-        }
-    }
-}
-
-impl<'a> Iterator for Iter<'a> {
-    type Item = (&'a str, &'a Cid);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            let top = self.stack.last_mut()?;
-            let node: &'a Node = top.0;
-            let Some(entry) = node.entries.get(top.1) else {
-                self.stack.pop();
-                continue;
-            };
-            top.1 += 1;
-            self.descend(entry.right.as_deref(), "");
-            return Some((entry.key(self.keys), &entry.value));
-        }
-    }
-}
-
 impl Mst {
     /// Create an empty tree.
     pub(crate) fn new() -> Mst {
         Mst::default()
+    }
+
+    fn node(&self, id: NodeId) -> &Node {
+        &self.nodes[id as usize]
+    }
+
+    fn node_mut(&mut self, id: NodeId) -> &mut Node {
+        &mut self.nodes[id as usize]
+    }
+
+    /// Put `node` in a free slot, or at the end of the arena, which grows
+    /// by half its length when full ([`Node::record`] says why).
+    fn alloc(&mut self, node: Node) -> NodeId {
+        if self.free == NIL {
+            if self.nodes.len() == self.nodes.capacity() {
+                self.nodes.reserve_exact(self.nodes.len() / 2 + 1);
+            }
+            self.nodes.push(node);
+            return NodeId::try_from(self.nodes.len() - 1).expect("MST arena exceeds 2^32 nodes");
+        }
+        let id = self.free;
+        self.free = std::mem::replace(self.node_mut(id), node).left;
+        id
+    }
+
+    /// Drop a node's memoised CID ahead of a mutation; a CID the last drain
+    /// counted as live is noted as having left the tree.
+    fn touch(&mut self, id: NodeId) {
+        if let Memo::Settled(cid) = self.node(id).memo.replace(Memo::Dirty) {
+            self.removed.insert(cid);
+        }
+    }
+
+    /// Return a vacant node's slot to the free list.
+    fn release(&mut self, id: NodeId) {
+        let free = self.free;
+        *self.node_mut(id) = Node::new(0, free, Vec::new());
+        self.free = id;
     }
 
     /// Insert or replace a key, returning the previous value if any.
@@ -516,24 +612,24 @@ impl Mst {
 
     /// [`Mst::insert`] of a key the caller has already validated.
     pub(crate) fn set(&mut self, key: &str, cid: Cid) -> Option<Cid> {
-        let layer = key_layer(key);
-        let removed = &mut self.removed;
+        let layer = u8::try_from(key_layer(key)).expect("a layer of a 256-bit digest");
+        let key = key.as_bytes();
+        let root = self.root;
         if self.len == 0 {
-            self.root.touch(removed);
-            self.root.layer = layer;
+            self.touch(root);
+            self.node_mut(root).layer = layer;
         }
-        let old = if layer > self.root.layer {
+        let old = if layer > self.node(root).layer {
             // The key becomes the only entry of a new, higher root; the old
             // root splits around it and each half is lifted to sit just
             // under the new one.
-            let old_root = std::mem::replace(&mut self.root, Node::new(layer, None, Vec::new()));
-            let (before, after) = split(Some(Box::new(old_root)), &self.keys, key, removed);
-            self.root.left = lift(before, layer - 1);
-            let span = push_key(&mut self.keys, key);
-            self.root.entries = vec![Entry::new(span, cid, lift(after, layer - 1))];
+            let (before, after) = self.split(root, key);
+            let before = self.lift(before, layer - 1);
+            let after = self.lift(after, layer - 1);
+            self.root = self.alloc(Node::single(layer, before, key, cid, after));
             None
         } else {
-            self.root.upsert(&mut self.keys, key, layer, cid, removed)
+            self.upsert(root, key, layer, cid)
         };
         if old.is_none() {
             self.len += 1;
@@ -541,38 +637,127 @@ impl Mst {
         old
     }
 
+    /// Insert or replace a key of `layer <= node.layer` in the subtree at
+    /// `id`, returning the previous value. One descent: the key can only
+    /// sit in the node of its own layer, so the nodes above it just pick the
+    /// gap to go down, and only a real change dirties the path back up.
+    fn upsert(&mut self, id: NodeId, key: &[u8], layer: u8, value: Cid) -> Option<Cid> {
+        let node = self.node(id);
+        let place = node.place(key);
+        let gap = node.gap(place.gap);
+        if layer < node.layer {
+            let old = if gap == NIL {
+                let below = node.layer - 1;
+                let leaf = self.alloc(Node::single(layer, NIL, key, value, NIL));
+                let lifted = self.lift(leaf, below);
+                self.node_mut(id).set_gap(place.gap, lifted);
+                None
+            } else {
+                self.upsert(gap, key, layer, value)
+            };
+            if old != Some(value) {
+                self.touch(id);
+            }
+            return old;
+        }
+        if place.found {
+            let entry = entry_at(&node.record, place.at, node.layer);
+            let (old, at) = (entry.value(), entry.value_at());
+            self.node_mut(id).record[at..at + PACKED_LEN].copy_from_slice(&value.to_packed());
+            if old != value {
+                self.touch(id);
+            }
+            return Some(old);
+        }
+        // The gap the key lands in splits around it.
+        self.touch(id);
+        let (before, after) = self.split(gap, key);
+        let node = self.node_mut(id);
+        node.set_gap(place.gap, before);
+        node.insert(&place, key, value, after);
+        None
+    }
+
+    /// Split the subtree at `id` around an absent key that belongs above
+    /// it: the keys before it and the keys after it, each still a valid gap
+    /// at that layer.
+    fn split(&mut self, id: NodeId, key: &[u8]) -> (NodeId, NodeId) {
+        if id == NIL {
+            return (NIL, NIL);
+        }
+        self.touch(id);
+        let node = self.node(id);
+        let place = node.place(key);
+        let gap = node.gap(place.gap);
+        let (before, after) = self.split(gap, key);
+        let node = self.node_mut(id);
+        node.set_gap(place.gap, before);
+        let upper = Node::new(node.layer, after, node.split_off(place.at, key));
+        let upper = if upper.is_vacant() {
+            NIL
+        } else {
+            self.alloc(upper)
+        };
+        if self.node(id).is_vacant() {
+            self.release(id);
+            return (NIL, upper);
+        }
+        (id, upper)
+    }
+
+    /// Wrap a subtree in entry-less pass-through nodes up to `layer`.
+    fn lift(&mut self, mut id: NodeId, layer: u8) -> NodeId {
+        if id == NIL {
+            return NIL;
+        }
+        while self.node(id).layer < layer {
+            id = self.alloc(Node::new(self.node(id).layer + 1, id, Vec::new()));
+        }
+        id
+    }
+
     /// Look up a key.
-    pub(crate) fn get(&self, key: &str) -> Option<&Cid> {
-        let mut node = &self.root;
+    pub(crate) fn get(&self, key: &str) -> Option<Cid> {
+        let mut node = self.node(self.root);
         loop {
-            match node.search(&self.keys, key) {
-                Ok(i) => return Some(&node.entries[i].value),
-                Err(i) => node = node.gap(i)?,
+            let place = node.place(key.as_bytes());
+            if place.found {
+                return Some(entry_at(&node.record, place.at, node.layer).value());
+            }
+            match node.gap(place.gap) {
+                NIL => return None,
+                child => node = self.node(child),
             }
         }
     }
 
-    /// Iterate all `(key, cid)` pairs in key order.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = (&str, &Cid)> {
-        Iter::from_key(self, "")
+    /// Hand `visit` every `(key, value)` pair in key order.
+    pub(crate) fn for_each_entry(&self, mut visit: impl FnMut(&str, Cid)) {
+        self.walk(self.root, &mut KeyBuf::new(), &mut visit);
+    }
+
+    /// [`Mst::for_each_entry`] over one subtree. One buffer serves the whole
+    /// walk: a subtree's keys all sort between the entries around it, so
+    /// its last key shares the next entry's `p` bytes.
+    fn walk(&self, id: NodeId, key: &mut KeyBuf, visit: &mut impl FnMut(&str, Cid)) {
+        let node = self.node(id);
+        if node.left != NIL {
+            self.walk(node.left, key, visit);
+        }
+        for entry in node.entries() {
+            key.step(&entry);
+            let text = std::str::from_utf8(key.get()).expect("validated keys are ASCII");
+            visit(text, entry.value());
+            if entry.right != NIL {
+                self.walk(entry.right, key, visit);
+            }
+        }
     }
 
     /// The root CID. Hashes only the nodes mutated since the last call, so
     /// a repeat with no mutation in between hashes nothing.
     pub fn root_cid(&self) -> Cid {
-        self.seal(None)
-    }
-
-    fn seal(&self, delta: Option<&mut NodeDelta>) -> Cid {
-        let mut walk = Sealing {
-            keys: &self.keys,
-            hashed: &self.hashed,
-            delta,
-            scratch: self.scratch.take(),
-        };
-        let root = self.root.seal(&mut walk);
-        self.scratch.replace(walk.scratch);
-        root
+        self.seal(self.root, None)
     }
 
     /// The root CID plus what the mutations since the previous call did to
@@ -584,99 +769,126 @@ impl Mst {
             added: Vec::new(),
             removed: std::mem::take(&mut self.removed),
         };
-        let root = self.seal(Some(&mut delta));
+        let root = self.seal(self.root, Some(&mut delta));
         (root, delta)
+    }
+
+    /// Hash every dirty node of the subtree at `id`, children before
+    /// parents, and return the subtree's CID. With a delta the walk is a
+    /// drain: it also revisits nodes hashed since the last drain, settles
+    /// them, and reports each one whose CID was not live at that drain as
+    /// added (a node that hashes back to a removed CID cancels the
+    /// departure instead).
+    fn seal(&self, id: NodeId, mut delta: Option<&mut NodeDelta>) -> Cid {
+        let node = self.node(id);
+        let known = match node.memo.get() {
+            Memo::Settled(cid) => return cid,
+            Memo::Fresh(cid) if delta.is_none() => return cid,
+            Memo::Fresh(cid) => Some(cid),
+            Memo::Dirty => None,
+        };
+        for child in node.children() {
+            self.seal(child, delta.as_deref_mut());
+        }
+        let cid = known.unwrap_or_else(|| {
+            let mut hashing = Hashing {
+                hasher: Sha256::new(),
+                len: 0,
+                block: [0; HASHING_BLOCK],
+            };
+            self.encode(node, &mut hashing);
+            self.hashed.set(self.hashed.get() + 1);
+            hashing.cid()
+        });
+        match delta {
+            Some(delta) => {
+                if !delta.removed.remove(&cid) {
+                    delta.added.push(cid);
+                }
+                node.memo.set(Memo::Settled(cid));
+            }
+            None => node.memo.set(Memo::Fresh(cid)),
+        }
+        cid
+    }
+
+    /// A node's block, written to `out`; its subtrees must already be
+    /// hashed. Entry maps carry their keys in canonical order, which for
+    /// one-byte keys is bytewise: `k` < `p` < `t` < `v`; the node map's are
+    /// `e` < `l` < `layer`.
+    fn encode(&self, node: &Node, out: &mut impl Sink) {
+        raw::map_head(3, out);
+        raw::text("e", out);
+        raw::array_head(node.entries().count() as u64, out);
+        for entry in node.entries() {
+            let right = (entry.right != NIL).then(|| self.node(entry.right).cid());
+            raw::map_head(3 + u64::from(right.is_some()), out);
+            raw::text("k", out);
+            raw::text_head(entry.suffix.len(), out);
+            out.put(entry.suffix);
+            raw::text("p", out);
+            raw::uint(entry.prefix as u64, out);
+            if let Some(right) = right {
+                raw::text("t", out);
+                raw::link(&right, out);
+            }
+            raw::text("v", out);
+            raw::link(&entry.value(), out);
+        }
+        raw::text("l", out);
+        match node.left {
+            NIL => raw::null(out),
+            left => raw::link(&self.node(left).cid(), out),
+        }
+        raw::text("layer", out);
+        raw::uint(u64::from(node.layer), out);
     }
 
     /// The one walk over the tree's node blocks, for both archive exports:
     /// seals the tree, then hands `visit` each node's CID and block bytes,
     /// children before parents, descending only into nodes `descend`
     /// accepts (`|_| true`: the whole tree). Re-encodes every visited node
-    /// into one reused buffer; hashes only the dirty ones.
+    /// into one buffer that lives for the walk; hashes only the dirty ones.
     pub(crate) fn for_each_block(
         &self,
         mut descend: impl FnMut(&Cid) -> bool,
         mut visit: impl FnMut(&Cid, &[u8]),
     ) {
         self.root_cid();
-        let mut scratch = self.scratch.take();
-        self.root
-            .for_each_block(&self.keys, &mut scratch, &mut descend, &mut visit);
-        self.scratch.replace(scratch);
+        let mut buf = Vec::new();
+        self.blocks_under(self.root, &mut buf, &mut descend, &mut visit);
     }
-}
 
-/// A node entry awaiting encoding.
-struct PendingEntry<'a> {
-    key: &'a str,
-    value: Cid,
-    subtree: Option<Cid>,
-}
-
-/// Append one MST node block to `out`, without building an intermediate
-/// `Value` tree — byte-identical to encoding the equivalent `Value`
-/// (map keys emitted in DAG-CBOR canonical order: length first, then
-/// bytewise), pinned by the `direct_encoding_matches_value_encoding` test.
-/// With `compress`, each entry's key is cut to the suffix past the prefix it
-/// shares with the previous entry of *this* node (compression never crosses
-/// node boundaries).
-fn encode_node<'a>(
-    left_child: Option<Cid>,
-    entries: impl ExactSizeIterator<Item = PendingEntry<'a>>,
-    layer: u32,
-    compress: bool,
-    out: &mut Vec<u8>,
-) {
-    use crate::cbor::raw;
-    raw::map_head(3, out);
-    // "e" < "l" < "layer" in canonical order.
-    raw::text("e", out);
-    raw::array_head(entries.len() as u64, out);
-    let mut prev_key = "";
-    for entry in entries {
-        // Entry keys are all one byte, so canonical order is bytewise:
-        // "k" < "p" < "t" < "v" (no "p" when uncompressed).
-        let fields = 2 + usize::from(compress) + usize::from(entry.subtree.is_some());
-        raw::map_head(fields as u64, out);
-        let prefix = if compress {
-            common_prefix_len(prev_key, entry.key)
-        } else {
-            0
-        };
-        prev_key = entry.key;
-        raw::text("k", out);
-        raw::text(&entry.key[prefix..], out);
-        if compress {
-            raw::text("p", out);
-            raw::uint(prefix as u64, out);
+    /// [`Mst::for_each_block`] over one subtree.
+    fn blocks_under(
+        &self,
+        id: NodeId,
+        buf: &mut Vec<u8>,
+        descend: &mut impl FnMut(&Cid) -> bool,
+        visit: &mut impl FnMut(&Cid, &[u8]),
+    ) {
+        let node = self.node(id);
+        let cid = node.cid();
+        if !descend(&cid) {
+            return;
         }
-        if let Some(subtree) = entry.subtree {
-            raw::text("t", out);
-            raw::link(&subtree, out);
+        for child in node.children() {
+            self.blocks_under(child, buf, descend, visit);
         }
-        raw::text("v", out);
-        raw::link(&entry.value, out);
+        buf.clear();
+        self.encode(node, buf);
+        visit(&cid, buf);
     }
-    raw::text("l", out);
-    match left_child {
-        Some(cid) => raw::link(&cid, out),
-        None => raw::null(out),
-    }
-    raw::text("layer", out);
-    raw::uint(layer as u64, out);
 }
 
-/// Number of leading bytes two keys share. Keys are ASCII (enforced by
-/// [`validate_key`]), so a byte index is always a char boundary.
-fn common_prefix_len(a: &str, b: &str) -> usize {
-    a.bytes().zip(b.bytes()).take_while(|(x, y)| x == y).count()
-}
-
+/// Collect a tree; panics on a key [`Mst::insert`] refuses, naming it.
 impl FromIterator<(String, Cid)> for Mst {
     fn from_iter<T: IntoIterator<Item = (String, Cid)>>(iter: T) -> Self {
         let mut mst = Mst::new();
         for (key, cid) in iter {
-            mst.set(&key, cid);
+            if let Err(error) = mst.insert(&key, cid) {
+                panic!("cannot collect an MST: {error}");
+            }
         }
         mst
     }
@@ -684,14 +896,68 @@ impl FromIterator<(String, Cid)> for Mst {
 
 // ---------------------------------------------------------------------------
 // Reference implementations the tests below (and `repo.rs`'s) hold the
-// incremental tree, its direct node encoder and the per-commit node log to.
-// They share only `encode_node` with the live tree.
+// incremental tree, its node encoder and the per-commit node log to. They
+// rebuild every node from the tree's key list and share only the raw CBOR
+// writers with the live tree.
 // ---------------------------------------------------------------------------
 
 #[cfg(test)]
 pub(crate) mod reference {
     use super::*;
     use crate::cbor::Value;
+
+    /// A node entry awaiting encoding.
+    struct PendingEntry<'a> {
+        key: &'a str,
+        value: Cid,
+        subtree: Option<Cid>,
+    }
+
+    /// Append one MST node block to `out`. With `compress`, each entry's
+    /// key is cut to the suffix past the prefix it shares with the previous
+    /// entry of *this* node (compression never crosses node boundaries);
+    /// without, every entry carries its whole key and no `p`.
+    fn encode_node(
+        left_child: Option<Cid>,
+        entries: &[PendingEntry<'_>],
+        layer: u32,
+        compress: bool,
+        out: &mut Vec<u8>,
+    ) {
+        raw::map_head(3, out);
+        raw::text("e", out);
+        raw::array_head(entries.len() as u64, out);
+        let mut prev_key = "";
+        for entry in entries {
+            let fields = 2 + usize::from(compress) + usize::from(entry.subtree.is_some());
+            raw::map_head(fields as u64, out);
+            let prefix = if compress {
+                common_prefix_len(prev_key.as_bytes(), entry.key.as_bytes())
+            } else {
+                0
+            };
+            prev_key = entry.key;
+            raw::text("k", out);
+            raw::text(&entry.key[prefix..], out);
+            if compress {
+                raw::text("p", out);
+                raw::uint(prefix as u64, out);
+            }
+            if let Some(subtree) = entry.subtree {
+                raw::text("t", out);
+                raw::link(&subtree, out);
+            }
+            raw::text("v", out);
+            raw::link(&entry.value, out);
+        }
+        raw::text("l", out);
+        match left_child {
+            Some(cid) => raw::link(&cid, out),
+            None => raw::null(out),
+        }
+        raw::text("layer", out);
+        raw::uint(layer as u64, out);
+    }
 
     /// An encoded tree node.
     #[derive(Debug, Clone, PartialEq)]
@@ -719,20 +985,27 @@ pub(crate) mod reference {
             blocks
         }
 
-        /// The key buffer, holes included.
-        pub(crate) fn keys_buffer(&self) -> &str {
-            &self.keys
+        /// Every `(key, value)` pair in key order, copied out.
+        pub(crate) fn entries(&self) -> Vec<(String, Cid)> {
+            let mut entries = Vec::with_capacity(self.len);
+            self.for_each_entry(|key, value| entries.push((key.to_owned(), value)));
+            entries
         }
 
-        /// Iterate the keys of a single collection (keys beginning with
+        /// Arena slots and record bytes in use: what a mutation that must
+        /// leave the tree as it was may not move.
+        pub(crate) fn layout(&self) -> (usize, usize) {
+            let bytes = self.nodes.iter().map(|node| node.record.len()).sum();
+            (self.nodes.len(), bytes)
+        }
+
+        /// The entries of a single collection (keys beginning with
         /// `<collection>/`).
-        pub(crate) fn iter_collection<'a>(
-            &'a self,
-            collection: &str,
-        ) -> impl Iterator<Item = (&'a str, &'a Cid)> + 'a {
-            let end = format!("{collection}0"); // '0' sorts just after '/'
-            Iter::from_key(self, &format!("{collection}/"))
-                .take_while(move |(key, _)| *key < end.as_str())
+        pub(crate) fn collection_entries(&self, collection: &str) -> Vec<(String, Cid)> {
+            let prefix = format!("{collection}/");
+            let mut entries = self.entries();
+            entries.retain(|(key, _)| key.starts_with(&prefix));
+            entries
         }
 
         /// Total serialized size of all node blocks in bytes (prefix-compressed
@@ -754,9 +1027,13 @@ pub(crate) mod reference {
         /// and every node block. The tests pin the incremental tree against it.
         pub(crate) fn build_with(&self, compress: bool) -> (Cid, Vec<MstNode>) {
             let mut blocks = Vec::new();
-            let items: Vec<(&str, Cid, u32)> = self
-                .iter()
-                .map(|(key, cid)| (key, *cid, key_layer(key)))
+            let items: Vec<(String, Cid, u32)> = self
+                .entries()
+                .into_iter()
+                .map(|(key, cid)| {
+                    let layer = key_layer(&key);
+                    (key, cid, layer)
+                })
                 .collect();
             let top_layer = items.iter().map(|(_, _, l)| *l).max().unwrap_or(0);
             let root = Self::build_node(&items, top_layer, &mut blocks, compress);
@@ -765,7 +1042,7 @@ pub(crate) mod reference {
 
         /// Recursively build the node covering `items` at `layer`.
         fn build_node(
-            items: &[(&str, Cid, u32)],
+            items: &[(String, Cid, u32)],
             layer: u32,
             blocks: &mut Vec<MstNode>,
             compress: bool,
@@ -795,8 +1072,8 @@ pub(crate) mod reference {
                     ))
                 };
 
-            for (idx, &(key, cid, item_layer)) in items.iter().enumerate() {
-                if item_layer >= layer {
+            for (idx, (key, cid, item_layer)) in items.iter().enumerate() {
+                if *item_layer >= layer {
                     // Subtree of everything since the previous entry.
                     let subtree = flush_segment(segment_start, idx, blocks);
                     if !first_entry_seen {
@@ -810,7 +1087,7 @@ pub(crate) mod reference {
                     first_entry_seen = true;
                     node_entries.push(PendingEntry {
                         key,
-                        value: cid,
+                        value: *cid,
                         subtree: None,
                     });
                     segment_start = idx + 1;
@@ -827,13 +1104,7 @@ pub(crate) mod reference {
             }
 
             let mut bytes = Vec::new();
-            encode_node(
-                left_child,
-                node_entries.into_iter(),
-                layer,
-                compress,
-                &mut bytes,
-            );
+            encode_node(left_child, &node_entries, layer, compress, &mut bytes);
             let cid = Cid::for_cbor(&bytes);
             blocks.push(MstNode { cid, bytes });
             cid
@@ -954,7 +1225,7 @@ mod tests {
                     .map(|entry| {
                         let shared = if compress {
                             prev.as_deref()
-                                .map(|p| common_prefix_len(p, &entry.key))
+                                .map(|p| common_prefix_len(p.as_bytes(), entry.key.as_bytes()))
                                 .unwrap_or(0)
                         } else {
                             0
@@ -1063,19 +1334,25 @@ mod tests {
         let mut mst = Mst::new();
         assert_eq!(mst.len, 0);
         assert_eq!(mst.insert(&key_for(1), cid_for(1)).unwrap(), None);
-        assert_eq!(mst.keys, key_for(1));
-        // A replaced value leaves the key buffer as it is.
+        // One entry is its whole key, its packed CID and six bytes, in the
+        // root's record and nowhere else.
+        let right = right_len(mst.node(mst.root).layer);
+        let one = (1, ENTRY_FIXED + key_for(1).len() + right);
+        assert_eq!(mst.layout(), one);
+        assert_eq!(ENTRY_FIXED, 35);
+        // A replaced value leaves the layout as it is.
         assert_eq!(
             mst.insert(&key_for(1), cid_for(2)).unwrap(),
             Some(cid_for(1))
         );
-        assert_eq!(mst.keys, key_for(1));
-        assert_eq!(mst.get(&key_for(1)), Some(&cid_for(2)));
+        assert_eq!(mst.layout(), one);
+        assert_eq!(mst.get(&key_for(1)), Some(cid_for(2)));
         assert_eq!(mst.get(&key_for(2)), None);
         assert_eq!(mst.len, 1);
-        // A key's span is two fields beside a 33-byte CID and a child
-        // pointer: 48 bytes, where a `String` key made an entry 72.
-        assert_eq!(std::mem::size_of::<Entry>(), 48);
+        // A node is its record, a child index, its memo and its layer: 64
+        // bytes in the arena, where a boxed node with a `Vec` of 48-byte
+        // entries cost a heap block of its own besides.
+        assert_eq!(std::mem::size_of::<Node>(), 64);
     }
 
     #[test]
@@ -1087,6 +1364,53 @@ mod tests {
         assert!(validate_key("has space/abc").is_err());
         let mut mst = Mst::new();
         assert!(mst.insert("bad key", cid_for(0)).is_err());
+        assert!(mst
+            .insert(&format!("c/{}", "k".repeat(254)), cid_for(0))
+            .is_ok());
+        assert!(mst
+            .insert(&format!("c/{}", "k".repeat(255)), cid_for(0))
+            .is_err());
+    }
+
+    /// Collecting a tree validates its keys as `insert` does: a key the
+    /// rebuilt-key buffer or the ASCII prefix cut could not hold panics,
+    /// naming the key, instead of landing in the tree.
+    #[test]
+    #[should_panic(expected = "invalid MST key bytes: c/\u{e9}0")]
+    fn collecting_refuses_non_ascii_keys() {
+        let _: Mst = (0..200u32)
+            .map(|n| {
+                (
+                    format!("c/{}{n}", ['\u{e9}', '\u{e8}'][n as usize % 2]),
+                    cid_for(n),
+                )
+            })
+            .collect();
+    }
+
+    #[test]
+    #[should_panic(expected = "MST key missing '/': nokey")]
+    fn collecting_refuses_keys_without_a_slash() {
+        let _: Mst = [("nokey".to_string(), cid_for(0))].into_iter().collect();
+    }
+
+    /// Keys of the longest admitted length, sharing all but their last
+    /// byte (a `p` of 255 and whole keys of 256 bytes), round-trip through
+    /// the records and the encoder, inserted backwards so that each insert
+    /// rewrites the head of the entry after it.
+    #[test]
+    fn longest_keys_round_trip() {
+        let stem = format!("c/{}", "k".repeat(253));
+        let tails =
+            std::iter::once(String::new()).chain(('0'..='9').chain('a'..='z').map(String::from));
+        let keys: Vec<String> = tails.map(|tail| format!("{stem}{tail}")).collect();
+        let mut mst = Mst::new();
+        for (n, key) in keys.iter().enumerate().rev() {
+            mst.insert(key, cid_for(n as u32)).unwrap();
+        }
+        let stored: Vec<String> = mst.entries().into_iter().map(|(key, _)| key).collect();
+        assert_eq!(stored, keys);
+        assert_eq!(mst.root_cid(), mst.build_with(true).0);
     }
 
     #[test]
@@ -1164,20 +1488,16 @@ mod tests {
         mst.insert("app.bsky.feed.post/bbb", cid_for(2)).unwrap();
         mst.insert("app.bsky.feed.like/aaa", cid_for(3)).unwrap();
         mst.insert("app.bsky.graph.follow/aaa", cid_for(4)).unwrap();
-        let posts: Vec<&str> = mst
-            .iter_collection("app.bsky.feed.post")
-            .map(|(k, _)| k)
-            .collect();
+        let keys = |collection| -> Vec<String> {
+            let entries = mst.collection_entries(collection).into_iter();
+            entries.map(|(key, _)| key).collect()
+        };
         assert_eq!(
-            posts,
+            keys("app.bsky.feed.post"),
             vec!["app.bsky.feed.post/aaa", "app.bsky.feed.post/bbb"]
         );
-        let likes: Vec<&str> = mst
-            .iter_collection("app.bsky.feed.like")
-            .map(|(k, _)| k)
-            .collect();
-        assert_eq!(likes, vec!["app.bsky.feed.like/aaa"]);
-        assert_eq!(mst.iter_collection("app.bsky.feed").count(), 0);
+        assert_eq!(keys("app.bsky.feed.like"), vec!["app.bsky.feed.like/aaa"]);
+        assert!(keys("app.bsky.feed").is_empty());
     }
 
     #[test]
@@ -1244,8 +1564,7 @@ mod tests {
                 decoded.insert(entry.key, entry.value);
             }
         }
-        let expected: BTreeMap<String, Cid> =
-            mst.iter().map(|(k, v)| (k.to_string(), *v)).collect();
+        let expected: BTreeMap<String, Cid> = mst.entries().into_iter().collect();
         assert_eq!(decoded, expected);
     }
 
@@ -1306,8 +1625,8 @@ mod tests {
             ("layer", Value::Int(0)),
         ]));
         assert!(decode_node(&split_char).is_err());
-        assert_eq!(common_prefix_len("abc/def", "abc/xyz"), 4);
-        assert_eq!(common_prefix_len("", "abc"), 0);
+        assert_eq!(common_prefix_len(b"abc/def", b"abc/xyz"), 4);
+        assert_eq!(common_prefix_len(b"", b"abc"), 0);
     }
 }
 
@@ -1327,45 +1646,61 @@ mod proptests {
         live: BTreeSet<Cid>,
     }
 
-    /// Entry slots held and entries used over every node of the tree,
-    /// asserting on the way that no node holds more slots than
-    /// [`slack_bound`] allows for its length, and that the key buffer holds
-    /// each key once: its length is the keys' total length, and no two
-    /// entries share bytes.
-    fn entry_slots(mst: &Mst) -> (usize, usize) {
-        let (mut slots, mut used) = (0, 0);
-        let mut spans = Vec::new();
-        let mut stack = vec![&mst.root];
-        while let Some(node) = stack.pop() {
-            let (cap, len) = (node.entries.capacity(), node.entries.len());
+    /// The most record bytes a node of `len` bytes of entries may hold.
+    fn slack_bound(len: usize) -> usize {
+        len + len / 2
+    }
+
+    /// Record bytes held and used over every node of the tree, and the
+    /// entries they hold, asserting on the way that no node holds more
+    /// bytes than [`slack_bound`] allows for its length, that every record
+    /// is in the wire form (a node's first key whole, every other entry's
+    /// `p` exactly the bytes it shares with the key before it, no suffix
+    /// empty), and that every arena slot is a node of the tree or free.
+    fn entry_slots(mst: &Mst) -> (usize, usize, usize) {
+        let (mut held, mut used, mut entries) = (0, 0, 0);
+        let mut reached = 1;
+        let mut stack = vec![mst.root];
+        while let Some(id) = stack.pop() {
+            let node = mst.node(id);
+            let (cap, len) = (node.record.capacity(), node.record.len());
             assert!(
                 cap <= slack_bound(len),
-                "a node of {len} entries holds {cap} slots"
+                "a node of {len} record bytes holds {cap}"
             );
-            slots += cap;
+            held += cap;
             used += len;
-            let entries = node.entries.iter();
-            spans.extend(entries.map(|e| (e.key_at as usize, usize::from(e.key_len))));
-            stack.extend(node.children());
+            let mut prev: Vec<u8> = Vec::new();
+            for entry in node.entries() {
+                assert!(!entry.suffix.is_empty());
+                let mut key = prev[..entry.prefix].to_vec();
+                key.extend_from_slice(entry.suffix);
+                assert_eq!(entry.prefix, common_prefix_len(&prev, &key));
+                assert!(prev < key, "entries in key order");
+                prev = key;
+                entries += 1;
+            }
+            let children: Vec<NodeId> = node.children().collect();
+            reached += children.len();
+            stack.extend(children);
         }
-        spans.sort_unstable();
-        assert!(spans.windows(2).all(|w| w[0].0 + w[0].1 <= w[1].0));
-        let key_bytes: usize = spans.iter().map(|(_, len)| len).sum();
-        assert_eq!(mst.keys.len(), key_bytes, "key buffer bytes");
-        (slots, used)
+        let mut free = mst.free;
+        while free != NIL {
+            reached += 1;
+            free = mst.node(free).left;
+        }
+        assert_eq!(reached, mst.nodes.len(), "arena slots leaked");
+        assert_eq!(entries, mst.len);
+        (held, used, entries)
     }
 
     impl Checked {
         fn insert(&mut self, key: &str, cid: Cid) {
-            let buffer = self.mst.keys.len();
+            let layout = self.mst.layout();
             let old = self.mst.insert(key, cid).unwrap();
             assert_eq!(old, self.model.insert(key.to_string(), cid), "{key}");
             if old.is_some() {
-                assert_eq!(
-                    self.mst.keys.len(),
-                    buffer,
-                    "a replace moved the key buffer"
-                );
+                assert_eq!(self.mst.layout(), layout, "a replace moved a record");
             }
             entry_slots(&self.mst);
         }
@@ -1377,10 +1712,7 @@ mod proptests {
         /// nodes an earlier `root_cid()` already hashed.
         fn check(&mut self, peek_root: bool) {
             assert_eq!(self.mst.len, self.model.len());
-            assert!(self
-                .mst
-                .iter()
-                .eq(self.model.iter().map(|(k, v)| (k.as_str(), v))));
+            assert!(self.mst.entries().into_iter().eq(self.model.clone()));
             let (root, blocks) = self.mst.build_with(true);
             if peek_root {
                 assert_eq!(self.mst.root_cid(), root);
@@ -1414,18 +1746,41 @@ mod proptests {
             .collect()
     }
 
+    /// A repository's collections, and one that extends another by a
+    /// dotted segment: `.` sorts below `/`, so its keys fall between the
+    /// shorter collection's and share its whole name.
+    const COLLECTIONS: [&str; 8] = [
+        "app.bsky.actor.profile",
+        "app.bsky.feed.generator",
+        "app.bsky.feed.like",
+        "app.bsky.feed.post",
+        "app.bsky.feed.post.x",
+        "app.bsky.feed.repost",
+        "app.bsky.graph.block",
+        "app.bsky.graph.follow",
+    ];
+
     #[test]
     fn incremental_tree_matches_the_reference_rebuild() {
         let mut rng = TestRng::new(0x35a);
-        for round in 0..6 {
+        for round in 0..10 {
             let mut tree = Checked::default();
-            // A key space small enough that replaces of live keys are
-            // common, over two collections.
+            // The first rounds draw from a key space small enough that
+            // replaces of live keys are common, over two collections. The
+            // rest are repositories' streams: TID keys in time order over
+            // every collection, the TIDs closer together (sharing longer
+            // prefixes) from round to round.
             let space = 40 + 150 * round;
-            let arb_key = |rng: &mut TestRng| {
-                let collection =
-                    ["app.bsky.feed.like", "app.bsky.feed.post"][rng.below(2) as usize];
-                format!("{collection}/r{}", rng.below(space))
+            let mut micros = 1_700_000_000_000_000u64;
+            let mut arb_key = |rng: &mut TestRng| {
+                if round < 6 {
+                    let collection = COLLECTIONS[2 + rng.below(2) as usize];
+                    return format!("{collection}/r{}", rng.below(space));
+                }
+                micros += 1 + rng.below([5_000_000, 60_000, 1_000, 10][round as usize - 6]);
+                let collection = COLLECTIONS[rng.below(COLLECTIONS.len() as u64) as usize];
+                let rkey = crate::tid::Tid::from_micros(micros, 7).to_string_form();
+                format!("{collection}/{rkey}")
             };
             for batch in 0..60 {
                 // Every fifth batch replaces live values and then puts them
@@ -1490,13 +1845,15 @@ mod proptests {
         let mut lone = Checked::default();
         lone.insert(&high[0], value(200));
         lone.check(false);
-        assert!(lone.mst.root.layer >= 2);
+        assert!(lone.mst.node(lone.mst.root).layer >= 2);
     }
 
     /// A repository's tree: record keys are TIDs, so each collection's keys
     /// arrive in ascending order, and the collections interleave. Built in
-    /// that order, the tree holds a fraction more entry slots than entries,
-    /// not the twice as many `Vec` doubling would leave.
+    /// that order, the tree's records hold under 1 % more bytes than they
+    /// use, not the twice as many `Vec` doubling would leave: the only
+    /// records with room to spare are the ones still growing, at the right
+    /// edge of each collection.
     #[test]
     fn a_repository_shaped_tree_holds_little_entry_slack() {
         let collections = [
@@ -1515,11 +1872,11 @@ mod proptests {
             let key = format!("{collection}/{rkey}");
             assert_eq!(mst.insert(&key, value(n)).unwrap(), None);
         }
-        let (slots, used) = entry_slots(&mst);
-        assert_eq!(used, 30_000);
+        let (held, used, entries) = entry_slots(&mst);
+        assert_eq!(entries, 30_000);
         assert!(
-            slots * 10 <= used * 13,
-            "{slots} entry slots for {used} entries"
+            held * 100 <= used * 101,
+            "{held} record bytes held for {used} used"
         );
     }
 
@@ -1581,8 +1938,8 @@ mod proptests {
             let new = make(&b);
             // Applying the difference to `old` must produce `new`.
             let mut patched = old.clone();
-            for (key, cid) in new.iter() {
-                patched.insert(key, *cid).unwrap();
+            for (key, cid) in new.entries() {
+                patched.insert(&key, cid).unwrap();
             }
             assert_eq!(patched.root_cid(), new.root_cid());
             assert_eq!(patched, new);

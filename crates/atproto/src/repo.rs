@@ -331,7 +331,7 @@ impl Repository {
     /// Fetch a record by collection and rkey.
     pub fn get_record(&self, collection: &Nsid, rkey: &str) -> Option<Record> {
         let cid = self.mst.get(&record_key(collection, rkey))?;
-        let bytes = self.store.get(cid)?;
+        let bytes = self.store.get(&cid)?;
         Record::from_cbor(&bytes).ok()
     }
 
@@ -457,7 +457,7 @@ impl Repository {
         // Sorted: the archive frames its record blocks in ascending CID
         // order, and a paged store is read in that order.
         let mut record_cids: Vec<Cid> = Vec::with_capacity(self.store.len());
-        record_cids.extend(self.mst.iter().map(|(_, cid)| *cid));
+        self.mst.for_each_entry(|_, cid| record_cids.push(cid));
         record_cids.sort_unstable();
         record_cids.dedup();
         for cid in &record_cids {
@@ -874,10 +874,11 @@ impl Repository {
     /// List `(rkey, record)` pairs of a collection, in rkey order.
     pub(crate) fn list_collection(&self, collection: &Nsid) -> Vec<(String, Record)> {
         self.mst
-            .iter_collection(collection.as_str())
+            .collection_entries(collection.as_str())
+            .into_iter()
             .filter_map(|(key, cid)| {
                 let rkey = key.rsplit('/').next()?.to_string();
-                let record = Record::from_cbor(&self.store.get(cid)?).ok()?;
+                let record = Record::from_cbor(&self.store.get(&cid)?).ok()?;
                 Some((rkey, record))
             })
             .collect()
@@ -978,7 +979,7 @@ mod tests {
         assert_eq!(result.ops[0].collection(), known::POST);
         assert_eq!(result.ops[0].key, format!("{}/{rkey}", known::POST));
         assert_eq!(result.ops[0].cid, Cid::for_cbor(&post("first").to_cbor()));
-        assert_eq!(repo.mst.iter().count(), 1);
+        assert_eq!(repo.mst.entries().len(), 1);
         assert_eq!(repo.get_record(&post_nsid(), &rkey), Some(post("first")));
         // A batch stores its records in write order and lists its ops in
         // key order.
@@ -1082,7 +1083,7 @@ mod tests {
                 .len(),
             1
         );
-        assert_eq!(repo.mst.iter().count(), 3);
+        assert_eq!(repo.mst.entries().len(), 3);
     }
 
     #[test]
@@ -1097,8 +1098,8 @@ mod tests {
         let (roots, blocks) = Repository::parse_car(&car).unwrap();
         assert_eq!(roots, vec![repo.head().unwrap().cid()]);
         // Every live record block is present and matches its CID.
-        for (_, cid) in repo.mst.iter() {
-            assert!(blocks.contains_key(cid));
+        for (_, cid) in repo.mst.entries() {
+            assert!(blocks.contains_key(&cid));
         }
         // The head commit block is present.
         assert!(blocks.contains_key(&roots[0]));
@@ -1451,7 +1452,7 @@ mod tests {
             ),
         ];
         let tree = repo.mst.clone();
-        let keys = repo.mst.keys_buffer().to_string();
+        let layout = repo.mst.layout();
         let car = repo.export_car();
         let stats = repo.store_stats();
         let rev = repo.rev();
@@ -1461,7 +1462,7 @@ mod tests {
             assert_eq!(repo.store_stats(), stats, "{case}");
             assert_eq!(repo.rev(), rev, "{case}");
             assert!(repo.mst == tree && repo.mst.root_cid() == tree.root_cid());
-            assert_eq!(repo.mst.keys_buffer(), keys, "{case}");
+            assert_eq!(repo.mst.layout(), layout, "{case}");
         }
         let fresh_cid = Cid::for_cbor(&post("lands last").to_cbor());
         assert!(!repo.store.has(&fresh_cid));
@@ -1703,7 +1704,7 @@ mod tests {
     /// tree's distinct values (content under two keys is stored once), and
     /// no node of the live tree as a rebuild from scratch encodes it.
     fn assert_store_holds_records_only(repo: &Repository, at: &str) {
-        let values: BTreeSet<Cid> = repo.mst.iter().map(|(_, cid)| *cid).collect();
+        let values: BTreeSet<Cid> = repo.mst.entries().into_iter().map(|(_, cid)| cid).collect();
         assert_eq!(repo.store.len(), values.len(), "{at}");
         assert!(values.iter().all(|cid| repo.store.has(cid)), "{at}");
         assert!(
@@ -1776,10 +1777,11 @@ mod tests {
                     .collect();
                 let broken = rng.below(10) == 0;
                 if broken {
-                    let present: Vec<&str> = repo.mst.iter().map(|(key, _)| key).collect();
+                    let present: Vec<String> =
+                        repo.mst.entries().into_iter().map(|(key, _)| key).collect();
                     let bad = match rng.below(3) {
                         0 if !present.is_empty() => {
-                            let key = present[rng.below(present.len() as u64) as usize];
+                            let key = &present[rng.below(present.len() as u64) as usize];
                             let (collection, rkey) = key.split_once('/').unwrap();
                             Write::Create {
                                 collection: Nsid::parse(collection).unwrap(),
@@ -1814,7 +1816,7 @@ mod tests {
                     }
                 }
                 assert_store_holds_records_only(&repo, &here);
-                seen.2 += usize::from(repo.store.len() < repo.mst.iter().count());
+                seen.2 += usize::from(repo.store.len() < repo.mst.entries().len());
                 if rng.below(12) == 0 && !repo.commits.is_empty() {
                     // A cutoff anywhere from before the oldest retained
                     // commit to past the head.
@@ -1958,7 +1960,7 @@ mod tests {
                 others += 1;
             }
         }
-        assert_eq!(records, repo.mst.iter().count());
+        assert_eq!(records, repo.mst.entries().len());
         // Every retained commit and at least one MST node.
         assert!(others > repo.commits.len());
     }
