@@ -18,8 +18,9 @@
 //! collector, in `bsky-study`'s `datasets` tests.)
 
 use bluesky_repro::bsky_atproto::blockstore::StoreConfig;
+use bluesky_repro::bsky_atproto::did::{fnv1a_64, FNV_OFFSET};
 use bluesky_repro::bsky_atproto::Datetime;
-use bluesky_repro::bsky_simnet::faults::FaultSpec;
+use bluesky_repro::bsky_simnet::faults::{FaultSpec, SCENARIO_NAMES};
 use bluesky_repro::bsky_study::json::Json;
 use bluesky_repro::bsky_study::{RunSpec, StudyReport};
 use bluesky_repro::bsky_workload::ScenarioConfig;
@@ -215,4 +216,44 @@ fn scenarios_are_shard_and_store_exact_and_never_silent() {
             );
         }
     }
+}
+
+/// `(scenario, fnv1a_64(render), fnv1a_64(to_json pretty))` of the serial
+/// in-memory run at seed 31 for every scenario preset, so the `Scenario
+/// impact` section is pinned byte for byte like the quiet reports in
+/// `tests/runspec_golden.rs`.
+const SCENARIO_GOLDEN: [(&str, u64, u64); 7] = [
+    (
+        "pds-migration",
+        0xf6ae_bb13_6277_f1d4,
+        0x42ba_3121_cee9_7448,
+    ),
+    ("flaky-fetch", 0xc654_2131_ea89_41f3, 0xcb7c_3dd4_2662_9c2b),
+    ("dns-flap", 0x753d_0dc4_f79d_d46a, 0x83b7_e91e_6efa_0f08),
+    ("cursor-gap", 0x73b0_a01e_d5b6_7251, 0xf6e9_692e_ed75_9baa),
+    ("spam-wave", 0x7932_6c19_f0d4_7929, 0x8ecb_9518_0c68_6a57),
+    ("label-storm", 0xe4b5_ce80_6574_1550, 0xeb17_5d02_ddd1_0d02),
+    (
+        "tombstone-storm",
+        0x7abc_5ba0_80d1_9eb5,
+        0x4bdb_246b_58e9_c88c,
+    ),
+];
+
+#[test]
+fn scenario_reports_match_their_goldens() {
+    let config = small_config(31);
+    let actual: Vec<(&str, u64, u64)> = SCENARIO_NAMES
+        .iter()
+        .map(|&name| {
+            let spec = FaultSpec::scenario(name).expect("preset exists");
+            let (report, _) = run_faulted(config, 1, 1, &StoreConfig::mem(), &spec, Some(name));
+            (
+                name,
+                fnv1a_64(report.render().as_bytes(), FNV_OFFSET),
+                fnv1a_64(report.to_json().to_string_pretty().as_bytes(), FNV_OFFSET),
+            )
+        })
+        .collect();
+    assert_eq!(actual, SCENARIO_GOLDEN, "a scenario report diverged");
 }
