@@ -14,22 +14,34 @@
 //!   [`pipeline::ObservationSink`] (what a producer emits into), and
 //!   [`pipeline::StudyCtx`] (read-only access to the world's active
 //!   measurement surfaces).
-//! * [`datasets`] — the §3 *producer*: [`Collector::stream`] drives a
+//! * [`collect`] — the §3 *producer*: [`Collector::stream`] drives a
 //!   simulated [`bsky_workload::World`] day by day through the same service
 //!   interfaces the real study used and emits every dataset item exactly
 //!   once; the repositories dataset is kept current by the rev-aware
-//!   `IncrementalRepoMirror`.
-//! * [`analysis`] — every table and figure of §4–§9 as incremental
-//!   analyzers.
-//! * [`observatory`] — §10, the wire-level traffic observatory: a passive
+//!   incremental mirror in `collect::mirror`.
+//!
+//! One module per section of the paper, each owning its analyzers, their
+//! merge, its output structs with their rendering, and its slice of the
+//! JSON export:
+//!
+//! * `table1` — Table 1's firehose event types and §9's firehose volume.
+//! * `activity` — §4: Figures 1–2, the operation totals, account
+//!   popularity and non-Bluesky content.
+//! * `identity` — §5: handles, Figure 3, Table 2 and ownership proofs.
+//! * `moderation` — §6: labelers and labels, Tables 3, 4 and 6, Figures
+//!   4–6.
+//! * `recommendation` — §7: feed generators, Table 5, Figures 7–12.
+//! * `observatory` — §10, the wire-level traffic observatory: a passive
 //!   per-connection `(size, gap)` capture feeds a closed-world 1-NN
 //!   activity classifier, swept across padding/batching mitigation cells
 //!   evaluated counterfactually from the raw traces.
+//!
+//! Around them:
+//!
 //! * [`shard`] — the sharded engine: the population is partitioned by DID
 //!   hash, one producer + analyzer set runs per shard on worker threads,
 //!   and the per-shard states are merged (every analyzer implements an
 //!   associative `merge`) into a report byte-identical to the serial run's.
-//!
 //! * [`spec`] — [`RunSpec`], the one builder every run flows through:
 //!   seed and scale, engine shards and worker threads, block-store backend,
 //!   relay topology, wire framing, and fault scenario all live on it, and
@@ -39,7 +51,8 @@
 //!   [`StudyReport::run`] computes the full report across worker threads
 //!   in **one pass with bounded memory** (firehose events are never
 //!   retained) and [`StudyReport::run_serial`] is the same call on one
-//!   shard and one thread. A sweep over seeds or scales is a loop over
+//!   shard and one thread. The report renders and serialises one section
+//!   at a time, in paper order. A sweep over seeds or scales is a loop over
 //!   them.
 //! * [`stats`] — quantiles, Pearson correlation, share tables.
 //! * [`langdetect`] — the language detector used on feed descriptions.
@@ -98,19 +111,23 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod analysis;
-pub mod datasets;
+mod activity;
+pub mod collect;
+mod identity;
 pub mod json;
 pub mod langdetect;
-pub mod observatory;
+mod moderation;
+mod observatory;
 pub mod pipeline;
+mod recommendation;
 pub mod report;
 pub mod shard;
 pub mod spec;
 pub mod stats;
+mod table1;
 
 pub use bsky_simnet::faults;
-pub use datasets::Collector;
+pub use collect::Collector;
 pub use pipeline::{
     Observation, ObservationBatch, ObservationSink, OwnedObservation, StreamSummary, StudyCtx,
 };

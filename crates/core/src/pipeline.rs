@@ -28,8 +28,8 @@
 //! **associative and order-insensitive over stream splits**: for any split
 //! of an observation stream into a prefix and a suffix folded by two fresh
 //! analyzers, `merge(prefix_state, suffix_state)` must equal the state of
-//! one analyzer that folded the whole stream. The property tests in
-//! `analysis.rs` pin exactly this for every built-in analyzer, and the
+//! one analyzer that folded the whole stream. The property test in
+//! `report.rs` pins exactly this for every built-in analyzer, and the
 //! golden test in `tests/pipeline_equivalence.rs` pins the end-to-end
 //! consequence: a 4-shard run renders a byte-identical report to the serial
 //! run.
@@ -41,8 +41,10 @@
 //! observations. The moderation analyzer's post-creation index is aged out
 //! past the labelers' bounded reaction window at every day boundary.
 
-use crate::datasets::{FeedGenEntry, LabelerEntry, RepoSnapshot};
+use crate::collect::mirror::RepoSnapshot;
+use crate::moderation::LabelerEntry;
 use crate::observatory::WireTraceDay;
+use crate::recommendation::FeedGenEntry;
 use bsky_atproto::firehose::Event;
 use bsky_atproto::label::Label;
 use bsky_atproto::{Datetime, Did};
@@ -328,7 +330,7 @@ pub(crate) trait Analyzer {
 
 /// Anything a producer can emit observations into.
 ///
-/// [`crate::datasets::Collector::stream`] is generic over this, so the same
+/// [`crate::Collector::stream`] is generic over this, so the same
 /// producer drives the sharded runner's concrete analyzer set, bespoke
 /// probes (e.g. the bench's bounded-index watcher), and a recording `Vec`.
 pub trait ObservationSink {

@@ -13,15 +13,16 @@
 //! One spec is one run: a sweep over seeds or scales is a loop over
 //! [`StudyReport::run`] with one spec per cell.
 
-use crate::analysis::{
-    table5_feature_matrix, ActivitySeries, FirehoseVolume, IdentityReport, ModerationReport,
-    RecommendationReport, Section4, Table1,
-};
+use crate::activity::{ActivitySeries, Section4};
+use crate::identity::IdentityReport;
 use crate::json::Json;
+use crate::moderation::ModerationReport;
 use crate::observatory::ObservatoryReport;
 use crate::pipeline::{Analyzer, StreamSummary, StudyCtx};
+use crate::recommendation::RecommendationReport;
 use crate::shard::{collect_sharded, ShardedSummary, StudyAnalyzers};
 use crate::spec::RunSpec;
+use crate::table1::{FirehoseVolume, Table1};
 use bsky_workload::{ScenarioConfig, World};
 
 /// The injected-fault impact section of a scenario run's report: the named
@@ -220,124 +221,42 @@ impl StudyReport {
         }
     }
 
-    /// Render the whole report as text (every table and figure).
+    /// Render the whole report as text: one section after another, in
+    /// paper order.
     pub fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
+        let header = format!(
             "== Reproduction run: seed {} scale 1:{} ({} → {}) ==\n\n",
             self.config.seed,
             self.config.scale,
             self.config.start.date(),
             self.config.end.date()
-        ));
-        out.push_str(&self.table1.render());
-        out.push('\n');
-        out.push_str(&self.activity.render_figure1());
-        out.push('\n');
-        out.push_str(&self.activity.render_figure2());
-        out.push('\n');
-        out.push_str(&self.section4.render());
-        out.push('\n');
-        out.push_str(&self.identity.render());
-        out.push('\n');
-        out.push_str(&self.moderation.render());
-        out.push('\n');
-        out.push_str(&self.recommendation.render());
-        out.push('\n');
-        out.push_str(&table5_feature_matrix());
-        out.push('\n');
-        out.push_str(&self.firehose_volume.render());
-        out.push('\n');
-        out.push_str(&self.observatory.render());
-        if let Some(faults) = &self.faults {
-            out.push('\n');
-            out.push_str(&faults.render());
-        }
-        out
+        );
+        let mut sections = vec![
+            self.table1.render(),
+            self.activity.render(),
+            self.section4.render(),
+            self.identity.render(),
+            self.moderation.render(),
+            self.recommendation.render(),
+            self.firehose_volume.render(),
+            self.observatory.render(),
+        ];
+        sections.extend(self.faults.as_ref().map(FaultImpact::render));
+        header + &sections.join("\n")
     }
 
-    /// Serialise headline numbers as JSON for EXPERIMENTS.md tooling.
+    /// Serialise headline numbers as JSON for EXPERIMENTS.md tooling: one
+    /// slice per section, in paper order.
     pub fn to_json(&self) -> Json {
         let json = Json::object()
             .with("seed", self.config.seed)
             .with("scale", self.config.scale)
-            .with(
-                "table1",
-                Json::object().with("total_events", self.table1.total).with(
-                    "rows",
-                    Json::Arr(
-                        self.table1
-                            .rows
-                            .iter()
-                            .map(|(n, c, s)| {
-                                Json::object()
-                                    .with("type", n.as_str())
-                                    .with("count", *c)
-                                    .with("share_pct", *s)
-                            })
-                            .collect(),
-                    ),
-                ),
-            )
-            .with(
-                "section4",
-                Json::object()
-                    .with(
-                        "totals",
-                        Json::object()
-                            .with("posts", self.activity.totals.0)
-                            .with("likes", self.activity.totals.1)
-                            .with("follows", self.activity.totals.2)
-                            .with("reposts", self.activity.totals.3)
-                            .with("blocks", self.activity.totals.4),
-                    )
-                    .with("non_bsky_records", self.section4.non_bsky_records),
-            )
-            .with(
-                "section5",
-                Json::object()
-                    .with("handles", self.identity.total_handles)
-                    .with("bsky_social_share_pct", self.identity.bsky_social.1)
-                    .with("did_web", self.identity.did_web)
-                    .with("dns_txt_share_pct", self.identity.proofs.2)
-                    .with("tranco_share_pct", self.identity.tranco_overlap.1),
-            )
-            .with(
-                "section6",
-                Json::object()
-                    .with("labelers_announced", self.moderation.labeler_counts.0)
-                    .with("labelers_functional", self.moderation.labeler_counts.1)
-                    .with("labelers_active", self.moderation.labeler_counts.2)
-                    .with(
-                        "community_share_last_month_pct",
-                        self.moderation.community_share_last_month,
-                    )
-                    .with("label_interactions", self.moderation.interactions.0)
-                    .with("rescinded", self.moderation.interactions.1)
-                    .with(
-                        "posts_labeled_share_pct",
-                        self.moderation.last_month_posts_labeled_share,
-                    ),
-            )
-            .with(
-                "section7",
-                Json::object()
-                    .with("feeds", self.recommendation.total_feeds)
-                    .with("never_curated_pct", self.recommendation.never_curated.1)
-                    .with("r_feeds_followers", self.recommendation.r_feeds_followers)
-                    .with("r_likes_followers", self.recommendation.r_likes_followers)
-                    .with(
-                        "skyfeed_share_pct",
-                        self.recommendation.platform_shares.first().map(|p| p.2),
-                    ),
-            )
-            .with(
-                "section9",
-                Json::object().with(
-                    "firehose_gb_per_day_extrapolated",
-                    self.firehose_volume.extrapolated_full_network / 1e9,
-                ),
-            )
+            .with("table1", self.table1.to_json())
+            .with("section4", self.section4.to_json(&self.activity))
+            .with("section5", self.identity.to_json())
+            .with("section6", self.moderation.to_json())
+            .with("section7", self.recommendation.to_json())
+            .with("section9", self.firehose_volume.to_json())
             .with("section10", self.observatory.to_json());
         match &self.faults {
             Some(faults) => json.with("faults", faults.to_json()),
@@ -347,9 +266,19 @@ impl StudyReport {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::activity::{ActivityAnalyzer, Section4Analyzer};
+    use crate::collect::Collector;
+    use crate::identity::IdentityAnalyzer;
+    use crate::moderation::ModerationAnalyzer;
+    use crate::observatory::ObservatoryAnalyzer;
+    use crate::pipeline::OwnedObservation;
+    use crate::recommendation::RecommendationAnalyzer;
+    use crate::table1::{FirehoseVolumeAnalyzer, Table1Analyzer};
     use bsky_atproto::Datetime;
+    use bsky_simnet::SimRng;
+    use std::sync::OnceLock;
 
     fn small_config(seed: u64) -> ScenarioConfig {
         let mut config = ScenarioConfig::test_scale(seed);
@@ -357,6 +286,29 @@ mod tests {
         config.end = Datetime::from_ymd(2024, 4, 20).unwrap();
         config.scale = 40_000;
         config
+    }
+
+    /// Seed 11 at 1:30000 from mid-February to late April: the study every
+    /// section's own tests read.
+    fn section_config() -> ScenarioConfig {
+        let mut config = ScenarioConfig::test_scale(11);
+        config.start = Datetime::from_ymd(2024, 2, 15).unwrap();
+        config.end = Datetime::from_ymd(2024, 4, 25).unwrap();
+        config.scale = 30_000;
+        config
+    }
+
+    /// The report of [`section_config`], computed once per test binary.
+    pub(crate) fn small_report() -> &'static StudyReport {
+        static REPORT: OnceLock<StudyReport> = OnceLock::new();
+        REPORT.get_or_init(|| StudyReport::run_serial(&RunSpec::new(section_config())).0)
+    }
+
+    /// The seed-1 report whose headline shapes the paper states, computed
+    /// once per test binary.
+    pub(crate) fn headline_report() -> &'static StudyReport {
+        static REPORT: OnceLock<StudyReport> = OnceLock::new();
+        REPORT.get_or_init(|| StudyReport::run_serial(&RunSpec::new(small_config(1))).0)
     }
 
     #[test]
@@ -397,7 +349,7 @@ mod tests {
 
     #[test]
     fn full_study_reproduces_headline_shapes() {
-        let (report, _) = StudyReport::run_serial(&RunSpec::new(small_config(1)));
+        let report = headline_report();
 
         // Table 1: commits dominate the firehose.
         let commit_share = report
@@ -436,5 +388,59 @@ mod tests {
         assert!(
             report.firehose_volume.extrapolated_full_network > report.firehose_volume.bytes_per_day
         );
+    }
+
+    /// The merge law, pinned per analyzer: fold the whole recorded stream vs
+    /// split it at a random point, fold the halves into two fresh
+    /// analyzers, merge, and compare the finished outputs.
+    fn assert_split_merge_equals_fold<A, F>(make: F, world: &World, tape: &[OwnedObservation])
+    where
+        A: Analyzer,
+        A::Output: PartialEq + std::fmt::Debug,
+        F: Fn() -> A,
+    {
+        let ctx = StudyCtx::new(world);
+        let fold = |items: &[OwnedObservation]| {
+            let mut analyzer = make();
+            for item in items {
+                analyzer.observe(&item.as_observation(), &ctx);
+            }
+            analyzer
+        };
+        let expected = fold(tape).finish(&ctx);
+        // Seeded test RNG: reproducible split points.
+        let mut rng = SimRng::new(0xfeed);
+        for _ in 0..8 {
+            let split = rng.range(0..tape.len().max(1));
+            let mut first = fold(&tape[..split]);
+            first.merge(fold(&tape[split..]));
+            let merged = first.finish(&ctx);
+            assert!(
+                merged == expected,
+                "split at {split}/{} diverged",
+                tape.len()
+            );
+        }
+    }
+
+    #[test]
+    fn every_analyzer_satisfies_the_merge_law() {
+        // The live tape: day boundaries, weekly identifier snapshots and
+        // daily label batches interleaved with the firehose exactly as the
+        // producer emitted them.
+        let mut world = World::new(section_config());
+        let mut tape: Vec<OwnedObservation> = Vec::new();
+        Collector::new().stream(&mut world, &mut tape);
+        assert!(tape
+            .iter()
+            .any(|o| matches!(o, OwnedObservation::DayBoundary { .. })));
+        assert_split_merge_equals_fold(Table1Analyzer::default, &world, &tape);
+        assert_split_merge_equals_fold(ActivityAnalyzer::default, &world, &tape);
+        assert_split_merge_equals_fold(Section4Analyzer::default, &world, &tape);
+        assert_split_merge_equals_fold(IdentityAnalyzer::default, &world, &tape);
+        assert_split_merge_equals_fold(ModerationAnalyzer::default, &world, &tape);
+        assert_split_merge_equals_fold(RecommendationAnalyzer::default, &world, &tape);
+        assert_split_merge_equals_fold(FirehoseVolumeAnalyzer::default, &world, &tape);
+        assert_split_merge_equals_fold(ObservatoryAnalyzer::default, &world, &tape);
     }
 }

@@ -35,17 +35,18 @@
 //! plans inject identically across shard counts — none of them moves a
 //! byte of the merged report.
 
-use crate::analysis::{
-    ActivityAnalyzer, FirehoseVolumeAnalyzer, IdentityAnalyzer, ModerationAnalyzer,
-    RecommendationAnalyzer, Section4Analyzer, Table1Analyzer,
-};
-use crate::datasets::Collector;
+use crate::activity::{ActivityAnalyzer, Section4Analyzer};
+use crate::collect::{Collector, DEFAULT_CHUNK_EVENTS};
+use crate::identity::IdentityAnalyzer;
+use crate::moderation::ModerationAnalyzer;
 use crate::observatory::ObservatoryAnalyzer;
 use crate::pipeline::{
     Analyzer, Observation, ObservationBatch, ObservationSink, OwnedObservation, StreamSummary,
     StudyCtx,
 };
+use crate::recommendation::RecommendationAnalyzer;
 use crate::spec::RunSpec;
+use crate::table1::{FirehoseVolumeAnalyzer, Table1Analyzer};
 use bsky_simnet::faults::FaultPlan;
 use bsky_workload::{PopulationPlan, ShardSpec, World, WorldSpec};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -160,9 +161,9 @@ impl ShardSink for StudyAnalyzers {
 
 /// Capacity of one [`ObservationBatch`] before the producer flushes it to
 /// the analyzer workers — one relay day-chunk's worth
-/// ([`crate::datasets::DEFAULT_CHUNK_EVENTS`]), so pipelining changes the
+/// ([`DEFAULT_CHUNK_EVENTS`]), so pipelining changes the
 /// shipping granularity, not the producer's chunked cadence.
-const PIPELINE_BATCH_ITEMS: usize = crate::datasets::DEFAULT_CHUNK_EVENTS;
+const PIPELINE_BATCH_ITEMS: usize = DEFAULT_CHUNK_EVENTS;
 
 /// Bounded depth (in batches) of each analyzer worker's channel. The
 /// producer blocks once a worker falls this far behind, so peak pipelined

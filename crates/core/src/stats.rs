@@ -1,5 +1,12 @@
 //! Statistics helpers used by the analyses.
 
+use bsky_atproto::Datetime;
+
+/// The `YYYY-MM` month a time falls in: the bucket of every monthly series.
+pub(crate) fn month_of(dt: Datetime) -> String {
+    dt.date().year_month()
+}
+
 /// Exact quantile of a slice (linear interpolation). Returns `None` on empty
 /// input.
 pub(crate) fn quantile(values: &[f64], q: f64) -> Option<f64> {

@@ -3,7 +3,7 @@
 
 use bluesky_repro::bsky_atproto::label::Label;
 use bluesky_repro::bsky_atproto::Datetime;
-use bluesky_repro::bsky_study::datasets::DEFAULT_CHUNK_EVENTS;
+use bluesky_repro::bsky_study::collect::DEFAULT_CHUNK_EVENTS;
 use bluesky_repro::bsky_study::{
     collect_sharded, Collector, OwnedObservation, RunSpec, StudyAnalyzers, StudyReport,
 };

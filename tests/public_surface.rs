@@ -36,12 +36,15 @@ const EXEMPT: &[(&str, &str)] = &[
         "Record::LabelerService",
     ),
     ("atproto::repo::RecordOp", "EventBody::Commit::ops"),
-    ("core::analysis::Table1", "StudyReport::table1"),
-    ("core::datasets::FeedGenEntry", "Observation::FeedGenerator"),
-    ("core::datasets::LabelerEntry", "Observation::Labeler"),
-    ("core::datasets::RepoSnapshot", "Observation::Repo"),
-    ("core::datasets::RecordView", "RepoSnapshot::records"),
+    ("core::collect::mirror::RecordView", "RepoSnapshot::records"),
+    ("core::collect::mirror::RepoSnapshot", "Observation::Repo"),
+    ("core::moderation::LabelerEntry", "Observation::Labeler"),
     ("core::observatory::WireTraceDay", "Observation::WireTrace"),
+    (
+        "core::recommendation::FeedGenEntry",
+        "Observation::FeedGenerator",
+    ),
+    ("core::table1::Table1", "StudyReport::table1"),
     ("feedgen::faas::FaasPlatform", "faas::default_platforms"),
     ("feedgen::faas::FilterFeatures", "FaasPlatform::filters"),
     ("feedgen::faas::Pricing", "FaasPlatform::pricing"),
