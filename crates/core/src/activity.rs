@@ -3,7 +3,7 @@
 
 use crate::json::Json;
 use crate::pipeline::{Analyzer, Observation, StudyCtx};
-use crate::stats::month_of;
+use crate::stats::{self, month_of};
 use bsky_atproto::nsid::known;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -12,12 +12,12 @@ use std::collections::{BTreeMap, BTreeSet};
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct ActivitySeries {
     /// Per-month `(month, active users, posts, likes, reposts)`.
-    pub(crate) monthly: Vec<(String, u64, u64, u64, u64)>,
+    monthly: Vec<(String, u64, u64, u64, u64)>,
     /// Per-month per-language active users (Figure 2).
-    pub(crate) monthly_by_language: Vec<(String, Vec<(String, u64)>)>,
+    monthly_by_language: Vec<(String, Vec<(String, u64)>)>,
     /// Grand totals `(posts, likes, follows, reposts, blocks)` from the
     /// repositories dataset (§4 text).
-    pub(crate) totals: (u64, u64, u64, u64, u64),
+    totals: (u64, u64, u64, u64, u64),
 }
 
 /// Incremental Figures 1–2 plus §4's operation totals, folded per
@@ -151,14 +151,14 @@ impl ActivitySeries {
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct Section4 {
     /// Most-followed accounts `(handle-ish DID, followers)`.
-    pub(crate) most_followed: Vec<(String, u64)>,
+    most_followed: Vec<(String, u64)>,
     /// Most-blocked accounts `(DID, blocks)`.
-    pub(crate) most_blocked: Vec<(String, u64)>,
+    most_blocked: Vec<(String, u64)>,
     /// Number of non-Bluesky (third-party lexicon) records observed on the
     /// firehose.
-    pub(crate) non_bsky_records: u64,
+    non_bsky_records: u64,
     /// Total firehose events for context.
-    pub(crate) firehose_events: u64,
+    firehose_events: u64,
 }
 
 /// Incremental §4 popularity and non-Bluesky content accumulator.
@@ -197,12 +197,8 @@ impl Analyzer for Section4Analyzer {
     }
 
     fn merge(&mut self, other: Self) {
-        for (did, count) in other.followers {
-            *self.followers.entry(did).or_insert(0) += count;
-        }
-        for (did, count) in other.blocks {
-            *self.blocks.entry(did).or_insert(0) += count;
-        }
+        stats::add_counts(&mut self.followers, other.followers);
+        stats::add_counts(&mut self.blocks, other.blocks);
         self.non_bsky += other.non_bsky;
         self.firehose_events += other.firehose_events;
     }

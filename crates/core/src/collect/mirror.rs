@@ -16,7 +16,7 @@
 //!    back to a full CAR fetch; DIDs that vanish from `listRepos`
 //!    (deletions) drop their mirror state and are counted as skips;
 //! 4. at the window end the mirror syncs once more and emits one
-//!    [`Observation::Repo`] per DID in first-seen order.
+//!    [`crate::pipeline::Observation::Repo`] per DID in first-seen order.
 //!
 //! Cost: O(changed bytes) across the window;
 //! [`crate::pipeline::StreamSummary`] reports the bytes actually fetched,
@@ -51,16 +51,16 @@
 //!
 //! The paper's naive reading of §3 — download and decode every repository
 //! CAR once, at the window end, O(total repo bytes) — is not a selectable
-//! mode. It survives as the **test oracle** in this file: a test streams a
-//! world, fetches every collected DID's full CAR at the window end, decodes
-//! it, projects every record the way the mirror does, and requires the
-//! mirror's emitted snapshots to be equal record for record (and the mirror
-//! to have fetched strictly fewer bytes). The mirror only ever adds what a
-//! delta carries, which is exact because a repository only creates records:
-//! `bsky_atproto::repo::Write` has no update and no delete, so a record the
-//! mirror holds stays in its repository, and the weekly compaction drops
-//! commits, never a record block. (Account deletion drops a whole
-//! repository, which the mirror handles per DID.)
+//! mode. It survives as the **test oracle** in this module's tests: a test
+//! streams a world, fetches every collected DID's full CAR at the window
+//! end, decodes it, projects every record the way the mirror does, and
+//! requires the mirror's emitted snapshots to be equal record for record
+//! (and the mirror to have fetched strictly fewer bytes). The mirror only
+//! ever adds what a delta carries, which is exact because a repository only
+//! creates records: `bsky_atproto::repo::Write` has no update and no
+//! delete, so a record the mirror holds stays in its repository, and the
+//! weekly compaction drops commits, never a record block. (Account deletion
+//! drops a whole repository, which the mirror handles per DID.)
 
 use crate::pipeline::StreamSummary;
 use bsky_atproto::cid::Cid;

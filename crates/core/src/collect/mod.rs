@@ -290,7 +290,7 @@ impl Collector {
                         .sync(&mut world.relay, &mut world.fleet, today, &mut summary);
                     // Weekly compaction pass: repositories drop commits
                     // that aged out of the delta window, never a record
-                    // block (see the module docs). Cadence and cutoff
+                    // block (see the `mirror` docs). Cadence and cutoff
                     // derive only from simulated time, so every shard and
                     // backend compacts identically.
                     let cutoff_day = today.plus_days(-COMPACTION_WINDOW_DAYS);

@@ -12,25 +12,25 @@ use std::collections::{BTreeMap, BTreeSet};
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct IdentityReport {
     /// Total FQDN handles examined.
-    pub(crate) total_handles: u64,
+    total_handles: u64,
     /// Handles under bsky.social and their share (%).
-    pub(crate) bsky_social: (u64, f64),
+    bsky_social: (u64, f64),
     /// Number of did:web identities.
-    pub(crate) did_web: u64,
+    did_web: u64,
     /// Figure 3: non-bsky.social registered domains with most subdomain
     /// handles `(registered domain, handles)`.
-    pub(crate) subdomain_providers: Vec<(String, u64)>,
+    subdomain_providers: Vec<(String, u64)>,
     /// Registered domains extracted from custom handles.
-    pub(crate) registered_domains: u64,
+    registered_domains: u64,
     /// Registered domains found in the Tranco top-1M and their share (%).
-    pub(crate) tranco_overlap: (u64, f64),
+    tranco_overlap: (u64, f64),
     /// Ownership proofs: `(dns txt count, well-known count, txt share %)`.
-    pub(crate) proofs: (u64, u64, f64),
+    proofs: (u64, u64, f64),
     /// Table 2: registrars `(IANA id, name, domains, share %)`.
-    pub(crate) registrars: Vec<(Option<u32>, String, u64, f64)>,
+    registrars: Vec<(Option<u32>, String, u64, f64)>,
     /// Handle updates observed on the firehose: `(changes, unique DIDs,
     /// unique handles, share of final handles under bsky.social %)`.
-    pub(crate) handle_updates: (u64, u64, u64, f64),
+    handle_updates: (u64, u64, u64, f64),
 }
 
 /// Incremental §5: identity centralization, Table 2 and Figure 3.
@@ -123,9 +123,7 @@ impl Analyzer for IdentityAnalyzer {
         self.total_handles += other.total_handles;
         self.bsky_count += other.bsky_count;
         self.did_web += other.did_web;
-        for (domain, count) in other.provider_counts {
-            *self.provider_counts.entry(domain).or_insert(0) += count;
-        }
+        stats::add_counts(&mut self.provider_counts, other.provider_counts);
         self.registered_domains.extend(other.registered_domains);
         self.tranco_hits.extend(other.tranco_hits);
         self.dns_proofs += other.dns_proofs;

@@ -35,72 +35,64 @@ pub(crate) type LabelTargetRow = (String, u64, f64, Vec<(String, u64)>);
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct LabelerReaction {
     /// Labeler DID.
-    pub(crate) did: String,
+    did: String,
     /// Display name.
-    pub(crate) name: String,
+    name: String,
     /// Operator class.
-    pub(crate) community: bool,
+    community: bool,
     /// Top label values by application count.
-    pub(crate) top_values: Vec<String>,
+    top_values: Vec<String>,
     /// Distinct values emitted.
-    pub(crate) unique_values: u64,
+    unique_values: u64,
     /// Total labels applied (excluding negations).
-    pub(crate) total: u64,
+    total: u64,
     /// Share of all labels (%).
-    pub(crate) share: f64,
+    share: f64,
     /// Median reaction time in seconds (posts only).
-    pub(crate) median_reaction_secs: Option<f64>,
+    median_reaction_secs: Option<f64>,
     /// Interquartile distance of the reaction time.
-    pub(crate) iqd_reaction_secs: Option<f64>,
+    iqd_reaction_secs: Option<f64>,
 }
 
 /// The §6 moderation report.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct ModerationReport {
     /// Announced / functional / active labeler counts.
-    pub(crate) labeler_counts: (u64, u64, u64),
+    labeler_counts: (u64, u64, u64),
     /// Endpoint hosting classification `(cloud, residential, dead)`.
-    pub(crate) hosting: (u64, u64, u64),
+    hosting: (u64, u64, u64),
     /// Figure 4: per-month labels by source `(month, bluesky, community)` and
     /// cumulative community labelers.
-    pub(crate) labels_by_month: Vec<(String, u64, u64, u64)>,
+    labels_by_month: Vec<(String, u64, u64, u64)>,
     /// Community share of labels in the last full month (%).
-    pub(crate) community_share_last_month: f64,
+    community_share_last_month: f64,
     /// Total label interactions and rescissions.
-    pub(crate) interactions: (u64, u64),
+    interactions: (u64, u64),
     /// Unique labeled objects.
-    pub(crate) unique_objects: u64,
+    unique_objects: u64,
     /// Share of last-month posts that received a label (%).
-    pub(crate) last_month_posts_labeled_share: f64,
+    last_month_posts_labeled_share: f64,
     /// Distinct label values (raw and after cleaning).
-    pub(crate) label_values: (u64, u64),
+    label_values: (u64, u64),
     /// Share of labeled objects carrying labels from multiple services (%).
-    pub(crate) multi_service_share: f64,
+    multi_service_share: f64,
     /// Share of objects labeled by both Bluesky and a community labeler (%).
-    pub(crate) bluesky_community_overlap_share: f64,
+    bluesky_community_overlap_share: f64,
     /// Table 3: top community labelers `(name, labels applied, likes)`.
-    pub(crate) table3: Vec<(String, u64, u64)>,
+    table3: Vec<(String, u64, u64)>,
     /// Table 4: label targets `(kind, objects, share %, top values)`.
-    pub(crate) table4: Vec<LabelTargetRow>,
+    table4: Vec<LabelTargetRow>,
     /// Table 6 / Figure 5: per-labeler reaction statistics.
-    pub(crate) table6: Vec<LabelerReaction>,
+    table6: Vec<LabelerReaction>,
     /// Figure 6: per-value `(value, objects, median reaction s, community)`.
-    pub(crate) figure6: Vec<(String, u64, f64, bool)>,
-}
-
-/// Static metadata of one labeler (from its announcement observation).
-#[derive(Debug, Clone)]
-struct LabelerMeta {
-    name: String,
-    operator: LabelerOperator,
-    hosting: HostingClass,
-    functional: bool,
+    figure6: Vec<(String, u64, f64, bool)>,
 }
 
 /// Per-labeler accumulator feeding Tables 3/6 and Figures 4/5.
 #[derive(Debug, Default)]
 struct LabelerAcc {
-    meta: Option<LabelerMeta>,
+    /// The labeler's announcement, once it has arrived.
+    meta: Option<LabelerEntry>,
     values: BTreeMap<String, u64>,
     reactions: Vec<f64>,
     applied: u64,
@@ -114,19 +106,29 @@ struct LabelerAcc {
 }
 
 impl LabelerAcc {
+    /// Display name (empty until the announcement arrives).
+    fn name(&self) -> String {
+        self.meta
+            .as_ref()
+            .map(|m| m.name.clone())
+            .unwrap_or_default()
+    }
+
+    /// Community-operated, or never announced.
+    fn is_community(&self) -> bool {
+        let operator = self.meta.as_ref().map(|m| m.operator);
+        operator.unwrap_or(LabelerOperator::Community) == LabelerOperator::Community
+    }
+
     fn absorb(&mut self, other: LabelerAcc) {
         if self.meta.is_none() {
             self.meta = other.meta;
         }
-        for (value, count) in other.values {
-            *self.values.entry(value).or_insert(0) += count;
-        }
+        stats::add_counts(&mut self.values, other.values);
         self.reactions.extend(other.reactions);
         self.applied += other.applied;
         self.stream_entries += other.stream_entries;
-        for (month, count) in other.per_month {
-            *self.per_month.entry(month).or_insert(0) += count;
-        }
+        stats::add_counts(&mut self.per_month, other.per_month);
         self.objects.extend(other.objects);
         self.first_month = match (self.first_month.take(), other.first_month) {
             (Some(a), Some(b)) => Some(a.min(b)),
@@ -247,12 +249,7 @@ impl Analyzer for ModerationAnalyzer {
             }
             Observation::Labeler(entry) => {
                 let acc = self.accs.entry(entry.did.as_string()).or_default();
-                acc.meta = Some(LabelerMeta {
-                    name: entry.name.clone(),
-                    operator: entry.operator,
-                    hosting: entry.hosting,
-                    functional: entry.functional,
-                });
+                acc.meta = Some((*entry).clone());
             }
             Observation::Labels { src, labels } => {
                 let key = src.as_string();
@@ -334,9 +331,7 @@ impl Analyzer for ModerationAnalyzer {
         for (uri, time) in other.post_created {
             self.post_created.entry(uri).or_insert(time);
         }
-        for (month, count) in other.posts_per_month {
-            *self.posts_per_month.entry(month).or_insert(0) += count;
-        }
+        stats::add_counts(&mut self.posts_per_month, other.posts_per_month);
         for (did, acc) in other.accs {
             self.accs.entry(did).or_default().absorb(acc);
         }
@@ -349,9 +344,7 @@ impl Analyzer for ModerationAnalyzer {
         for (object, month) in other.labeled_post_month {
             self.labeled_post_month.entry(object).or_insert(month);
         }
-        for (value, count) in other.value_counts {
-            *self.value_counts.entry(value).or_insert(0) += count;
-        }
+        stats::add_counts(&mut self.value_counts, other.value_counts);
         for (value, reactions) in other.value_reactions {
             self.value_reactions
                 .entry(value)
@@ -359,18 +352,13 @@ impl Analyzer for ModerationAnalyzer {
                 .extend(reactions);
         }
         for (kind, values) in other.per_target_kind {
-            let entry = self.per_target_kind.entry(kind).or_default();
-            for (value, count) in values {
-                *entry.entry(value).or_insert(0) += count;
-            }
+            stats::add_counts(self.per_target_kind.entry(kind).or_default(), values);
         }
         self.raw_values.extend(other.raw_values);
         self.applied_values.extend(other.applied_values);
         self.interactions += other.interactions;
         self.rescissions += other.rescissions;
-        for (did, count) in other.likes_on_accounts {
-            *self.likes_on_accounts.entry(did).or_insert(0) += count;
-        }
+        stats::add_counts(&mut self.likes_on_accounts, other.likes_on_accounts);
         // Re-resolve pending reactions against the combined post index: a
         // stream split can separate a label from its post, and the merge
         // must heal exactly that.
@@ -393,14 +381,11 @@ impl Analyzer for ModerationAnalyzer {
         let official: Option<String> = self
             .accs
             .iter()
-            .filter(|(_, acc)| {
-                acc.meta
-                    .as_ref()
-                    .map(|m| m.operator == LabelerOperator::BlueskyOfficial)
-                    .unwrap_or(false)
+            .find(|(_, acc)| {
+                let operator = acc.meta.as_ref().map(|m| m.operator);
+                operator == Some(LabelerOperator::BlueskyOfficial)
             })
-            .map(|(did, _)| did.clone())
-            .next();
+            .map(|(did, _)| did.clone());
 
         let mut announced = 0u64;
         let mut functional = 0u64;
@@ -422,13 +407,6 @@ impl Analyzer for ModerationAnalyzer {
             }
         }
 
-        let community = |acc: &LabelerAcc| -> bool {
-            acc.meta
-                .as_ref()
-                .map(|m| m.operator == LabelerOperator::Community)
-                .unwrap_or(true)
-        };
-
         let total_applied: u64 = self.accs.values().map(|a| a.applied).sum();
         let mut table6 = Vec::new();
         for (did, acc) in &self.accs {
@@ -440,12 +418,8 @@ impl Analyzer for ModerationAnalyzer {
             top.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
             table6.push(LabelerReaction {
                 did: did.clone(),
-                name: acc
-                    .meta
-                    .as_ref()
-                    .map(|m| m.name.clone())
-                    .unwrap_or_default(),
-                community: community(acc),
+                name: acc.name(),
+                community: acc.is_community(),
                 unique_values: top.len() as u64,
                 top_values: top.iter().take(3).map(|(v, _)| v.clone()).collect(),
                 total: acc.applied,
@@ -459,7 +433,7 @@ impl Analyzer for ModerationAnalyzer {
         // Figure 4 series with cumulative community labeler count.
         let mut per_month: BTreeMap<String, (u64, u64)> = BTreeMap::new();
         for acc in self.accs.values() {
-            let is_community = community(acc);
+            let is_community = acc.is_community();
             for (month, count) in &acc.per_month {
                 let slot = per_month.entry(month.clone()).or_insert((0, 0));
                 if is_community {
@@ -473,7 +447,7 @@ impl Analyzer for ModerationAnalyzer {
         let mut seen_labelers: BTreeSet<String> = BTreeSet::new();
         for (month, (bluesky, community_count)) in &per_month {
             for (did, acc) in &self.accs {
-                if !community(acc) {
+                if !acc.is_community() {
                     continue;
                 }
                 if let Some(first) = &acc.first_month {
@@ -508,15 +482,10 @@ impl Analyzer for ModerationAnalyzer {
         let mut table3: Vec<(String, u64, u64)> = self
             .accs
             .iter()
-            .filter(|(_, acc)| community(acc) && acc.applied > 0)
+            .filter(|(_, acc)| acc.is_community() && acc.applied > 0)
             .map(|(did, acc)| {
-                let name = acc
-                    .meta
-                    .as_ref()
-                    .map(|m| m.name.clone())
-                    .unwrap_or_default();
                 let likes = self.likes_on_accounts.get(did).copied().unwrap_or(0);
-                (name, acc.applied, likes)
+                (acc.name(), acc.applied, likes)
             })
             .collect();
         table3.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
@@ -550,7 +519,7 @@ impl Analyzer for ModerationAnalyzer {
         // when every labeler applying it is community-operated.
         let mut value_community: BTreeMap<&String, bool> = BTreeMap::new();
         for acc in self.accs.values() {
-            let is_community = community(acc);
+            let is_community = acc.is_community();
             for value in acc.values.keys() {
                 value_community
                     .entry(value)

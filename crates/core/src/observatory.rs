@@ -263,13 +263,13 @@ fn features(cell: &CellTrace) -> [f64; 5] {
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct CellReport {
     /// Cell name from [`MITIGATION_CELLS`].
-    pub(crate) name: &'static str,
+    name: &'static str,
     /// Closed-world 1-NN accuracy on the held-out (odd) days.
-    pub(crate) accuracy: f64,
+    accuracy: f64,
     /// Total firehose wire bytes under this cell.
-    pub(crate) wire_bytes: u64,
+    wire_bytes: u64,
     /// Wire bytes above the raw event payload (headers + padding).
-    pub(crate) overhead_bytes: u64,
+    overhead_bytes: u64,
 }
 
 /// The §10 report: classifier accuracy × bandwidth overhead per mitigation
@@ -277,29 +277,29 @@ pub(crate) struct CellReport {
 #[derive(Debug, Clone, PartialEq, Default)]
 pub(crate) struct ObservatoryReport {
     /// Per-cell accuracy and overhead, in [`MITIGATION_CELLS`] order.
-    pub(crate) cells: Vec<CellReport>,
+    cells: Vec<CellReport>,
     /// `(did, day)` firehose traces captured.
-    pub(crate) traced_days: u64,
+    traced_days: u64,
     /// Raw firehose payload bytes across all traces.
-    pub(crate) payload_bytes: u64,
+    payload_bytes: u64,
     /// Identity-resolution lookups observed on the DNS wire.
-    pub(crate) dns_lookups: u64,
+    dns_lookups: u64,
     /// Modeled bytes on the DNS wire (unpadded).
-    pub(crate) dns_payload_bytes: u64,
+    dns_payload_bytes: u64,
     /// Capture-buffer drops across all connections (never silent).
-    pub(crate) trace_drops: u64,
+    trace_drops: u64,
     /// Training instances used (class-balanced, stride-subsampled past
     /// [`TRAIN_CAP`]).
-    pub(crate) train_sampled: usize,
+    train_sampled: usize,
     /// Training instances available (`(did, week)` pairs on even weeks).
-    pub(crate) train_total: usize,
+    train_total: usize,
     /// Test instances used / available.
-    pub(crate) test_sampled: usize,
+    test_sampled: usize,
     /// Test instances available (`(did, week)` pairs on odd weeks).
-    pub(crate) test_total: usize,
+    test_total: usize,
     /// Majority-class share of the balanced, sampled test set — the chance
     /// baseline (~1/classes).
-    pub(crate) chance_accuracy: f64,
+    chance_accuracy: f64,
 }
 
 impl ObservatoryReport {
@@ -392,30 +392,18 @@ pub(crate) struct ObservatoryAnalyzer {
 }
 
 impl ObservatoryAnalyzer {
-    fn fold(&mut self, trace: &WireTraceDay) {
-        let key = (trace.kind, trace.did.shard_hash(), trace.day);
-        match self.records.get_mut(&key) {
-            Some(agg) => {
-                agg.class = agg.class.min(trace.class);
-                agg.events += trace.events;
-                agg.payload_bytes += trace.payload_bytes;
-                agg.dropped += trace.dropped;
-                for (slot, cell) in agg.cells.iter_mut().zip(trace.cells.iter()) {
-                    slot.absorb(cell);
-                }
-            }
-            None => {
-                self.records.insert(
-                    key,
-                    TraceAgg {
-                        class: trace.class,
-                        events: trace.events,
-                        payload_bytes: trace.payload_bytes,
-                        dropped: trace.dropped,
-                        cells: trace.cells,
-                    },
-                );
-            }
+    /// Fold one record into its key's aggregate.
+    fn fold(&mut self, key: TraceKey, agg: TraceAgg) {
+        let Some(mine) = self.records.get_mut(&key) else {
+            self.records.insert(key, agg);
+            return;
+        };
+        mine.class = mine.class.min(agg.class);
+        mine.events += agg.events;
+        mine.payload_bytes += agg.payload_bytes;
+        mine.dropped += agg.dropped;
+        for (slot, cell) in mine.cells.iter_mut().zip(agg.cells.iter()) {
+            slot.absorb(cell);
         }
     }
 }
@@ -425,26 +413,21 @@ impl Analyzer for ObservatoryAnalyzer {
 
     fn observe(&mut self, obs: &Observation<'_>, _ctx: &StudyCtx<'_>) {
         if let Observation::WireTrace(trace) = obs {
-            self.fold(trace);
+            let key = (trace.kind, trace.did.shard_hash(), trace.day);
+            let agg = TraceAgg {
+                class: trace.class,
+                events: trace.events,
+                payload_bytes: trace.payload_bytes,
+                dropped: trace.dropped,
+                cells: trace.cells,
+            };
+            self.fold(key, agg);
         }
     }
 
     fn merge(&mut self, other: Self) {
         for (key, agg) in other.records {
-            match self.records.get_mut(&key) {
-                Some(mine) => {
-                    mine.class = mine.class.min(agg.class);
-                    mine.events += agg.events;
-                    mine.payload_bytes += agg.payload_bytes;
-                    mine.dropped += agg.dropped;
-                    for (slot, cell) in mine.cells.iter_mut().zip(agg.cells.iter()) {
-                        slot.absorb(cell);
-                    }
-                }
-                None => {
-                    self.records.insert(key, agg);
-                }
-            }
+            self.fold(key, agg);
         }
     }
 

@@ -312,16 +312,8 @@ pub(crate) trait Analyzer {
     /// Combine another analyzer's independently accumulated state into this
     /// one. Must satisfy the merge law documented at the module level:
     /// splitting a stream anywhere and merging the two halves' states is
-    /// equivalent to folding the whole stream. The built-in analyzers all
-    /// implement this; bespoke analyzers that are never sharded may keep
-    /// the default, which panics.
-    fn merge(&mut self, other: Self)
-    where
-        Self: Sized,
-    {
-        let _ = other;
-        panic!("this analyzer does not implement merge");
-    }
+    /// equivalent to folding the whole stream.
+    fn merge(&mut self, other: Self);
 
     /// Compute the final result. Called exactly once, after the last
     /// observation (and after all merges).
@@ -691,18 +683,5 @@ mod tests {
         }
         a.merge(b);
         assert_eq!(a.finish(&ctx), whole.finish(&ctx));
-    }
-
-    #[test]
-    #[should_panic(expected = "does not implement merge")]
-    fn default_merge_panics() {
-        struct NoMerge;
-        impl Analyzer for NoMerge {
-            type Output = ();
-            fn observe(&mut self, _obs: &Observation<'_>, _ctx: &StudyCtx<'_>) {}
-            fn finish(self, _ctx: &StudyCtx<'_>) {}
-        }
-        let mut a = NoMerge;
-        a.merge(NoMerge);
     }
 }

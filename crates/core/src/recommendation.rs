@@ -121,33 +121,33 @@ pub(crate) fn served_page(mut posts: Vec<FeedPost>) -> Vec<FeedPost> {
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct RecommendationReport {
     /// Reachable feed generators.
-    pub(crate) total_feeds: u64,
+    total_feeds: u64,
     /// Feeds that never curated a post, and their share (%).
-    pub(crate) never_curated: (u64, f64),
+    never_curated: (u64, f64),
     /// Language distribution of descriptions `(language, share %)`.
-    pub(crate) description_languages: Vec<(String, f64)>,
+    description_languages: Vec<(String, f64)>,
     /// Figure 8: most common description words.
-    pub(crate) top_words: Vec<(String, u64)>,
+    top_words: Vec<(String, u64)>,
     /// Figure 9: top labels on feed-curated posts.
-    pub(crate) feed_post_labels: Vec<(String, u64)>,
+    feed_post_labels: Vec<(String, u64)>,
     /// Share of feeds with ≥10 % labeled content (%).
-    pub(crate) heavily_labeled_share: f64,
+    heavily_labeled_share: f64,
     /// Figure 7: cumulative `(month, feeds, likes on feeds, follows on
     /// creators)`.
-    pub(crate) cumulative_growth: Vec<(String, u64, u64, u64)>,
+    cumulative_growth: Vec<(String, u64, u64, u64)>,
     /// Figure 10: `(feed name, posts, likes)` for the most extreme feeds.
-    pub(crate) posts_vs_likes: Vec<(String, u64, u64)>,
+    posts_vs_likes: Vec<(String, u64, u64)>,
     /// Figure 11: mean in/out-degree of feed creators vs other users.
-    pub(crate) creator_degrees: ((f64, f64), (f64, f64)),
+    creator_degrees: ((f64, f64), (f64, f64)),
     /// Pearson r of (#feeds created, followers).
-    pub(crate) r_feeds_followers: Option<f64>,
+    r_feeds_followers: Option<f64>,
     /// Pearson r of (sum of likes on created feeds, followers).
-    pub(crate) r_likes_followers: Option<f64>,
+    r_likes_followers: Option<f64>,
     /// Feeds-per-account distribution `(1 feed %, 2-10 %, >100 count, max)`.
-    pub(crate) feeds_per_account: (f64, f64, u64, u64),
+    feeds_per_account: (f64, f64, u64, u64),
     /// Figure 12 / Table 5: per-platform `(name, feeds, share %, posts share
     /// %, likes share %)`.
-    pub(crate) platform_shares: Vec<(String, u64, f64, f64, f64)>,
+    platform_shares: Vec<(String, u64, f64, f64, f64)>,
 }
 
 /// Incremental §7 recommendation analyses.
@@ -252,14 +252,12 @@ impl Analyzer for RecommendationAnalyzer {
         }
         self.follow_edges.extend(other.follow_edges);
         self.actors.extend(other.actors);
-        for (month, count) in other.feed_likes_by_month {
-            *self.feed_likes_by_month.entry(month).or_insert(0) += count;
-        }
+        stats::add_counts(&mut self.feed_likes_by_month, other.feed_likes_by_month);
         for (subject, months) in other.follows_by_subject_month {
-            let entry = self.follows_by_subject_month.entry(subject).or_default();
-            for (month, count) in months {
-                *entry.entry(month).or_insert(0) += count;
-            }
+            stats::add_counts(
+                self.follows_by_subject_month.entry(subject).or_default(),
+                months,
+            );
         }
     }
 

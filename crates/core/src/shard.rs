@@ -124,14 +124,9 @@ impl StudyAnalyzers {
 
 impl ObservationSink for StudyAnalyzers {
     fn observe(&mut self, obs: &Observation<'_>, ctx: &StudyCtx<'_>) {
-        self.table1.observe(obs, ctx);
-        self.activity.observe(obs, ctx);
-        self.section4.observe(obs, ctx);
-        self.identity.observe(obs, ctx);
-        self.moderation.observe(obs, ctx);
-        self.recommendation.observe(obs, ctx);
-        self.volume.observe(obs, ctx);
-        self.observatory.observe(obs, ctx);
+        for part in 0..Self::fan_out_parts() {
+            self.observe_part(part, obs, ctx);
+        }
     }
 }
 

@@ -1,6 +1,7 @@
 //! Statistics helpers used by the analyses.
 
 use bsky_atproto::Datetime;
+use std::collections::BTreeMap;
 
 /// The `YYYY-MM` month a time falls in: the bucket of every monthly series.
 pub(crate) fn month_of(dt: Datetime) -> String {
@@ -24,6 +25,13 @@ pub(crate) fn quantile(values: &[f64], q: f64) -> Option<f64> {
     let hi = pos.ceil() as usize;
     let frac = pos - lo as f64;
     Some(sorted[lo] * (1.0 - frac) + sorted[hi] * frac)
+}
+
+/// Add every count of `from` into `into`: how two count maps merge.
+pub(crate) fn add_counts<K: Ord>(into: &mut BTreeMap<K, u64>, from: BTreeMap<K, u64>) {
+    for (key, count) in from {
+        *into.entry(key).or_insert(0) += count;
+    }
 }
 
 /// Median.
@@ -74,7 +82,6 @@ where
     I: IntoIterator<Item = K>,
     K: Ord + Clone,
 {
-    use std::collections::BTreeMap;
     let mut counts: BTreeMap<K, u64> = BTreeMap::new();
     for item in items {
         *counts.entry(item).or_insert(0) += 1;
@@ -135,5 +142,8 @@ mod tests {
         assert_eq!(counts[0], ("a", 3));
         assert_eq!(counts[1], ("b", 2));
         assert_eq!(counts[2], ("c", 1));
+        let mut into = BTreeMap::from([("a", 1), ("b", 2)]);
+        add_counts(&mut into, BTreeMap::from([("b", 3), ("c", 4)]));
+        assert_eq!(into, BTreeMap::from([("a", 1), ("b", 5), ("c", 4)]));
     }
 }

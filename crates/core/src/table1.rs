@@ -32,9 +32,7 @@ impl Analyzer for Table1Analyzer {
     }
 
     fn merge(&mut self, other: Self) {
-        for (kind, count) in other.counts {
-            *self.counts.entry(kind).or_insert(0) += count;
-        }
+        stats::add_counts(&mut self.counts, other.counts);
     }
 
     fn finish(self, _ctx: &StudyCtx<'_>) -> Table1 {
@@ -84,10 +82,10 @@ impl Table1 {
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct FirehoseVolume {
     /// Mean bytes per day observed on the firehose during collection.
-    pub(crate) bytes_per_day: f64,
+    bytes_per_day: f64,
     /// The same figure extrapolated to the full network size (multiplying by
     /// the scale factor).
-    pub(crate) extrapolated_full_network: f64,
+    extrapolated_full_network: f64,
 }
 
 /// Incremental §9 firehose-volume accumulator.
@@ -106,9 +104,7 @@ impl Analyzer for FirehoseVolumeAnalyzer {
     }
 
     fn merge(&mut self, other: Self) {
-        for (day, bytes) in other.per_day {
-            *self.per_day.entry(day).or_insert(0) += bytes;
-        }
+        stats::add_counts(&mut self.per_day, other.per_day);
     }
 
     fn finish(self, ctx: &StudyCtx<'_>) -> FirehoseVolume {

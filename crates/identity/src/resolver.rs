@@ -8,7 +8,7 @@
 //! `/.well-known/did.json` on the handle's domain (`did:web`). This module is
 //! the publishing half — what a PDS does when an account is created or a
 //! handle changes; the study's collector does the resolving, against the
-//! same DNS and web stores, in `bsky-study`'s `datasets`.
+//! same DNS and web stores, in `bsky-study`'s `collect` and `identity`.
 
 use crate::diddoc::DidDocument;
 use bsky_atproto::{Did, Handle};

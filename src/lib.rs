@@ -99,10 +99,10 @@
 //! The §3 repositories dataset is collected incrementally: repositories
 //! log the blocks each commit introduces, the PDS and relay serve
 //! `com.atproto.sync.getRepo(did, since=rev)` deltas, and
-//! `bsky_study::datasets::IncrementalRepoMirror` rides the weekly `sync.listRepos`
-//! snapshots — fetching full CARs only for new or rewound DIDs and
-//! record-scoped deltas otherwise. The window-end full download of every
-//! CAR is not a mode; it is the oracle a test in `datasets.rs` holds the
+//! the incremental mirror in `bsky_study::collect` rides the weekly
+//! `sync.listRepos` snapshots — fetching full CARs only for new or rewound
+//! DIDs and record-scoped deltas otherwise. The window-end full download of
+//! every CAR is not a mode; it is the oracle a test of the mirror holds the
 //! emitted `Observation::Repo` snapshots equal to, record for record.
 //!
 //! ## Pluggable block storage and compaction
@@ -179,7 +179,7 @@
 //!   frame per window. Framing derives purely from (event bytes, event
 //!   time), so the sharded engine splits and merges it exactly (repro
 //!   `--padding none|buckets|constant --batch-window SECS`).
-//! * **Study** — `bsky_study::observatory::ObservatoryAnalyzer` folds the traces into
+//! * **Study** — `bsky_study`'s observatory analyzer folds the traces into
 //!   the §10 report section: a closed-world 1-NN classifier over
 //!   per-(DID, week) (size, gap) features, trained on even weeks and
 //!   tested on odd weeks with class-balanced sampling, against ground
@@ -245,7 +245,7 @@
 //! never-silent rule applies to recovery too: every retry, backoff,
 //! give-up, host-change backfill, dropped event, and replayed event is
 //! a named `bsky_study::StreamSummary` counter, rolled up into a
-//! `Scenario impact` report section (`bsky_study::report::FaultImpact`).
+//! `Scenario impact` section of `bsky_study::StudyReport::render`.
 //! Scenarios are selected with repro `--scenario NAME` (pds-migration,
 //! flaky-fetch, dns-flap, cursor-gap, spam-wave, label-storm,
 //! tombstone-storm) or composed ad hoc with `--faults SPEC`; the

@@ -13,9 +13,11 @@
 //! 3. **Never silent** — every scenario run surfaces its injected faults
 //!    through nonzero named counters; no scenario completes with zero
 //!    recovery-path counters.
+//! 4. **Pinned bytes** — every scenario preset's report and JSON export
+//!    match stored hashes.
 //!
 //! (That retries never double-count fetched bytes is pinned beside the
-//! collector, in `bsky-study`'s `datasets` tests.)
+//! collector, in `bsky-study`'s `collect` tests.)
 
 use bluesky_repro::bsky_atproto::blockstore::StoreConfig;
 use bluesky_repro::bsky_atproto::did::{fnv1a_64, FNV_OFFSET};
