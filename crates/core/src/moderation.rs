@@ -116,8 +116,9 @@ impl LabelerAcc {
 
     /// Community-operated, or never announced.
     fn is_community(&self) -> bool {
-        let operator = self.meta.as_ref().map(|m| m.operator);
-        operator.unwrap_or(LabelerOperator::Community) == LabelerOperator::Community
+        self.meta
+            .as_ref()
+            .is_none_or(|m| m.operator == LabelerOperator::Community)
     }
 
     fn absorb(&mut self, other: LabelerAcc) {
@@ -382,8 +383,9 @@ impl Analyzer for ModerationAnalyzer {
             .accs
             .iter()
             .find(|(_, acc)| {
-                let operator = acc.meta.as_ref().map(|m| m.operator);
-                operator == Some(LabelerOperator::BlueskyOfficial)
+                acc.meta
+                    .as_ref()
+                    .is_some_and(|m| m.operator == LabelerOperator::BlueskyOfficial)
             })
             .map(|(did, _)| did.clone());
 
