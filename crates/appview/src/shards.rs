@@ -209,7 +209,7 @@ mod tests {
     use bsky_atproto::record::{
         BlockRecord, FollowRecord, LikeRecord, PostRecord, ProfileRecord, RepostRecord,
     };
-    use bsky_simnet::SimRng;
+    use bsky_workload::rng::SimRng;
 
     fn base() -> Datetime {
         Datetime::from_ymd(2024, 4, 1)

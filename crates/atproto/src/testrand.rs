@@ -2,8 +2,8 @@
 //! property-style tests need no external dependency and are reproducible.
 //!
 //! This intentionally duplicates the SplitMix64 step in
-//! `bsky-simnet`'s `rng` module: this crate sits below `bsky-simnet` in the
-//! dependency graph, so it cannot reuse `SimRng`. Unlike `SimRng`, `below()`
+//! `bsky-workload`'s `rng` module: this crate sits below `bsky-workload` in
+//! the dependency graph, so it cannot reuse `SimRng`. Unlike `SimRng`, `below()`
 //! uses plain modulo reduction — biased for huge bounds, fine for test-case
 //! synthesis. Keep the constants in sync with the twin if either changes.
 

@@ -71,7 +71,7 @@ use bsky_atproto::repo::{commit_summary, CarReader, DeltaScope};
 use bsky_atproto::{Datetime, Did, Nsid, Tid};
 use bsky_pds::PdsFleet;
 use bsky_relay::Relay;
-use bsky_simnet::faults::{FaultPlan, RetryPolicy, TimeoutClass};
+use bsky_workload::faults::{FaultPlan, RetryPolicy, TimeoutClass};
 use std::borrow::Borrow;
 use std::collections::BTreeMap;
 use std::num::NonZeroU32;

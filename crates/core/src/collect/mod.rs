@@ -33,11 +33,11 @@ use bsky_atproto::blockstore::StoreConfig;
 use bsky_atproto::firehose::EventBody;
 use bsky_atproto::framing::FramingPolicy;
 use bsky_atproto::{Datetime, Did, Tid};
-use bsky_feedgen::route::FeedEntry;
-use bsky_feedgen::RetentionPolicy;
-use bsky_identity::DidDocument;
-use bsky_simnet::faults::{FaultPlan, RetryPolicy, TimeoutClass};
-use bsky_simnet::http::HttpResponse;
+use bsky_workload::diddoc::DidDocument;
+use bsky_workload::faults::{FaultPlan, RetryPolicy, TimeoutClass};
+use bsky_workload::generator::RetentionPolicy;
+use bsky_workload::http::HttpResponse;
+use bsky_workload::route::FeedEntry;
 use bsky_workload::World;
 use mirror::IncrementalRepoMirror;
 use std::collections::{BTreeMap, BTreeSet};

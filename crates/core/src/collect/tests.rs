@@ -165,7 +165,7 @@ fn retries_never_double_count_fetched_bytes() {
         max_delay_ms: 1_000,
         timeout_ms: 5_000,
     };
-    let spec = bsky_simnet::faults::FaultSpec {
+    let spec = bsky_workload::faults::FaultSpec {
         flaky_fetch: 0.3,
         ..Default::default()
     };

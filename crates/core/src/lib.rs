@@ -83,7 +83,7 @@
 //! ## Faults & scenarios
 //!
 //! The pipeline composes with the deterministic fault-injection layer in
-//! [`bsky_simnet::faults`] (re-exported here as [`faults`]). A
+//! [`bsky_workload::faults`] (re-exported here as [`faults`]). A
 //! [`faults::FaultSpec`] — one of the named scenarios (`repro --scenario
 //! pds-migration`, `label-storm`, `cursor-gap`, …) or a custom
 //! `key=value` spec (`repro --faults flaky=0.2,gap=0.05`) — is attached
@@ -126,7 +126,7 @@ pub mod spec;
 pub mod stats;
 mod table1;
 
-pub use bsky_simnet::faults;
+pub use bsky_workload::faults;
 pub use collect::Collector;
 pub use pipeline::{
     Observation, ObservationBatch, ObservationSink, OwnedObservation, StreamSummary, StudyCtx,

@@ -8,8 +8,8 @@ use bsky_atproto::firehose::EventBody;
 use bsky_atproto::label::LabelTargetKind;
 use bsky_atproto::nsid::known;
 use bsky_atproto::{Datetime, Did};
-use bsky_labeler::{LabelerOperator, REACTION_WINDOW_DAYS};
-use bsky_simnet::net::HostingClass;
+use bsky_workload::net::HostingClass;
+use bsky_workload::service::{LabelerOperator, REACTION_WINDOW_DAYS};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Labeling-service dataset entry: the service's metadata. Its labels
@@ -156,7 +156,7 @@ struct PendingReaction {
 /// arrives in daily batches. Reaction times are measured against the
 /// post-creation index built from firehose commits — and because every
 /// labeler's reaction delay is bounded by
-/// [`bsky_labeler::REACTION_WINDOW_DAYS`], that index is *aged out* at every
+/// [`bsky_workload::service::REACTION_WINDOW_DAYS`], that index is *aged out* at every
 /// day boundary: entries older than the reaction window can never match a
 /// future label, so peak index size is bounded by one window's worth of
 /// posts instead of the whole collection (the former `--scale 100` memory

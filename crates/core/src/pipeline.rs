@@ -48,7 +48,7 @@ use crate::recommendation::FeedGenEntry;
 use bsky_atproto::firehose::Event;
 use bsky_atproto::label::Label;
 use bsky_atproto::{Datetime, Did};
-use bsky_identity::DidDocument;
+use bsky_workload::diddoc::DidDocument;
 use bsky_workload::World;
 
 /// One item on the observation bus.
@@ -420,7 +420,7 @@ pub struct StreamSummary {
     /// Frames dropped by full per-connection capture buffers — a visible
     /// trace truncation, never silent.
     pub observer_trace_drops: u64,
-    /// Retries the producer's [`bsky_simnet::faults::RetryPolicy`] issued
+    /// Retries the producer's [`bsky_workload::faults::RetryPolicy`] issued
     /// beyond first attempts (repo fetches, delta fetches, DNS lookups).
     pub retry_attempts: u64,
     /// Total simulated milliseconds spent in per-attempt timeouts and

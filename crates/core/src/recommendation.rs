@@ -7,7 +7,7 @@ use crate::pipeline::{Analyzer, Observation, StudyCtx};
 use crate::stats::{self, month_of};
 use bsky_atproto::nsid::known;
 use bsky_atproto::{AtUri, Datetime, Did};
-use bsky_feedgen::RetentionPolicy;
+use bsky_workload::generator::RetentionPolicy;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -560,10 +560,10 @@ impl RecommendationReport {
     }
 }
 
-/// Table 5's static feature matrix (re-exported from the feedgen crate and
+/// Table 5's static feature matrix (read from `bsky_workload::faas` and
 /// rendered alongside the measured platform shares).
 fn table5_feature_matrix() -> String {
-    let platforms = bsky_feedgen::faas::default_platforms();
+    let platforms = bsky_workload::faas::default_platforms();
     let mut out = String::from("Table 5: Feed-Generator-as-a-Service feature comparison\n");
     out.push_str("Platform              | features | regex | pricing\n");
     for p in &platforms {
@@ -586,8 +586,8 @@ mod tests {
     use crate::pipeline::OwnedObservation;
     use crate::report::tests::{headline_report, small_report};
     use bsky_atproto::Nsid;
-    use bsky_feedgen::route::FeedEntry;
-    use bsky_simnet::faults::FaultPlan;
+    use bsky_workload::faults::FaultPlan;
+    use bsky_workload::route::FeedEntry;
     use bsky_workload::{World, WorldSpec};
 
     #[test]
@@ -614,7 +614,7 @@ mod tests {
         // posts whose author the relay still lists, so the storm's authors
         // lose theirs.
         let config = small_config(5);
-        let spec = bsky_simnet::faults::FaultSpec {
+        let spec = bsky_workload::faults::FaultSpec {
             tombstone_day: Some(0.75),
             tombstone_prob: 0.2,
             ..Default::default()
@@ -659,7 +659,7 @@ mod tests {
         // times that tie, split over one and four shards: absorbing each
         // shard's served page serves exactly what absorbing the shards'
         // whole lists serves.
-        let mut rng = bsky_simnet::rng::SimRng::new(38);
+        let mut rng = bsky_workload::rng::SimRng::new(38);
         let start = Datetime::from_ymd(2024, 3, 1).unwrap();
         let posts: Vec<FeedPost> = (0..5 * GET_FEED_LIMIT)
             .map(|n| FeedPost {

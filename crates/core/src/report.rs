@@ -228,7 +228,7 @@ pub(crate) mod tests {
     use crate::recommendation::RecommendationAnalyzer;
     use crate::table1::{FirehoseVolumeAnalyzer, Table1Analyzer};
     use bsky_atproto::Datetime;
-    use bsky_simnet::SimRng;
+    use bsky_workload::rng::SimRng;
     use std::sync::OnceLock;
 
     fn small_config(seed: u64) -> ScenarioConfig {

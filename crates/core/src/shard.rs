@@ -47,7 +47,7 @@ use crate::pipeline::{
 use crate::recommendation::RecommendationAnalyzer;
 use crate::spec::RunSpec;
 use crate::table1::{FirehoseVolumeAnalyzer, Table1Analyzer};
-use bsky_simnet::faults::FaultPlan;
+use bsky_workload::faults::FaultPlan;
 use bsky_workload::{PopulationPlan, ShardSpec, World, WorldSpec};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -667,7 +667,7 @@ mod tests {
         let day = Datetime::from_ymd(2024, 3, 6).unwrap();
         let mut serial = PartCounts::default();
         let mut pipelined = super::PipelinedSink::<PartCounts>::new(2);
-        let doc = bsky_identity::DidDocument::new(
+        let doc = bsky_workload::diddoc::DidDocument::new(
             bsky_atproto::Did::plc_from_seed(b"drain-test"),
             bsky_atproto::Handle::parse("drain.test").unwrap(),
             "zKey".to_string(),

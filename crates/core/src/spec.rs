@@ -23,7 +23,7 @@
 
 use bsky_atproto::blockstore::StoreConfig;
 use bsky_atproto::framing::FramingPolicy;
-use bsky_simnet::faults::FaultSpec;
+use bsky_workload::faults::FaultSpec;
 use bsky_workload::ScenarioConfig;
 
 /// A full, validated-on-demand description of one study run. Construct

@@ -8,6 +8,9 @@
 //!   and outdated-cursor signalling.
 //! * [`relay`] — the Relay service: PDS crawler, network-wide
 //!   `sync.listRepos`, and `sync.getRepo` proxied to the hosting PDS.
+//! * [`observer`] — the passive per-connection `(size, gap)` wire tap the
+//!   relay records its firehose frames into, for the §10 traffic
+//!   observatory.
 //! * [`federation`] — hierarchical relay federation: N regional relays each
 //!   crawling a contiguous slice of the hostname-sorted PDS fleet, forwarding
 //!   cursor-resumably into a super-relay with cross-relay `(did, rev)`
@@ -21,6 +24,7 @@
 
 pub mod federation;
 pub mod firehose;
+pub mod observer;
 pub mod relay;
 pub mod stats;
 

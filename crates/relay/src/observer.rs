@@ -2,10 +2,9 @@
 //!
 //! The §10 traffic observatory models an on-path adversary: someone who sees
 //! *when* frames cross a connection and *how large* they are, but nothing of
-//! their content. [`WireObserver`] is that tap — services that own a wire
-//! (the relay's firehose, the identity-resolution client) record each
-//! outbound frame's `(time, size)` pair into a per-connection trace, and the
-//! study producer drains the tap at day boundaries.
+//! their content. [`WireObserver`] is that tap — the relay records each
+//! outbound firehose frame's `(time, size)` pair into a per-connection
+//! trace, and the study producer drains the tap at day boundaries.
 //!
 //! Traces are bounded: a connection records at most `TRACE_CAPACITY`
 //! frames between drains; anything beyond is **counted** in

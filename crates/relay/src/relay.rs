@@ -8,6 +8,7 @@
 //! vantage point (§3).
 
 use crate::firehose::{FirehoseLog, Subscription};
+use crate::observer::{ConnTrace, WireObserver};
 use crate::stats::RelayStats;
 use bsky_atproto::blockstore::StoreConfig;
 use bsky_atproto::error::{AtError, Result};
@@ -15,7 +16,6 @@ use bsky_atproto::firehose::{EventBody, Seq};
 use bsky_atproto::repo::DeltaScope;
 use bsky_atproto::{Datetime, Did, Tid};
 use bsky_pds::{Pds, PdsEventDetail, PdsFleet};
-use bsky_simnet::observer::{ConnTrace, WireObserver};
 use std::collections::BTreeMap;
 
 /// Provenance of a firehose event: which PDS outbox produced it, and at

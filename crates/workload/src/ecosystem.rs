@@ -8,12 +8,13 @@
 //! Feed-Generator-as-a-Service platforms.
 
 use crate::config::ScenarioConfig;
+use crate::net::HostingClass;
+use crate::policy::{IssuancePolicy, ReactionModel, Trigger};
+use crate::rng::SimRng;
+use crate::service::LabelerOperator;
+use crate::values::COMMUNITY_LABELER_PROFILES;
 use bsky_atproto::record::MediaKind;
 use bsky_atproto::Datetime;
-use bsky_labeler::values::COMMUNITY_LABELER_PROFILES;
-use bsky_labeler::{IssuancePolicy, LabelerOperator, ReactionModel, Trigger};
-use bsky_simnet::net::HostingClass;
-use bsky_simnet::SimRng;
 
 /// Plan for one labeler service.
 #[derive(Debug, Clone)]
@@ -284,7 +285,7 @@ pub struct FeedGenPlan {
     /// Description/feed language.
     pub(crate) language: String,
     /// Which platform hosts it (index into
-    /// [`bsky_feedgen::faas::default_platforms`], or `None` = self-hosted).
+    /// [`crate::faas::default_platforms`], or `None` = self-hosted).
     pub(crate) platform_index: Option<usize>,
     /// Curation archetype.
     pub(crate) archetype: FeedArchetype,
@@ -347,7 +348,7 @@ pub(crate) fn feed_count(config: &ScenarioConfig) -> usize {
 
 /// Build the feed generator plans.
 pub(crate) fn build_feedgen_plans(config: &ScenarioConfig, rng: &mut SimRng) -> Vec<FeedGenPlan> {
-    let shares = bsky_feedgen::faas::observed_feed_shares();
+    let shares = crate::faas::observed_feed_shares();
     let introduced = Datetime::from_ymd(2023, 5, 1).expect("valid date");
     let end = config.end;
     let total_days = end.days_since(introduced).max(1);

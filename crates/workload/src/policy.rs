@@ -5,8 +5,8 @@
 //! high variability). A policy couples a set of *triggers* — predicates over
 //! post content — with a *reaction-time model*.
 
+use crate::rng::SimRng;
 use bsky_atproto::record::{MediaKind, PostRecord};
-use bsky_simnet::SimRng;
 
 /// How quickly the labeler reacts once it sees a post.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -187,8 +187,8 @@ impl IssuancePolicy {
 
 #[cfg(test)]
 impl ReactionModel {
-    /// A typical automated pipeline (~1 s median): the fixture of this
-    /// crate's tests.
+    /// A typical automated pipeline (~1 s median): the fixture of the
+    /// labeler tests.
     pub(crate) fn fast_automated() -> ReactionModel {
         ReactionModel::Automated {
             median_secs: 1.0,

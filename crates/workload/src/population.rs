@@ -8,8 +8,8 @@
 //! the account also uses third-party lexicons such as WhiteWind (§4).
 
 use crate::config::{ScenarioConfig, GROWTH_EPOCHS, LANGUAGE_SHARES};
+use crate::rng::SimRng;
 use bsky_atproto::{AtUri, Datetime, Did, Handle, Nsid};
-use bsky_simnet::SimRng;
 
 /// How the user chose their handle (§5).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -344,7 +344,7 @@ impl PopulationPlan {
 
         // Draw every profile up front. Each user's stream is forked by index
         // so the profile is a pure function of `(seed, index)`.
-        let registrar_count = bsky_identity::registrar::default_catalogue().len();
+        let registrar_count = crate::registrar::default_catalogue().len();
         let mut profiles = Vec::new();
         let mut user_rngs = Vec::new();
         let mut did_hashes = Vec::new();

@@ -11,9 +11,9 @@
 //! same DNS and web stores, in `bsky-study`'s `collect` and `identity`.
 
 use crate::diddoc::DidDocument;
+use crate::dns::DnsZoneStore;
+use crate::http::WebSpace;
 use bsky_atproto::{Did, Handle};
-use bsky_simnet::dns::DnsZoneStore;
-use bsky_simnet::http::WebSpace;
 
 /// Helpers for publishing ownership proofs (used by PDSes when accounts are
 /// created or when handles change).
@@ -47,7 +47,7 @@ pub mod publish {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bsky_simnet::http::HttpResponse;
+    use crate::http::HttpResponse;
 
     fn identity(name: &str, handle: &str) -> (Did, Handle) {
         (

@@ -7,13 +7,13 @@
 //! publishes the label on its stream. Consumers (the AppView, the study's
 //! collector) read the stream with a cursor and can backfill from the start.
 
+use crate::net::HostingClass;
 use crate::policy::IssuancePolicy;
+use crate::rng::SimRng;
 use bsky_atproto::error::Result;
 use bsky_atproto::label::{Label, LabelTarget};
 use bsky_atproto::record::PostRecord;
 use bsky_atproto::{AtUri, Datetime, Did};
-use bsky_simnet::net::HostingClass;
-use bsky_simnet::SimRng;
 use std::collections::VecDeque;
 
 /// Upper bound on a labeler's reaction delay, in days. Every sampled delay

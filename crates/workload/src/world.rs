@@ -38,10 +38,26 @@
 //! the world never sees more than one chunk outstanding either way.
 
 use crate::config::ScenarioConfig;
+use crate::diddoc::DidDocument;
+use crate::dns::DnsZoneStore;
 use crate::ecosystem::{
     build_feedgen_plans, build_labeler_plans, FeedArchetype, FeedGenPlan, LabelerPlan,
 };
+use crate::faas::default_platforms;
+use crate::faults::{FaultCounters, FaultPlan, LABEL_STORM_LOOKBACK_DAYS};
+use crate::filter::FeedFilter;
+use crate::generator::{CurationMode, FeedGenerator, RetentionPolicy};
+use crate::http::WebSpace;
+use crate::plc::PlcDirectory;
 use crate::population::{DayPurpose, PopulationPlan, UserProfile};
+use crate::psl::PublicSuffixList;
+use crate::registrar::default_catalogue;
+use crate::registrar::WhoisDatabase;
+use crate::resolver::publish;
+use crate::rng::SimRng;
+use crate::route::FeedRoutes;
+use crate::service::{LabelerOperator, LabelerRegistry, LabelerService};
+use crate::tranco::TrancoList;
 use bsky_atproto::blockstore::StoreConfig;
 use bsky_atproto::label::LabelTarget;
 use bsky_atproto::nsid::known;
@@ -52,18 +68,8 @@ use bsky_atproto::record::{
 use bsky_atproto::repo::{CompactionStats, Write};
 use bsky_atproto::Tid;
 use bsky_atproto::{cbor, AtUri, Datetime, Did, Handle, Nsid};
-use bsky_feedgen::faas::default_platforms;
-use bsky_feedgen::{CurationMode, FeedFilter, FeedGenerator, FeedRoutes, RetentionPolicy};
-use bsky_identity::registrar::default_catalogue;
-use bsky_identity::resolver::publish;
-use bsky_identity::{DidDocument, PlcDirectory, PublicSuffixList, TrancoList, WhoisDatabase};
-use bsky_labeler::{LabelerOperator, LabelerRegistry, LabelerService};
 use bsky_pds::{Pds, PdsFleet, PdsOperator};
 use bsky_relay::{Relay, RelayFederation};
-use bsky_simnet::dns::DnsZoneStore;
-use bsky_simnet::faults::{FaultCounters, FaultPlan, LABEL_STORM_LOOKBACK_DAYS};
-use bsky_simnet::http::WebSpace;
-use bsky_simnet::SimRng;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -987,7 +993,7 @@ impl World {
                     .unwrap_or_default();
                 let _ = self.plc.update(&user.did, |doc| {
                     doc.set_service(
-                        bsky_identity::diddoc::SERVICE_PDS,
+                        crate::diddoc::SERVICE_PDS,
                         "AtprotoPersonalDataServer",
                         &endpoint,
                     );
@@ -1030,7 +1036,7 @@ impl World {
                     .unwrap_or_default();
                 let _ = self.plc.update(&did, |doc| {
                     doc.set_service(
-                        bsky_identity::diddoc::SERVICE_PDS,
+                        crate::diddoc::SERVICE_PDS,
                         "AtprotoPersonalDataServer",
                         &endpoint,
                     );
@@ -1123,10 +1129,7 @@ impl World {
 /// `(seed, domain)`, reproducing the study's coverage calibration (~83 % of
 /// domains have WHOIS data). Domain-keyed so that every shard — and every
 /// re-registration of a shared domain — derives the same record.
-pub(crate) fn whois_registrar_for(
-    seed: u64,
-    domain: &str,
-) -> Option<bsky_identity::registrar::Registrar> {
+pub(crate) fn whois_registrar_for(seed: u64, domain: &str) -> Option<crate::registrar::Registrar> {
     let mut rng = SimRng::new(seed).fork(&format!("whois-{domain}"));
     if rng.chance(0.83) {
         let catalogue = default_catalogue();

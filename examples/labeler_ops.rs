@@ -9,11 +9,10 @@
 use bluesky_repro::bsky_atproto::nsid::known;
 use bluesky_repro::bsky_atproto::record::{Embed, ImageEmbed, MediaKind, PostRecord};
 use bluesky_repro::bsky_atproto::{AtUri, Datetime, Did, Nsid};
-use bluesky_repro::bsky_labeler::{
-    IssuancePolicy, LabelerOperator, LabelerService, ReactionModel, Trigger,
-};
-use bluesky_repro::bsky_simnet::net::HostingClass;
-use bluesky_repro::bsky_simnet::SimRng;
+use bluesky_repro::bsky_workload::net::HostingClass;
+use bluesky_repro::bsky_workload::policy::{IssuancePolicy, ReactionModel, Trigger};
+use bluesky_repro::bsky_workload::rng::SimRng;
+use bluesky_repro::bsky_workload::service::{LabelerOperator, LabelerService};
 
 fn main() {
     let now = Datetime::from_ymd(2024, 4, 1).unwrap();

@@ -5,10 +5,11 @@
 //! and integration tests have a single import surface:
 //!
 //! * [`bsky_atproto`] — the AT Protocol data model.
-//! * [`bsky_simnet`] — the deterministic simulation substrate.
-//! * [`bsky_identity`], [`bsky_pds`], [`bsky_relay`], [`bsky_labeler`],
-//!   [`bsky_feedgen`], [`bsky_appview`] — the network services.
-//! * [`bsky_workload`] — the calibrated synthetic ecosystem.
+//! * [`bsky_pds`], [`bsky_relay`], [`bsky_appview`] — the network's
+//!   repository hosts, its aggregator (with the §10 wire tap) and its index.
+//! * [`bsky_workload`] — the rest of the simulated network (seeded RNG,
+//!   DNS, HTTP, faults, identity, labelers, feed generators) and the
+//!   calibrated synthetic ecosystem that drives it.
 //! * [`bsky_study`] — the streaming measurement pipeline and analyses.
 //!
 //! ## The streaming study pipeline
@@ -167,11 +168,11 @@
 //! fingerprinting literature, that is often enough. The observatory models
 //! this end to end:
 //!
-//! * **Capture** — `bsky_simnet::observer::WireObserver` is a bounded
+//! * **Capture** — `bsky_relay::observer::WireObserver` is a bounded
 //!   per-connection tap (overflow counted, never silent); the relay feeds
 //!   it every firehose frame from `Event::wire_size` and the simulated
 //!   clock, and the collector's identity snapshots route handle resolution
-//!   through the simulated DNS (`bsky_simnet::dns`), producing a
+//!   through the simulated DNS (`bsky_workload::dns`), producing a
 //!   resolver-side lookup trace.
 //! * **Mitigation** — `bsky_atproto::framing::FramingPolicy` shapes the
 //!   wire: `PaddingPolicy` pads frames to 128-byte buckets or a constant
@@ -232,7 +233,7 @@
 //!
 //! ## Deterministic fault injection & scenarios
 //!
-//! `bsky_simnet::faults` extends determinism-by-derivation to failure:
+//! `bsky_workload::faults` extends determinism-by-derivation to failure:
 //! a `FaultPlan` derives every injected fault — PDS host outages with
 //! mass account re-homing, flaky or timed-out `getRepo`/`getRepoSince`
 //! calls, DNS lookup failures, firehose cursor gaps and rewinds, spam
@@ -240,7 +241,7 @@
 //! `(seed, key, day)` from dedicated RNG forks, so an injected outage
 //! hits the same DIDs on the same day in every shard layout and store
 //! backend. The collector recovers through
-//! `bsky_simnet::faults::RetryPolicy` (bounded retries, deterministic
+//! `bsky_workload::faults::RetryPolicy` (bounded retries, deterministic
 //! exponential backoff, per-class timeouts), and the established
 //! never-silent rule applies to recovery too: every retry, backoff,
 //! give-up, host-change backfill, dropped event, and replayed event is
@@ -255,11 +256,7 @@
 
 pub use bsky_appview;
 pub use bsky_atproto;
-pub use bsky_feedgen;
-pub use bsky_identity;
-pub use bsky_labeler;
 pub use bsky_pds;
 pub use bsky_relay;
-pub use bsky_simnet;
 pub use bsky_study;
 pub use bsky_workload;

@@ -6,9 +6,9 @@
 //! the CAR, delta, record and CBOR decoders have theirs beside their oracle
 //! tests in `bsky-atproto`.
 
-use bluesky_repro::bsky_simnet::faults::FaultSpec;
-use bluesky_repro::bsky_simnet::SimRng;
 use bluesky_repro::bsky_study::json::Json;
+use bluesky_repro::bsky_workload::faults::FaultSpec;
+use bluesky_repro::bsky_workload::rng::SimRng;
 
 /// Mutations per valid input.
 const ROUNDS: usize = 2_000;

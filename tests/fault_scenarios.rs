@@ -22,9 +22,9 @@
 use bluesky_repro::bsky_atproto::blockstore::StoreConfig;
 use bluesky_repro::bsky_atproto::did::{fnv1a_64, FNV_OFFSET};
 use bluesky_repro::bsky_atproto::Datetime;
-use bluesky_repro::bsky_simnet::faults::{FaultSpec, SCENARIO_NAMES};
 use bluesky_repro::bsky_study::json::Json;
 use bluesky_repro::bsky_study::{RunSpec, StudyReport};
+use bluesky_repro::bsky_workload::faults::{FaultSpec, SCENARIO_NAMES};
 use bluesky_repro::bsky_workload::ScenarioConfig;
 
 fn small_config(seed: u64) -> ScenarioConfig {

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Narrow `pub` to `pub(crate)` in the ten library crates, then give `pub` back
+"""Narrow `pub` to `pub(crate)` in the library crates, then give `pub` back
 to whatever a privacy error names, until everything compiles: what is left
 `pub` has a caller outside its crate, and `cargo check --workspace` lists what
 only `#[cfg(test)]` reaches as `dead_code`. Item-level `pub` (fn / struct /
@@ -24,7 +24,9 @@ REPO = os.path.dirname(os.path.dirname(os.path.dirname(os.path.realpath(__file__
 PROD = os.environ.get("VIS_PROD") == "1"  # production callers only: no test targets
 TARGETS = ["--lib", "--bins", "--examples"] if PROD else ["--all-targets"]
 BTARGETS = [] if PROD else ["--all-targets"]
-CRATES = "appview atproto core feedgen identity labeler pds relay simnet workload".split()
+# The library crates: every directory under crates/ with a src/lib.rs.
+CRATES = sorted(os.path.basename(os.path.dirname(os.path.dirname(p)))
+                for p in glob.glob(f"{REPO}/crates/*/src/lib.rs"))
 ITEM = re.compile(
     r"^(\s*)pub ((?:const |unsafe |async )*(?:fn|struct|enum|trait|static|type|use)\b|const [A-Z_0-9]+\b)"
 )
