@@ -148,7 +148,7 @@ pub struct RecordOp {
     /// Repository key `<collection>/<rkey>`.
     pub key: String,
     /// CID of the new record block.
-    pub cid: Cid,
+    pub(crate) cid: Cid,
 }
 
 impl RecordOp {

@@ -44,18 +44,18 @@ impl ConnTrace {
 /// (the relay keys firehose traffic by the subject DID). Keys iterate in
 /// `BTreeMap` order so draining is deterministic.
 #[derive(Debug, Clone, Default)]
-pub struct WireObserver {
+pub(crate) struct WireObserver {
     traces: BTreeMap<String, ConnTrace>,
 }
 
 impl WireObserver {
     /// An empty observer.
-    pub fn new() -> WireObserver {
+    pub(crate) fn new() -> WireObserver {
         WireObserver::default()
     }
 
     /// Record one frame on connection `conn`.
-    pub fn record(&mut self, conn: &str, time: i64, bytes: u64) {
+    pub(crate) fn record(&mut self, conn: &str, time: i64, bytes: u64) {
         if let Some(trace) = self.traces.get_mut(conn) {
             trace.record(time, bytes);
         } else {
@@ -67,7 +67,7 @@ impl WireObserver {
 
     /// Take every trace accumulated since the last drain, leaving the
     /// observer empty. Returned in deterministic (key-sorted) order.
-    pub fn drain(&mut self) -> BTreeMap<String, ConnTrace> {
+    pub(crate) fn drain(&mut self) -> BTreeMap<String, ConnTrace> {
         std::mem::take(&mut self.traces)
     }
 }

@@ -36,7 +36,7 @@ pub struct DidDocument {
 }
 
 /// Standard service id of the PDS entry.
-pub const SERVICE_PDS: &str = "atproto_pds";
+pub(crate) const SERVICE_PDS: &str = "atproto_pds";
 impl DidDocument {
     /// Create a document with a PDS endpoint.
     pub fn new(did: Did, handle: Handle, signing_key: String, pds_endpoint: String) -> DidDocument {
@@ -53,7 +53,7 @@ impl DidDocument {
     }
 
     /// Add or replace a service entry.
-    pub fn set_service(&mut self, id: &str, service_type: &str, endpoint: &str) {
+    pub(crate) fn set_service(&mut self, id: &str, service_type: &str, endpoint: &str) {
         if let Some(entry) = self.services.iter_mut().find(|s| s.id == id) {
             entry.service_type = service_type.to_string();
             entry.endpoint = endpoint.to_string();

@@ -17,12 +17,12 @@ pub struct DnsZoneStore {
 
 impl DnsZoneStore {
     /// Create an empty store.
-    pub fn new() -> DnsZoneStore {
+    pub(crate) fn new() -> DnsZoneStore {
         DnsZoneStore::default()
     }
 
     /// Replace all TXT records at a name.
-    pub fn set_txt(&mut self, name: &str, values: Vec<String>) {
+    pub(crate) fn set_txt(&mut self, name: &str, values: Vec<String>) {
         self.txt.insert(name.to_ascii_lowercase(), values);
     }
 

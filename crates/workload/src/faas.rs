@@ -65,7 +65,7 @@ pub struct FaasPlatform {
     /// Platform name as used in Table 5 / Figure 12.
     pub name: String,
     /// Hostname of the service (feeds hosted here share this service DID).
-    pub hostname: String,
+    pub(crate) hostname: String,
     /// Supported inputs.
     pub(crate) inputs: InputFeatures,
     /// Supported filters.
@@ -217,7 +217,7 @@ pub fn default_platforms() -> Vec<FaasPlatform> {
 /// Table 5's "Number of Feeds" row, normalised). Used by the workload
 /// generator to assign synthetic feeds to platforms. The remainder is
 /// self-hosted.
-pub fn observed_feed_shares() -> Vec<(&'static str, f64)> {
+pub(crate) fn observed_feed_shares() -> Vec<(&'static str, f64)> {
     vec![
         ("Skyfeed", 0.8586),
         ("Bluefeed", 0.0558),

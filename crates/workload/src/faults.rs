@@ -36,7 +36,7 @@ use std::collections::BTreeMap;
 pub(crate) const MAX_INJECTED_FAILURES: u32 = 6;
 
 /// How many days back a label storm reaches when flagging posts.
-pub const LABEL_STORM_LOOKBACK_DAYS: usize = 14;
+pub(crate) const LABEL_STORM_LOOKBACK_DAYS: usize = 14;
 
 /// Which faults are active and how strongly. `Default` is quiet (no
 /// faults); scenario presets are available via [`FaultSpec::scenario`] and
@@ -275,13 +275,13 @@ impl FaultPlan {
     }
 
     /// The outage event, if any: `(day index, default-host index)`.
-    pub fn outage(&self) -> Option<(usize, usize)> {
+    pub(crate) fn outage(&self) -> Option<(usize, usize)> {
         self.outage_day.map(|day| (day, self.spec.outage_host))
     }
 
     /// Deterministic re-home draw for a DID displaced by the outage. The
     /// caller maps it onto the list of surviving hosts.
-    pub fn rehome_slot(&self, did: &str) -> u64 {
+    pub(crate) fn rehome_slot(&self, did: &str) -> u64 {
         self.fork("rehome", did, 0).next_u64()
     }
 
@@ -344,7 +344,7 @@ impl FaultPlan {
 
     /// Extra spam posts the account writes on `day_idx` (0 unless the DID
     /// is conscripted into the wave).
-    pub fn spam_posts(&self, did: &str, day_idx: usize) -> u32 {
+    pub(crate) fn spam_posts(&self, did: &str, day_idx: usize) -> u32 {
         if self.spec.spam_fraction <= 0.0 || self.spec.spam_rate == 0 {
             return 0;
         }
@@ -360,12 +360,12 @@ impl FaultPlan {
     }
 
     /// The label-storm day index, if any.
-    pub fn label_storm_day(&self) -> Option<usize> {
+    pub(crate) fn label_storm_day(&self) -> Option<usize> {
         self.label_storm_day
     }
 
     /// Whether the storm flags this post URI.
-    pub fn storm_label(&self, uri: &str) -> bool {
+    pub(crate) fn storm_label(&self, uri: &str) -> bool {
         self.spec.label_storm_prob > 0.0
             && self
                 .fork("label-storm", uri, 0)
@@ -373,12 +373,12 @@ impl FaultPlan {
     }
 
     /// The tombstone-storm day index, if any.
-    pub fn tombstone_day(&self) -> Option<usize> {
+    pub(crate) fn tombstone_day(&self) -> Option<usize> {
         self.tombstone_day
     }
 
     /// Whether the storm deletes this account.
-    pub fn storm_tombstone(&self, did: &str) -> bool {
+    pub(crate) fn storm_tombstone(&self, did: &str) -> bool {
         self.spec.tombstone_prob > 0.0
             && self
                 .fork("tombstone", did, 0)

@@ -12,7 +12,7 @@ use bsky_atproto::record::{MediaKind, PostRecord};
 
 /// A predicate applied to every post on the network (Table 5, "Filters").
 #[derive(Debug, Clone, PartialEq)]
-pub enum FeedFilter {
+pub(crate) enum FeedFilter {
     /// Keep only posts in one of these languages.
     Language(Vec<String>),
     /// Keep only posts with attached media of these kinds.

@@ -20,7 +20,7 @@ use bsky_atproto::{AtUri, Datetime, Did, Nsid};
 
 /// How a generator selects posts.
 #[derive(Debug, Clone)]
-pub enum CurationMode {
+pub(crate) enum CurationMode {
     /// A filter pipeline over the whole network (what FaaS platforms
     /// build): a post is curated when every filter passes.
     Pipeline(Vec<FeedFilter>),
@@ -61,7 +61,7 @@ pub struct FeedGenerator {
 
 impl FeedGenerator {
     /// Create a generator.
-    pub fn new(
+    pub(crate) fn new(
         creator: Did,
         rkey: impl Into<String>,
         record: FeedGeneratorRecord,
@@ -115,7 +115,7 @@ impl FeedGenerator {
     }
 
     /// Record a like on the generator.
-    pub fn add_like(&mut self) {
+    pub(crate) fn add_like(&mut self) {
         self.like_count += 1;
     }
 

@@ -44,12 +44,12 @@ fn host_of(url: &str) -> Option<&str> {
 
 impl WebSpace {
     /// Create an empty web.
-    pub fn new() -> WebSpace {
+    pub(crate) fn new() -> WebSpace {
         WebSpace::default()
     }
 
     /// Publish a document at a URL.
-    pub fn publish(&mut self, url: &str, body: impl Into<String>) {
+    pub(crate) fn publish(&mut self, url: &str, body: impl Into<String>) {
         self.documents.insert(url.to_string(), body.into());
     }
 

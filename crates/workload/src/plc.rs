@@ -21,13 +21,13 @@ pub struct PlcDirectory {
 
 impl PlcDirectory {
     /// Create an empty directory.
-    pub fn new() -> PlcDirectory {
+    pub(crate) fn new() -> PlcDirectory {
         PlcDirectory::default()
     }
 
     /// Register a new identity. Fails if the DID already exists (or was
     /// tombstoned) or is not a `did:plc`.
-    pub fn create(&mut self, document: DidDocument) -> Result<()> {
+    pub(crate) fn create(&mut self, document: DidDocument) -> Result<()> {
         if document.did.method() != bsky_atproto::DidMethod::Plc {
             return Err(AtError::InvalidDid(format!(
                 "PLC directory only stores did:plc, got {}",
@@ -43,7 +43,11 @@ impl PlcDirectory {
     }
 
     /// Update an identity's document (handle change, PDS migration, ...).
-    pub fn update(&mut self, did: &Did, mutate: impl FnOnce(&mut DidDocument)) -> Result<()> {
+    pub(crate) fn update(
+        &mut self,
+        did: &Did,
+        mutate: impl FnOnce(&mut DidDocument),
+    ) -> Result<()> {
         let key = did.to_string();
         let doc = self
             .documents
@@ -54,7 +58,7 @@ impl PlcDirectory {
     }
 
     /// Tombstone (delete) an identity.
-    pub fn tombstone(&mut self, did: &Did) -> Result<()> {
+    pub(crate) fn tombstone(&mut self, did: &Did) -> Result<()> {
         let key = did.to_string();
         if self.documents.remove(&key).is_none() {
             return Err(AtError::InvalidDid(format!("{key} not registered")));

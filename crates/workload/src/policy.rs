@@ -29,7 +29,7 @@ pub enum ReactionModel {
 
 impl ReactionModel {
     /// A typical human-in-the-loop process (hours).
-    pub fn slow_manual() -> ReactionModel {
+    pub(crate) fn slow_manual() -> ReactionModel {
         ReactionModel::Manual {
             median_secs: 6.0 * 3600.0,
             sigma: 1.5,
@@ -96,7 +96,7 @@ pub enum Trigger {
 
 impl Trigger {
     /// The value this trigger applies.
-    pub fn value(&self) -> &str {
+    pub(crate) fn value(&self) -> &str {
         match self {
             Trigger::MissingAltText { value }
             | Trigger::Media { value, .. }
@@ -133,7 +133,7 @@ impl Trigger {
 #[derive(Debug, Clone, PartialEq)]
 pub struct IssuancePolicy {
     /// Content triggers, evaluated in order; every matching trigger fires.
-    pub triggers: Vec<Trigger>,
+    pub(crate) triggers: Vec<Trigger>,
     /// Reaction-time model.
     pub(crate) reaction: ReactionModel,
     /// Probability that an applied label is later rescinded (false positive

@@ -56,7 +56,7 @@ impl Default for PublicSuffixList {
 
 impl PublicSuffixList {
     /// The embedded default list.
-    pub fn embedded() -> PublicSuffixList {
+    pub(crate) fn embedded() -> PublicSuffixList {
         PublicSuffixList::default()
     }
 

@@ -20,7 +20,7 @@ pub struct Registrar {
 
 /// The registrar catalogue used by the synthetic population, mirroring the
 /// real-world market shares Table 2 reports.
-pub fn default_catalogue() -> Vec<Registrar> {
+pub(crate) fn default_catalogue() -> Vec<Registrar> {
     let named: [(u32, &str); 7] = [
         (1068, "NameCheap, Inc."),
         (1910, "CloudFlare, Inc."),
@@ -71,13 +71,13 @@ pub struct WhoisDatabase {
 
 impl WhoisDatabase {
     /// Create an empty database.
-    pub fn new() -> WhoisDatabase {
+    pub(crate) fn new() -> WhoisDatabase {
         WhoisDatabase::default()
     }
 
     /// Register a domain with its registrar (or `None` when WHOIS data will
     /// be unavailable for it).
-    pub fn register(&mut self, domain: &str, registrar: Option<Registrar>) {
+    pub(crate) fn register(&mut self, domain: &str, registrar: Option<Registrar>) {
         let domain = domain.to_ascii_lowercase();
         self.records
             .insert(domain.clone(), WhoisRecord { domain, registrar });

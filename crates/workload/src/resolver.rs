@@ -21,17 +21,17 @@ pub mod publish {
     use super::*;
 
     /// Publish a DNS TXT ownership proof for a handle.
-    pub fn dns_proof(dns: &mut DnsZoneStore, handle: &Handle, did: &Did) {
+    pub(crate) fn dns_proof(dns: &mut DnsZoneStore, handle: &Handle, did: &Did) {
         dns.set_txt(&handle.atproto_txt_name(), vec![format!("did={did}")]);
     }
 
     /// Publish a well-known HTTPS ownership proof for a handle.
-    pub fn well_known_proof(web: &mut WebSpace, handle: &Handle, did: &Did) {
+    pub(crate) fn well_known_proof(web: &mut WebSpace, handle: &Handle, did: &Did) {
         web.publish(&handle.well_known_url(), did.to_string());
     }
 
     /// Publish a `did:web` DID document on its domain.
-    pub fn did_web_document(web: &mut WebSpace, document: &DidDocument) {
+    pub(crate) fn did_web_document(web: &mut WebSpace, document: &DidDocument) {
         if let Some(domain) = document.did.web_domain() {
             web.publish(
                 &format!("https://{domain}/.well-known/did.json"),

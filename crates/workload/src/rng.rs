@@ -72,7 +72,7 @@ impl SimRng {
 
     /// Derive an independent generator for a named subsystem. The derived
     /// seed depends only on the parent seed and the label.
-    pub fn fork(&self, label: &str) -> SimRng {
+    pub(crate) fn fork(&self, label: &str) -> SimRng {
         let mut derived = self.seed ^ 0x9e37_79b9_7f4a_7c15;
         for byte in label.bytes() {
             derived = derived
@@ -86,7 +86,7 @@ impl SimRng {
     /// Derive an independent generator from a numeric label. Equivalent in
     /// spirit to [`SimRng::fork`] but allocation-free, for hot paths that
     /// derive one stream per (entity, day, purpose) tuple.
-    pub fn fork_u64(&self, label: u64) -> SimRng {
+    pub(crate) fn fork_u64(&self, label: u64) -> SimRng {
         let mut mix = self.seed ^ label.wrapping_mul(0x9e37_79b9_7f4a_7c15);
         // Two splitmix rounds decorrelate adjacent labels.
         let a = splitmix64(&mut mix);
@@ -142,7 +142,7 @@ impl SimRng {
     }
 
     /// A uniform f64 in `[0, 1)`.
-    pub fn unit(&mut self) -> f64 {
+    pub(crate) fn unit(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
@@ -161,7 +161,7 @@ impl SimRng {
     }
 
     /// Poisson sample with the given mean (returns 0 for non-positive means).
-    pub fn poisson(&mut self, mean: f64) -> u64 {
+    pub(crate) fn poisson(&mut self, mean: f64) -> u64 {
         if mean <= 0.0 {
             return 0;
         }
@@ -187,14 +187,14 @@ impl SimRng {
 
     /// Log-normal sample parameterised by the *median* and sigma of the
     /// underlying normal. Used for reaction-time and activity-level models.
-    pub fn log_normal(&mut self, median: f64, sigma: f64) -> f64 {
+    pub(crate) fn log_normal(&mut self, median: f64, sigma: f64) -> f64 {
         let mu = median.max(1e-9).ln();
         (mu + sigma.max(1e-9) * self.standard_normal()).exp()
     }
 
     /// Zipf-distributed rank sample in `[1, n]` with exponent `s`, via
     /// rejection-inversion (Hörmann & Derflinger).
-    pub fn zipf(&mut self, n: u64, s: f64) -> u64 {
+    pub(crate) fn zipf(&mut self, n: u64, s: f64) -> u64 {
         if n <= 1 {
             return 1;
         }
@@ -230,14 +230,14 @@ impl SimRng {
     }
 
     /// Pick one element of a slice (panics on empty slices).
-    pub fn pick<'a, T>(&mut self, items: &'a [T]) -> &'a T {
+    pub(crate) fn pick<'a, T>(&mut self, items: &'a [T]) -> &'a T {
         assert!(!items.is_empty(), "pick from empty slice");
         &items[self.next_bounded(items.len() as u64) as usize]
     }
 
     /// Pick an index according to a weight vector. Returns `None` when the
     /// total weight is not positive.
-    pub fn pick_weighted(&mut self, weights: &[f64]) -> Option<usize> {
+    pub(crate) fn pick_weighted(&mut self, weights: &[f64]) -> Option<usize> {
         let total: f64 = weights.iter().filter(|w| w.is_finite() && **w > 0.0).sum();
         if total <= 0.0 {
             return None;

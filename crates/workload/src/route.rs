@@ -61,7 +61,7 @@ impl FeedRoutes {
     /// Put `feed` on the route of its pipeline (a new route if no earlier
     /// feed has equal filters), activated at `now`. Called once per feed,
     /// before any post of the activation day is routed.
-    pub fn add(&mut self, feed: &mut FeedGenerator, now: Datetime) {
+    pub(crate) fn add(&mut self, feed: &mut FeedGenerator, now: Datetime) {
         let CurationMode::Pipeline(filters) = feed.mode() else {
             return;
         };
@@ -89,7 +89,7 @@ impl FeedRoutes {
 
     /// Curate a new post at `now`: every route whose filters all pass gets
     /// one entry holding a clone of `uri` — the same allocation.
-    pub fn route(&mut self, uri: &Arc<AtUri>, post: &PostRecord, now: Datetime) {
+    pub(crate) fn route(&mut self, uri: &Arc<AtUri>, post: &PostRecord, now: Datetime) {
         for route in &mut self.routes {
             if !curates(&route.filters, post) {
                 continue;
@@ -118,7 +118,7 @@ impl FeedRoutes {
     /// Apply every feed's retention policy as of `now` and trim each
     /// route's list to the longest suffix one of its feeds still retains.
     /// `feeds` are the feeds [`FeedRoutes::add`] put on the routes.
-    pub fn enforce_retention(&mut self, now: Datetime, feeds: &[FeedGenerator]) {
+    pub(crate) fn enforce_retention(&mut self, now: Datetime, feeds: &[FeedGenerator]) {
         self.retained_at = Some(now);
         let mut keep_from: Vec<usize> = self.routes.iter().map(|r| r.entries.len()).collect();
         for feed in feeds {

@@ -146,7 +146,7 @@ impl LabelerService {
 
     /// Directly apply a label to an arbitrary target (account-level
     /// moderation, profile media, retroactive labelling).
-    pub fn apply_label(
+    pub(crate) fn apply_label(
         &mut self,
         target: LabelTarget,
         value: &str,
@@ -217,12 +217,12 @@ pub struct LabelerRegistry {
 
 impl LabelerRegistry {
     /// Create an empty registry.
-    pub fn new() -> LabelerRegistry {
+    pub(crate) fn new() -> LabelerRegistry {
         LabelerRegistry::default()
     }
 
     /// Register a labeler.
-    pub fn register(&mut self, labeler: LabelerService) {
+    pub(crate) fn register(&mut self, labeler: LabelerService) {
         self.labelers.push(labeler);
     }
 
@@ -232,12 +232,12 @@ impl LabelerRegistry {
     }
 
     /// Mutable access to all labelers.
-    pub fn all_mut(&mut self) -> &mut [LabelerService] {
+    pub(crate) fn all_mut(&mut self) -> &mut [LabelerService] {
         &mut self.labelers
     }
 
     /// Number of announced labelers.
-    pub fn announced_count(&self) -> usize {
+    pub(crate) fn announced_count(&self) -> usize {
         self.labelers.len()
     }
 }

@@ -20,7 +20,7 @@ impl TrancoList {
     }
 
     /// Build a list from domains in rank order (first = rank 1).
-    pub fn from_ranked(domains: &[String]) -> TrancoList {
+    pub(crate) fn from_ranked(domains: &[String]) -> TrancoList {
         let mut list = TrancoList::new();
         for (i, d) in domains.iter().enumerate() {
             list.insert(d, i as u32 + 1);

@@ -8,7 +8,7 @@
 
 /// Representative community labeler profiles observed in Table 3 / Table 6:
 /// `(display name, primary values)`.
-pub const COMMUNITY_LABELER_PROFILES: &[(&str, &[&str])] = &[
+pub(crate) const COMMUNITY_LABELER_PROFILES: &[(&str, &[&str])] = &[
     (
         "Bad Accessibility / Alt Text Labeler",
         &["no-alt-text", "non-alt-text", "mis-alt-text"],

@@ -43,15 +43,25 @@ const EXEMPT: &[(&str, &str)] = &[
     ("pds::server::PdsEvent", "Pds::events_since"),
     ("relay::firehose::FirehoseLog", "Relay::firehose"),
     ("relay::firehose::Subscription", "Relay::subscribe"),
+    ("relay::observer::ConnTrace", "Relay::take_wire_traces"),
     ("relay::relay::EventOrigin", "Relay::event_origin"),
+    ("workload::dns::DnsZoneStore", "World::dns"),
     ("workload::ecosystem::FeedGenPlan", "FeedGenInfo::plan"),
     ("workload::faas::FaasPlatform", "faas::default_platforms"),
     ("workload::faas::FilterFeatures", "FaasPlatform::filters"),
     ("workload::faas::Pricing", "FaasPlatform::pricing"),
+    ("workload::faults::FaultCounters", "World::fault_counters"),
     ("workload::faults::RetryOutcome", "RetryPolicy::outcome"),
+    ("workload::http::WebSpace", "World::web"),
+    ("workload::plc::PlcDirectory", "World::plc"),
     ("workload::population::UserProfile", "World::users"),
+    ("workload::psl::PublicSuffixList", "World::psl"),
+    ("workload::registrar::WhoisDatabase", "World::whois"),
     ("workload::registrar::WhoisRecord", "WhoisDatabase::query"),
     ("workload::rng::UniformSample", "the bound of SimRng::range"),
+    ("workload::route::FeedRoutes", "World::feed_routes"),
+    ("workload::service::LabelerRegistry", "World::labelers"),
+    ("workload::tranco::TrancoList", "World::tranco"),
     ("workload::world::DayCursor", "World::begin_day"),
     ("workload::world::FeedGenInfo", "World::feedgen_info"),
 ];
