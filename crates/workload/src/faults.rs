@@ -141,9 +141,12 @@ impl FaultSpec {
     /// `spam-rate`, `label-storm` / `label-prob`, `tombstone` /
     /// `tombstone-prob`. Day keys take run fractions in `0..=1`;
     /// probability keys take `0..=1`; count keys take non-negative
-    /// integers. Unknown keys and out-of-range values are errors. A key
-    /// given twice with *different* values is contradictory and errors; an
-    /// identical repeat is harmless.
+    /// integers (`spam-rate` at most `u32::MAX`). Unknown keys and
+    /// out-of-range values are errors. A key given twice with *different*
+    /// values is contradictory and errors; an identical repeat is harmless.
+    /// `spam`, `label-storm` and `tombstone` give their companion rate or
+    /// probability a default (10, 0.5, 0.02) when neither the input nor the
+    /// base sets it, whatever the order of the entries.
     pub fn parse_onto(base: FaultSpec, input: &str) -> Result<FaultSpec, String> {
         let mut spec = base;
         let mut seen: BTreeMap<&str, &str> = BTreeMap::new();
@@ -170,41 +173,36 @@ impl FaultSpec {
                 }
                 Ok(v)
             };
-            let count = || -> Result<u64, String> {
-                value
-                    .parse()
-                    .map_err(|_| format!("fault spec '{key}' value '{value}' is not an integer"))
-            };
+            let not_a_count =
+                |_| format!("fault spec '{key}' value '{value}' is not an integer in range");
             match key {
                 "outage" => spec.outage_day = Some(fraction()?),
-                "outage-host" => spec.outage_host = count()? as usize,
+                "outage-host" => spec.outage_host = value.parse().map_err(not_a_count)?,
                 "flaky" => spec.flaky_fetch = fraction()?,
                 "dns" => spec.dns_flap = fraction()?,
                 "gap" => spec.cursor_gap = fraction()?,
                 "rewind" => spec.cursor_rewind = fraction()?,
-                "spam" => {
-                    spec.spam_fraction = fraction()?;
-                    if spec.spam_rate == 0 {
-                        spec.spam_rate = 10;
-                    }
-                }
-                "spam-rate" => spec.spam_rate = count()? as u32,
-                "label-storm" => {
-                    spec.label_storm_day = Some(fraction()?);
-                    if spec.label_storm_prob == 0.0 {
-                        spec.label_storm_prob = 0.5;
-                    }
-                }
+                "spam" => spec.spam_fraction = fraction()?,
+                "spam-rate" => spec.spam_rate = value.parse().map_err(not_a_count)?,
+                "label-storm" => spec.label_storm_day = Some(fraction()?),
                 "label-prob" => spec.label_storm_prob = fraction()?,
-                "tombstone" => {
-                    spec.tombstone_day = Some(fraction()?);
-                    if spec.tombstone_prob == 0.0 {
-                        spec.tombstone_prob = 0.02;
-                    }
-                }
+                "tombstone" => spec.tombstone_day = Some(fraction()?),
                 "tombstone-prob" => spec.tombstone_prob = fraction()?,
                 _ => return Err(format!("unknown fault spec key '{key}'")),
             }
+        }
+        // A companion default applies only where the input left the
+        // companion unset, so the order of the entries cannot matter.
+        let defaults =
+            |key: &str, companion: &str| seen.contains_key(key) && !seen.contains_key(companion);
+        if defaults("spam", "spam-rate") && spec.spam_rate == 0 {
+            spec.spam_rate = 10;
+        }
+        if defaults("label-storm", "label-prob") && spec.label_storm_prob == 0.0 {
+            spec.label_storm_prob = 0.5;
+        }
+        if defaults("tombstone", "tombstone-prob") && spec.tombstone_prob == 0.0 {
+            spec.tombstone_prob = 0.02;
         }
         Ok(spec)
     }
@@ -573,6 +571,44 @@ mod tests {
         assert!(parse("flaky=1.5").is_err());
         assert!(parse("flaky").is_err());
         assert!(parse("flaky=x").is_err());
+    }
+
+    #[test]
+    fn spam_rate_overflow_is_an_error() {
+        assert_eq!(
+            parse("spam=0.1,spam-rate=4294967295").unwrap().spam_rate,
+            u32::MAX
+        );
+        let err = parse("spam=0.1,spam-rate=4294967296").unwrap_err();
+        assert!(err.contains("spam-rate"), "{err}");
+        assert!(parse("spam-rate=-1").is_err());
+    }
+
+    #[test]
+    fn companion_defaults_do_not_depend_on_entry_order() {
+        // An explicit companion wins in either order, zero included.
+        for input in ["spam=0.1,spam-rate=0", "spam-rate=0,spam=0.1"] {
+            assert_eq!(parse(input).unwrap().spam_rate, 0, "{input}");
+        }
+        for input in [
+            "label-storm=0.6,label-prob=0",
+            "label-prob=0,label-storm=0.6",
+        ] {
+            assert_eq!(parse(input).unwrap().label_storm_prob, 0.0, "{input}");
+        }
+        for input in [
+            "tombstone=0.7,tombstone-prob=0",
+            "tombstone-prob=0,tombstone=0.7",
+        ] {
+            assert_eq!(parse(input).unwrap().tombstone_prob, 0.0, "{input}");
+        }
+        for input in ["spam=0.1,spam-rate=3", "spam-rate=3,spam=0.1"] {
+            assert_eq!(parse(input).unwrap().spam_rate, 3, "{input}");
+        }
+        // Without its companion, each key brings its default.
+        assert_eq!(parse("spam=0.1").unwrap().spam_rate, 10);
+        assert_eq!(parse("label-storm=0.6").unwrap().label_storm_prob, 0.5);
+        assert_eq!(parse("tombstone=0.7").unwrap().tombstone_prob, 0.02);
     }
 
     #[test]
