@@ -5,7 +5,9 @@
 //! groups under `github.io` (a private suffix) while `alice.example.co.uk`
 //! groups under `example.co.uk`. We embed a compact PSL subset that covers
 //! the suffixes appearing in the synthetic handle population; the lookup
-//! logic (longest matching suffix, wildcard rules) follows the PSL algorithm.
+//! (longest matching suffix, unknown TLDs as one-label suffixes) follows the
+//! PSL algorithm. The subset has no wildcard (`*.`) rules, so the lookup has
+//! none either.
 
 use std::collections::BTreeSet;
 
@@ -13,7 +15,6 @@ use std::collections::BTreeSet;
 #[derive(Debug, Clone)]
 pub struct PublicSuffixList {
     suffixes: BTreeSet<String>,
-    wildcards: BTreeSet<String>,
 }
 
 /// ICANN suffixes embedded by default.
@@ -43,14 +44,13 @@ const PRIVATE_SUFFIXES: &[&str] = &[
 
 impl Default for PublicSuffixList {
     fn default() -> Self {
-        let mut psl = PublicSuffixList {
-            suffixes: BTreeSet::new(),
-            wildcards: BTreeSet::new(),
-        };
-        for s in ICANN_SUFFIXES.iter().chain(PRIVATE_SUFFIXES) {
-            psl.add_suffix(s);
+        PublicSuffixList {
+            suffixes: ICANN_SUFFIXES
+                .iter()
+                .chain(PRIVATE_SUFFIXES)
+                .map(|s| s.to_string())
+                .collect(),
         }
-        psl
     }
 }
 
@@ -60,16 +60,6 @@ impl PublicSuffixList {
         PublicSuffixList::default()
     }
 
-    /// Add a suffix rule, e.g. `com`, `co.uk`, `github.io` or `*.example`.
-    pub(crate) fn add_suffix(&mut self, suffix: &str) {
-        let suffix = suffix.to_ascii_lowercase();
-        if let Some(rest) = suffix.strip_prefix("*.") {
-            self.wildcards.insert(rest.to_string());
-        } else {
-            self.suffixes.insert(suffix);
-        }
-    }
-
     /// The length (in labels) of the longest public suffix of `labels`, or 0.
     fn matching_suffix_len(&self, labels: &[&str]) -> usize {
         let mut best = 0usize;
@@ -77,10 +67,6 @@ impl PublicSuffixList {
             let candidate = labels[start..].join(".");
             if self.suffixes.contains(&candidate) {
                 best = best.max(labels.len() - start);
-            }
-            // Wildcard: `*.candidate` covers one extra label to the left.
-            if start > 0 && self.wildcards.contains(&candidate) {
-                best = best.max(labels.len() - start + 1);
             }
         }
         best
@@ -168,26 +154,6 @@ mod tests {
             psl.registered_domain("host.example.unknowntld"),
             Some("example.unknowntld".into())
         );
-    }
-
-    #[test]
-    fn wildcard_rules() {
-        let mut psl = PublicSuffixList {
-            suffixes: BTreeSet::new(),
-            wildcards: BTreeSet::new(),
-        };
-        psl.add_suffix("*.ck");
-        psl.add_suffix("ck");
-        assert_eq!(psl.registered_domain("www.ck"), None);
-        assert_eq!(
-            psl.registered_domain("shop.site.www.ck"),
-            Some("site.www.ck".into())
-        );
-        assert_eq!(
-            psl.registered_domain("site.www.ck"),
-            Some("site.www.ck".into())
-        );
-        assert_eq!((psl.suffixes.len(), psl.wildcards.len()), (1, 1));
     }
 
     #[test]
