@@ -2,7 +2,7 @@
 //!
 //! The §10 traffic observatory models an on-path adversary: someone who sees
 //! *when* frames cross a connection and *how large* they are, but nothing of
-//! their content. [`WireObserver`] is that tap — the relay records each
+//! their content. `WireObserver` is that tap — the relay records each
 //! outbound firehose frame's `(time, size)` pair into a per-connection
 //! trace, and the study producer drains the tap at day boundaries.
 //!

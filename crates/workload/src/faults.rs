@@ -602,9 +602,6 @@ mod tests {
         ] {
             assert_eq!(parse(input).unwrap().tombstone_prob, 0.0, "{input}");
         }
-        for input in ["spam=0.1,spam-rate=3", "spam-rate=3,spam=0.1"] {
-            assert_eq!(parse(input).unwrap().spam_rate, 3, "{input}");
-        }
         // Without its companion, each key brings its default.
         assert_eq!(parse("spam=0.1").unwrap().spam_rate, 10);
         assert_eq!(parse("label-storm=0.6").unwrap().label_storm_prob, 0.5);

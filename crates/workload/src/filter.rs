@@ -4,7 +4,7 @@
 //! *inputs* and *filters* — the feature matrix of Table 5, kept in
 //! [`crate::faas`]. Every pipeline feed the simulated ecosystem builds draws
 //! from the whole network (the firehose) and applies filters of the three
-//! kinds [`FeedFilter`] has; it curates a post when every filter passes.
+//! kinds `FeedFilter` has; it curates a post when every filter passes.
 //! Filters compare structurally, so feeds with equal pipelines share one
 //! [`crate::route`] and each post is checked against that pipeline once.
 

@@ -14,7 +14,7 @@
 //! last retention pass, or the last `n` for `Count(n)`). That is exact
 //! because a feed is activated before the day's posts are routed, so
 //! "curated at or after activation" is exactly "routed to the route after
-//! the feed joined it". [`FeedRoutes::enforce_retention`] trims each
+//! the feed joined it". `FeedRoutes::enforce_retention` trims each
 //! route's list to the longest suffix any of its feeds still retains.
 
 use crate::filter::{curates, FeedFilter};
@@ -139,7 +139,7 @@ impl FeedRoutes {
     /// `Count(n)` feed keeps the last `n` of the list as it stands. So
     /// between passes a `Count` view already leaves out what the next pass
     /// will drop, and it equals a per-feed list trimmed only at passes
-    /// right after [`FeedRoutes::enforce_retention`].
+    /// right after `FeedRoutes::enforce_retention`.
     pub fn view(&self, feed: &FeedGenerator) -> Option<(usize, usize)> {
         let (index, activated_at) = feed.route?;
         let entries = &self.routes[index].entries;
