@@ -1,9 +1,11 @@
 //! # bsky-workload
 //!
-//! The simulated Bluesky ecosystem apart from its PDSes and relays: the
-//! deterministic network substrate, the identity layer, the labelers and
-//! feed generators, and the calibrated population with its day-by-day
-//! simulation driver ([`world::World`]).
+//! The calibrated synthetic Bluesky ecosystem: population, growth epochs,
+//! activity, identity churn, labeler and feed-generator ecosystems, and the
+//! day-by-day simulation driver ([`world::World`]); and, as modules of their
+//! own, everything of the simulated network apart from its PDSes and relays
+//! (`bsky-pds`, `bsky-relay`): the deterministic network substrate, the
+//! identity layer, the labelers and the feed generators.
 //!
 //! All calibration constants come straight from the paper (see
 //! [`config::paper`]); a `(seed, scale)` pair fully determines a run.
@@ -70,14 +72,6 @@
 //!   each feed on it is a view.
 //! * [`faas`] — the Feed-Generator-as-a-Service platforms of Table 5 with
 //!   their feature matrices and observed market shares.
-//!
-//! ## The population and the driver
-//!
-//! * [`config`] — the scenario and the paper's calibration constants.
-//! * [`population`] — the population plan: growth epochs, activity, identity
-//!   churn, every per-`(DID, day)` draw.
-//! * [`ecosystem`] — the labeler and feed-generator ecosystems' plans.
-//! * [`world`] — the simulated world and its day-by-day driver.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
