@@ -10,7 +10,7 @@ run by cargo or any test; `tests/public_surface.rs` is the standing check and
 
     git commit / stash first: both steps rewrite crates/*/src in place
     python3 tools/narrow/vis.py narrow    # pub -> pub(crate)
-    python3 tools/narrow/vis.py iterate   # check, restore, repeat (1-2 min, ~60 rounds)
+    python3 tools/narrow/vis.py iterate   # check, restore, repeat (about 2 min, ~40 rounds)
     git diff --stat                       # empty at a fixpoint
     cargo check --workspace               # dead_code = reached by tests only
 
