@@ -156,11 +156,11 @@ struct PendingReaction {
 /// arrives in daily batches. Reaction times are measured against the
 /// post-creation index built from firehose commits — and because every
 /// labeler's reaction delay is bounded by
-/// [`bsky_workload::service::REACTION_WINDOW_DAYS`], that index is *aged out* at every
-/// day boundary: entries older than the reaction window can never match a
-/// future label, so peak index size is bounded by one window's worth of
-/// posts instead of the whole collection (the former `--scale 100` memory
-/// ceiling).
+/// [`bsky_workload::service::REACTION_WINDOW_DAYS`], that index is *aged
+/// out* at every day boundary: entries older than the reaction window can
+/// never match a future label, so peak index size is bounded by one
+/// window's worth of posts instead of the whole collection (the former
+/// `--scale 100` memory ceiling).
 #[derive(Debug, Default)]
 pub(crate) struct ModerationAnalyzer {
     collection_end: Datetime,

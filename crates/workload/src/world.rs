@@ -51,8 +51,7 @@ use crate::http::WebSpace;
 use crate::plc::PlcDirectory;
 use crate::population::{DayPurpose, PopulationPlan, UserProfile};
 use crate::psl::PublicSuffixList;
-use crate::registrar::default_catalogue;
-use crate::registrar::WhoisDatabase;
+use crate::registrar::{default_catalogue, WhoisDatabase};
 use crate::resolver::publish;
 use crate::rng::SimRng;
 use crate::route::FeedRoutes;

@@ -146,8 +146,7 @@ fn every_pub_item_is_named_outside_its_crate() {
         .collect();
     let mut unnamed = Vec::new();
     let mut exempted = BTreeSet::new();
-    for krate in library_crates(root) {
-        let krate = krate.as_str();
+    for krate in &library_crates(root) {
         let home = root.join("crates").join(krate);
         let (inside, outside): (Vec<_>, Vec<_>) = sources
             .iter()
