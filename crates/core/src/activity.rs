@@ -2,7 +2,7 @@
 //! then account popularity and non-Bluesky content.
 
 use crate::json::Json;
-use crate::pipeline::{Analyzer, Observation, StudyCtx};
+use crate::pipeline::{Analyzer, Observation};
 use crate::stats::{self, month_of};
 use bsky_atproto::nsid::known;
 use std::collections::{BTreeMap, BTreeSet};
@@ -32,7 +32,7 @@ pub(crate) struct ActivityAnalyzer {
 impl Analyzer for ActivityAnalyzer {
     type Output = ActivitySeries;
 
-    fn observe(&mut self, obs: &Observation<'_>, _ctx: &StudyCtx<'_>) {
+    fn observe(&mut self, obs: &Observation<'_>) {
         let Observation::Repo(repo) = obs else {
             return;
         };
@@ -95,7 +95,7 @@ impl Analyzer for ActivityAnalyzer {
         }
     }
 
-    fn finish(self, _ctx: &StudyCtx<'_>) -> ActivitySeries {
+    fn finish(self) -> ActivitySeries {
         let monthly = self
             .monthly_ops
             .iter()
@@ -173,7 +173,7 @@ pub(crate) struct Section4Analyzer {
 impl Analyzer for Section4Analyzer {
     type Output = Section4;
 
-    fn observe(&mut self, obs: &Observation<'_>, _ctx: &StudyCtx<'_>) {
+    fn observe(&mut self, obs: &Observation<'_>) {
         match obs {
             Observation::Firehose(_) => self.firehose_events += 1,
             Observation::Repo(repo) => {
@@ -203,7 +203,7 @@ impl Analyzer for Section4Analyzer {
         self.firehose_events += other.firehose_events;
     }
 
-    fn finish(self, _ctx: &StudyCtx<'_>) -> Section4 {
+    fn finish(self) -> Section4 {
         let mut most_followed: Vec<(String, u64)> = self.followers.into_iter().collect();
         most_followed.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
         most_followed.truncate(5);

@@ -7,7 +7,8 @@
 //! * **User Identifier Dataset** — weekly `sync.listRepos` snapshots from the
 //!   Relay during March–April 2024, one observation per newly seen DID.
 //! * **DID Documents** — a full PLC-directory export plus `did:web`
-//!   documents fetched over HTTPS.
+//!   documents fetched over HTTPS, each handle outside bsky.social with
+//!   §5's active measurement of it (`bsky_workload::resolver::HandleProbe`).
 //! * **Repositories Dataset** — a snapshot of every repository, downloaded as
 //!   CAR archives through the Relay's `sync.getRepo`, decoded, emitted, and
 //!   dropped.
@@ -148,9 +149,9 @@ impl Collector {
         self
     }
 
-    fn emit<S: ObservationSink>(&mut self, sink: &mut S, obs: &Observation<'_>, world: &World) {
+    fn emit<S: ObservationSink>(&mut self, sink: &mut S, obs: &Observation<'_>) {
         self.observations += 1;
-        sink.observe(obs, &StudyCtx::new(world));
+        sink.observe(obs, &StudyCtx::default());
     }
 
     /// Run the world to its end date while streaming every observation to
@@ -201,7 +202,6 @@ impl Collector {
                 firehose_collection_start: firehose_start,
                 collection_end,
             },
-            world,
         );
         let mut last_listrepos: Option<Datetime> = None;
         while !world.finished() {
@@ -212,7 +212,7 @@ impl Collector {
             let day_abs = today.timestamp().div_euclid(86_400) as u64;
             let day_start_cursor = self.firehose_cursor;
             summary.days += 1;
-            self.emit(sink, &Observation::DayBoundary { day: today }, world);
+            self.emit(sink, &Observation::DayBoundary { day: today });
             // Interleave chunked simulation with subscription reads: the
             // producer drains the relay continuously (discarding pre-window
             // events), so neither the relay backlog nor a heavy day ever
@@ -240,8 +240,7 @@ impl Collector {
                         }
                     }
                     summary.firehose_events += 1;
-                    self.observations += 1;
-                    sink.observe(&Observation::Firehose(event), &StudyCtx::new(world));
+                    self.emit(sink, &Observation::Firehose(event));
                 }
                 if done {
                     break;
@@ -307,7 +306,7 @@ impl Collector {
         self.snapshot_did_documents(world, sink, &mut summary);
         self.snapshot_feed_generators(world, sink);
         self.snapshot_repositories(world, sink, &mut summary);
-        self.emit(sink, &Observation::WindowEnd { at: collection_end }, world);
+        self.emit(sink, &Observation::WindowEnd { at: collection_end });
         summary.observations = self.observations;
         // End-of-run storage accounting: the fleet's repository stores, the
         // only block stores of a run.
@@ -357,7 +356,7 @@ impl Collector {
             // announces it. (Label batches, by contrast, flow from every
             // shard — each shard's labeler copy labels that shard's posts.)
             if world.owns_did(&entry.did) {
-                self.emit(sink, &Observation::Labeler(&entry), world);
+                self.emit(sink, &Observation::Labeler(&entry));
             }
         }
     }
@@ -367,14 +366,8 @@ impl Collector {
             let labeler = &world.labelers.all()[index];
             let (labels, next) = labeler.subscribe_labels(self.label_cursors[index]);
             if !labels.is_empty() {
-                self.observations += 1;
-                sink.observe(
-                    &Observation::Labels {
-                        src: labeler.did(),
-                        labels,
-                    },
-                    &StudyCtx::new(world),
-                );
+                let src = labeler.did();
+                self.emit(sink, &Observation::Labels { src, labels });
             }
             self.label_cursors[index] = next;
         }
@@ -427,7 +420,7 @@ impl Collector {
             summary.wire_frames += active.frames;
             summary.padding_overhead_bytes +=
                 active.wire_bytes.saturating_sub(record.payload_bytes);
-            self.emit(sink, &Observation::WireTrace(&record), world);
+            self.emit(sink, &Observation::WireTrace(&record));
         }
     }
 
@@ -452,10 +445,13 @@ impl Collector {
                 if !self.seen_identifiers.contains(&did) {
                     self.seen_identifiers.insert(did.clone());
                     if let Some((handle, _)) = self.identity_map.get(&did.as_string()) {
-                        // Injected DNS flakiness resolves before the real
-                        // lookup: transient SERVFAILs are retried under the
-                        // DnsLookup policy; a give-up leaves the handle
-                        // unverified this snapshot (counted, never silent).
+                        // Injected DNS flakiness: transient SERVFAILs are
+                        // retried under the DnsLookup policy, and every
+                        // retry and give-up is counted. The counters are
+                        // all a give-up changes: nothing is verified per
+                        // snapshot, and §5's proof count comes from the
+                        // end-of-window probe (`World::probe_handle`),
+                        // which does not consult the fault plan.
                         let day = when.div_euclid(86_400) as u64;
                         let failures = self.faults.dns_failures(handle, day);
                         if failures > 0 {
@@ -485,7 +481,6 @@ impl Collector {
                             did: &did,
                             rev: rev.as_deref(),
                         },
-                        world,
                     );
                 }
             }
@@ -503,7 +498,7 @@ impl Collector {
                 &lookup_frames,
                 0,
             );
-            self.emit(sink, &Observation::WireTrace(&record), world);
+            self.emit(sink, &Observation::WireTrace(&record));
         }
     }
 
@@ -518,14 +513,7 @@ impl Collector {
         loop {
             let (page, next) = world.plc.export(cursor.as_deref(), 1_000);
             for doc in page {
-                self.emit(
-                    sink,
-                    &Observation::DidDocument {
-                        doc,
-                        via_web: false,
-                    },
-                    world,
-                );
+                self.emit_did_document(world, sink, doc, false);
             }
             match next {
                 Some(c) => cursor = Some(c),
@@ -543,21 +531,30 @@ impl Collector {
             // never a silent `if let` fall-through.
             match world.web.get(&url) {
                 HttpResponse::Ok(body) => match DidDocument::from_wire(&body) {
-                    Ok(doc) => {
-                        self.emit(
-                            sink,
-                            &Observation::DidDocument {
-                                doc: &doc,
-                                via_web: true,
-                            },
-                            world,
-                        );
-                    }
+                    Ok(doc) => self.emit_did_document(world, sink, &doc, true),
                     Err(_) => summary.did_doc_fetch_failures += 1,
                 },
                 _ => summary.did_doc_fetch_failures += 1,
             }
         }
+    }
+
+    /// Emit one DID document with §5's active measurement of its handle,
+    /// unless the handle is under bsky.social.
+    fn emit_did_document<S: ObservationSink>(
+        &mut self,
+        world: &World,
+        sink: &mut S,
+        doc: &DidDocument,
+        via_web: bool,
+    ) {
+        let probe = (!doc.handle.is_bsky_social()).then(|| world.probe_handle(&doc.handle));
+        let obs = Observation::DidDocument {
+            doc,
+            via_web,
+            probe: probe.as_ref(),
+        };
+        self.emit(sink, &obs);
     }
 
     /// Emit the §3 repositories dataset at the window end: one snapshot per
@@ -581,7 +578,7 @@ impl Collector {
             let Some(snapshot) = self.mirror.take_snapshot(did, summary) else {
                 continue; // deleted mid-window; skip counted at sync
             };
-            self.emit(sink, &Observation::Repo(&snapshot), world);
+            self.emit(sink, &Observation::Repo(&snapshot));
         }
         self.identifier_order = order;
     }
@@ -643,7 +640,7 @@ impl Collector {
                 like_count: generator.like_count(),
                 posts,
             };
-            self.emit(sink, &Observation::FeedGenerator(&entry), world);
+            self.emit(sink, &Observation::FeedGenerator(&entry));
         }
     }
 }

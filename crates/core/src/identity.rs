@@ -2,10 +2,12 @@
 //! providers, Table 2's registrars, ownership proofs and handle updates.
 
 use crate::json::Json;
-use crate::pipeline::{Analyzer, Observation, StudyCtx};
+use crate::pipeline::{Analyzer, Observation};
 use crate::stats;
 use bsky_atproto::firehose::EventBody;
 use bsky_atproto::Datetime;
+use bsky_workload::registrar::Registrar;
+use bsky_workload::resolver::Proof;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// §5 identity findings.
@@ -35,24 +37,21 @@ pub(crate) struct IdentityReport {
 
 /// Incremental §5: identity centralization, Table 2 and Figure 3.
 ///
-/// Performs the study's active measurements (PSL grouping, Tranco ranking,
-/// DNS TXT / well-known ownership proofs, and the WHOIS query for each
-/// newly seen registered domain) per DID document as it streams by. Doing
-/// the WHOIS scan at observe time — against the shard that owns the domain
-/// registration — is what makes the state mergeable: the per-domain result
-/// map is a union, never a recount.
+/// Folds the active measurements the collector took of each DID document's
+/// handle (PSL grouping, Tranco ranking, DNS TXT / well-known ownership
+/// proofs, the WHOIS registrar).
 #[derive(Debug, Default)]
 pub(crate) struct IdentityAnalyzer {
     total_handles: u64,
     bsky_count: u64,
     did_web: u64,
-    provider_counts: BTreeMap<String, u64>,
-    registered_domains: BTreeSet<String>,
-    tranco_hits: BTreeSet<String>,
+    /// Registered domain → (custom handles under it, its WHOIS registrar,
+    /// whether it ranks in the Tranco top 1M). The registrar and the rank
+    /// belong to the domain, so they are kept from its first probe and a
+    /// merge only adds handle counts.
+    domains: BTreeMap<String, (u64, Option<Registrar>, bool)>,
     dns_proofs: u64,
     well_known_proofs: u64,
-    /// Registered domain → WHOIS registrar `(IANA id, name)`, when any.
-    whois_by_domain: BTreeMap<String, Option<(Option<u32>, String)>>,
     changes: u64,
     dids: BTreeSet<String>,
     handles: BTreeSet<String>,
@@ -63,9 +62,13 @@ pub(crate) struct IdentityAnalyzer {
 impl Analyzer for IdentityAnalyzer {
     type Output = IdentityReport;
 
-    fn observe(&mut self, obs: &Observation<'_>, ctx: &StudyCtx<'_>) {
+    fn observe(&mut self, obs: &Observation<'_>) {
         match obs {
-            Observation::DidDocument { doc, via_web } => {
+            Observation::DidDocument {
+                doc,
+                via_web,
+                probe,
+            } => {
                 self.total_handles += 1;
                 if *via_web {
                     self.did_web += 1;
@@ -74,31 +77,20 @@ impl Analyzer for IdentityAnalyzer {
                     self.bsky_count += 1;
                     return;
                 }
-                let world = ctx.world();
+                let probe = probe.expect("the collector probes every handle outside bsky.social");
                 // Figure 3: group non-custodial handles by registered domain
-                // (PSL), check the Tranco ranking, and WHOIS-scan each newly
-                // seen domain.
-                if let Some(registered) = world.psl.registered_domain(doc.handle.as_str()) {
-                    *self.provider_counts.entry(registered.clone()).or_insert(0) += 1;
-                    if self.registered_domains.insert(registered.clone()) {
-                        let registrar = world.whois.query(&registered).and_then(|record| {
-                            record
-                                .registrar
-                                .as_ref()
-                                .map(|r| (r.iana_id, r.name.clone()))
-                        });
-                        self.whois_by_domain.insert(registered.clone(), registrar);
-                    }
-                    if world.tranco.in_top(&registered, 1_000_000) {
-                        self.tranco_hits.insert(registered);
-                    }
+                // (PSL).
+                if let Some(domain) = &probe.registered_domain {
+                    let entry = self
+                        .domains
+                        .entry(domain.clone())
+                        .or_insert_with(|| (0, probe.registrar.clone(), probe.in_tranco_top));
+                    entry.0 += 1;
                 }
-                // Ownership proofs via active measurement (DNS first, then
-                // well-known).
-                if world.dns.lookup_atproto_did(doc.handle.as_str()).is_some() {
-                    self.dns_proofs += 1;
-                } else if world.web.get(&doc.handle.well_known_url()).body().is_some() {
-                    self.well_known_proofs += 1;
+                match probe.proof {
+                    Some(Proof::DnsTxt) => self.dns_proofs += 1,
+                    Some(Proof::WellKnown) => self.well_known_proofs += 1,
+                    None => {}
                 }
             }
             Observation::Firehose(event) => {
@@ -123,16 +115,14 @@ impl Analyzer for IdentityAnalyzer {
         self.total_handles += other.total_handles;
         self.bsky_count += other.bsky_count;
         self.did_web += other.did_web;
-        stats::add_counts(&mut self.provider_counts, other.provider_counts);
-        self.registered_domains.extend(other.registered_domains);
-        self.tranco_hits.extend(other.tranco_hits);
+        for (domain, (handles, registrar, ranked)) in other.domains {
+            self.domains
+                .entry(domain)
+                .or_insert((0, registrar, ranked))
+                .0 += handles;
+        }
         self.dns_proofs += other.dns_proofs;
         self.well_known_proofs += other.well_known_proofs;
-        // Same domain seen by two shards → same WHOIS answer; union is
-        // idempotent.
-        for (domain, registrar) in other.whois_by_domain {
-            self.whois_by_domain.entry(domain).or_insert(registrar);
-        }
         self.changes += other.changes;
         self.dids.extend(other.dids);
         self.handles.extend(other.handles);
@@ -147,9 +137,12 @@ impl Analyzer for IdentityAnalyzer {
         }
     }
 
-    fn finish(self, _ctx: &StudyCtx<'_>) -> IdentityReport {
-        let mut subdomain_providers: Vec<(String, u64)> =
-            self.provider_counts.into_iter().collect();
+    fn finish(self) -> IdentityReport {
+        let mut subdomain_providers: Vec<(String, u64)> = self
+            .domains
+            .iter()
+            .map(|(domain, (handles, ..))| (domain.clone(), *handles))
+            .collect();
         subdomain_providers.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
         subdomain_providers.truncate(10);
 
@@ -158,11 +151,12 @@ impl Analyzer for IdentityAnalyzer {
         // Table 2: aggregate the per-domain WHOIS scan.
         let mut registrar_counts: BTreeMap<(Option<u32>, String), u64> = BTreeMap::new();
         let mut with_iana = 0u64;
-        for registrar in self.whois_by_domain.values().flatten() {
+        for (_, registrar, _) in self.domains.values() {
+            let Some(registrar) = registrar else { continue };
             *registrar_counts
-                .entry((registrar.0, registrar.1.clone()))
+                .entry((registrar.iana_id, registrar.name.clone()))
                 .or_insert(0) += 1;
-            if registrar.0.is_some() {
+            if registrar.iana_id.is_some() {
                 with_iana += 1;
             }
         }
@@ -173,6 +167,8 @@ impl Analyzer for IdentityAnalyzer {
         registrars.sort_by(|a, b| b.2.cmp(&a.2).then_with(|| a.1.cmp(&b.1)));
         registrars.truncate(7);
 
+        let registered_domains = self.domains.len() as u64;
+        let tranco_hits = self.domains.values().filter(|(.., ranked)| *ranked).count() as u64;
         let final_bsky = self
             .final_handle
             .values()
@@ -187,13 +183,10 @@ impl Analyzer for IdentityAnalyzer {
             ),
             did_web: self.did_web,
             subdomain_providers,
-            registered_domains: self.registered_domains.len() as u64,
+            registered_domains,
             tranco_overlap: (
-                self.tranco_hits.len() as u64,
-                stats::share(
-                    self.tranco_hits.len() as u64,
-                    self.registered_domains.len().max(1) as u64,
-                ),
+                tranco_hits,
+                stats::share(tranco_hits, registered_domains.max(1)),
             ),
             proofs: (
                 self.dns_proofs,

@@ -11,13 +11,14 @@
 //!   variant per §3 dataset item plus collection-window markers),
 //!   the crate's `Analyzer` trait (`observe` folds one observation,
 //!   `merge` combines two folded states, `finish` produces the result),
-//!   [`pipeline::ObservationSink`] (what a producer emits into), and
-//!   [`pipeline::StudyCtx`] (read-only access to the world's active
-//!   measurement surfaces).
+//!   and [`pipeline::ObservationSink`] (what a producer emits into).
+//!   Analyzers read observations only, never the world.
 //! * [`collect`] — the §3 *producer*: [`Collector::stream`] drives a
 //!   simulated [`bsky_workload::World`] day by day through the same service
 //!   interfaces the real study used and emits every dataset item exactly
-//!   once; the repositories dataset is kept current by the rev-aware
+//!   once. It also takes §5's active measurements (DNS TXT and well-known
+//!   proofs, WHOIS, Tranco, the public suffix list) and attaches them to
+//!   each DID document it emits. The repositories dataset is kept current by the rev-aware
 //!   incremental mirror in `collect::mirror`.
 //!
 //! One module per section of the paper, each owning its analyzers, their
@@ -74,10 +75,8 @@
 //! puts that at 0.079 s of a 1.09 s stream (the traced
 //! `fullwindow_pipelined` pass, seed 7): a 7 % ceiling, and ten alternating
 //! pipelined / unpipelined pairs on two cores measured no difference.
-//! Observations whose analyzers need the live world at observe time (the
-//! end-of-window DID documents,
-//! `pipeline::Observation::requires_world_ctx`) drain the workers and
-//! fold inline. `RunSpec::jobs` defaults to the machine's available
+//! Every observation folds on the workers, the end-of-window snapshots
+//! included. `RunSpec::jobs` defaults to the machine's available
 //! parallelism clamped to the shard count ([`RunSpec::effective_jobs`]).
 //!
 //! ## Faults & scenarios

@@ -2,7 +2,7 @@
 //! reaction times (Tables 3, 4 and 6, Figures 4–6).
 
 use crate::json::Json;
-use crate::pipeline::{Analyzer, Observation, StudyCtx};
+use crate::pipeline::{Analyzer, Observation};
 use crate::stats::{self, month_of};
 use bsky_atproto::firehose::EventBody;
 use bsky_atproto::label::LabelTargetKind;
@@ -214,7 +214,7 @@ impl ModerationAnalyzer {
 impl Analyzer for ModerationAnalyzer {
     type Output = ModerationReport;
 
-    fn observe(&mut self, obs: &Observation<'_>, _ctx: &StudyCtx<'_>) {
+    fn observe(&mut self, obs: &Observation<'_>) {
         match obs {
             Observation::WindowStart { collection_end, .. } => {
                 self.collection_end = *collection_end;
@@ -375,7 +375,7 @@ impl Analyzer for ModerationAnalyzer {
         }
     }
 
-    fn finish(self, _ctx: &StudyCtx<'_>) -> ModerationReport {
+    fn finish(self) -> ModerationReport {
         // Labels whose posts never appeared on the stream (pre-window
         // posts) keep their volume counts but have no reaction time — drop
         // the leftover pendings.
@@ -688,6 +688,7 @@ impl ModerationReport {
 mod tests {
     use super::*;
     use crate::collect::Collector;
+    use crate::pipeline::StudyCtx;
     use crate::report::tests::{headline_report, small_report};
     use bsky_workload::{ScenarioConfig, World};
 
@@ -752,7 +753,7 @@ mod tests {
             peak_post_index: usize,
         }
         impl crate::pipeline::ObservationSink for Probe {
-            fn observe(&mut self, obs: &Observation<'_>, ctx: &StudyCtx<'_>) {
+            fn observe(&mut self, obs: &Observation<'_>, _ctx: &StudyCtx<'_>) {
                 if let Observation::Firehose(event) = obs {
                     if let EventBody::Commit { ops, .. } = &event.body {
                         self.total_posts += ops
@@ -761,17 +762,14 @@ mod tests {
                             .count();
                     }
                 }
-                Analyzer::observe(&mut self.analyzer, obs, ctx);
+                Analyzer::observe(&mut self.analyzer, obs);
                 self.peak_post_index = self.peak_post_index.max(self.analyzer.post_created.len());
             }
         }
-        analyzer.observe(
-            &Observation::WindowStart {
-                firehose_collection_start: config.firehose_collection_start,
-                collection_end: config.end,
-            },
-            &StudyCtx::detached(),
-        );
+        analyzer.observe(&Observation::WindowStart {
+            firehose_collection_start: config.firehose_collection_start,
+            collection_end: config.end,
+        });
         let mut probe = Probe {
             analyzer,
             total_posts: 0,

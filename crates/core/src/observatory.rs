@@ -38,7 +38,7 @@
 //! against the majority-class chance baseline of the balanced test set.
 
 use crate::json::Json;
-use crate::pipeline::{Analyzer, Observation, StudyCtx};
+use crate::pipeline::{Analyzer, Observation};
 use bsky_atproto::framing::PaddingPolicy;
 use bsky_atproto::Did;
 use std::collections::BTreeMap;
@@ -411,7 +411,7 @@ impl ObservatoryAnalyzer {
 impl Analyzer for ObservatoryAnalyzer {
     type Output = ObservatoryReport;
 
-    fn observe(&mut self, obs: &Observation<'_>, _ctx: &StudyCtx<'_>) {
+    fn observe(&mut self, obs: &Observation<'_>) {
         if let Observation::WireTrace(trace) = obs {
             let key = (trace.kind, trace.did.shard_hash(), trace.day);
             let agg = TraceAgg {
@@ -431,8 +431,7 @@ impl Analyzer for ObservatoryAnalyzer {
         }
     }
 
-    // No active measurements: `finish` works on a detached context.
-    fn finish(self, _ctx: &StudyCtx<'_>) -> ObservatoryReport {
+    fn finish(self) -> ObservatoryReport {
         let mut report = ObservatoryReport::default();
         // Capture totals, and one classifier instance per `(did, week)`.
         // DNS records feed the totals only; the classifier sees firehose

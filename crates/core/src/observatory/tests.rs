@@ -92,7 +92,6 @@ fn padding_never_shrinks_a_wire() {
 
 #[test]
 fn merge_equals_single_fold_over_any_record_split() {
-    let ctx = StudyCtx::detached();
     let records: Vec<WireTraceDay> = (0..30)
         .map(|i| {
             let frames: Vec<(i64, u64)> = (0..(1 + i % 5))
@@ -114,19 +113,19 @@ fn merge_equals_single_fold_over_any_record_split() {
         .collect();
     let mut whole = ObservatoryAnalyzer::default();
     for record in &records {
-        whole.observe(&Observation::WireTrace(record), &ctx);
+        whole.observe(&Observation::WireTrace(record));
     }
     for split in [0usize, 7, 15, 30] {
         let mut a = ObservatoryAnalyzer::default();
         let mut b = ObservatoryAnalyzer::default();
         for (i, record) in records.iter().enumerate() {
             let target = if i < split { &mut a } else { &mut b };
-            target.observe(&Observation::WireTrace(record), &ctx);
+            target.observe(&Observation::WireTrace(record));
         }
         a.merge(b);
         assert_eq!(a.records, whole.records, "split {split}");
     }
-    let report = whole.finish(&ctx);
+    let report = whole.finish();
     assert_eq!(report.cells.len(), CELL_COUNT);
     assert!(report.traced_days > 0);
     assert!(report.dns_lookups > 0);
@@ -139,10 +138,9 @@ fn classifier_separates_separable_classes() {
     // must classify well above chance; the constant-pad + 1 h batch
     // cell collapses every day to one 4096-byte frame and must fall to
     // the chance baseline.
-    let ctx = StudyCtx::detached();
     let mut analyzer = ObservatoryAnalyzer::default();
     let mut fold = |record: WireTraceDay| {
-        analyzer.observe(&Observation::WireTrace(&record), &ctx);
+        analyzer.observe(&Observation::WireTrace(&record));
     };
     for user in 0..30u8 {
         let (class, size) = match user % 3 {
@@ -162,7 +160,7 @@ fn classifier_separates_separable_classes() {
             ));
         }
     }
-    let report = analyzer.finish(&ctx);
+    let report = analyzer.finish();
     let none = report.cell_accuracy("none").unwrap();
     let collapsed = report.cell_accuracy("const4096+batch1h").unwrap();
     assert!(

@@ -15,9 +15,9 @@
 //!   concrete analyzer set ([`crate::shard::StudyAnalyzers`]), a custom
 //!   probe, or a plain
 //!   `Vec<OwnedObservation>` for a caller that wants to keep the stream.
-//! * [`StudyCtx`] — read-only access to the simulated [`World`]'s active
-//!   measurement surfaces (DNS, WHOIS, Tranco, PSL), mirroring the
-//!   active measurements the study ran alongside the passive collection.
+//! * [`StudyCtx`] — empty; analyzers read observations only. The study's
+//!   active measurements (DNS, well-known, WHOIS, Tranco, PSL) are taken by
+//!   the collector and ride on each [`Observation::DidDocument`].
 //!
 //! ## The merge law
 //!
@@ -49,7 +49,8 @@ use bsky_atproto::firehose::Event;
 use bsky_atproto::label::Label;
 use bsky_atproto::{Datetime, Did};
 use bsky_workload::diddoc::DidDocument;
-use bsky_workload::World;
+use bsky_workload::resolver::HandleProbe;
+use std::marker::PhantomData;
 
 /// One item on the observation bus.
 ///
@@ -88,6 +89,10 @@ pub enum Observation<'a> {
         doc: &'a DidDocument,
         /// Whether it was fetched over HTTPS as a did:web document.
         via_web: bool,
+        /// The collector's active measurement of the document's handle;
+        /// `None` exactly for handles under bsky.social, which §5 does not
+        /// probe.
+        probe: Option<&'a HandleProbe>,
     },
     /// One labeling service's metadata, emitted when its service record is
     /// announced — always before any of its labels.
@@ -116,17 +121,6 @@ pub enum Observation<'a> {
 }
 
 impl Observation<'_> {
-    /// Whether folding this observation may require the live world context
-    /// ([`StudyCtx::world`]). Analyzers run the study's *active*
-    /// measurements (DNS, well-known fetches, WHOIS, Tranco, PSL) when a
-    /// DID document streams by, so those observations cannot be folded on a
-    /// detached analyzer worker — the intra-shard pipeline
-    /// ([`crate::shard::PipelinedSink`]) drains its workers and folds them
-    /// inline on the producer thread instead.
-    pub(crate) fn requires_world_ctx(&self) -> bool {
-        matches!(self, Observation::DidDocument { .. })
-    }
-
     /// Copy this borrowed bus item into its owned form so it can cross a
     /// thread boundary (see [`OwnedObservation`]).
     pub fn to_owned_observation(&self) -> OwnedObservation {
@@ -144,9 +138,14 @@ impl Observation<'_> {
                 did: did.clone(),
                 rev: rev.map(str::to_owned),
             },
-            Observation::DidDocument { doc, via_web } => OwnedObservation::DidDocument {
+            Observation::DidDocument {
+                doc,
+                via_web,
+                probe,
+            } => OwnedObservation::DidDocument {
                 doc: doc.clone(),
                 via_web,
+                probe: probe.cloned(),
             },
             Observation::Labeler(entry) => OwnedObservation::Labeler(entry.clone()),
             Observation::Labels { src, labels } => OwnedObservation::Labels {
@@ -199,6 +198,8 @@ pub enum OwnedObservation {
         doc: DidDocument,
         /// Whether it was fetched over HTTPS as a did:web document.
         via_web: bool,
+        /// The collector's active measurement of the document's handle.
+        probe: Option<HandleProbe>,
     },
     /// See [`Observation::Labeler`].
     Labeler(LabelerEntry),
@@ -240,9 +241,14 @@ impl OwnedObservation {
                 did,
                 rev: rev.as_deref(),
             },
-            OwnedObservation::DidDocument { doc, via_web } => Observation::DidDocument {
+            OwnedObservation::DidDocument {
+                doc,
+                via_web,
+                probe,
+            } => Observation::DidDocument {
                 doc,
                 via_web: *via_web,
+                probe: probe.as_ref(),
             },
             OwnedObservation::Labeler(entry) => Observation::Labeler(entry),
             OwnedObservation::Labels { src, labels } => Observation::Labels { src, labels },
@@ -266,37 +272,13 @@ pub struct ObservationBatch {
     pub items: Vec<OwnedObservation>,
 }
 
-/// Read-only context handed to analyzers with every observation and at
-/// finish time.
-///
-/// Wraps the [`World`] so analyzers can run the study's *active*
-/// measurements (DNS lookups, well-known fetches, WHOIS queries, Tranco
-/// ranking, PSL suffix matching) against the same surfaces the collector
-/// observed. A detached context (no world) is what the intra-shard
-/// pipeline's analyzer workers fold with: they run off the producer thread
-/// and see only observations that never touch the world.
-#[derive(Clone, Copy)]
+/// The second argument of [`ObservationSink::observe`] and
+/// [`crate::ShardSink::observe_part`]. It carries nothing: every input of an
+/// analysis arrives as an [`Observation`]. It stays, empty, while the
+/// benchmark's sinks spell it.
+#[derive(Clone, Copy, Default)]
 pub struct StudyCtx<'a> {
-    world: Option<&'a World>,
-}
-
-impl<'a> StudyCtx<'a> {
-    /// Context over a live world.
-    pub(crate) fn new(world: &'a World) -> StudyCtx<'a> {
-        StudyCtx { world: Some(world) }
-    }
-
-    /// Context with no world attached.
-    pub(crate) fn detached() -> StudyCtx<'static> {
-        StudyCtx { world: None }
-    }
-
-    /// The world. Panics when the analyzer requires active measurements but
-    /// the context is detached.
-    pub(crate) fn world(&self) -> &'a World {
-        self.world
-            .expect("this analyzer performs active measurements and needs a StudyCtx with a World")
-    }
+    _marker: PhantomData<&'a ()>,
 }
 
 /// An incremental analysis: folds observations as they arrive, merges with
@@ -307,7 +289,7 @@ pub(crate) trait Analyzer {
     type Output;
 
     /// Fold one observation into the accumulators.
-    fn observe(&mut self, obs: &Observation<'_>, ctx: &StudyCtx<'_>);
+    fn observe(&mut self, obs: &Observation<'_>);
 
     /// Combine another analyzer's independently accumulated state into this
     /// one. Must satisfy the merge law documented at the module level:
@@ -317,7 +299,7 @@ pub(crate) trait Analyzer {
 
     /// Compute the final result. Called exactly once, after the last
     /// observation (and after all merges).
-    fn finish(self, ctx: &StudyCtx<'_>) -> Self::Output;
+    fn finish(self) -> Self::Output;
 }
 
 /// Anything a producer can emit observations into.
@@ -638,7 +620,7 @@ mod tests {
     impl Analyzer for CountingAnalyzer {
         type Output = Counts;
 
-        fn observe(&mut self, obs: &Observation<'_>, _ctx: &StudyCtx<'_>) {
+        fn observe(&mut self, obs: &Observation<'_>) {
             match obs {
                 Observation::Firehose(_) => self.firehose += 1,
                 Observation::WindowStart { .. }
@@ -654,7 +636,7 @@ mod tests {
             self.markers += other.markers;
         }
 
-        fn finish(self, _ctx: &StudyCtx<'_>) -> Counts {
+        fn finish(self) -> Counts {
             Counts {
                 firehose: self.firehose,
                 snapshots: self.snapshots,
@@ -665,7 +647,6 @@ mod tests {
 
     #[test]
     fn merged_counting_analyzers_equal_one() {
-        let ctx = StudyCtx::detached();
         let day = Datetime::from_ymd(2024, 3, 6).unwrap();
         let mut whole = CountingAnalyzer::default();
         let mut a = CountingAnalyzer::default();
@@ -674,14 +655,14 @@ mod tests {
             let obs = Observation::DayBoundary {
                 day: day.plus_days(i),
             };
-            whole.observe(&obs, &ctx);
+            whole.observe(&obs);
             if i < 2 {
-                a.observe(&obs, &ctx);
+                a.observe(&obs);
             } else {
-                b.observe(&obs, &ctx);
+                b.observe(&obs);
             }
         }
         a.merge(b);
-        assert_eq!(a.finish(&ctx), whole.finish(&ctx));
+        assert_eq!(a.finish(), whole.finish());
     }
 }

@@ -3,7 +3,7 @@
 
 use crate::json::Json;
 use crate::langdetect;
-use crate::pipeline::{Analyzer, Observation, StudyCtx};
+use crate::pipeline::{Analyzer, Observation};
 use crate::stats::{self, month_of};
 use bsky_atproto::nsid::known;
 use bsky_atproto::{AtUri, Datetime, Did};
@@ -176,7 +176,7 @@ pub(crate) struct RecommendationAnalyzer {
 impl Analyzer for RecommendationAnalyzer {
     type Output = RecommendationReport;
 
-    fn observe(&mut self, obs: &Observation<'_>, _ctx: &StudyCtx<'_>) {
+    fn observe(&mut self, obs: &Observation<'_>) {
         match obs {
             Observation::Labels { src, labels } => {
                 // Figure 9's label index: raw interactions folded into
@@ -261,7 +261,7 @@ impl Analyzer for RecommendationAnalyzer {
         }
     }
 
-    fn finish(self, _ctx: &StudyCtx<'_>) -> RecommendationReport {
+    fn finish(self) -> RecommendationReport {
         let total_feeds = self.feeds.len() as u64;
 
         // Effective label index: applied and never negated.

@@ -18,7 +18,7 @@ use crate::identity::IdentityReport;
 use crate::json::Json;
 use crate::moderation::ModerationReport;
 use crate::observatory::ObservatoryReport;
-use crate::pipeline::{Analyzer, StreamSummary, StudyCtx};
+use crate::pipeline::{Analyzer, StreamSummary};
 use crate::recommendation::RecommendationReport;
 use crate::shard::{collect_sharded, ShardedSummary, StudyAnalyzers};
 use crate::spec::RunSpec;
@@ -149,25 +149,24 @@ impl StudyReport {
         (report, summary.merged)
     }
 
-    /// Assemble the report from a (merged) analyzer set. The world provides
-    /// the finish-time context (scenario constants such as the scale
-    /// factor); any shard's world is equivalent.
+    /// Assemble the report from a (merged) analyzer set; `config` supplies
+    /// the scale factor §9 extrapolates by. The world is not read: the
+    /// argument stays while `benchmark/src/surface.rs` passes it.
     pub fn from_analyzers(
         config: ScenarioConfig,
         analyzers: StudyAnalyzers,
-        world: &World,
+        _world: &World,
     ) -> StudyReport {
-        let ctx = StudyCtx::new(world);
         StudyReport {
             config,
-            table1: analyzers.table1.finish(&ctx),
-            activity: analyzers.activity.finish(&ctx),
-            section4: analyzers.section4.finish(&ctx),
-            identity: analyzers.identity.finish(&ctx),
-            moderation: analyzers.moderation.finish(&ctx),
-            recommendation: analyzers.recommendation.finish(&ctx),
-            firehose_volume: analyzers.volume.finish(&ctx),
-            observatory: analyzers.observatory.finish(&ctx),
+            table1: analyzers.table1.finish(),
+            activity: analyzers.activity.finish(),
+            section4: analyzers.section4.finish(),
+            identity: analyzers.identity.finish(),
+            moderation: analyzers.moderation.finish(),
+            recommendation: analyzers.recommendation.finish(),
+            firehose_volume: FirehoseVolume::extrapolate(analyzers.volume.finish(), config.scale),
+            observatory: analyzers.observatory.finish(),
             faults: None,
         }
     }
@@ -332,28 +331,27 @@ pub(crate) mod tests {
     /// The merge law, pinned per analyzer: fold the whole recorded stream vs
     /// split it at a random point, fold the halves into two fresh
     /// analyzers, merge, and compare the finished outputs.
-    fn assert_split_merge_equals_fold<A, F>(make: F, world: &World, tape: &[OwnedObservation])
+    fn assert_split_merge_equals_fold<A, F>(make: F, tape: &[OwnedObservation])
     where
         A: Analyzer,
         A::Output: PartialEq + std::fmt::Debug,
         F: Fn() -> A,
     {
-        let ctx = StudyCtx::new(world);
         let fold = |items: &[OwnedObservation]| {
             let mut analyzer = make();
             for item in items {
-                analyzer.observe(&item.as_observation(), &ctx);
+                analyzer.observe(&item.as_observation());
             }
             analyzer
         };
-        let expected = fold(tape).finish(&ctx);
+        let expected = fold(tape).finish();
         // Seeded test RNG: reproducible split points.
         let mut rng = SimRng::new(0xfeed);
         for _ in 0..8 {
             let split = rng.range(0..tape.len().max(1));
             let mut first = fold(&tape[..split]);
             first.merge(fold(&tape[split..]));
-            let merged = first.finish(&ctx);
+            let merged = first.finish();
             assert!(
                 merged == expected,
                 "split at {split}/{} diverged",
@@ -373,13 +371,13 @@ pub(crate) mod tests {
         assert!(tape
             .iter()
             .any(|o| matches!(o, OwnedObservation::DayBoundary { .. })));
-        assert_split_merge_equals_fold(Table1Analyzer::default, &world, &tape);
-        assert_split_merge_equals_fold(ActivityAnalyzer::default, &world, &tape);
-        assert_split_merge_equals_fold(Section4Analyzer::default, &world, &tape);
-        assert_split_merge_equals_fold(IdentityAnalyzer::default, &world, &tape);
-        assert_split_merge_equals_fold(ModerationAnalyzer::default, &world, &tape);
-        assert_split_merge_equals_fold(RecommendationAnalyzer::default, &world, &tape);
-        assert_split_merge_equals_fold(FirehoseVolumeAnalyzer::default, &world, &tape);
-        assert_split_merge_equals_fold(ObservatoryAnalyzer::default, &world, &tape);
+        assert_split_merge_equals_fold(Table1Analyzer::default, &tape);
+        assert_split_merge_equals_fold(ActivityAnalyzer::default, &tape);
+        assert_split_merge_equals_fold(Section4Analyzer::default, &tape);
+        assert_split_merge_equals_fold(IdentityAnalyzer::default, &tape);
+        assert_split_merge_equals_fold(ModerationAnalyzer::default, &tape);
+        assert_split_merge_equals_fold(RecommendationAnalyzer::default, &tape);
+        assert_split_merge_equals_fold(FirehoseVolumeAnalyzer::default, &tape);
+        assert_split_merge_equals_fold(ObservatoryAnalyzer::default, &tape);
     }
 }

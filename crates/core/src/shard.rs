@@ -23,12 +23,12 @@
 //! memory bound; workers assert contiguous sequence order, so every part
 //! folds the exact serial stream; and at shard end the parts are absorbed
 //! back together in part order — exact by the merge law, because merging
-//! a folded part into a default-state peer is the identity. Observations
-//! that need the live world at observe time
-//! (`Observation::requires_world_ctx`, the end-of-window DID documents
-//! whose analyzer runs active measurements) drain the workers and fold
-//! inline on the producer thread. The result is byte-identical for any
-//! `(shards, jobs, analyzer_threads)` — pinned by the golden tests.
+//! a folded part into a default-state peer is the identity. Every
+//! observation, the end-of-window snapshots included, folds on the workers:
+//! no analyzer reads the world, because the collector takes §5's active
+//! measurements itself and ships them on the DID documents. The result is
+//! byte-identical for any `(shards, jobs, analyzer_threads)` — pinned by
+//! the golden tests.
 //!
 //! Every run knob rides in on the [`RunSpec`]: the store backend changes
 //! only where blocks reside, framing only the wire accounting, and fault
@@ -139,16 +139,16 @@ impl ShardSink for StudyAnalyzers {
         8
     }
 
-    fn observe_part(&mut self, part: usize, obs: &Observation<'_>, ctx: &StudyCtx<'_>) {
+    fn observe_part(&mut self, part: usize, obs: &Observation<'_>, _ctx: &StudyCtx<'_>) {
         match part {
-            0 => self.table1.observe(obs, ctx),
-            1 => self.activity.observe(obs, ctx),
-            2 => self.section4.observe(obs, ctx),
-            3 => self.identity.observe(obs, ctx),
-            4 => self.moderation.observe(obs, ctx),
-            5 => self.recommendation.observe(obs, ctx),
-            6 => self.volume.observe(obs, ctx),
-            7 => self.observatory.observe(obs, ctx),
+            0 => self.table1.observe(obs),
+            1 => self.activity.observe(obs),
+            2 => self.section4.observe(obs),
+            3 => self.identity.observe(obs),
+            4 => self.moderation.observe(obs),
+            5 => self.recommendation.observe(obs),
+            6 => self.volume.observe(obs),
+            7 => self.observatory.observe(obs),
             _ => panic!("StudyAnalyzers has 8 fan-out parts, got part {part}"),
         }
     }
@@ -177,39 +177,23 @@ struct AnalyzerWorker<S> {
 /// folding a disjoint subset of the inner sink's
 /// [`ShardSink::fan_out_parts`].
 ///
-/// Workers fold with a detached [`StudyCtx`]; the first observation that
-/// [`Observation::requires_world_ctx`] (the end-of-window DID documents)
-/// drains the workers, reassembles the sink, and folds everything from
-/// there inline with the producer's live context. [`PipelinedSink::finish`]
-/// returns a sink state byte-identical to a plain serial fold — pinned by
-/// the golden tests in `tests/pipeline_equivalence.rs`.
+/// Every observation, from the window start to the window end, folds on a
+/// worker. [`PipelinedSink::finish`] returns a sink state byte-identical to
+/// a plain serial fold — pinned by the golden tests in
+/// `tests/pipeline_equivalence.rs`.
 pub(crate) struct PipelinedSink<S: ShardSink> {
     workers: Vec<AnalyzerWorker<S>>,
     pending: Vec<OwnedObservation>,
     next_seq: u64,
     batches_sent: u64,
-    /// Set once the pipeline has drained (world-context observation or
-    /// zero-worker construction); all further folds happen here, inline.
-    inline: Option<S>,
 }
 
 impl<S: ShardSink> PipelinedSink<S> {
-    /// Spawn up to `analyzer_threads` workers (clamped to the sink's part
-    /// count); worker `w` owns every part `p` with `p % workers == w`.
+    /// Spawn `analyzer_threads` workers, clamped to `1..=` the sink's part
+    /// count; worker `w` owns every part `p` with `p % workers == w`.
     pub(crate) fn new(analyzer_threads: usize) -> PipelinedSink<S> {
         let total_parts = S::fan_out_parts();
-        let workers = analyzer_threads.min(total_parts);
-        if workers <= 1 && total_parts <= 1 {
-            // Nothing to fan out: skip the channel hop entirely.
-            return PipelinedSink {
-                workers: Vec::new(),
-                pending: Vec::new(),
-                next_seq: 0,
-                batches_sent: 0,
-                inline: Some(S::default()),
-            };
-        }
-        let workers = workers.max(1);
+        let workers = analyzer_threads.min(total_parts).max(1);
         let spawned = (0..workers)
             .map(|worker| {
                 let (tx, rx): (_, Receiver<Arc<ObservationBatch>>) =
@@ -217,7 +201,7 @@ impl<S: ShardSink> PipelinedSink<S> {
                 let parts: Vec<usize> = (worker..total_parts).step_by(workers).collect();
                 let handle = std::thread::spawn(move || {
                     let mut sink = S::default();
-                    let ctx = StudyCtx::detached();
+                    let ctx = StudyCtx::default();
                     let mut expected_seq = 0u64;
                     while let Ok(batch) = rx.recv() {
                         assert_eq!(
@@ -242,12 +226,11 @@ impl<S: ShardSink> PipelinedSink<S> {
             pending: Vec::with_capacity(PIPELINE_BATCH_ITEMS),
             next_seq: 0,
             batches_sent: 0,
-            inline: None,
         }
     }
 
     /// Batches shipped to the workers so far (a [`StreamSummary`]
-    /// diagnostic; zero once drained-inline folding takes over).
+    /// diagnostic).
     pub(crate) fn batches_sent(&self) -> u64 {
         self.batches_sent
     }
@@ -271,45 +254,24 @@ impl<S: ShardSink> PipelinedSink<S> {
         }
     }
 
-    /// Flush, close the channels, join every worker, and reassemble the
-    /// full sink by absorbing the per-part states in worker order (exact:
-    /// each worker folded only its own parts of the identical stream, and
-    /// absorbing into untouched peer parts is the identity).
-    fn drain(&mut self) -> S {
+    /// Close the pipeline and hand back the fully folded sink: flush, close
+    /// the channels, join every worker, and absorb the per-part states in
+    /// worker order (exact: each worker folded only its own parts of the
+    /// identical stream, and absorbing into untouched peer parts is the
+    /// identity).
+    pub(crate) fn finish(mut self) -> S {
         self.flush();
         let mut merged = S::default();
-        for worker in self.workers.drain(..) {
-            let AnalyzerWorker { tx, handle } = worker;
+        for AnalyzerWorker { tx, handle } in self.workers {
             drop(tx);
-            let part_sink = handle.join().expect("analyzer worker panicked");
-            merged.absorb(part_sink);
+            merged.absorb(handle.join().expect("analyzer worker panicked"));
         }
         merged
-    }
-
-    /// Close the pipeline and hand back the fully folded sink.
-    pub(crate) fn finish(mut self) -> S {
-        match self.inline.take() {
-            Some(sink) => sink,
-            None => self.drain(),
-        }
     }
 }
 
 impl<S: ShardSink> ObservationSink for PipelinedSink<S> {
-    fn observe(&mut self, obs: &Observation<'_>, ctx: &StudyCtx<'_>) {
-        if let Some(inline) = self.inline.as_mut() {
-            inline.observe(obs, ctx);
-            return;
-        }
-        if obs.requires_world_ctx() {
-            // This observation's analyzers need the live world; from here
-            // on (the end-of-window snapshot tail) fold inline.
-            let mut sink = self.drain();
-            sink.observe(obs, ctx);
-            self.inline = Some(sink);
-            return;
-        }
+    fn observe(&mut self, obs: &Observation<'_>, _ctx: &StudyCtx<'_>) {
         self.pending.push(obs.to_owned_observation());
         if self.pending.len() >= PIPELINE_BATCH_ITEMS {
             self.flush();
@@ -321,7 +283,7 @@ impl<S: ShardSink> ObservationSink for PipelinedSink<S> {
 struct ShardResult<S> {
     sink: S,
     summary: StreamSummary,
-    /// Only shard 0 returns its world (the finish context).
+    /// Only shard 0 returns its world, for [`collect_sharded`]'s caller.
     world: Option<World>,
 }
 
@@ -418,8 +380,9 @@ fn run_shard_caught<S: ShardSink>(
 /// Run the full collection described by `spec` — [`RunSpec::shards`]
 /// population shards on at most [`RunSpec::jobs`] worker threads — folding
 /// each shard's observations into a fresh sink and absorbing the per-shard
-/// states into `sink` in shard-index order. Returns the merged sink, the
-/// finish-context world (shard 0), and the run summary.
+/// states into `sink` in shard-index order. Returns the merged sink, shard
+/// 0's world (no report reads it; the benchmark's surface spells the
+/// return), and the run summary.
 ///
 /// The fault plan is resolved here from [`RunSpec::faults`] over the
 /// config's day window and shared by every shard's world and producer.
@@ -545,8 +508,7 @@ mod tests {
         assert!(summary.render().contains("shard 0"));
         // The finish world is shard 0's.
         assert_eq!(world.shard.index, 0);
-        let ctx = StudyCtx::new(&world);
-        let table1 = analyzers.table1.finish(&ctx);
+        let table1 = analyzers.table1.finish();
         assert!(table1.total > 0);
     }
 
@@ -557,14 +519,27 @@ mod tests {
         let _ = collect_sharded(&spec, StudyAnalyzers::default());
     }
 
-    /// A sink that gives up on its first observation in shard 1.
-    #[derive(Default)]
-    struct GivesUpInShardOne;
+    /// A sink that gives up at the first user identifier shard 1 of 3
+    /// owns. A shard's relay lists only the DIDs its own world owns, so
+    /// only shard 1's stream carries one.
+    struct GivesUpInShardOne {
+        shard_one: World,
+    }
+
+    impl Default for GivesUpInShardOne {
+        fn default() -> Self {
+            let shard = ShardSpec { index: 1, count: 3 };
+            let shard_one = World::from_spec(WorldSpec::new(small_config(53)).shard(shard));
+            GivesUpInShardOne { shard_one }
+        }
+    }
 
     impl ObservationSink for GivesUpInShardOne {
-        fn observe(&mut self, _obs: &Observation<'_>, ctx: &StudyCtx<'_>) {
-            if ctx.world().shard.index == 1 {
-                panic!("sink gave up");
+        fn observe(&mut self, obs: &Observation<'_>, _ctx: &StudyCtx<'_>) {
+            if let Observation::UserIdentifier { did, .. } = obs {
+                if self.shard_one.owns_did(did) {
+                    panic!("sink gave up");
+                }
             }
         }
     }
@@ -577,7 +552,7 @@ mod tests {
     fn a_panicking_shard_is_named_whatever_the_job_count() {
         for jobs in [1, 2] {
             let spec = RunSpec::new(small_config(53)).shards(3).jobs(jobs);
-            let run = || drop(collect_sharded(&spec, GivesUpInShardOne));
+            let run = || drop(collect_sharded(&spec, GivesUpInShardOne::default()));
             let payload = catch_unwind(AssertUnwindSafe(run)).expect_err("shard 1 panics");
             let message = payload.downcast_ref::<String>().expect("a formatted panic");
             assert_eq!(
@@ -630,7 +605,7 @@ mod tests {
 
     #[test]
     fn pipelined_sink_folds_identically_to_serial() {
-        let ctx = StudyCtx::detached();
+        let ctx = StudyCtx::default();
         let day = Datetime::from_ymd(2024, 3, 6).unwrap();
         let did = bsky_atproto::Did::plc_from_seed(b"pipeline-test");
         // Enough observations to force several batch flushes plus a
@@ -659,54 +634,17 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_sink_drains_inline_on_world_ctx_observations() {
-        // A single-part sink pipelined over one worker, hit with a
-        // world-requiring observation mid-stream: everything after the
-        // drain must fold inline, and batches stop flowing to workers.
-        let ctx = StudyCtx::detached();
-        let day = Datetime::from_ymd(2024, 3, 6).unwrap();
-        let mut serial = PartCounts::default();
-        let mut pipelined = super::PipelinedSink::<PartCounts>::new(2);
-        let doc = bsky_workload::diddoc::DidDocument::new(
-            bsky_atproto::Did::plc_from_seed(b"drain-test"),
-            bsky_atproto::Handle::parse("drain.test").unwrap(),
-            "zKey".to_string(),
-            "https://pds.example".to_string(),
-        );
-        for i in 0..10 {
-            let obs = if i == 5 {
-                Observation::DidDocument {
-                    doc: &doc,
-                    via_web: false,
-                }
-            } else {
-                Observation::DayBoundary {
-                    day: day.plus_days(i),
-                }
-            };
-            assert_eq!(obs.requires_world_ctx(), i == 5);
-            serial.observe(&obs, &ctx);
-            pipelined.observe(&obs, &ctx);
-        }
-        assert_eq!(pipelined.finish(), serial);
-    }
-
-    #[test]
     fn pipelined_sharded_collection_matches_plain() {
         let base = RunSpec::new(small_config(52)).shards(2).jobs(2);
         let (plain, _, plain_summary) = collect_sharded(&base, StudyAnalyzers::default());
         let spec = base.pipeline(true).analyzer_threads(3);
-        let (piped, world, summary) = collect_sharded(&spec, StudyAnalyzers::default());
+        let (piped, _, summary) = collect_sharded(&spec, StudyAnalyzers::default());
         assert!(summary.merged.pipeline_batches > 0);
         assert_eq!(plain_summary.merged.pipeline_batches, 0);
         assert_eq!(
             summary.merged.firehose_events,
             plain_summary.merged.firehose_events
         );
-        let ctx = StudyCtx::new(&world);
-        assert_eq!(
-            piped.table1.finish(&ctx).total,
-            plain.table1.finish(&ctx).total
-        );
+        assert_eq!(piped.table1.finish().total, plain.table1.finish().total);
     }
 }

@@ -54,7 +54,7 @@ pub struct RunSpec {
     /// Block-store backend for every repository of the PDS fleet.
     pub store: StoreConfig,
     /// Inert, kept for `benchmark/src/surface.rs`; deleted by ROADMAP
-    /// item 2 step 1.
+    /// item 3 step 1.
     pub appview_shards: usize,
     /// Relay tiers: `1` (the default) runs the classic single relay; `N > 1`
     /// runs a federated hierarchy of N regional relays forwarding into one
@@ -63,7 +63,7 @@ pub struct RunSpec {
     /// `bsky_relay::federation`.
     pub relays: usize,
     /// Inert, kept for `benchmark/src/surface.rs`; deleted by ROADMAP
-    /// item 2 step 1.
+    /// item 3 step 1.
     pub write_back: bool,
     /// Wire framing policy (padding / batching mitigations, §10).
     pub framing: FramingPolicy,
@@ -141,7 +141,7 @@ impl RunSpec {
     }
 
     /// Sets the inert [`RunSpec::appview_shards`]; kept for
-    /// `benchmark/src/surface.rs`, deleted by ROADMAP item 2 step 1.
+    /// `benchmark/src/surface.rs`, deleted by ROADMAP item 3 step 1.
     pub fn appview_shards(mut self, shards: usize) -> RunSpec {
         self.appview_shards = shards;
         self

@@ -2,7 +2,7 @@
 //! types and its daily volume.
 
 use crate::json::Json;
-use crate::pipeline::{Analyzer, Observation, StudyCtx};
+use crate::pipeline::{Analyzer, Observation};
 use crate::stats;
 use bsky_atproto::firehose::EventKind;
 use std::collections::BTreeMap;
@@ -25,7 +25,7 @@ pub(crate) struct Table1Analyzer {
 impl Analyzer for Table1Analyzer {
     type Output = Table1;
 
-    fn observe(&mut self, obs: &Observation<'_>, _ctx: &StudyCtx<'_>) {
+    fn observe(&mut self, obs: &Observation<'_>) {
         if let Observation::Firehose(event) = obs {
             *self.counts.entry(event.kind()).or_insert(0) += 1;
         }
@@ -35,7 +35,7 @@ impl Analyzer for Table1Analyzer {
         stats::add_counts(&mut self.counts, other.counts);
     }
 
-    fn finish(self, _ctx: &StudyCtx<'_>) -> Table1 {
+    fn finish(self) -> Table1 {
         let total: u64 = self.counts.values().sum();
         let rows = EventKind::all()
             .iter()
@@ -88,16 +88,16 @@ pub(crate) struct FirehoseVolume {
     extrapolated_full_network: f64,
 }
 
-/// Incremental §9 firehose-volume accumulator.
+/// Incremental §9 firehose-volume accumulator: mean bytes per day.
 #[derive(Debug, Default)]
 pub(crate) struct FirehoseVolumeAnalyzer {
     per_day: BTreeMap<i64, u64>,
 }
 
 impl Analyzer for FirehoseVolumeAnalyzer {
-    type Output = FirehoseVolume;
+    type Output = f64;
 
-    fn observe(&mut self, obs: &Observation<'_>, _ctx: &StudyCtx<'_>) {
+    fn observe(&mut self, obs: &Observation<'_>) {
         if let Observation::Firehose(event) = obs {
             *self.per_day.entry(event.time.day_index()).or_insert(0) += event.wire_size() as u64;
         }
@@ -107,18 +107,22 @@ impl Analyzer for FirehoseVolumeAnalyzer {
         stats::add_counts(&mut self.per_day, other.per_day);
     }
 
-    fn finish(self, ctx: &StudyCtx<'_>) -> FirehoseVolume {
+    fn finish(self) -> f64 {
         let days = self.per_day.len().max(1) as f64;
         let total: u64 = self.per_day.values().sum();
-        let bytes_per_day = total as f64 / days;
-        FirehoseVolume {
-            bytes_per_day,
-            extrapolated_full_network: bytes_per_day * ctx.world().config.scale as f64,
-        }
+        total as f64 / days
     }
 }
 
 impl FirehoseVolume {
+    /// The volume of `bytes_per_day` observed at simulation scale 1:`scale`.
+    pub(crate) fn extrapolate(bytes_per_day: f64, scale: u64) -> FirehoseVolume {
+        FirehoseVolume {
+            bytes_per_day,
+            extrapolated_full_network: bytes_per_day * scale as f64,
+        }
+    }
+
     /// Render the volume estimate.
     pub(crate) fn render(&self) -> String {
         format!(

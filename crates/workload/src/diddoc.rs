@@ -39,7 +39,12 @@ pub struct DidDocument {
 pub(crate) const SERVICE_PDS: &str = "atproto_pds";
 impl DidDocument {
     /// Create a document with a PDS endpoint.
-    pub fn new(did: Did, handle: Handle, signing_key: String, pds_endpoint: String) -> DidDocument {
+    pub(crate) fn new(
+        did: Did,
+        handle: Handle,
+        signing_key: String,
+        pds_endpoint: String,
+    ) -> DidDocument {
         DidDocument {
             did,
             handle,

@@ -11,7 +11,7 @@ use std::collections::BTreeMap;
 
 /// An authoritative store of TXT records.
 #[derive(Debug, Clone, Default)]
-pub struct DnsZoneStore {
+pub(crate) struct DnsZoneStore {
     txt: BTreeMap<String, Vec<String>>,
 }
 
@@ -33,7 +33,7 @@ impl DnsZoneStore {
     }
 
     /// The `did=` payload of an `_atproto.` TXT proof, if any.
-    pub fn lookup_atproto_did(&self, handle: &str) -> Option<String> {
+    pub(crate) fn lookup_atproto_did(&self, handle: &str) -> Option<String> {
         let name = format!("_atproto.{}", handle.to_ascii_lowercase());
         self.lookup_txt(&name)?
             .iter()

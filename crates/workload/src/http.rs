@@ -21,7 +21,7 @@ pub enum HttpResponse {
 
 impl HttpResponse {
     /// The body, if the request succeeded.
-    pub fn body(&self) -> Option<&str> {
+    pub(crate) fn body(&self) -> Option<&str> {
         match self {
             HttpResponse::Ok(b) => Some(b),
             _ => None,

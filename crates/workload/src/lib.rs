@@ -42,8 +42,9 @@
 //!   creation/update/tombstone operations and the paginated export the study
 //!   snapshots.
 //! * [`resolver`] — publishing the proofs handle ⇄ DID resolution reads: DNS
-//!   TXT records, `/.well-known/atproto-did` and `did:web` documents (the
-//!   study's collector does the resolving, against the same stores).
+//!   TXT records, `/.well-known/atproto-did` and `did:web` documents; and
+//!   [`resolver::HandleProbe`], what the study's collector reads back for
+//!   each handle through [`World::probe_handle`].
 //! * [`psl`] — Public Suffix List handling for extracting registered domains
 //!   from FQDN handles (Figure 3).
 //! * [`registrar`] — registrar catalogue and WHOIS database with IANA-ID

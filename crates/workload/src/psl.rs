@@ -13,7 +13,7 @@ use std::collections::BTreeSet;
 
 /// A compiled Public Suffix List.
 #[derive(Debug, Clone)]
-pub struct PublicSuffixList {
+pub(crate) struct PublicSuffixList {
     suffixes: BTreeSet<String>,
 }
 
@@ -75,7 +75,7 @@ impl PublicSuffixList {
     /// The registered (registrable) domain of an FQDN: the public suffix plus
     /// one label. Returns `None` when the FQDN *is* a public suffix or when
     /// no rule matches and the name has fewer than two labels.
-    pub fn registered_domain(&self, fqdn: &str) -> Option<String> {
+    pub(crate) fn registered_domain(&self, fqdn: &str) -> Option<String> {
         let fqdn = fqdn.to_ascii_lowercase();
         let labels: Vec<&str> = fqdn.split('.').filter(|l| !l.is_empty()).collect();
         if labels.len() < 2 {

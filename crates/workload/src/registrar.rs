@@ -56,16 +56,16 @@ pub(crate) fn default_catalogue() -> Vec<Registrar> {
 
 /// A WHOIS record for a registered domain.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WhoisRecord {
+pub(crate) struct WhoisRecord {
     /// The registered domain.
     pub(crate) domain: String,
     /// The registrar, if WHOIS data could be retrieved at all.
-    pub registrar: Option<Registrar>,
+    pub(crate) registrar: Option<Registrar>,
 }
 
 /// The WHOIS database queried by the study's scan.
 #[derive(Debug, Clone, Default)]
-pub struct WhoisDatabase {
+pub(crate) struct WhoisDatabase {
     records: BTreeMap<String, WhoisRecord>,
 }
 
@@ -84,7 +84,7 @@ impl WhoisDatabase {
     }
 
     /// Perform a WHOIS query. `None` means no data could be retrieved.
-    pub fn query(&self, domain: &str) -> Option<&WhoisRecord> {
+    pub(crate) fn query(&self, domain: &str) -> Option<&WhoisRecord> {
         self.records.get(&domain.to_ascii_lowercase())
     }
 }

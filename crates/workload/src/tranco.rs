@@ -9,7 +9,7 @@ use std::collections::BTreeMap;
 
 /// A popularity ranking of registered domains (rank 1 = most popular).
 #[derive(Debug, Clone, Default)]
-pub struct TrancoList {
+pub(crate) struct TrancoList {
     ranks: BTreeMap<String, u32>,
 }
 
@@ -43,7 +43,7 @@ impl TrancoList {
     }
 
     /// Whether a domain is within the top `n`.
-    pub fn in_top(&self, domain: &str, n: u32) -> bool {
+    pub(crate) fn in_top(&self, domain: &str, n: u32) -> bool {
         self.rank(domain).map(|r| r <= n).unwrap_or(false)
     }
 }

@@ -52,7 +52,7 @@ use crate::plc::PlcDirectory;
 use crate::population::{DayPurpose, PopulationPlan, UserProfile};
 use crate::psl::PublicSuffixList;
 use crate::registrar::{default_catalogue, WhoisDatabase};
-use crate::resolver::publish;
+use crate::resolver::{publish, HandleProbe, Proof};
 use crate::rng::SimRng;
 use crate::route::FeedRoutes;
 use crate::service::{LabelerOperator, LabelerRegistry, LabelerService};
@@ -132,7 +132,7 @@ pub struct World {
     /// PLC directory.
     pub plc: PlcDirectory,
     /// DNS zones.
-    pub dns: DnsZoneStore,
+    pub(crate) dns: DnsZoneStore,
     /// Web space (well-known documents, did:web documents).
     pub web: WebSpace,
     /// The Relay. Under federation this is the *super-relay* (hub): it
@@ -154,11 +154,11 @@ pub struct World {
     /// that each feed on it is a view of.
     feed_routes: FeedRoutes,
     /// WHOIS database.
-    pub whois: WhoisDatabase,
+    pub(crate) whois: WhoisDatabase,
     /// Tranco-style ranking.
-    pub tranco: TrancoList,
+    pub(crate) tranco: TrancoList,
     /// Public suffix list.
-    pub psl: PublicSuffixList,
+    pub(crate) psl: PublicSuffixList,
     /// Current simulated day (start of day).
     pub today: Datetime,
 
@@ -377,6 +377,29 @@ impl World {
     pub fn owns_did(&self, did: &Did) -> bool {
         self.shard.count <= 1
             || crate::population::did_hash(did) % self.shard.count as u64 == self.shard.index as u64
+    }
+
+    /// The study's active measurements of `handle` (§5): its registered
+    /// domain, that domain's WHOIS registrar and Tranco ranking, and the
+    /// ownership proof this world's DNS and web serve for it.
+    pub fn probe_handle(&self, handle: &Handle) -> HandleProbe {
+        let registered_domain = self.psl.registered_domain(handle.as_str());
+        let domain = registered_domain.as_deref();
+        let registrar = domain.and_then(|domain| self.whois.query(domain)?.registrar.clone());
+        let in_tranco_top = domain.is_some_and(|domain| self.tranco.in_top(domain, 1_000_000));
+        let proof = if self.dns.lookup_atproto_did(handle.as_str()).is_some() {
+            Some(Proof::DnsTxt)
+        } else if self.web.get(&handle.well_known_url()).body().is_some() {
+            Some(Proof::WellKnown)
+        } else {
+            None
+        };
+        HandleProbe {
+            registered_domain,
+            registrar,
+            in_tranco_top,
+            proof,
+        }
     }
 
     /// Number of days simulated so far.

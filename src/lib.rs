@@ -85,9 +85,9 @@
 //! eight analyzers; the bounded channel's backpressure preserves the
 //! one-chunk memory bound, the sequence numbers guarantee every part folds
 //! the exact serial stream, and the per-part states reassemble through the
-//! same associative merge at shard end. Observations whose analyzers run
-//! active measurements against the live world (the end-of-window DID
-//! documents) drain the workers and fold inline on the producer thread.
+//! same associative merge at shard end. No analyzer reads the world (the
+//! collector takes §5's active measurements and ships them on the DID
+//! documents), so the end-of-window snapshots fold on the workers too.
 //! The report stays byte-identical for any `(shards, jobs,
 //! analyzer_threads)` — pinned by the golden and property tests. (All it
 //! can overlap with the producer is analyzer CPU, 7 % of the stream in the
