@@ -10,6 +10,8 @@ const STORES: usize = 2_000;
 /// 8 blocks of 32 bytes over 64-byte pages: every store seals 4 pages.
 const BLOCKS: u64 = 8;
 const PAGES: u64 = 4;
+/// A block in a page: its 33-byte CID and 4-byte length, then its bytes.
+const RECORD: u64 = 33 + 4 + 32;
 
 fn entries(dir: impl AsRef<Path>) -> usize {
     std::fs::read_dir(dir).expect("directory exists").count()
@@ -72,7 +74,7 @@ fn many_spilling_stores_share_one_segment_and_one_descriptor() {
         .path();
     assert_eq!(
         std::fs::metadata(segment).unwrap().len(),
-        STORES as u64 * BLOCKS * 32,
+        STORES as u64 * BLOCKS * RECORD,
         "the segment holds each page exactly once"
     );
 
