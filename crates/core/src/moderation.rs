@@ -688,9 +688,203 @@ impl ModerationReport {
 mod tests {
     use super::*;
     use crate::collect::Collector;
+    use crate::pipeline::OwnedObservation;
     use crate::pipeline::StudyCtx;
     use crate::report::tests::{headline_report, small_report};
+    use bsky_atproto::blockstore::StoreConfig;
+    use bsky_atproto::firehose::Event;
+    use bsky_atproto::label::{Label, LabelTarget};
+    use bsky_atproto::record::{PostRecord, Record};
+    use bsky_atproto::repo::Repository;
+    use bsky_atproto::{AtUri, Nsid};
     use bsky_workload::{ScenarioConfig, World};
+
+    fn day(month: u32, day: u32) -> Datetime {
+        Datetime::from_ymd(2024, month, day).unwrap()
+    }
+
+    /// A firehose commit of one post by `repo` at `time`, and the post's URI.
+    fn post(repo: &mut Repository, seq: u64, time: Datetime) -> (OwnedObservation, AtUri) {
+        let record = Record::Post(PostRecord::simple("hello", "en", time));
+        let (rkey, result) = repo.create_record(Nsid::POST, record, time).unwrap();
+        let did = repo.did().clone();
+        let uri = AtUri::record(did.clone(), Nsid::POST, rkey);
+        let body = EventBody::Commit {
+            did,
+            commit: result.commit_cid,
+            rev: result.commit.rev,
+            ops: result.ops,
+            blocks_bytes: result.bytes_written,
+            too_big: false,
+        };
+        (OwnedObservation::Firehose(Event { seq, time, body }), uri)
+    }
+
+    fn labeler(did: &Did, name: &str, operator: LabelerOperator) -> OwnedObservation {
+        OwnedObservation::Labeler(LabelerEntry {
+            did: did.clone(),
+            name: name.to_string(),
+            operator,
+            hosting: HostingClass::Cloud,
+            functional: true,
+        })
+    }
+
+    fn labels(src: &Did, batch: &[(LabelTarget, &str, Datetime)]) -> OwnedObservation {
+        let labels = batch
+            .iter()
+            .map(|(target, value, at)| Label::new(src.clone(), target.clone(), *value, *at))
+            .collect::<Result<Vec<_>, _>>()
+            .unwrap();
+        OwnedObservation::Labels {
+            src: src.clone(),
+            labels,
+        }
+    }
+
+    #[test]
+    fn a_hand_built_label_tape_folds_whole_and_split_alike() {
+        let official = Did::plc_from_seed(b"official");
+        let (alpha, beta, gamma) = (
+            Did::plc_from_seed(b"alpha"),
+            Did::plc_from_seed(b"beta"),
+            Did::plc_from_seed(b"gamma"),
+        );
+        let store = || StoreConfig::mem().build();
+        let mut ann = Repository::with_store(Did::plc_from_seed(b"ann"), b"k", store());
+        let mut bob = Repository::with_store(Did::plc_from_seed(b"bob"), b"k", store());
+        let (march_post, p1) = post(&mut ann, 1, day(3, 5));
+        let (april_post, p2) = post(&mut ann, 2, day(4, 10));
+        let (other_april_post, p3) = post(&mut bob, 3, day(4, 12));
+        let (unlabeled_post, _) = post(&mut bob, 4, day(4, 20));
+        let record = |uri: &AtUri| LabelTarget::Record(uri.clone());
+        let negated = Label::new(gamma.clone(), record(&p3), "ghost", day(4, 14)).unwrap();
+        let tape = vec![
+            OwnedObservation::WindowStart {
+                firehose_collection_start: day(3, 1),
+                collection_end: day(5, 1),
+            },
+            labeler(
+                &official,
+                "Bluesky Moderation",
+                LabelerOperator::BlueskyOfficial,
+            ),
+            labeler(&alpha, "Alpha", LabelerOperator::Community),
+            labeler(&beta, "Beta", LabelerOperator::Community),
+            labeler(&gamma, "Gamma", LabelerOperator::Community),
+            march_post,
+            april_post,
+            other_april_post,
+            unlabeled_post,
+            // The official labeler and a community labeler on one post.
+            labels(&official, &[(record(&p1), "porn", day(3, 6))]),
+            // Alpha, first active in March: the same post and an account.
+            labels(
+                &alpha,
+                &[
+                    (record(&p1), "nudity", day(3, 6)),
+                    (LabelTarget::Account(bob.did().clone()), "spam", day(3, 7)),
+                ],
+            ),
+            // Beta, first active in April: a post and ann's `#media`.
+            labels(
+                &beta,
+                &[
+                    (record(&p2), "rude", day(4, 11)),
+                    (
+                        LabelTarget::ProfileMedia(ann.did().clone()),
+                        "rude",
+                        day(4, 11),
+                    ),
+                ],
+            ),
+            // Gamma: the same post as Beta, another post, and a value it
+            // only ever negates.
+            OwnedObservation::Labels {
+                src: gamma.clone(),
+                labels: vec![
+                    Label::new(gamma.clone(), record(&p2), "rude", day(4, 15)).unwrap(),
+                    Label::new(gamma.clone(), record(&p3), "sexual", day(4, 13)).unwrap(),
+                    negated.negation(day(4, 14)),
+                ],
+            },
+        ];
+        let fold = |items: &[OwnedObservation]| {
+            let mut analyzer = ModerationAnalyzer::default();
+            for item in items {
+                analyzer.observe(&item.as_observation());
+            }
+            analyzer
+        };
+        let whole = fold(&tape);
+        // The account and `#media` labels have no post to time against.
+        let unresolved = whole.pending.len();
+        assert_eq!(unresolved, 2);
+        let whole = whole.finish();
+        let mut healed = 0;
+        for split in 0..=tape.len() {
+            let mut first = fold(&tape[..split]);
+            let second = fold(&tape[split..]);
+            if first.pending.len() + second.pending.len() > unresolved {
+                healed += 1;
+            }
+            first.merge(second);
+            assert_eq!(first.pending.len(), unresolved, "split at {split}");
+            assert_eq!(first.finish(), whole, "split at {split}");
+        }
+        // A split between a post and its label leaves the label pending in
+        // the second half until the merge resolves it.
+        assert!(healed > 0);
+
+        assert_eq!(whole.labeler_counts, (4, 4, 4));
+        assert_eq!(whole.interactions, (8, 1));
+        assert_eq!(whole.unique_objects, 5);
+        assert_eq!(whole.label_values, (6, 5));
+        // p1 and p2 carry labels of two services; only p1 of the official
+        // one and a community one.
+        assert_eq!(whole.multi_service_share, 40.0);
+        assert_eq!(whole.bluesky_community_overlap_share, 20.0);
+        let owned = |top: &[(&str, u64)]| -> Vec<(String, u64)> {
+            top.iter().map(|(v, c)| (v.to_string(), *c)).collect()
+        };
+        assert_eq!(
+            whole.table4,
+            vec![
+                (
+                    "Post".to_string(),
+                    3,
+                    60.0,
+                    owned(&[("rude", 2), ("nudity", 1), ("porn", 1), ("sexual", 1)])
+                ),
+                ("Account".to_string(), 1, 20.0, owned(&[("spam", 1)])),
+                ("Banner/Avatar".to_string(), 1, 20.0, owned(&[("rude", 1)])),
+            ]
+        );
+        // Figure 4: Alpha counts from March, Beta and Gamma from April.
+        assert_eq!(
+            whole.labels_by_month,
+            vec![
+                ("2024-03".to_string(), 1, 2, 1),
+                ("2024-04".to_string(), 0, 4, 3),
+            ]
+        );
+        // Two of April's three posts are labeled.
+        assert_eq!(whole.last_month_posts_labeled_share, stats::share(2, 3));
+        let totals: Vec<(&str, u64)> = whole
+            .table6
+            .iter()
+            .map(|row| (row.name.as_str(), row.total))
+            .collect();
+        assert_eq!(
+            totals,
+            [
+                ("Alpha", 2),
+                ("Beta", 2),
+                ("Gamma", 2),
+                ("Bluesky Moderation", 1)
+            ]
+        );
+    }
 
     #[test]
     fn moderation_runs_and_renders() {
