@@ -19,9 +19,10 @@
 //! * **Labeling Services** — metadata when each service record is announced,
 //!   then a daily `subscribeLabels` read per labeler (including rescinded
 //!   labels), so labels stream out close to their publication time.
-//! * **Feed Generators / Feed Posts** — generator records discovered in the
-//!   repositories, metadata via `getFeedGenerator`, retained entries via
-//!   `getFeed` hydration.
+//! * **Feed Generators / Feed Posts** — one entry per generator: its
+//!   declaration record (name, description, creation time) and the hosting
+//!   platform it carries, as `getFeedGenerator` describes it, and its
+//!   retained entries via `getFeed` hydration.
 //!
 //! The repositories dataset is kept current by the incremental mirror in
 //! `mirror`; its module documents the snapshot protocol.
@@ -600,11 +601,7 @@ impl Collector {
                 authors.collect()
             })
             .collect();
-        for index in 0..world.feedgens.len() {
-            let info = &world.feedgen_info[index];
-            let platform = info.platform_name.clone();
-            let created_at = info.plan.created_at;
-            let generator = &world.feedgens[index];
+        for generator in &world.feedgens {
             // A feed retains a suffix of its route's list. Personalised
             // (and manual) feeds are on no route: they serve the study's
             // anonymous crawler nothing.
@@ -634,8 +631,8 @@ impl Collector {
                 creator: generator.creator().clone(),
                 display_name: record.display_name.clone(),
                 description: record.description.clone(),
-                platform,
-                created_at,
+                platform: generator.platform().to_string(),
+                created_at: record.created_at,
                 retention: generator.retention(),
                 like_count: generator.like_count(),
                 posts,

@@ -53,9 +53,9 @@ pub(crate) struct IdentityAnalyzer {
     dns_proofs: u64,
     well_known_proofs: u64,
     changes: u64,
-    dids: BTreeSet<String>,
     handles: BTreeSet<String>,
-    /// DID → latest observed handle change `(event time, handle)`.
+    /// DID → latest observed handle change `(event time, handle)`: its keys
+    /// are the DIDs that changed handle.
     final_handle: BTreeMap<String, (Datetime, String)>,
 }
 
@@ -96,7 +96,6 @@ impl Analyzer for IdentityAnalyzer {
             Observation::Firehose(event) => {
                 if let EventBody::HandleChange { did, handle } = &event.body {
                     self.changes += 1;
-                    self.dids.insert(did.as_string());
                     self.handles.insert(handle.as_str().to_string());
                     let entry = self
                         .final_handle
@@ -124,7 +123,6 @@ impl Analyzer for IdentityAnalyzer {
         self.dns_proofs += other.dns_proofs;
         self.well_known_proofs += other.well_known_proofs;
         self.changes += other.changes;
-        self.dids.extend(other.dids);
         self.handles.extend(other.handles);
         for (did, (time, handle)) in other.final_handle {
             let entry = self
@@ -196,7 +194,7 @@ impl Analyzer for IdentityAnalyzer {
             registrars,
             handle_updates: (
                 self.changes,
-                self.dids.len() as u64,
+                self.final_handle.len() as u64,
                 self.handles.len() as u64,
                 stats::share(final_bsky, self.final_handle.len().max(1) as u64),
             ),

@@ -10,6 +10,7 @@ use bsky_atproto::nsid::known;
 use bsky_atproto::{Datetime, Did};
 use bsky_workload::net::HostingClass;
 use bsky_workload::service::{LabelerOperator, REACTION_WINDOW_DAYS};
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Labeling-service dataset entry: the service's metadata. Its labels
@@ -88,21 +89,19 @@ pub(crate) struct ModerationReport {
     figure6: Vec<(String, u64, f64, bool)>,
 }
 
-/// Per-labeler accumulator feeding Tables 3/6 and Figures 4/5.
+/// Per-labeler accumulator feeding Tables 3/6 and Figures 4/5. The objects
+/// it labeled are those whose [`LabeledObject::labelers`] name it.
 #[derive(Debug, Default)]
 struct LabelerAcc {
     /// The labeler's announcement, once it has arrived.
     meta: Option<LabelerEntry>,
+    /// Applied labels per value.
     values: BTreeMap<String, u64>,
     reactions: Vec<f64>,
-    applied: u64,
+    /// Stream entries, negations included.
     stream_entries: u64,
     /// Applied labels per month (split Bluesky vs community at finish).
     per_month: BTreeMap<String, u64>,
-    /// Objects this labeler labeled.
-    objects: BTreeSet<String>,
-    /// First month with an applied label.
-    first_month: Option<String>,
 }
 
 impl LabelerAcc {
@@ -121,20 +120,40 @@ impl LabelerAcc {
             .is_none_or(|m| m.operator == LabelerOperator::Community)
     }
 
+    /// Labels applied (negations excluded).
+    fn applied(&self) -> u64 {
+        self.values.values().sum()
+    }
+
     fn absorb(&mut self, other: LabelerAcc) {
         if self.meta.is_none() {
             self.meta = other.meta;
         }
         stats::add_counts(&mut self.values, other.values);
         self.reactions.extend(other.reactions);
-        self.applied += other.applied;
         self.stream_entries += other.stream_entries;
         stats::add_counts(&mut self.per_month, other.per_month);
-        self.objects.extend(other.objects);
-        self.first_month = match (self.first_month.take(), other.first_month) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
+    }
+}
+
+/// One object that received an applied label.
+#[derive(Debug)]
+struct LabeledObject {
+    /// Table 4's target kind.
+    kind: LabelTargetKind,
+    /// The DIDs that applied a label to it, each once: a list, not a set,
+    /// as most objects have one or two and a set's first node holds eleven.
+    labelers: Vec<String>,
+    /// Its post's firehose arrival month, once a reaction was timed.
+    post_month: Option<String>,
+}
+
+impl LabeledObject {
+    fn add_labeler(&mut self, did: &str) {
+        if !self.labelers.iter().any(|l| l == did) {
+            self.labelers.reserve_exact(1);
+            self.labelers.push(did.to_string());
+        }
     }
 }
 
@@ -153,14 +172,15 @@ struct PendingReaction {
 /// Incremental §6 moderation analyses.
 ///
 /// Labeler metadata arrives when a service is announced; its label stream
-/// arrives in daily batches. Reaction times are measured against the
-/// post-creation index built from firehose commits — and because every
+/// arrives in daily batches. Each labeled object has one record, and what
+/// follows from other state (a labeler's applied total and first month, the
+/// applied values) is read at finish. Reaction times are measured against
+/// the post-creation index built from firehose commits — and because every
 /// labeler's reaction delay is bounded by
 /// [`bsky_workload::service::REACTION_WINDOW_DAYS`], that index is *aged
 /// out* at every day boundary: entries older than the reaction window can
 /// never match a future label, so peak index size is bounded by one
-/// window's worth of posts instead of the whole collection (the former
-/// `--scale 100` memory ceiling).
+/// window's worth of posts instead of the whole collection.
 #[derive(Debug, Default)]
 pub(crate) struct ModerationAnalyzer {
     collection_end: Datetime,
@@ -170,16 +190,12 @@ pub(crate) struct ModerationAnalyzer {
     posts_per_month: BTreeMap<String, u64>,
     /// Per-labeler accumulators, keyed by DID.
     accs: BTreeMap<String, LabelerAcc>,
-    /// Labeled object → labeler DIDs.
-    objects: BTreeMap<String, BTreeSet<String>>,
-    object_kind: BTreeMap<String, LabelTargetKind>,
-    /// Labeled post → its creation month (bounded by labeled objects).
-    labeled_post_month: BTreeMap<String, String>,
-    value_counts: BTreeMap<String, u64>,
+    /// Every object with an applied label, keyed by its URI.
+    objects: BTreeMap<String, LabeledObject>,
     value_reactions: BTreeMap<String, Vec<f64>>,
     per_target_kind: BTreeMap<LabelTargetKind, BTreeMap<String, u64>>,
+    /// Values of every stream entry, negations included.
     raw_values: BTreeSet<String>,
-    applied_values: BTreeSet<String>,
     interactions: u64,
     rescissions: u64,
     likes_on_accounts: BTreeMap<String, u64>,
@@ -199,8 +215,9 @@ impl ModerationAnalyzer {
         label_created: Datetime,
     ) {
         let delta = (label_created.timestamp() - post_created.timestamp()).max(0) as f64;
-        self.labeled_post_month
-            .insert(object.to_string(), month_of(post_created));
+        if let Some(labeled) = self.objects.get_mut(object) {
+            labeled.post_month = Some(month_of(post_created));
+        }
         if let Some(acc) = self.accs.get_mut(labeler) {
             acc.reactions.push(delta);
         }
@@ -235,9 +252,7 @@ impl Analyzer for ModerationAnalyzer {
                     for op in ops {
                         if op.collection() == known::POST {
                             let uri = ["at://", &did, "/", &op.key].concat();
-                            if let std::collections::btree_map::Entry::Vacant(e) =
-                                self.post_created.entry(uri)
-                            {
+                            if let Entry::Vacant(e) = self.post_created.entry(uri) {
                                 e.insert(event.time);
                                 *self
                                     .posts_per_month
@@ -263,23 +278,17 @@ impl Analyzer for ModerationAnalyzer {
                         self.rescissions += 1;
                         continue;
                     }
-                    acc.applied += 1;
                     *acc.values.entry(label.value.clone()).or_insert(0) += 1;
-                    let month = month_of(label.created_at);
-                    *acc.per_month.entry(month.clone()).or_insert(0) += 1;
-                    acc.first_month = match acc.first_month.take() {
-                        Some(m) => Some(m.min(month)),
-                        None => Some(month),
-                    };
-                    self.applied_values.insert(label.value.clone());
-                    *self.value_counts.entry(label.value.clone()).or_insert(0) += 1;
+                    *acc.per_month.entry(month_of(label.created_at)).or_insert(0) += 1;
                     let object = label.target.uri();
-                    acc.objects.insert(object.clone());
                     self.objects
                         .entry(object.clone())
-                        .or_default()
-                        .insert(key.clone());
-                    self.object_kind.insert(object.clone(), label.target.kind());
+                        .or_insert_with(|| LabeledObject {
+                            kind: label.target.kind(),
+                            labelers: Vec::new(),
+                            post_month: None,
+                        })
+                        .add_labeler(&key);
                     *self
                         .per_target_kind
                         .entry(label.target.kind())
@@ -336,16 +345,20 @@ impl Analyzer for ModerationAnalyzer {
         for (did, acc) in other.accs {
             self.accs.entry(did).or_default().absorb(acc);
         }
-        for (object, dids) in other.objects {
-            self.objects.entry(object).or_default().extend(dids);
+        for (uri, object) in other.objects {
+            match self.objects.get_mut(&uri) {
+                Some(labeled) => {
+                    object
+                        .labelers
+                        .iter()
+                        .for_each(|did| labeled.add_labeler(did));
+                    labeled.post_month = labeled.post_month.take().or(object.post_month);
+                }
+                None => {
+                    self.objects.insert(uri, object);
+                }
+            }
         }
-        for (object, kind) in other.object_kind {
-            self.object_kind.entry(object).or_insert(kind);
-        }
-        for (object, month) in other.labeled_post_month {
-            self.labeled_post_month.entry(object).or_insert(month);
-        }
-        stats::add_counts(&mut self.value_counts, other.value_counts);
         for (value, reactions) in other.value_reactions {
             self.value_reactions
                 .entry(value)
@@ -356,13 +369,13 @@ impl Analyzer for ModerationAnalyzer {
             stats::add_counts(self.per_target_kind.entry(kind).or_default(), values);
         }
         self.raw_values.extend(other.raw_values);
-        self.applied_values.extend(other.applied_values);
         self.interactions += other.interactions;
         self.rescissions += other.rescissions;
         stats::add_counts(&mut self.likes_on_accounts, other.likes_on_accounts);
-        // Re-resolve pending reactions against the combined post index: a
-        // stream split can separate a label from its post, and the merge
-        // must heal exactly that.
+        // Re-resolve pending reactions against the combined post index (and
+        // the combined objects, which hold each post's month): a stream
+        // split can separate a label from its post, and the merge must heal
+        // exactly that.
         let mut pending = std::mem::take(&mut self.pending);
         pending.extend(other.pending);
         for p in pending {
@@ -409,10 +422,11 @@ impl Analyzer for ModerationAnalyzer {
             }
         }
 
-        let total_applied: u64 = self.accs.values().map(|a| a.applied).sum();
+        let total_applied: u64 = self.accs.values().map(LabelerAcc::applied).sum();
         let mut table6 = Vec::new();
         for (did, acc) in &self.accs {
-            if acc.applied == 0 {
+            let applied = acc.applied();
+            if applied == 0 {
                 continue;
             }
             let mut top: Vec<(String, u64)> =
@@ -424,8 +438,8 @@ impl Analyzer for ModerationAnalyzer {
                 community: acc.is_community(),
                 unique_values: top.len() as u64,
                 top_values: top.iter().take(3).map(|(v, _)| v.clone()).collect(),
-                total: acc.applied,
-                share: stats::share(acc.applied, total_applied.max(1)),
+                total: applied,
+                share: stats::share(applied, total_applied.max(1)),
                 median_reaction_secs: stats::median(&acc.reactions),
                 iqd_reaction_secs: stats::iqd(&acc.reactions),
             });
@@ -445,26 +459,24 @@ impl Analyzer for ModerationAnalyzer {
                 }
             }
         }
-        let mut labels_by_month: Vec<(String, u64, u64, u64)> = Vec::new();
-        let mut seen_labelers: BTreeSet<String> = BTreeSet::new();
-        for (month, (bluesky, community_count)) in &per_month {
-            for (did, acc) in &self.accs {
-                if !acc.is_community() {
-                    continue;
-                }
-                if let Some(first) = &acc.first_month {
-                    if first <= month {
-                        seen_labelers.insert(did.clone());
-                    }
-                }
-            }
-            labels_by_month.push((
-                month.clone(),
-                *bluesky,
-                *community_count,
-                seen_labelers.len() as u64,
-            ));
-        }
+        // A community labeler counts from its first month with an applied
+        // label on.
+        let first_months: Vec<&String> = self
+            .accs
+            .values()
+            .filter(|acc| acc.is_community())
+            .filter_map(|acc| acc.per_month.keys().next())
+            .collect();
+        let labels_by_month: Vec<(String, u64, u64, u64)> = per_month
+            .into_iter()
+            .map(|(month, (bluesky, community))| {
+                let labelers = first_months
+                    .iter()
+                    .filter(|first| **first <= &month)
+                    .count();
+                (month, bluesky, community, labelers as u64)
+            })
+            .collect();
         let community_share_last_month = labels_by_month
             .last()
             .map(|(_, b, c, _)| stats::share(*c, b + c))
@@ -475,19 +487,20 @@ impl Analyzer for ModerationAnalyzer {
         let last_month = month_of(self.collection_end.plus_days(-15));
         let posts_last_month = self.posts_per_month.get(&last_month).copied().unwrap_or(0);
         let labeled_posts_last_month = self
-            .labeled_post_month
+            .objects
             .values()
-            .filter(|month| **month == last_month)
+            .filter(|o| o.post_month.as_ref() == Some(&last_month))
             .count() as u64;
 
         // Table 3: top community labelers with likes on their accounts.
         let mut table3: Vec<(String, u64, u64)> = self
             .accs
             .iter()
-            .filter(|(_, acc)| acc.is_community() && acc.applied > 0)
-            .map(|(did, acc)| {
+            .map(|(did, acc)| (did, acc, acc.applied()))
+            .filter(|(_, acc, applied)| acc.is_community() && *applied > 0)
+            .map(|(did, acc, applied)| {
                 let likes = self.likes_on_accounts.get(did).copied().unwrap_or(0);
-                (acc.name(), acc.applied, likes)
+                (acc.name(), applied, likes)
             })
             .collect();
         table3.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
@@ -501,7 +514,7 @@ impl Analyzer for ModerationAnalyzer {
             LabelTargetKind::Account,
             LabelTargetKind::BannerAvatar,
         ] {
-            let count = self.object_kind.values().filter(|k| **k == kind).count() as u64;
+            let count = self.objects.values().filter(|o| o.kind == kind).count() as u64;
             let mut top: Vec<(String, u64)> = self
                 .per_target_kind
                 .get(&kind)
@@ -517,51 +530,45 @@ impl Analyzer for ModerationAnalyzer {
             ));
         }
 
-        // Figure 6: per-value reaction times. A value counts as community
-        // when every labeler applying it is community-operated.
-        let mut value_community: BTreeMap<&String, bool> = BTreeMap::new();
+        // Figure 6: per-value applied counts and reaction times. A value
+        // counts as community when every labeler applying it is
+        // community-operated.
+        let mut value_counts: BTreeMap<&String, (u64, bool)> = BTreeMap::new();
         for acc in self.accs.values() {
             let is_community = acc.is_community();
-            for value in acc.values.keys() {
-                value_community
-                    .entry(value)
-                    .and_modify(|c| *c = *c && is_community)
-                    .or_insert(is_community);
+            for (value, count) in &acc.values {
+                let slot = value_counts.entry(value).or_insert((0, true));
+                slot.0 += count;
+                slot.1 &= is_community;
             }
         }
-        let mut figure6: Vec<(String, u64, f64, bool)> = self
-            .value_counts
-            .iter()
-            .map(|(value, count)| {
+        let applied_values = value_counts.len() as u64;
+        let mut figure6: Vec<(String, u64, f64, bool)> = value_counts
+            .into_iter()
+            .map(|(value, (count, community))| {
                 let median = self
                     .value_reactions
                     .get(value)
                     .and_then(|v| stats::median(v))
                     .unwrap_or(0.0);
-                (
-                    value.clone(),
-                    *count,
-                    median,
-                    value_community.get(value).copied().unwrap_or(true),
-                )
+                (value.clone(), count, median, community)
             })
             .collect();
         figure6.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
 
-        // Overlap statistics.
-        let multi_service = self.objects.values().filter(|s| s.len() > 1).count() as u64;
-        let bluesky_objects: BTreeSet<&String> = official
-            .as_ref()
-            .and_then(|did| self.accs.get(did))
-            .map(|acc| acc.objects.iter().collect())
-            .unwrap_or_default();
-        let mut community_objects: BTreeSet<&String> = BTreeSet::new();
-        for (did, acc) in &self.accs {
-            if Some(did) != official.as_ref() {
-                community_objects.extend(acc.objects.iter());
-            }
-        }
-        let both = bluesky_objects.intersection(&community_objects).count() as u64;
+        // Overlap statistics: an object labeled by the official service
+        // and any other is in both.
+        let multi_service = self
+            .objects
+            .values()
+            .filter(|o| o.labelers.len() > 1)
+            .count() as u64;
+        let both = official.as_ref().map_or(0, |did| {
+            self.objects
+                .values()
+                .filter(|o| o.labelers.len() > 1 && o.labelers.contains(did))
+                .count() as u64
+        });
 
         ModerationReport {
             labeler_counts: (announced, functional, active),
@@ -574,10 +581,7 @@ impl Analyzer for ModerationAnalyzer {
                 labeled_posts_last_month,
                 posts_last_month.max(1),
             ),
-            label_values: (
-                self.raw_values.len() as u64,
-                self.applied_values.len() as u64,
-            ),
+            label_values: (self.raw_values.len() as u64, applied_values),
             multi_service_share: stats::share(multi_service, total_objects.max(1)),
             bluesky_community_overlap_share: stats::share(both, total_objects.max(1)),
             table3,
@@ -776,14 +780,23 @@ mod tests {
             april_post,
             other_april_post,
             unlabeled_post,
-            // The official labeler and a community labeler on one post.
-            labels(&official, &[(record(&p1), "porn", day(3, 6))]),
-            // Alpha, first active in March: the same post and an account.
+            // The official labeler on one post that a community labeler
+            // labels too, and alone on an account.
+            labels(
+                &official,
+                &[
+                    (record(&p1), "porn", day(3, 6)),
+                    (LabelTarget::Account(ann.did().clone()), "spam", day(3, 8)),
+                ],
+            ),
+            // Alpha, first active in March: the same post, then in April an
+            // account, twice.
             labels(
                 &alpha,
                 &[
                     (record(&p1), "nudity", day(3, 6)),
-                    (LabelTarget::Account(bob.did().clone()), "spam", day(3, 7)),
+                    (LabelTarget::Account(bob.did().clone()), "spam", day(4, 2)),
+                    (LabelTarget::Account(bob.did().clone()), "rude", day(4, 3)),
                 ],
             ),
             // Beta, first active in April: a post and ann's `#media`.
@@ -819,7 +832,7 @@ mod tests {
         let whole = fold(&tape);
         // The account and `#media` labels have no post to time against.
         let unresolved = whole.pending.len();
-        assert_eq!(unresolved, 2);
+        assert_eq!(unresolved, 4);
         let whole = whole.finish();
         let mut healed = 0;
         for split in 0..=tape.len() {
@@ -836,14 +849,15 @@ mod tests {
         // the second half until the merge resolves it.
         assert!(healed > 0);
 
+        let share = stats::share;
         assert_eq!(whole.labeler_counts, (4, 4, 4));
-        assert_eq!(whole.interactions, (8, 1));
-        assert_eq!(whole.unique_objects, 5);
+        assert_eq!(whole.interactions, (10, 1));
+        assert_eq!(whole.unique_objects, 6);
         assert_eq!(whole.label_values, (6, 5));
         // p1 and p2 carry labels of two services; only p1 of the official
         // one and a community one.
-        assert_eq!(whole.multi_service_share, 40.0);
-        assert_eq!(whole.bluesky_community_overlap_share, 20.0);
+        assert_eq!(whole.multi_service_share, share(2, 6));
+        assert_eq!(whole.bluesky_community_overlap_share, share(1, 6));
         let owned = |top: &[(&str, u64)]| -> Vec<(String, u64)> {
             top.iter().map(|(v, c)| (v.to_string(), *c)).collect()
         };
@@ -853,23 +867,33 @@ mod tests {
                 (
                     "Post".to_string(),
                     3,
-                    60.0,
+                    50.0,
                     owned(&[("rude", 2), ("nudity", 1), ("porn", 1), ("sexual", 1)])
                 ),
-                ("Account".to_string(), 1, 20.0, owned(&[("spam", 1)])),
-                ("Banner/Avatar".to_string(), 1, 20.0, owned(&[("rude", 1)])),
+                (
+                    "Account".to_string(),
+                    2,
+                    share(2, 6),
+                    owned(&[("spam", 2), ("rude", 1)])
+                ),
+                (
+                    "Banner/Avatar".to_string(),
+                    1,
+                    share(1, 6),
+                    owned(&[("rude", 1)])
+                ),
             ]
         );
         // Figure 4: Alpha counts from March, Beta and Gamma from April.
         assert_eq!(
             whole.labels_by_month,
             vec![
-                ("2024-03".to_string(), 1, 2, 1),
-                ("2024-04".to_string(), 0, 4, 3),
+                ("2024-03".to_string(), 2, 1, 1),
+                ("2024-04".to_string(), 0, 6, 3),
             ]
         );
         // Two of April's three posts are labeled.
-        assert_eq!(whole.last_month_posts_labeled_share, stats::share(2, 3));
+        assert_eq!(whole.last_month_posts_labeled_share, share(2, 3));
         let totals: Vec<(&str, u64)> = whole
             .table6
             .iter()
@@ -878,10 +902,10 @@ mod tests {
         assert_eq!(
             totals,
             [
-                ("Alpha", 2),
+                ("Alpha", 3),
                 ("Beta", 2),
-                ("Gamma", 2),
-                ("Bluesky Moderation", 1)
+                ("Bluesky Moderation", 2),
+                ("Gamma", 2)
             ]
         );
     }

@@ -150,18 +150,41 @@ pub(crate) struct RecommendationReport {
     platform_shares: Vec<(String, u64, f64, f64, f64)>,
 }
 
+/// One object's folded label stream, the order-insensitive form of
+/// `effective_labels`: `((labeler, value), (applied, negated))` per pair
+/// seen. A list, not a map, as most objects carry a label or two and a map's
+/// first node holds eleven.
+type LabelFlags = Vec<((String, String), (bool, bool))>;
+/// The flags of a value left on its object: applied and never negated.
+const EFFECTIVE: (bool, bool) = (true, false);
+
+/// Fold one sighting `(applied, negated)` of `(labeler, value)` into `flags`.
+fn fold_flags(flags: &mut LabelFlags, labeler: &str, value: &str, seen: (bool, bool)) {
+    let found = flags
+        .iter_mut()
+        .find(|((l, v), _)| l == labeler && v == value);
+    match found {
+        Some((_, was)) => *was = (was.0 | seen.0, was.1 | seen.1),
+        None => {
+            flags.reserve_exact(1);
+            flags.push(((labeler.to_string(), value.to_string()), seen));
+        }
+    }
+}
+
 /// Incremental §7 recommendation analyses.
 ///
 /// All per-feed state is keyed by feed URI (so a feed observed by several
-/// shards merges by [`FeedGenEntry::absorb`]); everything
-/// that needs global context — the label index, the follow graph, the
-/// creator set — is resolved at finish time, after all merges.
+/// shards merges by [`FeedGenEntry::absorb`]), and the label fold by object
+/// URI; everything that needs global context — a post's effective labels,
+/// the follow graph, the creator set — is resolved at finish time, after
+/// all merges.
 #[derive(Debug, Default)]
 pub(crate) struct RecommendationAnalyzer {
     /// Feed URI → merged dataset entry.
     feeds: BTreeMap<String, FeedGenEntry>,
-    /// `(object uri, labeler, value)` → `(applied, negated)`.
-    labels: BTreeMap<(String, String, String), (bool, bool)>,
+    /// Object URI → its folded label stream.
+    labels: BTreeMap<String, LabelFlags>,
     /// Deduplicated follow edges `(author, subject)` from the repositories.
     follow_edges: BTreeSet<(String, String)>,
     /// DIDs with a repository snapshot (the §7 user universe).
@@ -180,16 +203,11 @@ impl Analyzer for RecommendationAnalyzer {
         match obs {
             Observation::Labels { src, labels } => {
                 // Figure 9's label index: raw interactions folded into
-                // (applied, negated) flags per (object, labeler, value) —
-                // the order-insensitive form of `effective_labels`.
+                // (applied, negated) flags per object and (labeler, value).
+                let src = src.as_string();
                 for label in labels.iter() {
-                    let key = (label.target.uri(), src.as_string(), label.value.clone());
-                    let entry = self.labels.entry(key).or_insert((false, false));
-                    if label.negated {
-                        entry.1 = true;
-                    } else {
-                        entry.0 = true;
-                    }
+                    let flags = self.labels.entry(label.target.uri()).or_default();
+                    fold_flags(flags, &src, &label.value, (!label.negated, label.negated));
                 }
             }
             Observation::FeedGenerator(feed) => {
@@ -245,10 +263,11 @@ impl Analyzer for RecommendationAnalyzer {
                 }
             }
         }
-        for (key, (applied, negated)) in other.labels {
-            let entry = self.labels.entry(key).or_insert((false, false));
-            entry.0 |= applied;
-            entry.1 |= negated;
+        for (uri, flags) in other.labels {
+            let into = self.labels.entry(uri).or_default();
+            for ((labeler, value), seen) in flags {
+                fold_flags(into, &labeler, &value, seen);
+            }
         }
         self.follow_edges.extend(other.follow_edges);
         self.actors.extend(other.actors);
@@ -263,14 +282,6 @@ impl Analyzer for RecommendationAnalyzer {
 
     fn finish(self) -> RecommendationReport {
         let total_feeds = self.feeds.len() as u64;
-
-        // Effective label index: applied and never negated.
-        let mut label_by_uri: BTreeMap<&String, Vec<&String>> = BTreeMap::new();
-        for ((uri, _src, value), (applied, negated)) in &self.labels {
-            if *applied && !*negated {
-                label_by_uri.entry(uri).or_default().push(value);
-            }
-        }
 
         let mut never = 0u64;
         let mut langs: Vec<&'static str> = Vec::new();
@@ -300,24 +311,24 @@ impl Analyzer for RecommendationAnalyzer {
                     *words.entry(cleaned).or_insert(0) += 1;
                 }
             }
-            // Figure 9 + heavily-labeled share.
+            // Figure 9 + heavily-labeled share; each labeler applying a
+            // value counts once.
             if !served.is_empty() {
-                let labeled = served
+                let labeled: Vec<&LabelFlags> = served
                     .iter()
-                    .filter(|post| label_by_uri.contains_key(&post.uri.as_string()))
-                    .count();
-                if labeled as f64 / served.len() as f64 >= 0.10 {
+                    .filter_map(|post| self.labels.get(&post.uri.as_string()))
+                    .filter(|flags| flags.iter().any(|(_, f)| *f == EFFECTIVE))
+                    .collect();
+                if labeled.len() as f64 / served.len() as f64 >= 0.10 {
                     heavily_labeled += 1;
-                    let mut counts: BTreeMap<String, u64> = BTreeMap::new();
-                    for post in &served {
-                        if let Some(values) = label_by_uri.get(&post.uri.as_string()) {
-                            for value in values {
-                                *counts.entry((*value).clone()).or_insert(0) += 1;
-                            }
+                    let mut counts: BTreeMap<&String, u64> = BTreeMap::new();
+                    for flags in labeled {
+                        for ((_, value), _) in flags.iter().filter(|(_, f)| *f == EFFECTIVE) {
+                            *counts.entry(value).or_insert(0) += 1;
                         }
                     }
                     if let Some((top_value, _)) = counts.into_iter().max_by_key(|(_, c)| *c) {
-                        *feed_label_counts.entry(top_value).or_insert(0) += 1;
+                        *feed_label_counts.entry(top_value.clone()).or_insert(0) += 1;
                     }
                 }
             }

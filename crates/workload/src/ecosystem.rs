@@ -276,7 +276,7 @@ pub(crate) enum FeedArchetype {
 
 /// Plan for one feed generator.
 #[derive(Debug, Clone)]
-pub struct FeedGenPlan {
+pub(crate) struct FeedGenPlan {
     /// Feed name (rkey-like).
     pub(crate) name: String,
     /// Description text (language-specific, used for Figure 8's word
@@ -290,7 +290,7 @@ pub struct FeedGenPlan {
     /// Curation archetype.
     pub(crate) archetype: FeedArchetype,
     /// When the feed is created.
-    pub created_at: Datetime,
+    pub(crate) created_at: Datetime,
     /// Rank of the creator in the popularity order (low = popular user).
     pub(crate) creator_popularity_rank: u64,
 }

@@ -51,6 +51,8 @@ pub struct FeedGenerator {
     uri: AtUri,
     creator: Did,
     record: FeedGeneratorRecord,
+    /// Hosting platform name (`"self-hosted"` when not on a FaaS platform).
+    platform: String,
     mode: CurationMode,
     retention: RetentionPolicy,
     /// The route the feed reads and the instant it joined it, set by
@@ -65,6 +67,7 @@ impl FeedGenerator {
         creator: Did,
         rkey: impl Into<String>,
         record: FeedGeneratorRecord,
+        platform: impl Into<String>,
         mode: CurationMode,
         retention: RetentionPolicy,
     ) -> FeedGenerator {
@@ -77,6 +80,7 @@ impl FeedGenerator {
             uri,
             creator,
             record,
+            platform: platform.into(),
             mode,
             retention,
             route: None,
@@ -97,6 +101,11 @@ impl FeedGenerator {
     /// The declaration record (display name, description, service DID).
     pub fn record(&self) -> &FeedGeneratorRecord {
         &self.record
+    }
+
+    /// The hosting platform's name.
+    pub fn platform(&self) -> &str {
+        &self.platform
     }
 
     /// The retention policy.
@@ -178,6 +187,7 @@ mod tests {
             creator(),
             "hebrew-feed",
             record("hebrew-feed"),
+            "Skyfeed",
             CurationMode::Pipeline(vec![FeedFilter::Language(vec!["he".into()])]),
             RetentionPolicy::All,
         )
@@ -189,6 +199,7 @@ mod tests {
             creator(),
             "everything",
             record("everything"),
+            "Skyfeed",
             CurationMode::Pipeline(Vec::new()),
             retention,
         )
@@ -225,6 +236,7 @@ mod tests {
             creator(),
             "the-algorithm",
             record("the-algorithm"),
+            "Skyfeed",
             CurationMode::Personalized,
             RetentionPolicy::All,
         ));

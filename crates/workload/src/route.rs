@@ -194,6 +194,7 @@ mod tests {
                 description: String::new(),
                 created_at: now(),
             },
+            "Skyfeed",
             mode,
             retention,
         )

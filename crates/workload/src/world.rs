@@ -88,16 +88,6 @@ impl ShardSpec {
     }
 }
 
-/// Metadata about an instantiated feed generator, at its index in
-/// [`World::feedgens`].
-#[derive(Debug, Clone)]
-pub struct FeedGenInfo {
-    /// The plan it was built from.
-    pub plan: FeedGenPlan,
-    /// Hosting platform name (`"self-hosted"` when not on a FaaS platform).
-    pub platform_name: String,
-}
-
 /// Resumable state of one simulated day (see [`World::begin_day`]).
 #[derive(Debug)]
 pub struct DayCursor {
@@ -147,8 +137,6 @@ pub struct World {
     pub labelers: LabelerRegistry,
     /// Feed generators.
     pub feedgens: Vec<FeedGenerator>,
-    /// Feed generator metadata parallel to `feedgens`.
-    pub feedgen_info: Vec<FeedGenInfo>,
     /// The pipeline feeds of `feedgens` grouped by their filters: the only
     /// way a new post reaches a feed, and the one curated list per pipeline
     /// that each feed on it is a view of.
@@ -332,7 +320,6 @@ impl World {
             federation: (relays > 1).then(|| RelayFederation::new(relays, &store)),
             labelers: LabelerRegistry::new(),
             feedgens: Vec::new(),
-            feedgen_info: Vec::new(),
             feed_routes: FeedRoutes::default(),
             whois: WhoisDatabase::new(),
             tranco,
@@ -661,15 +648,10 @@ impl World {
 
     fn activate_feedgens(&mut self, today: Datetime, day_idx: usize) {
         let platforms = default_platforms();
-        let pending: Vec<(usize, FeedGenPlan)> = self
-            .feedgen_plans
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| p.created_at.day_index() == today.day_index())
-            .map(|(i, p)| (i, p.clone()))
-            .collect();
-        for (plan_index, plan) in pending {
-            if self.plan.joined_count(day_idx) == 0 {
+        for (plan_index, plan) in self.feedgen_plans.iter().enumerate() {
+            if plan.created_at.day_index() != today.day_index()
+                || self.plan.joined_count(day_idx) == 0
+            {
                 continue;
             }
             let index = self.feedgens.len();
@@ -683,7 +665,7 @@ impl World {
             };
             let creator = self.plan.profile(creator_index).did.clone();
 
-            let (platform_name, service_did) = match plan.platform_index {
+            let (platform, service_did) = match plan.platform_index {
                 Some(i) => {
                     let platform = &platforms[i.min(platforms.len() - 1)];
                     (
@@ -743,18 +725,15 @@ impl World {
                     today,
                 );
             }
+            let rkey = format!("feed{index:06}");
             let mut generator =
-                FeedGenerator::new(creator, format!("feed{index:06}"), record, mode, retention);
+                FeedGenerator::new(creator, rkey, record, platform, mode, retention);
             self.feed_routes.add(&mut generator, today);
             self.feedgens.push(generator);
             self.feed_like_cumsum.push(
                 self.feed_like_cumsum.last().copied().unwrap_or(0.0)
                     + 1.0 / (plan.creator_popularity_rank as f64 + 1.0),
             );
-            self.feedgen_info.push(FeedGenInfo {
-                plan,
-                platform_name,
-            });
         }
     }
 

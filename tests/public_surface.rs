@@ -45,7 +45,6 @@ const EXEMPT: &[(&str, &str)] = &[
     ("relay::firehose::Subscription", "Relay::subscribe"),
     ("relay::observer::ConnTrace", "Relay::take_wire_traces"),
     ("relay::relay::EventOrigin", "Relay::event_origin"),
-    ("workload::ecosystem::FeedGenPlan", "FeedGenInfo::plan"),
     ("workload::faas::FaasPlatform", "faas::default_platforms"),
     ("workload::faas::FilterFeatures", "FaasPlatform::filters"),
     ("workload::faas::Pricing", "FaasPlatform::pricing"),
@@ -58,7 +57,6 @@ const EXEMPT: &[(&str, &str)] = &[
     ("workload::route::FeedRoutes", "World::feed_routes"),
     ("workload::service::LabelerRegistry", "World::labelers"),
     ("workload::world::DayCursor", "World::begin_day"),
-    ("workload::world::FeedGenInfo", "World::feedgen_info"),
 ];
 
 /// The library crates: every directory under `crates/` with a `src/lib.rs`.
