@@ -49,7 +49,10 @@
 //! [`Repository::compact_before`] bounds the grow-only history: commits (and
 //! their log entries) older than a cutoff revision leave the delta-serving
 //! window, and the store demotes its cold pages. No record block goes:
-//! every one is the value of a key that stays. The invariant:
+//! every one is the value of a key that stays. The study's collector runs
+//! the pass weekly from the first simulated day, so a repository's history
+//! is bounded from its first commit, not from the day collection starts.
+//! The invariant:
 //! [`Repository::export_car_since`] still serves every retained
 //! revision exactly; a request since a compacted revision fails with
 //! [`AtError::RevisionCompacted`] so the caller can fall back to a full CAR
@@ -652,7 +655,11 @@ impl Repository {
     ///   Without it a paged store keeps its last pages resident however
     ///   cold they are.
     ///
-    /// Idempotent: a second pass with the same cutoff drops nothing.
+    /// Idempotent: a second pass with the same cutoff drops nothing. The
+    /// study's collector passes `today − 14 days` every 7 days from the
+    /// first simulated day; inside its collection window it passes only
+    /// right after a mirror sync, when every revision the mirror holds is a
+    /// head, which a pass keeps.
     pub fn compact_before(&mut self, cutoff: &Tid) -> CompactionStats {
         let mut stats = CompactionStats::default();
         if self.commits.len() > 1 {

@@ -47,7 +47,12 @@
 //! Emission moves each DID's projections into its [`RepoSnapshot`] and
 //! decodes nothing. On the PDS side the round's compaction pass costs what
 //! aged out of the window, not the repository (see `bsky_atproto::repo`,
-//! "Compaction").
+//! "Compaction"). The pass runs every 7 days from the first simulated day,
+//! so the first round's full fetches carry each head and at most three
+//! weeks of other commits; inside the window it runs right after each
+//! round's sync and never between two. A pass keeps every head, and right
+//! after a sync every revision the mirror holds is one, so the next round's
+//! delta since it is served.
 //!
 //! The paper's naive reading of §3 — download and decode every repository
 //! CAR once, at the window end, O(total repo bytes) — is not a selectable

@@ -51,10 +51,21 @@ pub(crate) mod mirror;
 pub const DEFAULT_CHUNK_EVENTS: usize = 256;
 
 /// Days of history the weekly compaction pass keeps in every repository's
-/// delta-serving window. Two weekly `listRepos` snapshots fit comfortably,
-/// so the incremental mirror's deltas (at most one week old) never hit the
-/// fallback in steady state.
+/// delta-serving window. The pass runs every 7 days from the first
+/// simulated day, and inside the collection window right after each
+/// `listRepos` round's mirror sync. Two weekly `listRepos` snapshots fit
+/// comfortably, so the incremental mirror's deltas (at most one week old)
+/// never hit the fallback in steady state, and besides its head a
+/// repository holds at most `COMPACTION_WINDOW_DAYS + 7` days of commits.
 pub(crate) const COMPACTION_WINDOW_DAYS: i64 = 14;
+
+/// One compaction pass over the world's fleet on `today`: commits older
+/// than `today − COMPACTION_WINDOW_DAYS` leave every repository.
+fn compact_repos(world: &mut World, today: Datetime) {
+    let cutoff_day = today.plus_days(-COMPACTION_WINDOW_DAYS);
+    let cutoff = Tid::from_micros(cutoff_day.timestamp().max(0) as u64 * 1_000_000, 0);
+    world.compact_repos(&cutoff);
+}
 
 /// Drives a [`World`] and emits the datasets as observations.
 #[derive(Debug)]
@@ -205,6 +216,7 @@ impl Collector {
             },
         );
         let mut last_listrepos: Option<Datetime> = None;
+        let mut last_compaction: Option<Datetime> = None;
         while !world.finished() {
             let Some(mut cursor) = world.begin_day() else {
                 break;
@@ -274,32 +286,34 @@ impl Collector {
             // every stream.
             self.emit_new_labelers(world, sink);
             self.emit_new_labels(world, sink);
-            // Weekly listRepos snapshots during the collection window.
-            if today >= firehose_start {
-                let due = match last_listrepos {
-                    None => true,
-                    Some(prev) => today.days_since(prev) >= 7,
-                };
-                if due {
-                    self.snapshot_user_identifiers(world, sink, &mut summary);
-                    // The mirror rides along with the weekly identifier
-                    // snapshot: the revs just listed tell it which repos
-                    // to delta-sync now instead of re-fetching everything
-                    // at the window end.
-                    self.mirror
-                        .sync(&mut world.relay, &mut world.fleet, today, &mut summary);
-                    // Weekly compaction pass: repositories drop commits
-                    // that aged out of the delta window, never a record
-                    // block (see the `mirror` docs). Cadence and cutoff
-                    // derive only from simulated time, so every shard and
-                    // backend compacts identically.
-                    let cutoff_day = today.plus_days(-COMPACTION_WINDOW_DAYS);
-                    let cutoff =
-                        Tid::from_micros(cutoff_day.timestamp().max(0) as u64 * 1_000_000, 0);
-                    world.compact_repos(&cutoff);
-                    last_listrepos = Some(today);
-                    summary.listrepos_snapshots += 1;
+            // Weekly compaction passes, from the first simulated day:
+            // repositories drop commits that aged out of the delta window,
+            // never a record block (see the `mirror` docs). Cadence and
+            // cutoff derive only from simulated time, so every shard and
+            // backend compacts identically. Before the window nothing has
+            // been mirrored, so a pass drops no revision a delta will ask
+            // for.
+            if today < firehose_start {
+                if last_compaction.is_none_or(|prev| today.days_since(prev) >= 7) {
+                    compact_repos(world, today);
+                    last_compaction = Some(today);
                 }
+            } else if last_listrepos.is_none_or(|prev| today.days_since(prev) >= 7) {
+                // Weekly listRepos snapshots during the collection window.
+                self.snapshot_user_identifiers(world, sink, &mut summary);
+                // The mirror rides along with the weekly identifier
+                // snapshot: the revs just listed tell it which repos to
+                // delta-sync now instead of re-fetching everything at the
+                // window end.
+                self.mirror
+                    .sync(&mut world.relay, &mut world.fleet, today, &mut summary);
+                // In the window the pass follows each sync, never between
+                // two: a pass keeps every head, and right after a sync every
+                // revision the mirror holds is one, so the next round's
+                // delta since it is served.
+                compact_repos(world, today);
+                last_listrepos = Some(today);
+                summary.listrepos_snapshots += 1;
             }
         }
         // Final snapshots at the end of the window.

@@ -191,3 +191,56 @@ fn retries_never_double_count_fetched_bytes() {
     assert_eq!(flaky.repo_delta_fetches, clean.repo_delta_fetches);
     assert_eq!(flaky.firehose_events, clean.firehose_events);
 }
+
+/// Compaction runs weekly from the first simulated day, not from the
+/// window's start: besides its head, a repository entering the window
+/// holds at most `COMPACTION_WINDOW_DAYS + 7` days of commits, and the
+/// first delta round still finds every revision the mirror asks for.
+#[test]
+fn history_is_bounded_before_the_window_opens() {
+    // A quiet world more than two months old when its collection starts.
+    let mut config = small_config(5);
+    config.start = Datetime::from_ymd(2024, 1, 2).unwrap();
+    let window = config.firehose_collection_start;
+    // Streamed to the window's eve, the fleet holds what the first
+    // in-window round's full fetches read, less that day's own commits.
+    let mut eve = config;
+    eve.end = window;
+    let (mut world, _, _) = collected(eve);
+    let oldest = window.plus_days(-(COMPACTION_WINDOW_DAYS + 7));
+    let oldest = Tid::from_micros(oldest.timestamp() as u64 * 1_000_000, 0);
+    let dids: Vec<Did> = world
+        .fleet
+        .servers()
+        .flat_map(|pds| pds.hosted_dids())
+        .collect();
+    let mut commits = 0;
+    for did in &dids {
+        let car = world.relay.get_repo(did, &mut world.fleet, window).unwrap();
+        let (_, blocks) = bsky_atproto::repo::Repository::parse_car(&car).unwrap();
+        let mut revs: Vec<Tid> = blocks
+            .values()
+            .filter_map(|bytes| bsky_atproto::repo::commit_summary(bytes).ok())
+            .map(|(rev, _)| rev)
+            .collect();
+        // The head commit stays however old it is.
+        revs.sort();
+        revs.pop();
+        for rev in &revs {
+            assert!(*rev >= oldest, "{did}: commit {rev} is older than {oldest}");
+        }
+        commits += revs.len();
+    }
+    assert!(
+        commits > dids.len(),
+        "{commits} commits in {} repositories",
+        dids.len()
+    );
+
+    // The same world collected over three weekly rounds: every delta since
+    // a revision the mirror holds is served.
+    config.end = window.plus_days(15);
+    let (_, _, summary) = collected(config);
+    assert!(summary.repo_delta_fetches > 0, "{summary:?}");
+    assert_eq!(summary.repo_compaction_fallbacks, 0, "{summary:?}");
+}

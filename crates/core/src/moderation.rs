@@ -280,22 +280,28 @@ impl Analyzer for ModerationAnalyzer {
                     }
                     *acc.values.entry(label.value.clone()).or_insert(0) += 1;
                     *acc.per_month.entry(month_of(label.created_at)).or_insert(0) += 1;
+                    let kind = label.target.kind();
                     let object = label.target.uri();
                     self.objects
                         .entry(object.clone())
                         .or_insert_with(|| LabeledObject {
-                            kind: label.target.kind(),
+                            kind,
                             labelers: Vec::new(),
                             post_month: None,
                         })
                         .add_labeler(&key);
                     *self
                         .per_target_kind
-                        .entry(label.target.kind())
+                        .entry(kind)
                         .or_default()
                         .entry(label.value.clone())
                         .or_insert(0) += 1;
                     // Reaction time against the post's firehose arrival.
+                    // Only post URIs enter the post index, so an account or
+                    // `#media` label has none to wait for.
+                    if kind != LabelTargetKind::Post {
+                        continue;
+                    }
                     match self.post_created.get(&object).copied() {
                         Some(created) => {
                             self.record_reaction(
@@ -830,9 +836,10 @@ mod tests {
             analyzer
         };
         let whole = fold(&tape);
-        // The account and `#media` labels have no post to time against.
+        // The account and `#media` labels have no post to time against, so
+        // they never wait, and every post label finds its post.
         let unresolved = whole.pending.len();
-        assert_eq!(unresolved, 4);
+        assert_eq!(unresolved, 0);
         let whole = whole.finish();
         let mut healed = 0;
         for split in 0..=tape.len() {

@@ -25,10 +25,6 @@ pub(crate) struct FeedPost {
 }
 
 /// Feed-generator dataset entry.
-///
-/// In a sharded run every shard emits one entry per feed, carrying only the
-/// curation and likes its own population produced; `FeedGenEntry::absorb`
-/// combines them into exactly the entry the serial crawl produces.
 #[derive(Debug, Clone)]
 pub struct FeedGenEntry {
     /// The generator's URI.
@@ -49,46 +45,93 @@ pub struct FeedGenEntry {
     /// Likes observed on the generator record.
     pub(crate) like_count: u64,
     /// The hydrated curated entries on the page `getFeed` serves (a
-    /// shard's page, until `absorb` merges them), in canonical
-    /// `(curated_at, uri)` order. Use [`FeedGenEntry::served_posts`] for
-    /// the page in serving order.
+    /// shard's page, until [`Feed::absorb`] merges them), in canonical
+    /// `(curated_at, uri)` order.
     pub(crate) posts: Vec<FeedPost>,
 }
 
 /// `getFeed` page cap applied when serving a feed's posts.
 pub(crate) const GET_FEED_LIMIT: usize = 1_000;
 
-impl FeedGenEntry {
-    /// Fold another shard's entry for the same feed into this one: likes
-    /// add, curated entries merge under the canonical order, and the
-    /// retention policy is re-applied so the result equals what a single
-    /// generator observing both shards' posts would have retained.
-    pub(crate) fn absorb(&mut self, other: FeedGenEntry) {
-        debug_assert_eq!(self.uri, other.uri);
-        self.like_count += other.like_count;
-        self.posts.extend(other.posts);
-        // Canonical curation order — the same structural (curated_at, uri)
-        // comparison a route's list is kept in, so re-applying Count
-        // retention below selects exactly the entries a single generator
-        // would have kept.
-        self.posts
-            .sort_by(|a, b| (a.curated_at, &a.uri).cmp(&(b.curated_at, &b.uri)));
-        self.posts.dedup_by(|a, b| a.uri == b.uri);
-        if let RetentionPolicy::Count(max) = self.retention {
-            if self.posts.len() > max {
-                let excess = self.posts.len() - max;
-                self.posts.drain(0..excess);
-            }
-        }
+/// What §7 keeps of a feed: the entry fields `finish` reads, and its served
+/// page with one ranking time per post.
+///
+/// In a sharded run every shard emits one entry per feed, carrying only the
+/// curation and likes its own population produced; [`Feed::absorb`]
+/// combines their records into exactly the record of the serial crawl's
+/// entry.
+#[derive(Debug)]
+struct Feed {
+    creator: Did,
+    display_name: String,
+    description: String,
+    platform: String,
+    created_at: Datetime,
+    retention: RetentionPolicy,
+    like_count: u64,
+    /// The posts `getFeed` serves, each with the time that ranks it: a
+    /// `Count(n)` feed keeps its n most recently curated posts and serves
+    /// them all (the world draws n below [`GET_FEED_LIMIT`]), any other
+    /// feed serves its [`GET_FEED_LIMIT`] newest by creation time (ties
+    /// broken by URI). Only the set is read, so either time alone decides
+    /// what a merge keeps.
+    page: Vec<(Datetime, Arc<AtUri>)>,
+}
+
+impl Feed {
+    fn new(entry: &FeedGenEntry) -> Feed {
+        let by_curation = matches!(entry.retention, RetentionPolicy::Count(_));
+        let page = entry.posts.iter().map(|post| {
+            let rank = if by_curation {
+                post.curated_at
+            } else {
+                post.created_at
+            };
+            (rank, Arc::clone(&post.uri))
+        });
+        let mut feed = Feed {
+            creator: entry.creator.clone(),
+            display_name: entry.display_name.clone(),
+            description: entry.description.clone(),
+            platform: entry.platform.clone(),
+            created_at: entry.created_at,
+            retention: entry.retention,
+            like_count: entry.like_count,
+            page: page.collect(),
+        };
+        feed.cut();
+        feed
     }
 
-    /// The `getFeed` view of the retained entries: newest first by post
-    /// creation time (ties broken by URI), capped at [`GET_FEED_LIMIT`].
-    pub(crate) fn served_posts(&self) -> Vec<&FeedPost> {
-        let mut out: Vec<&FeedPost> = self.posts.iter().collect();
-        out.sort_by(|a, b| served_key(a).cmp(&served_key(b)));
-        out.truncate(GET_FEED_LIMIT);
-        out
+    /// Fold another shard's record of the same feed into this one: likes
+    /// add and the pages merge, cut again to what a single generator
+    /// observing both shards' posts would serve.
+    fn absorb(&mut self, other: Feed) {
+        self.like_count += other.like_count;
+        self.page.extend(other.page);
+        self.cut();
+    }
+
+    /// Rank the page and keep what the feed serves.
+    fn cut(&mut self) {
+        match self.retention {
+            // Canonical curation order — the structural (curated_at, uri)
+            // order a route's list is kept in — so keeping the last `max`
+            // selects exactly the entries a single generator would have
+            // kept.
+            RetentionPolicy::Count(max) => {
+                self.page.sort_unstable();
+                self.page.dedup_by(|a, b| a.1 == b.1);
+                let excess = self.page.len().saturating_sub(max);
+                self.page.drain(..excess);
+            }
+            RetentionPolicy::All | RetentionPolicy::Days(_) => {
+                self.page
+                    .sort_unstable_by(|a, b| (Reverse(a.0), &a.1).cmp(&(Reverse(b.0), &b.1)));
+                self.page.dedup_by(|a, b| a.1 == b.1);
+                self.page.truncate(GET_FEED_LIMIT);
+            }
+        }
     }
 }
 
@@ -104,7 +147,7 @@ fn served_key(post: &FeedPost) -> (Reverse<Datetime>, &AtUri) {
 /// Cutting each shard's list to its page is exact for every feed: the top
 /// page of a union is the top page of the shards' pages. A `Count(n)` feed
 /// retains n < [`GET_FEED_LIMIT`] entries (the world draws n below 500),
-/// so the cut leaves its list whole and `absorb` still applies the count
+/// so the cut leaves its list whole and `Feed::absorb` still applies the count
 /// to every entry the shards retained.
 pub(crate) fn served_page(mut posts: Vec<FeedPost>) -> Vec<FeedPost> {
     if posts.len() > GET_FEED_LIMIT {
@@ -175,14 +218,14 @@ fn fold_flags(flags: &mut LabelFlags, labeler: &str, value: &str, seen: (bool, b
 /// Incremental §7 recommendation analyses.
 ///
 /// All per-feed state is keyed by feed URI (so a feed observed by several
-/// shards merges by [`FeedGenEntry::absorb`]), and the label fold by object
+/// shards merges by [`Feed::absorb`]), and the label fold by object
 /// URI; everything that needs global context — a post's effective labels,
 /// the follow graph, the creator set — is resolved at finish time, after
 /// all merges.
 #[derive(Debug, Default)]
 pub(crate) struct RecommendationAnalyzer {
-    /// Feed URI → merged dataset entry.
-    feeds: BTreeMap<String, FeedGenEntry>,
+    /// Feed URI → merged record.
+    feeds: BTreeMap<String, Feed>,
     /// Object URI → its folded label stream.
     labels: BTreeMap<String, LabelFlags>,
     /// Deduplicated follow edges `(author, subject)` from the repositories.
@@ -210,12 +253,13 @@ impl Analyzer for RecommendationAnalyzer {
                     fold_flags(flags, &src, &label.value, (!label.negated, label.negated));
                 }
             }
-            Observation::FeedGenerator(feed) => {
-                let key = feed.uri.as_string();
+            Observation::FeedGenerator(entry) => {
+                let key = entry.uri.as_string();
+                let feed = Feed::new(entry);
                 match self.feeds.get_mut(&key) {
-                    Some(existing) => existing.absorb((*feed).clone()),
+                    Some(existing) => existing.absorb(feed),
                     None => {
-                        self.feeds.insert(key, (*feed).clone());
+                        self.feeds.insert(key, feed);
                     }
                 }
             }
@@ -255,11 +299,11 @@ impl Analyzer for RecommendationAnalyzer {
     }
 
     fn merge(&mut self, other: Self) {
-        for (key, entry) in other.feeds {
+        for (key, feed) in other.feeds {
             match self.feeds.get_mut(&key) {
-                Some(existing) => existing.absorb(entry),
+                Some(existing) => existing.absorb(feed),
                 None => {
-                    self.feeds.insert(key, entry);
+                    self.feeds.insert(key, feed);
                 }
             }
         }
@@ -296,7 +340,7 @@ impl Analyzer for RecommendationAnalyzer {
         let mut per_platform: BTreeMap<String, (u64, u64, u64)> = BTreeMap::new();
 
         for feed in self.feeds.values() {
-            let served = feed.served_posts();
+            let served = &feed.page;
             if served.is_empty() {
                 never += 1;
             }
@@ -316,7 +360,7 @@ impl Analyzer for RecommendationAnalyzer {
             if !served.is_empty() {
                 let labeled: Vec<&LabelFlags> = served
                     .iter()
-                    .filter_map(|post| self.labels.get(&post.uri.as_string()))
+                    .filter_map(|(_, uri)| self.labels.get(&uri.as_string()))
                     .filter(|flags| flags.iter().any(|(_, f)| *f == EFFECTIVE))
                     .collect();
                 if labeled.len() as f64 / served.len() as f64 >= 0.10 {
@@ -667,12 +711,12 @@ mod tests {
     #[test]
     fn absorbing_the_shards_pages_serves_the_page_of_their_union() {
         // One feed's hydrated posts, five times a page, with creation
-        // times that tie, split over one and four shards: absorbing each
-        // shard's served page serves exactly what absorbing the shards'
-        // whole lists serves.
+        // times that tie, split over one and four shards: absorbing the
+        // record of each shard's emitted page serves exactly what `getFeed`
+        // serves of all the posts.
         let mut rng = bsky_workload::rng::SimRng::new(38);
         let start = Datetime::from_ymd(2024, 3, 1).unwrap();
-        let posts: Vec<FeedPost> = (0..5 * GET_FEED_LIMIT)
+        let mut posts: Vec<FeedPost> = (0..5 * GET_FEED_LIMIT)
             .map(|n| FeedPost {
                 uri: Arc::new(AtUri::record(
                     Did::plc_from_seed(format!("author{}", n % 97).as_bytes()),
@@ -683,46 +727,70 @@ mod tests {
                 curated_at: start.plus_seconds(rng.range(0..86_400 * 30i64)),
             })
             .collect();
-        let merged = |lists: Vec<Vec<FeedPost>>, retention| {
-            let mut lists = lists.into_iter();
-            let mut entry = FeedGenEntry {
-                uri: AtUri::record(Did::plc_from_seed(b"creator"), Nsid::FEED_GENERATOR, "f"),
-                creator: Did::plc_from_seed(b"creator"),
-                display_name: String::new(),
-                description: String::new(),
-                platform: String::new(),
-                created_at: start,
-                retention,
-                like_count: 0,
-                posts: lists.next().unwrap(),
-            };
-            for shard in lists {
-                let mut other = entry.clone();
-                other.posts = shard;
-                entry.absorb(other);
-            }
-            entry
+        let curation =
+            |a: &FeedPost, b: &FeedPost| (a.curated_at, &a.uri).cmp(&(b.curated_at, &b.uri));
+        posts.sort_by(curation);
+        let served = |lists: Vec<Vec<FeedPost>>, retention| {
+            let mut records = lists.into_iter().map(|posts| {
+                Feed::new(&FeedGenEntry {
+                    uri: AtUri::record(Did::plc_from_seed(b"creator"), Nsid::FEED_GENERATOR, "f"),
+                    creator: Did::plc_from_seed(b"creator"),
+                    display_name: String::new(),
+                    description: String::new(),
+                    platform: String::new(),
+                    created_at: start,
+                    retention,
+                    like_count: 0,
+                    posts,
+                })
+            });
+            let mut feed = records.next().unwrap();
+            records.for_each(|shard| feed.absorb(shard));
+            let mut uris: Vec<Arc<AtUri>> = feed.page.into_iter().map(|(_, uri)| uri).collect();
+            uris.sort();
+            uris
         };
-        for shards in [1, 4] {
-            let mut lists = vec![Vec::new(); shards];
-            for (n, post) in posts.iter().enumerate() {
-                lists[n % shards].push(post.clone());
-            }
-            for list in &mut lists {
-                list.sort_by(|a, b| (a.curated_at, &a.uri).cmp(&(b.curated_at, &b.uri)));
-            }
-            let pages: Vec<Vec<FeedPost>> = lists.iter().cloned().map(served_page).collect();
-            for page in &pages {
-                assert_eq!(page.len(), GET_FEED_LIMIT, "{shards} shard(s)");
-            }
-            for retention in [RetentionPolicy::All, RetentionPolicy::Days(3)] {
-                let whole = merged(lists.clone(), retention);
-                let cut = merged(pages.clone(), retention);
-                assert_eq!(whole.posts.len(), posts.len());
-                assert_eq!(cut.posts.len(), shards * GET_FEED_LIMIT);
-                let (whole, cut) = (whole.served_posts(), cut.served_posts());
-                assert_eq!(whole.len(), GET_FEED_LIMIT);
-                assert_eq!(whole, cut, "{shards} shard(s), {retention:?}");
+        // What `getFeed` serves of all the posts: the newest page by
+        // creation time, and of a `Count` feed its latest curated.
+        let mut newest: Vec<&FeedPost> = posts.iter().collect();
+        newest.sort_by(|a, b| served_key(a).cmp(&served_key(b)));
+        let count = 300;
+        for (retention, expected) in [
+            (RetentionPolicy::All, newest[..GET_FEED_LIMIT].to_vec()),
+            (RetentionPolicy::Days(3), newest[..GET_FEED_LIMIT].to_vec()),
+            (
+                RetentionPolicy::Count(count),
+                posts.iter().skip(posts.len() - count).collect(),
+            ),
+        ] {
+            let mut expected: Vec<Arc<AtUri>> =
+                expected.iter().map(|post| Arc::clone(&post.uri)).collect();
+            expected.sort();
+            for shards in [1, 4] {
+                let mut lists = vec![Vec::new(); shards];
+                for (n, post) in posts.iter().enumerate() {
+                    lists[n % shards].push(post.clone());
+                }
+                // What each shard emits: its served page, which of a
+                // `Count` feed is the suffix its route view retains.
+                let pages: Vec<Vec<FeedPost>> = lists
+                    .iter()
+                    .cloned()
+                    .map(|list| match retention {
+                        RetentionPolicy::Count(n) => list[list.len() - n..].to_vec(),
+                        _ => served_page(list),
+                    })
+                    .collect();
+                assert_eq!(
+                    served(lists, retention),
+                    expected,
+                    "{shards} shard(s), {retention:?}"
+                );
+                assert_eq!(
+                    served(pages, retention),
+                    expected,
+                    "{shards} shard(s), {retention:?}"
+                );
             }
         }
     }

@@ -1118,9 +1118,10 @@ impl World {
 
     /// Run the repository compaction pass over the whole fleet: commits
     /// older than `cutoff` leave the delta-serving window. The study
-    /// producer calls this on its weekly snapshot
-    /// cadence; cadence and cutoff derive only from simulated time, so
-    /// every shard (and every snapshot mode) compacts identically.
+    /// producer calls this every 7 days from the first simulated day, and
+    /// inside the collection window right after each weekly snapshot's
+    /// mirror sync; cadence and cutoff derive only from simulated time, so
+    /// every shard (and every store backend) compacts identically.
     pub fn compact_repos(&mut self, cutoff: &Tid) -> CompactionStats {
         self.fleet.compact_all(cutoff)
     }
