@@ -150,17 +150,17 @@ pub(crate) struct AppViewIndex {
     /// Post key (AT-URI string) → its flushed counter block, absent while
     /// its counters are default or only dirty in memory.
     posts: BTreeMap<String, Option<Cid>>,
-    /// Actor key (DID string) → its flushed counter block.
-    actors: BTreeMap<String, Option<Cid>>,
+    /// Actor key (DID) → its flushed counter block.
+    actors: BTreeMap<Did, Option<Cid>>,
     store: Box<dyn BlockStore>,
     /// Post counter state dirtied since the last flush.
     dirty_posts: BTreeMap<String, PostCounters>,
     /// Actor counter state dirtied since the last flush.
-    dirty_actors: BTreeMap<String, ActorCounters>,
+    dirty_actors: BTreeMap<Did, ActorCounters>,
     /// `(follower, followed)` DID pairs, keyed by the follower.
-    follow_edges: BTreeSet<(String, String)>,
+    follow_edges: BTreeSet<(Did, Did)>,
     /// `(blocker, blocked)` DID pairs, keyed by the blocker.
-    block_edges: BTreeSet<(String, String)>,
+    block_edges: BTreeSet<(Did, Did)>,
     records_indexed: u64,
     counter_coalesced_writes: u64,
 }
@@ -225,18 +225,20 @@ impl AppViewIndex {
         self.dirty_posts.insert(key, counters);
     }
 
-    fn update_actor_counters(&mut self, key: String, apply: impl FnOnce(&mut ActorCounters)) {
-        let Some(&block) = self.actors.get(&key) else {
+    /// Mutate an actor's hot counters; only a first bump of the day clones
+    /// the DID, into the dirty map.
+    fn update_actor_counters(&mut self, did: &Did, apply: impl FnOnce(&mut ActorCounters)) {
+        let Some(&block) = self.actors.get(did) else {
             return;
         };
-        if let Some(counters) = self.dirty_actors.get_mut(&key) {
+        if let Some(counters) = self.dirty_actors.get_mut(did) {
             apply(counters);
             self.counter_coalesced_writes += 1;
             return;
         }
         let mut counters = self.flushed_actor_counters(block);
         apply(&mut counters);
-        self.dirty_actors.insert(key, counters);
+        self.dirty_actors.insert(did.clone(), counters);
     }
 
     /// Write one entity's flushed counter block, replacing `old`; returns
@@ -297,7 +299,7 @@ impl AppViewIndex {
                 }
                 None
             } else {
-                self.put_counter_block(&key, old, |tag| counters.to_block(tag))
+                self.put_counter_block(key.as_str(), old, |tag| counters.to_block(tag))
             };
             *self.actors.get_mut(&key).expect("entry exists") = new;
         }
@@ -311,7 +313,9 @@ impl AppViewIndex {
 
     /// Register an account. Targets the actor entity only.
     pub(crate) fn register_actor(&mut self, did: &Did) {
-        self.actors.entry(did.as_string()).or_insert(None);
+        if !self.actors.contains_key(did) {
+            self.actors.insert(did.clone(), None);
+        }
     }
 
     /// Count one indexed record (part of every
@@ -341,7 +345,7 @@ impl AppViewIndex {
     /// Credit one post to an author's counter (no-op for unknown actors,
     /// like the live AppView's denormalized counts).
     pub(crate) fn credit_author_post(&mut self, author: &Did) {
-        self.update_actor_counters(author.as_string(), |a| a.posts += 1);
+        self.update_actor_counters(author, |a| a.posts += 1);
     }
 
     /// Count a like on a post (no-op when the post is unknown).
@@ -358,28 +362,27 @@ impl AppViewIndex {
     /// the edge is new — the caller then credits both endpoint counters.
     pub(crate) fn insert_follow_edge(&mut self, follower: &Did, followed: &Did) -> bool {
         self.follow_edges
-            .insert((follower.as_string(), followed.as_string()))
+            .insert((follower.clone(), followed.clone()))
     }
 
     /// Credit one follow to the follower's counter (no-op when unknown).
     pub(crate) fn credit_follows(&mut self, follower: &Did) {
-        self.update_actor_counters(follower.as_string(), |a| a.follows += 1);
+        self.update_actor_counters(follower, |a| a.follows += 1);
     }
 
     /// Credit one follower to the followed account's counter.
     pub(crate) fn credit_followers(&mut self, followed: &Did) {
-        self.update_actor_counters(followed.as_string(), |a| a.followers += 1);
+        self.update_actor_counters(followed, |a| a.followers += 1);
     }
 
     /// Insert a block edge (keyed by the blocker). Returns `true` when new.
     pub(crate) fn insert_block_edge(&mut self, blocker: &Did, blocked: &Did) -> bool {
-        self.block_edges
-            .insert((blocker.as_string(), blocked.as_string()))
+        self.block_edges.insert((blocker.clone(), blocked.clone()))
     }
 
     /// Credit one block against the blocked account's counter.
     pub(crate) fn credit_blocked_by(&mut self, blocked: &Did) {
-        self.update_actor_counters(blocked.as_string(), |a| a.blocked_by += 1);
+        self.update_actor_counters(blocked, |a| a.blocked_by += 1);
     }
 
     // -- reads ---------------------------------------------------------------
@@ -437,12 +440,8 @@ mod oracle {
 
         /// The freshest counter state of a known actor.
         pub(crate) fn actor(&self, did: &Did) -> Option<ActorCounters> {
-            self.actor_key(&did.as_string())
-        }
-
-        fn actor_key(&self, key: &str) -> Option<ActorCounters> {
-            let block = *self.actors.get(key)?;
-            Some(match self.dirty_actors.get(key) {
+            let block = *self.actors.get(did)?;
+            Some(match self.dirty_actors.get(did) {
                 Some(counters) => *counters,
                 None => self.flushed_actor_counters(block),
             })
@@ -500,12 +499,12 @@ mod oracle {
 
         /// Whether `a` follows `b`.
         pub(crate) fn follows(&self, a: &Did, b: &Did) -> bool {
-            self.follow_edges.contains(&(a.as_string(), b.as_string()))
+            self.follow_edges.contains(&(a.clone(), b.clone()))
         }
 
         /// Whether `a` blocks `b`.
         pub(crate) fn blocks(&self, a: &Did, b: &Did) -> bool {
-            self.block_edges.contains(&(a.as_string(), b.as_string()))
+            self.block_edges.contains(&(a.clone(), b.clone()))
         }
 
         /// Every post key with its counters, in key (URI) order.
@@ -516,9 +515,9 @@ mod oracle {
         }
 
         /// Every actor key with its counters, in key (DID) order.
-        pub(crate) fn actors(&self) -> Vec<(String, ActorCounters)> {
+        pub(crate) fn actors(&self) -> Vec<(Did, ActorCounters)> {
             let keys = self.actors.keys();
-            keys.filter_map(|key| Some((key.clone(), self.actor_key(key)?)))
+            keys.filter_map(|did| Some((did.clone(), self.actor(did)?)))
                 .collect()
         }
     }

@@ -192,9 +192,8 @@ mod reads {
             out
         }
 
-        /// Every actor key with its counters across shards, in key (DID
-        /// string) order.
-        pub(crate) fn actors(&self) -> Vec<(String, ActorCounters)> {
+        /// Every actor key with its counters across shards, in DID order.
+        pub(crate) fn actors(&self) -> Vec<(Did, ActorCounters)> {
             let mut out: Vec<_> = self.shards.iter().flat_map(AppViewIndex::actors).collect();
             out.sort_by(|(a, _), (b, _)| a.cmp(b));
             out

@@ -88,7 +88,7 @@ impl AtUri {
     /// Length in bytes of the full string form, without rendering it.
     pub(crate) fn string_len(&self) -> usize {
         "at://".len()
-            + self.did.string_len()
+            + self.did.as_str().len()
             + self.collection.as_ref().map_or(0, |c| 1 + c.string_len())
             + self.rkey.as_ref().map_or(0, |r| 1 + r.len())
     }
@@ -96,7 +96,7 @@ impl AtUri {
     /// Append the full string form to `out` (`Self::string_len` bytes).
     pub fn write_to(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(b"at://");
-        self.did.write_to(out);
+        out.extend_from_slice(self.did.as_str().as_bytes());
         if let Some(c) = &self.collection {
             out.push(b'/');
             c.write_to(out);
@@ -113,7 +113,7 @@ impl AtUri {
     pub fn shard_hash(&self) -> u64 {
         use crate::did::{fnv1a_64, FNV_OFFSET};
         let hash = fnv1a_64(b"at://", FNV_OFFSET);
-        let mut hash = self.did.fold_shard_hash(hash);
+        let mut hash = fnv1a_64(self.did.as_str().as_bytes(), hash);
         if let Some(c) = &self.collection {
             hash = fnv1a_64(b"/", hash);
             hash = fnv1a_64(c.as_str().as_bytes(), hash);
@@ -250,8 +250,8 @@ mod tests {
 
     #[test]
     fn identifier_writers_match_display() {
-        // `string_len`, `write_to` and the pre-sized renderings of all five
-        // identifier types against `to_string()`, on seeded random values.
+        // `string_len`, `write_to` and the pre-sized renderings of the four
+        // rendered identifier types against `to_string()`, on seeded random values.
         use crate::datetime::Datetime;
         use crate::testrand::TestRng;
         use crate::tid::Tid;
@@ -273,8 +273,6 @@ mod tests {
                 .unwrap(),
                 _ => Did::plc_from_seed(&rng.bytes(32)),
             };
-            check(did.to_string(), did.string_len(), |out| did.write_to(out));
-            assert_eq!(did.as_string(), did.to_string());
 
             let nsid = match round % 4 {
                 0 => Nsid::parse(&format!(

@@ -4,9 +4,26 @@
 //! through the `plc.directory` service operated by Bluesky PBC, and `did:web`,
 //! resolved through `https://<fqdn>/.well-known/did.json`. The immutable DID
 //! is the primary key for a user across the whole network.
+//!
+//! # Representation
+//!
+//! A [`Did`] is its canonical text, `did:<method>:<identifier>`, held once in
+//! one `Box<str>`. Every table that indexes by DID keys by `Did` itself and
+//! looks up with `&Did` or, through `Borrow<str>`, with the `&str` it was read
+//! from. Nothing inside the process renders a DID into a fresh key or parses
+//! one back: text becomes a `Did` only where it comes off the wire
+//! ([`Did::parse`], called by the record, AT-URI and DID-document decoders).
+//!
+//! The derived `Ord` compares the text, and that is the same order as the
+//! parsed parts `(method, identifier)`: both methods start with `did:` and
+//! first differ at `p` < `w`, which is [`DidMethod`]'s declared order, and
+//! within a method the whole `did:<method>:` prefix is shared. So a
+//! `BTreeMap<Did, _>` iterates exactly as one keyed by the rendered string or
+//! by the parts, and the derived `Hash` is `str`'s, as `Borrow` requires.
 
 use crate::crypto::{sha256, to_hex};
 use crate::error::{AtError, Result};
+use std::borrow::Borrow;
 use std::fmt;
 
 /// The DID method, which determines how the DID document is retrieved.
@@ -18,81 +35,33 @@ pub enum DidMethod {
     Web,
 }
 
-impl DidMethod {
-    /// The method name as it appears in the DID string.
-    pub(crate) fn as_str(&self) -> &'static str {
-        match self {
-            DidMethod::Plc => "plc",
-            DidMethod::Web => "web",
-        }
-    }
-}
-
-impl fmt::Display for DidMethod {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
 /// A parsed DID, e.g. `did:plc:ewvi7nxzyoun6zhxrhs64oiz` or
-/// `did:web:example.com`.
+/// `did:web:example.com`, held as its canonical text (see the module docs).
 #[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct Did {
-    method: DidMethod,
-    identifier: String,
-}
+pub struct Did(Box<str>);
 
 /// Alphabet used by PLC identifiers (base32-sortable, lowercase).
 const PLC_ALPHABET: &[u8; 32] = b"234567abcdefghijklmnopqrstuvwxyz";
 /// Length of the method-specific identifier of a `did:plc`.
 pub(crate) const PLC_ID_LEN: usize = 24;
 
+const PLC_PREFIX: &str = "did:plc:";
+const WEB_PREFIX: &str = "did:web:";
+
 impl Did {
     /// Parse a DID string.
     pub fn parse(s: &str) -> Result<Did> {
-        let rest = s
-            .strip_prefix("did:")
-            .ok_or_else(|| AtError::InvalidDid(s.to_string()))?;
-        let (method, identifier) = rest
-            .split_once(':')
-            .ok_or_else(|| AtError::InvalidDid(s.to_string()))?;
-        if identifier.is_empty() {
+        let valid = if let Some(identifier) = s.strip_prefix(PLC_PREFIX) {
+            is_plc_identifier(identifier)
+        } else if let Some(domain) = s.strip_prefix(WEB_PREFIX) {
+            is_web_domain(domain)
+        } else {
+            false
+        };
+        if !valid {
             return Err(AtError::InvalidDid(s.to_string()));
         }
-        match method {
-            "plc" => {
-                // The alphabet as two ranges: this runs per character of every
-                // DID read off the wire, where a search of `PLC_ALPHABET`
-                // per byte was a third of a record's decode.
-                if identifier.len() != PLC_ID_LEN
-                    || !identifier
-                        .bytes()
-                        .all(|b| matches!(b, b'2'..=b'7' | b'a'..=b'z'))
-                {
-                    return Err(AtError::InvalidDid(s.to_string()));
-                }
-                Ok(Did {
-                    method: DidMethod::Plc,
-                    identifier: identifier.to_string(),
-                })
-            }
-            "web" => {
-                if !identifier
-                    .bytes()
-                    .all(|b| b.is_ascii_alphanumeric() || b == b'.' || b == b'-')
-                    || identifier.starts_with('.')
-                    || identifier.ends_with('.')
-                    || !identifier.contains('.')
-                {
-                    return Err(AtError::InvalidDid(s.to_string()));
-                }
-                Ok(Did {
-                    method: DidMethod::Web,
-                    identifier: identifier.to_string(),
-                })
-            }
-            _ => Err(AtError::InvalidDid(s.to_string())),
-        }
+        Ok(Did(s.into()))
     }
 
     /// Derive a deterministic `did:plc` from seed material (in the real PLC
@@ -101,53 +70,42 @@ impl Did {
     pub fn plc_from_seed(seed: &[u8]) -> Did {
         let digest = sha256(seed);
         let hex = to_hex(&digest);
-        let mut id = String::with_capacity(PLC_ID_LEN);
+        let mut did = String::with_capacity(PLC_PREFIX.len() + PLC_ID_LEN);
+        did.push_str(PLC_PREFIX);
         for (i, b) in hex.bytes().enumerate().take(PLC_ID_LEN) {
             // Map each hex nibble character plus position into the PLC alphabet.
             let v = (b as usize + i * 7) % 32;
-            id.push(PLC_ALPHABET[v] as char);
+            did.push(PLC_ALPHABET[v] as char);
         }
-        Did {
-            method: DidMethod::Plc,
-            identifier: id,
-        }
+        Did(did.into_boxed_str())
     }
 
     /// Construct a `did:web` for a domain.
     pub fn web(domain: &str) -> Result<Did> {
-        Did::parse(&format!("did:web:{domain}"))
+        let did = [WEB_PREFIX, domain].concat();
+        if !is_web_domain(domain) {
+            return Err(AtError::InvalidDid(did));
+        }
+        Ok(Did(did.into_boxed_str()))
+    }
+
+    /// The canonical text, `did:<method>:<identifier>`.
+    pub fn as_str(&self) -> &str {
+        &self.0
     }
 
     /// The method of this DID.
     pub fn method(&self) -> DidMethod {
-        self.method
+        if self.0.starts_with(PLC_PREFIX) {
+            DidMethod::Plc
+        } else {
+            DidMethod::Web
+        }
     }
 
     /// For `did:web`, the domain the DID document must be fetched from.
     pub fn web_domain(&self) -> Option<&str> {
-        match self.method {
-            DidMethod::Web => Some(&self.identifier),
-            DidMethod::Plc => None,
-        }
-    }
-
-    /// Full string form, rendered with one exact-size allocation and no
-    /// formatter — what map keys are built with. Equal to `to_string()`.
-    pub fn as_string(&self) -> String {
-        rendered(self.string_len(), |out| self.write_to(out))
-    }
-
-    /// Length in bytes of the full string form, without rendering it.
-    pub(crate) fn string_len(&self) -> usize {
-        "did:".len() + self.method.as_str().len() + ":".len() + self.identifier.len()
-    }
-
-    /// Append the full string form to `out` ([`Self::string_len`] bytes).
-    pub(crate) fn write_to(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(b"did:");
-        out.extend_from_slice(self.method.as_str().as_bytes());
-        out.push(b':');
-        out.extend_from_slice(self.identifier.as_bytes());
+        self.0.strip_prefix(WEB_PREFIX)
     }
 
     /// FNV-1a hash of the full DID string — the canonical entity-sharding
@@ -155,17 +113,35 @@ impl Did {
     /// AppView routes actors and graph edges by it, so both layers agree on
     /// which shard owns a DID.
     pub fn shard_hash(&self) -> u64 {
-        self.fold_shard_hash(FNV_OFFSET)
+        fnv1a_64(self.0.as_bytes(), FNV_OFFSET)
     }
+}
 
-    /// Continue an FNV-1a fold over this DID's canonical string bytes
-    /// (`did:<method>:<identifier>`) without materializing the string —
-    /// this sits on the AppView's per-record routing hot path.
-    pub(crate) fn fold_shard_hash(&self, hash: u64) -> u64 {
-        let hash = fnv1a_64(b"did:", hash);
-        let hash = fnv1a_64(self.method.as_str().as_bytes(), hash);
-        let hash = fnv1a_64(b":", hash);
-        fnv1a_64(self.identifier.as_bytes(), hash)
+/// Whether `identifier` is a `did:plc` method-specific identifier: 24
+/// characters of [`PLC_ALPHABET`].
+fn is_plc_identifier(identifier: &str) -> bool {
+    // The alphabet as two ranges: this runs per character of every DID read
+    // off the wire, where a search of `PLC_ALPHABET` per byte was a third of
+    // a record's decode.
+    identifier.len() == PLC_ID_LEN
+        && identifier
+            .bytes()
+            .all(|b| matches!(b, b'2'..=b'7' | b'a'..=b'z'))
+}
+
+/// Whether `domain` can be a `did:web` identifier: a dotted host name.
+fn is_web_domain(domain: &str) -> bool {
+    domain
+        .bytes()
+        .all(|b| b.is_ascii_alphanumeric() || b == b'.' || b == b'-')
+        && !domain.starts_with('.')
+        && !domain.ends_with('.')
+        && domain.contains('.')
+}
+
+impl Borrow<str> for Did {
+    fn borrow(&self) -> &str {
+        &self.0
     }
 }
 
@@ -194,7 +170,7 @@ pub fn fnv1a_64(bytes: &[u8], mut hash: u64) -> u64 {
 
 impl fmt::Display for Did {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "did:{}:{}", self.method.as_str(), self.identifier)
+        f.write_str(&self.0)
     }
 }
 
@@ -220,7 +196,6 @@ mod tests {
     fn parse_plc_did_from_paper() {
         let did = Did::parse("did:plc:ewvi7nxzyoun6zhxrhs64oiz").unwrap();
         assert_eq!(did.method(), DidMethod::Plc);
-        assert_eq!(did.identifier, "ewvi7nxzyoun6zhxrhs64oiz");
         assert_eq!(did.to_string(), "did:plc:ewvi7nxzyoun6zhxrhs64oiz");
         assert!(did.web_domain().is_none());
     }

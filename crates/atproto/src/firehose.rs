@@ -146,7 +146,7 @@ impl Event {
     fn encoded_len(&self) -> usize {
         // One map entry under a literal key, given its value's length.
         let entry = |key: &str, value: usize| len::text(key.len()) + value;
-        let did = |did: &Did| len::text(did.string_len());
+        let did = |did: &Did| len::text(did.as_str().len());
         // Every map below has fewer than 24 entries: a one-byte head.
         let body = 1 + match &self.body {
             EventBody::Commit {
@@ -458,7 +458,6 @@ mod tests {
             } else {
                 Did::plc_from_seed(&rng.bytes(16))
             };
-            assert_eq!(did.string_len(), did.to_string().len());
             let body = match round % 5 {
                 0 => {
                     let op_count = match rng.below(3) {

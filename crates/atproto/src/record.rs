@@ -678,19 +678,19 @@ impl Record {
             }
             Record::Follow(r) => {
                 encode_edge(known::FOLLOW, r.created_at, out, |out| {
-                    encode_did(&r.subject, out)
+                    raw::text(r.subject.as_str(), out)
                 });
             }
             Record::Block(r) => {
                 encode_edge(known::BLOCK, r.created_at, out, |out| {
-                    encode_did(&r.subject, out)
+                    raw::text(r.subject.as_str(), out)
                 });
             }
             Record::Profile(r) => r.encode_into(out),
             Record::FeedGenerator(r) => {
                 raw::map_head(5, out);
                 raw::text("did", out);
-                encode_did(&r.service_did, out);
+                raw::text(r.service_did.as_str(), out);
                 raw::text("$type", out);
                 raw::text(known::FEED_GENERATOR, out);
                 raw::text("createdAt", out);
@@ -846,11 +846,6 @@ impl Record {
 fn encode_datetime(at: Datetime, out: &mut Vec<u8>) {
     raw::text_head(at.string_len(), out);
     at.write_to(out);
-}
-
-fn encode_did(did: &Did, out: &mut Vec<u8>) {
-    raw::text_head(did.string_len(), out);
-    did.write_to(out);
 }
 
 fn encode_uri(uri: &AtUri, out: &mut Vec<u8>) {

@@ -123,8 +123,7 @@ impl Commit {
         let out = &mut buf;
         raw::map_head(5 + signed as u64, out);
         raw::text("did", out);
-        raw::text_head(self.did.string_len(), out);
-        self.did.write_to(out);
+        raw::text(self.did.as_str(), out);
         raw::text("rev", out);
         raw::text_head(self.rev.string_len(), out);
         self.rev.write_to(out);
@@ -294,8 +293,7 @@ fn record_key(collection: &Nsid, rkey: &str) -> String {
 impl Repository {
     /// Create an empty repository over an explicit block store backend.
     pub fn with_store(did: Did, key_seed: &[u8], store: Box<dyn BlockStore>) -> Repository {
-        let mut seed = did.as_string().into_bytes();
-        seed.extend_from_slice(key_seed);
+        let seed = [did.as_str().as_bytes(), key_seed].concat();
         Repository {
             signing_key: SigningKey::from_seed(&seed),
             clock: TidClock::new((seed.len() as u16) & 0x3ff),

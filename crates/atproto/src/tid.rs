@@ -56,7 +56,7 @@ impl Tid {
     }
 
     /// Parse the string form.
-    pub fn parse(s: &str) -> Result<Tid> {
+    pub(crate) fn parse(s: &str) -> Result<Tid> {
         if s.len() != TID_LEN {
             return Err(AtError::InvalidTid(s.to_string()));
         }

@@ -5,6 +5,7 @@ use crate::json::Json;
 use crate::pipeline::{Analyzer, Observation};
 use crate::stats::{self, month_of};
 use bsky_atproto::nsid::known;
+use bsky_atproto::Did;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Figure 1 / Figure 2: daily activity series (aggregated monthly for
@@ -25,8 +26,8 @@ pub(crate) struct ActivitySeries {
 #[derive(Debug, Default)]
 pub(crate) struct ActivityAnalyzer {
     totals: (u64, u64, u64, u64, u64),
-    daily_users: BTreeMap<(String, String), BTreeSet<String>>,
-    monthly_ops: BTreeMap<String, (BTreeSet<String>, u64, u64, u64)>,
+    daily_users: BTreeMap<(String, String), BTreeSet<Did>>,
+    monthly_ops: BTreeMap<String, (BTreeSet<Did>, u64, u64, u64)>,
 }
 
 impl Analyzer for ActivityAnalyzer {
@@ -36,11 +37,10 @@ impl Analyzer for ActivityAnalyzer {
         let Observation::Repo(repo) = obs else {
             return;
         };
-        // Rendered once per repository; a set copies it only when the DID is
-        // new to that month.
-        let did = repo.did.as_string();
-        let note = |users: &mut BTreeSet<String>| {
-            if !users.contains(&did) {
+        // A set copies the DID only when it is new to that month.
+        let did = &repo.did;
+        let note = |users: &mut BTreeSet<Did>| {
+            if !users.contains(did) {
                 users.insert(did.clone());
             }
         };
@@ -150,10 +150,10 @@ impl ActivitySeries {
 /// §4 account popularity and non-Bluesky content.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct Section4 {
-    /// Most-followed accounts `(handle-ish DID, followers)`.
-    most_followed: Vec<(String, u64)>,
+    /// Most-followed accounts `(DID, followers)`.
+    most_followed: Vec<(Did, u64)>,
     /// Most-blocked accounts `(DID, blocks)`.
-    most_blocked: Vec<(String, u64)>,
+    most_blocked: Vec<(Did, u64)>,
     /// Number of non-Bluesky (third-party lexicon) records observed on the
     /// firehose.
     non_bsky_records: u64,
@@ -164,8 +164,8 @@ pub(crate) struct Section4 {
 /// Incremental §4 popularity and non-Bluesky content accumulator.
 #[derive(Debug, Default)]
 pub(crate) struct Section4Analyzer {
-    followers: BTreeMap<String, u64>,
-    blocks: BTreeMap<String, u64>,
+    followers: BTreeMap<Did, u64>,
+    blocks: BTreeMap<Did, u64>,
     non_bsky: u64,
     firehose_events: u64,
 }
@@ -180,10 +180,10 @@ impl Analyzer for Section4Analyzer {
                 for record in repo.records() {
                     match (record.collection.as_str(), record.subject) {
                         (known::FOLLOW, Some(subject)) => {
-                            *self.followers.entry(subject.as_string()).or_insert(0) += 1
+                            *stats::slot(&mut self.followers, subject) += 1
                         }
                         (known::BLOCK, Some(subject)) => {
-                            *self.blocks.entry(subject.as_string()).or_insert(0) += 1
+                            *stats::slot(&mut self.blocks, subject) += 1
                         }
                         _ => {}
                     }
@@ -204,10 +204,10 @@ impl Analyzer for Section4Analyzer {
     }
 
     fn finish(self) -> Section4 {
-        let mut most_followed: Vec<(String, u64)> = self.followers.into_iter().collect();
+        let mut most_followed: Vec<(Did, u64)> = self.followers.into_iter().collect();
         most_followed.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
         most_followed.truncate(5);
-        let mut most_blocked: Vec<(String, u64)> = self.blocks.into_iter().collect();
+        let mut most_blocked: Vec<(Did, u64)> = self.blocks.into_iter().collect();
         most_blocked.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
         most_blocked.truncate(5);
         Section4 {

@@ -449,7 +449,7 @@ impl IncrementalRepoMirror {
             &self.faults,
             self.retry_delta,
             "delta",
-            &did.as_string(),
+            did.as_str(),
             now,
             summary,
         ) {
@@ -494,8 +494,8 @@ impl IncrementalRepoMirror {
     ) {
         // Injected flakiness: a full fetch abandoned after the retry
         // budget is a counted skip, exactly like a vanished account.
-        let key = did.as_string();
-        if !resolve_retries(&self.faults, self.retry_full, "full", &key, now, summary) {
+        let key = did.as_str();
+        if !resolve_retries(&self.faults, self.retry_full, "full", key, now, summary) {
             summary.repo_snapshot_skips += 1;
             self.repos.remove(did);
             return;

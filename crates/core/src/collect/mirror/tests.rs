@@ -61,7 +61,7 @@ fn cid_of(record: &Record) -> Cid {
 /// and the name tables (each name counted twice: once in its table,
 /// once as a lookup key).
 fn mirror_bytes(mirror: &IncrementalRepoMirror) -> usize {
-    let did = |did: &Did| size_of::<Did>() + did.as_string().len();
+    let did = |did: &Did| size_of::<Did>() + did.as_str().len();
     let repos: usize = mirror
         .repos
         .iter()

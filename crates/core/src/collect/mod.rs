@@ -60,11 +60,12 @@ pub const DEFAULT_CHUNK_EVENTS: usize = 256;
 pub(crate) const COMPACTION_WINDOW_DAYS: i64 = 14;
 
 /// One compaction pass over the world's fleet on `today`: commits older
-/// than `today − COMPACTION_WINDOW_DAYS` leave every repository.
-fn compact_repos(world: &mut World, today: Datetime) {
+/// than `today − COMPACTION_WINDOW_DAYS` leave every repository, and are
+/// counted into the summary.
+fn compact_repos(world: &mut World, today: Datetime, summary: &mut StreamSummary) {
     let cutoff_day = today.plus_days(-COMPACTION_WINDOW_DAYS);
     let cutoff = Tid::from_micros(cutoff_day.timestamp().max(0) as u64 * 1_000_000, 0);
-    world.compact_repos(&cutoff);
+    summary.commits_dropped += world.compact_repos(&cutoff).commits_dropped as u64;
 }
 
 /// Drives a [`World`] and emits the datasets as observations.
@@ -94,7 +95,7 @@ pub struct Collector {
     retry_dns: RetryPolicy,
     /// Observatory ground truth: DID → (handle, activity class), built from
     /// the population plan at stream start.
-    identity_map: BTreeMap<String, (String, ActivityClass)>,
+    identity_map: BTreeMap<Did, (String, ActivityClass)>,
 }
 
 impl Default for Collector {
@@ -197,7 +198,7 @@ impl Collector {
             .map(|index| {
                 let profile = world.plan.profile(index);
                 (
-                    profile.did.as_string(),
+                    profile.did.clone(),
                     (
                         profile.handle.as_str().to_string(),
                         ActivityClass::of_weight(profile.activity_weight),
@@ -246,7 +247,7 @@ impl Collector {
                     if !self.faults.is_quiet() {
                         if let EventBody::Commit { did, .. } = &event.body {
                             let event_day = event.time.timestamp().div_euclid(86_400) as u64;
-                            if self.faults.drops_commit(&did.as_string(), event_day) {
+                            if self.faults.drops_commit(did.as_str(), event_day) {
                                 summary.cursor_gap_drops += 1;
                                 continue;
                             }
@@ -295,7 +296,7 @@ impl Collector {
             // for.
             if today < firehose_start {
                 if last_compaction.is_none_or(|prev| today.days_since(prev) >= 7) {
-                    compact_repos(world, today);
+                    compact_repos(world, today, &mut summary);
                     last_compaction = Some(today);
                 }
             } else if last_listrepos.is_none_or(|prev| today.days_since(prev) >= 7) {
@@ -311,7 +312,7 @@ impl Collector {
                 // two: a pass keeps every head, and right after a sync every
                 // revision the mirror holds is one, so the next round's
                 // delta since it is served.
-                compact_repos(world, today);
+                compact_repos(world, today, &mut summary);
                 last_listrepos = Some(today);
                 summary.listrepos_snapshots += 1;
             }
@@ -401,7 +402,7 @@ impl Collector {
         firehose_start: Datetime,
     ) {
         let start = firehose_start.timestamp();
-        for (conn, trace) in world.relay.take_wire_traces() {
+        for (did, trace) in world.relay.take_wire_traces() {
             // Dropped frames are surfaced even when the day itself falls
             // outside the collection window — never silent.
             summary.observer_trace_drops += trace.dropped;
@@ -416,13 +417,10 @@ impl Collector {
             if frames.is_empty() {
                 continue;
             }
-            let Ok(did) = Did::parse(&conn) else {
-                continue;
-            };
             let day = frames[0].0.div_euclid(86_400);
             let class = self
                 .identity_map
-                .get(&conn)
+                .get(&did)
                 .map(|(_, class)| *class)
                 .unwrap_or(ActivityClass::Lurking);
             let record =
@@ -459,7 +457,7 @@ impl Collector {
                 // cloned into the set or rendered for the lookup.
                 if !self.seen_identifiers.contains(&did) {
                     self.seen_identifiers.insert(did.clone());
-                    if let Some((handle, _)) = self.identity_map.get(&did.as_string()) {
+                    if let Some((handle, _)) = self.identity_map.get(&did) {
                         // Injected DNS flakiness: transient SERVFAILs are
                         // retried under the DnsLookup policy, and every
                         // retry and give-up is counted. The counters are

@@ -5,7 +5,7 @@ use crate::json::Json;
 use crate::pipeline::{Analyzer, Observation};
 use crate::stats;
 use bsky_atproto::firehose::EventBody;
-use bsky_atproto::Datetime;
+use bsky_atproto::{Datetime, Did};
 use bsky_workload::registrar::Registrar;
 use bsky_workload::resolver::Proof;
 use std::collections::{BTreeMap, BTreeSet};
@@ -56,7 +56,7 @@ pub(crate) struct IdentityAnalyzer {
     handles: BTreeSet<String>,
     /// DID → latest observed handle change `(event time, handle)`: its keys
     /// are the DIDs that changed handle.
-    final_handle: BTreeMap<String, (Datetime, String)>,
+    final_handle: BTreeMap<Did, (Datetime, String)>,
 }
 
 impl Analyzer for IdentityAnalyzer {
@@ -97,12 +97,13 @@ impl Analyzer for IdentityAnalyzer {
                 if let EventBody::HandleChange { did, handle } = &event.body {
                     self.changes += 1;
                     self.handles.insert(handle.as_str().to_string());
-                    let entry = self
-                        .final_handle
-                        .entry(did.as_string())
-                        .or_insert((event.time, handle.as_str().to_string()));
-                    if event.time >= entry.0 {
-                        *entry = (event.time, handle.as_str().to_string());
+                    let latest = (event.time, handle.as_str().to_string());
+                    match self.final_handle.get_mut(did) {
+                        Some(entry) if event.time >= entry.0 => *entry = latest,
+                        Some(_) => {}
+                        None => {
+                            self.final_handle.insert(did.clone(), latest);
+                        }
                     }
                 }
             }

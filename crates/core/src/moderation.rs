@@ -36,7 +36,7 @@ pub(crate) type LabelTargetRow = (String, u64, f64, Vec<(String, u64)>);
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct LabelerReaction {
     /// Labeler DID.
-    did: String,
+    did: Did,
     /// Display name.
     name: String,
     /// Operator class.
@@ -143,16 +143,16 @@ struct LabeledObject {
     kind: LabelTargetKind,
     /// The DIDs that applied a label to it, each once: a list, not a set,
     /// as most objects have one or two and a set's first node holds eleven.
-    labelers: Vec<String>,
+    labelers: Vec<Did>,
     /// Its post's firehose arrival month, once a reaction was timed.
     post_month: Option<String>,
 }
 
 impl LabeledObject {
-    fn add_labeler(&mut self, did: &str) {
-        if !self.labelers.iter().any(|l| l == did) {
+    fn add_labeler(&mut self, did: &Did) {
+        if !self.labelers.contains(did) {
             self.labelers.reserve_exact(1);
-            self.labelers.push(did.to_string());
+            self.labelers.push(did.clone());
         }
     }
 }
@@ -165,7 +165,7 @@ impl LabeledObject {
 struct PendingReaction {
     object: String,
     value: String,
-    labeler: String,
+    labeler: Did,
     label_created: Datetime,
 }
 
@@ -189,7 +189,7 @@ pub(crate) struct ModerationAnalyzer {
     /// Posts per month (bounded by the number of months).
     posts_per_month: BTreeMap<String, u64>,
     /// Per-labeler accumulators, keyed by DID.
-    accs: BTreeMap<String, LabelerAcc>,
+    accs: BTreeMap<Did, LabelerAcc>,
     /// Every object with an applied label, keyed by its URI.
     objects: BTreeMap<String, LabeledObject>,
     value_reactions: BTreeMap<String, Vec<f64>>,
@@ -198,7 +198,7 @@ pub(crate) struct ModerationAnalyzer {
     raw_values: BTreeSet<String>,
     interactions: u64,
     rescissions: u64,
-    likes_on_accounts: BTreeMap<String, u64>,
+    likes_on_accounts: BTreeMap<Did, u64>,
     pending: Vec<PendingReaction>,
 }
 
@@ -208,7 +208,7 @@ impl ModerationAnalyzer {
     /// delta.
     fn record_reaction(
         &mut self,
-        labeler: &str,
+        labeler: &Did,
         value: &str,
         object: &str,
         post_created: Datetime,
@@ -248,10 +248,9 @@ impl Analyzer for ModerationAnalyzer {
             // firehose since Mar 6).
             Observation::Firehose(event) => {
                 if let EventBody::Commit { did, ops, .. } = &event.body {
-                    let did = did.as_string();
                     for op in ops {
                         if op.collection() == known::POST {
-                            let uri = ["at://", &did, "/", &op.key].concat();
+                            let uri = ["at://", did.as_str(), "/", &op.key].concat();
                             if let Entry::Vacant(e) = self.post_created.entry(uri) {
                                 e.insert(event.time);
                                 *self
@@ -264,15 +263,14 @@ impl Analyzer for ModerationAnalyzer {
                 }
             }
             Observation::Labeler(entry) => {
-                let acc = self.accs.entry(entry.did.as_string()).or_default();
+                let acc = stats::slot(&mut self.accs, &entry.did);
                 acc.meta = Some((*entry).clone());
             }
             Observation::Labels { src, labels } => {
-                let key = src.as_string();
                 for label in labels.iter() {
                     self.interactions += 1;
                     self.raw_values.insert(label.value.clone());
-                    let acc = self.accs.entry(key.clone()).or_default();
+                    let acc = stats::slot(&mut self.accs, src);
                     acc.stream_entries += 1;
                     if label.negated {
                         self.rescissions += 1;
@@ -289,7 +287,7 @@ impl Analyzer for ModerationAnalyzer {
                             labelers: Vec::new(),
                             post_month: None,
                         })
-                        .add_labeler(&key);
+                        .add_labeler(src);
                     *self
                         .per_target_kind
                         .entry(kind)
@@ -305,7 +303,7 @@ impl Analyzer for ModerationAnalyzer {
                     match self.post_created.get(&object).copied() {
                         Some(created) => {
                             self.record_reaction(
-                                &key,
+                                src,
                                 &label.value,
                                 &object,
                                 created,
@@ -315,7 +313,7 @@ impl Analyzer for ModerationAnalyzer {
                         None => self.pending.push(PendingReaction {
                             object,
                             value: label.value.clone(),
-                            labeler: key.clone(),
+                            labeler: (*src).clone(),
                             label_created: label.created_at,
                         }),
                     }
@@ -327,10 +325,7 @@ impl Analyzer for ModerationAnalyzer {
                     if let (known::LIKE, Some(subject)) =
                         (record.collection.as_str(), record.subject)
                     {
-                        *self
-                            .likes_on_accounts
-                            .entry(subject.as_string())
-                            .or_insert(0) += 1;
+                        *stats::slot(&mut self.likes_on_accounts, subject) += 1;
                     }
                 }
             }
@@ -398,7 +393,7 @@ impl Analyzer for ModerationAnalyzer {
         // Labels whose posts never appeared on the stream (pre-window
         // posts) keep their volume counts but have no reaction time — drop
         // the leftover pendings.
-        let official: Option<String> = self
+        let official: Option<Did> = self
             .accs
             .iter()
             .find(|(_, acc)| {

@@ -363,8 +363,12 @@ pub struct StreamSummary {
     pub repo_records_undecodable: u64,
     /// Always 0: compaction deletes no block, since a repository only
     /// creates records. A shim kept while the pinned benchmark surface
-    /// still reads it; it goes with that pin.
+    /// still reads it; it goes with that pin. What compaction does drop is
+    /// counted in `commits_dropped`.
     pub store_bytes_reclaimed: u64,
+    /// Commits (with their log entries) the weekly compaction passes
+    /// dropped from the fleet's repositories, summed over every pass.
+    pub(crate) commits_dropped: u64,
     /// Block bytes resident in memory at the end of the run, in the PDS
     /// fleet's repository stores (the collector keeps no blocks).
     pub resident_block_bytes: u64,
@@ -459,7 +463,7 @@ impl StreamSummary {
     /// Render a one-line summary for CLI output.
     pub fn render(&self) -> String {
         let mut out = format!(
-            "pipeline: {} days, {} observations, {} firehose events streamed, peak {} in flight; repo snapshots: {} bytes fetched ({} full, {} delta), {} skipped, {} compaction fallback(s); store: {} bytes resident, {} spilled, {} reclaimed by compaction",
+            "pipeline: {} days, {} observations, {} firehose events streamed, peak {} in flight; repo snapshots: {} bytes fetched ({} full, {} delta), {} skipped, {} compaction fallback(s); store: {} bytes resident, {} spilled, {} commit(s) dropped by compaction",
             self.days,
             self.observations,
             self.firehose_events,
@@ -471,7 +475,7 @@ impl StreamSummary {
             self.repo_compaction_fallbacks,
             self.resident_block_bytes,
             self.spilled_block_bytes,
-            self.store_bytes_reclaimed,
+            self.commits_dropped,
         );
         out.push_str(&format!(
             "; observatory: {} frames on the wire, {} overhead bytes, {} identity lookups",
@@ -571,6 +575,7 @@ impl StreamSummary {
         self.repo_compaction_fallbacks += other.repo_compaction_fallbacks;
         self.repo_records_undecodable += other.repo_records_undecodable;
         self.store_bytes_reclaimed += other.store_bytes_reclaimed;
+        self.commits_dropped += other.commits_dropped;
         self.resident_block_bytes += other.resident_block_bytes;
         self.spilled_block_bytes += other.spilled_block_bytes;
         self.store_corrupt_reads += other.store_corrupt_reads;

@@ -197,12 +197,12 @@ pub(crate) struct RecommendationReport {
 /// `effective_labels`: `((labeler, value), (applied, negated))` per pair
 /// seen. A list, not a map, as most objects carry a label or two and a map's
 /// first node holds eleven.
-type LabelFlags = Vec<((String, String), (bool, bool))>;
+type LabelFlags = Vec<((Did, String), (bool, bool))>;
 /// The flags of a value left on its object: applied and never negated.
 const EFFECTIVE: (bool, bool) = (true, false);
 
 /// Fold one sighting `(applied, negated)` of `(labeler, value)` into `flags`.
-fn fold_flags(flags: &mut LabelFlags, labeler: &str, value: &str, seen: (bool, bool)) {
+fn fold_flags(flags: &mut LabelFlags, labeler: &Did, value: &str, seen: (bool, bool)) {
     let found = flags
         .iter_mut()
         .find(|((l, v), _)| l == labeler && v == value);
@@ -210,7 +210,7 @@ fn fold_flags(flags: &mut LabelFlags, labeler: &str, value: &str, seen: (bool, b
         Some((_, was)) => *was = (was.0 | seen.0, was.1 | seen.1),
         None => {
             flags.reserve_exact(1);
-            flags.push(((labeler.to_string(), value.to_string()), seen));
+            flags.push(((labeler.clone(), value.to_string()), seen));
         }
     }
 }
@@ -229,14 +229,14 @@ pub(crate) struct RecommendationAnalyzer {
     /// Object URI → its folded label stream.
     labels: BTreeMap<String, LabelFlags>,
     /// Deduplicated follow edges `(author, subject)` from the repositories.
-    follow_edges: BTreeSet<(String, String)>,
+    follow_edges: BTreeSet<(Did, Did)>,
     /// DIDs with a repository snapshot (the §7 user universe).
-    actors: BTreeSet<String>,
+    actors: BTreeSet<Did>,
     /// Likes on feed-generator records per month (Figure 7).
     feed_likes_by_month: BTreeMap<String, u64>,
     /// Follow records per subject and month (filtered to creators at
     /// finish).
-    follows_by_subject_month: BTreeMap<String, BTreeMap<String, u64>>,
+    follows_by_subject_month: BTreeMap<Did, BTreeMap<String, u64>>,
 }
 
 impl Analyzer for RecommendationAnalyzer {
@@ -247,10 +247,9 @@ impl Analyzer for RecommendationAnalyzer {
             Observation::Labels { src, labels } => {
                 // Figure 9's label index: raw interactions folded into
                 // (applied, negated) flags per object and (labeler, value).
-                let src = src.as_string();
                 for label in labels.iter() {
                     let flags = self.labels.entry(label.target.uri()).or_default();
-                    fold_flags(flags, &src, &label.value, (!label.negated, label.negated));
+                    fold_flags(flags, src, &label.value, (!label.negated, label.negated));
                 }
             }
             Observation::FeedGenerator(entry) => {
@@ -264,7 +263,7 @@ impl Analyzer for RecommendationAnalyzer {
                 }
             }
             Observation::Repo(repo) => {
-                let did = repo.did.as_string();
+                let did = &repo.did;
                 for record in repo.records() {
                     let Some(created) = record.created_at else {
                         continue;
@@ -280,19 +279,15 @@ impl Analyzer for RecommendationAnalyzer {
                                 .or_insert(0) += 1;
                         }
                         (known::FOLLOW, Some(subject)) => {
-                            let subject = subject.as_string();
                             self.follow_edges.insert((did.clone(), subject.clone()));
-                            *self
-                                .follows_by_subject_month
-                                .entry(subject)
-                                .or_default()
+                            *stats::slot(&mut self.follows_by_subject_month, subject)
                                 .entry(month_of(created))
                                 .or_insert(0) += 1;
                         }
                         _ => {}
                     }
                 }
-                self.actors.insert(did);
+                self.actors.insert(did.clone());
             }
             _ => {}
         }
@@ -334,7 +329,7 @@ impl Analyzer for RecommendationAnalyzer {
         let mut feed_label_counts: BTreeMap<String, u64> = BTreeMap::new();
         let mut by_month: BTreeMap<String, (u64, u64, u64)> = BTreeMap::new();
         let mut posts_vs_likes: Vec<(String, u64, u64)> = Vec::new();
-        let mut feeds_per_creator: BTreeMap<String, (u64, u64)> = BTreeMap::new();
+        let mut feeds_per_creator: BTreeMap<&Did, (u64, u64)> = BTreeMap::new();
         let mut total_posts = 0u64;
         let mut total_likes = 0u64;
         let mut per_platform: BTreeMap<String, (u64, u64, u64)> = BTreeMap::new();
@@ -382,9 +377,7 @@ impl Analyzer for RecommendationAnalyzer {
                 served.len() as u64,
                 feed.like_count,
             ));
-            let creator = feeds_per_creator
-                .entry(feed.creator.as_string())
-                .or_insert((0, 0));
+            let creator = feeds_per_creator.entry(&feed.creator).or_insert((0, 0));
             creator.0 += 1;
             creator.1 += feed.like_count;
             total_posts += served.len() as u64;
@@ -414,9 +407,8 @@ impl Analyzer for RecommendationAnalyzer {
         for (month, count) in &self.feed_likes_by_month {
             by_month.entry(month.clone()).or_default().1 += count;
         }
-        let creator_dids: BTreeSet<&String> = feeds_per_creator.keys().collect();
         for (subject, months) in &self.follows_by_subject_month {
-            if creator_dids.contains(subject) {
+            if feeds_per_creator.contains_key(subject) {
                 for (month, count) in months {
                     by_month.entry(month.clone()).or_default().2 += count;
                 }
@@ -437,8 +429,8 @@ impl Analyzer for RecommendationAnalyzer {
 
         // Figure 11 + correlations: degrees from the deduplicated follow
         // graph of the repositories dataset.
-        let mut follows_of: BTreeMap<&String, u64> = BTreeMap::new();
-        let mut followers_of: BTreeMap<&String, u64> = BTreeMap::new();
+        let mut follows_of: BTreeMap<&Did, u64> = BTreeMap::new();
+        let mut followers_of: BTreeMap<&Did, u64> = BTreeMap::new();
         for (author, subject) in &self.follow_edges {
             *follows_of.entry(author).or_insert(0) += 1;
             *followers_of.entry(subject).or_insert(0) += 1;

@@ -106,11 +106,21 @@ pub struct StudyAnalyzers {
     pub(crate) volume: FirehoseVolumeAnalyzer,
     /// §10 wire-traffic observatory.
     pub(crate) observatory: ObservatoryAnalyzer,
+    /// Whether this set has folded an observation or absorbed a set that
+    /// had: while it has not, every analyzer is in its default state.
+    touched: bool,
 }
 
 impl StudyAnalyzers {
-    /// Merge another set's state into this one (memberwise).
+    /// Merge another set's state into this one (memberwise). An untouched
+    /// set takes `other` whole: merging into the default state is the
+    /// identity (the merge law), so this is exact, and it spares a serial
+    /// run's one absorb from re-inserting every map entry.
     pub fn merge(&mut self, other: StudyAnalyzers) {
+        if !self.touched {
+            *self = other;
+            return;
+        }
         self.table1.merge(other.table1);
         self.activity.merge(other.activity);
         self.section4.merge(other.section4);
@@ -140,6 +150,7 @@ impl ShardSink for StudyAnalyzers {
     }
 
     fn observe_part(&mut self, part: usize, obs: &Observation<'_>, _ctx: &StudyCtx<'_>) {
+        self.touched = true;
         match part {
             0 => self.table1.observe(obs),
             1 => self.activity.observe(obs),
@@ -510,6 +521,52 @@ mod tests {
         assert_eq!(world.shard.index, 0);
         let table1 = analyzers.table1.finish();
         assert!(table1.total > 0);
+    }
+
+    /// A `Did` is its canonical string — ordered, looked up and
+    /// round-tripped as one — over PLC DIDs and `did:web` hosts that prefix
+    /// one another, so every DID-keyed table iterates as the string-keyed
+    /// table it replaced. And the commits the compaction passes drop are
+    /// counted alike on one shard and on two.
+    #[test]
+    fn a_did_is_its_string_and_compaction_counts_alike_on_two_shards() {
+        use bsky_atproto::Did;
+        use std::collections::BTreeMap;
+        let mut corpus: Vec<Did> = (0..64)
+            .map(|i| Did::plc_from_seed(format!("user-{i}").as_bytes()))
+            .collect();
+        for host in [
+            "a.com",
+            "a.com.b",
+            "a.com-b.c",
+            "a.co",
+            "a-b.com",
+            "ab.com",
+            "a.comb.org",
+            "z.example",
+            "0.example",
+        ] {
+            corpus.push(Did::web(host).unwrap());
+        }
+        let mut by_did = corpus.clone();
+        by_did.sort();
+        let mut by_str: Vec<&str> = corpus.iter().map(Did::as_str).collect();
+        by_str.sort();
+        assert_eq!(by_did.iter().map(Did::as_str).collect::<Vec<_>>(), by_str);
+        let table: BTreeMap<Did, usize> = corpus.iter().cloned().zip(0..).collect();
+        assert_eq!(table.len(), corpus.len());
+        for (index, did) in corpus.iter().enumerate() {
+            let text = did.to_string();
+            assert_eq!(did.as_str(), text);
+            assert_eq!(&Did::parse(&text).unwrap(), did);
+            assert_eq!(table.get(text.as_str()), Some(&index));
+        }
+
+        let serial = RunSpec::new(small_config(51));
+        let (_, _, one) = collect_sharded(&serial, StudyAnalyzers::default());
+        let (_, _, two) = collect_sharded(&serial.shards(2).jobs(2), StudyAnalyzers::default());
+        assert!(one.merged.commits_dropped > 0);
+        assert_eq!(one.merged.commits_dropped, two.merged.commits_dropped);
     }
 
     #[test]

@@ -34,6 +34,18 @@ pub(crate) fn add_counts<K: Ord>(into: &mut BTreeMap<K, u64>, from: BTreeMap<K, 
     }
 }
 
+/// The value under `key`, inserted as its default first when absent. The
+/// key is cloned only then, where `entry(key.clone())` clones it per call.
+pub(crate) fn slot<'m, K: Ord + Clone, V: Default>(
+    map: &'m mut BTreeMap<K, V>,
+    key: &K,
+) -> &'m mut V {
+    if !map.contains_key(key) {
+        map.insert(key.clone(), V::default());
+    }
+    map.get_mut(key).expect("inserted above")
+}
+
 /// Median.
 pub(crate) fn median(values: &[f64]) -> Option<f64> {
     quantile(values, 0.5)

@@ -17,7 +17,7 @@ use std::collections::BTreeMap;
 #[derive(Debug, Default)]
 pub struct PdsFleet {
     servers: BTreeMap<String, Pds>,
-    routing: BTreeMap<String, String>,
+    routing: BTreeMap<Did, String>,
 }
 
 impl PdsFleet {
@@ -66,7 +66,7 @@ impl PdsFleet {
 
     /// The hostname of the PDS hosting a DID.
     pub fn locate(&self, did: &Did) -> Option<&str> {
-        self.routing.get(&did.as_string()).map(String::as_str)
+        self.routing.get(did).map(String::as_str)
     }
 
     /// The PDS hosting a DID.
@@ -76,7 +76,7 @@ impl PdsFleet {
 
     /// Mutable access to the PDS hosting a DID.
     pub fn pds_for_mut(&mut self, did: &Did) -> Option<&mut Pds> {
-        let host = self.routing.get(&did.as_string())?;
+        let host = self.routing.get(did)?;
         self.servers.get_mut(host)
     }
 
@@ -93,7 +93,7 @@ impl PdsFleet {
             .get_mut(hostname)
             .ok_or_else(|| AtError::RepoError(format!("no PDS named {hostname}")))?;
         server.create_account(did.clone(), handle, at)?;
-        self.routing.insert(did.as_string(), hostname.to_string());
+        self.routing.insert(did, hostname.to_string());
         Ok(())
     }
 
@@ -126,8 +126,7 @@ impl PdsFleet {
             .migrate_out(did, at)?;
         let dest = self.servers.get_mut(destination).expect("checked above");
         dest.migrate_in(repo, new_handle, at)?;
-        self.routing
-            .insert(did.as_string(), destination.to_string());
+        self.routing.insert(did.clone(), destination.to_string());
         Ok(dest.endpoint())
     }
 

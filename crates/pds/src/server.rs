@@ -67,8 +67,8 @@ pub enum PdsEventDetail {
 pub struct Pds {
     hostname: String,
     operator: PdsOperator,
-    accounts: BTreeMap<String, Account>,
-    repos: BTreeMap<String, Repository>,
+    accounts: BTreeMap<Did, Account>,
+    repos: BTreeMap<Did, Repository>,
     /// The events still held, oldest first: `outbox[i]` is the event at
     /// absolute position `outbox_trimmed + i`.
     outbox: Vec<PdsEvent>,
@@ -114,14 +114,13 @@ impl Pds {
 
     /// Create an account and its empty repository.
     pub(crate) fn create_account(&mut self, did: Did, handle: Handle, at: Datetime) -> Result<()> {
-        let key = did.as_string();
-        if self.accounts.contains_key(&key) {
-            return Err(AtError::RepoError(format!("{key} already hosted here")));
+        if self.accounts.contains_key(&did) {
+            return Err(AtError::RepoError(format!("{did} already hosted here")));
         }
         self.accounts
-            .insert(key.clone(), Account::new(did.clone(), handle, at));
+            .insert(did.clone(), Account::new(did.clone(), handle, at));
         self.repos.insert(
-            key.clone(),
+            did.clone(),
             Repository::with_store(
                 did.clone(),
                 self.hostname.as_bytes(),
@@ -138,13 +137,13 @@ impl Pds {
 
     /// Access a hosted repository.
     pub fn repo(&self, did: &Did) -> Option<&Repository> {
-        self.repos.get(&did.as_string())
+        self.repos.get(did)
     }
 
     /// Whether `did` has an active account here: the status every write
     /// checks first.
     pub fn is_active(&self, did: &Did) -> bool {
-        let account = self.accounts.get(&did.as_string());
+        let account = self.accounts.get(did);
         account.is_some_and(|a| a.status == AccountStatus::Active)
     }
 
@@ -156,16 +155,15 @@ impl Pds {
         writes: &[Write],
         at: Datetime,
     ) -> Result<CommitResult> {
-        let key = did.as_string();
-        match self.accounts.get(&key) {
+        match self.accounts.get(did) {
             Some(a) if a.status == AccountStatus::Active => {}
-            Some(_) => return Err(AtError::RepoError(format!("{key} is not active"))),
-            None => return Err(AtError::RepoError(format!("{key} not hosted here"))),
+            Some(_) => return Err(AtError::RepoError(format!("{did} is not active"))),
+            None => return Err(AtError::RepoError(format!("{did} not hosted here"))),
         }
         let repo = self
             .repos
-            .get_mut(&key)
-            .ok_or_else(|| AtError::RepoError(format!("{key} has no repo")))?;
+            .get_mut(did)
+            .ok_or_else(|| AtError::RepoError(format!("{did} has no repo")))?;
         let result = repo.apply_writes(writes, at)?;
         self.outbox.push(PdsEvent {
             at,
@@ -183,14 +181,13 @@ impl Pds {
         record: Record,
         at: Datetime,
     ) -> Result<(String, CommitResult)> {
-        let key = did.as_string();
         if !self.is_active(did) {
-            return Err(AtError::RepoError(format!("{key} is not active")));
+            return Err(AtError::RepoError(format!("{did} is not active")));
         }
         let repo = self
             .repos
-            .get_mut(&key)
-            .ok_or_else(|| AtError::RepoError(format!("{key} not hosted here")))?;
+            .get_mut(did)
+            .ok_or_else(|| AtError::RepoError(format!("{did} not hosted here")))?;
         let (rkey, result) = repo.create_record(collection, record, at)?;
         self.outbox.push(PdsEvent {
             at,
@@ -204,7 +201,7 @@ impl Pds {
     pub fn change_handle(&mut self, did: &Did, new_handle: Handle, at: Datetime) -> Result<()> {
         let account = self
             .accounts
-            .get_mut(&did.as_string())
+            .get_mut(did)
             .ok_or_else(|| AtError::RepoError(format!("{did} not hosted here")))?;
         account.handle = new_handle.clone();
         self.outbox.push(PdsEvent {
@@ -218,13 +215,12 @@ impl Pds {
     /// Delete an account, emitting a tombstone event. The repository is
     /// dropped from this PDS.
     pub fn delete_account(&mut self, did: &Did, at: Datetime) -> Result<()> {
-        let key = did.as_string();
         let account = self
             .accounts
-            .get_mut(&key)
-            .ok_or_else(|| AtError::RepoError(format!("{key} not hosted here")))?;
+            .get_mut(did)
+            .ok_or_else(|| AtError::RepoError(format!("{did} not hosted here")))?;
         account.status = AccountStatus::Deleted;
-        self.repos.remove(&key);
+        self.repos.remove(did);
         self.outbox.push(PdsEvent {
             at,
             did: did.clone(),
@@ -237,12 +233,11 @@ impl Pds {
     /// it so the destination can import it. The account entry stays as a
     /// deactivated stub.
     pub(crate) fn migrate_out(&mut self, did: &Did, at: Datetime) -> Result<Repository> {
-        let key = did.as_string();
         let repo = self
             .repos
-            .remove(&key)
-            .ok_or_else(|| AtError::RepoError(format!("{key} not hosted here")))?;
-        if let Some(account) = self.accounts.get_mut(&key) {
+            .remove(did)
+            .ok_or_else(|| AtError::RepoError(format!("{did} not hosted here")))?;
+        if let Some(account) = self.accounts.get_mut(did) {
             account.status = AccountStatus::Deactivated;
         }
         self.outbox.push(PdsEvent {
@@ -261,13 +256,12 @@ impl Pds {
         at: Datetime,
     ) -> Result<()> {
         let did = repo.did().clone();
-        let key = did.as_string();
-        if self.repos.contains_key(&key) {
-            return Err(AtError::RepoError(format!("{key} already hosted here")));
+        if self.repos.contains_key(&did) {
+            return Err(AtError::RepoError(format!("{did} already hosted here")));
         }
-        self.repos.insert(key.clone(), repo);
+        self.repos.insert(did.clone(), repo);
         self.accounts
-            .entry(key)
+            .entry(did.clone())
             .and_modify(|a| a.status = AccountStatus::Active)
             .or_insert_with(|| Account::new(did.clone(), handle.clone(), at));
         self.outbox.push(PdsEvent {
@@ -283,7 +277,7 @@ impl Pds {
     /// `sync.getRepo`: CAR export of a hosted repository.
     pub fn get_repo(&mut self, did: &Did) -> Result<Vec<u8>> {
         self.repos
-            .get(&did.as_string())
+            .get(did)
             .map(Repository::export_car)
             .ok_or_else(|| AtError::RepoError(format!("{did} not hosted here")))
     }
@@ -296,7 +290,7 @@ impl Pds {
     /// fall back to a full [`Pds::get_repo`].
     pub fn get_repo_since(&mut self, did: &Did, since: &Tid, scope: DeltaScope) -> Result<Vec<u8>> {
         self.repos
-            .get(&did.as_string())
+            .get(did)
             .ok_or_else(|| AtError::RepoError(format!("{did} not hosted here")))?
             .export_car_since(since, scope)
     }
@@ -406,10 +400,7 @@ mod tests {
 
         pds.change_handle(&did, Handle::parse("alice.example.com").unwrap(), now())
             .unwrap();
-        assert_eq!(
-            pds.accounts[&did.as_string()].handle.as_str(),
-            "alice.example.com"
-        );
+        assert_eq!(pds.accounts[&did].handle.as_str(), "alice.example.com");
 
         let (events, next) = pds.events_since(0);
         // identity (create), commit, handle change

@@ -38,7 +38,7 @@ use crate::firehose::RETENTION_SECONDS;
 use crate::relay::{EventOrigin, Relay};
 use bsky_atproto::blockstore::StoreConfig;
 use bsky_atproto::firehose::{Event, EventBody, Seq};
-use bsky_atproto::Datetime;
+use bsky_atproto::{Datetime, Did, Tid};
 use bsky_pds::PdsFleet;
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
@@ -48,7 +48,7 @@ use std::collections::BTreeMap;
 enum DedupKey {
     /// Commits: `(did, rev)`. Revisions are per-repo monotonic TIDs, so
     /// equal pairs always denote the same commit regardless of route.
-    Commit { did: String, rev: String },
+    Commit { did: Did, rev: Tid },
     /// Revision-less frames: the PDS outbox slot that produced them.
     Origin { host: String, outbox_seq: u64 },
 }
@@ -68,8 +68,8 @@ impl DedupIndex {
     fn key_for(event: &Event, origin: Option<&EventOrigin>) -> Option<DedupKey> {
         match &event.body {
             EventBody::Commit { did, rev, .. } => Some(DedupKey::Commit {
-                did: did.to_string(),
-                rev: rev.to_string(),
+                did: did.clone(),
+                rev: *rev,
             }),
             _ => origin.map(|o| DedupKey::Origin {
                 host: o.host.clone(),

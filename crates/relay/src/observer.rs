@@ -12,6 +12,7 @@
 //! can surface the loss instead of mistaking a truncated trace for a quiet
 //! connection.
 
+use bsky_atproto::Did;
 use std::collections::BTreeMap;
 
 /// Maximum `(time, size)` pairs retained per connection between drains.
@@ -40,12 +41,11 @@ impl ConnTrace {
 
 /// A passive per-connection `(size, gap)` tap.
 ///
-/// Connections are keyed by an opaque string chosen by the owning service
-/// (the relay keys firehose traffic by the subject DID). Keys iterate in
-/// `BTreeMap` order so draining is deterministic.
+/// The relay keys firehose traffic by the subject DID, one connection per
+/// DID. Keys iterate in `BTreeMap` order so draining is deterministic.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct WireObserver {
-    traces: BTreeMap<String, ConnTrace>,
+    traces: BTreeMap<Did, ConnTrace>,
 }
 
 impl WireObserver {
@@ -55,19 +55,13 @@ impl WireObserver {
     }
 
     /// Record one frame on connection `conn`.
-    pub(crate) fn record(&mut self, conn: &str, time: i64, bytes: u64) {
-        if let Some(trace) = self.traces.get_mut(conn) {
-            trace.record(time, bytes);
-        } else {
-            let mut trace = ConnTrace::default();
-            trace.record(time, bytes);
-            self.traces.insert(conn.to_string(), trace);
-        }
+    pub(crate) fn record(&mut self, conn: Did, time: i64, bytes: u64) {
+        self.traces.entry(conn).or_default().record(time, bytes);
     }
 
     /// Take every trace accumulated since the last drain, leaving the
     /// observer empty. Returned in deterministic (key-sorted) order.
-    pub(crate) fn drain(&mut self) -> BTreeMap<String, ConnTrace> {
+    pub(crate) fn drain(&mut self) -> BTreeMap<Did, ConnTrace> {
         std::mem::take(&mut self.traces)
     }
 }
@@ -76,23 +70,28 @@ impl WireObserver {
 mod tests {
     use super::*;
 
+    fn conn(seed: &str) -> Did {
+        Did::plc_from_seed(seed.as_bytes())
+    }
+
     #[test]
     fn records_per_connection_in_order() {
+        let (a, b) = (conn("a"), conn("b"));
         let mut tap = WireObserver::new();
-        tap.record("did:plc:a", 10, 100);
-        tap.record("did:plc:b", 11, 50);
-        tap.record("did:plc:a", 12, 200);
+        tap.record(a.clone(), 10, 100);
+        tap.record(b.clone(), 11, 50);
+        tap.record(a.clone(), 12, 200);
         assert_eq!(tap.traces.len(), 2);
         let traces = tap.drain();
-        assert_eq!(traces["did:plc:a"].frames, vec![(10, 100), (12, 200)]);
-        assert_eq!(traces["did:plc:b"].frames, vec![(11, 50)]);
-        assert_eq!(traces["did:plc:a"].dropped, 0);
+        assert_eq!(traces[&a].frames, vec![(10, 100), (12, 200)]);
+        assert_eq!(traces[&b].frames, vec![(11, 50)]);
+        assert_eq!(traces[&a].dropped, 0);
     }
 
     #[test]
     fn drain_resets_the_tap() {
         let mut tap = WireObserver::new();
-        tap.record("c", 1, 1);
+        tap.record(conn("c"), 1, 1);
         assert_eq!(tap.drain().len(), 1);
         assert!(tap.traces.is_empty());
         assert!(tap.drain().is_empty());
@@ -107,12 +106,13 @@ mod tests {
         assert_eq!(trace.frames.len(), TRACE_CAPACITY);
         assert_eq!(trace.dropped, 5);
         // Draining starts a fresh bounded window.
+        let c = conn("c");
         let mut tap = WireObserver::new();
         for i in 0..(TRACE_CAPACITY + 1) {
-            tap.record("c", i as i64, 1);
+            tap.record(c.clone(), i as i64, 1);
         }
-        assert_eq!(tap.drain()["c"].dropped, 1);
-        tap.record("c", 0, 1);
-        assert_eq!(tap.drain()["c"].dropped, 0);
+        assert_eq!(tap.drain()[&c].dropped, 1);
+        tap.record(c.clone(), 0, 1);
+        assert_eq!(tap.drain()[&c].dropped, 0);
     }
 }

@@ -17,6 +17,7 @@ use bsky_atproto::repo::DeltaScope;
 use bsky_atproto::{Datetime, Did, Tid};
 use bsky_pds::{Pds, PdsEventDetail, PdsFleet};
 use std::collections::BTreeMap;
+use std::ops::Bound;
 
 /// Provenance of a firehose event: which PDS outbox produced it, and at
 /// which absolute outbox position (0: the first event that server ever
@@ -37,7 +38,7 @@ pub struct EventOrigin {
 pub struct Relay {
     firehose: FirehoseLog,
     crawl_cursors: BTreeMap<String, usize>,
-    known_dids: BTreeMap<String, Option<String>>,
+    known_dids: BTreeMap<Did, Option<Tid>>,
     stats: RelayStats,
     /// Passive wire tap: per-DID firehose `(time, size)` traces for the §10
     /// traffic observatory. Always on — recording is a couple of integer
@@ -170,14 +171,20 @@ impl Relay {
         match &body {
             EventBody::Commit { did, rev, .. } => {
                 // Track latest known revision for listRepos.
-                self.known_dids
-                    .insert(did.to_string(), Some(rev.to_string()));
+                match self.known_dids.get_mut(did) {
+                    Some(known) => *known = Some(*rev),
+                    None => {
+                        self.known_dids.insert(did.clone(), Some(*rev));
+                    }
+                }
             }
             EventBody::Identity { did } => {
-                self.known_dids.entry(did.to_string()).or_insert(None);
+                if !self.known_dids.contains_key(did) {
+                    self.known_dids.insert(did.clone(), None);
+                }
             }
             EventBody::Tombstone { did } => {
-                self.known_dids.remove(&did.to_string());
+                self.known_dids.remove(did);
             }
             EventBody::HandleChange { .. } | EventBody::Info { .. } => {}
         }
@@ -185,7 +192,7 @@ impl Relay {
             EventBody::Commit { did, .. }
             | EventBody::Identity { did }
             | EventBody::HandleChange { did, .. }
-            | EventBody::Tombstone { did } => Some(did.to_string()),
+            | EventBody::Tombstone { did } => Some(did.clone()),
             EventBody::Info { .. } => None,
         };
         let (seq, wire_size) = self.firehose.append(time, body);
@@ -193,7 +200,7 @@ impl Relay {
         // frame at this instant, keyed by the subject DID.
         if let Some(key) = tap_key {
             self.wire_tap
-                .record(&key, time.timestamp(), wire_size as u64);
+                .record(key, time.timestamp(), wire_size as u64);
         }
         if let Some(origin) = origin {
             self.origins.insert(seq, origin);
@@ -223,7 +230,7 @@ impl Relay {
 
     /// Drain the passive wire tap: per-DID `(time, size)` traces of every
     /// firehose frame appended since the last drain, in DID-sorted order.
-    pub fn take_wire_traces(&mut self) -> BTreeMap<String, ConnTrace> {
+    pub fn take_wire_traces(&mut self) -> BTreeMap<Did, ConnTrace> {
         self.wire_tap.drain()
     }
 
@@ -290,21 +297,16 @@ impl Relay {
         limit: usize,
     ) -> (Vec<(Did, Option<Tid>)>, Option<String>) {
         let limit = limit.max(1);
-        let iter: Box<dyn Iterator<Item = (&String, &Option<String>)>> = match cursor {
-            Some(c) => Box::new(self.known_dids.range::<String, _>((
-                std::ops::Bound::Excluded(c.to_string()),
-                std::ops::Bound::Unbounded,
-            ))),
+        let iter: Box<dyn Iterator<Item = (&Did, &Option<Tid>)>> = match cursor {
+            Some(c) => Box::new(
+                self.known_dids
+                    .range::<str, _>((Bound::Excluded(c), Bound::Unbounded)),
+            ),
             None => Box::new(self.known_dids.iter()),
         };
         let page: Vec<(Did, Option<Tid>)> = iter
             .take(limit)
-            .filter_map(|(did, rev)| {
-                Some((
-                    Did::parse(did).ok()?,
-                    rev.as_deref().and_then(|r| Tid::parse(r).ok()),
-                ))
-            })
+            .map(|(did, rev)| (did.clone(), *rev))
             .collect();
         let next = if page.len() == limit {
             page.last().map(|(did, _)| did.to_string())
@@ -322,7 +324,7 @@ impl Relay {
     /// Whether `sync.listRepos` lists `did`: the relay has crawled an event
     /// of the account and no `#tombstone` of it since.
     pub fn lists_repo(&self, did: &Did) -> bool {
-        self.known_dids.contains_key(&did.as_string())
+        self.known_dids.contains_key(did)
     }
 
     /// `sync.getRepo`, proxied to the PDS hosting the DID: the relay hands

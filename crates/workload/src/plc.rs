@@ -15,8 +15,8 @@ use std::collections::{BTreeMap, BTreeSet};
 /// The PLC directory service.
 #[derive(Debug, Clone, Default)]
 pub struct PlcDirectory {
-    documents: BTreeMap<String, DidDocument>,
-    tombstones: BTreeSet<String>,
+    documents: BTreeMap<Did, DidDocument>,
+    tombstones: BTreeSet<Did>,
 }
 
 impl PlcDirectory {
@@ -34,11 +34,11 @@ impl PlcDirectory {
                 document.did
             )));
         }
-        let key = document.did.to_string();
-        if self.documents.contains_key(&key) || self.tombstones.contains(&key) {
-            return Err(AtError::InvalidDid(format!("{key} already registered")));
+        let did = &document.did;
+        if self.documents.contains_key(did) || self.tombstones.contains(did) {
+            return Err(AtError::InvalidDid(format!("{did} already registered")));
         }
-        self.documents.insert(key, document);
+        self.documents.insert(did.clone(), document);
         Ok(())
     }
 
@@ -48,22 +48,20 @@ impl PlcDirectory {
         did: &Did,
         mutate: impl FnOnce(&mut DidDocument),
     ) -> Result<()> {
-        let key = did.to_string();
         let doc = self
             .documents
-            .get_mut(&key)
-            .ok_or_else(|| AtError::InvalidDid(format!("{key} not registered")))?;
+            .get_mut(did)
+            .ok_or_else(|| AtError::InvalidDid(format!("{did} not registered")))?;
         mutate(doc);
         Ok(())
     }
 
     /// Tombstone (delete) an identity.
     pub(crate) fn tombstone(&mut self, did: &Did) -> Result<()> {
-        let key = did.to_string();
-        if self.documents.remove(&key).is_none() {
-            return Err(AtError::InvalidDid(format!("{key} not registered")));
+        if self.documents.remove(did).is_none() {
+            return Err(AtError::InvalidDid(format!("{did} not registered")));
         }
-        self.tombstones.insert(key);
+        self.tombstones.insert(did.clone());
         Ok(())
     }
 
@@ -76,11 +74,11 @@ impl PlcDirectory {
         page_size: usize,
     ) -> (Vec<&DidDocument>, Option<String>) {
         let page_size = page_size.max(1);
-        let iter: Box<dyn Iterator<Item = (&String, &DidDocument)>> = match cursor {
-            Some(c) => Box::new(self.documents.range::<String, _>((
-                std::ops::Bound::Excluded(c.to_string()),
-                std::ops::Bound::Unbounded,
-            ))),
+        let iter: Box<dyn Iterator<Item = (&Did, &DidDocument)>> = match cursor {
+            Some(c) => Box::new(
+                self.documents
+                    .range::<str, _>((std::ops::Bound::Excluded(c), std::ops::Bound::Unbounded)),
+            ),
             None => Box::new(self.documents.iter()),
         };
         let page: Vec<&DidDocument> = iter.take(page_size).map(|(_, d)| d).collect();
@@ -114,20 +112,20 @@ mod tests {
         let did = d.did.clone();
         plc.create(d).unwrap();
         assert_eq!(plc.documents.len(), 1);
-        assert!(plc.documents.contains_key(&did.to_string()));
+        assert!(plc.documents.contains_key(&did));
 
         plc.update(&did, |doc| {
             doc.handle = Handle::parse("alice.example.com").unwrap();
         })
         .unwrap();
         assert_eq!(
-            plc.documents.get(&did.to_string()).unwrap().handle.as_str(),
+            plc.documents.get(&did).unwrap().handle.as_str(),
             "alice.example.com"
         );
 
         plc.tombstone(&did).unwrap();
-        assert!(!plc.documents.contains_key(&did.to_string()));
-        assert!(plc.tombstones.contains(&did.to_string()));
+        assert!(!plc.documents.contains_key(&did));
+        assert!(plc.tombstones.contains(&did));
         // Cannot recreate a tombstoned DID.
         assert!(plc.create(doc("alice")).is_err());
     }
@@ -140,7 +138,7 @@ mod tests {
         let missing = Did::plc_from_seed(b"missing");
         assert!(plc.update(&missing, |_| {}).is_err());
         assert!(plc.tombstone(&missing).is_err());
-        assert!(!plc.tombstones.contains(&missing.to_string()));
+        assert!(!plc.tombstones.contains(&missing));
     }
 
     #[test]

@@ -359,7 +359,7 @@ impl PopulationPlan {
                 // The per-day streams are derived from the user's DID, so a
                 // shard holding this DID regenerates exactly the streams the
                 // serial run uses.
-                user_rngs.push(root.fork(&profile.did.to_string()));
+                user_rngs.push(root.fork(profile.did.as_str()));
                 did_hashes.push(did_hash(&profile.did));
                 join_days.push(day_idx as u32);
                 profiles.push(profile);

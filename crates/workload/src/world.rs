@@ -781,7 +781,7 @@ impl World {
         // from dedicated fault forks — never from the user's content stream
         // — so a quiet plan leaves this path byte-inert, and the distinct
         // `f`-prefixed rkeys never collide with planned (`p`/`r`) keys.
-        let spam_count = self.faults.spam_posts(&user.did.as_string(), day_idx);
+        let spam_count = self.faults.spam_posts(user.did.as_str(), day_idx);
         for slot in 0..spam_count {
             let post = PostRecord::simple(
                 format!("fresh followers fast, link in bio #{slot}"),
@@ -1023,7 +1023,7 @@ impl World {
             .map(|u| (u.did.clone(), u.handle.clone()))
             .collect();
         for (did, handle) in displaced {
-            let slot = self.faults.rehome_slot(&did.to_string()) as usize % survivors.len();
+            let slot = self.faults.rehome_slot(did.as_str()) as usize % survivors.len();
             let destination = survivors[slot].clone();
             if self
                 .fleet
@@ -1088,7 +1088,7 @@ impl World {
     fn apply_tombstone_storm(&mut self, today: Datetime) {
         let dids: Vec<Did> = self.users.iter().map(|u| u.did.clone()).collect();
         for did in dids {
-            if !self.faults.storm_tombstone(&did.to_string()) {
+            if !self.faults.storm_tombstone(did.as_str()) {
                 continue;
             }
             let deleted = self
