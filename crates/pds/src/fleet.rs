@@ -5,6 +5,10 @@
 //! opened, anyone can run a self-hosted PDS and users can migrate onto it
 //! while keeping their social graph (§2). The fleet tracks which PDS hosts
 //! which account — the piece of state a Relay crawler walks.
+//!
+//! Every server joins before the first account does, so a server's place in
+//! the hostname-sorted list never moves and the routing table keeps that
+//! place, not a copy of the hostname.
 
 use crate::server::{Pds, PdsOperator};
 use bsky_atproto::blockstore::{StoreConfig, StoreStats};
@@ -16,8 +20,11 @@ use std::collections::BTreeMap;
 /// A collection of PDS instances plus the DID → PDS routing table.
 #[derive(Debug, Default)]
 pub struct PdsFleet {
-    servers: BTreeMap<String, Pds>,
-    routing: BTreeMap<Did, String>,
+    /// Every server, in hostname order.
+    servers: Vec<Pds>,
+    /// The DID of every account, mapped to the index in `servers` of the
+    /// server hosting it.
+    routing: BTreeMap<Did, usize>,
 }
 
 impl PdsFleet {
@@ -40,25 +47,46 @@ impl PdsFleet {
         fleet
     }
 
-    /// Add a server (default or self-hosted).
+    /// Add a server (default or self-hosted), replacing one of the same
+    /// hostname. Servers join before the first account.
     pub fn add_server(&mut self, pds: Pds) {
-        self.servers.insert(pds.hostname().to_string(), pds);
+        assert!(
+            self.routing.is_empty(),
+            "every server joins the fleet before the first account"
+        );
+        match self.position(pds.hostname()) {
+            Ok(at) => self.servers[at] = pds,
+            Err(at) => self.servers.insert(at, pds),
+        }
+    }
+
+    /// Where `hostname` is, or would be, in the hostname-sorted list.
+    fn position(&self, hostname: &str) -> std::result::Result<usize, usize> {
+        self.servers
+            .binary_search_by(|server| server.hostname().cmp(hostname))
+    }
+
+    /// The index of the server named `hostname`, or the error for it.
+    fn index(&self, hostname: &str) -> Result<usize> {
+        self.position(hostname)
+            .map_err(|_| AtError::RepoError(format!("no PDS named {hostname}")))
     }
 
     /// Iterate servers (hostname order).
     pub fn servers(&self) -> impl Iterator<Item = &Pds> {
-        self.servers.values()
+        self.servers.iter()
     }
 
     /// Access a server by hostname.
     pub fn server(&self, hostname: &str) -> Option<&Pds> {
-        self.servers.get(hostname)
+        let at = self.position(hostname).ok()?;
+        Some(&self.servers[at])
     }
 
     /// Hostnames of Bluesky-operated default servers.
     pub fn default_hostnames(&self) -> Vec<String> {
         self.servers
-            .values()
+            .iter()
             .filter(|p| p.operator() == PdsOperator::BlueskyPbc)
             .map(|p| p.hostname().to_string())
             .collect()
@@ -66,34 +94,34 @@ impl PdsFleet {
 
     /// The hostname of the PDS hosting a DID.
     pub fn locate(&self, did: &Did) -> Option<&str> {
-        self.routing.get(did).map(String::as_str)
+        self.pds_for(did).map(Pds::hostname)
     }
 
     /// The PDS hosting a DID.
     pub fn pds_for(&self, did: &Did) -> Option<&Pds> {
-        self.locate(did).and_then(|h| self.servers.get(h))
+        let at = *self.routing.get(did)?;
+        Some(&self.servers[at])
     }
 
     /// Mutable access to the PDS hosting a DID.
     pub fn pds_for_mut(&mut self, did: &Did) -> Option<&mut Pds> {
-        let host = self.routing.get(did)?;
-        self.servers.get_mut(host)
+        let at = *self.routing.get(did)?;
+        Some(&mut self.servers[at])
     }
 
-    /// Create an account on a specific server.
+    /// Create an account on a specific server. (`_handle` is unused: a PDS
+    /// keeps no handle, and the signature is part of the benchmark's pinned
+    /// surface.)
     pub fn create_account_on(
         &mut self,
         hostname: &str,
         did: Did,
-        handle: Handle,
+        _handle: Handle,
         at: Datetime,
     ) -> Result<()> {
-        let server = self
-            .servers
-            .get_mut(hostname)
-            .ok_or_else(|| AtError::RepoError(format!("no PDS named {hostname}")))?;
-        server.create_account(did.clone(), handle, at)?;
-        self.routing.insert(did, hostname.to_string());
+        let server = self.index(hostname)?;
+        self.servers[server].create_account(did.clone(), at)?;
+        self.routing.insert(did, server);
         Ok(())
     }
 
@@ -104,37 +132,29 @@ impl PdsFleet {
         &mut self,
         did: &Did,
         destination: &str,
-        new_handle: Handle,
         at: Datetime,
     ) -> Result<String> {
-        let origin_host = self
-            .locate(did)
-            .ok_or_else(|| AtError::RepoError(format!("{did} not hosted anywhere")))?
-            .to_string();
-        if origin_host == destination {
+        let origin = *self
+            .routing
+            .get(did)
+            .ok_or_else(|| AtError::RepoError(format!("{did} not hosted anywhere")))?;
+        let dest = self.index(destination)?;
+        if dest == origin {
             return Err(AtError::RepoError(
                 "already hosted on the destination".into(),
             ));
         }
-        if !self.servers.contains_key(destination) {
-            return Err(AtError::RepoError(format!("no PDS named {destination}")));
-        }
-        let repo = self
-            .servers
-            .get_mut(&origin_host)
-            .expect("origin exists")
-            .migrate_out(did, at)?;
-        let dest = self.servers.get_mut(destination).expect("checked above");
-        dest.migrate_in(repo, new_handle, at)?;
-        self.routing.insert(did.clone(), destination.to_string());
-        Ok(dest.endpoint())
+        let repo = self.servers[origin].migrate_out(did, at)?;
+        self.servers[dest].migrate_in(repo, at)?;
+        self.routing.insert(did.clone(), dest);
+        Ok(self.servers[dest].endpoint())
     }
 
     /// Run the repository compaction pass on every server (the study
     /// pipeline calls this on its weekly snapshot cadence).
     pub fn compact_all(&mut self, cutoff: &Tid) -> CompactionStats {
         let mut stats = CompactionStats::default();
-        for server in self.servers.values_mut() {
+        for server in &mut self.servers {
             stats.absorb(&server.compact_repos(cutoff));
         }
         stats
@@ -146,7 +166,7 @@ impl PdsFleet {
     /// has taken its events.
     pub fn trim_outboxes(&mut self, crawled: &[usize]) {
         assert_eq!(crawled.len(), self.servers.len(), "one cursor per server");
-        for (server, upto) in self.servers.values_mut().zip(crawled) {
+        for (server, upto) in self.servers.iter_mut().zip(crawled) {
             server.trim_outbox(*upto);
         }
     }
@@ -154,7 +174,7 @@ impl PdsFleet {
     /// Aggregate block-store statistics across every server's repositories.
     pub fn store_stats(&self) -> StoreStats {
         let mut stats = StoreStats::default();
-        for server in self.servers.values() {
+        for server in &self.servers {
             stats.absorb(&server.store_stats());
         }
         stats
@@ -180,6 +200,55 @@ mod tests {
         assert!(fleet.server("pds001.host.bsky.network").is_some());
         assert!(fleet.server("missing").is_none());
         assert_eq!(fleet.routing.len(), 0);
+    }
+
+    #[test]
+    fn servers_sit_in_hostname_order_whatever_order_they_join() {
+        let mut fleet = PdsFleet::new();
+        for host in ["self.example", "pds002.host.bsky.network", "a.example"] {
+            fleet.add_server(Pds::with_store(
+                host,
+                PdsOperator::SelfHosted,
+                StoreConfig::default(),
+            ));
+        }
+        fleet.add_server(Pds::with_store(
+            "self.example",
+            PdsOperator::BlueskyPbc,
+            StoreConfig::default(),
+        ));
+        let hosts: Vec<&str> = fleet.servers().map(Pds::hostname).collect();
+        assert_eq!(
+            hosts,
+            ["a.example", "pds002.host.bsky.network", "self.example"]
+        );
+        assert_eq!(fleet.default_hostnames(), ["self.example"]);
+        let did = Did::plc_from_seed(b"dave");
+        let handle = Handle::parse("dave.bsky.social").unwrap();
+        fleet
+            .create_account_on("pds002.host.bsky.network", did.clone(), handle, now())
+            .unwrap();
+        assert_eq!(fleet.locate(&did), Some("pds002.host.bsky.network"));
+    }
+
+    #[test]
+    #[should_panic(expected = "before the first account")]
+    fn a_server_cannot_join_after_an_account() {
+        let mut fleet = PdsFleet::with_default_servers_store(1, &StoreConfig::default());
+        let handle = Handle::parse("erin.bsky.social").unwrap();
+        fleet
+            .create_account_on(
+                "pds001.host.bsky.network",
+                Did::plc_from_seed(b"erin"),
+                handle,
+                now(),
+            )
+            .unwrap();
+        fleet.add_server(Pds::with_store(
+            "late.example",
+            PdsOperator::SelfHosted,
+            StoreConfig::default(),
+        ));
     }
 
     #[test]
@@ -236,14 +305,7 @@ mod tests {
             )
             .unwrap();
 
-        let endpoint = fleet
-            .migrate_account(
-                &did,
-                "self.example",
-                Handle::parse("carol.example.com").unwrap(),
-                now(),
-            )
-            .unwrap();
+        let endpoint = fleet.migrate_account(&did, "self.example", now()).unwrap();
         assert_eq!(endpoint, "https://self.example");
         assert_eq!(fleet.locate(&did), Some("self.example"));
         let moved = fleet.pds_for(&did).unwrap().repo(&did).unwrap();
@@ -253,28 +315,12 @@ mod tests {
         );
         // Errors: unknown destination, migrating to the same host, unknown DID.
         assert!(fleet
-            .migrate_account(
-                &did,
-                "nowhere.example",
-                Handle::parse("c.example.com").unwrap(),
-                now()
-            )
+            .migrate_account(&did, "nowhere.example", now())
             .is_err());
+        assert!(fleet.migrate_account(&did, "self.example", now()).is_err());
+        let nobody = Did::plc_from_seed(b"nobody");
         assert!(fleet
-            .migrate_account(
-                &did,
-                "self.example",
-                Handle::parse("c.example.com").unwrap(),
-                now()
-            )
-            .is_err());
-        assert!(fleet
-            .migrate_account(
-                &Did::plc_from_seed(b"nobody"),
-                "self.example",
-                Handle::parse("n.example.com").unwrap(),
-                now()
-            )
+            .migrate_account(&nobody, "self.example", now())
             .is_err());
     }
 }

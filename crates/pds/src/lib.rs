@@ -2,18 +2,20 @@
 //!
 //! Personal Data Servers for the simulated Bluesky network (§2 of the paper).
 //!
-//! * `account` — hosted accounts: identity and status.
-//! * [`server`] — a single PDS: repository hosting, the `com.atproto.sync.*`
-//!   endpoints the Relay crawls, handle changes, deletions and migrations.
+//! * [`server`] — a single PDS: one DID-keyed table of hosted accounts and
+//!   their repositories, the `com.atproto.sync.*` endpoints the Relay
+//!   crawls, and an outbox of the firehose frames (`#commit`, `#identity`,
+//!   `#handle`, `#tombstone`) its writes, handle changes, deletions and
+//!   migrations emit.
 //! * [`fleet`] — the fleet of default Bluesky-operated PDSes plus self-hosted
-//!   servers, with the DID → PDS routing table and account migration.
+//!   servers, in hostname order, with the DID → PDS routing table and
+//!   account migration.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod account;
 pub mod fleet;
 pub mod server;
 
 pub use fleet::PdsFleet;
-pub use server::{Pds, PdsEventDetail, PdsOperator};
+pub use server::{Pds, PdsOperator};

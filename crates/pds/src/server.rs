@@ -4,27 +4,41 @@
 //! exposes the `com.atproto.sync.*` endpoints the Relay crawls: `listRepos`
 //! (paginated DID + latest revision), `getRepo` (CAR export, with a
 //! `since=rev` delta variant serving only the blocks created after a known
-//! revision) and an event outbox that stands in for `subscribeRepos` at the
-//! PDS level (§2, §3).
+//! revision) and an outbox of the `subscribeRepos` frames it emits — one
+//! `#commit`, `#identity`, `#handle` or `#tombstone` body per change, which
+//! the Relay sequences and republishes as the firehose (§2, §3).
 //!
-//! The outbox drains. Every event has an *absolute position* — 0 for the
-//! first event the server ever produced — and a crawler's cursor is such a
+//! Each account is one entry of one DID-keyed table: its repository while
+//! the account is active here, nothing once it was deleted or migrated out.
+//! The empty entry stays, so the DID cannot sign up here again, a second
+//! deletion still emits a `#tombstone` and a migration back revives it.
+//! The account's private settings — moderation preferences among them —
+//! are not modelled: the study deliberately does not crawl them (§6: "the
+//! user preferences are not publicly visible and we make no attempt to
+//! reveal them"), and nothing in the simulation reads them.
+//!
+//! The outbox drains. Every frame has an *absolute position* — 0 for the
+//! first frame the server ever produced — and a crawler's cursor is such a
 //! position, so it keeps its meaning however much of the outbox is still
-//! held. `Pds::trim_outbox` lets go of the events below a position and
-//! counts them; [`Pds::events_since`] serves from the first event still held.
-//! Who trims owns the contract: only events every crawler of this server has
-//! taken may go. A crawler that asks for a position already let go is served
-//! from the first retained event and can tell — the slice it gets starts
-//! later than it asked — and must count the gap rather than hide it (the
-//! relay does, in `RelayStats::outbox_positions_skipped`).
+//! held. `Pds::trim_outbox` lets go of the frames below a position and
+//! counts them; [`Pds::events_since`] serves from the first frame still
+//! held. Who trims owns the contract: only frames every crawler of this
+//! server has taken may go. A crawler that asks for a position already let
+//! go is served from the first retained frame and can tell — the slice it
+//! gets starts later than it asked — and must count the gap rather than
+//! hide it (the relay does, in `RelayStats::outbox_positions_skipped`).
 
-use crate::account::{Account, AccountStatus};
 use bsky_atproto::blockstore::{StoreConfig, StoreStats};
 use bsky_atproto::error::{AtError, Result};
+use bsky_atproto::firehose::EventBody;
 use bsky_atproto::record::Record;
 use bsky_atproto::repo::{CommitResult, CompactionStats, DeltaScope, Repository, Write};
 use bsky_atproto::{Datetime, Did, Handle, Nsid, Tid};
 use std::collections::BTreeMap;
+
+/// A commit whose new blocks exceed this many bytes is flagged `tooBig`:
+/// the consumer is expected to re-sync the repository instead.
+const TOO_BIG_BYTES: usize = 1_000_000;
 
 /// Who operates a PDS (§2: Bluesky PBC runs the defaults, self-hosting is
 /// possible since federation opened).
@@ -36,43 +50,21 @@ pub enum PdsOperator {
     SelfHosted,
 }
 
-/// An event produced by a PDS, to be picked up by the Relay crawler.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PdsEvent {
-    /// When the PDS registered the event.
-    pub at: Datetime,
-    /// The account concerned.
-    pub did: Did,
-    /// What happened.
-    pub detail: PdsEventDetail,
-}
-
-/// Event payloads a PDS can emit.
-#[derive(Debug, Clone, PartialEq)]
-pub enum PdsEventDetail {
-    /// A repository commit (new records, updates, deletions).
-    Commit(CommitResult),
-    /// The account's handle changed.
-    HandleChange(Handle),
-    /// The account's DID document changed (PDS migration, key rotation, ...).
-    IdentityUpdate,
-    /// The account was deleted.
-    AccountDelete,
-}
-
-/// A Personal Data Server instance. Its event outbox is read by absolute
-/// position and drains under `Pds::trim_outbox`; the module docs state who
-/// may trim and what a crawler that fell behind is owed.
+/// A Personal Data Server instance. Its outbox of firehose frames is read
+/// by absolute position and drains under `Pds::trim_outbox`; the module
+/// docs state who may trim and what a crawler that fell behind is owed.
 #[derive(Debug)]
 pub struct Pds {
     hostname: String,
     operator: PdsOperator,
-    accounts: BTreeMap<Did, Account>,
-    repos: BTreeMap<Did, Repository>,
-    /// The events still held, oldest first: `outbox[i]` is the event at
-    /// absolute position `outbox_trimmed + i`.
-    outbox: Vec<PdsEvent>,
-    /// Events let go by [`Pds::trim_outbox`]: the position of `outbox[0]`.
+    /// Every account this server has hosted: its repository while it is
+    /// active here, `None` once it was deleted or migrated out.
+    hosted: BTreeMap<Did, Option<Repository>>,
+    /// The frames still held, oldest first, each with the time the PDS
+    /// registered it: `outbox[i]` is the frame at absolute position
+    /// `outbox_trimmed + i`.
+    outbox: Vec<(Datetime, EventBody)>,
+    /// Frames let go by [`Pds::trim_outbox`]: the position of `outbox[0]`.
     outbox_trimmed: usize,
     /// Block-store backend every hosted repository is created over.
     store_config: StoreConfig,
@@ -89,8 +81,7 @@ impl Pds {
         Pds {
             hostname: hostname.into(),
             operator,
-            accounts: BTreeMap::new(),
-            repos: BTreeMap::new(),
+            hosted: BTreeMap::new(),
             outbox: Vec::new(),
             outbox_trimmed: 0,
             store_config,
@@ -112,64 +103,65 @@ impl Pds {
         self.operator
     }
 
-    /// Create an account and its empty repository.
-    pub(crate) fn create_account(&mut self, did: Did, handle: Handle, at: Datetime) -> Result<()> {
-        if self.accounts.contains_key(&did) {
+    /// Create an account and its empty repository. A DID this server has
+    /// ever hosted is refused.
+    pub(crate) fn create_account(&mut self, did: Did, at: Datetime) -> Result<()> {
+        if self.hosted.contains_key(&did) {
             return Err(AtError::RepoError(format!("{did} already hosted here")));
         }
-        self.accounts
-            .insert(did.clone(), Account::new(did.clone(), handle, at));
-        self.repos.insert(
+        let repo = Repository::with_store(
             did.clone(),
-            Repository::with_store(
-                did.clone(),
-                self.hostname.as_bytes(),
-                self.store_config.build(),
-            ),
+            self.hostname.as_bytes(),
+            self.store_config.build(),
         );
-        self.outbox.push(PdsEvent {
-            at,
-            did,
-            detail: PdsEventDetail::IdentityUpdate,
-        });
+        self.hosted.insert(did.clone(), Some(repo));
+        self.outbox.push((at, EventBody::Identity { did }));
         Ok(())
     }
 
     /// Access a hosted repository.
     pub fn repo(&self, did: &Did) -> Option<&Repository> {
-        self.repos.get(did)
+        self.hosted.get(did)?.as_ref()
     }
 
-    /// Whether `did` has an active account here: the status every write
-    /// checks first.
+    /// Whether `did` has an active account here — a repository — which is
+    /// what every write checks first.
     pub fn is_active(&self, did: &Did) -> bool {
-        let account = self.accounts.get(did);
-        account.is_some_and(|a| a.status == AccountStatus::Active)
+        self.repo(did).is_some()
     }
 
-    /// Apply a batch of writes to a hosted repository, emitting a commit
-    /// event for the Relay.
+    /// The active repository of `did`, or the error a write to it returns.
+    fn active_repo(&mut self, did: &Did) -> Result<&mut Repository> {
+        match self.hosted.get_mut(did) {
+            Some(Some(repo)) => Ok(repo),
+            Some(None) => Err(AtError::RepoError(format!("{did} is not active"))),
+            None => Err(AtError::RepoError(format!("{did} not hosted here"))),
+        }
+    }
+
+    /// Queue the `#commit` frame of a commit to `did`'s repository.
+    fn emit_commit(&mut self, did: &Did, result: &CommitResult, at: Datetime) {
+        let body = EventBody::Commit {
+            did: did.clone(),
+            commit: result.commit_cid,
+            rev: result.commit.rev,
+            ops: result.ops.clone(),
+            blocks_bytes: result.bytes_written,
+            too_big: result.bytes_written > TOO_BIG_BYTES,
+        };
+        self.outbox.push((at, body));
+    }
+
+    /// Apply a batch of writes to a hosted repository, emitting its
+    /// `#commit` frame.
     pub fn apply_writes(
         &mut self,
         did: &Did,
         writes: &[Write],
         at: Datetime,
     ) -> Result<CommitResult> {
-        match self.accounts.get(did) {
-            Some(a) if a.status == AccountStatus::Active => {}
-            Some(_) => return Err(AtError::RepoError(format!("{did} is not active"))),
-            None => return Err(AtError::RepoError(format!("{did} not hosted here"))),
-        }
-        let repo = self
-            .repos
-            .get_mut(did)
-            .ok_or_else(|| AtError::RepoError(format!("{did} has no repo")))?;
-        let result = repo.apply_writes(writes, at)?;
-        self.outbox.push(PdsEvent {
-            at,
-            did: did.clone(),
-            detail: PdsEventDetail::Commit(result.clone()),
-        });
+        let result = self.active_repo(did)?.apply_writes(writes, at)?;
+        self.emit_commit(did, &result, at);
         Ok(result)
     }
 
@@ -181,94 +173,63 @@ impl Pds {
         record: Record,
         at: Datetime,
     ) -> Result<(String, CommitResult)> {
-        if !self.is_active(did) {
-            return Err(AtError::RepoError(format!("{did} is not active")));
-        }
-        let repo = self
-            .repos
-            .get_mut(did)
-            .ok_or_else(|| AtError::RepoError(format!("{did} not hosted here")))?;
-        let (rkey, result) = repo.create_record(collection, record, at)?;
-        self.outbox.push(PdsEvent {
-            at,
-            did: did.clone(),
-            detail: PdsEventDetail::Commit(result.clone()),
-        });
+        let (rkey, result) = self
+            .active_repo(did)?
+            .create_record(collection, record, at)?;
+        self.emit_commit(did, &result, at);
         Ok((rkey, result))
     }
 
-    /// Change an account's handle, emitting a handle-change event.
+    /// Change an account's handle, emitting a `#handle` frame.
     pub fn change_handle(&mut self, did: &Did, new_handle: Handle, at: Datetime) -> Result<()> {
-        let account = self
-            .accounts
-            .get_mut(did)
-            .ok_or_else(|| AtError::RepoError(format!("{did} not hosted here")))?;
-        account.handle = new_handle.clone();
-        self.outbox.push(PdsEvent {
-            at,
+        if !self.hosted.contains_key(did) {
+            return Err(AtError::RepoError(format!("{did} not hosted here")));
+        }
+        let body = EventBody::HandleChange {
             did: did.clone(),
-            detail: PdsEventDetail::HandleChange(new_handle),
-        });
+            handle: new_handle,
+        };
+        self.outbox.push((at, body));
         Ok(())
     }
 
-    /// Delete an account, emitting a tombstone event. The repository is
+    /// Delete an account, emitting a `#tombstone` frame. The repository is
     /// dropped from this PDS.
     pub fn delete_account(&mut self, did: &Did, at: Datetime) -> Result<()> {
-        let account = self
-            .accounts
+        let slot = self
+            .hosted
             .get_mut(did)
             .ok_or_else(|| AtError::RepoError(format!("{did} not hosted here")))?;
-        account.status = AccountStatus::Deleted;
-        self.repos.remove(did);
-        self.outbox.push(PdsEvent {
-            at,
-            did: did.clone(),
-            detail: PdsEventDetail::AccountDelete,
-        });
+        *slot = None;
+        self.outbox
+            .push((at, EventBody::Tombstone { did: did.clone() }));
         Ok(())
     }
 
     /// Remove a repository as part of a migration to another PDS, returning
-    /// it so the destination can import it. The account entry stays as a
-    /// deactivated stub.
+    /// it so the destination can import it. The account's entry stays,
+    /// empty.
     pub(crate) fn migrate_out(&mut self, did: &Did, at: Datetime) -> Result<Repository> {
         let repo = self
-            .repos
-            .remove(did)
+            .hosted
+            .get_mut(did)
+            .and_then(Option::take)
             .ok_or_else(|| AtError::RepoError(format!("{did} not hosted here")))?;
-        if let Some(account) = self.accounts.get_mut(did) {
-            account.status = AccountStatus::Deactivated;
-        }
-        self.outbox.push(PdsEvent {
-            at,
-            did: did.clone(),
-            detail: PdsEventDetail::IdentityUpdate,
-        });
+        self.outbox
+            .push((at, EventBody::Identity { did: did.clone() }));
         Ok(repo)
     }
 
-    /// Import a repository migrated from another PDS.
-    pub(crate) fn migrate_in(
-        &mut self,
-        repo: Repository,
-        handle: Handle,
-        at: Datetime,
-    ) -> Result<()> {
+    /// Import a repository migrated from another PDS, reviving the account's
+    /// entry if it once lived here.
+    pub(crate) fn migrate_in(&mut self, repo: Repository, at: Datetime) -> Result<()> {
         let did = repo.did().clone();
-        if self.repos.contains_key(&did) {
+        let slot = self.hosted.entry(did.clone()).or_default();
+        if slot.is_some() {
             return Err(AtError::RepoError(format!("{did} already hosted here")));
         }
-        self.repos.insert(did.clone(), repo);
-        self.accounts
-            .entry(did.clone())
-            .and_modify(|a| a.status = AccountStatus::Active)
-            .or_insert_with(|| Account::new(did.clone(), handle.clone(), at));
-        self.outbox.push(PdsEvent {
-            at,
-            did,
-            detail: PdsEventDetail::IdentityUpdate,
-        });
+        *slot = Some(repo);
+        self.outbox.push((at, EventBody::Identity { did }));
         Ok(())
     }
 
@@ -276,8 +237,7 @@ impl Pds {
 
     /// `sync.getRepo`: CAR export of a hosted repository.
     pub fn get_repo(&mut self, did: &Did) -> Result<Vec<u8>> {
-        self.repos
-            .get(did)
+        self.repo(did)
             .map(Repository::export_car)
             .ok_or_else(|| AtError::RepoError(format!("{did} not hosted here")))
     }
@@ -289,18 +249,18 @@ impl Pds {
     /// is unknown (rewound / replaced repo), in which case the caller must
     /// fall back to a full [`Pds::get_repo`].
     pub fn get_repo_since(&mut self, did: &Did, since: &Tid, scope: DeltaScope) -> Result<Vec<u8>> {
-        self.repos
-            .get(did)
+        self.repo(did)
             .ok_or_else(|| AtError::RepoError(format!("{did} not hosted here")))?
             .export_car_since(since, scope)
     }
 
-    /// Events at or after the absolute outbox position `cursor` (the
-    /// Relay's per-PDS crawl cursor) that are still held. Returns the slice
-    /// and the next cursor; the slice ends at that cursor, so its first
-    /// event sits at `next - slice.len()` — later than `cursor` exactly when
-    /// positions the caller never saw were trimmed.
-    pub fn events_since(&self, cursor: usize) -> (&[PdsEvent], usize) {
+    /// Frames at or after the absolute outbox position `cursor` (the
+    /// Relay's per-PDS crawl cursor) that are still held, each with the
+    /// time the PDS registered it. Returns the slice and the next cursor;
+    /// the slice ends at that cursor, so its first frame sits at
+    /// `next - slice.len()` — later than `cursor` exactly when positions
+    /// the caller never saw were trimmed.
+    pub fn events_since(&self, cursor: usize) -> (&[(Datetime, EventBody)], usize) {
         let start = cursor
             .saturating_sub(self.outbox_trimmed)
             .min(self.outbox.len());
@@ -310,7 +270,7 @@ impl Pds {
         )
     }
 
-    /// Let go of every held event below the absolute position `upto`,
+    /// Let go of every held frame below the absolute position `upto`,
     /// returning how many went. The caller vouches that every crawler of
     /// this server is at or past `upto`. A position at or below what was
     /// already trimmed is a no-op, so trimming twice is idempotent.
@@ -323,12 +283,17 @@ impl Pds {
         gone
     }
 
+    /// Every active repository, in DID order.
+    fn repos(&self) -> impl Iterator<Item = &Repository> {
+        self.hosted.values().flatten()
+    }
+
     /// Run the compaction pass over every hosted repository: commits that
     /// aged out of the delta-serving window ending at `cutoff` are dropped
     /// (see [`Repository::compact_before`]).
     pub(crate) fn compact_repos(&mut self, cutoff: &Tid) -> CompactionStats {
         let mut stats = CompactionStats::default();
-        for repo in self.repos.values_mut() {
+        for repo in self.hosted.values_mut().flatten() {
             stats.absorb(&repo.compact_before(cutoff));
         }
         stats
@@ -337,7 +302,7 @@ impl Pds {
     /// Aggregate block-store statistics over every hosted repository.
     pub(crate) fn store_stats(&self) -> StoreStats {
         let mut stats = StoreStats::default();
-        for repo in self.repos.values() {
+        for repo in self.repos() {
             stats.absorb(&repo.store_stats());
         }
         stats
@@ -345,7 +310,7 @@ impl Pds {
 
     /// All hosted DIDs.
     pub fn hosted_dids(&self) -> Vec<Did> {
-        self.repos.values().map(|r| r.did().clone()).collect()
+        self.repos().map(|r| r.did().clone()).collect()
     }
 }
 
@@ -372,19 +337,14 @@ mod tests {
             StoreConfig::default(),
         );
         let did = Did::plc_from_seed(b"alice");
-        pds.create_account(
-            did.clone(),
-            Handle::parse("alice.bsky.social").unwrap(),
-            now(),
-        )
-        .unwrap();
+        pds.create_account(did.clone(), now()).unwrap();
         (pds, did)
     }
 
     #[test]
     fn account_lifecycle_and_events() {
         let (mut pds, did) = pds_with_alice();
-        assert_eq!(pds.accounts.len(), 1);
+        assert_eq!(pds.hosted.len(), 1);
         assert!(pds.repo(&did).is_some());
         assert_eq!(pds.endpoint(), "https://pds001.host.bsky.network");
 
@@ -398,16 +358,21 @@ mod tests {
             .unwrap();
         assert_eq!(result.ops.len(), 1);
 
-        pds.change_handle(&did, Handle::parse("alice.example.com").unwrap(), now())
-            .unwrap();
-        assert_eq!(pds.accounts[&did].handle.as_str(), "alice.example.com");
+        let handle = Handle::parse("alice.example.com").unwrap();
+        pds.change_handle(&did, handle.clone(), now()).unwrap();
 
         let (events, next) = pds.events_since(0);
         // identity (create), commit, handle change
         assert_eq!(events.len(), 3);
-        assert!(matches!(events[0].detail, PdsEventDetail::IdentityUpdate));
-        assert!(matches!(events[1].detail, PdsEventDetail::Commit(_)));
-        assert!(matches!(events[2].detail, PdsEventDetail::HandleChange(_)));
+        assert!(matches!(events[0].1, EventBody::Identity { .. }));
+        assert!(matches!(events[1].1, EventBody::Commit { .. }));
+        assert_eq!(
+            events[2].1,
+            EventBody::HandleChange {
+                did: did.clone(),
+                handle
+            }
+        );
         // Cursor semantics.
         let (later, _) = pds.events_since(next);
         assert!(later.is_empty());
@@ -418,7 +383,102 @@ mod tests {
             .create_record(&did, Nsid::parse(known::POST).unwrap(), post("x"), now())
             .is_err());
         let (events, _) = pds.events_since(next);
-        assert!(matches!(events[0].detail, PdsEventDetail::AccountDelete));
+        assert!(matches!(events[0].1, EventBody::Tombstone { .. }));
+    }
+
+    /// The frame types the outbox holds from `cursor` on, and the cursor
+    /// after them.
+    fn frames_since(pds: &Pds, cursor: usize) -> (Vec<&'static str>, usize) {
+        let (frames, next) = pds.events_since(cursor);
+        let name = |(_, body): &(Datetime, EventBody)| match body {
+            EventBody::Commit { .. } => "#commit",
+            EventBody::Identity { .. } => "#identity",
+            EventBody::HandleChange { .. } => "#handle",
+            EventBody::Tombstone { .. } => "#tombstone",
+            EventBody::Info { .. } => "#info",
+        };
+        (frames.iter().map(name).collect(), next)
+    }
+
+    #[test]
+    fn one_account_lives_and_dies_in_one_entry() {
+        let (mut home, did) = pds_with_alice();
+        let mut away = Pds::with_store(
+            "self.example",
+            PdsOperator::SelfHosted,
+            StoreConfig::default(),
+        );
+        let posts = Nsid::parse(known::POST).unwrap();
+        let write = |pds: &mut Pds, text: &str| {
+            let batch = [Write::Create {
+                collection: posts.clone(),
+                rkey: text.replace(' ', "-"),
+                record: post(text),
+            }];
+            pds.apply_writes(&did, &batch, now())
+        };
+        let refused = |pds: &mut Pds| {
+            let record = post("refused");
+            write(pds, "refused").is_err()
+                && pds
+                    .create_record(&did, posts.clone(), record, now())
+                    .is_err()
+                && pds.get_repo(&did).is_err()
+                && !pds.is_active(&did)
+        };
+
+        // Created and written.
+        write(&mut home, "before the move").unwrap();
+        let (frames, cursor) = frames_since(&home, 0);
+        assert_eq!(frames, ["#identity", "#commit"]);
+
+        // Migrated out: the entry stays, empty, and refuses writes and a
+        // fresh signup alike.
+        let repo = home.migrate_out(&did, now()).unwrap();
+        assert!(refused(&mut home));
+        assert!(home.create_account(did.clone(), now()).is_err());
+        let (frames, cursor) = frames_since(&home, cursor);
+        assert_eq!(frames, ["#identity"]);
+
+        // A stay elsewhere, then back home: the content made the trip.
+        away.migrate_in(repo, now()).unwrap();
+        write(&mut away, "while away").unwrap();
+        let repo = away.migrate_out(&did, now()).unwrap();
+        assert_eq!(
+            frames_since(&away, 0).0,
+            ["#identity", "#commit", "#identity"]
+        );
+        assert!(refused(&mut away));
+        home.migrate_in(repo, now()).unwrap();
+        assert!(home.is_active(&did));
+        let back = home.repo(&did).unwrap();
+        for text in ["before the move", "while away"] {
+            let rkey = text.replace(' ', "-");
+            assert_eq!(back.get_record(&posts, &rkey), Some(post(text)));
+        }
+        write(&mut home, "back home").unwrap();
+        let (frames, cursor) = frames_since(&home, cursor);
+        assert_eq!(frames, ["#identity", "#commit"]);
+
+        // Deleted, then deleted again: each deletion is a tombstone.
+        home.delete_account(&did, now()).unwrap();
+        assert!(refused(&mut home));
+        let (frames, cursor) = frames_since(&home, cursor);
+        assert_eq!(frames, ["#tombstone"]);
+        home.delete_account(&did, now()).unwrap();
+        let (frames, cursor) = frames_since(&home, cursor);
+        assert_eq!(frames, ["#tombstone"]);
+
+        // A deleted DID cannot sign up again, and the refusal emits
+        // nothing; its handle can still change.
+        assert!(home.create_account(did.clone(), now()).is_err());
+        assert!(refused(&mut home));
+        let (frames, cursor) = frames_since(&home, cursor);
+        assert!(frames.is_empty());
+        let handle = Handle::parse("alice.example.com").unwrap();
+        home.change_handle(&did, handle, now()).unwrap();
+        assert_eq!(frames_since(&home, cursor).0, ["#handle"]);
+        assert!(home.hosted_dids().is_empty());
     }
 
     #[test]
@@ -429,7 +489,7 @@ mod tests {
                 .unwrap();
         }
         // identity + three commits at positions 0..4.
-        let all: Vec<PdsEvent> = pds.events_since(0).0.to_vec();
+        let all = pds.events_since(0).0.to_vec();
         assert_eq!((all.len(), pds.events_since(0).1), (4, 4));
         // (events let go, events held): the held slice from the start ends
         // at the absolute position of the next event.
@@ -461,9 +521,7 @@ mod tests {
     #[test]
     fn duplicate_account_rejected() {
         let (mut pds, did) = pds_with_alice();
-        assert!(pds
-            .create_account(did, Handle::parse("alice2.bsky.social").unwrap(), now())
-            .is_err());
+        assert!(pds.create_account(did, now()).is_err());
     }
 
     #[test]
@@ -550,9 +608,7 @@ mod tests {
         );
 
         let repo = origin.migrate_out(&did, now()).unwrap();
-        destination
-            .migrate_in(repo, Handle::parse("alice.example.com").unwrap(), now())
-            .unwrap();
+        destination.migrate_in(repo, now()).unwrap();
 
         assert!(origin.repo(&did).is_none());
         assert!(destination.repo(&did).is_some());
@@ -572,13 +628,7 @@ mod tests {
         );
         // Importing twice fails.
         let repo_again = Repository::with_store(did.clone(), b"x", StoreConfig::default().build());
-        assert!(destination
-            .migrate_in(
-                repo_again,
-                Handle::parse("alice.example.com").unwrap(),
-                now()
-            )
-            .is_err());
+        assert!(destination.migrate_in(repo_again, now()).is_err());
         // The origin cannot migrate out what it no longer has.
         assert!(origin.migrate_out(&did, now()).is_err());
     }

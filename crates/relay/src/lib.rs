@@ -6,7 +6,8 @@
 //!
 //! * [`firehose`] — the sequenced, retention-bounded event log with cursors
 //!   and outdated-cursor signalling.
-//! * [`relay`] — the Relay service: PDS crawler, network-wide
+//! * [`relay`] — the Relay service: PDS crawler (each PDS's outbox already
+//!   holds firehose frames; the crawl sequences them), network-wide
 //!   `sync.listRepos`, and `sync.getRepo` proxied to the hosting PDS.
 //! * [`observer`] — the passive per-connection `(size, gap)` wire tap the
 //!   relay records its firehose frames into, for the §10 traffic

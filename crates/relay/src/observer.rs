@@ -54,9 +54,17 @@ impl WireObserver {
         WireObserver::default()
     }
 
-    /// Record one frame on connection `conn`.
-    pub(crate) fn record(&mut self, conn: Did, time: i64, bytes: u64) {
-        self.traces.entry(conn).or_default().record(time, bytes);
+    /// Record one frame on connection `conn`. The key is cloned only for
+    /// a connection with no trace since the last drain.
+    pub(crate) fn record(&mut self, conn: &Did, time: i64, bytes: u64) {
+        match self.traces.get_mut(conn) {
+            Some(trace) => trace.record(time, bytes),
+            None => self
+                .traces
+                .entry(conn.clone())
+                .or_default()
+                .record(time, bytes),
+        }
     }
 
     /// Take every trace accumulated since the last drain, leaving the
@@ -78,9 +86,9 @@ mod tests {
     fn records_per_connection_in_order() {
         let (a, b) = (conn("a"), conn("b"));
         let mut tap = WireObserver::new();
-        tap.record(a.clone(), 10, 100);
-        tap.record(b.clone(), 11, 50);
-        tap.record(a.clone(), 12, 200);
+        tap.record(&a, 10, 100);
+        tap.record(&b, 11, 50);
+        tap.record(&a, 12, 200);
         assert_eq!(tap.traces.len(), 2);
         let traces = tap.drain();
         assert_eq!(traces[&a].frames, vec![(10, 100), (12, 200)]);
@@ -91,7 +99,7 @@ mod tests {
     #[test]
     fn drain_resets_the_tap() {
         let mut tap = WireObserver::new();
-        tap.record(conn("c"), 1, 1);
+        tap.record(&conn("c"), 1, 1);
         assert_eq!(tap.drain().len(), 1);
         assert!(tap.traces.is_empty());
         assert!(tap.drain().is_empty());
@@ -109,10 +117,10 @@ mod tests {
         let c = conn("c");
         let mut tap = WireObserver::new();
         for i in 0..(TRACE_CAPACITY + 1) {
-            tap.record(c.clone(), i as i64, 1);
+            tap.record(&c, i as i64, 1);
         }
         assert_eq!(tap.drain()[&c].dropped, 1);
-        tap.record(c.clone(), 0, 1);
+        tap.record(&c, 0, 1);
         assert_eq!(tap.drain()[&c].dropped, 0);
     }
 }

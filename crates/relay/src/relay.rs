@@ -1,7 +1,8 @@
 //! The Relay service.
 //!
 //! The Relay aggregates user interactions across every known PDS: it crawls
-//! their sync endpoints, republishes everything on the firehose, and serves
+//! the frames each PDS's outbox holds, gives them sequence numbers and
+//! republishes them on the firehose, and serves
 //! `sync.listRepos` and `sync.getRepo` for the whole network (§2). Bluesky
 //! PBC runs the default Relay at `bsky.network`; the study obtained both its
 //! full repository snapshot and its real-time event stream from this single
@@ -15,7 +16,7 @@ use bsky_atproto::error::{AtError, Result};
 use bsky_atproto::firehose::{EventBody, Seq};
 use bsky_atproto::repo::DeltaScope;
 use bsky_atproto::{Datetime, Did, Tid};
-use bsky_pds::{Pds, PdsEventDetail, PdsFleet};
+use bsky_pds::{Pds, PdsFleet};
 use std::collections::BTreeMap;
 use std::ops::Bound;
 
@@ -94,6 +95,10 @@ impl Relay {
     /// the sorted hostname list reproduces the single-relay event
     /// interleaving exactly. Does *not* prune the firehose; callers that
     /// forward events downstream prune after forwarding.
+    ///
+    /// A PDS's outbox already holds firehose frames: the crawl copies each
+    /// body, stamps it no later than `now`, records the outbox slot it came
+    /// from and hands it to [`Relay::ingest_event`] for a sequence number.
     pub(crate) fn crawl_hosts(
         &mut self,
         fleet: &PdsFleet,
@@ -101,57 +106,30 @@ impl Relay {
         accept: impl Fn(&str) -> bool,
     ) -> usize {
         let mut ingested = 0usize;
-        // Collect hostnames first to keep borrow scopes simple.
-        let hostnames: Vec<String> = fleet
-            .servers()
-            .map(|p| p.hostname().to_string())
-            .filter(|h| accept(h))
-            .collect();
-        for hostname in hostnames {
-            let server = match fleet.server(&hostname) {
-                Some(s) => s,
-                None => continue,
-            };
-            let cursor = self.crawl_cursor(&hostname);
+        for server in fleet.servers().filter(|server| accept(server.hostname())) {
+            let hostname = server.hostname();
+            let cursor = self.crawl_cursor(hostname);
             let (events, next_cursor) = server.events_since(cursor);
             // Later than asked for: the positions in between were trimmed.
             let first = next_cursor - events.len();
             self.stats
                 .record_outbox_skipped(first.saturating_sub(cursor));
-            for (offset, event) in events.iter().enumerate() {
-                let body = match &event.detail {
-                    PdsEventDetail::Commit(result) => EventBody::Commit {
-                        did: event.did.clone(),
-                        commit: result.commit_cid,
-                        rev: result.commit.rev,
-                        ops: result.ops.clone(),
-                        blocks_bytes: result.bytes_written,
-                        too_big: result.bytes_written > 1_000_000,
-                    },
-                    PdsEventDetail::HandleChange(handle) => EventBody::HandleChange {
-                        did: event.did.clone(),
-                        handle: handle.clone(),
-                    },
-                    PdsEventDetail::IdentityUpdate => EventBody::Identity {
-                        did: event.did.clone(),
-                    },
-                    PdsEventDetail::AccountDelete => EventBody::Tombstone {
-                        did: event.did.clone(),
-                    },
-                };
-                let time = if event.at.timestamp() > now.timestamp() {
-                    now
-                } else {
-                    event.at
-                };
+            for (offset, (at, body)) in events.iter().enumerate() {
+                // A frame is never stamped later than the crawl that took it.
+                let time = (*at).min(now);
                 let origin = EventOrigin {
-                    host: hostname.clone(),
+                    host: hostname.to_string(),
                     outbox_seq: (first + offset) as u64,
                 };
-                self.ingest_event(time, body, Some(origin));
+                self.ingest_event(time, body.clone(), Some(origin));
                 ingested += 1;
             }
-            self.crawl_cursors.insert(hostname, next_cursor);
+            match self.crawl_cursors.get_mut(hostname) {
+                Some(crawled) => *crawled = next_cursor,
+                None => {
+                    self.crawl_cursors.insert(hostname.to_string(), next_cursor);
+                }
+            }
         }
         ingested
     }
@@ -168,7 +146,8 @@ impl Relay {
         body: EventBody,
         origin: Option<EventOrigin>,
     ) -> Seq {
-        match &body {
+        let (event, wire_size) = self.firehose.append(time, body);
+        let did = match &event.body {
             EventBody::Commit { did, rev, .. } => {
                 // Track latest known revision for listRepos.
                 match self.known_dids.get_mut(did) {
@@ -177,31 +156,28 @@ impl Relay {
                         self.known_dids.insert(did.clone(), Some(*rev));
                     }
                 }
+                Some(did)
             }
             EventBody::Identity { did } => {
                 if !self.known_dids.contains_key(did) {
                     self.known_dids.insert(did.clone(), None);
                 }
+                Some(did)
             }
             EventBody::Tombstone { did } => {
                 self.known_dids.remove(did);
+                Some(did)
             }
-            EventBody::HandleChange { .. } | EventBody::Info { .. } => {}
-        }
-        let tap_key = match &body {
-            EventBody::Commit { did, .. }
-            | EventBody::Identity { did }
-            | EventBody::HandleChange { did, .. }
-            | EventBody::Tombstone { did } => Some(did.clone()),
+            EventBody::HandleChange { did, .. } => Some(did),
             EventBody::Info { .. } => None,
         };
-        let (seq, wire_size) = self.firehose.append(time, body);
         // Feed the passive tap: a firehose subscriber's wire carries this
         // frame at this instant, keyed by the subject DID.
-        if let Some(key) = tap_key {
+        if let Some(did) = did {
             self.wire_tap
-                .record(key, time.timestamp(), wire_size as u64);
+                .record(did, time.timestamp(), wire_size as u64);
         }
+        let seq = event.seq;
         if let Some(origin) = origin {
             self.origins.insert(seq, origin);
         }
@@ -609,10 +585,7 @@ mod tests {
             .map(|pds| pds.hostname().to_string())
             .find(|host| *host != origin)
             .unwrap();
-        let handle = Handle::parse("user1.bsky.social").unwrap();
-        fleet
-            .migrate_account(moved, &destination, handle, now())
-            .unwrap();
+        fleet.migrate_account(moved, &destination, now()).unwrap();
         relay.crawl(&fleet, now());
         assert_eq!(fleet.locate(moved), Some(destination.as_str()));
         let migrated = relay.get_repo(moved, &mut fleet, now()).unwrap();

@@ -979,20 +979,10 @@ impl World {
         }
         // PDS migrations (identity updates beyond creation): rare.
         if rng.chance(0.00003) && !self.self_hosted_pds.is_empty() {
-            let user = self.users[local].clone();
-            let destination = self.self_hosted_pds[index % self.self_hosted_pds.len()].clone();
-            let handle = user.handle.clone();
-            if self
-                .fleet
-                .migrate_account(&user.did, &destination, handle, today)
-                .is_ok()
-            {
-                let endpoint = self
-                    .fleet
-                    .server(&destination)
-                    .map(|p| p.endpoint())
-                    .unwrap_or_default();
-                let _ = self.plc.update(&user.did, |doc| {
+            let did = &self.users[local].did;
+            let destination = &self.self_hosted_pds[index % self.self_hosted_pds.len()];
+            if let Ok(endpoint) = self.fleet.migrate_account(did, destination, today) {
+                let _ = self.plc.update(did, |doc| {
                     doc.set_service(
                         crate::diddoc::SERVICE_PDS,
                         "AtprotoPersonalDataServer",
@@ -1016,25 +1006,15 @@ impl World {
         }
         let doomed = defaults[host_index % defaults.len()].clone();
         let survivors: Vec<String> = defaults.into_iter().filter(|h| *h != doomed).collect();
-        let displaced: Vec<(Did, Handle)> = self
+        let displaced: Vec<Did> = self
             .users
             .iter()
             .filter(|u| self.fleet.locate(&u.did) == Some(doomed.as_str()))
-            .map(|u| (u.did.clone(), u.handle.clone()))
+            .map(|u| u.did.clone())
             .collect();
-        for (did, handle) in displaced {
+        for did in displaced {
             let slot = self.faults.rehome_slot(did.as_str()) as usize % survivors.len();
-            let destination = survivors[slot].clone();
-            if self
-                .fleet
-                .migrate_account(&did, &destination, handle, today)
-                .is_ok()
-            {
-                let endpoint = self
-                    .fleet
-                    .server(&destination)
-                    .map(|p| p.endpoint())
-                    .unwrap_or_default();
+            if let Ok(endpoint) = self.fleet.migrate_account(&did, &survivors[slot], today) {
                 let _ = self.plc.update(&did, |doc| {
                     doc.set_service(
                         crate::diddoc::SERVICE_PDS,
@@ -1082,22 +1062,21 @@ impl World {
 
     /// The scheduled account-deletion storm: a per-DID coin deletes a
     /// fraction of this shard's accounts at the end of the day (tombstone
-    /// in PLC, `AccountDelete` on the firehose). The relay drops each
+    /// in PLC, `#tombstone` on the firehose). The relay drops each
     /// deleted repo from its mirror on the next crawl, and the collector's
     /// mirror counts the vanished repos as snapshot skips.
     fn apply_tombstone_storm(&mut self, today: Datetime) {
-        let dids: Vec<Did> = self.users.iter().map(|u| u.did.clone()).collect();
-        for did in dids {
+        for user in &self.users {
+            let did = &user.did;
             if !self.faults.storm_tombstone(did.as_str()) {
                 continue;
             }
             let deleted = self
                 .fleet
-                .pds_for_mut(&did)
-                .map(|pds| pds.delete_account(&did, today).is_ok())
-                .unwrap_or(false);
+                .pds_for_mut(did)
+                .is_some_and(|pds| pds.delete_account(did, today).is_ok());
             if deleted {
-                let _ = self.plc.tombstone(&did);
+                let _ = self.plc.tombstone(did);
                 self.fault_counters.storm_tombstones += 1;
             }
         }
@@ -1554,11 +1533,9 @@ mod tests {
             .map(|pds| pds.hostname().to_string())
             .find(|host| *host != origin)
             .unwrap();
-        let handle = world.users.iter().find(|u| u.did == migrated).unwrap();
-        let handle = handle.handle.clone();
         world
             .fleet
-            .migrate_account(&migrated, &destination, handle, today)
+            .migrate_account(&migrated, &destination, today)
             .unwrap();
 
         // The next crawl delivers both: the tombstoned author's curated

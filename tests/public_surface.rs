@@ -40,7 +40,6 @@ const EXEMPT: &[(&str, &str)] = &[
         "Observation::FeedGenerator",
     ),
     ("core::table1::Table1", "StudyReport::table1"),
-    ("pds::server::PdsEvent", "Pds::events_since"),
     ("relay::firehose::FirehoseLog", "Relay::firehose"),
     ("relay::firehose::Subscription", "Relay::subscribe"),
     ("relay::observer::ConnTrace", "Relay::take_wire_traces"),
