@@ -1,23 +1,28 @@
 //! Pluggable, CID-addressed block storage.
 //!
-//! Every stored content-addressed byte blob in the system — repository
-//! record blocks, the AppView's counter blocks, the study mirror's copies of
-//! fetched record blocks (decoded once, at the window end) — lives behind
-//! one trait with these backends (MST node blocks are not stored: the
-//! in-memory tree encodes them on export):
+//! The content-addressed blocks the system stores — the record blocks of
+//! every repository in the PDS fleet — live behind one trait with these
+//! backends. MST node blocks are not stored (the in-memory tree encodes
+//! them on export), and the study's mirror keeps a fixed-size projection of
+//! each record it fetches, not its block.
 //!
-//! * `MemStore` — everything resident: each block packed into one
-//!   append-only buffer per store behind a header that holds its CID and
-//!   length, `[CID 33 B][len u32 LE][payload]`, and found through an
-//!   open-addressed table of `u32` offsets into that buffer (linear probing
-//!   from the digest's first eight bytes, doubled past three quarters full,
-//!   backward-shift deletes, rebuilt with the buffer when it is compacted).
-//!   A block is neither an allocation nor an owned key of its own: its CID
-//!   is kept once, beside its bytes, and [`BlockStore::put_slice`] copies it
-//!   in once from a buffer the caller keeps. `len`, `bytes()` and `stats`
-//!   count payloads only; headers and table are overhead. The default.
-//! * `PagedStore` — blocks are appended to fixed-size *pages*, each as
-//!   `MemStore` lays it out, `[CID][len][payload]`, into the open page's
+//! * `MemStore` — everything resident: each block's payload packed against
+//!   one fixed table of lexicon byte strings ([`LEXICON`]: each record type's
+//!   `$type`, the record keys behind their DAG-CBOR heads, `at://did:plc:`,
+//!   the years a timestamp starts with), into one append-only buffer per
+//!   store as `[codec][packed length][packed payload]`, and found through an
+//!   open-addressed table of 8-byte slots, 32 digest bits and the block's
+//!   offset (linear probing, doubled past seven eighths full, backward-shift
+//!   deletes, rebuilt with the buffer when it is compacted). No CID is kept:
+//!   a slot whose digest bits match is settled by hashing the unpacked
+//!   payload against the CID asked for, or, for a `put`, by comparing bytes.
+//!   A record block of the simulated network packs to about half its size:
+//!   on `serial_mem_2x` the store holds ≈ 80 bytes per block, where
+//!   `[CID 33 B][len u32 LE][payload]` behind a `u32` offset held ≈ 175.
+//!   `len`, `bytes()` and `stats` count payloads, unpacked; packing, record
+//!   heads and table are overhead. The default.
+//! * `PagedStore` — blocks are appended to fixed-size *pages* as
+//!   `[CID 33 B][len u32 LE][payload]`, into the open page's
 //!   append buffer; the page is sealed as it stands once its live payloads
 //!   reach the page size, and an LRU of sealed pages bounds memory. An
 //!   evicted page is appended, once, to the *segment* of its spill root:
@@ -26,9 +31,8 @@
 //!   removed when the last of them drops — so a run with a store per DID
 //!   holds one descriptor, and a dropped store's extents are dead space
 //!   until then. Paging in is one positioned read of the page's extent.
-//!   A block's CID lives in its page, not in memory: the index is an
-//!   open-addressed table of 8-byte slots, 32 digest bits and the block's
-//!   position, at most seven eighths full: ≈ 13 bytes per block over a
+//!   A block's CID lives in its page, not in memory: the index is the same
+//!   table of 8-byte slots: ≈ 13 bytes per block over a
 //!   study's repositories from 1:20000 to 1:500, where the `CidMap` it
 //!   replaced took ≈ 57. A slot whose digest bits match is settled by the
 //!   full CID in the page — paging an evicted page in, counted, if need be;
@@ -40,19 +44,20 @@
 //!   read at all, reads as absent and is counted.
 //!
 //!   Measured at seed 42, serial, reports byte-identical to `mem`: at
-//!   1:2000 it peaks at 194 MB against `mem`'s 232 MB (−16 %), at 1:500 at
-//!   785 MB against 947 MB (−17 %). Most of what it still holds there is
-//!   pages: each repository keeps its open page and up to four sealed ones.
-//!   That is short of the quarter below `mem` at 1:500 that a second
+//!   1:2000 it peaks at 151 MB against `mem`'s 158 MB (−4 %), at 1:500 at
+//!   602 MB against 641 MB (−6 %). Most of what it still holds there is
+//!   pages: each repository keeps its open page and up to four sealed ones,
+//!   unpacked. That is far short of the quarter below `mem` that a second
 //!   backend has to buy, so ROADMAP item 4 records the verdict to delete it.
 //! * [`WriteBackStore`] — a write-back cache wrapper: `put`s buffer in a
 //!   resident dirty map until [`BlockStore::flush`], and a `delete` of a
 //!   still-buffered block cancels the write before it ever reaches the
 //!   backend. A read-modify-write chain that rewrites an entity N times
 //!   between flushes therefore costs the backend a single `put` instead of
-//!   N `put`/`delete` pairs. The AppView wraps its counter store in one
-//!   when it is built with write-back on, and flushes at its day
-//!   boundaries.
+//!   N `put`/`delete` pairs. The AppView index wraps its counter store in
+//!   one when it is built with write-back on, and flushes at its day
+//!   boundaries; the study's world has no AppView, and only the
+//!   benchmark's `paged_fed` workload builds one.
 //!
 //! ## Contract
 //!
@@ -60,6 +65,8 @@
 //! content address of the bytes (DAG-CBOR or raw codec). `put` (or
 //! `put_slice`) of an existing CID is a no-op (content-addressed stores are
 //! idempotent); `get` returns exactly the bytes that were put or nothing.
+//! A backend may rely on the CID being the bytes' hash: `MemStore` finds a
+//! block by hashing it, so a block put under any other CID is never found.
 //! Backends may move blocks between memory and disk freely but must never
 //! lose or reorder them: for any op sequence, every backend is
 //! observationally equivalent to `MemStore` (pinned by the oracle property
@@ -151,7 +158,7 @@ pub trait BlockStore: std::fmt::Debug + Send {
     /// reuses, the archive a block arrived in); same result as [`put`]. A
     /// backend copies out of the slice only when the block is new, so the
     /// bytes are copied once, into the store. The default builds the `Vec`
-    /// that [`put`] takes; `MemStore` copies straight into its arena.
+    /// that [`put`] takes; `MemStore` packs straight into its arena.
     ///
     /// [`put`]: BlockStore::put
     fn put_slice(&mut self, cid: Cid, bytes: &[u8]) -> bool {
@@ -277,67 +284,32 @@ impl StoreConfig {
 }
 
 // ---------------------------------------------------------------------------
-// MemStore
+// The index both stores share
 // ---------------------------------------------------------------------------
 
-/// Holes a [`MemStore`] arena tolerates before it may be rebuilt, however few
-/// live bytes it holds: a small store is not recopied for every delete.
-const HOLE_FLOOR: usize = 4 * 1024;
-
-/// Growth floor of a [`MemStore`] arena, so a small store does not
-/// reallocate for every block.
-const GROW_FLOOR: usize = 256;
-
-/// A CID as a [`MemStore`] header holds it: the codec byte, then the digest.
-const CID_KEY: usize = 1 + DIGEST_LEN;
-
-/// A [`MemStore`] block header: the CID, then the payload length (`u32`,
-/// little-endian).
-const HEADER: usize = CID_KEY + 4;
-
-/// Slots of the smallest [`MemStore`] table.
+/// Slots of the smallest index table.
 const MIN_TABLE: usize = 8;
 
-/// The resident backend: every block packed into one append-only buffer
-/// (the *arena*) as `[CID 33 B][payload length u32 LE][payload]`, found
-/// through an open-addressed table of `u32` arena offsets. A block costs its
-/// bytes, a 37-byte header and one 4-byte slot, not a heap allocation or an
-/// owned key of its own.
-///
-/// *The table.* A slot holds the offset of a block's payload, just past its
-/// header, so it is never 0 and 0 marks an empty slot. A CID probes
-/// linearly from the first eight bytes of its digest (the [`CidHasher`]
-/// rule) and matches a slot whose header holds its 33 bytes. The table is a
-/// power of two long and doubles before an insert would take it past three
-/// quarters full; a delete shifts the rest of its probe run back, so there
-/// are no tombstones.
-///
-/// *The arena.* A delete leaves a hole; once the holes outweigh the live
-/// header and payload bytes (and pass [`HOLE_FLOOR`]) the arena is rebuilt
-/// from the live blocks, and the table with it, sized to what is left. So
-/// the arena never holds more than twice its live bytes plus that floor. It
-/// grows by a quarter of its length at a time (at least [`GROW_FLOOR`] and
-/// the block), not by doubling, so its spare capacity stays a quarter of
-/// what it holds.
-///
-/// `len`, `bytes` and `stats` count payloads only: a header is the store's
-/// overhead, like a table slot. Nothing iterates the table towards output,
-/// so neither its layout nor the arena's reaches a report. Also the oracle
-/// the paged backend is property-tested against (and itself tested against
-/// an ordered model).
-///
-/// [`CidHasher`]: crate::cid::CidHasher
-#[derive(Debug, Default)]
-pub(crate) struct MemStore {
-    /// Payload offsets into `arena` (0: empty slot); empty or a power of
-    /// two long.
-    table: Vec<u32>,
-    arena: Vec<u8>,
-    /// Blocks held.
-    len: usize,
-    /// Live payload bytes.
-    bytes: usize,
+/// How full an index table may get: seven eighths. A probe compares a tag
+/// in the slot itself and reads a block only where the tags match, so a
+/// longer run costs little, and the fuller table keeps its 8-byte slots
+/// near 13 bytes per block on average.
+const TABLE_FULL: (usize, usize) = (7, 8);
+
+/// An index slot of either store: the block's [`slot_tag`] and where the
+/// store keeps it — an arena offset in a [`MemStore`], a page-space position
+/// in a [`PagedStore`]. Position 0 is never a block's (a byte of its record
+/// comes first in both layouts), so the default slot is the empty one. Eight
+/// bytes, and no CID.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Slot {
+    tag: u32,
+    pos: u32,
 }
+
+/// A CID as a [`PagedStore`] record header holds it: the codec byte, then
+/// the digest.
+const CID_KEY: usize = 1 + DIGEST_LEN;
 
 /// A CID's header bytes (see [`CID_KEY`]).
 fn cid_key(cid: &Cid) -> [u8; CID_KEY] {
@@ -347,68 +319,69 @@ fn cid_key(cid: &Cid) -> [u8; CID_KEY] {
     key
 }
 
-/// Where a CID's probe starts in a [`MemStore`] table, given its header
-/// bytes: the first eight digest bytes, as [`Cid`]'s `Hash` reads them.
-fn key_hash(key: &[u8]) -> usize {
-    let mut head = [0u8; 8];
-    head.copy_from_slice(&key[1..9]);
-    u64::from_le_bytes(head) as usize
+/// The digest bits a [`Slot`] keeps of a CID, given its header bytes: the
+/// first four digest bytes, with the codec byte folded into the top one.
+/// The low bits pick the home slot at any table length up to 2^32, so a
+/// table grows and shifts without reading a block; all 32 filter probes, so
+/// a block is read only where they match.
+fn slot_tag(key: &[u8]) -> u32 {
+    let mut head = [0u8; 4];
+    head.copy_from_slice(&key[1..5]);
+    u32::from_le_bytes(head) ^ (u32::from(key[0]) << 24)
 }
 
-/// How full a [`MemStore`] table may get: three quarters. A probe reads a
-/// block header in the arena for every slot it passes.
-const MEM_FULL: (usize, usize) = (3, 4);
-
-/// How full a [`PagedStore`] table may get: seven eighths. A probe compares
-/// a tag in the slot itself, so a longer run costs little, and the fuller
-/// table keeps its 8-byte slots near 13 bytes per block on average.
-const PAGED_FULL: (usize, usize) = (7, 8);
-
-/// Whether `blocks` entries fill no more than `full` (a fraction) of a
-/// table of `len` slots.
-fn fits(blocks: usize, len: usize, (num, den): (usize, usize)) -> bool {
+/// Whether `blocks` entries fill no more than [`TABLE_FULL`] of a table of
+/// `len` slots.
+fn fits(blocks: usize, len: usize) -> bool {
+    let (num, den) = TABLE_FULL;
     blocks * den <= len * num
 }
 
 /// Table slots for `blocks` entries: the smallest power of two, at least
-/// [`MIN_TABLE`], that they fill no more than `full` of.
-fn table_len_for(blocks: usize, full: (usize, usize)) -> usize {
+/// [`MIN_TABLE`], that they fill no more than [`TABLE_FULL`] of.
+fn table_len_for(blocks: usize) -> usize {
     let mut len = MIN_TABLE;
-    while !fits(blocks, len, full) {
+    while !fits(blocks, len) {
         len *= 2;
     }
     len
 }
 
-/// The first empty slot of the probe run that starts at `hash` in a
-/// linearly probed table: a power of two long, with `S::default()` in its
-/// empty slots. Both stores' tables are of this kind.
-fn vacancy<S: Copy + Default + PartialEq>(table: &[S], hash: usize) -> usize {
+/// The first empty slot of the probe run that starts at `tag` in a table a
+/// power of two long.
+fn vacancy(table: &[Slot], tag: u32) -> usize {
     let mask = table.len() - 1;
-    let mut slot = hash & mask;
-    while table[slot] != S::default() {
+    let mut slot = tag as usize & mask;
+    while table[slot] != Slot::default() {
         slot = (slot + 1) & mask;
     }
     slot
 }
 
+/// The slots of `table`, rehashed by their tags into a fresh table of `len`
+/// slots.
+fn rehash(table: &[Slot], len: usize) -> Vec<Slot> {
+    let mut fresh = vec![Slot::default(); len];
+    for &slot in table.iter().filter(|&&slot| slot != Slot::default()) {
+        let free = vacancy(&fresh, slot.tag);
+        fresh[free] = slot;
+    }
+    fresh
+}
+
 /// Empty `slot` of a [`vacancy`]-style table and shift the rest of its probe
-/// run back over it, so every later entry stays reachable from its home slot
-/// (`hash` gives an entry's probe start). No tombstones are left behind.
-fn unlink<S: Copy + Default + PartialEq>(
-    table: &mut [S],
-    mut slot: usize,
-    hash: impl Fn(S) -> usize,
-) {
+/// run back over it, so every later entry stays reachable from its home slot.
+/// No tombstones are left behind.
+fn unlink(table: &mut [Slot], mut slot: usize) {
     let mask = table.len() - 1;
     let mut next = slot;
     loop {
         next = (next + 1) & mask;
         let entry = table[next];
-        if entry == S::default() {
+        if entry == Slot::default() {
             break;
         }
-        let home = hash(entry) & mask;
+        let home = entry.tag as usize & mask;
         // The entry may move back to `slot` unless its home lies after
         // `slot` in the run (cyclically, within `slot + 1 ..= next`).
         if next.wrapping_sub(home) & mask >= next.wrapping_sub(slot) & mask {
@@ -416,8 +389,12 @@ fn unlink<S: Copy + Default + PartialEq>(
             slot = next;
         }
     }
-    table[slot] = S::default();
+    table[slot] = Slot::default();
 }
+
+/// Growth floor of an append buffer, so a small store does not reallocate
+/// for every block.
+const GROW_FLOOR: usize = 256;
 
 /// Make room for `need` more bytes at the end of an append buffer: it grows
 /// by a quarter of its length at a time (at least [`GROW_FLOOR`] and the
@@ -430,24 +407,277 @@ fn reserve(buf: &mut Vec<u8>, need: usize) {
     }
 }
 
-/// Put the block whose payload starts at `arena[at]` into the first empty
-/// slot of its probe run.
-fn place(table: &mut [u32], arena: &[u8], at: u32) {
-    table[vacancy(table, key_hash(header_key(arena, at)))] = at;
+/// An arena offset, page-space position or block length as a store keeps
+/// it: a store past 4 GiB stops here rather than wrap to a wrong offset.
+fn span_u32(n: usize) -> u32 {
+    u32::try_from(n).expect("block store exceeds 4 GiB")
 }
 
-/// The CID bytes in the header of the block whose payload starts at
-/// `arena[at]`.
-fn header_key(arena: &[u8], at: u32) -> &[u8] {
-    &arena[at as usize - HEADER..][..CID_KEY]
+// ---------------------------------------------------------------------------
+// Packing
+// ---------------------------------------------------------------------------
+
+/// The byte that opens a code in a packed payload. DAG-CBOR never uses it as
+/// a head (it is the indefinite-length "break") and UTF-8 never contains it,
+/// so a record block holds it only inside a byte string.
+const ESCAPE: u8 = 0xFF;
+
+/// The byte strings a [`MemStore`] packs a payload against, each replaced by
+/// `[ESCAPE, index]`: the record keys of every lexicon the world writes and
+/// the texts that recur in their values, each with its DAG-CBOR text head
+/// (`e` is a 5-byte text, `r` an 18-byte one, `x\x18` a 24-byte one). One
+/// fixed table, never stored: a packed payload means the same bytes in every
+/// store and every run.
+const LEXICON: [&[u8]; 39] = [
+    // `$type` and its value, one entry per record type.
+    b"e$typerapp.bsky.feed.post",
+    b"e$typerapp.bsky.feed.like",
+    b"e$typetapp.bsky.feed.repost",
+    b"e$typeuapp.bsky.graph.follow",
+    b"e$typetapp.bsky.graph.block",
+    b"e$typevapp.bsky.actor.profile",
+    b"e$typewapp.bsky.feed.generator",
+    b"e$typex\x18app.bsky.labeler.service",
+    b"e$typeucom.whtwnd.blog.entry",
+    b"e$type",
+    // `createdAt` and the year its 20-character timestamp starts with.
+    b"icreatedAtt2022-",
+    b"icreatedAtt2023-",
+    b"icreatedAtt2024-",
+    // The other record keys.
+    b"gsubject",
+    b"dtags",
+    b"dtext",
+    b"elangs",
+    b"eembed",
+    b"ereply",
+    b"fparent",
+    b"dkind",
+    b"fimages",
+    b"calt",
+    b"imediaKind",
+    b"curi",
+    b"hexternal",
+    b"frecord",
+    b"cdid",
+    b"kdescription",
+    b"kdisplayName",
+    b"ihasAvatar",
+    b"ihasBanner",
+    b"hpolicies",
+    b"eblurs",
+    b"evalue",
+    b"hseverity",
+    // Subjects: a record's AT URI, a DID.
+    b"at://did:plc:",
+    b"/app.bsky.feed.post/",
+    b"did:plc:",
+];
+
+/// For each byte value, the [`LEXICON`] entries whose first byte
+/// (`FIRST[b]`) or second byte (`SECOND[b]`) it is, as a bit set: an entry
+/// can start only where the sets of the next two bytes both hold it.
+const FIRST: [u64; 256] = entries_with_byte(0);
+const SECOND: [u64; 256] = entries_with_byte(1);
+
+const fn entries_with_byte(at: usize) -> [u64; 256] {
+    assert!(LEXICON.len() <= 64 && LEXICON.len() < ESCAPE as usize);
+    let mut sets = [0u64; 256];
+    let mut i = 0;
+    while i < LEXICON.len() {
+        sets[LEXICON[i][at] as usize] |= 1 << i;
+        i += 1;
+    }
+    sets
 }
 
-/// The payload that starts at `arena[at]`.
-fn payload(arena: &[u8], at: u32) -> &[u8] {
-    let at = at as usize;
-    let mut len = [0u8; 4];
-    len.copy_from_slice(&arena[at - 4..at]);
-    &arena[at..][..u32::from_le_bytes(len) as usize]
+/// The longest [`LEXICON`] entry `rest` starts with.
+fn longest_entry(rest: &[u8]) -> Option<usize> {
+    let [first, second, ..] = *rest else {
+        return None;
+    };
+    let mut candidates = FIRST[first as usize] & SECOND[second as usize];
+    let mut best: Option<usize> = None;
+    while candidates != 0 {
+        let i = candidates.trailing_zeros() as usize;
+        candidates &= candidates - 1;
+        if rest.starts_with(LEXICON[i]) && best.is_none_or(|b| LEXICON[i].len() > LEXICON[b].len())
+        {
+            best = Some(i);
+        }
+    }
+    best
+}
+
+/// Append `bytes`, packed: the longest [`LEXICON`] entry that starts at a
+/// position becomes `[ESCAPE, index]`, a literal `ESCAPE` byte becomes
+/// `[ESCAPE, ESCAPE]`, and every other byte is itself. So any byte string
+/// packs, and unpacks to itself; at most `bytes.len()` plus one byte per
+/// `ESCAPE` byte in it are appended.
+fn pack(bytes: &[u8], out: &mut Vec<u8>) {
+    // `bytes[run..at]` are literals not yet appended.
+    let (mut run, mut at) = (0, 0);
+    while at < bytes.len() {
+        let entry = longest_entry(&bytes[at..]);
+        if entry.is_none() && bytes[at] != ESCAPE {
+            at += 1;
+            continue;
+        }
+        out.extend_from_slice(&bytes[run..at]);
+        match entry {
+            Some(i) => {
+                out.extend_from_slice(&[ESCAPE, i as u8]);
+                at += LEXICON[i].len();
+            }
+            None => {
+                out.extend_from_slice(&[ESCAPE, ESCAPE]);
+                at += 1;
+            }
+        }
+        run = at;
+    }
+    out.extend_from_slice(&bytes[run..]);
+}
+
+/// The byte strings a packed payload stands for, in order: runs of literal
+/// bytes and what each code expands to.
+fn pieces(packed: &[u8]) -> impl Iterator<Item = &[u8]> {
+    let mut rest = packed;
+    std::iter::from_fn(move || {
+        if rest.is_empty() {
+            return None;
+        }
+        if rest[0] == ESCAPE {
+            let code = rest[1];
+            rest = &rest[2..];
+            return Some(match code {
+                ESCAPE => &[ESCAPE][..],
+                i => LEXICON[i as usize],
+            });
+        }
+        let run = rest.iter().position(|&b| b == ESCAPE).unwrap_or(rest.len());
+        let (run, tail) = rest.split_at(run);
+        rest = tail;
+        Some(run)
+    })
+}
+
+/// The bytes a packed payload stands for, in one allocation.
+fn unpack(packed: &[u8]) -> Vec<u8> {
+    let mut bytes = Vec::with_capacity(pieces(packed).map(<[u8]>::len).sum());
+    pieces(packed).for_each(|piece| bytes.extend_from_slice(piece));
+    bytes
+}
+
+/// Whether a packed payload stands for `bytes`, compared without unpacking.
+fn unpacks_to(packed: &[u8], bytes: &[u8]) -> bool {
+    let mut rest = Some(bytes);
+    for piece in pieces(packed) {
+        rest = rest.and_then(|rest| rest.strip_prefix(piece));
+    }
+    rest.is_some_and(<[u8]>::is_empty)
+}
+
+// ---------------------------------------------------------------------------
+// MemStore
+// ---------------------------------------------------------------------------
+
+/// Holes a [`MemStore`] arena tolerates before it may be rebuilt, however few
+/// live bytes it holds: a small store is not recopied for every delete.
+const HOLE_FLOOR: usize = 4 * 1024;
+
+/// The longest length prefix of a [`MemStore`] record: a LEB128 `u32`.
+const LEN_MAX: usize = 5;
+
+/// The resident backend: every block packed into one append-only buffer
+/// (the *arena*) as `[codec u8][packed length, LEB128][packed payload]`,
+/// found through an open-addressed table of 8-byte [`Slot`]s. A block costs
+/// its packed bytes (about half its payload, see [`pack`]), two or three
+/// bytes of record head and one slot; no heap allocation and no CID of its
+/// own.
+///
+/// *The table.* A slot holds a block's [`slot_tag`] and the offset of its
+/// length prefix, just past its codec byte, so it is never 0. A CID probes
+/// linearly from its tag. A slot whose tag matches is settled by the block
+/// itself: `get`, `has` and `delete` take it only if its codec byte is the
+/// CID's and its payload, unpacked, hashes to the CID's digest; `put` takes
+/// it as the same block if the codecs match and the payload unpacks to the
+/// bytes offered. So the 32 digest bits alone never count, and a CID that
+/// differs from a stored one only in its codec misses. The table is a power
+/// of two long and doubles before an insert would take it past seven eighths
+/// full; a delete shifts the rest of its probe run back, so there are no
+/// tombstones.
+///
+/// *The arena.* A delete leaves a hole; once the holes outweigh the live
+/// records (and pass [`HOLE_FLOOR`]) the arena is rebuilt from the live
+/// records, and the table with it, sized to what is left. So the arena never
+/// holds more than twice its live bytes plus that floor. It grows by a
+/// quarter of its length at a time (at least [`GROW_FLOOR`] and the room
+/// one block can take), not by doubling, so its spare capacity stays a
+/// quarter of what it holds.
+///
+/// `len`, `bytes` and `stats` count payloads, unpacked: packing, record
+/// heads and the table are the store's overhead. Nothing iterates the table
+/// towards output, so neither its layout nor the arena's reaches a report.
+/// Also the oracle the paged backend is property-tested against (and itself
+/// tested against an ordered model).
+#[derive(Debug, Default)]
+pub(crate) struct MemStore {
+    /// Empty or a power of two long.
+    table: Vec<Slot>,
+    arena: Vec<u8>,
+    /// Blocks held.
+    len: usize,
+    /// Live payload bytes, unpacked.
+    bytes: usize,
+    /// Arena bytes of the live records: `arena.len()` minus the holes.
+    live: usize,
+}
+
+/// The record whose length prefix starts at `arena[pos]`: its codec byte,
+/// its packed payload, and the arena range it spans, codec byte included.
+fn mem_record(arena: &[u8], pos: u32) -> (u8, &[u8], std::ops::Range<usize>) {
+    let pos = pos as usize;
+    let (mut len, mut width) = (0usize, 0);
+    loop {
+        let byte = arena[pos + width];
+        len |= usize::from(byte & 0x7f) << (7 * width);
+        width += 1;
+        if byte & 0x80 == 0 {
+            break;
+        }
+    }
+    let start = pos + width;
+    (
+        arena[pos - 1],
+        &arena[start..start + len],
+        pos - 1..start + len,
+    )
+}
+
+/// Append `bytes` as a record's length prefix and packed payload. The
+/// prefix is written as one byte, and widened once the packed length is
+/// known to need more.
+fn pack_record(bytes: &[u8], arena: &mut Vec<u8>) {
+    let at = arena.len();
+    arena.push(0);
+    pack(bytes, arena);
+    let (mut len, mut prefix, mut width) = (arena.len() - at - 1, [0u8; LEN_MAX], 0);
+    loop {
+        prefix[width] = (len & 0x7f) as u8;
+        len >>= 7;
+        width += 1;
+        if len == 0 {
+            break;
+        }
+        prefix[width - 1] |= 0x80;
+    }
+    if width > 1 {
+        let end = arena.len();
+        arena.extend_from_slice(&prefix[1..width]);
+        arena.copy_within(at + 1..end, at + width);
+    }
+    arena[at..at + width].copy_from_slice(&prefix[..width]);
 }
 
 impl MemStore {
@@ -456,68 +686,69 @@ impl MemStore {
         MemStore::default()
     }
 
-    /// Header and payload bytes of the live blocks: `arena.len()` minus the
-    /// holes.
-    fn live_bytes(&self) -> usize {
-        self.bytes + self.len * HEADER
-    }
-
-    /// The slot holding `key`, or the empty slot its probe ends at. The
-    /// table must not be empty.
-    fn probe(&self, key: &[u8; CID_KEY]) -> std::result::Result<usize, usize> {
+    /// The slot of the block whose tag is `tag` and that `same` accepts,
+    /// given its codec byte and packed payload; or the empty slot the probe
+    /// ends at. The table must not be empty.
+    fn probe(
+        &self,
+        tag: u32,
+        mut same: impl FnMut(u8, &[u8]) -> bool,
+    ) -> std::result::Result<usize, usize> {
         let mask = self.table.len() - 1;
-        let mut slot = key_hash(key) & mask;
+        let mut slot = tag as usize & mask;
         loop {
-            match self.table[slot] {
-                0 => return Err(slot),
-                at if header_key(&self.arena, at) == key => return Ok(slot),
-                _ => slot = (slot + 1) & mask,
+            let entry = self.table[slot];
+            if entry == Slot::default() {
+                return Err(slot);
             }
+            if entry.tag == tag {
+                let (codec, packed, _) = mem_record(&self.arena, entry.pos);
+                if same(codec, packed) {
+                    return Ok(slot);
+                }
+            }
+            slot = (slot + 1) & mask;
         }
     }
 
-    /// The slot holding `cid`, if it is stored.
-    fn find(&self, cid: &Cid) -> Option<usize> {
+    /// The slot holding `cid`'s block, and its bytes: unpacked, and proven
+    /// by their hash.
+    fn find(&self, cid: &Cid) -> Option<(usize, Vec<u8>)> {
         if self.table.is_empty() {
             return None;
         }
-        self.probe(&cid_key(cid)).ok()
+        let mut found = None;
+        let slot = self
+            .probe(slot_tag(&cid_key(cid)), |codec, packed| {
+                found = (codec == cid.codec())
+                    .then(|| unpack(packed))
+                    .filter(|bytes| sha256(bytes) == *cid.digest());
+                found.is_some()
+            })
+            .ok()?;
+        Some((slot, found?))
     }
 
-    /// Rehash every block into a fresh table of `len` slots.
-    fn rebuild_table(&mut self, len: usize) {
-        let mut table = vec![0u32; len];
-        for &at in self.table.iter().filter(|&&at| at != 0) {
-            place(&mut table, &self.arena, at);
-        }
-        self.table = table;
-    }
-
-    /// Copy the live blocks, headers included, into a fresh, exact-size
-    /// arena, and index them in a fresh table sized to them.
+    /// Copy the live records into a fresh, exact-size arena, and index them
+    /// in a fresh table sized to them.
     fn compact(&mut self) {
-        let mut arena = Vec::with_capacity(self.live_bytes());
-        let mut table = vec![0u32; table_len_for(self.len, MEM_FULL)];
-        for &at in self.table.iter().filter(|&&at| at != 0) {
-            let block = payload(&self.arena, at);
-            arena.extend_from_slice(&self.arena[at as usize - HEADER..][..HEADER + block.len()]);
-            place(&mut table, &arena, span_u32(arena.len() - block.len()));
+        let mut arena = Vec::with_capacity(self.live);
+        let mut table = vec![Slot::default(); table_len_for(self.len)];
+        for &slot in self.table.iter().filter(|&&slot| slot != Slot::default()) {
+            let (_, _, span) = mem_record(&self.arena, slot.pos);
+            let pos = span_u32(arena.len() + 1);
+            arena.extend_from_slice(&self.arena[span]);
+            let free = vacancy(&table, slot.tag);
+            table[free] = Slot { tag: slot.tag, pos };
         }
         self.arena = arena;
         self.table = table;
     }
 }
 
-/// An arena offset or block length as a [`MemStore`] stores it: a store past
-/// 4 GiB stops here rather than wrap to a wrong offset.
-fn span_u32(n: usize) -> u32 {
-    u32::try_from(n).expect("MemStore arena exceeds 4 GiB")
-}
-
 impl BlockStore for MemStore {
     fn get(&self, cid: &Cid) -> Option<Vec<u8>> {
-        let slot = self.find(cid)?;
-        Some(payload(&self.arena, self.table[slot]).to_vec())
+        self.find(cid).map(|(_, bytes)| bytes)
     }
 
     fn put(&mut self, cid: Cid, bytes: Vec<u8>) -> bool {
@@ -525,23 +756,28 @@ impl BlockStore for MemStore {
     }
 
     fn put_slice(&mut self, cid: Cid, bytes: &[u8]) -> bool {
-        let key = cid_key(&cid);
-        let slot = match (!self.table.is_empty()).then(|| self.probe(&key)) {
+        let (codec, tag) = (cid.codec(), slot_tag(&cid_key(&cid)));
+        let same = |c, packed: &[u8]| c == codec && unpacks_to(packed, bytes);
+        let slot = match (!self.table.is_empty()).then(|| self.probe(tag, same)) {
             Some(Ok(_)) => return false,
-            Some(Err(slot)) if fits(self.len + 1, self.table.len(), MEM_FULL) => slot,
+            Some(Err(slot)) if fits(self.len + 1, self.table.len()) => slot,
             _ => {
-                self.rebuild_table(table_len_for(self.len + 1, MEM_FULL));
-                self.probe(&key).expect_err("the CID was absent")
+                self.table = rehash(&self.table, table_len_for(self.len + 1));
+                vacancy(&self.table, tag)
             }
         };
-        reserve(&mut self.arena, HEADER + bytes.len());
-        self.arena.extend_from_slice(&key);
-        self.arena
-            .extend_from_slice(&span_u32(bytes.len()).to_le_bytes());
-        self.table[slot] = span_u32(self.arena.len());
-        self.arena.extend_from_slice(bytes);
+        let escapes = bytes.iter().filter(|&&b| b == ESCAPE).count();
+        reserve(&mut self.arena, 1 + LEN_MAX + bytes.len() + escapes);
+        let start = self.arena.len();
+        self.arena.push(codec);
+        pack_record(bytes, &mut self.arena);
+        self.table[slot] = Slot {
+            tag,
+            pos: span_u32(start + 1),
+        };
         self.len += 1;
         self.bytes += bytes.len();
+        self.live += self.arena.len() - start;
         true
     }
 
@@ -550,16 +786,16 @@ impl BlockStore for MemStore {
     }
 
     fn delete(&mut self, cid: &Cid) -> usize {
-        let Some(slot) = self.find(cid) else {
+        let Some((slot, bytes)) = self.find(cid) else {
             return 0;
         };
-        let len = payload(&self.arena, self.table[slot]).len();
-        let arena = &self.arena;
-        unlink(&mut self.table, slot, |at| key_hash(header_key(arena, at)));
+        let len = bytes.len();
+        self.live -= mem_record(&self.arena, self.table[slot].pos).2.len();
+        unlink(&mut self.table, slot);
         self.len -= 1;
         self.bytes -= len;
-        let holes = self.arena.len() - self.live_bytes();
-        if holes > self.live_bytes() && holes >= HOLE_FLOOR {
+        let holes = self.arena.len() - self.live;
+        if holes > self.live && holes >= HOLE_FLOOR {
             self.compact();
         }
         len
@@ -684,27 +920,9 @@ impl Drop for Segment {
     }
 }
 
-/// A [`PagedStore`] index slot: the block's [`slot_tag`] and the position of
-/// its payload in the store's *page space*, where every page the store has
-/// sealed sits after the one before it and the open page after them all.
-/// Position 0 is never a payload's (a header comes first), so the default
-/// slot is the empty one. Eight bytes, and no CID: that lives in the page.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-struct Slot {
-    tag: u32,
-    pos: u32,
-}
-
-/// The digest bits a [`Slot`] keeps of a CID, given its header bytes: the
-/// first four digest bytes, with the codec byte folded into the top one.
-/// The low bits pick the home slot at any table length up to 2^32, so the
-/// table grows and shifts without reading a page; all 32 filter probes, so
-/// a page is read only where they match.
-fn slot_tag(key: &[u8]) -> u32 {
-    let mut head = [0u8; 4];
-    head.copy_from_slice(&key[1..5]);
-    u32::from_le_bytes(head) ^ (u32::from(key[0]) << 24)
-}
+/// A [`PagedStore`] record header: the CID, then the payload length (`u32`,
+/// little-endian).
+const HEADER: usize = CID_KEY + 4;
 
 /// The header key and the payload of the record whose payload starts at
 /// `buf[at]`, or `None` when the buffer cannot hold such a record — which
@@ -754,7 +972,7 @@ struct Paged {
     /// Opened on first spill.
     segment: Option<Arc<Segment>>,
     /// Open-addressed index of the live blocks: empty or a power of two
-    /// long, linearly probed, at most [`PAGED_FULL`].
+    /// long, linearly probed, at most [`TABLE_FULL`].
     table: Vec<Slot>,
     /// Live blocks.
     blocks: usize,
@@ -781,8 +999,8 @@ struct Paged {
 /// pages rotate through a bounded LRU and are appended to the spill root's
 /// shared segment when first evicted.
 ///
-/// A block is stored as [`MemStore`] stores it, `[CID 33 B][len u32
-/// LE][payload]`, in its page, so its CID spills with its bytes. Memory
+/// A block is stored as `[CID 33 B][len u32 LE][payload]` in its page, so
+/// its CID spills with its bytes. Memory
 /// keeps per block one 8-byte [`Slot`]: 32 digest bits and the record's
 /// position. A probe reads a page only where the digest bits match, and
 /// then decides on the full CID it finds there — in the open page, in a
@@ -932,16 +1150,6 @@ impl Paged {
         (page, record(buf, at).expect("a found record is whole").1)
     }
 
-    /// Rehash every slot into a fresh table of `len` slots, by its tag.
-    fn rebuild_table(&mut self, len: usize) {
-        let mut table = vec![Slot::default(); len];
-        for &slot in self.table.iter().filter(|&&slot| slot != Slot::default()) {
-            let free = vacancy(&table, slot.tag as usize);
-            table[free] = slot;
-        }
-        self.table = table;
-    }
-
     /// Append a new block to the open page, indexed at the empty `slot`,
     /// sealing the page once its live payloads reach the page size.
     fn append(&mut self, slot: usize, key: &[u8; CID_KEY], bytes: &[u8]) {
@@ -1073,13 +1281,13 @@ impl BlockStore for PagedStore {
     fn put_slice(&mut self, cid: Cid, bytes: &[u8]) -> bool {
         let inner = self.inner.get_mut();
         let key = cid_key(&cid);
-        let room = fits(inner.blocks + 1, inner.table.len(), PAGED_FULL);
+        let room = fits(inner.blocks + 1, inner.table.len());
         let slot = match (!inner.table.is_empty()).then(|| inner.probe(&key)) {
             Some(Ok(_)) => return false,
             Some(Err(slot)) if room => slot,
             _ => {
-                inner.rebuild_table(table_len_for(inner.blocks + 1, PAGED_FULL));
-                vacancy(&inner.table, slot_tag(&key) as usize)
+                inner.table = rehash(&inner.table, table_len_for(inner.blocks + 1));
+                vacancy(&inner.table, slot_tag(&key))
             }
         };
         inner.append(slot, &key, bytes);
@@ -1101,7 +1309,7 @@ impl BlockStore for PagedStore {
             Some(id) => inner.pages[id].live_bytes -= len,
             None => inner.open_bytes -= len,
         }
-        unlink(&mut inner.table, slot, |slot| slot.tag as usize);
+        unlink(&mut inner.table, slot);
         inner.blocks -= 1;
         inner.logical_bytes -= len;
         len
@@ -1249,7 +1457,6 @@ impl BlockStore for WriteBackStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cid::CidMap;
     use crate::testrand::TestRng;
 
     fn tmp_root() -> String {
@@ -1363,52 +1570,49 @@ mod tests {
 
     /// The arena against an ordered model: any interleaving of put /
     /// put_slice / get / has / delete agrees with a `BTreeMap<Cid, Vec<u8>>`,
-    /// over a universe where a third of the CIDs are built to share the eight
-    /// digest bytes the hasher reads with another CID — differing in a later
-    /// digest byte, or in the codec alone — so that probes really collide
-    /// and only the full 33 header bytes tell the blocks apart. Deletes
-    /// cross the compaction threshold many times, and after every op the
-    /// arena (headers and payloads) is within the bounds its compaction and
-    /// growth rules promise, and the table within ≈ 11 bytes per block
-    /// header in the arena. A `CidMap<(u32, u32)>` index, 44-byte slots plus
-    /// a control byte each at most seven eighths full, would hold 45 or more
-    /// bytes per live block and fail that bound.
+    /// over a universe of real blocks that collide: [`TAG_TWINS`] pairs,
+    /// which share all 32 digest bits a slot keeps, the first of each pair
+    /// again under the other codec ([`codec_twin`]), which shares its home
+    /// slot but not its tag, and random byte strings (escape bytes
+    /// included) of up to 407 bytes. So probes really meet tag matches that
+    /// only a hash settles, and puts meet them where only the bytes do.
+    /// Deletes cross the compaction threshold many times, and after every op
+    /// the arena (record heads and packed payloads) is within the bounds its
+    /// compaction and growth rules promise, and the table within 128/7 bytes
+    /// per record in the arena: its slots are 8 bytes, and it doubles only
+    /// past seven eighths full. Summed over every op the table holds at most
+    /// 20 bytes per live block; an index that kept each block's 33-byte CID
+    /// could not.
     #[test]
     fn mem_store_matches_ordered_model_with_colliding_cids() {
-        use std::hash::BuildHasher;
-        let hash = |cid: &Cid| CidMap::<()>::default().hasher().hash_one(cid);
         let mut rng = TestRng::new(0x00c0_111d);
-        let (mut collisions, mut compactions) = (0, 0);
+        let (mut twin_lookups, mut compactions) = (0, 0);
         let (mut index_bytes, mut live_blocks) = (0, 0);
-        for round in 0..12u64 {
-            let mut universe: Vec<(Cid, Vec<u8>)> = (0..16)
-                .map(|i| block(round * 1_000 + i, 8 + rng.below(240) as usize))
-                .collect();
-            for i in 0..8 {
-                let (twin_of, _) = universe[rng.below(16) as usize];
-                let mut digest = *twin_of.digest();
-                let codec = if i % 2 == 0 {
-                    digest[8 + rng.below(24) as usize] ^= 1 + rng.below(255) as u8;
-                    twin_of.codec()
-                } else {
-                    twin_of.codec() ^ 0x24 // raw <-> dag-cbor
-                };
-                let mut raw = twin_of.to_array();
-                raw[1] = codec;
-                raw[4..].copy_from_slice(&digest);
-                let twin = Cid::from_bytes(&raw).unwrap();
-                assert_ne!(twin, twin_of);
-                assert_eq!(hash(&twin), hash(&twin_of), "built to collide");
-                if !universe.iter().any(|(cid, _)| *cid == twin) {
-                    universe.push((twin, rng.bytes(128)));
-                    collisions += 1;
-                }
+        for round in 0..12 {
+            // Each block with the block its lookups collide with.
+            let mut universe: Vec<(Cid, Vec<u8>, Option<Cid>)> = Vec::new();
+            let pairs = 4 + rng.below(9) as usize;
+            for &(a, b) in TAG_TWINS.iter().cycle().skip(round * 5).take(pairs) {
+                let ((cid_a, bytes_a), (cid_b, bytes_b)) = (tag_block(a), tag_block(b));
+                assert_ne!(cid_a, cid_b);
+                assert_eq!(slot_tag(&cid_key(&cid_a)), slot_tag(&cid_key(&cid_b)));
+                universe.push((codec_twin(&cid_a), bytes_a.clone(), Some(cid_a)));
+                universe.push((cid_a, bytes_a, Some(cid_b)));
+                universe.push((cid_b, bytes_b, Some(cid_a)));
             }
-            let largest = universe.iter().map(|(_, b)| b.len()).max().unwrap();
+            for _ in 0..16 {
+                let len = 8 + rng.below(400) as usize;
+                let bytes = rng.bytes(len);
+                universe.push((Cid::for_raw(&bytes), bytes, None));
+            }
+            let largest = universe.iter().map(|(_, b, _)| b.len()).max().unwrap();
             let mut store = MemStore::new();
             let mut model: BTreeMap<Cid, Vec<u8>> = BTreeMap::new();
             for _ in 0..2_400 {
-                let (cid, bytes) = &universe[rng.below(universe.len() as u64) as usize];
+                let (cid, bytes, twin) = &universe[rng.below(universe.len() as u64) as usize];
+                if twin.is_some_and(|twin| model.contains_key(&twin)) {
+                    twin_lookups += 1;
+                }
                 let arena_len = store.arena.len();
                 match rng.below(10) {
                     0..=3 => {
@@ -1432,61 +1636,346 @@ mod tests {
                 if store.arena.len() < arena_len {
                     compactions += 1;
                 }
-                for (cid, _) in &universe {
+                for (cid, _, _) in &universe {
                     assert_eq!(store.get(cid), model.get(cid).cloned());
                 }
                 let payloads = model.values().map(Vec::len).sum::<usize>();
                 assert_eq!(store.len(), model.len());
                 assert_eq!(store.bytes(), payloads);
-                let live = payloads + model.len() * HEADER;
+                let live = model.values().map(|bytes| record_len(bytes)).sum::<usize>();
                 let (len, cap) = (store.arena.len(), store.arena.capacity());
                 assert!(
                     len - live <= live.max(HOLE_FLOOR - 1),
                     "{len}-byte arena for {live} live bytes"
                 );
                 assert!(
-                    cap - len <= (len / 4).max(GROW_FLOOR).max(HEADER + largest),
+                    cap - len <= (len / 4).max(GROW_FLOOR).max(1 + LEN_MAX + 2 * largest),
                     "{cap}-byte arena capacity for {len} bytes"
                 );
-                let headers = arena_headers(&store);
-                assert!(headers >= model.len());
-                let index = store.table.capacity() * std::mem::size_of::<u32>();
+                let records = arena_records(&store);
+                assert!(records >= model.len());
+                let index = store.table.capacity() * std::mem::size_of::<Slot>();
                 assert!(
-                    3 * index <= (32 * headers).max(3 * 4 * MIN_TABLE),
-                    "{index}-byte table for {headers} block headers"
+                    7 * index <= (128 * records).max(7 * 8 * MIN_TABLE),
+                    "{index}-byte table for {records} records"
                 );
                 index_bytes += index;
                 live_blocks += model.len();
             }
-            for (cid, _) in &universe {
+            for (cid, _, _) in &universe {
                 assert_eq!(store.get(cid), model.get(cid).cloned());
                 assert_eq!(store.has(cid), model.contains_key(cid));
             }
         }
-        assert!(collisions > 60, "colliding CIDs in play: {collisions}");
+        assert!(twin_lookups > 5_000, "ops that met a twin: {twin_lookups}");
         assert!(compactions > 60, "arena compactions: {compactions}");
         assert!(
-            index_bytes <= 16 * live_blocks,
+            index_bytes <= 20 * live_blocks,
             "{index_bytes} table bytes over {live_blocks} live blocks, summed over every op"
         );
     }
 
-    /// Walk a [`MemStore`] arena header by header, checking that the walk
+    /// The arena bytes a block's record takes: codec byte, length prefix
+    /// and packed payload.
+    fn record_len(bytes: &[u8]) -> usize {
+        let mut record = Vec::new();
+        pack_record(bytes, &mut record);
+        1 + record.len()
+    }
+
+    /// Walk a [`MemStore`] arena record by record, checking that the walk
     /// ends exactly at its end and that every table slot points at one of
-    /// its payloads; returns the number of headers, live and dead.
-    fn arena_headers(store: &MemStore) -> usize {
-        let mut payloads = std::collections::BTreeSet::new();
+    /// its records; returns the number of records, live and dead.
+    fn arena_records(store: &MemStore) -> usize {
+        let mut records = std::collections::BTreeSet::new();
         let mut at = 0;
         while at < store.arena.len() {
-            let start = span_u32(at + HEADER);
-            payloads.insert(start);
-            at = start as usize + payload(&store.arena, start).len();
+            let pos = span_u32(at + 1);
+            records.insert(pos);
+            at = mem_record(&store.arena, pos).2.end;
         }
-        assert_eq!(at, store.arena.len(), "the last block overruns the arena");
-        let slots = store.table.iter().filter(|&&at| at != 0);
-        assert!(slots.clone().all(|at| payloads.contains(at)));
+        assert_eq!(at, store.arena.len(), "the last record overruns the arena");
+        let slots = store.table.iter().filter(|&&slot| slot != Slot::default());
+        assert!(slots.clone().all(|slot| records.contains(&slot.pos)));
         assert_eq!(slots.count(), store.len());
-        payloads.len()
+        records.len()
+    }
+
+    /// One block of every record kind the world writes, in the shapes it
+    /// writes them: posts plain, with images, a link card, a quote or a
+    /// reply; likes of a post and of a feed; reposts, follows, blocks,
+    /// profiles, feed generator and labeler declarations, and a third-party
+    /// record.
+    fn world_blocks() -> Vec<Vec<u8>> {
+        use crate::aturi::AtUri;
+        use crate::cbor::Value;
+        use crate::datetime::Datetime;
+        use crate::did::Did;
+        use crate::nsid::{known, Nsid};
+        use crate::record::*;
+        let when = Datetime::from_ymd_hms(2023, 6, 19, 5, 22, 21).unwrap();
+        let alice = Did::plc_from_seed(b"alice");
+        let post_uri = AtUri::record(
+            alice.clone(),
+            Nsid::parse(known::POST).unwrap(),
+            "p00214s00",
+        );
+        let feed_uri = AtUri::record(
+            alice.clone(),
+            Nsid::parse(known::FEED_GENERATOR).unwrap(),
+            "feed000001",
+        );
+        let post = |embed, reply_parent| {
+            Record::Post(PostRecord {
+                embed,
+                reply_parent,
+                tags: vec!["news".into()],
+                ..PostRecord::simple("ja post about news #news", "ja", when)
+            })
+        };
+        let images = Embed::Images(vec![
+            ImageEmbed {
+                alt: Some("an image about news".into()),
+                kind: MediaKind::Photo,
+            },
+            ImageEmbed {
+                alt: None,
+                kind: MediaKind::Artwork,
+            },
+        ]);
+        let records = [
+            post(None, None),
+            post(Some(images), None),
+            post(
+                Some(Embed::External {
+                    uri: "https://example.com/news".into(),
+                }),
+                None,
+            ),
+            post(Some(Embed::Record(post_uri.clone())), None),
+            post(None, Some(post_uri.clone())),
+            Record::Like(LikeRecord {
+                subject: post_uri.clone(),
+                created_at: when,
+            }),
+            Record::Like(LikeRecord {
+                subject: feed_uri,
+                created_at: Datetime::from_ymd(2024, 2, 1).unwrap(),
+            }),
+            Record::Repost(RepostRecord {
+                subject: post_uri,
+                created_at: when,
+            }),
+            Record::Follow(FollowRecord {
+                subject: alice.clone(),
+                created_at: when,
+            }),
+            Record::Block(BlockRecord {
+                subject: alice,
+                created_at: Datetime::from_ymd(2022, 12, 1).unwrap(),
+            }),
+            Record::Profile(ProfileRecord {
+                display_name: "lunarcomet23".into(),
+                description: "posting in pt".into(),
+                has_avatar: true,
+                has_banner: false,
+                created_at: when,
+            }),
+            Record::FeedGenerator(FeedGeneratorRecord {
+                service_did: Did::parse("did:web:skyfeed.app").unwrap(),
+                display_name: "furry-00001".into(),
+                description: "a feed collecting posts about furry".into(),
+                created_at: when,
+            }),
+            Record::LabelerService(LabelerServiceRecord {
+                policies: vec![LabelValueDefinition {
+                    value: "spoiler".into(),
+                    severity: "inform".into(),
+                    blurs: "content".into(),
+                }],
+                created_at: when,
+            }),
+            Record::Unknown(UnknownRecord {
+                record_type: Nsid::WHTWND_ENTRY,
+                value: Value::map([
+                    ("$type", Value::text(known::WHTWND_ENTRY)),
+                    ("title", Value::text("long-form thoughts")),
+                    ("createdAt", Value::text(when.to_iso8601())),
+                ]),
+            }),
+            Record::Unknown(UnknownRecord {
+                record_type: Nsid::parse("com.example.note").unwrap(),
+                value: Value::map([("$type", Value::text("com.example.note"))]),
+            }),
+        ];
+        records.iter().map(Record::to_cbor).collect()
+    }
+
+    /// Every kind of record block round-trips byte for byte through packing
+    /// and through a store, packs to well under its size, and together they
+    /// use every [`LEXICON`] entry, so the table holds no entry that the
+    /// record encoders do not write.
+    #[test]
+    fn packing_round_trips_every_record_kind_the_world_writes() {
+        let blocks = world_blocks();
+        let mut used = vec![false; LEXICON.len()];
+        let (mut raw, mut packed_total) = (0, 0);
+        let mut store = MemStore::new();
+        for bytes in &blocks {
+            let mut packed = Vec::new();
+            pack(bytes, &mut packed);
+            assert_eq!(&unpack(&packed), bytes);
+            assert!(unpacks_to(&packed, bytes));
+            (raw, packed_total) = (raw + bytes.len(), packed_total + packed.len());
+            let mut rest = &packed[..];
+            while let Some(at) = rest.iter().position(|&b| b == ESCAPE) {
+                if let Some(entry) = used.get_mut(usize::from(rest[at + 1])) {
+                    *entry = true;
+                }
+                rest = &rest[at + 2..];
+            }
+            let cid = Cid::for_cbor(bytes);
+            assert!(store.put_slice(cid, bytes));
+            assert_eq!(store.get(&cid).as_ref(), Some(bytes));
+        }
+        assert_eq!(store.bytes(), raw);
+        assert!(
+            5 * packed_total < 3 * raw,
+            "{raw} bytes packed to {packed_total}"
+        );
+        let unused: Vec<_> = (0..LEXICON.len()).filter(|&i| !used[i]).collect();
+        assert!(
+            unused.is_empty(),
+            "entries no record block uses: {unused:?}"
+        );
+    }
+
+    /// Any byte string round-trips: the empty one, runs of the escape byte
+    /// anywhere, every entry cut short (alone, before an escape byte, before
+    /// the entry itself), entries back to back, and random strings; a packed
+    /// payload stands for its own bytes and no others; and a record's length
+    /// prefix widens where the packed length needs it.
+    #[test]
+    fn packing_round_trips_arbitrary_bytes() {
+        let mut cases: Vec<Vec<u8>> = vec![Vec::new()];
+        for n in 1..6 {
+            let run = vec![ESCAPE; n];
+            cases.extend([
+                run.clone(),
+                [b"e$type", &run[..]].concat(),
+                [&run[..], b"dtext"].concat(),
+            ]);
+            cases.push([&run[..], b"x", &run[..]].concat());
+        }
+        for entry in LEXICON {
+            for cut in 1..entry.len() {
+                let short = &entry[..cut];
+                cases.extend([
+                    short.to_vec(),
+                    [short, &[ESCAPE]].concat(),
+                    [short, entry].concat(),
+                ]);
+            }
+            cases.push([entry, entry, &[ESCAPE, 0, 1]].concat());
+        }
+        cases.push(LEXICON.concat());
+        let mut rng = TestRng::new(0x9ac4);
+        for _ in 0..500 {
+            let len = rng.below(300) as usize;
+            let mut bytes = rng.bytes(len);
+            // Splice lexicon text and escape bytes into the noise.
+            for _ in 0..rng.below(4) {
+                let at = rng.below(bytes.len() as u64 + 1) as usize;
+                let entry = LEXICON[rng.below(LEXICON.len() as u64) as usize];
+                let piece = &entry[..1 + rng.below(entry.len() as u64) as usize];
+                bytes.splice(at..at, piece.iter().copied().chain([ESCAPE]));
+            }
+            cases.push(bytes);
+        }
+        for bytes in &cases {
+            let mut packed = Vec::new();
+            pack(bytes, &mut packed);
+            let escapes = bytes.iter().filter(|&&b| b == ESCAPE).count();
+            assert!(packed.len() <= bytes.len() + escapes, "{bytes:?}");
+            assert_eq!(&unpack(&packed), bytes);
+            assert!(unpacks_to(&packed, bytes));
+            if let Some((_, shorter)) = bytes.split_last() {
+                assert!(!unpacks_to(&packed, shorter));
+                let mut changed = bytes.clone();
+                changed[0] ^= 1;
+                assert!(!unpacks_to(&packed, &changed));
+            }
+            assert!(!unpacks_to(&packed, &[bytes.as_slice(), b"!"].concat()));
+        }
+        for len in [0, 1, 127, 128, 200, 16_383, 16_384, 70_000] {
+            let bytes = vec![b'z'; len];
+            let mut arena = vec![0x55];
+            pack_record(&bytes, &mut arena);
+            let (codec, packed, span) = mem_record(&arena, 1);
+            assert_eq!((codec, span), (0x55, 0..arena.len()));
+            assert_eq!(unpack(packed), bytes);
+            let width = arena.len() - 1 - len;
+            assert_eq!(
+                width,
+                1 + usize::from(len >= 128) + usize::from(len >= 16_384)
+            );
+        }
+    }
+
+    /// Each [`TAG_TWINS`] pair, whose blocks share every digest bit a slot
+    /// keeps, in a store of its own: whichever is stored, the other reads as
+    /// absent to `get`, `has` and `delete`; once both are stored each reads
+    /// its own bytes, a second put of either stores nothing, and deleting one
+    /// leaves the other.
+    #[test]
+    fn mem_store_settles_tag_twins_by_hash_and_bytes() {
+        for (i, &(a, b)) in TAG_TWINS.iter().enumerate() {
+            let (mut first, mut second) = (tag_block(a), tag_block(b));
+            if i % 2 == 1 {
+                std::mem::swap(&mut first, &mut second);
+            }
+            let ((cid_1, bytes_1), (cid_2, bytes_2)) = (first, second);
+            assert_eq!(slot_tag(&cid_key(&cid_1)), slot_tag(&cid_key(&cid_2)));
+            let mut store = MemStore::new();
+            assert!(store.put_slice(cid_1, &bytes_1));
+            assert_eq!(store.get(&cid_2), None);
+            assert!(!store.has(&cid_2));
+            assert_eq!(store.delete(&cid_2), 0);
+            assert!(store.put(cid_2, bytes_2.clone()));
+            assert!(!store.put(cid_1, bytes_1.clone()));
+            assert!(!store.put_slice(cid_2, &bytes_2));
+            assert_eq!(store.len(), 2);
+            assert_eq!(store.bytes(), bytes_1.len() + bytes_2.len());
+            assert_eq!(arena_records(&store), 2, "each stored once");
+            assert_eq!(store.get(&cid_1).as_ref(), Some(&bytes_1));
+            assert_eq!(store.get(&cid_2).as_ref(), Some(&bytes_2));
+            assert_eq!(store.delete(&cid_1), bytes_1.len());
+            assert!(!store.has(&cid_1));
+            assert_eq!(store.get(&cid_2).as_ref(), Some(&bytes_2));
+        }
+    }
+
+    /// The same bytes under the other codec are another block: it misses
+    /// while only the first is stored, and stored beside it, each answers
+    /// for itself.
+    #[test]
+    fn mem_store_codec_twin_misses() {
+        let (cid, bytes) = tag_block(TAG_TWINS[0].0);
+        let twin = codec_twin(&cid);
+        assert_eq!(twin.digest(), cid.digest());
+        let mut store = MemStore::new();
+        assert!(store.put(cid, bytes.clone()));
+        assert_eq!(store.get(&twin), None);
+        assert!(!store.has(&twin));
+        assert_eq!(store.delete(&twin), 0);
+        assert!(
+            store.put_slice(twin, &bytes),
+            "a codec twin is not the block"
+        );
+        assert_eq!(store.len(), 2);
+        assert_eq!(store.delete(&cid), bytes.len());
+        assert_eq!(store.get(&cid), None);
+        assert_eq!(store.get(&twin), Some(bytes));
     }
 
     #[test]
@@ -2012,7 +2501,7 @@ mod tests {
                 );
                 peak = peak.max(model.len());
                 let index = index_bytes(&store);
-                assert!(index <= std::mem::size_of::<Slot>() * table_len_for(peak, PAGED_FULL));
+                assert!(index <= std::mem::size_of::<Slot>() * table_len_for(peak));
                 if growing {
                     index_total += index;
                     live_total += model.len();

@@ -85,11 +85,21 @@ impl PdsFleet {
 
     /// Hostnames of Bluesky-operated default servers.
     pub fn default_hostnames(&self) -> Vec<String> {
+        self.defaults().map(|p| p.hostname().to_string()).collect()
+    }
+
+    /// The Bluesky-operated default servers, in hostname order.
+    fn defaults(&self) -> impl Iterator<Item = &Pds> {
         self.servers
             .iter()
             .filter(|p| p.operator() == PdsOperator::BlueskyPbc)
-            .map(|p| p.hostname().to_string())
-            .collect()
+    }
+
+    /// The hostname of the `n`-th Bluesky-operated default server, counting
+    /// round them (`n` modulo their number); `None` when there are none.
+    pub fn default_hostname(&self, n: usize) -> Option<&str> {
+        let nth = n.checked_rem(self.defaults().count())?;
+        self.defaults().nth(nth).map(Pds::hostname)
     }
 
     /// The hostname of the PDS hosting a DID.
@@ -197,6 +207,9 @@ mod tests {
         let fleet = PdsFleet::with_default_servers_store(10, &StoreConfig::default());
         assert_eq!(fleet.servers.len(), 10);
         assert_eq!(fleet.default_hostnames().len(), 10);
+        assert_eq!(fleet.default_hostname(3), Some("pds004.host.bsky.network"));
+        assert_eq!(fleet.default_hostname(13), fleet.default_hostname(3));
+        assert_eq!(PdsFleet::new().default_hostname(0), None);
         assert!(fleet.server("pds001.host.bsky.network").is_some());
         assert!(fleet.server("missing").is_none());
         assert_eq!(fleet.routing.len(), 0);
@@ -223,6 +236,7 @@ mod tests {
             ["a.example", "pds002.host.bsky.network", "self.example"]
         );
         assert_eq!(fleet.default_hostnames(), ["self.example"]);
+        assert_eq!(fleet.default_hostname(5), Some("self.example"));
         let did = Did::plc_from_seed(b"dave");
         let handle = Handle::parse("dave.bsky.social").unwrap();
         fleet

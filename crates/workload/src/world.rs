@@ -542,8 +542,8 @@ impl World {
         let hostname = if today >= Datetime::from_ymd(2024, 2, 1).unwrap() && rng.chance(0.004) {
             self.self_hosted_pds[index % self.self_hosted_pds.len()].clone()
         } else {
-            let defaults = self.fleet.default_hostnames();
-            defaults[index % defaults.len()].clone()
+            let host = self.fleet.default_hostname(index);
+            host.expect("the fleet has a default server").to_owned()
         };
         if self
             .fleet

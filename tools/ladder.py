@@ -4,13 +4,14 @@
     cargo build --release
     python3 tools/ladder.py 4000 2000 1000          # rungs are --scale values
     python3 tools/ladder.py --seed 7 --repro path/to/repro 4000 2000
+    python3 tools/ladder.py --flags="--store paged --spill-dir /tmp/spill" 500
 
-Each rung runs `repro --scale RUNG --jobs 1 --seed SEED` as a fresh child
-process and reads that child's own `ru_maxrss` from `wait4`. Per rung it
-prints the DID count (the report's `FQDN handles` figure: one handle per
-DID document), wall seconds, peak RSS (MB = MiB, `ru_maxrss / 1024`, as
-the CI memory gate reads it) and RSS per DID (KiB); between rungs, the
-wall and RSS ratios; and, over all rungs, the fitted exponents: the
+Each rung runs `repro --scale RUNG --jobs 1 --seed SEED`, plus any
+`--flags`, as a fresh child process and reads that child's own `ru_maxrss`
+from `wait4`. Per rung it prints the DID count (the report's `FQDN
+handles` figure: one handle per DID document), wall seconds, peak RSS
+(MB = MiB, `ru_maxrss / 1024`, as the CI memory gate reads it) and RSS
+per DID (KiB); between rungs, the wall and RSS ratios; and, over all rungs, the fitted exponents: the
 least-squares slope of log(wall) and of log(peak RSS) against log(DIDs).
 An exponent of 1 is linear in the population. The reports themselves are
 discarded; compare them with `cmp` in a separate run when that matters.
@@ -27,9 +28,9 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def run_rung(repro, scale, seed):
+def run_rung(repro, scale, seed, flags):
     """Run one study; return (DIDs, wall seconds, peak RSS in KiB)."""
-    command = [repro, "--scale", str(scale), "--jobs", "1", "--seed", str(seed)]
+    command = [repro, "--scale", str(scale), "--jobs", "1", "--seed", str(seed), *flags]
     start = time.monotonic()
     child = subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
     report = child.stdout.read()
@@ -65,6 +66,11 @@ def main():
         default=os.path.join(ROOT, "target", "release", "repro"),
         help="the repro binary (default: target/release/repro)",
     )
+    parser.add_argument(
+        "--flags",
+        default="",
+        help="more repro flags for every rung, split on spaces (pass as --flags=\"--store paged\")",
+    )
     args = parser.parse_args()
     if not os.access(args.repro, os.X_OK):
         sys.exit(f"{args.repro} is not an executable; run `cargo build --release` first")
@@ -72,7 +78,7 @@ def main():
     rows = []
     print(f"{'rung':>8} {'DIDs':>7} {'wall s':>8} {'peak MB':>8} {'KiB/DID':>7} {'wall x':>7} {'RSS x':>6}")
     for scale in args.rungs:
-        dids, wall, rss = run_rung(args.repro, scale, args.seed)
+        dids, wall, rss = run_rung(args.repro, scale, args.seed, args.flags.split())
         ratios = ""
         if rows:
             _, prev_wall, prev_rss = rows[-1]

@@ -39,18 +39,12 @@ def symbols(path):
     table.sort()
     return [a for a, _ in table], [n for _, n in table]
 
-def main():
-    args, top, under, callers, depth = [], 40, None, None, 1
-    it = iter(sys.argv[1:])
-    for a in it:
-        if a == "--top": top = int(next(it))
-        elif a == "--under": under = next(it)
-        elif a == "--callers": callers = next(it)
-        elif a == "--depth": depth = int(next(it))
-        else: args.append(a)
-    self_n, incl_n, total, cache = collections.Counter(), collections.Counter(), 0, {}
-    chains = collections.Counter()
-    for path in args:
+def samples(paths):
+    """Yield each sample of each file as (names, objects): one symbol name and
+    one object path per frame, innermost first ("?" and "" for an address no
+    mapping holds)."""
+    cache = {}
+    for path in paths:
         maps, extra = [], []  # (start, end, base, object); (address, name) of resolved ifuncs
         for line in open(path):
             if line.startswith("# "):
@@ -82,16 +76,31 @@ def main():
                             break
                     names.append(name)
                     objs.append(where)
-                if not names or (under and not any(under in n for n in names)):
-                    continue
-                if callers is not None:
-                    if callers not in names[0]:
-                        continue
-                    above = [n for n, o in zip(names[1:], objs[1:]) if not is_plumbing(n, o)]
-                    chains[" <- ".join(above[:depth]) or "(none)"] += 1
-                total += 1
-                self_n[names[0]] += 1
-                incl_n.update(set(names))
+                if names:
+                    yield names, objs
+
+def main():
+    args, top, under, callers, depth = [], 40, None, None, 1
+    it = iter(sys.argv[1:])
+    for a in it:
+        if a == "--top": top = int(next(it))
+        elif a == "--under": under = next(it)
+        elif a == "--callers": callers = next(it)
+        elif a == "--depth": depth = int(next(it))
+        else: args.append(a)
+    self_n, incl_n, total = collections.Counter(), collections.Counter(), 0
+    chains = collections.Counter()
+    for names, objs in samples(args):
+        if under and not any(under in n for n in names):
+            continue
+        if callers is not None:
+            if callers not in names[0]:
+                continue
+            above = [n for n, o in zip(names[1:], objs[1:]) if not is_plumbing(n, o)]
+            chains[" <- ".join(above[:depth]) or "(none)"] += 1
+        total += 1
+        self_n[names[0]] += 1
+        incl_n.update(set(names))
     tables = (("self", self_n), ("inclusive", incl_n))
     if callers is not None:
         tables = ((f"callers of {callers}, depth {depth}", chains),)
