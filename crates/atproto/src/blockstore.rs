@@ -7,7 +7,7 @@
 //! each record it fetches, not its block.
 //!
 //! * `MemStore` — everything resident: each block's payload packed against
-//!   one fixed table of lexicon byte strings ([`LEXICON`]: each record type's
+//!   one fixed table of lexicon byte strings (`LEXICON`: each record type's
 //!   `$type`, the record keys behind their DAG-CBOR heads, `at://did:plc:`,
 //!   the years a timestamp starts with), into one append-only buffer per
 //!   store as `[codec][packed length][packed payload]`, and found through an
@@ -20,7 +20,14 @@
 //!   on `serial_mem_2x` the store holds ≈ 80 bytes per block, where
 //!   `[CID 33 B][len u32 LE][payload]` behind a `u32` offset held ≈ 175.
 //!   `len`, `bytes()` and `stats` count payloads, unpacked; packing, record
-//!   heads and table are overhead. The default.
+//!   heads and table are overhead. A block its owner can draw again
+//!   ([`BlockStore::put_redrawable`]) also keeps its day, and a releasing
+//!   pass ([`BlockStore::release_before`]) drops the bytes of every such
+//!   block drawn before a day: its slot stays, holding the day, so `has`
+//!   and a `put` of it answer as before, while its bytes come back only
+//!   through the owner's re-draw (`crate::repo::RecordSource`). On
+//!   `serial_mem_2x` the in-window passes release the user-day records the
+//!   study's mirror already holds. The default.
 //! * `PagedStore` — blocks are appended to fixed-size *pages* as
 //!   `[CID 33 B][len u32 LE][payload]`, into the open page's
 //!   append buffer; the page is sealed as it stands once its live payloads
@@ -64,7 +71,9 @@
 //! A `BlockStore` is a set of `(Cid, bytes)` pairs where the CID is the
 //! content address of the bytes (DAG-CBOR or raw codec). `put` (or
 //! `put_slice`) of an existing CID is a no-op (content-addressed stores are
-//! idempotent); `get` returns exactly the bytes that were put or nothing.
+//! idempotent); `get` returns exactly the bytes that were put or nothing —
+//! nothing, too, for a block whose bytes were released, which `has` still
+//! finds and `released_on` dates.
 //! A backend may rely on the CID being the bytes' hash: `MemStore` finds a
 //! block by hashing it, so a block put under any other CID is never found.
 //! Backends may move blocks between memory and disk freely but must never
@@ -165,10 +174,48 @@ pub trait BlockStore: std::fmt::Debug + Send {
         !self.has(&cid) && self.put(cid, bytes.to_vec())
     }
 
-    /// Whether a block is present.
+    /// Insert a block its owner can draw again from the recipe of `day`
+    /// (a day number of the owner's choosing); same result as
+    /// [`put_slice`]. A backend
+    /// that can let such bytes go ([`release_before`]) remembers the day;
+    /// the default stores the block like any other.
+    ///
+    /// [`put_slice`]: BlockStore::put_slice
+    /// [`release_before`]: BlockStore::release_before
+    fn put_redrawable(&mut self, cid: Cid, bytes: &[u8], day: u16) -> bool {
+        let _ = day;
+        self.put_slice(cid, bytes)
+    }
+
+    /// Whether a block is present, its bytes released or not.
     fn has(&self, cid: &Cid) -> bool;
 
-    /// Remove a block, returning its logical byte length (0 when absent).
+    /// The day whose recipe draws a block again, when the store released
+    /// its bytes ([`get`] then misses it); `None` for a block whose bytes
+    /// are held, or that is absent.
+    ///
+    /// [`get`]: BlockStore::get
+    fn released_on(&self, cid: &Cid) -> Option<u16> {
+        let _ = cid;
+        None
+    }
+
+    /// Drop the bytes of every block put through [`put_redrawable`] with a
+    /// day before `day`, keeping the block itself: [`has`] still finds it
+    /// and [`released_on`] names its day. Returns the payload bytes let go.
+    /// Only `MemStore` releases anything; a paged store's cold bytes are on
+    /// disk already, not resident.
+    ///
+    /// [`put_redrawable`]: BlockStore::put_redrawable
+    /// [`has`]: BlockStore::has
+    /// [`released_on`]: BlockStore::released_on
+    fn release_before(&mut self, day: u16) -> usize {
+        let _ = day;
+        0
+    }
+
+    /// Remove a block, returning its logical byte length (0 when absent, or
+    /// when its bytes were released).
     fn delete(&mut self, cid: &Cid) -> usize;
 
     /// Number of blocks held.
@@ -582,12 +629,48 @@ fn unpacks_to(packed: &[u8], bytes: &[u8]) -> bool {
 // MemStore
 // ---------------------------------------------------------------------------
 
-/// Holes a [`MemStore`] arena tolerates before it may be rebuilt, however few
-/// live bytes it holds: a small store is not recopied for every delete.
+/// Holes a [`MemStore`] arena tolerates before a delete may rebuild it,
+/// however few live bytes it holds: a small store is not recopied for every
+/// delete. A release rebuilds it whatever the holes.
 const HOLE_FLOOR: usize = 4 * 1024;
 
 /// The longest length prefix of a [`MemStore`] record: a LEB128 `u32`.
 const LEN_MAX: usize = 5;
+
+/// The codec-byte flag of a [`MemStore`] record its owner can draw again:
+/// such a record ends in a [`TRAILER`] (no codec uses the top bit).
+const DRAWN: u8 = 0x80;
+
+/// Bytes of a re-drawable record's trailer: its day and its [`check`] bits,
+/// each a `u16`, little-endian.
+const TRAILER: usize = 4;
+
+/// The top bit of a [`MemStore`] slot's position: set, the slot holds no
+/// arena offset but a released block's [`check`] bits (the next 15) and
+/// the day its owner draws it again from (the low 16).
+const RELEASED: u32 = 1 << 31;
+
+/// The digest bits a released block's slot keeps beside its tag: 15 more of
+/// its CID's digest, so a released block is matched on 47 bits.
+fn check(cid: &Cid) -> u16 {
+    let digest = cid.digest();
+    u16::from_le_bytes([digest[4], digest[5]]) & 0x7fff
+}
+
+/// A [`MemStore`] table entry as a probe sees it.
+enum Entry<'a> {
+    /// A block whose bytes are held: its codec and packed payload.
+    Packed(u8, &'a [u8]),
+    /// A released block: its [`check`] bits and the day it was drawn on.
+    Released(u16, u16),
+}
+
+/// What [`MemStore::find`] found: the bytes, or a block whose bytes were
+/// released.
+enum Found {
+    Bytes(Vec<u8>),
+    Released,
+}
 
 /// The resident backend: every block packed into one append-only buffer
 /// (the *arena*) as `[codec u8][packed length, LEB128][packed payload]`,
@@ -608,6 +691,18 @@ const LEN_MAX: usize = 5;
 /// full; a delete shifts the rest of its probe run back, so there are no
 /// tombstones.
 ///
+/// *Re-drawable blocks.* A block put through
+/// [`BlockStore::put_redrawable`] is one its owner can draw again from a
+/// day's recipe (see `crate::repo::RecordSource`). Its codec byte carries
+/// [`DRAWN`] and its record ends in a [`TRAILER`]: the day, and [`check`]
+/// bits of its digest. [`BlockStore::release_before`] drops the bytes of
+/// every such block drawn before a day. Its slot stays, with the
+/// [`RELEASED`] bit, the check bits and the day in place of the offset, so
+/// `has`, a `put` of the same block and `len` answer as before, matched on
+/// the tag and the check bits, 47 digest bits, since there are no bytes
+/// left to hash. `get` misses it and [`BlockStore::released_on`] names its
+/// day. A release rebuilds the arena to fit, whatever [`HOLE_FLOOR`] says.
+///
 /// *The arena.* A delete leaves a hole; once the holes outweigh the live
 /// records (and pass [`HOLE_FLOOR`]) the arena is rebuilt from the live
 /// records, and the table with it, sized to what is left. So the arena never
@@ -616,27 +711,38 @@ const LEN_MAX: usize = 5;
 /// one block can take), not by doubling, so its spare capacity stays a
 /// quarter of what it holds.
 ///
-/// `len`, `bytes` and `stats` count payloads, unpacked: packing, record
-/// heads and the table are the store's overhead. Nothing iterates the table
-/// towards output, so neither its layout nor the arena's reaches a report.
-/// Also the oracle the paged backend is property-tested against (and itself
-/// tested against an ordered model).
+/// `len` counts blocks held, released or not; `bytes` and `stats` count the
+/// payloads held, unpacked: packing, record heads, trailers and the table
+/// are the store's overhead. Nothing iterates the table towards output, so
+/// neither its layout nor the arena's reaches a report. Also the oracle the
+/// paged backend is property-tested against (and itself tested against an
+/// ordered model).
 #[derive(Debug, Default)]
 pub(crate) struct MemStore {
     /// Empty or a power of two long.
     table: Vec<Slot>,
     arena: Vec<u8>,
-    /// Blocks held.
+    /// Blocks held, released ones included.
     len: usize,
-    /// Live payload bytes, unpacked.
+    /// Payload bytes held, unpacked.
     bytes: usize,
     /// Arena bytes of the live records: `arena.len()` minus the holes.
     live: usize,
 }
 
-/// The record whose length prefix starts at `arena[pos]`: its codec byte,
-/// its packed payload, and the arena range it spans, codec byte included.
-fn mem_record(arena: &[u8], pos: u32) -> (u8, &[u8], std::ops::Range<usize>) {
+/// A [`MemStore`] arena record.
+struct MemRecord<'a> {
+    /// Its codec byte, without [`DRAWN`].
+    codec: u8,
+    packed: &'a [u8],
+    /// The arena range it spans, codec byte to trailer.
+    span: std::ops::Range<usize>,
+    /// A re-drawable record's day and [`check`] bits.
+    recipe: Option<(u16, u16)>,
+}
+
+/// The record whose length prefix starts at `arena[pos]`.
+fn mem_record(arena: &[u8], pos: u32) -> MemRecord<'_> {
     let pos = pos as usize;
     let (mut len, mut width) = (0usize, 0);
     loop {
@@ -647,12 +753,18 @@ fn mem_record(arena: &[u8], pos: u32) -> (u8, &[u8], std::ops::Range<usize>) {
             break;
         }
     }
-    let start = pos + width;
-    (
-        arena[pos - 1],
-        &arena[start..start + len],
-        pos - 1..start + len,
-    )
+    let (head, start) = (arena[pos - 1], pos + width);
+    let end = start + len;
+    let recipe = (head & DRAWN != 0).then(|| {
+        let word = |at: usize| u16::from_le_bytes([arena[at], arena[at + 1]]);
+        (word(end), word(end + 2))
+    });
+    MemRecord {
+        codec: head & !DRAWN,
+        packed: &arena[start..end],
+        span: pos - 1..end + if recipe.is_some() { TRAILER } else { 0 },
+        recipe,
+    }
 }
 
 /// Append `bytes` as a record's length prefix and packed payload. The
@@ -680,19 +792,26 @@ fn pack_record(bytes: &[u8], arena: &mut Vec<u8>) {
     arena[at..at + width].copy_from_slice(&prefix[..width]);
 }
 
+/// A slot position for an arena offset: below [`RELEASED`], so a store
+/// past 2 GiB stops here rather than read an offset as a release.
+fn arena_pos(n: usize) -> u32 {
+    let pos = span_u32(n);
+    assert!(pos < RELEASED, "in-memory block store exceeds 2 GiB");
+    pos
+}
+
 impl MemStore {
     /// An empty store.
     pub(crate) fn new() -> MemStore {
         MemStore::default()
     }
 
-    /// The slot of the block whose tag is `tag` and that `same` accepts,
-    /// given its codec byte and packed payload; or the empty slot the probe
-    /// ends at. The table must not be empty.
+    /// The slot of the block whose tag is `tag` and that `same` accepts; or
+    /// the empty slot the probe ends at. The table must not be empty.
     fn probe(
         &self,
         tag: u32,
-        mut same: impl FnMut(u8, &[u8]) -> bool,
+        mut same: impl FnMut(Entry<'_>) -> bool,
     ) -> std::result::Result<usize, usize> {
         let mask = self.table.len() - 1;
         let mut slot = tag as usize & mask;
@@ -701,28 +820,39 @@ impl MemStore {
             if entry == Slot::default() {
                 return Err(slot);
             }
-            if entry.tag == tag {
-                let (codec, packed, _) = mem_record(&self.arena, entry.pos);
-                if same(codec, packed) {
-                    return Ok(slot);
-                }
+            if entry.tag == tag && same(self.entry(entry)) {
+                return Ok(slot);
             }
             slot = (slot + 1) & mask;
         }
     }
 
-    /// The slot holding `cid`'s block, and its bytes: unpacked, and proven
-    /// by their hash.
-    fn find(&self, cid: &Cid) -> Option<(usize, Vec<u8>)> {
+    /// What an occupied slot holds.
+    fn entry(&self, slot: Slot) -> Entry<'_> {
+        if slot.pos & RELEASED != 0 {
+            Entry::Released((slot.pos >> 16) as u16 & 0x7fff, slot.pos as u16)
+        } else {
+            let record = mem_record(&self.arena, slot.pos);
+            Entry::Packed(record.codec, record.packed)
+        }
+    }
+
+    /// The slot holding `cid`'s block, and its bytes, unpacked and proven by
+    /// their hash; or, for a released block, that it was released.
+    fn find(&self, cid: &Cid) -> Option<(usize, Found)> {
         if self.table.is_empty() {
             return None;
         }
         let mut found = None;
         let slot = self
-            .probe(slot_tag(&cid_key(cid)), |codec, packed| {
-                found = (codec == cid.codec())
-                    .then(|| unpack(packed))
-                    .filter(|bytes| sha256(bytes) == *cid.digest());
+            .probe(slot_tag(&cid_key(cid)), |entry| {
+                found = match entry {
+                    Entry::Packed(codec, packed) => (codec == cid.codec())
+                        .then(|| unpack(packed))
+                        .filter(|bytes| sha256(bytes) == *cid.digest())
+                        .map(Found::Bytes),
+                    Entry::Released(bits, _) => (bits == check(cid)).then_some(Found::Released),
+                };
                 found.is_some()
             })
             .ok()?;
@@ -730,34 +860,32 @@ impl MemStore {
     }
 
     /// Copy the live records into a fresh, exact-size arena, and index them
-    /// in a fresh table sized to them.
+    /// (and the released blocks) in a fresh table sized to them.
     fn compact(&mut self) {
         let mut arena = Vec::with_capacity(self.live);
         let mut table = vec![Slot::default(); table_len_for(self.len)];
         for &slot in self.table.iter().filter(|&&slot| slot != Slot::default()) {
-            let (_, _, span) = mem_record(&self.arena, slot.pos);
-            let pos = span_u32(arena.len() + 1);
-            arena.extend_from_slice(&self.arena[span]);
             let free = vacancy(&table, slot.tag);
+            if slot.pos & RELEASED != 0 {
+                table[free] = slot;
+                continue;
+            }
+            let span = mem_record(&self.arena, slot.pos).span;
+            let pos = arena_pos(arena.len() + 1);
+            arena.extend_from_slice(&self.arena[span]);
             table[free] = Slot { tag: slot.tag, pos };
         }
         self.arena = arena;
         self.table = table;
     }
-}
 
-impl BlockStore for MemStore {
-    fn get(&self, cid: &Cid) -> Option<Vec<u8>> {
-        self.find(cid).map(|(_, bytes)| bytes)
-    }
-
-    fn put(&mut self, cid: Cid, bytes: Vec<u8>) -> bool {
-        self.put_slice(cid, &bytes)
-    }
-
-    fn put_slice(&mut self, cid: Cid, bytes: &[u8]) -> bool {
-        let (codec, tag) = (cid.codec(), slot_tag(&cid_key(&cid)));
-        let same = |c, packed: &[u8]| c == codec && unpacks_to(packed, bytes);
+    /// [`BlockStore::put_slice`], with the recipe of a re-drawable block.
+    fn insert(&mut self, cid: Cid, bytes: &[u8], day: Option<u16>) -> bool {
+        let (codec, tag, bits) = (cid.codec(), slot_tag(&cid_key(&cid)), check(&cid));
+        let same = |entry: Entry<'_>| match entry {
+            Entry::Packed(c, packed) => c == codec && unpacks_to(packed, bytes),
+            Entry::Released(b, _) => b == bits,
+        };
         let slot = match (!self.table.is_empty()).then(|| self.probe(tag, same)) {
             Some(Ok(_)) => return false,
             Some(Err(slot)) if fits(self.len + 1, self.table.len()) => slot,
@@ -767,30 +895,82 @@ impl BlockStore for MemStore {
             }
         };
         let escapes = bytes.iter().filter(|&&b| b == ESCAPE).count();
-        reserve(&mut self.arena, 1 + LEN_MAX + bytes.len() + escapes);
+        reserve(
+            &mut self.arena,
+            1 + LEN_MAX + bytes.len() + escapes + TRAILER,
+        );
         let start = self.arena.len();
-        self.arena.push(codec);
+        self.arena
+            .push(if day.is_some() { codec | DRAWN } else { codec });
         pack_record(bytes, &mut self.arena);
+        if let Some(day) = day {
+            self.arena.extend_from_slice(&day.to_le_bytes());
+            self.arena.extend_from_slice(&bits.to_le_bytes());
+        }
         self.table[slot] = Slot {
             tag,
-            pos: span_u32(start + 1),
+            pos: arena_pos(start + 1),
         };
         self.len += 1;
         self.bytes += bytes.len();
         self.live += self.arena.len() - start;
         true
     }
+}
+
+impl BlockStore for MemStore {
+    fn get(&self, cid: &Cid) -> Option<Vec<u8>> {
+        match self.find(cid)? {
+            (_, Found::Bytes(bytes)) => Some(bytes),
+            (_, Found::Released) => None,
+        }
+    }
+
+    fn put(&mut self, cid: Cid, bytes: Vec<u8>) -> bool {
+        self.insert(cid, &bytes, None)
+    }
+
+    fn put_slice(&mut self, cid: Cid, bytes: &[u8]) -> bool {
+        self.insert(cid, bytes, None)
+    }
+
+    fn put_redrawable(&mut self, cid: Cid, bytes: &[u8], day: u16) -> bool {
+        self.insert(cid, bytes, Some(day))
+    }
 
     fn has(&self, cid: &Cid) -> bool {
         self.find(cid).is_some()
     }
 
+    /// A probe that looks at released slots only, so it hashes nothing: an
+    /// export asks it of every block before it reads one.
+    fn released_on(&self, cid: &Cid) -> Option<u16> {
+        if self.table.is_empty() {
+            return None;
+        }
+        let (bits, mut day) = (check(cid), None);
+        self.probe(slot_tag(&cid_key(cid)), |entry| match entry {
+            Entry::Released(b, drawn_on) if b == bits => {
+                day = Some(drawn_on);
+                true
+            }
+            _ => false,
+        })
+        .ok()?;
+        day
+    }
+
     fn delete(&mut self, cid: &Cid) -> usize {
-        let Some((slot, bytes)) = self.find(cid) else {
+        let Some((slot, found)) = self.find(cid) else {
             return 0;
         };
-        let len = bytes.len();
-        self.live -= mem_record(&self.arena, self.table[slot].pos).2.len();
+        let len = match found {
+            Found::Bytes(bytes) => bytes.len(),
+            Found::Released => 0,
+        };
+        if self.table[slot].pos & RELEASED == 0 {
+            self.live -= mem_record(&self.arena, self.table[slot].pos).span.len();
+        }
         unlink(&mut self.table, slot);
         self.len -= 1;
         self.bytes -= len;
@@ -799,6 +979,28 @@ impl BlockStore for MemStore {
             self.compact();
         }
         len
+    }
+
+    fn release_before(&mut self, day: u16) -> usize {
+        let mut released = 0;
+        for slot in &mut self.table {
+            if *slot == Slot::default() || slot.pos & RELEASED != 0 {
+                continue;
+            }
+            let record = mem_record(&self.arena, slot.pos);
+            let Some((drawn_on, bits)) = record.recipe.filter(|&(drawn_on, _)| drawn_on < day)
+            else {
+                continue;
+            };
+            released += pieces(record.packed).map(<[u8]>::len).sum::<usize>();
+            self.live -= record.span.len();
+            slot.pos = RELEASED | (u32::from(bits) << 16) | u32::from(drawn_on);
+        }
+        if released > 0 {
+            self.bytes -= released;
+            self.compact();
+        }
+        released
     }
 
     fn len(&self) -> usize {
@@ -1692,11 +1894,12 @@ mod tests {
         while at < store.arena.len() {
             let pos = span_u32(at + 1);
             records.insert(pos);
-            at = mem_record(&store.arena, pos).2.end;
+            at = mem_record(&store.arena, pos).span.end;
         }
         assert_eq!(at, store.arena.len(), "the last record overruns the arena");
         let slots = store.table.iter().filter(|&&slot| slot != Slot::default());
-        assert!(slots.clone().all(|slot| records.contains(&slot.pos)));
+        let held = slots.clone().filter(|slot| slot.pos & RELEASED == 0);
+        assert!(held.clone().all(|slot| records.contains(&slot.pos)));
         assert_eq!(slots.count(), store.len());
         records.len()
     }
@@ -1911,9 +2114,10 @@ mod tests {
             let bytes = vec![b'z'; len];
             let mut arena = vec![0x55];
             pack_record(&bytes, &mut arena);
-            let (codec, packed, span) = mem_record(&arena, 1);
-            assert_eq!((codec, span), (0x55, 0..arena.len()));
-            assert_eq!(unpack(packed), bytes);
+            let record = mem_record(&arena, 1);
+            assert_eq!((record.codec, record.span), (0x55, 0..arena.len()));
+            assert_eq!(record.recipe, None);
+            assert_eq!(unpack(record.packed), bytes);
             let width = arena.len() - 1 - len;
             assert_eq!(
                 width,
@@ -1953,6 +2157,101 @@ mod tests {
             assert!(!store.has(&cid_1));
             assert_eq!(store.get(&cid_2).as_ref(), Some(&bytes_2));
         }
+    }
+
+    /// A release against an ordered model: blocks put plain or re-drawable
+    /// on one of five days, [`TAG_TWINS`] among them, and releases before a
+    /// random day. A released block keeps its place — `has`, `len` and a
+    /// `put` of it answer as before, `released_on` names its day — and only
+    /// its bytes go, from `bytes` and from the arena, which every release
+    /// rebuilds to fit, however small. A tag twin of a released block is
+    /// still told apart by the check bits its slot keeps.
+    #[test]
+    fn mem_store_releases_redrawable_blocks_against_a_model() {
+        let mut rng = TestRng::new(0x2e1e_a5ed);
+        let mut universe: Vec<(Cid, Vec<u8>)> = Vec::new();
+        for &(a, b) in TAG_TWINS.iter().take(8) {
+            let ((cid_a, _), (cid_b, _)) = (tag_block(a), tag_block(b));
+            assert_ne!(check(&cid_a), check(&cid_b), "twins differ in check bits");
+            universe.extend([tag_block(a), tag_block(b)]);
+        }
+        for _ in 0..24 {
+            let len = 8 + rng.below(300) as usize;
+            let bytes = rng.bytes(len);
+            universe.push((Cid::for_raw(&bytes), bytes));
+        }
+        let mut released_total = 0;
+        for _ in 0..40 {
+            let mut store = MemStore::new();
+            // CID -> (bytes, day put on if re-drawable, released).
+            let mut model: BTreeMap<Cid, (Vec<u8>, Option<u16>, bool)> = BTreeMap::new();
+            for _ in 0..120 {
+                let (cid, bytes) = &universe[rng.below(universe.len() as u64) as usize];
+                match rng.below(8) {
+                    0..=2 => {
+                        let fresh = !model.contains_key(cid);
+                        assert_eq!(store.put_slice(*cid, bytes), fresh);
+                        model.entry(*cid).or_insert((bytes.clone(), None, false));
+                    }
+                    3..=5 => {
+                        let day = 100 + rng.below(5) as u16;
+                        let fresh = !model.contains_key(cid);
+                        assert_eq!(store.put_redrawable(*cid, bytes, day), fresh);
+                        model
+                            .entry(*cid)
+                            .or_insert((bytes.clone(), Some(day), false));
+                    }
+                    6 => {
+                        let removed =
+                            model.remove(cid).map_or(
+                                0,
+                                |(bytes, _, released)| {
+                                    if released {
+                                        0
+                                    } else {
+                                        bytes.len()
+                                    }
+                                },
+                            );
+                        assert_eq!(store.delete(cid), removed);
+                    }
+                    _ => {
+                        let before = 100 + rng.below(6) as u16;
+                        let mut expect = 0;
+                        for (bytes, day, released) in model.values_mut() {
+                            if day.is_some_and(|day| day < before) && !*released {
+                                *released = true;
+                                expect += bytes.len();
+                            }
+                        }
+                        assert_eq!(store.release_before(before), expect);
+                        released_total += expect;
+                        if expect > 0 {
+                            assert_eq!(store.arena.len(), store.live, "rebuilt to fit");
+                            assert_eq!(store.arena.capacity(), store.arena.len());
+                        }
+                    }
+                }
+                for (cid, _) in &universe {
+                    let entry = model.get(cid);
+                    let held = entry.filter(|e| !e.2).map(|e| e.0.clone());
+                    let released = entry.filter(|e| e.2).and_then(|e| e.1);
+                    assert_eq!(store.get(cid), held);
+                    assert_eq!(store.has(cid), entry.is_some());
+                    assert_eq!(store.released_on(cid), released);
+                }
+                let held = model.values().filter(|e| !e.2).map(|e| e.0.len());
+                assert_eq!(store.bytes(), held.sum::<usize>());
+                assert_eq!(store.len(), model.len());
+                arena_records(&store);
+            }
+            // A released block is present to a put, whichever way it comes.
+            for (cid, (bytes, _, _)) in model.iter().filter(|(_, e)| e.2) {
+                assert!(!store.put_slice(*cid, bytes));
+                assert!(!store.put_redrawable(*cid, bytes, 0));
+            }
+        }
+        assert!(released_total > 10_000, "bytes released: {released_total}");
     }
 
     /// The same bytes under the other codec are another block: it misses

@@ -34,6 +34,16 @@
 //! backend. Since no key is ever removed or rewritten, the store holds
 //! exactly the tree's distinct values, and no block needs a reference count.
 //!
+//! A record block need not keep its bytes. A commit its owner can draw
+//! again ([`Repository::apply_redrawable_writes`]: the simulated world's
+//! user-days, each a pure function of the seed, the user and the day) marks
+//! its new blocks with its day, a number of the owner's choosing, and a
+//! release ([`Repository::release_before`]) lets the in-memory store drop
+//! their bytes and keep only each block's slot. An export that meets such a block
+//! asks the owner's [`RecordSource`] for that day's writes, once per day,
+//! and serves a block only if it hashes to the CID the tree holds under its
+//! key; anything else fails the export, counted in [`Redraws`].
+//!
 //! Order exists only where it reaches bytes or a store's read order, and is
 //! made there: a full export sorts the record CIDs it frames (the tree's
 //! distinct values), a delta export stages its blocks in a CID-ordered map,
@@ -49,10 +59,17 @@
 //! [`Repository::compact_before`] bounds the grow-only history: commits (and
 //! their log entries) older than a cutoff revision leave the delta-serving
 //! window, and the store demotes its cold pages. No record block goes:
-//! every one is the value of a key that stays. The study's collector runs
-//! the pass weekly from the first simulated day, so a repository's history
-//! is bounded from its first commit, not from the day collection starts.
-//! The invariant:
+//! every one is the value of a key that stays. A release
+//! ([`Repository::release_before`]) drops the *bytes* of the re-drawable
+//! blocks committed under a day before a cutoff day, whether or not their
+//! commits are still in the log; the blocks themselves stay, and exports
+//! draw them again. The study's collector runs the pass weekly from the
+//! first simulated day, so a repository's history is bounded from its
+//! first commit, not from the day collection starts. Inside its collection
+//! window, right after each mirror sync, it follows the pass with a release
+//! up to the pass's cutoff: a delta since a revision the mirror holds then
+//! carries only blocks newer than the cutoff, and only full exports
+//! re-draw. The invariant:
 //! [`Repository::export_car_since`] still serves every retained
 //! revision exactly; a request since a compacted revision fails with
 //! [`AtError::RevisionCompacted`] so the caller can fall back to a full CAR
@@ -76,7 +93,7 @@
 
 use crate::blockstore::{BlockStore, StoreStats};
 use crate::cbor::{self, raw, Value};
-use crate::cid::{Cid, CidMap, CID_LEN, CODEC_DAG_CBOR, CODEC_RAW};
+use crate::cid::{Cid, CidMap, CidSet, CID_LEN, CODEC_DAG_CBOR, CODEC_RAW};
 use crate::crypto::{sha256, Signature, SigningKey};
 use crate::datetime::Datetime;
 use crate::did::Did;
@@ -233,14 +250,17 @@ struct CommitBlocks {
     removed_node_cids: Vec<Cid>,
 }
 
-/// What one [`Repository::compact_before`] pass dropped.
+/// What a compaction pass dropped: the commits
+/// [`Repository::compact_before`] drops, or the record bytes a release
+/// lets go ([`Repository::release_before`]), summed over a PDS or a fleet.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CompactionStats {
     /// Commits (and their log entries) dropped from the delta window.
     pub commits_dropped: usize,
-    /// Always 0: every stored record block stays live, because a
-    /// repository only creates records. A shim kept while the pinned
-    /// benchmark surface still reads it; it goes with that pin.
+    /// Payload bytes of re-drawable record blocks a release let go: the
+    /// blocks stay, their bytes go, and an export draws them again. 0 from
+    /// [`Repository::compact_before`], which drops no record block, and
+    /// from a server lent no [`RecordSource`].
     pub bytes_reclaimed: usize,
 }
 
@@ -248,6 +268,39 @@ impl CompactionStats {
     /// Fold another pass's stats into this one.
     pub fn absorb(&mut self, other: &CompactionStats) {
         self.commits_dropped += other.commits_dropped;
+        self.bytes_reclaimed += other.bytes_reclaimed;
+    }
+}
+
+/// Draws a repository's records again: the recipe of every commit its owner
+/// marked re-drawable ([`Repository::apply_redrawable_writes`]). The
+/// simulated world lends one to the PDS fleet, which does not depend on it;
+/// an export that meets a released block asks it for that block's day.
+pub trait RecordSource: std::fmt::Debug + Send + Sync {
+    /// The writes of `did`'s re-drawable commit of `day` (the day number
+    /// it was committed under), drawn again as they were committed; empty
+    /// when there was none.
+    fn redraw(&self, did: &Did, day: u16) -> Vec<Write>;
+}
+
+/// What exports re-drew: the readings that keep a re-draw from ever being
+/// silent.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Redraws {
+    /// Released blocks served from a re-draw, each checked against the CID
+    /// its tree holds.
+    pub blocks: u64,
+    /// Re-drawn records that did not hash to the CID the tree holds under
+    /// their key, and released blocks a re-draw did not yield. Each fails
+    /// its export: such a block is never served, nor left out.
+    pub mismatches: u64,
+}
+
+impl Redraws {
+    /// Fold other readings into these (counters add).
+    pub fn absorb(&mut self, other: &Redraws) {
+        self.blocks += other.blocks;
+        self.mismatches += other.mismatches;
     }
 }
 
@@ -313,6 +366,23 @@ impl Repository {
         &self.did
     }
 
+    /// The record blocks the repository serves: its tree's distinct values,
+    /// whether the store holds their bytes or released them.
+    pub fn record_blocks(&self) -> usize {
+        self.record_cids().len()
+    }
+
+    /// The tree's distinct values, sorted: the archive frames its record
+    /// blocks in ascending CID order, and a paged store is read in that
+    /// order.
+    fn record_cids(&self) -> Vec<Cid> {
+        let mut cids: Vec<Cid> = Vec::with_capacity(self.store.len());
+        self.mst.for_each_entry(|_, cid| cids.push(cid));
+        cids.sort_unstable();
+        cids.dedup();
+        cids
+    }
+
     /// Latest commit, if any write has happened.
     pub(crate) fn head(&self) -> Option<&Commit> {
         self.commits.last()
@@ -329,7 +399,8 @@ impl Repository {
         self.store.stats()
     }
 
-    /// Fetch a record by collection and rkey.
+    /// Fetch a record by collection and rkey: `None` when absent, and when
+    /// the store released its bytes (only an export draws those again).
     pub fn get_record(&self, collection: &Nsid, rkey: &str) -> Option<Record> {
         let cid = self.mst.get(&record_key(collection, rkey))?;
         let bytes = self.store.get(&cid)?;
@@ -344,6 +415,32 @@ impl Repository {
     /// batch leaves the repository exactly as it was. Records are stored in
     /// write order; the commit's ops list the batch's keys in key order.
     pub fn apply_writes(&mut self, writes: &[Write], now: Datetime) -> Result<CommitResult> {
+        self.commit(writes, now, None)
+    }
+
+    /// [`Repository::apply_writes`], for a batch its owner can draw again
+    /// as the recipe of `day`, a day number of the owner's choosing (the
+    /// simulated world's day index): the store may release the bytes of the
+    /// blocks it adds once a release's cutoff day is past `day`
+    /// ([`Repository::release_before`]), and an export then asks a
+    /// [`RecordSource`] for the writes of `day`. One such commit per day:
+    /// the day is the recipe's key.
+    pub fn apply_redrawable_writes(
+        &mut self,
+        writes: &[Write],
+        now: Datetime,
+        day: u16,
+    ) -> Result<CommitResult> {
+        self.commit(writes, now, Some(day))
+    }
+
+    /// Commit a batch; `day` marks its new blocks re-drawable from that day.
+    fn commit(
+        &mut self,
+        writes: &[Write],
+        now: Datetime,
+        day: Option<u16>,
+    ) -> Result<CommitResult> {
         if writes.is_empty() {
             return Err(AtError::RepoError("empty write batch".into()));
         }
@@ -379,7 +476,11 @@ impl Repository {
             let cid = Cid::for_cbor(&self.encode_buf);
             bytes_written += self.encode_buf.len();
             // Content another key already holds is stored once.
-            if self.store.put_slice(cid, &self.encode_buf) {
+            let fresh = match day {
+                Some(day) => self.store.put_redrawable(cid, &self.encode_buf, day),
+                None => self.store.put_slice(cid, &self.encode_buf),
+            };
+            if fresh {
                 fresh_blocks.push(cid);
             }
             let prior = self.mst.set(&key, cid);
@@ -446,7 +547,29 @@ impl Repository {
     /// `com.atproto.sync.getRepo`. The record blocks are the tree's
     /// distinct values, which are exactly the stored ones. Commits dropped
     /// by a compaction pass are gone from full exports too.
+    ///
+    /// # Panics
+    ///
+    /// When the store released blocks: such a repository is exported with
+    /// its owner's source, through [`Repository::export_car_drawn`].
     pub fn export_car(&self) -> Vec<u8> {
+        self.export_car_drawn(None, &mut Redraws::default())
+            .expect("a repository that released no block exports without a record source")
+    }
+
+    /// [`Repository::export_car`], drawing every released block again
+    /// through `source`, one re-draw per day, and counting into `tally`.
+    /// Errors when a re-drawn record does not hash to the CID the tree
+    /// holds under its key, when a released block is not re-drawn, or when
+    /// blocks were released and there is no source: a released block is
+    /// never served unchecked, nor left out.
+    pub fn export_car_drawn(
+        &self,
+        source: Option<&dyn RecordSource>,
+        tally: &mut Redraws,
+    ) -> Result<Vec<u8>> {
+        let record_cids = self.record_cids();
+        let drawn = self.redraw_released(&record_cids, source, tally)?;
         let roots: Vec<Cid> = self.head_cid.into_iter().collect();
         let mut car = CarWriter::new(&roots, None);
         for commit in &self.commits {
@@ -455,18 +578,80 @@ impl Repository {
         }
         self.mst
             .for_each_block(|_| true, |cid, bytes| car.block(cid, bytes));
-        // Sorted: the archive frames its record blocks in ascending CID
-        // order, and a paged store is read in that order.
-        let mut record_cids: Vec<Cid> = Vec::with_capacity(self.store.len());
-        self.mst.for_each_entry(|_, cid| record_cids.push(cid));
-        record_cids.sort_unstable();
-        record_cids.dedup();
         for cid in &record_cids {
-            if let Some(bytes) = self.store.get(cid) {
-                car.block(cid, &bytes);
+            match drawn.get(cid) {
+                Some(bytes) => car.block(cid, bytes),
+                None => {
+                    if let Some(bytes) = self.store.get(cid) {
+                        car.block(cid, &bytes);
+                    }
+                }
             }
         }
-        car.finish()
+        Ok(car.finish())
+    }
+
+    /// The bytes of every block of `cids` the store released, drawn again
+    /// through `source`, once per day, and each checked against the CID the
+    /// tree holds under the key it was drawn for. Empty, with no source
+    /// asked, when none was released; an error when any check fails (see
+    /// [`Repository::export_car_drawn`]).
+    fn redraw_released(
+        &self,
+        cids: &[Cid],
+        source: Option<&dyn RecordSource>,
+        tally: &mut Redraws,
+    ) -> Result<CidMap<Vec<u8>>> {
+        let mut wanted = CidSet::default();
+        let mut days: Vec<u16> = Vec::new();
+        for cid in cids {
+            if let Some(day) = self.store.released_on(cid) {
+                wanted.insert(*cid);
+                days.push(day);
+            }
+        }
+        let mut drawn = CidMap::default();
+        if wanted.is_empty() {
+            return Ok(drawn);
+        }
+        let source = source.ok_or_else(|| {
+            AtError::RepoError(format!(
+                "{} released {} block(s) and no record source draws them",
+                self.did,
+                wanted.len()
+            ))
+        })?;
+        days.sort_unstable();
+        days.dedup();
+        let mut mismatches = 0u64;
+        let mut buf = Vec::new();
+        for day in days {
+            for Write::Create {
+                collection,
+                rkey,
+                record,
+            } in source.redraw(&self.did, day)
+            {
+                buf.clear();
+                record.encode_into(&mut buf);
+                let cid = Cid::for_cbor(&buf);
+                if self.mst.get(&record_key(&collection, &rkey)) != Some(cid) {
+                    mismatches += 1;
+                } else if wanted.contains(&cid) {
+                    drawn.entry(cid).or_insert_with(|| buf.clone());
+                }
+            }
+        }
+        mismatches += (wanted.len() - drawn.len()) as u64;
+        tally.blocks += drawn.len() as u64;
+        tally.mismatches += mismatches;
+        if mismatches > 0 {
+            return Err(AtError::RepoError(format!(
+                "{}: {mismatches} re-drawn record(s) do not match the CIDs its tree holds",
+                self.did
+            )));
+        }
+        Ok(drawn)
     }
 
     /// `com.atproto.sync.getRepo(did, since=rev)`: export only what a
@@ -489,6 +674,20 @@ impl Repository {
     /// to a full [`Repository::export_car`] fetch. A `since` equal to the
     /// head revision yields an empty delta (header only).
     pub fn export_car_since(&self, since: &Tid, scope: DeltaScope) -> Result<Vec<u8>> {
+        self.export_car_since_drawn(since, scope, None, &mut Redraws::default())
+    }
+
+    /// [`Repository::export_car_since`], drawing any released block again
+    /// as [`Repository::export_car_drawn`] does. A delta since a revision
+    /// newer than a release's cutoff carries only blocks newer than it, so
+    /// it re-draws nothing.
+    pub fn export_car_since_drawn(
+        &self,
+        since: &Tid,
+        scope: DeltaScope,
+        source: Option<&dyn RecordSource>,
+        tally: &mut Redraws,
+    ) -> Result<Vec<u8>> {
         let head = self
             .head()
             .ok_or_else(|| AtError::RepoError("repository has no commits".into()))?;
@@ -549,13 +748,16 @@ impl Repository {
                 },
             );
         }
-        for entry in &self.log[index + 1..] {
-            for cid in &entry.record_cids {
-                // A block the store cannot return is left out, as the full
-                // export leaves it out.
-                if let Some(bytes) = self.store.get(cid) {
-                    blocks.insert(*cid, bytes);
-                }
+        let record_cids: Vec<Cid> = self.log[index + 1..]
+            .iter()
+            .flat_map(|entry| entry.record_cids.iter().copied())
+            .collect();
+        let mut drawn = self.redraw_released(&record_cids, source, tally)?;
+        for cid in &record_cids {
+            // A block the store cannot return is left out, as the full
+            // export leaves it out.
+            if let Some(bytes) = drawn.remove(cid).or_else(|| self.store.get(cid)) {
+                blocks.insert(*cid, bytes);
             }
         }
         let mut car = CarWriter::new(&[head_cid], Some(since));
@@ -640,7 +842,8 @@ impl Repository {
     /// * **MST nodes** — nothing to do: the store holds none, since deltas
     ///   only ever ship *current* nodes, which the live tree encodes.
     /// * **Records** — nothing to do: every stored record block is the value
-    ///   of a key, and no key is ever removed or rewritten.
+    ///   of a key, and no key is ever removed or rewritten. (Their bytes may
+    ///   go in a release, [`Repository::release_before`].)
     /// * **Commits + log entries** — commits with `rev < cutoff` leave the
     ///   window (the head commit is always retained). Subsequent
     ///   [`Repository::export_car_since`] calls for a dropped revision fail
@@ -682,6 +885,18 @@ impl Repository {
         }
         self.store.evict_cold();
         stats
+    }
+
+    /// Release the bytes of every re-drawable record block
+    /// ([`Repository::apply_redrawable_writes`]) committed under a day
+    /// before `day`, whether or not its commit is still in the log. Each
+    /// block stays in the tree and the store, which keeps only its slot, so
+    /// `getRepo` answers the same; an export draws it again through its
+    /// owner's [`RecordSource`]. Returns the payload bytes released. The
+    /// caller holds that source: a repository released without one cannot
+    /// be exported.
+    pub fn release_before(&mut self, day: u16) -> usize {
+        self.store.release_before(day)
     }
 }
 
@@ -1632,6 +1847,153 @@ mod tests {
         let records = decoded_records(&repo.export_car());
         assert!(records.contains(&post("ancient but live")));
         assert_eq!(records.len(), 11);
+    }
+
+    /// A stub [`RecordSource`]: each day's writes, kept as they were
+    /// committed; `tamper` changes the first post's text on the way out.
+    #[derive(Debug, Default)]
+    struct DayRecipes {
+        days: BTreeMap<u16, Vec<Write>>,
+        tamper: bool,
+    }
+
+    impl RecordSource for DayRecipes {
+        fn redraw(&self, _did: &Did, day: u16) -> Vec<Write> {
+            let mut writes = self.days.get(&day).cloned().unwrap_or_default();
+            if let (
+                true,
+                Some(Write::Create {
+                    record: Record::Post(post),
+                    ..
+                }),
+            ) = (self.tamper, writes.first_mut())
+            {
+                post.text.push('!');
+            }
+            writes
+        }
+    }
+
+    /// Two repositories with one history, but one commits its days as
+    /// re-drawable and then releases them: each full export is the other's,
+    /// byte for byte, every released block re-drawn once and checked; a
+    /// delta since a kept revision re-draws nothing; and a source that
+    /// draws the wrong bytes, draws nothing, or is missing fails the export.
+    #[test]
+    fn released_blocks_export_as_if_kept() {
+        let did = Did::plc_from_seed(b"tess");
+        let (mut kept, mut released) = (
+            Repository::new(did.clone(), b"k"),
+            Repository::new(did.clone(), b"k"),
+        );
+        let mut recipes = DayRecipes::default();
+        let profile = Write::Create {
+            collection: post_nsid(),
+            rkey: "self".into(),
+            record: post("not drawn again"),
+        };
+        for repo in [&mut kept, &mut released] {
+            repo.apply_writes(std::slice::from_ref(&profile), now())
+                .unwrap();
+        }
+        let mut cutoff_rev = None;
+        for day in 0..12i64 {
+            let at = now().plus_days(day).plus_seconds(60);
+            // Every third day repeats a post another day wrote: its block
+            // is stored once, under the day that wrote it first.
+            let text = if day % 3 == 2 {
+                "again".to_string()
+            } else {
+                format!("day {day}")
+            };
+            let writes: Vec<Write> = (0..3)
+                .map(|n| Write::Create {
+                    collection: post_nsid(),
+                    rkey: format!("d{day:02}n{n}"),
+                    record: Record::Post(PostRecord::simple(
+                        if n == 0 {
+                            text.as_str()
+                        } else {
+                            "same every day"
+                        },
+                        "en",
+                        now(),
+                    )),
+                })
+                .collect();
+            kept.apply_writes(&writes, at).unwrap();
+            let result = released
+                .apply_redrawable_writes(&writes, at, day as u16)
+                .unwrap();
+            recipes.days.insert(day as u16, writes);
+            if day == 8 {
+                cutoff_rev = Some(result.commit.rev);
+            }
+        }
+        let cutoff = 8;
+        let since = cutoff_rev.unwrap();
+        let (full, delta) = (
+            kept.export_car(),
+            kept.export_car_since(&since, DeltaScope::Full).unwrap(),
+        );
+        let before = released.store_stats();
+
+        let freed = released.release_before(cutoff);
+        assert!(freed > 0);
+        let after = released.store_stats();
+        assert_eq!(after.logical_bytes, before.logical_bytes - freed);
+        assert_eq!(after.blocks, before.blocks, "a released block stays");
+        assert_eq!(released.release_before(cutoff), 0, "idempotent");
+        let mut tally = Redraws::default();
+        let drawn = released.export_car_drawn(Some(&recipes), &mut tally);
+        assert_eq!(drawn.unwrap(), full);
+        // Days 0 to 7: six first posts, one "again", one "same every day".
+        assert_eq!(
+            tally,
+            Redraws {
+                blocks: 8,
+                mismatches: 0
+            }
+        );
+        let mut quiet = Redraws::default();
+        let since_drawn =
+            released.export_car_since_drawn(&since, DeltaScope::Full, Some(&recipes), &mut quiet);
+        assert_eq!(since_drawn.unwrap(), delta);
+        assert_eq!(quiet, Redraws::default());
+        // Drawn after the cutoff's day: its bytes are still held.
+        let recent = kept.mst.get("app.bsky.feed.post/d10n0").unwrap();
+        assert!(released.store.get(&recent).is_some());
+
+        // Wrong bytes, no bytes, no source: a loud failure, counted.
+        let tampered = DayRecipes {
+            tamper: true,
+            ..recipes
+        };
+        let mut tally = Redraws::default();
+        assert!(released
+            .export_car_drawn(Some(&tampered), &mut tally)
+            .is_err());
+        assert!(tally.mismatches > 0, "{tally:?}");
+        let mut tally = Redraws::default();
+        assert!(released
+            .export_car_drawn(Some(&DayRecipes::default()), &mut tally)
+            .is_err());
+        assert_eq!(
+            tally,
+            Redraws {
+                blocks: 0,
+                mismatches: 8
+            }
+        );
+        assert!(released
+            .export_car_drawn(None, &mut Redraws::default())
+            .is_err());
+        // Only the export that meets a released block needs the source.
+        assert_eq!(
+            kept.export_car_drawn(None, &mut Redraws::default())
+                .unwrap(),
+            full
+        );
     }
 
     #[test]

@@ -52,7 +52,13 @@
 //! weeks of other commits; inside the window it runs right after each
 //! round's sync and never between two. A pass keeps every head, and right
 //! after a sync every revision the mirror holds is one, so the next round's
-//! delta since it is served.
+//! delta since it is served. An in-window pass also releases the bytes of
+//! the user-day records committed before its cutoff, which the mirror then
+//! holds: the PDS keeps each block, but not its bytes. A delta since a
+//! revision the mirror holds carries only newer records, so it reads none
+//! of them; a full fetch (a backfill, a compaction fallback, a retry after
+//! a failed delta) has its PDS draw them again from the world's recipe and
+//! check each against its CID, counted in the stream summary.
 //!
 //! The paper's naive reading of §3 — download and decode every repository
 //! CAR once, at the window end, O(total repo bytes) — is not a selectable
@@ -64,8 +70,9 @@
 //! ever adds what a delta carries, which is exact because a repository only
 //! creates records: `bsky_atproto::repo::Write` has no update and no
 //! delete, so a record the mirror holds stays in its repository, and the
-//! weekly compaction drops commits, never a record block. (Account deletion
-//! drops a whole repository, which the mirror handles per DID.)
+//! weekly compaction drops commits and, in the window, the bytes of records
+//! the PDS can draw again, never a record block. (Account deletion drops a
+//! whole repository, which the mirror handles per DID.)
 
 use crate::pipeline::StreamSummary;
 use bsky_atproto::cid::Cid;

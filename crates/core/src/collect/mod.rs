@@ -223,6 +223,7 @@ impl Collector {
                 break;
             };
             let today = cursor.day();
+            let today_idx = cursor.day_idx();
             let day_abs = today.timestamp().div_euclid(86_400) as u64;
             let day_start_cursor = self.firehose_cursor;
             summary.days += 1;
@@ -287,13 +288,17 @@ impl Collector {
             // every stream.
             self.emit_new_labelers(world, sink);
             self.emit_new_labels(world, sink);
+            // The collector is every label stream's only reader: what it
+            // has read goes.
+            world.trim_label_streams(&self.label_cursors);
             // Weekly compaction passes, from the first simulated day:
             // repositories drop commits that aged out of the delta window,
             // never a record block (see the `mirror` docs). Cadence and
             // cutoff derive only from simulated time, so every shard and
             // backend compacts identically. Before the window nothing has
             // been mirrored, so a pass drops no revision a delta will ask
-            // for.
+            // for, and releases no record's bytes: every DID's first full
+            // fetch reads stored bytes.
             if today < firehose_start {
                 if last_compaction.is_none_or(|prev| today.days_since(prev) >= 7) {
                     compact_repos(world, today, &mut summary);
@@ -311,8 +316,14 @@ impl Collector {
                 // In the window the pass follows each sync, never between
                 // two: a pass keeps every head, and right after a sync every
                 // revision the mirror holds is one, so the next round's
-                // delta since it is served.
+                // delta since it is served. The mirror now holds every
+                // record the user-days before the cutoff wrote, so their
+                // bytes go too: only a full fetch reads them again, and the
+                // fleet draws them again for it.
                 compact_repos(world, today, &mut summary);
+                let cutoff_idx = today_idx.saturating_sub(COMPACTION_WINDOW_DAYS as usize);
+                summary.store_bytes_reclaimed +=
+                    world.release_before(cutoff_idx).bytes_reclaimed as u64;
                 last_listrepos = Some(today);
                 summary.listrepos_snapshots += 1;
             }
@@ -334,6 +345,11 @@ impl Collector {
         // the fleet serves incomplete, so the count is surfaced — never
         // silent.
         summary.store_corrupt_reads = store_stats.corrupt_reads;
+        // Released blocks re-drawn for exports, and any that failed their
+        // CID check (such an export fails, and the repo is a counted skip).
+        let redraws = world.fleet.redraws();
+        summary.blocks_redrawn = redraws.blocks;
+        summary.redraw_mismatches = redraws.mismatches;
         // Workload-side injected-fault accounting (outage migrations, spam
         // waves, label/tombstone storms) flows into the same summary so
         // every injected fault in a scenario run shows up as a named

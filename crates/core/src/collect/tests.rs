@@ -244,3 +244,28 @@ fn history_is_bounded_before_the_window_opens() {
     assert!(summary.repo_delta_fetches > 0, "{summary:?}");
     assert_eq!(summary.repo_compaction_fallbacks, 0, "{summary:?}");
 }
+
+/// Inside the window each compaction pass releases the bytes of the
+/// records the mirror holds, and a full fetch after that draws them again:
+/// under flaky fetches a failed delta falls back to one. Every released
+/// block a full fetch needs is re-drawn and checked, none fails, and a
+/// quiet run re-draws nothing.
+#[test]
+fn full_fetches_draw_released_records_again() {
+    let config = small_config(31);
+    let total_days = config.end.days_since(config.start).max(0) as usize;
+    let spec = bsky_workload::faults::FaultSpec::scenario("flaky-fetch").expect("preset");
+    let plan = Arc::new(FaultPlan::build(config.seed, total_days, spec));
+    let mut world = World::from_spec(bsky_workload::WorldSpec::new(config).faults(plan.clone()));
+    let mut analyzers = crate::shard::StudyAnalyzers::default();
+    let flaky = Collector::new()
+        .faults(plan)
+        .stream(&mut world, &mut analyzers);
+    assert!(flaky.store_bytes_reclaimed > 0, "{flaky:?}");
+    assert!(flaky.blocks_redrawn > 0, "{flaky:?}");
+    assert_eq!(flaky.redraw_mismatches, 0);
+
+    let (_, _, quiet) = collected(config);
+    assert!(quiet.store_bytes_reclaimed > 0, "{quiet:?}");
+    assert_eq!((quiet.blocks_redrawn, quiet.redraw_mismatches), (0, 0));
+}

@@ -361,10 +361,10 @@ pub struct StreamSummary {
     /// decode. A visible dataset gap, never a silent drop; zero in every
     /// clean run.
     pub repo_records_undecodable: u64,
-    /// Always 0: compaction deletes no block, since a repository only
-    /// creates records. A shim kept while the pinned benchmark surface
-    /// still reads it; it goes with that pin. What compaction does drop is
-    /// counted in `commits_dropped`.
+    /// Record payload bytes the releasing compaction passes let go, summed
+    /// over every pass: the bytes of user-day record blocks the mirror
+    /// already holds, which the fleet draws again for a later full export.
+    /// Passes before the collection window release nothing.
     pub store_bytes_reclaimed: u64,
     /// Commits (with their log entries) the weekly compaction passes
     /// dropped from the fleet's repositories, summed over every pass.
@@ -381,6 +381,12 @@ pub struct StreamSummary {
     /// corruption and the run's snapshots may be incomplete; surfaced so
     /// that loss is never silent.
     pub store_corrupt_reads: u64,
+    /// Released record blocks the fleet drew again for an export, each
+    /// checked against the CID its repository's tree holds.
+    pub(crate) blocks_redrawn: u64,
+    /// Re-drawn records that failed that check, and released blocks a
+    /// re-draw did not yield. Each fails its export; zero in every run.
+    pub(crate) redraw_mismatches: u64,
     /// Always 0, like the three `writeback_*` counters: the study runs no
     /// AppView and no write-back cache. The four stay because
     /// `benchmark/src/surface.rs` reads them.
@@ -463,7 +469,7 @@ impl StreamSummary {
     /// Render a one-line summary for CLI output.
     pub fn render(&self) -> String {
         let mut out = format!(
-            "pipeline: {} days, {} observations, {} firehose events streamed, peak {} in flight; repo snapshots: {} bytes fetched ({} full, {} delta), {} skipped, {} compaction fallback(s); store: {} bytes resident, {} spilled, {} commit(s) dropped by compaction",
+            "pipeline: {} days, {} observations, {} firehose events streamed, peak {} in flight; repo snapshots: {} bytes fetched ({} full, {} delta), {} skipped, {} compaction fallback(s); store: {} bytes resident, {} spilled, {} commit(s) dropped and {} bytes reclaimed by compaction, {} block(s) re-drawn, {} CID mismatch(es)",
             self.days,
             self.observations,
             self.firehose_events,
@@ -476,6 +482,9 @@ impl StreamSummary {
             self.resident_block_bytes,
             self.spilled_block_bytes,
             self.commits_dropped,
+            self.store_bytes_reclaimed,
+            self.blocks_redrawn,
+            self.redraw_mismatches,
         );
         out.push_str(&format!(
             "; observatory: {} frames on the wire, {} overhead bytes, {} identity lookups",
@@ -579,6 +588,8 @@ impl StreamSummary {
         self.resident_block_bytes += other.resident_block_bytes;
         self.spilled_block_bytes += other.spilled_block_bytes;
         self.store_corrupt_reads += other.store_corrupt_reads;
+        self.blocks_redrawn += other.blocks_redrawn;
+        self.redraw_mismatches += other.redraw_mismatches;
         self.identity_lookups += other.identity_lookups;
         self.wire_frames += other.wire_frames;
         self.padding_overhead_bytes += other.padding_overhead_bytes;

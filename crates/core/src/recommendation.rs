@@ -333,6 +333,7 @@ impl Analyzer for RecommendationAnalyzer {
         let mut total_posts = 0u64;
         let mut total_likes = 0u64;
         let mut per_platform: BTreeMap<String, (u64, u64, u64)> = BTreeMap::new();
+        let mut uri_buf: Vec<u8> = Vec::new();
 
         for feed in self.feeds.values() {
             let served = &feed.page;
@@ -353,9 +354,16 @@ impl Analyzer for RecommendationAnalyzer {
             // Figure 9 + heavily-labeled share; each labeler applying a
             // value counts once.
             if !served.is_empty() {
+                let labels = &self.labels;
                 let labeled: Vec<&LabelFlags> = served
                     .iter()
-                    .filter_map(|(_, uri)| self.labels.get(&uri.as_string()))
+                    .filter_map(|(_, uri)| {
+                        // Rendered into one buffer for every lookup: a
+                        // served post is looked up, never kept.
+                        uri_buf.clear();
+                        uri.write_to(&mut uri_buf);
+                        labels.get(std::str::from_utf8(&uri_buf).expect("AT-URIs are UTF-8"))
+                    })
                     .filter(|flags| flags.iter().any(|(_, f)| *f == EFFECTIVE))
                     .collect();
                 if labeled.len() as f64 / served.len() as f64 >= 0.10 {

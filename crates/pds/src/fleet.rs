@@ -13,9 +13,10 @@
 use crate::server::{Pds, PdsOperator};
 use bsky_atproto::blockstore::{StoreConfig, StoreStats};
 use bsky_atproto::error::{AtError, Result};
-use bsky_atproto::repo::CompactionStats;
+use bsky_atproto::repo::{CompactionStats, RecordSource, Redraws};
 use bsky_atproto::{Datetime, Did, Handle, Tid};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// A collection of PDS instances plus the DID → PDS routing table.
 #[derive(Debug, Default)]
@@ -160,6 +161,14 @@ impl PdsFleet {
         Ok(self.servers[dest].endpoint())
     }
 
+    /// Lend every server what draws the re-drawable records of the
+    /// repositories it hosts again (see `Pds::lend_source`).
+    pub fn lend_source(&mut self, source: Arc<dyn RecordSource>) {
+        for server in &mut self.servers {
+            server.lend_source(Arc::clone(&source));
+        }
+    }
+
     /// Run the repository compaction pass on every server (the study
     /// pipeline calls this on its weekly snapshot cadence).
     pub fn compact_all(&mut self, cutoff: &Tid) -> CompactionStats {
@@ -168,6 +177,32 @@ impl PdsFleet {
             stats.absorb(&server.compact_repos(cutoff));
         }
         stats
+    }
+
+    /// Let go of the bytes of every re-drawable record block committed
+    /// under a day before `day`, on every server lent a source
+    /// (`Pds::release_before`); `bytes_reclaimed` counts them.
+    pub fn release_before(&mut self, day: u16) -> CompactionStats {
+        let mut stats = CompactionStats::default();
+        for server in &mut self.servers {
+            stats.absorb(&server.release_before(day));
+        }
+        stats
+    }
+
+    /// What every server's exports re-drew so far.
+    pub fn redraws(&self) -> Redraws {
+        let mut redraws = Redraws::default();
+        for server in &self.servers {
+            redraws.absorb(&server.redraws());
+        }
+        redraws
+    }
+
+    /// The record blocks the fleet's repositories serve: the distinct
+    /// values of their trees, whether a store holds the bytes or not.
+    pub fn record_blocks(&self) -> usize {
+        self.servers.iter().map(Pds::record_blocks).sum()
     }
 
     /// Trim every server's outbox (`Pds::trim_outbox`) to its entry in

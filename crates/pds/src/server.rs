@@ -32,9 +32,12 @@ use bsky_atproto::blockstore::{StoreConfig, StoreStats};
 use bsky_atproto::error::{AtError, Result};
 use bsky_atproto::firehose::EventBody;
 use bsky_atproto::record::Record;
-use bsky_atproto::repo::{CommitResult, CompactionStats, DeltaScope, Repository, Write};
+use bsky_atproto::repo::{
+    CommitResult, CompactionStats, DeltaScope, RecordSource, Redraws, Repository, Write,
+};
 use bsky_atproto::{Datetime, Did, Handle, Nsid, Tid};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// A commit whose new blocks exceed this many bytes is flagged `tooBig`:
 /// the consumer is expected to re-sync the repository instead.
@@ -68,6 +71,11 @@ pub struct Pds {
     outbox_trimmed: usize,
     /// Block-store backend every hosted repository is created over.
     store_config: StoreConfig,
+    /// What draws the re-drawable records of the hosted repositories again
+    /// (see [`Pds::lend_source`]); `None` releases nothing.
+    source: Option<Arc<dyn RecordSource>>,
+    /// What this server's exports re-drew.
+    redraws: Redraws,
 }
 
 impl Pds {
@@ -85,7 +93,16 @@ impl Pds {
             outbox: Vec::new(),
             outbox_trimmed: 0,
             store_config,
+            source: None,
+            redraws: Redraws::default(),
         }
+    }
+
+    /// Lend the server what draws its repositories' re-drawable records
+    /// again. From then on a release ([`Pds::release_before`]) may drop their
+    /// bytes, and its exports draw them again through `source`.
+    pub(crate) fn lend_source(&mut self, source: Arc<dyn RecordSource>) {
+        self.source = Some(source);
     }
 
     /// The PDS hostname.
@@ -165,6 +182,22 @@ impl Pds {
         Ok(result)
     }
 
+    /// [`Pds::apply_writes`] for a batch the repository's owner can draw
+    /// again as the recipe of `day` ([`Repository::apply_redrawable_writes`]).
+    pub fn apply_redrawable_writes(
+        &mut self,
+        did: &Did,
+        writes: &[Write],
+        at: Datetime,
+        day: u16,
+    ) -> Result<CommitResult> {
+        let result = self
+            .active_repo(did)?
+            .apply_redrawable_writes(writes, at, day)?;
+        self.emit_commit(did, &result, at);
+        Ok(result)
+    }
+
     /// Convenience: create a single record keyed by a fresh TID.
     pub fn create_record(
         &mut self,
@@ -235,11 +268,13 @@ impl Pds {
 
     // ----- com.atproto.sync.* -----
 
-    /// `sync.getRepo`: CAR export of a hosted repository.
+    /// `sync.getRepo`: CAR export of a hosted repository, with any block
+    /// whose bytes were released drawn again and checked (counted in
+    /// `PdsFleet::redraws`; a failed check fails the export).
     pub fn get_repo(&mut self, did: &Did) -> Result<Vec<u8>> {
-        self.repo(did)
-            .map(Repository::export_car)
-            .ok_or_else(|| AtError::RepoError(format!("{did} not hosted here")))
+        let repo = self.hosted.get(did).and_then(Option::as_ref);
+        repo.ok_or_else(|| AtError::RepoError(format!("{did} not hosted here")))?
+            .export_car_drawn(self.source.as_deref(), &mut self.redraws)
     }
 
     /// `sync.getRepo` with `since`: a delta CAR carrying only the blocks
@@ -249,9 +284,14 @@ impl Pds {
     /// is unknown (rewound / replaced repo), in which case the caller must
     /// fall back to a full [`Pds::get_repo`].
     pub fn get_repo_since(&mut self, did: &Did, since: &Tid, scope: DeltaScope) -> Result<Vec<u8>> {
-        self.repo(did)
-            .ok_or_else(|| AtError::RepoError(format!("{did} not hosted here")))?
-            .export_car_since(since, scope)
+        let repo = self.hosted.get(did).and_then(Option::as_ref);
+        repo.ok_or_else(|| AtError::RepoError(format!("{did} not hosted here")))?
+            .export_car_since_drawn(since, scope, self.source.as_deref(), &mut self.redraws)
+    }
+
+    /// What this server's exports re-drew so far.
+    pub(crate) fn redraws(&self) -> Redraws {
+        self.redraws
     }
 
     /// Frames at or after the absolute outbox position `cursor` (the
@@ -297,6 +337,26 @@ impl Pds {
             stats.absorb(&repo.compact_before(cutoff));
         }
         stats
+    }
+
+    /// Let go of the bytes of every re-drawable block the hosted
+    /// repositories committed under a day before `day`
+    /// ([`Repository::release_before`]), counted in `bytes_reclaimed`.
+    /// A server lent no source releases nothing: it could not draw the
+    /// bytes again.
+    pub(crate) fn release_before(&mut self, day: u16) -> CompactionStats {
+        let mut stats = CompactionStats::default();
+        if self.source.is_some() {
+            for repo in self.hosted.values_mut().flatten() {
+                stats.bytes_reclaimed += repo.release_before(day);
+            }
+        }
+        stats
+    }
+
+    /// The record blocks the hosted repositories serve.
+    pub(crate) fn record_blocks(&self) -> usize {
+        self.repos().map(Repository::record_blocks).sum()
     }
 
     /// Aggregate block-store statistics over every hosted repository.

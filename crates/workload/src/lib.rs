@@ -80,6 +80,7 @@
 pub mod config;
 pub mod ecosystem;
 pub mod population;
+mod recipe;
 pub mod world;
 
 pub mod dns;

@@ -5,7 +5,10 @@
 //! observes posts (and accounts), decides whether to label them according to
 //! its [`IssuancePolicy`], waits out its modelled reaction delay, and then
 //! publishes the label on its stream. Consumers (the AppView, the study's
-//! collector) read the stream with a cursor and can backfill from the start.
+//! collector) read the stream with a cursor. A cursor is an absolute stream
+//! position, so it keeps its meaning once the entries every consumer has
+//! read are let go (`LabelerService::trim_stream`); until then a consumer
+//! can backfill from the start.
 
 use crate::net::HostingClass;
 use crate::policy::IssuancePolicy;
@@ -44,8 +47,12 @@ pub struct LabelerService {
     /// Labels awaiting their reaction delay, ordered by due time. The flag
     /// marks labels that will be rescinded right after publication.
     pending: VecDeque<(Datetime, Label, bool)>,
-    /// The published stream, in publication order.
+    /// The published entries still held, in publication order: `stream[i]`
+    /// is the entry at absolute position `stream_trimmed + i`.
     stream: Vec<Label>,
+    /// Entries let go by `LabelerService::trim_stream`: the position of
+    /// `stream[0]`.
+    stream_trimmed: usize,
     rng: SimRng,
     /// Whether the endpoint currently answers (dead endpoints never publish).
     functional: bool,
@@ -74,6 +81,7 @@ impl LabelerService {
             policy,
             pending: VecDeque::new(),
             stream: Vec::new(),
+            stream_trimmed: 0,
             rng,
             uri_buf: Vec::new(),
         }
@@ -196,15 +204,41 @@ impl LabelerService {
         published
     }
 
-    /// Read the public stream from a cursor (index into the stream). Returns
-    /// the new entries and the next cursor. Unavailable endpoints return an
-    /// empty read without advancing the cursor.
+    /// Read the public stream from a cursor (an absolute stream position).
+    /// Returns the entries from there on and the next cursor. Unavailable
+    /// endpoints return an empty read without advancing the cursor.
+    ///
+    /// # Panics
+    ///
+    /// When `cursor` is below the entries let go
+    /// (`LabelerService::trim_stream`): that reader would get a shortened
+    /// history, so it is stopped rather than served one.
     pub fn subscribe_labels(&self, cursor: usize) -> (&[Label], usize) {
+        assert!(
+            cursor >= self.stream_trimmed,
+            "label stream read from {cursor}, below the {} entries already let go",
+            self.stream_trimmed
+        );
         if !self.functional {
             return (&[], cursor);
         }
-        let start = cursor.min(self.stream.len());
-        (&self.stream[start..], self.stream.len())
+        let start = (cursor - self.stream_trimmed).min(self.stream.len());
+        (
+            &self.stream[start..],
+            self.stream_trimmed + self.stream.len(),
+        )
+    }
+
+    /// Let go of every entry below the absolute position `upto`. The caller
+    /// vouches that every reader of the stream is at or past `upto`: in a
+    /// study that is the collector, the stream's only reader. Trimming to a
+    /// position already let go is a no-op.
+    pub(crate) fn trim_stream(&mut self, upto: usize) {
+        let gone = upto
+            .saturating_sub(self.stream_trimmed)
+            .min(self.stream.len());
+        self.stream.drain(..gone);
+        self.stream_trimmed += gone;
     }
 }
 
@@ -248,7 +282,7 @@ impl LabelerRegistry {
 impl LabelerService {
     /// Whether the labeler has ever published anything.
     pub(crate) fn has_issued(&self) -> bool {
-        !self.stream.is_empty()
+        self.stream_trimmed + self.stream.len() > 0
     }
 }
 
@@ -332,6 +366,35 @@ mod tests {
         // Cursor semantics.
         let (rest, _) = labeler.subscribe_labels(cursor);
         assert!(rest.is_empty());
+    }
+
+    #[test]
+    fn a_trimmed_stream_keeps_absolute_cursors() {
+        let mut labeler = alt_text_labeler();
+        labeler.observe_post(&post_uri(1), &media_post(None), now());
+        labeler.poll(now().plus_seconds(120));
+        let (_, cursor) = labeler.subscribe_labels(0);
+        assert_eq!(cursor, 1);
+        labeler.trim_stream(cursor);
+        labeler.trim_stream(0);
+        assert!(labeler.stream.is_empty(), "read entries go");
+        assert!(labeler.has_issued());
+        labeler.observe_post(&post_uri(2), &media_post(None), now());
+        labeler.poll(now().plus_seconds(240));
+        let (labels, next) = labeler.subscribe_labels(cursor);
+        assert_eq!(labels.len(), 1);
+        assert_eq!(labels[0].target, LabelTarget::Record(post_uri(2)));
+        assert_eq!(next, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "below the 1 entries already let go")]
+    fn a_reader_the_trim_passed_is_not_served_a_short_history() {
+        let mut labeler = alt_text_labeler();
+        labeler.observe_post(&post_uri(1), &media_post(None), now());
+        labeler.poll(now().plus_seconds(120));
+        labeler.trim_stream(1);
+        let _ = labeler.subscribe_labels(0);
     }
 
     #[test]

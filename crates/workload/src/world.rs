@@ -49,8 +49,9 @@ use crate::filter::FeedFilter;
 use crate::generator::{CurationMode, FeedGenerator, RetentionPolicy};
 use crate::http::WebSpace;
 use crate::plc::PlcDirectory;
-use crate::population::{DayPurpose, PopulationPlan, UserProfile};
+use crate::population::{PopulationPlan, UserProfile};
 use crate::psl::PublicSuffixList;
+use crate::recipe::{DayDraw, DayRecipes};
 use crate::registrar::{default_catalogue, WhoisDatabase};
 use crate::resolver::{publish, HandleProbe, Proof};
 use crate::rng::SimRng;
@@ -59,14 +60,10 @@ use crate::service::{LabelerOperator, LabelerRegistry, LabelerService};
 use crate::tranco::TrancoList;
 use bsky_atproto::blockstore::StoreConfig;
 use bsky_atproto::label::LabelTarget;
-use bsky_atproto::nsid::known;
-use bsky_atproto::record::{
-    BlockRecord, Embed, FeedGeneratorRecord, FollowRecord, ImageEmbed, LikeRecord, MediaKind,
-    PostRecord, ProfileRecord, Record, RepostRecord, UnknownRecord,
-};
-use bsky_atproto::repo::{CompactionStats, Write};
+use bsky_atproto::record::{FeedGeneratorRecord, MediaKind, ProfileRecord, Record};
+use bsky_atproto::repo::{CompactionStats, RecordSource, Write};
 use bsky_atproto::Tid;
-use bsky_atproto::{cbor, AtUri, Datetime, Did, Handle, Nsid};
+use bsky_atproto::{AtUri, Datetime, Did, Handle, Nsid};
 use bsky_pds::{Pds, PdsFleet, PdsOperator};
 use bsky_relay::{Relay, RelayFederation};
 use std::collections::BTreeMap;
@@ -102,6 +99,11 @@ impl DayCursor {
     /// The day being simulated.
     pub fn day(&self) -> Datetime {
         self.day
+    }
+
+    /// Its index: days since the first simulated day.
+    pub fn day_idx(&self) -> usize {
+        self.day_idx
     }
 }
 
@@ -154,8 +156,10 @@ pub struct World {
     owned_local: BTreeMap<usize, usize>,
     labeler_plans: Vec<LabelerPlan>,
     feedgen_plans: Vec<FeedGenPlan>,
-    /// Cumulative like-attractiveness weights parallel to `feedgens`.
-    feed_like_cumsum: Vec<f64>,
+    /// The recipe of every user-day, and the feed generators the plans
+    /// bring online: what the world writes each day from, lent to the
+    /// fleet to draw a day again.
+    recipes: Arc<DayRecipes>,
     self_hosted_pds: Vec<String>,
     pub(crate) total_posts: u64,
     pub(crate) total_likes: u64,
@@ -294,6 +298,13 @@ impl World {
         // Ecosystem plans (identical in every shard).
         let labeler_plans = build_labeler_plans(&config, &mut root.fork("world").fork("labelers"));
         let feedgen_plans = build_feedgen_plans(&config, &mut root.fork("world").fork("feeds"));
+        let recipes = Arc::new(DayRecipes::new(
+            &config,
+            Arc::clone(&plan),
+            Arc::clone(&faults),
+            &feedgen_plans,
+        ));
+        fleet.lend_source(Arc::clone(&recipes) as Arc<dyn RecordSource>);
 
         // Tranco list: famous domains rank inside the top 1M.
         let tranco = TrancoList::from_ranked(&[
@@ -328,7 +339,7 @@ impl World {
             owned_local: BTreeMap::new(),
             labeler_plans,
             feedgen_plans,
-            feed_like_cumsum: Vec::new(),
+            recipes,
             self_hosted_pds,
             total_posts: 0,
             total_likes: 0,
@@ -646,24 +657,21 @@ impl World {
         }
     }
 
+    /// Bring online the feed generators the schedule lists for `day_idx`
+    /// (see `crate::recipe::feed_schedule`), each bound to its creator.
     fn activate_feedgens(&mut self, today: Datetime, day_idx: usize) {
         let platforms = default_platforms();
-        for (plan_index, plan) in self.feedgen_plans.iter().enumerate() {
-            if plan.created_at.day_index() != today.day_index()
-                || self.plan.joined_count(day_idx) == 0
-            {
-                continue;
+        let recipes = Arc::clone(&self.recipes);
+        let from = self.feedgens.len();
+        for (index, scheduled) in recipes.feeds().iter().enumerate().skip(from) {
+            if scheduled.day_idx != day_idx {
+                break;
             }
-            let index = self.feedgens.len();
-            // Bind the creator: rank 1 = most popular joined user, resolved
-            // against the plan so every shard binds identically.
-            let Some(creator_index) = self
-                .plan
-                .creator_for_rank(plan.creator_popularity_rank, day_idx)
-            else {
-                continue;
-            };
-            let creator = self.plan.profile(creator_index).did.clone();
+            let (plan_index, plan) = (
+                scheduled.plan_index,
+                &self.feedgen_plans[scheduled.plan_index],
+            );
+            let creator = self.plan.profile(scheduled.creator).did.clone();
 
             let (platform, service_did) = match plan.platform_index {
                 Some(i) => {
@@ -677,7 +685,7 @@ impl World {
                     "self-hosted".to_string(),
                     Did::web(&format!(
                         "feeds.{}",
-                        self.plan.profile(creator_index).handle
+                        self.plan.profile(scheduled.creator).handle
                     ))
                     .unwrap_or_else(|_| Did::web("selfhosted-feeds.example").expect("valid")),
                 ),
@@ -728,17 +736,16 @@ impl World {
             let rkey = format!("feed{index:06}");
             let mut generator =
                 FeedGenerator::new(creator, rkey, record, platform, mode, retention);
+            debug_assert_eq!(generator.uri(), &scheduled.uri, "a like draws this URI");
             self.feed_routes.add(&mut generator, today);
             self.feedgens.push(generator);
-            self.feed_like_cumsum.push(
-                self.feed_like_cumsum.last().copied().unwrap_or(0.0)
-                    + 1.0 / (plan.creator_popularity_rank as f64 + 1.0),
-            );
         }
     }
 
     /// One active user's actions for one day, applied as a single commit.
-    /// Consumes only the user's own per-day streams plus the read-only plan.
+    /// The writes are the day's recipe ([`DayRecipes::draw`]), a pure
+    /// function of the plans; this applies the rest of the day: feed likes
+    /// and counters, the commit, routing and labelers, and identity churn.
     /// Each record is built once, inside its [`Write`], and lent from there
     /// to the PDS, the feed generators and the labelers. A deleted account
     /// stays on the schedule: its day is drawn, then not written.
@@ -746,140 +753,37 @@ impl World {
         let Some(&local) = self.owned_local.get(&index) else {
             return; // signup failed (should not happen)
         };
-        let user = &self.users[local];
-        let mut writes: Vec<Write> = Vec::new();
-        let mut create = |collection: Nsid, rkey: String, record: Record| {
-            writes.push(Write::Create {
-                collection,
-                rkey,
-                record,
-            })
-        };
-
-        let when = self.plan.when(index, day_idx);
-        let mut rng = self.plan.day_rng(index, day_idx, DayPurpose::Content);
-        // Non-post records share one per-day key sequence.
-        let mut record_seq = 0u64;
-        let mut next_rkey = || {
-            record_seq += 1;
-            PopulationPlan::day_rkey('r', day_idx, record_seq - 1, 3)
-        };
-
-        // Posts (≈1.8 per active user-day on average, weighted by the user).
-        // The count comes from its own stream so other shards can recompute
-        // it when targeting this user's posts.
-        let post_count = self.plan.posts_on(index, day_idx);
-        for slot in 0..post_count {
-            let post = draw_post(user, &mut rng, when);
-            let rkey = PopulationPlan::post_rkey(day_idx, slot);
-            create(Nsid::POST, rkey, Record::Post(post));
-            self.total_posts += 1;
+        let DayDraw {
+            writes,
+            when,
+            feed_likes,
+            posts,
+            spam_posts,
+            likes,
+            mut rng,
+        } = self.recipes.draw(index, day_idx);
+        // A deleted account's feed-generator likes are counted although its
+        // day is not written.
+        for feed in feed_likes {
+            self.feedgens[feed].add_like();
         }
-
-        // Spam wave (fault injection): conscripted accounts pile a burst of
-        // spam posts on top of their planned content. Count and content come
-        // from dedicated fault forks — never from the user's content stream
-        // — so a quiet plan leaves this path byte-inert, and the distinct
-        // `f`-prefixed rkeys never collide with planned (`p`/`r`) keys.
-        let spam_count = self.faults.spam_posts(user.did.as_str(), day_idx);
-        for slot in 0..spam_count {
-            let post = PostRecord::simple(
-                format!("fresh followers fast, link in bio #{slot}"),
-                &user.language,
-                when,
-            );
-            let rkey = PopulationPlan::day_rkey('f', day_idx, u64::from(slot), 2);
-            create(Nsid::POST, rkey, Record::Post(post));
-            self.total_posts += 1;
-            self.fault_counters.spam_posts_injected += 1;
-        }
-
-        // Likes (≈6 per active user-day): mostly on recent posts, sometimes
-        // on feed generators. Targets are resolved against the plan, so a
-        // like can land on any shard's post.
-        let like_count = rng.poisson(6.0);
-        for _ in 0..like_count {
-            let subject = if !self.feedgens.is_empty() && rng.chance(0.03) {
-                let total = self.feed_like_cumsum.last().copied().unwrap_or(0.0);
-                let target = rng.unit() * total;
-                let idx = self
-                    .feed_like_cumsum
-                    .partition_point(|&c| c <= target)
-                    .min(self.feedgens.len() - 1);
-                self.feedgens[idx].add_like();
-                self.feedgens[idx].uri().clone()
-            } else if let Some(target) = self.plan.pick_recent_post(day_idx, &mut rng) {
-                target
-            } else {
-                continue;
-            };
-            let record = Record::Like(LikeRecord {
-                subject,
-                created_at: when,
-            });
-            create(Nsid::LIKE, next_rkey(), record);
-            self.total_likes += 1;
-        }
-
-        // Reposts (≈0.6).
-        for _ in 0..rng.poisson(0.6) {
-            if let Some(target) = self.plan.pick_recent_post(day_idx, &mut rng) {
-                let record = Record::Repost(RepostRecord {
-                    subject: target,
-                    created_at: when,
-                });
-                create(Nsid::REPOST, next_rkey(), record);
-            }
-        }
-
-        // Follows (≈1.3): preferential attachment towards popular users.
-        for _ in 0..rng.poisson(1.3) {
-            if let Some(target) = self.pick_popular_user(index, day_idx, &mut rng) {
-                let record = Record::Follow(FollowRecord {
-                    subject: target,
-                    created_at: when,
-                });
-                create(Nsid::FOLLOW, next_rkey(), record);
-            }
-        }
-
-        // Blocks (≈0.09): concentrated on a couple of notorious accounts.
-        for _ in 0..rng.poisson(0.09) {
-            if let Some(target) = self.pick_block_target(index, day_idx, &mut rng) {
-                let record = Record::Block(BlockRecord {
-                    subject: target,
-                    created_at: when,
-                });
-                create(Nsid::BLOCK, next_rkey(), record);
-            }
-        }
-
-        // Third-party (WhiteWind) records for the few users who use them.
-        if user.uses_whitewind && rng.chance(0.2) {
-            let record = Record::Unknown(UnknownRecord {
-                record_type: Nsid::WHTWND_ENTRY,
-                value: cbor::Value::map([
-                    ("$type", cbor::Value::text(known::WHTWND_ENTRY)),
-                    ("title", cbor::Value::text("long-form thoughts")),
-                    ("createdAt", cbor::Value::text(when.to_iso8601())),
-                ]),
-            });
-            create(Nsid::WHTWND_ENTRY, next_rkey(), record);
-        }
-
+        self.total_posts += posts + spam_posts;
+        self.total_likes += likes;
+        self.fault_counters.spam_posts_injected += spam_posts;
         if writes.is_empty() {
             return;
         }
-        // The account's PDS says whether it may still write. The draw above
-        // runs either way: a deleted account's feed-generator likes are
-        // counted although its day is not written.
-        let hosted = self.fleet.pds_for_mut(&user.did);
-        let Some(pds) = hosted.filter(|pds| pds.is_active(&user.did)) else {
+        // The account's PDS says whether it may still write.
+        let did = &self.users[local].did;
+        let hosted = self.fleet.pds_for_mut(did);
+        let Some(pds) = hosted.filter(|pds| pds.is_active(did)) else {
             return;
         };
         // Every key is fresh (a day's rkeys are unique to the day), so an
-        // active account's batch is accepted.
-        pds.apply_writes(&user.did, &writes, when)
+        // active account's batch is accepted. The store may let its bytes go
+        // once the mirror holds them: the fleet draws the day again.
+        let day = u16::try_from(day_idx).expect("a simulated window spans fewer than 65 536 days");
+        pds.apply_redrawable_writes(did, &writes, when, day)
             .expect("a day's creates are accepted");
 
         // Feed curation and labeler observation for the new posts (the
@@ -891,7 +795,7 @@ impl World {
                 ..
             } = write
             {
-                let uri = Arc::new(AtUri::record(user.did.clone(), Nsid::POST, rkey.as_str()));
+                let uri = Arc::new(AtUri::record(did.clone(), Nsid::POST, rkey.as_str()));
                 self.feed_routes.route(&uri, post, when);
                 for labeler in self.labelers.all_mut() {
                     labeler.observe_post(&uri, post, when);
@@ -901,38 +805,6 @@ impl World {
 
         // Occasional identity churn: handle changes and account deletion.
         self.simulate_identity_churn(index, local, today, &mut rng);
-    }
-
-    fn pick_popular_user(&self, exclude: usize, day_idx: usize, rng: &mut SimRng) -> Option<Did> {
-        if self.plan.joined_count(day_idx) < 2 {
-            return None;
-        }
-        for _ in 0..8 {
-            let idx = self.plan.pick_joined_weighted(day_idx, rng)?;
-            if idx != exclude {
-                return Some(self.plan.profile(idx).did.clone());
-            }
-        }
-        None
-    }
-
-    fn pick_block_target(&self, exclude: usize, day_idx: usize, rng: &mut SimRng) -> Option<Did> {
-        let joined = self.plan.joined_count(day_idx);
-        if joined < 4 {
-            return None;
-        }
-        // Blocks concentrate on two notorious accounts (the impersonator and
-        // the propagandist of §4), with a tail over everyone else.
-        let notorious = [2usize, 3usize];
-        let idx = if rng.chance(0.6) {
-            notorious[rng.range(0..notorious.len())]
-        } else {
-            rng.range(0..joined)
-        };
-        if idx == exclude {
-            return None;
-        }
-        Some(self.plan.profile(idx).did.clone())
     }
 
     fn simulate_identity_churn(
@@ -1104,6 +976,27 @@ impl World {
     pub fn compact_repos(&mut self, cutoff: &Tid) -> CompactionStats {
         self.fleet.compact_all(cutoff)
     }
+
+    /// Let go of the bytes of the record blocks every user-day before the
+    /// simulated day `day_idx` wrote: the fleet draws them again from
+    /// their recipe when an export needs them. `bytes_reclaimed` counts
+    /// them. The study producer calls this inside its collection window,
+    /// right after each compaction pass, with the pass's cutoff day, when
+    /// the mirror holds every record it releases.
+    pub fn release_before(&mut self, day_idx: usize) -> CompactionStats {
+        let day = u16::try_from(day_idx).unwrap_or(u16::MAX);
+        self.fleet.release_before(day)
+    }
+
+    /// Let go of the label-stream entries below each labeler's cursor, one
+    /// cursor per labeler in [`World::labelers`] order (fewer cursors trim
+    /// fewer labelers). The caller vouches that it is every stream's only
+    /// reader, as the study's collector is.
+    pub fn trim_label_streams(&mut self, cursors: &[usize]) {
+        for (labeler, &upto) in self.labelers.all_mut().iter_mut().zip(cursors) {
+            labeler.trim_stream(upto);
+        }
+    }
 }
 
 /// The WHOIS registrar of a registered domain: a pure function of
@@ -1117,76 +1010,6 @@ pub(crate) fn whois_registrar_for(seed: u64, domain: &str) -> Option<crate::regi
         Some(catalogue[rng.range(0..catalogue.len())].clone())
     } else {
         None
-    }
-}
-
-/// Draw one post's content from the user's content stream.
-fn draw_post(user: &UserProfile, rng: &mut SimRng, when: Datetime) -> PostRecord {
-    const TOPICS: &[&str] = &[
-        "art",
-        "ramen",
-        "news",
-        "science",
-        "music",
-        "cats",
-        "football",
-        "politics",
-        "photography",
-        "nude study",
-    ];
-    let topic = *rng.pick(TOPICS);
-    let text = format!(
-        "{} post about {} #{}",
-        user.language,
-        topic,
-        topic.split(' ').next().unwrap_or(topic)
-    );
-    let mut tags = Vec::new();
-    if rng.chance(0.015) {
-        tags.push("aiart".to_string());
-    }
-    let embed = if rng.chance(user.media_probability) {
-        let kind_roll = rng.unit();
-        let kind = if kind_roll < user.adult_probability {
-            MediaKind::Adult
-        } else if kind_roll < user.adult_probability + 0.012 {
-            MediaKind::Graphic
-        } else if kind_roll < user.adult_probability + 0.07 {
-            MediaKind::GifTenor
-        } else if kind_roll < user.adult_probability + 0.10 {
-            MediaKind::ScreenshotTwitter
-        } else if kind_roll < user.adult_probability + 0.12 {
-            MediaKind::ScreenshotBluesky
-        } else if kind_roll < user.adult_probability + 0.16 {
-            MediaKind::AiGenerated
-        } else if kind_roll < user.adult_probability + 0.40 {
-            MediaKind::Artwork
-        } else {
-            MediaKind::Photo
-        };
-        let alt = if rng.chance(user.missing_alt_probability) {
-            None
-        } else {
-            Some(format!("an image about {topic}"))
-        };
-        Some(Embed::Images(vec![ImageEmbed { alt, kind }]))
-    } else {
-        None
-    };
-    // A tiny fraction of posts carry corrupted (pre-launch) timestamps,
-    // reproducing the client bug the paper reports (§7.1).
-    let created_at = if rng.chance(0.0001) {
-        Datetime::from_ymd(*rng.pick(&[1185, 1776, 1923]), 6, 1).unwrap()
-    } else {
-        when
-    };
-    PostRecord {
-        text,
-        created_at,
-        langs: vec![user.language.clone()],
-        reply_parent: None,
-        embed,
-        tags,
     }
 }
 
@@ -1566,6 +1389,109 @@ mod tests {
             fine.relay.firehose().total_events()
         );
         assert_eq!(curated(&coarse), curated(&fine));
+    }
+
+    /// Run `spec`'s world to its end, release every re-drawable block of
+    /// every repository, and export each one again through its PDS: every
+    /// block a user-day wrote is drawn again and must hash to the CID its
+    /// repository's tree holds, so each export equals the one taken before
+    /// the release. Returns `(record blocks, blocks re-drawn, bytes
+    /// released, bytes still held)`.
+    fn redraw_everything(spec: WorldSpec) -> (usize, u64, usize, usize) {
+        let mut world = World::from_spec(spec);
+        world.run_to_end();
+        let dids: Vec<Did> = world.users.iter().map(|u| u.did.clone()).collect();
+        let hosted = |world: &World| -> Vec<Did> {
+            let dids = dids.iter().filter(|did| world.fleet.pds_for(did).is_some());
+            dids.filter(|did| world.fleet.pds_for(did).unwrap().is_active(did))
+                .cloned()
+                .collect()
+        };
+        // Compacted first: a full export carries the retained commits.
+        let everything = Tid::from_micros(u64::MAX >> 12, 0);
+        world.compact_repos(&everything);
+        let kept: Vec<(Did, Vec<u8>)> = hosted(&world)
+            .into_iter()
+            .map(|did| {
+                let car = world
+                    .fleet
+                    .pds_for(&did)
+                    .unwrap()
+                    .repo(&did)
+                    .unwrap()
+                    .export_car();
+                (did, car)
+            })
+            .collect();
+        let released = world.release_before(usize::MAX).bytes_reclaimed;
+        for (did, car) in &kept {
+            let pds = world.fleet.pds_for_mut(did).unwrap();
+            let drawn = pds
+                .get_repo(did)
+                .unwrap_or_else(|err| panic!("{did}: {err}"));
+            assert!(drawn == *car, "{did}: the re-drawn export differs");
+        }
+        let redraws = world.fleet.redraws();
+        assert_eq!(redraws.mismatches, 0);
+        let held = world.fleet.store_stats().logical_bytes;
+        // What stays is one profile per account and the declarations of
+        // the feed generators its accounts created.
+        let declared = world
+            .feedgens
+            .iter()
+            .filter(|f| kept.iter().any(|(did, _)| did == f.creator()));
+        let blocks = world.fleet.record_blocks();
+        assert_eq!(
+            blocks - redraws.blocks as usize,
+            kept.len() + declared.count(),
+            "not re-drawable: profiles and feed-generator declarations"
+        );
+        (blocks, redraws.blocks, released, held)
+    }
+
+    /// Every user-day of a 1:40000 study, under every scenario preset,
+    /// serially and on two shards, draws again to the CIDs its repository
+    /// holds; what is not re-drawable is one profile per account and the
+    /// feed generators' declarations, and the shards split every figure.
+    #[test]
+    fn every_user_day_draws_again_to_the_cids_its_repository_holds() {
+        use crate::faults::{FaultSpec, SCENARIO_NAMES};
+        let config = ScenarioConfig {
+            scale: 40_000,
+            ..ScenarioConfig::test_scale(7)
+        };
+        let total_days = config.total_days() as usize;
+        for &name in SCENARIO_NAMES {
+            let spec = FaultSpec::scenario(name).expect("preset exists");
+            let faults = Arc::new(FaultPlan::build(config.seed, total_days, spec));
+            let plan = Arc::new(PopulationPlan::build(&config));
+            let world = |shard: ShardSpec| {
+                WorldSpec::new(config)
+                    .plan(Arc::clone(&plan))
+                    .faults(Arc::clone(&faults))
+                    .shard(shard)
+            };
+            let serial = redraw_everything(world(ShardSpec::whole()));
+            let (blocks, redrawn, released, held) = serial;
+            assert!(redrawn > 0 && released > 0, "{name}: {serial:?}");
+            let kept = blocks - redrawn as usize;
+            println!(
+                "{name}: {blocks} record blocks, {redrawn} re-drawn ({released} bytes); \
+                 {kept} not re-drawable ({:.2} % of blocks, {held} bytes)",
+                100.0 * kept as f64 / blocks as f64
+            );
+            let mut sharded = (0, 0, 0, 0);
+            for index in 0..2 {
+                let part = redraw_everything(world(ShardSpec { index, count: 2 }));
+                sharded = (
+                    sharded.0 + part.0,
+                    sharded.1 + part.1,
+                    sharded.2 + part.2,
+                    sharded.3 + part.3,
+                );
+            }
+            assert_eq!(sharded, serial, "{name}: the shards split the serial run");
+        }
     }
 
     #[test]
