@@ -106,29 +106,41 @@ pub struct StudyAnalyzers {
     pub(crate) volume: FirehoseVolumeAnalyzer,
     /// §10 wire-traffic observatory.
     pub(crate) observatory: ObservatoryAnalyzer,
-    /// Whether this set has folded an observation or absorbed a set that
-    /// had: while it has not, every analyzer is in its default state.
-    touched: bool,
+    /// Bit `p` is set once fan-out part `p` has folded an observation or
+    /// absorbed a part that had: while it is clear, that analyzer is in its
+    /// default state.
+    touched: u8,
 }
 
 impl StudyAnalyzers {
-    /// Merge another set's state into this one (memberwise). An untouched
-    /// set takes `other` whole: merging into the default state is the
-    /// identity (the merge law), so this is exact, and it spares a serial
-    /// run's one absorb from re-inserting every map entry.
+    /// Merge another set's state into this one (partwise). A part `other`
+    /// never touched is left as it is, and a part this set never touched
+    /// takes `other`'s whole: merging with the default state is the
+    /// identity (the merge law), so both are exact, and they spare a serial
+    /// run's one absorb, and a pipelined shard's end, from re-inserting
+    /// every map entry.
     pub fn merge(&mut self, other: StudyAnalyzers) {
-        if !self.touched {
-            *self = other;
-            return;
-        }
-        self.table1.merge(other.table1);
-        self.activity.merge(other.activity);
-        self.section4.merge(other.section4);
-        self.identity.merge(other.identity);
-        self.moderation.merge(other.moderation);
-        self.recommendation.merge(other.recommendation);
-        self.volume.merge(other.volume);
-        self.observatory.merge(other.observatory);
+        let (mine, theirs) = (self.touched, other.touched);
+        self.touched |= theirs;
+        // Parts numbered as in `observe_part`.
+        let part = |p: u8| (mine & 1 << p != 0, theirs & 1 << p != 0);
+        merge_part(&mut self.table1, other.table1, part(0));
+        merge_part(&mut self.activity, other.activity, part(1));
+        merge_part(&mut self.section4, other.section4, part(2));
+        merge_part(&mut self.identity, other.identity, part(3));
+        merge_part(&mut self.moderation, other.moderation, part(4));
+        merge_part(&mut self.recommendation, other.recommendation, part(5));
+        merge_part(&mut self.volume, other.volume, part(6));
+        merge_part(&mut self.observatory, other.observatory, part(7));
+    }
+}
+
+/// Merge one fan-out part, given whether each side has touched it.
+fn merge_part<A: Analyzer>(mine: &mut A, theirs: A, (have, got): (bool, bool)) {
+    match (have, got) {
+        (_, false) => {}
+        (false, true) => *mine = theirs,
+        (true, true) => mine.merge(theirs),
     }
 }
 
@@ -150,7 +162,6 @@ impl ShardSink for StudyAnalyzers {
     }
 
     fn observe_part(&mut self, part: usize, obs: &Observation<'_>, _ctx: &StudyCtx<'_>) {
-        self.touched = true;
         match part {
             0 => self.table1.observe(obs),
             1 => self.activity.observe(obs),
@@ -162,6 +173,7 @@ impl ShardSink for StudyAnalyzers {
             7 => self.observatory.observe(obs),
             _ => panic!("StudyAnalyzers has 8 fan-out parts, got part {part}"),
         }
+        self.touched |= 1 << part;
     }
 }
 

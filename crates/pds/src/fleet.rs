@@ -343,7 +343,7 @@ mod tests {
             )
             .unwrap();
         let hello = Record::Post(PostRecord::simple("hello", "en", now()));
-        let (rkey, _) = fleet
+        let rkey = fleet
             .pds_for_mut(&did)
             .unwrap()
             .create_record(

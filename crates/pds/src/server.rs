@@ -156,13 +156,14 @@ impl Pds {
         }
     }
 
-    /// Queue the `#commit` frame of a commit to `did`'s repository.
-    fn emit_commit(&mut self, did: &Did, result: &CommitResult, at: Datetime) {
+    /// Queue the `#commit` frame of a commit to `did`'s repository; the
+    /// frame takes the commit's ops.
+    fn emit_commit(&mut self, did: &Did, result: CommitResult, at: Datetime) {
         let body = EventBody::Commit {
             did: did.clone(),
             commit: result.commit_cid,
             rev: result.commit.rev,
-            ops: result.ops.clone(),
+            ops: result.ops,
             blocks_bytes: result.bytes_written,
             too_big: result.bytes_written > TOO_BIG_BYTES,
         };
@@ -171,15 +172,10 @@ impl Pds {
 
     /// Apply a batch of writes to a hosted repository, emitting its
     /// `#commit` frame.
-    pub fn apply_writes(
-        &mut self,
-        did: &Did,
-        writes: &[Write],
-        at: Datetime,
-    ) -> Result<CommitResult> {
+    pub fn apply_writes(&mut self, did: &Did, writes: &[Write], at: Datetime) -> Result<()> {
         let result = self.active_repo(did)?.apply_writes(writes, at)?;
-        self.emit_commit(did, &result, at);
-        Ok(result)
+        self.emit_commit(did, result, at);
+        Ok(())
     }
 
     /// [`Pds::apply_writes`] for a batch the repository's owner can draw
@@ -190,27 +186,28 @@ impl Pds {
         writes: &[Write],
         at: Datetime,
         day: u16,
-    ) -> Result<CommitResult> {
+    ) -> Result<()> {
         let result = self
             .active_repo(did)?
             .apply_redrawable_writes(writes, at, day)?;
-        self.emit_commit(did, &result, at);
-        Ok(result)
+        self.emit_commit(did, result, at);
+        Ok(())
     }
 
-    /// Convenience: create a single record keyed by a fresh TID.
+    /// Convenience: create a single record keyed by a fresh TID, returning
+    /// its rkey.
     pub fn create_record(
         &mut self,
         did: &Did,
         collection: Nsid,
         record: Record,
         at: Datetime,
-    ) -> Result<(String, CommitResult)> {
+    ) -> Result<String> {
         let (rkey, result) = self
             .active_repo(did)?
             .create_record(collection, record, at)?;
-        self.emit_commit(did, &result, at);
-        Ok((rkey, result))
+        self.emit_commit(did, result, at);
+        Ok(rkey)
     }
 
     /// Change an account's handle, emitting a `#handle` frame.
@@ -408,7 +405,7 @@ mod tests {
         assert!(pds.repo(&did).is_some());
         assert_eq!(pds.endpoint(), "https://pds001.host.bsky.network");
 
-        let (_, result) = pds
+        let rkey = pds
             .create_record(
                 &did,
                 Nsid::parse(known::POST).unwrap(),
@@ -416,7 +413,6 @@ mod tests {
                 now(),
             )
             .unwrap();
-        assert_eq!(result.ops.len(), 1);
 
         let handle = Handle::parse("alice.example.com").unwrap();
         pds.change_handle(&did, handle.clone(), now()).unwrap();
@@ -425,7 +421,12 @@ mod tests {
         // identity (create), commit, handle change
         assert_eq!(events.len(), 3);
         assert!(matches!(events[0].1, EventBody::Identity { .. }));
-        assert!(matches!(events[1].1, EventBody::Commit { .. }));
+        // The commit frame carries the commit's one op.
+        let EventBody::Commit { ops, .. } = &events[1].1 else {
+            panic!("expected a commit frame, got {:?}", events[1].1);
+        };
+        assert_eq!(ops.len(), 1);
+        assert_eq!(ops[0].key, format!("{}/{rkey}", known::POST));
         assert_eq!(
             events[2].1,
             EventBody::HandleChange {
@@ -653,7 +654,7 @@ mod tests {
     #[test]
     fn migration_between_pdses() {
         let (mut origin, did) = pds_with_alice();
-        let (pre_move, _) = origin
+        let pre_move = origin
             .create_record(
                 &did,
                 Nsid::parse(known::POST).unwrap(),
@@ -677,7 +678,7 @@ mod tests {
         let moved = destination.repo(&did).unwrap();
         assert_eq!(moved.get_record(&posts, &pre_move), Some(post("pre-move")));
         // Writes continue at the destination.
-        let (post_move, _) = destination
+        let post_move = destination
             .create_record(&did, posts.clone(), post("post-move"), now())
             .unwrap();
         let moved = destination.repo(&did).unwrap();
