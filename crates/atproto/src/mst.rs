@@ -28,10 +28,10 @@
 //! is the only copy of the mapping; lookups and ordered walks read it.
 //! The tree is also the only copy of its node *blocks*: nothing stores
 //! them, and `Mst::for_each_block` encodes them all while an archive is
-//! written. Node blocks are encoded
-//! directly with [`crate::cbor`]'s raw writers — byte-identical to the
-//! generic `Value` encoder, without allocating a value tree per node — and
-//! a node that is only hashed is encoded straight into the hasher.
+//! written. Node blocks are encoded directly with [`crate::cbor`]'s raw
+//! writers — byte-identical to the generic `Value` encoder, without
+//! allocating a value tree per node — and a node that is only hashed is
+//! encoded straight into the hasher.
 //!
 //! Node entries are **prefix-compressed on the wire**, as in the reference
 //! implementation: within a node, each entry carries `p` (the number of key
@@ -111,6 +111,7 @@ pub(crate) fn validate_key(key: &str) -> Result<()> {
 enum Memo {
     /// Mutated since it was last hashed.
     Dirty,
+    /// The CID its current bytes hash to.
     Hashed(Cid),
 }
 
@@ -1202,7 +1203,8 @@ mod tests {
         for n in 0..2000 {
             mst.insert(&key_for(n), cid_for(n)).unwrap();
         }
-        assert!(mst.blocks().len() > 400, "{} nodes", mst.blocks().len());
+        let nodes = mst.blocks().len();
+        assert!(nodes > 400, "{nodes} nodes");
         for n in 2000..2100 {
             let before = mst.hashed.get();
             mst.insert(&key_for(n), cid_for(n)).unwrap();
