@@ -200,6 +200,13 @@ pub trait BlockStore: std::fmt::Debug + Send {
         None
     }
 
+    /// The days [`released_on`] names, each once, in ascending order.
+    ///
+    /// [`released_on`]: BlockStore::released_on
+    fn released_days(&self) -> Vec<u16> {
+        Vec::new()
+    }
+
     /// Drop the bytes of every block put through [`put_redrawable`] with a
     /// day before `day`, keeping the block itself: [`has`] still finds it
     /// and [`released_on`] names its day. Returns the payload bytes let go.
@@ -701,7 +708,11 @@ enum Found {
 /// `has`, a `put` of the same block and `len` answer as before, matched on
 /// the tag and the check bits, 47 digest bits, since there are no bytes
 /// left to hash. `get` misses it and [`BlockStore::released_on`] names its
-/// day. A release rebuilds the arena to fit, whatever [`HOLE_FLOOR`] says.
+/// day. A release is one walk over the table: it sums the bytes it lets go
+/// and copies the records it keeps into a fresh arena, whatever
+/// [`HOLE_FLOOR`] says; the table keeps its slots. A store remembers the
+/// oldest day it holds re-drawable bytes of, so a release before that day
+/// walks nothing.
 ///
 /// *The arena.* A delete leaves a hole; once the holes outweigh the live
 /// records (and pass [`HOLE_FLOOR`]) the arena is rebuilt from the live
@@ -728,6 +739,9 @@ pub(crate) struct MemStore {
     bytes: usize,
     /// Arena bytes of the live records: `arena.len()` minus the holes.
     live: usize,
+    /// The oldest day of a re-drawable record whose bytes are held; `None`
+    /// when there is none.
+    oldest_held: Option<u16>,
 }
 
 /// A [`MemStore`] arena record.
@@ -906,6 +920,7 @@ impl MemStore {
         if let Some(day) = day {
             self.arena.extend_from_slice(&day.to_le_bytes());
             self.arena.extend_from_slice(&bits.to_le_bytes());
+            self.oldest_held = Some(self.oldest_held.map_or(day, |oldest| oldest.min(day)));
         }
         self.table[slot] = Slot {
             tag,
@@ -981,25 +996,44 @@ impl BlockStore for MemStore {
         len
     }
 
+    fn released_days(&self) -> Vec<u16> {
+        let released = self.table.iter().filter(|slot| slot.pos & RELEASED != 0);
+        let mut days: Vec<u16> = released.map(|slot| slot.pos as u16).collect();
+        days.sort_unstable();
+        days.dedup();
+        days
+    }
+
     fn release_before(&mut self, day: u16) -> usize {
-        let mut released = 0;
+        if self.oldest_held.is_none_or(|oldest| oldest >= day) {
+            return 0;
+        }
+        let (mut released, mut oldest) = (0, None::<u16>);
+        let mut arena = Vec::with_capacity(self.live);
         for slot in &mut self.table {
             if *slot == Slot::default() || slot.pos & RELEASED != 0 {
                 continue;
             }
             let record = mem_record(&self.arena, slot.pos);
-            let Some((drawn_on, bits)) = record.recipe.filter(|&(drawn_on, _)| drawn_on < day)
-            else {
-                continue;
-            };
-            released += pieces(record.packed).map(<[u8]>::len).sum::<usize>();
-            self.live -= record.span.len();
-            slot.pos = RELEASED | (u32::from(bits) << 16) | u32::from(drawn_on);
+            match record.recipe {
+                Some((drawn_on, bits)) if drawn_on < day => {
+                    released += pieces(record.packed).map(<[u8]>::len).sum::<usize>();
+                    slot.pos = RELEASED | (u32::from(bits) << 16) | u32::from(drawn_on);
+                }
+                recipe => {
+                    if let Some((drawn_on, _)) = recipe {
+                        oldest = Some(oldest.map_or(drawn_on, |held| held.min(drawn_on)));
+                    }
+                    slot.pos = arena_pos(arena.len() + 1);
+                    arena.extend_from_slice(&self.arena[record.span]);
+                }
+            }
         }
-        if released > 0 {
-            self.bytes -= released;
-            self.compact();
-        }
+        arena.shrink_to_fit();
+        self.live = arena.len();
+        self.arena = arena;
+        self.bytes -= released;
+        self.oldest_held = oldest;
         released
     }
 

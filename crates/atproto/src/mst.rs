@@ -5,7 +5,7 @@
 //! it contains (never on insertion order). Keys are `<collection>/<rkey>`
 //! strings and values are CIDs of the record blocks.
 //!
-//! The tree is kept **materialised and updated in place**. A key's layer is
+//! The tree is **a live spine plus stubs, updated in place**. A key's layer is
 //! the number of leading zero bit pairs of `sha256(key)`, exactly like the
 //! reference implementation; a node at layer `L` holds the keys of layer `L`
 //! in its key range, and every non-empty gap between them (and at both
@@ -55,9 +55,36 @@
 //! suffix of the entry after the new one, whose shared prefix can only
 //! grow.
 //!
+//! *Stubs.* Most of a repository's tree is frozen: its record keys are
+//! written in day order within each collection, so a new key lands at the
+//! right edge of its collection, and a subtree behind that edge is never
+//! touched again; only its CID is read, when its parent is hashed. When the
+//! caller says which values it can draw again, and on which day each was
+//! drawn (`Mst::collapse`), every maximal subtree whose values it can all
+//! draw and whose gap is bounded by two such keys of one collection becomes
+//! a *stub*: one entry-less node holding the subtree's CID, its layer and
+//! the day range of its values, and the arena is rebuilt without the freed
+//! slots. The root never collapses. What stays is the live spine: the paths
+//! to the collections' right edges and the values that cannot be drawn. A
+//! collapse walks the spine only: a subtree it finds wholly released, with
+//! released keys around it, but not frozen (the keys around it are of two
+//! collections) is marked settled, and later collapses skip it until a
+//! write dirties it.
+//!
+//! A stub is read only through its CID check. A descent that meets one
+//! re-derives it (`Mst::open` for one key's path, `Mst::expand` for the
+//! whole tree): the caller draws the stub's days again (`Draw`), the
+//! drawn keys inside the stub's gap build a fresh tree, lifted to the
+//! stub's layer, and it is grafted back only if it hashes to the stub's
+//! CID. Anything else is an error, and the stub stays. [`Mst::insert`] and
+//! `Mst::get` never see inside a stub: an insert whose key falls in one
+//! is refused, a lookup panics, and a walk or a block export over one
+//! panics; the repository opens or expands first.
+//!
 //! The tests pin the incremental tree, its encoder and the byte win over the
 //! legacy full-key encoding against a rebuild-from-scratch reference builder
-//! and a node decoder that live beside them under `#[cfg(test)]`.
+//! and a node decoder that live beside them under `#[cfg(test)]`, and the
+//! collapsed tree against the same tree never collapsed.
 
 use crate::cbor::raw::{self, Sink};
 use crate::cid::{Cid, PACKED_LEN};
@@ -113,7 +140,52 @@ enum Memo {
     Dirty,
     /// The CID its current bytes hash to.
     Hashed(Cid),
+    /// [`Memo::Hashed`], and every value under the node was released when
+    /// the tree last collapsed ([`Mst::collapse`]), so a later collapse
+    /// need not look inside it again until a write dirties it.
+    Settled(Cid),
+    /// A collapsed subtree ([`Mst::collapse`]): the CID of the subtree it
+    /// stands for. The node holds no entry, and its `left` packs the day
+    /// range its values were drawn on ([`days`]) instead of a child.
+    Stub(Cid),
 }
+
+/// The day range a stub keeps in its `left`: the first day in the high
+/// half, the last in the low.
+fn days(left: NodeId) -> (u16, u16) {
+    ((left >> 16) as u16, left as u16)
+}
+
+/// [`days`]'s inverse.
+fn pack_days((first, last): (u16, u16)) -> NodeId {
+    NodeId::from(first) << 16 | NodeId::from(last)
+}
+
+/// The day range of two sets of values together.
+fn widen((first, last): (u16, u16), (from, to): (u16, u16)) -> (u16, u16) {
+    (first.min(from), last.max(to))
+}
+
+/// A key around a gap, as [`Mst::collapse`] reads it: its bytes, and
+/// whether its value's bytes are released.
+type Bound<'k> = Option<(&'k [u8], bool)>;
+
+/// Whether a gap is frozen: both keys around it are released, and they
+/// share their collection, so every key inside it does too. A repository
+/// writes a collection's keys in day order, so the gap is behind the
+/// collection's newest key and no new key lands in it.
+fn frozen(below: Bound<'_>, above: Bound<'_>) -> bool {
+    let (Some((low, true)), Some((high, true))) = (below, above) else {
+        return false;
+    };
+    let slash = low.iter().position(|&byte| byte == b'/');
+    slash.is_some_and(|slash| common_prefix_len(low, high) > slash)
+}
+
+/// What re-derives a collapsed subtree: every `(key, value)` pair the days
+/// `first..=last` drew. The tree keeps the pairs that fall in the
+/// subtree's gap.
+pub(crate) type Draw<'a> = dyn FnMut(u16, u16) -> Result<Vec<(String, Cid)>> + 'a;
 
 /// A node's index in its tree's arena ([`Mst::nodes`]).
 type NodeId = u32;
@@ -257,6 +329,12 @@ impl KeyBuf {
     fn get(&self) -> &[u8] {
         &self.bytes[..self.len]
     }
+
+    /// Hold the key `other` holds, copying its bytes alone.
+    fn copy_from(&mut self, other: &KeyBuf) {
+        self.bytes[..other.len].copy_from_slice(other.get());
+        self.len = other.len;
+    }
 }
 
 /// Where a key falls in one node.
@@ -328,6 +406,10 @@ impl Node {
         self.record.is_empty() && self.left == NIL
     }
 
+    fn is_stub(&self) -> bool {
+        matches!(self.memo.get(), Memo::Stub(_))
+    }
+
     fn entries(&self) -> impl Iterator<Item = Entry<'_>> {
         let mut at = 0;
         std::iter::from_fn(move || {
@@ -397,10 +479,22 @@ impl Node {
         }
     }
 
-    /// Subtrees in key order.
+    /// Subtrees in key order. Nothing hangs under a stub or a node at layer
+    /// 0, so their entries are not read.
     fn children(&self) -> impl Iterator<Item = NodeId> + '_ {
-        std::iter::once(self.left)
-            .chain(self.entries().map(|entry| entry.right))
+        let (left, record): (NodeId, &[u8]) = if self.layer > 0 && !self.is_stub() {
+            (self.left, &self.record)
+        } else {
+            (NIL, &[])
+        };
+        let mut at = 0;
+        let rights = std::iter::from_fn(move || {
+            let entry = (at < record.len()).then(|| entry_at(record, at, self.layer))?;
+            at = entry.end;
+            Some(entry.right)
+        });
+        std::iter::once(left)
+            .chain(rights)
             .filter(|&child| child != NIL)
     }
 
@@ -446,13 +540,43 @@ impl Node {
         upper
     }
 
-    /// The memoised CID; every reader seals the tree first.
+    /// The memoised CID, or a stub's; every reader seals the tree first.
     fn cid(&self) -> Cid {
         match self.memo.get() {
-            Memo::Hashed(cid) => cid,
+            Memo::Hashed(cid) | Memo::Settled(cid) | Memo::Stub(cid) => cid,
             Memo::Dirty => panic!("MST node read before it was hashed"),
         }
     }
+
+    /// Rewrite the index of every subtree of this node through `moved`,
+    /// which moves the subtree and returns where it now sits.
+    fn move_children(&mut self, moved: &mut dyn FnMut(NodeId) -> NodeId) {
+        if self.is_stub() || self.layer == 0 {
+            return;
+        }
+        if self.left != NIL {
+            self.left = moved(self.left);
+        }
+        let mut at = 0;
+        while at < self.record.len() {
+            let entry = entry_at(&self.record, at, self.layer);
+            let (right, right_at) = (entry.right, entry.right_at());
+            at = entry.end;
+            if right != NIL {
+                let id = moved(right);
+                self.record[right_at..right_at + 4].copy_from_slice(&id.to_le_bytes());
+            }
+        }
+    }
+}
+
+/// Take the subtree at `id` out of the arena `from`, children first,
+/// handing each node to `place`, which returns its new index; returns the
+/// subtree's.
+fn move_subtree(from: &mut [Node], id: NodeId, place: &mut dyn FnMut(Node) -> NodeId) -> NodeId {
+    let mut node = std::mem::replace(&mut from[id as usize], Node::new(0, NIL, Vec::new()));
+    node.move_children(&mut |child| move_subtree(from, child, place));
+    place(node)
 }
 
 /// The bytes [`Hashing`] gathers before it hashes them.
@@ -500,7 +624,10 @@ pub struct Mst {
     /// The first free slot of `nodes`; each free slot's `left` names the
     /// next.
     free: NodeId,
+    /// Keys, the ones under stubs included.
     len: usize,
+    /// Stubs in the tree ([`Mst::collapse`]).
+    stubs: usize,
     /// Nodes hashed so far, the unit of the tests' work bounds.
     hashed: Cell<u64>,
 }
@@ -512,6 +639,7 @@ impl Default for Mst {
             root: 0,
             free: NIL,
             len: 0,
+            stubs: 0,
             hashed: Cell::new(0),
         }
     }
@@ -519,16 +647,9 @@ impl Default for Mst {
 
 impl PartialEq for Mst {
     fn eq(&self, other: &Mst) -> bool {
-        // Memos and the arena's layout are derived state; two trees are
-        // equal iff their contents are.
-        let mut theirs = Vec::with_capacity(other.len);
-        other.for_each_entry(|key, value| theirs.push((key.to_owned(), value)));
-        let mut theirs = theirs.into_iter();
-        let mut same = self.len == other.len;
-        self.for_each_entry(|key, value| {
-            same &= theirs.next().is_some_and(|(k, v)| k == key && v == value);
-        });
-        same
+        // Memos, stubs and the arena's layout are derived state; two trees
+        // are equal iff their contents are, and so their root CIDs.
+        self.len == other.len && self.root_cid() == other.root_cid()
     }
 }
 
@@ -575,13 +696,21 @@ impl Mst {
         self.free = id;
     }
 
-    /// Insert or replace a key, returning the previous value if any.
+    /// Insert or replace a key, returning the previous value if any. A key
+    /// that falls in a collapsed subtree is refused: `Mst::open` re-derives
+    /// the subtree first.
     pub fn insert(&mut self, key: &str, cid: Cid) -> Result<Option<Cid>> {
         validate_key(key)?;
+        if self.stubs > 0 && self.descend(key.as_bytes()).is_err() {
+            return Err(AtError::RepoError(format!(
+                "{key} falls in a collapsed subtree"
+            )));
+        }
         Ok(self.set(key, cid))
     }
 
-    /// [`Mst::insert`] of a key the caller has already validated.
+    /// [`Mst::insert`] of a key the caller has already validated, and whose
+    /// path meets no stub.
     pub(crate) fn set(&mut self, key: &str, cid: Cid) -> Option<Cid> {
         let layer = u8::try_from(key_layer(key)).expect("a layer of a 256-bit digest");
         let key = key.as_bytes();
@@ -614,6 +743,7 @@ impl Mst {
     /// gap to go down, and only a real change dirties the path back up.
     fn upsert(&mut self, id: NodeId, key: &[u8], layer: u8, value: Cid) -> Option<Cid> {
         let node = self.node(id);
+        assert!(!node.is_stub(), "a write into a collapsed subtree");
         let place = node.place(key);
         let gap = node.gap(place.gap);
         if layer < node.layer {
@@ -656,6 +786,7 @@ impl Mst {
         if id == NIL {
             return (NIL, NIL);
         }
+        assert!(!self.node(id).is_stub(), "a split of a collapsed subtree");
         self.touch(id);
         let node = self.node(id);
         let place = node.place(key);
@@ -688,21 +819,52 @@ impl Mst {
     }
 
     /// Look up a key.
+    ///
+    /// # Panics
+    ///
+    /// When the key falls in a collapsed subtree: [`Mst::open`] re-derives
+    /// it first.
     pub(crate) fn get(&self, key: &str) -> Option<Cid> {
-        let mut node = self.node(self.root);
+        self.descend(key.as_bytes())
+            .unwrap_or_else(|_| panic!("{key} is looked up in a collapsed subtree"))
+    }
+
+    /// [`Mst::get`], answering `None` for a key that falls in a collapsed
+    /// subtree.
+    pub(crate) fn get_live(&self, key: &str) -> Option<Cid> {
+        self.descend(key.as_bytes()).ok().flatten()
+    }
+
+    /// The one descent of a lookup: the key's value, or `Err` with the stub
+    /// the key falls in.
+    fn descend(&self, key: &[u8]) -> std::result::Result<Option<Cid>, NodeId> {
+        let mut id = self.root;
         loop {
-            let place = node.place(key.as_bytes());
+            let node = self.node(id);
+            if node.is_stub() {
+                return Err(id);
+            }
+            let place = node.place(key);
             if place.found {
-                return Some(entry_at(&node.record, place.at, node.layer).value());
+                return Ok(Some(entry_at(&node.record, place.at, node.layer).value()));
             }
             match node.gap(place.gap) {
-                NIL => return None,
-                child => node = self.node(child),
+                NIL => return Ok(None),
+                child => id = child,
             }
         }
     }
 
+    /// Stubs in the tree: a tree without any can be walked whole.
+    pub(crate) fn stubs(&self) -> usize {
+        self.stubs
+    }
+
     /// Hand `visit` every `(key, value)` pair in key order.
+    ///
+    /// # Panics
+    ///
+    /// On a collapsed subtree: [`Mst::expand`] re-derives them all first.
     pub(crate) fn for_each_entry(&self, mut visit: impl FnMut(&str, Cid)) {
         self.walk(self.root, &mut KeyBuf::new(), &mut visit);
     }
@@ -712,6 +874,7 @@ impl Mst {
     /// its last key shares the next entry's `p` bytes.
     fn walk(&self, id: NodeId, key: &mut KeyBuf, visit: &mut impl FnMut(&str, Cid)) {
         let node = self.node(id);
+        assert!(!node.is_stub(), "a walk into a collapsed subtree");
         if node.left != NIL {
             self.walk(node.left, key, visit);
         }
@@ -735,7 +898,7 @@ impl Mst {
     /// parents, and return the subtree's CID.
     fn seal(&self, id: NodeId) -> Cid {
         let node = self.node(id);
-        if let Memo::Hashed(cid) = node.memo.get() {
+        if let Memo::Hashed(cid) | Memo::Settled(cid) | Memo::Stub(cid) = node.memo.get() {
             return cid;
         }
         for child in node.children() {
@@ -789,6 +952,10 @@ impl Mst {
     /// seals the tree, then hands `visit` every node's CID and block bytes,
     /// children before parents. Re-encodes every node into one buffer that
     /// lives for the walk; hashes only the dirty ones.
+    ///
+    /// # Panics
+    ///
+    /// On a collapsed subtree, as [`Mst::for_each_entry`] does.
     pub(crate) fn for_each_block(&self, mut visit: impl FnMut(&Cid, &[u8])) {
         self.root_cid();
         let mut buf = Vec::new();
@@ -798,12 +965,304 @@ impl Mst {
     /// [`Mst::for_each_block`] over one subtree.
     fn blocks_under(&self, id: NodeId, buf: &mut Vec<u8>, visit: &mut impl FnMut(&Cid, &[u8])) {
         let node = self.node(id);
+        assert!(!node.is_stub(), "an export of a collapsed subtree");
         for child in node.children() {
             self.blocks_under(child, buf, visit);
         }
         buf.clear();
         self.encode(node, buf);
         visit(&node.cid(), buf);
+    }
+
+    /// Collapse every maximal subtree whose values `released` dates (the
+    /// day a value was drawn on; `None` for a value whose bytes are held)
+    /// and whose gap is frozen ([`frozen`]) into a stub: its CID, its layer
+    /// and the day range of its values. The root never collapses. The arena
+    /// is then rebuilt to fit, without the freed slots. Returns the stubs
+    /// made. `released` must keep dating a value it dated once: a subtree
+    /// whose values were all released is not looked into again
+    /// ([`Memo::Settled`]).
+    pub(crate) fn collapse(&mut self, released: &dyn Fn(Cid) -> Option<u16>) -> usize {
+        self.root_cid();
+        let mut found = Vec::new();
+        self.survey(self.root, None, None, released, &mut found);
+        let mut below = Vec::new();
+        for &id in &found {
+            let (cid, range) = (self.node(id).cid(), self.days_under(id, released));
+            // Every slot under the stub goes to the free list.
+            below.extend(self.node(id).children());
+            while let Some(child) = below.pop() {
+                let node = &self.nodes[child as usize];
+                below.extend(node.children());
+                self.stubs -= usize::from(node.is_stub());
+                self.release(child);
+            }
+            let node = self.node_mut(id);
+            node.record = Vec::new();
+            node.left = pack_days(range);
+            node.memo.set(Memo::Stub(cid));
+            self.stubs += 1;
+        }
+        if !found.is_empty() {
+            self.rebuild();
+        }
+        found.len()
+    }
+
+    /// Whether every value under the node at `id` is released; appends to
+    /// `found` the maximal frozen subtrees below it that are not stubs yet,
+    /// and settles the others whose values, and the keys around them, are
+    /// all released. `lower` and `upper` are the keys around the subtree.
+    fn survey(
+        &self,
+        id: NodeId,
+        lower: Bound<'_>,
+        upper: Bound<'_>,
+        released: &dyn Fn(Cid) -> Option<u16>,
+        found: &mut Vec<NodeId>,
+    ) -> bool {
+        let node = self.node(id);
+        if node.layer == 0 {
+            // No gap to survey: the first held value answers.
+            return node
+                .entries()
+                .all(|entry| released(entry.value()).is_some());
+        }
+        let mut gap = |child: NodeId, below: Bound<'_>, above: Bound<'_>| {
+            if child == NIL {
+                return true;
+            }
+            let (memo, mark) = (self.node(child).memo.get(), found.len());
+            let all = match memo {
+                Memo::Stub(_) => return true,
+                Memo::Settled(_) => true,
+                _ => self.survey(child, below, above, released, found),
+            };
+            // Settled, a subtree is not looked into again: whether a gap
+            // inside it is frozen can change only with a key around it,
+            // and those keys are released for good.
+            let released_around = [below, above].iter().all(|key| key.is_none_or(|(_, r)| r));
+            if all && frozen(below, above) {
+                found.truncate(mark);
+                found.push(child);
+            } else if let (true, Memo::Hashed(cid)) = (all && released_around, memo) {
+                self.node(child).memo.set(Memo::Settled(cid));
+            }
+            all
+        };
+        let (mut prev, mut key) = (KeyBuf::new(), KeyBuf::new());
+        let (mut all, mut child, mut below_released) = (true, node.left, None);
+        for entry in node.entries() {
+            prev.copy_from(&key);
+            key.step(&entry);
+            let drawn = released(entry.value()).is_some();
+            let below = match below_released {
+                None => lower,
+                Some(flag) => Some((prev.get(), flag)),
+            };
+            all &= gap(child, below, Some((key.get(), drawn))) & drawn;
+            below_released = Some(drawn);
+            child = entry.right;
+        }
+        let below = match below_released {
+            None => lower,
+            Some(flag) => Some((key.get(), flag)),
+        };
+        all & gap(child, below, upper)
+    }
+
+    /// The day range of the values under the node at `id`, which `released`
+    /// dates every one of.
+    fn days_under(&self, id: NodeId, released: &dyn Fn(Cid) -> Option<u16>) -> (u16, u16) {
+        let node = self.node(id);
+        if node.is_stub() {
+            return days(node.left);
+        }
+        let mut range = (u16::MAX, 0);
+        for entry in node.entries() {
+            let day = released(entry.value()).expect("a frozen subtree's values are released");
+            range = widen(range, (day, day));
+        }
+        for child in node.children() {
+            range = widen(range, self.days_under(child, released));
+        }
+        range
+    }
+
+    /// Move the live nodes into an arena of their own size, leaving the
+    /// free slots behind.
+    fn rebuild(&mut self) {
+        let mut free = 0;
+        let mut slot = self.free;
+        while slot != NIL {
+            free += 1;
+            slot = self.node(slot).left;
+        }
+        let mut old = std::mem::take(&mut self.nodes);
+        let mut nodes = Vec::with_capacity(old.len() - free);
+        self.root = move_subtree(&mut old, self.root, &mut |node| {
+            nodes.push(node);
+            NodeId::try_from(nodes.len() - 1).expect("MST arena exceeds 2^32 nodes")
+        });
+        self.nodes = nodes;
+        self.free = NIL;
+    }
+
+    /// Look up `key`, re-deriving every stub on its path and grafting it
+    /// back, so that a write of `key` meets none. Returns the stubs
+    /// re-derived and the key's value. Fails, leaving the stub in place,
+    /// when a subtree drawn again does not hash to its stub's CID.
+    pub(crate) fn open(&mut self, key: &str, draw: &mut Draw<'_>) -> Result<(usize, Option<Cid>)> {
+        let mut opened = 0;
+        loop {
+            match self.descend(key.as_bytes()) {
+                Ok(value) => return Ok((opened, value)),
+                Err(stub) => {
+                    let (below, above) = self.bounds_on_path(key.as_bytes());
+                    let fresh = self.rederive(stub, below.as_deref(), above.as_deref(), draw)?;
+                    self.graft(stub, fresh);
+                    self.unsettle(key.as_bytes());
+                    opened += 1;
+                }
+            }
+        }
+    }
+
+    /// Let the next collapse look again into every settled node on `key`'s
+    /// path: a subtree grafted back below one would otherwise stay whole
+    /// until a write dirtied it.
+    fn unsettle(&self, key: &[u8]) {
+        let mut id = self.root;
+        while id != NIL {
+            let node = self.node(id);
+            if let Memo::Settled(cid) = node.memo.get() {
+                node.memo.set(Memo::Hashed(cid));
+            }
+            let place = node.place(key);
+            if node.is_stub() || place.found {
+                return;
+            }
+            id = node.gap(place.gap);
+        }
+    }
+
+    /// Re-derive every stub of the tree and graft it back ([`Mst::open`]).
+    pub(crate) fn expand(&mut self, draw: &mut Draw<'_>) -> Result<usize> {
+        let mut stubs = Vec::new();
+        if self.stubs > 0 {
+            self.find_stubs(self.root, None, None, &mut stubs);
+        }
+        for (stub, below, above) in &stubs {
+            let fresh = self.rederive(*stub, below.as_deref(), above.as_deref(), draw)?;
+            self.graft(*stub, fresh);
+        }
+        Ok(stubs.len())
+    }
+
+    /// The stubs of the subtree at `id`, each with the keys around it.
+    #[allow(clippy::type_complexity)]
+    fn find_stubs(
+        &self,
+        id: NodeId,
+        lower: Option<&[u8]>,
+        upper: Option<&[u8]>,
+        out: &mut Vec<(NodeId, Option<Vec<u8>>, Option<Vec<u8>>)>,
+    ) {
+        let node = self.node(id);
+        if node.is_stub() {
+            out.push((id, lower.map(<[u8]>::to_vec), upper.map(<[u8]>::to_vec)));
+            return;
+        }
+        let (mut prev, mut key) = (KeyBuf::new(), KeyBuf::new());
+        let (mut child, mut first) = (node.left, true);
+        for entry in node.entries() {
+            prev.copy_from(&key);
+            key.step(&entry);
+            if child != NIL {
+                let below = if first { lower } else { Some(prev.get()) };
+                self.find_stubs(child, below, Some(key.get()), out);
+            }
+            first = false;
+            child = entry.right;
+        }
+        if child != NIL {
+            self.find_stubs(
+                child,
+                if first { lower } else { Some(key.get()) },
+                upper,
+                out,
+            );
+        }
+    }
+
+    /// The keys around the first stub on `key`'s path.
+    fn bounds_on_path(&self, key: &[u8]) -> (Option<Vec<u8>>, Option<Vec<u8>>) {
+        let (mut below, mut above) = (None, None);
+        let mut id = self.root;
+        while !self.node(id).is_stub() {
+            let node = self.node(id);
+            let place = node.place(key);
+            let mut keys = KeyBuf::new();
+            for entry in node.entries() {
+                keys.step(&entry);
+                if entry.at >= place.at {
+                    above = Some(keys.get().to_vec());
+                    break;
+                }
+                if entry.end == place.at {
+                    below = Some(keys.get().to_vec());
+                }
+            }
+            id = node.gap(place.gap);
+        }
+        (below, above)
+    }
+
+    /// The subtree the stub at `id` stands for, drawn again: a fresh tree
+    /// of the drawn pairs that fall between `below` and `above`, lifted to
+    /// the stub's layer. An error unless it hashes to the stub's CID.
+    fn rederive(
+        &self,
+        id: NodeId,
+        below: Option<&[u8]>,
+        above: Option<&[u8]>,
+        draw: &mut Draw<'_>,
+    ) -> Result<Mst> {
+        let node = self.node(id);
+        let (cid, layer, (first, last)) = (node.cid(), node.layer, days(node.left));
+        let mut fresh = Mst::new();
+        for (key, value) in draw(first, last)? {
+            let bytes = key.as_bytes();
+            if below.is_some_and(|low| bytes <= low) || above.is_some_and(|high| bytes >= high) {
+                continue;
+            }
+            validate_key(&key)?;
+            fresh.set(&key, value);
+        }
+        if fresh.len > 0 && fresh.node(fresh.root).layer <= layer {
+            fresh.root = fresh.lift(fresh.root, layer);
+            if fresh.root_cid() == cid {
+                return Ok(fresh);
+            }
+        }
+        Err(AtError::RepoError(format!(
+            "the {} key(s) drawn again for a collapsed subtree do not hash to its CID {cid}",
+            fresh.len
+        )))
+    }
+
+    /// Put a re-derived subtree in the place of the stub at `id`.
+    fn graft(&mut self, id: NodeId, mut fresh: Mst) {
+        let mut from = std::mem::take(&mut fresh.nodes);
+        let mut root = std::mem::replace(
+            &mut from[fresh.root as usize],
+            Node::new(0, NIL, Vec::new()),
+        );
+        root.move_children(&mut |child| {
+            move_subtree(&mut from, child, &mut |node| self.alloc(node))
+        });
+        *self.node_mut(id) = root;
+        self.stubs -= 1;
     }
 }
 
@@ -1701,6 +2160,143 @@ mod proptests {
         assert!(
             held * 100 <= used * 101,
             "{held} record bytes held for {used} used"
+        );
+    }
+
+    /// A random repository-shaped key set: keys `<collection>/d<day>n<n>`
+    /// over every collection, so each collection's keys sort by day; each
+    /// key's value, and the day it was drawn on.
+    fn dated_keys(rng: &mut TestRng) -> Vec<(String, Cid, u16)> {
+        let (count, days) = (1 + rng.below(600), 1 + rng.below(60));
+        let mut keys: BTreeMap<String, (Cid, u16)> = BTreeMap::new();
+        for n in 0..count {
+            let collection = COLLECTIONS[rng.below(COLLECTIONS.len() as u64) as usize];
+            let day = rng.below(days) as u16;
+            let key = format!("{collection}/d{day:03}n{n}");
+            keys.insert(key, (value(rng.next_u64()), day));
+        }
+        keys.into_iter()
+            .map(|(key, (cid, day))| (key, cid, day))
+            .collect()
+    }
+
+    /// Collapse the released, frozen subtrees of random trees. The root
+    /// stays, the arena keeps no free slot, and once every stub is drawn
+    /// again each node block and each entry is the never-collapsed tree's
+    /// and the reference builder's. A lookup or an insert that meets a stub
+    /// opens it first, and the tree it leaves is the one never collapsed,
+    /// with the insert. A tampered, short or failing source fails the
+    /// re-derivation, and the stub stays.
+    #[test]
+    fn collapsed_subtrees_draw_again_to_the_tree_they_were() {
+        let mut rng = TestRng::new(0xc011_a95e);
+        let (mut collapsed, mut opened) = (0, 0);
+        for round in 0..60 {
+            let keys = dated_keys(&mut rng);
+            let cutoff = rng.below(70) as u16;
+            // One value in twenty stays held, as a profile's does.
+            let released: BTreeMap<Cid, u16> = keys
+                .iter()
+                .filter(|&&(_, _, day)| day < cutoff && rng.below(20) > 0)
+                .map(|&(_, cid, day)| (cid, day))
+                .collect();
+            let whole: Mst = keys
+                .iter()
+                .map(|(key, cid, _)| (key.clone(), *cid))
+                .collect();
+            let mut tree = whole.clone();
+            let stubs = tree.collapse(&|cid| released.get(&cid).copied());
+            let here = format!("round {round}: {} keys, {stubs} stubs", keys.len());
+            assert_eq!(tree.stubs(), stubs, "{here}");
+            assert_eq!(tree.root_cid(), whole.root_cid(), "{here}");
+            assert_eq!(tree, whole, "{here}");
+            assert_eq!(tree.free, NIL, "{here}");
+            let (slots, bytes) = (tree.layout(), whole.layout());
+            assert!(slots.0 <= bytes.0, "{here}");
+            assert!(stubs == 0 || slots.1 < bytes.1, "{here}");
+            assert!(!tree.node(tree.root).is_stub(), "{here}");
+            collapsed += stubs;
+            let mut draw = |first: u16, last: u16| -> Result<Vec<(String, Cid)>> {
+                let days = keys
+                    .iter()
+                    .filter(|(_, _, day)| (first..=last).contains(day));
+                Ok(days.map(|(key, cid, _)| (key.clone(), *cid)).collect())
+            };
+
+            let mut open = tree.clone();
+            assert_eq!(open.expand(&mut draw).unwrap(), stubs, "{here}");
+            assert_eq!(open.stubs(), 0);
+            let (root, blocks) = whole.build_with(true);
+            assert_eq!(open.root_cid(), root, "{here}");
+            assert_eq!(open.blocks(), blocks, "{here}");
+            assert_eq!(open.entries(), whole.entries(), "{here}");
+            entry_slots(&open);
+
+            // Every key under a stub: unknown until opened, then the value
+            // the whole tree holds; and a new key beside it inserts as into
+            // the tree never collapsed.
+            let mut inserted = whole.clone();
+            for (n, (key, cid, _)) in keys.iter().enumerate() {
+                if tree.descend(key.as_bytes()).is_ok() {
+                    assert_eq!(tree.get(key), Some(*cid), "{here}");
+                    continue;
+                }
+                assert_eq!(tree.get_live(key), None, "{here}");
+                let fresh = format!("{key}x");
+                if tree.descend(fresh.as_bytes()).is_err() {
+                    assert!(tree.insert(&fresh, value(n as u64)).is_err(), "{here}");
+                }
+                opened += tree.open(key, &mut draw).unwrap().0;
+                assert_eq!(tree.get(key), Some(*cid), "{here}");
+                opened += tree.open(&fresh, &mut draw).unwrap().0;
+                assert_eq!(tree.insert(&fresh, value(n as u64)).unwrap(), None);
+                inserted.insert(&fresh, value(n as u64)).unwrap();
+                assert_eq!(tree.root_cid(), inserted.root_cid(), "{here}");
+            }
+            assert_eq!(tree.stubs(), 0, "{here}");
+            assert_eq!(tree.blocks(), inserted.build_with(true).1, "{here}");
+
+            // Drawn wrong: every value changed, the last day of the range
+            // left out, or no source.
+            let mut stubbed = whole.clone();
+            stubbed.collapse(&|cid| released.get(&cid).copied());
+            // A stub opened by a lookup alone collapses again at the next
+            // release, settled ancestors or not.
+            if let Some((key, _, _)) = keys
+                .iter()
+                .find(|(key, ..)| stubbed.descend(key.as_bytes()).is_err())
+            {
+                let mut reopened = stubbed.clone();
+                assert!(reopened.open(key, &mut draw).unwrap().0 > 0, "{here}");
+                assert!(reopened.stubs() < stubs, "{here}");
+                reopened.collapse(&|cid| released.get(&cid).copied());
+                assert_eq!(reopened.stubs(), stubs, "{here}");
+                assert_eq!(reopened.root_cid(), whole.root_cid(), "{here}");
+            }
+            let mut tampered = |first: u16, last: u16| -> Result<Vec<(String, Cid)>> {
+                let pairs = draw(first, last)?;
+                Ok(pairs.into_iter().map(|(key, _)| (key, value(7))).collect())
+            };
+            let mut short = |first: u16, last: u16| -> Result<Vec<(String, Cid)>> {
+                let days = keys
+                    .iter()
+                    .filter(|(_, _, day)| (first..last).contains(day));
+                Ok(days.map(|(key, cid, _)| (key.clone(), *cid)).collect())
+            };
+            let mut missing = |_: u16, _: u16| -> Result<Vec<(String, Cid)>> {
+                Err(AtError::RepoError("no record source".into()))
+            };
+            let wrong: [&mut Draw<'_>; 3] = [&mut tampered, &mut short, &mut missing];
+            for draw in wrong {
+                let mut copy = stubbed.clone();
+                assert_eq!(copy.expand(draw).is_err(), stubs > 0, "{here}");
+                assert_eq!(copy.stubs(), stubbed.stubs(), "{here}");
+                assert_eq!(copy.root_cid(), whole.root_cid(), "{here}");
+            }
+        }
+        assert!(
+            collapsed > 200 && opened > 100,
+            "{collapsed} stubs, {opened} opened"
         );
     }
 

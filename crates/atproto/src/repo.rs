@@ -31,17 +31,37 @@
 //! it writes the archive. Beside the tree the repository keeps only the
 //! per-commit CID log resident, so its block memory is governed by the store
 //! backend. Since no key is ever removed or rewritten, the store holds
-//! exactly the tree's distinct values, and no block needs a reference count.
+//! exactly the tree's distinct values, and no block needs a reference count:
+//! the store's block count is the repository's record count
+//! ([`Repository::record_blocks`]).
 //!
 //! A record block need not keep its bytes. A commit its owner can draw
-//! again ([`Repository::apply_redrawable_writes`]: the simulated world's
-//! user-days, each a pure function of the seed, the user and the day) marks
-//! its new blocks with its day, a number of the owner's choosing, and a
-//! release ([`Repository::release_before`]) lets the in-memory store drop
-//! their bytes and keep only each block's slot. An export that meets such a block
-//! asks the owner's [`RecordSource`] for that day's writes, once per day,
-//! and serves a block only if it hashes to the CID the tree holds under its
-//! key; anything else fails the export, counted in [`Redraws`].
+//! again ([`Repository::apply_writes_drawn`] with a day: the simulated
+//! world's user-days, each a pure function of the seed, the user and the
+//! day) marks its new blocks with its day, a number of the owner's
+//! choosing, and a release ([`Repository::release_before`]) lets the
+//! in-memory store drop their bytes and keep only each block's slot. An
+//! export that meets such a block asks the owner's [`RecordSource`] for
+//! that day's writes, once per day, and serves a block only if it hashes to
+//! the CID the tree holds under its key; anything else fails the export,
+//! counted in [`Redraws`].
+//!
+//! Nor need the tree keep every node. The release then collapses each
+//! frozen subtree whose values the store released to a stub (see
+//! `crate::mst`), so the tree keeps its live spine: the right edges of its
+//! collections, where new keys land, and the records no recipe draws (a
+//! profile, a feed generator's declaration). A descent that meets a stub
+//! draws it again through the same source: a full export and a `Full`
+//! delta re-derive every stub on a copy of the tree, sharing each drawn day
+//! with the released blocks they serve, and a write whose key falls in a
+//! stub (never in a quiet study, whose keys land behind every stub) grafts
+//! it back before it commits. A stub is accepted only if the keys drawn
+//! inside its gap rebuild it to its CID: anything else fails the export or
+//! the commit, counted as a mismatch in [`Redraws`], beside the subtrees
+//! re-derived. A key whose block an earlier day wrote is drawn on its own
+//! day, which the block's day does not name, so the repository remembers
+//! those days; a commit no recipe draws that holds such a block keeps the
+//! tree from collapsing at all.
 //!
 //! Order exists only where it reaches bytes or a store's read order, and is
 //! made there: a full export sorts the record CIDs it frames (the tree's
@@ -59,20 +79,25 @@
 //! every one is the value of a key that stays. A release
 //! ([`Repository::release_before`]) drops the *bytes* of the re-drawable
 //! blocks committed under a day before a cutoff day, whether or not their
-//! commits are still in the log; the blocks themselves stay, and exports
-//! draw them again. The study's collector runs the pass weekly from the
-//! first simulated day, so a repository's history is bounded from its
-//! first commit, not from the day collection starts. Inside its collection
-//! window, right after each mirror sync, it follows the pass with a release
-//! up to the pass's cutoff: a delta since a revision the mirror holds then
-//! carries only blocks newer than the cutoff, and only full exports
-//! re-draw. The invariant:
+//! commits are still in the log, and collapses the subtrees that froze
+//! with them; the blocks themselves stay, and exports draw them again. A
+//! repository remembers the cutoff of its last release, so a second release
+//! to the same or an earlier day costs nothing. The study's collector runs
+//! the compaction pass weekly from the first simulated day, so a
+//! repository's history is bounded from its first commit, not from the day
+//! collection starts. Inside its collection window the mirror sync releases
+//! each repository it lists up to the pass's cutoff right after fetching
+//! it, and the pass follows the sync with a fleet-wide release for the
+//! repositories the sync did not list: a delta since a revision the mirror
+//! holds then carries only blocks newer than the cutoff, and only full
+//! exports re-draw. The invariant:
 //! [`Repository::export_car_since`] still serves every retained
 //! revision exactly; a request since a compacted revision fails with
 //! [`AtError::RevisionCompacted`] so the caller can fall back to a full CAR
 //! fetch *visibly* (the study pipeline surfaces these fallbacks in its
 //! stream summary rather than hiding them). A pass costs the commits that
-//! aged out, never the repository.
+//! aged out, never the repository; a release costs the store's slots and
+//! the tree's live spine.
 //!
 //! ## CAR archives
 //!
@@ -99,11 +124,12 @@ use crate::mst::{validate_key, Mst};
 use crate::nsid::Nsid;
 use crate::record::Record;
 use crate::tid::{Tid, TidClock};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 /// A signed repository commit.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Commit {
+pub(crate) struct Commit {
     /// The repository owner.
     pub(crate) did: Did,
     /// Commit format version (3 in the live network).
@@ -111,7 +137,7 @@ pub struct Commit {
     /// MST root CID after this commit.
     pub(crate) data: Cid,
     /// Revision TID, strictly increasing per repository.
-    pub rev: Tid,
+    pub(crate) rev: Tid,
     /// CID of the previous commit, if any.
     pub(crate) prev: Option<Cid>,
     /// Signature over the unsigned commit bytes.
@@ -174,7 +200,7 @@ impl RecordOp {
     }
 }
 
-/// A write request handed to [`Repository::apply_writes`]. A repository
+/// A write request handed to [`Repository::apply_writes_drawn`]. A repository
 /// only ever creates records: there is no update and no delete, so a key,
 /// once written, keeps its record for the life of the repository.
 #[derive(Debug, Clone, PartialEq)]
@@ -191,12 +217,12 @@ pub enum Write {
     },
 }
 
-/// The outcome of applying a batch of writes: the new commit plus the record
-/// operations, ready to be emitted on the firehose.
+/// The outcome of applying a batch of writes: the new commit's revision and
+/// CID plus the record operations, ready to be emitted on the firehose.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CommitResult {
-    /// The newly created commit.
-    pub commit: Commit,
+    /// The new commit's revision.
+    pub rev: Tid,
     /// The commit's CID (precomputed so firehose producers need not re-hash
     /// the signed encoding per event).
     pub commit_cid: Cid,
@@ -228,7 +254,8 @@ pub enum DeltaScope {
 
 /// What a compaction pass dropped: the commits
 /// [`Repository::compact_before`] drops, or the record bytes a release
-/// lets go ([`Repository::release_before`]), summed over a PDS or a fleet.
+/// lets go and the subtrees it collapses ([`Repository::release_before`]),
+/// summed over a PDS or a fleet.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CompactionStats {
     /// Commits (and their log entries) dropped from the delta window.
@@ -238,6 +265,9 @@ pub struct CompactionStats {
     /// [`Repository::compact_before`], which drops no record block, and
     /// from a server lent no [`RecordSource`].
     pub bytes_reclaimed: usize,
+    /// MST subtrees a release collapsed to their CID: a descent into one
+    /// draws it again.
+    pub subtrees_collapsed: usize,
 }
 
 impl CompactionStats {
@@ -245,13 +275,15 @@ impl CompactionStats {
     pub fn absorb(&mut self, other: &CompactionStats) {
         self.commits_dropped += other.commits_dropped;
         self.bytes_reclaimed += other.bytes_reclaimed;
+        self.subtrees_collapsed += other.subtrees_collapsed;
     }
 }
 
 /// Draws a repository's records again: the recipe of every commit its owner
-/// marked re-drawable ([`Repository::apply_redrawable_writes`]). The
-/// simulated world lends one to the PDS fleet, which does not depend on it;
-/// an export that meets a released block asks it for that block's day.
+/// marked re-drawable ([`Repository::apply_writes_drawn`]). The simulated
+/// world lends one to the PDS fleet, which does not depend on it; an export
+/// that meets a released block asks it for that block's day, and a descent
+/// that meets a collapsed subtree for the days of its range.
 pub trait RecordSource: std::fmt::Debug + Send + Sync {
     /// The writes of `did`'s re-drawable commit of `day` (the day number
     /// it was committed under), drawn again as they were committed; empty
@@ -259,16 +291,19 @@ pub trait RecordSource: std::fmt::Debug + Send + Sync {
     fn redraw(&self, did: &Did, day: u16) -> Vec<Write>;
 }
 
-/// What exports re-drew: the readings that keep a re-draw from ever being
-/// silent.
+/// What exports and commits re-drew: the readings that keep a re-draw from
+/// ever being silent.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Redraws {
     /// Released blocks served from a re-draw, each checked against the CID
     /// its tree holds.
     pub blocks: u64,
+    /// Collapsed MST subtrees drawn again, each checked against its CID.
+    pub subtrees: u64,
     /// Re-drawn records that did not hash to the CID the tree holds under
-    /// their key, and released blocks a re-draw did not yield. Each fails
-    /// its export: such a block is never served, nor left out.
+    /// their key, released blocks a re-draw did not yield, and collapsed
+    /// subtrees that did not draw again to their CID. Each fails its export
+    /// or commit: such a block or subtree is never served, nor left out.
     pub mismatches: u64,
 }
 
@@ -276,7 +311,92 @@ impl Redraws {
     /// Fold other readings into these (counters add).
     pub fn absorb(&mut self, other: &Redraws) {
         self.blocks += other.blocks;
+        self.subtrees += other.subtrees;
         self.mismatches += other.mismatches;
+    }
+}
+
+/// The days one export or commit draws again through its owner's
+/// [`RecordSource`], each day once: the released blocks an export serves and
+/// the collapsed subtrees it re-derives share them.
+struct Draws<'a> {
+    did: &'a Did,
+    source: Option<&'a dyn RecordSource>,
+    store: &'a dyn BlockStore,
+    /// The repository's [`Repository::borrowed_days`].
+    borrowed: &'a [u16],
+    /// Each day drawn so far: its records' keys, CIDs and bytes.
+    days: BTreeMap<u16, Vec<(String, Cid, Vec<u8>)>>,
+    /// The days the store released blocks of, once asked.
+    released: Option<Vec<u16>>,
+}
+
+impl<'a> Draws<'a> {
+    fn new(
+        did: &'a Did,
+        store: &'a dyn BlockStore,
+        borrowed: &'a [u16],
+        source: Option<&'a dyn RecordSource>,
+    ) -> Draws<'a> {
+        Draws {
+            did,
+            source,
+            store,
+            borrowed,
+            days: BTreeMap::new(),
+            released: None,
+        }
+    }
+
+    /// Draw `day` again, or hand back what an earlier call drew of it.
+    fn draw(&mut self, day: u16) -> Result<Vec<(String, Cid, Vec<u8>)>> {
+        if let Some(drawn) = self.days.remove(&day) {
+            return Ok(drawn);
+        }
+        let source = self.source.ok_or_else(|| {
+            AtError::RepoError(format!(
+                "{} released records and no record source draws them",
+                self.did
+            ))
+        })?;
+        let writes = source.redraw(self.did, day);
+        let mut drawn = Vec::with_capacity(writes.len());
+        for Write::Create {
+            collection,
+            rkey,
+            record,
+        } in writes
+        {
+            let mut bytes = Vec::new();
+            record.encode_into(&mut bytes);
+            drawn.push((record_key(&collection, &rkey), Cid::for_cbor(&bytes), bytes));
+        }
+        Ok(drawn)
+    }
+
+    /// The keys and values that re-derive a collapsed subtree whose values
+    /// were drawn on days `first..=last`: those of the days in that range
+    /// the store released blocks of (a day without one wrote nothing the
+    /// subtree holds, or nothing at all), and of the borrowed days from
+    /// `first` on, whose keys hold blocks of earlier days.
+    fn pairs(&mut self, first: u16, last: u16) -> Result<Vec<(String, Cid)>> {
+        let store = self.store;
+        let released = self.released.get_or_insert_with(|| store.released_days());
+        let mut days: Vec<u16> = released
+            .iter()
+            .copied()
+            .filter(|day| (first..=last).contains(day))
+            .chain(self.borrowed.iter().copied().filter(|&day| day >= first))
+            .collect();
+        days.sort_unstable();
+        days.dedup();
+        let mut pairs = Vec::new();
+        for day in days {
+            let drawn = self.draw(day)?;
+            pairs.extend(drawn.iter().map(|(key, cid, _)| (key.clone(), *cid)));
+            self.days.insert(day, drawn);
+        }
+        Ok(pairs)
     }
 }
 
@@ -285,9 +405,10 @@ impl Redraws {
 pub struct Repository {
     did: Did,
     signing_key: SigningKey,
-    /// The record index, kept materialised and updated in place, and the
-    /// only copy of the tree: its node blocks are encoded from it when an
-    /// archive is written.
+    /// The record index, updated in place, and the only copy of the tree:
+    /// its node blocks are encoded from it when an archive is written. A
+    /// release collapses its frozen subtrees to their CIDs, and a descent
+    /// into one draws it again.
     mst: Mst,
     /// The record blocks, behind the pluggable store: exactly the tree's
     /// distinct values, since no key is ever removed or rewritten.
@@ -304,6 +425,17 @@ pub struct Repository {
     /// Revision of the newest commit a compaction pass dropped; deltas since
     /// revisions at or below it must fall back to a full fetch.
     compacted_through: Option<Tid>,
+    /// The cutoff day of the last release: a release to it or an earlier
+    /// day has nothing left to do.
+    released_through: u16,
+    /// The days of re-drawable commits that hold, under a key of their own,
+    /// a block an earlier commit wrote: a collapsed subtree draws such a
+    /// key on its own day, which the block's day does not name.
+    borrowed_days: Vec<u16>,
+    /// Whether a release may collapse subtrees: not once a commit no recipe
+    /// draws again holds a block an earlier commit wrote, since that block
+    /// may be released while its key is drawn by no day.
+    collapsible: bool,
     clock: TidClock,
     /// Where `put_record` encodes each record; the store copies a new
     /// block's bytes out of it ([`BlockStore::put_slice`]), so a record
@@ -334,6 +466,9 @@ impl Repository {
             log: Vec::new(),
             head_cid: None,
             compacted_through: None,
+            released_through: 0,
+            borrowed_days: Vec::new(),
+            collapsible: true,
             encode_buf: Vec::new(),
         }
     }
@@ -344,20 +479,35 @@ impl Repository {
     }
 
     /// The record blocks the repository serves: its tree's distinct values,
-    /// whether the store holds their bytes or released them.
+    /// which are exactly the store's blocks, whether it holds their bytes or
+    /// released them.
     pub fn record_blocks(&self) -> usize {
-        self.record_cids().len()
+        self.store.len()
     }
 
-    /// The tree's distinct values, sorted: the archive frames its record
-    /// blocks in ascending CID order, and a paged store is read in that
-    /// order.
-    fn record_cids(&self) -> Vec<Cid> {
+    /// The distinct values of `tree` (this repository's, with no stub),
+    /// sorted: the archive frames its record blocks in ascending CID order,
+    /// and a paged store is read in that order.
+    fn record_cids(&self, tree: &Mst) -> Vec<Cid> {
         let mut cids: Vec<Cid> = Vec::with_capacity(self.store.len());
-        self.mst.for_each_entry(|_, cid| cids.push(cid));
+        tree.for_each_entry(|_, cid| cids.push(cid));
         cids.sort_unstable();
         cids.dedup();
         cids
+    }
+
+    /// The tree to read whole: this one, or, when it holds stubs, a copy
+    /// with every stub drawn again through `draws` and grafted back. A
+    /// stub that does not draw again to its CID fails the read.
+    fn whole_tree(&self, draws: &mut Draws<'_>, tally: &mut Redraws) -> Result<Cow<'_, Mst>> {
+        if self.mst.stubs() == 0 {
+            return Ok(Cow::Borrowed(&self.mst));
+        }
+        let mut tree = self.mst.clone();
+        let expanded = tree.expand(&mut |first, last| draws.pairs(first, last));
+        tally.subtrees += *expanded.as_ref().unwrap_or(&0) as u64;
+        tally.mismatches += u64::from(expanded.is_err());
+        expanded.map(|_| Cow::Owned(tree))
     }
 
     /// Latest commit, if any write has happened.
@@ -377,11 +527,18 @@ impl Repository {
     }
 
     /// Fetch a record by collection and rkey: `None` when absent, and when
-    /// the store released its bytes (only an export draws those again).
+    /// the store released its bytes (only an export draws those again), as
+    /// it did for every record under a collapsed subtree.
     pub fn get_record(&self, collection: &Nsid, rkey: &str) -> Option<Record> {
-        let cid = self.mst.get(&record_key(collection, rkey))?;
+        let cid = self.mst.get_live(&record_key(collection, rkey))?;
         let bytes = self.store.get(&cid)?;
         Record::from_cbor(&bytes).ok()
+    }
+
+    /// [`Repository::apply_writes_drawn`] of a batch no recipe draws again,
+    /// without a source: a key that falls in a collapsed subtree fails it.
+    pub(crate) fn apply_writes(&mut self, writes: &[Write], now: Datetime) -> Result<CommitResult> {
+        self.apply_writes_drawn(writes, now, None, None, &mut Redraws::default())
     }
 
     /// Apply a batch of record creations, producing a new signed commit.
@@ -389,34 +546,26 @@ impl Repository {
     /// The batch is validated before its first mutation: every key must be
     /// a valid MST key, absent from the tree, and named once in the batch.
     /// A batch that passes is applied with no failure path, so a rejected
-    /// batch leaves the repository exactly as it was. Records are stored in
-    /// write order; the commit's ops list the batch's keys in key order.
-    pub fn apply_writes(&mut self, writes: &[Write], now: Datetime) -> Result<CommitResult> {
-        self.commit(writes, now, None)
-    }
-
-    /// [`Repository::apply_writes`], for a batch its owner can draw again
-    /// as the recipe of `day`, a day number of the owner's choosing (the
-    /// simulated world's day index): the store may release the bytes of the
-    /// blocks it adds once a release's cutoff day is past `day`
+    /// batch leaves the repository's contents exactly as they were. Records
+    /// are stored in write order; the commit's ops list the batch's keys in
+    /// key order. A collapsed subtree a key of the batch falls in is drawn
+    /// again through `source` first (counted into `tally`; one that does
+    /// not draw again to its CID, or with no source, fails the batch).
+    ///
+    /// With a `day`, the batch is one its owner can draw again as the recipe of
+    /// `day`, a day number of the owner's choosing (the simulated world's
+    /// day index): the store may release the bytes of the blocks it adds
+    /// once a release's cutoff day is past `day`
     /// ([`Repository::release_before`]), and an export then asks a
     /// [`RecordSource`] for the writes of `day`. One such commit per day:
     /// the day is the recipe's key.
-    pub fn apply_redrawable_writes(
-        &mut self,
-        writes: &[Write],
-        now: Datetime,
-        day: u16,
-    ) -> Result<CommitResult> {
-        self.commit(writes, now, Some(day))
-    }
-
-    /// Commit a batch; `day` marks its new blocks re-drawable from that day.
-    fn commit(
+    pub fn apply_writes_drawn(
         &mut self,
         writes: &[Write],
         now: Datetime,
         day: Option<u16>,
+        source: Option<&dyn RecordSource>,
+        tally: &mut Redraws,
     ) -> Result<CommitResult> {
         if writes.is_empty() {
             return Err(AtError::RepoError("empty write batch".into()));
@@ -431,7 +580,20 @@ impl Repository {
             .collect();
         for key in &keys {
             validate_key(key)?;
-            if self.mst.get(key).is_some() {
+        }
+        let mut draws = Draws::new(&self.did, &*self.store, &self.borrowed_days, source);
+        for key in &keys {
+            let held = if self.mst.stubs() == 0 {
+                self.mst.get(key)
+            } else {
+                let opened = self
+                    .mst
+                    .open(key, &mut |first, last| draws.pairs(first, last));
+                tally.subtrees += opened.as_ref().map_or(0, |&(count, _)| count as u64);
+                tally.mismatches += u64::from(opened.is_err());
+                opened?.1
+            };
+            if held.is_some() {
                 return Err(AtError::RepoError(format!("record exists: {key}")));
             }
         }
@@ -445,7 +607,7 @@ impl Repository {
         }
 
         let mut bytes_written = 0usize;
-        let mut fresh_blocks: Vec<Cid> = Vec::new();
+        let mut fresh_blocks: Vec<Cid> = Vec::with_capacity(writes.len());
         let mut ops: Vec<RecordOp> = Vec::with_capacity(writes.len());
         for (key, Write::Create { record, .. }) in keys.into_iter().zip(writes) {
             self.encode_buf.clear();
@@ -459,6 +621,16 @@ impl Repository {
             };
             if fresh {
                 fresh_blocks.push(cid);
+            } else if !fresh_blocks.contains(&cid) {
+                // An earlier commit wrote this block: the key is drawn on
+                // this commit's day, not on the block's.
+                match day {
+                    Some(day) if self.borrowed_days.last() != Some(&day) => {
+                        self.borrowed_days.push(day)
+                    }
+                    Some(_) => {}
+                    None => self.collapsible = false,
+                }
             }
             let prior = self.mst.set(&key, cid);
             debug_assert!(prior.is_none(), "{key} was validated as absent");
@@ -482,10 +654,10 @@ impl Repository {
         bytes_written += commit_bytes.len();
         let commit_cid = Cid::for_cbor(&commit_bytes);
         self.head_cid = Some(commit_cid);
-        self.commits.push(commit.clone());
+        self.commits.push(commit);
         self.log.push(fresh_blocks);
         Ok(CommitResult {
-            commit,
+            rev,
             commit_cid,
             ops,
             bytes_written,
@@ -537,15 +709,18 @@ impl Repository {
         source: Option<&dyn RecordSource>,
         tally: &mut Redraws,
     ) -> Result<Vec<u8>> {
-        let record_cids = self.record_cids();
-        let drawn = self.redraw_released(&record_cids, source, tally)?;
+        let mut draws = Draws::new(&self.did, &*self.store, &self.borrowed_days, source);
+        let tree = self.whole_tree(&mut draws, tally)?;
+        let record_cids = self.record_cids(&tree);
+        let drawn = self.redraw_released(Some(&tree), &record_cids, &mut draws, tally)?;
+        drop(draws);
         let roots: Vec<Cid> = self.head_cid.into_iter().collect();
         let mut car = CarWriter::new(&roots, None);
         for commit in &self.commits {
             let bytes = commit.to_cbor();
             car.block(&Cid::for_cbor(&bytes), &bytes);
         }
-        self.mst.for_each_block(|cid, bytes| car.block(cid, bytes));
+        tree.for_each_block(|cid, bytes| car.block(cid, bytes));
         for cid in &record_cids {
             match drawn.get(cid) {
                 Some(bytes) => car.block(cid, bytes),
@@ -560,14 +735,17 @@ impl Repository {
     }
 
     /// The bytes of every block of `cids` the store released, drawn again
-    /// through `source`, once per day, and each checked against the CID the
-    /// tree holds under the key it was drawn for. Empty, with no source
-    /// asked, when none was released; an error when any check fails (see
+    /// through `draws`, once per day, and each checked against the CID
+    /// `tree` holds under the key it was drawn for. `tree` is this
+    /// repository's with no stub; `None` reads this one's, re-derived whole
+    /// only if anything is drawn. Empty, with no source asked, when none
+    /// was released; an error when any check fails (see
     /// [`Repository::export_car_drawn`]).
     fn redraw_released(
         &self,
+        tree: Option<&Mst>,
         cids: &[Cid],
-        source: Option<&dyn RecordSource>,
+        draws: &mut Draws<'_>,
         tally: &mut Redraws,
     ) -> Result<CidMap<Vec<u8>>> {
         let mut wanted = CidSet::default();
@@ -582,31 +760,23 @@ impl Repository {
         if wanted.is_empty() {
             return Ok(drawn);
         }
-        let source = source.ok_or_else(|| {
-            AtError::RepoError(format!(
-                "{} released {} block(s) and no record source draws them",
-                self.did,
-                wanted.len()
-            ))
-        })?;
+        let whole;
+        let tree = match tree {
+            Some(tree) => tree,
+            None => {
+                whole = self.whole_tree(draws, tally)?;
+                &*whole
+            }
+        };
         days.sort_unstable();
         days.dedup();
         let mut mismatches = 0u64;
-        let mut buf = Vec::new();
         for day in days {
-            for Write::Create {
-                collection,
-                rkey,
-                record,
-            } in source.redraw(&self.did, day)
-            {
-                buf.clear();
-                record.encode_into(&mut buf);
-                let cid = Cid::for_cbor(&buf);
-                if self.mst.get(&record_key(&collection, &rkey)) != Some(cid) {
+            for (key, cid, bytes) in draws.draw(day)? {
+                if tree.get(&key) != Some(cid) {
                     mismatches += 1;
                 } else if wanted.contains(&cid) {
-                    drawn.entry(cid).or_insert_with(|| buf.clone());
+                    drawn.entry(cid).or_insert(bytes);
                 }
             }
         }
@@ -677,6 +847,8 @@ impl Repository {
         // residency follows its read order, and that order is pinned with
         // the byte counters it produces.
         let mut blocks: BTreeMap<Cid, Vec<u8>> = BTreeMap::new();
+        let mut draws = Draws::new(&self.did, &*self.store, &self.borrowed_days, source);
+        let mut tree = None;
         let newer = &self.commits[index + 1..];
         if !newer.is_empty() {
             blocks.insert(head_cid, head.to_cbor());
@@ -687,13 +859,14 @@ impl Repository {
                     let bytes = commit.to_cbor();
                     blocks.insert(Cid::for_cbor(&bytes), bytes);
                 }
-                self.mst.for_each_block(|cid, bytes| {
+                let whole = tree.insert(self.whole_tree(&mut draws, tally)?);
+                whole.for_each_block(|cid, bytes| {
                     blocks.insert(*cid, bytes.to_vec());
                 });
             }
         }
         let record_cids: Vec<Cid> = self.log[index + 1..].concat();
-        let mut drawn = self.redraw_released(&record_cids, source, tally)?;
+        let mut drawn = self.redraw_released(tree.as_deref(), &record_cids, &mut draws, tally)?;
         for cid in &record_cids {
             // A block the store cannot return is left out, as the full
             // export leaves it out.
@@ -829,15 +1002,28 @@ impl Repository {
     }
 
     /// Release the bytes of every re-drawable record block
-    /// ([`Repository::apply_redrawable_writes`]) committed under a day
-    /// before `day`, whether or not its commit is still in the log. Each
-    /// block stays in the tree and the store, which keeps only its slot, so
-    /// `getRepo` answers the same; an export draws it again through its
-    /// owner's [`RecordSource`]. Returns the payload bytes released. The
-    /// caller holds that source: a repository released without one cannot
-    /// be exported.
-    pub fn release_before(&mut self, day: u16) -> usize {
-        self.store.release_before(day)
+    /// ([`Repository::apply_writes_drawn`]) committed under a day before
+    /// `day`, whether or not its commit is still in the log, then collapse
+    /// each frozen subtree whose values are all released to a stub (see
+    /// `crate::mst`). Each block stays in the tree and the store, which
+    /// keeps only its slot, so `getRepo` answers the same; an export draws
+    /// it, and the stubs, again through its owner's [`RecordSource`].
+    /// Returns the payload bytes released and the subtrees collapsed. A
+    /// release to the cutoff of the last one, or to an earlier day, does
+    /// nothing. The caller holds that source: a repository released without
+    /// one cannot be exported.
+    pub fn release_before(&mut self, day: u16) -> CompactionStats {
+        let mut stats = CompactionStats::default();
+        if day <= self.released_through {
+            return stats;
+        }
+        self.released_through = day;
+        stats.bytes_reclaimed = self.store.release_before(day);
+        if stats.bytes_reclaimed > 0 && self.collapsible {
+            let store = &*self.store;
+            stats.subtrees_collapsed = self.mst.collapse(&|cid| store.released_on(&cid));
+        }
+        stats
     }
 }
 
@@ -961,7 +1147,7 @@ impl<'a> Iterator for CarReader<'a> {
 }
 
 /// Decode the `(rev, data)` summary of an encoded commit block, without
-/// needing the full [`Commit`] struct (delta consumers hold raw blocks).
+/// needing the full `Commit` struct (delta consumers hold raw blocks).
 pub fn commit_summary(bytes: &[u8]) -> Result<(Tid, Cid)> {
     let value = cbor::decode(bytes)?;
     let rev = value
@@ -1639,7 +1825,7 @@ mod tests {
         let stats = repo.compact_before(&cutoff);
         let expected = CompactionStats {
             commits_dropped: commits_before - 2,
-            bytes_reclaimed: 0,
+            ..CompactionStats::default()
         };
         assert_eq!(stats, expected);
         assert_eq!(repo.commits.len(), 2);
@@ -1786,11 +1972,11 @@ mod tests {
                 .collect();
             kept.apply_writes(&writes, at).unwrap();
             let result = released
-                .apply_redrawable_writes(&writes, at, day as u16)
+                .apply_writes_drawn(&writes, at, Some(day as u16), None, &mut Redraws::default())
                 .unwrap();
             recipes.days.insert(day as u16, writes);
             if day == 8 {
-                cutoff_rev = Some(result.commit.rev);
+                cutoff_rev = Some(result.rev);
             }
         }
         let cutoff = 8;
@@ -1802,26 +1988,57 @@ mod tests {
         let before = released.store_stats();
 
         let freed = released.release_before(cutoff);
-        assert!(freed > 0);
+        assert!(freed.bytes_reclaimed > 0);
+        let collapsed = freed.subtrees_collapsed as u64;
+        assert!(collapsed > 0, "{freed:?}");
         let after = released.store_stats();
-        assert_eq!(after.logical_bytes, before.logical_bytes - freed);
+        assert_eq!(
+            after.logical_bytes,
+            before.logical_bytes - freed.bytes_reclaimed
+        );
         assert_eq!(after.blocks, before.blocks, "a released block stays");
-        assert_eq!(released.release_before(cutoff), 0, "idempotent");
+        assert_eq!(
+            released.release_before(cutoff),
+            CompactionStats::default(),
+            "idempotent"
+        );
         let mut tally = Redraws::default();
         let drawn = released.export_car_drawn(Some(&recipes), &mut tally);
         assert_eq!(drawn.unwrap(), full);
-        // Days 0 to 7: six first posts, one "again", one "same every day".
+        // Days 0 to 7: six first posts, one "again", one "same every day";
+        // and every collapsed subtree, drawn again from the same days.
         assert_eq!(
             tally,
             Redraws {
                 blocks: 8,
+                subtrees: collapsed,
                 mismatches: 0
             }
         );
+        assert_eq!(
+            released.mst.stubs() as u64,
+            collapsed,
+            "an export grafts nothing"
+        );
+        // A `Full` delta since a kept revision ships the live tree, so it
+        // draws the collapsed subtrees again, and no released block; a
+        // `Records` delta draws nothing.
         let mut quiet = Redraws::default();
         let since_drawn =
             released.export_car_since_drawn(&since, DeltaScope::Full, Some(&recipes), &mut quiet);
         assert_eq!(since_drawn.unwrap(), delta);
+        let subtrees_only = Redraws {
+            subtrees: collapsed,
+            ..Redraws::default()
+        };
+        assert_eq!(quiet, subtrees_only);
+        let mut quiet = Redraws::default();
+        let records =
+            released.export_car_since_drawn(&since, DeltaScope::Records, None, &mut quiet);
+        assert_eq!(
+            records.unwrap(),
+            kept.export_car_since(&since, DeltaScope::Records).unwrap()
+        );
         assert_eq!(quiet, Redraws::default());
         // Drawn after the cutoff's day: its bytes are still held.
         let recent = kept.mst.get("app.bsky.feed.post/d10n0").unwrap();
@@ -1845,8 +2062,10 @@ mod tests {
             tally,
             Redraws {
                 blocks: 0,
-                mismatches: 8
-            }
+                subtrees: 0,
+                mismatches: 1
+            },
+            "the first collapsed subtree fails to draw again"
         );
         assert!(released
             .export_car_drawn(None, &mut Redraws::default())
@@ -1857,6 +2076,37 @@ mod tests {
                 .unwrap(),
             full
         );
+
+        // A write that lands in a collapsed subtree draws it again first
+        // and then commits what the repository that kept everything
+        // commits. Drawn wrong, or with no source, the subtree fails the
+        // batch, counted, and the contents stay as they were.
+        let recipes = DayRecipes {
+            tamper: false,
+            ..tampered
+        };
+        let tampered = DayRecipes {
+            tamper: true,
+            days: recipes.days.clone(),
+        };
+        let inside = [create("d03n5", "lands in a collapsed subtree")];
+        let (at, stubs) = (now().plus_days(20), released.mst.stubs());
+        let mut tally = Redraws::default();
+        let wrong = released.apply_writes_drawn(&inside, at, None, Some(&tampered), &mut tally);
+        assert!(wrong.is_err());
+        assert_eq!(tally.mismatches, 1, "{tally:?}");
+        assert!(released.apply_writes(&inside, at).is_err());
+        assert_eq!(released.mst.stubs(), stubs);
+        assert_eq!(released.rev(), kept.rev());
+        kept.apply_writes(&inside, at).unwrap();
+        let mut tally = Redraws::default();
+        released
+            .apply_writes_drawn(&inside, at, None, Some(&recipes), &mut tally)
+            .unwrap();
+        assert_eq!((tally.subtrees, tally.mismatches), (1, 0), "{tally:?}");
+        assert_eq!(released.mst.stubs(), stubs - 1);
+        let drawn = released.export_car_drawn(Some(&recipes), &mut Redraws::default());
+        assert_eq!(drawn.unwrap(), kept.export_car());
     }
 
     #[test]

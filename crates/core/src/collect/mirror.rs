@@ -52,13 +52,25 @@
 //! weeks of other commits; inside the window it runs right after each
 //! round's sync and never between two. A pass keeps every head, and right
 //! after a sync every revision the mirror holds is one, so the next round's
-//! delta since it is served. An in-window pass also releases the bytes of
-//! the user-day records committed before its cutoff, which the mirror then
-//! holds: the PDS keeps each block, but not its bytes. A delta since a
-//! revision the mirror holds carries only newer records, so it reads none
-//! of them; a full fetch (a backfill, a compaction fallback, a retry after
-//! a failed delta) has its PDS draw them again from the world's recipe and
-//! check each against its CID, counted in the stream summary.
+//! delta since it is served.
+//!
+//! *When a release happens.* Inside the window the sync releases each DID
+//! it lists right after handling it — fetched, delta-synced or unchanged,
+//! and whether or not its fetch failed — up to the pass's cutoff day
+//! ([`IncrementalRepoMirror::sync_releasing`]): the bytes of the user-day
+//! records committed before the cutoff, which the mirror then holds, and
+//! the subtrees of the repository's tree that froze with them. The PDS
+//! keeps each block, but not its bytes, and each collapsed subtree as its
+//! CID. So a store holds a DID's old bytes only while the mirror fetches
+//! them, not until the whole round is done. The compaction pass after the
+//! sync releases, to the same cutoff, the repositories the relay did not
+//! list; a listed one is released to it already and is not walked again.
+//! A delta since a revision the mirror holds carries only newer records,
+//! so it reads none of them; a full fetch (a backfill, a compaction
+//! fallback, a retry after a failed delta) has its PDS draw them, and the
+//! collapsed subtrees, again from the world's recipe and check each
+//! against its CID, counted in the stream summary. The window end's
+//! catch-up sync releases nothing.
 //!
 //! The paper's naive reading of §3 — download and decode every repository
 //! CAR once, at the window end, O(total repo bytes) — is not a selectable
@@ -380,6 +392,30 @@ impl IncrementalRepoMirror {
         now: Datetime,
         summary: &mut StreamSummary,
     ) {
+        self.sync_releasing(relay, fleet, now, None, summary);
+    }
+
+    /// [`IncrementalRepoMirror::sync`], releasing each listed DID's
+    /// repository before the day `release` right after handling it
+    /// (`PdsFleet::release_repo`): the mirror then holds every record the
+    /// release lets go, and the PDS store holds their bytes only while the
+    /// mirror fetches them. The bytes and the subtrees collapsed count into
+    /// `summary`.
+    pub(crate) fn sync_releasing(
+        &mut self,
+        relay: &mut Relay,
+        fleet: &mut PdsFleet,
+        now: Datetime,
+        release: Option<u16>,
+        summary: &mut StreamSummary,
+    ) {
+        let release_repo = |fleet: &mut PdsFleet, did: &Did, summary: &mut StreamSummary| {
+            if let Some(day) = release {
+                let stats = fleet.release_repo(did, day);
+                summary.store_bytes_reclaimed += stats.bytes_reclaimed as u64;
+                summary.subtrees_collapsed += stats.subtrees_collapsed as u64;
+            }
+        };
         self.passes += 1;
         let mut cursor: Option<String> = None;
         loop {
@@ -398,13 +434,16 @@ impl IncrementalRepoMirror {
                     if host_changed {
                         summary.backfill_full_fetches += 1;
                     } else if entry.rev == current {
-                        continue; // unchanged since the last snapshot
+                        // Unchanged since the last snapshot.
+                        release_repo(fleet, &did, summary);
+                        continue;
                     }
                 }
                 let host = host.map(str::to_string);
                 if host_changed || !self.try_delta(relay, fleet, now, &did, current, summary) {
                     self.full_fetch(relay, fleet, now, &did, current, host, summary);
                 }
+                release_repo(fleet, &did, summary);
             }
             match next {
                 Some(c) => cursor = Some(c),

@@ -454,3 +454,89 @@ fn incremental_and_full_refetch_repositories_are_identical() {
         );
     }
 }
+
+/// What a fleet is lent so that it may release: it draws nothing again,
+/// and no test below exports a released repository.
+#[derive(Debug)]
+struct NoRedraw;
+
+impl bsky_atproto::repo::RecordSource for NoRedraw {
+    fn redraw(&self, _did: &Did, _day: u16) -> Vec<bsky_atproto::repo::Write> {
+        Vec::new()
+    }
+}
+
+/// A releasing sync lets go of each listed DID's records before the cutoff
+/// day right after handling it: fetched first (the mirror holds them), then
+/// released, unchanged DIDs included, and counted in the summary. A DID the
+/// relay does not list is left to the fleet-wide pass, which walks no
+/// listed repository again.
+#[test]
+fn a_releasing_sync_releases_each_did_it_handles() {
+    let (mut relay, mut fleet, mut dids) = setup(2);
+    fleet.lend_source(Arc::new(NoRedraw));
+    let write = |fleet: &mut PdsFleet, did: &Did, day: u16| {
+        let write = bsky_atproto::repo::Write::Create {
+            collection: Nsid::parse(known::POST).unwrap(),
+            rkey: format!("d{day:03}"),
+            record: post(&format!("{did} on day {day}")),
+        };
+        let at = now().plus_days(i64::from(day));
+        let pds = fleet.pds_for_mut(did).unwrap();
+        pds.apply_redrawable_writes(did, &[write], at, day).unwrap();
+    };
+    for day in [1, 5] {
+        for did in &dids {
+            write(&mut fleet, did, day);
+        }
+    }
+    relay.crawl(&fleet, now().plus_days(5));
+    // An account the relay has not crawled, so does not list.
+    let unlisted = Did::plc_from_seed(b"mirror-unlisted");
+    let host = "pds001.host.bsky.network";
+    let handle = Handle::parse("unlisted.bsky.social").unwrap();
+    fleet
+        .create_account_on(host, unlisted.clone(), handle, now())
+        .unwrap();
+    write(&mut fleet, &unlisted, 1);
+    write(&mut fleet, &unlisted, 5);
+    dids.push(unlisted.clone());
+    let bytes = |fleet: &PdsFleet, did: &Did| -> usize {
+        let pds = fleet.servers().find(|pds| pds.repo(did).is_some()).unwrap();
+        pds.repo(did).unwrap().store_stats().logical_bytes
+    };
+    let before: Vec<usize> = dids.iter().map(|did| bytes(&fleet, did)).collect();
+    let day_bytes = post(&format!("{} on day 1", dids[0])).to_cbor().len();
+
+    let mut mirror = IncrementalRepoMirror::new();
+    let mut summary = StreamSummary::default();
+    let at = now().plus_days(6);
+    mirror.sync_releasing(&mut relay, &mut fleet, at, Some(3), &mut summary);
+    assert_eq!(summary.repo_full_fetches, 2);
+    for (n, did) in dids[..2].iter().enumerate() {
+        // Fetched before its release: the mirror holds its day-1 post.
+        let day1 = cid_of(&post(&format!("{did} on day 1")));
+        assert!(held(&mirror, did).contains(&day1), "{did}");
+        assert_eq!(bytes(&fleet, did), before[n] - day_bytes, "{did}");
+    }
+    assert_eq!(bytes(&fleet, &unlisted), before[2]);
+    assert_eq!(summary.store_bytes_reclaimed, 2 * day_bytes as u64);
+
+    // The fleet-wide pass reaches the unlisted DID alone.
+    let rest = fleet.release_before(3);
+    assert_eq!(rest.bytes_reclaimed, day_bytes);
+    assert_eq!(bytes(&fleet, &unlisted), before[2] - day_bytes);
+
+    // A week on, both listed DIDs are unchanged: no fetch, and each is
+    // still released, right where the sync passes it.
+    let mut later = StreamSummary::default();
+    mirror.sync_releasing(&mut relay, &mut fleet, at.plus_days(7), Some(6), &mut later);
+    assert_eq!((later.repo_full_fetches, later.repo_delta_fetches), (0, 0));
+    assert_eq!(later.store_bytes_reclaimed, 2 * day_bytes as u64);
+    for (n, did) in dids[..2].iter().enumerate() {
+        assert_eq!(bytes(&fleet, did), before[n] - 2 * day_bytes, "{did}");
+    }
+    // Released to its cutoff already: a second pass walks nothing.
+    mirror.sync_releasing(&mut relay, &mut fleet, at.plus_days(7), Some(6), &mut later);
+    assert_eq!(later.store_bytes_reclaimed, 2 * day_bytes as u64);
+}

@@ -311,19 +311,31 @@ impl Collector {
                 // snapshot: the revs just listed tell it which repos to
                 // delta-sync now instead of re-fetching everything at the
                 // window end.
-                self.mirror
-                    .sync(&mut world.relay, &mut world.fleet, today, &mut summary);
+                // The sync releases each listed repository up to the
+                // pass's cutoff day right after handling it: the mirror
+                // then holds every record the user-days before the cutoff
+                // wrote, so their bytes go (only a full fetch reads them
+                // again, and the fleet draws them again for it), and so do
+                // the tree's subtrees that froze with them.
+                let cutoff_idx = today_idx.saturating_sub(COMPACTION_WINDOW_DAYS as usize);
+                let cutoff_day = u16::try_from(cutoff_idx).unwrap_or(u16::MAX);
+                self.mirror.sync_releasing(
+                    &mut world.relay,
+                    &mut world.fleet,
+                    today,
+                    Some(cutoff_day),
+                    &mut summary,
+                );
                 // In the window the pass follows each sync, never between
                 // two: a pass keeps every head, and right after a sync every
                 // revision the mirror holds is one, so the next round's
-                // delta since it is served. The mirror now holds every
-                // record the user-days before the cutoff wrote, so their
-                // bytes go too: only a full fetch reads them again, and the
-                // fleet draws them again for it.
+                // delta since it is served. The fleet-wide release reaches
+                // the repositories the relay did not list; a listed one is
+                // released to the cutoff already and costs nothing.
                 compact_repos(world, today, &mut summary);
-                let cutoff_idx = today_idx.saturating_sub(COMPACTION_WINDOW_DAYS as usize);
-                summary.store_bytes_reclaimed +=
-                    world.release_before(cutoff_idx).bytes_reclaimed as u64;
+                let released = world.release_before(cutoff_idx);
+                summary.store_bytes_reclaimed += released.bytes_reclaimed as u64;
+                summary.subtrees_collapsed += released.subtrees_collapsed as u64;
                 last_listrepos = Some(today);
                 summary.listrepos_snapshots += 1;
             }
@@ -349,6 +361,7 @@ impl Collector {
         // CID check (such an export fails, and the repo is a counted skip).
         let redraws = world.fleet.redraws();
         summary.blocks_redrawn = redraws.blocks;
+        summary.subtrees_rederived = redraws.subtrees;
         summary.redraw_mismatches = redraws.mismatches;
         // Workload-side injected-fault accounting (outage migrations, spam
         // waves, label/tombstone storms) flows into the same summary so

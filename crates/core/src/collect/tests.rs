@@ -246,10 +246,11 @@ fn history_is_bounded_before_the_window_opens() {
 }
 
 /// Inside the window each compaction pass releases the bytes of the
-/// records the mirror holds, and a full fetch after that draws them again:
-/// under flaky fetches a failed delta falls back to one. Every released
-/// block a full fetch needs is re-drawn and checked, none fails, and a
-/// quiet run re-draws nothing.
+/// records the mirror holds and collapses the subtrees that froze, and a
+/// full fetch after that draws them again: under flaky fetches a failed
+/// delta falls back to one. Every released block and collapsed subtree a
+/// full fetch needs is re-drawn and checked, none fails, and a quiet run
+/// re-draws nothing.
 #[test]
 fn full_fetches_draw_released_records_again() {
     let config = small_config(31);
@@ -263,9 +264,12 @@ fn full_fetches_draw_released_records_again() {
         .stream(&mut world, &mut analyzers);
     assert!(flaky.store_bytes_reclaimed > 0, "{flaky:?}");
     assert!(flaky.blocks_redrawn > 0, "{flaky:?}");
+    assert!(flaky.subtrees_collapsed > 0 && flaky.subtrees_rederived > 0);
     assert_eq!(flaky.redraw_mismatches, 0);
 
     let (_, _, quiet) = collected(config);
     assert!(quiet.store_bytes_reclaimed > 0, "{quiet:?}");
-    assert_eq!((quiet.blocks_redrawn, quiet.redraw_mismatches), (0, 0));
+    assert!(quiet.subtrees_collapsed > 0, "{quiet:?}");
+    let redrawn = (quiet.blocks_redrawn, quiet.subtrees_rederived);
+    assert_eq!((redrawn, quiet.redraw_mismatches), ((0, 0), 0));
 }

@@ -717,7 +717,7 @@ mod tests {
         let body = EventBody::Commit {
             did,
             commit: result.commit_cid,
-            rev: result.commit.rev,
+            rev: result.rev,
             ops: result.ops,
             blocks_bytes: result.bytes_written,
             too_big: false,

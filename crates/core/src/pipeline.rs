@@ -366,6 +366,15 @@ pub struct StreamSummary {
     /// already holds, which the fleet draws again for a later full export.
     /// Passes before the collection window release nothing.
     pub store_bytes_reclaimed: u64,
+    /// MST subtrees the releasing passes collapsed to their CIDs, summed
+    /// over every pass: the frozen parts of the fleet's trees whose records
+    /// the mirror holds.
+    pub(crate) subtrees_collapsed: u64,
+    /// Collapsed subtrees the fleet drew again, for full exports and for
+    /// writes that landed in one; each is checked against its CID, and one
+    /// that fails counts in [`StreamSummary::redraw_mismatches`]. Zero in a
+    /// quiet run.
+    pub(crate) subtrees_rederived: u64,
     /// Commits (with their log entries) the weekly compaction passes
     /// dropped from the fleet's repositories, summed over every pass.
     pub(crate) commits_dropped: u64,
@@ -469,7 +478,7 @@ impl StreamSummary {
     /// Render a one-line summary for CLI output.
     pub fn render(&self) -> String {
         let mut out = format!(
-            "pipeline: {} days, {} observations, {} firehose events streamed, peak {} in flight; repo snapshots: {} bytes fetched ({} full, {} delta), {} skipped, {} compaction fallback(s); store: {} bytes resident, {} spilled, {} commit(s) dropped and {} bytes reclaimed by compaction, {} block(s) re-drawn, {} CID mismatch(es)",
+            "pipeline: {} days, {} observations, {} firehose events streamed, peak {} in flight; repo snapshots: {} bytes fetched ({} full, {} delta), {} skipped, {} compaction fallback(s); store: {} bytes resident, {} spilled, {} commit(s) dropped and {} bytes reclaimed by compaction, {} block(s) re-drawn, {} subtree(s) collapsed, {} re-derived, {} CID mismatch(es)",
             self.days,
             self.observations,
             self.firehose_events,
@@ -484,6 +493,8 @@ impl StreamSummary {
             self.commits_dropped,
             self.store_bytes_reclaimed,
             self.blocks_redrawn,
+            self.subtrees_collapsed,
+            self.subtrees_rederived,
             self.redraw_mismatches,
         );
         out.push_str(&format!(
@@ -589,6 +600,8 @@ impl StreamSummary {
         self.spilled_block_bytes += other.spilled_block_bytes;
         self.store_corrupt_reads += other.store_corrupt_reads;
         self.blocks_redrawn += other.blocks_redrawn;
+        self.subtrees_collapsed += other.subtrees_collapsed;
+        self.subtrees_rederived += other.subtrees_rederived;
         self.redraw_mismatches += other.redraw_mismatches;
         self.identity_lookups += other.identity_lookups;
         self.wire_frames += other.wire_frames;

@@ -180,14 +180,22 @@ impl PdsFleet {
     }
 
     /// Let go of the bytes of every re-drawable record block committed
-    /// under a day before `day`, on every server lent a source
-    /// (`Pds::release_before`); `bytes_reclaimed` counts them.
+    /// under a day before `day`, on every server lent a source, and
+    /// collapse the subtrees that froze (`Pds::release_before`);
+    /// `bytes_reclaimed` and `subtrees_collapsed` count them. A repository
+    /// released to `day` already is not walked again.
     pub fn release_before(&mut self, day: u16) -> CompactionStats {
         let mut stats = CompactionStats::default();
         for server in &mut self.servers {
             stats.absorb(&server.release_before(day));
         }
         stats
+    }
+
+    /// [`PdsFleet::release_before`] for the repository of `did` alone.
+    pub fn release_repo(&mut self, did: &Did, day: u16) -> CompactionStats {
+        self.pds_for_mut(did)
+            .map_or_else(CompactionStats::default, |pds| pds.release_repo(did, day))
     }
 
     /// What every server's exports re-drew so far.
@@ -200,7 +208,8 @@ impl PdsFleet {
     }
 
     /// The record blocks the fleet's repositories serve: the distinct
-    /// values of their trees, whether a store holds the bytes or not.
+    /// values of their trees, which are their stores' blocks, whether a
+    /// store holds the bytes or not.
     pub fn record_blocks(&self) -> usize {
         self.servers.iter().map(Pds::record_blocks).sum()
     }

@@ -78,6 +78,19 @@ pub struct Pds {
     redraws: Redraws,
 }
 
+/// The active repository of `did` in `hosted`, or the error a write to it
+/// returns.
+fn active<'r>(
+    hosted: &'r mut BTreeMap<Did, Option<Repository>>,
+    did: &Did,
+) -> Result<&'r mut Repository> {
+    match hosted.get_mut(did) {
+        Some(Some(repo)) => Ok(repo),
+        Some(None) => Err(AtError::RepoError(format!("{did} is not active"))),
+        None => Err(AtError::RepoError(format!("{did} not hosted here"))),
+    }
+}
+
 impl Pds {
     /// Create a PDS whose hosted repositories use an explicit block-store
     /// backend (e.g. the paged disk-spill store).
@@ -149,11 +162,7 @@ impl Pds {
 
     /// The active repository of `did`, or the error a write to it returns.
     fn active_repo(&mut self, did: &Did) -> Result<&mut Repository> {
-        match self.hosted.get_mut(did) {
-            Some(Some(repo)) => Ok(repo),
-            Some(None) => Err(AtError::RepoError(format!("{did} is not active"))),
-            None => Err(AtError::RepoError(format!("{did} not hosted here"))),
-        }
+        active(&mut self.hosted, did)
     }
 
     /// Queue the `#commit` frame of a commit to `did`'s repository; the
@@ -162,7 +171,7 @@ impl Pds {
         let body = EventBody::Commit {
             did: did.clone(),
             commit: result.commit_cid,
-            rev: result.commit.rev,
+            rev: result.rev,
             ops: result.ops,
             blocks_bytes: result.bytes_written,
             too_big: result.bytes_written > TOO_BIG_BYTES,
@@ -173,13 +182,11 @@ impl Pds {
     /// Apply a batch of writes to a hosted repository, emitting its
     /// `#commit` frame.
     pub fn apply_writes(&mut self, did: &Did, writes: &[Write], at: Datetime) -> Result<()> {
-        let result = self.active_repo(did)?.apply_writes(writes, at)?;
-        self.emit_commit(did, result, at);
-        Ok(())
+        self.commit(did, writes, at, None)
     }
 
     /// [`Pds::apply_writes`] for a batch the repository's owner can draw
-    /// again as the recipe of `day` ([`Repository::apply_redrawable_writes`]).
+    /// again as the recipe of `day` ([`Repository::apply_writes_drawn`]).
     pub fn apply_redrawable_writes(
         &mut self,
         did: &Did,
@@ -187,9 +194,25 @@ impl Pds {
         at: Datetime,
         day: u16,
     ) -> Result<()> {
-        let result = self
-            .active_repo(did)?
-            .apply_redrawable_writes(writes, at, day)?;
+        self.commit(did, writes, at, Some(day))
+    }
+
+    /// Commit a batch, drawing again through the server's source any
+    /// collapsed subtree a key of it falls in (counted in its re-draws).
+    fn commit(
+        &mut self,
+        did: &Did,
+        writes: &[Write],
+        at: Datetime,
+        day: Option<u16>,
+    ) -> Result<()> {
+        let result = active(&mut self.hosted, did)?.apply_writes_drawn(
+            writes,
+            at,
+            day,
+            self.source.as_deref(),
+            &mut self.redraws,
+        )?;
         self.emit_commit(did, result, at);
         Ok(())
     }
@@ -337,18 +360,27 @@ impl Pds {
     }
 
     /// Let go of the bytes of every re-drawable block the hosted
-    /// repositories committed under a day before `day`
-    /// ([`Repository::release_before`]), counted in `bytes_reclaimed`.
-    /// A server lent no source releases nothing: it could not draw the
-    /// bytes again.
+    /// repositories committed under a day before `day`, and collapse the
+    /// subtrees that froze ([`Repository::release_before`]). A server lent
+    /// no source releases nothing: it could not draw the bytes again. A
+    /// repository released to `day` already is not walked again.
     pub(crate) fn release_before(&mut self, day: u16) -> CompactionStats {
         let mut stats = CompactionStats::default();
         if self.source.is_some() {
             for repo in self.hosted.values_mut().flatten() {
-                stats.bytes_reclaimed += repo.release_before(day);
+                stats.absorb(&repo.release_before(day));
             }
         }
         stats
+    }
+
+    /// [`Pds::release_before`] for the repository of `did` alone; nothing
+    /// when it is not active here.
+    pub(crate) fn release_repo(&mut self, did: &Did, day: u16) -> CompactionStats {
+        match (&self.source, self.hosted.get_mut(did)) {
+            (Some(_), Some(Some(repo))) => repo.release_before(day),
+            _ => CompactionStats::default(),
+        }
     }
 
     /// The record blocks the hosted repositories serve.

@@ -1392,12 +1392,13 @@ mod tests {
     }
 
     /// Run `spec`'s world to its end, release every re-drawable block of
-    /// every repository, and export each one again through its PDS: every
-    /// block a user-day wrote is drawn again and must hash to the CID its
-    /// repository's tree holds, so each export equals the one taken before
-    /// the release. Returns `(record blocks, blocks re-drawn, bytes
-    /// released, bytes still held)`.
-    fn redraw_everything(spec: WorldSpec) -> (usize, u64, usize, usize) {
+    /// every repository, which collapses each tree's frozen subtrees, and
+    /// export each one again through its PDS: every block a user-day wrote
+    /// and every collapsed subtree is drawn again and must hash to the CID
+    /// its repository's tree holds, so each export equals the one taken
+    /// before the release. Returns `(record blocks, blocks re-drawn, bytes
+    /// released, bytes still held, subtrees collapsed)`.
+    fn redraw_everything(spec: WorldSpec) -> (usize, u64, usize, usize, usize) {
         let mut world = World::from_spec(spec);
         world.run_to_end();
         let dids: Vec<Did> = world.users.iter().map(|u| u.did.clone()).collect();
@@ -1423,7 +1424,8 @@ mod tests {
                 (did, car)
             })
             .collect();
-        let released = world.release_before(usize::MAX).bytes_reclaimed;
+        let release = world.release_before(usize::MAX);
+        let (released, collapsed) = (release.bytes_reclaimed, release.subtrees_collapsed);
         for (did, car) in &kept {
             let pds = world.fleet.pds_for_mut(did).unwrap();
             let drawn = pds
@@ -1433,6 +1435,9 @@ mod tests {
         }
         let redraws = world.fleet.redraws();
         assert_eq!(redraws.mismatches, 0);
+        // Each export drew its repository's stubs again, and grafted none.
+        assert_eq!(redraws.subtrees, collapsed as u64);
+        assert_eq!(world.release_before(usize::MAX), CompactionStats::default());
         let held = world.fleet.store_stats().logical_bytes;
         // What stays is one profile per account and the declarations of
         // the feed generators its accounts created.
@@ -1446,13 +1451,15 @@ mod tests {
             kept.len() + declared.count(),
             "not re-drawable: profiles and feed-generator declarations"
         );
-        (blocks, redraws.blocks, released, held)
+        (blocks, redraws.blocks, released, held, collapsed)
     }
 
     /// Every user-day of a 1:40000 study, under every scenario preset,
     /// serially and on two shards, draws again to the CIDs its repository
-    /// holds; what is not re-drawable is one profile per account and the
-    /// feed generators' declarations, and the shards split every figure.
+    /// holds, and so does every subtree the release collapsed: each CAR
+    /// exported after the release is byte-identical to the one before it.
+    /// What is not re-drawable is one profile per account and the feed
+    /// generators' declarations, and the shards split every figure.
     #[test]
     fn every_user_day_draws_again_to_the_cids_its_repository_holds() {
         use crate::faults::{FaultSpec, SCENARIO_NAMES};
@@ -1472,15 +1479,19 @@ mod tests {
                     .shard(shard)
             };
             let serial = redraw_everything(world(ShardSpec::whole()));
-            let (blocks, redrawn, released, held) = serial;
-            assert!(redrawn > 0 && released > 0, "{name}: {serial:?}");
+            let (blocks, redrawn, released, held, collapsed) = serial;
+            assert!(
+                redrawn > 0 && released > 0 && collapsed > 0,
+                "{name}: {serial:?}"
+            );
             let kept = blocks - redrawn as usize;
             println!(
                 "{name}: {blocks} record blocks, {redrawn} re-drawn ({released} bytes); \
-                 {kept} not re-drawable ({:.2} % of blocks, {held} bytes)",
+                 {kept} not re-drawable ({:.2} % of blocks, {held} bytes); \
+                 {collapsed} subtree(s) collapsed and re-derived",
                 100.0 * kept as f64 / blocks as f64
             );
-            let mut sharded = (0, 0, 0, 0);
+            let mut sharded = (0, 0, 0, 0, 0);
             for index in 0..2 {
                 let part = redraw_everything(world(ShardSpec { index, count: 2 }));
                 sharded = (
@@ -1488,6 +1499,7 @@ mod tests {
                     sharded.1 + part.1,
                     sharded.2 + part.2,
                     sharded.3 + part.3,
+                    sharded.4 + part.4,
                 );
             }
             assert_eq!(sharded, serial, "{name}: the shards split the serial run");
