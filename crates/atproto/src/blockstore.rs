@@ -710,9 +710,7 @@ enum Found {
 /// left to hash. `get` misses it and [`BlockStore::released_on`] names its
 /// day. A release is one walk over the table: it sums the bytes it lets go
 /// and copies the records it keeps into a fresh arena, whatever
-/// [`HOLE_FLOOR`] says; the table keeps its slots. A store remembers the
-/// oldest day it holds re-drawable bytes of, so a release before that day
-/// walks nothing.
+/// [`HOLE_FLOOR`] says; the table keeps its slots.
 ///
 /// *The arena.* A delete leaves a hole; once the holes outweigh the live
 /// records (and pass [`HOLE_FLOOR`]) the arena is rebuilt from the live
@@ -739,9 +737,6 @@ pub(crate) struct MemStore {
     bytes: usize,
     /// Arena bytes of the live records: `arena.len()` minus the holes.
     live: usize,
-    /// The oldest day of a re-drawable record whose bytes are held; `None`
-    /// when there is none.
-    oldest_held: Option<u16>,
 }
 
 /// A [`MemStore`] arena record.
@@ -920,7 +915,6 @@ impl MemStore {
         if let Some(day) = day {
             self.arena.extend_from_slice(&day.to_le_bytes());
             self.arena.extend_from_slice(&bits.to_le_bytes());
-            self.oldest_held = Some(self.oldest_held.map_or(day, |oldest| oldest.min(day)));
         }
         self.table[slot] = Slot {
             tag,
@@ -1005,10 +999,7 @@ impl BlockStore for MemStore {
     }
 
     fn release_before(&mut self, day: u16) -> usize {
-        if self.oldest_held.is_none_or(|oldest| oldest >= day) {
-            return 0;
-        }
-        let (mut released, mut oldest) = (0, None::<u16>);
+        let mut released = 0;
         let mut arena = Vec::with_capacity(self.live);
         for slot in &mut self.table {
             if *slot == Slot::default() || slot.pos & RELEASED != 0 {
@@ -1020,10 +1011,7 @@ impl BlockStore for MemStore {
                     released += pieces(record.packed).map(<[u8]>::len).sum::<usize>();
                     slot.pos = RELEASED | (u32::from(bits) << 16) | u32::from(drawn_on);
                 }
-                recipe => {
-                    if let Some((drawn_on, _)) = recipe {
-                        oldest = Some(oldest.map_or(drawn_on, |held| held.min(drawn_on)));
-                    }
+                _ => {
                     slot.pos = arena_pos(arena.len() + 1);
                     arena.extend_from_slice(&self.arena[record.span]);
                 }
@@ -1033,7 +1021,6 @@ impl BlockStore for MemStore {
         self.live = arena.len();
         self.arena = arena;
         self.bytes -= released;
-        self.oldest_held = oldest;
         released
     }
 

@@ -1923,13 +1923,11 @@ mod tests {
         }
     }
 
-    /// Two repositories with one history, but one commits its days as
-    /// re-drawable and then releases them: each full export is the other's,
-    /// byte for byte, every released block re-drawn once and checked; a
-    /// delta since a kept revision re-draws nothing; and a source that
-    /// draws the wrong bytes, draws nothing, or is missing fails the export.
-    #[test]
-    fn released_blocks_export_as_if_kept() {
+    /// Two repositories with one history: a profile no recipe draws, then
+    /// twelve days of three posts each, which `kept` commits as they are
+    /// and `released` as re-drawable, each day's writes in the recipes.
+    /// Returns both, the recipes and the revision of day 8.
+    fn twelve_days() -> (Repository, Repository, DayRecipes, Tid) {
         let did = Did::plc_from_seed(b"tess");
         let (mut kept, mut released) = (
             Repository::new(did.clone(), b"k"),
@@ -1979,8 +1977,18 @@ mod tests {
                 cutoff_rev = Some(result.rev);
             }
         }
+        (kept, released, recipes, cutoff_rev.unwrap())
+    }
+
+    /// Two repositories with one history, but one commits its days as
+    /// re-drawable and then releases them: each full export is the other's,
+    /// byte for byte, every released block re-drawn once and checked; a
+    /// delta since a kept revision re-draws nothing; and a source that
+    /// draws the wrong bytes, draws nothing, or is missing fails the export.
+    #[test]
+    fn released_blocks_export_as_if_kept() {
+        let (mut kept, mut released, recipes, since) = twelve_days();
         let cutoff = 8;
-        let since = cutoff_rev.unwrap();
         let (full, delta) = (
             kept.export_car(),
             kept.export_car_since(&since, DeltaScope::Full).unwrap(),
@@ -2107,6 +2115,78 @@ mod tests {
         assert_eq!(released.mst.stubs(), stubs - 1);
         let drawn = released.export_car_drawn(Some(&recipes), &mut Redraws::default());
         assert_eq!(drawn.unwrap(), kept.export_car());
+    }
+
+    /// Where nothing collapses, each released block an export serves is
+    /// checked on its own, against the CID the tree holds under the key it
+    /// was drawn for: a commit no recipe draws, holding a block day 0
+    /// wrote, keeps the tree whole, so every released key stays on the
+    /// live tree. An empty source leaves each released block undrawn; a
+    /// tampered one draws each day's first post to bytes its key does not
+    /// hold, and so leaves those blocks undrawn too.
+    #[test]
+    fn released_blocks_are_checked_one_by_one_where_nothing_collapses() {
+        let (mut kept, mut released, recipes, since) = twelve_days();
+        let borrowed = Write::Create {
+            collection: post_nsid(),
+            rkey: "zz".into(),
+            record: Record::Post(PostRecord::simple("same every day", "en", now())),
+        };
+        for repo in [&mut kept, &mut released] {
+            repo.apply_writes(std::slice::from_ref(&borrowed), now().plus_days(12))
+                .unwrap();
+        }
+        let freed = released.release_before(8);
+        assert!(freed.bytes_reclaimed > 0);
+        assert_eq!(freed.subtrees_collapsed, 0);
+        assert_eq!(released.mst.stubs(), 0);
+
+        let mut tally = Redraws::default();
+        let drawn = released.export_car_drawn(Some(&recipes), &mut tally);
+        assert_eq!(drawn.unwrap(), kept.export_car());
+        let eight = Redraws {
+            blocks: 8,
+            subtrees: 0,
+            mismatches: 0,
+        };
+        assert_eq!(tally, eight);
+        let mut quiet = Redraws::default();
+        let since_drawn =
+            released.export_car_since_drawn(&since, DeltaScope::Full, Some(&recipes), &mut quiet);
+        assert_eq!(
+            since_drawn.unwrap(),
+            kept.export_car_since(&since, DeltaScope::Full).unwrap()
+        );
+        assert_eq!(quiet, Redraws::default());
+
+        // Drawn by no day: all eight released blocks.
+        let mut tally = Redraws::default();
+        assert!(released
+            .export_car_drawn(Some(&DayRecipes::default()), &mut tally)
+            .is_err());
+        let undrawn = Redraws {
+            blocks: 0,
+            subtrees: 0,
+            mismatches: 8,
+        };
+        assert_eq!(tally, undrawn);
+        // Tampered: days 0 to 4, 6 and 7 are drawn, and each draws its first
+        // post wrong (seven keys whose CIDs do not match), which leaves
+        // seven released blocks undrawn; "same every day" draws right.
+        let tampered = DayRecipes {
+            tamper: true,
+            ..recipes
+        };
+        let mut tally = Redraws::default();
+        assert!(released
+            .export_car_drawn(Some(&tampered), &mut tally)
+            .is_err());
+        let wrong = Redraws {
+            blocks: 1,
+            subtrees: 0,
+            mismatches: 14,
+        };
+        assert_eq!(tally, wrong);
     }
 
     #[test]

@@ -55,7 +55,7 @@
 //! | the last row above, re-read      |    480 709 |               18 923 |       25.4 |
 //! | records by recipe; read label-stream entries let go; §7 looks labels up through one buffer | 479 546 | 18 923 | 25.3 |
 //! | the commit log keeps record CIDs only, not the MST's node churn; a commit frame takes its ops | 440 641 | 18 923 | 23.3 |
-//! | a commit sizes its log entry from its batch and hands back its revision, not a copy of itself; a release collapses frozen subtrees | 436 375 | 18 923 | 23.1 |
+//! | a commit sizes its log entry from its batch and hands back its revision, not a copy of itself; a release collapses frozen subtrees | 436 982 | 18 923 | 23.1 |
 //!
 //! The record blocks served are since counted as the stores' blocks
 //! (`Repository::record_blocks` is the store's length, not a walk of a tree
