@@ -73,6 +73,12 @@ impl CivilDate {
     pub fn year_month(&self) -> String {
         format!("{:04}-{:02}", self.year, self.month)
     }
+
+    /// The month as one number, `year * 12 + month - 1`: two dates share
+    /// it exactly when they share [`CivilDate::year_month`].
+    pub fn month_number(&self) -> i64 {
+        i64::from(self.year) * 12 + i64::from(self.month) - 1
+    }
 }
 
 impl fmt::Display for CivilDate {
@@ -316,6 +322,13 @@ mod tests {
         assert!(public.days_since(launch) > 400);
         assert_eq!(launch.date().year_month(), "2022-11");
         assert_eq!(launch.plus_days(1).days_since(launch), 1);
+        // One number per month, whatever the day or the year's width.
+        let month = |at: Datetime| at.date().month_number();
+        assert_eq!(month(launch), month(launch.plus_days(13)));
+        assert_eq!(month(launch) + 1, month(launch.plus_days(14)));
+        assert_eq!(month(public) - month(launch), 15);
+        let far = |year| Datetime::from_ymd(year, 12, 1).unwrap();
+        assert_ne!(month(far(i32::MAX)), month(far(i32::MIN + 1)));
     }
 
     #[test]

@@ -2429,6 +2429,67 @@ mod tests {
         );
     }
 
+    /// What a records-only mirror relies on to keep no CID: a `Records`
+    /// delta since any retained revision `r` carries no record block the
+    /// full export at `r` holds, and the two together are the head's full
+    /// export. Seeded re-drawable days over a small content pool, so a
+    /// later day's key often holds a block an earlier day wrote (the
+    /// repository's borrowed days), with compaction passes in between.
+    #[test]
+    fn a_records_delta_carries_no_record_the_export_at_its_revision_holds() {
+        use crate::testrand::TestRng;
+        let records = |car: &[u8]| -> BTreeSet<Cid> {
+            let (_, blocks) = Repository::parse_car(car).unwrap();
+            let blocks = blocks.into_iter();
+            blocks
+                .filter(|(_, bytes)| Record::is_record_block(bytes))
+                .map(|(cid, _)| cid)
+                .collect()
+        };
+        let collections = [post_nsid(), Nsid::parse(known::LIKE).unwrap()];
+        for seed in [0xde17_a001u64, 0xde17_a002] {
+            let mut rng = TestRng::new(seed);
+            let mut repo = new_repo(&format!("delta-{seed}"));
+            // The record blocks of the full export at every revision.
+            let mut history: BTreeMap<Tid, BTreeSet<Cid>> = BTreeMap::new();
+            for day in 0..60u16 {
+                let at = now().plus_days(i64::from(day));
+                let writes: Vec<Write> = (0..1 + rng.below(4))
+                    .map(|n| Write::Create {
+                        collection: collections[rng.below(2) as usize].clone(),
+                        rkey: format!("d{day:03}n{n}"),
+                        record: post(&format!("content {}", rng.below(12))),
+                    })
+                    .collect();
+                let mut tally = Redraws::default();
+                let result = repo
+                    .apply_writes_drawn(&writes, at, Some(day), None, &mut tally)
+                    .unwrap();
+                history.insert(result.rev, records(&repo.export_car()));
+                if rng.below(10) == 0 {
+                    let index = rng.below(repo.commits.len() as u64) as usize;
+                    repo.compact_before(&repo.commits[index].rev.clone());
+                }
+            }
+            assert!(!repo.borrowed_days.is_empty(), "seed {seed}");
+            assert!(repo.compacted_through.is_some(), "seed {seed}");
+            assert!(
+                repo.commits.len() >= 5,
+                "seed {seed}: {}",
+                repo.commits.len()
+            );
+            let head = records(&repo.export_car());
+            for commit in &repo.commits {
+                let since = commit.rev;
+                let delta = repo.export_car_since(&since, DeltaScope::Records).unwrap();
+                let (then, carried) = (&history[&since], records(&delta));
+                assert!(then.is_disjoint(&carried), "seed {seed} since {since}");
+                let union: BTreeSet<Cid> = then.union(&carried).copied().collect();
+                assert_eq!(union, head, "seed {seed} since {since}");
+            }
+        }
+    }
+
     /// A repository holding one record of each of the nine kinds over
     /// several commits, so its archives carry commits, MST nodes and every
     /// shape of record block; returns it with a mid-history revision.

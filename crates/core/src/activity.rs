@@ -3,7 +3,7 @@
 
 use crate::json::Json;
 use crate::pipeline::{Analyzer, Observation};
-use crate::stats::{self, month_of};
+use crate::stats;
 use bsky_atproto::nsid::known;
 use bsky_atproto::Did;
 use std::collections::{BTreeMap, BTreeSet};
@@ -26,7 +26,8 @@ pub(crate) struct ActivitySeries {
 #[derive(Debug, Default)]
 pub(crate) struct ActivityAnalyzer {
     totals: (u64, u64, u64, u64, u64),
-    daily_users: BTreeMap<(String, String), BTreeSet<Did>>,
+    /// Month → language → the DIDs that posted in it.
+    daily_users: BTreeMap<String, BTreeMap<String, BTreeSet<Did>>>,
     monthly_ops: BTreeMap<String, (BTreeSet<Did>, u64, u64, u64)>,
 }
 
@@ -37,7 +38,8 @@ impl Analyzer for ActivityAnalyzer {
         let Observation::Repo(repo) = obs else {
             return;
         };
-        // A set copies the DID only when it is new to that month.
+        // A set copies the DID only when it is new to that month, and a
+        // table its month or language key only when it is new to it.
         let did = &repo.did;
         let note = |users: &mut BTreeSet<Did>| {
             if !users.contains(did) {
@@ -45,29 +47,28 @@ impl Analyzer for ActivityAnalyzer {
             }
         };
         for record in repo.records() {
-            let Some(created) = record.created_at else {
+            let Some(month) = record.month else {
                 continue;
             };
-            let month = month_of(created);
             match record.collection.as_str() {
                 known::POST => {
                     self.totals.0 += 1;
-                    let entry = self.monthly_ops.entry(month.clone()).or_default();
+                    let entry = stats::slot(&mut self.monthly_ops, month);
                     note(&mut entry.0);
                     entry.1 += 1;
-                    let lang = record.lang.unwrap_or("und").to_string();
-                    note(self.daily_users.entry((month.clone(), lang)).or_default());
+                    let langs = stats::slot(&mut self.daily_users, month);
+                    note(stats::slot(langs, record.lang.unwrap_or("und")));
                 }
                 known::LIKE => {
                     self.totals.1 += 1;
-                    let entry = self.monthly_ops.entry(month.clone()).or_default();
+                    let entry = stats::slot(&mut self.monthly_ops, month);
                     note(&mut entry.0);
                     entry.2 += 1;
                 }
                 known::FOLLOW => self.totals.2 += 1,
                 known::REPOST => {
                     self.totals.3 += 1;
-                    let entry = self.monthly_ops.entry(month.clone()).or_default();
+                    let entry = stats::slot(&mut self.monthly_ops, month);
                     note(&mut entry.0);
                     entry.3 += 1;
                 }
@@ -83,8 +84,11 @@ impl Analyzer for ActivityAnalyzer {
         self.totals.2 += other.totals.2;
         self.totals.3 += other.totals.3;
         self.totals.4 += other.totals.4;
-        for (key, users) in other.daily_users {
-            self.daily_users.entry(key).or_default().extend(users);
+        for (month, langs) in other.daily_users {
+            let into = self.daily_users.entry(month).or_default();
+            for (lang, users) in langs {
+                into.entry(lang).or_default().extend(users);
+            }
         }
         for (month, (users, posts, likes, reposts)) in other.monthly_ops {
             let entry = self.monthly_ops.entry(month).or_default();
@@ -103,14 +107,15 @@ impl Analyzer for ActivityAnalyzer {
                 (month.clone(), users.len() as u64, *posts, *likes, *reposts)
             })
             .collect();
-        let mut by_lang: BTreeMap<String, Vec<(String, u64)>> = BTreeMap::new();
-        for ((month, lang), users) in &self.daily_users {
-            by_lang
-                .entry(month.clone())
-                .or_default()
-                .push((lang.clone(), users.len() as u64));
-        }
-        let monthly_by_language = by_lang.into_iter().collect();
+        let monthly_by_language = self
+            .daily_users
+            .into_iter()
+            .map(|(month, langs)| {
+                let langs = langs.into_iter();
+                let users = langs.map(|(lang, users)| (lang, users.len() as u64));
+                (month, users.collect())
+            })
+            .collect();
         ActivitySeries {
             monthly,
             monthly_by_language,

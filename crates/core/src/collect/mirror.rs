@@ -38,10 +38,12 @@
 //!   same pass over a full CAR.
 //!
 //! A mirrored record is decoded once, when it arrives, and the mirror keeps
-//! no block: only a fixed-size projection of what the analyzers read (the
-//! collection, `createdAt`, a post's first language, a follow's, block's or
-//! like's subject). Names in it are interned mirror-wide, so a record costs
-//! the same bytes whatever its text, embeds or facets. A block that claims a
+//! no block and no CID: only an 8-byte projection of what the analyzers
+//! read (the collection, the month of `createdAt`, a post's first language
+//! or a follow's, block's or like's subject, and whether a like's subject
+//! is a feed generator). Collections, months and names are interned
+//! mirror-wide, each month rendered `YYYY-MM` once, so a record costs the
+//! same bytes whatever its text, embeds or facets. A block that claims a
 //! `$type` and then fails its lexicon is kept as a marker and counted in
 //! [`StreamSummary::repo_records_undecodable`] when its snapshot is emitted.
 //! Emission moves each DID's projections into its [`RepoSnapshot`] and
@@ -72,19 +74,30 @@
 //! against its CID, counted in the stream summary. The window end's
 //! catch-up sync releases nothing.
 //!
+//! *Why no CID is kept.* A full fetch replaces a DID's records with the
+//! archive's, each distinct record block once (the scan skips a CID the
+//! archive repeats). A delta is appended: a `DeltaScope::Records` delta
+//! since revision `r` carries only the record blocks the repository's
+//! commits after `r` wrote first, and none of those is in the full export
+//! at `r`, which the mirror holds (pinned in `bsky_atproto::repo`'s tests).
+//! So no record arrives twice, and the mirror never needs to ask which
+//! records it holds. That is exact because a repository only creates
+//! records: `bsky_atproto::repo::Write` has no update and no delete, so a
+//! record the mirror holds stays in its repository, and the weekly
+//! compaction drops commits and, in the window, the bytes of records the
+//! PDS can draw again, never a record block. (Account deletion drops a
+//! whole repository, which the mirror handles per DID.) A DID's records
+//! therefore reach the analyzers in arrival order, and every analyzer of
+//! [`crate::pipeline::Observation::Repo`] reads them as a multiset: counts
+//! and sets.
+//!
 //! The paper's naive reading of §3 — download and decode every repository
 //! CAR once, at the window end, O(total repo bytes) — is not a selectable
 //! mode. It survives as the **test oracle** in this module's tests: a test
 //! streams a world, fetches every collected DID's full CAR at the window
 //! end, decodes it, projects every record the way the mirror does, and
-//! requires the mirror's emitted snapshots to be equal record for record
-//! (and the mirror to have fetched strictly fewer bytes). The mirror only
-//! ever adds what a delta carries, which is exact because a repository only
-//! creates records: `bsky_atproto::repo::Write` has no update and no
-//! delete, so a record the mirror holds stays in its repository, and the
-//! weekly compaction drops commits and, in the window, the bytes of records
-//! the PDS can draw again, never a record block. (Account deletion drops a
-//! whole repository, which the mirror handles per DID.)
+//! requires each DID's records, resolved, to be the same multiset as the
+//! mirror emitted (and the mirror to have fetched strictly fewer bytes).
 
 use crate::pipeline::StreamSummary;
 use bsky_atproto::cid::Cid;
@@ -98,7 +111,7 @@ use bsky_relay::Relay;
 use bsky_workload::faults::{FaultPlan, RetryPolicy, TimeoutClass};
 use std::borrow::Borrow;
 use std::collections::BTreeMap;
-use std::num::NonZeroU32;
+use std::num::{NonZeroU16, NonZeroU32, NonZeroU8};
 use std::sync::Arc;
 
 /// One DID's repository at the window end, as the analyzers read it.
@@ -106,15 +119,15 @@ use std::sync::Arc;
 pub struct RepoSnapshot {
     /// Repository owner.
     pub(crate) did: Did,
-    /// Every record the mirror held for the DID, in CID order, each CID
-    /// once, undecodable markers included.
+    /// Every record the mirror held for the DID, in arrival order, each
+    /// record once, undecodable markers included.
     records: Vec<MirroredRecord>,
     /// The mirror's name tables, which the records' ids index.
     names: Arc<MirrorNames>,
 }
 
 impl RepoSnapshot {
-    /// The decodable records, in CID order.
+    /// The decodable records, in arrival order: read them as a multiset.
     pub fn records(&self) -> impl Iterator<Item = RecordView<'_>> {
         self.records
             .iter()
@@ -128,8 +141,9 @@ impl RepoSnapshot {
 pub struct RecordView<'a> {
     /// The record's collection (its `$type`).
     pub collection: &'a Nsid,
-    /// The record's self-reported creation time, when its lexicon has one.
-    pub(crate) created_at: Option<Datetime>,
+    /// The `YYYY-MM` month of the record's self-reported creation time,
+    /// when its lexicon has one.
+    pub(crate) month: Option<&'a str>,
     /// A post's first language.
     pub(crate) lang: Option<&'a str>,
     /// The subject DID of a follow, a block or a like.
@@ -141,22 +155,36 @@ pub struct RecordView<'a> {
 /// The index of a name in one of the mirror's [`Interned`] tables.
 type NameId = NonZeroU32;
 
-/// One mirrored record: its CID and a fixed-size projection of what the
-/// study reads, owning no heap memory (its names are ids into the mirror's
-/// [`MirrorNames`]). A few dozen bytes however long the post was.
+/// The index of a collection in [`MirrorNames::collections`]. The world
+/// writes a handful of lexicons; a mirror that meets a 256th panics.
+type CollectionId = NonZeroU8;
+
+/// The index of a month in [`MirrorNames::months`]: 5 461 years of them.
+type MonthId = NonZeroU16;
+
+/// One mirrored record: an 8-byte projection of what the study reads,
+/// owning no heap memory (its names are ids into the mirror's
+/// [`MirrorNames`]) and holding no CID (see the module docs), however long
+/// the post was.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct MirroredRecord {
-    cid: Cid,
     /// `None` marks a block that claimed a `$type` and then failed its
     /// lexicon's decode: kept so each emission counts it.
-    collection: Option<NameId>,
-    /// Meaningful only when `dated`: an `Option<Datetime>` would take a
-    /// word more than the flag beside it.
-    created_at: Datetime,
-    dated: bool,
-    lang: Option<NameId>,
-    subject: Option<NameId>,
-    likes_feed_generator: bool,
+    collection: Option<CollectionId>,
+    /// [`MirroredRecord::LANG`] and [`MirroredRecord::LIKES_FEED_GENERATOR`].
+    flags: u8,
+    /// The month of `createdAt`, when the record has one.
+    month: Option<MonthId>,
+    /// A post's first language (with [`MirroredRecord::LANG`]), or the
+    /// subject of a follow, a block or a like.
+    name: Option<NameId>,
+}
+
+impl MirroredRecord {
+    /// `name` is a language, not a subject.
+    const LANG: u8 = 1;
+    /// A like whose subject is a feed generator.
+    const LIKES_FEED_GENERATOR: u8 = 2;
 }
 
 /// Distinct values, each named by a [`NameId`] in first-seen order (and
@@ -202,48 +230,75 @@ impl<T: Clone + Ord> Interned<T> {
     }
 }
 
+/// The months records were created in, each keyed by its number (the
+/// date's `month_number`) and rendered `YYYY-MM` once, in first-seen order.
+#[derive(Debug, Clone, Default)]
+struct Months {
+    rendered: Vec<String>,
+    ids: BTreeMap<i64, MonthId>,
+}
+
+impl Months {
+    fn id(&mut self, at: Datetime) -> MonthId {
+        let date = at.date();
+        let number = date.month_number();
+        if let Some(&id) = self.ids.get(&number) {
+            return id;
+        }
+        let id = u16::try_from(self.rendered.len() + 1)
+            .ok()
+            .and_then(NonZeroU16::new)
+            .expect("fewer than 2^16 distinct months");
+        self.rendered.push(date.year_month());
+        self.ids.insert(number, id);
+        id
+    }
+
+    fn get(&self, id: MonthId) -> &str {
+        &self.rendered[usize::from(id.get()) - 1]
+    }
+}
+
 /// The mirror-wide name tables behind every [`MirroredRecord`].
 #[derive(Debug, Clone, Default)]
 struct MirrorNames {
     collections: Interned<Nsid>,
+    months: Months,
     langs: Interned<String>,
     subjects: Interned<Did>,
 }
 
 impl MirrorNames {
-    /// Project one record, decoded from the block `cid` names, or a marker
-    /// when the decode failed. The one place a record becomes what the
-    /// study keeps of it; the oracle test projects its own decode with it.
-    fn project(&mut self, cid: Cid, record: Option<&Record>) -> MirroredRecord {
+    /// Project one decoded record, or a marker when the decode failed. The
+    /// one place a record becomes what the study keeps of it; the oracle
+    /// test projects its own decode with it.
+    fn project(&mut self, record: Option<&Record>) -> MirroredRecord {
         let mut out = MirroredRecord {
-            cid,
             collection: None,
-            created_at: Datetime::default(),
-            dated: false,
-            lang: None,
-            subject: None,
-            likes_feed_generator: false,
+            flags: 0,
+            month: None,
+            name: None,
         };
         let Some(record) = record else {
             return out;
         };
-        out.collection = Some(self.collections.id(&record.collection()));
-        if let Some(created_at) = record.created_at() {
-            out.created_at = created_at;
-            out.dated = true;
-        }
+        let collection = self.collections.id(&record.collection());
+        out.collection =
+            Some(CollectionId::try_from(collection).expect("fewer than 2^8 distinct collections"));
+        out.month = record.created_at().map(|at| self.months.id(at));
         match record {
             Record::Post(post) => {
-                out.lang = post.langs.first().map(|lang| self.langs.id(lang.as_str()))
+                out.flags |= MirroredRecord::LANG;
+                out.name = post.langs.first().map(|lang| self.langs.id(lang.as_str()));
             }
-            Record::Follow(follow) => out.subject = Some(self.subjects.id(&follow.subject)),
-            Record::Block(block) => out.subject = Some(self.subjects.id(&block.subject)),
+            Record::Follow(follow) => out.name = Some(self.subjects.id(&follow.subject)),
+            Record::Block(block) => out.name = Some(self.subjects.id(&block.subject)),
             Record::Like(like) => {
-                out.subject = Some(self.subjects.id(like.subject.did()));
-                out.likes_feed_generator = like
-                    .subject
-                    .collection()
-                    .is_some_and(|collection| collection.as_str() == known::FEED_GENERATOR);
+                out.name = Some(self.subjects.id(like.subject.did()));
+                let collection = like.subject.collection();
+                if collection.is_some_and(|c| c.as_str() == known::FEED_GENERATOR) {
+                    out.flags |= MirroredRecord::LIKES_FEED_GENERATOR;
+                }
             }
             _ => {}
         }
@@ -252,12 +307,19 @@ impl MirrorNames {
 
     /// `record` with its names resolved, or `None` for a marker.
     fn view(&self, record: &MirroredRecord) -> Option<RecordView<'_>> {
+        let lang = record.flags & MirroredRecord::LANG != 0;
         Some(RecordView {
-            collection: self.collections.get(record.collection?),
-            created_at: record.dated.then_some(record.created_at),
-            lang: record.lang.map(|id| self.langs.get(id).as_str()),
-            subject: record.subject.map(|id| self.subjects.get(id)),
-            likes_feed_generator: record.likes_feed_generator,
+            collection: self.collections.get(record.collection?.into()),
+            month: record.month.map(|id| self.months.get(id)),
+            lang: record
+                .name
+                .filter(|_| lang)
+                .map(|id| self.langs.get(id).as_str()),
+            subject: record
+                .name
+                .filter(|_| !lang)
+                .map(|id| self.subjects.get(id)),
+            likes_feed_generator: record.flags & MirroredRecord::LIKES_FEED_GENERATOR != 0,
         })
     }
 }
@@ -267,11 +329,10 @@ impl MirrorNames {
 struct MirroredRepo {
     /// The revision the state is synced to (`None`: no commits yet).
     rev: Option<Tid>,
-    /// One projection per fetched block that carries a record's `$type` —
-    /// the same view a reader of the full CAR takes, so these in CID order
-    /// are what a window-end full export decodes to. Sorted by CID, each
-    /// CID once, at exact capacity: this order reaches the analyzers, and
-    /// each fetched archive's CID-sorted records are merged in.
+    /// One projection per record block the DID's archives carried — the
+    /// same view a reader of a full CAR takes, so as a multiset these are
+    /// what a window-end full export decodes to. A full fetch replaces the
+    /// list and a delta appends to it, at exact capacity each time.
     records: Vec<MirroredRecord>,
     /// The PDS hostname the state was fetched from. A repo that re-homes
     /// (account migration) is backfilled with a full fetch: deltas across
@@ -349,11 +410,10 @@ impl IncrementalRepoMirror {
         }
     }
 
-    /// Insert one DID's freshly fetched record blocks, CID-sorted and still
-    /// borrowed from the verified CAR they arrived in, by merging them into
-    /// the DID's list: a CID the DID already holds, or one repeated in the
-    /// archive, counts once. Each new block is decoded here, once, and only
-    /// its projection is kept.
+    /// Append one DID's freshly fetched record blocks, still borrowed from
+    /// the verified CAR they arrived in, to the DID's list (a full fetch
+    /// removes the list first). Each block is decoded here, once, and only
+    /// its projection is kept; its CID only ordered the archive.
     fn insert_records(&mut self, did: &Did, records: &[(Cid, &[u8])]) -> &mut MirroredRepo {
         if !self.repos.contains_key(did) {
             self.repos.insert(did.clone(), MirroredRepo::default());
@@ -364,20 +424,11 @@ impl IncrementalRepoMirror {
             return entry;
         }
         let names = Arc::make_mut(&mut self.names);
-        let held = std::mem::take(&mut entry.records);
-        let mut merged = Vec::with_capacity(held.len() + records.len());
-        let mut held = held.into_iter().peekable();
-        for &(cid, bytes) in records {
-            merged.extend(std::iter::from_fn(|| held.next_if(|old| old.cid < cid)));
-            let seen = |record: &MirroredRecord| record.cid == cid;
-            if held.peek().is_some_and(seen) || merged.last().is_some_and(seen) {
-                continue;
-            }
-            merged.push(names.project(cid, Record::from_cbor(bytes).ok().as_ref()));
+        entry.records.reserve_exact(records.len());
+        for &(_, bytes) in records {
+            let record = Record::from_cbor(bytes).ok();
+            entry.records.push(names.project(record.as_ref()));
         }
-        merged.extend(held);
-        merged.shrink_to_fit();
-        entry.records = merged;
         entry
     }
 
@@ -558,8 +609,13 @@ impl IncrementalRepoMirror {
                 // Replace: a full fetch supersedes any previous state
                 // (rewound repos must not retain pre-rewind records).
                 self.repos.remove(did);
+                // Synced to the archive's own head, which a later delta
+                // starts from: the listed revision unless the relay lags
+                // the PDS, and then a delta since the listed one would
+                // carry records the archive held already.
+                let head = scan.head_commit.and_then(|head| commit_summary(head).ok());
                 let entry = self.insert_records(did, &scan.records);
-                entry.rev = current;
+                entry.rev = head.map_or(current, |(rev, _)| Some(rev));
                 entry.host = host;
             }
             Err(_) => {
@@ -621,7 +677,7 @@ fn resolve_retries(
 
 /// What one pass over a fetched CAR yields, all of it borrowed from the
 /// archive: the head commit block the header's root names (when the archive
-/// carries it) and the record blocks in CID order.
+/// carries it) and the record blocks in CID order, each CID once.
 struct ScannedCar<'a> {
     head_commit: Option<&'a [u8]>,
     records: Vec<(Cid, &'a [u8])>,
@@ -649,9 +705,10 @@ fn scan_car(car: &[u8]) -> Option<ScannedCar<'_>> {
             scan.records.push((cid, bytes));
         }
     }
-    // CID order whatever the archive's own (exports already are): the
-    // mirror merges each archive into a DID's CID-sorted list.
+    // A block the archive repeats is one record: sorted (exports already
+    // are), so a repeat sits beside its first copy.
     scan.records.sort_unstable_by_key(|&(cid, _)| cid);
+    scan.records.dedup_by_key(|&mut (cid, _)| cid);
     Some(scan)
 }
 

@@ -14,14 +14,24 @@ fn now() -> Datetime {
 }
 
 fn post(text: &str) -> Record {
-    Record::Post(PostRecord::simple(text, "en", now()))
+    post_in(text, "en")
+}
+
+/// A post in language `lang`: what tells one record from another once the
+/// mirror has projected it.
+fn post_in(text: &str, lang: &str) -> Record {
+    Record::Post(PostRecord::simple(text, lang, now()))
 }
 
 fn post_on(fleet: &mut PdsFleet, did: &Did, text: &str, at: Datetime) {
+    post_record_on(fleet, did, post(text), at);
+}
+
+fn post_record_on(fleet: &mut PdsFleet, did: &Did, record: Record, at: Datetime) {
     fleet
         .pds_for_mut(did)
         .unwrap()
-        .create_record(did, Nsid::parse(known::POST).unwrap(), post(text), at)
+        .create_record(did, Nsid::parse(known::POST).unwrap(), record, at)
         .unwrap();
 }
 
@@ -48,18 +58,33 @@ fn setup(users: usize) -> (Relay, PdsFleet, Vec<Did>) {
     (relay, fleet, dids)
 }
 
-/// The CIDs of the records the mirror holds for `did`, in its order.
-fn held(mirror: &IncrementalRepoMirror, did: &Did) -> Vec<Cid> {
-    mirror.repos[did].records.iter().map(|r| r.cid).collect()
+/// `records` with their names resolved, one line each (`None` for an
+/// undecodable marker), sorted: the multiset of what the analyzers read,
+/// comparable across name tables.
+fn resolved(names: &MirrorNames, records: &[MirroredRecord]) -> Vec<String> {
+    let mut lines: Vec<String> = records
+        .iter()
+        .map(|record| format!("{:?}", names.view(record)))
+        .collect();
+    lines.sort_unstable();
+    lines
 }
 
-fn cid_of(record: &Record) -> Cid {
-    Cid::for_cbor(&record.to_cbor())
+/// The records the mirror holds for `did`, resolved.
+fn held(mirror: &IncrementalRepoMirror, did: &Did) -> Vec<String> {
+    resolved(&mirror.names, &mirror.repos[did].records)
+}
+
+/// `record` as [`held`] lists it.
+fn view_of(record: &Record) -> String {
+    let mut names = MirrorNames::default();
+    let projected = names.project(Some(record));
+    resolved(&names, &[projected]).remove(0)
 }
 
 /// The heap bytes a mirror holds: each DID's state and record list,
 /// and the name tables (each name counted twice: once in its table,
-/// once as a lookup key).
+/// once as a lookup key; a month once, beside its numeric key).
 fn mirror_bytes(mirror: &IncrementalRepoMirror) -> usize {
     let did = |did: &Did| size_of::<Did>() + did.as_str().len();
     let repos: usize = mirror
@@ -80,14 +105,43 @@ fn mirror_bytes(mirror: &IncrementalRepoMirror) -> usize {
     let langs = names.langs.values.iter();
     let langs: usize = langs.map(|lang| size_of::<String>() + lang.len()).sum();
     let subjects: usize = names.subjects.values.iter().map(did).sum();
-    repos + 2 * (collections + langs + subjects)
+    let months = names.months.rendered.iter();
+    let months: usize = months
+        .map(|month| size_of::<String>() + month.len() + size_of::<(i64, MonthId)>())
+        .sum();
+    repos + 2 * (collections + langs + subjects) + months
 }
 
 #[test]
 fn a_mirrored_record_is_a_fixed_size_projection() {
-    // CID included: the per-record cost the mirror's lists pay.
+    // The per-record cost the mirror's lists pay: no CID, no time finer
+    // than the month, one name.
     let size = size_of::<MirroredRecord>();
-    assert!(size <= 56, "{size} bytes");
+    assert!(size <= 8, "{size} bytes");
+}
+
+/// A full fetch replaces a DID's list with the archive's records, so an
+/// archive that repeats a block must still yield it once.
+#[test]
+fn a_block_an_archive_repeats_is_one_record() {
+    let (relay, mut fleet, dids) = setup(1);
+    let car = relay.get_repo(&dids[0], &mut fleet, now()).unwrap();
+    // A CAR is a varint-framed header, then its blocks: repeat them all.
+    let (mut header, mut width) = (0usize, 0usize);
+    loop {
+        let byte = car[width];
+        header |= usize::from(byte & 0x7f) << (7 * width);
+        width += 1;
+        if byte & 0x80 == 0 {
+            break;
+        }
+    }
+    let doubled = [&car[..], &car[width + header..]].concat();
+    let once = scan_car(&car).unwrap().records;
+    let twice = scan_car(&doubled).unwrap();
+    assert!(twice.head_commit.is_some());
+    assert_eq!(once.len(), 10);
+    assert_eq!(twice.records, once);
 }
 
 #[test]
@@ -119,7 +173,7 @@ fn unchanged_revs_cost_no_fetches() {
     assert_eq!(summary.repo_full_fetches, 3);
     assert_eq!(summary.repo_delta_fetches, 0);
     let after_first = summary;
-    let state = |mirror: &IncrementalRepoMirror| -> Vec<Vec<Cid>> {
+    let state = |mirror: &IncrementalRepoMirror| -> Vec<Vec<String>> {
         dids.iter().map(|did| held(mirror, did)).collect()
     };
     let held_after_first = state(&mirror);
@@ -143,10 +197,11 @@ fn advanced_revs_sync_with_deltas() {
     let mut summary = StreamSummary::default();
     mirror.sync(&mut relay, &mut fleet, now(), &mut summary);
     let full_bytes = summary.snapshot_bytes_fetched;
-    let before: Vec<Vec<Cid>> = dids.iter().map(|did| held(&mirror, did)).collect();
+    let before: Vec<Vec<String>> = dids.iter().map(|did| held(&mirror, did)).collect();
 
     // One user posts; only that repo is re-synced, as a delta.
-    post_on(&mut fleet, &dids[1], "fresh", now().plus_days(1));
+    let fresh = post_in("fresh", "pt");
+    post_record_on(&mut fleet, &dids[1], fresh.clone(), now().plus_days(1));
     relay.crawl(&fleet, now().plus_days(1));
     mirror.sync(&mut relay, &mut fleet, now().plus_days(1), &mut summary);
     assert_eq!(summary.repo_full_fetches, 3, "no extra full fetch");
@@ -157,11 +212,42 @@ fn advanced_revs_sync_with_deltas() {
     // The delta added its one new record — the head commit it
     // carried was verified, not kept — and touched no other DID.
     let mut expected = before[1].clone();
-    expected.push(cid_of(&post("fresh")));
-    expected.sort();
+    expected.push(view_of(&fresh));
+    expected.sort_unstable();
     assert_eq!(held(&mirror, &dids[1]), expected);
     assert_eq!(held(&mirror, &dids[0]), before[0]);
     assert_eq!(held(&mirror, &dids[2]), before[2]);
+}
+
+/// A full fetch that reads past the revision the relay lists is synced to
+/// the archive's own head: the next delta starts there, so a record the
+/// archive carried arrives once, not again with the delta.
+#[test]
+fn a_full_fetch_ahead_of_the_relay_deltas_from_its_own_head() {
+    let (mut relay, mut fleet, dids) = setup(1);
+    let did = &dids[0];
+    let before = relay.list_repos(None, 10).0[0].1;
+    // Committed after the relay's last crawl: the relay still lists the
+    // revision before it, and the full fetch reads it anyway.
+    let unlisted = post_in("not crawled yet", "pt");
+    post_record_on(&mut fleet, did, unlisted.clone(), now().plus_days(1));
+    let mut mirror = IncrementalRepoMirror::new();
+    let mut summary = StreamSummary::default();
+    mirror.sync(&mut relay, &mut fleet, now().plus_days(1), &mut summary);
+    assert_eq!(relay.list_repos(None, 10).0[0].1, before);
+    assert_ne!(mirror.repos[did].rev, before);
+    assert!(held(&mirror, did).contains(&view_of(&unlisted)));
+
+    let later = post_in("crawled", "de");
+    post_record_on(&mut fleet, did, later.clone(), now().plus_days(2));
+    relay.crawl(&fleet, now().plus_days(2));
+    mirror.sync(&mut relay, &mut fleet, now().plus_days(2), &mut summary);
+    assert_eq!(summary.repo_full_fetches, 1);
+    assert_eq!(summary.repo_delta_fetches, 1);
+    let mut expected = vec![view_of(&post("")); 10];
+    expected.extend([view_of(&unlisted), view_of(&later)]);
+    expected.sort_unstable();
+    assert_eq!(held(&mirror, did), expected);
 }
 
 #[test]
@@ -218,7 +304,8 @@ fn replaced_repo_falls_back_to_full_refetch() {
             now().plus_days(1),
         )
         .unwrap();
-    post_on(&mut fleet, &did, "rewound", now().plus_days(1));
+    let rewound = post_in("rewound", "de");
+    post_record_on(&mut fleet, &did, rewound.clone(), now().plus_days(1));
     relay.crawl(&fleet, now().plus_days(1));
 
     mirror.sync(&mut relay, &mut fleet, now().plus_days(1), &mut summary);
@@ -234,7 +321,7 @@ fn replaced_repo_falls_back_to_full_refetch() {
         .to_string();
     assert_ne!(new_rev, old_rev);
     // Replaced repos must not retain pre-rewind records.
-    assert_eq!(held(&mirror, &did), vec![cid_of(&post("rewound"))]);
+    assert_eq!(held(&mirror, &did), vec![view_of(&rewound)]);
 }
 
 #[test]
@@ -248,7 +335,8 @@ fn compacted_source_revisions_fall_back_to_full_fetch_counted() {
     // One repo advances, then the source compacts the mirror's
     // synced revision out of its delta-serving window.
     let later = now().plus_days(30);
-    post_on(&mut fleet, &dids[0], "after window", later);
+    let after_window = post_in("after window", "fr");
+    post_record_on(&mut fleet, &dids[0], after_window.clone(), later);
     // Everything before the new head's commit time goes.
     let cutoff = Tid::from_micros(later.timestamp() as u64 * 1_000_000, 0);
     let stats = fleet.compact_all(&cutoff);
@@ -261,7 +349,7 @@ fn compacted_source_revisions_fall_back_to_full_fetch_counted() {
     assert_eq!(summary.repo_compaction_fallbacks, 1, "{summary:?}");
     assert_eq!(summary.repo_delta_fetches, 0);
     assert_eq!(summary.repo_full_fetches, 3);
-    assert!(held(&mirror, &dids[0]).contains(&cid_of(&post("after window"))));
+    assert!(held(&mirror, &dids[0]).contains(&view_of(&after_window)));
 }
 
 #[test]
@@ -313,22 +401,26 @@ fn a_block_two_dids_hold_outlives_either_of_them() {
     // its projection. Losing one holder — its DID vanishes from
     // `listRepos`, or a full refetch replaces its state — leaves the
     // record in the other DID's snapshot.
-    let said_twice = cid_of(&post("said twice"));
+    let said_twice = post_in("said twice", "es");
+    let said_once = post_in("said once", "it");
     let later = now().plus_days(1);
     for replaced in [false, true] {
         let here = format!("replaced: {replaced}");
         let (mut relay, mut fleet, dids) = setup(2);
         for did in &dids {
-            post_on(&mut fleet, did, "said twice", now());
+            post_record_on(&mut fleet, did, said_twice.clone(), now());
         }
         relay.crawl(&fleet, now());
         let mut mirror = IncrementalRepoMirror::new();
         let mut summary = StreamSummary::default();
         mirror.sync(&mut relay, &mut fleet, now(), &mut summary);
         let (gone, keeper) = (&dids[0], &dids[1]);
-        assert!(held(&mirror, gone).contains(&said_twice), "{here}");
+        assert!(
+            held(&mirror, gone).contains(&view_of(&said_twice)),
+            "{here}"
+        );
         let kept_before = held(&mirror, keeper);
-        assert!(kept_before.contains(&said_twice), "{here}");
+        assert!(kept_before.contains(&view_of(&said_twice)), "{here}");
 
         fleet
             .pds_for_mut(gone)
@@ -344,18 +436,17 @@ fn a_block_two_dids_hold_outlives_either_of_them() {
                     later,
                 )
                 .unwrap();
-            post_on(&mut fleet, gone, "said once", later);
+            post_record_on(&mut fleet, gone, said_once.clone(), later);
         }
         relay.crawl(&fleet, later);
         mirror.sync(&mut relay, &mut fleet, later, &mut summary);
         let full_fetches = 2 + u64::from(replaced);
         assert_eq!(summary.repo_full_fetches, full_fetches, "{here}");
         let replacement = mirror.repos.contains_key(gone).then(|| held(&mirror, gone));
-        let expected = replaced.then(|| vec![cid_of(&post("said once"))]);
+        let expected = replaced.then(|| vec![view_of(&said_once)]);
         assert_eq!(replacement, expected, "{here}");
         let kept = mirror.take_snapshot(keeper, &mut summary).unwrap();
-        let kept: Vec<Cid> = kept.records.iter().map(|r| r.cid).collect();
-        assert_eq!(kept, kept_before, "{here}");
+        assert_eq!(resolved(&kept.names, &kept.records), kept_before, "{here}");
         assert_eq!(summary.repo_records_undecodable, 0, "{here}");
     }
 }
@@ -408,14 +499,14 @@ fn incremental_and_full_refetch_repositories_are_identical() {
             };
             car_bytes += car.len() as u64;
             let (_roots, blocks) = Repository::parse_car(&car).expect("relay serves valid CARs");
-            // Every block that decodes as a record, in CID order,
-            // projected the way the mirror projects what it decodes.
+            // Every block that decodes as a record, projected the way the
+            // mirror projects what it decodes.
             let mut names = MirrorNames::default();
             let records = blocks
-                .iter()
-                .filter_map(|(cid, bytes)| {
+                .values()
+                .filter_map(|bytes| {
                     let record = Record::from_cbor(bytes).ok()?;
-                    Some(names.project(*cid, Some(&record)))
+                    Some(names.project(Some(&record)))
                 })
                 .collect();
             oracle.push(RepoSnapshot {
@@ -424,22 +515,19 @@ fn incremental_and_full_refetch_repositories_are_identical() {
                 names: Arc::new(names),
             });
         }
-        // Same DIDs in the same order, same records: the same CIDs with
-        // the same projections once their names are resolved (each
-        // side numbers its names in its own order).
-        fn resolved(snapshot: &RepoSnapshot) -> Vec<(Cid, Option<RecordView<'_>>)> {
-            let names = &snapshot.names;
-            let records = snapshot.records.iter();
-            records.map(|r| (r.cid, names.view(r))).collect()
-        }
+        // Same DIDs in the same order, same records: the same multiset of
+        // projections once their names are resolved (each side numbers
+        // its names in its own order, and the mirror keeps its records in
+        // arrival order). An undecodable marker resolves to `None`, which
+        // the oracle never holds.
         let emitted = repositories(&tape);
         assert!(!emitted.is_empty(), "seed {seed}");
         assert_eq!(emitted.len(), oracle.len(), "seed {seed}");
         for (a, b) in emitted.iter().zip(&oracle) {
             assert_eq!(a.did, b.did, "seed {seed}");
             assert_eq!(
-                resolved(a),
-                resolved(b),
+                resolved(&a.names, &a.records),
+                resolved(&b.names, &b.records),
                 "seed {seed}: records diverge for {}",
                 a.did
             );
@@ -475,11 +563,15 @@ impl bsky_atproto::repo::RecordSource for NoRedraw {
 fn a_releasing_sync_releases_each_did_it_handles() {
     let (mut relay, mut fleet, mut dids) = setup(2);
     fleet.lend_source(Arc::new(NoRedraw));
+    // Each day's post in a language of its own, so that the mirror's view
+    // of it tells the days apart.
+    let day_post =
+        |did: &Did, day: u16| post_in(&format!("{did} on day {day}"), &format!("d{day}"));
     let write = |fleet: &mut PdsFleet, did: &Did, day: u16| {
         let write = bsky_atproto::repo::Write::Create {
             collection: Nsid::parse(known::POST).unwrap(),
             rkey: format!("d{day:03}"),
-            record: post(&format!("{did} on day {day}")),
+            record: day_post(did, day),
         };
         let at = now().plus_days(i64::from(day));
         let pds = fleet.pds_for_mut(did).unwrap();
@@ -506,7 +598,7 @@ fn a_releasing_sync_releases_each_did_it_handles() {
         pds.repo(did).unwrap().store_stats().logical_bytes
     };
     let before: Vec<usize> = dids.iter().map(|did| bytes(&fleet, did)).collect();
-    let day_bytes = post(&format!("{} on day 1", dids[0])).to_cbor().len();
+    let day_bytes = day_post(&dids[0], 1).to_cbor().len();
 
     let mut mirror = IncrementalRepoMirror::new();
     let mut summary = StreamSummary::default();
@@ -515,8 +607,10 @@ fn a_releasing_sync_releases_each_did_it_handles() {
     assert_eq!(summary.repo_full_fetches, 2);
     for (n, did) in dids[..2].iter().enumerate() {
         // Fetched before its release: the mirror holds its day-1 post.
-        let day1 = cid_of(&post(&format!("{did} on day 1")));
-        assert!(held(&mirror, did).contains(&day1), "{did}");
+        assert!(
+            held(&mirror, did).contains(&view_of(&day_post(did, 1))),
+            "{did}"
+        );
         assert_eq!(bytes(&fleet, did), before[n] - day_bytes, "{did}");
     }
     assert_eq!(bytes(&fleet, &unlisted), before[2]);

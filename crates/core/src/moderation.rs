@@ -270,7 +270,7 @@ impl Analyzer for ModerationAnalyzer {
                 for label in labels.iter() {
                     self.interactions += 1;
                     self.raw_values.insert(label.value.clone());
-                    let acc = stats::slot(&mut self.accs, src);
+                    let acc = stats::slot(&mut self.accs, *src);
                     acc.stream_entries += 1;
                     if label.negated {
                         self.rescissions += 1;

@@ -265,7 +265,7 @@ impl Analyzer for RecommendationAnalyzer {
             Observation::Repo(repo) => {
                 let did = &repo.did;
                 for record in repo.records() {
-                    let Some(created) = record.created_at else {
+                    let Some(month) = record.month else {
                         continue;
                     };
                     match (record.collection.as_str(), record.subject) {
@@ -273,16 +273,12 @@ impl Analyzer for RecommendationAnalyzer {
                         // recognised structurally so no cross-category state
                         // is needed at observe time.
                         (known::LIKE, _) if record.likes_feed_generator => {
-                            *self
-                                .feed_likes_by_month
-                                .entry(month_of(created))
-                                .or_insert(0) += 1;
+                            *stats::slot(&mut self.feed_likes_by_month, month) += 1;
                         }
                         (known::FOLLOW, Some(subject)) => {
                             self.follow_edges.insert((did.clone(), subject.clone()));
-                            *stats::slot(&mut self.follows_by_subject_month, subject)
-                                .entry(month_of(created))
-                                .or_insert(0) += 1;
+                            let months = stats::slot(&mut self.follows_by_subject_month, subject);
+                            *stats::slot(months, month) += 1;
                         }
                         _ => {}
                     }

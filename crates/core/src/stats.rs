@@ -1,6 +1,7 @@
 //! Statistics helpers used by the analyses.
 
 use bsky_atproto::Datetime;
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 
 /// The `YYYY-MM` month a time falls in: the bucket of every monthly series.
@@ -35,13 +36,16 @@ pub(crate) fn add_counts<K: Ord>(into: &mut BTreeMap<K, u64>, from: BTreeMap<K, 
 }
 
 /// The value under `key`, inserted as its default first when absent. The
-/// key is cloned only then, where `entry(key.clone())` clones it per call.
-pub(crate) fn slot<'m, K: Ord + Clone, V: Default>(
-    map: &'m mut BTreeMap<K, V>,
-    key: &K,
-) -> &'m mut V {
+/// key is made owned (a clone, or a `String` from a `&str`) only then,
+/// where `entry(key.to_owned())` allocates it per call.
+pub(crate) fn slot<'m, K, Q, V>(map: &'m mut BTreeMap<K, V>, key: &Q) -> &'m mut V
+where
+    K: Ord + Borrow<Q>,
+    Q: Ord + ToOwned<Owned = K> + ?Sized,
+    V: Default,
+{
     if !map.contains_key(key) {
-        map.insert(key.clone(), V::default());
+        map.insert(key.to_owned(), V::default());
     }
     map.get_mut(key).expect("inserted above")
 }

@@ -14,7 +14,10 @@ that are not in libc, `alloc::`, `core::`, `hashbrown::` or the `__rust*`
 allocator shims, tallied as one caller chain per sample.
 Addresses are mapped through the `M` lines (a copy of /proc/<pid>/maps) to
 offsets from each object's lowest mapping, which for a PIE or shared object
-is the symbol value `nm` prints.
+is the symbol value `nm` prints. Symbols are read from the object now at the
+mapped path, so each `M` line's inode must still be that file's: after a
+rebuild the script exits with status 2 and names the object instead of
+charging the samples to another binary's symbols.
 """
 import bisect, collections, os, subprocess, sys
 
@@ -39,11 +42,24 @@ def symbols(path):
     table.sort()
     return [a for a, _ in table], [n for _, n in table]
 
+def check_fresh(sample_file, obj, inode):
+    """Exit with status 2 unless the file at `obj` is the one a sample
+    file's `M` line mapped (same inode): symbols read from a rebuilt binary
+    would name the wrong functions."""
+    try:
+        now = os.stat(obj).st_ino
+    except OSError as err:
+        now = err.strerror
+    if now != inode:
+        print(f"{sample_file}: {obj} is not the file the run mapped (inode {inode} then, "
+              f"{now} now): symbolize with the build that ran, or run again", file=sys.stderr)
+        sys.exit(2)
+
 def samples(paths):
     """Yield each sample of each file as (names, objects): one symbol name and
     one object path per frame, innermost first ("?" and "" for an address no
     mapping holds)."""
-    cache = {}
+    cache, checked = {}, set()
     for path in paths:
         maps, extra = [], []  # (start, end, base, object); (address, name) of resolved ifuncs
         for line in open(path):
@@ -51,6 +67,9 @@ def samples(paths):
                 maps, extra = [], []
             elif line.startswith("M "):
                 f = line.split()
+                if (f[6], f[5]) not in checked:
+                    check_fresh(path, f[6], int(f[5]))
+                    checked.add((f[6], f[5]))
                 start, end = (int(x, 16) for x in f[1].split("-"))
                 base = min([m[2] for m in maps if m[3] == f[6]] + [start])
                 maps.append((start, end, base, f[6]))
