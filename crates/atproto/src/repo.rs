@@ -82,13 +82,12 @@
 //! commits are still in the log, and collapses the subtrees that froze
 //! with them; the blocks themselves stay, and exports draw them again. A
 //! repository remembers the cutoff of its last release, so a second release
-//! to the same or an earlier day costs nothing. The study's collector runs
-//! the compaction pass weekly from the first simulated day, so a
-//! repository's history is bounded from its first commit, not from the day
-//! collection starts. Inside its collection window the mirror sync releases
-//! each repository it lists up to the pass's cutoff right after fetching
-//! it, and the pass follows the sync with a fleet-wide release for the
-//! repositories the sync did not list: a delta since a revision the mirror
+//! to the same or an earlier day costs nothing. The study's collector
+//! compacts weekly from the first simulated day, so a repository's history
+//! is bounded from its first commit, not from the day collection starts.
+//! Inside its collection window the weekly mirror sync retires each
+//! repository it lists right after fetching it: it compacts it, then
+//! releases it, to the round's cutoff. A delta since a revision the mirror
 //! holds then carries only blocks newer than the cutoff, and only full
 //! exports re-draw. The invariant:
 //! [`Repository::export_car_since`] still serves every retained
@@ -972,9 +971,9 @@ impl Repository {
     ///
     /// Idempotent: a second pass with the same cutoff drops nothing. The
     /// study's collector passes `today − 14 days` every 7 days from the
-    /// first simulated day; inside its collection window it passes only
-    /// right after a mirror sync, when every revision the mirror holds is a
-    /// head, which a pass keeps.
+    /// first simulated day; inside its collection window the mirror sync
+    /// passes it to each repository it lists right after syncing its head,
+    /// which a pass keeps, and then releases the repository.
     pub fn compact_before(&mut self, cutoff: &Tid) -> CompactionStats {
         let mut stats = CompactionStats::default();
         if self.commits.len() > 1 {
@@ -1011,7 +1010,9 @@ impl Repository {
     /// Returns the payload bytes released and the subtrees collapsed. A
     /// release to the cutoff of the last one, or to an earlier day, does
     /// nothing. The caller holds that source: a repository released without
-    /// one cannot be exported.
+    /// one cannot be exported. The study's mirror sync releases each
+    /// repository it lists right after compacting it, once the mirror holds
+    /// every record the release lets go.
     pub fn release_before(&mut self, day: u16) -> CompactionStats {
         let mut stats = CompactionStats::default();
         if day <= self.released_through {

@@ -47,32 +47,33 @@
 //! `$type` and then fails its lexicon is kept as a marker and counted in
 //! [`StreamSummary::repo_records_undecodable`] when its snapshot is emitted.
 //! Emission moves each DID's projections into its [`RepoSnapshot`] and
-//! decodes nothing. On the PDS side the round's compaction pass costs what
-//! aged out of the window, not the repository (see `bsky_atproto::repo`,
-//! "Compaction"). The pass runs every 7 days from the first simulated day,
-//! so the first round's full fetches carry each head and at most three
-//! weeks of other commits; inside the window it runs right after each
-//! round's sync and never between two. A pass keeps every head, and right
-//! after a sync every revision the mirror holds is one, so the next round's
-//! delta since it is served.
+//! decodes nothing. On the PDS side compaction costs what aged out of the
+//! window, not the repository (see `bsky_atproto::repo`, "Compaction"). It
+//! runs every 7 days from the first simulated day: before the window as a
+//! pass over the whole fleet, so the first round's full fetches carry each
+//! head and at most three weeks of other commits, and inside it as part of
+//! each round's sync, never between two. Compaction keeps every head, and
+//! the sync compacts a repository right after syncing the mirror to its
+//! head, so the next round's delta since it is served (a fetch that gave
+//! up leaves an older revision, which a later round may find compacted: a
+//! counted fallback to a full fetch).
 //!
-//! *When a release happens.* Inside the window the sync releases each DID
+//! *When a repository forgets.* Inside the window the sync retires each DID
 //! it lists right after handling it — fetched, delta-synced or unchanged,
-//! and whether or not its fetch failed — up to the pass's cutoff day
-//! ([`IncrementalRepoMirror::sync_releasing`]): the bytes of the user-day
-//! records committed before the cutoff, which the mirror then holds, and
-//! the subtrees of the repository's tree that froze with them. The PDS
-//! keeps each block, but not its bytes, and each collapsed subtree as its
-//! CID. So a store holds a DID's old bytes only while the mirror fetches
-//! them, not until the whole round is done. The compaction pass after the
-//! sync releases, to the same cutoff, the repositories the relay did not
-//! list; a listed one is released to it already and is not walked again.
-//! A delta since a revision the mirror holds carries only newer records,
-//! so it reads none of them; a full fetch (a backfill, a compaction
-//! fallback, a retry after a failed delta) has its PDS draw them, and the
-//! collapsed subtrees, again from the world's recipe and check each
-//! against its CID, counted in the stream summary. The window end's
-//! catch-up sync releases nothing.
+//! and whether or not its fetch failed — to the round's [`Cutoff`]
+//! ([`IncrementalRepoMirror::sync`]): its commits before the cutoff leave
+//! the delta window, and the bytes of the user-day records committed before
+//! the cutoff day go, which the mirror then holds, with the subtrees of the
+//! repository's tree that froze with them. The PDS keeps each block, but
+//! not its bytes, and each collapsed subtree as its CID. So a store holds a
+//! DID's old bytes only while the mirror fetches them, not until the whole
+//! round is done. A repository the relay does not list is left as it is
+//! until the next round that lists it retires it. A delta since a revision
+//! the mirror holds carries only newer records, so it reads none of them; a
+//! full fetch (a backfill, a compaction fallback, a retry after a failed
+//! delta) has its PDS draw them, and the collapsed subtrees, again from the
+//! world's recipe and check each against its CID, counted in the stream
+//! summary. The window end's catch-up sync retires nothing.
 //!
 //! *Why no CID is kept.* A full fetch replaces a DID's records with the
 //! archive's, each distinct record block once (the scan skips a CID the
@@ -343,6 +344,15 @@ struct MirroredRepo {
     listed_in: u64,
 }
 
+/// Where a sync retires each repository it lists: commits before `rev`
+/// leave its delta window, and the bytes of the records its user-days
+/// before `day` wrote go.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Cutoff {
+    pub(crate) rev: Tid,
+    pub(crate) day: u16,
+}
+
 /// The incremental repository mirror: per-DID repo state maintained across
 /// weekly `sync.listRepos` snapshots, each record kept as its fixed-size
 /// projection, never as its block.
@@ -435,34 +445,23 @@ impl IncrementalRepoMirror {
     /// One rev-aware sync pass over the relay's `listRepos` view. Fetch
     /// traffic and skips are accounted into `summary`. A DID whose revision
     /// and host are unchanged costs one map lookup: nothing is rendered or
-    /// allocated for it.
+    /// allocated for it. Under a `cutoff` each listed DID's repository is
+    /// retired right after the DID is handled, whatever its fetch did
+    /// (`PdsFleet::retire_repo`): the mirror then holds every record the
+    /// release lets go, and the PDS store holds their bytes only while the
+    /// mirror fetches them. What the retirements drop counts into `summary`.
     pub(crate) fn sync(
         &mut self,
         relay: &mut Relay,
         fleet: &mut PdsFleet,
         now: Datetime,
+        cutoff: Option<Cutoff>,
         summary: &mut StreamSummary,
     ) {
-        self.sync_releasing(relay, fleet, now, None, summary);
-    }
-
-    /// [`IncrementalRepoMirror::sync`], releasing each listed DID's
-    /// repository before the day `release` right after handling it
-    /// (`PdsFleet::release_repo`): the mirror then holds every record the
-    /// release lets go, and the PDS store holds their bytes only while the
-    /// mirror fetches them. The bytes and the subtrees collapsed count into
-    /// `summary`.
-    pub(crate) fn sync_releasing(
-        &mut self,
-        relay: &mut Relay,
-        fleet: &mut PdsFleet,
-        now: Datetime,
-        release: Option<u16>,
-        summary: &mut StreamSummary,
-    ) {
-        let release_repo = |fleet: &mut PdsFleet, did: &Did, summary: &mut StreamSummary| {
-            if let Some(day) = release {
-                let stats = fleet.release_repo(did, day);
+        let retire = |fleet: &mut PdsFleet, did: &Did, summary: &mut StreamSummary| {
+            if let Some(Cutoff { rev, day }) = &cutoff {
+                let stats = fleet.retire_repo(did, rev, *day);
+                summary.commits_dropped += stats.commits_dropped as u64;
                 summary.store_bytes_reclaimed += stats.bytes_reclaimed as u64;
                 summary.subtrees_collapsed += stats.subtrees_collapsed as u64;
             }
@@ -486,7 +485,7 @@ impl IncrementalRepoMirror {
                         summary.backfill_full_fetches += 1;
                     } else if entry.rev == current {
                         // Unchanged since the last snapshot.
-                        release_repo(fleet, &did, summary);
+                        retire(fleet, &did, summary);
                         continue;
                     }
                 }
@@ -494,7 +493,7 @@ impl IncrementalRepoMirror {
                 if host_changed || !self.try_delta(relay, fleet, now, &did, current, summary) {
                     self.full_fetch(relay, fleet, now, &did, current, host, summary);
                 }
-                release_repo(fleet, &did, summary);
+                retire(fleet, &did, summary);
             }
             match next {
                 Some(c) => cursor = Some(c),

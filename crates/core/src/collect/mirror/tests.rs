@@ -154,7 +154,7 @@ fn a_long_post_costs_the_mirror_what_a_short_one_does() {
         relay.crawl(&fleet, now());
         let mut mirror = IncrementalRepoMirror::new();
         let mut summary = StreamSummary::default();
-        mirror.sync(&mut relay, &mut fleet, now(), &mut summary);
+        mirror.sync(&mut relay, &mut fleet, now(), None, &mut summary);
         assert_eq!(mirror.repos[&dids[0]].records.len(), 11);
         fetched.push(summary.snapshot_bytes_fetched);
         bytes.push(mirror_bytes(&mirror));
@@ -168,7 +168,7 @@ fn unchanged_revs_cost_no_fetches() {
     let (mut relay, mut fleet, dids) = setup(3);
     let mut mirror = IncrementalRepoMirror::new();
     let mut summary = StreamSummary::default();
-    mirror.sync(&mut relay, &mut fleet, now(), &mut summary);
+    mirror.sync(&mut relay, &mut fleet, now(), None, &mut summary);
     assert_eq!(mirror.repos.len(), 3);
     assert_eq!(summary.repo_full_fetches, 3);
     assert_eq!(summary.repo_delta_fetches, 0);
@@ -179,7 +179,7 @@ fn unchanged_revs_cost_no_fetches() {
     let held_after_first = state(&mirror);
     // Nothing changed: the second weekly sync is free — no fetch,
     // nothing inserted.
-    mirror.sync(&mut relay, &mut fleet, now(), &mut summary);
+    mirror.sync(&mut relay, &mut fleet, now(), None, &mut summary);
     assert_eq!(summary, after_first);
     assert_eq!(state(&mirror), held_after_first);
     // Each DID's ten posts, once each, all decodable.
@@ -195,7 +195,7 @@ fn advanced_revs_sync_with_deltas() {
     let (mut relay, mut fleet, dids) = setup(3);
     let mut mirror = IncrementalRepoMirror::new();
     let mut summary = StreamSummary::default();
-    mirror.sync(&mut relay, &mut fleet, now(), &mut summary);
+    mirror.sync(&mut relay, &mut fleet, now(), None, &mut summary);
     let full_bytes = summary.snapshot_bytes_fetched;
     let before: Vec<Vec<String>> = dids.iter().map(|did| held(&mirror, did)).collect();
 
@@ -203,7 +203,13 @@ fn advanced_revs_sync_with_deltas() {
     let fresh = post_in("fresh", "pt");
     post_record_on(&mut fleet, &dids[1], fresh.clone(), now().plus_days(1));
     relay.crawl(&fleet, now().plus_days(1));
-    mirror.sync(&mut relay, &mut fleet, now().plus_days(1), &mut summary);
+    mirror.sync(
+        &mut relay,
+        &mut fleet,
+        now().plus_days(1),
+        None,
+        &mut summary,
+    );
     assert_eq!(summary.repo_full_fetches, 3, "no extra full fetch");
     assert_eq!(summary.repo_delta_fetches, 1);
     let delta_bytes = summary.snapshot_bytes_fetched - full_bytes;
@@ -233,7 +239,13 @@ fn a_full_fetch_ahead_of_the_relay_deltas_from_its_own_head() {
     post_record_on(&mut fleet, did, unlisted.clone(), now().plus_days(1));
     let mut mirror = IncrementalRepoMirror::new();
     let mut summary = StreamSummary::default();
-    mirror.sync(&mut relay, &mut fleet, now().plus_days(1), &mut summary);
+    mirror.sync(
+        &mut relay,
+        &mut fleet,
+        now().plus_days(1),
+        None,
+        &mut summary,
+    );
     assert_eq!(relay.list_repos(None, 10).0[0].1, before);
     assert_ne!(mirror.repos[did].rev, before);
     assert!(held(&mirror, did).contains(&view_of(&unlisted)));
@@ -241,7 +253,13 @@ fn a_full_fetch_ahead_of_the_relay_deltas_from_its_own_head() {
     let later = post_in("crawled", "de");
     post_record_on(&mut fleet, did, later.clone(), now().plus_days(2));
     relay.crawl(&fleet, now().plus_days(2));
-    mirror.sync(&mut relay, &mut fleet, now().plus_days(2), &mut summary);
+    mirror.sync(
+        &mut relay,
+        &mut fleet,
+        now().plus_days(2),
+        None,
+        &mut summary,
+    );
     assert_eq!(summary.repo_full_fetches, 1);
     assert_eq!(summary.repo_delta_fetches, 1);
     let mut expected = vec![view_of(&post("")); 10];
@@ -255,7 +273,7 @@ fn deleted_accounts_drop_mirrored_state() {
     let (mut relay, mut fleet, dids) = setup(2);
     let mut mirror = IncrementalRepoMirror::new();
     let mut summary = StreamSummary::default();
-    mirror.sync(&mut relay, &mut fleet, now(), &mut summary);
+    mirror.sync(&mut relay, &mut fleet, now(), None, &mut summary);
     assert_eq!(mirror.repos.len(), 2);
     fleet
         .pds_for_mut(&dids[0])
@@ -263,7 +281,13 @@ fn deleted_accounts_drop_mirrored_state() {
         .delete_account(&dids[0], now().plus_days(1))
         .unwrap();
     relay.crawl(&fleet, now().plus_days(1));
-    mirror.sync(&mut relay, &mut fleet, now().plus_days(1), &mut summary);
+    mirror.sync(
+        &mut relay,
+        &mut fleet,
+        now().plus_days(1),
+        None,
+        &mut summary,
+    );
     assert_eq!(mirror.repos.len(), 1);
     assert!(mirror.take_snapshot(&dids[0], &mut summary).is_none());
     assert!(mirror.take_snapshot(&dids[1], &mut summary).is_some());
@@ -277,7 +301,7 @@ fn replaced_repo_falls_back_to_full_refetch() {
     let did = dids[0].clone();
     let mut mirror = IncrementalRepoMirror::new();
     let mut summary = StreamSummary::default();
-    mirror.sync(&mut relay, &mut fleet, now(), &mut summary);
+    mirror.sync(&mut relay, &mut fleet, now(), None, &mut summary);
     assert_eq!(summary.repo_full_fetches, 2);
     let old_rev = mirror
         .repos
@@ -308,7 +332,13 @@ fn replaced_repo_falls_back_to_full_refetch() {
     post_record_on(&mut fleet, &did, rewound.clone(), now().plus_days(1));
     relay.crawl(&fleet, now().plus_days(1));
 
-    mirror.sync(&mut relay, &mut fleet, now().plus_days(1), &mut summary);
+    mirror.sync(
+        &mut relay,
+        &mut fleet,
+        now().plus_days(1),
+        None,
+        &mut summary,
+    );
     // The mirror could not delta from a revision the new repo never
     // had: it re-fetched the whole (new) repository.
     assert_eq!(summary.repo_full_fetches, 3);
@@ -329,7 +359,7 @@ fn compacted_source_revisions_fall_back_to_full_fetch_counted() {
     let (mut relay, mut fleet, dids) = setup(2);
     let mut mirror = IncrementalRepoMirror::new();
     let mut summary = StreamSummary::default();
-    mirror.sync(&mut relay, &mut fleet, now(), &mut summary);
+    mirror.sync(&mut relay, &mut fleet, now(), None, &mut summary);
     assert_eq!(summary.repo_full_fetches, 2);
 
     // One repo advances, then the source compacts the mirror's
@@ -343,7 +373,7 @@ fn compacted_source_revisions_fall_back_to_full_fetch_counted() {
     assert!(stats.commits_dropped > 0);
     relay.crawl(&fleet, later);
 
-    mirror.sync(&mut relay, &mut fleet, later, &mut summary);
+    mirror.sync(&mut relay, &mut fleet, later, None, &mut summary);
     // The delta attempt failed because of compaction — counted,
     // then satisfied by a full fetch.
     assert_eq!(summary.repo_compaction_fallbacks, 1, "{summary:?}");
@@ -375,7 +405,13 @@ fn undecodable_mirrored_blocks_are_counted_not_dropped() {
 
     let mut mirror = IncrementalRepoMirror::new();
     let mut summary = StreamSummary::default();
-    mirror.sync(&mut relay, &mut fleet, now().plus_days(1), &mut summary);
+    mirror.sync(
+        &mut relay,
+        &mut fleet,
+        now().plus_days(1),
+        None,
+        &mut summary,
+    );
     assert_eq!(summary.repo_records_undecodable, 0, "counted at emission");
     let healthy = mirror.take_snapshot(&dids[1], &mut summary).unwrap();
     assert_eq!(summary.repo_records_undecodable, 0);
@@ -413,7 +449,7 @@ fn a_block_two_dids_hold_outlives_either_of_them() {
         relay.crawl(&fleet, now());
         let mut mirror = IncrementalRepoMirror::new();
         let mut summary = StreamSummary::default();
-        mirror.sync(&mut relay, &mut fleet, now(), &mut summary);
+        mirror.sync(&mut relay, &mut fleet, now(), None, &mut summary);
         let (gone, keeper) = (&dids[0], &dids[1]);
         assert!(
             held(&mirror, gone).contains(&view_of(&said_twice)),
@@ -439,7 +475,7 @@ fn a_block_two_dids_hold_outlives_either_of_them() {
             post_record_on(&mut fleet, gone, said_once.clone(), later);
         }
         relay.crawl(&fleet, later);
-        mirror.sync(&mut relay, &mut fleet, later, &mut summary);
+        mirror.sync(&mut relay, &mut fleet, later, None, &mut summary);
         let full_fetches = 2 + u64::from(replaced);
         assert_eq!(summary.repo_full_fetches, full_fetches, "{here}");
         let replacement = mirror.repos.contains_key(gone).then(|| held(&mirror, gone));
@@ -467,16 +503,22 @@ fn repos_without_commits_are_mirrored_once() {
     relay.crawl(&fleet, now());
     let mut mirror = IncrementalRepoMirror::new();
     let mut summary = StreamSummary::default();
-    mirror.sync(&mut relay, &mut fleet, now(), &mut summary);
+    mirror.sync(&mut relay, &mut fleet, now(), None, &mut summary);
     assert_eq!(summary.repo_full_fetches, 1);
     assert_eq!(mirror.repos.get(&did).map(|m| m.rev), Some(None));
     // No commits, no rev change: the next sync is free; the first
     // commit then syncs as a full fetch (no `since` to delta from).
-    mirror.sync(&mut relay, &mut fleet, now(), &mut summary);
+    mirror.sync(&mut relay, &mut fleet, now(), None, &mut summary);
     assert_eq!(summary.repo_full_fetches, 1);
     post_on(&mut fleet, &did, "first", now().plus_days(1));
     relay.crawl(&fleet, now().plus_days(1));
-    mirror.sync(&mut relay, &mut fleet, now().plus_days(1), &mut summary);
+    mirror.sync(
+        &mut relay,
+        &mut fleet,
+        now().plus_days(1),
+        None,
+        &mut summary,
+    );
     assert_eq!(summary.repo_full_fetches, 2);
     assert_eq!(summary.repo_delta_fetches, 0);
 }
@@ -554,20 +596,25 @@ impl bsky_atproto::repo::RecordSource for NoRedraw {
     }
 }
 
-/// A releasing sync lets go of each listed DID's records before the cutoff
-/// day right after handling it: fetched first (the mirror holds them), then
-/// released, unchanged DIDs included, and counted in the summary. A DID the
-/// relay does not list is left to the fleet-wide pass, which walks no
-/// listed repository again.
+/// A retiring sync compacts and releases each listed DID's repository
+/// right after handling it: fetched first (the mirror holds its records),
+/// then its commits before the cutoff dropped and the bytes of its
+/// user-days before the cutoff day let go, unchanged DIDs included, and
+/// counted in the summary. A DID the relay does not list keeps its commits
+/// and bytes until a later sync lists it, which retires it then.
 #[test]
-fn a_releasing_sync_releases_each_did_it_handles() {
+fn a_retiring_sync_retires_each_did_it_handles() {
     let (mut relay, mut fleet, mut dids) = setup(2);
     fleet.lend_source(Arc::new(NoRedraw));
     // Each day's post in a language of its own, so that the mirror's view
     // of it tells the days apart.
     let day_post =
         |did: &Did, day: u16| post_in(&format!("{did} on day {day}"), &format!("d{day}"));
-    let write = |fleet: &mut PdsFleet, did: &Did, day: u16| {
+    fn repo<'f>(fleet: &'f PdsFleet, did: &Did) -> &'f Repository {
+        fleet.pds_for(did).unwrap().repo(did).unwrap()
+    }
+    // Writes `did`'s post of `day`, returning the revision of its commit.
+    let write = |fleet: &mut PdsFleet, did: &Did, day: u16| -> Tid {
         let write = bsky_atproto::repo::Write::Create {
             collection: Nsid::parse(known::POST).unwrap(),
             rkey: format!("d{day:03}"),
@@ -576,10 +623,15 @@ fn a_releasing_sync_releases_each_did_it_handles() {
         let at = now().plus_days(i64::from(day));
         let pds = fleet.pds_for_mut(did).unwrap();
         pds.apply_redrawable_writes(did, &[write], at, day).unwrap();
+        pds.repo(did).unwrap().rev().unwrap()
     };
+    let mut day_one = Vec::new();
     for day in [1, 5] {
         for did in &dids {
-            write(&mut fleet, did, day);
+            let rev = write(&mut fleet, did, day);
+            if day == 1 {
+                day_one.push(rev);
+            }
         }
     }
     relay.crawl(&fleet, now().plus_days(5));
@@ -590,20 +642,33 @@ fn a_releasing_sync_releases_each_did_it_handles() {
     fleet
         .create_account_on(host, unlisted.clone(), handle, now())
         .unwrap();
-    write(&mut fleet, &unlisted, 1);
+    day_one.push(write(&mut fleet, &unlisted, 1));
     write(&mut fleet, &unlisted, 5);
     dids.push(unlisted.clone());
-    let bytes = |fleet: &PdsFleet, did: &Did| -> usize {
-        let pds = fleet.servers().find(|pds| pds.repo(did).is_some()).unwrap();
-        pds.repo(did).unwrap().store_stats().logical_bytes
+    let bytes = |fleet: &PdsFleet, did: &Did| repo(fleet, did).store_stats().logical_bytes;
+    // Whether a delta since the DID's day-1 commit is still served, or
+    // that commit was compacted away.
+    let serves_day_one = |fleet: &PdsFleet, n: usize| -> bool {
+        match repo(fleet, &dids[n]).export_car_since(&day_one[n], DeltaScope::Records) {
+            Ok(_) => true,
+            Err(AtError::RevisionCompacted(_)) => false,
+            Err(err) => panic!("{}: {err}", dids[n]),
+        }
     };
     let before: Vec<usize> = dids.iter().map(|did| bytes(&fleet, did)).collect();
     let day_bytes = day_post(&dids[0], 1).to_cbor().len();
+    let cutoff = |day: u16| Cutoff {
+        rev: Tid::from_micros(
+            now().plus_days(i64::from(day)).timestamp() as u64 * 1_000_000,
+            0,
+        ),
+        day,
+    };
 
     let mut mirror = IncrementalRepoMirror::new();
     let mut summary = StreamSummary::default();
     let at = now().plus_days(6);
-    mirror.sync_releasing(&mut relay, &mut fleet, at, Some(3), &mut summary);
+    mirror.sync(&mut relay, &mut fleet, at, Some(cutoff(3)), &mut summary);
     assert_eq!(summary.repo_full_fetches, 2);
     for (n, did) in dids[..2].iter().enumerate() {
         // Fetched before its release: the mirror holds its day-1 post.
@@ -612,25 +677,44 @@ fn a_releasing_sync_releases_each_did_it_handles() {
             "{did}"
         );
         assert_eq!(bytes(&fleet, did), before[n] - day_bytes, "{did}");
+        assert!(!serves_day_one(&fleet, n), "{did}");
     }
-    assert_eq!(bytes(&fleet, &unlisted), before[2]);
+    assert!(summary.commits_dropped > 0, "{summary:?}");
     assert_eq!(summary.store_bytes_reclaimed, 2 * day_bytes as u64);
-
-    // The fleet-wide pass reaches the unlisted DID alone.
-    let rest = fleet.release_before(3);
-    assert_eq!(rest.bytes_reclaimed, day_bytes);
-    assert_eq!(bytes(&fleet, &unlisted), before[2] - day_bytes);
+    assert_eq!(bytes(&fleet, &unlisted), before[2]);
+    assert!(serves_day_one(&fleet, 2));
 
     // A week on, both listed DIDs are unchanged: no fetch, and each is
-    // still released, right where the sync passes it.
+    // still retired, right where the sync passes it. The relay lists the
+    // third account now: fetched, then retired like the others.
+    relay.crawl(&fleet, at.plus_days(7));
     let mut later = StreamSummary::default();
-    mirror.sync_releasing(&mut relay, &mut fleet, at.plus_days(7), Some(6), &mut later);
-    assert_eq!((later.repo_full_fetches, later.repo_delta_fetches), (0, 0));
-    assert_eq!(later.store_bytes_reclaimed, 2 * day_bytes as u64);
-    for (n, did) in dids[..2].iter().enumerate() {
+    mirror.sync(
+        &mut relay,
+        &mut fleet,
+        at.plus_days(7),
+        Some(cutoff(6)),
+        &mut later,
+    );
+    assert_eq!((later.repo_full_fetches, later.repo_delta_fetches), (1, 0));
+    assert!(held(&mirror, &unlisted).contains(&view_of(&day_post(&unlisted, 1))));
+    assert_eq!(later.store_bytes_reclaimed, 4 * day_bytes as u64);
+    for (n, did) in dids.iter().enumerate() {
         assert_eq!(bytes(&fleet, did), before[n] - 2 * day_bytes, "{did}");
+        assert!(!serves_day_one(&fleet, n), "{did}");
     }
-    // Released to its cutoff already: a second pass walks nothing.
-    mirror.sync_releasing(&mut relay, &mut fleet, at.plus_days(7), Some(6), &mut later);
-    assert_eq!(later.store_bytes_reclaimed, 2 * day_bytes as u64);
+    assert!(later.commits_dropped > 0, "{later:?}");
+    // Retired to its cutoff already: a second pass drops nothing more.
+    let retired = (later.commits_dropped, later.store_bytes_reclaimed);
+    mirror.sync(
+        &mut relay,
+        &mut fleet,
+        at.plus_days(7),
+        Some(cutoff(6)),
+        &mut later,
+    );
+    assert_eq!(
+        (later.commits_dropped, later.store_bytes_reclaimed),
+        retired
+    );
 }

@@ -41,7 +41,7 @@ use bsky_workload::generator::RetentionPolicy;
 use bsky_workload::http::HttpResponse;
 use bsky_workload::route::FeedEntry;
 use bsky_workload::World;
-use mirror::IncrementalRepoMirror;
+use mirror::{Cutoff, IncrementalRepoMirror};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -50,22 +50,21 @@ pub(crate) mod mirror;
 /// Default number of pending relay events per producer chunk.
 pub const DEFAULT_CHUNK_EVENTS: usize = 256;
 
-/// Days of history the weekly compaction pass keeps in every repository's
-/// delta-serving window. The pass runs every 7 days from the first
-/// simulated day, and inside the collection window right after each
-/// `listRepos` round's mirror sync. Two weekly `listRepos` snapshots fit
-/// comfortably, so the incremental mirror's deltas (at most one week old)
-/// never hit the fallback in steady state, and besides its head a
-/// repository holds at most `COMPACTION_WINDOW_DAYS + 7` days of commits.
+/// Days of history the weekly compaction keeps in every repository's
+/// delta-serving window. It runs every 7 days from the first simulated day:
+/// before the collection window as a pass over the whole fleet, inside it
+/// as each `listRepos` round's mirror sync retires the repositories it
+/// lists. Two weekly `listRepos` snapshots fit comfortably, so the
+/// incremental mirror's deltas (at most one week old) never hit the
+/// fallback in steady state, and besides its head a repository holds at
+/// most `COMPACTION_WINDOW_DAYS + 7` days of commits.
 pub(crate) const COMPACTION_WINDOW_DAYS: i64 = 14;
 
-/// One compaction pass over the world's fleet on `today`: commits older
-/// than `today − COMPACTION_WINDOW_DAYS` leave every repository, and are
-/// counted into the summary.
-fn compact_repos(world: &mut World, today: Datetime, summary: &mut StreamSummary) {
+/// The compaction cutoff on `today`: commits older than `today −
+/// COMPACTION_WINDOW_DAYS` leave a repository's delta window.
+fn compaction_cutoff(today: Datetime) -> Tid {
     let cutoff_day = today.plus_days(-COMPACTION_WINDOW_DAYS);
-    let cutoff = Tid::from_micros(cutoff_day.timestamp().max(0) as u64 * 1_000_000, 0);
-    summary.commits_dropped += world.compact_repos(&cutoff).commits_dropped as u64;
+    Tid::from_micros(cutoff_day.timestamp().max(0) as u64 * 1_000_000, 0)
 }
 
 /// Drives a [`World`] and emits the datasets as observations.
@@ -291,17 +290,18 @@ impl Collector {
             // The collector is every label stream's only reader: what it
             // has read goes.
             world.trim_label_streams(&self.label_cursors);
-            // Weekly compaction passes, from the first simulated day:
-            // repositories drop commits that aged out of the delta window,
-            // never a record block (see the `mirror` docs). Cadence and
-            // cutoff derive only from simulated time, so every shard and
-            // backend compacts identically. Before the window nothing has
-            // been mirrored, so a pass drops no revision a delta will ask
-            // for, and releases no record's bytes: every DID's first full
-            // fetch reads stored bytes.
+            // Weekly compaction, from the first simulated day: repositories
+            // drop commits that aged out of the delta window, never a
+            // record block (see the `mirror` docs). Cadence and cutoff
+            // derive only from simulated time, so every shard and backend
+            // compacts identically. Before the window a pass walks the
+            // whole fleet; nothing has been mirrored, so it drops no
+            // revision a delta will ask for, and releases no record's
+            // bytes: every DID's first full fetch reads stored bytes.
             if today < firehose_start {
                 if last_compaction.is_none_or(|prev| today.days_since(prev) >= 7) {
-                    compact_repos(world, today, &mut summary);
+                    let dropped = world.fleet.compact_all(&compaction_cutoff(today));
+                    summary.commits_dropped += dropped.commits_dropped as u64;
                     last_compaction = Some(today);
                 }
             } else if last_listrepos.is_none_or(|prev| today.days_since(prev) >= 7) {
@@ -310,32 +310,23 @@ impl Collector {
                 // The mirror rides along with the weekly identifier
                 // snapshot: the revs just listed tell it which repos to
                 // delta-sync now instead of re-fetching everything at the
-                // window end.
-                // The sync releases each listed repository up to the
-                // pass's cutoff day right after handling it: the mirror
-                // then holds every record the user-days before the cutoff
-                // wrote, so their bytes go (only a full fetch reads them
-                // again, and the fleet draws them again for it), and so do
-                // the tree's subtrees that froze with them.
+                // window end. The sync is the round's whole weekly pass: it
+                // compacts each listed repository to the cutoff right after
+                // handling it, then releases the records the mirror now
+                // holds (see the `mirror` docs, "When a repository
+                // forgets").
                 let cutoff_idx = today_idx.saturating_sub(COMPACTION_WINDOW_DAYS as usize);
-                let cutoff_day = u16::try_from(cutoff_idx).unwrap_or(u16::MAX);
-                self.mirror.sync_releasing(
+                let cutoff = Cutoff {
+                    rev: compaction_cutoff(today),
+                    day: u16::try_from(cutoff_idx).unwrap_or(u16::MAX),
+                };
+                self.mirror.sync(
                     &mut world.relay,
                     &mut world.fleet,
                     today,
-                    Some(cutoff_day),
+                    Some(cutoff),
                     &mut summary,
                 );
-                // In the window the pass follows each sync, never between
-                // two: a pass keeps every head, and right after a sync every
-                // revision the mirror holds is one, so the next round's
-                // delta since it is served. The fleet-wide release reaches
-                // the repositories the relay did not list; a listed one is
-                // released to the cutoff already and costs nothing.
-                compact_repos(world, today, &mut summary);
-                let released = world.release_before(cutoff_idx);
-                summary.store_bytes_reclaimed += released.bytes_reclaimed as u64;
-                summary.subtrees_collapsed += released.subtrees_collapsed as u64;
                 last_listrepos = Some(today);
                 summary.listrepos_snapshots += 1;
             }
@@ -611,7 +602,7 @@ impl Collector {
         // Catch-up sync for anything that changed since the last weekly
         // snapshot, then serve every emission from mirrored state.
         self.mirror
-            .sync(&mut world.relay, &mut world.fleet, end, summary);
+            .sync(&mut world.relay, &mut world.fleet, end, None, summary);
         // Take the order list out of `self` for the duration of the loop
         // (the body needs `&mut self` to emit) instead of cloning one DID
         // per collected user.

@@ -245,8 +245,8 @@ fn history_is_bounded_before_the_window_opens() {
     assert_eq!(summary.repo_compaction_fallbacks, 0, "{summary:?}");
 }
 
-/// Inside the window each compaction pass releases the bytes of the
-/// records the mirror holds and collapses the subtrees that froze, and a
+/// Inside the window each sync's retirements release the bytes of the
+/// records the mirror holds and collapse the subtrees that froze, and a
 /// full fetch after that draws them again: under flaky fetches a failed
 /// delta falls back to one. Every released block and collapsed subtree a
 /// full fetch needs is re-drawn and checked, none fails, and a quiet run
@@ -272,4 +272,38 @@ fn full_fetches_draw_released_records_again() {
     assert!(quiet.subtrees_collapsed > 0, "{quiet:?}");
     let redrawn = (quiet.blocks_redrawn, quiet.subtrees_rederived);
     assert_eq!((redrawn, quiet.redraw_mismatches), ((0, 0), 0));
+}
+
+/// The repository lifecycle of a whole study, as its summary counts it:
+/// the commits compaction drops, the bytes and subtrees releases let go,
+/// the blocks and subtrees full fetches draw again, and no CID mismatch.
+/// Pinned for a quiet and a `flaky-fetch` run, serial and on two shards,
+/// which split every figure.
+#[test]
+fn the_lifecycle_counters_are_pinned_serial_and_on_two_shards() {
+    use bsky_workload::faults::FaultSpec;
+    let flaky = FaultSpec::scenario("flaky-fetch").expect("preset");
+    for (scenario, faults, expect) in [
+        ("quiet", FaultSpec::default(), [462, 324_758, 314, 0, 0, 0]),
+        ("flaky-fetch", flaky, [462, 324_758, 314, 249, 26, 0]),
+    ] {
+        for shards in [1, 2] {
+            let mut spec = crate::spec::RunSpec::new(small_config(42))
+                .shards(shards)
+                .jobs(shards);
+            spec.faults = faults.clone();
+            let analyzers = crate::shard::StudyAnalyzers::default();
+            let (_, _, summary) = crate::shard::collect_sharded(&spec, analyzers);
+            let s = summary.merged;
+            let counters = [
+                s.commits_dropped,
+                s.store_bytes_reclaimed,
+                s.subtrees_collapsed,
+                s.blocks_redrawn,
+                s.subtrees_rederived,
+                s.redraw_mismatches,
+            ];
+            assert_eq!(counters, expect, "{scenario} on {shards} shard(s)");
+        }
+    }
 }

@@ -3,7 +3,7 @@
 
 use crate::json::Json;
 use crate::pipeline::{Analyzer, Observation};
-use crate::stats::{self, month_of};
+use crate::stats::{self, month_of, MonthKey};
 use bsky_atproto::firehose::EventBody;
 use bsky_atproto::label::LabelTargetKind;
 use bsky_atproto::nsid::known;
@@ -216,7 +216,10 @@ impl ModerationAnalyzer {
     ) {
         let delta = (label_created.timestamp() - post_created.timestamp()).max(0) as f64;
         if let Some(labeled) = self.objects.get_mut(object) {
-            labeled.post_month = Some(month_of(post_created));
+            let month = MonthKey::of(post_created);
+            if labeled.post_month.as_deref() != Some(month.as_str()) {
+                labeled.post_month = Some(month.as_str().to_string());
+            }
         }
         if let Some(acc) = self.accs.get_mut(labeler) {
             acc.reactions.push(delta);
@@ -253,10 +256,8 @@ impl Analyzer for ModerationAnalyzer {
                             let uri = ["at://", did.as_str(), "/", &op.key].concat();
                             if let Entry::Vacant(e) = self.post_created.entry(uri) {
                                 e.insert(event.time);
-                                *self
-                                    .posts_per_month
-                                    .entry(month_of(event.time))
-                                    .or_insert(0) += 1;
+                                let month = MonthKey::of(event.time);
+                                *stats::slot(&mut self.posts_per_month, month.as_str()) += 1;
                             }
                         }
                     }
@@ -277,7 +278,8 @@ impl Analyzer for ModerationAnalyzer {
                         continue;
                     }
                     *acc.values.entry(label.value.clone()).or_insert(0) += 1;
-                    *acc.per_month.entry(month_of(label.created_at)).or_insert(0) += 1;
+                    let month = MonthKey::of(label.created_at);
+                    *stats::slot(&mut acc.per_month, month.as_str()) += 1;
                     let kind = label.target.kind();
                     let object = label.target.uri();
                     self.objects

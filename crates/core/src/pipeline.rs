@@ -361,13 +361,13 @@ pub struct StreamSummary {
     /// decode. A visible dataset gap, never a silent drop; zero in every
     /// clean run.
     pub repo_records_undecodable: u64,
-    /// Record payload bytes the releasing compaction passes let go, summed
-    /// over every pass: the bytes of user-day record blocks the mirror
-    /// already holds, which the fleet draws again for a later full export.
-    /// Passes before the collection window release nothing.
+    /// Record payload bytes the in-window syncs let go as they retired each
+    /// repository: the bytes of user-day record blocks the mirror already
+    /// holds, which the fleet draws again for a later full export.
+    /// Compaction before the collection window releases nothing.
     pub store_bytes_reclaimed: u64,
-    /// MST subtrees the releasing passes collapsed to their CIDs, summed
-    /// over every pass: the frozen parts of the fleet's trees whose records
+    /// MST subtrees the in-window syncs collapsed to their CIDs, summed
+    /// over every sync: the frozen parts of the fleet's trees whose records
     /// the mirror holds.
     pub(crate) subtrees_collapsed: u64,
     /// Collapsed subtrees the fleet drew again, for full exports and for
@@ -375,8 +375,8 @@ pub struct StreamSummary {
     /// that fails counts in [`StreamSummary::redraw_mismatches`]. Zero in a
     /// quiet run.
     pub(crate) subtrees_rederived: u64,
-    /// Commits (with their log entries) the weekly compaction passes
-    /// dropped from the fleet's repositories, summed over every pass.
+    /// Commits (with their log entries) the weekly compaction dropped from
+    /// the fleet's repositories, before the collection window and in it.
     pub(crate) commits_dropped: u64,
     /// Block bytes resident in memory at the end of the run, in the PDS
     /// fleet's repository stores (the collector keeps no blocks).

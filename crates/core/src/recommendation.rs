@@ -228,10 +228,9 @@ pub(crate) struct RecommendationAnalyzer {
     feeds: BTreeMap<String, Feed>,
     /// Object URI → its folded label stream.
     labels: BTreeMap<String, LabelFlags>,
-    /// Deduplicated follow edges `(author, subject)` from the repositories.
-    follow_edges: BTreeSet<(Did, Did)>,
-    /// DIDs with a repository snapshot (the §7 user universe).
-    actors: BTreeSet<Did>,
+    /// Every DID with a repository snapshot (the §7 user universe) → the
+    /// subjects of its follow records, deduplicated.
+    follows: BTreeMap<Did, BTreeSet<Did>>,
     /// Likes on feed-generator records per month (Figure 7).
     feed_likes_by_month: BTreeMap<String, u64>,
     /// Follow records per subject and month (filtered to creators at
@@ -263,7 +262,8 @@ impl Analyzer for RecommendationAnalyzer {
                 }
             }
             Observation::Repo(repo) => {
-                let did = &repo.did;
+                // A DID is copied only when it or the edge is new.
+                let follows = stats::slot(&mut self.follows, &repo.did);
                 for record in repo.records() {
                     let Some(month) = record.month else {
                         continue;
@@ -276,14 +276,15 @@ impl Analyzer for RecommendationAnalyzer {
                             *stats::slot(&mut self.feed_likes_by_month, month) += 1;
                         }
                         (known::FOLLOW, Some(subject)) => {
-                            self.follow_edges.insert((did.clone(), subject.clone()));
+                            if !follows.contains(subject) {
+                                follows.insert(subject.clone());
+                            }
                             let months = stats::slot(&mut self.follows_by_subject_month, subject);
                             *stats::slot(months, month) += 1;
                         }
                         _ => {}
                     }
                 }
-                self.actors.insert(did.clone());
             }
             _ => {}
         }
@@ -304,8 +305,9 @@ impl Analyzer for RecommendationAnalyzer {
                 fold_flags(into, &labeler, &value, seen);
             }
         }
-        self.follow_edges.extend(other.follow_edges);
-        self.actors.extend(other.actors);
+        for (did, follows) in other.follows {
+            self.follows.entry(did).or_default().extend(follows);
+        }
         stats::add_counts(&mut self.feed_likes_by_month, other.feed_likes_by_month);
         for (subject, months) in other.follows_by_subject_month {
             stats::add_counts(
@@ -433,10 +435,8 @@ impl Analyzer for RecommendationAnalyzer {
 
         // Figure 11 + correlations: degrees from the deduplicated follow
         // graph of the repositories dataset.
-        let mut follows_of: BTreeMap<&Did, u64> = BTreeMap::new();
         let mut followers_of: BTreeMap<&Did, u64> = BTreeMap::new();
-        for (author, subject) in &self.follow_edges {
-            *follows_of.entry(author).or_insert(0) += 1;
+        for subject in self.follows.values().flatten() {
             *followers_of.entry(subject).or_insert(0) += 1;
         }
         let mut creator_in = Vec::new();
@@ -446,9 +446,9 @@ impl Analyzer for RecommendationAnalyzer {
         let mut x_feeds = Vec::new();
         let mut x_likes = Vec::new();
         let mut y_followers = Vec::new();
-        for did in &self.actors {
+        for (did, follows) in &self.follows {
             let followers = followers_of.get(did).copied().unwrap_or(0) as f64;
-            let follows = follows_of.get(did).copied().unwrap_or(0) as f64;
+            let follows = follows.len() as f64;
             if let Some((feeds, likes)) = feeds_per_creator.get(did) {
                 creator_in.push(followers);
                 creator_out.push(follows);

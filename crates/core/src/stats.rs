@@ -3,10 +3,31 @@
 use bsky_atproto::Datetime;
 use std::borrow::Borrow;
 use std::collections::BTreeMap;
+use std::io::Write;
 
 /// The `YYYY-MM` month a time falls in: the bucket of every monthly series.
 pub(crate) fn month_of(dt: Datetime) -> String {
     dt.date().year_month()
+}
+
+/// [`month_of`] on the stack: a month-keyed table looks it up through
+/// [`slot`], which copies it into a `String` only for a new month.
+pub(crate) struct MonthKey([u8; 16], usize);
+
+impl MonthKey {
+    pub(crate) fn of(dt: Datetime) -> MonthKey {
+        let month = dt.date().month_number();
+        let (year, month) = (month.div_euclid(12), month.rem_euclid(12) + 1);
+        let mut key = MonthKey([0; 16], 16);
+        let mut rest = &mut key.0[..];
+        write!(rest, "{year:04}-{month:02}").expect("a year and a month fit 16 bytes");
+        key.1 -= rest.len();
+        key
+    }
+
+    pub(crate) fn as_str(&self) -> &str {
+        std::str::from_utf8(&self.0[..self.1]).expect("digits and a dash")
+    }
 }
 
 /// Exact quantile of a slice (linear interpolation). Returns `None` on empty
@@ -110,6 +131,21 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_month_key_reads_as_month_of() {
+        for (year, month) in [
+            (2024, 3),
+            (2023, 12),
+            (1970, 1),
+            (7, 1),
+            (12_345, 11),
+            (-44, 3),
+        ] {
+            let dt = Datetime::from_ymd(year, month, 28).unwrap();
+            assert_eq!(MonthKey::of(dt).as_str(), month_of(dt), "{year}-{month}");
+        }
+    }
 
     #[test]
     fn quantiles_and_median() {

@@ -19,6 +19,10 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// A collection of PDS instances plus the DID → PDS routing table.
+///
+/// Repositories forget in two ways: the whole fleet compacts at once
+/// ([`PdsFleet::compact_all`]), or one repository is compacted and released
+/// at a time ([`PdsFleet::retire_repo`]).
 #[derive(Debug, Default)]
 pub struct PdsFleet {
     /// Every server, in hostname order.
@@ -169,8 +173,10 @@ impl PdsFleet {
         }
     }
 
-    /// Run the repository compaction pass on every server (the study
-    /// pipeline calls this on its weekly snapshot cadence).
+    /// Run the repository compaction pass on every server. The study's
+    /// collector calls it weekly before its collection window; inside the
+    /// window its mirror sync retires each repository it lists instead
+    /// ([`PdsFleet::retire_repo`]).
     pub fn compact_all(&mut self, cutoff: &Tid) -> CompactionStats {
         let mut stats = CompactionStats::default();
         for server in &mut self.servers {
@@ -179,23 +185,16 @@ impl PdsFleet {
         stats
     }
 
-    /// Let go of the bytes of every re-drawable record block committed
-    /// under a day before `day`, on every server lent a source, and
-    /// collapse the subtrees that froze (`Pds::release_before`);
-    /// `bytes_reclaimed` and `subtrees_collapsed` count them. A repository
-    /// released to `day` already is not walked again.
-    pub fn release_before(&mut self, day: u16) -> CompactionStats {
-        let mut stats = CompactionStats::default();
-        for server in &mut self.servers {
-            stats.absorb(&server.release_before(day));
-        }
-        stats
-    }
-
-    /// [`PdsFleet::release_before`] for the repository of `did` alone.
-    pub fn release_repo(&mut self, did: &Did, day: u16) -> CompactionStats {
+    /// Retire the repository of `did` once a sync has handled it: compact
+    /// it to `cutoff`, then, on a server lent a source, release what its
+    /// user-days before `day` wrote (`Pds::retire_repo`).
+    /// `bytes_reclaimed` and `subtrees_collapsed` count what the release let
+    /// go; a repository released to `day` already is not walked again.
+    pub fn retire_repo(&mut self, did: &Did, cutoff: &Tid, day: u16) -> CompactionStats {
         self.pds_for_mut(did)
-            .map_or_else(CompactionStats::default, |pds| pds.release_repo(did, day))
+            .map_or_else(CompactionStats::default, |pds| {
+                pds.retire_repo(did, cutoff, day)
+            })
     }
 
     /// What every server's exports re-drew so far.

@@ -112,7 +112,7 @@ impl Pds {
     }
 
     /// Lend the server what draws its repositories' re-drawable records
-    /// again. From then on a release ([`Pds::release_before`]) may drop their
+    /// again. From then on a retirement ([`Pds::retire_repo`]) may drop their
     /// bytes, and its exports draw them again through `source`.
     pub(crate) fn lend_source(&mut self, source: Arc<dyn RecordSource>) {
         self.source = Some(source);
@@ -359,28 +359,22 @@ impl Pds {
         stats
     }
 
-    /// Let go of the bytes of every re-drawable block the hosted
-    /// repositories committed under a day before `day`, and collapse the
-    /// subtrees that froze ([`Repository::release_before`]). A server lent
-    /// no source releases nothing: it could not draw the bytes again. A
-    /// repository released to `day` already is not walked again.
-    pub(crate) fn release_before(&mut self, day: u16) -> CompactionStats {
-        let mut stats = CompactionStats::default();
+    /// Retire the repository of `did` once a sync has handled it: drop
+    /// the commits that aged out of the delta window ending at `cutoff`
+    /// ([`Repository::compact_before`]), then let go of the bytes of every
+    /// re-drawable block it committed under a day before `day` and collapse
+    /// the subtrees that froze ([`Repository::release_before`]). A server
+    /// lent no source releases nothing: it could not draw the bytes again.
+    /// Nothing when the repository is not active here.
+    pub(crate) fn retire_repo(&mut self, did: &Did, cutoff: &Tid, day: u16) -> CompactionStats {
+        let Some(Some(repo)) = self.hosted.get_mut(did) else {
+            return CompactionStats::default();
+        };
+        let mut stats = repo.compact_before(cutoff);
         if self.source.is_some() {
-            for repo in self.hosted.values_mut().flatten() {
-                stats.absorb(&repo.release_before(day));
-            }
+            stats.absorb(&repo.release_before(day));
         }
         stats
-    }
-
-    /// [`Pds::release_before`] for the repository of `did` alone; nothing
-    /// when it is not active here.
-    pub(crate) fn release_repo(&mut self, did: &Did, day: u16) -> CompactionStats {
-        match (&self.source, self.hosted.get_mut(did)) {
-            (Some(_), Some(Some(repo))) => repo.release_before(day),
-            _ => CompactionStats::default(),
-        }
     }
 
     /// The record blocks the hosted repositories serve.

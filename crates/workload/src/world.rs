@@ -61,8 +61,7 @@ use crate::tranco::TrancoList;
 use bsky_atproto::blockstore::StoreConfig;
 use bsky_atproto::label::LabelTarget;
 use bsky_atproto::record::{FeedGeneratorRecord, MediaKind, ProfileRecord, Record};
-use bsky_atproto::repo::{CompactionStats, RecordSource, Write};
-use bsky_atproto::Tid;
+use bsky_atproto::repo::{RecordSource, Write};
 use bsky_atproto::{AtUri, Datetime, Did, Handle, Nsid};
 use bsky_pds::{Pds, PdsFleet, PdsOperator};
 use bsky_relay::{Relay, RelayFederation};
@@ -967,27 +966,6 @@ impl World {
         (self.total_posts, self.total_likes)
     }
 
-    /// Run the repository compaction pass over the whole fleet: commits
-    /// older than `cutoff` leave the delta-serving window. The study
-    /// producer calls this every 7 days from the first simulated day, and
-    /// inside the collection window right after each weekly snapshot's
-    /// mirror sync; cadence and cutoff derive only from simulated time, so
-    /// every shard (and every store backend) compacts identically.
-    pub fn compact_repos(&mut self, cutoff: &Tid) -> CompactionStats {
-        self.fleet.compact_all(cutoff)
-    }
-
-    /// Let go of the bytes of the record blocks every user-day before the
-    /// simulated day `day_idx` wrote: the fleet draws them again from
-    /// their recipe when an export needs them. `bytes_reclaimed` counts
-    /// them. The study producer calls this inside its collection window,
-    /// right after each compaction pass, with the pass's cutoff day, when
-    /// the mirror holds every record it releases.
-    pub fn release_before(&mut self, day_idx: usize) -> CompactionStats {
-        let day = u16::try_from(day_idx).unwrap_or(u16::MAX);
-        self.fleet.release_before(day)
-    }
-
     /// Let go of the label-stream entries below each labeler's cursor, one
     /// cursor per labeler in [`World::labelers`] order (fewer cursors trim
     /// fewer labelers). The caller vouches that it is every stream's only
@@ -1016,6 +994,8 @@ pub(crate) fn whois_registrar_for(seed: u64, domain: &str) -> Option<crate::regi
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bsky_atproto::repo::CompactionStats;
+    use bsky_atproto::Tid;
 
     fn small_config() -> ScenarioConfig {
         let mut config = ScenarioConfig::test_scale(77);
@@ -1410,7 +1390,7 @@ mod tests {
         };
         // Compacted first: a full export carries the retained commits.
         let everything = Tid::from_micros(u64::MAX >> 12, 0);
-        world.compact_repos(&everything);
+        world.fleet.compact_all(&everything);
         let kept: Vec<(Did, Vec<u8>)> = hosted(&world)
             .into_iter()
             .map(|did| {
@@ -1424,7 +1404,15 @@ mod tests {
                 (did, car)
             })
             .collect();
-        let release = world.release_before(usize::MAX);
+        // Each repository retired as a sync retires the DIDs it lists.
+        let retire = |world: &mut World| {
+            let mut stats = CompactionStats::default();
+            for (did, _) in &kept {
+                stats.absorb(&world.fleet.retire_repo(did, &everything, u16::MAX));
+            }
+            stats
+        };
+        let release = retire(&mut world);
         let (released, collapsed) = (release.bytes_reclaimed, release.subtrees_collapsed);
         for (did, car) in &kept {
             let pds = world.fleet.pds_for_mut(did).unwrap();
@@ -1437,7 +1425,7 @@ mod tests {
         assert_eq!(redraws.mismatches, 0);
         // Each export drew its repository's stubs again, and grafted none.
         assert_eq!(redraws.subtrees, collapsed as u64);
-        assert_eq!(world.release_before(usize::MAX), CompactionStats::default());
+        assert_eq!(retire(&mut world), CompactionStats::default());
         let held = world.fleet.store_stats().logical_bytes;
         // What stays is one profile per account and the declarations of
         // the feed generators its accounts created.
