@@ -140,9 +140,9 @@ impl Event {
     /// The length of the frame's DAG-CBOR encoding without building or
     /// encoding it: the sum of the item heads and payload lengths the
     /// generic codec would write, entry for entry (pinned against that
-    /// encoding by test). Called per event by the relay's log, per forwarded
-    /// frame by the federation tap and per event by the §9 volume analyzer,
-    /// so it allocates nothing.
+    /// encoding by test). Called per in-window frame by the collector's
+    /// §10 capture and per event by the §9 volume analyzer, so it
+    /// allocates nothing.
     fn encoded_len(&self) -> usize {
         // One map entry under a literal key, given its value's length.
         let entry = |key: &str, value: usize| len::text(key.len()) + value;

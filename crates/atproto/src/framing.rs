@@ -2,9 +2,10 @@
 //!
 //! The traffic-observatory study (§10) asks what a *passive* on-path
 //! observer learns from `(size, inter-arrival gap)` sequences alone, and at
-//! what bandwidth cost the classic countermeasures defeat it. This module is
-//! the mitigation layer: it defines the knobs and the canonical accounting
-//! used everywhere the workspace talks about framed wire bytes.
+//! what bandwidth cost the classic countermeasures defeat it. This module
+//! defines the mitigations and the canonical accounting of framed wire
+//! bytes; §10 evaluates each of its cells counterfactually from the
+//! collector's passive capture, so no run shapes its own wire.
 //!
 //! * [`PaddingPolicy`] — pad each frame up to a size bucket (`None`,
 //!   128-byte `Buckets`, or a 4096-byte `Constant` cell), the standard
@@ -14,7 +15,8 @@
 //!   the same fixed time window into one frame, flushed at the window edge;
 //!   a timing-channel countermeasure that also amortises per-frame headers.
 //! * [`FramingPolicy`] — the (padding, batching) pair; `Default` is the
-//!   unmitigated wire (no padding, no batching).
+//!   unmitigated wire (no padding, no batching). It survives only as the
+//!   inert `RunSpec.framing` field, which the benchmark names.
 //!
 //! A frame is accounted, never materialised: the observer-independent size
 //! of a frame carrying events whose canonical sizes
@@ -73,16 +75,6 @@ impl PaddingPolicy {
     pub fn frame_wire_size(&self, events: usize, payload: usize) -> usize {
         self.padded_len(FRAME_HEADER_BYTES + events * EVENT_HEADER_BYTES + payload)
     }
-
-    /// Parse a CLI spelling (`none` / `buckets` / `constant`).
-    pub fn parse(s: &str) -> Option<PaddingPolicy> {
-        match s {
-            "none" => Some(PaddingPolicy::None),
-            "buckets" => Some(PaddingPolicy::Buckets),
-            "constant" => Some(PaddingPolicy::Constant),
-            _ => Option::None,
-        }
-    }
 }
 
 /// Timing-channel mitigation: coalesce events within a fixed window into
@@ -91,7 +83,7 @@ impl PaddingPolicy {
 pub struct BatchPolicy {
     /// Window width in seconds; `0` disables batching (one frame per event,
     /// sent at the event's own time).
-    pub window_secs: u64,
+    pub(crate) window_secs: u64,
 }
 
 impl BatchPolicy {
@@ -114,16 +106,6 @@ pub struct FramingPolicy {
     pub padding: PaddingPolicy,
     /// Timing-channel mitigation.
     pub batch: BatchPolicy,
-}
-
-impl FramingPolicy {
-    /// Construct from the two knobs.
-    pub fn new(padding: PaddingPolicy, batch_window_secs: u64) -> FramingPolicy {
-        FramingPolicy {
-            padding,
-            batch: BatchPolicy::window(batch_window_secs),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -161,18 +143,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn padding_policy_cli_names_roundtrip() {
-        for (name, policy) in [
-            ("none", PaddingPolicy::None),
-            ("buckets", PaddingPolicy::Buckets),
-            ("constant", PaddingPolicy::Constant),
-        ] {
-            assert_eq!(PaddingPolicy::parse(name), Some(policy));
-        }
-        assert_eq!(PaddingPolicy::parse("bogus"), Option::None);
     }
 
     #[test]

@@ -17,8 +17,8 @@
 //!   shrink as the population grows (sublinear scale-out).
 //! * **wire observatory** — the §10 traffic-analysis sweep: classifier
 //!   accuracy and framing overhead with no mitigation vs 128-byte bucket
-//!   padding, plus the active policy's wire accounting (bucket padding
-//!   must cost strictly more overhead than bare framing).
+//!   padding (bucket padding must cost strictly more overhead than bare
+//!   framing).
 
 use bsky_atproto::Datetime;
 use bsky_study::pipeline::{Observation, ObservationSink, StudyCtx};
@@ -137,17 +137,10 @@ fn main() {
         "mem held + released vs paged resident + spilled"
     );
 
-    // Observatory: one framed run (128-byte buckets, 2 s batch windows)
-    // yields both the §10 mitigation sweep — computed counterfactually from
-    // the raw captures, so it matches every other run of this config — and
-    // the active policy's wire accounting in the summary.
-    use bsky_atproto::framing::{FramingPolicy, PaddingPolicy};
-    let framed_spec = RunSpec {
-        framing: FramingPolicy::new(PaddingPolicy::Buckets, 2),
-        ..RunSpec::new(config)
-    };
-    let (framed_report, framed_summary) = StudyReport::run(&framed_spec);
-    let json = framed_report.to_json();
+    // Observatory: the §10 mitigation sweep, computed counterfactually
+    // from the collector's passive capture.
+    let (report, _) = StudyReport::run(&RunSpec::new(config));
+    let json = report.to_json();
     let observatory = &json["section10"];
     let cell = |name: &str| &observatory["cells"][name];
     let accuracy_none = cell("none")["accuracy"].as_f64().unwrap_or(0.0);
@@ -156,26 +149,20 @@ fn main() {
     let overhead_bucketed = cell("pad128")["overhead_bytes"].as_u64().unwrap_or(0);
     let chance = observatory["chance_accuracy"].as_f64().unwrap_or(0.0);
     println!(
-        "observatory: {:.1}% classifier accuracy unmitigated vs {:.1}% under pad128 (chance {:.1}%); framing overhead {} bytes unmitigated vs {} pad128; active wire overhead {} bytes on {} frames",
+        "observatory: {:.1}% classifier accuracy unmitigated vs {:.1}% under pad128 (chance {:.1}%); framing overhead {} bytes unmitigated vs {} pad128",
         accuracy_none * 100.0,
         accuracy_bucketed * 100.0,
         chance * 100.0,
         overhead_none,
         overhead_bucketed,
-        framed_summary.merged.padding_overhead_bytes,
-        framed_summary.merged.wire_frames,
     );
     assert!(
         observatory["traced_days"].as_u64().unwrap_or(0) > 0,
-        "the wire tap must capture traces at bench scale"
+        "the collector must capture traces at bench scale"
     );
     assert!(
         overhead_bucketed > overhead_none,
         "bucket padding must cost strictly more overhead than bare framing ({overhead_bucketed} vs {overhead_none})"
-    );
-    assert!(
-        framed_summary.merged.padding_overhead_bytes > 0 && framed_summary.merged.wire_frames > 0,
-        "the active bucketed policy must account overhead on the producer's wire"
     );
 
     // Chaos: one combined fault scenario (host outage + mass migration,

@@ -5,9 +5,7 @@
 //!   repro [--seed N] [--scale N]
 //!         [--jobs auto|N] [--shards N] [--pipeline] [--analyzer-threads N]
 //!         [--relays N] [--json] [--stream] [--store mem|paged] [--page-size BYTES]
-//!         [--spill-dir DIR]
-//!         [--padding none|buckets|constant] [--batch-window SECS]
-//!         [--scenario NAME] [--faults SPEC]
+//!         [--spill-dir DIR] [--scenario NAME] [--faults SPEC]
 //!
 //! Every flag maps onto one field of [`bsky_study::RunSpec`] — the single
 //! run description all library entry points take — except the two output
@@ -35,30 +33,31 @@
 //! owning a contiguous slice of the PDS fleet and forwarding its firehose
 //! (cursor-resumable, `(did, rev)`-deduplicated) into the super-relay the
 //! collector subscribes to.
-//! `--padding` and `--batch-window` select the wire framing mitigations
-//! (§10). `--scenario NAME` runs one of the named fault scenarios;
+//! `--scenario NAME` runs one of the named fault scenarios;
 //! `--faults SPEC` injects a custom `key=value,...` specification. The two
 //! compose: the scenario preset is applied first and the spec's keys
 //! overlay it, so `--scenario dns-flap --faults flaky=0.1` adds flakiness
 //! on top of the preset. Giving the *same* key two different values in one
 //! spec is a contradiction and exits 2.
 //!
-//! All of these knobs are observationally transparent: stores, relays and
-//! framing move only the `--stream` summary's accounting, and fault placement is a pure function of
-//! `(seed, DID, day)` — the rendered report is byte-identical across every
-//! combination (scenario runs add an impact section).
+//! All of these knobs are observationally transparent: stores and relays
+//! move only the `--stream` summary's accounting, and fault placement is a
+//! pure function of `(seed, DID, day)` — the rendered report is
+//! byte-identical across every combination (scenario runs add an impact
+//! section). §10 needs no flag: it sweeps every padding and batching cell
+//! counterfactually from the collector's passive capture of its own
+//! firehose subscription.
 //!
 //! Unknown flags, missing/malformed values, conflicting flags and an
 //! unusable `--spill-dir` are errors (exit code 2); value ranges and
 //! `jobs <= shards` are checked centrally by [`RunSpec::validate`].
 
 use bsky_atproto::blockstore::{StoreConfig, StoreKind};
-use bsky_atproto::framing::{FramingPolicy, PaddingPolicy};
 use bsky_study::faults::{FaultSpec, SCENARIO_NAMES};
 use bsky_study::{RunSpec, StudyReport};
 use bsky_workload::ScenarioConfig;
 
-const USAGE: &str = "usage: repro [--seed N] [--scale N] [--jobs auto|N] [--shards N] [--pipeline] [--analyzer-threads N] [--relays N] [--json] [--stream] [--store mem|paged] [--page-size BYTES] [--spill-dir DIR] [--padding none|buckets|constant] [--batch-window SECS] [--scenario NAME] [--faults SPEC]\n  one invocation is one run; sweep with a shell loop: for s in 1 2; do repro --seed $s ...; done";
+const USAGE: &str = "usage: repro [--seed N] [--scale N] [--jobs auto|N] [--shards N] [--pipeline] [--analyzer-threads N] [--relays N] [--json] [--stream] [--store mem|paged] [--page-size BYTES] [--spill-dir DIR] [--scenario NAME] [--faults SPEC]\n  one invocation is one run; sweep with a shell loop: for s in 1 2; do repro --seed $s ...; done";
 
 /// Parsed command line: the library [`RunSpec`] plus the CLI-only output
 /// modes.
@@ -99,8 +98,6 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
     let mut store_kind: Option<StoreKind> = None;
     let mut page_size: Option<usize> = None;
     let mut spill_dir: Option<String> = None;
-    let mut padding: Option<PaddingPolicy> = None;
-    let mut batch_window: Option<u64> = None;
     let mut scenario: Option<String> = None;
     let mut faults_spec: Option<String> = None;
     let mut i = 0;
@@ -160,19 +157,6 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
                 spill_dir = Some(parse_value("--spill-dir", args.get(i + 1))?);
                 i += 1;
             }
-            "--padding" => {
-                let value: String = parse_value("--padding", args.get(i + 1))?;
-                padding = Some(PaddingPolicy::parse(&value).ok_or_else(|| {
-                    format!(
-                        "invalid value for --padding: {value:?} (expected none, buckets or constant)"
-                    )
-                })?);
-                i += 1;
-            }
-            "--batch-window" => {
-                batch_window = Some(parse_value("--batch-window", args.get(i + 1))?);
-                i += 1;
-            }
             "--scenario" => {
                 scenario = Some(parse_value("--scenario", args.get(i + 1))?);
                 i += 1;
@@ -210,7 +194,6 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
             return Err("--page-size must be positive".into());
         }
     }
-    opts.spec.framing = FramingPolicy::new(padding.unwrap_or_default(), batch_window.unwrap_or(0));
     // Fault injection: the scenario preset (if any) is parsed first, then
     // the `--faults` spec overlays it key by key — preset knobs the spec
     // doesn't name survive, named keys override. Only a self-contradictory
@@ -409,12 +392,16 @@ mod tests {
     fn grid_flags_are_unknown_arguments() {
         // A sweep is a shell loop over --seed / --scale; the list flags
         // exit 2 like any other unknown argument. So do the AppView flags
-        // of older command lines: the study runs no AppView.
+        // of older command lines (the study runs no AppView) and the
+        // framing flags (§10 sweeps every padding and batching cell from
+        // its passive capture).
         for flag in [
             ["--seeds", "1,2"],
             ["--scales", "40000"],
             ["--appview-shards", "4"],
             ["--writeback", "off"],
+            ["--padding", "buckets"],
+            ["--batch-window", "60"],
         ] {
             let err = parse_args(&args(&flag)).unwrap_err();
             assert!(err.contains("unknown argument"), "{err}");
@@ -477,39 +464,6 @@ mod tests {
         assert!(parse_args(&args(&["--spill-dir", "/tmp/x"])).is_err());
         assert!(parse_args(&args(&["--store", "paged", "--page-size", "0"])).is_err());
         assert!(parse_args(&args(&["--store", "mem", "--page-size", "4096"])).is_err());
-    }
-
-    #[test]
-    fn framing_flags_parse() {
-        let opts = parse_args(&[]).unwrap().unwrap();
-        assert_eq!(opts.spec.framing, FramingPolicy::default());
-        let opts = parse_args(&args(&["--padding", "buckets", "--batch-window", "60"]))
-            .unwrap()
-            .unwrap();
-        assert_eq!(opts.spec.framing.padding, PaddingPolicy::Buckets);
-        assert_eq!(opts.spec.framing.batch.window_secs, 60);
-        let opts = parse_args(&args(&["--padding", "constant"]))
-            .unwrap()
-            .unwrap();
-        assert_eq!(opts.spec.framing.padding, PaddingPolicy::Constant);
-        assert_eq!(opts.spec.framing.batch.window_secs, 0);
-        // Composes with sharding and stores.
-        assert!(parse_args(&args(&[
-            "--padding",
-            "buckets",
-            "--batch-window",
-            "2",
-            "--jobs",
-            "2",
-            "--store",
-            "paged",
-        ]))
-        .is_ok());
-        // Errors: bad/missing values.
-        assert!(parse_args(&args(&["--padding", "bubblewrap"])).is_err());
-        assert!(parse_args(&args(&["--padding"])).is_err());
-        assert!(parse_args(&args(&["--batch-window", "x"])).is_err());
-        assert!(parse_args(&args(&["--batch-window"])).is_err());
     }
 
     #[test]

@@ -585,14 +585,95 @@ fn incremental_and_full_refetch_repositories_are_identical() {
     }
 }
 
-/// What a fleet is lent so that it may release: it draws nothing again,
-/// and no test below exports a released repository.
-#[derive(Debug)]
-struct NoRedraw;
+/// `did`'s post of `day`, in a language of that day's own, so that the
+/// mirror's view of it tells the days apart.
+fn day_post(did: &Did, day: u16) -> Record {
+    post_in(&format!("{did} on day {day}"), &format!("d{day}"))
+}
 
-impl bsky_atproto::repo::RecordSource for NoRedraw {
-    fn redraw(&self, _did: &Did, _day: u16) -> Vec<bsky_atproto::repo::Write> {
-        Vec::new()
+/// A user-day's one write: `record` under the key `d{day:03}`.
+fn day_write(day: u16, record: Record) -> bsky_atproto::repo::Write {
+    bsky_atproto::repo::Write::Create {
+        collection: Nsid::parse(known::POST).unwrap(),
+        rkey: format!("d{day:03}"),
+        record,
+    }
+}
+
+/// The compaction cutoff at the start of `day`.
+fn cutoff(day: u16) -> Cutoff {
+    let at = now().plus_days(i64::from(day)).timestamp() as u64;
+    Cutoff {
+        rev: Tid::from_micros(at * 1_000_000, 0),
+        day,
+    }
+}
+
+/// What a fleet is lent so that it may release: a source that draws each
+/// user-day again truly, or lies with a wrong day (the next day's post
+/// under the day's key) or a short one (nothing).
+#[derive(Debug, Clone, Copy)]
+enum DaySource {
+    True,
+    Wrong,
+    Short,
+}
+
+impl bsky_atproto::repo::RecordSource for DaySource {
+    fn redraw(&self, did: &Did, day: u16) -> Vec<bsky_atproto::repo::Write> {
+        match self {
+            DaySource::True => vec![day_write(day, day_post(did, day))],
+            DaySource::Wrong => vec![day_write(day, day_post(did, day + 1))],
+            DaySource::Short => Vec::new(),
+        }
+    }
+}
+
+/// A full fetch that meets a source lying about a released day fails and
+/// is counted (a skip, a re-draw mismatch, no mirror state for the DID);
+/// once the source tells the truth, the next sync holds exactly its records.
+#[test]
+fn a_lying_source_fails_the_fetch_and_the_truth_resyncs() {
+    for lie in [DaySource::Wrong, DaySource::Short] {
+        let (mut relay, mut fleet, dids) = setup(1);
+        let did = &dids[0];
+        fleet.lend_source(Arc::new(lie));
+        for day in [1, 5] {
+            let at = now().plus_days(i64::from(day));
+            let pds = fleet.pds_for_mut(did).unwrap();
+            let writes = [day_write(day, day_post(did, day))];
+            pds.apply_redrawable_writes(did, &writes, at, day).unwrap();
+        }
+        let at = now().plus_days(6);
+        relay.crawl(&fleet, at);
+        // The first sync fetches the stored bytes, then retires the DID:
+        // its day-1 post is released.
+        let mut mirror = IncrementalRepoMirror::new();
+        let mut summary = StreamSummary::default();
+        mirror.sync(&mut relay, &mut fleet, at, Some(cutoff(3)), &mut summary);
+        assert!(summary.store_bytes_reclaimed > 0, "{lie:?}: {summary:?}");
+        let expected = held(&mirror, did);
+        assert!(expected.contains(&view_of(&day_post(did, 1))));
+
+        // A fresh mirror fetches in full, which draws day 1 again: the lie
+        // fails the export.
+        let mut mirror = IncrementalRepoMirror::new();
+        let mut summary = StreamSummary::default();
+        mirror.sync(&mut relay, &mut fleet, at, None, &mut summary);
+        assert_eq!(summary.repo_snapshot_skips, 1, "{lie:?}: {summary:?}");
+        let mismatches = fleet.redraws().mismatches;
+        assert!(mismatches > 0, "{lie:?}");
+        assert!(!mirror.repos.contains_key(did), "{lie:?}");
+
+        // The truth: the next sync fetches the DID and holds its records.
+        fleet.lend_source(Arc::new(DaySource::True));
+        let mut later = StreamSummary::default();
+        mirror.sync(&mut relay, &mut fleet, at, None, &mut later);
+        let fetches = (later.repo_full_fetches, later.repo_snapshot_skips);
+        assert_eq!(fetches, (1, 0), "{lie:?}");
+        assert_eq!(held(&mirror, did), expected, "{lie:?}");
+        assert_eq!(fleet.redraws().mismatches, mismatches, "{lie:?}");
+        assert!(fleet.redraws().blocks > 0, "{lie:?}");
     }
 }
 
@@ -605,24 +686,16 @@ impl bsky_atproto::repo::RecordSource for NoRedraw {
 #[test]
 fn a_retiring_sync_retires_each_did_it_handles() {
     let (mut relay, mut fleet, mut dids) = setup(2);
-    fleet.lend_source(Arc::new(NoRedraw));
-    // Each day's post in a language of its own, so that the mirror's view
-    // of it tells the days apart.
-    let day_post =
-        |did: &Did, day: u16| post_in(&format!("{did} on day {day}"), &format!("d{day}"));
+    fleet.lend_source(Arc::new(DaySource::Short));
     fn repo<'f>(fleet: &'f PdsFleet, did: &Did) -> &'f Repository {
         fleet.pds_for(did).unwrap().repo(did).unwrap()
     }
     // Writes `did`'s post of `day`, returning the revision of its commit.
     let write = |fleet: &mut PdsFleet, did: &Did, day: u16| -> Tid {
-        let write = bsky_atproto::repo::Write::Create {
-            collection: Nsid::parse(known::POST).unwrap(),
-            rkey: format!("d{day:03}"),
-            record: day_post(did, day),
-        };
         let at = now().plus_days(i64::from(day));
         let pds = fleet.pds_for_mut(did).unwrap();
-        pds.apply_redrawable_writes(did, &[write], at, day).unwrap();
+        let writes = [day_write(day, day_post(did, day))];
+        pds.apply_redrawable_writes(did, &writes, at, day).unwrap();
         pds.repo(did).unwrap().rev().unwrap()
     };
     let mut day_one = Vec::new();
@@ -657,14 +730,6 @@ fn a_retiring_sync_retires_each_did_it_handles() {
     };
     let before: Vec<usize> = dids.iter().map(|did| bytes(&fleet, did)).collect();
     let day_bytes = day_post(&dids[0], 1).to_cbor().len();
-    let cutoff = |day: u16| Cutoff {
-        rev: Tid::from_micros(
-            now().plus_days(i64::from(day)).timestamp() as u64 * 1_000_000,
-            0,
-        ),
-        day,
-    };
-
     let mut mirror = IncrementalRepoMirror::new();
     let mut summary = StreamSummary::default();
     let at = now().plus_days(6);

@@ -28,7 +28,8 @@
 //! `mirror`; its module documents the snapshot protocol.
 
 use crate::moderation::LabelerEntry;
-use crate::observatory::{cell_trace, ActivityClass, TraceKind, WireTraceDay};
+use crate::observatory::{ActivityClass, TraceKind, WireTraceDay};
+use crate::observer::WireTap;
 use crate::pipeline::{Observation, ObservationSink, StreamSummary, StudyCtx};
 use crate::recommendation::{served_page, FeedGenEntry, FeedPost, GET_FEED_LIMIT};
 use bsky_atproto::blockstore::StoreConfig;
@@ -80,10 +81,8 @@ pub struct Collector {
     /// Per-labeler `subscribeLabels` cursors.
     label_cursors: Vec<usize>,
     observations: u64,
-    /// Active wire framing policy (padding × batching) for this run's
-    /// firehose wire. Accounted in the summary; the §10 report sweeps every
-    /// mitigation cell counterfactually regardless of this setting.
-    framing: FramingPolicy,
+    /// Today's frames, as §10's passive observer sees them.
+    wire_tap: WireTap,
     /// Injected-fault plan for the client side of this run (flaky fetches,
     /// DNS failures, cursor gaps/rewinds). The quiet plan draws no
     /// randomness and counts nothing.
@@ -122,7 +121,7 @@ impl Collector {
             labelers_emitted: 0,
             label_cursors: Vec::new(),
             observations: 0,
-            framing: FramingPolicy::default(),
+            wire_tap: WireTap::default(),
             faults: Arc::new(FaultPlan::quiet()),
             retry_full: RetryPolicy::for_class(TimeoutClass::RepoFetch),
             retry_delta: RetryPolicy::for_class(TimeoutClass::DeltaFetch),
@@ -139,13 +138,10 @@ impl Collector {
         self
     }
 
-    /// Select the active wire framing policy (builder style): the padding
-    /// and batching mitigations applied to this run's own firehose wire
-    /// (repro `--padding` / `--batch-window`). Deterministic functions of
-    /// the frame content, accounted into the summary's wire counters; §4–§10
-    /// report bytes are invariant under this knob by construction.
-    pub fn framing(mut self, framing: FramingPolicy) -> Collector {
-        self.framing = framing;
+    /// Inert: the collector shapes no wire, and §10 sweeps every framing
+    /// cell counterfactually. Kept because `benchmark/src/surface.rs` calls
+    /// it.
+    pub fn framing(self, _framing: FramingPolicy) -> Collector {
         self
     }
 
@@ -237,6 +233,15 @@ impl Collector {
                 self.firehose_cursor = sub.cursor;
                 summary.peak_in_flight_events = summary.peak_in_flight_events.max(sub.events.len());
                 for event in sub.events.iter().filter(|e| e.time >= firehose_start) {
+                    // §10's tap records the frame before a cursor gap can hide it.
+                    if let EventBody::Commit { did, .. }
+                    | EventBody::Identity { did }
+                    | EventBody::HandleChange { did, .. }
+                    | EventBody::Tombstone { did } = &event.body
+                    {
+                        let (time, bytes) = (event.time.timestamp(), event.wire_size());
+                        self.wire_tap.record(did, time, bytes as u64);
+                    }
                     // Injected cursor gap: the subscriber's cursor skips
                     // over this commit, so the event never reaches the
                     // analyzers. Counted, never silent; Table 1's
@@ -276,12 +281,12 @@ impl Collector {
                     .filter(|e| e.time >= firehose_start)
                     .count() as u64;
             }
-            // Drain the relay's passive wire tap at the day boundary: one
-            // observatory record per traced connection per day. Day-end
-            // flushing makes each record a pure function of the day's
-            // (time, size) multiset — independent of chunking — and bounds
-            // tap memory to a single day of connections.
-            self.flush_wire_traces(world, sink, &mut summary, firehose_start);
+            // Drain §10's wire tap at the day boundary: one observatory
+            // record per traced connection per day. Day-end flushing makes
+            // each record a pure function of the day's (time, size)
+            // multiset — independent of chunking — and bounds the capture
+            // to a single day of connections.
+            self.flush_wire_traces(sink, &mut summary);
             // Labeler metadata for services announced today (exactly one
             // shard owns each labeler DID), then today's label batches from
             // every stream.
@@ -409,34 +414,11 @@ impl Collector {
         }
     }
 
-    /// Drain the relay's passive wire tap and emit one
-    /// [`Observation::WireTrace`] per connection that carried in-window
-    /// traffic today. Also accounts the *active* framing policy's wire into
-    /// the summary — the one knob-dependent surface; the §10 report itself
-    /// sweeps every mitigation cell from the raw captures.
-    fn flush_wire_traces<S: ObservationSink>(
-        &mut self,
-        world: &mut World,
-        sink: &mut S,
-        summary: &mut StreamSummary,
-        firehose_start: Datetime,
-    ) {
-        let start = firehose_start.timestamp();
-        for (did, trace) in world.relay.take_wire_traces() {
-            // Dropped frames are surfaced even when the day itself falls
-            // outside the collection window — never silent.
-            summary.observer_trace_drops += trace.dropped;
-            // Warmup traffic before the firehose window is not collected;
-            // drop it exactly as the firehose reader does.
-            let frames: Vec<(i64, u64)> = trace
-                .frames
-                .iter()
-                .copied()
-                .filter(|&(time, _)| time >= start)
-                .collect();
-            if frames.is_empty() {
-                continue;
-            }
+    /// Drain §10's wire tap and emit one [`Observation::WireTrace`] per
+    /// connection that carried in-window traffic today, in DID order.
+    fn flush_wire_traces<S: ObservationSink>(&mut self, sink: &mut S, summary: &mut StreamSummary) {
+        for (did, (frames, dropped)) in self.wire_tap.drain() {
+            summary.observer_trace_drops += dropped;
             let day = frames[0].0.div_euclid(86_400);
             let class = self
                 .identity_map
@@ -444,15 +426,7 @@ impl Collector {
                 .map(|(_, class)| *class)
                 .unwrap_or(ActivityClass::Lurking);
             let record =
-                WireTraceDay::from_frames(TraceKind::Repo, did, day, class, &frames, trace.dropped);
-            let active = cell_trace(
-                &frames,
-                self.framing.padding,
-                self.framing.batch.window_secs,
-            );
-            summary.wire_frames += active.frames;
-            summary.padding_overhead_bytes +=
-                active.wire_bytes.saturating_sub(record.payload_bytes);
+                WireTraceDay::from_frames(TraceKind::Repo, did, day, class, &frames, dropped);
             self.emit(sink, &Observation::WireTrace(&record));
         }
     }

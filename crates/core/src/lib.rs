@@ -19,7 +19,8 @@
 //!   once. It also takes §5's active measurements (DNS TXT and well-known
 //!   proofs, WHOIS, Tranco, the public suffix list) and attaches them to
 //!   each DID document it emits. The repositories dataset is kept current by the rev-aware
-//!   incremental mirror in `collect::mirror`.
+//!   incremental mirror in `collect::mirror`, and §10's passive `observer`
+//!   taps the collector's own firehose subscription.
 //!
 //! One module per section of the paper, each owning its analyzers, their
 //! merge, its output structs with their rendering, and its slice of the
@@ -32,8 +33,8 @@
 //! * `moderation` — §6: labelers and labels, Tables 3, 4 and 6, Figures
 //!   4–6.
 //! * `recommendation` — §7: feed generators, Table 5, Figures 7–12.
-//! * `observatory` — §10, the wire-level traffic observatory: a passive
-//!   per-connection `(size, gap)` capture feeds a closed-world 1-NN
+//! * `observatory` — §10, the wire-level traffic observatory: the
+//!   observer's per-connection `(size, gap)` capture feeds a closed-world 1-NN
 //!   activity classifier, swept across padding/batching mitigation cells
 //!   evaluated counterfactually from the raw traces.
 //!
@@ -45,7 +46,7 @@
 //!   associative `merge`) into a report byte-identical to the serial run's.
 //! * [`spec`] — [`RunSpec`], the one builder every run flows through:
 //!   seed and scale, engine shards and worker threads, block-store backend,
-//!   relay topology, wire framing, and fault scenario all live on it, and
+//!   relay topology and fault scenario all live on it, and
 //!   [`RunSpec::validate`] rejects out-of-range values up front. One spec
 //!   describes one run.
 //! * [`report`] — the entry points, both taking a `&RunSpec`:
@@ -117,6 +118,7 @@ pub mod json;
 pub mod langdetect;
 mod moderation;
 mod observatory;
+mod observer;
 pub mod pipeline;
 mod recommendation;
 pub mod report;

@@ -11,15 +11,14 @@
 //!
 //! ## The counterfactual sweep
 //!
-//! The producer captures each connection's *raw* per-day `(time, size)`
-//! trace once, and every mitigation cell in `MITIGATION_CELLS` is
-//! evaluated from that capture as a counterfactual: "what would this day's
-//! wire have looked like under pad-to-128 + 60 s batching?" is a pure
-//! function of the raw trace (`WireTraceDay::from_frames`). §10 therefore
-//! never depends on which `--padding` / `--batch-window` the run was
-//! *configured* with — the observer is passive by construction, the whole
-//! report is invariant under the active framing policy, and a sharded run
-//! reproduces the serial bytes exactly.
+//! The collector captures each connection's *raw* per-day `(time, size)`
+//! trace once, from its own firehose subscription, and every mitigation
+//! cell in `MITIGATION_CELLS` is evaluated from that capture as a
+//! counterfactual: "what would this day's wire have looked like under
+//! pad-to-128 + 60 s batching?" is a pure function of the raw trace
+//! (`WireTraceDay::from_frames`). The observer is passive by construction:
+//! no run shapes its own wire, and a sharded run reproduces the serial
+//! bytes exactly.
 //!
 //! ## The closed-world classifier
 //!

@@ -410,14 +410,6 @@ pub struct StreamSummary {
     /// zone store (`_atproto.<handle>` TXT) while riding the weekly
     /// `sync.listRepos` snapshots.
     pub identity_lookups: u64,
-    /// Frames put on the firehose wire under the run's *active* framing
-    /// policy (`--padding` / `--batch-window`). The §10 report sweeps all
-    /// mitigation cells counterfactually; these counters describe the one
-    /// wire this run actually produced.
-    pub wire_frames: u64,
-    /// Bytes the active framing policy spent above the raw event payload
-    /// (frame headers plus padding, minus what batching reclaimed).
-    pub padding_overhead_bytes: u64,
     /// Frames dropped by full per-connection capture buffers — a visible
     /// trace truncation, never silent.
     pub observer_trace_drops: u64,
@@ -478,7 +470,7 @@ impl StreamSummary {
     /// Render a one-line summary for CLI output.
     pub fn render(&self) -> String {
         let mut out = format!(
-            "pipeline: {} days, {} observations, {} firehose events streamed, peak {} in flight; repo snapshots: {} bytes fetched ({} full, {} delta), {} skipped, {} compaction fallback(s); store: {} bytes resident, {} spilled, {} commit(s) dropped and {} bytes reclaimed by compaction, {} block(s) re-drawn, {} subtree(s) collapsed, {} re-derived, {} CID mismatch(es)",
+            "pipeline: {} days, {} observations, {} firehose events streamed, peak {} in flight; repo snapshots: {} bytes fetched ({} full, {} delta), {} skipped, {} compaction fallback(s); store: {} bytes resident, {} spilled, {} commit(s) dropped by compaction, {} bytes released as repositories retired, {} block(s) re-drawn, {} subtree(s) collapsed, {} re-derived, {} CID mismatch(es)",
             self.days,
             self.observations,
             self.firehose_events,
@@ -498,8 +490,8 @@ impl StreamSummary {
             self.redraw_mismatches,
         );
         out.push_str(&format!(
-            "; observatory: {} frames on the wire, {} overhead bytes, {} identity lookups",
-            self.wire_frames, self.padding_overhead_bytes, self.identity_lookups
+            "; observatory: {} identity lookups",
+            self.identity_lookups
         ));
         if self.observer_trace_drops > 0 {
             out.push_str(&format!(
@@ -604,8 +596,6 @@ impl StreamSummary {
         self.subtrees_rederived += other.subtrees_rederived;
         self.redraw_mismatches += other.redraw_mismatches;
         self.identity_lookups += other.identity_lookups;
-        self.wire_frames += other.wire_frames;
-        self.padding_overhead_bytes += other.padding_overhead_bytes;
         self.observer_trace_drops += other.observer_trace_drops;
         self.retry_attempts += other.retry_attempts;
         self.retry_backoff_ms += other.retry_backoff_ms;

@@ -121,7 +121,7 @@ impl StudyReport {
     /// states are merged in shard order. Every observation folds into the
     /// incremental analyzers — the firehose is never retained — and the
     /// report is **byte-identical** to the serial run's for any
-    /// `(shards, jobs)`, store backend, relay topology or framing policy;
+    /// `(shards, jobs)`, store backend or relay topology;
     /// the golden equivalence tests pin this.
     ///
     /// Non-quiet [`RunSpec::faults`] specs attach a `Scenario impact` section

@@ -31,9 +31,8 @@
 //! the golden tests.
 //!
 //! Every run knob rides in on the [`RunSpec`]: the store backend changes
-//! only where blocks reside, framing only the wire accounting, and fault
-//! plans inject identically across shard counts — none of them moves a
-//! byte of the merged report.
+//! only where blocks reside, and fault plans inject identically across
+//! shard counts — neither moves a byte of the merged report.
 
 use crate::activity::{ActivityAnalyzer, Section4Analyzer};
 use crate::collect::{Collector, DEFAULT_CHUNK_EVENTS};
@@ -366,7 +365,7 @@ fn run_shard<S: ShardSink>(
             .relays(spec.relays)
             .faults(faults.clone()),
     );
-    let mut collector = Collector::new().framing(spec.framing).faults(faults);
+    let mut collector = Collector::new().faults(faults);
     let (sink, summary) = if spec.pipeline {
         let mut pipelined = PipelinedSink::<S>::new(spec.analyzer_threads);
         let mut summary = collector.stream(&mut world, &mut pipelined);

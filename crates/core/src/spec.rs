@@ -1,8 +1,8 @@
 //! [`RunSpec`]: one declarative description of a study run.
 //!
 //! Every knob the pipeline understands — scenario seed/scale, engine
-//! shards and worker threads, block-store backend, relay topology, wire
-//! [`FramingPolicy`] and fault injection — lives in one struct, and a spec
+//! shards and worker threads, block-store backend, relay topology and
+//! fault injection — lives in one struct, and a spec
 //! describes exactly one run. The entry points
 //! ([`crate::report::StudyReport::run`],
 //! [`crate::report::StudyReport::run_serial`],
@@ -12,8 +12,9 @@
 //! scales is a loop over specs (or a shell loop over `repro --seed` /
 //! `--scale`), which composes with every other knob.
 //!
-//! Two fields are inert: `appview_shards` and `write_back` configured an
-//! AppView the study no longer runs. They stay only because
+//! Three fields are inert: `appview_shards` and `write_back` configured an
+//! AppView the study no longer runs, and `framing` a wire no run shapes
+//! (§10 sweeps every cell counterfactually). They stay only because
 //! `benchmark/src/surface.rs` sets and reads them.
 //!
 //! [`RunSpec::validate`] holds the range rules (positive scale, shard and
@@ -65,7 +66,8 @@ pub struct RunSpec {
     /// Inert, kept for `benchmark/src/surface.rs`; deleted by ROADMAP
     /// item 3 step 1.
     pub write_back: bool,
-    /// Wire framing policy (padding / batching mitigations, §10).
+    /// Inert, kept for `benchmark/src/surface.rs`; deleted by ROADMAP
+    /// item 3 step 1.
     pub framing: FramingPolicy,
     /// Fault injection spec (quiet by default).
     pub faults: FaultSpec,
@@ -77,8 +79,7 @@ pub struct RunSpec {
 impl RunSpec {
     /// A single serial run of `config` with every default: one shard, auto
     /// jobs (which one shard clamps to one worker), in-memory store, no
-    /// intra-shard pipeline, a single relay, unmitigated wire, quiet
-    /// faults.
+    /// intra-shard pipeline, a single relay, quiet faults.
     pub fn new(config: ScenarioConfig) -> RunSpec {
         RunSpec {
             config,

@@ -45,16 +45,14 @@ impl FirehoseLog {
     }
 
     /// Append an event body, assigning the next sequence number. Returns
-    /// the appended frame with its wire size, so a caller that accounts
-    /// bytes does not encode the frame a second time.
-    pub(crate) fn append(&mut self, time: Datetime, body: EventBody) -> (&Event, usize) {
+    /// the appended frame.
+    pub(crate) fn append(&mut self, time: Datetime, body: EventBody) -> &Event {
         let seq = self.next_seq;
         self.next_seq += 1;
         let event = Event { seq, time, body };
         *self.totals_by_kind.entry(event.kind()).or_insert(0) += 1;
-        let wire_size = event.wire_size();
         self.events.push(event);
-        (&self.events[self.events.len() - 1], wire_size)
+        &self.events[self.events.len() - 1]
     }
 
     /// Drop events older than the retention window relative to `now`.
@@ -127,7 +125,7 @@ mod tests {
     fn sequence_numbers_are_dense_and_increasing() {
         let mut log = FirehoseLog::new();
         for i in 0..10 {
-            let (event, _) = log.append(t(0, i), identity_body(&format!("u{i}")));
+            let event = log.append(t(0, i), identity_body(&format!("u{i}")));
             assert_eq!(event.seq, i as u64 + 1);
         }
         assert_eq!(log.next_seq, 11);

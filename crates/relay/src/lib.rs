@@ -9,9 +9,6 @@
 //! * [`relay`] — the Relay service: PDS crawler (each PDS's outbox already
 //!   holds firehose frames; the crawl sequences them), network-wide
 //!   `sync.listRepos`, and `sync.getRepo` proxied to the hosting PDS.
-//! * [`observer`] — the passive per-connection `(size, gap)` wire tap the
-//!   relay records its firehose frames into, for the §10 traffic
-//!   observatory.
 //! * [`federation`] — hierarchical relay federation: N regional relays each
 //!   crawling a contiguous slice of the hostname-sorted PDS fleet, forwarding
 //!   cursor-resumably into a super-relay with cross-relay `(did, rev)`
@@ -25,7 +22,6 @@
 
 pub mod federation;
 pub mod firehose;
-pub mod observer;
 pub mod relay;
 pub mod stats;
 

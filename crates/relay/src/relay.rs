@@ -9,7 +9,6 @@
 //! vantage point (§3).
 
 use crate::firehose::{FirehoseLog, Subscription};
-use crate::observer::{ConnTrace, WireObserver};
 use crate::stats::RelayStats;
 use bsky_atproto::blockstore::StoreConfig;
 use bsky_atproto::error::{AtError, Result};
@@ -41,10 +40,6 @@ pub struct Relay {
     crawl_cursors: BTreeMap<String, usize>,
     known_dids: BTreeMap<Did, Option<Tid>>,
     stats: RelayStats,
-    /// Passive wire tap: per-DID firehose `(time, size)` traces for the §10
-    /// traffic observatory. Always on — recording is a couple of integer
-    /// pushes per event — and drained by the study producer at day ends.
-    wire_tap: WireObserver,
     /// Provenance of each retained firehose frame, pruned in lockstep with
     /// the firehose retention window. Downstream relay tiers read this to
     /// deduplicate events that carry no `(did, rev)` key of their own.
@@ -68,7 +63,6 @@ impl Relay {
             crawl_cursors: BTreeMap::new(),
             known_dids: BTreeMap::new(),
             stats: RelayStats::new(),
-            wire_tap: WireObserver::new(),
             origins: BTreeMap::new(),
         }
     }
@@ -134,11 +128,10 @@ impl Relay {
         ingested
     }
 
-    /// Append one event to the firehose, updating the account table, volume
-    /// stats and passive wire tap exactly as a crawl would. This is the
-    /// ingress path shared by [`Relay::crawl`] and inter-relay forwarding:
-    /// a super-relay receiving a frame from a regional relay feeds it
-    /// through here so its `listRepos` view and wire accounting are
+    /// Append one event to the firehose, updating the account table exactly
+    /// as a crawl would. This is the ingress path shared by [`Relay::crawl`]
+    /// and inter-relay forwarding: a super-relay receiving a frame from a
+    /// regional relay feeds it through here so its `listRepos` view is
     /// indistinguishable from having crawled the PDS itself.
     pub(crate) fn ingest_event(
         &mut self,
@@ -146,8 +139,8 @@ impl Relay {
         body: EventBody,
         origin: Option<EventOrigin>,
     ) -> Seq {
-        let (event, wire_size) = self.firehose.append(time, body);
-        let did = match &event.body {
+        let event = self.firehose.append(time, body);
+        match &event.body {
             EventBody::Commit { did, rev, .. } => {
                 // Track latest known revision for listRepos.
                 match self.known_dids.get_mut(did) {
@@ -156,26 +149,16 @@ impl Relay {
                         self.known_dids.insert(did.clone(), Some(*rev));
                     }
                 }
-                Some(did)
             }
             EventBody::Identity { did } => {
                 if !self.known_dids.contains_key(did) {
                     self.known_dids.insert(did.clone(), None);
                 }
-                Some(did)
             }
             EventBody::Tombstone { did } => {
                 self.known_dids.remove(did);
-                Some(did)
             }
-            EventBody::HandleChange { did, .. } => Some(did),
-            EventBody::Info { .. } => None,
-        };
-        // Feed the passive tap: a firehose subscriber's wire carries this
-        // frame at this instant, keyed by the subject DID.
-        if let Some(did) = did {
-            self.wire_tap
-                .record(did, time.timestamp(), wire_size as u64);
+            EventBody::HandleChange { .. } | EventBody::Info { .. } => {}
         }
         let seq = event.seq;
         if let Some(origin) = origin {
@@ -202,12 +185,6 @@ impl Relay {
     /// The firehose log (read access for subscribers and stats).
     pub fn firehose(&self) -> &FirehoseLog {
         &self.firehose
-    }
-
-    /// Drain the passive wire tap: per-DID `(time, size)` traces of every
-    /// firehose frame appended since the last drain, in DID-sorted order.
-    pub fn take_wire_traces(&mut self) -> BTreeMap<Did, ConnTrace> {
-        self.wire_tap.drain()
     }
 
     /// This relay's crawl cursor for every server of the fleet, in

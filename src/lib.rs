@@ -6,11 +6,12 @@
 //!
 //! * [`bsky_atproto`] — the AT Protocol data model.
 //! * [`bsky_pds`], [`bsky_relay`], [`bsky_appview`] — the network's
-//!   repository hosts, its aggregator (with the §10 wire tap) and its index.
+//!   repository hosts, its aggregator and its index.
 //! * [`bsky_workload`] — the rest of the simulated network (seeded RNG,
 //!   DNS, HTTP, faults, identity, labelers, feed generators) and the
 //!   calibrated synthetic ecosystem that drives it.
-//! * [`bsky_study`] — the streaming measurement pipeline and analyses.
+//! * [`bsky_study`] — the streaming measurement pipeline and analyses,
+//!   with the collector's §10 wire capture.
 //!
 //! ## The streaming study pipeline
 //!
@@ -41,8 +42,8 @@
 //! ## Run configuration: one `RunSpec`, two entry points
 //!
 //! Every knob a study run has — seed and scale, engine shards and worker
-//! threads, block-store backend, wire framing, relay topology, fault
-//! scenario — lives on one struct, `bsky_study::RunSpec`, with builder methods for the knobs
+//! threads, block-store backend, relay topology, fault scenario — lives
+//! on one struct, `bsky_study::RunSpec`, with builder methods for the knobs
 //! callers chain:
 //!
 //! ```ignore
@@ -164,37 +165,17 @@
 //! ## The wire-level traffic observatory
 //!
 //! A passive adversary watching the encrypted links sees only frame sizes
-//! and inter-arrival gaps — and, per the FOCI'20 encrypted-DNS
-//! fingerprinting literature, that is often enough. The observatory models
-//! this end to end:
-//!
-//! * **Capture** — `bsky_relay::observer::WireObserver` is a bounded
-//!   per-connection tap (overflow counted, never silent); the relay feeds
-//!   it every firehose frame from `Event::wire_size` and the simulated
-//!   clock, and the collector's identity snapshots route handle resolution
-//!   through the simulated DNS (`bsky_workload::dns`), producing a
-//!   resolver-side lookup trace.
-//! * **Mitigation** — `bsky_atproto::framing::FramingPolicy` shapes the
-//!   wire: `PaddingPolicy` pads frames to 128-byte buckets or a constant
-//!   size, and a batching window coalesces a connection's events into one
-//!   frame per window. Framing derives purely from (event bytes, event
-//!   time), so the sharded engine splits and merges it exactly (repro
-//!   `--padding none|buckets|constant --batch-window SECS`).
-//! * **Study** — `bsky_study`'s observatory analyzer folds the traces into
-//!   the §10 report section: a closed-world 1-NN classifier over
-//!   per-(DID, week) (size, gap) features, trained on even weeks and
-//!   tested on odd weeks with class-balanced sampling, against ground
-//!   truth from the `bsky_workload::PopulationPlan` activity weights. The
-//!   whole mitigation sweep is evaluated *counterfactually* from the raw
-//!   captured traces, so every cell — accuracy × bandwidth overhead for
-//!   none / bucketed / batched / constant-size framing — appears in one
-//!   report, and the report stays byte-identical whatever policy is
-//!   active on the wire (the golden tests pin this, serial and sharded,
-//!   mem and paged stores).
-//!
-//! The active policy's real cost *is* visible where it belongs:
-//! `bsky_study::StreamSummary` counts wire frames, padding overhead
-//! bytes, identity lookups, and observer drops.
+//! and inter-arrival gaps (FOCI'20, "Padding Ain't Enough"). The collector
+//! is that observer of its own firehose subscription: it records every
+//! in-window frame's `(time, Event::wire_size)` per subject DID, before an
+//! injected cursor gap can hide the frame from the consumer, and its
+//! identity snapshots add a DNS lookup trace. A connection keeps at most
+//! 4 096 frames a day; the rest are counted in
+//! `bsky_study::StreamSummary`, never silent. §10 evaluates every padding
+//! and batching cell of `bsky_atproto::framing` counterfactually from that
+//! capture, and reports a closed-world 1-NN classifier's accuracy against
+//! each cell's bandwidth overhead (see `bsky_study`'s `observatory`). No
+//! run shapes its own wire: `RunSpec.framing` is inert.
 //!
 //! ## Hierarchical relay federation
 //!

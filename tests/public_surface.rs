@@ -42,7 +42,6 @@ const EXEMPT: &[(&str, &str)] = &[
     ("core::table1::Table1", "StudyReport::table1"),
     ("relay::firehose::FirehoseLog", "Relay::firehose"),
     ("relay::firehose::Subscription", "Relay::subscribe"),
-    ("relay::observer::ConnTrace", "Relay::take_wire_traces"),
     ("relay::relay::EventOrigin", "Relay::event_origin"),
     ("workload::faas::FaasPlatform", "faas::default_platforms"),
     ("workload::faas::FilterFeatures", "FaasPlatform::filters"),
